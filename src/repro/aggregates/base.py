@@ -18,7 +18,10 @@ harmless.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Generic, List, Optional, Sequence, Tuple, TypeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 P = TypeVar("P")
 S = TypeVar("S")
@@ -82,6 +85,27 @@ class Aggregate(ABC, Generic[P, S]):
             self.tree_local_batch(nodes, epoch, row)
             for epoch, row in zip(epochs, reading_rows)
         ]
+
+    def tree_local_matrix(
+        self,
+        nodes: Sequence[int],
+        epochs: Sequence[int],
+        readings: np.ndarray,
+    ) -> np.ndarray:
+        """Tree partials of a block as one int64 ``(epochs, nodes)`` matrix.
+
+        ``readings`` is the float64 ``(epochs, nodes)`` matrix of
+        :func:`~repro.network.simulator.gather_reading_block`; cell
+        ``[j, i]`` must equal ``tree_local(nodes[i], epochs[j],
+        readings[j, i])``, and invalid readings must raise what
+        :meth:`tree_local` raises. Only called when
+        :meth:`tree_partials_additive` returned ``True`` — this is how the
+        fused kernels get their partial matrix without a Python object per
+        cell.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no array-native tree partials"
+        )
 
     # -- multi-path algorithm ------------------------------------------------
 
@@ -187,6 +211,15 @@ class Aggregate(ABC, Generic[P, S]):
     def exact(self, readings: Sequence[float]) -> float:
         """The loss-free answer over all sensor readings (for metrics)."""
 
+    def exact_array(self, readings: np.ndarray) -> float:
+        """:meth:`exact` over one float64 row of readings.
+
+        Must equal ``exact(readings.tolist())`` exactly, which is also the
+        default; aggregates whose truth vectorises (Sum) override it so a
+        whole-population truth row costs no Python object per sensor.
+        """
+        return self.exact(readings.tolist())
+
     # -- neutral elements --------------------------------------------------------
 
     def tree_empty(self) -> P:
@@ -233,8 +266,9 @@ class Aggregate(ABC, Generic[P, S]):
         """Whether tree partials are plain integers merged by addition.
 
         Contract for returning ``True``: every :meth:`tree_local` result is
-        an ``int``, :meth:`tree_merge` is integer ``+``, and
-        :meth:`tree_words` is constant across partials. The fused kernels
+        an ``int``, :meth:`tree_merge` is integer ``+``,
+        :meth:`tree_words` is constant across partials, and
+        :meth:`tree_local_matrix` is implemented. The fused kernels
         (:mod:`repro.kernels`) rely on all three to run a whole epoch block
         of tree waves as int64 column adds; aggregates that cannot promise
         this keep the default ``False`` and take the per-payload object

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.aggregates.base import Aggregate
 from repro.multipath.fm import (
     FMSketch,
@@ -52,6 +54,11 @@ class CountAggregate(Aggregate[int, FMSketch]):
         reading_rows: Sequence[Sequence[float]],
     ) -> List[List[int]]:
         return [[1] * len(nodes) for _ in epochs]
+
+    def tree_local_matrix(
+        self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
+    ) -> np.ndarray:
+        return np.ones((len(epochs), len(nodes)), dtype=np.int64)
 
     def tree_merge(self, a: int, b: int) -> int:
         return a + b
@@ -162,6 +169,9 @@ class CountAggregate(Aggregate[int, FMSketch]):
     # -- truth ---------------------------------------------------------------------
 
     def exact(self, readings: Sequence[float]) -> float:
+        return float(len(readings))
+
+    def exact_array(self, readings: np.ndarray) -> float:
         return float(len(readings))
 
     def synopsis_counts_contributors(self) -> bool:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.aggregates.base import Aggregate
 from repro.errors import ConfigurationError
 from repro.multipath.fm import (
@@ -19,6 +21,10 @@ from repro.multipath.fm import (
     counted_sketches,
     words_batch,
 )
+
+
+#: First float64 that no longer fits the kernels' int64 partial matrix.
+_INT64_LIMIT = float(1 << 63)
 
 
 class SumAggregate(Aggregate[int, FMSketch]):
@@ -42,10 +48,31 @@ class SumAggregate(Aggregate[int, FMSketch]):
             )
         return value
 
+    @staticmethod
+    def _as_int_array(readings: np.ndarray) -> np.ndarray:
+        """:meth:`_as_int` over a float64 array, as int64.
+
+        ``np.rint`` rounds half to even like ``round()``. A cell the scalar
+        path rejects (negative, NaN, inf) is handed to it, so the array path
+        fails with the very same exception instead of casting garbage.
+        """
+        rounded = np.rint(readings)
+        valid = (rounded >= 0) & (rounded < _INT64_LIMIT)
+        if not valid.all():
+            first = float(readings[~valid][0])
+            SumAggregate._as_int(first)
+            raise OverflowError(f"reading {first!r} does not fit an int64 partial")
+        return rounded.astype(np.int64)
+
     # -- tree ------------------------------------------------------------
 
     def tree_local(self, node: int, epoch: int, reading: float) -> int:
         return self._as_int(reading)
+
+    def tree_local_matrix(
+        self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
+    ) -> np.ndarray:
+        return self._as_int_array(readings)
 
     def tree_merge(self, a: int, b: int) -> int:
         return a + b
@@ -175,6 +202,9 @@ class SumAggregate(Aggregate[int, FMSketch]):
 
     def exact(self, readings: Sequence[float]) -> float:
         return float(sum(self._as_int(reading) for reading in readings))
+
+    def exact_array(self, readings: np.ndarray) -> float:
+        return float(int(self._as_int_array(readings).sum()))
 
     def supports_group_by(self) -> bool:
         return True

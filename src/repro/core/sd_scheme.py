@@ -41,7 +41,12 @@ from repro.network.links import (
 from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment, NodeId
 from repro.network.rings import RingsTopology
-from repro.network.simulator import EpochOutcome, ReadingFn, gather_readings
+from repro.network.simulator import (
+    EpochOutcome,
+    ReadingFn,
+    exact_over,
+    gather_readings,
+)
 
 
 class SynopsisDiffusionScheme:
@@ -364,8 +369,7 @@ class SynopsisDiffusionScheme:
         )
 
     def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
-        values = gather_readings(readings, self._alive_sensors, epoch)
-        return self._aggregate.exact(values)
+        return exact_over(self._aggregate, readings, self._alive_sensors, epoch)
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """SD has no mode adaptation (ring levels are maintained offline)."""

@@ -23,12 +23,7 @@ from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import TreePayload
 from repro.errors import ConfigurationError
 from repro.kernels import get_backend
-
-try:
-    from repro.kernels.tag import run_tag_block, tag_eligible
-except ImportError:  # pragma: no cover - numpy-less hosts keep the object path
-    run_tag_block = None
-    tag_eligible = None
+from repro.kernels.tag import run_tag_block, tag_eligible, tag_layout
 from repro.network.links import (
     Channel,
     DeliveryPlan,
@@ -38,7 +33,12 @@ from repro.network.links import (
 )
 from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment, NodeId
-from repro.network.simulator import EpochOutcome, ReadingFn, gather_readings
+from repro.network.simulator import (
+    EpochOutcome,
+    ReadingFn,
+    exact_over,
+    gather_readings,
+)
 from repro.tree.structure import Tree
 
 
@@ -72,17 +72,13 @@ class TagScheme:
         if attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
         self._deployment = deployment
-        self._tree = tree
         self._aggregate = aggregate
         self._attempts = attempts
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
         self._kernel_backend = kernel_backend
         self.name = name
-        levels = tree.levels()
-        self._levels = _level_groups(levels)
-        self._depth = max(levels.values(), default=0)
-        self._parents = dict(tree.parents)
+        self.replace_tree(tree)
         # Ground-truth population; shrinks/grows under node churn.
         self._alive_sensors = list(deployment.sensor_ids)
 
@@ -100,13 +96,16 @@ class TagScheme:
 
         TAG aggregation is stateless between epochs, so swapping the
         routing tree between waves is safe; the next epoch simply follows
-        the new parents. The transmission schedule and depth are recomputed.
+        the new parents. The transmission schedule, the depth and the fused
+        kernel's row layout are recomputed — here, once per tree, not per
+        block.
         """
         levels = tree.levels()
         self._tree = tree
         self._levels = _level_groups(levels)
         self._depth = max(levels.values(), default=0)
         self._parents = dict(tree.parents)
+        self._kernel_layout = tag_layout(self._levels, self._parents)
 
     def on_membership_change(self, update) -> None:
         """Adopt the repaired tree and live population after node churn.
@@ -164,12 +163,7 @@ class TagScheme:
         """
         epoch_list = [int(epoch) for epoch in epochs]
         backend = get_backend(self._kernel_backend)
-        if (
-            backend.fused
-            and tag_eligible is not None
-            and tag_eligible(self)
-            and channel.chaos is None
-        ):
+        if backend.fused and tag_eligible(self) and channel.chaos is None:
             return run_tag_block(self, epoch_list, channel, readings, backend)
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         aggregate = self._aggregate
@@ -286,8 +280,7 @@ class TagScheme:
         )
 
     def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
-        values = gather_readings(readings, self._alive_sensors, epoch)
-        return self._aggregate.exact(values)
+        return exact_over(self._aggregate, readings, self._alive_sensors, epoch)
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """TAG does not adapt its aggregation mode (parent re-selection for

@@ -27,9 +27,17 @@ import bisect
 import math
 from typing import Callable, Dict, List, Sequence
 
-from repro._hashing import hash_unit, hash_unit_batch, stream_rng
+import numpy as np
+
+from repro._hashing import hash_key, hash_unit, hash_unit_batch, stream_rng
 from repro.errors import ConfigurationError
 from repro.network.placement import NodeId
+
+#: Most (node, epoch) cells one ``hash_unit_batch`` pass of a reading block
+#: covers. A block is hashed in runs of whole epoch rows under this size, so
+#: the uint64 temporaries of the hash chain stay under a MB each however many
+#: nodes x epochs the caller asks for.
+BLOCK_CHUNK_CELLS = 1 << 16
 
 
 class ConstantReadings:
@@ -44,6 +52,14 @@ class ConstantReadings:
     def batch(self, nodes: Sequence[NodeId], epoch: int) -> List[float]:
         """One epoch's readings for many nodes (identical to per-node calls)."""
         return [self.value] * len(nodes)
+
+    def block(self, nodes: Sequence[NodeId], epochs: Sequence[int]) -> np.ndarray:
+        """Readings as a float64 ``(epochs, nodes)`` matrix.
+
+        Row ``j`` equals ``[self(node, epochs[j]) for node in nodes]``; the
+        array consumers (fused kernels, vectorised truth) read this form.
+        """
+        return np.full((len(epochs), len(nodes)), self.value, dtype=np.float64)
 
 
 class UniformReadings:
@@ -62,17 +78,41 @@ class UniformReadings:
         return float(self.low + int(draw * span))
 
     def batch(self, nodes: Sequence[NodeId], epoch: int) -> List[float]:
-        """One epoch's readings for many nodes, hashed in one pass.
+        """One epoch's readings for many nodes, as plain Python floats.
 
-        Bit-identical to per-node ``__call__``: the batch hash helper
-        reproduces the scalar draws exactly, and the scale/truncate
-        arithmetic is the same float64 operations.
+        A one-row :meth:`block`, so there is one vectorised generator; the
+        list form is what the object engine (and every ``hash_key`` token
+        derived from a reading) consumes.
         """
+        return self.block(nodes, (epoch,))[0].tolist()
+
+    def block(self, nodes: Sequence[NodeId], epochs: Sequence[int]) -> np.ndarray:
+        """Readings as a float64 ``(epochs, nodes)`` matrix.
+
+        Row ``j`` equals ``[self(node, epochs[j]) for node in nodes]`` bit
+        for bit: the batch hash helper reproduces the scalar draws exactly,
+        ``draw * span`` is the same float64 product, ``np.floor`` is
+        ``int()`` on a non-negative value, and ``low + k`` is exact in
+        float64 at any reading magnitude a sensor reports.
+        """
+        node_column = np.asarray(nodes, dtype=np.int64)
+        epoch_column = np.asarray(epochs, dtype=np.int64)
+        width = len(node_column)
+        out = np.empty((len(epoch_column), width), dtype=np.float64)
+        if out.size == 0:
+            return out
         span = self.high - self.low + 1
-        draws = hash_unit_batch(
-            ("uniform-reading", self.seed), list(nodes), [epoch] * len(nodes)
-        )
-        return [float(self.low + int(draw * span)) for draw in draws]
+        prefix = hash_key("uniform-reading", self.seed)
+        step = max(1, BLOCK_CHUNK_CELLS // width)
+        for start in range(0, len(epoch_column), step):
+            rows = epoch_column[start:start + step]
+            draws = hash_unit_batch(
+                prefix, np.tile(node_column, len(rows)), np.repeat(rows, width)
+            )
+            out[start:start + step] = (
+                self.low + np.floor(draws * span)
+            ).reshape(len(rows), width)
+        return out
 
     def expected_total(self, num_sensors: int) -> float:
         """Expected network-wide sum, for sanity checks."""

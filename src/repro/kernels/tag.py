@@ -18,7 +18,8 @@ object path happened to iterate dicts in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,23 +27,61 @@ from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION, NodeId
-from repro.network.simulator import EpochOutcome, gather_readings
+from repro.network.simulator import EpochOutcome, gather_reading_block
+
+
+@dataclass(frozen=True)
+class TagLayout:
+    """Where a TAG tree's nodes live in the block kernel's accumulators.
+
+    Rows follow the wave order — level after level, deepest first, then the
+    base station — so a level's own rows are one contiguous span. Depends
+    only on the tree, so the scheme computes it once per adopted tree, not
+    once per block.
+
+    Attributes:
+        spans: per level, the ``(start, stop)`` rows of its nodes.
+        parent_rows: per level, each node's parent's row.
+        senders: every transmitting node, in row order; the base station's
+            row is ``len(senders)``.
+    """
+
+    spans: Tuple[Tuple[int, int], ...]
+    parent_rows: Tuple[np.ndarray, ...]
+    senders: Tuple[NodeId, ...]
+
+
+def tag_layout(
+    levels: Sequence[Sequence[NodeId]], parents: Mapping[NodeId, NodeId]
+) -> Optional[TagLayout]:
+    """The accumulator layout of a tree, or None if a node has no parent.
+
+    An orphaned node would unicast to ``None``; the object path tolerates
+    it, the array path does not model it.
+    """
+    senders = tuple(node for level_nodes in levels for node in level_nodes)
+    index = {node: row for row, node in enumerate(senders)}
+    index[BASE_STATION] = len(senders)
+    if any(parents.get(node) not in index for node in senders):
+        return None
+    spans, parent_rows, start = [], [], 0
+    for level_nodes in levels:
+        spans.append((start, start + len(level_nodes)))
+        start += len(level_nodes)
+        parent_rows.append(
+            np.array([index[parents[node]] for node in level_nodes], dtype=np.int64)
+        )
+    return TagLayout(tuple(spans), tuple(parent_rows), senders)
 
 
 def tag_eligible(scheme) -> bool:
     """Whether the fused block path applies to this TAG instance.
 
-    Requires additive integer partials and a fully-parented tree (an
-    orphaned node would unicast to ``None``; the object path tolerates it,
-    the array path does not model it).
+    Requires additive integer partials and a fully-parented tree.
     """
-    if not scheme._aggregate.tree_partials_additive():
-        return False
-    parents = scheme._parents
-    return all(
-        parents.get(node) is not None
-        for level_nodes in scheme._levels
-        for node in level_nodes
+    return (
+        scheme._kernel_layout is not None
+        and scheme._aggregate.tree_partials_additive()
     )
 
 
@@ -58,22 +97,15 @@ def run_tag_block(
     aggregate = scheme._aggregate
     attempts = scheme._attempts
     depth = scheme._depth
-    parents = scheme._parents
+    layout: TagLayout = scheme._kernel_layout
+    base_row = len(layout.senders)
     num_epochs = len(epoch_list)
 
     skeletons = scheme._plan_levels()
     plan = channel.plan_epochs(skeletons, epoch_list)
 
-    # Row index: level nodes in wave order, then the base station.
-    index: Dict[NodeId, int] = {}
-    for level_nodes in scheme._levels:
-        for node in level_nodes:
-            index[node] = len(index)
-    base_row = len(index)
-    index[BASE_STATION] = base_row
-
-    acc_partial = np.zeros((len(index), num_epochs), dtype=np.int64)
-    acc_count = np.zeros((len(index), num_epochs), dtype=np.int64)
+    acc_partial = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
+    acc_count = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
 
     # Constant billing: additive aggregates have constant tree_words, and
     # every payload carries one extra word (the contributor count).
@@ -81,32 +113,16 @@ def run_tag_block(
     messages_const = int(scheme._accountant.spec_for_words(words_const).messages)
 
     deliveries = np.zeros(num_epochs, dtype=np.int64)
-    total_pairs = 0
-    transmissions_const = 0
-    words_const_total = 0
-    messages_const_total = 0
-    node_words: Dict[NodeId, int] = {}
-    node_messages: Dict[NodeId, int] = {}
-
     for level_idx, level_nodes in enumerate(scheme._levels):
-        num_nodes = len(level_nodes)
-        if num_nodes == 0:
+        if not level_nodes:
             continue
-        reading_rows = [
-            gather_readings(readings, level_nodes, epoch) for epoch in epoch_list
-        ]
-        local = np.asarray(
-            aggregate.tree_local_block(level_nodes, epoch_list, reading_rows),
-            dtype=np.int64,
+        start, stop = layout.spans[level_idx]
+        parent_rows = layout.parent_rows[level_idx]
+        local = aggregate.tree_local_matrix(
+            level_nodes,
+            epoch_list,
+            gather_reading_block(readings, level_nodes, epoch_list),
         ).T  # (nodes, epochs)
-        rows = np.fromiter(
-            (index[node] for node in level_nodes), dtype=np.int64, count=num_nodes
-        )
-        parent_rows = np.fromiter(
-            (index[parents[node]] for node in level_nodes),
-            dtype=np.int64,
-            count=num_nodes,
-        )
         success, _spans, _flat = plan.level_table(
             channel, level_idx, skeletons[level_idx]
         )
@@ -114,26 +130,24 @@ def run_tag_block(
         # success table is already (nodes, epochs).
         success = np.asarray(success, dtype=bool)
 
-        out_partial = local + acc_partial[rows]
-        out_count = 1 + acc_count[rows]
+        out_partial = local + acc_partial[start:stop]
+        out_count = 1 + acc_count[start:stop]
         backend.add_into(acc_partial, parent_rows, out_partial * success)
         backend.add_into(acc_count, parent_rows, out_count * success)
-
         deliveries += success.sum(axis=0)
-        total_pairs += num_nodes
-        transmissions_const += num_nodes * attempts
-        words_const_total += num_nodes * words_const * attempts
-        messages_const_total += num_nodes * messages_const * attempts
-        per_node = words_const * attempts * num_epochs
-        per_node_msgs = messages_const * attempts * num_epochs
-        for node in level_nodes:
-            node_words[node] = per_node
-            node_messages[node] = per_node_msgs
+
+    total_pairs = base_row  # one unicast per transmitting node
+    transmissions_const = total_pairs * attempts
+    words_const_total = transmissions_const * words_const
+    messages_const_total = transmissions_const * messages_const
 
     # Match the object path's per-epoch reset: discard whatever was pending,
     # leave a fresh log behind for the simulator.
     channel.reset_log()
-    channel.account_bulk(node_words, node_messages)
+    channel.account_bulk(
+        dict.fromkeys(layout.senders, words_const * attempts * num_epochs),
+        dict.fromkeys(layout.senders, messages_const * attempts * num_epochs),
+    )
 
     results: List[Tuple[EpochOutcome, TransmissionLog]] = []
     received = acc_count[base_row] > 0

@@ -20,6 +20,8 @@ import collections
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.network.churn import DynamicMembership
 from repro.network.energy import EnergyModel, EnergyReport
@@ -47,6 +49,42 @@ def gather_readings(
     if batch is not None:
         return batch(nodes, epoch)
     return [readings(node, epoch) for node in nodes]
+
+
+def gather_reading_block(
+    readings: ReadingFn, nodes: Sequence[NodeId], epochs: Sequence[int]
+) -> np.ndarray:
+    """Many epochs' readings for many nodes as a float64 (epochs, nodes) matrix.
+
+    The array consumers' twin of :func:`gather_readings`: row ``j`` holds
+    the values of ``gather_readings(readings, nodes, epochs[j])``.
+    Workloads exposing ``block(nodes, epochs)`` (the built-in constant and
+    uniform ones) fill the matrix without a Python object per cell; any
+    other scalar-valued workload is gathered row by row.
+    """
+    block = getattr(readings, "block", None)
+    if block is not None:
+        return block(nodes, epochs)
+    return np.array(
+        [gather_readings(readings, nodes, epoch) for epoch in epochs],
+        dtype=np.float64,
+    ).reshape(len(epochs), len(nodes))
+
+
+def exact_over(
+    aggregate, readings: ReadingFn, nodes: Sequence[NodeId], epoch: int
+) -> float:
+    """The loss-free answer of ``aggregate`` over ``nodes`` at one epoch.
+
+    Ground truth draws its **own** readings — it is the oracle the schemes'
+    estimates are scored against, so it never reuses a matrix a kernel
+    computed. Array-native workloads hand the row over as an ndarray
+    (``Aggregate.exact_array``), everything else as a list.
+    """
+    block = getattr(readings, "block", None)
+    if block is not None:
+        return aggregate.exact_array(block(nodes, (epoch,))[0])
+    return aggregate.exact(gather_readings(readings, nodes, epoch))
 
 
 @dataclass

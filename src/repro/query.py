@@ -40,7 +40,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
 from repro.errors import ConfigurationError
-from repro.network.simulator import ReadingFn
+from repro.network.simulator import ReadingFn, gather_readings
 from repro.registry import AGGREGATES, REGIONS, build_aggregate, build_regions
 from repro.spatial.grouped import apply_grouping
 from repro.spatial.regions import parse_region_spec
@@ -142,6 +142,37 @@ class WindowedReadings:
         value = self._reduce(buffer)
         self._windows[node] = (epoch, buffer, value)
         return value
+
+    def batch(self, nodes: Sequence[int], epoch: int) -> List[float]:
+        """One epoch's windowed values for many nodes.
+
+        In the steady state of an epoch-advancing run — every node's cached
+        window ends at ``epoch - 1`` and the advanced window stays inside
+        the node's stream segment — the one new reading per node comes from
+        a single ``source.batch`` row and is appended exactly as
+        :meth:`__call__` would. Any other state (first epoch, repeated or
+        backward access, a gap, a fresh rejoin) is :meth:`__call__`'s.
+        """
+        windows = self._windows
+        starts = self._segment_starts
+        states = [windows.get(node) for node in nodes]
+        for node, state in zip(nodes, states):
+            if (
+                state is None
+                or state[0] != epoch - 1
+                or min(len(state[1]) + 1, self.size)
+                > epoch - starts.get(node, 0) + 1
+            ):
+                return [self(node, epoch) for node in nodes]
+        values = []
+        fresh = gather_readings(self._source, nodes, epoch)
+        for node, state, reading in zip(nodes, states, fresh):
+            buffer = state[1]
+            buffer.append(reading)
+            value = self._reduce(buffer)
+            windows[node] = (epoch, buffer, value)
+            values.append(value)
+        return values
 
     def on_membership_change(self, update) -> None:
         """Churn hook: interrupted streams drop state and restart windows.

@@ -20,10 +20,13 @@ Two algorithms:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import numpy as np
 
 from repro._hashing import stream_rng
 from repro.errors import TopologyError
+from repro.network.packed import PackedRings
 from repro.network.placement import BASE_STATION, NodeId
 from repro.network.rings import RingsTopology
 from repro.tree.structure import Tree
@@ -81,6 +84,43 @@ def build_tag_tree(
     return Tree(parents=parents, root=BASE_STATION)
 
 
+def _upstream_csr(
+    rings: RingsTopology,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rings as arrays: ``(ids, level_of, indptr, upstream)``.
+
+    ``ids`` are the node ids ascending; every other array speaks *dense
+    indices* into it (index order == id order, which is what lets the
+    builder compare indices where the paper's rules compare ids). Node
+    ``i``'s upstream ring neighbours are ``upstream[indptr[i]:indptr[i+1]]``,
+    ascending — the list ``rings.upstream_neighbors`` returns on both tiers.
+    Packed rings hand over their CSR columns; dict rings (and
+    churn-restricted ones, whose surviving ids are sparse) are remapped
+    through ``ids``.
+    """
+    if isinstance(rings, PackedRings):
+        ids = np.arange(len(rings.level_of), dtype=np.int64)
+        level_of = rings.level_of.astype(np.int64)
+        src = np.repeat(ids, np.diff(rings.indptr))
+        dst = rings.neighbors.astype(np.int64)
+    else:
+        ids = np.array(sorted(rings.levels), dtype=np.int64)
+        levels = rings.levels
+        level_of = np.array(
+            [levels[node] for node in ids.tolist()], dtype=np.int64
+        )
+        edges = np.array(list(rings.connectivity.edges), dtype=np.int64)
+        edges = np.searchsorted(ids, edges.reshape(-1, 2))
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    keep = level_of[dst] == level_of[src] - 1
+    src, dst = src[keep], dst[keep]
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
+    return ids, level_of, indptr, dst[order]
+
+
 def build_bushy_tree(
     rings: RingsTopology,
     seed: int = 0,
@@ -91,82 +131,151 @@ def build_bushy_tree(
     Returns a tree whose links are all (child at level i, parent at level
     i-1) rings links, after ``max_rounds`` of the pin-and-flag local search
     (or earlier if a round changes nothing).
+
+    The rules run on arrays, the random draws do not: ``rng`` is consumed
+    one ``randrange`` per node in ascending id order — the initial parent,
+    then per round every non-pinned node that has somewhere to go — which
+    is draw for draw what ``rng.choice`` over the option lists consumes, so
+    a seed names the same tree on the dict and the packed tier.
     """
     rng = stream_rng("bushy-tree", seed)
-    parents: Dict[NodeId, NodeId] = {}
-    for node in sorted(rings.levels):
-        if node == BASE_STATION:
-            continue
-        upstream = rings.upstream_neighbors(node)
-        if not upstream:
-            raise TopologyError(f"node {node} has no upstream neighbour")
-        parents[node] = rng.choice(upstream)
+    draw = rng.randrange
+    ids, level_of, indptr, upstream = _upstream_csr(rings)
+    count = len(ids)
+    sensors = np.flatnonzero(ids != BASE_STATION)
+    degree = np.diff(indptr)
+    orphans = sensors[degree[sensors] == 0]
+    if orphans.size:
+        raise TopologyError(
+            f"node {int(ids[orphans[0]])} has no upstream neighbour"
+        )
+    owner = np.repeat(np.arange(count), degree)
 
-    pinned: Set[NodeId] = set()
-    flagged: Set[NodeId] = set()
+    parent = np.full(count, -1, dtype=np.int64)
+
+    def check_one_ring_up() -> None:
+        if (level_of[parent[sensors]] != level_of[sensors] - 1).any():
+            raise TopologyError("a tree parent is not exactly one ring up")
+
+    picks = [draw(options) for options in degree[sensors].tolist()]
+    parent[sensors] = upstream[indptr[sensors] + np.array(picks, dtype=np.int64)]
+    check_one_ring_up()
+
+    # kids_below[level]: ring ``level + 1`` ascending, i.e. the children of
+    # ring ``level``'s nodes.
+    by_level = np.argsort(level_of, kind="stable")
+    ring_start = np.searchsorted(
+        level_of[by_level], np.arange(int(level_of.max()) + 2)
+    )
+    kids_below = [
+        by_level[ring_start[level]:ring_start[level + 1]]
+        for level in range(1, len(ring_start) - 1)
+    ]
+    pinned = np.zeros(count, dtype=bool)
+    flagged = np.zeros(count, dtype=bool)
 
     for _ in range(max_rounds):
-        tree = Tree(parents=dict(parents), root=BASE_STATION)
-        grew = _pin_and_flag(tree, pinned, flagged)
+        grew = _pin_and_flag(parent, kids_below, pinned, flagged)
 
         # Non-pinned nodes explore: switch to a random reachable non-flagged
         # node one ring closer to the base station.
-        switched_any = False
-        for node in sorted(parents):
-            if node in pinned:
-                continue
-            options = [
-                upstream
-                for upstream in rings.upstream_neighbors(node)
-                if upstream not in flagged and upstream != parents[node]
+        is_option = ~flagged[upstream] & (upstream != parent[owner])
+        running = np.concatenate([[0], np.cumsum(is_option)])
+        options = running[indptr[1:]] - running[indptr[:-1]]
+        options[pinned] = 0
+        movers = np.flatnonzero(options)
+        if movers.size:
+            picks = [draw(choices) for choices in options[movers].tolist()]
+            # The pick-th open edge of each mover's upstream run.
+            wanted = running[indptr[movers]] + np.array(picks, dtype=np.int64)
+            parent[movers] = upstream[
+                np.searchsorted(running, wanted, side="right") - 1
             ]
-            if not options:
-                continue
-            parents[node] = rng.choice(options)
-            switched_any = True
-
-        if not grew and not switched_any:
+            check_one_ring_up()
+        if not grew and not movers.size:
             break
 
-    # Final bookkeeping pass so the last round's switches can still pin.
-    tree = Tree(parents=dict(parents), root=BASE_STATION)
-    _pin_and_flag(tree, pinned, flagged)
-    return tree
+    node_ids = ids.tolist()
+    return Tree(
+        parents={
+            node_ids[child]: node_ids[up]
+            for child, up in zip(sensors.tolist(), parent[sensors].tolist())
+        },
+        root=BASE_STATION,
+    )
 
 
-def _pin_and_flag(tree: Tree, pinned: Set[NodeId], flagged: Set[NodeId]) -> bool:
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal (sorted) keys begins."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
+
+
+def _first_pairs(group: np.ndarray, members: np.ndarray):
+    """First two members of every run of equal ``group`` keys of length >= 2.
+
+    ``group`` must arrive sorted; returns ``(keys, first, second)``.
+    """
+    starts = np.flatnonzero(_run_starts(group))
+    lengths = np.diff(np.concatenate([starts, [len(group)]]))
+    starts = starts[lengths >= 2]
+    return group[starts], members[starts], members[starts + 1]
+
+
+def _pin_and_flag(
+    parent: np.ndarray,
+    kids_below: List[np.ndarray],
+    pinned: np.ndarray,
+    flagged: np.ndarray,
+) -> bool:
     """Apply the paper's pinning rules; return whether anything changed.
 
     Rule 1: a node of height j+1 with >= 2 children of height j pins two of
     them and flags itself. Rule 2: a non-flagged node with >= 2 flagged
     children of the same height pins both and flags itself. Rule 2 is what
     propagates bushiness up the tree.
+
+    The rules are stated for one sweep over the nodes in ascending id, so a
+    child flagged earlier *in the same sweep* counts for its parent's rule 2
+    exactly when ``kid_id < parent_id``. Running ring by ring from the
+    deepest (a node's flag depends only on the rings below it) keeps that:
+    this sweep's flags stay in ``fresh`` and are visible to smaller-id
+    children's parents only.
     """
-    heights = tree.heights()
-    children = tree.children_map()
+    count = len(parent)
+    heights = np.ones(count, dtype=np.int64)
+    fresh = np.zeros(count, dtype=bool)
     changed = False
-    for node in tree.nodes:
-        if node in flagged:
-            continue
-        kids = children[node]
-        if not kids:
-            continue
-        node_height = heights[node]
-        top_kids = [k for k in kids if heights[k] == node_height - 1]
-        flagged_by_height: Dict[int, List[NodeId]] = {}
-        for kid in kids:
-            if kid in flagged:
-                flagged_by_height.setdefault(heights[kid], []).append(kid)
-        pair: Optional[List[NodeId]] = None
-        if len(top_kids) >= 2:
-            pair = top_kids[:2]
-        else:
-            for _, group in sorted(flagged_by_height.items()):
-                if len(group) >= 2:
-                    pair = sorted(group)[:2]
-                    break
-        if pair is not None:
-            pinned.update(pair)
-            flagged.add(node)
+    for kids in reversed(kids_below):
+        up = parent[kids]
+        np.maximum.at(heights, up, heights[kids] + 1)
+        open_up = ~flagged[up]
+        # Rule 1: the two smallest-id children one below the parent's height.
+        top = open_up & (heights[kids] == heights[up] - 1)
+        order = np.argsort(up[top], kind="stable")
+        flaggers, first, second = _first_pairs(up[top][order], kids[top][order])
+        # Rule 2, for parents rule 1 left alone: the lowest height with two
+        # flagged children, smallest ids first.
+        fresh[flaggers] = True
+        counted = open_up & ~fresh[up] & (
+            flagged[kids] | (fresh[kids] & (kids < up))
+        )
+        if counted.any():
+            kid, above, tall = kids[counted], up[counted], heights[kids[counted]]
+            order = np.lexsort((kid, tall, above))
+            # One key per (parent, height) run; heights never reach count.
+            keys, low, high = _first_pairs(
+                above[order] * count + tall[order], kid[order]
+            )
+            flaggers = keys // count
+            lowest = _run_starts(flaggers)
+            fresh[flaggers[lowest]] = True
+            first = np.concatenate([first, low[lowest]])
+            second = np.concatenate([second, high[lowest]])
+        if first.size:
+            pinned[first] = True
+            pinned[second] = True
             changed = True
+    flagged |= fresh
     return changed

@@ -156,6 +156,74 @@ class TestExact:
         assert factory().exact(readings) == expected
 
 
+class TestArrayNativePartials:
+    """The array path must answer — and fail — like the scalar one."""
+
+    ROWS = [
+        [0.0, 1.0, 7.0],
+        [0.5, 1.5, 2.5],  # half-to-even: 0, 2, 2
+        [3.5, 4.5, 5.49999],
+        [-0.0, -0.4, -0.5],  # rounds to (negative) zero: accepted
+        [1e6 + 0.5, 2.0**52, 12.0],
+        [3.0, -0.6, 1.0],
+        [3.0, -2.0, float("nan")],
+        [float("nan"), 1.0, 2.0],
+        [1.0, float("inf"), -1.0],
+        [1.0, 2.0**63, 2.0],  # fits a Python int, not the int64 matrix
+        [],
+    ]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return ("ok", call())
+        except (ConfigurationError, ValueError, OverflowError) as error:
+            return (type(error), str(error))
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_sum_scalar_and_array_paths_agree(self, row):
+        import numpy as np
+
+        aggregate = SumAggregate()
+        matrix = np.array([row, row], dtype=np.float64).reshape(2, len(row))
+        scalar = self._outcome(
+            lambda: [
+                [aggregate.tree_local(n, e, r) for n, r in enumerate(row)]
+                for e in range(2)
+            ]
+        )
+        array = self._outcome(
+            lambda: aggregate.tree_local_matrix(
+                range(len(row)), range(2), matrix
+            ).tolist()
+        )
+        truth = self._outcome(lambda: aggregate.exact(row))
+        truth_array = self._outcome(lambda: aggregate.exact_array(matrix[0]))
+        if 2.0**63 in row:
+            # Only the int64 matrix overflows; the scalar path is unbounded.
+            assert scalar[0] == "ok"
+            assert array[0] is OverflowError and truth_array[0] is OverflowError
+            return
+        assert array == scalar
+        assert truth_array == truth
+        if scalar[0] == "ok":
+            assert all(type(v) is int for r in array[1] for v in r)
+
+    def test_count_matrix_and_default_exact_array(self):
+        import numpy as np
+
+        readings = np.array([[4.0, 2.0, 9.0]])
+        assert CountAggregate().tree_local_matrix(
+            [1, 2, 3], [0], readings
+        ).tolist() == [[1, 1, 1]]
+        for factory in (CountAggregate, MinAggregate, AverageAggregate):
+            assert factory().exact_array(readings[0]) == factory().exact(
+                readings[0].tolist()
+            )
+        with pytest.raises(NotImplementedError):
+            MinAggregate().tree_local_matrix([1, 2, 3], [0], readings)
+
+
 class TestQuantileFromSample:
     def test_median(self):
         aggregate = UniformSampleAggregate(k=200)

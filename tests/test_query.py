@@ -113,6 +113,69 @@ class TestWindowedReadings:
         # One new source reading per epoch, not one window per call.
         assert len(calls) == 50
 
+    @pytest.mark.parametrize("op", ["MEAN", "SUM", "MIN", "MAX", "LAST"])
+    def test_batch_identical_to_per_node_calls(self, op):
+        """``batch`` must serve the values of per-node calls on a twin
+        window across sequential, repeated, gapped and backward epochs,
+        whether or not the source has a batch form of its own."""
+        from repro.datasets.streams import UniformReadings
+
+        nodes = [1, 2, 9, 40]
+        pattern = [0, 1, 1, 2, 3, 4, 4, 7, 8, 2, 3, 20, 21, 5, 6, 6, 7]
+        for source in (sawtooth, UniformReadings(0, 50, seed=3)):
+            batched = WindowedReadings(source, size=4, op=op)
+            scalar = WindowedReadings(source, size=4, op=op)
+            for epoch in pattern:
+                expected = [scalar(node, epoch) for node in nodes]
+                assert batched.batch(nodes, epoch) == expected, (op, epoch)
+                # A partly advanced level falls back node by node.
+                assert batched.batch([2, 77], epoch) == [
+                    scalar(2, epoch), scalar(77, epoch)
+                ]
+            assert batched._windows == scalar._windows
+
+    def test_batch_steady_state_reads_one_source_row_per_epoch(self):
+        rows, cells = [], []
+
+        class Source:
+            def __call__(self, node, epoch):
+                cells.append((node, epoch))
+                return sawtooth(node, epoch)
+
+            def batch(self, nodes, epoch):
+                rows.append((tuple(nodes), epoch))
+                return [sawtooth(node, epoch) for node in nodes]
+
+        window = WindowedReadings(Source(), size=3, op="MEAN")
+        nodes = [4, 5, 6]
+        for epoch in range(6):
+            window.batch(nodes, epoch)
+            window.batch(nodes, epoch)  # same-epoch re-query: cached
+        # Epoch 0 builds the windows per node; every later epoch is one row.
+        assert cells == [(node, 0) for node in nodes]
+        assert rows == [(tuple(nodes), epoch) for epoch in range(1, 6)]
+
+    def test_batch_respects_churn_segments(self):
+        from types import SimpleNamespace
+
+        nodes = [1, 2, 3]
+        batched = WindowedReadings(sawtooth, size=4, op="SUM")
+        scalar = WindowedReadings(sawtooth, size=4, op="SUM")
+        for epoch in range(12):
+            if epoch == 5:
+                update = SimpleNamespace(died=[2], joined=[], epoch=5)
+                batched.on_membership_change(update)
+                scalar.on_membership_change(update)
+            if epoch == 8:
+                update = SimpleNamespace(died=[], joined=[2], epoch=8)
+                batched.on_membership_change(update)
+                scalar.on_membership_change(update)
+            live = [n for n in nodes if n != 2 or not 5 <= epoch < 8]
+            assert batched.batch(live, epoch) == [
+                scalar(node, epoch) for node in live
+            ]
+        assert batched.checkpoint_state() == scalar.checkpoint_state()
+
 
 class TestFilteredAggregate:
     def test_non_matching_contributes_neutral(self):

@@ -141,3 +141,44 @@ class TestMetricsHelpers:
         run = simulator.run(4, ConstantReadings(1.0))
         for epoch in run.epochs:
             assert 0.0 <= epoch.relative_error <= 1.0
+
+
+class TestReadingGathering:
+    """Array consumers and list consumers must read the same values."""
+
+    @staticmethod
+    def _hide_block(source):
+        # The same stream as a plain callable: no batch, no block.
+        return lambda node, epoch: source(node, epoch)
+
+    def test_block_matrix_equals_gathered_rows(self):
+        from repro.datasets.streams import DiurnalLightReadings, UniformReadings
+        from repro.network.simulator import gather_reading_block, gather_readings
+
+        nodes, epochs = [3, 1, 400, 7], [0, 9, 10]
+        for source in (
+            UniformReadings(10, 100, seed=2),
+            ConstantReadings(4.0),
+            DiurnalLightReadings(seed=1),
+            self._hide_block(UniformReadings(10, 100, seed=2)),
+        ):
+            matrix = gather_reading_block(source, nodes, epochs)
+            assert matrix.dtype == "float64" and matrix.shape == (3, 4)
+            assert matrix.tolist() == [
+                gather_readings(source, nodes, epoch) for epoch in epochs
+            ]
+        assert gather_reading_block(source, [], epochs).shape == (3, 0)
+
+    def test_truth_is_the_same_through_arrays_and_lists(self):
+        from repro.aggregates.average import AverageAggregate
+        from repro.aggregates.sum_ import SumAggregate
+        from repro.datasets.streams import UniformReadings
+        from repro.network.simulator import exact_over
+
+        source = UniformReadings(10, 100, seed=6)
+        nodes = list(range(1, 200))
+        for aggregate in (SumAggregate(), CountAggregate(), AverageAggregate()):
+            for epoch in (0, 17):
+                assert exact_over(aggregate, source, nodes, epoch) == exact_over(
+                    aggregate, self._hide_block(source), nodes, epoch
+                )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.streams import (
     ConstantReadings,
@@ -49,6 +51,60 @@ class TestReadings:
         a = [readings(1, e) for e in range(50)]
         b = [readings(2, e) for e in range(50)]
         assert a != b
+
+
+class TestReadingBlocks:
+    """``block`` is the one vectorised generator; ``__call__`` its oracle."""
+
+    # Sorted-or-not, sparse (a churned level), repeated and empty node lists.
+    node_lists = st.lists(st.integers(min_value=0, max_value=10**6), max_size=40)
+    epoch_lists = st.lists(st.integers(min_value=0, max_value=10**5), max_size=8)
+
+    @given(
+        low=st.integers(min_value=0, max_value=500),
+        width=st.integers(min_value=0, max_value=10**6),
+        seed=st.integers(min_value=0, max_value=2**40),
+        nodes=node_lists,
+        epochs=epoch_lists,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_block_is_per_cell_calls(self, low, width, seed, nodes, epochs):
+        source = UniformReadings(low, low + width, seed=seed)
+        block = source.block(nodes, epochs)
+        assert block.dtype == "float64"
+        assert block.shape == (len(epochs), len(nodes))
+        assert block.tolist() == [
+            [source(node, epoch) for node in nodes] for epoch in epochs
+        ]
+        for epoch in epochs[:2]:
+            row = source.batch(nodes, epoch)
+            assert row == [source(node, epoch) for node in nodes]
+            assert all(type(value) is float for value in row)
+
+    @given(
+        value=st.floats(min_value=0, max_value=1e9, allow_nan=False),
+        nodes=node_lists,
+        epochs=epoch_lists,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_constant_block_is_per_cell_calls(self, value, nodes, epochs):
+        source = ConstantReadings(value)
+        block = source.block(nodes, epochs)
+        assert block.dtype == "float64"
+        assert block.shape == (len(epochs), len(nodes))
+        assert block.tolist() == [
+            [source(node, epoch) for node in nodes] for epoch in epochs
+        ]
+
+    def test_block_chunking_is_invisible(self, monkeypatch):
+        import repro.datasets.streams as streams
+
+        source = UniformReadings(10, 100, seed=5)
+        nodes, epochs = list(range(1, 38)), list(range(3, 14))
+        whole = source.block(nodes, epochs)
+        for cells in (1, 36, 37, 38, 100):
+            monkeypatch.setattr(streams, "BLOCK_CHUNK_CELLS", cells)
+            assert (source.block(nodes, epochs) == whole).all()
 
 
 class TestZipf:
