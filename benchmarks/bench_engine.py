@@ -1,32 +1,21 @@
-"""Engine benchmark: scalar vs batch epochs, blocked runs, pooled sweeps.
+"""Engine side benchmarks: pooled sweeps, workload amortization, profiling.
 
-Measures the three speedups the vectorized execution stack claims:
+Engine *speed* is measured end to end by ``benchmarks/e2e`` (the
+``fig6_fused`` workload times the Fig-6 timeline through ``Session.run``
+with a per-layer trace); what stays here is what that harness does not do:
 
-1. **Epoch throughput** — the four Fig-2 schemes (TAG, SD, TD-Coarse, TD)
-   on the 600-node Synthetic deployment under ``Global(0.3)``, run with the
-   scalar per-node channel path versus the level-synchronous batch path
-   (identical results, see ``tests/test_batch_equivalence.py``).
-2. **Blocked timeline** — the Figure-6 400-epoch failure timeline (Sum
-   aggregate, adaptation every 10 epochs for the TD schemes), run with the
-   per-epoch loop versus the epoch-blocked engine
-   (``EpochSimulator(use_blocked=True)``; identical results, see
-   ``tests/test_blocked_equivalence.py``).
-3. **Sweep wall-clock** — a multi-scheme multi-seed grid through
-   :class:`repro.experiments.parallel.SweepRunner`, serial versus pooled.
+* default — **sweep wall-clock**: a multi-scheme multi-seed grid through
+  :class:`repro.experiments.parallel.SweepRunner`, serial versus pooled;
+* ``--workload`` — the 4-query workload amortization gate (one shared pass
+  vs 4 separate runs, every query byte-identical to its standalone run);
+* ``--profile`` — each scheme's Fig-6 timeline under cProfile, top-20
+  cumulative hotspots per scheme to ``results/engine_profile.json`` (see
+  ARCHITECTURE.md "Profiling the engine").
 
-Emits a JSON perf record (``engine_perf.json`` is always the latest;
-``--append`` also appends a timestamped line to
-``results/engine_history.jsonl`` so speedups/regressions stay visible
-across PRs). Run standalone::
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--quick] [--out PATH]
-        [--append] [--min-blocked-speedup X] [--profile] [--mem]
-
-or through pytest (records both files). ``--profile`` instead runs each
-scheme's blocked Fig-6 timeline under cProfile and records the top-20
-cumulative hotspots per scheme to ``results/engine_profile.json`` — the
-starting point for the next perf PR (see ARCHITECTURE.md "Profiling the
-engine").
+        [--workload | --profile] [--mem]
 """
 
 from __future__ import annotations
@@ -37,175 +26,18 @@ import os
 import pathlib
 import time
 
-from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
-from repro.core.graph import TDGraph, initial_modes_by_level
-from repro.core.sd_scheme import SynopsisDiffusionScheme
-from repro.core.tag_scheme import TagScheme
-from repro.core.td_scheme import TributaryDeltaScheme
-from repro.datasets.streams import ConstantReadings, UniformReadings
-from repro.datasets.synthetic import make_synthetic_scenario
+from repro.datasets.streams import UniformReadings
 from repro.experiments.parallel import SweepRunner, SweepSpec
 from repro.experiments.runner import build_schemes
 from repro.network.failures import FailureSchedule, GlobalLoss, RegionalLoss
-from repro.network.links import Channel
 from repro.network.simulator import EpochSimulator
-from repro.tree.construction import build_bushy_tree
 
-#: The paper's Figure 2 configuration.
-FIG2_SENSORS = 600
+#: The paper's Figure 2 loss rate (the sweep grid's failure model).
 FIG2_LOSS = 0.3
 
-#: The paper's Figure 6 configuration (the blocked-engine target scenario).
+#: The paper's Figure 6 deployment size (the profiled scenario).
 FIG6_SENSORS = 600
-FIG6_EPOCHS = 400
-
-HISTORY_NAME = "engine_history.jsonl"
-
-
-def _build_schemes(scenario, tree, use_batch):
-    schemes = {
-        "TAG": TagScheme(
-            scenario.deployment, tree, CountAggregate(), use_batch=use_batch
-        ),
-        "SD": SynopsisDiffusionScheme(
-            scenario.deployment,
-            scenario.rings,
-            CountAggregate(),
-            use_batch=use_batch,
-        ),
-    }
-    for name, level in (("TD-Coarse", 1), ("TD", 2)):
-        graph = TDGraph(
-            scenario.rings, tree, initial_modes_by_level(scenario.rings, level)
-        )
-        schemes[name] = TributaryDeltaScheme(
-            scenario.deployment,
-            graph,
-            CountAggregate(),
-            use_batch=use_batch,
-            name=name,
-        )
-    return schemes
-
-
-def _time_epochs(scheme, deployment, failure, readings, epochs, rounds) -> float:
-    """Best-of-``rounds`` seconds per ``epochs`` epochs, after a warm-up."""
-    channel = Channel(deployment, failure, seed=1)
-    for epoch in range(2):  # warm caches (hash prefixes, RLE memo, numpy)
-        scheme.run_epoch(epoch, channel, readings)
-    best = float("inf")
-    for round_index in range(rounds):
-        started = time.perf_counter()
-        for epoch in range(epochs):
-            scheme.run_epoch(1000 * round_index + epoch, channel, readings)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure_epoch_throughput(
-    num_sensors: int = FIG2_SENSORS,
-    epochs: int = 10,
-    rounds: int = 3,
-    seed: int = 0,
-) -> dict:
-    """Scalar vs batch epoch timings for the Fig-2 scheme set.
-
-    Takes the best of ``rounds`` timed blocks per scheme/mode (after a
-    warm-up) so a shared-host scheduler blip cannot masquerade as a
-    regression.
-    """
-    scenario = make_synthetic_scenario(num_sensors=num_sensors, seed=seed)
-    tree = build_bushy_tree(scenario.rings, seed=seed)
-    readings = ConstantReadings(1.0)
-    failure = GlobalLoss(FIG2_LOSS)
-    record: dict = {
-        "num_sensors": num_sensors,
-        "loss": FIG2_LOSS,
-        "epochs": epochs,
-        "rounds": rounds,
-        "schemes": {},
-    }
-    totals = {"scalar_s": 0.0, "batch_s": 0.0}
-    for mode, use_batch in (("scalar_s", False), ("batch_s", True)):
-        schemes = _build_schemes(scenario, tree, use_batch)
-        for name, scheme in schemes.items():
-            elapsed = _time_epochs(
-                scheme, scenario.deployment, failure, readings, epochs, rounds
-            )
-            record["schemes"].setdefault(name, {})[mode] = elapsed
-            totals[mode] += elapsed
-    for name, entry in record["schemes"].items():
-        entry["speedup"] = entry["scalar_s"] / max(entry["batch_s"], 1e-12)
-        entry["batch_epochs_per_s"] = epochs / max(entry["batch_s"], 1e-12)
-    record["total_scalar_s"] = totals["scalar_s"]
-    record["total_batch_s"] = totals["batch_s"]
-    record["total_speedup"] = totals["scalar_s"] / max(totals["batch_s"], 1e-12)
-    return record
-
-
-def measure_blocked_timeline(
-    num_sensors: int = FIG6_SENSORS,
-    epochs: int = FIG6_EPOCHS,
-    seed: int = 0,
-    adapt_interval: int = 10,
-) -> dict:
-    """Per-epoch vs epoch-blocked wall-clock on the Fig-6 failure timeline.
-
-    The schedule scales with ``epochs`` exactly like the Figure 6
-    experiment (quarters: quiet, regional, global, quiet). Results of the
-    two modes are asserted identical — the blocked engine only changes
-    *when* delivery draws and local synopses are computed, never what they
-    are.
-    """
-    scale = epochs / 400.0
-    schedule = FailureSchedule(
-        [
-            (0, GlobalLoss(0.0)),
-            (int(100 * scale), RegionalLoss(0.3, 0.0)),
-            (int(200 * scale), GlobalLoss(0.3)),
-            (int(300 * scale), GlobalLoss(0.0)),
-        ]
-    )
-    readings = UniformReadings(10, 100, seed=seed)
-    record: dict = {
-        "num_sensors": num_sensors,
-        "epochs": epochs,
-        "adapt_interval": adapt_interval,
-        "schemes": {},
-    }
-    estimates: dict = {}
-    totals = {"per_epoch_s": 0.0, "blocked_s": 0.0}
-    for mode, use_blocked in (("per_epoch_s", False), ("blocked_s", True)):
-        comparison = build_schemes(SumAggregate, num_sensors=num_sensors, seed=seed)
-        estimates[mode] = {}
-        for name, scheme in comparison.schemes.items():
-            interval = adapt_interval if name in ("TD-Coarse", "TD") else 0
-            simulator = EpochSimulator(
-                comparison.scenario.deployment,
-                schedule,
-                scheme,
-                seed=seed,
-                adapt_interval=interval,
-                use_blocked=use_blocked,
-            )
-            started = time.perf_counter()
-            run = simulator.run(epochs, readings)
-            elapsed = time.perf_counter() - started
-            record["schemes"].setdefault(name, {})[mode] = elapsed
-            totals[mode] += elapsed
-            estimates[mode][name] = run.estimates
-    for entry in record["schemes"].values():
-        entry["speedup"] = entry["per_epoch_s"] / max(entry["blocked_s"], 1e-12)
-    record["total_per_epoch_s"] = totals["per_epoch_s"]
-    record["total_blocked_s"] = totals["blocked_s"]
-    record["total_speedup"] = totals["per_epoch_s"] / max(
-        totals["blocked_s"], 1e-12
-    )
-    record["results_identical"] = (
-        estimates["per_epoch_s"] == estimates["blocked_s"]
-    )
-    return record
 
 
 def measure_sweep_wall_clock(
@@ -274,11 +106,10 @@ def measure_profile(
     adapt_interval: int = 10,
     top: int = 20,
 ) -> dict:
-    """cProfile each scheme's blocked Fig-6 timeline; top cumulative hotspots.
+    """cProfile each scheme's Fig-6 timeline; top cumulative hotspots.
 
     One profiled run per scheme (fresh schemes, shared scenario shape) over
-    a compressed Fig-6 failure timeline, through the same
-    ``EpochSimulator(use_blocked=True)`` path the blocked benchmark times.
+    a compressed Fig-6 failure timeline, through ``EpochSimulator``.
     Per scheme the record lists the ``top`` functions by *cumulative* time —
     cumulative, not tottime, so a cheap function fanning out into an
     expensive subtree still surfaces. See ARCHITECTURE.md "Profiling the
@@ -317,7 +148,6 @@ def measure_profile(
             scheme,
             seed=seed,
             adapt_interval=interval,
-            use_blocked=True,
         )
         profiler = cProfile.Profile()
         started = time.perf_counter()
@@ -457,65 +287,30 @@ def memory_snapshot() -> dict:
 
 
 def run_benchmark(quick: bool = False) -> dict:
-    """The full perf record: epoch throughput, blocked timeline, sweeps.
+    """The sweep perf record.
 
     The sweep comparison only shows wall-clock gains on multi-core hosts;
     ``cpu_count`` is recorded and the pooled leg is skipped outright on a
     single-CPU host (see :func:`measure_sweep_wall_clock`), so a 1-core
     container never records a meaningless ~1x pooled "speedup".
     """
-    record = {
+    return {
         "benchmark": "engine",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "cpu_count": os.cpu_count(),
         "quick": quick,
-        "epoch_throughput": measure_epoch_throughput(
-            epochs=5 if quick else 10, rounds=2 if quick else 3
-        ),
-        "blocked_timeline": measure_blocked_timeline(
-            num_sensors=150 if quick else FIG6_SENSORS,
-            epochs=100 if quick else FIG6_EPOCHS,
-        ),
         "sweep": measure_sweep_wall_clock(
             num_sensors=80 if quick else 120,
             epochs=10 if quick else 25,
             converge_epochs=15 if quick else 40,
         ),
     }
-    return record
-
-
-def append_history(record: dict, results_dir: pathlib.Path) -> pathlib.Path:
-    """Append one timestamped record line to the perf trajectory file.
-
-    ``engine_perf.json`` always holds the *latest* record;
-    ``engine_history.jsonl`` accumulates one line per run so speedups and
-    regressions across PRs stay visible.
-    """
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / HISTORY_NAME
-    with path.open("a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
 
 
 def test_engine_perf(record_result, quick):
-    """Record the perf JSON; sanity-check the fast paths actually win."""
+    """Record the sweep JSON; pooled and serial runs must agree."""
     record = run_benchmark(quick=quick)
-    results_dir = pathlib.Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "engine_perf.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
-    append_history(record, results_dir)
     record_result("engine_perf", json.dumps(record, indent=2))
-    # Timing in CI is noisy; the acceptance targets (>= 3x batch on the
-    # 600-node Fig-2 scenario, >= 2x blocked vs the PR-1 path on the Fig-6
-    # timeline) are checked loosely here and exactly by the standalone run
-    # recorded in engine_history.jsonl.
-    assert record["epoch_throughput"]["total_speedup"] > 1.5
-    assert record["blocked_timeline"]["results_identical"]
-    assert record["blocked_timeline"]["total_speedup"] > 0.95
     sweep = record["sweep"]
     if sweep["cpu_count"] < 2:
         assert "cpu_count" in sweep["pooled_skipped"]
@@ -528,24 +323,10 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--out", type=pathlib.Path, default=None)
     parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append a timestamped record to results/engine_history.jsonl",
-    )
-    parser.add_argument(
-        "--min-blocked-speedup",
-        type=float,
-        default=None,
-        help=(
-            "exit non-zero if the blocked timeline is below this speedup "
-            "over the per-epoch path (the CI perf smoke gate passes 1.0)"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
-            "profile each scheme's blocked Fig-6 run under cProfile and "
+            "profile each scheme's Fig-6 run under cProfile and "
             "record the top-20 cumulative hotspots to results/"
             + PROFILE_RESULT_NAME
         ),
@@ -634,22 +415,6 @@ def main() -> int:
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text + "\n")
-    if args.append:
-        append_history(record, pathlib.Path(__file__).parent / "results")
-    blocked = record["blocked_timeline"]
-    if not blocked["results_identical"]:
-        print("FAIL: blocked and per-epoch runs diverged")
-        return 1
-    if (
-        args.min_blocked_speedup is not None
-        and blocked["total_speedup"] < args.min_blocked_speedup
-    ):
-        print(
-            "FAIL: blocked timeline speedup "
-            f"{blocked['total_speedup']:.3f}x is below the "
-            f"{args.min_blocked_speedup:.2f}x gate"
-        )
-        return 1
     return 0
 
 

@@ -51,21 +51,6 @@ class Aggregate(ABC, Generic[P, S]):
     def tree_words(self, partial: P) -> int:
         """Transmission size of a tree partial, in words."""
 
-    def tree_local_batch(
-        self, nodes: Sequence[int], epoch: int, readings: Sequence[float]
-    ) -> List[P]:
-        """Tree partials for a whole ring level at once.
-
-        The default loops over :meth:`tree_local`; aggregates with a
-        vectorizable local computation may override it. Overrides MUST
-        return exactly the per-node results — the level-synchronous schemes
-        rely on batch and scalar paths being interchangeable.
-        """
-        return [
-            self.tree_local(node, epoch, reading)
-            for node, reading in zip(nodes, readings)
-        ]
-
     def tree_local_block(
         self,
         nodes: Sequence[int],
@@ -75,14 +60,17 @@ class Aggregate(ABC, Generic[P, S]):
         """Tree partials for a whole (level x epoch block) grid.
 
         ``reading_rows[j]`` holds the level's readings at ``epochs[j]``.
-        Returns one list per epoch; row ``j`` must equal
-        ``tree_local_batch(nodes, epochs[j], reading_rows[j])`` exactly —
-        the epoch-blocked engine interchanges the two freely. The default
-        loops per epoch; aggregates whose local computation vectorizes
-        across epochs may override.
+        Returns one list per epoch; cell ``[j][i]`` MUST equal
+        ``tree_local(nodes[i], epochs[j], reading_rows[j][i])`` exactly —
+        the engine and the scalar oracle are interchangeable only while
+        that holds. The default loops over the scalar form; aggregates
+        whose local computation vectorizes may override.
         """
         return [
-            self.tree_local_batch(nodes, epoch, row)
+            [
+                self.tree_local(node, epoch, reading)
+                for node, reading in zip(nodes, row)
+            ]
             for epoch, row in zip(epochs, reading_rows)
         ]
 
@@ -113,20 +101,6 @@ class Aggregate(ABC, Generic[P, S]):
     def synopsis_local(self, node: int, epoch: int, reading: float) -> S:
         """SG: the synopsis of a single node's local reading."""
 
-    def synopsis_local_batch(
-        self, nodes: Sequence[int], epoch: int, readings: Sequence[float]
-    ) -> List[S]:
-        """SG for a whole ring level at once (see :meth:`tree_local_batch`).
-
-        Overrides must produce synopses identical to per-node
-        :meth:`synopsis_local` calls; Count vectorizes the FM bucket/level
-        hashing across the level this way.
-        """
-        return [
-            self.synopsis_local(node, epoch, reading)
-            for node, reading in zip(nodes, readings)
-        ]
-
     def synopsis_local_block(
         self,
         nodes: Sequence[int],
@@ -135,13 +109,16 @@ class Aggregate(ABC, Generic[P, S]):
     ) -> List[List[S]]:
         """SG for a whole (level x epoch block) grid.
 
-        Same contract as :meth:`tree_local_block`: row ``j`` must equal
-        ``synopsis_local_batch(nodes, epochs[j], reading_rows[j])``. Count
-        overrides this with a single vectorized FM pass over every
-        (node, epoch) cell of the block.
+        Same contract as :meth:`tree_local_block`: cell ``[j][i]`` must
+        equal ``synopsis_local(nodes[i], epochs[j], reading_rows[j][i])``.
+        Count and Sum override this with a single vectorized FM pass over
+        every (node, epoch) cell of the block.
         """
         return [
-            self.synopsis_local_batch(nodes, epoch, row)
+            [
+                self.synopsis_local(node, epoch, reading)
+                for node, reading in zip(nodes, row)
+            ]
             for epoch, row in zip(epochs, reading_rows)
         ]
 

@@ -19,7 +19,6 @@ from repro.multipath.fm import (
     FMSketch,
     counted_sketches,
     single_item_matrix_block,
-    single_item_sketches,
     single_item_sketches_block,
     words_batch,
 )
@@ -41,11 +40,6 @@ class CountAggregate(Aggregate[int, FMSketch]):
 
     def tree_local(self, node: int, epoch: int, reading: float) -> int:
         return 1
-
-    def tree_local_batch(
-        self, nodes: Sequence[int], epoch: int, readings: Sequence[float]
-    ) -> List[int]:
-        return [1] * len(nodes)
 
     def tree_local_block(
         self,
@@ -75,17 +69,6 @@ class CountAggregate(Aggregate[int, FMSketch]):
         sketch = self._empty_sketch()
         sketch.insert("count", node, epoch)
         return sketch
-
-    def synopsis_local_batch(
-        self, nodes: Sequence[int], epoch: int, readings: Sequence[float]
-    ) -> List[FMSketch]:
-        return single_item_sketches(
-            self._num_bitmaps,
-            self._bits,
-            ("count",),
-            nodes,
-            [epoch] * len(nodes),
-        )
 
     def synopsis_local_block(
         self,

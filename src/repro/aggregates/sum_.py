@@ -90,18 +90,6 @@ class SumAggregate(Aggregate[int, FMSketch]):
         sketch.insert_count(self._as_int(reading), "sum", node, epoch)
         return sketch
 
-    def synopsis_local_batch(
-        self, nodes: Sequence[int], epoch: int, readings: Sequence[float]
-    ) -> List[FMSketch]:
-        return counted_sketches(
-            self._num_bitmaps,
-            self._bits,
-            ("sum",),
-            [self._as_int(reading) for reading in readings],
-            nodes,
-            [epoch] * len(nodes),
-        )
-
     def synopsis_local_block(
         self,
         nodes: Sequence[int],
@@ -109,7 +97,7 @@ class SumAggregate(Aggregate[int, FMSketch]):
         reading_rows: Sequence[Sequence[float]],
     ) -> List[List[FMSketch]]:
         # One vectorized weighted-insert pass over every (node, epoch) cell
-        # of the block, epoch-major like the per-epoch batch rows.
+        # of the block, flattened epoch-major.
         num = len(nodes)
         if num == 0:
             return [[] for _ in epochs]

@@ -194,22 +194,6 @@ class WorkloadAggregate(CompositeAggregate):
             for aggregate, value in zip(self._aggregates, reading)
         )
 
-    def tree_local_batch(
-        self,
-        nodes: Sequence[int],
-        epoch: int,
-        readings: Sequence[ReadingTuple],
-    ):
-        columns = [
-            aggregate.tree_local_batch(
-                nodes, epoch, [reading[i] for reading in readings]
-            )
-            for i, aggregate in enumerate(self._aggregates)
-        ]
-        return [
-            tuple(column[j] for column in columns) for j in range(len(nodes))
-        ]
-
     def tree_local_block(
         self,
         nodes: Sequence[int],
@@ -237,22 +221,6 @@ class WorkloadAggregate(CompositeAggregate):
             aggregate.synopsis_local(node, epoch, value)
             for aggregate, value in zip(self._aggregates, reading)
         )
-
-    def synopsis_local_batch(
-        self,
-        nodes: Sequence[int],
-        epoch: int,
-        readings: Sequence[ReadingTuple],
-    ):
-        columns = [
-            aggregate.synopsis_local_batch(
-                nodes, epoch, [reading[i] for reading in readings]
-            )
-            for i, aggregate in enumerate(self._aggregates)
-        ]
-        return [
-            tuple(column[j] for column in columns) for j in range(len(nodes))
-        ]
 
     def synopsis_local_block(
         self,

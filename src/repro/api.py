@@ -126,11 +126,9 @@ class EngineOptions:
 
     Attributes:
         backend: kernel backend name for the fused array hot path
-            (``pure``, ``numba``, or ``object`` to force the per-payload
-            engine). ``None`` resolves ``REPRO_KERNEL_BACKEND`` and then
-            the ``pure`` default at run time. Validated against the
-            backend *registry* only — naming ``numba`` on a host without
-            numba is a valid config that fails loudly when run.
+            (``pure``, or ``object`` to keep every block on the
+            per-payload engine). ``None`` resolves ``REPRO_KERNEL_BACKEND``
+            and then the ``pure`` default at run time.
         state: node-state tier for the scenario's deployment and rings:
             ``dict`` (the seed representation — per-node dicts, the
             byte-identity oracle) or ``packed`` (id-indexed ndarrays
@@ -346,10 +344,9 @@ class RunConfig:
             every epoch, per the paper's "until the topologies are stable").
         threshold: contributing-percentage target driving adaptation.
         tree_attempts: tree-edge (re)transmission attempts.
-        use_batch: vectorized level-batched channel path (``False`` forces
-            the scalar reference path).
-        use_blocked: epoch-blocked execution (``False`` forces the
-            per-epoch loop). Both paths are byte-identical by invariant.
+        use_batch: run the epoch-blocked engine (``False`` runs the scalar
+            reference wave instead — the oracle the engine is pinned
+            byte-identical to, under any block split).
         churn: churn-model spec string (``none``, ``deaths:E:K[:SEED]``,
             ``blackout:E[:X1:Y1:X2:Y2[:REJOIN]]``, ``lifetime:J``,
             ``at:E:N1+N2``). Applies to the measurement run only (the
@@ -420,7 +417,6 @@ class RunConfig:
     threshold: float = 0.9
     tree_attempts: int = 1
     use_batch: bool = True
-    use_blocked: bool = True
     churn: str = "none"
     churn_interval: int = 0
     engine: Optional[EngineOptions] = None
@@ -667,6 +663,9 @@ class RunConfig:
                 f"reader ({CONFIG_SCHEMA_VERSION})"
             )
         names = {field.name for field in dataclasses.fields(cls)}
+        if "use_blocked" in data:
+            check_legacy_use_blocked(data["use_blocked"])
+            data = {k: v for k, v in data.items() if k != "use_blocked"}
         unknown = sorted(set(data) - names - {"type", "version"})
         if unknown:
             raise ConfigurationError(
@@ -701,6 +700,20 @@ class RunConfig:
     def replace(self, **changes: object) -> "RunConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
+
+
+def check_legacy_use_blocked(value: object) -> None:
+    """Refuse the one dead value of the legacy ``use_blocked`` key.
+
+    Payloads written before the per-epoch loop was deleted carry the key;
+    ``true`` was its default and is dropped by the readers, anything else
+    asked for a loop that no longer exists.
+    """
+    if value is not True:
+        raise ConfigurationError(
+            "'use_blocked' is gone with the per-epoch loop it selected; "
+            "set use_batch=false to run the scalar reference path"
+        )
 
 
 def _check_field_type(name: str, value: object) -> object:
@@ -929,7 +942,6 @@ class Scenario:
                 scheme,
                 seed=self.config.scenario_seed,
                 adapt_interval=1,
-                use_blocked=self.config.use_blocked,
             ).run(0, readings, warmup=self.config.converge_epochs)
 
     def build_simulator(
@@ -953,7 +965,6 @@ class Scenario:
             adapt_interval=(
                 self.config.adapt_interval if self.entry.adaptive else 0
             ),
-            use_blocked=self.config.use_blocked,
             membership=membership,
             churn_interval=self.config.churn_interval or None,
             faults=build_fault_plan(self.config.faults),

@@ -4,9 +4,9 @@ A :class:`FaultPlan` decides, per (sender, receiver, epoch), whether to
 misbehave — force or kill a delivery, corrupt a synopsis payload, replay a
 delivery, or delay control billing. Every decision is a pure keyed-hash
 function of its arguments, like every other draw in this repository: the
-blocked and per-epoch engines evaluate the hooks at different times but with
-identical keys, so both see the *same* fault sequence, and a fault scenario
-is fully reproducible from its spec string.
+epoch-blocked engine and the scalar oracle evaluate the hooks at different
+times but with identical keys, so both see the *same* fault sequence, and a
+fault scenario is fully reproducible from its spec string.
 
 The built-in injectors (spec syntax in :mod:`repro.registry`):
 
@@ -277,16 +277,6 @@ class ChaosRuntime:
         if self.plan is None:
             return None
         return self.plan.deliver_override(sender, receiver, epoch)
-
-    def override_pairs(self, success, senders, receivers, epoch: int) -> None:
-        """Apply forced outcomes over one epoch's flat pair list, in place."""
-        plan = self.plan
-        if plan is None:
-            return
-        for i in range(len(senders)):
-            forced = plan.deliver_override(senders[i], receivers[i], epoch)
-            if forced is not None:
-                success[i] = forced
 
     def override_table(self, success, senders, receivers, epochs) -> None:
         """Apply forced outcomes over a (pairs x epochs) block table."""

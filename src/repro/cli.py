@@ -33,12 +33,13 @@ import os
 import pathlib
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.api import (
     EXPERIMENT_CONFIGS,
     RunConfig,
     Session,
+    check_legacy_use_blocked,
     describe_experiment,
 )
 from repro.errors import ConfigurationError
@@ -492,6 +493,29 @@ def _run_sweep(args) -> int:
     return 0
 
 
+def _parse_bool(name: str, raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ConfigurationError(f"{name} expects true/false, got {raw!r}")
+
+
+def _parse_overrides(items: Sequence[str]) -> Dict[str, object]:
+    """The ``--set KEY=VALUE`` flags as typed ``RunConfig`` field values."""
+    overrides: Dict[str, object] = {}
+    for item in items:
+        key, separator, raw = item.partition("=")
+        if not separator:
+            raise ConfigurationError(f"--set expects KEY=VALUE, got {item!r}")
+        if key == "use_blocked":
+            # Legacy key, same rule as the JSON reader: true is dropped.
+            check_legacy_use_blocked(_parse_bool(key, raw))
+            continue
+        overrides[key] = _coerce_field(key, raw)
+    return overrides
+
+
 def _coerce_field(name: str, raw: str) -> object:
     """Parse a ``--set`` value according to the config field's type."""
     fields = {field.name: field for field in dataclasses.fields(RunConfig)}
@@ -518,11 +542,7 @@ def _coerce_field(name: str, raw: str) -> object:
         return [token.strip() for token in raw.split(",") if token.strip()]
     default = fields[name].default
     if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"{name} expects true/false, got {raw!r}")
+        return _parse_bool(name, raw)
     try:
         if isinstance(default, int):
             return int(raw)
@@ -563,14 +583,7 @@ def _run_config(args) -> int:
         return 2
     try:
         config = RunConfig.from_json(text)
-        overrides: Dict[str, object] = {}
-        for item in args.overrides:
-            key, separator, raw = item.partition("=")
-            if not separator:
-                raise ConfigurationError(
-                    f"--set expects KEY=VALUE, got {item!r}"
-                )
-            overrides[key] = _coerce_field(key, raw)
+        overrides = _parse_overrides(args.overrides)
         for name in ("epochs", "seed", "scheme"):
             value = getattr(args, name)
             if value is not None:
@@ -658,14 +671,7 @@ def _serve(args) -> int:
                 reading="uniform:10:100:0",
                 epochs=0,
             )
-        overrides: Dict[str, object] = {}
-        for item in args.overrides:
-            key, separator, raw = item.partition("=")
-            if not separator:
-                raise ConfigurationError(
-                    f"--set expects KEY=VALUE, got {item!r}"
-                )
-            overrides[key] = _coerce_field(key, raw)
+        overrides = _parse_overrides(args.overrides)
         if overrides:
             config = config.replace(**overrides)
         if args.resume and args.checkpoint_dir is None:

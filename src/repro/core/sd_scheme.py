@@ -18,16 +18,10 @@ from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import MultipathPayload, missing_stats_words
 from repro.errors import ConfigurationError
 from repro.kernels import get_backend
-
-try:
-    from repro.kernels.sd import run_sd_block, sd_eligible
-except ImportError:  # pragma: no cover - numpy-less hosts keep the object path
-    run_sd_block = None
-    sd_eligible = None
+from repro.kernels.sd import run_sd_block, sd_eligible
 from repro.multipath.fm import (
     DEFAULT_BITS,
     FMSketch,
-    single_item_sketches,
     single_item_sketches_block,
     words_batch,
 )
@@ -46,6 +40,7 @@ from repro.network.simulator import (
     ReadingFn,
     exact_over,
     gather_readings,
+    run_epochs_scalar,
 )
 
 
@@ -127,28 +122,13 @@ class SynopsisDiffusionScheme:
         sketch.insert("contrib", node, epoch)
         return sketch
 
-    def _contrib_sketches(
-        self, nodes: List[NodeId], epoch: int
-    ) -> List[Optional[FMSketch]]:
-        """Batched :meth:`_contrib_sketch` for a whole ring level."""
-        if self._aggregate.synopsis_counts_contributors():
-            return [None] * len(nodes)
-        return single_item_sketches(
-            self._count_bitmaps,
-            DEFAULT_BITS,
-            ("contrib",),
-            nodes,
-            [epoch] * len(nodes),
-        )
-
     def _contrib_sketches_block(
         self, nodes: Sequence[NodeId], epochs: Sequence[int]
     ) -> List[List[Optional[FMSketch]]]:
-        """:meth:`_contrib_sketches` for every epoch of a block, one pass.
+        """:meth:`_contrib_sketch` for every (node, epoch) cell of a block.
 
-        Flat row ``j * len(nodes) + i`` hashes ``("contrib", nodes[i],
-        epochs[j])`` — exactly the per-epoch batch rows, stacked
-        epoch-major.
+        One vectorized pass: cell ``[j][i]`` hashes ``("contrib", nodes[i],
+        epochs[j])``, exactly the scalar insertion.
         """
         if self._aggregate.synopsis_counts_contributors():
             return [[None] * len(nodes) for _ in epochs]
@@ -195,6 +175,7 @@ class SynopsisDiffusionScheme:
     def run_epoch(
         self, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
+        """The scalar reference wave: one node, one draw at a time."""
         return self._run_wave(epoch, channel, readings, None, None)
 
     def run_epochs(
@@ -204,16 +185,14 @@ class SynopsisDiffusionScheme:
 
         All the block's local synopses and contributing-count sketches are
         built in one vectorized pass per level before the first epoch runs;
-        per-epoch (outcome, log) pairs are identical to the per-epoch loop.
+        per-epoch (outcome, log) pairs are identical to looping
+        :meth:`run_epoch`, which is what ``use_batch=False`` does.
         """
         epoch_list = [int(epoch) for epoch in epochs]
+        if not self._use_batch:
+            return run_epochs_scalar(self, epoch_list, channel, readings)
         backend = get_backend(self._kernel_backend)
-        if (
-            backend.fused
-            and sd_eligible is not None
-            and sd_eligible(self)
-            and channel.chaos is None
-        ):
+        if backend.fused and sd_eligible(self) and channel.chaos is None:
             return run_sd_block(self, epoch_list, channel, readings, backend)
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         aggregate = self._aggregate
@@ -258,10 +237,6 @@ class SynopsisDiffusionScheme:
         for index, nodes in enumerate(self._level_nodes):
             if locals_by_level is not None:
                 synopses, count_sketches = locals_by_level[index]
-            elif self._use_batch:
-                values = gather_readings(readings, nodes, epoch)
-                synopses = aggregate.synopsis_local_batch(nodes, epoch, values)
-                count_sketches = self._contrib_sketches(nodes, epoch)
             else:
                 synopses = [
                     aggregate.synopsis_local(node, epoch, readings(node, epoch))
@@ -299,8 +274,6 @@ class SynopsisDiffusionScheme:
                 heard_lists = channel.transmit_epochs(
                     transmissions, epoch, plan, index
                 )
-            elif self._use_batch:
-                heard_lists = channel.transmit_batch(transmissions, epoch)
             else:
                 heard_lists = transmit_sequential(channel, transmissions, epoch)
             chaos = channel.chaos

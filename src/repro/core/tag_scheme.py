@@ -2,11 +2,10 @@
 
 Each epoch proceeds level-by-level from the deepest tree level toward the
 root: every node in the level merges its children's partial results into
-its own local partial, and the level's unicasts are drawn as ONE channel
-batch (bit-identical to per-node draws — see
-:meth:`repro.network.links.Channel.transmit_batch`). A lost message drops
-the entire subtree from the answer — the communication-error behaviour
-that motivates the whole paper.
+its own local partial, and the level's unicasts are drawn against a
+block-wide :class:`~repro.network.links.DeliveryPlan` (bit-identical to
+per-node draws). A lost message drops the entire subtree from the answer —
+the communication-error behaviour that motivates the whole paper.
 
 ``attempts`` models TinyDB-style retransmissions (Figure 9b lets tree nodes
 retransmit twice, i.e. ``attempts=3``); the default, like the original
@@ -38,6 +37,7 @@ from repro.network.simulator import (
     ReadingFn,
     exact_over,
     gather_readings,
+    run_epochs_scalar,
 )
 from repro.tree.structure import Tree
 
@@ -123,13 +123,6 @@ class TagScheme:
         """Latency proxy: number of level-by-level forwarding steps."""
         return self._depth
 
-    def _transmit(
-        self, channel: Channel, transmissions: List[Transmission], epoch: int
-    ) -> List[List[NodeId]]:
-        if self._use_batch:
-            return channel.transmit_batch(transmissions, epoch)
-        return transmit_sequential(channel, transmissions, epoch)
-
     def _plan_levels(self) -> List[List[Transmission]]:
         """The block-constant transmission structure, one skeleton per level.
 
@@ -150,6 +143,7 @@ class TagScheme:
     def run_epoch(
         self, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
+        """The scalar reference wave: one node, one draw at a time."""
         return self._run_wave(epoch, channel, readings, None, None)
 
     def run_epochs(
@@ -157,11 +151,14 @@ class TagScheme:
     ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
         """Run a block of epochs against one precomputed delivery plan.
 
-        Per-epoch results (outcome, channel log) are identical to driving
-        :meth:`run_epoch` under the per-epoch simulator loop; only the
-        channel draws and the local partials are hoisted out of the loop.
+        Per-epoch results (outcome, channel log) are identical to looping
+        :meth:`run_epoch` under any split of ``epochs`` into blocks; only
+        the channel draws and the local partials are hoisted out of the
+        loop. ``use_batch=False`` runs exactly that loop (the oracle).
         """
         epoch_list = [int(epoch) for epoch in epochs]
+        if not self._use_batch:
+            return run_epochs_scalar(self, epoch_list, channel, readings)
         backend = get_backend(self._kernel_backend)
         if backend.fused and tag_eligible(self) and channel.chaos is None:
             return run_tag_block(self, epoch_list, channel, readings, backend)
@@ -204,9 +201,6 @@ class TagScheme:
         for index, level_nodes in enumerate(self._levels):
             if partials_by_level is not None:
                 partials = partials_by_level[index]
-            elif self._use_batch:
-                values = gather_readings(readings, level_nodes, epoch)
-                partials = aggregate.tree_local_batch(level_nodes, epoch, values)
             else:
                 partials = [
                     aggregate.tree_local(node, epoch, readings(node, epoch))
@@ -236,7 +230,7 @@ class TagScheme:
                     transmissions, epoch, plan, index
                 )
             else:
-                heard_lists = self._transmit(channel, transmissions, epoch)
+                heard_lists = transmit_sequential(channel, transmissions, epoch)
             chaos = channel.chaos
             for (parent, payload), heard in zip(outgoing, heard_lists):
                 if heard:

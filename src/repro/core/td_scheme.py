@@ -37,16 +37,10 @@ from repro.core.payloads import (
 )
 from repro.errors import ConfigurationError
 from repro.kernels import get_backend
-
-try:
-    from repro.kernels.td import precompute_conversions, td_eligible
-except ImportError:  # pragma: no cover - numpy-less hosts keep the object path
-    precompute_conversions = None
-    td_eligible = None
+from repro.kernels.td import precompute_conversions, td_eligible
 from repro.multipath.fm import (
     DEFAULT_BITS,
     FMSketch,
-    single_item_sketches,
     single_item_sketches_block,
     words_batch,
 )
@@ -64,6 +58,7 @@ from repro.network.simulator import (
     ReadingFn,
     exact_over,
     gather_readings,
+    run_epochs_scalar,
 )
 
 
@@ -189,24 +184,10 @@ class TributaryDeltaScheme:
         sketch.insert("contrib", node, epoch)
         return sketch
 
-    def _contrib_sketches(
-        self, nodes: List[NodeId], epoch: int
-    ) -> List[Optional[FMSketch]]:
-        """Batched :meth:`_contrib_sketch` over the level's M nodes."""
-        if self._aggregate.synopsis_counts_contributors():
-            return [None] * len(nodes)
-        return single_item_sketches(
-            self._count_bitmaps,
-            DEFAULT_BITS,
-            ("contrib",),
-            nodes,
-            [epoch] * len(nodes),
-        )
-
     def _contrib_sketches_block(
         self, nodes: Sequence[NodeId], epochs: Sequence[int]
     ) -> List[List[Optional[FMSketch]]]:
-        """:meth:`_contrib_sketches` for every epoch of a block, one pass."""
+        """:meth:`_contrib_sketch` for every (node, epoch) cell, one pass."""
         if self._aggregate.synopsis_counts_contributors():
             return [[None] * len(nodes) for _ in epochs]
         return single_item_sketches_block(
@@ -285,6 +266,7 @@ class TributaryDeltaScheme:
     def run_epoch(
         self, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
+        """The scalar reference wave: one node, one draw at a time."""
         return self._run_wave(epoch, channel, readings, None, None)
 
     def run_epochs(
@@ -296,9 +278,12 @@ class TributaryDeltaScheme:
         block boundaries), so the M-node SG synopses and contributing-count
         sketches of every (node, epoch) cell are built in one vectorized
         pass per level up front. Per-epoch (outcome, log) pairs are
-        identical to the per-epoch loop.
+        identical to looping :meth:`run_epoch`, which is what
+        ``use_batch=False`` does.
         """
         epoch_list = [int(epoch) for epoch in epochs]
+        if not self._use_batch:
+            return run_epochs_scalar(self, epoch_list, channel, readings)
         graph = self._graph
         skeletons = self._plan_levels()
         plan = channel.plan_epochs(skeletons, epoch_list)
@@ -338,12 +323,7 @@ class TributaryDeltaScheme:
         # with checked=True.
         checked = False
         backend = get_backend(self._kernel_backend)
-        if (
-            backend.fused
-            and td_eligible is not None
-            and td_eligible(self)
-            and channel.chaos is None
-        ):
+        if backend.fused and td_eligible(self) and channel.chaos is None:
             self._conversions = precompute_conversions(
                 self,
                 epoch_list,
@@ -392,33 +372,14 @@ class TributaryDeltaScheme:
         inbox_syn: Dict[NodeId, List[MultipathPayload]] = {}
 
         for index, nodes in enumerate(self._level_nodes):
-            # SG for all the level's M nodes in one vectorized pass (tree
+            # The engine hands the whole level's precomputed locals in (tree
             # links point one ring up, so nothing in this level feeds
-            # anything else in it — level-synchronous batching is exact).
-            # The blocked path hands the whole level's precomputed locals in.
-            precomputed = locals_by_level is not None
-            tree_partials: Dict = {}
-            if precomputed:
-                synopses, count_sketches, tree_partials = locals_by_level[index]
-            else:
-                m_nodes = [node for node in nodes if not graph.is_tree(node)]
-                if self._use_batch and m_nodes:
-                    synopses = dict(
-                        zip(
-                            m_nodes,
-                            self._aggregate.synopsis_local_batch(
-                                m_nodes,
-                                epoch,
-                                gather_readings(readings, m_nodes, epoch),
-                            ),
-                        )
-                    )
-                    count_sketches = dict(
-                        zip(m_nodes, self._contrib_sketches(m_nodes, epoch))
-                    )
-                else:
-                    synopses = {}
-                    count_sketches = {}
+            # anything else in it — level-synchronous batching is exact);
+            # the scalar wave finds nothing here and computes per node.
+            scalar = locals_by_level is None
+            synopses, count_sketches, tree_partials = (
+                ({}, {}, {}) if scalar else locals_by_level[index]
+            )
 
             outgoing: List[Tuple[bool, object, object]] = []
             for node in nodes:
@@ -428,16 +389,16 @@ class TributaryDeltaScheme:
                         epoch,
                         readings,
                         inbox_tree,
-                        tree_partials.get(node) if precomputed else None,
+                        tree_partials.get(node),
                     )
                     outgoing.append(
                         (True, self._tree_parents.get(node), payload)
                     )
                 else:
-                    if precomputed or self._use_batch:
-                        count_sketch = count_sketches.get(node)
-                    else:
+                    if scalar:
                         count_sketch = self._contrib_sketch(node, epoch)
+                    else:
+                        count_sketch = count_sketches.get(node)
                     payload = self._prepare_multipath_node(
                         node,
                         epoch,
@@ -454,8 +415,6 @@ class TributaryDeltaScheme:
                 heard_lists = channel.transmit_epochs(
                     transmissions, epoch, plan, index, checked=checked
                 )
-            elif self._use_batch:
-                heard_lists = channel.transmit_batch(transmissions, epoch)
             else:
                 heard_lists = transmit_sequential(channel, transmissions, epoch)
 

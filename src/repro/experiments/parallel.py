@@ -158,8 +158,8 @@ def parallel_map(
 
     ``jobs`` <= 1 (or a single item) runs serially, as does a single-CPU
     host — pool workers there only time-slice one core, so the fork and
-    pickle overhead is pure regression (``engine_perf.json`` measured
-    pooled sweeps at 0.95x on a 1-CPU container). Otherwise the items are
+    pickle overhead is pure regression (``benchmarks/bench_engine.py``
+    measured pooled sweeps at 0.95x on a 1-CPU container). Otherwise the items are
     dispatched to a ``ProcessPoolExecutor`` and the results are collected in
     submission order, so callers observe exactly the serial semantics. If
     the platform cannot spawn a pool (restricted sandboxes), the map

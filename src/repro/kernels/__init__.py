@@ -4,23 +4,18 @@ The level-synchronous schemes spend their time in four primitive shapes:
 OR-merging packed synopsis rows into parent accumulators, adding integer
 tree partials into parent columns, reducing delivery flags per sender, and
 RLE-sizing packed bitmap rows. This package names those primitives once
-(:class:`KernelBackend`) and provides interchangeable implementations:
+(:class:`KernelBackend`) and provides two backends:
 
-* ``pure`` — numpy ufunc passes (the default; always available when numpy
-  is).
-* ``numba`` — ``@njit``-compiled explicit loops over the same integer
-  math, used when :mod:`numba` is importable. CI runs *parity*, not speed,
-  for it: both backends must produce bit-identical words, estimates and
-  billing.
+* ``pure`` — numpy ufunc passes (the default).
 * ``object`` — a sentinel that disables the fused array path entirely;
   schemes fall back to the per-payload object engine (the PR-2 path),
-  which doubles as the safety hatch and the test oracle.
+  which doubles as the safety hatch and the reference
+  ``tests/test_kernels.py`` compares the fused path against.
 
 Selection order: an explicit backend name (``RunConfig.engine.backend``,
 threaded to the schemes at construction) beats the ``REPRO_KERNEL_BACKEND``
-environment variable, which beats the ``"pure"`` default. Requesting a
-backend that cannot load (``numba`` without numba installed) raises loudly
-— a silently substituted backend would make perf numbers lie.
+environment variable, which beats the ``"pure"`` default. An unknown name
+raises — a silently substituted backend would make perf numbers lie.
 
 Backend instances are memoized **by backend name** — the one kernels-level
 cache — so every cache key in the fused path is backend-qualified by
@@ -114,18 +109,10 @@ def _load_pure() -> KernelBackend:
     return PureBackend()
 
 
-def _load_numba() -> KernelBackend:
-    from repro.kernels.backend_numba import NumbaBackend
-
-    return NumbaBackend()
-
-
-#: Backend loaders by name. Loaders run lazily (numba imports only when
-#: asked for) and may raise :class:`ConfigurationError` when unavailable.
+#: Backend loaders by name, run lazily on first request.
 KERNEL_BACKENDS: Dict[str, Callable[[], KernelBackend]] = {
     "object": _load_object,
     "pure": _load_pure,
-    "numba": _load_numba,
 }
 
 #: Loaded backend instances, memoized by backend name.
@@ -133,7 +120,7 @@ _INSTANCES: Dict[str, KernelBackend] = {}
 
 
 def backend_names() -> List[str]:
-    """Registered backend names (loadable or not), sorted."""
+    """Registered backend names, sorted."""
     return sorted(KERNEL_BACKENDS)
 
 
@@ -147,40 +134,22 @@ def validate_backend_name(name: str) -> str:
     return name
 
 
-def backend_available(name: str) -> bool:
-    """Whether ``name`` loads on this host (numba may not be installed)."""
-    validate_backend_name(name)
-    try:
-        get_backend(name)
-    except ConfigurationError:
-        return False
-    return True
-
-
 def get_backend(name: Optional[str] = None) -> KernelBackend:
     """Resolve a kernel backend: explicit name > environment > default.
 
-    An unknown or unloadable *requested* backend (explicit name or
-    environment variable) raises — substituting a different backend
-    silently would make every perf comparison suspect. Only the implicit
-    hard default degrades: when nothing asked for a backend and ``pure``
-    cannot load (no numpy), the ``object`` sentinel is returned and the
-    schemes keep their per-payload path.
+    An unknown backend name (explicit or from the environment variable)
+    raises — substituting a different backend silently would make every
+    perf comparison suspect.
     """
-    requested = name if name is not None else (
-        os.environ.get(BACKEND_ENV_VAR) or None
+    resolved = (
+        name
+        if name is not None
+        else os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
     )
-    resolved = requested if requested is not None else DEFAULT_BACKEND
     validate_backend_name(resolved)
     instance = _INSTANCES.get(resolved)
     if instance is None:
-        try:
-            instance = KERNEL_BACKENDS[resolved]()
-        except ConfigurationError:
-            if requested is not None:
-                raise
-            return get_backend("object")
-        _INSTANCES[resolved] = instance
+        instance = _INSTANCES[resolved] = KERNEL_BACKENDS[resolved]()
     return instance
 
 
@@ -190,7 +159,6 @@ __all__ = [
     "KERNEL_BACKENDS",
     "KernelBackend",
     "ObjectBackend",
-    "backend_available",
     "backend_names",
     "get_backend",
     "validate_backend_name",

@@ -10,28 +10,17 @@ integer — see the inline proof there).
 
 from __future__ import annotations
 
-from repro._hashing import HAVE_NUMPY
-from repro.errors import ConfigurationError
+import numpy as _np
+
 from repro.kernels import KernelBackend
 from repro.network.messages import WORD_BYTES
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 
 class PureBackend(KernelBackend):
     """Vectorized numpy kernels (the default fused backend)."""
 
     name = "pure"
-
-    def __init__(self) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - the container ships numpy
-            raise ConfigurationError(
-                "kernel backend 'pure' needs numpy, which is unavailable"
-            )
-        self.fused = True
+    fused = True
 
     def or_reduce(self, matrix, starts):
         if len(starts) == 0:

@@ -405,8 +405,8 @@ def single_item_sketches_block(
     """One single-item sketch per (node, epoch) cell, one row per epoch.
 
     Row ``j`` equals ``single_item_sketches(num_bitmaps, bits, label,
-    nodes, [epochs[j]] * len(nodes))`` — the per-epoch batch rows, built in
-    a single vectorized pass over the whole block. This is the one place
+    nodes, [epochs[j]] * len(nodes))``, built in a single vectorized pass
+    over the whole block. This is the one place
     that owns the epoch-major stacking convention the blocked engine relies
     on.
     """

@@ -18,15 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro._hashing import HAVE_NUMPY, hash_unit, hash_unit_batch
+import numpy as _np
+
+from repro._hashing import hash_unit, hash_unit_batch
 from repro.errors import ConfigurationError
 from repro.network.failures import FailureModel
 from repro.network.placement import Deployment, NodeId
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 
 @dataclass
@@ -79,11 +76,11 @@ class Transmission:
 def transmit_sequential(
     channel: "Channel", transmissions: Sequence[Transmission], epoch: int
 ) -> List[List[NodeId]]:
-    """Run a batch through the scalar :meth:`Channel.transmit` path.
+    """Run a level through the scalar :meth:`Channel.transmit` path.
 
-    The per-node reference implementation of :meth:`Channel.transmit_batch`;
-    schemes use it when batching is disabled and the equivalence tests use
-    it as the ground truth the batch path must reproduce bit-for-bit.
+    The per-node reference the planned path (:meth:`Channel.plan_epochs` +
+    :meth:`Channel.transmit_epochs`) must reproduce bit-for-bit; the
+    schemes' scalar oracle wave (``use_batch=False``) transmits through it.
     """
     return [
         channel.transmit(
@@ -100,18 +97,15 @@ def transmit_sequential(
 
 @dataclass(frozen=True)
 class _PlanLevel:
-    """One level's flattened pair structure plus its outcome table.
-
-    ``success`` is a (pairs x epochs) table: a numpy bool matrix on the
-    vectorized path, a list of per-pair rows on the pure-Python fallback.
-    """
+    """One level's flattened pair structure plus its (pairs x epochs)
+    bool outcome matrix."""
 
     senders: Tuple[NodeId, ...]
     receiver_sets: Tuple[Tuple[NodeId, ...], ...]
     attempts: Tuple[int, ...]
     spans: Tuple[Tuple[int, int], ...]
     flat_receivers: Tuple[NodeId, ...]
-    success: object
+    success: _np.ndarray
 
 
 class DeliveryPlan:
@@ -124,7 +118,7 @@ class DeliveryPlan:
     level, one vectorized :func:`repro._hashing.hash_unit_batch` pass per
     attempt over every (pair, epoch) cell, against per-epoch loss-rate
     columns (a :class:`~repro.network.failures.FailureSchedule` that changes
-    loss mid-block is resolved epoch by epoch, exactly like the per-epoch
+    loss mid-block is resolved epoch by epoch, exactly like the scalar
     path).
 
     A plan is valid only while the level structure and the channel's failure
@@ -216,12 +210,7 @@ class DeliveryPlan:
         column = self._epoch_columns.get(epoch)
         if column is None:
             raise ConfigurationError(f"epoch {epoch} is outside the planned block")
-        success = entry.success
-        if _np is not None and isinstance(success, _np.ndarray):
-            column_flags = success[:, column]
-        else:
-            column_flags = [row[column] for row in success]
-        return column_flags, entry.spans, entry.flat_receivers
+        return entry.success[:, column], entry.spans, entry.flat_receivers
 
     def level_table(
         self,
@@ -239,12 +228,7 @@ class DeliveryPlan:
         instead of once per epoch.
         """
         entry = self._check_level(channel, level, transmissions)
-        success = entry.success
-        if _np is not None and not isinstance(success, _np.ndarray):
-            success = _np.asarray(
-                [list(row) for row in success], dtype=bool
-            ).reshape(len(entry.flat_receivers), len(self._epoch_columns))
-        return success, entry.spans, entry.flat_receivers
+        return entry.success, entry.spans, entry.flat_receivers
 
     @staticmethod
     def _build_level(
@@ -299,17 +283,6 @@ class DeliveryPlan:
         """
         num_pairs = len(senders)
         num_epochs = len(epochs)
-        if _np is None:
-            return [
-                [
-                    any(
-                        channel.delivered(senders[i], receivers[i], epoch, attempt)
-                        for attempt in range(attempts_per_pair[i])
-                    )
-                    for epoch in epochs
-                ]
-                for i in range(num_pairs)
-            ]
         if num_pairs == 0:
             return _np.zeros((0, num_epochs), dtype=bool)
         model = channel._failure_model
@@ -355,6 +328,8 @@ class DeliveryPlan:
                 success |= undecided & (draws >= loss)
         chaos = channel.chaos
         if chaos is not None:
+            # Draws are pure keyed hashes, so forcing an outcome after the
+            # sweep is identical to the scalar path's pre-draw short-circuit.
             chaos.override_table(success, senders, receivers, epochs)
         return success
 
@@ -526,51 +501,14 @@ class Channel:
     def transmit_batch(
         self, transmissions: Sequence[Transmission], epoch: int
     ) -> List[List[NodeId]]:
-        """Draw delivery outcomes for a whole level of transmissions at once.
+        """One level, one epoch: :meth:`plan_epochs` + :meth:`transmit_epochs`.
 
-        Bit-identical to calling :meth:`transmit` once per item in order:
-        every (sender, receiver, epoch, attempt) draw uses the same key as
-        the scalar path, and accounting is applied in the same order — only
-        the Bernoulli draws are vectorized (numpy when available). Results
-        are returned in the order the transmissions were given.
+        Bit-identical to calling :meth:`transmit` once per item in order
+        (:func:`transmit_sequential`); heard lists come back in the order
+        the transmissions were given.
         """
-        log = self.log
-        per_words = self._per_node_words
-        per_messages = self._per_node_messages
-        # Accounting and pair flattening in transmission order (matches the
-        # scalar path's dict insertion and counter order).
-        senders: List[NodeId] = []
-        receivers: List[NodeId] = []
-        attempts_per_pair: List[int] = []
-        spans: List[Tuple[int, int]] = []
-        for item in transmissions:
-            sender = item.sender
-            attempts = item.attempts
-            log.transmissions += attempts
-            log.words_sent += item.words * attempts
-            log.messages_sent += item.messages * attempts
-            per_words[sender] = per_words.get(sender, 0) + item.words * attempts
-            per_messages[sender] = (
-                per_messages.get(sender, 0) + item.messages * attempts
-            )
-            start = len(senders)
-            for receiver in item.receivers:
-                senders.append(sender)
-                receivers.append(receiver)
-                attempts_per_pair.append(attempts)
-            spans.append((start, len(senders)))
-
-        success = self._delivery_outcomes(
-            senders, receivers, attempts_per_pair, epoch
-        )
-
-        heard_lists: List[List[NodeId]] = []
-        for (start, stop) in spans:
-            heard = [receivers[i] for i in range(start, stop) if success[i]]
-            log.deliveries += len(heard)
-            log.drops += (stop - start) - len(heard)
-            heard_lists.append(sorted(heard))
-        return heard_lists
+        plan = self.plan_epochs([transmissions], [epoch])
+        return self.transmit_epochs(transmissions, epoch, plan, 0, checked=True)
 
     def plan_epochs(
         self,
@@ -617,12 +555,12 @@ class Channel:
         level: int,
         checked: bool = False,
     ) -> List[List[NodeId]]:
-        """:meth:`transmit_batch` against outcomes precomputed by ``plan``.
+        """Transmit one level at ``epoch`` against ``plan``'s outcomes.
 
-        Bit-identical to ``transmit_batch(transmissions, epoch)``:
-        accounting runs in the same transmission order and the success
-        flags were drawn from the same keyed hashes — only *when* the draws
-        happened differs (once per block instead of once per epoch).
+        Bit-identical to ``transmit_sequential(self, transmissions,
+        epoch)``: accounting runs in the same transmission order and the
+        success flags were drawn from the same keyed hashes — only *when*
+        the draws happened differs (once per block instead of per send).
         ``checked=True`` promises the caller already validated this level's
         structure against the plan for the current block (one
         :meth:`DeliveryPlan.level_table` call), skipping the per-epoch
@@ -633,9 +571,7 @@ class Channel:
         )
         # Scalar-indexing a numpy column pays ~100ns per element; the heard
         # loop below touches every pair, so convert once.
-        tolist = getattr(success, "tolist", None)
-        if tolist is not None:
-            success = tolist()
+        success = success.tolist()
         log = self.log
         per_words = self._per_node_words
         per_messages = self._per_node_messages
@@ -656,61 +592,6 @@ class Channel:
             log.drops += (stop - start) - len(heard)
             heard_lists.append(sorted(heard))
         return heard_lists
-
-    def _delivery_outcomes(
-        self,
-        senders: Sequence[NodeId],
-        receivers: Sequence[NodeId],
-        attempts_per_pair: Sequence[int],
-        epoch: int,
-    ) -> Sequence[bool]:
-        """Per-pair success flags: any attempt's draw clears the loss rate."""
-        count = len(senders)
-        if count == 0:
-            return []
-        if _np is None:
-            return [
-                any(
-                    self.delivered(senders[i], receivers[i], epoch, attempt)
-                    for attempt in range(attempts_per_pair[i])
-                )
-                for i in range(count)
-            ]
-        batch_rates = getattr(self._failure_model, "loss_rate_batch", None)
-        if batch_rates is not None:
-            loss = batch_rates(self._deployment, senders, receivers, epoch)
-        else:
-            loss = [
-                self.loss_rate(sender, receiver, epoch)
-                for sender, receiver in zip(senders, receivers)
-            ]
-        loss_array = _np.asarray(loss, dtype=_np.float64)
-        # loss <= 0 always delivers; loss >= 1 never does — the comparison
-        # draw >= loss yields exactly those outcomes, so no special cases.
-        success = loss_array <= 0.0
-        if not bool(success.all()):
-            attempts_array = _np.asarray(attempts_per_pair, dtype=_np.int64)
-            epoch_column = _np.full(count, epoch, dtype=_np.int64)
-            for attempt in range(int(attempts_array.max())):
-                undecided = (
-                    (~success) & (attempts_array > attempt) & (loss_array < 1.0)
-                )
-                if not bool(undecided.any()):
-                    break
-                draws = hash_unit_batch(
-                    ("channel", self._seed),
-                    senders,
-                    receivers,
-                    epoch_column,
-                    _np.full(count, attempt, dtype=_np.int64),
-                )
-                success |= undecided & (draws >= loss_array)
-        chaos = self.chaos
-        if chaos is not None:
-            # Draws are pure keyed hashes, so forcing an outcome after the
-            # sweep is identical to the scalar path's pre-draw short-circuit.
-            chaos.override_pairs(success, senders, receivers, epoch)
-        return success
 
     def per_node_words(self) -> Dict[NodeId, int]:
         """Cumulative words transmitted per node (load accounting).

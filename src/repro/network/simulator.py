@@ -17,6 +17,7 @@ state.
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -42,7 +43,7 @@ def gather_readings(
     ``[readings(node, epoch) for node in nodes]`` (the built-in constant and
     uniform workloads hash the whole row in one vectorized pass); plain
     callables fall back to the per-node loop. Schemes use this everywhere
-    they gather a level or a truth row, so batch and scalar runs see
+    they gather a level or a truth row, so engine and oracle runs see
     identical values by construction.
     """
     batch = getattr(readings, "batch", None)
@@ -109,13 +110,14 @@ class EpochOutcome:
 class AggregationScheme(Protocol):
     """The interface every aggregation scheme implements.
 
-    Schemes may additionally implement ``run_epochs(epochs, channel,
-    readings) -> List[Tuple[EpochOutcome, TransmissionLog]]``: an
-    epoch-blocked fast path that executes a whole adaptation interval
-    against one precomputed :class:`~repro.network.links.DeliveryPlan`,
-    returning per-epoch (outcome, log) pairs byte-identical to driving
-    ``run_epoch`` under the per-epoch loop. The simulator uses it when
-    blocking is enabled; schemes without it always run per-epoch.
+    ``run_epoch`` is the scalar reference wave. Schemes may additionally
+    implement ``run_epochs(epochs, channel, readings) ->
+    List[Tuple[EpochOutcome, TransmissionLog]]``: the epoch-blocked engine,
+    executing a whole block against one precomputed
+    :class:`~repro.network.links.DeliveryPlan` and returning per-epoch
+    (outcome, log) pairs byte-identical to :func:`run_epochs_scalar` under
+    any split of the epochs into blocks. The simulator always drives
+    ``run_epochs``; a scheme without one gets :func:`run_epochs_scalar`.
 
     Running under node churn additionally requires
     ``on_membership_change(update)``: the simulator passes each applied
@@ -137,6 +139,26 @@ class AggregationScheme(Protocol):
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """Adaptation hook, called at the configured interval."""
         ...
+
+
+def run_epochs_scalar(
+    scheme: AggregationScheme,
+    epochs: Sequence[int],
+    channel: Channel,
+    readings: ReadingFn,
+) -> List[Tuple[EpochOutcome, TransmissionLog]]:
+    """The ``run_epochs`` contract by looping the scalar ``run_epoch``.
+
+    The oracle every blocked engine must reproduce, what the built-in
+    schemes run under ``use_batch=False``, and the simulator's adapter for
+    schemes that have no ``run_epochs`` of their own.
+    """
+    pairs = []
+    for epoch in epochs:
+        channel.reset_log()
+        outcome = scheme.run_epoch(epoch, channel, readings)
+        pairs.append((outcome, channel.reset_log()))
+    return pairs
 
 
 @dataclass
@@ -343,7 +365,14 @@ class RunResult:
 
 
 class EpochSimulator:
-    """Drives a scheme over a sequence of epochs.
+    """Drives a scheme over a sequence of epochs, one block at a time.
+
+    One loop serves every scheme: it cuts the run into blocks, hands each
+    to ``scheme.run_epochs`` (or :func:`run_epochs_scalar` for schemes
+    without one) and audits, records and adapts around it. Which tier runs
+    inside the block — fused kernels, object waves, or the scalar oracle of
+    a ``use_batch=False`` scheme — is the scheme's business, never the
+    simulator's.
 
     Args:
         deployment: sensor positions.
@@ -356,20 +385,14 @@ class EpochSimulator:
         on_epoch: optional hook called with (epoch, channel) after every
             epoch (warm-up included) — the attachment point for topology
             maintenance (link probing, parent switching) that the paper
-            runs "less frequently than aggregation". Setting it disables
-            epoch blocking: the hook may change topology or failure model
-            mid-interval, which invalidates a delivery plan.
-        use_blocked: execute in adaptation-interval blocks through the
-            scheme's ``run_epochs`` fast path when available (byte-identical
-            results, pinned by ``tests/test_blocked_equivalence.py``);
-            ``False`` keeps the per-epoch loop.
+            runs "less frequently than aggregation". Setting it cuts every
+            block to one epoch: the hook may change topology or failure
+            model between epochs, which invalidates a delivery plan.
         membership: a :class:`~repro.network.churn.DynamicMembership`
             runtime enabling node churn. Churn events are applied at
             **churn boundaries** — before the epoch at offsets divisible by
-            ``churn_interval`` — in both the blocked and the per-epoch
-            loops, so the epoch-blocked engine keeps working (events
-            falling mid-interval take effect at the next boundary; blocks
-            additionally split at churn boundaries). The scheme must
+            ``churn_interval`` — and blocks split there (events falling
+            mid-interval take effect at the next boundary). The scheme must
             implement ``on_membership_change(update)``. ``None`` (the
             default) changes nothing: runs are byte-identical to a
             simulator without the parameter.
@@ -395,8 +418,8 @@ class EpochSimulator:
             as it is recorded (measurement epochs only, in epoch order) —
             the aggregation service's streaming tap. Pure observation: it
             runs after the result is appended, cannot influence draws or
-            adaptation, and (unlike ``on_epoch``) leaves epoch blocking
-            enabled. ``None`` changes nothing.
+            adaptation, and (unlike ``on_epoch``) leaves block spans
+            alone. ``None`` changes nothing.
         retention: which recorded :class:`EpochResult` objects the run
             keeps in RAM: ``all`` (the default — full timeline, the
             pre-retention behaviour), ``window:N`` (the last N, drop-
@@ -421,7 +444,6 @@ class EpochSimulator:
         energy_model: Optional[EnergyModel] = None,
         adapt_interval: int = 10,
         on_epoch: Optional[Callable[[int, Channel], None]] = None,
-        use_blocked: bool = True,
         membership: Optional[DynamicMembership] = None,
         churn_interval: Optional[int] = None,
         faults=None,
@@ -448,7 +470,6 @@ class EpochSimulator:
         self._energy_model = energy_model or EnergyModel()
         self._adapt_interval = adapt_interval
         self._on_epoch = on_epoch
-        self._use_blocked = use_blocked
         self._membership = membership
         self._churn_interval = churn_interval
         self._seed = seed
@@ -510,7 +531,7 @@ class EpochSimulator:
         if chaos is not None:
             # Control billing issued at this boundary is stamped with its
             # epoch, and deferred bills due by now land first — both before
-            # the membership step, identically in both execution engines.
+            # the membership step.
             chaos.epoch = epoch
             chaos.flush_control(self._channel, epoch)
         update = self._membership.advance(
@@ -568,16 +589,9 @@ class EpochSimulator:
                         self, payload, results, energy, readings,
                         self._fingerprint,
                     )
-        if self._blocked_capable():
-            self._run_blocked(
-                total, warmup, start_epoch, readings, results, energy,
-                start_offset,
-            )
-        else:
-            self._run_per_epoch(
-                total, warmup, start_epoch, readings, results, energy,
-                start_offset,
-            )
+        self._run_blocks(
+            total, warmup, start_epoch, readings, results, energy, start_offset
+        )
         chaos = self._channel.chaos
         if chaos is not None:
             # Bills still deferred past the last boundary must land before
@@ -591,29 +605,7 @@ class EpochSimulator:
             stats=results.stats if results.tracked else None,
         )
 
-    def _blocked_capable(self) -> bool:
-        """Whether the epoch-blocked fast path applies to this run.
-
-        ``on_epoch`` hooks may mutate topology or the failure model between
-        epochs, which would invalidate a mid-block delivery plan — they
-        force the per-epoch loop, as does a scheme without ``run_epochs``.
-        ``adapt_interval == 1`` caps every block at a single epoch, where a
-        plan amortizes nothing and only adds build overhead (convergence
-        phases adapt every epoch), so it also keeps the per-epoch loop. A
-        scheme built with ``use_batch=False`` asked for the scalar reference
-        path — blocking would silently re-vectorize it, so it too runs
-        per-epoch (this is what lets the equivalence suites drive the
-        scalar path through the simulator).
-        """
-        return (
-            self._use_blocked
-            and self._adapt_interval != 1
-            and self._on_epoch is None
-            and getattr(self._scheme, "_use_batch", True)
-            and callable(getattr(self._scheme, "run_epochs", None))
-        )
-
-    def _run_per_epoch(
+    def _run_blocks(
         self,
         total: int,
         warmup: int,
@@ -621,93 +613,63 @@ class EpochSimulator:
         readings: ReadingFn,
         results: "_RetentionBuffer",
         energy: EnergyReport,
-        start_offset: int = 0,
+        start_offset: int,
     ) -> None:
-        churn_interval = self._effective_churn_interval()
-        auditor = self._auditor
-        for offset in range(start_offset, total):
-            epoch = start_epoch + offset
-            if self._checkpoint is not None and offset > start_offset:
-                self._maybe_checkpoint(offset, results, energy, readings)
-            if self._membership is not None and offset % churn_interval == 0:
-                self._apply_churn(epoch, offset, energy, warmup, readings)
-            stray_log = self._channel.reset_log()
-            if auditor is not None:
-                auditor.observe_log(stray_log)
-            outcome = self._scheme.run_epoch(epoch, self._channel, readings)
-            log = self._channel.reset_log()
-            if auditor is not None:
-                auditor.observe_log(log)
-                auditor.check_epoch(
-                    self._scheme, self._channel, outcome, log, epoch
-                )
-                auditor.check_billing(self._channel, epoch)
-            if offset >= warmup:
-                self._record(results, energy, epoch, outcome, log, readings)
-            if self._adapt_interval and (offset + 1) % self._adapt_interval == 0:
-                self._scheme.adapt(epoch, outcome)
-                if auditor is not None:
-                    auditor.check_structure(
-                        self._scheme, self._membership, epoch
-                    )
-            if self._on_epoch is not None:
-                self._on_epoch(epoch, self._channel)
-
-    def _run_blocked(
-        self,
-        total: int,
-        warmup: int,
-        start_epoch: int,
-        readings: ReadingFn,
-        results: "_RetentionBuffer",
-        energy: EnergyReport,
-        start_offset: int = 0,
-    ) -> None:
-        """Execute in adaptation-interval blocks via ``scheme.run_epochs``.
+        """The one loop: checkpoint, churn, run a block, audit, record, adapt.
 
         A block never crosses an adaptation boundary (the plan's lifetime is
-        one adaptation interval) nor a churn boundary (membership changes
-        invalidate the plan's edge set), and is capped at
-        :attr:`MAX_BLOCK_EPOCHS`; per-epoch records, adaptation cadence,
-        churn boundaries and epochs are exactly those of the per-epoch loop.
+        one adaptation interval), a churn boundary (membership changes
+        invalidate the plan's edge set) or a checkpoint boundary, and is
+        capped at :attr:`MAX_BLOCK_EPOCHS`; an ``on_epoch`` hook cuts it to
+        one epoch. Draws are keyed by epoch, so where blocks are cut never
+        changes a result — only when draws happen.
         """
         interval = self._adapt_interval
         churn_interval = self._effective_churn_interval()
         auditor = self._auditor
+        channel = self._channel
+        run_epochs = getattr(self._scheme, "run_epochs", None)
+        if run_epochs is None:
+            run_epochs = functools.partial(run_epochs_scalar, self._scheme)
         offset = start_offset
         while offset < total:
+            # Control traffic billed between blocks (an ``on_epoch`` probe,
+            # say) is in no epoch's log but must reach the audit — before
+            # the checkpoint, so a resumed auditor's totals match the maps.
+            stray_log = channel.reset_log()
+            if auditor is not None:
+                auditor.observe_log(stray_log)
             if self._checkpoint is not None and offset > start_offset:
                 self._maybe_checkpoint(offset, results, energy, readings)
             if self._membership is not None and offset % churn_interval == 0:
                 self._apply_churn(
                     start_epoch + offset, offset, energy, warmup, readings
                 )
-            span = interval - (offset % interval) if interval else total - offset
-            span = min(span, total - offset, self.MAX_BLOCK_EPOCHS)
+            span = min(total - offset, self.MAX_BLOCK_EPOCHS)
+            if interval:
+                span = min(span, interval - offset % interval)
             if self._membership is not None:
-                span = min(
-                    span, churn_interval - (offset % churn_interval)
-                )
+                span = min(span, churn_interval - offset % churn_interval)
             if self._checkpoint is not None:
-                # Blocks additionally split at checkpoint boundaries; draws
-                # are keyed by epoch, so splitting never changes results.
                 span = min(span, self._checkpoint.span_cap(offset))
+            if self._on_epoch is not None:
+                span = 1
             epochs = [start_epoch + offset + i for i in range(span)]
-            pairs = self._scheme.run_epochs(epochs, self._channel, readings)
+            pairs = run_epochs(epochs, channel, readings)
             for i, (outcome, log) in enumerate(pairs):
                 if auditor is not None:
                     auditor.observe_log(log)
                     auditor.check_epoch(
-                        self._scheme, self._channel, outcome, log, epochs[i]
+                        self._scheme, channel, outcome, log, epochs[i]
                     )
                 if offset + i >= warmup:
                     self._record(
                         results, energy, epochs[i], outcome, log, readings
                     )
             if auditor is not None:
-                # The blocked engine bills per-node loads block-at-a-time,
-                # so conservation holds exactly at block edges only.
-                auditor.check_billing(self._channel, epochs[-1])
+                # Fused kernels bill per-node loads block-at-a-time, so
+                # conservation holds exactly at block edges only.
+                auditor.check_billing(channel, epochs[-1])
             offset += span
             if interval and offset % interval == 0:
                 self._scheme.adapt(epochs[-1], pairs[-1][0])
@@ -715,6 +677,8 @@ class EpochSimulator:
                     auditor.check_structure(
                         self._scheme, self._membership, epochs[-1]
                     )
+            if self._on_epoch is not None:
+                self._on_epoch(epochs[-1], channel)
 
     def _maybe_checkpoint(
         self,

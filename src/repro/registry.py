@@ -361,7 +361,7 @@ def register_fault(name: str):
     strings and returns a :class:`~repro.chaos.faults.FaultPlan`. Fault
     plans are the deterministic chaos layer: every draw they make is a
     keyed hash of (seed, sender, receiver, epoch), so a plan perturbs a run
-    identically under the per-epoch and blocked engines.
+    identically under the blocked engine and the scalar oracle.
     """
 
     def decorator(constructor: Callable[..., FaultPlan]):

@@ -137,9 +137,7 @@ class TestSessionParity:
     def test_scalar_and_blocked_paths_agree(self):
         config = quick_config("TD", "global:0.3")
         blocked = Session().run(config).result
-        scalar = Session().run(
-            config.replace(use_batch=False, use_blocked=False)
-        ).result
+        scalar = Session().run(config.replace(use_batch=False)).result
         assert blocked.estimates == scalar.estimates
 
 
@@ -157,6 +155,18 @@ class TestRunConfig:
         payload["epocks"] = 3
         with pytest.raises(ConfigurationError, match="epocks"):
             RunConfig.from_json(json.dumps(payload))
+
+    def test_legacy_use_blocked_key(self):
+        """Pre-PR-13 payloads still decode; the dead value says where to go."""
+        config = quick_config("TAG", "none")
+        payload = json.loads(config.to_json())
+        assert "use_blocked" not in payload
+        payload["use_blocked"] = True
+        assert RunConfig.from_jsonable(payload) == config
+        for dead in (False, "false", None):
+            payload["use_blocked"] = dead
+            with pytest.raises(ConfigurationError, match="use_batch=false"):
+                RunConfig.from_jsonable(payload)
 
     def test_missing_scheme_rejected(self):
         with pytest.raises(ConfigurationError, match="scheme"):

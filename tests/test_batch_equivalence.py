@@ -1,12 +1,14 @@
-"""The batch-vs-scalar invariant: vectorized paths are bit-identical.
+"""The vectorized primitives under the engine are bit-identical to scalar.
 
-The level-synchronous engine (``hash_unit_batch`` -> ``transmit_batch`` ->
-per-level scheme batching) must reproduce the scalar per-node path draw for
-draw — this is what keeps the paper's paired-comparison methodology intact
-while the hot loops vectorize. These tests sweep seeds, loss rates
-(including the 0 and 1 edge cases) and retransmission counts, asserting
-byte-identical delivery sets, transmission logs, per-node load maps and
-``RunResult.estimates``.
+The engine's building blocks (``hash_unit_batch`` -> the delivery-plan
+outcome table behind ``transmit_batch`` -> whole schemes) must reproduce
+the scalar per-node path draw for draw — this is what keeps the paper's
+paired-comparison methodology intact while the hot loops vectorize. These
+tests sweep seeds, loss rates (including the 0 and 1 edge cases) and
+retransmission counts, asserting byte-identical delivery sets, transmission
+logs, per-node load maps and ``RunResult.estimates``; the engine == oracle
+suite proper (block splits, hooks, churn, kill/resume) lives in
+``tests/test_blocked_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.network.failures import GlobalLoss, NoLoss, RegionalLoss
 from repro.network.links import Channel, Transmission, transmit_sequential
 from repro.network.placement import grid_random_placement
 from repro.network.simulator import EpochSimulator
-from repro.tree.construction import build_bushy_tree
 
 SEEDS = (0, 1, 7)
 LOSS_RATES = (0.0, 0.3, 1.0)
@@ -155,7 +156,7 @@ class TestTransmitBatchEquivalence:
 
 
 class TestSchemeEquivalence:
-    """Full-run equivalence: batch and scalar engines, four schemes."""
+    """Full-run equivalence: engine and scalar oracle, four schemes."""
 
     def _schemes(self, scenario, tree, aggregate_factory, use_batch):
         schemes = {

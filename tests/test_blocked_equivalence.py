@@ -1,37 +1,49 @@
-"""The blocked-vs-per-epoch invariant: epoch blocking is bit-identical.
+"""The one engine invariant: engine == oracle under any block split.
 
 The epoch-blocked engine (``DeliveryPlan`` -> ``Channel.transmit_epochs``
--> scheme ``run_epochs`` -> ``EpochSimulator(use_blocked=True)``) hoists
-delivery draws and local-synopsis construction out of the per-epoch loop —
-it must never change a single draw or byte of output. These tests pin
-blocked and per-epoch runs to identical delivery sets, transmission logs,
-per-node load maps and estimates across seeds, loss rates (including the 0
-and 1 edge cases), retransmission counts, adaptation intervals (0 = one
-big block, 1 = a plan per epoch, 10 = the paper's cadence), warm-up
-epochs, and failure schedules that change loss *inside* a block.
+-> scheme ``run_epochs``, fused kernels where eligible) hoists delivery
+draws and local-synopsis construction out of the per-epoch loop — it must
+never change a single draw or byte of output. The oracle is the scalar
+reference wave (``run_epoch`` over ``Channel.transmit``), which
+``use_batch=False`` schemes run through the very same simulator loop. These
+tests pin engine and oracle runs to identical delivery sets, transmission
+logs, per-node load maps and estimates across seeds, loss rates (including
+the 0 and 1 edge cases), retransmission counts, adaptation intervals (0 =
+one big block, 1 = a plan per epoch, 10 = the paper's cadence), warm-up
+epochs, failure schedules that change loss *inside* a block, every way of
+cutting a run into blocks, ``on_epoch`` hooks, churn and kill/resume.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
+from repro import serialization
 from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
+from repro.api import EXPERIMENT_CONFIGS, QueryWorkload
+from repro.chaos import Auditor, Checkpointer
 from repro.core.adaptation import TDCoarsePolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.streams import ConstantReadings, UniformReadings
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationKilled
 from repro.multipath.fm import FMSketch, counted_sketches, words_batch
+from repro.network.churn import DynamicMembership, ScheduledChurn
 from repro.network.failures import FailureSchedule, GlobalLoss, RegionalLoss
-from repro.network.links import Channel, Transmission
+from repro.network.links import Channel, Transmission, transmit_sequential
 from repro.network.placement import grid_random_placement
-from repro.network.simulator import EpochSimulator, gather_readings
-from repro.tree.construction import build_bushy_tree
+from repro.network.simulator import (
+    EpochSimulator,
+    gather_readings,
+    run_epochs_scalar,
+)
+from repro.query import parse_query
 
 SEEDS = (0, 3)
 LOSS_RATES = (0.0, 0.3, 1.0)
@@ -49,17 +61,27 @@ MID_BLOCK_SCHEDULE = FailureSchedule(
 )
 
 
-def build_scheme_set(scenario, tree, aggregate_factory, attempts=1):
-    """The four paper schemes, with fresh (stateful) adaptation policies."""
+def build_scheme_set(
+    scenario, tree, aggregate_factory, attempts=1, use_batch=True
+):
+    """The four paper schemes, with fresh (stateful) adaptation policies.
+
+    ``use_batch=False`` builds the oracle set: same schemes, scalar wave.
+    """
     schemes = {
         "TAG": TagScheme(
-            scenario.deployment, tree, aggregate_factory(), attempts=attempts
+            scenario.deployment,
+            tree,
+            aggregate_factory(),
+            attempts=attempts,
+            use_batch=use_batch,
         ),
         "SD": SynopsisDiffusionScheme(
             scenario.deployment,
             scenario.rings,
             aggregate_factory(),
             attempts=attempts,
+            use_batch=use_batch,
         ),
     }
     for name, level, policy in (
@@ -77,28 +99,29 @@ def build_scheme_set(scenario, tree, aggregate_factory, attempts=1):
             tree_attempts=attempts,
             multipath_attempts=attempts,
             name=name,
+            use_batch=use_batch,
         )
     return schemes
 
 
-def assert_runs_identical(run_blocked, run_per_epoch, context):
-    assert run_blocked.estimates == run_per_epoch.estimates, context
-    assert [r.epoch for r in run_blocked.epochs] == [
-        r.epoch for r in run_per_epoch.epochs
+def assert_runs_identical(run_engine, run_oracle, context):
+    assert run_engine.estimates == run_oracle.estimates, context
+    assert [r.epoch for r in run_engine.epochs] == [
+        r.epoch for r in run_oracle.epochs
     ], context
-    assert [r.log for r in run_blocked.epochs] == [
-        r.log for r in run_per_epoch.epochs
+    assert [r.log for r in run_engine.epochs] == [
+        r.log for r in run_oracle.epochs
     ], context
-    assert [r.contributing for r in run_blocked.epochs] == [
-        r.contributing for r in run_per_epoch.epochs
+    assert [r.contributing for r in run_engine.epochs] == [
+        r.contributing for r in run_oracle.epochs
     ], context
-    assert [r.contributing_estimate for r in run_blocked.epochs] == [
-        r.contributing_estimate for r in run_per_epoch.epochs
+    assert [r.contributing_estimate for r in run_engine.epochs] == [
+        r.contributing_estimate for r in run_oracle.epochs
     ], context
 
 
 class TestDeliveryPlan:
-    """Channel-level: planned outcomes reproduce transmit_batch exactly."""
+    """Channel-level: planned outcomes reproduce the scalar sends exactly."""
 
     @pytest.fixture(scope="class")
     def deployment(self):
@@ -122,21 +145,25 @@ class TestDeliveryPlan:
         list(itertools.product(SEEDS, LOSS_RATES, (1, 3))),
     )
     def test_plan_matches_transmit_batch(self, deployment, seed, loss, attempts):
+        """One 6-epoch plan == six one-epoch plans == the scalar sends."""
+        scalar = Channel(deployment, GlobalLoss(loss), seed=seed)
         batch = Channel(deployment, GlobalLoss(loss), seed=seed)
         planned = Channel(deployment, GlobalLoss(loss), seed=seed)
         transmissions = self._transmissions(deployment, attempts)
         epochs = list(range(100, 106))
         plan = planned.plan_epochs([transmissions], epochs)
         for epoch in epochs:
-            expected = batch.transmit_batch(transmissions, epoch)
+            expected = transmit_sequential(scalar, transmissions, epoch)
+            assert batch.transmit_batch(transmissions, epoch) == expected
             assert planned.transmit_epochs(transmissions, epoch, plan, 0) == expected
-        assert planned.log == batch.log
-        assert planned.per_node_words() == batch.per_node_words()
-        assert planned.per_node_messages() == batch.per_node_messages()
+        for channel in (batch, planned):
+            assert channel.log == scalar.log
+            assert channel.per_node_words() == scalar.per_node_words()
+            assert channel.per_node_messages() == scalar.per_node_messages()
 
     def test_plan_resolves_schedule_per_epoch(self, deployment):
-        """A loss change mid-plan is drawn epoch by epoch, like per-epoch."""
-        batch = Channel(deployment, MID_BLOCK_SCHEDULE, seed=7)
+        """A loss change mid-plan is drawn epoch by epoch, like the sends."""
+        scalar = Channel(deployment, MID_BLOCK_SCHEDULE, seed=7)
         planned = Channel(deployment, MID_BLOCK_SCHEDULE, seed=7)
         transmissions = self._transmissions(deployment, attempts=2)
         epochs = list(range(50, 64))  # spans all three schedule transitions
@@ -144,7 +171,7 @@ class TestDeliveryPlan:
         for epoch in epochs:
             assert planned.transmit_epochs(
                 transmissions, epoch, plan, 0
-            ) == batch.transmit_batch(transmissions, epoch)
+            ) == transmit_sequential(scalar, transmissions, epoch)
 
     def test_stale_plan_rejected_after_model_swap(self, deployment):
         channel = Channel(deployment, GlobalLoss(0.2), seed=1)
@@ -174,7 +201,28 @@ class TestDeliveryPlan:
 
 
 class TestBlockedRuns:
-    """Simulator-level: use_blocked=True is byte-identical to the loop."""
+    """Simulator-level: the engine is byte-identical to the scalar oracle."""
+
+    def _compare(
+        self, scenario, tree, aggregate, failure, readings, context, *,
+        seed, adapt_interval, attempts=1, epochs=12, **run
+    ):
+        engine = build_scheme_set(scenario, tree, aggregate, attempts)
+        oracle = build_scheme_set(
+            scenario, tree, aggregate, attempts, use_batch=False
+        )
+        for name in engine:
+            run_engine, run_oracle = (
+                EpochSimulator(
+                    scenario.deployment,
+                    failure,
+                    schemes[name],
+                    seed=seed,
+                    adapt_interval=adapt_interval,
+                ).run(epochs, readings, **run)
+                for schemes in (engine, oracle)
+            )
+            assert_runs_identical(run_engine, run_oracle, (name, *context))
 
     @pytest.mark.parametrize(
         "seed,loss,adapt_interval",
@@ -183,59 +231,36 @@ class TestBlockedRuns:
     def test_count_runs_identical(
         self, small_scenario, small_tree, seed, loss, adapt_interval
     ):
-        readings = ConstantReadings(1.0)
-        blocked = build_scheme_set(small_scenario, small_tree, CountAggregate)
-        per_epoch = build_scheme_set(small_scenario, small_tree, CountAggregate)
-        for name in blocked:
-            run_blocked = EpochSimulator(
-                small_scenario.deployment,
-                GlobalLoss(loss),
-                blocked[name],
-                seed=seed,
-                adapt_interval=adapt_interval,
-                use_blocked=True,
-            ).run(12, readings, start_epoch=50, warmup=3)
-            run_loop = EpochSimulator(
-                small_scenario.deployment,
-                GlobalLoss(loss),
-                per_epoch[name],
-                seed=seed,
-                adapt_interval=adapt_interval,
-                use_blocked=False,
-            ).run(12, readings, start_epoch=50, warmup=3)
-            assert_runs_identical(
-                run_blocked, run_loop, (name, seed, loss, adapt_interval)
-            )
+        self._compare(
+            small_scenario,
+            small_tree,
+            CountAggregate,
+            GlobalLoss(loss),
+            ConstantReadings(1.0),
+            (seed, loss, adapt_interval),
+            seed=seed,
+            adapt_interval=adapt_interval,
+            start_epoch=50,
+            warmup=3,
+        )
 
     @pytest.mark.parametrize("adapt_interval", ADAPT_INTERVALS)
     def test_sum_with_retransmissions(
         self, small_scenario, small_tree, adapt_interval
     ):
-        readings = UniformReadings(1, 40, seed=5)
-        blocked = build_scheme_set(
-            small_scenario, small_tree, SumAggregate, attempts=3
+        self._compare(
+            small_scenario,
+            small_tree,
+            SumAggregate,
+            GlobalLoss(0.25),
+            UniformReadings(1, 40, seed=5),
+            (adapt_interval,),
+            attempts=3,
+            epochs=8,
+            seed=4,
+            adapt_interval=adapt_interval,
+            start_epoch=30,
         )
-        per_epoch = build_scheme_set(
-            small_scenario, small_tree, SumAggregate, attempts=3
-        )
-        for name in blocked:
-            run_blocked = EpochSimulator(
-                small_scenario.deployment,
-                GlobalLoss(0.25),
-                blocked[name],
-                seed=4,
-                adapt_interval=adapt_interval,
-                use_blocked=True,
-            ).run(8, readings, start_epoch=30)
-            run_loop = EpochSimulator(
-                small_scenario.deployment,
-                GlobalLoss(0.25),
-                per_epoch[name],
-                seed=4,
-                adapt_interval=adapt_interval,
-                use_blocked=False,
-            ).run(8, readings, start_epoch=30)
-            assert_runs_identical(run_blocked, run_loop, (name, adapt_interval))
 
     @pytest.mark.parametrize("adapt_interval", ADAPT_INTERVALS)
     def test_schedule_changes_loss_mid_block(
@@ -243,43 +268,34 @@ class TestBlockedRuns:
     ):
         """A FailureSchedule transition inside a block must not leak across
         epochs: every column of the plan is drawn against its own epoch's
-        model, exactly like the per-epoch loop."""
-        readings = UniformReadings(1, 40, seed=2)
-        blocked = build_scheme_set(small_scenario, small_tree, SumAggregate)
-        per_epoch = build_scheme_set(small_scenario, small_tree, SumAggregate)
-        for name in blocked:
-            run_blocked = EpochSimulator(
-                small_scenario.deployment,
-                MID_BLOCK_SCHEDULE,
-                blocked[name],
-                seed=1,
-                adapt_interval=adapt_interval,
-                use_blocked=True,
-            ).run(12, readings, start_epoch=50, warmup=2)
-            run_loop = EpochSimulator(
-                small_scenario.deployment,
-                MID_BLOCK_SCHEDULE,
-                per_epoch[name],
-                seed=1,
-                adapt_interval=adapt_interval,
-                use_blocked=False,
-            ).run(12, readings, start_epoch=50, warmup=2)
-            assert_runs_identical(run_blocked, run_loop, (name, adapt_interval))
+        model, exactly like the scalar sends."""
+        self._compare(
+            small_scenario,
+            small_tree,
+            SumAggregate,
+            MID_BLOCK_SCHEDULE,
+            UniformReadings(1, 40, seed=2),
+            (adapt_interval,),
+            seed=1,
+            adapt_interval=adapt_interval,
+            start_epoch=50,
+            warmup=2,
+        )
 
     def test_adaptation_decisions_identical(self, small_scenario, small_tree):
-        """Blocked adaptation fires at the same epochs with the same actions."""
+        """Engine adaptation fires at the same epochs with the same actions."""
         readings = ConstantReadings(1.0)
         results = []
-        for use_blocked in (True, False):
-            schemes = build_scheme_set(small_scenario, small_tree, CountAggregate)
-            scheme = schemes["TD"]
+        for use_batch in (True, False):
+            scheme = build_scheme_set(
+                small_scenario, small_tree, CountAggregate, use_batch=use_batch
+            )["TD"]
             EpochSimulator(
                 small_scenario.deployment,
                 GlobalLoss(0.4),
                 scheme,
                 seed=6,
                 adapt_interval=5,
-                use_blocked=use_blocked,
             ).run(20, readings, warmup=5)
             results.append(
                 (scheme.adaptation_log, scheme.control_messages)
@@ -289,9 +305,12 @@ class TestBlockedRuns:
     def test_per_node_load_maps_identical(self, small_scenario, small_tree):
         readings = ConstantReadings(1.0)
         channels = []
-        for use_blocked in (True, False):
+        for use_batch in (True, False):
             scheme = SynopsisDiffusionScheme(
-                small_scenario.deployment, small_scenario.rings, CountAggregate()
+                small_scenario.deployment,
+                small_scenario.rings,
+                CountAggregate(),
+                use_batch=use_batch,
             )
             simulator = EpochSimulator(
                 small_scenario.deployment,
@@ -299,7 +318,6 @@ class TestBlockedRuns:
                 scheme,
                 seed=2,
                 adapt_interval=0,
-                use_blocked=use_blocked,
             )
             simulator.run(5, readings)
             channels.append(simulator.channel)
@@ -308,34 +326,8 @@ class TestBlockedRuns:
             channels[0].per_node_messages() == channels[1].per_node_messages()
         )
 
-    def test_single_epoch_blocks_identical(self, small_scenario, small_tree):
-        """run_epochs with one-epoch blocks reproduces run_epoch exactly.
-
-        The simulator avoids one-epoch blocks for speed (adapt_interval=1
-        keeps the per-epoch loop), but schemes must still be correct there —
-        tail blocks of odd spans degenerate to this case.
-        """
-        from repro.network.links import Channel
-
-        readings = UniformReadings(1, 40, seed=3)
-        blocked = build_scheme_set(small_scenario, small_tree, SumAggregate)
-        reference = build_scheme_set(small_scenario, small_tree, SumAggregate)
-        for name in blocked:
-            chan_a = Channel(small_scenario.deployment, GlobalLoss(0.3), seed=8)
-            chan_b = Channel(small_scenario.deployment, GlobalLoss(0.3), seed=8)
-            for epoch in range(20, 24):
-                [(outcome_a, log_a)] = blocked[name].run_epochs(
-                    [epoch], chan_a, readings
-                )
-                chan_b.reset_log()
-                outcome_b = reference[name].run_epoch(epoch, chan_b, readings)
-                log_b = chan_b.reset_log()
-                assert outcome_a.estimate == outcome_b.estimate, (name, epoch)
-                assert outcome_a.contributing == outcome_b.contributing
-                assert log_a == log_b, (name, epoch)
-
     def test_scheme_without_run_epochs_falls_back(self, small_scenario):
-        """Blocked mode silently keeps the per-epoch loop for plain schemes."""
+        """Plain schemes ride the same loop through ``run_epochs_scalar``."""
 
         class MinimalScheme:
             name = "minimal"
@@ -352,12 +344,131 @@ class TestBlockedRuns:
                 pass
 
         run = EpochSimulator(
-            small_scenario.deployment,
-            GlobalLoss(0.3),
-            MinimalScheme(),
-            use_blocked=True,
+            small_scenario.deployment, GlobalLoss(0.3), MinimalScheme()
         ).run(3, ConstantReadings(1.0))
         assert run.estimates == [1.0, 1.0, 1.0]
+
+
+#: What the schemes aggregate in the block-split cases: single queries as
+#: one-liners, plus the 4-query ``multiquery`` workload (one windowed
+#: member, one frequent-items member) that no fused kernel serves.
+SPLIT_TARGETS = (
+    "SELECT count",
+    "SELECT sum",
+    "multiquery",
+    "SELECT avg GROUP BY region:2",
+)
+
+
+def _bind_target(target, deployment):
+    """A fresh (aggregate, readings) pair — workloads carry per-run state."""
+    source = UniformReadings(10, 100, seed=0)
+    if target == "multiquery":
+        specs = EXPERIMENT_CONFIGS["multiquery"].queries
+        return QueryWorkload(specs=specs).build(source)
+    return parse_query(target).build(source, deployment=deployment)
+
+
+class TestBlockSplitInvariance:
+    """Scheme-level: where a run is cut into blocks never shows in results."""
+
+    @pytest.mark.parametrize("loss", (0.0, 0.3))
+    @pytest.mark.parametrize("target", SPLIT_TARGETS)
+    @pytest.mark.parametrize("name", ("TAG", "SD", "TD"))
+    def test_any_split_matches_scalar_loop(
+        self, small_scenario, small_tree, name, target, loss
+    ):
+        epochs = list(range(200, 212))
+        outcomes = {}
+        for spans in ((12,), (5, 7), (1,) * 12, None):
+            aggregate, readings = _bind_target(
+                target, small_scenario.deployment
+            )
+            scheme = build_scheme_set(
+                small_scenario,
+                small_tree,
+                lambda: aggregate,
+                use_batch=spans is not None,
+            )[name]
+            channel = Channel(
+                small_scenario.deployment, GlobalLoss(loss), seed=8
+            )
+            if spans is None:
+                pairs = run_epochs_scalar(scheme, epochs, channel, readings)
+            else:
+                pairs, cursor = [], iter(epochs)
+                for span in spans:
+                    block = list(itertools.islice(cursor, span))
+                    pairs += scheme.run_epochs(block, channel, readings)
+            outcomes[spans] = (pairs, channel.per_node_words())
+        oracle_pairs, oracle_words = outcomes.pop(None)
+        for spans, (pairs, words) in outcomes.items():
+            assert pairs == oracle_pairs, spans
+            assert words == oracle_words, spans
+
+
+#: Deaths then rejoins: the rejoins bill repair control traffic at the
+#: epoch-20 boundary, so churn exercises the between-block control log too.
+REJOIN_CHURN = ScheduledChurn.of(
+    deaths=[(10, [5, 7, 9])], joins=[(20, [5, 7, 9])]
+)
+
+
+def _probe(epoch, channel):
+    """An ``on_epoch`` hook billing control traffic no epoch's log carries."""
+    channel.account_control(1 + epoch % 3, words=2)
+
+
+class TestSimulatorMatrix:
+    """Simulator-level: block cuts from adaptation, hooks, churn and
+    checkpoints all reproduce the oracle run, under a strict auditor."""
+
+    def _run(
+        self, scenario, tree, name, adapt_interval, on_epoch,
+        use_batch=True, checkpoint=None,
+    ):
+        scheme = build_scheme_set(
+            scenario, tree, SumAggregate, use_batch=use_batch
+        )[name]
+        auditor = Auditor(strict=True)
+        result = EpochSimulator(
+            scenario.deployment,
+            GlobalLoss(0.2),
+            scheme,
+            seed=1,
+            adapt_interval=adapt_interval,
+            on_epoch=on_epoch,
+            membership=DynamicMembership(
+                REJOIN_CHURN, scenario.deployment, scenario.rings, tree
+            ),
+            churn_interval=10,
+            auditor=auditor,
+            checkpoint=checkpoint,
+        ).run(30, UniformReadings(10, 100, seed=1), warmup=2)
+        assert auditor.checks["billing-conservation"] > 0
+        return hashlib.sha256(
+            serialization.dumps(result).encode()
+        ).hexdigest()
+
+    @pytest.mark.parametrize("on_epoch", (None, _probe), ids=("bare", "hook"))
+    @pytest.mark.parametrize("adapt_interval", ADAPT_INTERVALS)
+    @pytest.mark.parametrize("name", ("TAG", "SD", "TD"))
+    def test_engine_runs_match_oracle(
+        self, small_scenario, small_tree, tmp_path, name, adapt_interval,
+        on_epoch,
+    ):
+        args = (small_scenario, small_tree, name, adapt_interval, on_epoch)
+        oracle = self._run(*args, use_batch=False)
+        assert self._run(*args) == oracle
+        with pytest.raises(SimulationKilled):
+            self._run(
+                *args,
+                checkpoint=Checkpointer(tmp_path, interval=8, kill_at=16),
+            )
+        resumed = self._run(
+            *args, checkpoint=Checkpointer(tmp_path, interval=8, resume=True)
+        )
+        assert resumed == oracle
 
 
 class TestVectorizedHelpers:

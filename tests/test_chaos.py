@@ -3,8 +3,8 @@
 Three coupled contracts:
 
 * **Deterministic fault injection** — every injector draws keyed hashes,
-  so a faulted run is identical under the blocked and per-epoch engines,
-  and a config's ``faults`` field keeps runs pure functions of the config.
+  so a faulted run is identical under the blocked engine and the scalar
+  oracle, and a config's ``faults`` field keeps runs pure functions of it.
 * **Online invariant auditing** — a strict :class:`~repro.chaos.Auditor`
   stays silent on clean runs (all schemes, churn included) and each
   injector trips its named invariant (true positives, no false positives).
@@ -59,19 +59,25 @@ REJOIN_CHURN = ScheduledChurn.of(
 )
 
 
-def _build_scheme(name, scenario, tree):
+def _build_scheme(name, scenario, tree, use_batch=True):
     aggregate = SumAggregate()
     if name == "TAG":
-        return TagScheme(scenario.deployment, tree, aggregate)
+        return TagScheme(
+            scenario.deployment, tree, aggregate, use_batch=use_batch
+        )
     if name == "SD":
         return SynopsisDiffusionScheme(
-            scenario.deployment, scenario.rings, aggregate
+            scenario.deployment, scenario.rings, aggregate, use_batch=use_batch
         )
     graph = TDGraph(
         scenario.rings, tree, initial_modes_by_level(scenario.rings, 2)
     )
     return TributaryDeltaScheme(
-        scenario.deployment, graph, aggregate, policy=TDFinePolicy()
+        scenario.deployment,
+        graph,
+        aggregate,
+        policy=TDFinePolicy(),
+        use_batch=use_batch,
     )
 
 
@@ -80,7 +86,7 @@ def _run(
     tree,
     name,
     *,
-    use_blocked=True,
+    use_batch=True,
     faults=None,
     auditor=None,
     checkpoint=None,
@@ -88,7 +94,7 @@ def _run(
     churn_model=None,
     epochs=30,
 ):
-    scheme = _build_scheme(name, scenario, tree)
+    scheme = _build_scheme(name, scenario, tree, use_batch)
     membership = DynamicMembership(
         churn_model or RandomDeaths(epoch=10, count=12, seed=2),
         scenario.deployment,
@@ -101,7 +107,6 @@ def _run(
         scheme,
         seed=1,
         adapt_interval=10,
-        use_blocked=use_blocked,
         membership=membership,
         faults=faults,
         auditor=auditor,
@@ -169,7 +174,7 @@ class TestFaultSpecs:
 
 
 class TestFaultDeterminism:
-    """Every injector perturbs both engines identically (keyed draws)."""
+    """Every injector perturbs engine and oracle identically (keyed draws)."""
 
     @pytest.mark.parametrize("label", sorted(INJECTORS))
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -182,7 +187,6 @@ class TestFaultDeterminism:
             small_scenario,
             small_tree,
             scheme,
-            use_blocked=True,
             faults=plan,
             churn_model=churn,
         )
@@ -190,7 +194,7 @@ class TestFaultDeterminism:
             small_scenario,
             small_tree,
             scheme,
-            use_blocked=False,
+            use_batch=False,
             faults=plan,
             churn_model=churn,
         )

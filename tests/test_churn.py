@@ -487,24 +487,30 @@ class TestDynamicMembership:
         assert 7 in update.tree.parents
 
 
-def _build_scheme(name, scenario, tree, aggregate=None):
-    aggregate = aggregate or SumAggregate()
+def _build_scheme(name, scenario, tree, use_batch=True):
+    aggregate = SumAggregate()
     if name == "TAG":
-        return TagScheme(scenario.deployment, tree, aggregate)
+        return TagScheme(
+            scenario.deployment, tree, aggregate, use_batch=use_batch
+        )
     if name == "SD":
         return SynopsisDiffusionScheme(
-            scenario.deployment, scenario.rings, aggregate
+            scenario.deployment, scenario.rings, aggregate, use_batch=use_batch
         )
     graph = TDGraph(
         scenario.rings, tree, initial_modes_by_level(scenario.rings, 2)
     )
     return TributaryDeltaScheme(
-        scenario.deployment, graph, aggregate, policy=TDFinePolicy()
+        scenario.deployment,
+        graph,
+        aggregate,
+        policy=TDFinePolicy(),
+        use_batch=use_batch,
     )
 
 
-def _run_with_churn(name, scenario, tree, model, use_blocked, epochs=30):
-    scheme = _build_scheme(name, scenario, tree)
+def _run_with_churn(name, scenario, tree, model, use_batch=True, epochs=30):
+    scheme = _build_scheme(name, scenario, tree, use_batch)
     membership = DynamicMembership(
         model, scenario.deployment, scenario.rings, tree
     )
@@ -514,7 +520,6 @@ def _run_with_churn(name, scenario, tree, model, use_blocked, epochs=30):
         scheme,
         seed=1,
         adapt_interval=10,
-        use_blocked=use_blocked,
         membership=membership,
     )
     run = simulator.run(epochs, UniformReadings(10, 100, seed=1))
@@ -547,21 +552,17 @@ class TestSimulatorChurn:
     ):
         model = RandomDeaths(epoch=10, count=12, seed=2)
         blocked, _, _ = _run_with_churn(
-            name, small_scenario, small_tree, model, use_blocked=True
+            name, small_scenario, small_tree, model
         )
         looped, _, _ = _run_with_churn(
-            name, small_scenario, small_tree, model, use_blocked=False
+            name, small_scenario, small_tree, model, use_batch=False
         )
         assert _run_fingerprint(blocked) == _run_fingerprint(looped)
 
     def test_truth_follows_live_population(self, small_scenario, small_tree):
         model = ScheduledChurn.of(deaths=[(10, [3, 4, 5])])
         run, membership, scheme = _run_with_churn(
-            "TAG",
-            small_scenario,
-            small_tree,
-            model,
-            use_blocked=True,
+            "TAG", small_scenario, small_tree, model
         )
         num = small_scenario.deployment.num_sensors
         assert [r.extra["alive_sensors"] for r in run.epochs[:10]] == [num] * 10
@@ -579,7 +580,7 @@ class TestSimulatorChurn:
     ):
         model = RandomDeaths(epoch=10, count=30, seed=5)
         _, membership, scheme = _run_with_churn(
-            "TD", medium_scenario, medium_tree, model, use_blocked=True
+            "TD", medium_scenario, medium_tree, model
         )
         assert membership.updates, "churn should have fired"
         update = membership.updates[-1]
@@ -603,7 +604,7 @@ class TestSimulatorChurn:
         )
         model = ScheduledChurn.of(deaths=[(10, [victim])])
         run, membership, _ = _run_with_churn(
-            "TAG", small_scenario, small_tree, model, use_blocked=True
+            "TAG", small_scenario, small_tree, model
         )
         repair = membership.updates[0].repair
         assert repair.words > 0
@@ -644,7 +645,7 @@ class TestSimulatorChurn:
     def test_lifetime_churn_triggers_deaths(self, small_scenario, small_tree):
         model = LifetimeChurn(battery_j=0.0005, overhead_uj_per_epoch=0.0)
         run, membership, _ = _run_with_churn(
-            "TAG", small_scenario, small_tree, model, use_blocked=True
+            "TAG", small_scenario, small_tree, model
         )
         assert membership.updates, "the battery should have run out"
         assert membership.updates[0].died

@@ -141,3 +141,9 @@ class TestDescribeAndRunConfig:
         assert main(["run-config", str(path), "--set", "epochs=abc"]) == 2
         assert "epochs" in capsys.readouterr().err
         assert main(["run-config", str(path), "--set", "use_batch=maybe"]) == 2
+        capsys.readouterr()
+        # The legacy knob: its dead value names the replacement, its old
+        # default is accepted and dropped.
+        assert main(["run-config", str(path), "--set", "use_blocked=false"]) == 2
+        assert "use_batch=false" in capsys.readouterr().err
+        assert main(["run-config", str(path), "--set", "use_blocked=true"]) == 0

@@ -1,21 +1,18 @@
 """Backend registry + fused-kernel parity tests.
 
-The fused array path (``repro.kernels``) must be invisible in results: every
-backend produces bit-identical estimates, synopsis wire words, per-epoch log
+The fused array path (``repro.kernels``) must be invisible in results: it
+produces bit-identical estimates, synopsis wire words, per-epoch log
 counters and per-node energy billing. Three layers pin that:
 
 * registry semantics — explicit name > ``REPRO_KERNEL_BACKEND`` > ``pure``
-  default, unknown/unloadable *requested* backends fail loudly, instances
-  memoized by name (the backend-keyed cache contract);
+  default, unknown backends fail loudly, instances memoized by name (the
+  backend-keyed cache contract);
 * primitive parity — each :class:`KernelBackend` primitive against a
   straightforward scalar reference (``rle_words`` against the proven
   ``_packed_rle_words`` walk);
 * scheme parity — every scheme x loss {0, 0.3, 1} x adaptation through the
   declarative config path, fused backend vs the ``object`` engine, plus a
   direct fused-vs-scalar (``use_batch=False``) oracle comparison.
-
-``numba`` cases auto-skip when numba is not installed; requesting it then
-must raise, never silently substitute.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import ConfigurationError
 from repro.kernels import (
     BACKEND_ENV_VAR,
-    backend_available,
     backend_names,
     get_backend,
     validate_backend_name,
@@ -50,17 +46,8 @@ from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.tree.construction import build_bushy_tree
 
-#: Fused backends under test; numba legs skip when the import is missing.
-FUSED_BACKENDS = [
-    pytest.param("pure", id="pure"),
-    pytest.param(
-        "numba",
-        id="numba",
-        marks=pytest.mark.skipif(
-            not backend_available("numba"), reason="numba not installed"
-        ),
-    ),
-]
+#: Fused backends under test.
+FUSED_BACKENDS = ["pure"]
 
 
 # -- registry semantics -----------------------------------------------------
@@ -68,7 +55,7 @@ FUSED_BACKENDS = [
 
 def test_registry_names_and_default(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert backend_names() == ["numba", "object", "pure"]
+    assert backend_names() == ["object", "pure"]
     backend = get_backend()
     assert backend.name == "pure"
     assert backend.fused
@@ -96,17 +83,6 @@ def test_env_var_selects_backend(monkeypatch):
     # An explicit name always beats the environment.
     assert get_backend("pure").name == "pure"
     monkeypatch.setenv(BACKEND_ENV_VAR, "vulkan")
-    with pytest.raises(ConfigurationError):
-        get_backend()
-
-
-@pytest.mark.skipif(
-    backend_available("numba"), reason="numba installed: request must succeed"
-)
-def test_requested_numba_without_numba_raises(monkeypatch):
-    with pytest.raises(ConfigurationError):
-        get_backend("numba")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
     with pytest.raises(ConfigurationError):
         get_backend()
 

@@ -222,7 +222,7 @@ class TestGroupedRuns:
             query="SELECT avg GROUP BY region:2",
         )
         blocked = Session().run(config).result
-        stepped = Session().run(config.replace(use_blocked=False)).result
+        stepped = Session().run(config.replace(use_batch=False)).result
         assert to_jsonable(blocked) == to_jsonable(stepped)
 
     def test_loss0_groups_match_standalone_filtered_runs(self):

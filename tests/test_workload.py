@@ -336,15 +336,15 @@ class TestSharedChannel:
 
 
 class TestBlockedEquivalence:
-    """One DeliveryPlan serves all queries: blocked == per-epoch, and the
-    vectorized channel == the scalar reference, per query."""
+    """One DeliveryPlan serves all queries: the blocked engine == the
+    scalar reference wave, per query."""
 
     @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
     def test_blocked_vs_per_epoch(self, scheme):
         config = workload_config(scheme, epochs=12)
         blocked = RunReport(config, run_config_result(config))
         per_epoch = RunReport(
-            config, run_config_result(config.replace(use_blocked=False))
+            config, run_config_result(config.replace(use_batch=False))
         )
         for name in blocked.query_names():
             assert (
@@ -357,9 +357,7 @@ class TestBlockedEquivalence:
         batch = RunReport(config, run_config_result(config))
         scalar = RunReport(
             config,
-            run_config_result(
-                config.replace(use_batch=False, use_blocked=False)
-            ),
+            run_config_result(config.replace(use_batch=False)),
         )
         for name in batch.query_names():
             assert (
