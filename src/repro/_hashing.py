@@ -10,15 +10,9 @@ Python's built-in ``hash`` is salted per process, so we provide a stable
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
-try:  # numpy accelerates the batch helpers; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
-
-#: Whether the vectorized (numpy) batch path is available.
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,36 +98,37 @@ def hash_key_from(state: int, *tokens: object) -> int:
     return state
 
 
-if HAVE_NUMPY:
-    _NP_GAMMA = _np.uint64(_SPLITMIX_GAMMA)
-    _NP_MUL1 = _np.uint64(0xBF58476D1CE4E5B9)
-    _NP_MUL2 = _np.uint64(0x94D049BB133111EB)
-    _NP_S30 = _np.uint64(30)
-    _NP_S27 = _np.uint64(27)
-    _NP_S31 = _np.uint64(31)
+_NP_GAMMA = _np.uint64(_SPLITMIX_GAMMA)
+_NP_MUL1 = _np.uint64(0xBF58476D1CE4E5B9)
+_NP_MUL2 = _np.uint64(0x94D049BB133111EB)
+_NP_S30 = _np.uint64(30)
+_NP_S27 = _np.uint64(27)
+_NP_S31 = _np.uint64(31)
 
-    def _splitmix64_array(values: "_np.ndarray") -> "_np.ndarray":
-        """SplitMix64 finalizer over a uint64 array (wraps modulo 2^64)."""
-        values = values + _NP_GAMMA
-        values = (values ^ (values >> _NP_S30)) * _NP_MUL1
-        values = (values ^ (values >> _NP_S27)) * _NP_MUL2
-        return values ^ (values >> _NP_S31)
 
-    def _column_u64(column: Sequence[int], length: int) -> "_np.ndarray":
-        """A token column as uint64, C-cast (i.e. masked) like ``& _MASK64``."""
-        array = _np.asarray(column)
-        if array.shape != (length,):
-            raise ValueError("hash columns must share one length")
-        if length == 0:  # empty levels: asarray([]) defaults to float64
-            return _np.zeros(0, dtype=_np.uint64)
-        if array.dtype == object:  # arbitrary-precision ints: mask manually
-            return _np.array(
-                [int(value) & _MASK64 for value in column], dtype=_np.uint64
-            )
-        if array.dtype.kind not in "iu":
-            raise TypeError("hash columns must hold integers")
-        with _np.errstate(over="ignore"):
-            return array.astype(_np.uint64, copy=False)
+def _splitmix64_array(values: "_np.ndarray") -> "_np.ndarray":
+    """SplitMix64 finalizer over a uint64 array (wraps modulo 2^64)."""
+    values = values + _NP_GAMMA
+    values = (values ^ (values >> _NP_S30)) * _NP_MUL1
+    values = (values ^ (values >> _NP_S27)) * _NP_MUL2
+    return values ^ (values >> _NP_S31)
+
+
+def _column_u64(column: Sequence[int], length: int) -> "_np.ndarray":
+    """A token column as uint64, C-cast (i.e. masked) like ``& _MASK64``."""
+    array = _np.asarray(column)
+    if array.shape != (length,):
+        raise ValueError("hash columns must share one length")
+    if length == 0:  # empty levels: asarray([]) defaults to float64
+        return _np.zeros(0, dtype=_np.uint64)
+    if array.dtype == object:  # arbitrary-precision ints: mask manually
+        return _np.array(
+            [int(value) & _MASK64 for value in column], dtype=_np.uint64
+        )
+    if array.dtype.kind not in "iu":
+        raise TypeError("hash columns must hold integers")
+    with _np.errstate(over="ignore"):
+        return array.astype(_np.uint64, copy=False)
 
 
 def hash_key_batch(
@@ -141,8 +136,7 @@ def hash_key_batch(
 ) -> Sequence[int]:
     """Hash many keys sharing a token prefix, one key per column row.
 
-    Returns a uint64 ndarray on the numpy path and a list of Python ints
-    on the fallback path; coerce entries with ``int()`` before doing
+    Returns a uint64 ndarray; coerce entries with ``int()`` before doing
     arbitrary-precision arithmetic on them.
 
     Row ``i`` hashes exactly like ``hash_key(*prefix, columns[0][i],
@@ -152,9 +146,6 @@ def hash_key_batch(
     non-integer tokens belong in the prefix. ``prefix`` may also be a bare
     ``int``: a chain state from :func:`hash_key` / :func:`hash_key_from`,
     letting hot paths hash their fixed prefix once.
-
-    Uses numpy when available; otherwise a pure-Python loop over the same
-    SplitMix64 chain.
     """
     if not columns:
         raise ValueError("hash_key_batch needs at least one column")
@@ -162,18 +153,10 @@ def hash_key_batch(
     if any(len(column) != length for column in columns[1:]):
         raise ValueError("hash columns must share one length")
     start = prefix if isinstance(prefix, int) else hash_key(*prefix)
-    if HAVE_NUMPY:
-        state = _np.full(length, start, dtype=_np.uint64)
-        for column in columns:
-            state = _splitmix64_array(state ^ _column_u64(column, length))
-        return state
-    keys: List[int] = []
-    for row in zip(*columns):
-        state = start
-        for value in row:
-            state = splitmix64(state ^ (int(value) & _MASK64))
-        keys.append(state)
-    return keys
+    state = _np.full(length, start, dtype=_np.uint64)
+    for column in columns:
+        state = _splitmix64_array(state ^ _column_u64(column, length))
+    return state
 
 
 def mix_state_batch(
@@ -192,18 +175,10 @@ def mix_state_batch(
     length = len(states)
     if any(len(column) != length for column in columns):
         raise ValueError("hash columns must share one length")
-    if HAVE_NUMPY:
-        state = _column_u64(states, length)
-        for column in columns:
-            state = _splitmix64_array(state ^ _column_u64(column, length))
-        return state
-    keys: List[int] = []
-    for index, start in enumerate(states):
-        state = int(start) & _MASK64
-        for column in columns:
-            state = splitmix64(state ^ (int(column[index]) & _MASK64))
-        keys.append(state)
-    return keys
+    state = _column_u64(states, length)
+    for column in columns:
+        state = _splitmix64_array(state ^ _column_u64(column, length))
+    return state
 
 
 def levels_from_keys(keys: Sequence[int]) -> Sequence[int]:
@@ -213,20 +188,12 @@ def levels_from_keys(keys: Sequence[int]) -> Sequence[int]:
     the extraction half alone, for callers that already hold the keys
     (e.g. keys produced by :func:`mix_state_batch`).
     """
-    if HAVE_NUMPY:
-        keys = _np.asarray(keys, dtype=_np.uint64)
-        with _np.errstate(over="ignore"):
-            lowbit = keys & (~keys + _np.uint64(1))
-        return _np.where(
-            keys == 0, 63, _np.log2(lowbit.astype(_np.float64)).astype(_np.int64)
-        )
-    out: List[int] = []
-    for key in keys:
-        if key == 0:
-            out.append(63)
-        else:
-            out.append(min(63, ((key & -key).bit_length() - 1)))
-    return out
+    keys = _np.asarray(keys, dtype=_np.uint64)
+    with _np.errstate(over="ignore"):
+        lowbit = keys & (~keys + _np.uint64(1))
+    return _np.where(
+        keys == 0, 63, _np.log2(lowbit.astype(_np.float64)).astype(_np.int64)
+    )
 
 
 def hash_unit_batch(
@@ -239,10 +206,7 @@ def hash_unit_batch(
     CPython, and the divisor 2^64 is a power of two, so the scaling is
     exact in either path.
     """
-    keys = hash_key_batch(prefix, *columns)
-    if HAVE_NUMPY:
-        return keys / _np.float64(1 << 64)
-    return [key / float(1 << 64) for key in keys]
+    return hash_key_batch(prefix, *columns) / _np.float64(1 << 64)
 
 
 def geometric_level_batch(

@@ -283,24 +283,23 @@ class Aggregate(ABC, Generic[P, S]):
             f"{type(self).__name__} does not pack synopses"
         )
 
-    def convert_block(
+    def convert_block_packed(
         self,
         partials: Sequence[P],
         senders: Sequence[int],
         epochs: Sequence[int],
-    ) -> List[S]:
-        """Batched :meth:`convert` over parallel columns.
+    ):
+        """Batched :meth:`convert` over parallel columns, as packed rows.
 
-        Entry ``i`` must equal ``convert(partials[i], senders[i],
-        epochs[i])`` exactly; the default loops, FM-backed aggregates
-        override with one vectorized weighted-insert pass. The TD block
-        kernel funnels every boundary (T -> M) delivery of a block through
-        one call.
+        Row ``i`` must be the packed row
+        (:func:`repro.multipath.fm.sketch_to_row`) of ``convert(partials[i],
+        senders[i], epochs[i])``. Only called when :meth:`synopsis_packable`
+        returned a shape: the TD block kernel funnels every boundary
+        (T -> M) delivery of a block through one call.
         """
-        return [
-            self.convert(partial, sender, epoch)
-            for partial, sender, epoch in zip(partials, senders, epochs)
-        ]
+        raise NotImplementedError(
+            f"{type(self).__name__} does not pack synopses"
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -17,7 +17,7 @@ import numpy as np
 from repro.aggregates.base import Aggregate
 from repro.multipath.fm import (
     FMSketch,
-    counted_sketches,
+    counted_matrix,
     single_item_matrix_block,
     single_item_sketches_block,
     words_batch,
@@ -107,21 +107,6 @@ class CountAggregate(Aggregate[int, FMSketch]):
         sketch.insert_count(partial, "count-conv", sender, epoch)
         return sketch
 
-    def convert_block(
-        self,
-        partials: Sequence[int],
-        senders: Sequence[int],
-        epochs: Sequence[int],
-    ) -> List[FMSketch]:
-        return counted_sketches(
-            self._num_bitmaps,
-            self._bits,
-            ("count-conv",),
-            partials,
-            senders,
-            epochs,
-        )
-
     # -- fused-kernel capabilities -----------------------------------------------
 
     def tree_partials_additive(self) -> bool:
@@ -140,6 +125,21 @@ class CountAggregate(Aggregate[int, FMSketch]):
     ):
         return single_item_matrix_block(
             self._num_bitmaps, self._bits, ("count",), nodes, epochs
+        )
+
+    def convert_block_packed(
+        self,
+        partials: Sequence[int],
+        senders: Sequence[int],
+        epochs: Sequence[int],
+    ):
+        return counted_matrix(
+            self._num_bitmaps,
+            self._bits,
+            ("count-conv",),
+            partials,
+            senders,
+            epochs,
         )
 
     # -- mixed evaluation --------------------------------------------------------

@@ -138,21 +138,6 @@ class SumAggregate(Aggregate[int, FMSketch]):
         sketch.insert_count(partial, "sum-conv", sender, epoch)
         return sketch
 
-    def convert_block(
-        self,
-        partials: Sequence[int],
-        senders: Sequence[int],
-        epochs: Sequence[int],
-    ) -> List[FMSketch]:
-        return counted_sketches(
-            self._num_bitmaps,
-            self._bits,
-            ("sum-conv",),
-            partials,
-            senders,
-            epochs,
-        )
-
     # -- fused-kernel capabilities -----------------------------------------------
 
     def tree_partials_additive(self) -> bool:
@@ -177,6 +162,21 @@ class SumAggregate(Aggregate[int, FMSketch]):
             [self._as_int(reading) for row in reading_rows for reading in row],
             list(nodes) * len(epochs),
             [epoch for epoch in epochs for _ in range(num)],
+        )
+
+    def convert_block_packed(
+        self,
+        partials: Sequence[int],
+        senders: Sequence[int],
+        epochs: Sequence[int],
+    ):
+        return counted_matrix(
+            self._num_bitmaps,
+            self._bits,
+            ("sum-conv",),
+            partials,
+            senders,
+            epochs,
         )
 
     # -- mixed evaluation --------------------------------------------------------

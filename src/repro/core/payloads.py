@@ -17,17 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Generic, Optional, Tuple, TypeVar
 
 from repro.multipath.fm import FMSketch
+from repro.network.messages import missing_stats_words
 from repro.network.placement import NodeId
-
-
-def missing_stats_words(entries: int) -> int:
-    """Wire cost of ``entries`` missing-statistics: a (node, count) pair each.
-
-    A pure sizing helper so the cost model lives in one place (the heavy
-    sizing — FM RLE — is memoized in :mod:`repro.multipath.fm`; this one is
-    a multiply, which no cache can beat).
-    """
-    return 2 * entries
 
 P = TypeVar("P")
 S = TypeVar("S")

@@ -17,8 +17,8 @@ from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import MultipathPayload, missing_stats_words
 from repro.errors import ConfigurationError
-from repro.kernels import get_backend
-from repro.kernels.sd import run_sd_block, sd_eligible
+from repro.kernels import fused_backend
+from repro.kernels.sd import refusal, run_sd_block
 from repro.multipath.fm import (
     DEFAULT_BITS,
     FMSketch,
@@ -69,6 +69,7 @@ class SynopsisDiffusionScheme:
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
         self._kernel_backend = kernel_backend
+        self._engine_path: Optional[str] = None
         self.name = name
         # Rings are static between membership changes: precompute the
         # per-level schedule and each node's broadcast audience.
@@ -108,6 +109,11 @@ class SynopsisDiffusionScheme:
     def aggregate(self) -> Aggregate:
         """The aggregate (or query workload) this scheme computes."""
         return self._aggregate
+
+    @property
+    def engine_path(self) -> Optional[str]:
+        """Which engine ran the last block: ``"fused"`` or ``"object: <why>"``."""
+        return self._engine_path
 
     @property
     def latency_epochs(self) -> int:
@@ -190,9 +196,10 @@ class SynopsisDiffusionScheme:
         """
         epoch_list = [int(epoch) for epoch in epochs]
         if not self._use_batch:
+            self._engine_path = "object: use_batch=False"
             return run_epochs_scalar(self, epoch_list, channel, readings)
-        backend = get_backend(self._kernel_backend)
-        if backend.fused and sd_eligible(self) and channel.chaos is None:
+        backend = fused_backend(self, channel, refusal)
+        if backend is not None:
             return run_sd_block(self, epoch_list, channel, readings, backend)
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         aggregate = self._aggregate

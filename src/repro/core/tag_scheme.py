@@ -21,8 +21,8 @@ from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import TreePayload
 from repro.errors import ConfigurationError
-from repro.kernels import get_backend
-from repro.kernels.tag import run_tag_block, tag_eligible, tag_layout
+from repro.kernels import fused_backend
+from repro.kernels.tag import refusal, run_tag_block, tag_layout
 from repro.network.links import (
     Channel,
     DeliveryPlan,
@@ -77,6 +77,7 @@ class TagScheme:
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
         self._kernel_backend = kernel_backend
+        self._engine_path: Optional[str] = None
         self.name = name
         self.replace_tree(tree)
         # Ground-truth population; shrinks/grows under node churn.
@@ -90,6 +91,11 @@ class TagScheme:
     def aggregate(self) -> Aggregate:
         """The aggregate (or query workload) this scheme computes."""
         return self._aggregate
+
+    @property
+    def engine_path(self) -> Optional[str]:
+        """Which engine ran the last block: ``"fused"`` or ``"object: <why>"``."""
+        return self._engine_path
 
     def replace_tree(self, tree: Tree) -> None:
         """Adopt a maintained tree (Section 2's parent switching [24]).
@@ -158,9 +164,10 @@ class TagScheme:
         """
         epoch_list = [int(epoch) for epoch in epochs]
         if not self._use_batch:
+            self._engine_path = "object: use_batch=False"
             return run_epochs_scalar(self, epoch_list, channel, readings)
-        backend = get_backend(self._kernel_backend)
-        if backend.fused and tag_eligible(self) and channel.chaos is None:
+        backend = fused_backend(self, channel, refusal)
+        if backend is not None:
             return run_tag_block(self, epoch_list, channel, readings, backend)
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         aggregate = self._aggregate

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import Aggregate, merge_all
 from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
 from repro.core.adaptation import AdaptationAction, AdaptationPolicy
@@ -36,8 +36,8 @@ from repro.core.payloads import (
     missing_stats_words,
 )
 from repro.errors import ConfigurationError
-from repro.kernels import get_backend
-from repro.kernels.td import precompute_conversions, td_eligible
+from repro.kernels import fused_backend
+from repro.kernels.td import precompute_conversions, refusal, run_td_block
 from repro.multipath.fm import (
     DEFAULT_BITS,
     FMSketch,
@@ -91,10 +91,9 @@ class TributaryDeltaScheme:
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
         self._kernel_backend = kernel_backend
-        # Block-scoped caches, live only inside :meth:`run_epochs`:
-        # precomputed boundary conversions keyed by (sender, epoch), and
-        # per-node (expected, switchable) tributary-missing lookups.
-        self._conversions: Optional[Dict] = None
+        self._engine_path: Optional[str] = None
+        # Block-scoped cache, live only inside the object :meth:`run_epochs`:
+        # per-node :meth:`_missing_entry` lookups.
         self._missing_cache: Optional[Dict] = None
         # Additive partials have a constant wire size (the ``tree_words``
         # contract behind the fused TAG kernel), so tree payloads can be
@@ -163,6 +162,11 @@ class TributaryDeltaScheme:
     def aggregate(self) -> Aggregate:
         """The aggregate (or query workload) this scheme computes."""
         return self._aggregate
+
+    @property
+    def engine_path(self) -> Optional[str]:
+        """Which engine ran the last block: ``"fused"`` or ``"object: <why>"``."""
+        return self._engine_path
 
     @property
     def latency_epochs(self) -> int:
@@ -243,23 +247,43 @@ class TributaryDeltaScheme:
         tributary missing), so the shrink rule can find the quiet tips;
         interior delta nodes without tributaries report nothing.
         """
-        graph = self._graph
         cache = self._missing_cache
         entry = cache.get(node) if cache is not None else None
         if entry is None:
-            expected = sum(
-                graph.subtree_size(child)
-                for child in graph.tree_children(node)
-                if graph.is_tree(child)
-            )
-            switchable = graph.is_switchable_m(node) if expected == 0 else False
-            entry = (expected, switchable)
+            entry = self._missing_entry(node)
             if cache is not None:
                 cache[node] = entry
         expected, switchable = entry
         if expected == 0:
             return 0 if switchable else None
         return max(0, expected - tributary_contributing)
+
+    def _missing_entry(self, node: NodeId) -> Tuple[int, bool]:
+        """The mode-dependent half of :meth:`_tributary_missing`.
+
+        ``(expected, switchable)``: the static size of ``node``'s tributary
+        subtrees, and — only looked at when that is 0 — whether ``node`` is
+        a switchable M vertex. Fixed while modes are, i.e. for a block; the
+        node reports a statistic iff ``expected > 0 or switchable``.
+        """
+        graph = self._graph
+        expected = sum(
+            graph.subtree_size(child)
+            for child in graph.tree_children(node)
+            if graph.is_tree(child)
+        )
+        switchable = graph.is_switchable_m(node) if expected == 0 else False
+        return expected, switchable
+
+    def _convert_frontier(self, partials, counts, senders, epochs):
+        """A block's T -> M conversions as packed rows, for the kernel.
+
+        Resolved through this module's ``precompute_conversions`` attribute
+        on every call: that name is the conversion stage's tracing seam.
+        """
+        return precompute_conversions(
+            self._aggregate, self._count_bitmaps, partials, counts, senders, epochs
+        )
 
     # -- one epoch ---------------------------------------------------------
 
@@ -275,18 +299,21 @@ class TributaryDeltaScheme:
         """Run a block of epochs against one precomputed delivery plan.
 
         Modes are fixed for the whole block (the simulator adapts only at
-        block boundaries), so the M-node SG synopses and contributing-count
-        sketches of every (node, epoch) cell are built in one vectorized
-        pass per level up front. Per-epoch (outcome, log) pairs are
-        identical to looping :meth:`run_epoch`, which is what
-        ``use_batch=False`` does.
+        block boundaries). Eligible blocks run as the fused array kernel
+        (:func:`repro.kernels.td.run_td_block`); the rest run object waves
+        over locals built in one vectorized pass per level up front. Either
+        way the per-epoch (outcome, log) pairs are identical to looping
+        :meth:`run_epoch`, which is what ``use_batch=False`` does.
         """
         epoch_list = [int(epoch) for epoch in epochs]
         if not self._use_batch:
+            self._engine_path = "object: use_batch=False"
             return run_epochs_scalar(self, epoch_list, channel, readings)
+        backend = fused_backend(self, channel, refusal)
+        if backend is not None:
+            return run_td_block(self, epoch_list, channel, readings, backend)
         graph = self._graph
-        skeletons = self._plan_levels()
-        plan = channel.plan_epochs(skeletons, epoch_list)
+        plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         level_m_nodes = []
         level_t_nodes = []
         for nodes in self._level_nodes:
@@ -316,24 +343,6 @@ class TributaryDeltaScheme:
                 ],
             )
             local_blocks.append((synopses_block, sketches_block, partials_block))
-        # Precompute every boundary (T -> M) conversion of the block in one
-        # vectorized FM pass; the waves then look sketches up by
-        # (sender, epoch) instead of converting per payload. The precompute
-        # also validates every level against the plan, so waves may transmit
-        # with checked=True.
-        checked = False
-        backend = get_backend(self._kernel_backend)
-        if backend.fused and td_eligible(self) and channel.chaos is None:
-            self._conversions = precompute_conversions(
-                self,
-                epoch_list,
-                channel,
-                plan,
-                skeletons,
-                level_t_nodes,
-                [partials for _, _, partials in local_blocks],
-            )
-            checked = True
         self._missing_cache = {}
         results: List[Tuple[EpochOutcome, TransmissionLog]] = []
         try:
@@ -350,11 +359,10 @@ class TributaryDeltaScheme:
                     )
                 ]
                 outcome = self._run_wave(
-                    epoch, channel, readings, locals_by_level, plan, checked
+                    epoch, channel, readings, locals_by_level, plan
                 )
                 results.append((outcome, channel.reset_log()))
         finally:
-            self._conversions = None
             self._missing_cache = None
         return results
 
@@ -365,7 +373,6 @@ class TributaryDeltaScheme:
         readings: ReadingFn,
         locals_by_level: Optional[List[Tuple[Dict, Dict, Dict]]],
         plan: Optional[DeliveryPlan],
-        checked: bool = False,
     ) -> EpochOutcome:
         graph = self._graph
         inbox_tree: Dict[NodeId, List[TreePayload]] = {}
@@ -413,7 +420,7 @@ class TributaryDeltaScheme:
 
             if plan is not None:
                 heard_lists = channel.transmit_epochs(
-                    transmissions, epoch, plan, index, checked=checked
+                    transmissions, epoch, plan, index
                 )
             else:
                 heard_lists = transmit_sequential(channel, transmissions, epoch)
@@ -447,7 +454,7 @@ class TributaryDeltaScheme:
                             target.append(delivered)
                             if chaos.duplicate(node, receiver, epoch):
                                 target.append(delivered)
-        return self._evaluate_base_station(epoch, inbox_tree, inbox_syn)
+        return self._fold_base_station(inbox_tree, inbox_syn)
 
     def _prepare_tree_node(
         self,
@@ -487,27 +494,15 @@ class TributaryDeltaScheme:
         subtree_contributing = 1  # the node's own reading
         missing_stats: Optional[Dict[NodeId, int]] = None
 
-        conversions = self._conversions
         for received in inbox_tree.pop(node, ()):
-            cached = (
-                conversions.get((received.sender, epoch))
-                if conversions is not None
-                else None
+            synopsis = aggregate.synopsis_fuse(
+                synopsis,
+                aggregate.convert(received.partial, received.sender, epoch),
             )
-            if cached is not None:
-                converted, count_converted = cached
-            else:
-                converted = aggregate.convert(
-                    received.partial, received.sender, epoch
-                )
-                count_converted = None
-            synopsis = aggregate.synopsis_fuse(synopsis, converted)
             if count_sketch is not None:
-                if count_converted is None:
-                    count_converted = self._count_convert(
-                        received.count, received.sender, epoch
-                    )
-                count_sketch = count_sketch.fuse(count_converted)
+                count_sketch = count_sketch.fuse(
+                    self._count_convert(received.count, received.sender, epoch)
+                )
             contributors |= received.contributors
             subtree_contributing += received.count
 
@@ -603,61 +598,22 @@ class TributaryDeltaScheme:
                 )
         return transmissions
 
-    def _evaluate_base_station(
+    def _fold_base_station(
         self,
-        epoch: int,
         inbox_tree: Dict[NodeId, List[TreePayload]],
         inbox_syn: Dict[NodeId, List[MultipathPayload]],
     ) -> EpochOutcome:
+        """Fold the base station's inboxes and evaluate the epoch."""
         aggregate = self._aggregate
-        graph = self._graph
-        extra: Dict[str, object] = dict(graph.delta_summary())
-        extra["latency_epochs"] = self.latency_epochs
-
         tree_payloads = inbox_tree.pop(BASE_STATION, [])
-        if graph.is_tree(BASE_STATION):
-            # All-tree configuration: behave exactly like TAG's root.
-            if not tree_payloads:
-                return EpochOutcome(
-                    0.0,
-                    0,
-                    0.0,
-                    annotate_groups(
-                        aggregate,
-                        annotate_workload(aggregate, extra, empty=True),
-                        empty=True,
-                    ),
-                )
-            partial = tree_payloads[0].partial
-            count = tree_payloads[0].count
-            contributors = tree_payloads[0].contributors
-            for payload in tree_payloads[1:]:
-                partial = aggregate.tree_merge(partial, payload.partial)
-                count += payload.count
-                contributors |= payload.contributors
-            estimate = aggregate.tree_eval(partial)
-            return EpochOutcome(
-                estimate=estimate,
-                contributing=contributors.bit_count(),
-                contributing_estimate=float(count),
-                extra=annotate_groups(
-                    aggregate, annotate_workload(aggregate, extra)
-                ),
-            )
-
-        # M-mode base station: keep direct tree partials exact (they are
-        # disjoint from everything the delta saw) and fuse only the delta's
-        # synopses; the aggregate's mixed evaluation combines both.
-        synopsis = None
-        count_sketch: Optional[FMSketch] = None
         contributors = 0
         exact_count = 0
-        subtree_contributing = 0  # the base station has no reading of its own
-        missing_stats: Optional[Dict[NodeId, int]] = None
         for payload in tree_payloads:
             contributors |= payload.contributors
             exact_count += payload.count
-            subtree_contributing += payload.count
+        synopsis = None
+        count_sketch: Optional[FMSketch] = None
+        missing_stats: Optional[Dict[NodeId, int]] = None
         for payload in inbox_syn.pop(BASE_STATION, []):
             synopsis = (
                 payload.synopsis
@@ -672,13 +628,47 @@ class TributaryDeltaScheme:
                 )
             contributors |= payload.contributors
             missing_stats = combine_stats(missing_stats, payload.missing_stats)
+        if self._graph.is_multipath(BASE_STATION):
+            # The base station has no reading of its own: its tributary
+            # count is exactly what its T children delivered.
+            missing = self._tributary_missing(BASE_STATION, exact_count)
+            if missing is not None:
+                missing_stats = combine_stats(
+                    missing_stats, {BASE_STATION: missing}
+                )
+        return self._evaluate_base_station(
+            [payload.partial for payload in tree_payloads],
+            exact_count,
+            synopsis,
+            count_sketch,
+            contributors.bit_count(),
+            missing_stats,
+        )
 
-        missing = self._tributary_missing(BASE_STATION, subtree_contributing)
-        if missing is not None:
-            missing_stats = combine_stats(missing_stats, {BASE_STATION: missing})
-        extra["missing_stats"] = missing_stats
+    def _evaluate_base_station(
+        self,
+        partials: List[object],
+        exact_count: int,
+        synopsis: Optional[object],
+        count_sketch: Optional[FMSketch],
+        contributing: int,
+        missing_stats: Optional[Dict[NodeId, int]],
+    ) -> EpochOutcome:
+        """The epoch's outcome from what reached the base station.
 
-        partials = [payload.partial for payload in tree_payloads]
+        Shared by the object wave and the fused kernel. ``partials`` are
+        the tree partials delivered straight to the base (``exact_count``
+        their summed contributing counts), ``synopsis`` / ``count_sketch``
+        the fused delta payloads (None when none arrived — always, for a
+        T-mode base), ``contributing`` the ground-truth contributor count
+        and ``missing_stats`` the statistics an M-mode base collected.
+        """
+        aggregate = self._aggregate
+        extra: Dict[str, object] = dict(self._graph.delta_summary())
+        extra["latency_epochs"] = self.latency_epochs
+        tree_base = self._graph.is_tree(BASE_STATION)
+        if not tree_base:
+            extra["missing_stats"] = missing_stats
         if synopsis is None and not partials:
             return EpochOutcome(
                 0.0,
@@ -690,9 +680,19 @@ class TributaryDeltaScheme:
                     empty=True,
                 ),
             )
-        estimate = aggregate.mixed_eval(partials, synopsis)
+        if tree_base:
+            # All-tree configuration: behave exactly like TAG's root.
+            estimate = aggregate.tree_eval(merge_all(aggregate, partials))
+        else:
+            # M-mode base station: keep direct tree partials exact (they
+            # are disjoint from everything the delta saw) and fuse only the
+            # delta's synopses; the aggregate's mixed evaluation combines
+            # both.
+            estimate = aggregate.mixed_eval(partials, synopsis)
         extra = annotate_groups(aggregate, annotate_workload(aggregate, extra))
-        if aggregate.synopsis_counts_contributors():
+        if tree_base:
+            contributing_estimate = float(exact_count)
+        elif aggregate.synopsis_counts_contributors():
             sketch_count = synopsis and aggregate.synopsis_eval(synopsis) or 0.0
             contributing_estimate = exact_count + sketch_count
         elif count_sketch is not None:
@@ -701,7 +701,7 @@ class TributaryDeltaScheme:
             contributing_estimate = float(exact_count)
         return EpochOutcome(
             estimate=estimate,
-            contributing=contributors.bit_count(),
+            contributing=contributing,
             contributing_estimate=contributing_estimate,
             extra=extra,
         )

@@ -153,6 +153,38 @@ def get_backend(name: Optional[str] = None) -> KernelBackend:
     return instance
 
 
+def wrapper_reason(aggregate) -> Optional[str]:
+    """Name the wrapper that keeps ``aggregate`` off the array rows, if any.
+
+    Workloads and grouped queries carry per-query / per-cell object state a
+    packed row does not hold; the kernels' ``refusal`` functions report them
+    by what they are rather than by the capability hook they fail.
+    """
+    if getattr(aggregate, "workload_names", None) is not None:
+        return "workload aggregate"
+    if getattr(aggregate, "group_by_spec", None) is not None:
+        return "grouped query"
+    return None
+
+
+def fused_backend(scheme, channel, refusal) -> Optional[KernelBackend]:
+    """The backend to run ``scheme``'s next block fused on, or None.
+
+    ``refusal(scheme, channel)`` is the scheme's kernel gate: None when the
+    block is eligible, else a short reason. Either way the decision lands
+    on ``scheme.engine_path`` — ``"fused"`` or ``"object: <reason>"`` — so
+    a run can say which engine it took without a profiler.
+    """
+    backend = get_backend(scheme._kernel_backend)
+    reason = (
+        refusal(scheme, channel)
+        if backend.fused
+        else f"{backend.name} backend"
+    )
+    scheme._engine_path = "fused" if reason is None else f"object: {reason}"
+    return backend if reason is None else None
+
+
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
@@ -160,6 +192,8 @@ __all__ = [
     "KernelBackend",
     "ObjectBackend",
     "backend_names",
+    "fused_backend",
     "get_backend",
     "validate_backend_name",
+    "wrapper_reason",
 ]

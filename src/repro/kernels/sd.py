@@ -1,41 +1,367 @@
-"""Fused SD block kernel: a whole epoch block of ring waves at once.
+"""Fused SD block kernel, and the packed OR-wave it shares with TD.
 
-For packable aggregates (``synopsis_packable``) every payload of a block is
-one row of a uint32 matrix: the aggregate synopsis's packed bitmap words,
-followed by the piggybacked contributing-count sketch's words (when the
-aggregate needs one). Fusion is bitwise OR, so a level's wave is one
-OR-scatter of delivered payload rows into receiver accumulator rows; wire
-sizing is one vectorized RLE pass per level (:meth:`KernelBackend.rle_words`
-reproduces :func:`repro.multipath.fm._packed_rle_words` exactly).
+For packable aggregates (``synopsis_packable``) every multi-path payload of
+a block is one row of a uint32 matrix: the aggregate synopsis's packed
+bitmap words, then the piggybacked contributing-count sketch's words (when
+the aggregate needs one), then — for Tributary-Delta — a plain bitmap of
+missing-statistics reporters. Fusion is bitwise OR and ODI, so a level's
+deliveries may be OR-reduced in any grouping: a level's wave is one
+receiver-grouped OR-scatter of delivered payload rows into receiver
+accumulator rows, and wire sizing is one vectorized RLE pass per level
+(:meth:`KernelBackend.rle_words` reproduces
+:func:`repro.multipath.fm._packed_rle_words` exactly).
+
+:class:`RowWave` is that per-level step — local rows, OR with the
+accumulator, RLE sizing, billing, OR-scatter — plus the block's tallies.
+SD runs every node through it; TD (:mod:`repro.kernels.td`) runs its delta
+nodes through it after the tributaries have been added up. Epoch columns
+are independent, so a block is swept in **epoch tiles** sized from the row
+width (:data:`TILE_ROW_WORDS`): the accumulator and the per-level gather
+temporaries are bounded by the tile, not by the block.
 
 The object path's ground-truth ``contributors`` bitmask (who reached the
 base over *any* path) is recovered without objects: a node's bit is set iff
 some chain of successful deliveries links it to the base station, which a
 reverse (shallowest-level-first) reachability sweep over the same planned
-success tables computes exactly.
+success tables computes exactly (:func:`count_contributors`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
+from repro.kernels import wrapper_reason
 from repro.multipath.fm import (
     DEFAULT_BITS,
+    FMSketch,
     single_item_matrix_block,
     sketch_from_row,
 )
-from repro.network.links import Channel, TransmissionLog
+from repro.network.links import Channel, DeliveryPlan, TransmissionLog
+from repro.network.messages import missing_stats_words
 from repro.network.placement import BASE_STATION, NodeId
 from repro.network.simulator import EpochOutcome, gather_readings
 
+#: uint32 words one accumulator row holds per epoch tile: a tile spans
+#: ``TILE_ROW_WORDS // row width`` epoch columns (32 for the paper's
+#: 40 + 40-bitmap Sum rows). Small enough that a 600-node tile and its
+#: per-level gather stay in a few megabytes, large enough that numpy's
+#: per-call overhead does not show.
+TILE_ROW_WORDS = 2560
 
-def sd_eligible(scheme) -> bool:
-    """Whether the fused block path applies to this SD instance."""
-    return scheme._aggregate.synopsis_packable() is not None
+
+def synopsis_refusal(aggregate) -> Optional[str]:
+    """Why ``aggregate``'s synopses cannot ride packed rows, or None."""
+    if aggregate.synopsis_packable() is not None:
+        return None
+    reason = wrapper_reason(aggregate)
+    if reason is not None:
+        return reason
+    try:
+        empty = aggregate.synopsis_empty()
+    except NotImplementedError:
+        empty = None
+    if isinstance(empty, FMSketch) and empty.bits != 32:
+        return "non-32-bit sketch"
+    return "unpackable synopsis"
+
+
+def refusal(scheme, channel) -> Optional[str]:
+    """Why this SD block must take the object wave, or None to run fused."""
+    reason = synopsis_refusal(scheme._aggregate)
+    if reason is None and channel.chaos is not None:
+        reason = "chaos attached"
+    return reason
+
+
+@dataclass(frozen=True)
+class LevelPairs:
+    """One level's planned deliveries in row coordinates.
+
+    Attributes:
+        nodes: the level's senders, in wave order.
+        rows: their accumulator rows (one contiguous span).
+        success: ``(pairs, epochs)`` planned delivery outcomes.
+        span_starts, span_stops: each sender's slice of the pair axis.
+        pair_item: each pair's sender, as a position in ``nodes``.
+        recv_rows: each pair's receiver row.
+    """
+
+    nodes: Sequence[NodeId]
+    rows: np.ndarray
+    success: np.ndarray
+    span_starts: np.ndarray
+    span_stops: np.ndarray
+    pair_item: np.ndarray
+    recv_rows: np.ndarray
+
+
+def level_pairs(
+    plan: DeliveryPlan,
+    channel: Channel,
+    skeletons,
+    level_nodes: Sequence[Sequence[NodeId]],
+) -> Tuple[Dict[NodeId, int], List[LevelPairs]]:
+    """Row index and per-level pair tables of a planned block.
+
+    Rows follow the wave order — level after level, deepest first, then the
+    base station. Every non-empty level is validated against the plan once
+    (:meth:`DeliveryPlan.level_table`).
+    """
+    index: Dict[NodeId, int] = {}
+    for nodes in level_nodes:
+        for node in nodes:
+            index[node] = len(index)
+    index[BASE_STATION] = len(index)
+    levels: List[LevelPairs] = []
+    for level_idx, nodes in enumerate(level_nodes):
+        if not nodes:
+            continue
+        success, spans, flat_receivers = plan.level_table(
+            channel, level_idx, skeletons[level_idx]
+        )
+        bounds = np.array(spans, dtype=np.int64).reshape(len(nodes), 2)
+        starts, stops = bounds[:, 0], bounds[:, 1]
+        levels.append(
+            LevelPairs(
+                nodes=nodes,
+                rows=np.arange(index[nodes[0]], index[nodes[0]] + len(nodes)),
+                success=np.asarray(success, dtype=bool),
+                span_starts=starts,
+                span_stops=stops,
+                pair_item=np.repeat(np.arange(len(nodes)), stops - starts),
+                recv_rows=np.fromiter(
+                    (index[receiver] for receiver in flat_receivers),
+                    dtype=np.int64,
+                    count=len(flat_receivers),
+                ),
+            )
+        )
+    return index, levels
+
+
+def fm_sections(scheme) -> Tuple[int, int]:
+    """Bitmap counts of a scheme's ``[synopsis | contributing-count]`` row.
+
+    The second is 0 when the synopsis already counts contributors (Count)
+    and no piggybacked sketch travels.
+    """
+    aggregate = scheme._aggregate
+    return (
+        aggregate.synopsis_packable()[0],
+        0 if aggregate.synopsis_counts_contributors() else scheme._count_bitmaps,
+    )
+
+
+def local_rows(
+    aggregate,
+    contrib_bitmaps: int,
+    nodes: Sequence[NodeId],
+    epochs: Sequence[int],
+    readings,
+    width: int,
+) -> np.ndarray:
+    """The ``(node, epoch, width)`` local payload rows of one level.
+
+    ``[synopsis | contributing-count sketch]`` are filled from the same
+    vectorized FM passes as the object builders; words past them are zero.
+    """
+    num_nodes, num_epochs = len(nodes), len(epochs)
+    syn_bitmaps = aggregate.synopsis_packable()[0]
+    local = np.zeros((num_nodes, num_epochs, width), dtype=np.uint32)
+    local[:, :, :syn_bitmaps] = np.asarray(
+        aggregate.synopsis_local_block_packed(
+            nodes,
+            epochs,
+            [gather_readings(readings, nodes, epoch) for epoch in epochs],
+        )
+    ).reshape(num_epochs, num_nodes, syn_bitmaps).transpose(1, 0, 2)
+    if contrib_bitmaps:
+        local[:, :, syn_bitmaps : syn_bitmaps + contrib_bitmaps] = (
+            single_item_matrix_block(
+                contrib_bitmaps, DEFAULT_BITS, ("contrib",), nodes, epochs
+            )
+            .reshape(num_epochs, num_nodes, contrib_bitmaps)
+            .transpose(1, 0, 2)
+        )
+    return local
+
+
+def or_sorted(backend, dest, sorted_keys, values) -> None:
+    """``dest[key] |= value`` for key-sorted rows; keys may repeat."""
+    targets, starts = np.unique(sorted_keys, return_index=True)
+    backend.or_into(dest, targets, backend.or_reduce(values, starts))
+
+
+class RowWave:
+    """A block of OR-waves over packed ``(node, epoch)`` rows.
+
+    A row is ``[section 0 | section 1 | ... | flags]`` uint32 words: each
+    section (a width of 0 means absent) an FM bitmap vector billed by its
+    RLE size, the trailing ``flag_words`` a plain bitmap billed
+    :func:`missing_stats_words` per set bit. The wave owns the block's
+    tallies (per-epoch words/messages, per-row load, the base station's
+    fused rows) and, inside :meth:`tiles`, one epoch tile's accumulator.
+    """
+
+    def __init__(
+        self,
+        backend,
+        accountant,
+        base_row: int,
+        num_epochs: int,
+        sections: Sequence[int],
+        flag_words: int = 0,
+    ) -> None:
+        self._backend = backend
+        self._accountant = accountant
+        self._base_row = base_row
+        self._sections = tuple(bitmaps for bitmaps in sections if bitmaps)
+        self._flag_words = flag_words
+        self.width = sum(sections) + flag_words
+        self.words_sent = np.zeros(num_epochs, dtype=np.int64)
+        self.messages_sent = np.zeros(num_epochs, dtype=np.int64)
+        self.row_words = np.zeros(base_row + 1, dtype=np.int64)
+        self.row_messages = np.zeros(base_row + 1, dtype=np.int64)
+        #: Whether any multi-path payload reached the base, per epoch.
+        self.heard_base = np.zeros(num_epochs, dtype=bool)
+        #: The base station's fused row per epoch, saved tile by tile.
+        self.base_rows = np.zeros((num_epochs, self.width), dtype=np.uint32)
+        self.acc = np.zeros((0, 0), dtype=np.uint32)
+        self._lo = self._hi = 0
+
+    def tiles(self) -> Iterator[Tuple[int, int]]:
+        """Sweep the block in epoch tiles ``[lo, hi)``.
+
+        Each step opens a zeroed accumulator ``acc`` (rows x flattened
+        ``(epoch, word)`` columns of the tile); when the caller comes back
+        for the next tile, the base station's rows are saved first.
+        """
+        num_epochs = len(self.words_sent)
+        step = max(1, TILE_ROW_WORDS // self.width)
+        for lo in range(0, num_epochs, step):
+            hi = min(lo + step, num_epochs)
+            self._lo, self._hi = lo, hi
+            self.acc = np.zeros(
+                (self._base_row + 1, (hi - lo) * self.width), dtype=np.uint32
+            )
+            yield lo, hi
+            self.base_rows[lo:hi] = self.acc[self._base_row].reshape(
+                hi - lo, self.width
+            )
+
+    def level(
+        self,
+        rows: np.ndarray,
+        local: np.ndarray,
+        attempts: int,
+        pair_sender: np.ndarray,
+        pair_rows: np.ndarray,
+        success: np.ndarray,
+    ) -> None:
+        """One level's senders for the open tile: fuse, size, bill, scatter.
+
+        ``local`` holds the senders' ``(sender, tile epoch, width)`` local
+        rows and is fused in place. Pair ``p`` hands sender
+        ``pair_sender[p]``'s payload to accumulator row ``pair_rows[p]`` in
+        the epochs where the block-wide ``success[p]`` is set; pairs whose
+        receiver ignores the payload are simply not listed.
+        """
+        backend = self._backend
+        spec_for_words = self._accountant.spec_for_words
+        num_nodes, num_epochs, width = local.shape
+        cells = num_nodes * num_epochs
+        columns = slice(self._lo, self._hi)
+        local |= self.acc[rows].reshape(local.shape)
+
+        words = np.zeros((num_nodes, num_epochs), dtype=np.int64)
+        offset = 0
+        for bitmaps in self._sections:
+            words += backend.rle_words(
+                local[:, :, offset : offset + bitmaps].reshape(cells, bitmaps),
+                32,
+            ).reshape(num_nodes, num_epochs)
+            offset += bitmaps
+        if self._flag_words:
+            flags = np.ascontiguousarray(local[:, :, offset:]).view(np.uint8)
+            words += missing_stats_words(
+                np.unpackbits(flags, axis=2).sum(axis=2, dtype=np.int64)
+            )
+        unique_words = np.unique(words)
+        unique_messages = np.fromiter(
+            (spec_for_words(int(value)).messages for value in unique_words),
+            dtype=np.int64,
+            count=len(unique_words),
+        )
+        messages = unique_messages[np.searchsorted(unique_words, words)]
+        self.words_sent[columns] += attempts * words.sum(axis=0)
+        self.messages_sent[columns] += attempts * messages.sum(axis=0)
+        self.row_words[rows] += attempts * words.sum(axis=1)
+        self.row_messages[rows] += attempts * messages.sum(axis=1)
+
+        if not len(pair_rows):
+            return
+        success = success[:, columns]
+        order = np.argsort(pair_rows, kind="stable")
+        # One receiver-ordered gather, masked in place: dead pairs OR zeros
+        # into their group, so the segmented reduce is exact.
+        gathered = local[pair_sender[order]]
+        gathered *= success[order][:, :, None]
+        or_sorted(
+            backend,
+            self.acc,
+            pair_rows[order],
+            gathered.reshape(len(order), num_epochs * width),
+        )
+        at_base = pair_rows == self._base_row
+        if at_base.any():
+            self.heard_base[columns] |= success[at_base].any(axis=0)
+
+    def logs(
+        self, transmissions: int, total_pairs: int, deliveries: np.ndarray
+    ) -> List[TransmissionLog]:
+        """The block's per-epoch channel logs from the wave's tallies."""
+        return [
+            TransmissionLog(
+                transmissions=transmissions,
+                deliveries=delivered,
+                drops=total_pairs - delivered,
+                words_sent=words,
+                messages_sent=messages,
+            )
+            for delivered, words, messages in zip(
+                deliveries.tolist(),
+                self.words_sent.tolist(),
+                self.messages_sent.tolist(),
+            )
+        ]
+
+
+def count_contributors(
+    backend, base_row: int, num_epochs: int, records
+) -> np.ndarray:
+    """Per epoch, how many senders some delivery chain links to the base.
+
+    ``records`` lists, deepest level first, ``(rows, success, span_starts,
+    span_stops, recv_rows)`` with ``success`` already cleared where the
+    receiver ignored the payload. Receivers sit one level shallower than
+    senders, so sweeping shallowest-first visits receivers before senders.
+    """
+    contributing = np.zeros(num_epochs, dtype=np.int64)
+    reach = np.zeros((base_row + 1, num_epochs), dtype=bool)
+    reach[base_row] = True
+    for rows, success, span_starts, span_stops, recv_rows in reversed(records):
+        sender_any = backend.any_reduce(
+            success & reach[recv_rows], span_starts, span_stops
+        )
+        reach[rows] = sender_any
+        contributing += sender_any.sum(axis=0)
+    return contributing
 
 
 def run_sd_block(
@@ -48,177 +374,75 @@ def run_sd_block(
     counts, same log counters and per-node billing.
     """
     aggregate = scheme._aggregate
-    accountant = scheme._accountant
     attempts = scheme._attempts
     depth = scheme._rings.depth
     num_epochs = len(epoch_list)
 
-    syn_bitmaps, _syn_bits = aggregate.synopsis_packable()
-    use_contrib = not aggregate.synopsis_counts_contributors()
-    contrib_bitmaps = scheme._count_bitmaps if use_contrib else 0
-    width = syn_bitmaps + contrib_bitmaps
+    syn_bitmaps, contrib_bitmaps = sections = fm_sections(scheme)
 
     skeletons = scheme._plan_levels()
     plan = channel.plan_epochs(skeletons, epoch_list)
+    index, levels = level_pairs(plan, channel, skeletons, scheme._level_nodes)
+    base_row = index[BASE_STATION]
 
-    index: Dict[NodeId, int] = {}
-    for nodes in scheme._level_nodes:
-        for node in nodes:
-            index[node] = len(index)
-    base_row = len(index)
-    index[BASE_STATION] = base_row
-
-    # Accumulated (fused) payload per node, flattened (epoch, word) columns.
-    acc = np.zeros((len(index), num_epochs * width), dtype=np.uint32)
-
-    received_any = np.zeros(num_epochs, dtype=bool)
-    deliveries = np.zeros(num_epochs, dtype=np.int64)
-    words_sent = np.zeros(num_epochs, dtype=np.int64)
-    messages_sent = np.zeros(num_epochs, dtype=np.int64)
-    total_pairs = 0
-    transmissions_const = 0
-    node_words: Dict[NodeId, int] = {}
-    node_messages: Dict[NodeId, int] = {}
-
-    # Per-level records for the reachability sweep:
-    # (sender rows, success table, span starts, span stops, receiver rows).
-    level_records = []
-
-    for level_idx, nodes in enumerate(scheme._level_nodes):
-        num_nodes = len(nodes)
-        if num_nodes == 0:
-            continue
-        reading_rows = [
-            gather_readings(readings, nodes, epoch) for epoch in epoch_list
-        ]
-        packed_flat = np.asarray(
-            aggregate.synopsis_local_block_packed(nodes, epoch_list, reading_rows)
-        )
-        local = np.zeros((num_nodes, num_epochs, width), dtype=np.uint32)
-        local[:, :, :syn_bitmaps] = packed_flat.reshape(
-            num_epochs, num_nodes, syn_bitmaps
-        ).transpose(1, 0, 2)
-        if use_contrib:
-            contrib_flat = single_item_matrix_block(
-                contrib_bitmaps, DEFAULT_BITS, ("contrib",), nodes, epoch_list
-            )
-            local[:, :, syn_bitmaps:] = contrib_flat.reshape(
-                num_epochs, num_nodes, contrib_bitmaps
-            ).transpose(1, 0, 2)
-
-        rows = np.fromiter(
-            (index[node] for node in nodes), dtype=np.int64, count=num_nodes
-        )
-        local |= acc[rows].reshape(num_nodes, num_epochs, width)
-        payload = local
-
-        words = backend.rle_words(
-            payload[:, :, :syn_bitmaps].reshape(num_nodes * num_epochs, syn_bitmaps),
-            32,
-        ).reshape(num_nodes, num_epochs)
-        if use_contrib:
-            words = words + backend.rle_words(
-                payload[:, :, syn_bitmaps:].reshape(
-                    num_nodes * num_epochs, contrib_bitmaps
+    wave = RowWave(backend, scheme._accountant, base_row, num_epochs, sections)
+    for lo, hi in wave.tiles():
+        for level in levels:
+            wave.level(
+                level.rows,
+                local_rows(
+                    aggregate,
+                    contrib_bitmaps,
+                    level.nodes,
+                    epoch_list[lo:hi],
+                    readings,
+                    wave.width,
                 ),
-                32,
-            ).reshape(num_nodes, num_epochs)
-
-        unique_words = np.unique(words)
-        unique_messages = np.fromiter(
-            (accountant.spec_for_words(int(value)).messages for value in unique_words),
-            dtype=np.int64,
-            count=len(unique_words),
-        )
-        messages = unique_messages[np.searchsorted(unique_words, words)]
-
-        transmissions_const += num_nodes * attempts
-        words_sent += attempts * words.sum(axis=0)
-        messages_sent += attempts * messages.sum(axis=0)
-        per_node_w = attempts * words.sum(axis=1)
-        per_node_m = attempts * messages.sum(axis=1)
-        for position, node in enumerate(nodes):
-            node_words[node] = int(per_node_w[position])
-            node_messages[node] = int(per_node_m[position])
-
-        success, spans, flat_receivers = plan.level_table(
-            channel, level_idx, skeletons[level_idx]
-        )
-        success = np.asarray(success, dtype=bool)
-        num_pairs = success.shape[0]
-        span_starts = np.fromiter(
-            (start for start, _stop in spans), dtype=np.int64, count=num_nodes
-        )
-        span_stops = np.fromiter(
-            (stop for _start, stop in spans), dtype=np.int64, count=num_nodes
-        )
-        deliveries += success.sum(axis=0)
-        total_pairs += num_pairs
-
-        if num_pairs:
-            recv_rows = np.fromiter(
-                (index[receiver] for receiver in flat_receivers),
-                dtype=np.int64,
-                count=num_pairs,
+                attempts,
+                level.pair_item,
+                level.recv_rows,
+                level.success,
             )
-            pair_item = np.repeat(
-                np.arange(num_nodes), span_stops - span_starts
-            )
-            order = np.argsort(recv_rows, kind="stable")
-            sorted_rows = recv_rows[order]
-            target_rows, group_starts = np.unique(sorted_rows, return_index=True)
-            # One receiver-ordered gather, masked in place: dead pairs OR
-            # zeros into their group, so the reduceat result is exact.
-            gathered = payload[pair_item[order]]
-            gathered *= success[order][:, :, None]
-            grouped = backend.or_reduce(
-                gathered.reshape(num_pairs, num_epochs * width), group_starts
-            )
-            backend.or_into(acc, target_rows, grouped)
-            base_pairs = recv_rows == base_row
-            if base_pairs.any():
-                received_any |= success[base_pairs].any(axis=0)
-        else:
-            recv_rows = np.zeros(0, dtype=np.int64)
-        level_records.append((rows, success, span_starts, span_stops, recv_rows))
 
-    # Ground-truth contributors: reach[n] iff some successful delivery chain
-    # links n to the base. Receivers sit one level shallower than senders,
-    # so sweeping levels shallowest-first visits receivers before senders.
-    contributing = np.zeros(num_epochs, dtype=np.int64)
-    reach = np.zeros((len(index), num_epochs), dtype=bool)
-    reach[base_row] = True
-    for rows, success, span_starts, span_stops, recv_rows in reversed(
-        level_records
-    ):
-        if len(recv_rows):
-            sender_any = backend.any_reduce(
-                success & reach[recv_rows], span_starts, span_stops
+    contributing = count_contributors(
+        backend,
+        base_row,
+        num_epochs,
+        [
+            (
+                level.rows,
+                level.success,
+                level.span_starts,
+                level.span_stops,
+                level.recv_rows,
             )
-        else:
-            sender_any = np.zeros((len(rows), num_epochs), dtype=bool)
-        reach[rows] = sender_any
-        contributing += sender_any.sum(axis=0)
+            for level in levels
+        ],
+    )
+    deliveries = np.zeros(num_epochs, dtype=np.int64)
+    for level in levels:
+        deliveries += level.success.sum(axis=0)
+    logs = wave.logs(
+        base_row * attempts,
+        sum(len(level.recv_rows) for level in levels),
+        deliveries,
+    )
 
     channel.reset_log()
-    channel.account_bulk(node_words, node_messages)
+    channel.account_bulk(
+        dict(zip(index, wave.row_words[:base_row].tolist())),
+        dict(zip(index, wave.row_messages[:base_row].tolist())),
+    )
 
-    acc_block = acc.reshape(len(index), num_epochs, width)
     results: List[Tuple[EpochOutcome, TransmissionLog]] = []
-    for column in range(num_epochs):
-        log = TransmissionLog(
-            transmissions=transmissions_const,
-            deliveries=int(deliveries[column]),
-            drops=total_pairs - int(deliveries[column]),
-            words_sent=int(words_sent[column]),
-            messages_sent=int(messages_sent[column]),
-        )
-        if received_any[column]:
-            synopsis = sketch_from_row(acc_block[base_row, column, :syn_bitmaps])
+    for column, log in enumerate(logs):
+        if wave.heard_base[column]:
+            row = wave.base_rows[column]
+            synopsis = sketch_from_row(row[:syn_bitmaps])
             estimate = aggregate.synopsis_eval(synopsis)
-            if use_contrib:
+            if contrib_bitmaps:
                 contributing_estimate = sketch_from_row(
-                    acc_block[base_row, column, syn_bitmaps:]
+                    row[syn_bitmaps:]
                 ).estimate()
             else:
                 contributing_estimate = aggregate.synopsis_eval(synopsis)

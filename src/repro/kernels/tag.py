@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
+from repro.kernels import wrapper_reason
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION, NodeId
 from repro.network.simulator import EpochOutcome, gather_reading_block
@@ -74,15 +75,25 @@ def tag_layout(
     return TagLayout(tuple(spans), tuple(parent_rows), senders)
 
 
-def tag_eligible(scheme) -> bool:
-    """Whether the fused block path applies to this TAG instance.
+def partials_refusal(aggregate) -> Optional[str]:
+    """Why ``aggregate``'s tree partials cannot ride int64 rows, or None."""
+    if aggregate.tree_partials_additive():
+        return None
+    return wrapper_reason(aggregate) or "non-additive partials"
 
-    Requires additive integer partials and a fully-parented tree.
+
+def refusal(scheme, channel) -> Optional[str]:
+    """Why this TAG block must take the object wave, or None to run fused.
+
+    The fused path needs additive integer partials, a fully-parented tree
+    and a channel without fault injection.
     """
-    return (
-        scheme._kernel_layout is not None
-        and scheme._aggregate.tree_partials_additive()
-    )
+    reason = partials_refusal(scheme._aggregate)
+    if reason is None and scheme._kernel_layout is None:
+        reason = "orphaned vertex"
+    if reason is None and channel.chaos is not None:
+        reason = "chaos attached"
+    return reason
 
 
 def run_tag_block(

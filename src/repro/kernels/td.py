@@ -1,146 +1,347 @@
-"""Fused TD block precompute: batched tributary sweeps and conversions.
+"""Fused Tributary-Delta block kernel: the mixed-mode wave as array passes.
 
-Tributary-Delta's hot path is not the tree adds (cheap ints) but the
-Section-5 conversion function at every tributary/delta boundary: each
-delivered T -> M payload costs one ``aggregate.convert`` (an FM
-weighted-insert, potentially hundreds of virtual items) plus one
-contributing-count conversion per epoch. Those sketches depend only on
-``(partial, count, sender, epoch)`` — all block-constant given the planned
-delivery tables — so the whole block's boundary conversions can be built in
-two vectorized FM passes before the first epoch runs.
+Modes are fixed for a block, and Property 1 (no M -> T edge: an M node's
+tree parent is M) makes the order of a mixed wave well defined without
+walking it node by node: a tributary never waits on the delta. So a block
+runs as three stages over one row layout — every node in wave order
+(deepest level first), then the base station:
 
-This module sweeps the tributaries over the planned success tables exactly
-as the object waves will (additive partials, ``1 +`` counts, deepest level
-first), collects every delivered boundary cell, and returns a
-``(sender, epoch) -> (converted synopsis, converted count sketch)`` cache
-that :meth:`TributaryDeltaScheme._prepare_multipath_node` consults instead
-of calling the scalar converters. The per-epoch wave itself stays
-object-based — the M side carries missing-statistics dictionaries and
-ground-truth contributor masks that do not vectorize profitably.
+1. **Tributaries add.** Every level's T nodes are swept first, exactly like
+   the TAG kernel: ``out = local + accumulated``, masked adds into the
+   parent row. Exact counts are added into *every* parent — an M parent
+   needs them for its missing statistic, an M-mode base station for its
+   exact contributing count.
+2. **The frontier converts once.** Every delivered T -> M payload of the
+   block is one ``(partial, count, sender, epoch)`` cell; all of them go
+   through Section 5's conversion function in one batched FM pass
+   (:func:`precompute_conversions`) and are OR-ed into their parents'
+   accumulator rows. Payloads delivered straight to an M-mode base station
+   are not converted — they stay exact.
+3. **The delta OR-scatters.** Levels are swept again over their M nodes
+   only, through the same :class:`~repro.kernels.sd.RowWave` step SD uses
+   (SD is the all-M special case), with T receivers dropped from the
+   scatter: they ignore M broadcasts, though the channel still logs the
+   planned pair.
+
+A row is ``[synopsis | contributing-count sketch | reporter bitmap]``. A
+*reporter* is an M node whose payload carries its own missing statistic —
+static for the block (:meth:`TributaryDeltaScheme._missing_entry`) — and
+owns one bit; its per-epoch value lives in a side matrix. A node reports
+one value per epoch whichever path it takes, so the object wave's
+dictionary union is an OR of bits, its wire cost a popcount, and the base
+station's dictionary is rebuilt from the bits that arrived.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.multipath.fm import DEFAULT_BITS, FMSketch, counted_sketches
-from repro.network.links import Channel, DeliveryPlan
-from repro.network.placement import BASE_STATION, NodeId
+from repro.errors import PropertyViolation
+from repro.kernels.sd import (
+    RowWave,
+    count_contributors,
+    fm_sections,
+    level_pairs,
+    local_rows,
+    or_sorted,
+    synopsis_refusal,
+)
+from repro.kernels.tag import partials_refusal
+from repro.multipath.fm import DEFAULT_BITS, counted_matrix, sketch_from_row
+from repro.network.links import Channel, TransmissionLog
+from repro.network.placement import BASE_STATION
+from repro.network.simulator import EpochOutcome, gather_reading_block
 
 
-def td_eligible(scheme) -> bool:
-    """Whether the boundary-conversion precompute applies to this instance.
+def refusal(scheme, channel) -> Optional[str]:
+    """Why this TD block must take the object wave, or None to run fused.
 
-    Requires additive integer partials and fully-parented T vertices (the
-    sweep must route every tributary payload exactly like the object wave).
+    The fused path needs additive integer partials, packable synopses,
+    fully-parented T vertices (every tributary payload must route exactly
+    like the object wave's) and a channel without fault injection.
     """
-    if not scheme._aggregate.tree_partials_additive():
-        return False
+    aggregate = scheme._aggregate
+    reason = partials_refusal(aggregate) or synopsis_refusal(aggregate)
+    if reason is not None:
+        return reason
     graph = scheme._graph
     parents = scheme._tree_parents
-    return all(
-        parents.get(node) is not None
-        for nodes in scheme._level_nodes
-        for node in nodes
-        if graph.is_tree(node)
-    )
+    for nodes in scheme._level_nodes:
+        for node in nodes:
+            if graph.is_tree(node) and parents.get(node) is None:
+                return "orphaned T vertex"
+    if channel.chaos is not None:
+        return "chaos attached"
+    return None
 
 
 def precompute_conversions(
-    scheme,
-    epoch_list: List[int],
-    channel: Channel,
-    plan: DeliveryPlan,
-    skeletons,
-    level_t_nodes: List[List[NodeId]],
-    partials_blocks: List[List[List[int]]],
-) -> Dict[Tuple[NodeId, int], Tuple[object, Optional[FMSketch]]]:
-    """Build the block's boundary-conversion cache.
+    aggregate, count_bitmaps: int, partials, counts, senders, epochs
+) -> np.ndarray:
+    """A block's frontier conversions as packed ``[synopsis | count]`` rows.
 
-    ``partials_blocks[level]`` must be the exact ``tree_local_block`` rows
-    the object waves will consume (epoch-major over that level's T nodes) —
-    the sweep then reproduces each boundary delivery's ``(partial, count)``
-    bit for bit, and the batched converters are contract-bound to match
-    their scalar twins.
+    Row ``i`` is what an M parent fuses for the tributary payload
+    ``(partials[i], counts[i])`` sent by ``senders[i]`` at ``epochs[i]``:
+    the aggregate's own conversion, then — unless the synopsis already
+    counts contributors — the exact count converted under the
+    ``"contrib-conv"`` label, both bit for bit the scalar converters'.
+    """
+    rows = aggregate.convert_block_packed(partials, senders, epochs)
+    if aggregate.synopsis_counts_contributors():
+        return rows
+    return np.concatenate(
+        [
+            rows,
+            counted_matrix(
+                count_bitmaps,
+                DEFAULT_BITS,
+                ("contrib-conv",),
+                counts,
+                senders,
+                epochs,
+            ),
+        ],
+        axis=1,
+    )
+
+
+def run_td_block(
+    scheme, epoch_list: List[int], channel: Channel, readings, backend
+) -> List[Tuple[EpochOutcome, TransmissionLog]]:
+    """Run one Tributary-Delta epoch block through the fused array path.
+
+    Byte-identical to the object ``run_epochs`` and the scalar oracle:
+    same outcomes (``extra["missing_stats"]`` included), same per-epoch
+    logs, same per-node billing.
     """
     graph = scheme._graph
     aggregate = scheme._aggregate
-    parents = scheme._tree_parents
+    accountant = scheme._accountant
     num_epochs = len(epoch_list)
+    epochs = np.asarray(epoch_list, dtype=np.int64)
 
-    index: Dict[NodeId, int] = {}
-    for t_nodes in level_t_nodes:
-        for node in t_nodes:
-            index[node] = len(index)
+    syn_bitmaps, contrib_bitmaps = sections = fm_sections(scheme)
+    fm_width = syn_bitmaps + contrib_bitmaps
 
-    acc_partial = np.zeros((len(index), num_epochs), dtype=np.int64)
-    acc_count = np.zeros((len(index), num_epochs), dtype=np.int64)
+    skeletons = scheme._plan_levels()
+    plan = channel.plan_epochs(skeletons, epoch_list)
+    index, levels = level_pairs(plan, channel, skeletons, scheme._level_nodes)
+    base_row = index[BASE_STATION]
+    senders = list(index)[:base_row]
+    sender_ids = np.asarray(senders, dtype=np.int64)
+    parents = scheme._tree_parents
+    parent_rows = np.fromiter(
+        (index.get(parents.get(node), -1) for node in senders),
+        dtype=np.int64,
+        count=base_row,
+    )
+    is_m = np.fromiter(
+        (graph.is_multipath(node) for node in index),
+        dtype=bool,
+        count=base_row + 1,
+    )
+    base_is_m = bool(is_m[base_row])
+    m_rows = np.flatnonzero(is_m[:base_row])
+    t_rows = np.flatnonzero(~is_m[:base_row])
 
-    conv_partials: List[int] = []
-    conv_counts: List[int] = []
-    conv_senders: List[NodeId] = []
-    conv_epochs: List[int] = []
-
-    for level_idx, nodes in enumerate(scheme._level_nodes):
-        # Validate the level once for the whole block; the per-epoch waves
-        # then transmit with checked=True against the same plan.
-        success_all, spans, _flat = plan.level_table(
-            channel, level_idx, skeletons[level_idx]
+    # Property 1, once per block on the layout: an M node broadcasts to its
+    # tree parent, so that parent must be M.
+    m_parents = parent_rows[m_rows]
+    stray = m_rows[(m_parents < 0) | ~is_m[m_parents]]
+    if len(stray):
+        node = senders[int(stray[0])]
+        raise PropertyViolation(
+            f"M node {node} has a non-M tree parent: "
+            "an M edge would be incident on a T vertex",
+            invariant="edge-correctness",
+            nodes=(node,),
         )
-        t_nodes = level_t_nodes[level_idx]
-        if not t_nodes:
+
+    # -- pass 1: tributaries, all levels -----------------------------------
+    acc_partial = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
+    acc_count = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
+    base_partials: List[List[int]] = [[] for _ in epoch_list]
+    # Delivered T -> (non-base) M cells, per level:
+    # (partials, counts, senders, epoch columns, parent rows).
+    frontier = [(np.zeros(0, dtype=np.int64),) * 5]
+    for level in levels:
+        positions = np.flatnonzero(~is_m[level.rows])
+        if not len(positions):
             continue
-        num_t = len(t_nodes)
-        t_positions = [
-            item for item, node in enumerate(nodes) if graph.is_tree(node)
-        ]
-        # Tree unicasts have exactly one planned pair: the span start row.
-        t_pairs = np.fromiter(
-            (spans[item][0] for item in t_positions),
-            dtype=np.int64,
-            count=num_t,
-        )
-        success = np.asarray(success_all, dtype=bool)[t_pairs]  # (num_t, E)
-
-        local = np.asarray(partials_blocks[level_idx], dtype=np.int64).T
-        rows = np.fromiter(
-            (index[node] for node in t_nodes), dtype=np.int64, count=num_t
-        )
+        nodes = [level.nodes[position] for position in positions]
+        rows = level.rows[positions]
+        # A tree unicast has exactly one planned pair: its span's start.
+        success = level.success[level.span_starts[positions]]
+        local = aggregate.tree_local_matrix(
+            nodes, epoch_list, gather_reading_block(readings, nodes, epoch_list)
+        ).T
         out_partial = local + acc_partial[rows]
         out_count = 1 + acc_count[rows]
-
-        for position, node in enumerate(t_nodes):
-            parent = parents[node]
-            parent_row = index.get(parent)
-            if parent_row is not None:
-                acc_partial[parent_row] += out_partial[position] * success[position]
-                acc_count[parent_row] += out_count[position] * success[position]
-            elif graph.is_multipath(parent) and parent != BASE_STATION:
-                # Boundary delivery: the M parent converts this payload.
-                # (Base-station tree payloads stay exact — never converted.)
-                for column in np.nonzero(success[position])[0]:
-                    conv_partials.append(int(out_partial[position, column]))
-                    conv_counts.append(int(out_count[position, column]))
-                    conv_senders.append(node)
-                    conv_epochs.append(epoch_list[column])
-
-    converted = aggregate.convert_block(conv_partials, conv_senders, conv_epochs)
-    if aggregate.synopsis_counts_contributors():
-        count_converted: List[Optional[FMSketch]] = [None] * len(converted)
-    else:
-        count_converted = counted_sketches(
-            scheme._count_bitmaps,
-            DEFAULT_BITS,
-            ("contrib-conv",),
-            conv_counts,
-            conv_senders,
-            conv_epochs,
+        targets = parent_rows[rows]
+        backend.add_into(acc_partial, targets, out_partial * success)
+        backend.add_into(acc_count, targets, out_count * success)
+        to_base = targets == base_row
+        for position, column in zip(*np.nonzero(success & to_base[:, None])):
+            base_partials[column].append(int(out_partial[position, column]))
+        position, column = np.nonzero(
+            success & (is_m[targets] & ~to_base)[:, None]
         )
-    return {
-        (sender, epoch): (synopsis, count_sketch)
-        for sender, epoch, synopsis, count_sketch in zip(
-            conv_senders, conv_epochs, converted, count_converted
+        frontier.append(
+            (
+                out_partial[position, column],
+                out_count[position, column],
+                sender_ids[rows[position]],
+                column,
+                targets[position],
+            )
         )
-    }
+
+    # -- frontier: one batched conversion per block ------------------------
+    cell_partials, cell_counts, cell_senders, cell_columns, cell_parents = (
+        np.concatenate(parts) for parts in zip(*frontier)
+    )
+    converted = scheme._convert_frontier(
+        cell_partials, cell_counts, cell_senders, epochs[cell_columns]
+    )
+
+    # -- reporters: M nodes whose payload carries their own statistic ------
+    reporter_rows, reporter_expected = [], []
+    for row in m_rows.tolist():
+        expected, switchable = scheme._missing_entry(senders[row])
+        if expected > 0 or switchable:
+            reporter_rows.append(row)
+            reporter_expected.append(expected)
+    reporter_rows = np.asarray(reporter_rows, dtype=np.int64)
+    missing = np.maximum(
+        0,
+        np.asarray(reporter_expected, dtype=np.int64)[:, None]
+        - acc_count[reporter_rows],
+    )
+    reporter_of_row = np.full(base_row, -1, dtype=np.int64)
+    reporter_of_row[reporter_rows] = np.arange(len(reporter_rows))
+    flag_words = -(-len(reporter_rows) // 32)
+
+    # -- pass 2: the delta, level by level over M nodes only ---------------
+    wave = RowWave(
+        backend, accountant, base_row, num_epochs, sections, flag_words
+    )
+    for lo, hi in wave.tiles():
+        in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
+        if len(in_tile):
+            keys = cell_parents[in_tile] * (hi - lo) + (cell_columns[in_tile] - lo)
+            order = np.argsort(keys, kind="stable")
+            or_sorted(
+                backend,
+                wave.acc.reshape(-1, wave.width)[:, :fm_width],
+                keys[order],
+                converted[in_tile[order]],
+            )
+        for level in levels:
+            level_is_m = is_m[level.rows]
+            positions = np.flatnonzero(level_is_m)
+            if not len(positions):
+                continue
+            rows = level.rows[positions]
+            local = local_rows(
+                aggregate,
+                contrib_bitmaps,
+                [level.nodes[position] for position in positions],
+                epoch_list[lo:hi],
+                readings,
+                wave.width,
+            )
+            reporters = reporter_of_row[rows]
+            reporting = np.flatnonzero(reporters >= 0)
+            reporters = reporters[reporting]
+            local[reporting, :, fm_width + reporters // 32] |= (
+                np.uint32(1) << (reporters % 32).astype(np.uint32)
+            )[:, None]
+            # Only M -> M pairs scatter: T receivers ignore M broadcasts.
+            scatter = np.flatnonzero(
+                level_is_m[level.pair_item] & is_m[level.recv_rows]
+            )
+            wave.level(
+                rows,
+                local,
+                scheme._multipath_attempts,
+                # Pair senders as positions among the level's M nodes.
+                (np.cumsum(level_is_m) - 1)[level.pair_item[scatter]],
+                level.recv_rows[scatter],
+                level.success[scatter],
+            )
+
+    # -- billing, ground truth, base station -------------------------------
+    tree_words = scheme._tree_payload_words
+    tree_attempts = scheme._tree_attempts
+    tree_messages = accountant.spec_for_words(tree_words).messages
+    wave.row_words[t_rows] += tree_words * tree_attempts * num_epochs
+    wave.row_messages[t_rows] += tree_messages * tree_attempts * num_epochs
+    wave.words_sent += len(t_rows) * tree_attempts * tree_words
+    wave.messages_sent += len(t_rows) * tree_attempts * tree_messages
+
+    deliveries = np.zeros(num_epochs, dtype=np.int64)
+    records = []
+    for level in levels:
+        deliveries += level.success.sum(axis=0)
+        # A tree unicast lands whatever its parent's mode; a broadcast only
+        # counts where an M node listened.
+        heard = ~is_m[level.rows][level.pair_item] | is_m[level.recv_rows]
+        records.append(
+            (
+                level.rows,
+                level.success & heard[:, None],
+                level.span_starts,
+                level.span_stops,
+                level.recv_rows,
+            )
+        )
+    contributing = count_contributors(backend, base_row, num_epochs, records)
+    logs = wave.logs(
+        len(t_rows) * tree_attempts + len(m_rows) * scheme._multipath_attempts,
+        sum(len(level.recv_rows) for level in levels),
+        deliveries,
+    )
+
+    channel.reset_log()
+    channel.account_bulk(
+        dict(zip(senders, wave.row_words.tolist())),
+        dict(zip(senders, wave.row_messages.tolist())),
+    )
+
+    reporter_nodes = sender_ids[reporter_rows].tolist()
+    results: List[Tuple[EpochOutcome, TransmissionLog]] = []
+    for column, log in enumerate(logs):
+        synopsis = count_sketch = missing_stats = None
+        exact_count = int(acc_count[base_row, column])
+        if base_is_m:
+            row = wave.base_rows[column]
+            if wave.heard_base[column]:
+                synopsis = sketch_from_row(row[:syn_bitmaps])
+                if contrib_bitmaps:
+                    count_sketch = sketch_from_row(row[syn_bitmaps:fm_width])
+            arrived = np.flatnonzero(
+                np.unpackbits(
+                    row[fm_width:].astype("<u4").view(np.uint8),
+                    bitorder="little",
+                )
+            )
+            missing_stats = {
+                reporter_nodes[reporter]: int(missing[reporter, column])
+                for reporter in arrived.tolist()
+            }
+            # The base station never transmits; its own entry joins here.
+            own = scheme._tributary_missing(BASE_STATION, exact_count)
+            if own is not None:
+                missing_stats[BASE_STATION] = own
+        outcome = scheme._evaluate_base_station(
+            base_partials[column],
+            exact_count,
+            synopsis,
+            count_sketch,
+            int(contributing[column]),
+            missing_stats or None,
+        )
+        results.append((outcome, log))
+    return results

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro._hashing import (
-    HAVE_NUMPY,
     geometric_level_batch,
     hash_key,
     hash_key_batch,
@@ -41,11 +42,6 @@ from repro._hashing import (
 )
 from repro.errors import ConfigurationError, SketchError
 from repro.network.messages import WORD_BYTES
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 #: Flajolet-Martin's bias-correction constant.
 PHI = 0.77351
@@ -315,6 +311,7 @@ class FMSketch:
     # -- evaluation ----------------------------------------------------------
 
     def _lowest_zero(self, bitmap: int) -> int:
+        """Bit-walking reference for the run lengths :meth:`estimate` sums."""
         level = 0
         while bitmap & 1 and level < self.bits:
             bitmap >>= 1
@@ -330,8 +327,17 @@ class FMSketch:
         """
         if self.is_empty():
             return 0.0
-        total = sum(self._lowest_zero(b) for b in self._iter_bitmaps())
-        return _correction_table(self.num_bitmaps, self.bits)[total]
+        bits = self.bits
+        mask = (1 << bits) - 1
+        packed = self._packed
+        total = 0
+        # Trailing-ones run of each bitmap, straight off the packed integer
+        # (bitmaps above the highest non-empty one contribute 0).
+        while packed:
+            bitmap = packed & mask
+            total += ((bitmap + 1) & ~bitmap).bit_length() - 1
+            packed >>= bits
+        return _correction_table(self.num_bitmaps, bits)[total]
 
     def is_empty(self) -> bool:
         """True when no item was ever inserted."""
@@ -428,20 +434,16 @@ def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
 
     Entry ``i`` equals ``sketches[i].words()`` exactly. For the standard
     32-bit-bitmap shape the whole batch is sized in one numpy pass over the
-    (sketch x bitmap) word matrix; other shapes (and the no-numpy build)
-    fall back to the scalar walk. This is the payload-sizing hot path of
+    (sketch x bitmap) word matrix; other shapes fall back to the scalar
+    walk. This is the payload-sizing hot path of
     the level-synchronous schemes: one call sizes a whole ring level.
     """
     if not sketches:
         return []
     first = sketches[0]
     num_bitmaps, bits = first.num_bitmaps, first.bits
-    if (
-        not HAVE_NUMPY
-        or bits != 32
-        or any(
-            s.num_bitmaps != num_bitmaps or s.bits != bits for s in sketches
-        )
+    if bits != 32 or any(
+        s.num_bitmaps != num_bitmaps or s.bits != bits for s in sketches
     ):
         return [sketch.words() for sketch in sketches]
     width = num_bitmaps * 4  # bytes per packed vector at 32 bits/bitmap
@@ -494,15 +496,15 @@ def counted_sketches(
     substreams, same bits. The exact-insert regime (``count <=
     _EXACT_INSERT_LIMIT``) expands every (row, virtual item) cell into flat
     columns and derives all bucket/level hashes in one pass; larger counts
-    (and the no-numpy fallback) take the scalar ``insert_count`` path per
-    row. This is the Sum SG hot path: a whole ring level (or a whole epoch
-    block of one) builds its local synopses at once.
+    take the scalar ``insert_count`` path per row. This is the Sum SG hot
+    path: a whole ring level (or a whole epoch block of one) builds its
+    local synopses at once.
     """
     total = len(counts)
     if any(len(column) != total for column in columns):
         raise SketchError("counted_sketches columns must match counts")
-    if not HAVE_NUMPY or total == 0:
-        return _counted_sketches_scalar(num_bitmaps, bits, label, counts, columns)
+    if total == 0:
+        return []
     counts_array = _np.asarray(counts, dtype=_np.int64)
     if bool((counts_array < 0).any()):
         raise SketchError("cannot insert a negative count")
@@ -596,23 +598,6 @@ def _counted_fill(
         return
     for slot, position in zip(cell_rows, positions):
         packed[rows[slot]] |= 1 << int(position)
-
-
-def _counted_sketches_scalar(
-    num_bitmaps: int,
-    bits: int,
-    label: Tuple[object, ...],
-    counts: Sequence[int],
-    columns: Tuple[Sequence[int], ...],
-) -> List[FMSketch]:
-    sketches = []
-    for index, count in enumerate(counts):
-        sketch = FMSketch(num_bitmaps, bits)
-        sketch.insert_count(
-            int(count), *label, *(int(column[index]) for column in columns)
-        )
-        sketches.append(sketch)
-    return sketches
 
 
 def sketch_to_row(sketch: FMSketch):
@@ -809,6 +794,13 @@ def _counted_fill_matrix(
     )
 
 
+#: ``_FAIR_MASKS[n]``: the top bit of the first 32-bit word of each of ``n``
+#: consecutive ``random()`` draws, as laid out by ``getrandbits(64 * n)``.
+_FAIR_MASKS = tuple(
+    sum(1 << (64 * draw + 31) for draw in range(n)) for n in range(65)
+)
+
+
 def _binomial(rng, n: int, p: float) -> int:
     """Sample Binomial(n, p) from ``rng``.
 
@@ -820,6 +812,14 @@ def _binomial(rng, n: int, p: float) -> int:
     if p >= 1.0:
         return n
     if n <= 64:
+        if p == 0.5:
+            # The halving recursion's hot case, one call instead of n.
+            # ``random()`` consumes two Mersenne-Twister words and is below
+            # 0.5 exactly when the first word's top bit is clear;
+            # ``getrandbits(64 * n)`` consumes the same 2n words in the same
+            # order, so both the count and the stream position are those of
+            # the Bernoulli loop below.
+            return n - (rng.getrandbits(64 * n) & _FAIR_MASKS[n]).bit_count()
         return sum(1 for _ in range(n) if rng.random() < p)
     mean = n * p
     std = (n * p * (1.0 - p)) ** 0.5

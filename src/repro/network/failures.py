@@ -19,14 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Protocol, Sequence, Tuple
 
-from repro._hashing import HAVE_NUMPY
+import numpy as _np
+
 from repro.errors import ConfigurationError
 from repro.network.placement import Deployment, NodeId, Point
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container ships numpy
-    _np = None
 
 
 class FailureModel(Protocol):
@@ -114,8 +110,6 @@ class NoLoss:
         receivers: Sequence[NodeId],
         epoch: int,
     ):
-        if _np is None:  # pragma: no cover
-            return [0.0] * len(senders)
         return _np.zeros(len(senders), dtype=_np.float64)
 
 
@@ -140,8 +134,6 @@ class GlobalLoss:
         receivers: Sequence[NodeId],
         epoch: int,
     ):
-        if _np is None:  # pragma: no cover
-            return [self.rate] * len(senders)
         return _np.full(len(senders), self.rate, dtype=_np.float64)
 
 
@@ -216,11 +208,6 @@ class RegionalLoss:
         receivers: Sequence[NodeId],
         epoch: int,
     ):
-        if _np is None:  # pragma: no cover
-            return [
-                self.loss_rate(deployment, sender, receiver, epoch)
-                for sender, receiver in zip(senders, receivers)
-            ]
         if not len(senders):
             return _np.zeros(0, dtype=_np.float64)
         return self._sender_rates(deployment)[
@@ -276,11 +263,6 @@ class LinkLossTable:
         epoch: int,
     ):
         """Vectorized per-link lookup, bit-identical to the scalar method."""
-        if _np is None:  # pragma: no cover
-            return [
-                self.loss_rate(deployment, sender, receiver, epoch)
-                for sender, receiver in zip(senders, receivers)
-            ]
         return _pair_rates(self._lookup(), self.default, senders, receivers)
 
 
@@ -345,8 +327,6 @@ class FailureSchedule:
         # Normalize both branches to one return type: callers (the blocked
         # delivery planner assigns these into a float64 column) must never
         # see an ndarray on one phase and a Python list on the next.
-        if _np is None:  # pragma: no cover
-            return list(rates)
         return _np.asarray(rates, dtype=_np.float64)
 
 
@@ -399,11 +379,6 @@ class ComposedLoss:
         in float64 — the same IEEE operations, in the same order, as the
         scalar expression.
         """
-        if _np is None:  # pragma: no cover
-            return [
-                self.loss_rate(deployment, sender, receiver, epoch)
-                for sender, receiver in zip(senders, receivers)
-            ]
         base = _pair_rates(self._lookup(), 0.0, senders, receivers)
         batch = getattr(self.failure, "loss_rate_batch", None)
         if batch is not None:

@@ -74,6 +74,17 @@ class MessageAccountant:
         return spec
 
 
+def missing_stats_words(entries):
+    """Wire cost of ``entries`` missing-statistics: a (node, count) pair each.
+
+    A pure sizing helper so the cost model lives in one place (the heavy
+    sizing — FM RLE — is memoized in :mod:`repro.multipath.fm`; this one is
+    a multiply, which no cache can beat). Works on an int or, for the fused
+    kernels, an integer array of entry counts.
+    """
+    return 2 * entries
+
+
 def rle_encoded_bits(bitmap: int, bitmap_bits: int) -> int:
     """Size, in bits, of a run-length encoded FM bitmap.
 

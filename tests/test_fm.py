@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SketchError
-from repro.multipath.fm import FMSketch
+from repro.multipath.fm import FMSketch, _binomial, _correction_table
 from repro.multipath.synopsis import check_odi
 
 
@@ -138,3 +140,46 @@ class TestProperties:
         for sketch in reversed(sketches[:-1]):
             backward = backward.fuse(sketch)
         assert forward == backward
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        n=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fair_binomial_fast_path_is_the_bernoulli_loop(self, seed, n):
+        """Same value *and* same stream position as ``n`` ``random()`` draws."""
+        fast, loop = random.Random(seed), random.Random(seed)
+        expected = sum(1 for _ in range(n) if loop.random() < 0.5)
+        assert _binomial(fast, n, 0.5) == expected
+        # Whatever is drawn next — uniform or (stateful) normal — agrees.
+        assert fast.random() == loop.random()
+        assert fast.gauss(0.0, 1.0) == loop.gauss(0.0, 1.0)
+        assert fast.getstate() == loop.getstate()
+
+    @given(
+        num_bitmaps=st.integers(min_value=1, max_value=12),
+        bits=st.sampled_from((1, 5, 16, 32)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_estimate_matches_bit_walking_reference(
+        self, num_bitmaps, bits, data
+    ):
+        """Trailing-ones arithmetic on the packed int == ``_lowest_zero``."""
+        # Mix arbitrary bitmaps with the shapes real sketches have: solid
+        # low runs, up to completely full bitmaps.
+        bitmap = st.one_of(
+            st.integers(min_value=0, max_value=(1 << bits) - 1),
+            st.integers(min_value=0, max_value=bits).map(
+                lambda run: (1 << run) - 1
+            ),
+        )
+        bitmaps = data.draw(
+            st.lists(bitmap, min_size=num_bitmaps, max_size=num_bitmaps)
+        )
+        sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+        if sketch.is_empty():
+            assert sketch.estimate() == 0.0
+            return
+        total = sum(sketch._lowest_zero(b) for b in sketch._iter_bitmaps())
+        assert sketch.estimate() == _correction_table(num_bitmaps, bits)[total]

@@ -12,29 +12,51 @@ counters and per-node energy billing. Three layers pin that:
   ``_packed_rle_words`` walk);
 * scheme parity — every scheme x loss {0, 0.3, 1} x adaptation through the
   declarative config path, fused backend vs the ``object`` engine, plus a
-  direct fused-vs-scalar (``use_batch=False``) oracle comparison.
+  direct fused-vs-scalar (``use_batch=False``) oracle comparison;
+* the fused Tributary-Delta wave — fused == ``object`` backend == scalar
+  oracle on whole epoch records across loss models, retransmissions,
+  adaptation cadences, graph shapes and block splits; Property 1/2 after
+  every adaptation step of a fused run; the refusal reasons behind
+  ``engine_path``; and the paper's Fig-2 / Fig-6 claims at reduced size
+  through the fused path.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.aggregates.average import AverageAggregate
+from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
-from repro.api import EngineOptions, RunConfig, run_config_result
+from repro.api import (
+    EXPERIMENT_CONFIGS,
+    EngineOptions,
+    QueryWorkload,
+    RunConfig,
+    run_config_result,
+)
+from repro.chaos import Auditor
+from repro.core.adaptation import DampedPolicy, TDCoarsePolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
+from repro.core.validation import audit, topology_of_td_graph
 from repro.datasets.streams import UniformReadings
 from repro.datasets.synthetic import make_synthetic_scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PropertyViolation
 from repro.kernels import (
     BACKEND_ENV_VAR,
     backend_names,
     get_backend,
     validate_backend_name,
 )
+from repro.kernels import sd as sd_kernel
+from repro.kernels import tag as tag_kernel
+from repro.kernels import td as td_kernel
 from repro.multipath.fm import (
     FMSketch,
     _correction_table,
@@ -42,8 +64,12 @@ from repro.multipath.fm import (
     _packed_rle_words_cached,
     sketch_to_row,
 )
+from repro.network.churn import DynamicMembership, ScheduledChurn
 from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
+from repro.network.placement import BASE_STATION
+from repro.network.simulator import EpochSimulator, run_epochs_scalar
+from repro.registry import build_failure_model
 from repro.tree.construction import build_bushy_tree
 
 #: Fused backends under test.
@@ -322,3 +348,432 @@ def test_rle_cache_normalizes_numpy_keys():
     assert isinstance(numpy_words, int)
     # Same key as the builtin-int call: no numpy-typed twin entry appeared.
     assert _packed_rle_words_cached.cache_info().currsize == size_before
+
+
+# -- the fused Tributary-Delta wave -----------------------------------------
+
+#: The three engines a TD block can take; every TD test below names them
+#: explicitly, so the suite means the same under ``REPRO_KERNEL_BACKEND``.
+ENGINES = {
+    "fused": {"kernel_backend": "pure"},
+    "object": {"kernel_backend": "object"},
+    "oracle": {"use_batch": False},
+}
+
+TD_POLICIES = {
+    "TD-Coarse": lambda: DampedPolicy(TDCoarsePolicy(threshold=0.9)),
+    "TD": lambda: TDFinePolicy(threshold=0.9),
+}
+
+AGGREGATES = {"count": CountAggregate, "sum": SumAggregate}
+
+#: Loss 0 / 0.3 / 1 plus the Fig-6 schedule; runs start at epoch 95 so the
+#: ``timeline`` crosses its quiet -> regional boundary inside a block.
+TD_FAILURES = ("global:0.0", "global:0.3", "global:1.0", "timeline")
+
+REJOIN_CHURN = ScheduledChurn.of(
+    deaths=[(10, [5, 7, 9])], joins=[(20, [5, 7, 9])]
+)
+
+
+@pytest.fixture(scope="module")
+def deep_scenario():
+    """60 sensors over eight ring levels: tributaries several hops long and
+    a delta with interior and tip nodes."""
+    scenario = make_synthetic_scenario(num_sensors=60, radio_range=4.0, seed=3)
+    assert scenario.rings.depth == 8
+    return scenario
+
+
+@pytest.fixture(scope="module")
+def deep_tree(deep_scenario):
+    return build_bushy_tree(deep_scenario.rings, seed=3)
+
+
+def _td_scheme(scenario, tree, engine, policy=None, aggregate="sum",
+               attempts=1, delta_level=2):
+    graph = TDGraph(
+        scenario.rings, tree, initial_modes_by_level(scenario.rings, delta_level)
+    )
+    return TributaryDeltaScheme(
+        scenario.deployment,
+        graph,
+        AGGREGATES[aggregate](),
+        policy=TD_POLICIES[policy]() if policy else None,
+        tree_attempts=attempts,
+        multipath_attempts=attempts,
+        name=policy or "TD",
+        **ENGINES[engine],
+    )
+
+
+def _td_run(scenario, tree, engine, *, failure="global:0.3", adapt_interval=10,
+            epochs=12, start_epoch=95, membership=None, auditor=None, **scheme):
+    """One simulator run; everything the engines must agree on, by value."""
+    td = _td_scheme(scenario, tree, engine, **scheme)
+    simulator = EpochSimulator(
+        scenario.deployment,
+        build_failure_model(failure),
+        td,
+        seed=4,
+        adapt_interval=adapt_interval,
+        membership=membership,
+        churn_interval=10 if membership is not None else None,
+        auditor=auditor,
+    )
+    result = simulator.run(
+        epochs, UniformReadings(10, 100, seed=2), start_epoch=start_epoch
+    )
+    record = (
+        result.epochs,  # whole EpochResults: outcome, extra, truth, log
+        simulator.channel.per_node_words(),
+        simulator.channel.per_node_messages(),
+        td.adaptation_log,
+        result.energy.per_node_uj,
+    )
+    return td, record
+
+
+@pytest.mark.parametrize("adapt_interval", (0, 1, 10))
+@pytest.mark.parametrize("attempts", (1, 2))
+@pytest.mark.parametrize("failure", TD_FAILURES)
+@pytest.mark.parametrize("aggregate", sorted(AGGREGATES))
+@pytest.mark.parametrize("policy", sorted(TD_POLICIES))
+def test_td_fused_matches_object_and_oracle(
+    deep_scenario, deep_tree, policy, aggregate, failure, attempts,
+    adapt_interval,
+):
+    """Fused == object backend == scalar oracle, adaptation included.
+
+    Whole epoch records are compared — ``extra["missing_stats"]`` and the
+    per-epoch logs with them — plus per-node words/messages/energy and the
+    adaptation log the missing statistics drive.
+    """
+    settings = dict(
+        policy=policy,
+        aggregate=aggregate,
+        failure=failure,
+        attempts=attempts,
+        adapt_interval=adapt_interval,
+    )
+    fused, record = _td_run(deep_scenario, deep_tree, "fused", **settings)
+    assert fused.engine_path == "fused"
+    for engine in ("object", "oracle"):
+        other, expected = _td_run(deep_scenario, deep_tree, engine, **settings)
+        assert other.engine_path.startswith("object: ")
+        assert record == expected, engine
+
+
+#: Initial delta depth (``initial_modes_by_level``) per graph shape.
+DELTA_LEVELS = {
+    "all-T": -1,
+    "M base with direct T children": 0,
+    "deep levels without an M node": 1,
+    "mixed": 4,
+    "all-M": 8,
+}
+
+
+@pytest.mark.parametrize("loss", (0.0, 0.3))
+@pytest.mark.parametrize("aggregate", sorted(AGGREGATES))
+@pytest.mark.parametrize(
+    "shape",
+    (
+        "all-T",
+        "M base with direct T children",
+        "deep levels without an M node",
+        "mixed",
+        "all-M",
+        "an empty level",
+    ),
+)
+def test_td_graph_shapes_and_block_splits(
+    deep_scenario, deep_tree, shape, aggregate, loss
+):
+    """Every delta shape, under every way of cutting 12 epochs into blocks."""
+    epochs = list(range(200, 212))
+    readings = UniformReadings(10, 100, seed=0)
+    delta_level = DELTA_LEVELS.get(shape, DELTA_LEVELS["mixed"])
+
+    def run(engine, spans):
+        scheme = _td_scheme(
+            deep_scenario,
+            deep_tree,
+            engine,
+            aggregate=aggregate,
+            delta_level=delta_level,
+        )
+        if shape == "an empty level":
+            scheme._level_nodes.insert(1, [])
+        channel = Channel(deep_scenario.deployment, GlobalLoss(loss), seed=8)
+        if spans is None:
+            pairs = run_epochs_scalar(scheme, epochs, channel, readings)
+        else:
+            pairs, cursor = [], iter(epochs)
+            for span in spans:
+                block = list(itertools.islice(cursor, span))
+                pairs += scheme.run_epochs(block, channel, readings)
+                assert scheme.engine_path == (
+                    "fused" if engine == "fused" else "object: object backend"
+                )
+        return pairs, channel.per_node_words(), channel.per_node_messages()
+
+    oracle = run("oracle", None)
+    # The shapes really are what their names say.
+    delta = _td_scheme(
+        deep_scenario, deep_tree, "oracle", delta_level=delta_level
+    ).graph.delta_region()
+    if shape == "all-T":
+        assert not delta
+    elif shape == "M base with direct T children":
+        assert delta == {BASE_STATION}
+    elif shape == "all-M":
+        assert len(delta) == len(deep_scenario.rings.levels)
+    else:
+        assert {BASE_STATION} < delta < set(deep_scenario.rings.levels)
+    assert run("object", (12,)) == oracle
+    for spans in ((12,), (5, 7), (1,) * 12):
+        assert run("fused", spans) == oracle, spans
+
+
+@pytest.mark.parametrize("tile_words", (1, 250, 10**6))
+def test_epoch_tiling_is_invisible(
+    deep_scenario, deep_tree, monkeypatch, tile_words
+):
+    """One epoch per tile, three per tile, the whole block in one tile."""
+    monkeypatch.setattr(sd_kernel, "TILE_ROW_WORDS", tile_words)
+    epochs = list(range(300, 310))
+    readings = UniformReadings(10, 100, seed=0)
+
+    def build(engine):
+        return (
+            SynopsisDiffusionScheme(
+                deep_scenario.deployment,
+                deep_scenario.rings,
+                SumAggregate(),
+                **ENGINES[engine],
+            ),
+            _td_scheme(deep_scenario, deep_tree, engine),
+        )
+
+    for fused, oracle in zip(build("fused"), build("oracle")):
+        rows, channels = [], []
+        for scheme in (fused, oracle):
+            channel = Channel(deep_scenario.deployment, GlobalLoss(0.3), seed=8)
+            rows.append(scheme.run_epochs(epochs, channel, readings))
+            channels.append(channel)
+        assert fused.engine_path == "fused"
+        assert rows[0] == rows[1]
+        assert channels[0].per_node_words() == channels[1].per_node_words()
+        assert channels[0].per_node_messages() == channels[1].per_node_messages()
+
+
+def test_td_churn_parity_and_strict_auditor(deep_scenario, deep_tree):
+    """Churn re-derives modes between blocks; the auditor forces the object
+    wave (its chaos runtime hooks every delivery) and says so."""
+    def membership():
+        return DynamicMembership(
+            REJOIN_CHURN, deep_scenario.deployment, deep_scenario.rings,
+            deep_tree,
+        )
+
+    settings = dict(policy="TD", epochs=30, start_epoch=0, failure="global:0.2")
+    fused, record = _td_run(
+        deep_scenario, deep_tree, "fused", membership=membership(), **settings
+    )
+    assert fused.engine_path == "fused"
+    for engine in ("object", "oracle"):
+        _, expected = _td_run(
+            deep_scenario, deep_tree, engine, membership=membership(),
+            **settings,
+        )
+        assert record == expected, engine
+    auditor = Auditor(strict=True)
+    audited, expected = _td_run(
+        deep_scenario, deep_tree, "fused", membership=membership(),
+        auditor=auditor, **settings,
+    )
+    assert audited.engine_path == "object: chaos attached"
+    assert auditor.checks["edge-correctness"] > 0
+    assert record == expected
+
+
+def test_property_1_and_2_after_every_fused_adaptation(
+    deep_scenario, deep_tree
+):
+    """Adapting every epoch under loss, each block fused, each step legal."""
+    scheme = _td_scheme(deep_scenario, deep_tree, "fused", policy="TD")
+    adapt = scheme.adapt
+    sizes = []
+
+    def checked_adapt(epoch, outcome):
+        assert scheme.engine_path == "fused"
+        adapt(epoch, outcome)
+        scheme.graph.validate()
+        report = audit(
+            topology_of_td_graph(scheme.graph), base_station=BASE_STATION
+        )
+        assert not report.edge_violations and not report.path_violations
+        sizes.append(len(scheme.graph.delta_region()))
+
+    scheme.adapt = checked_adapt
+    EpochSimulator(
+        deep_scenario.deployment, GlobalLoss(0.3), scheme, seed=4,
+        adapt_interval=1,
+    ).run(40, UniformReadings(10, 100, seed=2))
+    assert len(sizes) == 40
+    assert len(set(sizes)) > 3  # the delta really moved under the kernel
+
+
+def test_fused_td_asserts_property_1_on_its_layout(deep_scenario, deep_tree):
+    scheme = _td_scheme(deep_scenario, deep_tree, "fused")
+    graph = scheme.graph
+    # Label a node M behind the graph's back while its tree parent stays T:
+    # its broadcast would feed a T vertex.
+    victim = next(
+        node
+        for node, parent in sorted(graph.tree.parents.items())
+        if graph.is_tree(node) and graph.is_tree(parent)
+    )
+    graph._m_set.add(victim)
+    channel = Channel(deep_scenario.deployment, GlobalLoss(0.0), seed=1)
+    with pytest.raises(PropertyViolation) as raised:
+        scheme.run_epochs([0, 1], channel, UniformReadings(10, 100, seed=0))
+    assert raised.value.invariant == "edge-correctness"
+    assert raised.value.nodes == (victim,)
+
+
+def test_fig6_td_blocks_never_enter_the_object_wave(monkeypatch):
+    """The Fig-6 configuration is fused end to end for both TD variants."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a fig6 TD block fell back to the object wave")
+
+    monkeypatch.setattr(TributaryDeltaScheme, "_run_wave", forbidden)
+    for scheme in ("TD-Coarse", "TD"):
+        result = run_config_result(
+            EXPERIMENT_CONFIGS["fig6"].replace(
+                scheme=scheme,
+                num_sensors=60,
+                start_epoch=90,
+                epochs=30,
+                engine=EngineOptions(backend="pure"),
+            )
+        )
+        assert len(result.epochs) == 30
+
+
+def test_refusal_reasons(deep_scenario, deep_tree):
+    """Each kernel names why it declined; ``engine_path`` repeats it."""
+    deployment, rings = deep_scenario.deployment, deep_scenario.rings
+    clean = Channel(deployment, GlobalLoss(0.0), seed=1)
+    chaotic = Channel(deployment, GlobalLoss(0.0), seed=1)
+    chaotic.chaos = object()
+    workload, _ = QueryWorkload(
+        specs=EXPERIMENT_CONFIGS["multiquery"].queries
+    ).build(UniformReadings(10, 100, seed=0))
+
+    def schemes(aggregate):
+        graph = TDGraph(rings, deep_tree, initial_modes_by_level(rings, 1))
+        return (
+            (tag_kernel, TagScheme(deployment, deep_tree, aggregate)),
+            (sd_kernel, SynopsisDiffusionScheme(deployment, rings, aggregate)),
+            (td_kernel, TributaryDeltaScheme(deployment, graph, aggregate)),
+        )
+
+    for kernel, scheme in schemes(SumAggregate()):
+        assert kernel.refusal(scheme, clean) is None
+        assert kernel.refusal(scheme, chaotic) == "chaos attached"
+    for kernel, scheme in schemes(workload):
+        assert kernel.refusal(scheme, clean) == "workload aggregate"
+    tag, sd, td = schemes(SumAggregate(bits=16))
+    assert tag[0].refusal(tag[1], clean) is None
+    assert sd[0].refusal(sd[1], clean) == "non-32-bit sketch"
+    assert td[0].refusal(td[1], clean) == "non-32-bit sketch"
+    tag, sd, td = schemes(AverageAggregate())
+    assert tag[0].refusal(tag[1], clean) == "non-additive partials"
+    assert sd[0].refusal(sd[1], clean) == "unpackable synopsis"
+    assert td[0].refusal(td[1], clean) == "non-additive partials"
+
+    _, td_scheme = schemes(SumAggregate())[2]
+    orphan = next(n for n in td_scheme._tree_parents if td_scheme.graph.is_tree(n))
+    del td_scheme._tree_parents[orphan]
+    assert td_kernel.refusal(td_scheme, clean) == "orphaned T vertex"
+
+    readings = UniformReadings(10, 100, seed=0)
+    for _, scheme in schemes(SumAggregate()):
+        assert scheme.engine_path is None  # no block has run yet
+    expected = {
+        "pure": "fused",
+        "object": "object: object backend",
+    }
+    for backend, path in expected.items():
+        scheme = SynopsisDiffusionScheme(
+            deployment, rings, SumAggregate(), kernel_backend=backend
+        )
+        scheme.run_epochs([0], clean, readings)
+        assert scheme.engine_path == path
+    scalar = SynopsisDiffusionScheme(
+        deployment, rings, SumAggregate(), use_batch=False
+    )
+    scalar.run_epochs([0], clean, readings)
+    assert scalar.engine_path == "object: use_batch=False"
+    with pytest.raises(AttributeError):
+        scalar.engine_path = "fused"
+
+
+# -- the paper's claims, through the fused path ------------------------------
+
+
+@pytest.fixture
+def fused_only(monkeypatch):
+    """Fail the test if any TD block leaves the fused kernel."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a TD block fell back to the object wave")
+
+    monkeypatch.setattr(TributaryDeltaScheme, "_run_wave", forbidden)
+    return EngineOptions(backend="pure")
+
+
+def test_fig2_loss_sweep_td_tracks_the_better_scheme(fused_only):
+    """Fig 2 at 150 nodes: TD is never worse than both baselines, and once
+    TAG has crossed over SD it is strictly better than TAG.
+
+    Loss 0.05 sits on the crossover itself, where at this size the three
+    curves are within sketch noise of each other; the sweep steps over it.
+    """
+    base = EXPERIMENT_CONFIGS["fig2"].replace(
+        num_sensors=150, epochs=40, converge_epochs=60, engine=fused_only
+    )
+    crossed = False
+    for loss in (0.0, 0.1, 0.2, 0.3, 0.4):
+        rms = {
+            scheme: run_config_result(
+                base.replace(scheme=scheme, failure=f"global:{loss}")
+            ).rms_error()
+            for scheme in ("TAG", "SD", "TD")
+        }
+        assert rms["TD"] <= max(rms["TAG"], rms["SD"]), (loss, rms)
+        if rms["TAG"] > rms["SD"]:
+            crossed = True
+            assert rms["TD"] < rms["TAG"], (loss, rms)
+    assert crossed
+
+
+@pytest.mark.parametrize("scheme", ("TD-Coarse", "TD"))
+def test_fig6_phases_grow_and_shrink_the_delta(fused_only, scheme):
+    """Fig 6 at 150 nodes: quiet -> regional -> global loss grows the delta
+    phase over phase, and it drains again once the network recovers."""
+    result = run_config_result(
+        EXPERIMENT_CONFIGS["fig6"].replace(
+            num_sensors=150, scheme=scheme, engine=fused_only
+        )
+    )
+    sizes = [epoch.extra["delta_size"] for epoch in result.epochs]
+    quiet, regional, worldwide, recovery = (
+        sizes[start : start + 100] for start in range(0, 400, 100)
+    )
+    mean = lambda phase: sum(phase) / len(phase)
+    assert mean(quiet) < mean(regional) < mean(worldwide)
+    assert regional[-1] > quiet[-1]
+    assert worldwide[-1] > regional[-1]
+    assert recovery[-1] < worldwide[-1] / 2
