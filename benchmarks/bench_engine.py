@@ -5,10 +5,11 @@ Engine *speed* is measured end to end by ``benchmarks/e2e`` (the
 with a per-layer trace); what stays here is what that harness does not do:
 
 * default — **sweep wall-clock**: a multi-scheme multi-seed grid through
-  :class:`repro.experiments.parallel.SweepRunner`, serial versus pooled;
+  :meth:`repro.api.Session.run_many`, serial versus pooled;
 * ``--workload`` — the 4-query workload amortization gate (one shared pass
   vs 4 separate runs, every query byte-identical to its standalone run);
-* ``--profile`` — each scheme's Fig-6 timeline under cProfile, top-20
+* ``--profile`` — each scheme's Fig-6 run (the ``fig6`` named config,
+  built through ``build_scenario``) under cProfile, top-20
   cumulative hotspots per scheme to ``results/engine_profile.json`` (see
   ARCHITECTURE.md "Profiling the engine").
 
@@ -26,12 +27,14 @@ import os
 import pathlib
 import time
 
-from repro.aggregates.sum_ import SumAggregate
-from repro.datasets.streams import UniformReadings
-from repro.experiments.parallel import SweepRunner, SweepSpec
-from repro.experiments.runner import build_schemes
-from repro.network.failures import FailureSchedule, GlobalLoss, RegionalLoss
-from repro.network.simulator import EpochSimulator
+from repro.api import (
+    EXPERIMENT_CONFIGS,
+    RunConfig,
+    Session,
+    build_scenario,
+    run_config_result,
+)
+from repro.registry import SCHEMES, build_aggregate
 
 #: The paper's Figure 2 loss rate (the sweep grid's failure model).
 FIG2_LOSS = 0.3
@@ -54,8 +57,8 @@ def measure_sweep_wall_clock(
     always carries ``cpu_count``; when it is below 2 the pooled comparison
     is skipped and ``pooled_skipped`` says why.
     """
-    specs = [
-        SweepSpec(
+    configs = [
+        RunConfig(
             scheme=scheme,
             seed=seed,
             failure=f"global:{FIG2_LOSS}",
@@ -68,10 +71,10 @@ def measure_sweep_wall_clock(
     ]
     cpu_count = os.cpu_count() or 1
     started = time.perf_counter()
-    serial = SweepRunner(jobs=1).run(specs)
+    serial = Session(jobs=1).run_many(configs)
     serial_s = time.perf_counter() - started
     record = {
-        "runs": len(specs),
+        "runs": len(configs),
         "jobs": jobs,
         "cpu_count": cpu_count,
         "num_sensors": num_sensors,
@@ -85,7 +88,7 @@ def measure_sweep_wall_clock(
         )
         return record
     started = time.perf_counter()
-    pooled = SweepRunner(jobs=jobs).run(specs)
+    pooled = Session(jobs=jobs).run_many(configs)
     pooled_s = time.perf_counter() - started
     identical = all(
         left.estimates == right.estimates for left, right in zip(serial, pooled)
@@ -99,17 +102,12 @@ def measure_sweep_wall_clock(
 PROFILE_RESULT_NAME = "engine_profile.json"
 
 
-def measure_profile(
-    num_sensors: int = FIG6_SENSORS,
-    epochs: int = 100,
-    seed: int = 0,
-    adapt_interval: int = 10,
-    top: int = 20,
-) -> dict:
+def measure_profile(num_sensors: int = FIG6_SENSORS, top: int = 20) -> dict:
     """cProfile each scheme's Fig-6 timeline; top cumulative hotspots.
 
-    One profiled run per scheme (fresh schemes, shared scenario shape) over
-    a compressed Fig-6 failure timeline, through ``EpochSimulator``.
+    One profiled run per scheme of the ``fig6`` named config at
+    ``num_sensors`` — the scenario, scheme and simulator come from
+    ``build_scenario``, exactly what ``Session.run`` executes.
     Per scheme the record lists the ``top`` functions by *cumulative* time —
     cumulative, not tottime, so a cheap function fanning out into an
     expensive subtree still surfaces. See ARCHITECTURE.md "Profiling the
@@ -120,39 +118,26 @@ def measure_profile(
 
     from repro.kernels import get_backend
 
-    scale = epochs / 400.0
-    schedule = FailureSchedule(
-        [
-            (0, GlobalLoss(0.0)),
-            (int(100 * scale), RegionalLoss(0.3, 0.0)),
-            (int(200 * scale), GlobalLoss(0.3)),
-            (int(300 * scale), GlobalLoss(0.0)),
-        ]
-    )
-    readings = UniformReadings(10, 100, seed=seed)
+    base = EXPERIMENT_CONFIGS["fig6"].replace(num_sensors=num_sensors)
     repo_root = str(pathlib.Path(__file__).resolve().parent.parent)
     record: dict = {
         "num_sensors": num_sensors,
-        "epochs": epochs,
-        "adapt_interval": adapt_interval,
+        "epochs": base.epochs,
+        "adapt_interval": base.adapt_interval,
         "top": top,
         "backend": get_backend().name,
         "schemes": {},
     }
-    comparison = build_schemes(SumAggregate, num_sensors=num_sensors, seed=seed)
-    for name, scheme in comparison.schemes.items():
-        interval = adapt_interval if name in ("TD-Coarse", "TD") else 0
-        simulator = EpochSimulator(
-            comparison.scenario.deployment,
-            schedule,
-            scheme,
-            seed=seed,
-            adapt_interval=interval,
-        )
+    for name in SCHEMES.available():
+        scenario = build_scenario(base.replace(scheme=name))
+        scheme = scenario.build_scheme(build_aggregate(base.aggregate))
+        simulator = scenario.build_simulator(scheme)
         profiler = cProfile.Profile()
         started = time.perf_counter()
         profiler.enable()
-        simulator.run(epochs, readings)
+        simulator.run(
+            base.epochs, scenario.source, start_epoch=base.start_epoch
+        )
         profiler.disable()
         elapsed = time.perf_counter() - started
         stats = pstats.Stats(profiler)
@@ -207,8 +192,6 @@ def measure_workload_amortization(
     (exact for the non-adaptive schemes; see ARCHITECTURE.md "Multi-query
     execution" for the TD count caveat).
     """
-    from repro.api import RunConfig, run_config_result
-
     base = dict(
         scheme=scheme,
         failure="global:0.2",
@@ -361,8 +344,7 @@ def main() -> int:
             "cpu_count": os.cpu_count(),
             "quick": args.quick,
             "profile": measure_profile(
-                num_sensors=150 if args.quick else FIG6_SENSORS,
-                epochs=40 if args.quick else 100,
+                num_sensors=150 if args.quick else FIG6_SENSORS
             ),
         }
         if args.mem:

@@ -20,10 +20,11 @@ every entry point at once. Configs round-trip through JSON exactly::
     >>> RunConfig.from_json(config.to_json()) == config
     True
 
-and hash stably (:func:`config_digest`), which keys the on-disk result
-cache shared with the sweep engine. :data:`EXPERIMENT_CONFIGS` maps each
-named figure experiment onto its resolved canonical config — the CLI's
-``repro describe`` / ``repro run-config`` pair round-trips them.
+and hash stably (:func:`config_digest`), which keys the one on-disk result
+cache. :data:`EXPERIMENT_CONFIGS` maps each named figure experiment onto
+its resolved canonical config: ``repro run NAME`` sweeps that config over
+the figure's scheme/failure axes (:meth:`Session.sweep`), and the CLI's
+``repro describe`` / ``repro run-config`` pair round-trips it.
 
 A config may also describe a multi-query **workload** (schema v3): the
 ``queries`` field lists named query specs, all executed in one simulator
@@ -71,6 +72,8 @@ from repro.network.simulator import (
     RunResult,
     _parse_retention,
 )
+from repro.parallel import parallel_map
+from repro.plotting import format_table
 from repro.query import groupable_aggregates, parse_queries, parse_query
 from repro.spatial.grouped import apply_grouping
 from repro.spatial.regions import parse_region_spec
@@ -104,9 +107,8 @@ from repro.tree.construction import build_bushy_tree
 CONFIG_SCHEMA_VERSION = 7
 
 #: Version of the run-result cache keyed by :func:`config_digest`. Bumped
-#: to 2 when cache keys moved from the ad-hoc SweepSpec encoding to the
-#: canonical ``RunConfig.to_json()`` payload — old cache entries are
-#: simply never hit again.
+#: to 2 when cache keys moved to the canonical ``RunConfig.to_json()``
+#: payload — older cache entries are simply never hit again.
 RUN_CACHE_VERSION = 2
 
 _CONFIG_TAG = "run-config"
@@ -336,8 +338,7 @@ class RunConfig:
         epochs: measured epochs.
         warmup: epochs executed-but-unrecorded before measurement.
         start_epoch: measurement epoch offset (keeps measurement draws
-            disjoint from stabilisation draws; the runner's convention is
-            1000).
+            disjoint from stabilisation draws; the default is 1000).
         adapt_interval: adaptation cadence during measurement for adaptive
             schemes (the paper's is 10); non-adaptive schemes never adapt.
         converge_epochs: stabilisation epochs for adaptive schemes (adapting
@@ -1375,10 +1376,6 @@ class SweepReport:
         return series
 
     def render(self) -> str:
-        # Deferred import: the experiments package imports this module
-        # (via parallel.py), so the table renderer resolves at call time.
-        from repro.experiments.metrics import format_table
-
         headers = [
             "failure",
             "scheme",
@@ -1523,14 +1520,9 @@ class Session:
 
         Cached configs load without touching the pool; only misses are
         dispatched, and fresh results are written back before returning.
-        This is the one result cache in the system — the sweep engine's
-        :class:`~repro.experiments.parallel.SweepRunner` delegates here.
+        This is the one result cache in the system: ``repro sweep``, the
+        figure experiments and ``run-config`` all execute through it.
         """
-        # Deferred import: experiments.parallel imports this module for the
-        # RunConfig-derived spec digests, so the pool map is resolved at
-        # call time, not import time.
-        from repro.experiments.parallel import parallel_map
-
         results: List[Optional[RunResult]] = [None] * len(configs)
         misses: List[int] = []
         for index, config in enumerate(configs):
@@ -1624,8 +1616,10 @@ class Session:
 
 #: Canonical configs of the paper's figure experiments, resolved through
 #: the registries. Multi-scheme figures describe their headline scheme
-#: (TD); sweep a grid over ``scheme``/``failure`` to regenerate the full
-#: figure. Experiments whose shape is not one scalar-aggregate run (the
+#: (TD); :mod:`repro.experiments` regenerates the full figure by sweeping
+#: the entry over ``scheme``/``failure`` — the entry is the figure's only
+#: definition, and a quick run is a ``replace`` of its sizes.
+#: Experiments whose shape is not one scalar-aggregate run (the
 #: domination-factor geometry sweeps, frequent-items figures, latency and
 #: lifetime accounting) have no config form and are absent here.
 EXPERIMENT_CONFIGS: Dict[str, RunConfig] = {

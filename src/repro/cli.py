@@ -16,8 +16,8 @@ Usage::
 ``run`` regenerates a figure/table; each experiment prints (and optionally
 writes) the same rows/series the paper reports, with ``--full`` switching
 from the quick configurations to the paper-scale ones. ``sweep`` fans a
-(scheme x failure x seed) grid across the parallel sweep engine with an
-optional on-disk result cache. ``describe`` dumps the resolved
+(scheme x failure x seed) grid through :meth:`~repro.api.Session.sweep`
+(process pool, optional on-disk result cache). ``describe`` dumps the resolved
 :class:`~repro.api.RunConfig` of a named figure experiment as JSON, and
 ``run-config`` executes any config file through the unified
 :class:`~repro.api.Session` — so ``repro describe fig2 | repro run-config
@@ -41,9 +41,9 @@ from repro.api import (
     Session,
     check_legacy_use_blocked,
     describe_experiment,
+    expand_grid,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import SweepRunner
 
 from repro.experiments.fig_count_rms import run_figure2, run_figure5a
 from repro.experiments.fig_domination import run_figure7a, run_figure7b, run_table2
@@ -464,13 +464,13 @@ def _run_sweep(args) -> int:
     # on single-CPU hosts, where a pool cannot win wall-clock).
     cpus = os.cpu_count() or 1
     jobs = min(args.jobs, cpus) if args.jobs > 0 else min(cells, cpus)
-    runner = SweepRunner(jobs=jobs, cache_dir=args.cache_dir)
     started = time.time()
     try:
-        report = runner.run_grid(
-            schemes,
-            seeds,
-            failures,
+        # scheme, failure and seed are the grid axes: every cell replaces
+        # the base's values (failures outermost, then schemes, then seeds —
+        # the order the table lists).
+        base = RunConfig(
+            scheme="TAG",
             num_sensors=args.sensors,
             epochs=args.epochs,
             converge_epochs=args.converge,
@@ -479,6 +479,9 @@ def _run_sweep(args) -> int:
             reading=args.reading,
             threshold=args.threshold,
             churn=args.churn,
+        )
+        report = Session(jobs=jobs, cache_dir=args.cache_dir).sweep(
+            expand_grid(base, failure=failures, scheme=schemes, seed=seeds)
         )
     except ConfigurationError as error:
         print(f"invalid sweep configuration: {error}", file=sys.stderr)

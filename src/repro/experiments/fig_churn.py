@@ -19,16 +19,17 @@ node at both boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.aggregates.sum_ import SumAggregate
-from repro.datasets.streams import UniformReadings
-from repro.experiments.metrics import format_table, mean
-from repro.experiments.runner import build_schemes
-from repro.network.churn import DynamicMembership, RegionalBlackout
-from repro.network.failures import GlobalLoss
-from repro.network.simulator import EpochSimulator
-from repro.registry import is_adaptive
+from repro.api import EXPERIMENT_CONFIGS, build_scenario
+from repro.experiments.metrics import mean
+from repro.plotting import format_table
+from repro.registry import SCHEMES, build_aggregate, build_churn_model
+
+#: The quick run: a quarter of the timeline over a quarter of the nodes.
+QUICK_SIZES = dict(
+    num_sensors=150, epochs=100, churn="blackout:25:0:0:10:10:75"
+)
 
 
 @dataclass
@@ -96,49 +97,38 @@ def run_churn_timeline(
     adapt_interval: int = 10,
 ) -> ChurnTimelineResult:
     """Run the blackout/rejoin timeline for TAG, SD, TD-Coarse and TD."""
-    num_sensors = 150 if quick else 600
-    scale = 0.25 if quick else 1.0
-    total_epochs = int(400 * scale)
-    blackout_epoch = int(100 * scale)
-    rejoin_epoch = int(300 * scale)
-    readings = UniformReadings(10, 100, seed=seed)
-    comparison = build_schemes(SumAggregate, num_sensors=num_sensors, seed=seed)
-
-    result = ChurnTimelineResult(
-        epochs=list(range(total_epochs)),
-        blackout_epoch=blackout_epoch,
-        rejoin_epoch=rejoin_epoch,
+    base = EXPERIMENT_CONFIGS["churn_timeline"].replace(
+        scenario_seed=seed,
+        seed=seed,
+        adapt_interval=adapt_interval,
+        # Pinned so the non-adaptive schemes see the blackout at the same
+        # boundaries as the adaptive ones, whatever the cadence.
+        churn_interval=adapt_interval,
+        **(QUICK_SIZES if quick else {}),
     )
-    for name, scheme in comparison.schemes.items():
-        # One membership runtime per scheme: churn history is per-run state.
-        membership = DynamicMembership(
-            RegionalBlackout(
-                blackout_epoch,
-                lower=(0.0, 0.0),
-                upper=(10.0, 10.0),
-                rejoin_epoch=rejoin_epoch,
-            ),
-            comparison.scenario.deployment,
-            comparison.scenario.rings,
-            comparison.tree,
+    blackout = build_churn_model(base.churn)
+    result = ChurnTimelineResult(
+        epochs=list(range(base.epochs)),
+        blackout_epoch=blackout.epoch,
+        rejoin_epoch=blackout.rejoin_epoch,
+    )
+    for name in SCHEMES.available():
+        # The repair diagnostics live on the run's membership runtime, not
+        # in its record, so drive the scenario's own simulator.
+        scenario = build_scenario(base.replace(scheme=name))
+        scheme = scenario.build_scheme(build_aggregate(base.aggregate))
+        scenario.converge(scheme, scenario.source)
+        simulator = scenario.build_simulator(scheme)
+        run = simulator.run(
+            base.epochs, scenario.source, start_epoch=base.start_epoch
         )
-        simulator = EpochSimulator(
-            comparison.scenario.deployment,
-            GlobalLoss(0.1),
-            scheme,
-            seed=seed,
-            adapt_interval=adapt_interval if is_adaptive(name) else 0,
-            membership=membership,
-            churn_interval=adapt_interval,
-        )
-        run = simulator.run(total_epochs, readings)
+        updates = simulator.membership.updates
         result.relative_errors[name] = run.relative_errors
         result.alive_series[name] = [
-            int(epoch.extra.get("alive_sensors", num_sensors))
-            for epoch in run.epochs
+            int(epoch.extra["alive_sensors"]) for epoch in run.epochs
         ]
         result.reattached[name] = sum(
-            update.repair.num_reattached for update in membership.updates
+            update.repair.num_reattached for update in updates
         )
-        result.updates[name] = len(membership.updates)
+        result.updates[name] = len(updates)
     return result

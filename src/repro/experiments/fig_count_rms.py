@@ -14,15 +14,10 @@ two at every rate, with exact answers at p=0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.aggregates.base import Aggregate
-from repro.aggregates.count import CountAggregate
-from repro.aggregates.sum_ import SumAggregate
-from repro.datasets.streams import ConstantReadings, UniformReadings
-from repro.experiments.metrics import format_table
-from repro.experiments.runner import SchemeComparison, build_schemes, converge_td, run_scheme
-from repro.network.failures import GlobalLoss
+from repro.api import EXPERIMENT_CONFIGS, Session
+from repro.plotting import format_table
 
 #: Figure 2's x axis (Count teaser).
 FIG2_LOSS_RATES = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)
@@ -32,10 +27,19 @@ FIG5A_LOSS_RATES = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
 
 SCHEMES = ("TAG", "SD", "TD-Coarse", "TD")
 
+#: The quick size of every loss sweep (Figures 2, 5(a) and 5(b)).
+QUICK_SIZES = dict(num_sensors=150, epochs=30, converge_epochs=60)
+
 
 @dataclass
 class LossSweepResult:
-    """RMS-error series per scheme over a loss-rate grid."""
+    """RMS-error series per scheme over a loss-rate grid.
+
+    ``delta_sizes`` holds the delta size each run *recorded* at its last
+    measured epoch (``extra["delta_size"]``; 0 for the non-adaptive
+    schemes) — the size that epoch ran with, not the graph after whatever
+    adaptation followed it.
+    """
 
     loss_rates: Sequence[float]
     rms: Dict[str, List[float]] = field(default_factory=dict)
@@ -52,52 +56,44 @@ class LossSweepResult:
         return format_table(headers, rows)
 
 
-def run_global_loss_sweep(
-    aggregate_factory: Callable[[], Aggregate],
+def run_loss_sweep(
+    name: str,
     loss_rates: Sequence[float],
-    readings_factory: Callable[[], Callable[[int, int], float]],
-    num_sensors: int = 600,
-    epochs: int = 100,
-    converge_epochs: int = 150,
+    failures: Sequence[str],
+    quick: bool = False,
     seed: int = 0,
     schemes: Sequence[str] = SCHEMES,
 ) -> LossSweepResult:
-    """The shared sweep behind Figures 2 and 5(a)."""
-    result = LossSweepResult(loss_rates=list(loss_rates))
-    for name in schemes:
-        result.rms[name] = []
-        result.delta_sizes[name] = []
-    for rate in loss_rates:
-        failure = GlobalLoss(rate)
-        readings = readings_factory()
-        comparison = build_schemes(
-            aggregate_factory, num_sensors=num_sensors, seed=seed
+    """Sweep the named config over ``failures`` x ``schemes``.
+
+    The shared body of Figures 2, 5(a) and 5(b): ``failures`` holds one
+    failure spec per entry of ``loss_rates``. ``seed`` keys the deployment
+    and stabilisation; measurement draws use ``seed + 1``, paired across
+    schemes.
+    """
+    base = EXPERIMENT_CONFIGS[name].replace(
+        scenario_seed=seed, seed=seed + 1, **(QUICK_SIZES if quick else {})
+    )
+    report = Session().sweep(
+        {"failure": list(failures), "scheme": list(schemes)}, base
+    )
+    result = LossSweepResult(
+        loss_rates=list(loss_rates), rms=report.rms_by_scheme()
+    )
+    for config, run in report.rows():
+        result.delta_sizes.setdefault(config.scheme, []).append(
+            int(run.epochs[-1].extra.get("delta_size", 0))
         )
-        converge_td(comparison, failure, readings, epochs=converge_epochs, seed=seed)
-        for name in schemes:
-            run = run_scheme(
-                comparison, name, failure, readings, epochs=epochs, seed=seed + 1
-            )
-            result.rms[name].append(run.rms_error())
-            graph = comparison.graphs.get(name)
-            result.delta_sizes[name].append(
-                len(graph.delta_region()) if graph else 0
-            )
     return result
 
 
 def run_figure2(quick: bool = False, seed: int = 0) -> LossSweepResult:
     """Figure 2: Count under Global(p), p in 0-0.4."""
-    num_sensors = 150 if quick else 600
-    epochs = 30 if quick else 100
-    converge = 60 if quick else 150
-    return run_global_loss_sweep(
-        aggregate_factory=CountAggregate,
-        loss_rates=FIG2_LOSS_RATES,
-        readings_factory=lambda: ConstantReadings(1.0),
-        num_sensors=num_sensors,
-        epochs=epochs,
-        converge_epochs=converge,
+    return run_loss_sweep(
+        "fig2",
+        FIG2_LOSS_RATES,
+        [f"global:{rate}" for rate in FIG2_LOSS_RATES],
+        quick=quick,
         seed=seed,
         schemes=("TAG", "SD", "TD"),
     )
@@ -105,15 +101,10 @@ def run_figure2(quick: bool = False, seed: int = 0) -> LossSweepResult:
 
 def run_figure5a(quick: bool = False, seed: int = 0) -> LossSweepResult:
     """Figure 5(a): Sum under Global(p), p in 0-1, all four schemes."""
-    num_sensors = 150 if quick else 600
-    epochs = 30 if quick else 100
-    converge = 60 if quick else 150
-    return run_global_loss_sweep(
-        aggregate_factory=SumAggregate,
-        loss_rates=FIG5A_LOSS_RATES,
-        readings_factory=lambda: UniformReadings(10, 100, seed=seed),
-        num_sensors=num_sensors,
-        epochs=epochs,
-        converge_epochs=converge,
+    return run_loss_sweep(
+        "fig5a",
+        FIG5A_LOSS_RATES,
+        [f"global:{rate}" for rate in FIG5A_LOSS_RATES],
+        quick=quick,
         seed=seed,
     )

@@ -20,8 +20,9 @@ from repro.datasets.synthetic import (
     density_sweep_deployment,
     width_sweep_deployment,
 )
-from repro.experiments.metrics import format_table, mean
+from repro.experiments.metrics import mean
 from repro.network.rings import RingsTopology
+from repro.plotting import format_table
 from repro.tree.construction import build_bushy_tree, build_tag_tree
 from repro.tree.domination import (
     domination_factor,

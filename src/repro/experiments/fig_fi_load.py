@@ -28,9 +28,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.streams import DisjointUniformItemStream
 from repro.datasets.synthetic import make_synthetic_scenario
-from repro.experiments.metrics import format_table
 from repro.frequent.quantiles_fi import QuantilesBasedFrequentItems
 from repro.frequent.tree_fi import TreeFrequentItems
+from repro.plotting import format_table
 from repro.tree.construction import build_bushy_tree
 from repro.tree.structure import Tree
 

@@ -27,7 +27,7 @@ from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.streams import ConstantReadings, exact_item_counts
-from repro.experiments.metrics import format_table, mean, percent
+from repro.experiments.metrics import mean, percent
 from repro.frequent.mp_fi import FMOperator, KMVOperator, MultipathFrequentItems
 from repro.frequent.reporting import (
     false_negative_rate,
@@ -43,6 +43,7 @@ from repro.frequent.tree_fi import TreeFrequentItems
 from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.network.simulator import EpochSimulator
+from repro.plotting import format_table
 from repro.tree.construction import build_bushy_tree
 
 FIG9_LOSS_RATES = (0.0, 0.2, 0.4, 0.6, 0.8)

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.datasets.synthetic import make_synthetic_scenario
-from repro.experiments.metrics import format_table
 from repro.network.latency import (
     LatencyModel,
     compare_retransmission_strategies,
     latency_table,
 )
+from repro.plotting import format_table
 
 
 @dataclass

@@ -33,10 +33,10 @@ from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.streams import ConstantReadings
 from repro.datasets.synthetic import make_synthetic_scenario
-from repro.experiments.metrics import format_table
 from repro.network.failures import GlobalLoss
 from repro.network.lifetime import LifetimeReport, lifetime_from_run
 from repro.network.simulator import EpochSimulator
+from repro.plotting import format_table
 from repro.tree.construction import build_bushy_tree
 
 

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.aggregates.sum_ import SumAggregate
-from repro.datasets.streams import UniformReadings
-from repro.experiments.fig_count_rms import SCHEMES, LossSweepResult
-from repro.experiments.runner import build_schemes, converge_td, run_scheme
-from repro.network.failures import RegionalLoss
+from repro.experiments.fig_count_rms import LossSweepResult, run_loss_sweep
 
 #: Figure 5(b)'s x axis (the in-region loss rate).
 FIG5B_LOSS_RATES = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
@@ -27,27 +23,10 @@ def run_figure5b(
     outside_rate: float = 0.05,
 ) -> LossSweepResult:
     """Sweep the in-region loss rate with the paper's Regional model."""
-    num_sensors = 150 if quick else 600
-    epochs = 30 if quick else 100
-    converge = 60 if quick else 150
-    result = LossSweepResult(loss_rates=list(loss_rates))
-    for name in SCHEMES:
-        result.rms[name] = []
-        result.delta_sizes[name] = []
-    for rate in loss_rates:
-        failure = RegionalLoss(rate, outside_rate)
-        readings = UniformReadings(10, 100, seed=seed)
-        comparison = build_schemes(
-            SumAggregate, num_sensors=num_sensors, seed=seed
-        )
-        converge_td(comparison, failure, readings, epochs=converge, seed=seed)
-        for name in SCHEMES:
-            run = run_scheme(
-                comparison, name, failure, readings, epochs=epochs, seed=seed + 1
-            )
-            result.rms[name].append(run.rms_error())
-            graph = comparison.graphs.get(name)
-            result.delta_sizes[name].append(
-                len(graph.delta_region()) if graph else 0
-            )
-    return result
+    return run_loss_sweep(
+        "fig5b",
+        loss_rates,
+        [f"regional:{rate}:{outside_rate}" for rate in loss_rates],
+        quick=quick,
+        seed=seed,
+    )

@@ -14,25 +14,12 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.aggregates.sum_ import SumAggregate
-from repro.datasets.streams import UniformReadings
-from repro.experiments.metrics import format_table, mean
-from repro.experiments.runner import build_schemes
-from repro.network.failures import FailureSchedule, GlobalLoss, RegionalLoss
-from repro.network.simulator import EpochSimulator
-
-#: The paper's Figure 6 failure timeline.
-def figure6_schedule() -> FailureSchedule:
-    return FailureSchedule(
-        [
-            (0, GlobalLoss(0.0)),
-            (100, RegionalLoss(0.3, 0.0)),
-            (200, GlobalLoss(0.3)),
-            (300, GlobalLoss(0.0)),
-        ]
-    )
+from repro.api import EXPERIMENT_CONFIGS, Session
+from repro.experiments.metrics import mean
+from repro.plotting import format_table
+from repro.registry import SCHEMES
 
 
 @dataclass
@@ -49,7 +36,7 @@ class TimelineResult:
         """Mean relative error per schedule phase, per scheme.
 
         The default boundaries are the quarters of the recorded range (the
-        schedule's phases are quarters by construction, whatever the scale).
+        schedule's four phases are equally long).
         """
         if boundaries is None:
             total = len(self.epochs)
@@ -82,34 +69,22 @@ def run_figure6(
     seed: int = 0,
     adapt_interval: int = 10,
 ) -> TimelineResult:
-    """Run the 400-epoch timeline for TAG, SD, TD-Coarse and TD."""
-    num_sensors = 150 if quick else 600
-    scale = 0.25 if quick else 1.0
-    schedule = figure6_schedule() if scale == 1.0 else FailureSchedule(
-        [
-            (0, GlobalLoss(0.0)),
-            (int(100 * scale), RegionalLoss(0.3, 0.0)),
-            (int(200 * scale), GlobalLoss(0.3)),
-            (int(300 * scale), GlobalLoss(0.0)),
-        ]
-    )
-    total_epochs = int(400 * scale)
-    readings = UniformReadings(10, 100, seed=seed)
-    comparison = build_schemes(SumAggregate, num_sensors=num_sensors, seed=seed)
+    """Run the 400-epoch timeline for TAG, SD, TD-Coarse and TD.
 
-    result = TimelineResult(epochs=list(range(total_epochs)))
-    for name, scheme in comparison.schemes.items():
-        interval = adapt_interval if name in ("TD-Coarse", "TD") else 0
-        simulator = EpochSimulator(
-            comparison.scenario.deployment,
-            schedule,
-            scheme,
-            seed=seed,
-            adapt_interval=interval,
-        )
-        run = simulator.run(total_epochs, readings)
-        result.relative_errors[name] = run.relative_errors
-        result.delta_sizes[name] = [
+    The schedule is the ``timeline`` failure model of the named config;
+    ``quick`` shrinks the deployment and keeps all four 100-epoch phases.
+    """
+    base = EXPERIMENT_CONFIGS["fig6"].replace(
+        scenario_seed=seed,
+        seed=seed,
+        adapt_interval=adapt_interval,
+        **({"num_sensors": 150} if quick else {}),
+    )
+    report = Session().sweep({"scheme": SCHEMES.available()}, base)
+    result = TimelineResult(epochs=list(range(base.epochs)))
+    for config, run in report.rows():
+        result.relative_errors[config.scheme] = run.relative_errors
+        result.delta_sizes[config.scheme] = [
             int(epoch.extra.get("delta_size", 0)) for epoch in run.epochs
         ]
     return result

@@ -12,22 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.aggregates.sum_ import SumAggregate
-from repro.datasets.labdata import LabDataScenario
-from repro.experiments.metrics import format_table
-from repro.experiments.runner import (
-    SchemeComparison,
-    build_schemes,
-    converge_td,
-    run_scheme,
-)
-from repro.datasets.synthetic import SyntheticScenario
-from repro.tree.construction import build_bushy_tree
+from repro.api import EXPERIMENT_CONFIGS, Session
+from repro.experiments.fig_count_rms import SCHEMES
+from repro.plotting import format_table
 
 
 @dataclass
 class LabDataRMSResult:
-    """RMS per scheme plus the delta sizes the adaptive schemes settled on."""
+    """RMS per scheme plus the delta sizes the adaptive schemes settled on.
+
+    ``delta_sizes`` is read off the run's last recorded epoch
+    (``extra["delta_size"]``), adaptive schemes only.
+    """
 
     rms: Dict[str, float] = field(default_factory=dict)
     delta_sizes: Dict[str, int] = field(default_factory=dict)
@@ -44,32 +40,20 @@ class LabDataRMSResult:
 def run_labdata_rms(
     quick: bool = False, seed: int = 0, epochs: int = 100
 ) -> LabDataRMSResult:
-    """Run all four schemes over the lab scenario's lossy links."""
-    if quick:
-        epochs = 30
-    lab = LabDataScenario.build()
-    scenario = SyntheticScenario(
-        deployment=lab.deployment,
-        radio=None,
-        connectivity=lab.connectivity,
-        rings=lab.rings,
+    """Run all four schemes over the lab scenario's lossy links.
+
+    The lab is a fixed floor plan whose dataset seed is the named config's
+    ``scenario_seed``; ``seed`` moves the measurement draws only.
+    """
+    sizes = (
+        {"epochs": 30, "converge_epochs": 80} if quick else {"epochs": epochs}
     )
-    tree = build_bushy_tree(lab.rings, seed=seed)
-    failure = lab.failure_model()
-    comparison = build_schemes(
-        SumAggregate, scenario=scenario, tree=tree, seed=seed
-    )
-    readings = lab.readings
-    converge_td(
-        comparison, failure, readings, epochs=80 if quick else 160, seed=seed
-    )
+    base = EXPERIMENT_CONFIGS["labdata"].replace(seed=seed + 1, **sizes)
+    report = Session().sweep({"scheme": list(SCHEMES)}, base)
     result = LabDataRMSResult()
-    for name in ("TAG", "SD", "TD-Coarse", "TD"):
-        run = run_scheme(
-            comparison, name, failure, readings, epochs=epochs, seed=seed + 1
-        )
-        result.rms[name] = run.rms_error()
-        graph = comparison.graphs.get(name)
-        if graph is not None:
-            result.delta_sizes[name] = len(graph.delta_region())
+    for config, run in report.rows():
+        result.rms[config.scheme] = run.rms_error()
+        extra = run.epochs[-1].extra
+        if "delta_size" in extra:
+            result.delta_sizes[config.scheme] = int(extra["delta_size"])
     return result

@@ -10,7 +10,7 @@ false-positive percentages (Section 7.4.3).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -54,19 +54,3 @@ def rms_error_series(
 def percent(value: float) -> float:
     """Scale a fraction to a percentage."""
     return 100.0 * value
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render a small fixed-width text table (experiment reports)."""
-    materialised: List[List[str]] = [[str(cell) for cell in row] for row in rows]
-    widths = [len(header) for header in headers]
-    for row in materialised:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [
-        "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in materialised:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)

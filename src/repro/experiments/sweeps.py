@@ -22,7 +22,7 @@ numeric table and an ASCII chart, like the per-figure experiment modules.
 
 Every swept point is an independent simulation, so each sweep accepts a
 ``jobs`` argument and fans its measurements across the process pool of
-:func:`repro.experiments.parallel.parallel_map`; results are ordered
+:func:`repro.parallel.parallel_map`; results are ordered
 deterministically and identical to a serial run.
 """
 
@@ -38,14 +38,13 @@ from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.streams import ConstantReadings, exact_item_counts
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import ADAPT_INTERVAL
 from repro.frequent.mp_fi import FMOperator
 from repro.frequent.reporting import false_negative_rate, true_frequent
 from repro.frequent.td_fi import TributaryDeltaFrequentItems
 from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.network.simulator import EpochSimulator
+from repro.parallel import parallel_map
 from repro.plotting import LineChart, render_series_table
 from repro.tree.construction import build_bushy_tree
 
@@ -94,7 +93,7 @@ def _measure_td(
     seed: int,
     converge_epochs: int,
     measure_epochs: int,
-    adapt_interval: int = ADAPT_INTERVAL,
+    adapt_interval: int = 10,
 ) -> Tuple[float, float, int]:
     """(RMS error, delta fraction, control messages) for one TD config."""
     graph = TDGraph(

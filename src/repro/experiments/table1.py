@@ -17,21 +17,26 @@ multi-path's small communication error at tree-like message sizes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
-from repro.aggregates.count import CountAggregate
-from repro.datasets.streams import ConstantReadings, exact_item_counts
-from repro.experiments.metrics import format_table, mean
-from repro.experiments.runner import build_schemes, converge_td, run_scheme
+from repro.api import EXPERIMENT_CONFIGS, build_scenario
+from repro.datasets.streams import ZipfItemStream, exact_item_counts
+from repro.experiments.metrics import mean
 from repro.frequent.mp_fi import FMOperator, MultipathFrequentItems
 from repro.frequent.td_fi import (
     MultipathFrequentItemsScheme,
     TributaryDeltaFrequentItems,
 )
 from repro.frequent.tree_fi import TreeFrequentItems
-from repro.network.failures import GlobalLoss, NoLoss
 from repro.network.links import Channel
+from repro.plotting import format_table
+from repro.registry import build_aggregate, build_failure_model
+
+#: The quick size of the Count rows (and of the deployment the
+#: frequent-items rows reuse).
+QUICK_SIZES = dict(num_sensors=100, epochs=10, converge_epochs=40)
 
 
 @dataclass
@@ -76,25 +81,31 @@ class Table1Result:
 
 def run_table1(quick: bool = False, seed: int = 0) -> Table1Result:
     """Measure Table 1's cells for Count and Frequent Items."""
-    num_sensors = 100 if quick else 300
-    epochs = 10 if quick else 30
+    base = EXPERIMENT_CONFIGS["table1"].replace(
+        scenario_seed=seed, seed=seed + 1, **(QUICK_SIZES if quick else {})
+    )
     result = Table1Result()
-    loss = GlobalLoss(0.2)
-    readings = ConstantReadings(1.0)
 
     # --- Count ----------------------------------------------------------
-    comparison = build_schemes(
-        CountAggregate, num_sensors=num_sensors, seed=seed
-    )
-    converge_td(comparison, loss, readings, epochs=40 if quick else 100, seed=seed)
-    sensors = comparison.scenario.deployment.num_sensors
     for name in ("TAG", "SD", "TD"):
-        lossless = run_scheme(
-            comparison, name, NoLoss(), readings, epochs=5, seed=seed
+        scenario = build_scenario(base.replace(scheme=name))
+        scheme = scenario.build_scheme(build_aggregate(base.aggregate))
+        readings = scenario.source
+        scenario.converge(scheme, readings)
+        sensors = scenario.topology.deployment.num_sensors
+        # Approximation error: the error the *converged* scheme keeps with
+        # no loss at all, so it is re-measured on the live scheme.
+        quiet = dataclasses.replace(
+            scenario,
+            config=scenario.config.replace(failure="none", seed=seed),
+            failure=build_failure_model("none"),
+        )
+        lossless = quiet.build_simulator(scheme).run(
+            5, readings, start_epoch=base.start_epoch
         )
         approx = mean(lossless.relative_errors)
-        run = run_scheme(
-            comparison, name, loss, readings, epochs=epochs, seed=seed + 1
+        run = scenario.build_simulator(scheme).run(
+            base.epochs, readings, start_epoch=base.start_epoch
         )
         comm_error = 1.0 - run.mean_contributing_fraction(sensors)
         messages = mean(
@@ -120,11 +131,12 @@ def run_table1(quick: bool = False, seed: int = 0) -> Table1Result:
         )
 
     # --- Frequent items -------------------------------------------------
-    lab_like = comparison.scenario
-    tree = comparison.tree
-    graph = comparison.graphs["TD"]
-    from repro.datasets.streams import ZipfItemStream
-
+    # No config form. TD's Count run was the last one above: these rows
+    # reuse its deployment, tree, loss model and converged delta.
+    lab_like = scenario.topology
+    tree = scenario.tree
+    graph = scheme.graph
+    loss = scenario.failure
     stream = ZipfItemStream(
         items_per_node=60, universe=400, alpha=1.2, seed=seed
     )

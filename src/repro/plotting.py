@@ -10,6 +10,8 @@ negative rates — without a plotting dependency. Two renderers:
   (Figure 8's load comparison).
 * :func:`sparkline` — a one-line unicode summary of a series, used in
   experiment logs.
+* :func:`render_series_table` / :func:`format_table` — the numeric tables
+  beside the charts (and every experiment's and sweep's text report).
 
 These mirror the matplotlib figures in shape only; the point is that the
 series orderings and crossovers — what the reproduction asserts — are
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -250,4 +252,20 @@ def render_series_table(
         )
         if row_index == 0:
             lines.append("  ".join("-" * widths[i] for i in range(len(header))))
+    return "\n".join(lines)
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Render a small fixed-width text table (experiment and sweep reports)."""
+    materialised: List[List[str]] = [[str(cell) for cell in row] for row in rows]
+    widths = [len(header) for header in headers]
+    for row in materialised:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = [
+        "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)),
+        "  ".join("-" * widths[i] for i in range(len(headers))),
+    ]
+    for row in materialised:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)

@@ -41,11 +41,11 @@ Extending the system is one decorator::
         ...
 
 and the new name immediately works everywhere a name is accepted: the
-query layer's ``SELECT`` targets, :class:`repro.api.RunConfig`, the sweep
-engine's specs, and the CLI. Discovery is ``available()``.
+query layer's ``SELECT`` targets, :class:`repro.api.RunConfig`, swept
+grids, and the CLI. Discovery is ``available()``.
 
 Failure models and datasets are constructed from *spec strings* — the
-colon-separated idiom the sweep engine established (``global:0.3``,
+colon-separated idiom of ``repro sweep`` (``global:0.3``,
 ``uniform:10:100:0``). The head token selects the registered constructor;
 the remaining tokens are its positional string arguments.
 
@@ -128,8 +128,9 @@ class Registry(Generic[T]):
     """A named table of components with actionable resolution errors.
 
     Entries keep registration order (which fixes, for example, the order
-    ``build_schemes`` assembles scheme comparisons in). Re-registering a
-    name replaces the entry — tests and notebooks can shadow a built-in.
+    ``available()`` lists schemes in, and with it the row order of every
+    all-scheme comparison). Re-registering a name replaces the entry —
+    tests and notebooks can shadow a built-in.
 
     Lookups and mutation are lock-guarded: the aggregation service resolves
     components from HTTP worker threads while a test (or a plugin loaded

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.cli import EXPERIMENTS
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.tree.construction import build_bushy_tree, build_tag_tree
@@ -34,3 +37,13 @@ def medium_tree(medium_scenario):
 @pytest.fixture(scope="session")
 def lab_scenario():
     return LabDataScenario.build()
+
+
+@pytest.fixture(scope="session")
+def quick_figure():
+    """``name -> result`` of a CLI experiment at quick size, seed 0.
+
+    Memoised for the session: the golden pins and the paper-claims gate
+    read the same figures, and each should run once.
+    """
+    return functools.cache(lambda name: EXPERIMENTS[name][1](True, 0))

@@ -28,7 +28,6 @@ from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.fig_churn import run_churn_timeline
-from repro.experiments.parallel import SweepRunner, SweepSpec
 from repro.network.churn import (
     BirthDeathChurn,
     ChurnBatch,
@@ -682,7 +681,7 @@ class TestChurnEndToEnd:
         assert RunConfig.from_json(config.to_json()) == config
 
     def test_sweep_spec_carries_churn(self, tmp_path):
-        spec = SweepSpec(
+        config = RunConfig(
             scheme="TAG",
             seed=1,
             failure="global:0.2",
@@ -691,9 +690,9 @@ class TestChurnEndToEnd:
             converge_epochs=0,
             churn="deaths:1000:8:1",
         )
-        runner = SweepRunner(jobs=None, cache_dir=tmp_path)
-        first = runner.run([spec])
-        second = runner.run([spec])  # cache hit
+        session = Session(cache_dir=tmp_path)
+        first = session.sweep([config]).results
+        second = session.sweep([config]).results  # cache hit
         assert _run_fingerprint(first[0]) == _run_fingerprint(second[0])
         assert first[0].epochs[-1].extra["alive_sensors"] == 52
 

@@ -1,30 +1,30 @@
 """Smoke tests for the experiment modules (quick configurations).
 
-These verify that every table/figure regenerator runs end-to-end and that
-the paper's qualitative *shape* claims hold at small scale. The benchmarks
-run the full-size versions.
+These verify that every table/figure regenerator runs end-to-end, that the
+config-form figures reproduce the series their hand-wired predecessors
+produced, and that the paper's methodology (paired draws, stabilise then
+measure) holds on the config path. The paper's qualitative *shape* claims
+are gated in ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
+
+from repro.api import RunConfig, Session
 
 from repro.experiments.fig_domination import run_figure7a, run_figure7b, run_table2
 from repro.experiments.fig_fi_load import run_figure8
 from repro.experiments.fig_fi_loss import run_figure9
 from repro.experiments.fig_topology import run_figure4
-from repro.experiments.metrics import (
-    format_table,
-    mean,
-    relative_error,
-    rms_error_series,
-)
-from repro.experiments.runner import build_schemes, converge_td, run_scheme
-from repro.aggregates.count import CountAggregate
-from repro.datasets.streams import ConstantReadings
-from repro.network.failures import GlobalLoss
+from repro.experiments.metrics import mean, relative_error, rms_error_series
+from repro.plotting import format_table
+from repro.registry import SCHEMES
 
 
 class TestMetrics:
@@ -49,33 +49,35 @@ class TestMetrics:
 
 
 class TestRunnerShapes:
-    @pytest.fixture(scope="class")
-    def comparison(self):
-        return build_schemes(CountAggregate, num_sensors=80, seed=3)
+    """The paper's per-run recipe, through the config path."""
 
-    def test_all_schemes_present(self, comparison):
-        assert set(comparison.schemes) == {"TAG", "SD", "TD-Coarse", "TD"}
+    @staticmethod
+    def _rms(scheme, failure, epochs, converge_epochs=0):
+        config = RunConfig(
+            scheme=scheme,
+            failure=failure,
+            num_sensors=80,
+            scenario_seed=3,
+            epochs=epochs,
+            converge_epochs=converge_epochs,
+        )
+        return Session().run(config).rms_error()
 
-    def test_no_loss_tag_exact_sd_approx(self, comparison):
-        readings = ConstantReadings(1.0)
-        tag = run_scheme(comparison, "TAG", GlobalLoss(0.0), readings, epochs=5)
-        sd = run_scheme(comparison, "SD", GlobalLoss(0.0), readings, epochs=5)
-        assert tag.rms_error() == 0.0
-        assert 0.0 < sd.rms_error() < 0.5
+    def test_all_schemes_present(self):
+        assert set(SCHEMES.available()) == {"TAG", "SD", "TD-Coarse", "TD"}
 
-    def test_high_loss_sd_beats_tag(self, comparison):
-        readings = ConstantReadings(1.0)
-        tag = run_scheme(comparison, "TAG", GlobalLoss(0.3), readings, epochs=8)
-        sd = run_scheme(comparison, "SD", GlobalLoss(0.3), readings, epochs=8)
-        assert sd.rms_error() < tag.rms_error()
+    def test_no_loss_tag_exact_sd_approx(self):
+        assert self._rms("TAG", "global:0.0", 5) == 0.0
+        assert 0.0 < self._rms("SD", "global:0.0", 5) < 0.5
 
-    def test_td_adapts_between(self, comparison):
-        readings = ConstantReadings(1.0)
-        failure = GlobalLoss(0.25)
-        converge_td(comparison, failure, readings, epochs=60, seed=3)
-        td = run_scheme(comparison, "TD", failure, readings, epochs=8)
-        tag = run_scheme(comparison, "TAG", failure, readings, epochs=8)
-        assert td.rms_error() < tag.rms_error()
+    def test_high_loss_sd_beats_tag(self):
+        assert self._rms("SD", "global:0.3", 8) < self._rms(
+            "TAG", "global:0.3", 8
+        )
+
+    def test_td_adapts_between(self):
+        td = self._rms("TD", "global:0.25", 8, converge_epochs=60)
+        assert td < self._rms("TAG", "global:0.25", 8)
 
 
 class TestFigureSmoke:
@@ -153,38 +155,65 @@ class TestFigureSmoke:
 
 
 class TestRunPaired:
-    def test_paired_runs_share_loss_draws(self, small_scenario):
-        from repro.aggregates.count import CountAggregate
-        from repro.datasets.streams import ConstantReadings
-        from repro.experiments.runner import build_schemes, run_paired
-        from repro.network.failures import GlobalLoss
-        from repro.tree.construction import build_bushy_tree
-
-        tree = build_bushy_tree(small_scenario.rings, seed=11)
-        comparison = build_schemes(
-            CountAggregate, scenario=small_scenario, tree=tree
-        )
-        results = run_paired(
-            comparison,
-            GlobalLoss(0.2),
-            ConstantReadings(1.0),
-            epochs=5,
+    def test_paired_runs_share_loss_draws(self):
+        base = RunConfig(
+            scheme="TAG",
             seed=3,
-            names=["TAG", "SD"],
+            failure="global:0.2",
+            num_sensors=60,
+            scenario_seed=11,
+            epochs=5,
+            converge_epochs=0,
         )
-        assert set(results) == {"TAG", "SD"}
+        report = Session().sweep({"scheme": ["TAG", "SD"]}, base)
+        assert set(report.rms_by_scheme()) == {"TAG", "SD"}
         # Identical seeds: re-running TAG reproduces its series exactly.
-        again = run_paired(
-            comparison,
-            GlobalLoss(0.2),
-            ConstantReadings(1.0),
-            epochs=5,
-            seed=3,
-            names=["TAG"],
+        assert Session().run(base).result.estimates == (
+            report.results[0].estimates
         )
-        assert [e.estimate for e in results["TAG"].epochs] == [
-            e.estimate for e in again["TAG"].epochs
-        ]
+
+
+#: SHA-256 of ``json.dumps(series, sort_keys=True)`` per config-form figure
+#: (quick size, seed 0), recorded with the hand-wired runner at commit
+#: bb5a955 — the parent of the change that deleted it. ``fig6`` is that
+#: commit's hand-wired loop at 150 nodes x 400 epochs over the registry's
+#: ``timeline`` schedule; ``table1`` covers the Count rows.
+FIGURE_GOLDENS = {
+    "fig2": "594e401c54941adbc145bae05336df9be57081bb028c7bb93f9ec3ff813d79d5",
+    "fig5a": "b70fdd0fde4b7f717c4e597b8f6a060b45f0f67e17e808ef1bd42f597db76390",
+    "fig5b": "2a15d08e24833bf35efe528abb63b73f39f2571fb324ed7d7fb7a8a793468993",
+    "fig6": "04d27600b310ef06803a1f47022c0d22a3e1441af0129b2d9772273ba521be1f",
+    "churn-timeline": "faa700ce15f41e85372c1584735ae95ff90d6ba0b9da82b7f71def09ed29b780",
+    "table1": "e55aa696e36991992ef91c8b3bd70a9a8a8d61282d83bc2471b780fbe558ce45",
+}
+
+
+class TestFigureGoldens:
+    @pytest.mark.parametrize("name", sorted(FIGURE_GOLDENS))
+    def test_config_path_reproduces_the_hand_wired_series(
+        self, quick_figure, name
+    ):
+        result = quick_figure(name)
+        if name == "table1":
+            series = [
+                dataclasses.asdict(row)
+                for row in result.rows
+                if row.aggregate == "Count"
+            ]
+        elif name in ("fig6", "churn-timeline"):
+            series = result.relative_errors
+        else:
+            series = result.rms
+        digest = hashlib.sha256(
+            json.dumps(series, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == FIGURE_GOLDENS[name]
+
+    def test_delta_sizes_are_the_recorded_ones(self, quick_figure):
+        # The size each run's last epoch *recorded*, not the graph after
+        # the adaptation that followed it (which read 94/102/140 here).
+        assert quick_figure("fig2").delta_sizes["TD"][:4] == [0, 92, 96, 137]
+        assert quick_figure("labdata").delta_sizes == {"TD-Coarse": 55, "TD": 48}
 
 
 class TestLatencyExperiment:

@@ -1,81 +1,48 @@
-"""Tests for the parallel sweep engine (specs, pool, cache, CLI)."""
+"""Tests for swept grids: configs, the process pool, the result cache, CLI."""
 
 from __future__ import annotations
 
 import json
-import pathlib
 
 import pytest
 
+import repro.api as api_module
+from repro.api import RunConfig, Session, config_digest, run_config_result
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import (
-    SweepRunner,
-    SweepSpec,
-    failure_model,
-    parallel_map,
-    reading_fn,
-    run_spec,
-)
 from repro.network.failures import GlobalLoss, NoLoss, RegionalLoss
+from repro.parallel import parallel_map
+from repro.registry import build_failure_model, build_reading
 
 QUICK = dict(num_sensors=40, epochs=4, converge_epochs=8, scenario_seed=4)
 
 
 class TestSweepSpec:
+    """A grid cell is a plain :class:`RunConfig`."""
+
     def test_digest_is_stable_and_distinct(self):
-        a = SweepSpec(scheme="TAG", seed=1, failure="global:0.2", **QUICK)
-        b = SweepSpec(scheme="TAG", seed=1, failure="global:0.2", **QUICK)
-        c = SweepSpec(scheme="TAG", seed=2, failure="global:0.2", **QUICK)
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
+        a = RunConfig(scheme="TAG", seed=1, failure="global:0.2", **QUICK)
+        b = RunConfig(scheme="TAG", seed=1, failure="global:0.2", **QUICK)
+        c = RunConfig(scheme="TAG", seed=2, failure="global:0.2", **QUICK)
+        assert config_digest(a) == config_digest(b)
+        assert config_digest(a) != config_digest(c)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ConfigurationError):
-            SweepSpec(scheme="nope", seed=1, failure="none")
+            RunConfig(scheme="nope", seed=1, failure="none")
 
     def test_rejects_bad_failure_spec(self):
         with pytest.raises(ConfigurationError):
-            SweepSpec(scheme="TAG", seed=1, failure="global")
+            RunConfig(scheme="TAG", seed=1, failure="global")
 
     def test_failure_specs_parse(self):
-        assert isinstance(failure_model("none"), NoLoss)
-        assert failure_model("global:0.4") == GlobalLoss(0.4)
-        assert failure_model("regional:0.8:0.1") == RegionalLoss(0.8, 0.1)
+        assert isinstance(build_failure_model("none"), NoLoss)
+        assert build_failure_model("global:0.4") == GlobalLoss(0.4)
+        assert build_failure_model("regional:0.8:0.1") == RegionalLoss(0.8, 0.1)
 
     def test_reading_specs_parse(self):
-        assert reading_fn("constant:2.0")(1, 0) == 2.0
-        assert reading_fn("uniform:1:9:3")(1, 0) >= 1
-
-    def test_digest_is_derived_from_run_config_json(self):
-        from repro.api import config_digest
-
-        spec = SweepSpec(scheme="TAG", seed=1, failure="global:0.2", **QUICK)
-        assert spec.digest() == config_digest(spec.to_run_config())
-
-    def test_run_spec_matches_session(self):
-        from repro.api import Session
-
-        spec = SweepSpec(scheme="TD", seed=2, failure="global:0.25", **QUICK)
-        via_spec = run_spec(spec)
-        via_session = Session().run(spec.to_run_config())
-        assert via_spec.estimates == via_session.result.estimates
-
-    def test_sweep_cache_is_shared_with_session(self, tmp_path):
-        from repro.api import Session
-
-        spec = SweepSpec(scheme="TAG", seed=1, failure="global:0.2", **QUICK)
-        [from_runner] = SweepRunner(jobs=1, cache_dir=tmp_path).run([spec])
-        # The Session must *hit* the runner's entry: poison the executor.
-        import repro.api as api_module
-
-        original = api_module.run_config_result
-        api_module.run_config_result = None
-        try:
-            report = Session(cache_dir=tmp_path).run(spec.to_run_config())
-        finally:
-            api_module.run_config_result = original
-        assert report.result.estimates == from_runner.estimates
+        assert build_reading("constant:2.0")(1, 0) == 2.0
+        assert build_reading("uniform:1:9:3")(1, 0) >= 1
 
 
 class TestParallelMap:
@@ -88,60 +55,63 @@ class TestParallelMap:
 
 
 class TestSweepRunner:
-    def _specs(self):
+    """``Session(jobs=, cache_dir=)`` is the one sweep executor."""
+
+    def _configs(self):
         return [
-            SweepSpec(scheme=scheme, seed=seed, failure="global:0.25", **QUICK)
+            RunConfig(scheme=scheme, seed=seed, failure="global:0.25", **QUICK)
             for scheme in ("TAG", "SD", "TD")
             for seed in (1, 2)
         ]
 
     def test_pooled_matches_serial(self):
-        specs = self._specs()
-        serial = SweepRunner(jobs=1).run(specs)
-        pooled = SweepRunner(jobs=3).run(specs)
+        configs = self._configs()
+        serial = Session(jobs=1).run_many(configs)
+        pooled = Session(jobs=3).run_many(configs)
         for left, right in zip(serial, pooled):
             assert left.estimates == right.estimates
             assert left.scheme_name == right.scheme_name
 
     def test_cache_round_trip_identical(self, tmp_path, monkeypatch):
-        specs = self._specs()[:3]
-        runner = SweepRunner(jobs=2, cache_dir=tmp_path)
-        first = runner.run(specs)
-        assert len(list(tmp_path.glob("*.json"))) == len(specs)
+        configs = self._configs()[:3]
+        first = Session(jobs=2, cache_dir=tmp_path).run_many(configs)
+        assert len(list(tmp_path.glob("*.json"))) == len(configs)
 
         # A cached re-run must not recompute anything.
-        import repro.experiments.parallel as parallel_module
+        def _boom(config):  # pragma: no cover - would mean a cache miss
+            raise AssertionError("cache miss on a cached config")
 
-        def _boom(spec):  # pragma: no cover - would mean a cache miss
-            raise AssertionError("cache miss on a cached spec")
-
-        monkeypatch.setattr(parallel_module, "run_spec", _boom)
-        second = SweepRunner(jobs=1, cache_dir=tmp_path).run(specs)
+        monkeypatch.setattr(api_module, "run_config_result", _boom)
+        second = Session(jobs=1, cache_dir=tmp_path).run_many(configs)
         for left, right in zip(first, second):
             assert left.estimates == right.estimates
             assert left.energy.total_words == right.energy.total_words
 
     def test_corrupt_cache_entry_recomputes(self, tmp_path):
-        spec = self._specs()[0]
-        runner = SweepRunner(jobs=1, cache_dir=tmp_path)
-        [first] = runner.run([spec])
-        path = tmp_path / f"{spec.digest()}.json"
+        config = self._configs()[0]
+        session = Session(jobs=1, cache_dir=tmp_path)
+        [first] = session.run_many([config])
+        path = tmp_path / f"{config_digest(config)}.json"
         path.write_text("{not json")
-        [second] = runner.run([spec])
+        [second] = session.run_many([config])
         assert first.estimates == second.estimates
 
     def test_paired_seeds_share_loss_draws(self):
         # TAG contributing counts are a pure function of the channel draws,
         # so the same seed via two separate workers is the same run.
-        spec = SweepSpec(scheme="TAG", seed=5, failure="global:0.3", **QUICK)
-        again = SweepSpec(scheme="TAG", seed=5, failure="global:0.3", **QUICK)
-        assert run_spec(spec).estimates == run_spec(again).estimates
+        config = RunConfig(scheme="TAG", seed=5, failure="global:0.3", **QUICK)
+        again = RunConfig(scheme="TAG", seed=5, failure="global:0.3", **QUICK)
+        assert (
+            run_config_result(config).estimates
+            == run_config_result(again).estimates
+        )
 
     def test_run_grid_order(self):
-        report = SweepRunner(jobs=2).run_grid(
-            ("TAG", "SD"), (1,), ("global:0.0", "global:0.3"), **QUICK
+        report = Session(jobs=2).sweep(
+            {"failure": ["global:0.0", "global:0.3"], "scheme": ["TAG", "SD"]},
+            RunConfig(scheme="TAG", **QUICK),
         )
-        labels = [(spec.failure, spec.scheme) for spec in report.specs]
+        labels = [(config.failure, config.scheme) for config in report.configs]
         assert labels == [
             ("global:0.0", "TAG"),
             ("global:0.0", "SD"),
