@@ -54,7 +54,7 @@ from repro.experiments.fig_lifetime import run_lifetime
 from repro.experiments.fig_regional import run_figure5b
 from repro.experiments.fig_churn import run_churn_timeline
 from repro.experiments.fig_timeline import run_figure6
-from repro.experiments.fig_topology import run_figure4
+from repro.experiments.fig_topology import run_figure4_panels
 from repro.experiments.labdata_rms import run_labdata_rms
 from repro.experiments.sweeps import (
     sweep_adapt_interval,
@@ -80,7 +80,7 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable]] = {
     ),
     "fig4": (
         "TD delta region under Regional(0.3/0.8, 0.05) (Figure 4)",
-        lambda quick, seed: _run_fig4(quick, seed),
+        lambda quick, seed: run_figure4_panels(quick=quick, seed=seed),
     ),
     "fig5a": (
         "Sum RMS vs Global(p), all four schemes (Figure 5a)",
@@ -147,34 +147,6 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable]] = {
         lambda quick, seed: sweep_epsilon_split(quick=quick, seed=seed),
     ),
 }
-
-
-class _Fig4Wrapper:
-    """Adapter giving the two Figure 4 panels a single render()."""
-
-    def __init__(self, mild, severe) -> None:
-        self.mild = mild
-        self.severe = severe
-
-    def render(self) -> str:
-        parts = []
-        for label, result in (
-            ("Regional(0.3,0.05)", self.mild),
-            ("Regional(0.8,0.05)", self.severe),
-        ):
-            parts.append(
-                f"{label}: delta={len(result.delta)} "
-                f"inside={result.delta_inside}/{result.nodes_inside} "
-                f"concentration={result.concentration:.2f}\n"
-                + result.render_map()
-            )
-        return "\n\n".join(parts)
-
-
-def _run_fig4(quick: bool, seed: int) -> _Fig4Wrapper:
-    mild = run_figure4(inside_rate=0.3, quick=quick, seed=seed)
-    severe = run_figure4(inside_rate=0.8, quick=quick, seed=seed)
-    return _Fig4Wrapper(mild, severe)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,7 @@
 * :mod:`repro.datasets.synthetic` — the 600-node 20x20 ``Synthetic``
   scenario plus the density/width sweep deployments of Figure 7.
 * :mod:`repro.datasets.labdata` — the 54-node Intel-lab-like ``LabData``
-  reconstruction (see DESIGN.md for the substitution notes).
+  reconstruction (its module docstring lists the substitutions).
 """
 
 from repro.datasets.streams import (

@@ -4,15 +4,13 @@ The paper's ``LabData`` scenario replays "actual sensor locations and
 knowledge of communication loss rates among sensors" from the 54-mote Intel
 lab deployment (its citation [9]), whose light readings total ~2.3 million.
 That trace is not redistributable here, so this module builds a synthetic
-equivalent that preserves every property the paper's experiments rely on
-(see DESIGN.md, "Substitutions"):
+equivalent that preserves every property the paper's experiments rely on:
 
 * 54 motes in a 40 m x 30 m lab-like floor plan (a jittered 9x6 bench grid),
   base station at the west wall — multi-hop, 4-6 rings deep;
 * distance-dependent per-link loss in the 5-30% band (Zhao & Govindan-style);
 * a bushy aggregation tree: the paper reports a domination factor of 2.25
-  for LabData, and this layout lands in the same neighbourhood (recorded in
-  EXPERIMENTS.md);
+  for LabData, and this layout lands in the same neighbourhood;
 * diurnal light readings and quantized light *items* whose head is genuinely
   frequent (the consensus-measure workload of Section 5).
 """

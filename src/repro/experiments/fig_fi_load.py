@@ -17,7 +17,7 @@ Min Max-load's; Hybrid at or below the best of both on max load.
 Epsilon is calibrated so that eps * N exceeds typical summary sizes —
 with the paper's 2.3M-reading stream eps = 0.1% prunes heavily; our
 default streams are smaller, so the default eps here is scaled to keep
-the pruning regime comparable (see EXPERIMENTS.md).
+the pruning regime comparable.
 """
 
 from __future__ import annotations

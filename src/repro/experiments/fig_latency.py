@@ -4,7 +4,8 @@ The paper reports latency qualitatively — "minimal" for all three
 approaches on simple aggregates — and argues in footnote 6 that for
 frequent items, two tree retransmissions cost *more* latency than the
 multi-path algorithm's three-message payloads. This experiment puts
-numbers on both claims over the Synthetic deployment's rings schedule.
+numbers on both claims over the rings schedule of the ``table1`` config's
+deployment.
 
 Reproduction targets: identical Count latency across TAG/SD/TD (one
 message, one attempt, shared schedule); for frequent items, the
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.datasets.synthetic import make_synthetic_scenario
+from repro.api import EXPERIMENT_CONFIGS, build_scenario
 from repro.network.latency import (
     LatencyModel,
     compare_retransmission_strategies,
@@ -60,14 +61,17 @@ class LatencyResult:
 
 def run_latency(quick: bool = False, seed: int = 0) -> LatencyResult:
     """Quantify Table 1's latency column on the Synthetic deployment."""
-    sensors = 150 if quick else 600
-    scenario = make_synthetic_scenario(num_sensors=sensors, seed=seed)
+    topology = build_scenario(
+        EXPERIMENT_CONFIGS["table1"].replace(
+            scenario_seed=seed, **(dict(num_sensors=150) if quick else {})
+        )
+    ).topology
     model = LatencyModel()
     comparison = compare_retransmission_strategies(model)
     return LatencyResult(
-        table=latency_table(scenario.rings, model),
+        table=latency_table(topology.rings, model),
         retransmit_ms=comparison.retransmit_ms,
         longer_message_ms=comparison.longer_message_ms,
-        depth=scenario.rings.depth,
-        num_sensors=sensors,
+        depth=topology.rings.depth,
+        num_sensors=topology.deployment.num_sensors,
     )

@@ -1,7 +1,8 @@
 """Figure 4: how TD's delta region tracks a regional failure.
 
-Runs the TD (fine) strategy under Regional(p1, 0.05) with the failure
-rectangle {(0,0),(10,10)} and reports where the converged delta region sits.
+Converges the ``fig4`` config — the TD (fine) strategy under
+Regional(p1, 0.05) with the failure rectangle {(0,0),(10,10)} — and
+reports where the delta region sits.
 The paper's observation: "the delta region mostly consists of nodes actually
 experiencing high loss rate" — quantified here as the in-region fraction of
 delta nodes versus the in-region fraction of all nodes, plus an ASCII map
@@ -11,18 +12,18 @@ like the paper's scatter plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Optional, Set
 
-from repro.aggregates.sum_ import SumAggregate
-from repro.core.adaptation import DampedPolicy, TDCoarsePolicy, TDFinePolicy
-from repro.core.graph import TDGraph, initial_modes_by_level
-from repro.core.td_scheme import TributaryDeltaScheme
-from repro.datasets.streams import UniformReadings
-from repro.datasets.synthetic import make_synthetic_scenario
+from repro.api import EXPERIMENT_CONFIGS, build_scenario
 from repro.network.failures import RegionalLoss
 from repro.network.placement import Deployment, NodeId
-from repro.network.simulator import EpochSimulator
-from repro.tree.construction import build_bushy_tree
+from repro.registry import build_aggregate
+
+#: The figure's two panels: a mild and a severe regional failure.
+PANEL_RATES = (0.3, 0.8)
+
+#: ``strategy`` values of :func:`run_figure4` -> registered scheme names.
+STRATEGY_SCHEMES = {"td": "TD", "td-coarse": "TD-Coarse"}
 
 
 @dataclass
@@ -81,14 +82,32 @@ class TopologyResult:
                 grid[row][column] = "."
         return "\n".join("".join(line) for line in grid)
 
+    def render(self) -> str:
+        return (
+            f"Regional({self.inside_rate},{self.failure.outside_rate}): "
+            f"delta={len(self.delta)} "
+            f"inside={self.delta_inside}/{self.nodes_inside} "
+            f"concentration={self.concentration:.2f}\n" + self.render_map()
+        )
+
+
+@dataclass
+class Figure4Result:
+    """Both panels of Figure 4, mild failure first."""
+
+    panels: List[TopologyResult]
+
+    def render(self) -> str:
+        return "\n\n".join(panel.render() for panel in self.panels)
+
 
 def run_figure4(
     inside_rate: float,
     outside_rate: float = 0.05,
     quick: bool = False,
     seed: int = 0,
-    threshold: float = 0.85,
-    converge_epochs: int = 200,
+    threshold: Optional[float] = None,
+    converge_epochs: Optional[int] = None,
     strategy: str = "td",
 ) -> TopologyResult:
     """Converge a Tributary-Delta scheme under Regional(inside_rate, ...).
@@ -100,41 +119,36 @@ def run_figure4(
     experiencing small message loss", which this experiment quantifies via
     the concentration metric).
 
-    ``threshold`` defaults to 85% here (vs the paper's 90%): with our deeper
-    rings, tree tributaries outside the failure region deliver ~85% of their
-    readings at 5% link loss, so a 90% target can only be met by switching
-    most of the network to multi-path — which hides the directional growth
-    this figure is about (see EXPERIMENTS.md).
+    ``threshold`` and ``converge_epochs`` default to the ``fig4`` config's
+    (85%, 200 epochs; 80 epochs over 150 nodes when ``quick``).
     """
-    num_sensors = 150 if quick else 600
-    if quick:
-        converge_epochs = min(converge_epochs, 80)
-    scenario = make_synthetic_scenario(num_sensors=num_sensors, seed=seed)
-    tree = build_bushy_tree(scenario.rings, seed=seed)
-    graph = TDGraph(
-        scenario.rings, tree, initial_modes_by_level(scenario.rings, 0)
+    sizes = dict(num_sensors=150, converge_epochs=80) if quick else {}
+    if threshold is not None:
+        sizes["threshold"] = threshold
+    if converge_epochs is not None:
+        sizes["converge_epochs"] = converge_epochs
+    config = EXPERIMENT_CONFIGS["fig4"].replace(
+        scheme=STRATEGY_SCHEMES.get(strategy, strategy),
+        failure=f"regional:{inside_rate}:{outside_rate}",
+        scenario_seed=seed,
+        **sizes,
     )
-    failure = RegionalLoss(inside_rate, outside_rate)
-    if strategy == "td":
-        policy = TDFinePolicy(threshold=threshold)
-    elif strategy == "td-coarse":
-        policy = DampedPolicy(TDCoarsePolicy(threshold=threshold))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    scheme = TributaryDeltaScheme(
-        scenario.deployment,
-        graph,
-        SumAggregate(),
-        policy=policy,
-    )
-    readings = UniformReadings(10, 100, seed=seed)
-    simulator = EpochSimulator(
-        scenario.deployment, failure, scheme, seed=seed, adapt_interval=1
-    )
-    simulator.run(0, readings, warmup=converge_epochs)
+    scenario = build_scenario(config)
+    scheme = scenario.build_scheme(build_aggregate(config.aggregate))
+    scenario.converge(scheme, scenario.source)
     return TopologyResult(
         inside_rate=inside_rate,
-        deployment=scenario.deployment,
-        delta=graph.delta_region(),
-        failure=failure,
+        deployment=scenario.topology.deployment,
+        delta=scheme.graph.delta_region(),
+        failure=scenario.failure,
+    )
+
+
+def run_figure4_panels(quick: bool = False, seed: int = 0) -> Figure4Result:
+    """Figure 4 as printed: the TD delta under both regional failures."""
+    return Figure4Result(
+        [
+            run_figure4(inside_rate=rate, quick=quick, seed=seed)
+            for rate in PANEL_RATES
+        ]
     )

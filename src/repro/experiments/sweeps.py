@@ -17,6 +17,14 @@ future work"). These sweeps are that exploration:
 * :func:`sweep_epsilon_split` — the Section 6.3 error split eps_a vs eps_b
   for Tributary-Delta frequent items, vs false negatives and load.
 
+The three Tributary-Delta sweeps are grids over their
+:data:`repro.api.EXPERIMENT_CONFIGS` entry (``sweep_td``,
+``sweep_heuristic``): the threshold grid is a plain
+:meth:`repro.api.Session.sweep`; the other two read facts the run record
+does not carry (control messages, the adaptation log) off the live scheme,
+so each cell drives its config's scenario steps. The error-split sweep is
+a frequent-items experiment and wires its network by hand.
+
 Each sweep returns a :class:`SweepResult` whose ``render()`` emits both a
 numeric table and an ASCII chart, like the per-figure experiment modules.
 
@@ -28,14 +36,20 @@ deterministically and identical to a serial run.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aggregates.count import CountAggregate
+from repro.api import (
+    EXPERIMENT_CONFIGS,
+    RunConfig,
+    Session,
+    build_scenario,
+    expand_grid,
+)
 from repro.core.adaptation import DampedPolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
-from repro.core.td_scheme import TributaryDeltaScheme
-from repro.datasets.streams import ConstantReadings, exact_item_counts
+from repro.datasets.streams import exact_item_counts
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import ConfigurationError
 from repro.frequent.mp_fi import FMOperator
@@ -43,9 +57,9 @@ from repro.frequent.reporting import false_negative_rate, true_frequent
 from repro.frequent.td_fi import TributaryDeltaFrequentItems
 from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
-from repro.network.simulator import EpochSimulator
 from repro.parallel import parallel_map
 from repro.plotting import LineChart, render_series_table
+from repro.registry import SchemeEntry, build_aggregate, build_td
 from repro.tree.construction import build_bushy_tree
 
 
@@ -85,43 +99,40 @@ class SweepResult:
         return "\n".join(parts)
 
 
-def _measure_td(
-    scenario,
-    tree,
-    policy,
-    failure,
-    seed: int,
-    converge_epochs: int,
-    measure_epochs: int,
-    adapt_interval: int = 10,
-) -> Tuple[float, float, int]:
-    """(RMS error, delta fraction, control messages) for one TD config."""
-    graph = TDGraph(
-        scenario.rings, tree, initial_modes_by_level(scenario.rings, 0)
-    )
-    scheme = TributaryDeltaScheme(
-        scenario.deployment, graph, CountAggregate(), policy=policy
-    )
-    readings = ConstantReadings(1.0)
-    convergence = EpochSimulator(
-        scenario.deployment, failure, scheme, seed=seed, adapt_interval=1
-    )
-    convergence.run(0, readings, warmup=converge_epochs)
-    measurement = EpochSimulator(
-        scenario.deployment,
-        failure,
-        scheme,
+def _td_base(
+    name: str, loss_rate: float, seed: int, quick: bool, **quick_sizes: int
+) -> RunConfig:
+    """A sweep's named config under Global(loss_rate), seeded throughout."""
+    return EXPERIMENT_CONFIGS[name].replace(
+        failure=f"global:{loss_rate}",
+        scenario_seed=seed,
         seed=seed,
-        adapt_interval=adapt_interval,
+        **(quick_sizes if quick else {}),
     )
-    result = measurement.run(measure_epochs, readings, start_epoch=1000)
-    delta_fraction = len(graph.delta_region()) / max(1, len(graph.modes()))
-    return result.rms_error(), delta_fraction, scheme.control_messages
 
 
-def _measure_td_args(args: Tuple) -> Tuple[float, float, int]:
-    """Tuple-argument wrapper over :func:`_measure_td` for the pool map."""
-    return _measure_td(*args)
+def _live_td_cell(args: Tuple) -> Tuple[float, float, float]:
+    """(RMS error, control messages, switched nodes) of one TD config.
+
+    The last two live on the scheme, not in the run record, so the cell
+    drives the config's own scenario steps. ``policy`` (when given)
+    replaces the registered scheme's adaptation policy.
+    """
+    config, policy = args
+    scenario = build_scenario(config)
+    if policy is not None:
+        entry = SchemeEntry(
+            lambda context: build_td(context, policy, config.scheme),
+            adaptive=True,
+        )
+        scenario = dataclasses.replace(scenario, entry=entry)
+    scheme = scenario.build_scheme(build_aggregate(config.aggregate))
+    scenario.converge(scheme, scenario.source)
+    run = scenario.build_simulator(scheme).run(
+        config.epochs, scenario.source, start_epoch=config.start_epoch
+    )
+    switched = sum(count for _, _, count in scheme.adaptation_log)
+    return run.rms_error(), float(scheme.control_messages), float(switched)
 
 
 def sweep_threshold(
@@ -136,17 +147,22 @@ def sweep_threshold(
     Higher thresholds grow the delta (more robustness, bigger synopses and
     approximation error at the extreme); lower thresholds shrink it toward
     the lossy tree. The sweep exposes the interior optimum the paper's 90%
-    default sits near.
+    default sits near. ``delta_fraction`` is the delta size each run's last
+    measured epoch *recorded* (``extra["delta_size"]``, base station
+    included) over the deployment's node count.
     """
-    for value in values:
-        if not 0.0 < value <= 1.0:
-            raise ConfigurationError("thresholds must be in (0, 1]")
-    sensors = 100 if quick else 300
-    converge = 60 if quick else 120
-    measure = 30 if quick else 100
-    scenario = make_synthetic_scenario(num_sensors=sensors, seed=seed)
-    tree = build_bushy_tree(scenario.rings, seed=seed)
-    failure = GlobalLoss(loss_rate)
+    base = _td_base(
+        "sweep_td",
+        loss_rate,
+        seed,
+        quick,
+        num_sensors=100,
+        epochs=30,
+        converge_epochs=60,
+    )
+    reports = (
+        Session(jobs=jobs).sweep({"threshold": list(values)}, base).reports()
+    )
     result = SweepResult(
         name=f"TD threshold sweep, Global({loss_rate})",
         parameter="threshold",
@@ -157,25 +173,11 @@ def sweep_threshold(
             "delta size keeps growing."
         ),
     )
-    measurements = parallel_map(
-        _measure_td_args,
-        [
-            (
-                scenario,
-                tree,
-                TDFinePolicy(threshold=threshold),
-                failure,
-                seed,
-                converge,
-                measure,
-            )
-            for threshold in values
-        ],
-        jobs=jobs,
-    )
-    result.series["rms_error"] = [rms for rms, _, _ in measurements]
+    result.series["rms_error"] = [report.rms_error() for report in reports]
     result.series["delta_fraction"] = [
-        delta_fraction for _, delta_fraction, _ in measurements
+        report.result.epochs[-1].extra["delta_size"]
+        / (report.num_sensors() + 1)
+        for report in reports
     ]
     return result
 
@@ -194,14 +196,17 @@ def sweep_adapt_interval(
     is cheap but sluggish (the Figure 6(c) convergence-time discussion).
     """
     for value in values:
-        if value < 1:
+        if value < 1:  # a config's 0 means "never adapt", not a cadence
             raise ConfigurationError("adapt intervals must be at least 1")
-    sensors = 100 if quick else 300
-    converge = 60 if quick else 120
-    measure = 40 if quick else 100
-    scenario = make_synthetic_scenario(num_sensors=sensors, seed=seed)
-    tree = build_bushy_tree(scenario.rings, seed=seed)
-    failure = GlobalLoss(loss_rate)
+    base = _td_base(
+        "sweep_td",
+        loss_rate,
+        seed,
+        quick,
+        num_sensors=100,
+        epochs=40,
+        converge_epochs=60,
+    )
     result = SweepResult(
         name=f"TD adaptation-interval sweep, Global({loss_rate})",
         parameter="adapt_interval",
@@ -214,53 +219,18 @@ def sweep_adapt_interval(
         ),
     )
     measurements = parallel_map(
-        _measure_td_args,
+        _live_td_cell,
         [
-            (
-                scenario,
-                tree,
-                TDFinePolicy(),
-                failure,
-                seed,
-                converge,
-                measure,
-                interval,
-            )
-            for interval in values
+            (config, None)
+            for config in expand_grid(base, adapt_interval=list(values))
         ],
         jobs=jobs,
     )
     result.series["rms_error"] = [rms for rms, _, _ in measurements]
     result.series["control_messages"] = [
-        float(control) for _, _, control in measurements
+        control for _, control, _ in measurements
     ]
     return result
-
-
-def _heuristic_measurement(args: Tuple) -> Tuple[float, float]:
-    """(RMS after frozen measurement, switched nodes) for one policy."""
-    scenario, tree, policy, failure, seed, budget, measure = args
-    readings = ConstantReadings(1.0)
-    graph = TDGraph(
-        scenario.rings, tree, initial_modes_by_level(scenario.rings, 0)
-    )
-    scheme = TributaryDeltaScheme(
-        scenario.deployment, graph, CountAggregate(), policy=policy
-    )
-    convergence = EpochSimulator(
-        scenario.deployment, failure, scheme, seed=seed, adapt_interval=1
-    )
-    convergence.run(0, readings, warmup=budget)
-    switched = sum(count for _, _, count in scheme.adaptation_log)
-    measurement = EpochSimulator(
-        scenario.deployment,
-        failure,
-        scheme,
-        seed=seed,
-        adapt_interval=0,  # freeze: measure what the budget achieved
-    )
-    run = measurement.run(measure, readings, start_epoch=1000)
-    return run.rms_error(), float(switched)
 
 
 def sweep_expansion_heuristic(
@@ -271,17 +241,22 @@ def sweep_expansion_heuristic(
 ) -> SweepResult:
     """The Section 4.2 heuristics under a convergence deadline.
 
-    Every policy gets the *same small* adaptation budget after a sudden
-    Global(loss) failure; slower-expanding heuristics leave more of the
-    network on the lossy tree and show higher RMS. Series are indexed by a
-    synthetic ordinal (the table labels carry the real names).
+    Every policy gets the *same small* adaptation budget (the config's
+    ``converge_epochs``) after a sudden Global(loss) failure and is then
+    measured frozen (``adapt_interval=0``); slower-expanding heuristics
+    leave more of the network on the lossy tree and show higher RMS.
+    Series are indexed by a synthetic ordinal (the table labels carry the
+    real names).
     """
-    sensors = 100 if quick else 300
-    budget = 8 if quick else 15  # adaptation rounds before measurement
-    measure = 30 if quick else 80
-    scenario = make_synthetic_scenario(num_sensors=sensors, seed=seed)
-    tree = build_bushy_tree(scenario.rings, seed=seed)
-    failure = GlobalLoss(loss_rate)
+    base = _td_base(
+        "sweep_heuristic",
+        loss_rate,
+        seed,
+        quick,
+        num_sensors=100,
+        epochs=30,
+        converge_epochs=8,
+    )
     policies = [
         ("top-1 (paper base)", TDFinePolicy(expand_cut=1.0)),
         ("max/2 cut (paper heuristic)", TDFinePolicy(expand_cut=0.5)),
@@ -291,7 +266,7 @@ def sweep_expansion_heuristic(
     ]
     result = SweepResult(
         name=f"TD expansion heuristics, Global({loss_rate}), "
-        f"{budget} adaptation rounds",
+        f"{base.converge_epochs} adaptation rounds",
         parameter="policy_index",
         values=[float(index) for index in range(len(policies))],
         notes="\n".join(
@@ -302,16 +277,13 @@ def sweep_expansion_heuristic(
         "(lowest RMS within the budget); top-1 to lag.",
     )
     measurements = parallel_map(
-        _heuristic_measurement,
-        [
-            (scenario, tree, policy, failure, seed, budget, measure)
-            for _, policy in policies
-        ],
+        _live_td_cell,
+        [(base, policy) for _, policy in policies],
         jobs=jobs,
     )
-    result.series["rms_error"] = [rms for rms, _ in measurements]
+    result.series["rms_error"] = [rms for rms, _, _ in measurements]
     result.series["switched_nodes"] = [
-        switched for _, switched in measurements
+        switched for _, _, switched in measurements
     ]
     return result
 

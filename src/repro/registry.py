@@ -608,7 +608,13 @@ def _build_sd(context: SchemeContext) -> SynopsisDiffusionScheme:
     )
 
 
-def _build_td(context: SchemeContext, policy, name: str) -> TributaryDeltaScheme:
+def build_td(context: SchemeContext, policy, name: str) -> TributaryDeltaScheme:
+    """A Tributary-Delta scheme over ``context`` adapting under ``policy``.
+
+    The builder behind the registered ``TD`` / ``TD-Coarse`` entries; wrap
+    it in a :class:`SchemeEntry` to run an unregistered policy through the
+    same scenario steps (``experiments.sweeps.sweep_expansion_heuristic``).
+    """
     graph = TDGraph(
         context.rings, context.tree, initial_modes_by_level(context.rings, 0)
     )
@@ -626,7 +632,7 @@ def _build_td(context: SchemeContext, policy, name: str) -> TributaryDeltaScheme
 
 @register_scheme("TD-Coarse", adaptive=True)
 def _build_td_coarse(context: SchemeContext) -> TributaryDeltaScheme:
-    return _build_td(
+    return build_td(
         context,
         DampedPolicy(TDCoarsePolicy(threshold=context.threshold)),
         "TD-Coarse",
@@ -635,7 +641,7 @@ def _build_td_coarse(context: SchemeContext) -> TributaryDeltaScheme:
 
 @register_scheme("TD", adaptive=True)
 def _build_td_fine(context: SchemeContext) -> TributaryDeltaScheme:
-    return _build_td(
+    return build_td(
         context, TDFinePolicy(threshold=context.threshold), "TD"
     )
 

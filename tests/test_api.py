@@ -8,12 +8,15 @@ pure re-plumbing of construction, never of draws.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import (
+    CONFIG_SCHEMA_VERSION,
     EXPERIMENT_CONFIGS,
+    EngineOptions,
     RunConfig,
     RunReport,
     Session,
@@ -149,6 +152,60 @@ class TestRunConfig:
     def test_canonical_json_is_stable(self):
         config = quick_config("TAG", "none")
         assert config.to_json() == RunConfig.from_json(config.to_json()).to_json()
+
+    def test_one_encoding_rule(self):
+        """type + one version + the fields that differ from their default."""
+        assert set(RunConfig(scheme="TAG").to_jsonable()) == {
+            "type", "version", "scheme",
+        }
+        non_default = dict(
+            seed=3, failure="global:0.2", topology="labdata", num_sensors=40,
+            scenario_seed=2, aggregate="sum", reading="uniform:10:100:0",
+            query="SELECT max", queries=[{"name": "s", "aggregate": "sum"}],
+            epochs=5, warmup=1, start_epoch=7, adapt_interval=5,
+            converge_epochs=9, threshold=0.8, tree_attempts=2,
+            use_batch=False, churn="deaths:3:2", churn_interval=4,
+            engine={"state": "packed"}, faults=["delay:2"],
+            retention="window:3", storage="memory", group_by="region:1",
+        )
+        assert set(non_default) | {"scheme"} == {
+            field.name for field in dataclasses.fields(RunConfig)
+        }
+        for name, value in non_default.items():
+            config = RunConfig(scheme="TAG", **{name: value})
+            payload = config.to_jsonable()
+            assert set(payload) == {"type", "version", "scheme", name}
+            assert payload["version"] == CONFIG_SCHEMA_VERSION
+            assert RunConfig.from_json(config.to_json()) == config
+
+    def test_parent_written_full_field_payload_decodes(self):
+        """A v7 payload as the ladder wrote it: every key of its time,
+        defaults included."""
+        payload = json.loads(
+            '{"adapt_interval": 5, "aggregate": "sum", "churn": "deaths:3:2",'
+            ' "churn_interval": 4, "converge_epochs": 9, "engine": {"backend":'
+            ' "object", "state": "packed"}, "epochs": 5, "failure":'
+            ' "global:0.2", "faults": ["corrupt:0.1", "delay:2"], "group_by":'
+            ' "region:1", "num_sensors": 40, "query": null, "reading":'
+            ' "uniform:10:100:0", "retention": "window:3", "scenario_seed": 2,'
+            ' "scheme": "SD", "seed": 3, "start_epoch": 7, "storage":'
+            ' "memory", "threshold": 0.8, "topology": "synthetic",'
+            ' "tree_attempts": 2, "type": "run-config", "use_batch": false,'
+            ' "version": 7, "warmup": 1}'
+        )
+        config = RunConfig.from_jsonable(payload)
+        assert config == RunConfig(
+            scheme="SD", seed=3, failure="global:0.2", num_sensors=40,
+            scenario_seed=2, aggregate="sum", reading="uniform:10:100:0",
+            epochs=5, warmup=1, start_epoch=7, adapt_interval=5,
+            converge_epochs=9, threshold=0.8, tree_attempts=2,
+            use_batch=False, churn="deaths:3:2", churn_interval=4,
+            engine=EngineOptions(backend="object", state="packed"),
+            faults=["corrupt:0.1", "delay:2"], retention="window:3",
+            storage="memory", group_by="region:1",
+        )
+        assert "topology" not in config.to_jsonable()
+        assert "query" not in config.to_jsonable()
 
     def test_unknown_keys_are_actionable(self):
         payload = json.loads(quick_config("TAG", "none").to_json())

@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregates.count import CountAggregate
+from repro.core.sd_scheme import SynopsisDiffusionScheme
+from repro.core.tag_scheme import TagScheme
+from repro.datasets.streams import ConstantReadings
+from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import ConfigurationError
 from repro.network.burst import (
     CrashWindow,
@@ -16,6 +21,8 @@ from repro.network.burst import (
 from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.network.placement import placement_from_points
+from repro.network.simulator import EpochSimulator
+from repro.tree.construction import build_bushy_tree
 
 
 @pytest.fixture()
@@ -138,6 +145,29 @@ class TestMatchedGilbertElliott:
             matched_gilbert_elliott(target_loss=0.01, good_loss=0.02)
         with pytest.raises(ConfigurationError):
             matched_gilbert_elliott(target_loss=0.3, mean_burst_epochs=0.0)
+
+
+class TestBurstinessAblation:
+    def test_multipath_beats_the_tree_bursty_or_not(self):
+        """Same mean loss, different time structure: the ordering survives."""
+        scenario = make_synthetic_scenario(num_sensors=80, seed=8)
+        tree = build_bushy_tree(scenario.rings, seed=8)
+        deployment = scenario.deployment
+        for failure in (
+            GlobalLoss(0.25),
+            matched_gilbert_elliott(0.25, seed=8),
+        ):
+            tag = TagScheme(deployment, tree, CountAggregate())
+            sd = SynopsisDiffusionScheme(
+                deployment, scenario.rings, CountAggregate()
+            )
+            tag_rms, sd_rms = (
+                EpochSimulator(deployment, failure, scheme, seed=3)
+                .run(20, ConstantReadings(1.0))
+                .rms_error()
+                for scheme in (tag, sd)
+            )
+            assert sd_rms < tag_rms
 
 
 class TestCrashWindow:

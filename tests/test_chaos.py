@@ -425,13 +425,17 @@ class TestRunConfigFaults:
     def test_unset_faults_keep_schema_and_digest(self):
         config = RunConfig(**self.BASE)
         assert config.faults is None
-        assert config.to_jsonable()["version"] == 2
         assert "faults" not in config.to_jsonable()
+        assert config_digest(config) == config_digest(
+            config.replace(faults=[])
+        )
 
     def test_set_faults_bump_schema_to_v5(self):
+        # The id predates the single encoding rule: setting the field adds
+        # its key, never a different version.
         config = RunConfig(**self.BASE, faults=["corrupt:0.1", "delay:2"])
         payload = config.to_jsonable()
-        assert payload["version"] == 5
+        assert payload["version"] == RunConfig(**self.BASE).to_jsonable()["version"]
         assert payload["faults"] == ["corrupt:0.1", "delay:2"]
         assert RunConfig.from_json(config.to_json()) == config
 

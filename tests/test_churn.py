@@ -27,7 +27,6 @@ from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError, TopologyError
-from repro.experiments.fig_churn import run_churn_timeline
 from repro.network.churn import (
     BirthDeathChurn,
     ChurnBatch,
@@ -696,8 +695,8 @@ class TestChurnEndToEnd:
         assert _run_fingerprint(first[0]) == _run_fingerprint(second[0])
         assert first[0].epochs[-1].extra["alive_sensors"] == 52
 
-    def test_quick_churn_timeline_experiment(self):
-        result = run_churn_timeline(quick=True, seed=0)
+    def test_quick_churn_timeline_experiment(self, quick_figure):
+        result = quick_figure("churn-timeline")
         assert set(result.relative_errors) == {"TAG", "SD", "TD-Coarse", "TD"}
         for name, alive in result.alive_series.items():
             assert min(alive) < 150, name

@@ -16,6 +16,7 @@ from repro.datasets.streams import ConstantReadings, UniformReadings
 from repro.errors import ConfigurationError
 from repro.network.failures import GlobalLoss, NoLoss
 from repro.network.links import Channel
+from repro.network.simulator import EpochSimulator
 
 
 def run_once(deployment, failure, scheme, readings, epoch=0, seed=0):
@@ -229,3 +230,37 @@ class TestOverSchemes:
             sums.append(answers["sum"])
         assert sum(counts) / len(counts) == pytest.approx(sensors, rel=0.4)
         assert sum(sums) / len(sums) == pytest.approx(float(sensors), rel=0.4)
+
+    def test_shared_sweep_costs_less_energy_than_separate_sweeps(
+        self, small_scenario, small_tree
+    ):
+        """Headers and sweeps amortise across the bundled queries."""
+
+        def energy_uj(aggregate):
+            graph = TDGraph(
+                small_scenario.rings,
+                small_tree,
+                initial_modes_by_level(small_scenario.rings, 1),
+            )
+            scheme = TributaryDeltaScheme(
+                small_scenario.deployment, graph, aggregate
+            )
+            simulator = EpochSimulator(
+                small_scenario.deployment,
+                GlobalLoss(0.15),
+                scheme,
+                seed=5,
+                adapt_interval=0,
+            )
+            return simulator.run(10, ConstantReadings(1.0)).energy.total_uj
+
+        shared = energy_uj(make_composite())
+        separate = sum(
+            energy_uj(aggregate)
+            for aggregate in (
+                CountAggregate(),
+                SumAggregate(),
+                AverageAggregate(),
+            )
+        )
+        assert 1 - shared / separate > 0.2

@@ -9,18 +9,21 @@ are gated in ``tests/test_paper_claims.py``.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
+import repro.experiments
 from repro.api import RunConfig, Session
+from repro.errors import ConfigurationError
 
-from repro.experiments.fig_domination import run_figure7a, run_figure7b, run_table2
-from repro.experiments.fig_fi_load import run_figure8
-from repro.experiments.fig_fi_loss import run_figure9
+from repro.experiments.fig_domination import run_figure7b, run_table2
 from repro.experiments.fig_topology import run_figure4
 from repro.experiments.metrics import mean, relative_error, rms_error_series
 from repro.plotting import format_table
@@ -97,8 +100,8 @@ class TestFigureSmoke:
         assert result.t2_domination >= 2.0
         assert "Te" in result.render()
 
-    def test_figure7a_our_tree_wins(self):
-        result = run_figure7a(quick=True)
+    def test_figure7a_our_tree_wins(self, quick_figure):
+        result = quick_figure("fig7a")
         assert len(result.our_tree) == len(result.parameters)
         wins = sum(
             1 for ours, tag in zip(result.our_tree, result.tag_tree) if ours >= tag
@@ -116,21 +119,18 @@ class TestFigureSmoke:
         assert result.concentration > 1.0  # leaning into the failure region
         assert "B" in result.render_map()
 
-    def test_figure4_td_more_directional_than_coarse(self):
+    def test_figure4_td_more_directional_than_coarse(self, quick_figure):
         # Section 7.2: TD-Coarse "expands uniformly around the base
         # station", TD "only in the direction of the failure region".
-        td = run_figure4(inside_rate=0.3, quick=True, converge_epochs=80)
-        coarse = run_figure4(
-            inside_rate=0.3, quick=True, converge_epochs=80, strategy="td-coarse"
-        )
-        assert td.concentration > coarse.concentration
+        td = quick_figure("fig4").panels[0]
+        assert td.concentration > _quick_coarse_figure4(0.3).concentration
 
     def test_figure4_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown scheme 'nope'"):
             run_figure4(inside_rate=0.3, quick=True, strategy="nope")
 
-    def test_figure8_orderings(self):
-        result = run_figure8(quick=True)
+    def test_figure8_orderings(self, quick_figure):
+        result = quick_figure("fig8")
         labels = {row[1] for row in result.rows}
         assert labels == {
             "Min Max-load",
@@ -146,12 +146,20 @@ class TestFigureSmoke:
         synthetic_max_avg, _ = result.loads("Synthetic", "Min Max-load")
         assert synthetic_total_avg < synthetic_max_avg
 
-    def test_figure9_tag_degrades_fastest(self):
-        result = run_figure9(quick=True, loss_rates=(0.0, 0.6))
+    def test_figure9_tag_degrades_fastest(self, quick_figure):
+        result = quick_figure("fig9a")
         tag_curve = result.false_negatives["TAG"]
         sd_curve = result.false_negatives["SD"]
         assert tag_curve[-1] > sd_curve[-1]
         assert tag_curve[0] <= 10.0  # near-zero FN without loss
+
+
+@functools.cache
+def _quick_coarse_figure4(inside_rate):
+    """Figure 4's TD-Coarse counterpart of a ``quick_figure("fig4")`` panel."""
+    return run_figure4(
+        inside_rate=inside_rate, quick=True, strategy="td-coarse"
+    )
 
 
 class TestRunPaired:
@@ -173,18 +181,57 @@ class TestRunPaired:
         )
 
 
-#: SHA-256 of ``json.dumps(series, sort_keys=True)`` per config-form figure
-#: (quick size, seed 0), recorded with the hand-wired runner at commit
-#: bb5a955 — the parent of the change that deleted it. ``fig6`` is that
-#: commit's hand-wired loop at 150 nodes x 400 epochs over the registry's
-#: ``timeline`` schedule; ``table1`` covers the Count rows.
+#: SHA-256 of ``json.dumps(series, sort_keys=True)`` per config-form
+#: experiment (quick size, seed 0), recorded with its hand-wired
+#: predecessor at the parent of the change that deleted it (commit bb5a955
+#: for the first six, d28ed39 for fig4, lifetime and the sweeps). ``fig6``
+#: is bb5a955's hand-wired loop at 150 nodes x 400 epochs over the
+#: registry's ``timeline`` schedule; ``table1`` covers the Count rows;
+#: ``fig4`` the sorted delta node sets of both panels under both
+#: strategies; ``lifetime`` (first death, half dead) per scheme;
+#: ``sweep-threshold`` the RMS series only (its ``delta_fraction`` is the
+#: recorded size now).
 FIGURE_GOLDENS = {
     "fig2": "594e401c54941adbc145bae05336df9be57081bb028c7bb93f9ec3ff813d79d5",
+    "fig4": "226491efb16c6ffa7fe2c54e281143a2ba3e1a4eebdf4b5e8a1fcc9c27c4259b",
     "fig5a": "b70fdd0fde4b7f717c4e597b8f6a060b45f0f67e17e808ef1bd42f597db76390",
     "fig5b": "2a15d08e24833bf35efe528abb63b73f39f2571fb324ed7d7fb7a8a793468993",
     "fig6": "04d27600b310ef06803a1f47022c0d22a3e1441af0129b2d9772273ba521be1f",
     "churn-timeline": "faa700ce15f41e85372c1584735ae95ff90d6ba0b9da82b7f71def09ed29b780",
+    "lifetime": "455a08d4709756d456cb6e33449093afd6d1d9794e6b73a3ccba7ecc9f813e2d",
+    "sweep-heuristic": "0f3c5a0b7d2c29c7c96fb0e8d867ef37509521c662b7bc05b6ef50bbe71cdf46",
+    "sweep-interval": "ad4f26b898ce1bfcf006e29adc49f7d860da7d329b27b91cd569b4e5a7321d8f",
+    "sweep-threshold": "26196b09596bb48eadfa67dfb26b006f441694a5dc474971f7589b22d56ad5a7",
     "table1": "e55aa696e36991992ef91c8b3bd70a9a8a8d61282d83bc2471b780fbe558ce45",
+}
+
+#: What the config-form experiment modules must not import: the raw
+#: constructors their ``EXPERIMENT_CONFIGS`` entry replaces.
+RAW_CONSTRUCTORS = {
+    "make_synthetic_scenario",
+    "build_bushy_tree",
+    "TDGraph",
+    "EpochSimulator",
+    "TagScheme",
+    "SynopsisDiffusionScheme",
+    "TributaryDeltaScheme",
+}
+CONFIG_FORM_MODULES = (
+    "fig_churn",
+    "fig_count_rms",
+    "fig_latency",
+    "fig_lifetime",
+    "fig_regional",
+    "fig_timeline",
+    "fig_topology",
+    "labdata_rms",
+    "sweeps",
+    "table1",
+)
+#: ``sweeps`` keeps the geometry ``sweep_epsilon_split`` wires by hand
+#: until frequent items get an engine form.
+STILL_HAND_WIRED = {
+    "sweeps": {"make_synthetic_scenario", "build_bushy_tree", "TDGraph"},
 }
 
 
@@ -202,6 +249,24 @@ class TestFigureGoldens:
             ]
         elif name in ("fig6", "churn-timeline"):
             series = result.relative_errors
+        elif name == "fig4":
+            series = {}
+            for panel in result.panels:
+                coarse = _quick_coarse_figure4(panel.inside_rate)
+                series[f"{panel.inside_rate}/td"] = sorted(panel.delta)
+                series[f"{panel.inside_rate}/td-coarse"] = sorted(coarse.delta)
+        elif name == "lifetime":
+            series = {
+                scheme: [
+                    report.first_death_epochs,
+                    report.epochs_to_fraction_dead(0.5),
+                ]
+                for scheme, report in result.reports.items()
+            }
+        elif name == "sweep-threshold":
+            series = result.series["rms_error"]
+        elif name.startswith("sweep-"):
+            series = result.series
         else:
             series = result.rms
         digest = hashlib.sha256(
@@ -214,13 +279,27 @@ class TestFigureGoldens:
         # the adaptation that followed it (which read 94/102/140 here).
         assert quick_figure("fig2").delta_sizes["TD"][:4] == [0, 92, 96, 137]
         assert quick_figure("labdata").delta_sizes == {"TD-Coarse": 55, "TD": 48}
+        # Same rule for the threshold sweep (the post-adaptation graph read
+        # 44/62/94 of 101 nodes at thresholds 0.7/0.8/0.9).
+        fractions = quick_figure("sweep-threshold").series["delta_fraction"]
+        assert [round(f * 101) for f in fractions] == [0, 41, 44, 92, 100, 100]
+
+    @pytest.mark.parametrize("module", CONFIG_FORM_MODULES)
+    def test_config_form_modules_import_no_raw_constructor(self, module):
+        path = pathlib.Path(repro.experiments.__file__).with_name(f"{module}.py")
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        allowed = STILL_HAND_WIRED.get(module, set())
+        assert imported & RAW_CONSTRUCTORS <= allowed
 
 
 class TestLatencyExperiment:
-    def test_quick_run_shapes(self):
-        from repro.experiments.fig_latency import run_latency
-
-        result = run_latency(quick=True, seed=0)
+    def test_quick_run_shapes(self, quick_figure):
+        result = quick_figure("latency")
         assert result.overhead > 1.0
         text = result.render()
         assert "footnote 6" in text
@@ -228,10 +307,8 @@ class TestLatencyExperiment:
 
 
 class TestLifetimeExperiment:
-    def test_quick_run_orderings(self):
-        from repro.experiments.fig_lifetime import run_lifetime
-
-        comparison = run_lifetime(quick=True, seed=0)
+    def test_quick_run_orderings(self, quick_figure):
+        comparison = quick_figure("lifetime")
         assert set(comparison.reports) == {"TAG", "SD", "TD"}
         tag = comparison.reports["TAG"]
         sd = comparison.reports["SD"]

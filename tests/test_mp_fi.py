@@ -107,6 +107,27 @@ class TestSE:
         truth = true_frequent(counts, support)
         assert false_negative_rate(truth, outcome.reported) <= 0.15
 
+    def test_best_effort_fm_operator_keeps_false_negatives_modest(
+        self, small_scenario
+    ):
+        # The operator ablation: the paper's best-effort FM operator [7]
+        # trades the KMV operator's accuracy guarantee for small messages,
+        # and must still find most frequent items without loss.
+        stream = ZipfItemStream(items_per_node=80, universe=200, alpha=1.3, seed=6)
+        counts = exact_item_counts(stream, small_scenario.deployment.sensor_ids, 0)
+        algorithm = MultipathFrequentItems(
+            epsilon=0.002,
+            total_items_hint=sum(counts.values()),
+            operator=FMOperator(num_bitmaps=8),
+        )
+        scheme = MultipathFrequentItemsScheme(
+            small_scenario.rings, algorithm, support=0.02
+        )
+        channel = Channel(small_scenario.deployment, NoLoss(), seed=1)
+        outcome = scheme.run_epoch(0, channel, lambda n, e: stream.items(n, e))
+        truth = true_frequent(counts, 0.02)
+        assert false_negative_rate(truth, outcome.reported) <= 0.35
+
     def test_total_estimate_reasonable(self, small_scenario):
         stream = ZipfItemStream(items_per_node=50, universe=100, seed=3)
         counts = exact_item_counts(stream, small_scenario.deployment.sensor_ids, 0)

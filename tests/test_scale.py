@@ -253,21 +253,21 @@ def test_report_load_epochs_reloads_lazily(tmp_path):
 
 
 def test_scale_fields_version_gate():
-    """Configs not using the tier keep their old digests (v2 payloads)."""
+    """Scale-tier fields encode only when set, under the one version."""
     plain = RunConfig(
         scheme="TAG", failure="none", num_sensors=20, epochs=2, **BASE
     )
-    assert plain.to_jsonable()["version"] == 2
+    assert plain.to_jsonable()["version"] == CONFIG_SCHEMA_VERSION
     assert "retention" not in plain.to_jsonable()
     assert "storage" not in plain.to_jsonable()
-    for upgraded in (
-        plain.replace(retention="stream"),
-        plain.replace(storage="memory"),
-        plain.replace(engine=EngineOptions(state="packed")),
+    for key, upgraded in (
+        ("retention", plain.replace(retention="stream")),
+        ("storage", plain.replace(storage="memory")),
+        ("engine", plain.replace(engine=EngineOptions(state="packed"))),
     ):
         payload = upgraded.to_jsonable()
-        # Scale fields gate at v6; later tiers (GROUP BY) sit above it.
-        assert payload["version"] == 6 <= CONFIG_SCHEMA_VERSION
+        assert set(payload) - set(plain.to_jsonable()) == {key}
+        assert payload["version"] == CONFIG_SCHEMA_VERSION
         rebuilt = RunConfig.from_jsonable(payload)
         assert rebuilt == upgraded
         assert config_digest(rebuilt) == config_digest(upgraded)

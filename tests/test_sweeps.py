@@ -88,11 +88,15 @@ class TestExpansionHeuristicSweep:
         assert "top-1 (paper base)" in text
 
 
+@pytest.fixture(scope="module")
+def split_sweep():
+    """One two-point error-split sweep shared by the tests below (~2 s)."""
+    return sweep_epsilon_split(fractions=(0.15, 0.85), quick=True, seed=1)
+
+
 class TestEpsilonSplitSweep:
-    def test_quick_sweep_shapes(self):
-        result = sweep_epsilon_split(
-            fractions=(0.3, 0.7), quick=True, seed=1
-        )
+    def test_quick_sweep_shapes(self, split_sweep):
+        result = split_sweep
         assert len(result.series["false_negative_rate"]) == 2
         assert all(
             0.0 <= rate <= 1.0 for rate in result.series["false_negative_rate"]
@@ -105,9 +109,8 @@ class TestEpsilonSplitSweep:
 
 
 class TestEpsilonSplitSeparation:
-    def test_tree_heavy_split_inflates_delta_payloads(self):
+    def test_tree_heavy_split_inflates_delta_payloads(self, split_sweep):
         """The §6.3 trade made visible: starving the multi-path budget
         (large tree fraction) must cost strictly more words per node."""
-        result = sweep_epsilon_split(fractions=(0.15, 0.85), quick=True, seed=1)
-        light_tree, heavy_tree = result.series["words_per_node"]
+        light_tree, heavy_tree = split_sweep.series["words_per_node"]
         assert heavy_tree > light_tree * 1.3

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import TDGraph, initial_modes_by_level
+from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import ConfigurationError
 from repro.frequent.gk import GKSummary
 from repro.frequent.td_quantiles import (
@@ -17,6 +18,7 @@ from repro.frequent.td_quantiles import (
 )
 from repro.network.failures import GlobalLoss, NoLoss
 from repro.network.links import Channel
+from repro.tree.construction import build_bushy_tree
 
 
 def keyed(values, weight=1.0, salt=0):
@@ -223,6 +225,33 @@ class TestTributaryDeltaQuantiles:
         truth = self._truth(small_scenario.deployment, 0.5)
         # Multi-path keeps the answer in the right region despite 25% loss.
         assert median == pytest.approx(truth, abs=25.0)
+
+    def test_mixed_delta_tracks_the_tree_under_loss(self):
+        """The Count robustness story restated for a holistic aggregate:
+        under Global(0.25) the Section 5 + 6.3 combination keeps the median
+        about as close to the truth as the tree's GK algorithm alone."""
+        scenario = make_synthetic_scenario(num_sensors=80, seed=6)
+        tree = build_bushy_tree(scenario.rings, seed=6)
+        truth = self._truth(scenario.deployment, 0.5)
+
+        def median_error(level, **sizes):
+            graph = TDGraph(
+                scenario.rings,
+                tree,
+                initial_modes_by_level(scenario.rings, level),
+            )
+            scheme = TributaryDeltaQuantiles(graph, epsilon=0.05, **sizes)
+            errors = []
+            for epoch in range(6):
+                channel = Channel(
+                    scenario.deployment, GlobalLoss(0.25), seed=11
+                )
+                outcome = scheme.run_epoch(epoch, channel, _uniform_items)
+                errors.append(abs(outcome.quantile(0.5) - truth))
+            return sum(errors) / len(errors)
+
+        mixed = median_error(3, sample_size=192, representatives=24)
+        assert mixed <= median_error(-1) + 1.0
 
     def test_total_loss_yields_empty_outcome(self, small_scenario, graph):
         scheme = TributaryDeltaQuantiles(graph)

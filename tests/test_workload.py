@@ -34,6 +34,7 @@ import json
 import pytest
 
 from repro.api import (
+    CONFIG_SCHEMA_VERSION,
     QuerySpec,
     QueryWorkload,
     RunConfig,
@@ -164,17 +165,22 @@ class TestSingleQueryByteIdentity:
 
 
 class TestSchemaMigration:
-    """v2 payloads load unchanged; workloads are v3; errors actionable."""
+    """One encoding rule; older payloads load unchanged; errors actionable."""
 
     def test_workload_free_configs_still_encode_v2(self):
+        # The id predates the single rule: a default-valued field is
+        # absent from the payload, whatever version introduced it.
         payload = RunConfig(scheme="TAG", **QUICK).to_jsonable()
-        assert payload["version"] == 2
+        assert payload["version"] == CONFIG_SCHEMA_VERSION
         assert "queries" not in payload
+        assert "seed" not in payload  # QUICK sets it to the default
+        assert payload["num_sensors"] == QUICK["num_sensors"]
 
     def test_workload_configs_encode_v3_and_round_trip(self):
         config = workload_config("TAG")
         payload = config.to_jsonable()
-        assert payload["version"] == 3
+        assert payload["version"] == CONFIG_SCHEMA_VERSION
+        assert "aggregate" not in payload  # left at its default
         assert [entry["name"] for entry in payload["queries"]] == [
             "count", "sum", "hot", "heavy",
         ]
@@ -191,6 +197,7 @@ class TestSchemaMigration:
         config = RunConfig.from_jsonable(v2)
         assert config.queries is None
         assert config.aggregate == "sum"
+        assert config == RunConfig(scheme="SD", aggregate="sum", epochs=7)
 
     def test_malformed_queries_are_actionable(self):
         cases = [
@@ -239,12 +246,15 @@ class TestSchemaMigration:
             )
 
     def test_multi_target_one_liner_encodes_v3(self):
-        """A multi-target 'query' is a workload: pre-workload readers must
-        be stopped by the version guard, not a parse error."""
-        config = RunConfig(scheme="TAG", query="SELECT count, sum", **QUICK)
-        assert config.to_jsonable()["version"] == 3
-        single = RunConfig(scheme="TAG", query="SELECT count", **QUICK)
-        assert single.to_jsonable()["version"] == 2
+        """A multi-target 'query' is a workload: readers that predate
+        workloads must be stopped by the version guard, not a parse error.
+        Under the single version every older reader stops at the guard."""
+        for query in ("SELECT count, sum", "SELECT count"):
+            config = RunConfig(scheme="TAG", query=query, **QUICK)
+            payload = config.to_jsonable()
+            assert payload["version"] == CONFIG_SCHEMA_VERSION
+            assert payload["query"] == query
+            assert RunConfig.from_jsonable(payload) == config
 
     def test_queries_entry_names_default(self):
         config = RunConfig(
