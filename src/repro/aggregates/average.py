@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
+from repro.aggregates.composite import CompositeAggregate
 from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
 from repro.multipath.fm import FMSketch
@@ -26,6 +27,7 @@ class AverageAggregate(Aggregate[TreePair, SketchPair]):
     def __init__(self, num_bitmaps: int = 40, bits: int = 32) -> None:
         self._sum = SumAggregate(num_bitmaps, bits)
         self._count = CountAggregate(num_bitmaps, bits)
+        self._pair = CompositeAggregate([self._sum, self._count])
 
     # -- tree ------------------------------------------------------------
 
@@ -79,6 +81,20 @@ class AverageAggregate(Aggregate[TreePair, SketchPair]):
             self._sum.convert(partial[0], sender, epoch),
             self._count.convert(partial[1], sender, epoch),
         )
+
+    # -- block forms: component-wise, exactly the composite's ------------------
+
+    def tree_local_block(self, nodes, epochs, reading_rows):
+        return self._pair.tree_local_block(nodes, epochs, reading_rows)
+
+    def synopsis_local_block(self, nodes, epochs, reading_rows):
+        return self._pair.synopsis_local_block(nodes, epochs, reading_rows)
+
+    def synopsis_words_batch(self, synopses):
+        return self._pair.synopsis_words_batch(synopses)
+
+    def convert_block(self, partials, senders, epochs):
+        return self._pair.convert_block(partials, senders, epochs)
 
     # -- mixed evaluation --------------------------------------------------------
 

@@ -155,6 +155,22 @@ class Aggregate(ABC, Generic[P, S]):
         epoch, but determinism costs nothing and simplifies reasoning.
         """
 
+    def convert_block(
+        self, partials: Sequence[P], senders: Sequence[int], epochs: Sequence[int]
+    ) -> List[S]:
+        """Batched :meth:`convert` over parallel columns.
+
+        Cell ``i`` must equal ``convert(partials[i], senders[i],
+        epochs[i])`` exactly, errors included — the object twin of
+        :meth:`convert_block_packed`. The Tributary-Delta engine funnels a
+        level's T -> M deliveries through one call; the FM-backed
+        aggregates override the default loop with vectorized passes.
+        """
+        return [
+            self.convert(partial, sender, epoch)
+            for partial, sender, epoch in zip(partials, senders, epochs)
+        ]
+
     # -- mixed base-station evaluation ----------------------------------------
 
     def mixed_eval(self, partials: Sequence[P], fused: Optional[S]) -> float:
@@ -323,3 +339,9 @@ def fuse_all(aggregate: Aggregate[P, S], synopses: Sequence[S]) -> S:
     for synopsis in synopses[1:]:
         result = aggregate.synopsis_fuse(result, synopsis)
     return result
+
+
+def zip_blocks(blocks: Sequence[List[List]]) -> List[List[Tuple]]:
+    """Per-component blocks -> one block whose cells are component tuples
+    (``result[j][i][c] == blocks[c][j][i]``: epoch ``j``, node ``i``)."""
+    return [list(zip(*rows)) for rows in zip(*blocks)]

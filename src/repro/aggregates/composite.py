@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import Aggregate, zip_blocks
 from repro.errors import ConfigurationError
 
 #: Component-wise tuples of partials / synopses.
@@ -101,12 +101,37 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
         self.last_evaluations = tuple(values)
         return values[self._primary]
 
+    # -- per-slot dispatch: every component sees the same reading here; a
+    # workload overrides these two hooks to split a reading tuple per slot.
+
+    def _slot_readings(self, reading) -> Sequence:
+        """One cell's reading as seen by each component, in slot order."""
+        return (reading,) * len(self._aggregates)
+
+    def _slot_rows(self, reading_rows: Sequence[Sequence]) -> Sequence:
+        """A block's ``reading_rows`` as seen by each component."""
+        return (reading_rows,) * len(self._aggregates)
+
     # -- tree ------------------------------------------------------------
 
-    def tree_local(self, node: int, epoch: int, reading: float) -> CompositePartial:
+    def tree_local(self, node: int, epoch: int, reading) -> CompositePartial:
         return tuple(
-            aggregate.tree_local(node, epoch, reading)
-            for aggregate in self._aggregates
+            aggregate.tree_local(node, epoch, value)
+            for aggregate, value in zip(
+                self._aggregates, self._slot_readings(reading)
+            )
+        )
+
+    def tree_local_block(
+        self, nodes, epochs, reading_rows
+    ) -> List[List[CompositePartial]]:
+        return zip_blocks(
+            [
+                aggregate.tree_local_block(nodes, epochs, rows)
+                for aggregate, rows in zip(
+                    self._aggregates, self._slot_rows(reading_rows)
+                )
+            ]
         )
 
     def tree_merge(self, a: CompositePartial, b: CompositePartial) -> CompositePartial:
@@ -132,11 +157,25 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
     # -- multi-path ----------------------------------------------------------
 
     def synopsis_local(
-        self, node: int, epoch: int, reading: float
+        self, node: int, epoch: int, reading
     ) -> CompositeSynopsis:
         return tuple(
-            aggregate.synopsis_local(node, epoch, reading)
-            for aggregate in self._aggregates
+            aggregate.synopsis_local(node, epoch, value)
+            for aggregate, value in zip(
+                self._aggregates, self._slot_readings(reading)
+            )
+        )
+
+    def synopsis_local_block(
+        self, nodes, epochs, reading_rows
+    ) -> List[List[CompositeSynopsis]]:
+        return zip_blocks(
+            [
+                aggregate.synopsis_local_block(nodes, epochs, rows)
+                for aggregate, rows in zip(
+                    self._aggregates, self._slot_rows(reading_rows)
+                )
+            ]
         )
 
     def synopsis_fuse(
@@ -161,6 +200,18 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             for aggregate, component in zip(self._aggregates, synopsis)
         )
 
+    def synopsis_words_batch(self, synopses) -> List[int]:
+        """Combined wire sizes, each component's vectorized sizing kept."""
+        totals = [0] * len(synopses)
+        for i, aggregate in enumerate(self._aggregates):
+            for j, words in enumerate(
+                aggregate.synopsis_words_batch(
+                    [synopsis[i] for synopsis in synopses]
+                )
+            ):
+                totals[j] += words
+        return totals
+
     # -- neutral elements ----------------------------------------------------
 
     def tree_empty(self) -> CompositePartial:
@@ -180,6 +231,15 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             aggregate.convert(component, sender, epoch)
             for aggregate, component in zip(self._aggregates, partial)
         )
+
+    def convert_block(self, partials, senders, epochs) -> List[CompositeSynopsis]:
+        columns = [
+            aggregate.convert_block(
+                [partial[i] for partial in partials], senders, epochs
+            )
+            for i, aggregate in enumerate(self._aggregates)
+        ]
+        return list(zip(*columns))
 
     # -- mixed evaluation --------------------------------------------------------
 

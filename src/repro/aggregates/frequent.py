@@ -51,6 +51,7 @@ from repro.frequent.td_quantiles import (
     convert_summary,
     synopsis_from_readings,
 )
+from repro.multipath.fm import block_columns, block_rows, counted_sketches
 
 #: Tree partial of the heavy-hitters aggregate: exact item -> count.
 ItemCounts = Dict[int, int]
@@ -143,6 +144,34 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
             return {}
         return {synopsis.klass: synopsis}
 
+    def _fm_shapes(self):
+        """The ``(num_bitmaps, bits)`` of the item and the n operator when
+        both are FM — what ``counted_sketches`` builds in bulk — else
+        ``None``: any other ⊕ strategy keeps the per-cell block forms."""
+        operators = (self._engine.operator, self._engine.n_operator)
+        if all(isinstance(operator, FMOperator) for operator in operators):
+            return [(operator.num_bitmaps, operator.bits) for operator in operators]
+        return None
+
+    def synopsis_local_block(
+        self, nodes, epochs, reading_rows
+    ) -> List[List[ClassSynopses]]:
+        shapes = self._fm_shapes()
+        if shapes is None or len(nodes) == 0:
+            return super().synopsis_local_block(nodes, epochs, reading_rows)
+        # A lone reading is the class-0 synopsis of one item with count 1
+        # (cutoff 0): every item and n sketch of the block in one pass each.
+        keys = block_columns(nodes, epochs)
+        items = [_item(reading) for row in reading_rows for reading in row]
+        ones = [1] * len(items)
+        item_sketches = counted_sketches(*shapes[0], ("fi",), ones, *keys, items)
+        n_sketches = counted_sketches(*shapes[1], ("fi-n",), ones, *keys)
+        flat = [
+            {0: FrequentItemsSynopsis(klass=0, n_sketch=n, counts={item: sketch})}
+            for item, sketch, n in zip(items, item_sketches, n_sketches)
+        ]
+        return block_rows(flat, len(nodes), len(epochs))
+
     def synopsis_fuse(self, a: ClassSynopses, b: ClassSynopses) -> ClassSynopses:
         if not a:
             return dict(b)
@@ -165,26 +194,38 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
 
     # -- conversion --------------------------------------------------------------
 
+    def _conversion_plan(self, partial: ItemCounts):
+        """``(n0, class, surviving (item, count) pairs)`` of one conversion,
+        ``None`` for an empty partial.
+
+        Mirrors SG over the subtree's whole item multiset: the class is
+        ``floor(log2 n0)`` and items below the class's drop threshold never
+        travel.
+        """
+        n0 = sum(partial.values())
+        if n0 == 0:
+            return None
+        klass = int(math.floor(math.log2(n0))) if n0 > 1 else 0
+        cutoff = klass * n0 * self.epsilon / self._engine.log_n
+        kept = [pair for pair in sorted(partial.items()) if pair[1] > cutoff]
+        return n0, klass, kept
+
     def convert(
         self, partial: ItemCounts, sender: int, epoch: int
     ) -> ClassSynopses:
         """Exact subtree counts -> one class synopsis keyed by the sender.
 
-        Mirrors SG over the subtree's whole item multiset: the class is
-        ``floor(log2 n0)`` and items below the class's drop threshold never
-        travel; sketches are keyed ``(sender, epoch, item)``, so the
-        conversion is deterministic (the ODI requirement of Section 5).
+        Sketches are keyed ``(sender, epoch, item)``, so the conversion is
+        deterministic (the ODI requirement of Section 5).
         """
-        n0 = sum(partial.values())
-        if n0 == 0:
+        plan = self._conversion_plan(partial)
+        if plan is None:
             return {}
-        klass = int(math.floor(math.log2(n0))) if n0 > 1 else 0
-        cutoff = klass * n0 * self.epsilon / self._engine.log_n
+        n0, klass, kept = plan
         engine = self._engine
         sketches = {
             item: engine.operator.make(count, "fi-conv", sender, epoch, item)
-            for item, count in sorted(partial.items())
-            if count > cutoff
+            for item, count in kept
         }
         n_sketch = engine.n_operator.make(n0, "fi-conv-n", sender, epoch)
         return {
@@ -192,6 +233,47 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
                 klass=klass, n_sketch=n_sketch, counts=sketches
             )
         }
+
+    def convert_block(self, partials, senders, epochs) -> List[ClassSynopses]:
+        shapes = self._fm_shapes()
+        if shapes is None:
+            return super().convert_block(partials, senders, epochs)
+        # One n-pass row per non-empty partial, one item-pass row per
+        # surviving (partial, item) pair; consumed back in the same order.
+        plans = [self._conversion_plan(partial) for partial in partials]
+        rows = [i for i, plan in enumerate(plans) if plan is not None]
+        cells = [(i, pair) for i in rows for pair in plans[i][2]]
+        n_sketches = iter(
+            counted_sketches(
+                *shapes[1],
+                ("fi-conv-n",),
+                [plans[i][0] for i in rows],
+                [senders[i] for i in rows],
+                [epochs[i] for i in rows],
+            )
+        )
+        item_sketches = iter(
+            counted_sketches(
+                *shapes[0],
+                ("fi-conv",),
+                [count for _, (_, count) in cells],
+                [senders[i] for i, _ in cells],
+                [epochs[i] for i, _ in cells],
+                [item for _, (item, _) in cells],
+            )
+        )
+        return [
+            {}
+            if plan is None
+            else {
+                plan[1]: FrequentItemsSynopsis(
+                    klass=plan[1],
+                    n_sketch=next(n_sketches),
+                    counts={item: next(item_sketches) for item, _ in plan[2]},
+                )
+            }
+            for plan in plans
+        ]
 
     # -- truth ---------------------------------------------------------------------
 

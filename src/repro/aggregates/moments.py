@@ -16,11 +16,17 @@ beforehand if sub-integer resolution matters.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import Aggregate, zip_blocks
 from repro.errors import ConfigurationError
-from repro.multipath.fm import FMSketch
+from repro.multipath.fm import (
+    FMSketch,
+    counted_sketches,
+    counted_sketches_block,
+    single_item_sketches_block,
+    words_batch,
+)
 
 #: Exact tree partial: (n, sum, sum of squares).
 MomentTriple = Tuple[int, int, int]
@@ -68,6 +74,14 @@ class MomentsAggregate(Aggregate[MomentTriple, SketchTriple]):
         value = _as_int(reading)
         return (1, value, value * value)
 
+    def tree_local_block(
+        self, nodes, epochs, reading_rows
+    ) -> List[List[MomentTriple]]:
+        return [
+            [(1, value, value * value) for value in map(_as_int, row)]
+            for row in reading_rows
+        ]
+
     def tree_merge(self, a: MomentTriple, b: MomentTriple) -> MomentTriple:
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
@@ -89,6 +103,20 @@ class MomentsAggregate(Aggregate[MomentTriple, SketchTriple]):
         squares.insert_count(value * value, "mom-sq", node, epoch)
         return (count, total, squares)
 
+    def synopsis_local_block(
+        self, nodes, epochs, reading_rows
+    ) -> List[List[SketchTriple]]:
+        shape = (self._num_bitmaps, self._bits)
+        values = [[_as_int(reading) for reading in row] for row in reading_rows]
+        squares = [[value * value for value in row] for row in values]
+        return zip_blocks(
+            [
+                single_item_sketches_block(*shape, ("mom-n",), nodes, epochs),
+                counted_sketches_block(*shape, ("mom-sum",), values, nodes, epochs),
+                counted_sketches_block(*shape, ("mom-sq",), squares, nodes, epochs),
+            ]
+        )
+
     def synopsis_fuse(self, a: SketchTriple, b: SketchTriple) -> SketchTriple:
         return (a[0].fuse(b[0]), a[1].fuse(b[1]), a[2].fuse(b[2]))
 
@@ -101,6 +129,10 @@ class MomentsAggregate(Aggregate[MomentTriple, SketchTriple]):
 
     def synopsis_words(self, synopsis: SketchTriple) -> int:
         return sum(sketch.words() for sketch in synopsis)
+
+    def synopsis_words_batch(self, synopses: Sequence[SketchTriple]) -> List[int]:
+        words = words_batch([sketch for triple in synopses for sketch in triple])
+        return [sum(words[i : i + 3]) for i in range(0, len(words), 3)]
 
     # -- neutral elements ----------------------------------------------------
 
@@ -121,6 +153,21 @@ class MomentsAggregate(Aggregate[MomentTriple, SketchTriple]):
         total_sketch.insert_count(total, "mom-sum-conv", sender, epoch)
         squares_sketch.insert_count(squares, "mom-sq-conv", sender, epoch)
         return (count, total_sketch, squares_sketch)
+
+    def convert_block(self, partials, senders, epochs) -> List[SketchTriple]:
+        labels = ("mom-n-conv", "mom-sum-conv", "mom-sq-conv")
+        columns = [
+            counted_sketches(
+                self._num_bitmaps,
+                self._bits,
+                (label,),
+                [partial[slot] for partial in partials],
+                senders,
+                epochs,
+            )
+            for slot, label in enumerate(labels)
+        ]
+        return list(zip(*columns))
 
     # -- mixed evaluation --------------------------------------------------------
 

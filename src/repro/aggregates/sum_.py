@@ -4,22 +4,23 @@ Tree side: integer subtree sums (readings are rounded to integers — sensor
 readings in TinyDB are integral ADC values). Multi-path side: the
 Considine et al. [5] construction — a node with value v inserts v distinct
 virtual items into an FM sketch, so the sketch's distinct count estimates the
-network-wide sum. Conversion inserts the subtree's summed value the same way.
+network-wide sum. Conversion inserts the subtree's summed value the same way
+(shared with Count: :class:`~repro.aggregates.additive.AdditiveFMAggregate`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.additive import AdditiveFMAggregate
 from repro.errors import ConfigurationError
 from repro.multipath.fm import (
     FMSketch,
+    block_columns,
     counted_matrix,
-    counted_sketches,
-    words_batch,
+    counted_sketches_block,
 )
 
 
@@ -27,17 +28,11 @@ from repro.multipath.fm import (
 _INT64_LIMIT = float(1 << 63)
 
 
-class SumAggregate(Aggregate[int, FMSketch]):
+class SumAggregate(AdditiveFMAggregate):
     """Sum of non-negative integer sensor readings."""
 
     name = "sum"
-
-    def __init__(self, num_bitmaps: int = 40, bits: int = 32) -> None:
-        self._num_bitmaps = num_bitmaps
-        self._bits = bits
-
-    def _empty_sketch(self) -> FMSketch:
-        return FMSketch(self._num_bitmaps, self._bits)
+    _conv_label = "sum-conv"
 
     @staticmethod
     def _as_int(reading: float) -> int:
@@ -74,15 +69,6 @@ class SumAggregate(Aggregate[int, FMSketch]):
     ) -> np.ndarray:
         return self._as_int_array(readings)
 
-    def tree_merge(self, a: int, b: int) -> int:
-        return a + b
-
-    def tree_eval(self, partial: int) -> float:
-        return float(partial)
-
-    def tree_words(self, partial: int) -> int:
-        return 1
-
     # -- multi-path ----------------------------------------------------------
 
     def synopsis_local(self, node: int, epoch: int, reading: float) -> FMSketch:
@@ -97,56 +83,15 @@ class SumAggregate(Aggregate[int, FMSketch]):
         reading_rows: Sequence[Sequence[float]],
     ) -> List[List[FMSketch]]:
         # One vectorized weighted-insert pass over every (node, epoch) cell
-        # of the block, flattened epoch-major.
-        num = len(nodes)
-        if num == 0:
-            return [[] for _ in epochs]
-        flat = counted_sketches(
+        # of the block.
+        return counted_sketches_block(
             self._num_bitmaps,
             self._bits,
             ("sum",),
-            [self._as_int(reading) for row in reading_rows for reading in row],
-            list(nodes) * len(epochs),
-            [epoch for epoch in epochs for _ in range(num)],
+            [[self._as_int(reading) for reading in row] for row in reading_rows],
+            nodes,
+            epochs,
         )
-        return [flat[j * num : (j + 1) * num] for j in range(len(epochs))]
-
-    def synopsis_fuse(self, a: FMSketch, b: FMSketch) -> FMSketch:
-        return a.fuse(b)
-
-    def synopsis_eval(self, synopsis: FMSketch) -> float:
-        return synopsis.estimate()
-
-    def synopsis_words(self, synopsis: FMSketch) -> int:
-        return synopsis.words()
-
-    def synopsis_words_batch(self, synopses: Sequence[FMSketch]) -> List[int]:
-        return words_batch(synopses)
-
-    # -- neutral elements ----------------------------------------------------
-
-    def tree_empty(self) -> int:
-        return 0
-
-    def synopsis_empty(self) -> FMSketch:
-        return self._empty_sketch()
-
-    # -- conversion --------------------------------------------------------------
-
-    def convert(self, partial: int, sender: int, epoch: int) -> FMSketch:
-        sketch = self._empty_sketch()
-        sketch.insert_count(partial, "sum-conv", sender, epoch)
-        return sketch
-
-    # -- fused-kernel capabilities -----------------------------------------------
-
-    def tree_partials_additive(self) -> bool:
-        return True
-
-    def synopsis_packable(self) -> Optional[Tuple[int, int]]:
-        if self._bits != 32:
-            return None
-        return (self._num_bitmaps, self._bits)
 
     def synopsis_local_block_packed(
         self,
@@ -154,37 +99,13 @@ class SumAggregate(Aggregate[int, FMSketch]):
         epochs: Sequence[int],
         reading_rows: Sequence[Sequence[float]],
     ):
-        num = len(nodes)
         return counted_matrix(
             self._num_bitmaps,
             self._bits,
             ("sum",),
             [self._as_int(reading) for row in reading_rows for reading in row],
-            list(nodes) * len(epochs),
-            [epoch for epoch in epochs for _ in range(num)],
+            *block_columns(nodes, epochs),
         )
-
-    def convert_block_packed(
-        self,
-        partials: Sequence[int],
-        senders: Sequence[int],
-        epochs: Sequence[int],
-    ):
-        return counted_matrix(
-            self._num_bitmaps,
-            self._bits,
-            ("sum-conv",),
-            partials,
-            senders,
-            epochs,
-        )
-
-    # -- mixed evaluation --------------------------------------------------------
-
-    def mixed_eval(self, partials: Sequence[int], fused: FMSketch | None) -> float:
-        exact_part = float(sum(partials))
-        sketch_part = fused.estimate() if fused is not None else 0.0
-        return exact_part + sketch_part
 
     # -- truth ---------------------------------------------------------------------
 
@@ -193,6 +114,3 @@ class SumAggregate(Aggregate[int, FMSketch]):
 
     def exact_array(self, readings: np.ndarray) -> float:
         return float(int(self._as_int_array(readings).sum()))
-
-    def supports_group_by(self) -> bool:
-        return True

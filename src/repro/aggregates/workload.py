@@ -15,11 +15,12 @@ Two pieces make that concrete:
   (their own ``WINDOW`` state, for example), which is why the reading must
   fan out per query.
 * :class:`WorkloadAggregate` — a :class:`CompositeAggregate` whose local
-  computations dispatch slot i of the reading tuple to component i. Merges,
-  fusions, conversions and evaluation are inherited (component-wise over
-  tuples); transmission sizes add component-wise, so one message bills the
-  *combined* payload while the contributing-count piggyback travels once —
-  the TAG/TinyDB multi-query piggybacking economics.
+  computations dispatch slot i of the reading tuple to component i. The
+  dispatch itself, merges, fusions, conversions and evaluation are inherited
+  (component-wise over tuples); transmission sizes add component-wise, so
+  one message bills the *combined* payload while the contributing-count
+  piggyback travels once — the TAG/TinyDB multi-query piggybacking
+  economics.
 
 Per-epoch answers surface through two stashes the execution engine reads:
 ``last_evaluations`` (set at every base-station evaluation, inherited from
@@ -186,75 +187,17 @@ class WorkloadAggregate(CompositeAggregate):
         self.last_evaluations = None
         self.last_exact_evaluations = None
 
-    # -- per-query local computation --------------------------------------
+    # -- per-query local computation: the composite owns the dispatch of
+    # every local op; a workload only says how a reading tuple splits.
 
-    def tree_local(self, node: int, epoch: int, reading: ReadingTuple):
-        return tuple(
-            aggregate.tree_local(node, epoch, value)
-            for aggregate, value in zip(self._aggregates, reading)
-        )
+    def _slot_readings(self, reading: ReadingTuple) -> ReadingTuple:
+        return reading
 
-    def tree_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[ReadingTuple]],
-    ):
-        blocks = [
-            aggregate.tree_local_block(
-                nodes,
-                epochs,
-                [[cell[i] for cell in row] for row in reading_rows],
-            )
-            for i, aggregate in enumerate(self._aggregates)
-        ]
+    def _slot_rows(self, reading_rows: Sequence[Sequence[ReadingTuple]]):
         return [
-            [
-                tuple(block[j][k] for block in blocks)
-                for k in range(len(nodes))
-            ]
-            for j in range(len(epochs))
+            [[cell[i] for cell in row] for row in reading_rows]
+            for i in range(len(self._aggregates))
         ]
-
-    def synopsis_local(self, node: int, epoch: int, reading: ReadingTuple):
-        return tuple(
-            aggregate.synopsis_local(node, epoch, value)
-            for aggregate, value in zip(self._aggregates, reading)
-        )
-
-    def synopsis_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[ReadingTuple]],
-    ):
-        blocks = [
-            aggregate.synopsis_local_block(
-                nodes,
-                epochs,
-                [[cell[i] for cell in row] for row in reading_rows],
-            )
-            for i, aggregate in enumerate(self._aggregates)
-        ]
-        return [
-            [
-                tuple(block[j][k] for block in blocks)
-                for k in range(len(nodes))
-            ]
-            for j in range(len(epochs))
-        ]
-
-    def synopsis_words_batch(self, synopses: Sequence[Tuple]) -> List[int]:
-        """Combined wire sizes, each component's vectorized sizing kept."""
-        totals = [0] * len(synopses)
-        for i, aggregate in enumerate(self._aggregates):
-            for j, words in enumerate(
-                aggregate.synopsis_words_batch(
-                    [synopsis[i] for synopsis in synopses]
-                )
-            ):
-                totals[j] += words
-        return totals
 
     # -- truth -------------------------------------------------------------
 

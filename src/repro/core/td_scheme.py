@@ -21,7 +21,8 @@ adaptation strategy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate, merge_all
 from repro.aggregates.grouping import annotate_groups
@@ -41,6 +42,7 @@ from repro.kernels.td import precompute_conversions, refusal, run_td_block
 from repro.multipath.fm import (
     DEFAULT_BITS,
     FMSketch,
+    counted_sketches,
     single_item_sketches_block,
     words_batch,
 )
@@ -388,6 +390,9 @@ class TributaryDeltaScheme:
                 ({}, {}, {}) if scalar else locals_by_level[index]
             )
 
+            converted = (
+                None if scalar else self._convert_level(nodes, epoch, inbox_tree)
+            )
             outgoing: List[Tuple[bool, object, object]] = []
             for node in nodes:
                 if graph.is_tree(node):
@@ -414,6 +419,7 @@ class TributaryDeltaScheme:
                         inbox_syn,
                         synopses.get(node),
                         count_sketch,
+                        converted,
                     )
                     outgoing.append((False, None, payload))
             transmissions = self._level_transmissions(nodes, outgoing)
@@ -456,6 +462,46 @@ class TributaryDeltaScheme:
                                 target.append(delivered)
         return self._fold_base_station(inbox_tree, inbox_syn)
 
+    def _convert_level(
+        self, nodes: Sequence[NodeId], epoch: int, inbox_tree: Dict
+    ) -> Iterator[Tuple[object, Optional[FMSketch]]]:
+        """One level's T -> M conversions, batched (the engine's wave).
+
+        Every tree payload waiting at one of the level's M nodes — node
+        order, then inbox order, chaos duplicates included — goes through
+        ONE ``convert_block`` call, its contributing count through one
+        ``counted_sketches`` call: the ``(synopsis, count sketch)`` pairs
+        :meth:`_prepare_multipath_node` consumes, in its order, each equal
+        to the scalar wave's ``convert`` / :meth:`_count_convert`.
+        """
+        graph = self._graph
+        received = [
+            payload
+            for node in nodes
+            if node in inbox_tree and not graph.is_tree(node)
+            for payload in inbox_tree[node]
+        ]
+        if not received:
+            return iter(())
+        aggregate = self._aggregate
+        senders = [payload.sender for payload in received]
+        epochs = [epoch] * len(received)
+        partials = [payload.partial for payload in received]
+        counts = [payload.count for payload in received]
+        return zip(
+            aggregate.convert_block(partials, senders, epochs),
+            repeat(None)
+            if aggregate.synopsis_counts_contributors()
+            else counted_sketches(
+                self._count_bitmaps,
+                DEFAULT_BITS,
+                ("contrib-conv",),
+                counts,
+                senders,
+                epochs,
+            ),
+        )
+
     def _prepare_tree_node(
         self,
         node: NodeId,
@@ -484,6 +530,7 @@ class TributaryDeltaScheme:
         inbox_syn: Dict[NodeId, List[MultipathPayload]],
         synopsis: Optional[object] = None,
         count_sketch: Optional[FMSketch] = None,
+        converted: Optional[Iterator] = None,
     ) -> MultipathPayload:
         aggregate = self._aggregate
         if synopsis is None:
@@ -495,14 +542,20 @@ class TributaryDeltaScheme:
         missing_stats: Optional[Dict[NodeId, int]] = None
 
         for received in inbox_tree.pop(node, ()):
-            synopsis = aggregate.synopsis_fuse(
-                synopsis,
-                aggregate.convert(received.partial, received.sender, epoch),
-            )
-            if count_sketch is not None:
-                count_sketch = count_sketch.fuse(
-                    self._count_convert(received.count, received.sender, epoch)
+            if converted is not None:
+                # The engine batched this level (:meth:`_convert_level`).
+                tree_synopsis, tree_count = next(converted)
+            else:
+                tree_synopsis = aggregate.convert(
+                    received.partial, received.sender, epoch
                 )
+                if count_sketch is not None:
+                    tree_count = self._count_convert(
+                        received.count, received.sender, epoch
+                    )
+            synopsis = aggregate.synopsis_fuse(synopsis, tree_synopsis)
+            if count_sketch is not None:
+                count_sketch = count_sketch.fuse(tree_count)
             contributors |= received.contributors
             subtree_contributing += received.count
 

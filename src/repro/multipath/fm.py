@@ -260,11 +260,8 @@ class FMSketch:
             column = range(count)
             buckets = hash_key_batch(bucket_state, column)
             levels = geometric_level_batch(level_state, column)
-            for bucket, level in zip(buckets, levels):
-                position = int(bucket) % self.num_bitmaps * bits + min(
-                    int(level), cap
-                )
-                packed |= 1 << position
+            for bucket, level in zip(buckets.tolist(), levels.tolist()):
+                packed |= 1 << (bucket % self.num_bitmaps * bits + min(level, cap))
             self._packed = packed
             return
         rng = stream_rng("fm-bulk", self.num_bitmaps, *key)
@@ -401,6 +398,21 @@ def single_item_sketches(
     ]
 
 
+def block_columns(nodes: Sequence[int], epochs: Sequence[int]):
+    """The (node, epoch) key columns of a block, flattened epoch-major.
+
+    Cell ``(epochs[j], nodes[i])`` is row ``j * len(nodes) + i`` — the one
+    stacking convention the blocked engine relies on; :func:`block_rows`
+    is its inverse.
+    """
+    return list(nodes) * len(epochs), [epoch for epoch in epochs for _ in nodes]
+
+
+def block_rows(flat: List, num: int, num_epochs: int) -> List[List]:
+    """Cut an epoch-major flat list back into one row per epoch."""
+    return [flat[j * num : (j + 1) * num] for j in range(num_epochs)]
+
+
 def single_item_sketches_block(
     num_bitmaps: int,
     bits: int,
@@ -412,21 +424,37 @@ def single_item_sketches_block(
 
     Row ``j`` equals ``single_item_sketches(num_bitmaps, bits, label,
     nodes, [epochs[j]] * len(nodes))``, built in a single vectorized pass
-    over the whole block. This is the one place
-    that owns the epoch-major stacking convention the blocked engine relies
-    on.
+    over the whole block.
     """
-    num = len(nodes)
-    if num == 0:
+    if len(nodes) == 0:
         return [[] for _ in epochs]
     flat = single_item_sketches(
+        num_bitmaps, bits, label, *block_columns(nodes, epochs)
+    )
+    return block_rows(flat, len(nodes), len(epochs))
+
+
+def counted_sketches_block(
+    num_bitmaps: int,
+    bits: int,
+    label: Tuple[object, ...],
+    count_rows: Sequence[Sequence[int]],
+    nodes: Sequence[int],
+    epochs: Sequence[int],
+) -> List[List["FMSketch"]]:
+    """:func:`counted_sketches` per (node, epoch) cell, one row per epoch:
+    cell ``[j][i]`` inserts ``count_rows[j][i]`` under ``(*label, nodes[i],
+    epochs[j])``."""
+    if len(nodes) == 0:
+        return [[] for _ in epochs]
+    flat = counted_sketches(
         num_bitmaps,
         bits,
         label,
-        list(nodes) * len(epochs),
-        [epoch for epoch in epochs for _ in range(num)],
+        [count for row in count_rows for count in row],
+        *block_columns(nodes, epochs),
     )
-    return [flat[j * num : (j + 1) * num] for j in range(len(epochs))]
+    return block_rows(flat, len(nodes), len(epochs))
 
 
 def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
@@ -482,6 +510,83 @@ def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
 _COUNTED_SLICE_ITEMS = 1 << 21
 
 
+def _counted_rows(
+    num_bitmaps: int,
+    bits: int,
+    label: Tuple[object, ...],
+    counts: Sequence[int],
+    columns: Sequence[Sequence[int]],
+):
+    """The hashing half shared by :func:`counted_sketches` / ``_matrix``.
+
+    Returns ``(slices, large)``. ``slices`` yields one ``(rows, slots,
+    buckets, levels)`` tuple per vectorized slice of the exact-insert
+    regime (``0 < count <= _EXACT_INSERT_LIMIT``): virtual item ``c`` of
+    the slice belongs to row ``rows[slots[c]]`` and sets bit ``levels[c]``
+    of bitmap ``buckets[c]`` — the same hash substreams, hence the same
+    bits, as ``insert_count``. ``large`` holds ``(row, count, key)`` for
+    every row beyond the regime; those take the scalar binomial path.
+    """
+    total = len(counts)
+    if any(len(column) != total for column in columns):
+        raise SketchError("counted columns must match counts")
+    if total == 0:
+        return (), ()
+    counts_array = _np.asarray(counts, dtype=_np.int64)
+    if bool((counts_array < 0).any()):
+        raise SketchError("cannot insert a negative count")
+    bucket_states = hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns)
+    level_states = hash_key_batch(hash_key_from(_LEVEL_STATE, *label), *columns)
+    exact = _np.flatnonzero(
+        (counts_array > 0) & (counts_array <= _EXACT_INSERT_LIMIT)
+    )
+
+    def slices():
+        start = 0
+        while start < len(exact):
+            stop = start + 1
+            budget = int(counts_array[exact[start]])
+            while (
+                stop < len(exact)
+                and budget + int(counts_array[exact[stop]])
+                <= _COUNTED_SLICE_ITEMS
+            ):
+                budget += int(counts_array[exact[stop]])
+                stop += 1
+            rows = exact[start:stop]
+            reps = counts_array[rows]
+            offsets = _np.concatenate(([0], _np.cumsum(reps)[:-1]))
+            virtual = _np.arange(budget, dtype=_np.uint64) - _np.repeat(
+                offsets, reps
+            ).astype(_np.uint64)
+            buckets = mix_state_batch(
+                _np.repeat(bucket_states[rows], reps), virtual
+            ) % _np.uint64(num_bitmaps)
+            levels = _np.minimum(
+                levels_from_keys(
+                    mix_state_batch(_np.repeat(level_states[rows], reps), virtual)
+                ),
+                bits - 1,
+            )
+            yield (
+                rows,
+                _np.repeat(_np.arange(len(rows)), reps),
+                buckets.astype(_np.int64),
+                levels,
+            )
+            start = stop
+
+    large = [
+        (
+            int(index),
+            int(counts_array[index]),
+            (*label, *(int(column[index]) for column in columns)),
+        )
+        for index in _np.flatnonzero(counts_array > _EXACT_INSERT_LIMIT)
+    ]
+    return slices(), large
+
+
 def counted_sketches(
     num_bitmaps: int,
     bits: int,
@@ -493,111 +598,31 @@ def counted_sketches(
 
     Row ``i`` is exactly the sketch produced by ``FMSketch(num_bitmaps,
     bits).insert_count(counts[i], *label, columns[0][i], ...)`` — same hash
-    substreams, same bits. The exact-insert regime (``count <=
-    _EXACT_INSERT_LIMIT``) expands every (row, virtual item) cell into flat
-    columns and derives all bucket/level hashes in one pass; larger counts
-    take the scalar ``insert_count`` path per row. This is the Sum SG hot
-    path: a whole ring level (or a whole epoch block of one) builds its
-    local synopses at once.
+    substreams, same bits (see :func:`_counted_rows`). This is the Sum SG
+    and conversion hot path: a whole ring level (or a whole epoch block of
+    one) builds its sketches at once.
     """
-    total = len(counts)
-    if any(len(column) != total for column in columns):
-        raise SketchError("counted_sketches columns must match counts")
-    if total == 0:
-        return []
-    counts_array = _np.asarray(counts, dtype=_np.int64)
-    if bool((counts_array < 0).any()):
-        raise SketchError("cannot insert a negative count")
-    bucket_states = _np.asarray(
-        hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns),
-        dtype=_np.uint64,
-    )
-    level_states = _np.asarray(
-        hash_key_batch(hash_key_from(_LEVEL_STATE, *label), *columns),
-        dtype=_np.uint64,
-    )
-    packed: List[int] = [0] * total
-    exact = _np.flatnonzero(
-        (counts_array > 0) & (counts_array <= _EXACT_INSERT_LIMIT)
-    )
-    start = 0
-    while start < len(exact):
-        stop = start + 1
-        budget = int(counts_array[exact[start]])
-        while (
-            stop < len(exact)
-            and budget + int(counts_array[exact[stop]]) <= _COUNTED_SLICE_ITEMS
-        ):
-            budget += int(counts_array[exact[stop]])
-            stop += 1
-        rows = exact[start:stop]
-        _counted_fill(
-            packed,
-            rows,
-            counts_array[rows],
-            bucket_states[rows],
-            level_states[rows],
-            num_bitmaps,
-            bits,
-        )
-        start = stop
+    slices, large = _counted_rows(num_bitmaps, bits, label, counts, columns)
+    packed: List[int] = [0] * len(counts)
+    for rows, slots, buckets, levels in slices:
+        if bits == 32:
+            # Pack via the byte layout: bitmap j occupies bits [32j, 32j+32)
+            # of the packed integer, i.e. little-endian uint32 words.
+            words = _np.zeros((len(rows), num_bitmaps), dtype="<u4")
+            _np.bitwise_or.at(
+                words, (slots, buckets), _np.uint32(1) << levels.astype(_np.uint32)
+            )
+            for slot, row in enumerate(rows):
+                packed[row] = int.from_bytes(words[slot].tobytes(), "little")
+        else:
+            for slot, position in zip(slots, buckets * bits + levels):
+                packed[rows[slot]] |= 1 << int(position)
     sketches = [
         FMSketch.from_packed(num_bitmaps, bits, value) for value in packed
     ]
-    for index in _np.flatnonzero(counts_array > _EXACT_INSERT_LIMIT):
-        sketches[index].insert_count(
-            int(counts_array[index]),
-            *label,
-            *(int(column[index]) for column in columns),
-        )
+    for index, count, key in large:
+        sketches[index].insert_count(count, *key)
     return sketches
-
-
-def _counted_fill(
-    packed: List[int],
-    rows,
-    counts,
-    bucket_states,
-    level_states,
-    num_bitmaps: int,
-    bits: int,
-) -> None:
-    """Set the exact-insert bits for one slice of rows, in place."""
-    reps = counts.astype(_np.int64)
-    offsets = _np.concatenate(([0], _np.cumsum(reps)[:-1]))
-    cells = int(reps.sum())
-    cell_rows = _np.repeat(_np.arange(len(rows)), reps)
-    virtual = _np.arange(cells, dtype=_np.uint64) - _np.repeat(
-        offsets, reps
-    ).astype(_np.uint64)
-    buckets = (
-        _np.asarray(
-            mix_state_batch(_np.repeat(bucket_states, reps), virtual),
-            dtype=_np.uint64,
-        )
-        % _np.uint64(num_bitmaps)
-    )
-    levels = _np.minimum(
-        _np.asarray(
-            levels_from_keys(mix_state_batch(_np.repeat(level_states, reps), virtual))
-        ),
-        bits - 1,
-    )
-    positions = buckets.astype(_np.int64) * bits + levels
-    if bits == 32:
-        # Pack via the byte layout: bitmap j occupies bits [32j, 32j+32) of
-        # the packed integer, i.e. little-endian uint32 words.
-        words = _np.zeros((len(rows), num_bitmaps), dtype="<u4")
-        _np.bitwise_or.at(
-            words,
-            (cell_rows, buckets.astype(_np.int64)),
-            _np.uint32(1) << (levels.astype(_np.uint32) & _np.uint32(31)),
-        )
-        for slot, row in enumerate(rows):
-            packed[row] |= int.from_bytes(words[slot].tobytes(), "little")
-        return
-    for slot, position in zip(cell_rows, positions):
-        packed[rows[slot]] |= 1 << int(position)
 
 
 def sketch_to_row(sketch: FMSketch):
@@ -671,15 +696,10 @@ def single_item_matrix_block(
     builder, returned as one ``(len(epochs) * len(nodes), num_bitmaps)``
     uint32 matrix.
     """
-    num = len(nodes)
-    if num == 0 or len(epochs) == 0:
-        return _np.zeros((num * len(epochs), num_bitmaps), dtype="<u4")
+    if len(nodes) == 0 or len(epochs) == 0:
+        return _np.zeros((len(nodes) * len(epochs), num_bitmaps), dtype="<u4")
     return single_item_matrix(
-        num_bitmaps,
-        bits,
-        label,
-        list(nodes) * len(epochs),
-        [epoch for epoch in epochs for _ in range(num)],
+        num_bitmaps, bits, label, *block_columns(nodes, epochs)
     )
 
 
@@ -700,98 +720,19 @@ def counted_matrix(
     """
     if bits != 32:
         raise SketchError("packed matrices require 32-bit bitmaps")
-    total = len(counts)
-    if any(len(column) != total for column in columns):
-        raise SketchError("counted_matrix columns must match counts")
-    matrix = _np.zeros((total, num_bitmaps), dtype="<u4")
-    if total == 0:
-        return matrix
-    counts_array = _np.asarray(counts, dtype=_np.int64)
-    if bool((counts_array < 0).any()):
-        raise SketchError("cannot insert a negative count")
-    bucket_states = _np.asarray(
-        hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns),
-        dtype=_np.uint64,
-    )
-    level_states = _np.asarray(
-        hash_key_batch(hash_key_from(_LEVEL_STATE, *label), *columns),
-        dtype=_np.uint64,
-    )
-    exact = _np.flatnonzero(
-        (counts_array > 0) & (counts_array <= _EXACT_INSERT_LIMIT)
-    )
-    start = 0
-    while start < len(exact):
-        stop = start + 1
-        budget = int(counts_array[exact[start]])
-        while (
-            stop < len(exact)
-            and budget + int(counts_array[exact[stop]]) <= _COUNTED_SLICE_ITEMS
-        ):
-            budget += int(counts_array[exact[stop]])
-            stop += 1
-        rows = exact[start:stop]
-        _counted_fill_matrix(
+    slices, large = _counted_rows(num_bitmaps, bits, label, counts, columns)
+    matrix = _np.zeros((len(counts), num_bitmaps), dtype="<u4")
+    for rows, slots, buckets, levels in slices:
+        _np.bitwise_or.at(
             matrix,
-            rows,
-            counts_array[rows],
-            bucket_states[rows],
-            level_states[rows],
-            num_bitmaps,
+            (rows[slots], buckets),
+            _np.uint32(1) << levels.astype(_np.uint32),
         )
-        start = stop
-    for index in _np.flatnonzero(counts_array > _EXACT_INSERT_LIMIT):
+    for index, count, key in large:
         sketch = FMSketch(num_bitmaps, bits)
-        sketch.insert_count(
-            int(counts_array[index]),
-            *label,
-            *(int(column[index]) for column in columns),
-        )
+        sketch.insert_count(count, *key)
         matrix[index] = sketch_to_row(sketch)
     return matrix
-
-
-def _counted_fill_matrix(
-    matrix,
-    rows,
-    counts,
-    bucket_states,
-    level_states,
-    num_bitmaps: int,
-) -> None:
-    """OR the exact-insert bits for one slice of rows into ``matrix``.
-
-    The 32-bit matrix twin of :func:`_counted_fill`: same virtual-item
-    expansion, same hashes, same bits — scattered with global row indices
-    instead of packed big ints.
-    """
-    reps = counts.astype(_np.int64)
-    offsets = _np.concatenate(([0], _np.cumsum(reps)[:-1]))
-    cells = int(reps.sum())
-    cell_rows = _np.repeat(rows, reps)
-    virtual = _np.arange(cells, dtype=_np.uint64) - _np.repeat(
-        offsets, reps
-    ).astype(_np.uint64)
-    buckets = (
-        _np.asarray(
-            mix_state_batch(_np.repeat(bucket_states, reps), virtual),
-            dtype=_np.uint64,
-        )
-        % _np.uint64(num_bitmaps)
-    )
-    levels = _np.minimum(
-        _np.asarray(
-            levels_from_keys(
-                mix_state_batch(_np.repeat(level_states, reps), virtual)
-            )
-        ),
-        31,
-    )
-    _np.bitwise_or.at(
-        matrix,
-        (cell_rows, buckets.astype(_np.int64)),
-        _np.uint32(1) << (levels.astype(_np.uint32) & _np.uint32(31)),
-    )
 
 
 #: ``_FAIR_MASKS[n]``: the top bit of the first 32-bit word of each of ``n``

@@ -237,6 +237,27 @@ class FilteredAggregate(Aggregate):
             return self._inner.tree_local(node, epoch, reading)
         return self._inner.tree_empty()
 
+    def _masked_block(self, side, nodes, epochs, reading_rows):
+        """The inner ``<side>_local_block`` over the cells the predicate
+        accepts, ``<side>_empty()`` elsewhere: each epoch row hands the inner
+        block form its matching nodes only, so a rejected reading never
+        reaches the inner aggregate."""
+        local_block = getattr(self._inner, side + "_local_block")
+        empty = getattr(self._inner, side + "_empty")
+        block = []
+        for epoch, row in zip(epochs, reading_rows):
+            mask = [self._predicate(reading) for reading in row]
+            keep = [i for i, accepted in enumerate(mask) if accepted]
+            (kept,) = local_block(
+                [nodes[i] for i in keep], [epoch], [[row[i] for i in keep]]
+            )
+            cells = iter(kept)
+            block.append([next(cells) if accepted else empty() for accepted in mask])
+        return block
+
+    def tree_local_block(self, nodes, epochs, reading_rows):
+        return self._masked_block("tree", nodes, epochs, reading_rows)
+
     def tree_merge(self, a, b):
         return self._inner.tree_merge(a, b)
 
@@ -253,6 +274,9 @@ class FilteredAggregate(Aggregate):
             return self._inner.synopsis_local(node, epoch, reading)
         return self._inner.synopsis_empty()
 
+    def synopsis_local_block(self, nodes, epochs, reading_rows):
+        return self._masked_block("synopsis", nodes, epochs, reading_rows)
+
     def synopsis_fuse(self, a, b):
         return self._inner.synopsis_fuse(a, b)
 
@@ -261,6 +285,9 @@ class FilteredAggregate(Aggregate):
 
     def synopsis_words(self, synopsis) -> int:
         return self._inner.synopsis_words(synopsis)
+
+    def synopsis_words_batch(self, synopses) -> List[int]:
+        return self._inner.synopsis_words_batch(synopses)
 
     # -- neutral elements / conversion ----------------------------------------
 
@@ -272,6 +299,9 @@ class FilteredAggregate(Aggregate):
 
     def convert(self, partial, sender: int, epoch: int):
         return self._inner.convert(partial, sender, epoch)
+
+    def convert_block(self, partials, senders, epochs):
+        return self._inner.convert_block(partials, senders, epochs)
 
     def mixed_eval(self, partials, fused) -> float:
         return self._inner.mixed_eval(partials, fused)

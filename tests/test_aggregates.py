@@ -1,4 +1,5 @@
-"""Tests for the Count/Sum/Min/Max/Average/Sample aggregates."""
+"""Tests for the Count/Sum/Min/Max/Average/Sample aggregates, and the
+registry-wide scalar == block contract of every local op and conversion."""
 
 from __future__ import annotations
 
@@ -8,11 +9,19 @@ from hypothesis import strategies as st
 
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.base import fuse_all, merge_all
+from repro.aggregates.composite import CompositeAggregate
 from repro.aggregates.count import CountAggregate
+from repro.aggregates.frequent import HeavyHittersAggregate
 from repro.aggregates.minmax import MaxAggregate, MinAggregate
 from repro.aggregates.sample import UniformSampleAggregate, quantile_from_sample
 from repro.aggregates.sum_ import SumAggregate
-from repro.errors import ConfigurationError
+from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
+from repro.datasets.streams import UniformReadings
+from repro.errors import ConfigurationError, SketchError
+from repro.frequent.mp_fi import KMVOperator
+from repro.multipath.fm import _EXACT_INSERT_LIMIT
+from repro.query import FilteredAggregate, parse_query
+from repro.registry import AGGREGATES, build_aggregate
 
 ALL_AGGREGATES = [
     CountAggregate,
@@ -252,3 +261,153 @@ class TestQuantileFromSample:
         value = quantile_from_sample(sample, phi)
         high = quantile_from_sample(sample, 1.0)
         assert low <= value <= high
+
+
+# -- scalar == block, registry-wide ------------------------------------------
+
+_SOURCE = UniformReadings(10, 100, seed=5)
+
+
+def _hot(value: float) -> bool:
+    return value > 50
+
+
+def _plain(aggregate):
+    return aggregate, _SOURCE
+
+
+def _windowed_filtered_avg():
+    return parse_query("SELECT avg WHERE value > 50 WINDOW 5 MEAN").build(_SOURCE)
+
+
+def _workload():
+    hot_avg, hot_readings = _windowed_filtered_avg()
+    aggregate = WorkloadAggregate(
+        [
+            ("count", CountAggregate()),
+            ("sum", SumAggregate()),
+            ("hot", hot_avg),
+            ("heavy", HeavyHittersAggregate(0.05)),
+        ]
+    )
+    return aggregate, WorkloadReadings(
+        [_SOURCE, _SOURCE, hot_readings, _SOURCE]
+    )
+
+
+#: label -> ``() -> (aggregate, reading function)``: every registered
+#: aggregate plus each wrapper the query layer can put around one.
+BLOCK_SUBJECTS = {
+    **{
+        name: (lambda name=name: _plain(build_aggregate(name)))
+        for name in AGGREGATES.available()
+    },
+    "filtered-sum": lambda: _plain(FilteredAggregate(SumAggregate(), _hot)),
+    "windowed-filtered-avg": _windowed_filtered_avg,
+    "composite": lambda: _plain(
+        CompositeAggregate(
+            [CountAggregate(), SumAggregate(), AverageAggregate()], primary=1
+        )
+    ),
+    "workload": _workload,
+    "heavy-hitters-kmv": lambda: _plain(
+        HeavyHittersAggregate(
+            0.05, operator=KMVOperator(), n_operator=KMVOperator(k=128)
+        )
+    ),
+}
+
+_NODES = [3, 8, 1, 20, 14, 9, 33]
+_EPOCHS = [4, 5, 6]
+
+
+@pytest.mark.parametrize("label", sorted(BLOCK_SUBJECTS))
+class TestBlockFormsEqualScalarForms:
+    """Cell ``i`` of every block form is the scalar form of cell ``i``."""
+
+    def _rows(self, readings):
+        rows = [[readings(node, epoch) for node in _NODES] for epoch in _EPOCHS]
+        # One row where a ``value > 50`` predicate rejects every reading.
+        low = rows[0][0]
+        floor = tuple(10.0 for _ in low) if isinstance(low, tuple) else 10.0
+        rows[1] = [floor] * len(_NODES)
+        return rows
+
+    def test_local_blocks(self, label):
+        aggregate, readings = BLOCK_SUBJECTS[label]()
+        rows = self._rows(readings)
+        for block_form, scalar_form in (
+            (aggregate.tree_local_block, aggregate.tree_local),
+            (aggregate.synopsis_local_block, aggregate.synopsis_local),
+        ):
+            assert block_form(_NODES, _EPOCHS, rows) == [
+                [scalar_form(node, epoch, value) for node, value in zip(_NODES, row)]
+                for epoch, row in zip(_EPOCHS, rows)
+            ]
+            # No nodes, and no epochs: still one (empty) row per epoch.
+            assert block_form([], _EPOCHS, [[] for _ in _EPOCHS]) == [
+                [] for _ in _EPOCHS
+            ]
+            assert block_form(_NODES, [], []) == []
+
+    def test_synopsis_words_batch(self, label):
+        aggregate, readings = BLOCK_SUBJECTS[label]()
+        synopses = [
+            cell
+            for row in aggregate.synopsis_local_block(
+                _NODES, _EPOCHS, self._rows(readings)
+            )
+            for cell in row
+        ]
+        synopses.append(fuse_all(aggregate, synopses))
+        assert aggregate.synopsis_words_batch(synopses) == [
+            aggregate.synopsis_words(synopsis) for synopsis in synopses
+        ]
+        assert aggregate.synopsis_words_batch([]) == []
+
+    def test_convert_block(self, label):
+        aggregate, readings = BLOCK_SUBJECTS[label]()
+        locals_ = [
+            aggregate.tree_local(node, epoch, readings(node, epoch))
+            for epoch in range(6)
+            for node in range(1, 101)
+        ]
+        partials = [
+            locals_[0],
+            merge_all(aggregate, locals_[:5]),
+            # 600 readings of 10..100: every count, sum and n0 inside lands
+            # in the binomial regime of ``insert_count``.
+            merge_all(aggregate, locals_),
+            aggregate.tree_empty(),
+            locals_[0],  # a chaos duplicate converts twice
+        ]
+        assert len(locals_) > _EXACT_INSERT_LIMIT
+        senders = [7, 2, 11, 5, 7]
+        epochs = [3, 3, 4, 4, 3]
+        assert aggregate.convert_block(partials, senders, epochs) == [
+            aggregate.convert(partial, sender, epoch)
+            for partial, sender, epoch in zip(partials, senders, epochs)
+        ]
+        assert aggregate.convert_block([], [], []) == []
+
+
+@pytest.mark.parametrize(
+    "aggregate, negative",
+    [
+        (SumAggregate(), -1),
+        (CountAggregate(), -1),
+        (AverageAggregate(), (-1, 1)),
+        (FilteredAggregate(SumAggregate(), _hot), -1),
+        (CompositeAggregate([CountAggregate(), SumAggregate()]), (1, -1)),
+    ],
+    ids=["sum", "count", "avg", "filtered-sum", "composite"],
+)
+def test_negative_partial_raises_the_same_error_from_both_forms(
+    aggregate, negative
+):
+    valid = aggregate.tree_local(1, 0, 60.0)
+    with pytest.raises(SketchError) as scalar:
+        aggregate.convert(negative, 2, 0)
+    with pytest.raises(SketchError) as block:
+        aggregate.convert_block([valid, negative], [1, 2], [0, 0])
+    assert str(block.value) == str(scalar.value)

@@ -45,7 +45,9 @@ from repro.api import (
     run_config_result,
     split_workload_result,
 )
+from repro.aggregates.workload import WorkloadAggregate
 from repro.errors import ConfigurationError
+from repro.multipath.fm import _EXACT_INSERT_LIMIT, FMSketch
 from repro.query import WindowedReadings, parse_queries, parse_query
 from repro.registry import available, build_aggregate
 
@@ -373,6 +375,82 @@ class TestBlockedEquivalence:
             assert (
                 batch.query(name).estimates == scalar.query(name).estimates
             ), name
+
+
+    @pytest.mark.parametrize("adapt_interval", [1, 10])
+    def test_td_batched_conversions_under_faults(
+        self, monkeypatch, adapt_interval
+    ):
+        """Engine == oracle on the batched frontier with chaos attached.
+
+        ``duplicate`` replays tree payloads into an M parent's inbox, so a
+        level's ``convert_block`` must convert the replay too and the node
+        must consume both, in inbox order; ``corrupt`` rewrites delivered
+        count sketches. 1-epoch and 10-epoch blocks.
+        """
+        config = workload_config(
+            "TD",
+            epochs=20,
+            adapt_interval=adapt_interval,
+            faults=["duplicate:0.3:3", "corrupt:0.2:3"],
+        )
+        sender_columns = []
+        convert_block = WorkloadAggregate.convert_block
+
+        def spy(self, partials, senders, epochs):
+            sender_columns.append(list(senders))
+            return convert_block(self, partials, senders, epochs)
+
+        monkeypatch.setattr(WorkloadAggregate, "convert_block", spy)
+        batch_result = run_config_result(config)
+        batch_calls = len(sender_columns)
+        oracle_result = run_config_result(config.replace(use_batch=False))
+        # The oracle never batches; the engine did, and saw a replay (one T
+        # sender twice in one level's column).
+        assert len(sender_columns) == batch_calls > 0
+        assert any(
+            len(set(column)) < len(column) for column in sender_columns
+        )
+        assert _digest(batch_result) == _digest(oracle_result)
+        batch = RunReport(config, batch_result)
+        oracle = RunReport(config, oracle_result)
+        for name in batch.query_names():
+            assert (
+                batch.query(name).estimates == oracle.query(name).estimates
+            ), name
+
+
+    def test_td_engine_never_hashes_one_cell_at_a_time(self, monkeypatch):
+        """No wrapper drops the object wave back to per-cell sketch building.
+
+        Every local synopsis and every frontier conversion of a TD workload
+        block goes through the vectorized FM builders, so the only scalar
+        ``insert_count`` calls left are the binomial regime the builders
+        delegate (count > ``_EXACT_INSERT_LIMIT``). The oracle run shows the
+        probe is live: it takes the exact-insert branches all the time.
+
+        Not a wave op, and skipped here: the default ``mixed_eval`` (heavy
+        hitters has no exact mix) converts the partials delivered straight
+        to the base station once per epoch, on both tiers, under the
+        pseudo-senders -1, -2, ...
+        """
+        counts = []
+        insert_count = FMSketch.insert_count
+
+        def spy(self, count, *key):
+            if key[1] >= 0:  # (label, sender, epoch[, item])
+                counts.append(count)
+            return insert_count(self, count, *key)
+
+        monkeypatch.setattr(FMSketch, "insert_count", spy)
+        config = workload_config("TD", epochs=12)
+        run_config_result(config)
+        assert all(count > _EXACT_INSERT_LIMIT for count in counts), sorted(
+            set(counts)
+        )[:5]
+        del counts[:]
+        run_config_result(config.replace(use_batch=False))
+        assert any(count <= _EXACT_INSERT_LIMIT for count in counts)
 
 
 class TestMultiTargetQuery:
