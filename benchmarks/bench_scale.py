@@ -1,11 +1,10 @@
-"""Scale benchmark: words-vs-N and peak-memory-vs-N for the memory-lean tier.
+"""Scale benchmark: words-vs-N and peak-memory-vs-N at growing network sizes.
 
 Runs a short TAG timeline at growing deployment sizes through the full
 scale stack — ``synthetic-scale`` topology (constant density, so the area
-grows with N instead of the neighbor lists), ``engine.state = "packed"``
-node state, ``retention = "stream"`` so no epoch timeline accumulates in
-RAM, and a ``jsonl`` result store so every epoch still lands somewhere
-durable. Per size it records:
+grows with N instead of the neighbor lists), ``retention = "stream"`` so no
+epoch timeline accumulates in RAM, and a ``jsonl`` result store so every
+epoch still lands somewhere durable. Per size it records:
 
 * ``words_per_epoch`` — the channel bill (the paper's y-axis), derived
   from the streamed :class:`~repro.network.simulator.RunningStats`;
@@ -18,7 +17,7 @@ The record lands in ``results/scale_curve.json`` (committed, uploaded as
 a CI artifact by the ``scale-smoke`` job). Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--sizes N [N ...]]
-        [--epochs E] [--full] [--out PATH] [--max-peak-mb MB]
+        [--epochs E] [--churn SPEC] [--full] [--out PATH] [--max-peak-mb MB]
 
 ``--full`` appends the 100k-node point (the ISSUE acceptance run; a few
 minutes). ``--max-peak-mb`` turns the largest size's tracemalloc peak
@@ -44,10 +43,11 @@ DEFAULT_SIZES = (1000, 5000, 20000)
 FULL_SIZE = 100_000
 
 
-def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) -> dict:
-    """One curve point: a packed, streamed, spilled TAG run at one size."""
+def measure_point(
+    num_sensors: int, epochs: int, store_dir: str, churn: str, seed: int = 0
+) -> dict:
+    """One curve point: a streamed, spilled TAG run at one size."""
     from repro.api import (
-        EngineOptions,
         RunConfig,
         RunReport,
         config_digest,
@@ -65,7 +65,7 @@ def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) 
         converge_epochs=0,
         reading="uniform:10:100:0",
         seed=seed,
-        engine=EngineOptions(state="packed"),
+        churn=churn,
         retention="stream",
         storage=f"jsonl:{store_dir}",
     )
@@ -91,10 +91,10 @@ def measure_point(num_sensors: int, epochs: int, store_dir: str, seed: int = 0) 
     }
 
 
-def run_curve(sizes, epochs: int, store_dir: str) -> dict:
+def run_curve(sizes, epochs: int, store_dir: str, churn: str = "none") -> dict:
     points = []
     for num_sensors in sizes:
-        point = measure_point(num_sensors, epochs, store_dir)
+        point = measure_point(num_sensors, epochs, store_dir, churn)
         points.append(point)
         print(
             f"  N={num_sensors:>7d}: words/epoch={point['words_per_epoch']:.0f} "
@@ -108,7 +108,7 @@ def run_curve(sizes, epochs: int, store_dir: str) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "scheme": "TAG",
         "topology": "synthetic-scale",
-        "state": "packed",
+        "churn": churn,
         "retention": "stream",
         "store": "jsonl",
         "epochs": epochs,
@@ -133,6 +133,13 @@ def main() -> int:
         action="store_true",
         help=f"append the {FULL_SIZE}-node acceptance point",
     )
+    parser.add_argument(
+        "--churn",
+        default="none",
+        metavar="SPEC",
+        help="churn model spec for every point, in absolute epochs (runs "
+        "start at 1000), e.g. deaths:1010:1500:1; default none",
+    )
     parser.add_argument("--out", type=pathlib.Path, default=None)
     parser.add_argument(
         "--store-dir",
@@ -155,12 +162,12 @@ def main() -> int:
         sizes.append(FULL_SIZE)
     if args.store_dir is not None:
         store_dir = str(args.store_dir)
-        record = run_curve(sizes, args.epochs, store_dir)
+        record = run_curve(sizes, args.epochs, store_dir, args.churn)
     else:
         import tempfile
 
         with tempfile.TemporaryDirectory() as store_dir:
-            record = run_curve(sizes, args.epochs, store_dir)
+            record = run_curve(sizes, args.epochs, store_dir, args.churn)
     text = json.dumps(record, indent=2)
     out = args.out or (pathlib.Path(__file__).parent / "results" / RESULT_NAME)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -129,19 +129,17 @@ class EngineOptions:
             (``pure``, or ``object`` to keep every block on the
             per-payload engine). ``None`` resolves ``REPRO_KERNEL_BACKEND``
             and then the ``pure`` default at run time.
-        state: node-state tier for the scenario's deployment and rings:
-            ``dict`` (the seed representation — per-node dicts, the
-            byte-identity oracle) or ``packed`` (id-indexed ndarrays
-            behind the same API; the memory-lean tier that makes
-            100k-node networks buildable). ``None`` means ``dict``. Like
-            every engine option, result-neutral by invariant — the scale
-            suite pins packed runs byte-identical to dict runs.
+
+    ``state`` is a legacy constructor argument and payload key, not an
+    option: it once chose between a dict and an array (``packed``) node-state
+    tier. Array state is the only layout now, so ``"packed"`` is accepted
+    and dropped, and ``"dict"`` is refused.
     """
 
     backend: Optional[str] = None
-    state: Optional[str] = None
+    state: dataclasses.InitVar[Optional[str]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, state: Optional[str]) -> None:
         if self.backend is not None:
             if not isinstance(self.backend, str):
                 raise ConfigurationError(
@@ -149,18 +147,22 @@ class EngineOptions:
                     f"{self.backend!r} ({type(self.backend).__name__})"
                 )
             validate_backend_name(self.backend)
-        if self.state is not None and self.state not in ("dict", "packed"):
+        if state == "dict":
             raise ConfigurationError(
-                "engine.state expects 'dict' or 'packed', got "
-                f"{self.state!r}"
+                "engine.state 'dict' is gone with the dict/graph-library "
+                "node-state tier it selected; array-backed state is the only "
+                "layout, drop the key"
+            )
+        if state not in (None, "packed"):
+            raise ConfigurationError(
+                "engine.state is a legacy key that only accepts 'packed' "
+                f"(now the only layout), got {state!r}"
             )
 
     def to_jsonable(self) -> Dict[str, object]:
         payload: Dict[str, object] = {}
         if self.backend is not None:
             payload["backend"] = self.backend
-        if self.state is not None:
-            payload["state"] = self.state
         return payload
 
     @classmethod
@@ -175,7 +177,7 @@ class EngineOptions:
             raise ConfigurationError(
                 "unknown engine-option keys: "
                 + ", ".join(repr(key) for key in unknown)
-                + "; expected keys: 'backend', 'state'"
+                + "; expected keys: 'backend'"
             )
         return cls(backend=data.get("backend"), state=data.get("state"))
 
@@ -358,10 +360,10 @@ class RunConfig:
         churn_interval: boundary cadence churn events apply at; 0 follows
             the adaptation cadence (or 10 when adaptation is off).
         engine: optional :class:`EngineOptions` (or its dict form) naming
-            result-neutral execution choices — today the kernel
-            ``backend``. An all-default options object normalizes to
-            ``None``, so only configs that actually pin an engine choice
-            encode the field.
+            result-neutral execution choices: the kernel ``backend``. An
+            all-default options object (including the legacy
+            ``state="packed"``) normalizes to ``None``, so only configs
+            that actually pin an engine choice encode the field.
         faults: optional tuple of fault-injector spec strings
             (``corrupt:RATE[:SEED]``, ``duplicate:RATE[:SEED]``,
             ``delay:EPOCHS``, ``bscrash:START:DURATION``,
@@ -945,31 +947,10 @@ def build_scenario(config: RunConfig) -> Scenario:
     Construction is deterministic (``scenario_seed`` keys it); queries are
     *not* bound — callers pair the scenario with whatever aggregate they
     are serving (the config's own, or the service's live workload).
-
-    With ``engine.state == "packed"`` the node state is built on the
-    packed ndarray tier: array-natively for the synthetic families, or by
-    converting the registered builder's dict-shaped result for everything
-    else. Either way the packed scenario is byte-identical to the dict
-    one — the representation is an engine choice, never a result choice.
     """
-    state = config.engine.state if config.engine is not None else None
-    if state == "packed":
-        from repro.network.packed import build_packed_topology, pack_topology
-
-        topology = build_packed_topology(
-            config.topology, config.num_sensors, config.scenario_seed
-        )
-        if topology is None:
-            topology = pack_topology(
-                TOPOLOGIES.resolve(config.topology)(
-                    num_sensors=config.num_sensors,
-                    seed=config.scenario_seed,
-                )
-            )
-    else:
-        topology = TOPOLOGIES.resolve(config.topology)(
-            num_sensors=config.num_sensors, seed=config.scenario_seed
-        )
+    topology = TOPOLOGIES.resolve(config.topology)(
+        num_sensors=config.num_sensors, seed=config.scenario_seed
+    )
     tree = build_bushy_tree(topology.rings, seed=config.scenario_seed)
     failure = build_failure_model(config.failure)
     base_loss = getattr(topology, "base_loss", None)

@@ -18,15 +18,18 @@ equivalent that preserves every property the paper's experiments rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from repro._hashing import stream_rng
 from repro.datasets.streams import DiurnalLightReadings, LightItemStream
 from repro.network.failures import ComposedLoss, FailureModel, NoLoss
-from repro.network.placement import BASE_STATION, Deployment, NodeId
-from repro.network.radio import QualityDiscRadio
+from repro.network.placement import (
+    Deployment,
+    NodeId,
+    Point,
+    placement_from_points,
+)
+from repro.network.radio import Connectivity, QualityDiscRadio
 from repro.network.rings import RingsTopology
 
 #: Number of motes in the Intel lab deployment.
@@ -43,13 +46,10 @@ LAB_HEIGHT = 30.0
 LAB_RADIO_RANGE = 11.0
 
 
-def _lab_positions(seed: int = 7) -> Dict[NodeId, Tuple[float, float]]:
+def _lab_points(seed: int = 7) -> List[Point]:
     """A deterministic 54-mote lab layout: 9 columns x 6 rows of benches."""
     rng = stream_rng("labdata-positions", seed)
-    positions: Dict[NodeId, Tuple[float, float]] = {
-        BASE_STATION: (1.0, LAB_HEIGHT / 2.0)
-    }
-    node = 1
+    points: List[Point] = []
     columns, rows = 9, 6
     cell_w = LAB_WIDTH / columns
     cell_h = LAB_HEIGHT / rows
@@ -57,9 +57,8 @@ def _lab_positions(seed: int = 7) -> Dict[NodeId, Tuple[float, float]]:
         for column in range(columns):
             x = (column + 0.5 + rng.uniform(-0.3, 0.3)) * cell_w
             y = (row + 0.5 + rng.uniform(-0.3, 0.3)) * cell_h
-            positions[node] = (x, y)
-            node += 1
-    return positions
+            points.append((x, y))
+    return points
 
 
 @dataclass
@@ -68,7 +67,7 @@ class LabDataScenario:
 
     deployment: Deployment
     radio: QualityDiscRadio
-    connectivity: nx.Graph
+    connectivity: Connectivity
     rings: RingsTopology
     base_loss: Dict[Tuple[NodeId, NodeId], float]
     readings: DiurnalLightReadings
@@ -82,9 +81,9 @@ class LabDataScenario:
         max_loss: float = 0.30,
         items_per_node: int = 50,
     ) -> "LabDataScenario":
-        positions = _lab_positions(seed)
-        deployment = Deployment(
-            positions=positions,
+        deployment = placement_from_points(
+            _lab_points(seed),
+            base_position=(1.0, LAB_HEIGHT / 2.0),
             width=LAB_WIDTH,
             height=LAB_HEIGHT,
             name="labdata",
@@ -104,7 +103,7 @@ class LabDataScenario:
         item_stream = LightItemStream(
             items_per_node=items_per_node,
             readings=readings,
-            offset_fn=lambda node: 400.0 * positions[node][0] / LAB_WIDTH,
+            offset_fn=lambda node: 400.0 * deployment.position(node)[0] / LAB_WIDTH,
             seed=seed,
         )
         return cls(

@@ -13,17 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import networkx as nx
-
 from repro._hashing import stream_rng
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.network.placement import (
-    BASE_STATION,
     Deployment,
     Point,
     grid_random_placement,
+    placement_from_points,
 )
-from repro.network.radio import DiscRadio
+from repro.network.radio import Connectivity, DiscRadio
 from repro.network.rings import RingsTopology
 
 #: Radio range used for the 600-node Synthetic deployment: ~10 expected
@@ -55,11 +53,7 @@ SCALE_DENSITY = 1.5
 
 def scale_area_side(num_sensors: int) -> float:
     """Side of the square area that keeps ``synthetic-scale`` at the paper's
-    density for ``num_sensors`` motes.
-
-    Shared by the dict and packed builders so both tiers derive the exact
-    same float dimensions (and hence identical placement draws).
-    """
+    density for ``num_sensors`` motes."""
     if num_sensors <= 0:
         raise ConfigurationError("num_sensors must be positive")
     return math.sqrt(num_sensors / SCALE_DENSITY)
@@ -95,7 +89,7 @@ class SyntheticScenario:
 
     deployment: Deployment
     radio: DiscRadio
-    connectivity: nx.Graph
+    connectivity: Connectivity
     rings: RingsTopology
 
 
@@ -139,14 +133,14 @@ def make_synthetic_scenario(
             radio_range_for_density(density), SYNTHETIC_RADIO_RANGE
         )
     radio = DiscRadio(radio_range)
-    last_error: Exception | None = None
+    last_error: TopologyError | None = None
     for attempt in range(max_seed_retries):
         deployment = make_synthetic_deployment(
             num_sensors, width, height, seed=seed + 1000 * attempt
         )
         try:
             connectivity = radio.connectivity(deployment)
-        except Exception as error:  # TopologyError: try the next seed
+        except TopologyError as error:  # disconnected: try the next seed
             last_error = error
             continue
         rings = RingsTopology.build(deployment, connectivity)
@@ -195,13 +189,11 @@ def grid_jitter_placement(
             placed += 1
     if base_position is None:
         base_position = (width / 2.0, height / 2.0)
-    positions = {BASE_STATION: base_position}
-    for index, point in enumerate(points, start=1):
-        positions[index] = point
-    return Deployment(
-        positions=positions,
-        width=width,
-        height=height,
+    return placement_from_points(
+        points,
+        base_position,
+        width,
+        height,
         name=name or f"grid-{density:g}x{width:g}x{height:g}",
     )
 

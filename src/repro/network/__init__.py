@@ -19,7 +19,7 @@ This package replaces the TAG simulator used in the paper's evaluation
 """
 
 from repro.network.placement import Deployment, grid_random_placement
-from repro.network.radio import DiscRadio, QualityDiscRadio
+from repro.network.radio import Connectivity, DiscRadio, QualityDiscRadio
 from repro.network.burst import (
     CrashWindow,
     GilbertElliottLoss,
@@ -71,6 +71,7 @@ from repro.network.simulator import EpochResult, EpochSimulator, RunResult
 __all__ = [
     "Deployment",
     "grid_random_placement",
+    "Connectivity",
     "DiscRadio",
     "QualityDiscRadio",
     "CrashWindow",

@@ -33,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.links import Channel
-from repro.network.placement import BASE_STATION, Deployment, NodeId
+from repro.network.placement import Deployment, NodeId
+from repro.network.radio import Connectivity
 from repro.network.rings import RingsTopology
 from repro.tree.structure import Tree
 
@@ -213,7 +214,7 @@ class TreeMaintainer:
 
 def rebuild_rings(
     deployment: Deployment,
-    connectivity: nx.Graph,
+    connectivity: Connectivity,
     monitor: LinkQualityMonitor,
     min_quality: float = 0.5,
 ) -> RingsTopology:
@@ -230,22 +231,21 @@ def rebuild_rings(
     """
     if not 0.0 <= min_quality <= 1.0:
         raise ConfigurationError("min_quality must be in [0, 1]")
-    pruned = nx.Graph()
-    pruned.add_nodes_from(connectivity.nodes)
+    kept: List[Tuple[NodeId, NodeId]] = []
     dropped: List[Tuple[NodeId, NodeId, float]] = []
     for a, b in connectivity.edges:
         quality = min(monitor.quality(a, b), monitor.quality(b, a))
         if quality >= min_quality:
-            pruned.add_edge(a, b)
+            kept.append((a, b))
         else:
             dropped.append((a, b, quality))
 
     # Reconnect stranded nodes through their best dropped edge.
-    reachable = set(nx.node_connected_component(pruned, BASE_STATION))
     while True:
-        stranded = set(pruned.nodes) - reachable
+        pruned = Connectivity.from_edges(len(connectivity), kept)
+        stranded = set(np.flatnonzero(pruned.hop_levels() < 0).tolist())
         if not stranded:
-            break
+            return RingsTopology.build(deployment, pruned)
         bridges = [
             (quality, a, b)
             for a, b, quality in dropped
@@ -257,10 +257,7 @@ def rebuild_rings(
                 "all links restored"
             )
         _, a, b = max(bridges)
-        pruned.add_edge(a, b)
-        reachable = set(nx.node_connected_component(pruned, BASE_STATION))
-
-    return RingsTopology.build(deployment, pruned)
+        kept.append((a, b))
 
 
 class OnlineMaintenance:

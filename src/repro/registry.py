@@ -114,6 +114,8 @@ from repro.network.failures import (
     NoLoss,
     RegionalLoss,
 )
+from repro.network.placement import Deployment
+from repro.network.rings import RingsTopology
 from repro.spatial.regions import (
     RegionHierarchy,
     grid_hierarchy,
@@ -287,10 +289,9 @@ def register_regions(name: str):
     """Register a region-hierarchy builder for ``GROUP BY name[:depth]``.
 
     The builder maps ``(deployment, max_depth)`` to a
-    :class:`~repro.spatial.regions.RegionHierarchy` over that deployment —
-    any object with the ``width``/``height``/``sensor_ids``/``position``
-    surface works, so hierarchies apply to every registered topology
-    (synthetic, labdata, synthetic-scale) unchanged.
+    :class:`~repro.spatial.regions.RegionHierarchy` over that deployment,
+    so hierarchies apply to every registered topology (synthetic, labdata,
+    synthetic-scale) unchanged.
     """
 
     def decorator(builder: Callable[..., RegionHierarchy]):
@@ -747,8 +748,8 @@ class ResolvedTopology:
     spec.
     """
 
-    deployment: object
-    rings: object
+    deployment: Deployment
+    rings: RingsTopology
     base_loss: Optional[Dict] = field(default=None)
 
 

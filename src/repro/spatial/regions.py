@@ -10,9 +10,8 @@ JSON reports unchanged.
 
 The canonical hierarchy is the quadtree (``split=2``, the multiresolution
 cube layout of Meliou et al.); a coarser 3x3 grid variant is registered
-alongside it.  Builders take any object with the ``Deployment`` surface
-(``width``/``height``/``sensor_ids``/``position``) so the packed scale tier
-works unchanged.
+alongside it.  Builders read the ``Deployment`` surface only
+(``width``/``height``/``sensor_ids``/``position``).
 
 This module is registry-free by design: :mod:`repro.registry` imports the
 builders defined here to populate its ``REGIONS`` registry, so importing

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro._hashing import stream_rng
 from repro.errors import TopologyError
-from repro.network.packed import PackedRings
 from repro.network.placement import BASE_STATION, NodeId
 from repro.network.rings import RingsTopology
 from repro.tree.structure import Tree
@@ -89,36 +88,22 @@ def _upstream_csr(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rings as arrays: ``(ids, level_of, indptr, upstream)``.
 
-    ``ids`` are the node ids ascending; every other array speaks *dense
-    indices* into it (index order == id order, which is what lets the
-    builder compare indices where the paper's rules compare ids). Node
-    ``i``'s upstream ring neighbours are ``upstream[indptr[i]:indptr[i+1]]``,
-    ascending — the list ``rings.upstream_neighbors`` returns on both tiers.
-    Packed rings hand over their CSR columns; dict rings (and
-    churn-restricted ones, whose surviving ids are sparse) are remapped
-    through ``ids``.
+    ``ids`` are the ringed node ids ascending (after churn the survivors'
+    ids are sparse); every other array speaks *dense indices* into it
+    (index order == id order, which is what lets the builder compare
+    indices where the paper's rules compare ids). Node ``i``'s upstream ring
+    neighbours are ``upstream[indptr[i]:indptr[i+1]]``, ascending — the list
+    ``rings.upstream_neighbors`` returns.
     """
-    if isinstance(rings, PackedRings):
-        ids = np.arange(len(rings.level_of), dtype=np.int64)
-        level_of = rings.level_of.astype(np.int64)
-        src = np.repeat(ids, np.diff(rings.indptr))
-        dst = rings.neighbors.astype(np.int64)
-    else:
-        ids = np.array(sorted(rings.levels), dtype=np.int64)
-        levels = rings.levels
-        level_of = np.array(
-            [levels[node] for node in ids.tolist()], dtype=np.int64
-        )
-        edges = np.array(list(rings.connectivity.edges), dtype=np.int64)
-        edges = np.searchsorted(ids, edges.reshape(-1, 2))
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    keep = level_of[dst] == level_of[src] - 1
-    src, dst = src[keep], dst[keep]
-    order = np.lexsort((dst, src))
+    ids = np.flatnonzero(rings.level_of >= 0)
+    level_of = rings.level_of[ids].astype(np.int64)
+    # Ring links arrive sorted by (child, candidate) id, and the id -> index
+    # map is monotone, so the runs stay ascending.
+    src, dst = rings.upstream_links()
+    src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
-    return ids, level_of, indptr, dst[order]
+    return ids, level_of, indptr, dst
 
 
 def build_bushy_tree(
@@ -135,8 +120,7 @@ def build_bushy_tree(
     The rules run on arrays, the random draws do not: ``rng`` is consumed
     one ``randrange`` per node in ascending id order — the initial parent,
     then per round every non-pinned node that has somewhere to go — which
-    is draw for draw what ``rng.choice`` over the option lists consumes, so
-    a seed names the same tree on the dict and the packed tier.
+    is draw for draw what ``rng.choice`` over the option lists consumes.
     """
     rng = stream_rng("bushy-tree", seed)
     draw = rng.randrange

@@ -165,7 +165,7 @@ class TestRunConfig:
             epochs=5, warmup=1, start_epoch=7, adapt_interval=5,
             converge_epochs=9, threshold=0.8, tree_attempts=2,
             use_batch=False, churn="deaths:3:2", churn_interval=4,
-            engine={"state": "packed"}, faults=["delay:2"],
+            engine={"backend": "object"}, faults=["delay:2"],
             retention="window:3", storage="memory", group_by="region:1",
         )
         assert set(non_default) | {"scheme"} == {
@@ -200,18 +200,44 @@ class TestRunConfig:
             epochs=5, warmup=1, start_epoch=7, adapt_interval=5,
             converge_epochs=9, threshold=0.8, tree_attempts=2,
             use_batch=False, churn="deaths:3:2", churn_interval=4,
-            engine=EngineOptions(backend="object", state="packed"),
+            engine=EngineOptions(backend="object"),
             faults=["corrupt:0.1", "delay:2"], retention="window:3",
             storage="memory", group_by="region:1",
         )
         assert "topology" not in config.to_jsonable()
         assert "query" not in config.to_jsonable()
+        assert config.to_jsonable()["engine"] == {"backend": "object"}
 
     def test_unknown_keys_are_actionable(self):
         payload = json.loads(quick_config("TAG", "none").to_json())
         payload["epocks"] = 3
         with pytest.raises(ConfigurationError, match="epocks"):
             RunConfig.from_json(json.dumps(payload))
+
+    def test_legacy_engine_state_key(self):
+        """``packed`` named what is now the only layout: accepted, dropped,
+        never encoded. ``dict`` named a tier that is gone."""
+        plain = quick_config("TAG", "none")
+        assert EngineOptions(state="packed") == EngineOptions()
+        for legacy in (EngineOptions(state="packed"), {"state": "packed"}):
+            config = plain.replace(engine=legacy)
+            assert config == plain and config.engine is None
+            assert "engine" not in config.to_jsonable()
+            assert config_digest(config) == config_digest(plain)
+        payload = json.loads(plain.to_json())
+        payload["engine"] = {"state": "packed"}
+        assert RunConfig.from_jsonable(payload) == plain
+        payload["engine"] = {"state": "packed", "backend": "object"}
+        assert RunConfig.from_jsonable(payload).engine == EngineOptions(
+            backend="object"
+        )
+        with pytest.raises(ConfigurationError, match="'dict' is gone"):
+            EngineOptions(state="dict")
+        payload["engine"] = {"state": "dict"}
+        with pytest.raises(ConfigurationError, match="'dict' is gone"):
+            RunConfig.from_jsonable(payload)
+        with pytest.raises(ConfigurationError, match="only accepts 'packed'"):
+            EngineOptions(state="sparse")
 
     def test_legacy_use_blocked_key(self):
         """Pre-PR-13 payloads still decode; the dead value says where to go."""

@@ -17,16 +17,27 @@ import hashlib
 
 import pytest
 
+import topology_goldens
+
+from repro import serialization
 from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
-from repro.api import RunConfig, Session, config_digest, describe_experiment
+from repro.api import (
+    RunConfig,
+    Session,
+    build_scenario,
+    config_digest,
+    describe_experiment,
+    run_config_result,
+)
+from repro.chaos.checkpoint import Checkpointer
 from repro.core.adaptation import TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.streams import UniformReadings
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError, SimulationKilled, TopologyError
 from repro.network.churn import (
     BirthDeathChurn,
     ChurnBatch,
@@ -42,7 +53,7 @@ from repro.network.links import Channel
 from repro.network.placement import BASE_STATION
 from repro.network.rings import RingsTopology
 from repro.network.simulator import EpochSimulator
-from repro.registry import CHURN_MODELS, build_churn_model
+from repro.registry import CHURN_MODELS, build_aggregate, build_churn_model
 from repro.tree.repair import REPAIR_WORDS, repair_tree
 
 
@@ -717,6 +728,92 @@ GOLDEN_DIGESTS = {
     "TD|none": "4bd448aa8a688c24689d101bc959b99ddc1dd404048325fe0eb77a757e0fdf7c",
     "TD|global:0.3": "cf624e4744f584e6c325388b5386a9ebcd198b20ee0e1d1f1bc64730e48bcf15",
 }
+
+
+CHURN_GOLDENS = topology_goldens.load()["churn"]
+
+
+@pytest.mark.parametrize("name", sorted(CHURN_GOLDENS))
+def test_every_boundary_matches_the_recorded_dict_tier(name):
+    """Levels, stranded set and repaired tree after each churn boundary, and
+    the run's full result, as the networkx-subgraph re-ringing produced them."""
+    config = topology_goldens.churn_configs()[name]
+    assert topology_goldens.churn_digests(config) == CHURN_GOLDENS[name]
+
+
+#: Churn that leaves live nodes cut off from the base station: a dead band
+#: across the field that later rejoins (its dark subtrees snap back), deaths
+#: heavy enough to sever a subtree for good, and steady turnover that strands
+#: and re-admits a few nodes at most boundaries.
+STRANDING_CHURN = {
+    "blackout": dict(
+        num_sensors=300, epochs=30, churn="blackout:10:3:0:6.5:20:20"
+    ),
+    "deaths": dict(num_sensors=100, epochs=30, churn="deaths:10:80:3"),
+    "birthdeath": dict(
+        num_sensors=150, epochs=40, churn="birthdeath:0.45:0.15:1"
+    ),
+}
+
+
+def _stranding_config(case, scheme, **overrides):
+    return RunConfig(
+        scheme=scheme,
+        failure="global:0.1",
+        aggregate="sum",
+        reading="uniform:10:100:0",
+        start_epoch=0,
+        converge_epochs=0,
+        churn_interval=10,
+        **STRANDING_CHURN[case],
+        **overrides,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(STRANDING_CHURN))
+class TestChurnOnArrayState:
+    """Re-ringing is a masked BFS over the static CSR: the cases the dict
+    tier used to serve through a networkx subgraph, stranding included."""
+
+    def test_case_strands_live_nodes(self, case):
+        config = _stranding_config(case, "TAG")
+        scenario = build_scenario(config)
+        scheme = scenario.build_scheme(build_aggregate(config.aggregate))
+        simulator = scenario.build_simulator(scheme)
+        simulator.run(config.epochs, scenario.source, start_epoch=0)
+        updates = simulator.membership.updates
+        assert any(update.stranded for update in updates)
+        assert (case == "deaths") != any(update.joined for update in updates)
+        for update in updates:
+            ringed = set(update.rings.levels)
+            assert ringed == set(update.tree.nodes)
+            assert ringed | set(update.stranded) == update.alive
+            assert not ringed & set(update.stranded)
+            TDGraph(update.rings, update.tree)  # validates every tree link
+        assert scenario.topology.rings.connectivity is updates[-1].rings.connectivity
+
+    @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
+    def test_kill_and_resume_equals_straight_run(self, case, scheme, tmp_path):
+        config = _stranding_config(case, scheme)
+        straight = run_config_result(config)
+        with pytest.raises(SimulationKilled):
+            run_config_result(
+                config,
+                checkpoint=Checkpointer(tmp_path, interval=10, kill_at=20),
+            )
+        resumed = run_config_result(
+            config, checkpoint=Checkpointer(tmp_path, interval=10, resume=True)
+        )
+        # Compared serialised: a checkpoint round-trips ``extra`` through JSON.
+        assert serialization.dumps(resumed) == serialization.dumps(straight)
+
+    @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
+    def test_engine_equals_oracle(self, case, scheme):
+        engine = run_config_result(_stranding_config(case, scheme))
+        oracle = run_config_result(
+            _stranding_config(case, scheme, use_batch=False)
+        )
+        assert _run_fingerprint(engine) == _run_fingerprint(oracle)
 
 
 def _digest(result):

@@ -79,35 +79,29 @@ BUSHY_TREE_GOLDENS = {
 
 
 class TestBushyTreeGoldens:
-    """The exact trees, on both state tiers, pinned against the old builder."""
+    """The exact trees, pinned against the old dict/set builder.
+
+    (The ``dict_and_packed`` names date from when the goldens were checked
+    on two state tiers; array state is the only one now.)
+    """
 
     @pytest.mark.parametrize("num_sensors", [60, 600, 5000])
     def test_synthetic_scale_dict_and_packed(self, num_sensors):
         from repro.datasets.synthetic import make_scale_scenario
-        from repro.network.packed import build_packed_topology
 
-        dict_rings = make_scale_scenario(num_sensors, seed=0).rings
-        packed_rings = build_packed_topology(
-            "synthetic-scale", num_sensors, 0
-        ).rings
+        rings = make_scale_scenario(num_sensors, seed=0).rings
         for seed in range(4):
-            golden = BUSHY_TREE_GOLDENS[(num_sensors, seed)]
-            for rings in (dict_rings, packed_rings):
-                tree = build_bushy_tree(rings, seed=seed)
-                assert _tree_digest(tree) == golden
-                # Consumers iterate ``tree.parents`` in insertion order.
-                assert list(tree.parents) == sorted(tree.parents)
-                assert all(type(n) is int for n in tree.parents)
-                assert all(type(p) is int for p in tree.parents.values())
+            tree = build_bushy_tree(rings, seed=seed)
+            assert _tree_digest(tree) == BUSHY_TREE_GOLDENS[(num_sensors, seed)]
+            # Consumers iterate ``tree.parents`` in insertion order.
+            assert list(tree.parents) == sorted(tree.parents)
+            assert all(type(n) is int for n in tree.parents)
+            assert all(type(p) is int for p in tree.parents.values())
 
     def test_labdata_dict_and_packed(self, lab_scenario):
-        from repro.network.packed import pack_topology
-
-        packed_rings = pack_topology(lab_scenario).rings
         for seed in range(4):
-            golden = BUSHY_TREE_GOLDENS[("lab", seed)]
-            assert _tree_digest(build_bushy_tree(lab_scenario.rings, seed=seed)) == golden
-            assert _tree_digest(build_bushy_tree(packed_rings, seed=seed)) == golden
+            tree = build_bushy_tree(lab_scenario.rings, seed=seed)
+            assert _tree_digest(tree) == BUSHY_TREE_GOLDENS[("lab", seed)]
 
     def test_churn_restricted_rings_sparse_ids(self):
         # Re-rung survivors keep their original (now sparse) node ids.

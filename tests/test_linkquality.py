@@ -197,7 +197,7 @@ class TestRebuildRings:
         # Degrade every link of one level-1 node except via deeper neighbours.
         victim = rings.nodes_at_level(1)[0]
         monitor = LinkQualityMonitor(alpha=1.0, prior=1.0)
-        for neighbor in rings.connectivity.neighbors(victim):
+        for neighbor in rings.connectivity.neighbors_of(victim).tolist():
             if rings.level(neighbor) < rings.level(victim) + 1:
                 monitor.observe(victim, neighbor, False)
                 monitor.observe(neighbor, victim, False)

@@ -50,11 +50,11 @@ class TestGridRandomPlacement:
 class TestDeployment:
     def test_requires_base_station(self):
         with pytest.raises(ConfigurationError):
-            Deployment(positions={1: (0.0, 0.0)}, width=1, height=1)
+            Deployment(xs=[], ys=[], width=1, height=1)
 
     def test_rejects_empty_area(self):
         with pytest.raises(ConfigurationError):
-            Deployment(positions={0: (0.0, 0.0)}, width=0, height=1)
+            Deployment(xs=[0.0], ys=[0.0], width=0, height=1)
 
     def test_distance(self):
         deployment = placement_from_points(
@@ -78,6 +78,29 @@ class TestDeployment:
         )
         inside = deployment.nodes_in_rect((0, 0), (3, 3), include_base=True)
         assert inside == [0, 1]
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ConfigurationError):
+            Deployment(xs=[0.0, 1.0], ys=[0.0], width=1, height=1)
+
+    def test_accessors_return_plain_python_numbers(self):
+        # numpy scalars hash differently in the keyed-draw streams.
+        deployment = grid_random_placement(6, seed=2)
+        assert all(type(node) is int for node in deployment.node_ids)
+        assert all(type(node) is int for node in deployment.positions)
+        assert all(
+            type(value) is float
+            for node in deployment
+            for value in deployment.position(node)
+        )
+        assert all(
+            type(node) is int
+            for node in deployment.nodes_in_rect((0, 0), (20, 20))
+        )
+        assert type(deployment.distance(0, 1)) is float
+        assert 7 not in deployment.positions
+        with pytest.raises(KeyError):
+            deployment.position(7)
 
     def test_sensor_ids_exclude_base(self):
         deployment = grid_random_placement(5)

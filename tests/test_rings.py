@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_topology import queue_levels
 from repro.network.placement import BASE_STATION, grid_random_placement
 from repro.network.radio import DiscRadio
 from repro.network.rings import RingsTopology
@@ -24,8 +26,7 @@ class TestConstruction:
 
     def test_levels_are_hop_counts(self, rings):
         topology, _, graph = rings
-        shortest = nx.single_source_shortest_path_length(graph, BASE_STATION)
-        assert dict(topology.levels) == dict(shortest)
+        assert dict(topology.levels) == queue_levels(graph.edges)
 
     def test_edges_span_at_most_one_ring(self, rings):
         topology, _, graph = rings
@@ -80,3 +81,43 @@ class TestNeighbourQueries:
         topology, _, _ = rings
         for child, parent in topology.ring_edges():
             assert topology.level(child) == topology.level(parent) + 1
+
+
+class TestMaskedReRinging:
+    """``build_restricted`` against the plain-queue BFS on live subsets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dead=st.sets(st.integers(1, 120), max_size=110))
+    def test_levels_and_stranded_match_reference(self, rings, dead):
+        full, deployment, graph = rings
+        alive = set(deployment.node_ids) - dead
+        restricted, stranded = RingsTopology.build_restricted(graph, alive)
+        expected = queue_levels(graph.edges, alive)
+        assert dict(restricted.levels) == expected
+        assert list(restricted.levels) == sorted(expected)
+        assert stranded == sorted(alive - set(expected))
+        assert restricted.connectivity is full.connectivity
+        restricted.validate()
+        for node in dead | set(stranded):
+            assert node not in restricted.levels
+            with pytest.raises(KeyError):
+                restricted.level(node)
+        # Neighbour queries see ringed nodes only — never a dead node whose
+        # -1 would otherwise look like "one ring above the base station".
+        assert restricted.upstream_neighbors(BASE_STATION) == []
+        for node in expected:
+            for query, offset in (
+                (restricted.upstream_neighbors, -1),
+                (restricted.same_level_neighbors, 0),
+                (restricted.downstream_neighbors, +1),
+            ):
+                assert query(node) == [
+                    other
+                    for other in graph.neighbors_of(node).tolist()
+                    if expected.get(other) == expected[node] + offset
+                ]
+        assert restricted.ring_edges() == sorted(
+            (child, parent)
+            for child in expected
+            for parent in restricted.upstream_neighbors(child)
+        )

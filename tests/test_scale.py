@@ -1,12 +1,13 @@
-"""The memory-lean scale tier: packed state, retention, result stores.
+"""Scale: array node state, retention, result stores.
 
 The load-bearing guarantees, in paper terms:
 
-* **Packed state is an implementation detail** — a run under
-  ``engine.state = "packed"`` (ndarray node state behind the dict-shaped
-  API) is *byte-identical* to the dict-path run for every scheme and loss
-  level: same placement draws, same radio graph, same rings, same tree,
-  same per-epoch messages. The dict path stays as the oracle.
+* **Array state is an implementation detail** — deployments, rings and
+  trees are ndarray-backed, and every run is *byte-identical* to the
+  dict/networkx representation it replaced: same placement draws, same
+  radio graph, same rings, same tree, same per-epoch messages.
+  ``topology_goldens.json`` was recorded on the last commit that had the
+  dict tier (where both tiers agreed on every digest in it).
 * **Retention changes what is kept, not what is computed** — a
   ``stream``/``window:N`` run reports the same RMS error, contributing
   fraction and words/epoch as the retained run; only the in-RAM timeline
@@ -14,15 +15,21 @@ The load-bearing guarantees, in paper terms:
 * **Stores round-trip byte-identically** — epochs spilled to ``jsonl``
   or ``sqlite`` reload equal to the retained epochs, and
   ``RunReport.load_epochs`` is the lazy path back.
-* **The scale topology holds at 20k nodes** — the packed ring builder
-  and the dict builder agree on every level and every tree parent.
+* **The scale topology holds at 20k nodes** — coordinates, ring levels,
+  adjacency and tree parents match the recorded dict-tier build, and churn
+  re-rings it without ever building a graph object.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import topology_goldens
 
 from repro.api import (
     CONFIG_SCHEMA_VERSION,
@@ -58,30 +65,30 @@ def _run(config: RunConfig):
     return run_config_result(config)
 
 
-# -- packed-vs-dict byte identity -------------------------------------------
+GOLDENS = topology_goldens.load()
+
+# -- array state vs the recorded dict tier -----------------------------------
 
 
 @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
 @pytest.mark.parametrize("failure", ["none", "global:0.3"])
 def test_packed_is_byte_identical_600(scheme, failure):
-    """The 600-node golden scenario: packed == dict, bit for bit."""
-    base = dict(
-        scheme=scheme, failure=failure, num_sensors=600, epochs=3, **BASE
-    )
-    plain = _run(RunConfig(**base))
-    packed = _run(RunConfig(engine=EngineOptions(state="packed"), **base))
-    assert _dumps(plain) == _dumps(packed)
+    """The 600-node golden scenario: the dict tier's result, bit for bit."""
+    config = topology_goldens.scale_run_config(scheme, failure)
+    golden = GOLDENS["runs"][f"synthetic/{scheme}/{failure}"]
+    assert topology_goldens.run_digest(config) == golden
+    # The legacy tier selector is accepted and changes nothing.
+    legacy = config.replace(engine=EngineOptions(state="packed"))
+    assert legacy == config
 
 
 def test_packed_identity_on_labdata_conversion():
-    """Topologies without a native packed builder go through pack_topology."""
-    base = dict(
-        scheme="TAG", failure="global:0.2", topology="labdata",
-        num_sensors=54, epochs=3, **BASE,
+    """LabData (fixed points + base losses) builds on the same arrays."""
+    config = topology_goldens.scale_run_config(
+        "TAG", "global:0.2", topology="labdata", num_sensors=54
     )
-    plain = _run(RunConfig(**base))
-    packed = _run(RunConfig(engine=EngineOptions(state="packed"), **base))
-    assert _dumps(plain) == _dumps(packed)
+    golden = GOLDENS["runs"]["labdata/TAG/global:0.2"]
+    assert topology_goldens.run_digest(config) == golden
 
 
 def test_packed_state_validated():
@@ -89,29 +96,66 @@ def test_packed_state_validated():
         EngineOptions(state="sparse")
 
 
+@pytest.mark.parametrize(
+    "key",
+    sorted(key for key in GOLDENS["topology"] if "20000" not in key),
+)
+def test_topology_matches_recorded_dict_tier(key):
+    """Coordinates, levels, CSR adjacency and tree of every family."""
+    family, *rest = key.split("/")
+    if len(rest) == 2:
+        digests = topology_goldens.registered_topology(
+            family, int(rest[0]), int(rest[1])
+        )
+    else:
+        digests = topology_goldens.sweep_topology(family, int(rest[0]))
+    assert digests == GOLDENS["topology"][key]
+
+
 # -- the 20k-node scale topology --------------------------------------------
 
 
 def test_scale_topology_parity_20k():
-    """Packed and dict builders agree on 20k-node levels and parents."""
-    from repro.datasets.synthetic import make_scale_scenario
+    """20k-node levels, adjacency and tree parents match the dict build."""
     from repro.network.packed import build_packed_topology
-    from repro.tree.construction import build_bushy_tree
 
     num = 20_000
-    scenario = make_scale_scenario(num, seed=0)
-    packed = build_packed_topology("synthetic-scale", num, 0)
-    assert packed is not None
-    assert packed.deployment.num_sensors == num
-    for node in (0, 1, num // 2, num):
-        assert packed.rings.level(node) == scenario.rings.level(node)
-    assert all(
-        packed.rings.level(node) == scenario.rings.level(node)
-        for node in scenario.deployment.node_ids
+    topology = build_packed_topology("synthetic-scale", num, 0)
+    assert topology.deployment.num_sensors == num
+    digests = topology_goldens.topology_digests(
+        topology.deployment, topology.rings, 0
     )
-    dict_tree = build_bushy_tree(scenario.rings, seed=0)
-    packed_tree = build_bushy_tree(packed.rings, seed=0)
-    assert dict_tree.parents == packed_tree.parents
+    assert digests == GOLDENS["topology"]["synthetic-scale/20000/0"]
+
+
+def test_churn_at_20k_never_builds_a_graph(tmp_path):
+    """Deaths re-ring 20k nodes on the CSR arrays: no networkx, no guard.
+
+    Runs in a fresh interpreter so ``sys.modules`` is this run's own.
+    """
+    script = (
+        "import sys\n"
+        "from repro.api import RunConfig, run_config_result\n"
+        "config = RunConfig(scheme='TAG', failure='none',"
+        " topology='synthetic-scale', num_sensors=20_000, epochs=4,"
+        " aggregate='sum', reading='uniform:10:100:0', converge_epochs=0,"
+        " seed=0, start_epoch=0, churn='deaths:2:1500:1', churn_interval=2)\n"
+        "result = run_config_result(config)\n"
+        "assert 'networkx' not in sys.modules\n"
+        "print(*(int(e.extra['alive_sensors']) for e in result.epochs))\n"
+        "print(*(e.estimate == e.true_value for e in result.epochs))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    alive, exact = done.stdout.splitlines()
+    assert alive.split() == ["20000", "20000", "18500", "18500"]
+    # Lossless TAG over the repaired tree still sums every live sensor.
+    assert exact.split() == ["True"] * 4
 
 
 def test_packed_20k_short_run_smoke(tmp_path):
@@ -263,7 +307,7 @@ def test_scale_fields_version_gate():
     for key, upgraded in (
         ("retention", plain.replace(retention="stream")),
         ("storage", plain.replace(storage="memory")),
-        ("engine", plain.replace(engine=EngineOptions(state="packed"))),
+        ("engine", plain.replace(engine=EngineOptions(backend="object"))),
     ):
         payload = upgraded.to_jsonable()
         assert set(payload) - set(plain.to_jsonable()) == {key}

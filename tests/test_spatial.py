@@ -380,30 +380,3 @@ class TestServiceGrouping:
         with pytest.raises(ConfigurationError) as err:
             AggregationService(fast_config(group_by="region:1"))
         assert "subscribe" in str(err.value)
-
-
-# -- packed-tier guard -----------------------------------------------------
-
-
-class TestPackedConnectivityGuard:
-    def test_connectivity_refuses_above_node_limit(self, monkeypatch):
-        from repro.network import packed
-
-        config = fast_config(
-            engine={"state": "packed"}, scheme="TAG", num_sensors=40
-        )
-        scenario = build_scenario(config)
-        rings = scenario.topology.rings
-        monkeypatch.setattr(packed, "CONNECTIVITY_NODE_LIMIT", 10)
-        with pytest.raises(ConfigurationError) as err:
-            rings.connectivity
-        assert "refusing to inflate" in str(err.value)
-        assert "10" in str(err.value)
-
-    def test_connectivity_builds_below_limit(self):
-        config = fast_config(
-            engine={"state": "packed"}, scheme="TAG", num_sensors=40
-        )
-        scenario = build_scenario(config)
-        graph = scenario.topology.rings.connectivity
-        assert graph.number_of_nodes() == 41
