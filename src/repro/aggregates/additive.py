@@ -50,6 +50,9 @@ class AdditiveFMAggregate(Aggregate[int, FMSketch]):
     def synopsis_fuse(self, a: FMSketch, b: FMSketch) -> FMSketch:
         return a.fuse(b)
 
+    def synopsis_fuse_many(self, synopses: Sequence[FMSketch]) -> FMSketch:
+        return FMSketch.fuse_many(synopses)
+
     def synopsis_eval(self, synopsis: FMSketch) -> float:
         return synopsis.estimate()
 

@@ -58,6 +58,10 @@ class AverageAggregate(Aggregate[TreePair, SketchPair]):
     def synopsis_fuse(self, a: SketchPair, b: SketchPair) -> SketchPair:
         return (a[0].fuse(b[0]), a[1].fuse(b[1]))
 
+    def synopsis_fuse_many(self, synopses: Sequence[SketchPair]) -> SketchPair:
+        totals, counts = zip(*synopses)
+        return (FMSketch.fuse_many(totals), FMSketch.fuse_many(counts))
+
     def synopsis_eval(self, synopsis: SketchPair) -> float:
         total = synopsis[0].estimate()
         count = synopsis[1].estimate()

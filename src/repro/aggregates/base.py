@@ -126,6 +126,20 @@ class Aggregate(ABC, Generic[P, S]):
     def synopsis_fuse(self, a: S, b: S) -> S:
         """SF: fuse two synopses (must be ODI)."""
 
+    def synopsis_fuse_many(self, synopses: Sequence[S]) -> S:
+        """SF over a node's whole inbox: the left fold of :meth:`synopsis_fuse`.
+
+        The result MUST equal folding ``synopses`` (non-empty) left to right
+        through :meth:`synopsis_fuse`, errors included; the schemes hand
+        every node's local + converted + received synopses over in one
+        call. The default is that fold; the FM-backed aggregates override it
+        with one OR per sketch slot, the wrappers forward per component.
+        """
+        result = synopses[0]
+        for synopsis in synopses[1:]:
+            result = self.synopsis_fuse(result, synopsis)
+        return result
+
     @abstractmethod
     def synopsis_eval(self, synopsis: S) -> float:
         """SE: translate a synopsis into an answer."""
@@ -335,10 +349,7 @@ def fuse_all(aggregate: Aggregate[P, S], synopses: Sequence[S]) -> S:
     """Left-fold ``synopsis_fuse`` over a non-empty list of synopses."""
     if not synopses:
         raise ValueError("fuse_all requires at least one synopsis")
-    result = synopses[0]
-    for synopsis in synopses[1:]:
-        result = aggregate.synopsis_fuse(result, synopsis)
-    return result
+    return aggregate.synopsis_fuse_many(synopses)
 
 
 def zip_blocks(blocks: Sequence[List[List]]) -> List[List[Tuple]]:

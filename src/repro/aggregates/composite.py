@@ -186,6 +186,15 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             for aggregate, sa, sb in zip(self._aggregates, a, b)
         )
 
+    def synopsis_fuse_many(
+        self, synopses: Sequence[CompositeSynopsis]
+    ) -> CompositeSynopsis:
+        """One transpose, then each component fuses its own column."""
+        return tuple(
+            aggregate.synopsis_fuse_many(column)
+            for aggregate, column in zip(self._aggregates, zip(*synopses))
+        )
+
     def synopsis_eval(self, synopsis: CompositeSynopsis) -> float:
         return self._stash(
             [

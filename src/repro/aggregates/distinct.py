@@ -82,6 +82,9 @@ class DistinctCountAggregate(Aggregate[ValueSet, FMSketch]):
     def synopsis_fuse(self, a: FMSketch, b: FMSketch) -> FMSketch:
         return a.fuse(b)
 
+    def synopsis_fuse_many(self, synopses: Sequence[FMSketch]) -> FMSketch:
+        return FMSketch.fuse_many(synopses)
+
     def synopsis_eval(self, synopsis: FMSketch) -> float:
         return synopsis.estimate()
 

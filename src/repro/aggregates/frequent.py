@@ -181,6 +181,11 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
             list(a.values()) + list(b.values())
         )
 
+    def synopsis_fuse_many(
+        self, synopses: Sequence[ClassSynopses]
+    ) -> ClassSynopses:
+        return self._engine.fuse_collections(synopses)
+
     def synopsis_eval(self, synopses: ClassSynopses) -> float:
         items = self._engine.report(synopses, self.phi)
         self.last_items = items

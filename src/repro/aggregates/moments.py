@@ -120,6 +120,9 @@ class MomentsAggregate(Aggregate[MomentTriple, SketchTriple]):
     def synopsis_fuse(self, a: SketchTriple, b: SketchTriple) -> SketchTriple:
         return (a[0].fuse(b[0]), a[1].fuse(b[1]), a[2].fuse(b[2]))
 
+    def synopsis_fuse_many(self, synopses: Sequence[SketchTriple]) -> SketchTriple:
+        return tuple(FMSketch.fuse_many(slot) for slot in zip(*synopses))
+
     def synopsis_eval(self, synopsis: SketchTriple) -> float:
         return self._variance(
             synopsis[0].estimate(),

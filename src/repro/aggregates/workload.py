@@ -65,17 +65,25 @@ class WorkloadReadings:
         return tuple(fn(node, epoch) for fn in self._components)
 
     def batch(self, nodes: Sequence[int], epoch: int) -> List[ReadingTuple]:
-        """One epoch's reading tuples for many nodes, per-component batched."""
+        """One epoch's reading tuples for many nodes, per-component batched.
+
+        Queries over the bare sensor stream share one source *object*; each
+        distinct source is asked once and its column reused (sources are
+        pure functions of ``(node, epoch)``, so the values are the same).
+        """
+        asked: Dict[int, List[float]] = {}
         columns = []
         for fn in self._components:
-            batch = getattr(fn, "batch", None)
-            if batch is not None:
-                columns.append(batch(nodes, epoch))
-            else:
-                columns.append([fn(node, epoch) for node in nodes])
-        return [
-            tuple(column[i] for column in columns) for i in range(len(nodes))
-        ]
+            column = asked.get(id(fn))
+            if column is None:
+                batch = getattr(fn, "batch", None)
+                if batch is not None:
+                    column = batch(nodes, epoch)
+                else:
+                    column = [fn(node, epoch) for node in nodes]
+                asked[id(fn)] = column
+            columns.append(column)
+        return list(zip(*columns))
 
     def on_membership_change(self, update) -> None:
         """Forward churn boundaries to stateful components (windows)."""

@@ -53,6 +53,7 @@ scheme and simulator — pinned by ``tests/test_api.py`` (and per query by
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -899,16 +900,23 @@ class Scenario:
 
         Adapts every epoch under the scenario seed, exactly as
         ``run_config_result`` always has; non-adaptive schemes and
-        ``converge_epochs=0`` are no-ops.
+        ``converge_epochs=0`` are no-ops. No warm-up answer is recorded, so
+        a scheme that can (``signal_only``, see
+        :class:`~repro.core.td_scheme.TributaryDeltaScheme`) carries only
+        what adaptation reads: modes, adaptation log and control traffic
+        come out exactly as under the full query payload.
         """
-        if self.entry.adaptive and self.config.converge_epochs:
+        if not (self.entry.adaptive and self.config.converge_epochs):
+            return
+        signal_only = getattr(scheme, "signal_only", contextlib.nullcontext)
+        with signal_only(readings) as carried:
             EpochSimulator(
                 self.topology.deployment,
                 self.failure,
                 scheme,
                 seed=self.config.scenario_seed,
                 adapt_interval=1,
-            ).run(0, readings, warmup=self.config.converge_epochs)
+            ).run(0, carried, warmup=self.config.converge_epochs)
 
     def build_simulator(
         self, scheme, checkpoint=None, audit=None, on_result=None

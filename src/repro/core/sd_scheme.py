@@ -257,11 +257,24 @@ class SynopsisDiffusionScheme:
                 nodes, synopses, count_sketches
             ):
                 contributors = 1 << node
-                for received in inbox.pop(node, ()):
-                    synopsis = aggregate.synopsis_fuse(synopsis, received.synopsis)
-                    if count_sketch is not None and received.count_sketch is not None:
-                        count_sketch = count_sketch.fuse(received.count_sketch)
-                    contributors |= received.contributors
+                received = inbox.pop(node, None)
+                if received is not None:
+                    # The node's own synopsis, then its inbox in arrival
+                    # order, fused once.
+                    synopsis = aggregate.synopsis_fuse_many(
+                        [synopsis] + [payload.synopsis for payload in received]
+                    )
+                    if count_sketch is not None:
+                        count_sketch = FMSketch.fuse_many(
+                            [count_sketch]
+                            + [
+                                payload.count_sketch
+                                for payload in received
+                                if payload.count_sketch is not None
+                            ]
+                        )
+                    for payload in received:
+                        contributors |= payload.contributors
                 outgoing.append(
                     MultipathPayload(synopsis, count_sketch, contributors)
                 )
@@ -311,14 +324,21 @@ class SynopsisDiffusionScheme:
                     empty=True,
                 ),
             )
-        synopsis = received[0].synopsis
+        synopsis = aggregate.synopsis_fuse_many(
+            [payload.synopsis for payload in received]
+        )
         count_sketch = received[0].count_sketch
-        contributors = received[0].contributors
-        for extra_payload in received[1:]:
-            synopsis = aggregate.synopsis_fuse(synopsis, extra_payload.synopsis)
-            if count_sketch is not None and extra_payload.count_sketch is not None:
-                count_sketch = count_sketch.fuse(extra_payload.count_sketch)
-            contributors |= extra_payload.contributors
+        if count_sketch is not None:
+            count_sketch = FMSketch.fuse_many(
+                [
+                    payload.count_sketch
+                    for payload in received
+                    if payload.count_sketch is not None
+                ]
+            )
+        contributors = 0
+        for payload in received:
+            contributors |= payload.contributors
         chaos = channel.chaos
         if (
             chaos is not None

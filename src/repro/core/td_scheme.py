@@ -21,11 +21,13 @@ adaptation strategy.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate, merge_all
 from repro.aggregates.grouping import annotate_groups
+from repro.aggregates.signal import SignalOnlyAggregate
 from repro.aggregates.workload import annotate_workload
 from repro.core.adaptation import AdaptationAction, AdaptationPolicy
 from repro.core.graph import TDGraph
@@ -36,6 +38,7 @@ from repro.core.payloads import (
     combine_stats,
     missing_stats_words,
 )
+from repro.datasets.streams import ConstantReadings
 from repro.errors import ConfigurationError
 from repro.kernels import fused_backend
 from repro.kernels.td import precompute_conversions, refusal, run_td_block
@@ -85,7 +88,7 @@ class TributaryDeltaScheme:
             raise ConfigurationError("attempts must be at least 1")
         self._deployment = deployment
         self._graph = graph
-        self._aggregate = aggregate
+        self._bind_aggregate(aggregate)
         self._policy = policy
         self._tree_attempts = tree_attempts
         self._multipath_attempts = multipath_attempts
@@ -97,14 +100,6 @@ class TributaryDeltaScheme:
         # Block-scoped cache, live only inside the object :meth:`run_epochs`:
         # per-node :meth:`_missing_entry` lookups.
         self._missing_cache: Optional[Dict] = None
-        # Additive partials have a constant wire size (the ``tree_words``
-        # contract behind the fused TAG kernel), so tree payloads can be
-        # sized once instead of per node per epoch.
-        self._tree_payload_words: Optional[int] = (
-            int(aggregate.tree_words(aggregate.tree_empty())) + 1
-            if aggregate.tree_partials_additive()
-            else None
-        )
         self.name = name
         # Rings are static between membership changes (only modes adapt
         # within one): precompute the per-level schedule, each node's
@@ -116,6 +111,47 @@ class TributaryDeltaScheme:
         self.adaptation_log: List[Tuple[int, str, int]] = []
         #: Cumulative base-station control messages spent on adaptation.
         self.control_messages = 0
+
+    def _bind_aggregate(self, aggregate: Aggregate) -> None:
+        """Carry ``aggregate`` on the wire from the next block on."""
+        self._aggregate = aggregate
+        # Additive partials have a constant wire size (the ``tree_words``
+        # contract behind the fused TAG kernel), so tree payloads can be
+        # sized once instead of per node per epoch.
+        self._tree_payload_words: Optional[int] = (
+            int(aggregate.tree_words(aggregate.tree_empty())) + 1
+            if aggregate.tree_partials_additive()
+            else None
+        )
+
+    @contextmanager
+    def signal_only(self, readings: ReadingFn) -> Iterator[ReadingFn]:
+        """Run the enclosed epochs carrying nothing but the adaptation signal.
+
+        Adaptation (Section 4.2) reads the %-contributing estimate and the
+        per-subtree "nodes not contributing" counts; both ride the
+        contributing-count piggyback, the exact tree counts and the static
+        layout, and delivery draws never look at a payload. So a warm-up
+        whose answers nobody records swaps the query payload for
+        :class:`~repro.aggregates.signal.SignalOnlyAggregate` and adapts
+        exactly as it would have under the real aggregate. Yields the
+        readings to drive the wave with: a constant while swapped, so no
+        sensor stream is evaluated either. The real aggregate is back on
+        any exit.
+
+        Plain ``count`` is the exception: its synopsis *is* the contributing
+        count (no piggyback travels, and it is keyed ``"count"`` rather than
+        ``"contrib"``), so it keeps carrying itself over ``readings``.
+        """
+        real = self._aggregate
+        if real.synopsis_counts_contributors():
+            yield readings
+            return
+        self._bind_aggregate(SignalOnlyAggregate())
+        try:
+            yield ConstantReadings(0.0)
+        finally:
+            self._bind_aggregate(real)
 
     def _rebuild_schedule(self) -> None:
         """Recompute level schedule, audiences and parents from the graph."""
@@ -540,6 +576,10 @@ class TributaryDeltaScheme:
         contributors = 1 << node
         subtree_contributing = 1  # the node's own reading
         missing_stats: Optional[Dict[NodeId, int]] = None
+        # Local, then converted, then received — the order the pairwise
+        # fold took them in — fused once below.
+        synopses = [synopsis]
+        sketches = [count_sketch]
 
         for received in inbox_tree.pop(node, ()):
             if converted is not None:
@@ -553,16 +593,16 @@ class TributaryDeltaScheme:
                     tree_count = self._count_convert(
                         received.count, received.sender, epoch
                     )
-            synopsis = aggregate.synopsis_fuse(synopsis, tree_synopsis)
+            synopses.append(tree_synopsis)
             if count_sketch is not None:
-                count_sketch = count_sketch.fuse(tree_count)
+                sketches.append(tree_count)
             contributors |= received.contributors
             subtree_contributing += received.count
 
         for received in inbox_syn.pop(node, ()):
-            synopsis = aggregate.synopsis_fuse(synopsis, received.synopsis)
+            synopses.append(received.synopsis)
             if count_sketch is not None and received.count_sketch is not None:
-                count_sketch = count_sketch.fuse(received.count_sketch)
+                sketches.append(received.count_sketch)
             contributors |= received.contributors
             # Inlined ``combine_stats``: we own ``missing_stats`` (first hit
             # copies), so later unions can update in place. Insertion order
@@ -582,7 +622,10 @@ class TributaryDeltaScheme:
                 missing_stats[node] = missing
 
         return MultipathPayload(
-            synopsis, count_sketch, contributors, missing_stats
+            aggregate.synopsis_fuse_many(synopses),
+            None if count_sketch is None else FMSketch.fuse_many(sketches),
+            contributors,
+            missing_stats,
         )
 
     def _level_transmissions(
@@ -664,23 +707,24 @@ class TributaryDeltaScheme:
         for payload in tree_payloads:
             contributors |= payload.contributors
             exact_count += payload.count
-        synopsis = None
-        count_sketch: Optional[FMSketch] = None
         missing_stats: Optional[Dict[NodeId, int]] = None
-        for payload in inbox_syn.pop(BASE_STATION, []):
-            synopsis = (
-                payload.synopsis
-                if synopsis is None
-                else aggregate.synopsis_fuse(synopsis, payload.synopsis)
-            )
-            if payload.count_sketch is not None:
-                count_sketch = (
-                    payload.count_sketch
-                    if count_sketch is None
-                    else count_sketch.fuse(payload.count_sketch)
-                )
+        delta_payloads = inbox_syn.pop(BASE_STATION, [])
+        for payload in delta_payloads:
             contributors |= payload.contributors
             missing_stats = combine_stats(missing_stats, payload.missing_stats)
+        synopsis = (
+            aggregate.synopsis_fuse_many(
+                [payload.synopsis for payload in delta_payloads]
+            )
+            if delta_payloads
+            else None
+        )
+        sketches = [
+            payload.count_sketch
+            for payload in delta_payloads
+            if payload.count_sketch is not None
+        ]
+        count_sketch = FMSketch.fuse_many(sketches) if sketches else None
         if self._graph.is_multipath(BASE_STATION):
             # The base station has no reading of its own: its tributary
             # count is exactly what its T children delivered.

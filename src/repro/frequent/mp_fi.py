@@ -232,6 +232,31 @@ class MultipathFrequentItems:
                 result[klass] = queue[0]
         return result
 
+    def fuse_collections(
+        self, collections: Sequence[Mapping[int, FrequentItemsSynopsis]]
+    ) -> Dict[int, FrequentItemsSynopsis]:
+        """Left-fold per-class collections, two at a time.
+
+        ``fuse_into_classes`` over the running result and the next
+        collection, empty collections being the identity. Strictly
+        sequential: promotion prunes against the running n~ estimate, so the
+        fold order is part of the result and one :meth:`fuse_into_classes`
+        over every input at once is NOT equivalent.
+        """
+        if not collections:
+            raise ValueError("fuse_collections requires at least one collection")
+        result = collections[0]
+        for collection in collections[1:]:
+            if not collection:
+                continue
+            if not result:
+                result = dict(collection)
+                continue
+            result = self.fuse_into_classes(
+                [*result.values(), *collection.values()]
+            )
+        return result
+
     # -- SE ---------------------------------------------------------------------
 
     def evaluate(

@@ -112,6 +112,20 @@ def _correction_table_cached(num_bitmaps: int, bits: int) -> Tuple[float, ...]:
     return tuple(values)
 
 
+@lru_cache(maxsize=64)
+def _estimate_shape(num_bitmaps: int, bits: int) -> Tuple[int, int, Tuple[float, ...]]:
+    """``(ones, top_bits, table)`` of a sketch shape: all :meth:`FMSketch.estimate` needs.
+
+    ``ones`` has the lowest bit of every bitmap field set, ``top_bits`` the
+    highest, ``table`` is :func:`_correction_table`'s. One lookup per
+    estimate; the body coerces to builtin ``int`` so the entry is the same
+    whichever integer type populated it (numpy scalars hash equal to ints).
+    """
+    num_bitmaps, bits = int(num_bitmaps), int(bits)
+    ones = sum(1 << (index * bits) for index in range(num_bitmaps))
+    return ones, ones << (bits - 1), _correction_table_cached(num_bitmaps, bits)
+
+
 def _packed_rle_words(packed: int, num_bitmaps: int, bits: int) -> int:
     """Cache-safe entry point for :func:`_packed_rle_words_cached`.
 
@@ -148,7 +162,7 @@ def _packed_rle_words_cached(packed: int, num_bitmaps: int, bits: int) -> int:
 
 # The paper's 40 x 32-bit sketch shape is the hot default: build its
 # estimate table at module load so no epoch pays for it.
-_correction_table(40, DEFAULT_BITS)
+_estimate_shape(40, DEFAULT_BITS)
 
 
 class FMSketch:
@@ -298,6 +312,32 @@ class FMSketch:
         fused._packed = self._packed | other._packed
         return fused
 
+    @staticmethod
+    def fuse_many(sketches: Sequence["FMSketch"]) -> "FMSketch":
+        """The union of a non-empty run of sketches, as one OR.
+
+        Equal to left-folding :meth:`fuse` (same shape check, same
+        :class:`SketchError`) without the intermediate sketches: fusion is
+        ODI, so a node's whole inbox is a single big-int OR.
+        """
+        if not sketches:
+            raise ValueError("fuse_many requires at least one sketch")
+        first = sketches[0]
+        if len(sketches) == 1:
+            return first
+        num_bitmaps = first.num_bitmaps
+        bits = first.bits
+        packed = 0
+        for sketch in sketches:
+            if sketch.num_bitmaps != num_bitmaps or sketch.bits != bits:
+                raise SketchError("cannot fuse sketches with different shapes")
+            packed |= sketch._packed
+        fused = FMSketch.__new__(FMSketch)
+        fused.num_bitmaps = num_bitmaps
+        fused.bits = bits
+        fused._packed = packed
+        return fused
+
     def __or__(self, other: "FMSketch") -> "FMSketch":
         return self.fuse(other)
 
@@ -322,19 +362,27 @@ class FMSketch:
         Scheuermann-Mauve correction term 2**(-kappa * mean R) repairs the
         small-count regime without affecting large counts.
         """
-        if self.is_empty():
-            return 0.0
-        bits = self.bits
-        mask = (1 << bits) - 1
         packed = self._packed
-        total = 0
-        # Trailing-ones run of each bitmap, straight off the packed integer
-        # (bitmaps above the highest non-empty one contribute 0).
-        while packed:
-            bitmap = packed & mask
-            total += ((bitmap + 1) & ~bitmap).bit_length() - 1
-            packed >>= bits
-        return _correction_table(self.num_bitmaps, bits)[total]
+        if not packed:
+            return 0.0
+        ones, top_bits, table = _estimate_shape(self.num_bitmaps, self.bits)
+        if packed & top_bits:
+            # A full bitmap's ``+ 1`` would carry into its neighbour: take
+            # the trailing-ones run of each bitmap off the packed integer
+            # one field at a time (bitmaps above the highest non-empty one
+            # contribute 0).
+            bits = self.bits
+            mask = (1 << bits) - 1
+            total = 0
+            while packed:
+                bitmap = packed & mask
+                total += ((bitmap + 1) & ~bitmap).bit_length() - 1
+                packed >>= bits
+            return table[total]
+        # Every field at once: ``~b & (b + 1)`` isolates each bitmap's
+        # lowest unset bit 2**R_j; minus one that is R_j set bits, so the
+        # popcount over all fields is sum(R_j).
+        return table[((~packed & (packed + ones)) - ones).bit_count()]
 
     def is_empty(self) -> bool:
         """True when no item was ever inserted."""

@@ -280,6 +280,9 @@ class FilteredAggregate(Aggregate):
     def synopsis_fuse(self, a, b):
         return self._inner.synopsis_fuse(a, b)
 
+    def synopsis_fuse_many(self, synopses):
+        return self._inner.synopsis_fuse_many(synopses)
+
     def synopsis_eval(self, synopsis) -> float:
         return self._inner.synopsis_eval(synopsis)
 

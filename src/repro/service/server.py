@@ -27,6 +27,7 @@ Error mapping: malformed bodies → 400, scenario mismatch → 409, admission
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
@@ -181,6 +182,22 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that went away is routine, not a traceback.
+
+        ``socketserver`` dumps every handler exception to stderr; a peer
+        resetting an idle keep-alive connection surfaces as
+        ``ConnectionResetError`` out of ``handle_one_request``'s
+        ``rfile.readline``. Those (and the write-side / timeout twins) are
+        dropped quietly; anything else keeps the default report.
+        """
+        error = sys.exc_info()[1]
+        if isinstance(
+            error, (ConnectionResetError, BrokenPipeError, TimeoutError)
+        ):
+            return
+        super().handle_error(request, client_address)
 
 
 class AggregationServer:

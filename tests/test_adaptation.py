@@ -7,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates.count import CountAggregate
+from repro.api import (
+    EXPERIMENT_CONFIGS,
+    QueryWorkload,
+    RunConfig,
+    build_scenario,
+)
 from repro.core.adaptation import (
     AdaptationAction,
     DampedPolicy,
@@ -15,10 +21,14 @@ from repro.core.adaptation import (
 )
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.td_scheme import TributaryDeltaScheme
-from repro.datasets.streams import ConstantReadings
+from repro.datasets.streams import ConstantReadings, UniformReadings
 from repro.errors import ConfigurationError
 from repro.network.failures import GlobalLoss, NoLoss, RegionalLoss
+from repro.network.links import Channel
+from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, EpochSimulator
+from repro.query import parse_query
+from repro.registry import build_aggregate
 
 
 def outcome_with(contributing_estimate, extra=None):
@@ -358,3 +368,199 @@ class TestAdaptationInvariants:
             policy = coarse if use_coarse else fine
             policy.adjust(graph, outcome, sensors)
             graph.validate()  # Property 1 must hold after every action
+
+
+# -- signal-only convergence -------------------------------------------------
+
+#: Query payloads convergence must not depend on: plain aggregates, a
+#: summary, the 4-query workload, a windowed filtered query, a grouped sum.
+_CONVERGENCE_PAYLOADS = {
+    "sum": dict(aggregate="sum"),
+    "avg": dict(aggregate="avg"),
+    "heavy-hitters": dict(aggregate="heavy_hitters:0.05"),
+    "multiquery": dict(queries=EXPERIMENT_CONFIGS["multiquery"].queries),
+    "windowed-filtered": dict(
+        query="SELECT avg WHERE value > 50 WINDOW 5 MEAN"
+    ),
+    "grouped-sum": dict(query="SELECT sum GROUP BY region:1"),
+}
+
+
+def _convergence_config(scheme, use_batch=True, failure="global:0.2", **payload):
+    return RunConfig(
+        scheme=scheme,
+        failure=failure,
+        reading="uniform:10:100:0",
+        num_sensors=80,
+        converge_epochs=12,
+        use_batch=use_batch,
+        **payload,
+    )
+
+
+def _bound(config):
+    """``(scenario, scheme, readings)``: the config's queries bound to a
+    fresh scheme, the way ``run_config_result`` binds them."""
+    scenario = build_scenario(config)
+    readings = scenario.source
+    workload = QueryWorkload.from_config(config)
+    if workload is not None:
+        aggregate, readings = workload.build(readings)
+    elif config.query is not None:
+        aggregate, readings = parse_query(config.query).build(
+            readings, deployment=scenario.topology.deployment
+        )
+    else:
+        aggregate = build_aggregate(config.aggregate)
+    return scenario, scenario.build_scheme(aggregate), readings
+
+
+def _adaptation_state(scheme):
+    return (
+        scheme.graph.modes(),
+        list(scheme.adaptation_log),
+        scheme.control_messages,
+    )
+
+
+def _converged_on_the_real_aggregate(config):
+    """The reference: the warm-up wave carrying the full query payload."""
+    scenario, scheme, readings = _bound(config)
+    EpochSimulator(
+        scenario.topology.deployment,
+        scenario.failure,
+        scheme,
+        seed=config.scenario_seed,
+        adapt_interval=1,
+    ).run(0, readings, warmup=config.converge_epochs)
+    return _adaptation_state(scheme)
+
+
+class _Spy:
+    """Forwards to ``inner`` and records every method called on it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if not callable(value):
+            return value
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return value(*args, **kwargs)
+
+        return recorded
+
+
+class TestSignalOnlyConvergence:
+    """``Scenario.converge`` carries only what adaptation reads."""
+
+    @pytest.mark.parametrize("use_batch", [True, False], ids=["engine", "oracle"])
+    @pytest.mark.parametrize("scheme", ["TD", "TD-Coarse"])
+    @pytest.mark.parametrize("payload", sorted(_CONVERGENCE_PAYLOADS))
+    def test_convergence_is_aggregate_independent(
+        self, payload, scheme, use_batch
+    ):
+        config = _convergence_config(
+            scheme, use_batch, **_CONVERGENCE_PAYLOADS[payload]
+        )
+        scenario, td, readings = _bound(config)
+        real = td.aggregate
+        scenario.converge(td, readings)
+        assert td.aggregate is real
+        state = _adaptation_state(td)
+        assert state == _converged_on_the_real_aggregate(config)
+        # The warm-up adapted at all: the comparison is not of two no-ops.
+        assert any(kind != "none" for _, kind, _ in state[1])
+
+    def test_m_mode_base_without_tree_partials_keeps_its_signal(self):
+        """The carried synopsis is not ``None``: an M-mode base station that
+        receives no tree partial would read that as "nothing arrived" and
+        report a zero contributing estimate."""
+        config = _convergence_config(
+            "TD-Coarse", failure="global:0.3", aggregate="sum"
+        )
+        scenario, td, readings = _bound(config)
+        scenario.converge(td, readings)
+        graph = td.graph
+        assert graph.is_multipath(BASE_STATION)
+        assert not any(
+            graph.is_tree(child) for child in graph.tree_children(BASE_STATION)
+        )
+        assert _adaptation_state(td) == _converged_on_the_real_aggregate(config)
+        with td.signal_only(readings) as carried:
+            outcome = td.run_epoch(
+                config.converge_epochs,
+                Channel(
+                    scenario.topology.deployment,
+                    scenario.failure,
+                    seed=config.scenario_seed,
+                ),
+                carried,
+            )
+        assert outcome.contributing_estimate > 0
+
+    @pytest.mark.parametrize("scheme", ["TD", "TD-Coarse"])
+    def test_count_converges_on_itself(self, scheme):
+        """Count's synopsis *is* the contributing count: nothing to swap."""
+        config = _convergence_config(scheme, aggregate="count")
+        scenario, td, readings = _bound(config)
+        real = td.aggregate
+        with td.signal_only(readings) as carried:
+            assert td.aggregate is real
+            assert carried is readings
+        scenario.converge(td, readings)
+        assert _adaptation_state(td) == _converged_on_the_real_aggregate(config)
+
+    def test_convergence_touches_neither_aggregate_nor_stream(
+        self, monkeypatch
+    ):
+        reading_calls = []
+        for method in ("__call__", "batch", "block"):
+            original = getattr(UniformReadings, method)
+            monkeypatch.setattr(
+                UniformReadings,
+                method,
+                lambda self, *args, _original=original, _method=method: (
+                    reading_calls.append(_method),
+                    _original(self, *args),
+                )[1],
+            )
+        config = _convergence_config(
+            "TD", **_CONVERGENCE_PAYLOADS["multiquery"]
+        )
+        scenario, td, readings = _bound(config)
+        spy = _Spy(td.aggregate)
+        td = scenario.build_scheme(spy)
+        del spy.calls[:]
+        scenario.converge(td, readings)
+        assert td.aggregate is spy
+        # Two capability lookups (is it count? are partials additive?); no
+        # local, merge, fuse, convert, size or eval call.
+        assert set(spy.calls) <= {
+            "synopsis_counts_contributors",
+            "tree_partials_additive",
+        }
+        assert reading_calls == []
+        # The probes are live: one measured epoch uses both.
+        scenario.build_simulator(td).run(1, readings)
+        assert "synopsis_fuse_many" in spy.calls
+        assert reading_calls
+
+    def test_real_aggregate_is_back_after_an_exception(self, monkeypatch):
+        config = _convergence_config("TD", aggregate="sum")
+        scenario, td, readings = _bound(config)
+        real = td.aggregate
+        payload_words = td._tree_payload_words
+
+        def boom(epoch, outcome):
+            raise RuntimeError("adaptation failed")
+
+        monkeypatch.setattr(td, "adapt", boom)
+        with pytest.raises(RuntimeError, match="adaptation failed"):
+            scenario.converge(td, readings)
+        assert td.aggregate is real
+        assert td._tree_payload_words == payload_words

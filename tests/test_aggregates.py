@@ -11,8 +11,10 @@ from repro.aggregates.average import AverageAggregate
 from repro.aggregates.base import fuse_all, merge_all
 from repro.aggregates.composite import CompositeAggregate
 from repro.aggregates.count import CountAggregate
+from repro.aggregates.distinct import DistinctCountAggregate
 from repro.aggregates.frequent import HeavyHittersAggregate
 from repro.aggregates.minmax import MaxAggregate, MinAggregate
+from repro.aggregates.moments import MomentsAggregate
 from repro.aggregates.sample import UniformSampleAggregate, quantile_from_sample
 from repro.aggregates.sum_ import SumAggregate
 from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
@@ -295,6 +297,32 @@ def _workload():
     )
 
 
+def test_workload_batch_asks_each_distinct_source_once(monkeypatch):
+    """Three of the four slots read the same source object: one batch call
+    serves them, and every tuple is still the per-slot scalar values."""
+    calls = []
+    batch = UniformReadings.batch
+
+    def spy(self, nodes, epoch):
+        calls.append(self)
+        return batch(self, nodes, epoch)
+
+    monkeypatch.setattr(UniformReadings, "batch", spy)
+    _, readings = _workload()
+    twin = UniformReadings(10, 100, seed=5)  # equal, but another object
+    readings.add_component(twin)
+    nodes = [3, 8, 1, 20]
+    for epoch in (0, 1, 2):
+        del calls[:]
+        assert readings.batch(nodes, epoch) == [
+            readings(node, epoch) for node in nodes
+        ]
+        # Once for the shared source, once for its twin; the window asks
+        # the source itself, only in its steady state (from epoch 1 on).
+        assert [source is twin for source in calls].count(True) == 1
+        assert len(calls) == (2 if epoch == 0 else 3)
+
+
 #: label -> ``() -> (aggregate, reading function)``: every registered
 #: aggregate plus each wrapper the query layer can put around one.
 BLOCK_SUBJECTS = {
@@ -319,6 +347,14 @@ BLOCK_SUBJECTS = {
 
 _NODES = [3, 8, 1, 20, 14, 9, 33]
 _EPOCHS = [4, 5, 6]
+
+
+def _fold(aggregate, synopses):
+    """The pairwise left fold ``synopsis_fuse_many`` must equal."""
+    result = synopses[0]
+    for synopsis in synopses[1:]:
+        result = aggregate.synopsis_fuse(result, synopsis)
+    return result
 
 
 @pytest.mark.parametrize("label", sorted(BLOCK_SUBJECTS))
@@ -390,6 +426,40 @@ class TestBlockFormsEqualScalarForms:
         ]
         assert aggregate.convert_block([], [], []) == []
 
+    def test_synopsis_fuse_many(self, label):
+        aggregate, readings = BLOCK_SUBJECTS[label]()
+        cells = [
+            aggregate.synopsis_local(node, epoch, readings(node, epoch))
+            for epoch in range(4)
+            for node in range(1, 41)
+        ]
+        partial = merge_all(
+            aggregate,
+            [
+                aggregate.tree_local(node, 3, readings(node, 3))
+                for node in range(41, 71)
+            ],
+        )
+        # What a delta node's inbox holds: its own synopsis, synopses other
+        # nodes already fused (several heavy-hitter classes, promotions on
+        # the way), a conversion, a filtered-out sender's neutral synopsis,
+        # a replayed delivery.
+        inputs = [
+            cells[0],
+            _fold(aggregate, cells[1:40]),
+            aggregate.convert(partial, 7, 3),
+            aggregate.synopsis_empty(),
+            _fold(aggregate, cells[40:]),
+            cells[0],
+        ]
+        for count in (1, 2, 6):
+            assert aggregate.synopsis_fuse_many(inputs[:count]) == _fold(
+                aggregate, inputs[:count]
+            ), count
+        assert fuse_all(aggregate, inputs) == _fold(aggregate, inputs)
+        with pytest.raises(ValueError):
+            fuse_all(aggregate, [])
+
 
 @pytest.mark.parametrize(
     "aggregate, negative",
@@ -411,3 +481,104 @@ def test_negative_partial_raises_the_same_error_from_both_forms(
     with pytest.raises(SketchError) as block:
         aggregate.convert_block([valid, negative], [1, 2], [0, 0])
     assert str(block.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "narrow, wide",
+    [
+        (SumAggregate(8), SumAggregate(40)),
+        (build_aggregate("distinct"), DistinctCountAggregate(num_bitmaps=8)),
+        (AverageAggregate(8), AverageAggregate(40)),
+        (MomentsAggregate(8), MomentsAggregate(40)),
+        (
+            CompositeAggregate([CountAggregate(), SumAggregate(8)]),
+            CompositeAggregate([CountAggregate(), SumAggregate(40)]),
+        ),
+        (
+            FilteredAggregate(SumAggregate(8), _hot),
+            FilteredAggregate(SumAggregate(40), _hot),
+        ),
+    ],
+    ids=["sum", "distinct", "avg", "moments", "composite", "filtered-sum"],
+)
+def test_mismatched_fm_shapes_raise_the_same_error_from_both_fusions(
+    narrow, wide
+):
+    a = narrow.synopsis_local(1, 0, 60.0)
+    b = wide.synopsis_local(2, 0, 70.0)
+    with pytest.raises(SketchError) as pairwise:
+        narrow.synopsis_fuse(a, b)
+    with pytest.raises(SketchError) as nary:
+        narrow.synopsis_fuse_many([a, a, b])
+    assert str(nary.value) == str(pairwise.value)
+
+
+class TestFuseCollections:
+    """``MultipathFrequentItems.fuse_collections`` == the pairwise fold."""
+
+    @staticmethod
+    def _collection(aggregate, first_node, streams):
+        """One node's class collection: SG per stream, folded pairwise."""
+        engine = aggregate._engine
+        collection = {}
+        for offset, items in enumerate(streams):
+            synopsis = engine.generate(first_node + offset, 0, items)
+            collection = aggregate.synopsis_fuse(
+                collection, {synopsis.klass: synopsis}
+            )
+        return collection
+
+    def test_empty_collections_are_the_identity(self):
+        aggregate = HeavyHittersAggregate(0.05)
+        engine = aggregate._engine
+        one = self._collection(aggregate, 1, [[4, 4, 9]])
+        assert engine.fuse_collections([{}]) == {}
+        assert engine.fuse_collections([{}, {}, {}]) == {}
+        assert engine.fuse_collections([{}, one, {}]) == one
+        assert engine.fuse_collections([one, {}]) == one
+        with pytest.raises(ValueError):
+            engine.fuse_collections([])
+
+    def test_promotions_happen_and_the_fold_order_matters(self):
+        """The case the n-ary form must not shortcut: one
+        ``fuse_into_classes`` over every input prunes differently."""
+        aggregate = HeavyHittersAggregate(0.05)
+        engine = aggregate._engine
+        collections = [
+            self._collection(
+                aggregate, 10 * index, [[item % 7, item % 5] for item in range(index, index + 6)]
+            )
+            for index in range(1, 7)
+        ]
+        fused = engine.fuse_collections(collections)
+        assert fused == _fold(aggregate, collections)
+        assert max(fused) > max(max(c) for c in collections if c)
+        flat = engine.fuse_into_classes(
+            [s for collection in collections for s in collection.values()]
+        )
+        assert flat != fused
+
+    @given(
+        st.lists(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=0, max_value=12),
+                    min_size=1,
+                    max_size=24,
+                ),
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_pairwise_fold(self, nodes):
+        aggregate = HeavyHittersAggregate(0.05)
+        collections = [
+            self._collection(aggregate, 10 * index, streams)
+            for index, streams in enumerate(nodes)
+        ]
+        fused = aggregate._engine.fuse_collections(collections)
+        assert fused == _fold(aggregate, collections)
+        assert aggregate.synopsis_fuse_many(collections) == fused

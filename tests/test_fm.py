@@ -183,3 +183,83 @@ class TestProperties:
             return
         total = sum(sketch._lowest_zero(b) for b in sketch._iter_bitmaps())
         assert sketch.estimate() == _correction_table(num_bitmaps, bits)[total]
+
+
+#: Every sketch shape in use — the heavy-hitters item (8) and n (16)
+#: operators, the paper's 40 — and small odd ones around the field edges.
+_SHAPES = [(8, 32), (16, 32), (40, 32), (1, 1), (3, 5), (7, 3), (5, 7), (2, 64)]
+
+
+def _walked_estimate(sketch):
+    """The estimate from the bit-walking reference, one bitmap at a time."""
+    if sketch.is_empty():
+        return 0.0
+    total = sum(sketch._lowest_zero(b) for b in sketch._iter_bitmaps())
+    return _correction_table(sketch.num_bitmaps, sketch.bits)[total]
+
+
+@pytest.mark.parametrize("num_bitmaps, bits", _SHAPES)
+class TestWordParallelEstimate:
+    """``estimate()`` reads all bitmaps at once; the walk is the reference."""
+
+    def test_empty_and_saturated(self, num_bitmaps, bits):
+        assert FMSketch(num_bitmaps, bits).estimate() == 0.0
+        full = FMSketch(num_bitmaps, bits, bitmaps=[(1 << bits) - 1] * num_bitmaps)
+        assert full.estimate() == _correction_table(num_bitmaps, bits)[
+            num_bitmaps * bits
+        ]
+        assert full.estimate() == _walked_estimate(full)
+
+    def test_top_bit_set_takes_the_per_bitmap_walk(self, num_bitmaps, bits):
+        """A set top bit (a full bitmap would carry into its neighbour)."""
+        for position in range(num_bitmaps):
+            bitmaps = [(1 << (bits - 1)) - 1] * num_bitmaps  # runs of bits-1
+            bitmaps[position] = (1 << bits) - 1  # one saturated field
+            sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+            assert sketch.estimate() == _walked_estimate(sketch)
+            bitmaps[position] = 1 << (bits - 1)  # top bit alone: run of 0
+            sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+            assert sketch.estimate() == _walked_estimate(sketch)
+
+    def test_every_run_length_in_every_field(self, num_bitmaps, bits):
+        rng = random.Random(num_bitmaps * 1000 + bits)
+        for _ in range(50):
+            bitmaps = []
+            for _ in range(num_bitmaps):
+                run = rng.randrange(bits + 1)
+                fringe = rng.getrandbits(bits) & ~((1 << (run + 1)) - 1)
+                bitmaps.append(((1 << run) - 1 | fringe) & ((1 << bits) - 1))
+            sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+            assert sketch.estimate() == _walked_estimate(sketch)
+
+    def test_inserted_counts(self, num_bitmaps, bits):
+        sketch = FMSketch(num_bitmaps, bits)
+        for step, count in enumerate((1, 3, 40, 700, 5000)):
+            sketch.insert_count(count, "walk", step)
+            assert sketch.estimate() == _walked_estimate(sketch)
+
+
+class TestFuseMany:
+    def test_equals_the_pairwise_fold(self):
+        sketches = []
+        for index in range(6):
+            sketch = FMSketch(16)
+            sketch.insert_count(10 * index + 1, "many", index)
+            sketches.append(sketch)
+        for count in (1, 2, 6):
+            folded = sketches[0]
+            for sketch in sketches[1:count]:
+                folded = folded.fuse(sketch)
+            assert FMSketch.fuse_many(sketches[:count]) == folded
+
+    def test_rejects_mismatched_shapes_like_fuse(self):
+        a, b, c = FMSketch(8), FMSketch(8), FMSketch(8, bits=16)
+        with pytest.raises(SketchError) as pairwise:
+            a.fuse(c)
+        with pytest.raises(SketchError) as nary:
+            FMSketch.fuse_many([a, b, c])
+        assert str(nary.value) == str(pairwise.value)
+
+    def test_rejects_an_empty_run(self):
+        with pytest.raises(ValueError):
+            FMSketch.fuse_many([])

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import http.client
+import socket
+import struct
 import threading
 import time
 
@@ -307,6 +309,61 @@ class TestEviction:
                 break
             time.sleep(0.2)
         assert gone, f"stale subscription after disconnect: {stats}"
+
+
+class TestClientResets:
+    def test_reset_keepalive_connection_is_not_a_traceback(
+        self, server, port, monkeypatch, capsys
+    ):
+        """A client that RSTs its idle keep-alive connection is routine:
+        the worker's ``rfile.readline`` raises ``ConnectionResetError``,
+        which ``socketserver`` would dump to stderr as a traceback."""
+        httpd = type(server._httpd)
+        handled = threading.Event()
+        handle_error = httpd.handle_error
+
+        def observed(self, request, client_address):
+            try:
+                handle_error(self, request, client_address)
+            finally:
+                handled.set()
+
+        monkeypatch.setattr(httpd, "handle_error", observed)
+        client = socket.create_connection(("127.0.0.1", port), timeout=30)
+        client.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        response = b""
+        while not response.endswith(b'{"status": "ok"}\n'):
+            chunk = client.recv(4096)
+            assert chunk, response
+            response += chunk
+        assert response.startswith(b"HTTP/1.1 200")
+        # SO_LINGER with a zero timeout: close() sends RST, not FIN.
+        client.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        client.close()
+        assert handled.wait(timeout=30), "the worker never saw the reset"
+        assert "Traceback" not in capsys.readouterr().err
+        assert _get_json(port, "/health") == {"status": "ok"}
+
+    def test_other_handler_errors_keep_the_default_report(
+        self, server, port, monkeypatch, capsys
+    ):
+        def broken(self):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(type(server), "stats", broken)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request("GET", "/stats")
+        with pytest.raises((http.client.HTTPException, ConnectionError)):
+            conn.getresponse()
+        conn.close()
+        deadline = time.time() + 30
+        captured = ""
+        while "handler bug" not in captured and time.time() < deadline:
+            time.sleep(0.05)
+            captured += capsys.readouterr().err
+        assert "Traceback" in captured and "handler bug" in captured
 
 
 class TestBoundedQueues:

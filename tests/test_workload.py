@@ -420,6 +420,42 @@ class TestBlockedEquivalence:
             ), name
 
 
+    @pytest.mark.parametrize("scheme", ["SD", "TD"])
+    def test_nary_fusion_under_faults(self, monkeypatch, scheme):
+        """Engine == oracle with every inbox fused in one call.
+
+        Under ``duplicate`` an inbox holds replays (the n-ary fusion sees
+        the same synopsis twice, in inbox order), under ``corrupt`` its
+        count sketches differ per receiver. Both tiers hand each node's
+        whole inbox to ``synopsis_fuse_many``; neither scheme is left with
+        a pairwise ``synopsis_fuse`` fold.
+        """
+        config = workload_config(
+            scheme, epochs=12, faults=["duplicate:0.3:3", "corrupt:0.2:3"]
+        )
+        inbox_sizes = []
+        fuse_many = WorkloadAggregate.synopsis_fuse_many
+
+        def spy(self, synopses):
+            inbox_sizes.append(len(synopses))
+            return fuse_many(self, synopses)
+
+        def pairwise(self, a, b):
+            raise AssertionError("a scheme folded synopses pairwise")
+
+        monkeypatch.setattr(WorkloadAggregate, "synopsis_fuse_many", spy)
+        monkeypatch.setattr(WorkloadAggregate, "synopsis_fuse", pairwise)
+        engine_result = run_config_result(config)
+        assert max(inbox_sizes) >= 3
+        oracle_result = run_config_result(config.replace(use_batch=False))
+        assert _digest(engine_result) == _digest(oracle_result)
+        engine = RunReport(config, engine_result)
+        oracle = RunReport(config, oracle_result)
+        for name in engine.query_names():
+            assert (
+                engine.query(name).estimates == oracle.query(name).estimates
+            ), name
+
     def test_td_engine_never_hashes_one_cell_at_a_time(self, monkeypatch):
         """No wrapper drops the object wave back to per-cell sketch building.
 
