@@ -106,12 +106,19 @@ _NP_S27 = _np.uint64(27)
 _NP_S31 = _np.uint64(31)
 
 
-def _splitmix64_array(values: "_np.ndarray") -> "_np.ndarray":
-    """SplitMix64 finalizer over a uint64 array (wraps modulo 2^64)."""
-    values = values + _NP_GAMMA
-    values = (values ^ (values >> _NP_S30)) * _NP_MUL1
-    values = (values ^ (values >> _NP_S27)) * _NP_MUL2
-    return values ^ (values >> _NP_S31)
+def splitmix64_inplace(values: "_np.ndarray") -> "_np.ndarray":
+    """SplitMix64 finalizer over a uint64 array, in place (wraps mod 2^64).
+
+    Element ``i`` becomes ``splitmix64(values[i])``; the one temporary per
+    step is a shift, so callers hashing large columns pay no extra copies.
+    """
+    values += _NP_GAMMA
+    values ^= values >> _NP_S30
+    values *= _NP_MUL1
+    values ^= values >> _NP_S27
+    values *= _NP_MUL2
+    values ^= values >> _NP_S31
+    return values
 
 
 def _column_u64(column: Sequence[int], length: int) -> "_np.ndarray":
@@ -155,45 +162,9 @@ def hash_key_batch(
     start = prefix if isinstance(prefix, int) else hash_key(*prefix)
     state = _np.full(length, start, dtype=_np.uint64)
     for column in columns:
-        state = _splitmix64_array(state ^ _column_u64(column, length))
+        state ^= _column_u64(column, length)
+        splitmix64_inplace(state)
     return state
-
-
-def mix_state_batch(
-    states: Sequence[int], *columns: Sequence[int]
-) -> Sequence[int]:
-    """Continue many hash chains at once, one per row.
-
-    Row ``i`` equals ``hash_key_from(states[i], columns[0][i], ...)`` for
-    integer tokens — the per-row-prefix twin of :func:`hash_key_batch`
-    (which shares ONE prefix across all rows). This is the primitive behind
-    vectorized weighted FM insertion: every (item, virtual-index) cell
-    continues its own precomputed key state.
-    """
-    if not columns:
-        raise ValueError("mix_state_batch needs at least one column")
-    length = len(states)
-    if any(len(column) != length for column in columns):
-        raise ValueError("hash columns must share one length")
-    state = _column_u64(states, length)
-    for column in columns:
-        state = _splitmix64_array(state ^ _column_u64(column, length))
-    return state
-
-
-def levels_from_keys(keys: Sequence[int]) -> Sequence[int]:
-    """Geometric levels (trailing zero bits, capped at 63) of raw hash keys.
-
-    ``geometric_level_batch`` fused hashing and level extraction; this is
-    the extraction half alone, for callers that already hold the keys
-    (e.g. keys produced by :func:`mix_state_batch`).
-    """
-    keys = _np.asarray(keys, dtype=_np.uint64)
-    with _np.errstate(over="ignore"):
-        lowbit = keys & (~keys + _np.uint64(1))
-    return _np.where(
-        keys == 0, 63, _np.log2(lowbit.astype(_np.float64)).astype(_np.int64)
-    )
 
 
 def hash_unit_batch(
@@ -216,7 +187,11 @@ def geometric_level_batch(
 
     Row ``i`` equals ``geometric_level(*prefix, columns[0][i], ...)``.
     """
-    return levels_from_keys(hash_key_batch(prefix, *columns))
+    keys = hash_key_batch(prefix, *columns)
+    lowbit = keys & (~keys + _np.uint64(1))
+    return _np.where(
+        keys == 0, 63, _np.log2(lowbit.astype(_np.float64)).astype(_np.int64)
+    )
 
 
 def stream_rng(*tokens: object) -> random.Random:

@@ -103,7 +103,9 @@ class SumAggregate(AdditiveFMAggregate):
             self._num_bitmaps,
             self._bits,
             ("sum",),
-            [self._as_int(reading) for row in reading_rows for reading in row],
+            self._as_int_array(
+                np.asarray(reading_rows, dtype=np.float64).reshape(-1)
+            ),
             *block_columns(nodes, epochs),
         )
 

@@ -43,7 +43,10 @@ class KernelBackend:
     at all; the ``object`` sentinel sets it ``False`` and implements no
     primitives. All matrix primitives operate on C-contiguous numpy
     arrays; implementations must be bit-identical to the pure-numpy
-    reference (integer math only — no floats touch the packed words).
+    reference. Floats may touch a packed word only where the result is
+    exact: the RLE sizing reads a uint32 word's bit length from the
+    ``frexp`` exponent of its float64 value, and every uint32 is a float64
+    exactly.
     """
 
     #: Registry name (also the key every derived cache must carry).
@@ -51,15 +54,6 @@ class KernelBackend:
 
     #: Whether the fused array path is available on this backend.
     fused: bool = False
-
-    def or_reduce(self, matrix, starts):
-        """Bitwise-OR rows within contiguous segments.
-
-        ``matrix`` is ``(P, K)`` uint32; ``starts`` the sorted segment
-        starts (segment ``g`` spans ``starts[g]`` to ``starts[g+1]`` or the
-        end). Segments must be non-empty. Returns ``(len(starts), K)``.
-        """
-        raise NotImplementedError
 
     def or_into(self, dest, rows, values):
         """``dest[rows] |= values`` with unique ``rows``."""

@@ -5,9 +5,10 @@ a block is one row of a uint32 matrix: the aggregate synopsis's packed
 bitmap words, then the piggybacked contributing-count sketch's words (when
 the aggregate needs one), then — for Tributary-Delta — a plain bitmap of
 missing-statistics reporters. Fusion is bitwise OR and ODI, so a level's
-deliveries may be OR-reduced in any grouping: a level's wave is one
-receiver-grouped OR-scatter of delivered payload rows into receiver
-accumulator rows, and wire sizing is one vectorized RLE pass per level
+deliveries may be OR-reduced in any grouping: a level's wave scatters
+only its delivered ``(pair, epoch)`` cells into the receivers'
+accumulator cells (:func:`or_sorted`, one pass per fan-in rank), and wire
+sizing is one vectorized RLE pass per level
 (:meth:`KernelBackend.rle_words` reproduces
 :func:`repro.multipath.fm._packed_rle_words` exactly).
 
@@ -192,10 +193,26 @@ def local_rows(
     return local
 
 
-def or_sorted(backend, dest, sorted_keys, values) -> None:
-    """``dest[key] |= value`` for key-sorted rows; keys may repeat."""
-    targets, starts = np.unique(sorted_keys, return_index=True)
-    backend.or_into(dest, targets, backend.or_reduce(values, starts))
+def or_sorted(backend, dest, keys, values, rows=None) -> None:
+    """``dest[keys[i]] |= values[rows[i]]`` (``rows`` defaults to ``i``).
+
+    Equal keys must be adjacent (sorted keys are). OR is ODI, so cells may
+    land in any grouping: a cell's *rank* — how many equal keys precede it
+    — picks its pass, and no pass holds a key twice, so each is a plain
+    ``dest[keys] |= values`` scatter; the fan-in bounds the passes.
+    """
+    index = np.arange(len(keys))
+    group_start = np.ones(len(keys), dtype=bool)
+    group_start[1:] = keys[1:] != keys[:-1]
+    rank = index - np.maximum.accumulate(np.where(group_start, index, 0))
+    # Small unsigned ranks sort by radix.
+    order = np.argsort(rank.astype(np.min_scalar_type(len(keys))), kind="stable")
+    keys = keys[order]
+    values = values[order if rows is None else rows[order]]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        backend.or_into(dest, keys[lo:hi], values[lo:hi])
+        lo = hi
 
 
 class RowWave:
@@ -308,15 +325,16 @@ class RowWave:
             return
         success = success[:, columns]
         order = np.argsort(pair_rows, kind="stable")
-        # One receiver-ordered gather, masked in place: dead pairs OR zeros
-        # into their group, so the segmented reduce is exact.
-        gathered = local[pair_sender[order]]
-        gathered *= success[order][:, :, None]
+        # Delivered cells only, epoch by epoch over receiver-sorted pairs:
+        # equal (receiver, epoch) keys come out adjacent.
+        epoch, pair = np.nonzero(success[order].T)
+        pair = order[pair]
         or_sorted(
             backend,
-            self.acc,
-            pair_rows[order],
-            gathered.reshape(len(order), num_epochs * width),
+            self.acc.reshape(-1, width),
+            pair_rows[pair] * num_epochs + epoch,
+            local.reshape(-1, width),
+            pair_sender[pair] * num_epochs + epoch,
         )
         at_base = pair_rows == self._base_row
         if at_base.any():

@@ -236,7 +236,8 @@ def run_td_block(
                 backend,
                 wave.acc.reshape(-1, wave.width)[:, :fm_width],
                 keys[order],
-                converted[in_tile[order]],
+                converted,
+                in_tile[order],
             )
         for level in levels:
             level_is_m = is_m[level.rows]

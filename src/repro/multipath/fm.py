@@ -24,7 +24,7 @@ paper's 40 bitmaps, matching the ~12% approximation error it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -35,10 +35,8 @@ from repro._hashing import (
     hash_key,
     hash_key_batch,
     hash_key_from,
-    levels_from_keys,
-    mix_state_batch,
     splitmix64,
-    stream_rng,
+    splitmix64_inplace,
 )
 from repro.errors import ConfigurationError, SketchError
 from repro.network.messages import WORD_BYTES
@@ -61,11 +59,18 @@ _EXACT_INSERT_LIMIT = 512
 #: vectorized column path wins despite numpy's per-call overhead.
 _SCALAR_INSERT_LIMIT = 48
 
-#: Precomputed hash-chain states for the two insertion substreams. Mixing
-#: continues from these states, so the derived bits are identical to hashing
-#: ("fm-bucket", *key) / ("fm-level", *key) from scratch.
+#: Virtual items hashed per pass of the exact-regime kernel
+#: (:func:`_counted_words`): about 64k, so a pass's few uint64 temporaries
+#: stay cache-sized.
+_INSERT_SLICE_ITEMS = 1 << 16
+
+#: Precomputed hash-chain states for the two insertion substreams and the
+#: binomial regime's RNG seed. Mixing continues from these states, so the
+#: derived values are identical to hashing ("fm-bucket", *key) /
+#: ("fm-level", *key) / ("fm-bulk", num_bitmaps, *key) from scratch.
 _BUCKET_STATE = hash_key("fm-bucket")
 _LEVEL_STATE = hash_key("fm-level")
+_BULK_STATE = hash_key("fm-bulk")
 
 
 def _trailing_zeros_capped(value: int) -> int:
@@ -278,25 +283,12 @@ class FMSketch:
                 packed |= 1 << (bucket % self.num_bitmaps * bits + min(level, cap))
             self._packed = packed
             return
-        rng = stream_rng("fm-bulk", self.num_bitmaps, *key)
-        remaining_total = count
-        for bucket in range(self.num_bitmaps):
-            buckets_left = self.num_bitmaps - bucket
-            if buckets_left == 1:
-                share = remaining_total
-            else:
-                share = _binomial(rng, remaining_total, 1.0 / buckets_left)
-            remaining_total -= share
-            level = 0
-            remaining = share
-            while remaining > 0 and level < self.bits:
-                taken = _binomial(rng, remaining, 0.5)
-                if level == self.bits - 1:
-                    taken = remaining
-                if taken > 0:
-                    self._packed |= 1 << (bucket * self.bits + level)
-                remaining -= taken
-                level += 1
+        self._packed |= _bulk_bits(
+            self.num_bitmaps,
+            self.bits,
+            count,
+            hash_key_from(_BULK_STATE, self.num_bitmaps, *key),
+        )
 
     # -- fusion --------------------------------------------------------------
 
@@ -451,9 +443,12 @@ def block_columns(nodes: Sequence[int], epochs: Sequence[int]):
 
     Cell ``(epochs[j], nodes[i])`` is row ``j * len(nodes) + i`` — the one
     stacking convention the blocked engine relies on; :func:`block_rows`
-    is its inverse.
+    is its inverse. Both are int64 arrays, ready for the hash passes.
     """
-    return list(nodes) * len(epochs), [epoch for epoch in epochs for _ in nodes]
+    return (
+        _np.tile(_np.asarray(nodes, dtype=_np.int64), len(epochs)),
+        _np.repeat(_np.asarray(epochs, dtype=_np.int64), len(nodes)),
+    )
 
 
 def block_rows(flat: List, num: int, num_epochs: int) -> List[List]:
@@ -505,14 +500,34 @@ def counted_sketches_block(
     return block_rows(flat, len(nodes), len(epochs))
 
 
+def rle_words_rows(matrix, bits: int):
+    """RLE transmission size per row of a packed uint32 bitmap matrix.
+
+    Row ``r`` equals :func:`_packed_rle_words` of the packed integer whose
+    bitmap ``j`` is ``matrix[r, j]`` (int64). A bitmap costs its length
+    field plus ``bit_length - run`` fringe bits, both exact on uint32: the
+    trailing-ones run is ``bitwise_count(w & ~(w + 1))`` (a full word wraps
+    to run 32), and every uint32 is exact in float64, whose ``frexp``
+    exponent is ``int.bit_length`` (0 at 0).
+    """
+    words = _np.ascontiguousarray(matrix, dtype=_np.uint32)
+    run = _np.bitwise_count(words & ~(words + _np.uint32(1)))
+    bit_length = _np.frexp(words.astype(_np.float64))[1]
+    length_field = max(1, (bits - 1).bit_length())
+    total_bits = words.shape[1] * length_field + (bit_length - run).sum(
+        axis=1, dtype=_np.int64
+    )
+    return _np.maximum(-(-total_bits // (WORD_BYTES * 8)), 1)
+
+
 def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
     """RLE transmission sizes for many sketches at once.
 
     Entry ``i`` equals ``sketches[i].words()`` exactly. For the standard
-    32-bit-bitmap shape the whole batch is sized in one numpy pass over the
-    (sketch x bitmap) word matrix; other shapes fall back to the scalar
-    walk. This is the payload-sizing hot path of
-    the level-synchronous schemes: one call sizes a whole ring level.
+    32-bit-bitmap shape the whole batch is sized in one :func:`rle_words_rows`
+    pass over the (sketch x bitmap) word matrix; other shapes fall back to
+    the scalar walk. This is the payload-sizing hot path of the
+    level-synchronous schemes: one call sizes a whole ring level.
     """
     if not sketches:
         return []
@@ -524,115 +539,89 @@ def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
         return [sketch.words() for sketch in sketches]
     width = num_bitmaps * 4  # bytes per packed vector at 32 bits/bitmap
     buffer = b"".join(s._packed.to_bytes(width, "little") for s in sketches)
-    matrix = (
-        _np.frombuffer(buffer, dtype="<u4")
-        .reshape(len(sketches), num_bitmaps)
-        .astype(_np.uint64)
-    )
-    nonzero = matrix != 0
-    safe = _np.where(nonzero, matrix, 1)  # keep log2 off zero rows
-    # Trailing ones-run: (b+1) & ~b isolates the bit above the run — an
-    # exact power of two, so log2 is exact in float64.
-    low = (safe + _np.uint64(1)) & ~safe
-    run = _np.where(
-        nonzero, _np.log2(low.astype(_np.float64)).astype(_np.int64), 0
-    )
-    # bit_length(b) = floor(log2(b)) + 1 for b > 0. float64 log2 of a
-    # 32-bit integer carries ~1e-14 absolute error — orders of magnitude
-    # below the distance from log2(2^k - 1) or log2(2^k + 1) to k — so
-    # the floor can never land on the wrong side of an integer.
-    bitlen = _np.where(
-        nonzero,
-        _np.floor(_np.log2(safe.astype(_np.float64))).astype(_np.int64) + 1,
-        0,
-    )
-    fringe = bitlen - run  # >= 0 by construction; 0 for pure runs
-    length_field = max(1, (bits - 1).bit_length())
-    total_bits = num_bitmaps * length_field + fringe.sum(axis=1)
-    words = -(-total_bits // (WORD_BYTES * 8))
-    return [max(1, int(value)) for value in words]
+    matrix = _np.frombuffer(buffer, dtype="<u4").reshape(len(sketches), num_bitmaps)
+    return rle_words_rows(matrix, bits).tolist()
 
 
-#: Virtual-item budget per vectorized slice of :func:`counted_sketches`
-#: (bounds the temporary expansion arrays to a few megabytes).
-_COUNTED_SLICE_ITEMS = 1 << 21
-
-
-def _counted_rows(
+def _counted_words(
     num_bitmaps: int,
     bits: int,
     label: Tuple[object, ...],
     counts: Sequence[int],
     columns: Sequence[Sequence[int]],
 ):
-    """The hashing half shared by :func:`counted_sketches` / ``_matrix``.
+    """The weighted-insertion kernel of :func:`counted_sketches` / ``_matrix``.
 
-    Returns ``(slices, large)``. ``slices`` yields one ``(rows, slots,
-    buckets, levels)`` tuple per vectorized slice of the exact-insert
-    regime (``0 < count <= _EXACT_INSERT_LIMIT``): virtual item ``c`` of
-    the slice belongs to row ``rows[slots[c]]`` and sets bit ``levels[c]``
-    of bitmap ``buckets[c]`` — the same hash substreams, hence the same
-    bits, as ``insert_count``. ``large`` holds ``(row, count, key)`` for
-    every row beyond the regime; those take the scalar binomial path.
+    Returns ``(words, large)``: row ``i`` of the little-endian ``words``
+    matrix (uint32 for ``bits <= 32``, else uint64: levels stop at 63) holds
+    ``insert_count(counts[i], *label, columns[0][i], ...)``'s bits when the
+    count is in the exact regime, and ``large`` lists ``(i, packed)`` for
+    every count above it (:func:`_bulk_bits`).
+
+    The exact regime hashes ~:data:`_INSERT_SLICE_ITEMS` virtual items per
+    pass through the scalar path's two SplitMix64 substreams: item ``j``
+    sets bit ``min(tz(level hash), 63, bits - 1)`` of bitmap ``bucket hash %
+    num_bitmaps``. That bit is ``y & -y`` for ``y = hash | top``, ``top``
+    the cap's bit in the word's width: the lowest set bit of ``y`` is the
+    hash's own unless it lies at or above the cap. One flat
+    ``bitwise_or.at`` on ``row * num_bitmaps + bucket`` lands a pass.
     """
     total = len(counts)
     if any(len(column) != total for column in columns):
         raise SketchError("counted columns must match counts")
+    dtype = _np.dtype("<u4" if bits <= 32 else "<u8")
+    words = _np.zeros((total, num_bitmaps), dtype=dtype)
     if total == 0:
-        return (), ()
-    counts_array = _np.asarray(counts, dtype=_np.int64)
-    if bool((counts_array < 0).any()):
+        return words, []
+    counts = _np.asarray(counts, dtype=_np.int64)
+    if bool((counts < 0).any()):
         raise SketchError("cannot insert a negative count")
-    bucket_states = hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns)
-    level_states = hash_key_batch(hash_key_from(_LEVEL_STATE, *label), *columns)
-    exact = _np.flatnonzero(
-        (counts_array > 0) & (counts_array <= _EXACT_INSERT_LIMIT)
-    )
-
-    def slices():
+    exact = _np.flatnonzero((counts > 0) & (counts <= _EXACT_INSERT_LIMIT))
+    if len(exact):
+        bucket_states = hash_key_batch(
+            hash_key_from(_BUCKET_STATE, *label), *columns
+        )[exact]
+        level_states = hash_key_batch(
+            hash_key_from(_LEVEL_STATE, *label), *columns
+        )[exact]
+        reps = counts[exact]
+        ends = _np.cumsum(reps)
+        row_starts = ends - reps
+        offsets = exact * num_bitmaps
+        top = dtype.type(1 << (min(bits, dtype.itemsize * 8) - 1))
+        flat = words.reshape(-1)
         start = 0
         while start < len(exact):
-            stop = start + 1
-            budget = int(counts_array[exact[start]])
-            while (
-                stop < len(exact)
-                and budget + int(counts_array[exact[stop]])
-                <= _COUNTED_SLICE_ITEMS
-            ):
-                budget += int(counts_array[exact[stop]])
-                stop += 1
-            rows = exact[start:stop]
-            reps = counts_array[rows]
-            offsets = _np.concatenate(([0], _np.cumsum(reps)[:-1]))
-            virtual = _np.arange(budget, dtype=_np.uint64) - _np.repeat(
-                offsets, reps
-            ).astype(_np.uint64)
-            buckets = mix_state_batch(
-                _np.repeat(bucket_states[rows], reps), virtual
-            ) % _np.uint64(num_bitmaps)
-            levels = _np.minimum(
-                levels_from_keys(
-                    mix_state_batch(_np.repeat(level_states[rows], reps), virtual)
-                ),
-                bits - 1,
+            first = int(row_starts[start])
+            stop = max(
+                start + 1,
+                int(_np.searchsorted(ends, first + _INSERT_SLICE_ITEMS, "right")),
             )
-            yield (
-                rows,
-                _np.repeat(_np.arange(len(rows)), reps),
-                buckets.astype(_np.int64),
-                levels,
-            )
+            cells = slice(start, stop)
+            virtual = _np.arange(first, int(ends[stop - 1]), dtype=_np.int64)
+            virtual -= _np.repeat(row_starts[cells], reps[cells])
+            virtual = virtual.view(_np.uint64)
+            index = _np.repeat(bucket_states[cells], reps[cells])
+            index ^= virtual
+            splitmix64_inplace(index)
+            index %= _np.uint64(num_bitmaps)
+            index = index.view(_np.int64)
+            index += _np.repeat(offsets[cells], reps[cells])
+            level = _np.repeat(level_states[cells], reps[cells])
+            level ^= virtual
+            bit = splitmix64_inplace(level).astype(dtype, copy=False)
+            bit |= top
+            bit &= -bit
+            _np.bitwise_or.at(flat, index, bit)
             start = stop
-
-    large = [
-        (
-            int(index),
-            int(counts_array[index]),
-            (*label, *(int(column[index]) for column in columns)),
-        )
-        for index in _np.flatnonzero(counts_array > _EXACT_INSERT_LIMIT)
-    ]
-    return slices(), large
+    large = []
+    rows = _np.flatnonzero(counts > _EXACT_INSERT_LIMIT)
+    if len(rows):
+        prefix = hash_key_from(_BULK_STATE, num_bitmaps, *label)
+        for row in rows.tolist():
+            seed = hash_key_from(prefix, *(int(column[row]) for column in columns))
+            large.append((row, _bulk_bits(num_bitmaps, bits, int(counts[row]), seed)))
+    return words, large
 
 
 def counted_sketches(
@@ -646,31 +635,26 @@ def counted_sketches(
 
     Row ``i`` is exactly the sketch produced by ``FMSketch(num_bitmaps,
     bits).insert_count(counts[i], *label, columns[0][i], ...)`` — same hash
-    substreams, same bits (see :func:`_counted_rows`). This is the Sum SG
+    substreams, same bits (see :func:`_counted_words`). This is the Sum SG
     and conversion hot path: a whole ring level (or a whole epoch block of
     one) builds its sketches at once.
     """
-    slices, large = _counted_rows(num_bitmaps, bits, label, counts, columns)
-    packed: List[int] = [0] * len(counts)
-    for rows, slots, buckets, levels in slices:
-        if bits == 32:
-            # Pack via the byte layout: bitmap j occupies bits [32j, 32j+32)
-            # of the packed integer, i.e. little-endian uint32 words.
-            words = _np.zeros((len(rows), num_bitmaps), dtype="<u4")
-            _np.bitwise_or.at(
-                words, (slots, buckets), _np.uint32(1) << levels.astype(_np.uint32)
-            )
-            for slot, row in enumerate(rows):
-                packed[row] = int.from_bytes(words[slot].tobytes(), "little")
-        else:
-            for slot, position in zip(slots, buckets * bits + levels):
-                packed[rows[slot]] |= 1 << int(position)
-    sketches = [
-        FMSketch.from_packed(num_bitmaps, bits, value) for value in packed
-    ]
-    for index, count, key in large:
-        sketches[index].insert_count(count, *key)
-    return sketches
+    words, large = _counted_words(num_bitmaps, bits, label, counts, columns)
+    if bits == words.dtype.itemsize * 8:
+        # Bitmap j is word j: the packed integer is the row's bytes.
+        buffer, width = words.tobytes(), num_bitmaps * words.itemsize
+        packed = [
+            int.from_bytes(buffer[i : i + width], "little")
+            for i in range(0, len(buffer), width)
+        ]
+    else:
+        packed = [
+            sum(word << (index * bits) for index, word in enumerate(row) if word)
+            for row in words.tolist()
+        ]
+    for row, value in large:
+        packed[row] = value
+    return [FMSketch.from_packed(num_bitmaps, bits, value) for value in packed]
 
 
 def sketch_to_row(sketch: FMSketch):
@@ -710,23 +694,16 @@ def single_item_matrix(
     """
     if bits != 32:
         raise SketchError("packed matrices require 32-bit bitmaps")
-    buckets = _np.asarray(
-        hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns),
-        dtype=_np.uint64,
-    ) % _np.uint64(num_bitmaps)
-    levels = _np.minimum(
-        _np.asarray(
-            geometric_level_batch(
-                hash_key_from(_LEVEL_STATE, *label), *columns
-            ),
-            dtype=_np.int64,
-        ),
-        bits - 1,
+    buckets = hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns)
+    buckets %= _np.uint64(num_bitmaps)
+    # The capped level bit as in :func:`_counted_words`: ``y & -y``.
+    bit = hash_key_batch(hash_key_from(_LEVEL_STATE, *label), *columns).astype(
+        _np.uint32
     )
+    bit |= _np.uint32(1 << 31)
+    bit &= -bit
     matrix = _np.zeros((len(buckets), num_bitmaps), dtype="<u4")
-    matrix[_np.arange(len(buckets)), buckets.astype(_np.int64)] = _np.uint32(
-        1
-    ) << levels.astype(_np.uint32)
+    matrix[_np.arange(len(buckets)), buckets.astype(_np.int64)] = bit
     return matrix
 
 
@@ -761,25 +738,17 @@ def counted_matrix(
     """Packed rows of ``counted_sketches(...)`` for the 32-bit shape.
 
     Row ``i`` equals ``sketch_to_row`` of the weighted sketch for
-    ``counts[i]`` — the exact-insert regime ORs its bits straight into the
-    output matrix (one ``bitwise_or.at`` scatter per slice), while counts
-    above ``_EXACT_INSERT_LIMIT`` delegate to the scalar binomial path and
-    copy the resulting packed bytes in.
+    ``counts[i]``: :func:`_counted_words` ORs the exact regime straight into
+    the output matrix, and each count above ``_EXACT_INSERT_LIMIT`` copies
+    its binomial-regime bits in.
     """
     if bits != 32:
         raise SketchError("packed matrices require 32-bit bitmaps")
-    slices, large = _counted_rows(num_bitmaps, bits, label, counts, columns)
-    matrix = _np.zeros((len(counts), num_bitmaps), dtype="<u4")
-    for rows, slots, buckets, levels in slices:
-        _np.bitwise_or.at(
-            matrix,
-            (rows[slots], buckets),
-            _np.uint32(1) << levels.astype(_np.uint32),
+    matrix, large = _counted_words(num_bitmaps, bits, label, counts, columns)
+    for row, value in large:
+        matrix[row] = _np.frombuffer(
+            value.to_bytes(num_bitmaps * 4, "little"), dtype="<u4"
         )
-    for index, count, key in large:
-        sketch = FMSketch(num_bitmaps, bits)
-        sketch.insert_count(count, *key)
-        matrix[index] = sketch_to_row(sketch)
     return matrix
 
 
@@ -814,3 +783,45 @@ def _binomial(rng, n: int, p: float) -> int:
     std = (n * p * (1.0 - p)) ** 0.5
     sample = int(round(rng.gauss(mean, std)))
     return min(n, max(0, sample))
+
+
+def _bulk_bits(num_bitmaps: int, bits: int, count: int, seed: int) -> int:
+    """The packed bits of ``count`` virtual items in the binomial regime.
+
+    A multinomial split of ``count`` over the bitmaps, then per bitmap the
+    binomial-halving recursion of [5]: level ``l`` receives a
+    Binomial(remaining, 1/2) share, the top level the rest. Every draw comes
+    from ``random.Random(seed)``; the fair-coin ones are :func:`_binomial`'s
+    inlined — the same ``getrandbits`` words or normal sample in the same
+    order, so the stream position (part of every golden) is unchanged.
+    """
+    rng = random.Random(seed)
+    getrandbits, gauss = rng.getrandbits, rng.gauss
+    packed = 0
+    remaining_total = count
+    for bucket in range(num_bitmaps):
+        if not remaining_total:
+            break  # every later share is 0 and draws nothing
+        buckets_left = num_bitmaps - bucket
+        if buckets_left == 1:
+            share = remaining_total
+        else:
+            share = _binomial(rng, remaining_total, 1.0 / buckets_left)
+        remaining_total -= share
+        level, remaining = 0, share
+        while remaining > 0 and level < bits:
+            if remaining <= 64:
+                taken = remaining - (
+                    getrandbits(64 * remaining) & _FAIR_MASKS[remaining]
+                ).bit_count()
+            else:
+                half = remaining * 0.5
+                sample = int(round(gauss(half, (half * 0.5) ** 0.5)))
+                taken = min(remaining, max(0, sample))
+            if level == bits - 1:
+                taken = remaining
+            if taken > 0:
+                packed |= 1 << (bucket * bits + level)
+            remaining -= taken
+            level += 1
+    return packed

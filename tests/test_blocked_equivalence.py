@@ -516,6 +516,10 @@ class TestVectorizedHelpers:
                 ]
                 sketches.append(FMSketch(num_bitmaps, 32, bitmaps))
             assert words_batch(sketches) == [s.words() for s in sketches]
+        # Every bitmap on one boundary word: run and bit length both at an
+        # edge of the uint32 / float64 argument.
+        uniform = [FMSketch(40, 32, [word] * 40) for word in boundary]
+        assert words_batch(uniform) == [s.words() for s in uniform]
         # Non-32-bit shapes take the scalar fallback but stay identical.
         narrow = [
             FMSketch(8, 16, [rng.randrange(1 << 16) for _ in range(8)])

@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._hashing import stream_rng
 from repro.errors import SketchError
-from repro.multipath.fm import FMSketch, _binomial, _correction_table
+from repro.multipath import fm
+from repro.multipath.fm import (
+    FMSketch,
+    _binomial,
+    _correction_table,
+    counted_matrix,
+    counted_sketches,
+    sketch_to_row,
+)
 from repro.multipath.synopsis import check_odi
 
 
@@ -263,3 +273,130 @@ class TestFuseMany:
     def test_rejects_an_empty_run(self):
         with pytest.raises(ValueError):
             FMSketch.fuse_many([])
+
+
+def _reference_bulk_insert(sketch, count, *key):
+    """The binomial regime as ``insert_count`` first wrote it.
+
+    A multinomial split of ``count`` over the bitmaps, then the halving
+    recursion, every draw through :func:`_binomial`: the reference the
+    inlined draws must match bit for bit and draw for draw.
+    """
+    rng = stream_rng("fm-bulk", sketch.num_bitmaps, *key)
+    remaining_total = count
+    for bucket in range(sketch.num_bitmaps):
+        buckets_left = sketch.num_bitmaps - bucket
+        if buckets_left == 1:
+            share = remaining_total
+        else:
+            share = _binomial(rng, remaining_total, 1.0 / buckets_left)
+        remaining_total -= share
+        level = 0
+        remaining = share
+        while remaining > 0 and level < sketch.bits:
+            taken = _binomial(rng, remaining, 0.5)
+            if level == sketch.bits - 1:
+                taken = remaining
+            if taken > 0:
+                sketch._packed |= 1 << (bucket * sketch.bits + level)
+            remaining -= taken
+            level += 1
+
+
+#: Shapes the oracle runs over: the paper's 40, the heavy-hitters item
+#: and n operators, a narrow field, and odd ones around the word edges.
+_ORACLE_SHAPES = [(40, 32), (16, 32), (8, 32), (40, 8), (3, 4), (7, 17)]
+
+#: Exact-regime boundaries: empty, the scalar/vector switch, the limit.
+_BOUNDARY_COUNTS = [0, 1, 47, 48, 49, 511, 512, 513]
+
+_key_token = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=4)
+)
+
+
+class TestWeightedInsertionOracle:
+    """``insert_count`` and the batched builders against their references."""
+
+    @given(
+        count=st.integers(min_value=513, max_value=10**7),
+        shape=st.sampled_from(_ORACLE_SHAPES),
+        key=st.lists(_key_token, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_regime_matches_the_halving_loop(self, count, shape, key):
+        expected = FMSketch(*shape)
+        _reference_bulk_insert(expected, count, *key)
+        sketch = FMSketch(*shape)
+        sketch.insert_count(count, *key)
+        assert sketch == expected
+
+    @given(
+        count=st.integers(min_value=513, max_value=10**7),
+        shape=st.sampled_from(_ORACLE_SHAPES),
+        label=st.text(max_size=6),
+        node=st.integers(min_value=0, max_value=2**40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_binomial_regime_matches_the_halving_loop(
+        self, count, shape, label, node
+    ):
+        expected = FMSketch(*shape)
+        _reference_bulk_insert(expected, count, label, node, 7)
+        batch = counted_sketches(*shape, (label,), [count], [node], [7])
+        assert batch == [expected]
+        if shape[1] == 32:
+            rows = counted_matrix(*shape, (label,), [count], [node], [7])
+            assert rows.tolist() == [sketch_to_row(expected).tolist()]
+
+    @pytest.mark.parametrize(
+        "num_bitmaps, bits", _ORACLE_SHAPES + [(1, 1), (2, 64), (2, 70)]
+    )
+    def test_boundary_counts_match_insert_count(self, num_bitmaps, bits):
+        counts = _BOUNDARY_COUNTS * 2
+        nodes = list(range(len(counts)))
+        epochs = [3] * len(counts)
+        expected = []
+        for count, node in zip(counts, nodes):
+            sketch = FMSketch(num_bitmaps, bits)
+            sketch.insert_count(count, "sum", node, 3)
+            expected.append(sketch)
+        assert (
+            counted_sketches(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
+            == expected
+        )
+        if bits == 32:
+            rows = counted_matrix(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
+            assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
+
+    def test_slices_and_a_cell_larger_than_a_slice(self, monkeypatch):
+        """Many slices per call, and cells that overflow one on their own."""
+        rng = random.Random(5)
+        counts = [rng.randrange(0, 513) for _ in range(200)] + [512, 511]
+        nodes = [rng.randrange(600) for _ in counts]
+        epochs = [rng.randrange(1000) for _ in counts]
+        expected = []
+        for count, node, epoch in zip(counts, nodes, epochs):
+            sketch = FMSketch(40, 32)
+            sketch.insert_count(count, "sum", node, epoch)
+            expected.append(sketch)
+        monkeypatch.setattr(fm, "_INSERT_SLICE_ITEMS", 300)
+        assert counted_sketches(40, 32, ("sum",), counts, nodes, epochs) == expected
+        rows = counted_matrix(40, 32, ("sum",), counts, nodes, epochs)
+        assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
+
+    def test_negative_count_raises_the_scalar_error(self):
+        with pytest.raises(SketchError) as scalar:
+            FMSketch().insert_count(-1, "x")
+        for build in (counted_sketches, counted_matrix):
+            with pytest.raises(SketchError) as batch:
+                build(40, 32, ("x",), [5, -1], [1, 2])
+            assert str(batch.value) == str(scalar.value)
+
+    def test_empty_and_mismatched_columns(self):
+        assert counted_sketches(40, 32, ("x",), [], []) == []
+        assert counted_matrix(40, 32, ("x",), [], []).shape == (0, 40)
+        with pytest.raises(SketchError):
+            counted_matrix(40, 32, ("x",), [1, 2], [1])
+        zeros = np.zeros(3, dtype=np.int64)
+        assert not counted_matrix(8, 32, ("x",), zeros, [1, 2, 3]).any()

@@ -135,17 +135,31 @@ def test_engine_options_config_round_trip():
 
 
 @pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_or_reduce_matches_loop(backend_name):
+def test_or_sorted_matches_the_reduceat_grouping(backend_name):
+    """Rank-by-rank OR-scatter ≡ one segmented ``reduceat`` per key group."""
     backend = get_backend(backend_name)
     rng = np.random.default_rng(7)
-    matrix = rng.integers(0, 1 << 32, size=(17, 5), dtype=np.uint32)
-    starts = np.array([0, 3, 4, 9], dtype=np.int64)
-    stops = np.array([3, 4, 9, 17], dtype=np.int64)
-    got = backend.or_reduce(matrix, starts)
-    for row, (start, stop) in enumerate(zip(starts, stops)):
-        expect = np.bitwise_or.reduce(matrix[start:stop], axis=0)
-        assert (got[row] == expect).all()
-    assert backend.or_reduce(matrix[:0], np.zeros(0, dtype=np.int64)).shape[0] == 0
+    for fan_in in range(1, 17):
+        groups = rng.integers(1, fan_in + 1, size=9)
+        keys = np.repeat(rng.permutation(12)[:9], groups)
+        values = rng.integers(0, 1 << 32, size=(len(keys), 5), dtype=np.uint32)
+        dest = rng.integers(0, 1 << 32, size=(12, 5), dtype=np.uint32)
+        expect = dest.copy()
+        starts = np.concatenate(([0], np.cumsum(groups)[:-1]))
+        expect[keys[starts]] |= np.bitwise_or.reduceat(values, starts, axis=0)
+        sd_kernel.or_sorted(backend, dest, keys, values)
+        assert (dest == expect).all(), fan_in
+        # ``rows`` reads the values through an index instead of in order.
+        shuffled = rng.permutation(len(keys))
+        inverse = np.argsort(shuffled)
+        gathered = dest.copy()
+        sd_kernel.or_sorted(backend, gathered, keys, values[shuffled], inverse)
+        assert (gathered == expect).all(), fan_in
+    empty = dest.copy()
+    sd_kernel.or_sorted(
+        backend, empty, keys[:0], values[:0], np.zeros(0, dtype=np.int64)
+    )
+    assert (empty == dest).all()
 
 
 @pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
@@ -199,6 +213,33 @@ def test_rle_words_matches_scalar_walk(backend_name):
     got = backend.rle_words(matrix, 32)
     expect = [sketch.words() for sketch in sketches]
     assert got.tolist() == expect
+
+
+#: uint32 words where a run length or a bit length sits on a boundary.
+_BOUNDARY_WORDS = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
+
+
+@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
+def test_rle_words_matches_the_walk_on_boundary_words(backend_name):
+    """``bitwise_count`` runs and ``frexp`` bit lengths at the word edges."""
+    backend = get_backend(backend_name)
+    rng = np.random.default_rng(17)
+    rows = [[word] * 8 for word in _BOUNDARY_WORDS]
+    rows += rng.choice(_BOUNDARY_WORDS, size=(40, 8)).tolist()
+    rows += rng.integers(0, 1 << 32, size=(40, 8)).tolist()
+    # Solid low runs with random fringes: the shapes real sketches have.
+    runs = rng.integers(0, 33, size=(40, 8))
+    fringes = rng.integers(0, 1 << 32, size=(40, 8)) << (runs + 1)
+    rows += (((1 << runs) - 1 | fringes) & 0xFFFFFFFF).tolist()
+    matrix = np.array(rows, dtype=np.uint32)
+    expect = [
+        _packed_rle_words(
+            sum(int(word) << (32 * index) for index, word in enumerate(row)), 8, 32
+        )
+        for row in rows
+    ]
+    assert backend.rle_words(matrix, 32).tolist() == expect
+    assert backend.rle_words(matrix[:0], 32).tolist() == []
 
 
 # -- scheme parity ----------------------------------------------------------
