@@ -110,13 +110,12 @@ def measure_profile(num_sensors: int = FIG6_SENSORS, top: int = 20) -> dict:
     ``build_scenario``, exactly what ``Session.run`` executes.
     Per scheme the record lists the ``top`` functions by *cumulative* time —
     cumulative, not tottime, so a cheap function fanning out into an
-    expensive subtree still surfaces. See ARCHITECTURE.md "Profiling the
-    engine" for how to read the result.
+    expensive subtree still surfaces — and the ``engine_path`` its last
+    block took (``"fused"`` or ``"object: <reason>"``). See ARCHITECTURE.md
+    "Profiling the engine" for how to read the result.
     """
     import cProfile
     import pstats
-
-    from repro.kernels import get_backend
 
     base = EXPERIMENT_CONFIGS["fig6"].replace(num_sensors=num_sensors)
     repo_root = str(pathlib.Path(__file__).resolve().parent.parent)
@@ -125,7 +124,6 @@ def measure_profile(num_sensors: int = FIG6_SENSORS, top: int = 20) -> dict:
         "epochs": base.epochs,
         "adapt_interval": base.adapt_interval,
         "top": top,
-        "backend": get_backend().name,
         "schemes": {},
     }
     for name in SCHEMES.available():
@@ -158,6 +156,7 @@ def measure_profile(num_sensors: int = FIG6_SENSORS, top: int = 20) -> dict:
             )
         record["schemes"][name] = {
             "elapsed_s": elapsed,
+            "engine_path": scheme.engine_path,
             "hotspots": hotspots,
         }
     return record

@@ -10,7 +10,7 @@ Python's built-in ``hash`` is salted per process, so we provide a stable
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as _np
 
@@ -202,8 +202,3 @@ def stream_rng(*tokens: object) -> random.Random:
     that identical items collide identically.
     """
     return random.Random(hash_key(*tokens))
-
-
-def combine_streams(tokens: Iterable[object]) -> int:
-    """Hash an iterable of tokens (order-sensitive) to a 64-bit integer."""
-    return hash_key(*tuple(tokens))

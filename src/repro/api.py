@@ -67,7 +67,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.aggregates.composite import dedupe_names
 from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
 from repro.errors import ConfigurationError
-from repro.kernels import validate_backend_name
 from repro.network.churn import DynamicMembership
 from repro.network.failures import ComposedLoss
 from repro.network.simulator import (
@@ -119,35 +118,38 @@ _DEFAULT_AGGREGATE = "count"
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Execution-engine knobs: *how* a run computes, never *what*.
+    """The legacy ``engine`` sub-config: decoded, checked, never encoded.
 
-    Every option here is result-neutral by invariant — the equivalence
-    suites pin the engine variants byte-identical — so engine choices live
-    in their own sub-config instead of multiplying result-bearing fields.
+    Both keys once chose an execution engine and are now constructor
+    arguments only, so every accepted value normalizes ``RunConfig.engine``
+    to ``None``:
 
-    Attributes:
-        backend: kernel backend name for the fused array hot path
-            (``pure``, or ``object`` to keep every block on the
-            per-payload engine). ``None`` resolves ``REPRO_KERNEL_BACKEND``
-            and then the ``pure`` default at run time.
-
-    ``state`` is a legacy constructor argument and payload key, not an
-    option: it once chose between a dict and an array (``packed``) node-state
-    tier. Array state is the only layout now, so ``"packed"`` is accepted
-    and dropped, and ``"dict"`` is refused.
+    * ``backend`` picked the fused kernels (``"pure"``) or the per-payload
+      object wave (``"object"``). The kernels' own refusals now decide that
+      per block, so ``"pure"`` is dropped and ``"object"`` is refused.
+    * ``state`` chose a dict or an array (``"packed"``) node-state tier.
+      Array state is the only layout, so ``"packed"`` is dropped and
+      ``"dict"`` is refused.
     """
 
-    backend: Optional[str] = None
+    backend: dataclasses.InitVar[Optional[str]] = None
     state: dataclasses.InitVar[Optional[str]] = None
 
-    def __post_init__(self, state: Optional[str]) -> None:
-        if self.backend is not None:
-            if not isinstance(self.backend, str):
-                raise ConfigurationError(
-                    "engine.backend expects a backend name string, got "
-                    f"{self.backend!r} ({type(self.backend).__name__})"
-                )
-            validate_backend_name(self.backend)
+    def __post_init__(
+        self, backend: Optional[str], state: Optional[str]
+    ) -> None:
+        if backend == "object":
+            raise ConfigurationError(
+                "engine.backend 'object' is gone with the kernel-backend "
+                "switch: the object wave now runs only where a kernel "
+                "refuses a block (scheme.engine_path names the reason); set "
+                "use_batch=false to run the scalar reference path"
+            )
+        if backend not in (None, "pure"):
+            raise ConfigurationError(
+                "engine.backend is a legacy key that only accepts 'pure' "
+                f"(the fused numpy kernels), got {backend!r}"
+            )
         if state == "dict":
             raise ConfigurationError(
                 "engine.state 'dict' is gone with the dict/graph-library "
@@ -159,12 +161,6 @@ class EngineOptions:
                 "engine.state is a legacy key that only accepts 'packed' "
                 f"(now the only layout), got {state!r}"
             )
-
-    def to_jsonable(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {}
-        if self.backend is not None:
-            payload["backend"] = self.backend
-        return payload
 
     @classmethod
     def from_jsonable(cls, data: Mapping[str, object]) -> "EngineOptions":
@@ -178,7 +174,7 @@ class EngineOptions:
             raise ConfigurationError(
                 "unknown engine-option keys: "
                 + ", ".join(repr(key) for key in unknown)
-                + "; expected keys: 'backend'"
+                + "; expected keys: 'backend', 'state'"
             )
         return cls(backend=data.get("backend"), state=data.get("state"))
 
@@ -360,11 +356,10 @@ class RunConfig:
             ``start_epoch=0`` (as ``churn_timeline`` does).
         churn_interval: boundary cadence churn events apply at; 0 follows
             the adaptation cadence (or 10 when adaptation is off).
-        engine: optional :class:`EngineOptions` (or its dict form) naming
-            result-neutral execution choices: the kernel ``backend``. An
-            all-default options object (including the legacy
-            ``state="packed"``) normalizes to ``None``, so only configs
-            that actually pin an engine choice encode the field.
+        engine: legacy :class:`EngineOptions` (or its dict form). Every
+            value it still accepts (``backend="pure"``, ``state="packed"``)
+            names the only engine there is, so it normalizes to ``None``
+            and never encodes.
         faults: optional tuple of fault-injector spec strings
             (``corrupt:RATE[:SEED]``, ``duplicate:RATE[:SEED]``,
             ``delay:EPOCHS``, ``bscrash:START:DURATION``,
@@ -441,17 +436,15 @@ class RunConfig:
             object.__setattr__(self, "faults", specs or None)
             build_fault_plan(self.faults)  # validate eagerly
         if self.engine is not None:
-            engine = self.engine
-            if isinstance(engine, Mapping):
-                engine = EngineOptions.from_jsonable(engine)
-            if not isinstance(engine, EngineOptions):
+            if isinstance(self.engine, Mapping):
+                EngineOptions.from_jsonable(self.engine)  # validate
+            elif not isinstance(self.engine, EngineOptions):
                 raise ConfigurationError(
                     "'engine' must be an EngineOptions (or its dict form), "
                     f"got {type(self.engine).__name__}"
                 )
-            if engine == EngineOptions():
-                engine = None  # all-default: encode as the field's absence
-            object.__setattr__(self, "engine", engine)
+            # Nothing accepted is left to encode: the field's absence.
+            object.__setattr__(self, "engine", None)
         SCHEMES.resolve(self.scheme)
         TOPOLOGIES.resolve(self.topology)
         build_failure_model(self.failure)  # validate eagerly
@@ -688,7 +681,7 @@ def _check_field_type(name: str, value: object) -> object:
     """
     annotation = _FIELD_ANNOTATIONS[name]
     if name == "engine":
-        # Shape and keys are validated (and coerced to EngineOptions) by
+        # Shape and keys are validated (and the field dropped) by
         # the config's own __post_init__.
         if value is None or isinstance(value, (Mapping, EngineOptions)):
             return value
@@ -742,7 +735,6 @@ _FIELD_ANNOTATIONS: Dict[str, str] = {
 #: JSON encoders of the structured fields (the rest encode as themselves).
 _FIELD_ENCODERS = {
     "queries": lambda specs: [spec.to_jsonable() for spec in specs],
-    "engine": EngineOptions.to_jsonable,
     "faults": list,
 }
 
@@ -887,11 +879,6 @@ class Scenario:
                 threshold=self.config.threshold,
                 tree_attempts=self.config.tree_attempts,
                 use_batch=self.config.use_batch,
-                kernel_backend=(
-                    self.config.engine.backend
-                    if self.config.engine is not None
-                    else None
-                ),
             )
         )
 

@@ -17,7 +17,7 @@ from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import MultipathPayload, missing_stats_words
 from repro.errors import ConfigurationError
-from repro.kernels import fused_backend
+from repro.kernels import runs_fused
 from repro.kernels.sd import refusal, run_sd_block
 from repro.multipath.fm import (
     DEFAULT_BITS,
@@ -57,7 +57,6 @@ class SynopsisDiffusionScheme:
         accountant: Optional[MessageAccountant] = None,
         name: str = "SD",
         use_batch: bool = True,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
@@ -68,7 +67,6 @@ class SynopsisDiffusionScheme:
         self._count_bitmaps = count_bitmaps
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
-        self._kernel_backend = kernel_backend
         self._engine_path: Optional[str] = None
         self.name = name
         # Rings are static between membership changes: precompute the
@@ -198,9 +196,8 @@ class SynopsisDiffusionScheme:
         if not self._use_batch:
             self._engine_path = "object: use_batch=False"
             return run_epochs_scalar(self, epoch_list, channel, readings)
-        backend = fused_backend(self, channel, refusal)
-        if backend is not None:
-            return run_sd_block(self, epoch_list, channel, readings, backend)
+        if runs_fused(self, channel, refusal):
+            return run_sd_block(self, epoch_list, channel, readings)
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         aggregate = self._aggregate
         local_blocks = []

@@ -21,7 +21,7 @@ from repro.aggregates.grouping import annotate_groups
 from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import TreePayload
 from repro.errors import ConfigurationError
-from repro.kernels import fused_backend
+from repro.kernels import runs_fused
 from repro.kernels.tag import refusal, run_tag_block, tag_layout
 from repro.network.links import (
     Channel,
@@ -67,7 +67,6 @@ class TagScheme:
         accountant: Optional[MessageAccountant] = None,
         name: str = "TAG",
         use_batch: bool = True,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
@@ -76,7 +75,6 @@ class TagScheme:
         self._attempts = attempts
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
-        self._kernel_backend = kernel_backend
         self._engine_path: Optional[str] = None
         self.name = name
         self.replace_tree(tree)
@@ -166,9 +164,8 @@ class TagScheme:
         if not self._use_batch:
             self._engine_path = "object: use_batch=False"
             return run_epochs_scalar(self, epoch_list, channel, readings)
-        backend = fused_backend(self, channel, refusal)
-        if backend is not None:
-            return run_tag_block(self, epoch_list, channel, readings, backend)
+        if runs_fused(self, channel, refusal):
+            return run_tag_block(self, epoch_list, channel, readings)
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         aggregate = self._aggregate
         partial_blocks = [

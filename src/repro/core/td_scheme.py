@@ -40,7 +40,7 @@ from repro.core.payloads import (
 )
 from repro.datasets.streams import ConstantReadings
 from repro.errors import ConfigurationError
-from repro.kernels import fused_backend
+from repro.kernels import runs_fused
 from repro.kernels.td import precompute_conversions, refusal, run_td_block
 from repro.multipath.fm import (
     DEFAULT_BITS,
@@ -82,7 +82,6 @@ class TributaryDeltaScheme:
         accountant: Optional[MessageAccountant] = None,
         name: str = "TD",
         use_batch: bool = True,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if tree_attempts < 1 or multipath_attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
@@ -95,7 +94,6 @@ class TributaryDeltaScheme:
         self._count_bitmaps = count_bitmaps
         self._accountant = accountant or MessageAccountant()
         self._use_batch = use_batch
-        self._kernel_backend = kernel_backend
         self._engine_path: Optional[str] = None
         # Block-scoped cache, live only inside the object :meth:`run_epochs`:
         # per-node :meth:`_missing_entry` lookups.
@@ -347,9 +345,8 @@ class TributaryDeltaScheme:
         if not self._use_batch:
             self._engine_path = "object: use_batch=False"
             return run_epochs_scalar(self, epoch_list, channel, readings)
-        backend = fused_backend(self, channel, refusal)
-        if backend is not None:
-            return run_td_block(self, epoch_list, channel, readings, backend)
+        if runs_fused(self, channel, refusal):
+            return run_td_block(self, epoch_list, channel, readings)
         graph = self._graph
         plan = channel.plan_epochs(self._plan_levels(), epoch_list)
         level_m_nodes = []

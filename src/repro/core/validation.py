@@ -46,9 +46,6 @@ class LabelledTopology:
         """An edge carries its source vertex's label."""
         return self.modes[edge[0]]
 
-    def out_edges(self, node: NodeId) -> List[Edge]:
-        return [edge for edge in self.edges if edge[0] == node]
-
 
 def edge_correctness_violations(topology: LabelledTopology) -> List[Edge]:
     """Edges violating Property 1: M edges incident on a T vertex."""

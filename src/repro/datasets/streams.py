@@ -114,10 +114,6 @@ class UniformReadings:
             ).reshape(len(rows), width)
         return out
 
-    def expected_total(self, num_sensors: int) -> float:
-        """Expected network-wide sum, for sanity checks."""
-        return num_sensors * (self.low + self.high) / 2.0
-
 
 class DiurnalLightReadings:
     """A day/night light cycle with per-node phase offsets and noise.

@@ -9,7 +9,7 @@ deliveries may be OR-reduced in any grouping: a level's wave scatters
 only its delivered ``(pair, epoch)`` cells into the receivers'
 accumulator cells (:func:`or_sorted`, one pass per fan-in rank), and wire
 sizing is one vectorized RLE pass per level
-(:meth:`KernelBackend.rle_words` reproduces
+(:func:`repro.multipath.fm.rle_words_rows` reproduces
 :func:`repro.multipath.fm._packed_rle_words` exactly).
 
 :class:`RowWave` is that per-level step — local rows, OR with the
@@ -40,6 +40,7 @@ from repro.kernels import wrapper_reason
 from repro.multipath.fm import (
     DEFAULT_BITS,
     FMSketch,
+    rle_words_rows,
     single_item_matrix_block,
     sketch_from_row,
 )
@@ -193,7 +194,7 @@ def local_rows(
     return local
 
 
-def or_sorted(backend, dest, keys, values, rows=None) -> None:
+def or_sorted(dest, keys, values, rows=None) -> None:
     """``dest[keys[i]] |= values[rows[i]]`` (``rows`` defaults to ``i``).
 
     Equal keys must be adjacent (sorted keys are). OR is ODI, so cells may
@@ -211,7 +212,7 @@ def or_sorted(backend, dest, keys, values, rows=None) -> None:
     values = values[order if rows is None else rows[order]]
     lo = 0
     for hi in np.cumsum(np.bincount(rank)).tolist():
-        backend.or_into(dest, keys[lo:hi], values[lo:hi])
+        dest[keys[lo:hi]] |= values[lo:hi]
         lo = hi
 
 
@@ -228,14 +229,12 @@ class RowWave:
 
     def __init__(
         self,
-        backend,
         accountant,
         base_row: int,
         num_epochs: int,
         sections: Sequence[int],
         flag_words: int = 0,
     ) -> None:
-        self._backend = backend
         self._accountant = accountant
         self._base_row = base_row
         self._sections = tuple(bitmaps for bitmaps in sections if bitmaps)
@@ -289,7 +288,6 @@ class RowWave:
         the epochs where the block-wide ``success[p]`` is set; pairs whose
         receiver ignores the payload are simply not listed.
         """
-        backend = self._backend
         spec_for_words = self._accountant.spec_for_words
         num_nodes, num_epochs, width = local.shape
         cells = num_nodes * num_epochs
@@ -299,7 +297,7 @@ class RowWave:
         words = np.zeros((num_nodes, num_epochs), dtype=np.int64)
         offset = 0
         for bitmaps in self._sections:
-            words += backend.rle_words(
+            words += rle_words_rows(
                 local[:, :, offset : offset + bitmaps].reshape(cells, bitmaps),
                 32,
             ).reshape(num_nodes, num_epochs)
@@ -330,7 +328,6 @@ class RowWave:
         epoch, pair = np.nonzero(success[order].T)
         pair = order[pair]
         or_sorted(
-            backend,
             self.acc.reshape(-1, width),
             pair_rows[pair] * num_epochs + epoch,
             local.reshape(-1, width),
@@ -360,9 +357,18 @@ class RowWave:
         ]
 
 
-def count_contributors(
-    backend, base_row: int, num_epochs: int, records
-) -> np.ndarray:
+def _any_reduce(flags, starts, stops) -> np.ndarray:
+    """Per-segment any() over the rows of a ``(P, E)`` bool matrix.
+
+    Segments are contiguous and in order but may be empty: a segment holds a
+    set flag iff the running count of set flags grows across it.
+    """
+    running = np.zeros((flags.shape[0] + 1, flags.shape[1]), dtype=np.int64)
+    np.cumsum(flags, axis=0, out=running[1:])
+    return running[stops] > running[starts]
+
+
+def count_contributors(base_row: int, num_epochs: int, records) -> np.ndarray:
     """Per epoch, how many senders some delivery chain links to the base.
 
     ``records`` lists, deepest level first, ``(rows, success, span_starts,
@@ -374,7 +380,7 @@ def count_contributors(
     reach = np.zeros((base_row + 1, num_epochs), dtype=bool)
     reach[base_row] = True
     for rows, success, span_starts, span_stops, recv_rows in reversed(records):
-        sender_any = backend.any_reduce(
+        sender_any = _any_reduce(
             success & reach[recv_rows], span_starts, span_stops
         )
         reach[rows] = sender_any
@@ -383,7 +389,7 @@ def count_contributors(
 
 
 def run_sd_block(
-    scheme, epoch_list: List[int], channel: Channel, readings, backend
+    scheme, epoch_list: List[int], channel: Channel, readings
 ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
     """Run one SD epoch block through the fused array path.
 
@@ -403,7 +409,7 @@ def run_sd_block(
     index, levels = level_pairs(plan, channel, skeletons, scheme._level_nodes)
     base_row = index[BASE_STATION]
 
-    wave = RowWave(backend, scheme._accountant, base_row, num_epochs, sections)
+    wave = RowWave(scheme._accountant, base_row, num_epochs, sections)
     for lo, hi in wave.tiles():
         for level in levels:
             wave.level(
@@ -423,7 +429,6 @@ def run_sd_block(
             )
 
     contributing = count_contributors(
-        backend,
         base_row,
         num_epochs,
         [

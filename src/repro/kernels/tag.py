@@ -97,7 +97,7 @@ def refusal(scheme, channel) -> Optional[str]:
 
 
 def run_tag_block(
-    scheme, epoch_list: List[int], channel: Channel, readings, backend
+    scheme, epoch_list: List[int], channel: Channel, readings
 ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
     """Run one TAG epoch block through the fused array path.
 
@@ -143,8 +143,8 @@ def run_tag_block(
 
         out_partial = local + acc_partial[start:stop]
         out_count = 1 + acc_count[start:stop]
-        backend.add_into(acc_partial, parent_rows, out_partial * success)
-        backend.add_into(acc_count, parent_rows, out_count * success)
+        np.add.at(acc_partial, parent_rows, out_partial * success)
+        np.add.at(acc_count, parent_rows, out_count * success)
         deliveries += success.sum(axis=0)
 
     total_pairs = base_row  # one unicast per transmitting node

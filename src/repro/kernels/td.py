@@ -108,7 +108,7 @@ def precompute_conversions(
 
 
 def run_td_block(
-    scheme, epoch_list: List[int], channel: Channel, readings, backend
+    scheme, epoch_list: List[int], channel: Channel, readings
 ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
     """Run one Tributary-Delta epoch block through the fused array path.
 
@@ -180,8 +180,8 @@ def run_td_block(
         out_partial = local + acc_partial[rows]
         out_count = 1 + acc_count[rows]
         targets = parent_rows[rows]
-        backend.add_into(acc_partial, targets, out_partial * success)
-        backend.add_into(acc_count, targets, out_count * success)
+        np.add.at(acc_partial, targets, out_partial * success)
+        np.add.at(acc_count, targets, out_count * success)
         to_base = targets == base_row
         for position, column in zip(*np.nonzero(success & to_base[:, None])):
             base_partials[column].append(int(out_partial[position, column]))
@@ -224,16 +224,13 @@ def run_td_block(
     flag_words = -(-len(reporter_rows) // 32)
 
     # -- pass 2: the delta, level by level over M nodes only ---------------
-    wave = RowWave(
-        backend, accountant, base_row, num_epochs, sections, flag_words
-    )
+    wave = RowWave(accountant, base_row, num_epochs, sections, flag_words)
     for lo, hi in wave.tiles():
         in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
         if len(in_tile):
             keys = cell_parents[in_tile] * (hi - lo) + (cell_columns[in_tile] - lo)
             order = np.argsort(keys, kind="stable")
             or_sorted(
-                backend,
                 wave.acc.reshape(-1, wave.width)[:, :fm_width],
                 keys[order],
                 converted,
@@ -298,7 +295,7 @@ def run_td_block(
                 level.recv_rows,
             )
         )
-    contributing = count_contributors(backend, base_row, num_epochs, records)
+    contributing = count_contributors(base_row, num_epochs, records)
     logs = wave.logs(
         len(t_rows) * tree_attempts + len(m_rows) * scheme._multipath_attempts,
         sum(len(level.recv_rows) for level in levels),

@@ -135,8 +135,8 @@ def _packed_rle_words(packed: int, num_bitmaps: int, bits: int) -> int:
     """Cache-safe entry point for :func:`_packed_rle_words_cached`.
 
     Same contract as :func:`_correction_table`: coerce to builtin ``int``
-    so the memo key and the big-int shift arithmetic are type-uniform no
-    matter which backend's arrays the arguments came from (a numpy uint64
+    so the memo key and the big-int shift arithmetic are type-uniform
+    whether the arguments came from numpy arrays or not (a numpy uint64
     ``packed`` would silently wrap at 64 bits inside the RLE walk).
     """
     return _packed_rle_words_cached(int(packed), int(num_bitmaps), int(bits))

@@ -209,9 +209,6 @@ class SchemeContext:
     threshold: float = 0.9
     tree_attempts: int = 1
     use_batch: bool = True
-    #: Kernel backend name for the fused array hot path (None = resolve
-    #: from REPRO_KERNEL_BACKEND / the "pure" default at run time).
-    kernel_backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -398,18 +395,6 @@ def available() -> Dict[str, Tuple[str, ...]]:
     }
 
 
-def adaptive_schemes() -> Tuple[str, ...]:
-    """Names of the registered adaptive schemes, in registration order."""
-    return tuple(
-        name for name in SCHEMES if SCHEMES.resolve(name).adaptive
-    )
-
-
-def is_adaptive(name: str) -> bool:
-    """Whether a scheme name is registered as adaptive (False if unknown)."""
-    return name in SCHEMES and SCHEMES.resolve(name).adaptive
-
-
 # -- spec strings ----------------------------------------------------------
 
 
@@ -594,7 +579,6 @@ def _build_tag(context: SchemeContext) -> TagScheme:
         context.aggregate,
         attempts=context.tree_attempts,
         use_batch=context.use_batch,
-        kernel_backend=context.kernel_backend,
     )
 
 
@@ -605,7 +589,6 @@ def _build_sd(context: SchemeContext) -> SynopsisDiffusionScheme:
         context.rings,
         context.aggregate,
         use_batch=context.use_batch,
-        kernel_backend=context.kernel_backend,
     )
 
 
@@ -627,7 +610,6 @@ def build_td(context: SchemeContext, policy, name: str) -> TributaryDeltaScheme:
         tree_attempts=context.tree_attempts,
         name=name,
         use_batch=context.use_batch,
-        kernel_backend=context.kernel_backend,
     )
 
 

@@ -17,9 +17,9 @@ names a registered backend plus its target::
 Stores are keyed by :func:`repro.api.config_digest`, the same digest the
 result cache uses, so a spilled timeline can always be re-associated with
 its config. New backends join via :func:`register_store` — the registry
-shape follows the kernel-backend registry (and the Delta codebase's
-MongoDB storage registry, per the ROADMAP): a name, a factory, loud
-errors listing what exists.
+shape of :mod:`repro.registry` (and the Delta codebase's MongoDB storage
+registry, per the ROADMAP): a name, a factory, loud errors listing what
+exists.
 
 Epoch records are encoded through :mod:`repro.serialization`'s
 ``epoch-result`` codec, so whatever round-trips through a report
@@ -70,8 +70,7 @@ def validate_store_spec(spec: str) -> None:
     """Cheap eager validation: registered name, sane target shape.
 
     No filesystem is touched — a config naming a store on a host that
-    cannot write it is still a valid config that fails loudly when run
-    (mirroring how engine backends validate).
+    cannot write it is still a valid config that fails loudly when run.
     """
     name, target = _split_spec(spec)
     if name not in _STORES:

@@ -165,12 +165,15 @@ class TestRunConfig:
             epochs=5, warmup=1, start_epoch=7, adapt_interval=5,
             converge_epochs=9, threshold=0.8, tree_attempts=2,
             use_batch=False, churn="deaths:3:2", churn_interval=4,
-            engine={"backend": "object"}, faults=["delay:2"],
-            retention="window:3", storage="memory", group_by="region:1",
+            faults=["delay:2"], retention="window:3", storage="memory",
+            group_by="region:1",
         )
-        assert set(non_default) | {"scheme"} == {
+        # ``engine`` is legacy: every value it accepts encodes as absence.
+        assert set(non_default) | {"scheme", "engine"} == {
             field.name for field in dataclasses.fields(RunConfig)
         }
+        legacy = RunConfig(scheme="TAG", engine={"backend": "pure"})
+        assert set(legacy.to_jsonable()) == {"type", "version", "scheme"}
         for name, value in non_default.items():
             config = RunConfig(scheme="TAG", **{name: value})
             payload = config.to_jsonable()
@@ -184,7 +187,7 @@ class TestRunConfig:
         payload = json.loads(
             '{"adapt_interval": 5, "aggregate": "sum", "churn": "deaths:3:2",'
             ' "churn_interval": 4, "converge_epochs": 9, "engine": {"backend":'
-            ' "object", "state": "packed"}, "epochs": 5, "failure":'
+            ' "pure", "state": "packed"}, "epochs": 5, "failure":'
             ' "global:0.2", "faults": ["corrupt:0.1", "delay:2"], "group_by":'
             ' "region:1", "num_sensors": 40, "query": null, "reading":'
             ' "uniform:10:100:0", "retention": "window:3", "scenario_seed": 2,'
@@ -200,13 +203,12 @@ class TestRunConfig:
             epochs=5, warmup=1, start_epoch=7, adapt_interval=5,
             converge_epochs=9, threshold=0.8, tree_attempts=2,
             use_batch=False, churn="deaths:3:2", churn_interval=4,
-            engine=EngineOptions(backend="object"),
             faults=["corrupt:0.1", "delay:2"], retention="window:3",
             storage="memory", group_by="region:1",
         )
-        assert "topology" not in config.to_jsonable()
-        assert "query" not in config.to_jsonable()
-        assert config.to_jsonable()["engine"] == {"backend": "object"}
+        assert config.engine is None
+        for key in ("topology", "query", "engine"):
+            assert key not in config.to_jsonable()
 
     def test_unknown_keys_are_actionable(self):
         payload = json.loads(quick_config("TAG", "none").to_json())
@@ -227,10 +229,8 @@ class TestRunConfig:
         payload = json.loads(plain.to_json())
         payload["engine"] = {"state": "packed"}
         assert RunConfig.from_jsonable(payload) == plain
-        payload["engine"] = {"state": "packed", "backend": "object"}
-        assert RunConfig.from_jsonable(payload).engine == EngineOptions(
-            backend="object"
-        )
+        payload["engine"] = {"state": "packed", "backend": "pure"}
+        assert RunConfig.from_jsonable(payload) == plain
         with pytest.raises(ConfigurationError, match="'dict' is gone"):
             EngineOptions(state="dict")
         payload["engine"] = {"state": "dict"}
@@ -238,6 +238,35 @@ class TestRunConfig:
             RunConfig.from_jsonable(payload)
         with pytest.raises(ConfigurationError, match="only accepts 'packed'"):
             EngineOptions(state="sparse")
+
+    def test_legacy_engine_backend_key(self):
+        """``pure`` named the fused kernels, now the only ones: accepted,
+        dropped, never encoded — only configs that set it change digest.
+        ``object`` forced the wave a kernel's own refusal now picks."""
+        plain = quick_config("SD", "none")
+        assert EngineOptions(backend="pure") == EngineOptions()
+        for legacy in (
+            EngineOptions(backend="pure"), {"backend": "pure"}, EngineOptions()
+        ):
+            config = plain.replace(engine=legacy)
+            assert config == plain and config.engine is None
+            assert "engine" not in config.to_jsonable()
+            assert config_digest(config) == config_digest(plain)
+        payload = json.loads(plain.to_json())
+        payload["engine"] = {"backend": "pure"}
+        assert RunConfig.from_jsonable(payload) == plain
+        payload["engine"] = {"backend": "object"}
+        with pytest.raises(ConfigurationError, match="use_batch=false") as gone:
+            RunConfig.from_jsonable(payload)
+        assert "scheme.engine_path" in str(gone.value)
+        with pytest.raises(ConfigurationError, match="use_batch=false"):
+            EngineOptions(backend="object")
+        for unknown in ("vulkan", 3, ["pure"]):
+            with pytest.raises(ConfigurationError, match="only accepts 'pure'"):
+                EngineOptions(backend=unknown)
+            payload["engine"] = {"backend": unknown}
+            with pytest.raises(ConfigurationError, match="only accepts 'pure'"):
+                RunConfig.from_jsonable(payload)
 
     def test_legacy_use_blocked_key(self):
         """Pre-PR-13 payloads still decode; the dead value says where to go."""

@@ -1,22 +1,20 @@
-"""Backend registry + fused-kernel parity tests.
+"""Fused-kernel parity tests.
 
 The fused array path (``repro.kernels``) must be invisible in results: it
 produces bit-identical estimates, synopsis wire words, per-epoch log
 counters and per-node energy billing. Three layers pin that:
 
-* registry semantics — explicit name > ``REPRO_KERNEL_BACKEND`` > ``pure``
-  default, unknown backends fail loudly, instances memoized by name (the
-  backend-keyed cache contract);
-* primitive parity — each :class:`KernelBackend` primitive against a
-  straightforward scalar reference (``rle_words`` against the proven
-  ``_packed_rle_words`` walk);
+* primitive parity — the kernels' scatter, segment and sizing passes
+  against a straightforward scalar reference (``rle_words_rows`` against
+  the proven ``_packed_rle_words`` walk);
 * scheme parity — every scheme x loss {0, 0.3, 1} x adaptation through the
-  declarative config path, fused backend vs the ``object`` engine, plus a
-  direct fused-vs-scalar (``use_batch=False``) oracle comparison;
-* the fused Tributary-Delta wave — fused == ``object`` backend == scalar
-  oracle on whole epoch records across loss models, retransmissions,
-  adaptation cadences, graph shapes and block splits; Property 1/2 after
-  every adaptation step of a fused run; the refusal reasons behind
+  declarative config path, fused vs the object wave (forced by the
+  ``object_wave`` fixture), plus a direct fused-vs-scalar
+  (``use_batch=False``) oracle comparison;
+* the fused Tributary-Delta wave — fused == object wave == scalar oracle on
+  whole epoch records across loss models, retransmissions, adaptation
+  cadences, graph shapes and block splits; Property 1/2 after every
+  adaptation step of a fused run; the refusal reasons behind
   ``engine_path``; and the paper's Fig-2 / Fig-6 claims at reduced size
   through the fused path.
 """
@@ -33,7 +31,6 @@ from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
 from repro.api import (
     EXPERIMENT_CONFIGS,
-    EngineOptions,
     QueryWorkload,
     RunConfig,
     run_config_result,
@@ -47,13 +44,8 @@ from repro.core.td_scheme import TributaryDeltaScheme
 from repro.core.validation import audit, topology_of_td_graph
 from repro.datasets.streams import UniformReadings
 from repro.datasets.synthetic import make_synthetic_scenario
-from repro.errors import ConfigurationError, PropertyViolation
-from repro.kernels import (
-    BACKEND_ENV_VAR,
-    backend_names,
-    get_backend,
-    validate_backend_name,
-)
+from repro.errors import PropertyViolation
+from repro.kernels import get_backend
 from repro.kernels import sd as sd_kernel
 from repro.kernels import tag as tag_kernel
 from repro.kernels import td as td_kernel
@@ -62,6 +54,7 @@ from repro.multipath.fm import (
     _correction_table,
     _packed_rle_words,
     _packed_rle_words_cached,
+    rle_words_rows,
     sketch_to_row,
 )
 from repro.network.churn import DynamicMembership, ScheduledChurn
@@ -72,72 +65,16 @@ from repro.network.simulator import EpochSimulator, run_epochs_scalar
 from repro.registry import build_failure_model
 from repro.tree.construction import build_bushy_tree
 
-#: Fused backends under test.
-FUSED_BACKENDS = ["pure"]
 
-
-# -- registry semantics -----------------------------------------------------
-
-
-def test_registry_names_and_default(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert backend_names() == ["object", "pure"]
-    backend = get_backend()
-    assert backend.name == "pure"
-    assert backend.fused
-    assert not get_backend("object").fused
-
-
-def test_instances_memoized_by_name():
-    assert get_backend("pure") is get_backend("pure")
-    assert get_backend("object") is get_backend("object")
-    assert get_backend("pure") is not get_backend("object")
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(ConfigurationError):
-        validate_backend_name("vulkan")
-    with pytest.raises(ConfigurationError):
-        get_backend("vulkan")
-    with pytest.raises(ConfigurationError):
-        EngineOptions(backend="vulkan")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "object")
-    assert get_backend().name == "object"
-    # An explicit name always beats the environment.
-    assert get_backend("pure").name == "pure"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "vulkan")
-    with pytest.raises(ConfigurationError):
-        get_backend()
-
-
-def test_engine_options_config_round_trip():
-    config = RunConfig(
-        scheme="SD",
-        num_sensors=40,
-        epochs=2,
-        engine=EngineOptions(backend="object"),
-    )
-    payload = config.to_jsonable()
-    assert payload["engine"] == {"backend": "object"}
-    assert RunConfig.from_jsonable(payload) == config
-    # All-default engine normalizes away: the key is absent, the payload
-    # otherwise the same (one schema version, whatever fields are set).
-    bare = RunConfig(scheme="SD", num_sensors=40, epochs=2)
-    assert bare.replace(engine=EngineOptions()) == bare
-    del payload["engine"]
-    assert bare.to_jsonable() == payload
+def test_run_records_name_the_numpy_kernels():
+    assert get_backend().name == "pure"
 
 
 # -- primitive parity -------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_or_sorted_matches_the_reduceat_grouping(backend_name):
+def test_or_sorted_matches_the_reduceat_grouping():
     """Rank-by-rank OR-scatter ≡ one segmented ``reduceat`` per key group."""
-    backend = get_backend(backend_name)
     rng = np.random.default_rng(7)
     for fan_in in range(1, 17):
         groups = rng.integers(1, fan_in + 1, size=9)
@@ -147,30 +84,28 @@ def test_or_sorted_matches_the_reduceat_grouping(backend_name):
         expect = dest.copy()
         starts = np.concatenate(([0], np.cumsum(groups)[:-1]))
         expect[keys[starts]] |= np.bitwise_or.reduceat(values, starts, axis=0)
-        sd_kernel.or_sorted(backend, dest, keys, values)
+        sd_kernel.or_sorted(dest, keys, values)
         assert (dest == expect).all(), fan_in
         # ``rows`` reads the values through an index instead of in order.
         shuffled = rng.permutation(len(keys))
         inverse = np.argsort(shuffled)
         gathered = dest.copy()
-        sd_kernel.or_sorted(backend, gathered, keys, values[shuffled], inverse)
+        sd_kernel.or_sorted(gathered, keys, values[shuffled], inverse)
         assert (gathered == expect).all(), fan_in
     empty = dest.copy()
-    sd_kernel.or_sorted(
-        backend, empty, keys[:0], values[:0], np.zeros(0, dtype=np.int64)
-    )
+    sd_kernel.or_sorted(empty, keys[:0], values[:0], np.zeros(0, dtype=np.int64))
     assert (empty == dest).all()
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_scatter_primitives_match_loop(backend_name):
-    backend = get_backend(backend_name)
+def test_scatter_primitives_match_loop():
+    """The kernels' two scatters: OR over unique rows, and ``np.add.at``
+    over repeated ones (a fancy-indexed ``+=`` would drop the repeats)."""
     rng = np.random.default_rng(11)
     dest_or = rng.integers(0, 1 << 32, size=(6, 4), dtype=np.uint32)
     expect_or = dest_or.copy()
     rows = np.array([4, 1, 2], dtype=np.int64)
     values = rng.integers(0, 1 << 32, size=(3, 4), dtype=np.uint32)
-    backend.or_into(dest_or, rows, values)
+    sd_kernel.or_sorted(dest_or, rows, values)
     for row, value in zip(rows, values):
         expect_or[row] |= value
     assert (dest_or == expect_or).all()
@@ -179,28 +114,24 @@ def test_scatter_primitives_match_loop(backend_name):
     expect_add = dest_add.copy()
     dup_rows = np.array([2, 0, 2, 2], dtype=np.int64)  # repeats must stack
     addends = rng.integers(0, 100, size=(4, 4)).astype(np.int64)
-    backend.add_into(dest_add, dup_rows, addends)
+    np.add.at(dest_add, dup_rows, addends)
     for row, value in zip(dup_rows, addends):
         expect_add[row] += value
     assert (dest_add == expect_add).all()
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_any_reduce_handles_empty_segments(backend_name):
-    backend = get_backend(backend_name)
+def test_any_reduce_handles_empty_segments():
     rng = np.random.default_rng(13)
     flags = rng.random((9, 6)) < 0.3
     starts = np.array([0, 2, 2, 7], dtype=np.int64)
     stops = np.array([2, 2, 7, 9], dtype=np.int64)
-    got = backend.any_reduce(flags, starts, stops)
+    got = sd_kernel._any_reduce(flags, starts, stops)
     for row, (start, stop) in enumerate(zip(starts, stops)):
         expect = flags[start:stop].any(axis=0) if stop > start else np.zeros(6, bool)
         assert (got[row] == expect).all()
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_rle_words_matches_scalar_walk(backend_name):
-    backend = get_backend(backend_name)
+def test_rle_words_matches_scalar_walk():
     sketches = []
     for seed in range(40):
         sketch = FMSketch(8)
@@ -210,7 +141,7 @@ def test_rle_words_matches_scalar_walk(backend_name):
             sketch.insert_count(seed * 3, "bulk", seed)
         sketches.append(sketch)
     matrix = np.stack([sketch_to_row(sketch) for sketch in sketches])
-    got = backend.rle_words(matrix, 32)
+    got = rle_words_rows(matrix, 32)
     expect = [sketch.words() for sketch in sketches]
     assert got.tolist() == expect
 
@@ -219,10 +150,8 @@ def test_rle_words_matches_scalar_walk(backend_name):
 _BOUNDARY_WORDS = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_rle_words_matches_the_walk_on_boundary_words(backend_name):
+def test_rle_words_matches_the_walk_on_boundary_words():
     """``bitwise_count`` runs and ``frexp`` bit lengths at the word edges."""
-    backend = get_backend(backend_name)
     rng = np.random.default_rng(17)
     rows = [[word] * 8 for word in _BOUNDARY_WORDS]
     rows += rng.choice(_BOUNDARY_WORDS, size=(40, 8)).tolist()
@@ -238,8 +167,8 @@ def test_rle_words_matches_the_walk_on_boundary_words(backend_name):
         )
         for row in rows
     ]
-    assert backend.rle_words(matrix, 32).tolist() == expect
-    assert backend.rle_words(matrix[:0], 32).tolist() == []
+    assert rle_words_rows(matrix, 32).tolist() == expect
+    assert rle_words_rows(matrix[:0], 32).tolist() == []
 
 
 # -- scheme parity ----------------------------------------------------------
@@ -265,11 +194,10 @@ def _run_fields(result):
     return rows
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
 @pytest.mark.parametrize("failure", ["none", "global:0.3", "global:1.0"])
 @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD-Coarse", "TD"])
-def test_scheme_parity_vs_object_engine(scheme, failure, backend_name):
-    """Fused backend vs the object engine: identical results and billing.
+def test_scheme_parity_vs_object_engine(scheme, failure, object_wave):
+    """Fused kernels vs the object wave: identical results and billing.
 
     The TD schemes run their registry adaptation cadence (adapt every 10
     epochs after stabilisation), so the comparison covers block splitting
@@ -285,18 +213,14 @@ def test_scheme_parity_vs_object_engine(scheme, failure, backend_name):
         converge_epochs=12,
         seed=3,
     )
-    fused = run_config_result(
-        RunConfig(engine=EngineOptions(backend=backend_name), **base)
-    )
-    oracle = run_config_result(
-        RunConfig(engine=EngineOptions(backend="object"), **base)
-    )
+    fused = run_config_result(RunConfig(**base))
+    with object_wave():
+        oracle = run_config_result(RunConfig(**base))
     assert _run_fields(fused) == _run_fields(oracle)
     assert fused.energy.per_node_uj == oracle.energy.per_node_uj
 
 
-@pytest.mark.parametrize("backend_name", FUSED_BACKENDS)
-def test_fused_blocks_match_scalar_oracle(backend_name):
+def test_fused_blocks_match_scalar_oracle():
     """run_epochs (fused) vs the untouched ``use_batch=False`` scalar path.
 
     The scalar per-payload loop is the PR-1 byte-identity oracle; the fused
@@ -320,21 +244,18 @@ def test_fused_blocks_match_scalar_oracle(backend_name):
                 tree,
                 SumAggregate(),
                 use_batch=use_batch,
-                kernel_backend=backend_name,
             ),
             "SD": SynopsisDiffusionScheme(
                 scenario.deployment,
                 scenario.rings,
                 SumAggregate(),
                 use_batch=use_batch,
-                kernel_backend=backend_name,
             ),
             "TD": TributaryDeltaScheme(
                 scenario.deployment,
                 graph,
                 SumAggregate(),
                 use_batch=use_batch,
-                kernel_backend=backend_name,
             ),
         }
 
@@ -364,7 +285,7 @@ def test_fused_blocks_match_scalar_oracle(backend_name):
         ), name
 
 
-# -- backend-keyed caches (bugfix ride-along) -------------------------------
+# -- sizing caches ----------------------------------------------------------
 
 
 def test_correction_table_normalizes_numpy_keys():
@@ -393,14 +314,9 @@ def test_rle_cache_normalizes_numpy_keys():
 
 
 # -- the fused Tributary-Delta wave -----------------------------------------
-
-#: The three engines a TD block can take; every TD test below names them
-#: explicitly, so the suite means the same under ``REPRO_KERNEL_BACKEND``.
-ENGINES = {
-    "fused": {"kernel_backend": "pure"},
-    "object": {"kernel_backend": "object"},
-    "oracle": {"use_batch": False},
-}
+# A TD block takes one of three engines: ``fused`` and ``object`` are the
+# blocked engine with the kernel eligible or refused (``object_wave``),
+# ``oracle`` the scalar ``use_batch=False`` wave.
 
 TD_POLICIES = {
     "TD-Coarse": lambda: DampedPolicy(TDCoarsePolicy(threshold=0.9)),
@@ -445,13 +361,16 @@ def _td_scheme(scenario, tree, engine, policy=None, aggregate="sum",
         tree_attempts=attempts,
         multipath_attempts=attempts,
         name=policy or "TD",
-        **ENGINES[engine],
+        use_batch=engine != "oracle",
     )
 
 
 def _td_run(scenario, tree, engine, *, failure="global:0.3", adapt_interval=10,
             epochs=12, start_epoch=95, membership=None, auditor=None, **scheme):
-    """One simulator run; everything the engines must agree on, by value."""
+    """One simulator run; everything the engines must agree on, by value.
+
+    An ``object`` run must sit inside the ``object_wave`` fixture's context.
+    """
     td = _td_scheme(scenario, tree, engine, **scheme)
     simulator = EpochSimulator(
         scenario.deployment,
@@ -483,9 +402,9 @@ def _td_run(scenario, tree, engine, *, failure="global:0.3", adapt_interval=10,
 @pytest.mark.parametrize("policy", sorted(TD_POLICIES))
 def test_td_fused_matches_object_and_oracle(
     deep_scenario, deep_tree, policy, aggregate, failure, attempts,
-    adapt_interval,
+    adapt_interval, object_wave,
 ):
-    """Fused == object backend == scalar oracle, adaptation included.
+    """Fused == object wave == scalar oracle, adaptation included.
 
     Whole epoch records are compared — ``extra["missing_stats"]`` and the
     per-epoch logs with them — plus per-node words/messages/energy and the
@@ -501,7 +420,10 @@ def test_td_fused_matches_object_and_oracle(
     fused, record = _td_run(deep_scenario, deep_tree, "fused", **settings)
     assert fused.engine_path == "fused"
     for engine in ("object", "oracle"):
-        other, expected = _td_run(deep_scenario, deep_tree, engine, **settings)
+        with object_wave(engine == "object"):
+            other, expected = _td_run(
+                deep_scenario, deep_tree, engine, **settings
+            )
         assert other.engine_path.startswith("object: ")
         assert record == expected, engine
 
@@ -530,7 +452,7 @@ DELTA_LEVELS = {
     ),
 )
 def test_td_graph_shapes_and_block_splits(
-    deep_scenario, deep_tree, shape, aggregate, loss
+    deep_scenario, deep_tree, shape, aggregate, loss, object_wave
 ):
     """Every delta shape, under every way of cutting 12 epochs into blocks."""
     epochs = list(range(200, 212))
@@ -556,7 +478,7 @@ def test_td_graph_shapes_and_block_splits(
                 block = list(itertools.islice(cursor, span))
                 pairs += scheme.run_epochs(block, channel, readings)
                 assert scheme.engine_path == (
-                    "fused" if engine == "fused" else "object: object backend"
+                    "fused" if engine == "fused" else "object: forced by test"
                 )
         return pairs, channel.per_node_words(), channel.per_node_messages()
 
@@ -573,7 +495,8 @@ def test_td_graph_shapes_and_block_splits(
         assert len(delta) == len(deep_scenario.rings.levels)
     else:
         assert {BASE_STATION} < delta < set(deep_scenario.rings.levels)
-    assert run("object", (12,)) == oracle
+    with object_wave():
+        assert run("object", (12,)) == oracle
     for spans in ((12,), (5, 7), (1,) * 12):
         assert run("fused", spans) == oracle, spans
 
@@ -593,7 +516,7 @@ def test_epoch_tiling_is_invisible(
                 deep_scenario.deployment,
                 deep_scenario.rings,
                 SumAggregate(),
-                **ENGINES[engine],
+                use_batch=engine != "oracle",
             ),
             _td_scheme(deep_scenario, deep_tree, engine),
         )
@@ -610,7 +533,9 @@ def test_epoch_tiling_is_invisible(
         assert channels[0].per_node_messages() == channels[1].per_node_messages()
 
 
-def test_td_churn_parity_and_strict_auditor(deep_scenario, deep_tree):
+def test_td_churn_parity_and_strict_auditor(
+    deep_scenario, deep_tree, object_wave
+):
     """Churn re-derives modes between blocks; the auditor forces the object
     wave (its chaos runtime hooks every delivery) and says so."""
     def membership():
@@ -625,10 +550,11 @@ def test_td_churn_parity_and_strict_auditor(deep_scenario, deep_tree):
     )
     assert fused.engine_path == "fused"
     for engine in ("object", "oracle"):
-        _, expected = _td_run(
-            deep_scenario, deep_tree, engine, membership=membership(),
-            **settings,
-        )
+        with object_wave(engine == "object"):
+            _, expected = _td_run(
+                deep_scenario, deep_tree, engine, membership=membership(),
+                **settings,
+            )
         assert record == expected, engine
     auditor = Auditor(strict=True)
     audited, expected = _td_run(
@@ -698,13 +624,12 @@ def test_fig6_td_blocks_never_enter_the_object_wave(monkeypatch):
                 num_sensors=60,
                 start_epoch=90,
                 epochs=30,
-                engine=EngineOptions(backend="pure"),
             )
         )
         assert len(result.epochs) == 30
 
 
-def test_refusal_reasons(deep_scenario, deep_tree):
+def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     """Each kernel names why it declined; ``engine_path`` repeats it."""
     deployment, rings = deep_scenario.deployment, deep_scenario.rings
     clean = Channel(deployment, GlobalLoss(0.0), seed=1)
@@ -744,15 +669,10 @@ def test_refusal_reasons(deep_scenario, deep_tree):
     readings = UniformReadings(10, 100, seed=0)
     for _, scheme in schemes(SumAggregate()):
         assert scheme.engine_path is None  # no block has run yet
-    expected = {
-        "pure": "fused",
-        "object": "object: object backend",
-    }
-    for backend, path in expected.items():
-        scheme = SynopsisDiffusionScheme(
-            deployment, rings, SumAggregate(), kernel_backend=backend
-        )
-        scheme.run_epochs([0], clean, readings)
+    for forced, path in ((False, "fused"), (True, "object: forced by test")):
+        scheme = SynopsisDiffusionScheme(deployment, rings, SumAggregate())
+        with object_wave(forced):
+            scheme.run_epochs([0], clean, readings)
         assert scheme.engine_path == path
     scalar = SynopsisDiffusionScheme(
         deployment, rings, SumAggregate(), use_batch=False
@@ -773,7 +693,6 @@ def fused_only(monkeypatch):
         raise AssertionError("a TD block fell back to the object wave")
 
     monkeypatch.setattr(TributaryDeltaScheme, "_run_wave", forbidden)
-    return EngineOptions(backend="pure")
 
 
 def test_fig2_loss_sweep_td_tracks_the_better_scheme(fused_only):
@@ -784,7 +703,7 @@ def test_fig2_loss_sweep_td_tracks_the_better_scheme(fused_only):
     curves are within sketch noise of each other; the sweep steps over it.
     """
     base = EXPERIMENT_CONFIGS["fig2"].replace(
-        num_sensors=150, epochs=40, converge_epochs=60, engine=fused_only
+        num_sensors=150, epochs=40, converge_epochs=60
     )
     crossed = False
     for loss in (0.0, 0.1, 0.2, 0.3, 0.4):
@@ -806,9 +725,7 @@ def test_fig6_phases_grow_and_shrink_the_delta(fused_only, scheme):
     """Fig 6 at 150 nodes: quiet -> regional -> global loss grows the delta
     phase over phase, and it drains again once the network recovers."""
     result = run_config_result(
-        EXPERIMENT_CONFIGS["fig6"].replace(
-            num_sensors=150, scheme=scheme, engine=fused_only
-        )
+        EXPERIMENT_CONFIGS["fig6"].replace(num_sensors=150, scheme=scheme)
     )
     sizes = [epoch.extra["delta_size"] for epoch in result.epochs]
     quiet, regional, worldwide, recovery = (

@@ -307,7 +307,6 @@ def test_scale_fields_version_gate():
     for key, upgraded in (
         ("retention", plain.replace(retention="stream")),
         ("storage", plain.replace(storage="memory")),
-        ("engine", plain.replace(engine=EngineOptions(backend="object"))),
     ):
         payload = upgraded.to_jsonable()
         assert set(payload) - set(plain.to_jsonable()) == {key}
@@ -316,6 +315,10 @@ def test_scale_fields_version_gate():
         assert rebuilt == upgraded
         assert config_digest(rebuilt) == config_digest(upgraded)
         assert config_digest(rebuilt) != config_digest(plain)
+    # The legacy engine keys name the only engine there is: nothing encodes.
+    legacy = plain.replace(engine=EngineOptions(backend="pure", state="packed"))
+    assert legacy.to_jsonable() == plain.to_jsonable()
+    assert config_digest(legacy) == config_digest(plain)
 
 
 def test_run_report_round_trips_with_stats():
