@@ -77,13 +77,10 @@ from repro.network.simulator import (
 )
 from repro.parallel import parallel_map
 from repro.plotting import format_table
-from repro.query import groupable_aggregates, parse_queries, parse_query
-from repro.spatial.grouped import apply_grouping
-from repro.spatial.regions import parse_region_spec
+from repro.query import parse_queries, parse_query
 from repro.storage import validate_store_spec
 from repro.registry import (
     AGGREGATES,
-    REGIONS,
     SCHEMES,
     TOPOLOGIES,
     SchemeContext,
@@ -93,7 +90,6 @@ from repro.registry import (
     build_failure_model,
     build_fault_plan,
     build_reading,
-    build_regions,
 )
 from repro.tree.construction import build_bushy_tree
 
@@ -383,14 +379,9 @@ class RunConfig:
             store as it streams past, keyed by :func:`config_digest`, and
             ``RunReport.load_epochs`` reloads the full timeline lazily
             even when retention dropped it from RAM.
-        group_by: optional region spec (``NAME[:DEPTH[:BUDGET]]``, e.g.
-            ``region:2``) grouping the run's single query by spatial
-            region: partial aggregates travel as per-region cubes inside
-            the scheme's ordinary messages, and :class:`RunReport`
-            exposes per-group series beside the global answer.
-            Equivalent to a ``GROUP BY`` clause in the ``query``
-            one-liner (setting both is a conflict, as is grouping a
-            multi-query workload).
+
+    Grouping by spatial region has one spelling: the ``GROUP BY`` clause
+    of a single ``query`` (``"SELECT avg GROUP BY region:2"``).
     """
 
     scheme: str
@@ -417,7 +408,6 @@ class RunConfig:
     faults: Optional[Tuple[str, ...]] = None
     retention: str = "all"
     storage: Optional[str] = None
-    group_by: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.faults is not None:
@@ -506,71 +496,28 @@ class RunConfig:
             raise ConfigurationError("tree_attempts must be at least 1")
 
     def _validate_group_by(self) -> None:
-        """Eagerly reject grouping conflicts and ungroupable targets.
+        """Eagerly reject ``GROUP BY`` clauses inside multi-query workloads.
 
         A grouped run is one query sliced by region — the per-group cubes
         already multiply the payload, and per-group records key off the
         single query's extras — so grouping composes with exactly one
-        query. Workload members carrying their own ``GROUP BY`` are
-        rejected for the same reason; run grouped queries standalone.
+        query; run grouped queries standalone.
         """
         parsed = parse_queries(self.query) if self.query is not None else []
-        if self.queries is not None or len(parsed) > 1:
-            grouped_members = [
-                query.render() for query in parsed if query.group_by
-            ]
-            if self.queries is not None:
-                for spec in self.queries:
-                    if spec.query is not None:
-                        member = parse_query(spec.query)
-                        if member.group_by:
-                            grouped_members.append(member.render())
-            if self.group_by is not None:
-                raise ConfigurationError(
-                    "'group_by' applies to single-query runs; a multi-query"
-                    " workload cannot be grouped — run the grouped query as"
-                    " its own config"
-                )
-            if grouped_members:
-                raise ConfigurationError(
-                    "workload members cannot carry GROUP BY clauses (got "
-                    + ", ".join(repr(member) for member in grouped_members)
-                    + "); run grouped queries standalone"
-                )
+        if self.queries is None and len(parsed) <= 1:
             return
-        if self.group_by is None:
-            return
-        if not isinstance(self.group_by, str):
+        grouped_members = [query.render() for query in parsed if query.group_by]
+        for spec in self.queries or ():
+            if spec.query is not None:
+                member = parse_query(spec.query)
+                if member.group_by:
+                    grouped_members.append(member.render())
+        if grouped_members:
             raise ConfigurationError(
-                "'group_by' expects a region spec string, got "
-                f"{self.group_by!r} ({type(self.group_by).__name__})"
+                "workload members cannot carry GROUP BY clauses (got "
+                + ", ".join(repr(member) for member in grouped_members)
+                + "); run grouped queries standalone"
             )
-        name, _, _ = parse_region_spec(self.group_by)
-        if name not in REGIONS:
-            raise ConfigurationError(
-                f"unknown region hierarchy {name!r} in group_by "
-                f"{self.group_by!r}; registered hierarchies: "
-                + ", ".join(REGIONS.available())
-            )
-        if parsed:
-            query = parsed[0]
-            if query.group_by is not None:
-                raise ConfigurationError(
-                    "config sets 'group_by' while its query already has a "
-                    f"GROUP BY clause ({query.render()!r}); specify the "
-                    "grouping once"
-                )
-            # Re-validating with the clause attached reuses the query
-            # layer's groupability checks (and their actionable errors).
-            dataclasses.replace(query, group_by=self.group_by)
-        else:
-            aggregate = build_aggregate(self.aggregate)
-            if not aggregate.supports_group_by():
-                raise ConfigurationError(
-                    f"aggregate {self.aggregate!r} does not support GROUP "
-                    "BY (its partials don't compose cell-wise); groupable "
-                    "aggregates: " + ", ".join(groupable_aggregates())
-                )
 
     # -- codec ------------------------------------------------------------
 
@@ -621,6 +568,9 @@ class RunConfig:
         if "use_blocked" in data:
             check_legacy_use_blocked(data["use_blocked"])
             data = {k: v for k, v in data.items() if k != "use_blocked"}
+        if "group_by" in data:
+            check_legacy_group_by(data["group_by"])
+            data = {k: v for k, v in data.items() if k != "group_by"}
         unknown = sorted(set(data) - names - {"type", "version"})
         if unknown:
             raise ConfigurationError(
@@ -668,6 +618,21 @@ def check_legacy_use_blocked(value: object) -> None:
         raise ConfigurationError(
             "'use_blocked' is gone with the per-epoch loop it selected; "
             "set use_batch=false to run the scalar reference path"
+        )
+
+
+def check_legacy_group_by(value: object) -> None:
+    """Refuse a set value of the legacy ``group_by`` key.
+
+    Grouping is the query's ``GROUP BY`` clause; payloads written while a
+    config field duplicated it may carry the key. ``null`` was its default
+    and is dropped by the readers; a region spec names the clause to write
+    instead.
+    """
+    if value is not None:
+        raise ConfigurationError(
+            "'group_by' is gone: grouping is the query's GROUP BY clause, "
+            f"e.g. query='SELECT avg GROUP BY {value}'"
         )
 
 
@@ -1001,18 +966,6 @@ def run_config_result(
         )
     else:
         aggregate = build_aggregate(config.aggregate)
-    if config.group_by is not None:
-        hierarchy, depth, word_budget = build_regions(
-            config.group_by, deployment
-        )
-        aggregate, readings = apply_grouping(
-            aggregate,
-            readings,
-            hierarchy,
-            depth,
-            word_budget=word_budget,
-            spec=config.group_by,
-        )
     scheme = scenario.build_scheme(aggregate)
     scenario.converge(scheme, readings)
     writer = None
@@ -1189,8 +1142,7 @@ class RunReport:
         if not self.is_grouped():
             raise ConfigurationError(
                 "run result carries no per-group records; was it produced "
-                "by a GROUP BY config (the 'group_by' field or a GROUP BY "
-                "clause)?"
+                "by a query with a GROUP BY clause?"
             )
         return [epoch.extra.get(key) or {} for epoch in self.result.epochs]
 

@@ -39,6 +39,7 @@ from repro.api import (
     EXPERIMENT_CONFIGS,
     RunConfig,
     Session,
+    check_legacy_group_by,
     check_legacy_use_blocked,
     describe_experiment,
     expand_grid,
@@ -487,6 +488,8 @@ def _parse_overrides(items: Sequence[str]) -> Dict[str, object]:
             # Legacy key, same rule as the JSON reader: true is dropped.
             check_legacy_use_blocked(_parse_bool(key, raw))
             continue
+        if key == "group_by":
+            check_legacy_group_by(raw)
         overrides[key] = _coerce_field(key, raw)
     return overrides
 

@@ -4,6 +4,7 @@
 * :mod:`repro.core.graph` — the labelled aggregation topology, correctness
   properties, and switchability (Section 3).
 * :mod:`repro.core.payloads` — the wire payloads schemes exchange.
+* :mod:`repro.core.wave` — the one aggregation wave over a T/M layout.
 * :mod:`repro.core.tag_scheme` — tree aggregation (TAG baseline).
 * :mod:`repro.core.pipelined` — TAG's pipelined mode (Section 2, [10]).
 * :mod:`repro.core.sd_scheme` — synopsis diffusion over rings (SD baseline).

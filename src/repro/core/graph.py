@@ -27,13 +27,18 @@ Lemma 1's setting, and :meth:`TDGraph.validate` re-checks it explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.core.modes import Mode
 from repro.errors import CorrectnessError, PropertyViolation, TopologyError
-from repro.network.placement import BASE_STATION, NodeId
+from repro.network.placement import NodeId
 from repro.network.rings import RingsTopology
 from repro.tree.structure import Tree
+
+#: Bound once: the wave-side mode tests run per node per block (reporters,
+#: adaptation) and per epoch (the delta summary), where looking the enum
+#: member up costs more than the test itself.
+_MULTIPATH = Mode.MULTIPATH
 
 
 def initial_modes_by_level(
@@ -70,13 +75,6 @@ class TDGraph:
         if modes is None:
             modes = initial_modes_by_level(rings, 0)
         self._modes: Dict[NodeId, Mode] = dict(modes)
-        # Mirror of the M region kept in lock-step with ``_modes`` by the
-        # switch operations: mode tests dominate the per-epoch wave loops,
-        # and one set-membership probe beats a dict lookup plus an enum
-        # property call.
-        self._m_set: Set[NodeId] = {
-            node for node, mode in self._modes.items() if mode.is_multipath
-        }
         self._check_tree_links()
         self.validate()
 
@@ -133,10 +131,10 @@ class TDGraph:
         return self._modes[node]
 
     def is_multipath(self, node: NodeId) -> bool:
-        return node in self._m_set
+        return self._modes.get(node) is _MULTIPATH
 
     def is_tree(self, node: NodeId) -> bool:
-        return node not in self._m_set
+        return not self.is_multipath(node)
 
     def modes(self) -> Dict[NodeId, Mode]:
         """A copy of the current label assignment."""
@@ -144,7 +142,7 @@ class TDGraph:
 
     def delta_region(self) -> Set[NodeId]:
         """The set of M vertices."""
-        return set(self._m_set)
+        return {node for node, mode in self._modes.items() if mode is _MULTIPATH}
 
     def tree_children(self, node: NodeId) -> List[NodeId]:
         """Tree children of ``node``."""
@@ -159,7 +157,7 @@ class TDGraph:
         return [
             other
             for other in self._rings.downstream_neighbors(node)
-            if other in self._m_set
+            if self.is_multipath(other)
         ]
 
     # -- switchability (Section 3) -------------------------------------------
@@ -199,14 +197,12 @@ class TDGraph:
         if not self.is_switchable_m(node):
             raise CorrectnessError(f"node {node} is not a switchable M vertex")
         self._modes[node] = Mode.TREE
-        self._m_set.discard(node)
 
     def switch_to_multipath(self, node: NodeId) -> None:
         """Switch a switchable T vertex to M (expands the delta)."""
         if not self.is_switchable_t(node):
             raise CorrectnessError(f"node {node} is not a switchable T vertex")
         self._modes[node] = Mode.MULTIPATH
-        self._m_set.add(node)
 
     def expand_all(self) -> List[NodeId]:
         """TD-Coarse expansion: switch every switchable T vertex to M.
@@ -217,7 +213,6 @@ class TDGraph:
         switched = self.switchable_t_nodes()
         for node in switched:
             self._modes[node] = Mode.MULTIPATH
-            self._m_set.add(node)
         return switched
 
     def shrink_all(self) -> List[NodeId]:
@@ -225,7 +220,6 @@ class TDGraph:
         switched = self.switchable_m_nodes()
         for node in switched:
             self._modes[node] = Mode.TREE
-            self._m_set.discard(node)
         return switched
 
     # -- diagnostics ----------------------------------------------------------
@@ -237,6 +231,6 @@ class TDGraph:
             "delta_size": float(len(delta)),
             "delta_fraction": len(delta) / max(1, len(self._modes)),
             "delta_max_level": float(
-                max((self._rings.level(n) for n in delta), default=-1)
+                self._rings.level_of[list(delta)].max() if delta else -1
             ),
         }

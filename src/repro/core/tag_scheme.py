@@ -1,11 +1,10 @@
 """TAG: tree-based in-network aggregation (the paper's tree baseline).
 
-Each epoch proceeds level-by-level from the deepest tree level toward the
-root: every node in the level merges its children's partial results into
-its own local partial, and the level's unicasts are drawn against a
-block-wide :class:`~repro.network.links.DeliveryPlan` (bit-identical to
-per-node draws). A lost message drops the entire subtree from the answer —
-the communication-error behaviour that motivates the whole paper.
+TAG is the all-T layout of the one wave (:mod:`repro.core.wave`): each epoch
+proceeds level by level from the deepest tree level toward the root, every
+node merging its children's partial results into its own local partial and
+unicasting to its parent. A lost message drops the entire subtree from the
+answer — the communication-error behaviour that motivates the whole paper.
 
 ``attempts`` models TinyDB-style retransmissions (Figure 9b lets tree nodes
 retransmit twice, i.e. ``attempts=3``); the default, like the original
@@ -16,29 +15,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate
-from repro.aggregates.grouping import annotate_groups
-from repro.aggregates.workload import annotate_workload
-from repro.core.payloads import TreePayload
+from repro.aggregates.base import Aggregate, merge_all
+from repro.core.wave import LayoutWave, WaveLayout, empty_outcome, outcome_extra
 from repro.errors import ConfigurationError
-from repro.kernels import runs_fused
-from repro.kernels.tag import refusal, run_tag_block, tag_layout
-from repro.network.links import (
-    Channel,
-    DeliveryPlan,
-    Transmission,
-    TransmissionLog,
-    transmit_sequential,
-)
+from repro.kernels.td import run_td_block as run_tag_block
+from repro.network.links import Channel, TransmissionLog
 from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment, NodeId
-from repro.network.simulator import (
-    EpochOutcome,
-    ReadingFn,
-    exact_over,
-    gather_readings,
-    run_epochs_scalar,
-)
+from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
 from repro.tree.structure import Tree
 
 
@@ -55,7 +39,7 @@ def _level_groups(levels: Dict[NodeId, int]) -> List[List[NodeId]]:
     return [sorted(grouped[level]) for level in sorted(grouped, reverse=True)]
 
 
-class TagScheme:
+class TagScheme(LayoutWave):
     """Tree aggregation over a spanning tree."""
 
     def __init__(
@@ -70,46 +54,28 @@ class TagScheme:
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
-        self._deployment = deployment
-        self._aggregate = aggregate
+        super().__init__(deployment, aggregate, accountant, use_batch, name)
         self._attempts = attempts
-        self._accountant = accountant or MessageAccountant()
-        self._use_batch = use_batch
-        self._engine_path: Optional[str] = None
-        self.name = name
         self.replace_tree(tree)
-        # Ground-truth population; shrinks/grows under node churn.
-        self._alive_sensors = list(deployment.sensor_ids)
 
     @property
     def tree(self) -> Tree:
         return self._tree
-
-    @property
-    def aggregate(self) -> Aggregate:
-        """The aggregate (or query workload) this scheme computes."""
-        return self._aggregate
-
-    @property
-    def engine_path(self) -> Optional[str]:
-        """Which engine ran the last block: ``"fused"`` or ``"object: <why>"``."""
-        return self._engine_path
 
     def replace_tree(self, tree: Tree) -> None:
         """Adopt a maintained tree (Section 2's parent switching [24]).
 
         TAG aggregation is stateless between epochs, so swapping the
         routing tree between waves is safe; the next epoch simply follows
-        the new parents. The transmission schedule, the depth and the fused
-        kernel's row layout are recomputed — here, once per tree, not per
-        block.
+        the new parents. The all-T layout and the depth are recomputed —
+        here, once per tree, not per block.
         """
         levels = tree.levels()
         self._tree = tree
-        self._levels = _level_groups(levels)
         self._depth = max(levels.values(), default=0)
-        self._parents = dict(tree.parents)
-        self._kernel_layout = tag_layout(self._levels, self._parents)
+        self._layout = WaveLayout.build(
+            _level_groups(levels), (), tree.parents, {}, self._attempts
+        )
 
     def on_membership_change(self, update) -> None:
         """Adopt the repaired tree and live population after node churn.
@@ -127,154 +93,42 @@ class TagScheme:
         """Latency proxy: number of level-by-level forwarding steps."""
         return self._depth
 
-    def _plan_levels(self) -> List[List[Transmission]]:
-        """The block-constant transmission structure, one skeleton per level.
-
-        Payload words/messages vary per epoch and are irrelevant to
-        delivery; sender, receivers and attempts are what a
-        :class:`~repro.network.links.DeliveryPlan` draws against.
-        """
-        return [
-            [
-                Transmission(
-                    node, (self._parents.get(node),), 0, 1, self._attempts
-                )
-                for node in level_nodes
-            ]
-            for level_nodes in self._levels
-        ]
+    def _wave_layout(self) -> WaveLayout:
+        return self._layout
 
     def run_epoch(
         self, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
         """The scalar reference wave: one node, one draw at a time."""
-        return self._run_wave(epoch, channel, readings, None, None)
+        return self._run_wave(self._layout, epoch, channel, readings, None, None)
 
     def run_epochs(
         self, epochs: Sequence[int], channel: Channel, readings: ReadingFn
     ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
-        """Run a block of epochs against one precomputed delivery plan.
+        """A block of epochs; see :meth:`LayoutWave._run_blocks`."""
+        return self._run_blocks(epochs, channel, readings, run_tag_block)
 
-        Per-epoch results (outcome, channel log) are identical to looping
-        :meth:`run_epoch` under any split of ``epochs`` into blocks; only
-        the channel draws and the local partials are hoisted out of the
-        loop. ``use_batch=False`` runs exactly that loop (the oracle).
-        """
-        epoch_list = [int(epoch) for epoch in epochs]
-        if not self._use_batch:
-            self._engine_path = "object: use_batch=False"
-            return run_epochs_scalar(self, epoch_list, channel, readings)
-        if runs_fused(self, channel, refusal):
-            return run_tag_block(self, epoch_list, channel, readings)
-        plan = channel.plan_epochs(self._plan_levels(), epoch_list)
-        aggregate = self._aggregate
-        partial_blocks = [
-            aggregate.tree_local_block(
-                level_nodes,
-                epoch_list,
-                [
-                    gather_readings(readings, level_nodes, epoch)
-                    for epoch in epoch_list
-                ],
-            )
-            for level_nodes in self._levels
-        ]
-        results: List[Tuple[EpochOutcome, TransmissionLog]] = []
-        for column, epoch in enumerate(epoch_list):
-            channel.reset_log()
-            outcome = self._run_wave(
-                epoch,
-                channel,
-                readings,
-                [block[column] for block in partial_blocks],
-                plan,
-            )
-            results.append((outcome, channel.reset_log()))
-        return results
-
-    def _run_wave(
+    def _evaluate_base_station(
         self,
-        epoch: int,
-        channel: Channel,
-        readings: ReadingFn,
-        partials_by_level: Optional[List[List[object]]],
-        plan: Optional[DeliveryPlan],
+        epoch,
+        chaos,
+        partials,
+        exact_count,
+        synopsis,
+        count_sketch,
+        contributing,
+        missing_stats,
     ) -> EpochOutcome:
+        """The root's merged partial; the exact count is its own estimate."""
         aggregate = self._aggregate
-        inbox: Dict[NodeId, List[TreePayload]] = {}
-        for index, level_nodes in enumerate(self._levels):
-            if partials_by_level is not None:
-                partials = partials_by_level[index]
-            else:
-                partials = [
-                    aggregate.tree_local(node, epoch, readings(node, epoch))
-                    for node in level_nodes
-                ]
-            transmissions: List[Transmission] = []
-            outgoing: List[Tuple[NodeId, TreePayload]] = []
-            for node, partial in zip(level_nodes, partials):
-                count = 1
-                contributors = 1 << node
-                for received in inbox.pop(node, ()):
-                    partial = aggregate.tree_merge(partial, received.partial)
-                    count += received.count
-                    contributors |= received.contributors
-                payload = TreePayload(partial, count, contributors, sender=node)
-                words = aggregate.tree_words(partial) + payload.extra_words()
-                spec = self._accountant.spec_for_words(words)
-                parent = self._parents.get(node)
-                transmissions.append(
-                    Transmission(
-                        node, (parent,), words, spec.messages, self._attempts
-                    )
-                )
-                outgoing.append((parent, payload))
-            if plan is not None:
-                heard_lists = channel.transmit_epochs(
-                    transmissions, epoch, plan, index
-                )
-            else:
-                heard_lists = transmit_sequential(channel, transmissions, epoch)
-            chaos = channel.chaos
-            for (parent, payload), heard in zip(outgoing, heard_lists):
-                if heard:
-                    target = inbox.setdefault(parent, [])
-                    target.append(payload)
-                    if chaos is not None and chaos.duplicate(
-                        payload.sender, parent, epoch
-                    ):
-                        target.append(payload)
-
-        received = inbox.pop(BASE_STATION, [])
-        if not received:
-            return EpochOutcome(
-                estimate=0.0,
-                contributing=0,
-                contributing_estimate=0.0,
-                extra=annotate_groups(
-                    aggregate,
-                    annotate_workload(
-                        aggregate, {"latency_epochs": self._depth}, empty=True
-                    ),
-                    empty=True,
-                ),
-            )
-        partial = received[0].partial
-        count = received[0].count
-        contributors = received[0].contributors
-        for extra_payload in received[1:]:
-            partial = aggregate.tree_merge(partial, extra_payload.partial)
-            count += extra_payload.count
-            contributors |= extra_payload.contributors
-        estimate = aggregate.tree_eval(partial)
+        extra = {"latency_epochs": self._depth}
+        if not partials:
+            return empty_outcome(aggregate, extra)
         return EpochOutcome(
-            estimate=estimate,
-            contributing=contributors.bit_count(),
-            contributing_estimate=float(count),
-            extra=annotate_groups(
-                aggregate,
-                annotate_workload(aggregate, {"latency_epochs": self._depth}),
-            ),
+            estimate=aggregate.tree_eval(merge_all(aggregate, partials)),
+            contributing=contributing,
+            contributing_estimate=float(exact_count),
+            extra=outcome_extra(aggregate, extra),
         )
 
     def exact_answer(self, epoch: int, readings: ReadingFn) -> float:

@@ -1,12 +1,12 @@
-"""Fused array kernels for the level-synchronous scheme hot paths.
+"""The fused array kernel for the one aggregation wave.
 
-One module per scheme family — :mod:`~repro.kernels.tag`,
-:mod:`~repro.kernels.sd` and :mod:`~repro.kernels.td` — each runs a whole
-epoch block as numpy passes over ``(node, epoch)`` rows, byte-identical to
-the scheme's per-payload object wave. Each also exports
-``refusal(scheme, channel)``: ``None`` when a block is eligible, else a short
-reason. That refusal is the only thing that decides fused versus object
-(:func:`runs_fused`); ``use_batch=False`` on a scheme bypasses both for the
+:func:`repro.kernels.td.run_td_block` runs a whole epoch block of any
+:class:`~repro.core.wave.WaveLayout` — TAG's all-T, SD's all-M, TD's mixed —
+as numpy passes over ``(node, epoch)`` rows, byte-identical to the
+per-payload object wave; :mod:`repro.kernels.sd` holds its packed OR-wave.
+``repro.kernels.td.refusal(layout, aggregate, channel)`` is ``None`` when a
+block is eligible, else a short reason, and is the only thing that decides
+fused versus object; ``use_batch=False`` on a scheme bypasses both for the
 scalar oracle.
 """
 
@@ -31,8 +31,8 @@ def wrapper_reason(aggregate) -> Optional[str]:
     """Name the wrapper that keeps ``aggregate`` off the array rows, if any.
 
     Workloads and grouped queries carry per-query / per-cell object state a
-    packed row does not hold; the kernels' ``refusal`` functions report them
-    by what they are rather than by the capability hook they fail.
+    packed row does not hold; the kernel's ``refusal`` reports them by what
+    they are rather than by the capability hook they fail.
     """
     if getattr(aggregate, "workload_names", None) is not None:
         return "workload aggregate"
@@ -41,17 +41,4 @@ def wrapper_reason(aggregate) -> Optional[str]:
     return None
 
 
-def runs_fused(scheme, channel, refusal) -> bool:
-    """Whether ``scheme``'s next block runs on its fused kernel.
-
-    ``refusal(scheme, channel)`` is the kernel's gate: None when the block
-    is eligible, else a short reason. Either way the decision lands on
-    ``scheme.engine_path`` — ``"fused"`` or ``"object: <reason>"`` — so a
-    run can say which engine it took without a profiler.
-    """
-    reason = refusal(scheme, channel)
-    scheme._engine_path = "fused" if reason is None else f"object: {reason}"
-    return reason is None
-
-
-__all__ = ["get_backend", "runs_fused", "wrapper_reason"]
+__all__ = ["get_backend", "wrapper_reason"]

@@ -1,24 +1,24 @@
-"""Fused SD block kernel, and the packed OR-wave it shares with TD.
+"""The packed OR-wave: the delta pass of the fused kernel.
 
 For packable aggregates (``synopsis_packable``) every multi-path payload of
 a block is one row of a uint32 matrix: the aggregate synopsis's packed
 bitmap words, then the piggybacked contributing-count sketch's words (when
-the aggregate needs one), then — for Tributary-Delta — a plain bitmap of
-missing-statistics reporters. Fusion is bitwise OR and ODI, so a level's
-deliveries may be OR-reduced in any grouping: a level's wave scatters
-only its delivered ``(pair, epoch)`` cells into the receivers'
-accumulator cells (:func:`or_sorted`, one pass per fan-in rank), and wire
-sizing is one vectorized RLE pass per level
-(:func:`repro.multipath.fm.rle_words_rows` reproduces
-:func:`repro.multipath.fm._packed_rle_words` exactly).
+the aggregate needs one), then a plain bitmap of missing-statistics
+reporters. Fusion is bitwise OR and ODI, so a level's deliveries may be
+OR-reduced in any grouping: a level's wave scatters only its delivered
+``(pair, epoch)`` cells into the receivers' accumulator cells
+(:func:`or_sorted`, one pass per fan-in rank), and wire sizing is one
+vectorized RLE pass per level (:func:`repro.multipath.fm.rle_words_rows`
+reproduces :func:`repro.multipath.fm._packed_rle_words` exactly).
 
 :class:`RowWave` is that per-level step — local rows, OR with the
 accumulator, RLE sizing, billing, OR-scatter — plus the block's tallies.
-SD runs every node through it; TD (:mod:`repro.kernels.td`) runs its delta
-nodes through it after the tributaries have been added up. Epoch columns
-are independent, so a block is swept in **epoch tiles** sized from the row
-width (:data:`TILE_ROW_WORDS`): the accumulator and the per-level gather
-temporaries are bounded by the tile, not by the block.
+The kernel (:mod:`repro.kernels.td`) runs a layout's M nodes through it
+after its tributaries have been added up; under SD's all-M layout that is
+every node. Epoch columns are independent, so a block is swept in **epoch
+tiles** sized from the row width (:data:`TILE_ROW_WORDS`): the accumulator
+and the per-level gather temporaries are bounded by the tile, not by the
+block.
 
 The object path's ground-truth ``contributors`` bitmask (who reached the
 base over *any* path) is recovered without objects: a node's bit is set iff
@@ -30,24 +30,19 @@ success tables computes exactly (:func:`count_contributors`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregates.grouping import annotate_groups
-from repro.aggregates.workload import annotate_workload
-from repro.kernels import wrapper_reason
 from repro.multipath.fm import (
     DEFAULT_BITS,
-    FMSketch,
     rle_words_rows,
     single_item_matrix_block,
-    sketch_from_row,
 )
 from repro.network.links import Channel, DeliveryPlan, TransmissionLog
 from repro.network.messages import missing_stats_words
 from repro.network.placement import BASE_STATION, NodeId
-from repro.network.simulator import EpochOutcome, gather_readings
+from repro.network.simulator import gather_readings
 
 #: uint32 words one accumulator row holds per epoch tile: a tile spans
 #: ``TILE_ROW_WORDS // row width`` epoch columns (32 for the paper's
@@ -55,30 +50,6 @@ from repro.network.simulator import EpochOutcome, gather_readings
 #: per-level gather stay in a few megabytes, large enough that numpy's
 #: per-call overhead does not show.
 TILE_ROW_WORDS = 2560
-
-
-def synopsis_refusal(aggregate) -> Optional[str]:
-    """Why ``aggregate``'s synopses cannot ride packed rows, or None."""
-    if aggregate.synopsis_packable() is not None:
-        return None
-    reason = wrapper_reason(aggregate)
-    if reason is not None:
-        return reason
-    try:
-        empty = aggregate.synopsis_empty()
-    except NotImplementedError:
-        empty = None
-    if isinstance(empty, FMSketch) and empty.bits != 32:
-        return "non-32-bit sketch"
-    return "unpackable synopsis"
-
-
-def refusal(scheme, channel) -> Optional[str]:
-    """Why this SD block must take the object wave, or None to run fused."""
-    reason = synopsis_refusal(scheme._aggregate)
-    if reason is None and channel.chaos is not None:
-        reason = "chaos attached"
-    return reason
 
 
 @dataclass(frozen=True)
@@ -386,110 +357,3 @@ def count_contributors(base_row: int, num_epochs: int, records) -> np.ndarray:
         reach[rows] = sender_any
         contributing += sender_any.sum(axis=0)
     return contributing
-
-
-def run_sd_block(
-    scheme, epoch_list: List[int], channel: Channel, readings
-) -> List[Tuple[EpochOutcome, TransmissionLog]]:
-    """Run one SD epoch block through the fused array path.
-
-    Byte-identical to the object ``run_epochs``: same estimates (the packed
-    rows OR to the same bits the sketch objects fuse to), same RLE word
-    counts, same log counters and per-node billing.
-    """
-    aggregate = scheme._aggregate
-    attempts = scheme._attempts
-    depth = scheme._rings.depth
-    num_epochs = len(epoch_list)
-
-    syn_bitmaps, contrib_bitmaps = sections = fm_sections(scheme)
-
-    skeletons = scheme._plan_levels()
-    plan = channel.plan_epochs(skeletons, epoch_list)
-    index, levels = level_pairs(plan, channel, skeletons, scheme._level_nodes)
-    base_row = index[BASE_STATION]
-
-    wave = RowWave(scheme._accountant, base_row, num_epochs, sections)
-    for lo, hi in wave.tiles():
-        for level in levels:
-            wave.level(
-                level.rows,
-                local_rows(
-                    aggregate,
-                    contrib_bitmaps,
-                    level.nodes,
-                    epoch_list[lo:hi],
-                    readings,
-                    wave.width,
-                ),
-                attempts,
-                level.pair_item,
-                level.recv_rows,
-                level.success,
-            )
-
-    contributing = count_contributors(
-        base_row,
-        num_epochs,
-        [
-            (
-                level.rows,
-                level.success,
-                level.span_starts,
-                level.span_stops,
-                level.recv_rows,
-            )
-            for level in levels
-        ],
-    )
-    deliveries = np.zeros(num_epochs, dtype=np.int64)
-    for level in levels:
-        deliveries += level.success.sum(axis=0)
-    logs = wave.logs(
-        base_row * attempts,
-        sum(len(level.recv_rows) for level in levels),
-        deliveries,
-    )
-
-    channel.reset_log()
-    channel.account_bulk(
-        dict(zip(index, wave.row_words[:base_row].tolist())),
-        dict(zip(index, wave.row_messages[:base_row].tolist())),
-    )
-
-    results: List[Tuple[EpochOutcome, TransmissionLog]] = []
-    for column, log in enumerate(logs):
-        if wave.heard_base[column]:
-            row = wave.base_rows[column]
-            synopsis = sketch_from_row(row[:syn_bitmaps])
-            estimate = aggregate.synopsis_eval(synopsis)
-            if contrib_bitmaps:
-                contributing_estimate = sketch_from_row(
-                    row[syn_bitmaps:]
-                ).estimate()
-            else:
-                contributing_estimate = aggregate.synopsis_eval(synopsis)
-            outcome = EpochOutcome(
-                estimate=estimate,
-                contributing=int(contributing[column]),
-                contributing_estimate=contributing_estimate,
-                extra=annotate_groups(
-                    aggregate,
-                    annotate_workload(aggregate, {"latency_epochs": depth}),
-                ),
-            )
-        else:
-            outcome = EpochOutcome(
-                estimate=0.0,
-                contributing=0,
-                contributing_estimate=0.0,
-                extra=annotate_groups(
-                    aggregate,
-                    annotate_workload(
-                        aggregate, {"latency_epochs": depth}, empty=True
-                    ),
-                    empty=True,
-                ),
-            )
-        results.append((outcome, log))
-    return results

@@ -1,16 +1,16 @@
-"""Fused Tributary-Delta block kernel: the mixed-mode wave as array passes.
+"""The fused block kernel: the one wave, over any layout, as array passes.
 
 Modes are fixed for a block, and Property 1 (no M -> T edge: an M node's
 tree parent is M) makes the order of a mixed wave well defined without
 walking it node by node: a tributary never waits on the delta. So a block
-runs as three stages over one row layout — every node in wave order
+runs as up to three stages over one row layout — every node in wave order
 (deepest level first), then the base station:
 
-1. **Tributaries add.** Every level's T nodes are swept first, exactly like
-   the TAG kernel: ``out = local + accumulated``, masked adds into the
-   parent row. Exact counts are added into *every* parent — an M parent
-   needs them for its missing statistic, an M-mode base station for its
-   exact contributing count.
+1. **Tributaries add.** Every level's T nodes are swept first:
+   ``out = local + accumulated``, masked adds into the parent row. Exact
+   counts are added into *every* parent — an M parent needs them for its
+   missing statistic, an M-mode base station for its exact contributing
+   count.
 2. **The frontier converts once.** Every delivered T -> M payload of the
    block is one ``(partial, count, sender, epoch)`` cell; all of them go
    through Section 5's conversion function in one batched FM pass
@@ -18,18 +18,21 @@ runs as three stages over one row layout — every node in wave order
    accumulator rows. Payloads delivered straight to an M-mode base station
    are not converted — they stay exact.
 3. **The delta OR-scatters.** Levels are swept again over their M nodes
-   only, through the same :class:`~repro.kernels.sd.RowWave` step SD uses
-   (SD is the all-M special case), with T receivers dropped from the
-   scatter: they ignore M broadcasts, though the channel still logs the
-   planned pair.
+   only, through :class:`~repro.kernels.sd.RowWave`, with T receivers
+   dropped from the scatter: they ignore M broadcasts, though the channel
+   still logs the planned pair.
 
-A row is ``[synopsis | contributing-count sketch | reporter bitmap]``. A
-*reporter* is an M node whose payload carries its own missing statistic —
-static for the block (:meth:`TributaryDeltaScheme._missing_entry`) — and
-owns one bit; its per-epoch value lives in a side matrix. A node reports
-one value per epoch whichever path it takes, so the object wave's
-dictionary union is an OR of bits, its wire cost a popcount, and the base
-station's dictionary is rebuilt from the bits that arrived.
+TAG's all-T layout runs stage 1 alone and SD's all-M layout stage 3 alone:
+a layout without a T sender never opens the tributary pass, and one without
+an M row never opens the delta's tile accumulators.
+
+A delta row is ``[synopsis | contributing-count sketch | reporter bitmap]``.
+A *reporter* (:attr:`~repro.core.wave.WaveLayout.reporters`) is an M node
+whose payload carries its own missing statistic and owns one bit; its
+per-epoch value lives in a side matrix. A node reports one value per epoch
+whichever path it takes, so the object wave's dictionary union is an OR of
+bits, its wire cost a popcount, and the base station's dictionary is
+rebuilt from the bits that arrived.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import PropertyViolation
+from repro.kernels import wrapper_reason
 from repro.kernels.sd import (
     RowWave,
     count_contributors,
@@ -46,32 +49,64 @@ from repro.kernels.sd import (
     level_pairs,
     local_rows,
     or_sorted,
-    synopsis_refusal,
 )
-from repro.kernels.tag import partials_refusal
-from repro.multipath.fm import DEFAULT_BITS, counted_matrix, sketch_from_row
+from repro.multipath.fm import (
+    DEFAULT_BITS,
+    FMSketch,
+    counted_matrix,
+    sketch_from_row,
+)
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, gather_reading_block
 
 
-def refusal(scheme, channel) -> Optional[str]:
-    """Why this TD block must take the object wave, or None to run fused.
+def partials_refusal(aggregate) -> Optional[str]:
+    """Why ``aggregate``'s tree partials cannot ride int64 rows, or None."""
+    if aggregate.tree_partials_additive():
+        return None
+    return wrapper_reason(aggregate) or "non-additive partials"
 
-    The fused path needs additive integer partials, packable synopses,
-    fully-parented T vertices (every tributary payload must route exactly
-    like the object wave's) and a channel without fault injection.
-    """
-    aggregate = scheme._aggregate
-    reason = partials_refusal(aggregate) or synopsis_refusal(aggregate)
+
+def synopsis_refusal(aggregate) -> Optional[str]:
+    """Why ``aggregate``'s synopses cannot ride packed rows, or None."""
+    if aggregate.synopsis_packable() is not None:
+        return None
+    reason = wrapper_reason(aggregate)
     if reason is not None:
         return reason
-    graph = scheme._graph
-    parents = scheme._tree_parents
-    for nodes in scheme._level_nodes:
-        for node in nodes:
-            if graph.is_tree(node) and parents.get(node) is None:
-                return "orphaned T vertex"
+    try:
+        empty = aggregate.synopsis_empty()
+    except NotImplementedError:
+        empty = None
+    if isinstance(empty, FMSketch) and empty.bits != 32:
+        return "non-32-bit sketch"
+    return "unpackable synopsis"
+
+
+def refusal(layout, aggregate, channel) -> Optional[str]:
+    """Why a block over ``layout`` must take the object wave, or None.
+
+    T senders need additive integer partials and a tree parent each (every
+    tributary payload must route exactly like the object wave's), M rows
+    packable synopses, and no block runs fused under fault injection.
+    """
+    tree_items = [
+        item
+        for level in layout.levels
+        for item in level
+        if item.sender not in layout.multipath
+    ]
+    if tree_items:
+        reason = partials_refusal(aggregate)
+        if reason is not None:
+            return reason
+    if layout.multipath:
+        reason = synopsis_refusal(aggregate)
+        if reason is not None:
+            return reason
+    if any(item.receivers[0] is None for item in tree_items):
+        return "orphaned T vertex"
     if channel.chaos is not None:
         return "chaos attached"
     return None
@@ -108,56 +143,36 @@ def precompute_conversions(
 
 
 def run_td_block(
-    scheme, epoch_list: List[int], channel: Channel, readings
+    scheme, layout, epoch_list: List[int], channel: Channel, readings
 ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
-    """Run one Tributary-Delta epoch block through the fused array path.
+    """Run one epoch block over ``layout`` through the fused array path.
 
-    Byte-identical to the object ``run_epochs`` and the scalar oracle:
-    same outcomes (``extra["missing_stats"]`` included), same per-epoch
-    logs, same per-node billing.
+    Byte-identical to the object wave and the scalar oracle: same outcomes
+    (``extra["missing_stats"]`` included), same per-epoch logs, same
+    per-node billing.
     """
-    graph = scheme._graph
     aggregate = scheme._aggregate
     accountant = scheme._accountant
     num_epochs = len(epoch_list)
     epochs = np.asarray(epoch_list, dtype=np.int64)
 
-    syn_bitmaps, contrib_bitmaps = sections = fm_sections(scheme)
-    fm_width = syn_bitmaps + contrib_bitmaps
-
-    skeletons = scheme._plan_levels()
-    plan = channel.plan_epochs(skeletons, epoch_list)
-    index, levels = level_pairs(plan, channel, skeletons, scheme._level_nodes)
+    plan = channel.plan_epochs(layout.levels, epoch_list)
+    index, levels = level_pairs(plan, channel, layout.levels, layout.level_nodes)
     base_row = index[BASE_STATION]
     senders = list(index)[:base_row]
     sender_ids = np.asarray(senders, dtype=np.int64)
-    parents = scheme._tree_parents
-    parent_rows = np.fromiter(
-        (index.get(parents.get(node), -1) for node in senders),
-        dtype=np.int64,
-        count=base_row,
-    )
+    multipath = layout.multipath
     is_m = np.fromiter(
-        (graph.is_multipath(node) for node in index),
-        dtype=bool,
-        count=base_row + 1,
+        (node in multipath for node in index), dtype=bool, count=base_row + 1
     )
     base_is_m = bool(is_m[base_row])
+    has_m = bool(is_m.any())
     m_rows = np.flatnonzero(is_m[:base_row])
     t_rows = np.flatnonzero(~is_m[:base_row])
-
-    # Property 1, once per block on the layout: an M node broadcasts to its
-    # tree parent, so that parent must be M.
-    m_parents = parent_rows[m_rows]
-    stray = m_rows[(m_parents < 0) | ~is_m[m_parents]]
-    if len(stray):
-        node = senders[int(stray[0])]
-        raise PropertyViolation(
-            f"M node {node} has a non-M tree parent: "
-            "an M edge would be incident on a T vertex",
-            invariant="edge-correctness",
-            nodes=(node,),
-        )
+    syn_bitmaps, contrib_bitmaps = sections = (
+        fm_sections(scheme) if has_m else (0, 0)
+    )
+    fm_width = syn_bitmaps + contrib_bitmaps
 
     # -- pass 1: tributaries, all levels -----------------------------------
     acc_partial = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
@@ -170,53 +185,49 @@ def run_td_block(
         positions = np.flatnonzero(~is_m[level.rows])
         if not len(positions):
             continue
-        nodes = [level.nodes[position] for position in positions]
+        nodes = [level.nodes[position] for position in positions.tolist()]
         rows = level.rows[positions]
-        # A tree unicast has exactly one planned pair: its span's start.
-        success = level.success[level.span_starts[positions]]
+        # A tree unicast has exactly one planned pair, to its parent: the
+        # start of its span.
+        pairs = level.span_starts[positions]
+        success = level.success[pairs]
+        targets = level.recv_rows[pairs]
         local = aggregate.tree_local_matrix(
             nodes, epoch_list, gather_reading_block(readings, nodes, epoch_list)
         ).T
         out_partial = local + acc_partial[rows]
         out_count = 1 + acc_count[rows]
-        targets = parent_rows[rows]
         np.add.at(acc_partial, targets, out_partial * success)
         np.add.at(acc_count, targets, out_count * success)
         to_base = targets == base_row
         for position, column in zip(*np.nonzero(success & to_base[:, None])):
             base_partials[column].append(int(out_partial[position, column]))
-        position, column = np.nonzero(
-            success & (is_m[targets] & ~to_base)[:, None]
-        )
-        frontier.append(
-            (
-                out_partial[position, column],
-                out_count[position, column],
-                sender_ids[rows[position]],
-                column,
-                targets[position],
+        if has_m:
+            position, column = np.nonzero(
+                success & (is_m[targets] & ~to_base)[:, None]
             )
-        )
-
-    # -- frontier: one batched conversion per block ------------------------
-    cell_partials, cell_counts, cell_senders, cell_columns, cell_parents = (
-        np.concatenate(parts) for parts in zip(*frontier)
-    )
-    converted = scheme._convert_frontier(
-        cell_partials, cell_counts, cell_senders, epochs[cell_columns]
-    )
+            frontier.append(
+                (
+                    out_partial[position, column],
+                    out_count[position, column],
+                    sender_ids[rows[position]],
+                    column,
+                    targets[position],
+                )
+            )
 
     # -- reporters: M nodes whose payload carries their own statistic ------
-    reporter_rows, reporter_expected = [], []
-    for row in m_rows.tolist():
-        expected, switchable = scheme._missing_entry(senders[row])
-        if expected > 0 or switchable:
-            reporter_rows.append(row)
-            reporter_expected.append(expected)
-    reporter_rows = np.asarray(reporter_rows, dtype=np.int64)
+    expected = layout.reporters
+    reporter_rows = np.asarray(
+        [row for row in m_rows.tolist() if senders[row] in expected],
+        dtype=np.int64,
+    )
     missing = np.maximum(
         0,
-        np.asarray(reporter_expected, dtype=np.int64)[:, None]
+        np.asarray(
+            [expected[senders[row]] for row in reporter_rows.tolist()],
+            dtype=np.int64,
+        )[:, None]
         - acc_count[reporter_rows],
     )
     reporter_of_row = np.full(base_row, -1, dtype=np.int64)
@@ -225,79 +236,100 @@ def run_td_block(
 
     # -- pass 2: the delta, level by level over M nodes only ---------------
     wave = RowWave(accountant, base_row, num_epochs, sections, flag_words)
-    for lo, hi in wave.tiles():
-        in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
-        if len(in_tile):
-            keys = cell_parents[in_tile] * (hi - lo) + (cell_columns[in_tile] - lo)
-            order = np.argsort(keys, kind="stable")
-            or_sorted(
-                wave.acc.reshape(-1, wave.width)[:, :fm_width],
-                keys[order],
-                converted,
-                in_tile[order],
+    if has_m:
+        # -- frontier: one batched conversion per block --------------------
+        cell_partials, cell_counts, cell_senders, cell_columns, cell_parents = (
+            np.concatenate(parts) for parts in zip(*frontier)
+        )
+        converted = (
+            scheme._convert_frontier(
+                cell_partials, cell_counts, cell_senders, epochs[cell_columns]
             )
-        for level in levels:
-            level_is_m = is_m[level.rows]
-            positions = np.flatnonzero(level_is_m)
-            if not len(positions):
-                continue
-            rows = level.rows[positions]
-            local = local_rows(
-                aggregate,
-                contrib_bitmaps,
-                [level.nodes[position] for position in positions],
-                epoch_list[lo:hi],
-                readings,
-                wave.width,
-            )
-            reporters = reporter_of_row[rows]
-            reporting = np.flatnonzero(reporters >= 0)
-            reporters = reporters[reporting]
-            local[reporting, :, fm_width + reporters // 32] |= (
-                np.uint32(1) << (reporters % 32).astype(np.uint32)
-            )[:, None]
-            # Only M -> M pairs scatter: T receivers ignore M broadcasts.
-            scatter = np.flatnonzero(
-                level_is_m[level.pair_item] & is_m[level.recv_rows]
-            )
-            wave.level(
-                rows,
-                local,
-                scheme._multipath_attempts,
-                # Pair senders as positions among the level's M nodes.
-                (np.cumsum(level_is_m) - 1)[level.pair_item[scatter]],
-                level.recv_rows[scatter],
-                level.success[scatter],
-            )
+            if len(t_rows)
+            else None
+        )
+        for lo, hi in wave.tiles():
+            in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
+            if len(in_tile):
+                keys = cell_parents[in_tile] * (hi - lo) + (
+                    cell_columns[in_tile] - lo
+                )
+                order = np.argsort(keys, kind="stable")
+                or_sorted(
+                    wave.acc.reshape(-1, wave.width)[:, :fm_width],
+                    keys[order],
+                    converted,
+                    in_tile[order],
+                )
+            for level in levels:
+                level_is_m = is_m[level.rows]
+                positions = np.flatnonzero(level_is_m)
+                if not len(positions):
+                    continue
+                rows = level.rows[positions]
+                local = local_rows(
+                    aggregate,
+                    contrib_bitmaps,
+                    [level.nodes[position] for position in positions.tolist()],
+                    epoch_list[lo:hi],
+                    readings,
+                    wave.width,
+                )
+                reporters = reporter_of_row[rows]
+                reporting = np.flatnonzero(reporters >= 0)
+                reporters = reporters[reporting]
+                local[reporting, :, fm_width + reporters // 32] |= (
+                    np.uint32(1) << (reporters % 32).astype(np.uint32)
+                )[:, None]
+                # Only M -> M pairs scatter: T receivers ignore M broadcasts.
+                scatter = np.flatnonzero(
+                    level_is_m[level.pair_item] & is_m[level.recv_rows]
+                )
+                wave.level(
+                    rows,
+                    local,
+                    layout.multipath_attempts,
+                    # Pair senders as positions among the level's M nodes.
+                    (np.cumsum(level_is_m) - 1)[level.pair_item[scatter]],
+                    level.recv_rows[scatter],
+                    level.success[scatter],
+                )
 
     # -- billing, ground truth, base station -------------------------------
-    tree_words = scheme._tree_payload_words
-    tree_attempts = scheme._tree_attempts
-    tree_messages = accountant.spec_for_words(tree_words).messages
-    wave.row_words[t_rows] += tree_words * tree_attempts * num_epochs
-    wave.row_messages[t_rows] += tree_messages * tree_attempts * num_epochs
-    wave.words_sent += len(t_rows) * tree_attempts * tree_words
-    wave.messages_sent += len(t_rows) * tree_attempts * tree_messages
+    tree_attempts = layout.tree_attempts
+    if len(t_rows):
+        tree_words = scheme._tree_payload_words
+        tree_messages = accountant.spec_for_words(tree_words).messages
+        wave.row_words[t_rows] += tree_words * tree_attempts * num_epochs
+        wave.row_messages[t_rows] += tree_messages * tree_attempts * num_epochs
+        wave.words_sent += len(t_rows) * tree_attempts * tree_words
+        wave.messages_sent += len(t_rows) * tree_attempts * tree_messages
 
     deliveries = np.zeros(num_epochs, dtype=np.int64)
-    records = []
     for level in levels:
         deliveries += level.success.sum(axis=0)
-        # A tree unicast lands whatever its parent's mode; a broadcast only
-        # counts where an M node listened.
-        heard = ~is_m[level.rows][level.pair_item] | is_m[level.recv_rows]
-        records.append(
-            (
-                level.rows,
-                level.success & heard[:, None],
-                level.span_starts,
-                level.span_stops,
-                level.recv_rows,
+    if has_m:
+        records = []
+        for level in levels:
+            # A tree unicast lands whatever its parent's mode; a broadcast
+            # only counts where an M node listened.
+            heard = ~is_m[level.rows][level.pair_item] | is_m[level.recv_rows]
+            records.append(
+                (
+                    level.rows,
+                    level.success & heard[:, None],
+                    level.span_starts,
+                    level.span_stops,
+                    level.recv_rows,
+                )
             )
-        )
-    contributing = count_contributors(base_row, num_epochs, records)
+        contributing = count_contributors(base_row, num_epochs, records)
+    else:
+        # Every delivery chain is a tree path: the base's exact count is
+        # its contributor count.
+        contributing = acc_count[base_row]
     logs = wave.logs(
-        len(t_rows) * tree_attempts + len(m_rows) * scheme._multipath_attempts,
+        len(t_rows) * tree_attempts + len(m_rows) * layout.multipath_attempts,
         sum(len(level.recv_rows) for level in levels),
         deliveries,
     )
@@ -330,10 +362,12 @@ def run_td_block(
                 for reporter in arrived.tolist()
             }
             # The base station never transmits; its own entry joins here.
-            own = scheme._tributary_missing(BASE_STATION, exact_count)
+            own = layout.missing(BASE_STATION, exact_count)
             if own is not None:
                 missing_stats[BASE_STATION] = own
         outcome = scheme._evaluate_base_station(
+            epoch_list[column],
+            channel.chaos,
             base_partials[column],
             exact_count,
             synopsis,

@@ -102,13 +102,6 @@ class AggregationService:
                 "the aggregation service does not serve churn scenarios "
                 "yet; use repro run-config for churn timelines"
             )
-        if config.group_by is not None:
-            raise ConfigurationError(
-                "the service's scenario config cannot carry 'group_by' "
-                "(the server serves subscriptions, not the config's own "
-                "query); subscribe a 'SELECT ... GROUP BY ...' query "
-                "instead"
-            )
         self._config = config
         self._scenario = build_scenario(config)
         interval = (

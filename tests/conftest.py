@@ -7,9 +7,7 @@ import functools
 
 import pytest
 
-import repro.core.sd_scheme as sd_scheme
-import repro.core.tag_scheme as tag_scheme
-import repro.core.td_scheme as td_scheme
+import repro.core.wave as wave
 from repro.cli import EXPERIMENTS
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.synthetic import make_synthetic_scenario
@@ -57,21 +55,20 @@ def quick_figure():
 def object_wave():
     """``object_wave(active=True)``: a context forcing the object wave.
 
-    While active, the ``refusal`` each scheme module hands to
-    :func:`repro.kernels.runs_fused` declines every block with ``"forced by
-    test"``, so TAG, SD and TD blocks that would run fused take the
-    per-payload object wave instead (``engine_path`` reads ``"object:
-    forced by test"``). ``active=False`` is a no-op, for loops over engines.
+    While active, the one ``refusal`` every scheme's wave consults
+    (:mod:`repro.core.wave`) declines every block with ``"forced by test"``,
+    so TAG, SD and TD blocks that would run fused take the per-payload
+    object wave instead (``engine_path`` reads ``"object: forced by
+    test"``). ``active=False`` is a no-op, for loops over engines.
     """
 
     @contextlib.contextmanager
     def forced(active: bool = True):
         with pytest.MonkeyPatch.context() as patch:
             if active:
-                for module in (tag_scheme, sd_scheme, td_scheme):
-                    patch.setattr(
-                        module, "refusal", lambda scheme, channel: "forced by test"
-                    )
+                patch.setattr(
+                    wave, "refusal", lambda layout, aggregate, channel: "forced by test"
+                )
             yield
 
     return forced

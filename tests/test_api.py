@@ -166,7 +166,6 @@ class TestRunConfig:
             converge_epochs=9, threshold=0.8, tree_attempts=2,
             use_batch=False, churn="deaths:3:2", churn_interval=4,
             faults=["delay:2"], retention="window:3", storage="memory",
-            group_by="region:1",
         )
         # ``engine`` is legacy: every value it accepts encodes as absence.
         assert set(non_default) | {"scheme", "engine"} == {
@@ -189,7 +188,7 @@ class TestRunConfig:
             ' "churn_interval": 4, "converge_epochs": 9, "engine": {"backend":'
             ' "pure", "state": "packed"}, "epochs": 5, "failure":'
             ' "global:0.2", "faults": ["corrupt:0.1", "delay:2"], "group_by":'
-            ' "region:1", "num_sensors": 40, "query": null, "reading":'
+            ' null, "num_sensors": 40, "query": null, "reading":'
             ' "uniform:10:100:0", "retention": "window:3", "scenario_seed": 2,'
             ' "scheme": "SD", "seed": 3, "start_epoch": 7, "storage":'
             ' "memory", "threshold": 0.8, "topology": "synthetic",'
@@ -204,11 +203,15 @@ class TestRunConfig:
             converge_epochs=9, threshold=0.8, tree_attempts=2,
             use_batch=False, churn="deaths:3:2", churn_interval=4,
             faults=["corrupt:0.1", "delay:2"], retention="window:3",
-            storage="memory", group_by="region:1",
+            storage="memory",
         )
         assert config.engine is None
-        for key in ("topology", "query", "engine"):
+        for key in ("topology", "query", "engine", "group_by"):
             assert key not in config.to_jsonable()
+        # A set ``group_by`` names the GROUP BY clause that replaced it.
+        payload["group_by"] = "region:1"
+        with pytest.raises(ConfigurationError, match="GROUP BY region:1"):
+            RunConfig.from_jsonable(payload)
 
     def test_unknown_keys_are_actionable(self):
         payload = json.loads(quick_config("TAG", "none").to_json())

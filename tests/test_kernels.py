@@ -38,16 +38,17 @@ from repro.api import (
 from repro.chaos import Auditor
 from repro.core.adaptation import DampedPolicy, TDCoarsePolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
+from repro.core.modes import Mode
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
 from repro.core.validation import audit, topology_of_td_graph
+from repro.core.wave import WaveLayout
 from repro.datasets.streams import UniformReadings
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import PropertyViolation
 from repro.kernels import get_backend
 from repro.kernels import sd as sd_kernel
-from repro.kernels import tag as tag_kernel
 from repro.kernels import td as td_kernel
 from repro.multipath.fm import (
     FMSketch,
@@ -501,6 +502,54 @@ def test_td_graph_shapes_and_block_splits(
         assert run("fused", spans) == oracle, spans
 
 
+@pytest.mark.parametrize("loss", (0.0, 0.3))
+@pytest.mark.parametrize("aggregate", sorted(AGGREGATES))
+@pytest.mark.parametrize("engine", ("fused", "object", "oracle"))
+def test_tag_and_sd_are_the_extreme_td_labelings(
+    deep_scenario, deep_tree, engine, aggregate, loss, object_wave
+):
+    """Section 3's special cases: TD over an all-T graph is TAG, over an
+    all-M graph SD — TD on each engine against the baselines' oracle.
+
+    All-T reproduces TAG's estimates, logs and per-node bills epoch by
+    epoch. All-M reproduces SD's estimates and contributing estimates; its
+    switchable tips still bill the missing statistics SD never sends.
+    """
+    deployment, rings = deep_scenario.deployment, deep_scenario.rings
+    epochs = list(range(40, 52))
+    readings = UniformReadings(10, 100, seed=1)
+
+    def run(scheme, engine):
+        channel = Channel(deployment, GlobalLoss(loss), seed=6)
+        with object_wave(engine == "object"):
+            pairs = scheme.run_epochs(epochs, channel, readings)
+        assert scheme.engine_path.startswith(
+            "fused" if engine == "fused" else "object: "
+        )
+        estimates = [
+            (outcome.estimate, outcome.contributing, outcome.contributing_estimate)
+            for outcome, _ in pairs
+        ]
+        billing = (channel.per_node_words(), channel.per_node_messages())
+        return estimates, [log for _, log in pairs], billing
+
+    def td(delta_level):
+        graph = TDGraph(
+            rings, deep_tree, initial_modes_by_level(rings, delta_level)
+        )
+        scheme = TributaryDeltaScheme(
+            deployment, graph, AGGREGATES[aggregate](), use_batch=engine != "oracle"
+        )
+        return run(scheme, engine)
+
+    tag = TagScheme(deployment, deep_tree, AGGREGATES[aggregate](), use_batch=False)
+    assert td(-1) == run(tag, "oracle")
+    sd = SynopsisDiffusionScheme(
+        deployment, rings, AGGREGATES[aggregate](), use_batch=False
+    )
+    assert td(rings.depth)[0] == run(sd, "oracle")[0]
+
+
 @pytest.mark.parametrize("tile_words", (1, 250, 10**6))
 def test_epoch_tiling_is_invisible(
     deep_scenario, deep_tree, monkeypatch, tile_words
@@ -603,7 +652,7 @@ def test_fused_td_asserts_property_1_on_its_layout(deep_scenario, deep_tree):
         for node, parent in sorted(graph.tree.parents.items())
         if graph.is_tree(node) and graph.is_tree(parent)
     )
-    graph._m_set.add(victim)
+    graph._modes[victim] = Mode.MULTIPATH
     channel = Channel(deep_scenario.deployment, GlobalLoss(0.0), seed=1)
     with pytest.raises(PropertyViolation) as raised:
         scheme.run_epochs([0, 1], channel, UniformReadings(10, 100, seed=0))
@@ -630,7 +679,9 @@ def test_fig6_td_blocks_never_enter_the_object_wave(monkeypatch):
 
 
 def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
-    """Each kernel names why it declined; ``engine_path`` repeats it."""
+    """The one refusal names why a layout declined; ``engine_path`` repeats
+    it. Partials matter only where a T row exists, synopses only where an
+    M row does."""
     deployment, rings = deep_scenario.deployment, deep_scenario.rings
     clean = Channel(deployment, GlobalLoss(0.0), seed=1)
     chaotic = Channel(deployment, GlobalLoss(0.0), seed=1)
@@ -642,32 +693,39 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     def schemes(aggregate):
         graph = TDGraph(rings, deep_tree, initial_modes_by_level(rings, 1))
         return (
-            (tag_kernel, TagScheme(deployment, deep_tree, aggregate)),
-            (sd_kernel, SynopsisDiffusionScheme(deployment, rings, aggregate)),
-            (td_kernel, TributaryDeltaScheme(deployment, graph, aggregate)),
+            TagScheme(deployment, deep_tree, aggregate),
+            SynopsisDiffusionScheme(deployment, rings, aggregate),
+            TributaryDeltaScheme(deployment, graph, aggregate),
         )
 
-    for kernel, scheme in schemes(SumAggregate()):
-        assert kernel.refusal(scheme, clean) is None
-        assert kernel.refusal(scheme, chaotic) == "chaos attached"
-    for kernel, scheme in schemes(workload):
-        assert kernel.refusal(scheme, clean) == "workload aggregate"
-    tag, sd, td = schemes(SumAggregate(bits=16))
-    assert tag[0].refusal(tag[1], clean) is None
-    assert sd[0].refusal(sd[1], clean) == "non-32-bit sketch"
-    assert td[0].refusal(td[1], clean) == "non-32-bit sketch"
-    tag, sd, td = schemes(AverageAggregate())
-    assert tag[0].refusal(tag[1], clean) == "non-additive partials"
-    assert sd[0].refusal(sd[1], clean) == "unpackable synopsis"
-    assert td[0].refusal(td[1], clean) == "non-additive partials"
+    def refused(scheme, channel):
+        return td_kernel.refusal(
+            scheme._wave_layout(), scheme.aggregate, channel
+        )
 
-    _, td_scheme = schemes(SumAggregate())[2]
-    orphan = next(n for n in td_scheme._tree_parents if td_scheme.graph.is_tree(n))
-    del td_scheme._tree_parents[orphan]
-    assert td_kernel.refusal(td_scheme, clean) == "orphaned T vertex"
+    for scheme in schemes(SumAggregate()):
+        assert refused(scheme, clean) is None
+        assert refused(scheme, chaotic) == "chaos attached"
+    for scheme in schemes(workload):
+        assert refused(scheme, clean) == "workload aggregate"
+    tag, sd, td = schemes(SumAggregate(bits=16))
+    assert refused(tag, clean) is None
+    assert refused(sd, clean) == "non-32-bit sketch"
+    assert refused(td, clean) == "non-32-bit sketch"
+    tag, sd, td = schemes(AverageAggregate())
+    assert refused(tag, clean) == "non-additive partials"
+    assert refused(sd, clean) == "unpackable synopsis"
+    assert refused(td, clean) == "non-additive partials"
+
+    tag, _, td = schemes(SumAggregate())
+    orphan = next(n for n in td._tree_parents if td.graph.is_tree(n))
+    del td._tree_parents[orphan]
+    assert refused(td, clean) == "orphaned T vertex"
+    tag._layout = WaveLayout.build(tag._layout.level_nodes, (), {}, {})
+    assert refused(tag, clean) == "orphaned T vertex"
 
     readings = UniformReadings(10, 100, seed=0)
-    for _, scheme in schemes(SumAggregate()):
+    for scheme in schemes(SumAggregate()):
         assert scheme.engine_path is None  # no block has run yet
     for forced, path in ((False, "fused"), (True, "object: forced by test")):
         scheme = SynopsisDiffusionScheme(deployment, rings, SumAggregate())

@@ -283,12 +283,21 @@ class TestGroupedRuns:
 
     def test_grouped_digest_differs_and_round_trips(self):
         plain = fast_config()
-        grouped = plain.replace(group_by="region:1")
+        grouped = plain.replace(query="SELECT count GROUP BY region:1")
         assert config_digest(plain) != config_digest(grouped)
         assert RunConfig.from_json(grouped.to_json()) == grouped
         assert grouped.to_jsonable() == dict(
-            plain.to_jsonable(), group_by="region:1"
+            plain.to_jsonable(), query="SELECT count GROUP BY region:1"
         )
+
+    def test_legacy_group_by_key_names_the_clause(self):
+        """The one spelling of grouping is the query's GROUP BY clause."""
+        payload = dict(fast_config().to_jsonable(), group_by="region:1")
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig.from_jsonable(payload)
+        assert "GROUP BY region:1" in str(err.value)
+        payload["group_by"] = None
+        assert RunConfig.from_jsonable(payload) == fast_config()
 
 
 # -- amortization ----------------------------------------------------------
@@ -373,10 +382,3 @@ class TestServiceGrouping:
         value = readings(3, 0)
         partial = workload.tree_local(3, 0, value)
         assert all(isinstance(cell, dict) for cell in partial)
-
-    def test_service_config_rejects_group_by_field(self):
-        from repro.service.engine import AggregationService
-
-        with pytest.raises(ConfigurationError) as err:
-            AggregationService(fast_config(group_by="region:1"))
-        assert "subscribe" in str(err.value)
