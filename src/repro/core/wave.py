@@ -21,16 +21,16 @@ count. TAG's layout is all T over its tree's levels, SD's all M over the
 rings, TD's whatever its graph says this block. Each scheme builds its
 layout and evaluates what reached the base station; :class:`LayoutWave`
 runs the rest — the fused kernel (:func:`repro.kernels.td.run_td_block`)
-when :func:`repro.kernels.td.refusal` lets it, else the object wave over
-locals built one vectorized pass per level, and under ``use_batch=False``
-the scalar oracle, one node and one draw at a time.
+when :func:`repro.kernels.td.refusal` lets it, else the object wave in the
+kernel's three stages (tributaries, one frontier conversion per block, the
+delta), and under ``use_batch=False`` the scalar oracle, one node and one
+draw at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import (
     AbstractSet,
     Dict,
@@ -187,6 +187,20 @@ def empty_outcome(aggregate: Aggregate, extra: Dict[str, object]) -> EpochOutcom
     return EpochOutcome(0.0, 0, 0.0, outcome_extra(aggregate, extra, empty=True))
 
 
+def _deliver_tree(
+    inbox_tree: Dict[NodeId, List[TreePayload]],
+    payload: TreePayload,
+    parent: NodeId,
+    epoch: int,
+    chaos,
+) -> None:
+    """Land a heard tree unicast in its parent's inbox (twice if replayed)."""
+    target = inbox_tree.setdefault(parent, [])
+    target.append(payload)
+    if chaos is not None and chaos.duplicate(payload.sender, parent, epoch):
+        target.append(payload)
+
+
 class LayoutWave:
     """The wave TAG, SD and TD share, and its three engines.
 
@@ -300,8 +314,8 @@ class LayoutWave:
         calling scheme module's binding of
         :func:`~repro.kernels.td.run_td_block`, looked up there on every
         call so that each scheme's name stays a tracing seam; the rest run
-        object waves over locals built in one vectorized pass per level up
-        front. Either way the per-epoch (outcome, log) pairs are
+        the object wave, staged block-wide by :meth:`_stage_block` and then
+        one delta per epoch. Either way the per-epoch (outcome, log) pairs are
         identical to looping the scheme's ``run_epoch``, which is what
         ``use_batch=False`` does.
         """
@@ -315,50 +329,132 @@ class LayoutWave:
         if reason is None:
             return kernel(self, layout, epoch_list, channel, readings)
         plan = channel.plan_epochs(layout.levels, epoch_list)
-        multipath = layout.multipath
-        level_m_nodes = []
-        level_t_nodes = []
-        for nodes in layout.level_nodes:
-            level_m_nodes.append([node for node in nodes if node in multipath])
-            level_t_nodes.append([node for node in nodes if node not in multipath])
-        local_blocks = []
-        for m_nodes, t_nodes in zip(level_m_nodes, level_t_nodes):
-            synopses_block = self._aggregate.synopsis_local_block(
-                m_nodes,
-                epoch_list,
-                [
-                    gather_readings(readings, m_nodes, epoch)
-                    for epoch in epoch_list
-                ],
-            )
-            sketches_block = self._contrib_sketches_block(m_nodes, epoch_list)
-            partials_block = self._aggregate.tree_local_block(
-                t_nodes,
-                epoch_list,
-                [
-                    gather_readings(readings, t_nodes, epoch)
-                    for epoch in epoch_list
-                ],
-            )
-            local_blocks.append((synopses_block, sketches_block, partials_block))
+        stages = self._stage_block(layout, epoch_list, channel, readings, plan)
         results: List[Tuple[EpochOutcome, TransmissionLog]] = []
         for column, epoch in enumerate(epoch_list):
             channel.reset_log()
-            locals_by_level = [
-                (
-                    dict(zip(m_nodes, synopses[column])),
-                    dict(zip(m_nodes, sketches[column])),
-                    dict(zip(t_nodes, partials[column])),
-                )
-                for m_nodes, t_nodes, (synopses, sketches, partials) in zip(
-                    level_m_nodes, level_t_nodes, local_blocks
-                )
-            ]
-            outcome = self._run_wave(
-                layout, epoch, channel, readings, locals_by_level, plan
-            )
+            # Each epoch's staged state is released as the delta consumes it.
+            staged, stages[column] = stages[column], None
+            outcome = self._run_wave(layout, epoch, channel, readings, staged, plan)
             results.append((outcome, channel.reset_log()))
         return results
+
+    def _stage_block(
+        self,
+        layout: WaveLayout,
+        epoch_list: List[int],
+        channel: Channel,
+        readings: ReadingFn,
+        plan: DeliveryPlan,
+    ) -> List[Tuple[Iterator, Iterator, Iterator, Dict, Iterator]]:
+        """The object wave's first two stages, in the fused kernel's order
+        (:func:`~repro.kernels.td.run_td_block`).
+
+        Locals are built once per block: one ``synopsis_local_block`` and one
+        contributing-sketch pass over every M node, one ``tree_local_block``
+        over every T node (each cell is a pure function of ``(node, epoch,
+        reading)``). Then:
+
+        1. **Tributaries.** Property 1 (no M -> T edge) means a tributary
+           never waits on the delta, so every epoch's T senders run first,
+           deepest level first, and their payloads land straight from the
+           plan's success table (chaos replays included). Nothing is billed:
+           the delta stage transmits these payloads.
+        2. **The frontier converts once.** Every payload delivered to a
+           non-base M node, in (epoch, level, node, inbox) order, goes
+           through ONE ``convert_block`` call and its count through one
+           ``counted_sketches`` call.
+
+        Returns per epoch the ``(synopses, count sketches, T payloads, tree
+        inboxes, conversions)`` that :meth:`_run_wave` consumes: iterators
+        in the order its wave visits the M nodes, the T nodes, and the M
+        nodes' tree inboxes.
+        """
+        aggregate = self._aggregate
+        multipath = layout.multipath
+        chaos = channel.chaos
+        nodes = [node for level in layout.level_nodes for node in level]
+        m_nodes = [node for node in nodes if node in multipath]
+        t_nodes = [node for node in nodes if node not in multipath]
+        synopses = aggregate.synopsis_local_block(
+            m_nodes,
+            epoch_list,
+            [gather_readings(readings, m_nodes, epoch) for epoch in epoch_list],
+        )
+        sketches = self._contrib_sketches_block(m_nodes, epoch_list)
+        partials = aggregate.tree_local_block(
+            t_nodes,
+            epoch_list,
+            [gather_readings(readings, t_nodes, epoch) for epoch in epoch_list],
+        )
+
+        # Per level: its T senders and their (epochs,) delivery flags. A tree
+        # unicast has exactly one planned pair, to its parent.
+        tributaries = []
+        for index, level in enumerate(layout.levels):
+            success, spans, _ = plan.level_table(channel, index, level)
+            tree = [i for i, item in enumerate(level) if item.sender not in multipath]
+            flags = success[[spans[i][0] for i in tree]].tolist()
+            tributaries.append([(level[i], row) for i, row in zip(tree, flags)])
+
+        stages = []
+        sizes = []
+        frontier: List[TreePayload] = []
+        frontier_epochs: List[int] = []
+        for column, epoch in enumerate(epoch_list):
+            # A merged local is garbage once its epoch's tributaries ran.
+            local = iter(partials[column])
+            partials[column] = None
+            payloads: List[TreePayload] = []
+            inbox_tree: Dict[NodeId, List[TreePayload]] = {}
+            for level in tributaries:
+                for item, delivered in level:
+                    payload = self._prepare_tree_node(
+                        item.sender, epoch, readings, inbox_tree, next(local)
+                    )
+                    payloads.append(payload)
+                    if delivered[column]:
+                        _deliver_tree(
+                            inbox_tree, payload, item.receivers[0], epoch, chaos
+                        )
+            received = [
+                payload for node in m_nodes for payload in inbox_tree.get(node, ())
+            ]
+            frontier.extend(received)
+            frontier_epochs.extend([epoch] * len(received))
+            sizes.append(len(received))
+            stages.append(
+                (
+                    iter(synopses[column]),
+                    iter(sketches[column]),
+                    iter(payloads),
+                    inbox_tree,
+                )
+            )
+
+        synopses_conv = counts_conv = [None] * len(frontier)
+        if frontier:
+            senders = [payload.sender for payload in frontier]
+            synopses_conv = aggregate.convert_block(
+                [payload.partial for payload in frontier], senders, frontier_epochs
+            )
+            if not aggregate.synopsis_counts_contributors():
+                counts_conv = counted_sketches(
+                    self._count_bitmaps,
+                    DEFAULT_BITS,
+                    ("contrib-conv",),
+                    [payload.count for payload in frontier],
+                    senders,
+                    frontier_epochs,
+                )
+        start = 0
+        for column, size in enumerate(sizes):
+            stop = start + size
+            stages[column] += (
+                zip(synopses_conv[start:stop], counts_conv[start:stop]),
+            )
+            start = stop
+        return stages
 
     # -- one epoch ---------------------------------------------------------
 
@@ -368,47 +464,46 @@ class LayoutWave:
         epoch: int,
         channel: Channel,
         readings: ReadingFn,
-        locals_by_level: Optional[List[Tuple[Dict, Dict, Dict]]],
+        staged: Optional[Tuple[Iterator, Iterator, Iterator, Dict, Iterator]],
         plan: Optional[DeliveryPlan],
     ) -> EpochOutcome:
+        """One epoch's wave: the scalar oracle, or the object wave's delta.
+
+        ``staged`` is None for the oracle, which computes and delivers every
+        payload node by node. Otherwise it is one epoch of
+        :meth:`_stage_block`: T senders transmit the payloads stage 1 built
+        and already delivered, and M nodes fuse their precomputed locals and
+        consume the block's conversions in order.
+        """
         multipath = layout.multipath
-        inbox_tree: Dict[NodeId, List[TreePayload]] = {}
+        scalar = staged is None
+        if scalar:
+            inbox_tree: Dict[NodeId, List[TreePayload]] = {}
+            converted = None
+        else:
+            synopses, count_sketches, tree_payloads, inbox_tree, converted = staged
         inbox_syn: Dict[NodeId, List[MultipathPayload]] = {}
+        chaos = channel.chaos
 
         for index, level in enumerate(layout.levels):
-            # The engine hands the whole level's precomputed locals in (tree
-            # links point one ring up, so nothing in this level feeds
-            # anything else in it — level-synchronous batching is exact);
-            # the scalar wave finds nothing here and computes per node.
-            scalar = locals_by_level is None
-            synopses, count_sketches, tree_partials = (
-                ({}, {}, {}) if scalar else locals_by_level[index]
-            )
-
-            converted = (
-                None
-                if scalar
-                else self._convert_level(
-                    layout, layout.level_nodes[index], epoch, inbox_tree
-                )
-            )
             outgoing: List[Tuple[bool, object]] = []
             for item in level:
                 node = item.sender
                 if node not in multipath:
-                    payload = self._prepare_tree_node(
-                        node,
-                        epoch,
-                        readings,
-                        inbox_tree,
-                        tree_partials.get(node),
-                    )
+                    if scalar:
+                        payload = self._prepare_tree_node(
+                            node, epoch, readings, inbox_tree
+                        )
+                    else:
+                        payload = next(tree_payloads)
                     outgoing.append((True, payload))
                 else:
                     if scalar:
+                        synopsis = None
                         count_sketch = self._contrib_sketch(node, epoch)
                     else:
-                        count_sketch = count_sketches.get(node)
+                        synopsis = next(synopses)
+                        count_sketch = next(count_sketches)
                     payload = self._prepare_multipath_node(
                         layout,
                         node,
@@ -416,7 +511,7 @@ class LayoutWave:
                         readings,
                         inbox_tree,
                         inbox_syn,
-                        synopses.get(node),
+                        synopsis,
                         count_sketch,
                         converted,
                     )
@@ -424,26 +519,22 @@ class LayoutWave:
             transmissions = self._level_transmissions(level, outgoing)
 
             if plan is not None:
+                # Stage 1 validated every level against the plan.
                 heard_lists = channel.transmit_epochs(
-                    transmissions, epoch, plan, index
+                    transmissions, epoch, plan, index, checked=True
                 )
             else:
                 heard_lists = transmit_sequential(channel, transmissions, epoch)
 
-            chaos = channel.chaos
             for item, (is_tree, payload), heard in zip(
                 level, outgoing, heard_lists
             ):
                 node = item.sender
                 if is_tree:
-                    if heard:
-                        parent = item.receivers[0]
-                        target = inbox_tree.setdefault(parent, [])
-                        target.append(payload)
-                        if chaos is not None and chaos.duplicate(
-                            node, parent, epoch
-                        ):
-                            target.append(payload)
+                    if heard and scalar:
+                        _deliver_tree(
+                            inbox_tree, payload, item.receivers[0], epoch, chaos
+                        )
                 else:
                     for receiver in heard:
                         # T receivers ignore M broadcasts (edge correctness,
@@ -463,49 +554,6 @@ class LayoutWave:
                                 target.append(delivered)
         return self._fold_base_station(
             layout, epoch, channel.chaos, inbox_tree, inbox_syn
-        )
-
-    def _convert_level(
-        self,
-        layout: WaveLayout,
-        nodes: Sequence[NodeId],
-        epoch: int,
-        inbox_tree: Dict,
-    ) -> Iterator[Tuple[object, Optional[FMSketch]]]:
-        """One level's T -> M conversions, batched (the engine's wave).
-
-        Every tree payload waiting at one of the level's M nodes — node
-        order, then inbox order, chaos duplicates included — goes through
-        ONE ``convert_block`` call, its contributing count through one
-        ``counted_sketches`` call: the ``(synopsis, count sketch)`` pairs
-        :meth:`_prepare_multipath_node` consumes, in its order, each equal
-        to the scalar wave's ``convert`` / :meth:`_count_convert`.
-        """
-        received = [
-            payload
-            for node in nodes
-            if node in inbox_tree and node in layout.multipath
-            for payload in inbox_tree[node]
-        ]
-        if not received:
-            return iter(())
-        aggregate = self._aggregate
-        senders = [payload.sender for payload in received]
-        epochs = [epoch] * len(received)
-        partials = [payload.partial for payload in received]
-        counts = [payload.count for payload in received]
-        return zip(
-            aggregate.convert_block(partials, senders, epochs),
-            repeat(None)
-            if aggregate.synopsis_counts_contributors()
-            else counted_sketches(
-                self._count_bitmaps,
-                DEFAULT_BITS,
-                ("contrib-conv",),
-                counts,
-                senders,
-                epochs,
-            ),
         )
 
     def _prepare_tree_node(
@@ -554,7 +602,7 @@ class LayoutWave:
 
         for received in inbox_tree.pop(node, ()):
             if converted is not None:
-                # The engine batched this level (:meth:`_convert_level`).
+                # The block's one frontier conversion (:meth:`_stage_block`).
                 tree_synopsis, tree_count = next(converted)
             else:
                 tree_synopsis = aggregate.convert(

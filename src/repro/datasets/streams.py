@@ -40,6 +40,23 @@ from repro.network.placement import NodeId
 BLOCK_CHUNK_CELLS = 1 << 16
 
 
+def _empty_block(nodes: Sequence[NodeId], epochs: Sequence[int]):
+    """An unfilled float64 ``(epochs, nodes)`` block and the int64 node column."""
+    node_column = np.asarray(nodes, dtype=np.int64)
+    return np.empty((len(epochs), len(node_column)), dtype=np.float64), node_column
+
+
+def _row_chunks(out: np.ndarray, epochs: Sequence[int]):
+    """``(epoch column, view of out)`` over runs of whole rows of ``out``,
+    each under :data:`BLOCK_CHUNK_CELLS` cells (one row at least)."""
+    if out.size == 0:
+        return
+    epoch_column = np.asarray(epochs, dtype=np.int64)
+    step = max(1, BLOCK_CHUNK_CELLS // out.shape[1])
+    for start in range(0, len(epoch_column), step):
+        yield epoch_column[start : start + step], out[start : start + step]
+
+
 class ConstantReadings:
     """Every sensor reads ``value`` at every epoch."""
 
@@ -95,23 +112,16 @@ class UniformReadings:
         ``int()`` on a non-negative value, and ``low + k`` is exact in
         float64 at any reading magnitude a sensor reports.
         """
-        node_column = np.asarray(nodes, dtype=np.int64)
-        epoch_column = np.asarray(epochs, dtype=np.int64)
-        width = len(node_column)
-        out = np.empty((len(epoch_column), width), dtype=np.float64)
-        if out.size == 0:
-            return out
         span = self.high - self.low + 1
         prefix = hash_key("uniform-reading", self.seed)
-        step = max(1, BLOCK_CHUNK_CELLS // width)
-        for start in range(0, len(epoch_column), step):
-            rows = epoch_column[start:start + step]
+        out, node_column = _empty_block(nodes, epochs)
+        for rows, chunk in _row_chunks(out, epochs):
             draws = hash_unit_batch(
-                prefix, np.tile(node_column, len(rows)), np.repeat(rows, width)
+                prefix,
+                np.tile(node_column, len(rows)),
+                np.repeat(rows, len(node_column)),
             )
-            out[start:start + step] = (
-                self.low + np.floor(draws * span)
-            ).reshape(len(rows), width)
+            chunk[:] = (self.low + np.floor(draws * span)).reshape(chunk.shape)
         return out
 
 
@@ -149,6 +159,42 @@ class DiurnalLightReadings:
         wobble = (hash_unit("light-noise", self.seed, node, epoch) - 0.5) * 2.0
         level += wobble * self.noise
         return float(max(0, int(round(level))))
+
+    def batch(self, nodes: Sequence[NodeId], epoch: int) -> List[float]:
+        """One epoch's readings for many nodes: a one-row :meth:`block`."""
+        return self.block(nodes, (epoch,))[0].tolist()
+
+    def block(self, nodes: Sequence[NodeId], epochs: Sequence[int]) -> np.ndarray:
+        """Readings as a float64 ``(epochs, nodes)`` matrix.
+
+        Cell ``[j][i]`` equals ``self(nodes[i], epochs[j])`` bit for bit: the
+        phase and noise hashes are the batch helper's exact twins, every
+        float operation is the scalar one in the same order, ``sin`` is
+        ``math.sin`` per cell (numpy's may differ in the last ulp),
+        ``np.rint`` rounds half to even like ``round``, and the clip at zero
+        yields ``+0.0`` where ``max(0, ...)`` does.
+        """
+        out, node_column = _empty_block(nodes, epochs)
+        phases = 0.5 * hash_unit_batch(("light-phase", self.seed), node_column)
+        noise = hash_key("light-noise", self.seed)
+        period = self.period
+        for rows, chunk in _row_chunks(out, epochs):
+            angles = np.array(
+                [2.0 * math.pi * (epoch % period) / period for epoch in rows.tolist()]
+            )
+            cells = (angles[:, None] + phases).ravel().tolist()
+            sines = np.fromiter(map(math.sin, cells), np.float64, len(cells))
+            wobble = (
+                hash_unit_batch(
+                    noise,
+                    np.tile(node_column, len(rows)),
+                    np.repeat(rows, len(node_column)),
+                )
+                - 0.5
+            ) * 2.0
+            level = np.rint(self.base + self.amplitude * sines + wobble * self.noise)
+            chunk[:] = np.where(level > 0.0, level, 0.0).reshape(chunk.shape)
+        return out
 
 
 class ZipfItemStream:

@@ -34,13 +34,12 @@ with no changes here.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
 from repro.errors import ConfigurationError
-from repro.network.simulator import ReadingFn, gather_readings
+from repro.network.simulator import ReadingFn, gather_reading_block
 from repro.registry import AGGREGATES, REGIONS, build_aggregate, build_regions
 from repro.spatial.grouped import apply_grouping
 from repro.spatial.regions import parse_region_spec
@@ -79,17 +78,12 @@ class WindowedReadings:
     ``max(0, e - size + 1) .. e`` — early epochs use the available prefix,
     so the window "fills up" like a real deployment's would.
 
-    Each node keeps a rolling deque of its window, so the epoch-advancing
-    access pattern every scheme produces costs O(1) amortised source
-    evaluations per call (one new reading per node per epoch; repeated
-    queries at the same epoch are served from the cached reduction) instead
-    of re-evaluating the whole window. Results are *identical* to the naive
-    re-reduction — the deque holds the same values in the same order and
-    the reduction arithmetic is unchanged (pinned by
-    ``tests/test_query.py``). Sources are pure functions of
-    ``(node, epoch)`` — the workload contract — so caching their values is
-    observationally free; random access (backward jumps, gaps wider than
-    the window) falls back to rebuilding that node's window.
+    Sources are pure functions of ``(node, epoch)`` — the workload contract
+    — so windows hold no values: every :meth:`batch` reads its nodes'
+    windows as ONE source block and reduces each node's slice, whatever
+    order epochs are asked in (the engine, ground truth and admission
+    probes all read the same epoch at different times). The only state is
+    where each node's stream segment starts (churn).
     """
 
     def __init__(
@@ -106,8 +100,6 @@ class WindowedReadings:
         self.size = size
         self.op = op
         self._reduce = _WINDOW_OPS[op]
-        #: node -> (epoch, window values oldest-first, reduced value)
-        self._windows: Dict[int, Tuple[int, Deque[float], float]] = {}
         #: node -> first epoch of the node's current stream segment. A node
         #: whose stream was interrupted by churn (died, then rejoined)
         #: restarts its window here: readings "sensed" while it was down
@@ -115,95 +107,46 @@ class WindowedReadings:
         self._segment_starts: Dict[int, int] = {}
 
     def __call__(self, node: int, epoch: int) -> float:
-        state = self._windows.get(node)
-        if state is not None and state[0] == epoch:
-            return state[2]
-        if state is not None and state[0] < epoch < state[0] + self.size:
-            # Incremental fill: safe because churn events drop the node's
-            # cached state, so a surviving buffer always belongs to the
-            # node's current stream segment.
-            buffer = state[1]
-            for e in range(state[0] + 1, epoch + 1):
-                buffer.append(self._source(node, e))
-            if len(buffer) > epoch - self._segment_starts.get(node, 0) + 1:
-                # The window would reach past the segment start (possible
-                # only for the first few epochs after a rejoin): rebuild.
-                buffer = None
-        else:
-            buffer = None
-        if buffer is None:
-            start = max(
-                0, epoch - self.size + 1, self._segment_starts.get(node, 0)
-            )
-            buffer = deque(
-                (self._source(node, e) for e in range(start, epoch + 1)),
-                maxlen=self.size,
-            )
-        value = self._reduce(buffer)
-        self._windows[node] = (epoch, buffer, value)
-        return value
+        return self.batch([node], epoch)[0]
 
     def batch(self, nodes: Sequence[int], epoch: int) -> List[float]:
         """One epoch's windowed values for many nodes.
 
-        In the steady state of an epoch-advancing run — every node's cached
-        window ends at ``epoch - 1`` and the advanced window stays inside
-        the node's stream segment — the one new reading per node comes from
-        a single ``source.batch`` row and is appended exactly as
-        :meth:`__call__` would. Any other state (first epoch, repeated or
-        backward access, a gap, a fresh rejoin) is :meth:`__call__`'s.
+        One ``gather_reading_block`` over the widest window, ``max(0, epoch
+        - size + 1) .. epoch``; node ``i`` then reduces its column from
+        ``max(that start, its segment start)`` on, oldest first.
         """
-        windows = self._windows
+        low = max(0, epoch - self.size + 1)
+        columns = gather_reading_block(
+            self._source, nodes, range(low, epoch + 1)
+        ).T.tolist()
         starts = self._segment_starts
-        states = [windows.get(node) for node in nodes]
-        for node, state in zip(nodes, states):
-            if (
-                state is None
-                or state[0] != epoch - 1
-                or min(len(state[1]) + 1, self.size)
-                > epoch - starts.get(node, 0) + 1
-            ):
-                return [self(node, epoch) for node in nodes]
-        values = []
-        fresh = gather_readings(self._source, nodes, epoch)
-        for node, state, reading in zip(nodes, states, fresh):
-            buffer = state[1]
-            buffer.append(reading)
-            value = self._reduce(buffer)
-            windows[node] = (epoch, buffer, value)
-            values.append(value)
-        return values
+        reduce = self._reduce
+        return [
+            reduce(column[max(0, starts.get(node, 0) - low) :])
+            for node, column in zip(nodes, columns)
+        ]
 
     def on_membership_change(self, update) -> None:
-        """Churn hook: interrupted streams drop state and restart windows.
+        """Churn hook: a rejoining node's window restarts at its rejoin.
 
-        A node that dies mid-window must stop contributing stale windowed
-        values: its cached window is discarded at the death boundary, and
-        if it later rejoins (a blackout lifting) its window restarts at the
-        rejoin epoch instead of spanning readings it never sensed. The
-        simulator forwards every applied
-        :class:`~repro.network.churn.MembershipUpdate` here when the
-        workload exposes this hook; no-churn runs never call it, so their
-        values are untouched.
+        A node that rejoins (a blackout lifting) must not span readings it
+        never sensed, so its window starts at the rejoin epoch. A death
+        needs nothing: no window is cached. The simulator forwards every
+        applied :class:`~repro.network.churn.MembershipUpdate` here when
+        the workload exposes this hook; no-churn runs never call it, so
+        their values are untouched.
         """
-        for node in update.died:
-            self._windows.pop(node, None)
         for node in update.joined:
-            self._windows.pop(node, None)
             self._segment_starts[node] = update.epoch
 
     def checkpoint_state(self) -> Dict[str, int]:
-        """Checkpoint hook: the segment starts are the only real state.
-
-        The window cache is a pure function of (source, segment starts) and
-        rebuilds on demand, so a resumed run that restores the segment
-        starts produces byte-identical windowed values.
-        """
+        """Checkpoint hook: the segment starts are the only state, so a
+        resumed run that restores them reads byte-identical windows."""
         return {str(node): start for node, start in self._segment_starts.items()}
 
     def restore_state(self, state: Dict[str, int]) -> None:
-        """Inverse of :meth:`checkpoint_state` (drops any cached windows)."""
-        self._windows.clear()
+        """Inverse of :meth:`checkpoint_state`."""
         self._segment_starts = {
             int(node): start for node, start in state.items()
         }

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError
+from repro.network.simulator import gather_readings
 
 
 class AdmissionError(ConfigurationError):
@@ -100,11 +101,11 @@ class AdmissionController:
         aggregate, readings = query.build(
             self._source, deployment=self._deployment
         )
+        nodes = list(range(1, self._probe_nodes + 1))
         worst = 1
-        for node in range(1, self._probe_nodes + 1):
-            for offset in range(self._probe_epochs):
-                epoch = self._start_epoch + offset
-                value = readings(node, epoch)
+        for offset in range(self._probe_epochs):
+            epoch = self._start_epoch + offset
+            for node, value in zip(nodes, gather_readings(readings, nodes, epoch)):
                 synopsis = aggregate.synopsis_local(node, epoch, value)
                 partial = aggregate.tree_local(node, epoch, value)
                 worst = max(

@@ -297,30 +297,46 @@ def _workload():
     )
 
 
-def test_workload_batch_asks_each_distinct_source_once(monkeypatch):
+def test_workload_batch_asks_each_distinct_source_once():
     """Three of the four slots read the same source object: one batch call
-    serves them, and every tuple is still the per-slot scalar values."""
+    serves them, the window reads one block of its own, no slot reads a
+    single cell, and every tuple is still the per-slot scalar values."""
     calls = []
-    batch = UniformReadings.batch
+    batch, block = UniformReadings.batch, UniformReadings.block
+    # ``batch`` is a one-row ``block``; only the blocks read outside it count.
+    inside_batch = []
 
-    def spy(self, nodes, epoch):
-        calls.append(self)
-        return batch(self, nodes, epoch)
+    def batch_spy(self, nodes, epoch):
+        calls.append(("batch", self))
+        inside_batch.append(True)
+        try:
+            return batch(self, nodes, epoch)
+        finally:
+            inside_batch.pop()
 
-    monkeypatch.setattr(UniformReadings, "batch", spy)
+    def block_spy(self, nodes, epochs):
+        if not inside_batch:
+            calls.append(("block", self))
+        return block(self, nodes, epochs)
+
+    def scalar_spy(self, node, epoch):
+        raise AssertionError("a workload slot read one cell")
+
     _, readings = _workload()
     twin = UniformReadings(10, 100, seed=5)  # equal, but another object
     readings.add_component(twin)
     nodes = [3, 8, 1, 20]
-    for epoch in (0, 1, 2):
-        del calls[:]
-        assert readings.batch(nodes, epoch) == [
-            readings(node, epoch) for node in nodes
-        ]
-        # Once for the shared source, once for its twin; the window asks
-        # the source itself, only in its steady state (from epoch 1 on).
-        assert [source is twin for source in calls].count(True) == 1
-        assert len(calls) == (2 if epoch == 0 else 3)
+    for epoch in (0, 1, 2, 7, 3):
+        expected = [readings(node, epoch) for node in nodes]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(UniformReadings, "batch", batch_spy)
+            patch.setattr(UniformReadings, "block", block_spy)
+            patch.setattr(UniformReadings, "__call__", scalar_spy)
+            del calls[:]
+            assert readings.batch(nodes, epoch) == expected
+        # Once for the shared source, once for its twin, and one block for
+        # the window, in any access order.
+        assert calls == [("batch", _SOURCE), ("block", _SOURCE), ("batch", twin)]
 
 
 #: label -> ``() -> (aggregate, reading function)``: every registered

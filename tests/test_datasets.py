@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.labdata import LAB_SENSORS, LabDataScenario
+from repro.datasets.streams import DiurnalLightReadings
 from repro.datasets.synthetic import (
     density_sweep_deployment,
     grid_jitter_placement,
@@ -49,6 +52,57 @@ class TestLabData:
         b = LabDataScenario.build()
         assert a.deployment.positions == b.deployment.positions
         assert a.base_loss == b.base_loss
+
+
+def _hex_rows(rows):
+    """Float cells as ``float.hex`` strings: bit equality, signed zeros too."""
+    return [[float.hex(value) for value in row] for row in rows]
+
+
+class TestDiurnalBlock:
+    """``DiurnalLightReadings.block`` is its ``__call__``, cell for cell."""
+
+    #: (base, amplitude, period, noise): the default cycle, one that clips
+    #: at zero, integer parameters, and levels sitting on half-integers and
+    #: just below zero (round-half-even, no ``-0.0``).
+    shapes = [
+        (250.0, 180.0, 288, 25.0),
+        (0.0, 30.0, 7, 40.0),
+        (5, 3, 1, 2),
+        (2.5, 0.0, 3, 0.0),
+        (-0.4, 0.0, 3, 0.0),
+    ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**40),
+        nodes=st.lists(st.integers(min_value=0, max_value=10**6), max_size=30),
+        epochs=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+        shape=st.sampled_from(shapes),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_is_per_cell_calls(self, seed, nodes, epochs, shape):
+        source = DiurnalLightReadings(*shape, seed=seed)
+        block = source.block(nodes, epochs)
+        assert block.dtype == "float64"
+        assert block.shape == (len(epochs), len(nodes))
+        expected = [[source(node, epoch) for node in nodes] for epoch in epochs]
+        assert _hex_rows(block.tolist()) == _hex_rows(expected)
+        for epoch, row in zip(epochs[:2], expected):
+            batch = source.batch(nodes, epoch)
+            assert _hex_rows([batch]) == _hex_rows([row])
+            assert all(type(value) is float for value in batch)
+
+    def test_block_chunking_is_invisible(self, monkeypatch):
+        import repro.datasets.streams as streams
+
+        source = DiurnalLightReadings(seed=5)
+        nodes, epochs = list(range(1, 38)), list(range(280, 291))
+        whole = source.block(nodes, epochs)
+        for cells in (1, 36, 37, 38, 100):
+            monkeypatch.setattr(streams, "BLOCK_CHUNK_CELLS", cells)
+            assert _hex_rows(source.block(nodes, epochs).tolist()) == _hex_rows(
+                whole.tolist()
+            )
 
 
 class TestSynthetic:

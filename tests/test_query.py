@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,11 +68,11 @@ class TestWindowedReadings:
         assert 0.0 <= window(5, epoch) < 10.0
 
     @staticmethod
-    def _naive(size, op, node, epoch):
-        """The pre-deque reference: re-reduce the whole window."""
+    def _naive(size, op, node, epoch, segment_start=0):
+        """The reference: re-reduce the whole window, one cell at a time."""
         from repro.query import _WINDOW_OPS
 
-        start = max(0, epoch - size + 1)
+        start = max(0, epoch - size + 1, segment_start)
         values = [sawtooth(node, e) for e in range(start, epoch + 1)]
         return _WINDOW_OPS[op](values)
 
@@ -92,26 +93,68 @@ class TestWindowedReadings:
         epochs=st.lists(
             st.integers(min_value=0, max_value=25), min_size=1, max_size=30
         ),
+        churn_at=st.integers(min_value=0, max_value=30),
+        rejoin=st.integers(min_value=0, max_value=25),
     )
     @settings(max_examples=40, deadline=None)
-    def test_rolling_deque_identical_under_random_access(self, size, epochs):
+    def test_rolling_deque_identical_under_random_access(
+        self, size, epochs, churn_at, rejoin
+    ):
+        """Random access, with node 3 dying and rejoining at ``rejoin``
+        part-way through: every value is the naive reduction over the
+        node's current segment, and node 4 never notices."""
+        from types import SimpleNamespace
+
         window = WindowedReadings(sawtooth, size=size, op="MEAN")
-        for epoch in epochs:
-            assert window(3, epoch) == self._naive(size, "MEAN", 3, epoch)
+        segment = 0
+        for index, epoch in enumerate(epochs):
+            if index == churn_at:
+                for died, joined in (([3], []), ([], [3])):
+                    window.on_membership_change(
+                        SimpleNamespace(died=died, joined=joined, epoch=rejoin)
+                    )
+                segment = rejoin
+            # A rejoined node is read from its rejoin epoch on.
+            epoch = max(epoch, segment)
+            assert window.batch([3, 4], epoch) == [
+                self._naive(size, "MEAN", 3, epoch, segment),
+                self._naive(size, "MEAN", 4, epoch),
+            ]
+            assert window(3, epoch) == self._naive(size, "MEAN", 3, epoch, segment)
+
+    @staticmethod
+    def _spied_source():
+        """A block-capable source logging its ``block`` and ``__call__`` reads."""
+        blocks, cells = [], []
+
+        class Source:
+            def __call__(self, node, epoch):
+                cells.append((node, epoch))
+                return sawtooth(node, epoch)
+
+            def block(self, nodes, epochs):
+                blocks.append((tuple(nodes), tuple(epochs)))
+                return np.array(
+                    [[sawtooth(node, epoch) for node in nodes] for epoch in epochs],
+                    dtype=np.float64,
+                ).reshape(len(epochs), len(nodes))
+
+        return Source(), blocks, cells
 
     def test_rolling_is_constant_source_calls_per_epoch(self):
-        calls = []
-
-        def counting(node, epoch):
-            calls.append((node, epoch))
-            return sawtooth(node, epoch)
-
-        window = WindowedReadings(counting, size=10, op="SUM")
+        """A scalar window read is one source block over its window and no
+        per-cell call, repeated or not."""
+        source, blocks, cells = self._spied_source()
+        window = WindowedReadings(source, size=10, op="SUM")
         for epoch in range(50):
             window(2, epoch)
-            window(2, epoch)  # same-epoch re-query: served from cache
-        # One new source reading per epoch, not one window per call.
-        assert len(calls) == 50
+            window(2, epoch)
+        assert cells == []
+        assert blocks == [
+            ((2,), tuple(range(max(0, epoch - 9), epoch + 1)))
+            for epoch in range(50)
+            for _ in range(2)
+        ]
 
     @pytest.mark.parametrize("op", ["MEAN", "SUM", "MIN", "MAX", "LAST"])
     def test_batch_identical_to_per_node_calls(self, op):
@@ -128,32 +171,25 @@ class TestWindowedReadings:
             for epoch in pattern:
                 expected = [scalar(node, epoch) for node in nodes]
                 assert batched.batch(nodes, epoch) == expected, (op, epoch)
-                # A partly advanced level falls back node by node.
+                # Another node set at the same epoch.
                 assert batched.batch([2, 77], epoch) == [
                     scalar(2, epoch), scalar(77, epoch)
                 ]
-            assert batched._windows == scalar._windows
 
     def test_batch_steady_state_reads_one_source_row_per_epoch(self):
-        rows, cells = [], []
-
-        class Source:
-            def __call__(self, node, epoch):
-                cells.append((node, epoch))
-                return sawtooth(node, epoch)
-
-            def batch(self, nodes, epoch):
-                rows.append((tuple(nodes), epoch))
-                return [sawtooth(node, epoch) for node in nodes]
-
-        window = WindowedReadings(Source(), size=3, op="MEAN")
+        """Every ``batch`` is exactly one source block over the window, in
+        any access order, and never a per-cell call."""
+        source, blocks, cells = self._spied_source()
+        window = WindowedReadings(source, size=3, op="MEAN")
         nodes = [4, 5, 6]
-        for epoch in range(6):
+        pattern = [0, 1, 1, 2, 5, 3, 9]
+        for epoch in pattern:
             window.batch(nodes, epoch)
-            window.batch(nodes, epoch)  # same-epoch re-query: cached
-        # Epoch 0 builds the windows per node; every later epoch is one row.
-        assert cells == [(node, 0) for node in nodes]
-        assert rows == [(tuple(nodes), epoch) for epoch in range(1, 6)]
+        assert cells == []
+        assert blocks == [
+            (tuple(nodes), tuple(range(max(0, epoch - 2), epoch + 1)))
+            for epoch in pattern
+        ]
 
     def test_batch_respects_churn_segments(self):
         from types import SimpleNamespace

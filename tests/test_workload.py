@@ -20,6 +20,9 @@ The load-bearing suites:
 * :class:`TestBlockedEquivalence` — the epoch-blocked engine and the
   per-epoch loop agree per query on a multi-query workload (one
   ``DeliveryPlan`` serves all queries).
+* :class:`TestStagedObjectWave` — the object wave's three stages (every
+  tributary, one frontier conversion per block, the delta) equal the
+  scalar oracle byte for byte, with and without faults.
 * :class:`TestWindowChurn` — the regression suite for windowed streams
   under churn: a node that dies mid-window stops contributing, and a
   rejoining node's window restarts instead of spanning readings it never
@@ -40,12 +43,16 @@ from repro.api import (
     RunConfig,
     RunReport,
     Session,
+    build_scenario,
     config_digest,
     describe_experiment,
     run_config_result,
     split_workload_result,
 )
 from repro.aggregates.workload import WorkloadAggregate
+from repro.core.adaptation import TDFinePolicy
+from repro.core.graph import TDGraph, initial_modes_by_level
+from repro.core.td_scheme import TributaryDeltaScheme
 from repro.errors import ConfigurationError
 from repro.multipath.fm import _EXACT_INSERT_LIMIT, FMSketch
 from repro.query import WindowedReadings, parse_queries, parse_query
@@ -489,6 +496,98 @@ class TestBlockedEquivalence:
         assert any(count <= _EXACT_INSERT_LIMIT for count in counts)
 
 
+class TestStagedObjectWave:
+    """The object wave runs a block in the fused kernel's order — every
+    tributary, ONE frontier conversion, then the delta epoch by epoch — and
+    still equals the scalar oracle byte for byte."""
+
+    QUERIES = PORTFOLIO[:3] + (
+        {"name": "heavy", "aggregate": "heavy_hitters:0.05"},
+    )
+
+    @staticmethod
+    def _run(config, monkeypatch):
+        """Records, per-node bills, engine paths, and per conversion method
+        the index of the measured block each call ran in."""
+        workload = QueryWorkload.from_config(config)
+        scenario = build_scenario(config)
+        aggregate, readings = workload.build(scenario.source)
+        rings = scenario.topology.rings
+        # Rings 0-1 start M, so even a loss-free run (whose adaptation only
+        # shrinks the delta) has tributaries to convert in every block.
+        scheme = TributaryDeltaScheme(
+            scenario.topology.deployment,
+            TDGraph(rings, scenario.tree, initial_modes_by_level(rings, 1)),
+            aggregate,
+            policy=TDFinePolicy(threshold=0.9),
+            use_batch=config.use_batch,
+        )
+        blocks = []
+        converts = {"convert": [], "convert_block": []}
+        run_epochs = TributaryDeltaScheme.run_epochs
+
+        def run_spy(self, epochs, channel, readings):
+            pairs = run_epochs(self, epochs, channel, readings)
+            blocks.append(self.engine_path)
+            return pairs
+
+        def conversion_spy(name):
+            method = getattr(WorkloadAggregate, name)
+
+            def spy(self, *args):
+                converts[name].append(len(blocks))
+                return method(self, *args)
+
+            return spy
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TributaryDeltaScheme, "run_epochs", run_spy)
+            for name in converts:
+                patch.setattr(WorkloadAggregate, name, conversion_spy(name))
+            simulator = scenario.build_simulator(scheme)
+            result = simulator.run(config.epochs, readings)
+        records = repr(
+            [
+                (e.epoch, e.estimate, e.true_value, e.contributing,
+                 e.contributing_estimate, e.log, sorted(e.extra.items()))
+                for e in result.epochs
+            ]
+        )
+        channel = simulator.channel
+        bills = (channel.per_node_words(), channel.per_node_messages())
+        return records, bills, blocks, converts
+
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "faults",
+        [(), ("duplicate:0.3:3",), ("corrupt:0.2:3",),
+         ("duplicate:0.3:3", "corrupt:0.2:3")],
+    )
+    def test_object_wave_equals_oracle(self, monkeypatch, loss, faults):
+        config = workload_config(
+            "TD",
+            queries=self.QUERIES,
+            failure=f"global:{loss}",
+            epochs=12,
+            adapt_interval=5,
+            faults=list(faults),
+        )
+        records, bills, blocks, converts = self._run(config, monkeypatch)
+        oracle = self._run(config.replace(use_batch=False), monkeypatch)
+        assert records == oracle[0]
+        assert bills == oracle[1]
+        assert "'missing_stats'" in records
+        # Blocks of 5, 5 and 2 epochs, all on the object wave. Every block
+        # in which the oracle converted any tree payload converts them all
+        # in ONE convert_block call; the oracle never batches.
+        assert len(blocks) == 3
+        assert all(path.startswith("object: ") for path in blocks)
+        assert converts["convert"] == []
+        assert oracle[3]["convert_block"] == []
+        assert converts["convert_block"] == sorted(set(oracle[3]["convert"]))
+        assert converts["convert_block"]
+
+
 class TestMultiTargetQuery:
     """``SELECT a, b, ...`` one-liners expand into workloads."""
 
@@ -627,12 +726,13 @@ class TestWindowChurn:
         return update
 
     def test_death_drops_cached_window(self):
+        """Windows cache nothing, so a death leaves no state behind."""
         source = lambda node, epoch: float(epoch)
         window = WindowedReadings(source, 5)
         for epoch in range(10, 14):
             window(7, epoch)
         window.on_membership_change(self._update(died=[7]))
-        assert 7 not in window._windows
+        assert window.checkpoint_state() == {}
 
     def test_rejoin_restarts_window(self):
         source = lambda node, epoch: float(epoch)
