@@ -210,8 +210,7 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         n0 = sum(partial.values())
         if n0 == 0:
             return None
-        klass = int(math.floor(math.log2(n0))) if n0 > 1 else 0
-        cutoff = klass * n0 * self.epsilon / self._engine.log_n
+        klass, cutoff = self._engine.class_rule(n0)
         kept = [pair for pair in sorted(partial.items()) if pair[1] > cutoff]
         return n0, klass, kept
 

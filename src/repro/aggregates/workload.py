@@ -92,6 +92,20 @@ class WorkloadReadings:
             if callable(hook):
                 hook(update)
 
+    def checkpoint_state(self) -> Dict[str, object]:
+        """Checkpoint hook: each stateful slot's state, keyed by slot index."""
+        return {
+            str(index): fn.checkpoint_state()
+            for index, fn in enumerate(self._components)
+            if callable(getattr(fn, "checkpoint_state", None))
+        }
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        for index, fn in enumerate(self._components):
+            if str(index) in state:
+                fn.restore_state(state[str(index)])
+
     # -- dynamic membership (the aggregation service mutates between
     # blocks; see WorkloadAggregate.add_slot for the safety contract) ------
 

@@ -11,7 +11,7 @@ Figure 2 shows, at the cost of the synopsis approximation error (~12% for
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
 from repro.core.wave import (
@@ -24,7 +24,6 @@ from repro.core.wave import (
 from repro.errors import ConfigurationError
 from repro.kernels.td import run_td_block as run_sd_block
 from repro.network.links import Channel, TransmissionLog
-from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment
 from repro.network.rings import RingsTopology
 from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
@@ -39,16 +38,12 @@ class SynopsisDiffusionScheme(LayoutWave):
         rings: RingsTopology,
         aggregate: Aggregate,
         attempts: int = 1,
-        count_bitmaps: int = 40,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "SD",
         use_batch: bool = True,
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
-        super().__init__(
-            deployment, aggregate, accountant, use_batch, name, count_bitmaps
-        )
+        super().__init__(deployment, aggregate, use_batch, name)
         self._attempts = attempts
         self._rings = rings
         self._rebuild_schedule()

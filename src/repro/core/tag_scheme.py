@@ -13,14 +13,13 @@ TinyDB implementation the paper follows, is no retransmission.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate, merge_all
 from repro.core.wave import LayoutWave, WaveLayout, empty_outcome, outcome_extra
 from repro.errors import ConfigurationError
 from repro.kernels.td import run_td_block as run_tag_block
 from repro.network.links import Channel, TransmissionLog
-from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment, NodeId
 from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
 from repro.tree.structure import Tree
@@ -48,13 +47,12 @@ class TagScheme(LayoutWave):
         tree: Tree,
         aggregate: Aggregate,
         attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "TAG",
         use_batch: bool = True,
     ) -> None:
         if attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
-        super().__init__(deployment, aggregate, accountant, use_batch, name)
+        super().__init__(deployment, aggregate, use_batch, name)
         self._attempts = attempts
         self.replace_tree(tree)
 

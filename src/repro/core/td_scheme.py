@@ -34,7 +34,6 @@ from repro.errors import ConfigurationError, PropertyViolation
 from repro.kernels.td import precompute_conversions, run_td_block
 from repro.multipath.fm import FMSketch
 from repro.network.links import Channel, TransmissionLog
-from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment, NodeId
 from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
 
@@ -50,16 +49,12 @@ class TributaryDeltaScheme(LayoutWave):
         policy: Optional[AdaptationPolicy] = None,
         tree_attempts: int = 1,
         multipath_attempts: int = 1,
-        count_bitmaps: int = 40,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "TD",
         use_batch: bool = True,
     ) -> None:
         if tree_attempts < 1 or multipath_attempts < 1:
             raise ConfigurationError("attempts must be at least 1")
-        super().__init__(
-            deployment, aggregate, accountant, use_batch, name, count_bitmaps
-        )
+        super().__init__(deployment, aggregate, use_batch, name)
         self._graph = graph
         self._policy = policy
         self._tree_attempts = tree_attempts

@@ -214,15 +214,14 @@ class LayoutWave:
         self,
         deployment: Deployment,
         aggregate: Aggregate,
-        accountant: Optional[MessageAccountant],
         use_batch: bool,
         name: str,
-        count_bitmaps: int = 40,
     ) -> None:
         self._deployment = deployment
         self._bind_aggregate(aggregate)
-        self._accountant = accountant or MessageAccountant()
-        self._count_bitmaps = count_bitmaps
+        self._accountant = MessageAccountant()
+        #: Bitmaps of the contributing-count FM sketch (the paper's 40).
+        self._count_bitmaps = 40
         self._use_batch = use_batch
         self._engine_path: Optional[str] = None
         self.name = name

@@ -3,8 +3,9 @@
 * :mod:`repro.frequent.summary` — epsilon-deficient summaries + Algorithm 1.
 * :mod:`repro.frequent.gradients` — precision gradients: Min Total-load
   (§6.1.2), Min Max-load [13], Hybrid (§6.1.4), and a flat baseline.
-* :mod:`repro.frequent.tree_fi` — the tree frequent-items engine with load
-  accounting and lossy operation.
+* :mod:`repro.frequent.passes` — the tree and Tributary-Delta network
+  passes every runner below configures, and their load report.
+* :mod:`repro.frequent.tree_fi` — the tree frequent-items engine.
 * :mod:`repro.frequent.gk` — mergeable Greenwald-Khanna quantile summaries.
 * :mod:`repro.frequent.quantiles_fi` — the Quantiles-based baseline [8].
 * :mod:`repro.frequent.tree_quantiles` — precision-gradient quantiles
@@ -25,7 +26,8 @@ from repro.frequent.gradients import (
     MinTotalLoadGradient,
     PrecisionGradient,
 )
-from repro.frequent.tree_fi import TreeFrequentItems, TreeLoadReport
+from repro.frequent.passes import TreeLoadReport
+from repro.frequent.tree_fi import TreeFrequentItems
 from repro.frequent.gk import GKSummary
 from repro.frequent.quantiles_fi import QuantilesBasedFrequentItems
 from repro.frequent.tree_quantiles import TreeQuantiles

@@ -159,6 +159,13 @@ class MultipathFrequentItems:
 
     # -- SG ---------------------------------------------------------------
 
+    def class_rule(self, n: int) -> Tuple[int, float]:
+        """SG's class ``floor(log2 n)`` for ``n`` items, and its drop cutoff
+        ``class * n * eps / log N``: an item counted at most that never
+        travels."""
+        klass = int(math.floor(math.log2(n))) if n > 1 else 0
+        return klass, klass * n * self.epsilon / self.log_n
+
     def generate(
         self, node: NodeId, epoch: int, items: Sequence[Item]
     ) -> Optional[FrequentItemsSynopsis]:
@@ -168,15 +175,20 @@ class MultipathFrequentItems:
         counts: Dict[Item, int] = {}
         for item in items:
             counts[item] = counts.get(item, 0) + 1
-        n0 = len(items)
-        klass = int(math.floor(math.log2(n0))) if n0 > 1 else 0
-        cutoff = klass * n0 * self.epsilon / self.log_n
-        sketches: Dict[Item, object] = {}
-        for item, count in counts.items():
-            if count <= cutoff:
-                continue
-            sketches[item] = self.operator.make(count, "fi", node, epoch, item)
-        n_sketch = self.n_operator.make(n0, "fi-n", node, epoch)
+        return self.synopsis(counts, len(items), "fi", node, epoch)
+
+    def synopsis(
+        self, counts: Mapping[Item, int], n: int, tag: str, node: NodeId, epoch: int
+    ) -> FrequentItemsSynopsis:
+        """SG over ``n`` items counted ``counts``: the class, the items above
+        its cutoff and the n sketch, keyed ``(tag[-n], node, epoch[, item])``."""
+        klass, cutoff = self.class_rule(n)
+        sketches = {
+            item: self.operator.make(count, tag, node, epoch, item)
+            for item, count in counts.items()
+            if count > cutoff
+        }
+        n_sketch = self.n_operator.make(n, tag + "-n", node, epoch)
         return FrequentItemsSynopsis(klass=klass, n_sketch=n_sketch, counts=sketches)
 
     # -- SF (Algorithm 2) --------------------------------------------------------

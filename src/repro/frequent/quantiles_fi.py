@@ -18,87 +18,36 @@ to the tree's shape, which is exactly why it loses badly on bushy trees
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.frequent.gk import GKSummary
-from repro.frequent.tree_fi import ItemsFn, TreeLoadReport
-from repro.network.links import Channel
-from repro.network.messages import MessageAccountant
-from repro.network.placement import BASE_STATION, NodeId
+from repro.frequent.passes import TreeRunner
+from repro.frequent.tree_quantiles import gk_step, merge_received
+from repro.network.placement import NodeId
 from repro.tree.structure import Tree
 
 
-class QuantilesBasedFrequentItems:
+class QuantilesBasedFrequentItems(TreeRunner):
     """Frequent items via uniform-budget quantile summaries [8]."""
 
     name = "Quantiles-based"
 
-    def __init__(
-        self,
-        tree: Tree,
-        epsilon: float,
-        attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
-    ) -> None:
+    def __init__(self, tree: Tree, epsilon: float, attempts: int = 1) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError("epsilon must be in (0, 1)")
-        if attempts < 1:
-            raise ConfigurationError("attempts must be at least 1")
-        self._tree = tree
+        super().__init__(tree, attempts)
         self.epsilon = epsilon
-        self._attempts = attempts
-        self._accountant = accountant or MessageAccountant()
-        height = tree.height
         #: Uniform prune budget: each prune adds <= eps/(2h) rank error.
-        self.budget = max(2, math.ceil(height / epsilon))
-        levels = tree.levels()
-        self._order: List[NodeId] = sorted(
-            (node for node in levels if node != BASE_STATION),
-            key=lambda node: (-levels[node], node),
-        )
+        self.budget = max(2, math.ceil(tree.height / epsilon))
 
-    def aggregate(
-        self,
-        items_fn: ItemsFn,
-        epoch: int = 0,
-        channel: Optional[Channel] = None,
-    ) -> tuple[Optional[GKSummary], TreeLoadReport]:
-        """One aggregation wave; returns the root quantile summary + loads."""
-        report = TreeLoadReport()
-        inbox: Dict[NodeId, List[GKSummary]] = {}
-        for node in self._order:
-            summary = GKSummary.from_values(
-                float(item) for item in items_fn(node, epoch)
-            )
-            for received in inbox.pop(node, []):
-                summary = summary.merge(received)
-            summary = summary.prune(self.budget)
-            words = summary.words()
-            report.per_node_words[node] = (
-                report.per_node_words.get(node, 0) + words * self._attempts
-            )
-            parent = self._tree.parent(node)
-            if channel is None:
-                delivered = True
-            else:
-                spec = self._accountant.spec_for_words(words)
-                delivered = bool(
-                    channel.transmit(
-                        node, [parent], epoch, words, spec.messages, self._attempts
-                    )
-                )
-            if delivered:
-                inbox.setdefault(parent, []).append(summary)
+    def step(
+        self, node: NodeId, items: Sequence[int], children: List[GKSummary]
+    ) -> GKSummary:
+        """GK merge, then prune to the uniform budget."""
+        return gk_step(items, children, self.budget)
 
-        received = inbox.pop(BASE_STATION, [])
-        if not received:
-            return None, report
-        root = received[0]
-        for summary in received[1:]:
-            root = root.merge(summary)
-        return root, report
+    _root = staticmethod(merge_received)
 
     def frequent_items(
         self, root: GKSummary, support: float

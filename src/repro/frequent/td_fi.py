@@ -1,9 +1,9 @@
 """Frequent items over multi-path and Tributary-Delta topologies (§6.2-6.3).
 
-Two network runners live here:
+Two configurations of :func:`~repro.frequent.passes.td_pass` live here:
 
-* :class:`MultipathFrequentItemsScheme` — drives the Section 6.2 algorithm
-  over the rings topology (the paper's "SD" series in Figure 9);
+* :class:`MultipathFrequentItemsScheme` — the Section 6.2 algorithm over
+  the rings topology, every node M (the paper's "SD" series in Figure 9);
 * :class:`TributaryDeltaFrequentItems` — the Section 6.3 combination: T
   nodes run Algorithm 1 with the Min Total-load gradient at tolerance
   eps_a, M nodes run the class-based multi-path algorithm at tolerance
@@ -11,32 +11,32 @@ Two network runners live here:
   tree summary's estimated frequencies (with the summary's n as SG's n'),
   so the end-to-end error is at most eps_a + eps_b = eps.
 
-Both runners expose ``run_epoch(epoch, channel, items_fn)`` returning an
+Both expose ``run_epoch(epoch, channel, items_fn)`` returning an
 :class:`FIOutcome`; the experiment harness compares reports against ground
-truth for the false negative/positive rates of Figure 9.
+truth for the false negative/positive rates of Figure 9. An M node's
+payload is a per-class synopsis collection.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.graph import TDGraph
 from repro.errors import ConfigurationError
-from repro.frequent.gradients import MinTotalLoadGradient, PrecisionGradient
-from repro.frequent.mp_fi import (
-    FrequentItemsSynopsis,
-    MultipathFrequentItems,
-)
+from repro.frequent.gradients import MinTotalLoadGradient
+from repro.frequent.mp_fi import FrequentItemsSynopsis, MultipathFrequentItems
+from repro.frequent.passes import ItemsFn, td_pass
 from repro.frequent.reporting import report_from_estimates
-from repro.frequent.summary import Item, Summary, generate_summary
-from repro.frequent.tree_fi import ItemsFn
+from repro.frequent.summary import Item, Summary
+from repro.frequent.tree_fi import TreeFrequentItems
 from repro.network.links import Channel
-from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, NodeId
 from repro.network.rings import RingsTopology
 from repro.tree.domination import domination_factor
+
+#: A per-class synopsis collection: what an M node broadcasts.
+Collection = Dict[int, FrequentItemsSynopsis]
 
 
 @dataclass
@@ -48,6 +48,17 @@ class FIOutcome:
     estimates: Dict[Item, float] = field(default_factory=dict)
 
 
+def _collection(synopsis: Optional[FrequentItemsSynopsis]) -> Optional[Collection]:
+    return None if synopsis is None else {synopsis.klass: synopsis}
+
+
+def _fuse(algo: MultipathFrequentItems, parts: Sequence[Collection]) -> Collection:
+    """SF over the parts' synopses, in order."""
+    return algo.fuse_into_classes(
+        [synopsis for part in parts for synopsis in part.values()]
+    )
+
+
 class MultipathFrequentItemsScheme:
     """The Section 6.2 algorithm over rings (Figure 9's SD series)."""
 
@@ -57,7 +68,6 @@ class MultipathFrequentItemsScheme:
         algorithm: MultipathFrequentItems,
         support: float,
         attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "SD",
     ) -> None:
         if attempts < 1:
@@ -66,35 +76,19 @@ class MultipathFrequentItemsScheme:
         self._algorithm = algorithm
         self._support = support
         self._attempts = attempts
-        self._accountant = accountant or MessageAccountant()
         self.name = name
 
     def run_epoch(
         self, epoch: int, channel: Channel, items_fn: ItemsFn
     ) -> FIOutcome:
         algo = self._algorithm
-        inbox: Dict[NodeId, List[FrequentItemsSynopsis]] = {}
-        for level in self._rings.levels_descending():
-            for node in self._rings.nodes_at_level(level):
-                batch: List[FrequentItemsSynopsis] = []
-                local = algo.generate(node, epoch, items_fn(node, epoch))
-                if local is not None:
-                    batch.append(local)
-                batch.extend(inbox.pop(node, ()))
-                fused = algo.fuse_into_classes(batch)
-                outgoing = list(fused.values())
-                words = algo.collection_words(fused)
-                spec = self._accountant.spec_for_words(words)
-                receivers = self._rings.upstream_neighbors(node)
-                heard = channel.transmit(
-                    node, receivers, epoch, words, spec.messages, self._attempts
-                )
-                for receiver in heard:
-                    inbox.setdefault(receiver, []).extend(outgoing)
-
-        received = inbox.pop(BASE_STATION, [])
-        fused = algo.fuse_into_classes(received)
-        total, estimates = algo.evaluate(fused)
+        _, received = td_pass(
+            self._rings, lambda node: True, epoch, channel, items_fn,
+            local=lambda *args: _collection(algo.generate(*args)),
+            fuse=lambda parts: _fuse(algo, parts), words=algo.collection_words,
+            multipath_attempts=self._attempts,
+        )
+        total, estimates = algo.evaluate(_fuse(algo, received))
         reported = report_from_estimates(
             estimates, total, self._support, algo.epsilon
         )
@@ -115,7 +109,6 @@ class TributaryDeltaFrequentItems:
         eta: float = 1.5,
         tree_attempts: int = 1,
         multipath_attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "TD",
     ) -> None:
         if not 0.0 < epsilon < 1.0:
@@ -130,12 +123,12 @@ class TributaryDeltaFrequentItems:
         if self.epsilon_mp <= 0:
             raise ConfigurationError("tree epsilon must leave budget for multi-path")
         self._support = support
-        d = domination_factor(graph.tree)
-        self._gradient: PrecisionGradient = MinTotalLoadGradient(
-            self.epsilon_tree, d
+        #: The tributaries' Algorithm 1 (Min Total-load at eps_a).
+        self._tributary = TreeFrequentItems(
+            graph.tree,
+            MinTotalLoadGradient(self.epsilon_tree, domination_factor(graph.tree)),
+            tree_attempts,
         )
-        self._heights = graph.tree.heights()
-        self._gradient.validate(max(self._heights.values()))
         self._algorithm = MultipathFrequentItems(
             epsilon=self.epsilon_mp,
             total_items_hint=total_items_hint,
@@ -144,7 +137,6 @@ class TributaryDeltaFrequentItems:
         )
         self._tree_attempts = tree_attempts
         self._multipath_attempts = multipath_attempts
-        self._accountant = accountant or MessageAccountant()
         self.name = name
 
     @property
@@ -162,24 +154,10 @@ class TributaryDeltaFrequentItems:
         and its n the role of SG's n'. Keys include the sending T vertex so
         the conversion is deterministic.
         """
-        algo = self._algorithm
         if summary.n == 0:
             return None
-        n_prime = summary.n
-        klass = int(math.floor(math.log2(n_prime))) if n_prime > 1 else 0
-        cutoff = klass * n_prime * algo.epsilon / algo.log_n
-        sketches: Dict[Item, object] = {}
-        for item, estimate in summary.counts.items():
-            count = int(round(estimate))
-            if count <= cutoff or count <= 0:
-                continue
-            sketches[item] = algo.operator.make(
-                count, "fi-conv", sender, epoch, item
-            )
-        n_sketch = algo.n_operator.make(n_prime, "fi-conv-n", sender, epoch)
-        return FrequentItemsSynopsis(
-            klass=klass, n_sketch=n_sketch, counts=sketches
-        )
+        counts = {item: int(round(c)) for item, c in summary.counts.items()}
+        return self._algorithm.synopsis(counts, summary.n, "fi-conv", sender, epoch)
 
     # -- one epoch -----------------------------------------------------------
 
@@ -187,117 +165,34 @@ class TributaryDeltaFrequentItems:
         self, epoch: int, channel: Channel, items_fn: ItemsFn
     ) -> FIOutcome:
         graph = self._graph
-        rings = graph.rings
         algo = self._algorithm
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, Summary]]] = {}
-        inbox_syn: Dict[NodeId, List[FrequentItemsSynopsis]] = {}
-
-        for level in rings.levels_descending():
-            for node in rings.nodes_at_level(level):
-                if graph.is_tree(node):
-                    self._run_tree_node(node, epoch, channel, items_fn, inbox_tree)
-                else:
-                    self._run_multipath_node(
-                        node, epoch, channel, items_fn, inbox_tree, inbox_syn
-                    )
-
-        return self._evaluate(epoch, inbox_tree, inbox_syn)
-
-    def _run_tree_node(
-        self,
-        node: NodeId,
-        epoch: int,
-        channel: Channel,
-        items_fn: ItemsFn,
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, Summary]]],
-    ) -> None:
-        own = Summary.from_items(items_fn(node, epoch))
-        children = [summary for _, summary in inbox_tree.pop(node, ())]
-        epsilon_k = self._gradient.epsilon_at(self._heights[node])
-        summary = generate_summary(children, own, epsilon_k)
-        words = summary.words()
-        spec = self._accountant.spec_for_words(words)
-        parent = self._graph.tree.parent(node)
-        heard = channel.transmit(
-            node, [parent], epoch, words, spec.messages, self._tree_attempts
+        tree_payloads, received = td_pass(
+            graph.rings, graph.is_multipath, epoch, channel, items_fn,
+            local=lambda *args: _collection(algo.generate(*args)),
+            fuse=lambda parts: _fuse(algo, parts), words=algo.collection_words,
+            multipath_attempts=self._multipath_attempts, tree=graph.tree,
+            tree_step=self._tributary.step, tree_attempts=self._tree_attempts,
+            convert=lambda *args: _collection(self.convert(*args)),
         )
-        if heard:
-            inbox_tree.setdefault(parent, []).append((node, summary))
-
-    def _run_multipath_node(
-        self,
-        node: NodeId,
-        epoch: int,
-        channel: Channel,
-        items_fn: ItemsFn,
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, Summary]]],
-        inbox_syn: Dict[NodeId, List[FrequentItemsSynopsis]],
-    ) -> None:
-        algo = self._algorithm
-        batch: List[FrequentItemsSynopsis] = []
-        local = algo.generate(node, epoch, items_fn(node, epoch))
-        if local is not None:
-            batch.append(local)
-        for sender, summary in inbox_tree.pop(node, ()):
-            converted = self.convert(summary, sender, epoch)
-            if converted is not None:
-                batch.append(converted)
-        batch.extend(inbox_syn.pop(node, ()))
-        fused = algo.fuse_into_classes(batch)
-        outgoing = list(fused.values())
-        words = algo.collection_words(fused)
-        spec = self._accountant.spec_for_words(words)
-        receivers = self._graph.rings.upstream_neighbors(node)
-        heard = channel.transmit(
-            node, receivers, epoch, words, spec.messages, self._multipath_attempts
-        )
-        for receiver in heard:
-            if self._graph.is_multipath(receiver):
-                inbox_syn.setdefault(receiver, []).extend(outgoing)
-
-    def _evaluate(
-        self,
-        epoch: int,
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, Summary]]],
-        inbox_syn: Dict[NodeId, List[FrequentItemsSynopsis]],
-    ) -> FIOutcome:
-        algo = self._algorithm
-        graph = self._graph
-        tree_payloads = inbox_tree.pop(BASE_STATION, [])
-
+        summaries = [summary for _, summary in tree_payloads]
         if graph.is_tree(BASE_STATION):
             # All-tree configuration: Algorithm 1 at the root.
-            summaries = [summary for _, summary in tree_payloads]
-            own = Summary.from_items(())
-            epsilon_root = self._gradient.epsilon_at(
-                self._heights[BASE_STATION]
-            )
-            root = generate_summary(summaries, own, epsilon_root)
+            root = self._tributary.step(BASE_STATION, (), summaries)
+            total = float(root.n)
             estimates = {item: float(c) for item, c in root.counts.items()}
-            reported = report_from_estimates(
-                estimates, float(root.n), self._support, self.epsilon
-            )
-            return FIOutcome(
-                reported=reported,
-                total_estimate=float(root.n),
-                estimates=estimates,
-            )
-
-        # Mixed evaluation: summaries that reached the base station directly
-        # stay exact; delta synopses are evaluated with SE; estimates add
-        # (the tree subtrees and the delta account for disjoint items).
-        fused = algo.fuse_into_classes(inbox_syn.pop(BASE_STATION, []))
-        total, estimates = algo.evaluate(fused)
-        for _, summary in tree_payloads:
-            total += summary.n
-            for item, count in summary.counts.items():
-                estimates[item] = estimates.get(item, 0.0) + count
+            slack = 1.0
+        else:
+            # Mixed evaluation: summaries that reached the base station
+            # directly stay exact; delta synopses are evaluated with SE;
+            # estimates add (the tree subtrees and the delta account for
+            # disjoint items).
+            total, estimates = algo.evaluate(_fuse(algo, received))
+            for summary in summaries:
+                total += summary.n
+                for item, count in summary.counts.items():
+                    estimates[item] = estimates.get(item, 0.0) + count
+            slack = algo.report_slack
         reported = report_from_estimates(
-            estimates,
-            total * algo.report_slack,
-            self._support,
-            self.epsilon,
+            estimates, total * slack, self._support, self.epsilon
         )
-        return FIOutcome(
-            reported=reported, total_estimate=total, estimates=estimates
-        )
+        return FIOutcome(reported=reported, total_estimate=total, estimates=estimates)

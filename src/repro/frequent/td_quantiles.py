@@ -17,10 +17,10 @@ module supplies the remaining two pieces and the combination:
   the summary), each carrying weight n/r. The representatives inherit the
   summary's eps_a rank error; the delta adds its own sampling error —
   the Section 6.3 error-splitting argument, transplanted.
-* :class:`TributaryDeltaQuantiles` — the combined network runner: T nodes
-  run the §6.1.4 precision-gradient GK algorithm, M nodes fuse weighted
-  samples, the base station answers quantile queries from whatever mix
-  arrived.
+* :class:`TributaryDeltaQuantiles` — the combined network runner, a
+  configuration of :func:`~repro.frequent.passes.td_pass`: T nodes run the
+  §6.1.4 precision-gradient GK algorithm, M nodes fuse weighted samples,
+  the base station answers quantile queries from whatever mix arrived.
 
 The delta's quantile readout is the weighted empirical quantile of the
 surviving entries. For bottom-k order samples this estimator is consistent
@@ -33,16 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import List, Optional, Sequence, Tuple
 
 from repro._hashing import hash_key, hash_unit
 from repro.core.graph import TDGraph
 from repro.errors import ConfigurationError
 from repro.frequent.gk import GKSummary
-from repro.frequent.gradients import MinTotalLoadGradient, PrecisionGradient
-from repro.frequent.tree_fi import ItemsFn
+from repro.frequent.gradients import MinTotalLoadGradient
+from repro.frequent.passes import ItemsFn, td_pass
+from repro.frequent.tree_quantiles import TreeQuantiles, merge_received
 from repro.network.links import Channel
-from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, NodeId
 from repro.tree.domination import domination_factor
 
@@ -272,7 +273,6 @@ class TributaryDeltaQuantiles:
         representatives: int = 16,
         tree_attempts: int = 1,
         multipath_attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "TD-quantiles",
     ) -> None:
         if not 0.0 < epsilon < 1.0:
@@ -287,19 +287,20 @@ class TributaryDeltaQuantiles:
         self._representatives = representatives
         self._tree_attempts = tree_attempts
         self._multipath_attempts = multipath_attempts
-        self._accountant = accountant or MessageAccountant()
         self.name = name
-        d = domination_factor(graph.tree)
-        self._gradient: PrecisionGradient = MinTotalLoadGradient(epsilon, d)
-        self._heights = graph.tree.heights()
-        self._gradient.validate(max(self._heights.values()))
+        #: The tributaries' §6.1.4 GK algorithm (Min Total-load at epsilon).
+        self._tributary = TreeQuantiles(
+            graph.tree,
+            MinTotalLoadGradient(epsilon, domination_factor(graph.tree)),
+            tree_attempts,
+        )
 
-    def _budget(self, height: int) -> int:
-        lower = self._gradient.epsilon_at(height - 1) if height > 1 else 0.0
-        difference = self._gradient.epsilon_at(height) - lower
-        if difference <= 0:
-            raise ConfigurationError("gradient grants no slack at this height")
-        return max(2, math.ceil(1.0 / difference))
+    def _convert(
+        self, summary: GKSummary, sender: NodeId, epoch: int
+    ) -> Optional[QuantileSynopsis]:
+        return convert_summary(
+            summary, sender, epoch, self._sample_size, self._representatives
+        )
 
     # -- one epoch -----------------------------------------------------------
 
@@ -307,107 +308,28 @@ class TributaryDeltaQuantiles:
         self, epoch: int, channel: Channel, items_fn: ItemsFn
     ) -> QuantilesOutcome:
         graph = self._graph
-        rings = graph.rings
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, GKSummary]]] = {}
-        inbox_syn: Dict[NodeId, List[QuantileSynopsis]] = {}
-
-        for level in rings.levels_descending():
-            for node in rings.nodes_at_level(level):
-                if graph.is_tree(node):
-                    self._run_tree_node(node, epoch, channel, items_fn, inbox_tree)
-                else:
-                    self._run_multipath_node(
-                        node, epoch, channel, items_fn, inbox_tree, inbox_syn
-                    )
-        return self._evaluate(epoch, inbox_tree, inbox_syn)
-
-    def _run_tree_node(
-        self,
-        node: NodeId,
-        epoch: int,
-        channel: Channel,
-        items_fn: ItemsFn,
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, GKSummary]]],
-    ) -> None:
-        summary = GKSummary.from_values(
-            float(item) for item in items_fn(node, epoch)
+        tree_payloads, received = td_pass(
+            graph.rings, graph.is_multipath, epoch, channel, items_fn,
+            local=lambda node, epoch, items: synopsis_from_readings(
+                node, epoch, [float(v) for v in items], self._sample_size
+            ),
+            fuse=lambda parts: reduce(QuantileSynopsis.merge, parts),
+            words=QuantileSynopsis.words,
+            multipath_attempts=self._multipath_attempts, tree=graph.tree,
+            tree_step=self._tributary.step, tree_attempts=self._tree_attempts,
+            convert=self._convert,
         )
-        for _, received in inbox_tree.pop(node, ()):
-            summary = summary.merge(received)
-        summary = summary.prune(self._budget(self._heights[node]))
-        words = summary.words()
-        spec = self._accountant.spec_for_words(words)
-        parent = self._graph.tree.parent(node)
-        heard = channel.transmit(
-            node, [parent], epoch, words, spec.messages, self._tree_attempts
-        )
-        if heard:
-            inbox_tree.setdefault(parent, []).append((node, summary))
-
-    def _run_multipath_node(
-        self,
-        node: NodeId,
-        epoch: int,
-        channel: Channel,
-        items_fn: ItemsFn,
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, GKSummary]]],
-        inbox_syn: Dict[NodeId, List[QuantileSynopsis]],
-    ) -> None:
-        synopsis = synopsis_from_readings(
-            node, epoch, [float(v) for v in items_fn(node, epoch)], self._sample_size
-        )
-        for sender, summary in inbox_tree.pop(node, ()):
-            converted = convert_summary(
-                summary, sender, epoch, self._sample_size, self._representatives
-            )
-            if converted is not None:
-                synopsis = synopsis.merge(converted)
-        for received in inbox_syn.pop(node, ()):
-            synopsis = synopsis.merge(received)
-        words = synopsis.words()
-        spec = self._accountant.spec_for_words(words)
-        receivers = self._graph.rings.upstream_neighbors(node)
-        heard = channel.transmit(
-            node, receivers, epoch, words, spec.messages, self._multipath_attempts
-        )
-        for receiver in heard:
-            if self._graph.is_multipath(receiver):
-                inbox_syn.setdefault(receiver, []).append(synopsis)
-
-    def _evaluate(
-        self,
-        epoch: int,
-        inbox_tree: Dict[NodeId, List[Tuple[NodeId, GKSummary]]],
-        inbox_syn: Dict[NodeId, List[QuantileSynopsis]],
-    ) -> QuantilesOutcome:
-        graph = self._graph
-        tree_payloads = inbox_tree.pop(BASE_STATION, [])
-
         if graph.is_tree(BASE_STATION):
-            if not tree_payloads:
-                return QuantilesOutcome(
-                    summary=None, synopsis=None, contributing_weight=0.0
-                )
-            root = tree_payloads[0][1]
-            for _, summary in tree_payloads[1:]:
-                root = root.merge(summary)
-            return QuantilesOutcome(
-                summary=root,
-                synopsis=None,
-                contributing_weight=float(root.n),
-            )
+            summaries = [summary for _, summary in tree_payloads]
+            root = merge_received(summaries) if summaries else None
+            weight = float(root.n) if root is not None else 0.0
+            return QuantilesOutcome(root, None, weight)
 
-        fused: Optional[QuantileSynopsis] = None
-        for received in inbox_syn.pop(BASE_STATION, []):
-            fused = received if fused is None else fused.merge(received)
-        for sender, summary in tree_payloads:
-            converted = convert_summary(
-                summary, sender, epoch, self._sample_size, self._representatives
-            )
-            if converted is None:
-                continue
-            fused = converted if fused is None else fused.merge(converted)
+        converted = [
+            self._convert(summary, sender, epoch)
+            for sender, summary in tree_payloads
+        ]
+        parts = received + [part for part in converted if part is not None]
+        fused = reduce(QuantileSynopsis.merge, parts) if parts else None
         weight = fused.population_weight if fused is not None else 0.0
-        return QuantilesOutcome(
-            summary=None, synopsis=fused, contributing_weight=weight
-        )
+        return QuantilesOutcome(None, fused, weight)

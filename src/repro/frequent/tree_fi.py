@@ -1,7 +1,8 @@
 """The tree frequent-items engine (Min Total-load and friends, §6.1).
 
-Runs Algorithm 1 bottom-up over a spanning tree with a pluggable precision
-gradient, with two operating modes:
+Runs Algorithm 1 bottom-up over a spanning tree (a
+:class:`~repro.frequent.passes.TreeRunner`) with a pluggable precision
+gradient, in two operating modes:
 
 * **lossless** (``channel=None``) — used for the Figure 8 load study: every
   message arrives; the report captures per-node word loads (average and
@@ -17,10 +18,8 @@ height for Min Max-load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.errors import ConfigurationError
 from repro.frequent.gradients import (
     FlatGradient,
     HybridGradient,
@@ -28,41 +27,14 @@ from repro.frequent.gradients import (
     MinTotalLoadGradient,
     PrecisionGradient,
 )
+from repro.frequent.passes import TreeRunner
 from repro.frequent.summary import Summary, generate_summary
-from repro.network.links import Channel
-from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, NodeId
 from repro.tree.domination import domination_factor
 from repro.tree.structure import Tree
 
-#: items_fn(node, epoch) -> the node's local item collection.
-ItemsFn = Callable[[NodeId, int], Sequence[int]]
 
-
-@dataclass
-class TreeLoadReport:
-    """Per-node communication loads for one aggregation wave."""
-
-    per_node_words: Dict[NodeId, int] = field(default_factory=dict)
-
-    @property
-    def total_words(self) -> int:
-        return sum(self.per_node_words.values())
-
-    @property
-    def average_load(self) -> float:
-        if not self.per_node_words:
-            return 0.0
-        return self.total_words / len(self.per_node_words)
-
-    @property
-    def max_load(self) -> int:
-        if not self.per_node_words:
-            return 0
-        return max(self.per_node_words.values())
-
-
-class TreeFrequentItems:
+class TreeFrequentItems(TreeRunner):
     """Frequent items over a tree with a precision gradient."""
 
     def __init__(
@@ -70,23 +42,13 @@ class TreeFrequentItems:
         tree: Tree,
         gradient: PrecisionGradient,
         attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "tree-fi",
     ) -> None:
-        if attempts < 1:
-            raise ConfigurationError("attempts must be at least 1")
-        self._tree = tree
+        super().__init__(tree, attempts)
         self._gradient = gradient
-        self._attempts = attempts
-        self._accountant = accountant or MessageAccountant()
         self.name = name
         self._heights = tree.heights()
         gradient.validate(max(self._heights.values()))
-        levels = tree.levels()
-        self._order: List[NodeId] = sorted(
-            (node for node in levels if node != BASE_STATION),
-            key=lambda node: (-levels[node], node),
-        )
 
     @classmethod
     def min_total_load(
@@ -125,46 +87,13 @@ class TreeFrequentItems:
     def gradient(self) -> PrecisionGradient:
         return self._gradient
 
-    def aggregate(
-        self,
-        items_fn: ItemsFn,
-        epoch: int = 0,
-        channel: Optional[Channel] = None,
-    ) -> tuple[Optional[Summary], TreeLoadReport]:
-        """One aggregation wave; returns the root summary and the loads.
+    def step(
+        self, node: NodeId, items: Sequence[int], children: List[Summary]
+    ) -> Summary:
+        """Algorithm 1 at ``eps(height)``: own items plus children's summaries."""
+        epsilon_k = self._gradient.epsilon_at(self._heights[node])
+        return generate_summary(children, Summary.from_items(items), epsilon_k)
 
-        With a channel, a dropped message discards its subtree's summary
-        (the count of the root summary then reflects only surviving items).
-        Returns ``None`` for the summary if nothing reached the base station.
-        """
-        report = TreeLoadReport()
-        inbox: Dict[NodeId, List[Summary]] = {}
-        for node in self._order:
-            own = Summary.from_items(items_fn(node, epoch))
-            children_summaries = inbox.pop(node, [])
-            epsilon_k = self._gradient.epsilon_at(self._heights[node])
-            summary = generate_summary(children_summaries, own, epsilon_k)
-            words = summary.words()
-            report.per_node_words[node] = (
-                report.per_node_words.get(node, 0) + words * self._attempts
-            )
-            parent = self._tree.parent(node)
-            if channel is None:
-                delivered = True
-            else:
-                spec = self._accountant.spec_for_words(words)
-                delivered = bool(
-                    channel.transmit(
-                        node, [parent], epoch, words, spec.messages, self._attempts
-                    )
-                )
-            if delivered:
-                inbox.setdefault(parent, []).append(summary)
-
-        received = inbox.pop(BASE_STATION, [])
-        if not received:
-            return None, report
-        root_epsilon = self._gradient.epsilon_at(self._heights[BASE_STATION])
-        own = Summary.from_items(())  # the base station senses nothing
-        root = generate_summary(received, own, root_epsilon)
-        return root, report
+    def _root(self, received: List[Summary]) -> Summary:
+        # The base station senses nothing; it runs the step at the root.
+        return self.step(BASE_STATION, (), received)

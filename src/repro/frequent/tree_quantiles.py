@@ -15,20 +15,35 @@ communication O(m/eps) on d-dominating trees.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from functools import reduce
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.frequent.gk import GKSummary
 from repro.frequent.gradients import MinTotalLoadGradient, PrecisionGradient
-from repro.frequent.tree_fi import ItemsFn, TreeLoadReport
-from repro.network.links import Channel
-from repro.network.messages import MessageAccountant
-from repro.network.placement import BASE_STATION, NodeId
+from repro.frequent.passes import TreeRunner
+from repro.network.placement import NodeId
 from repro.tree.domination import domination_factor
 from repro.tree.structure import Tree
 
 
-class TreeQuantiles:
+def gk_step(
+    items: Sequence[int], children: Sequence[GKSummary], budget: int
+) -> GKSummary:
+    """A GK node: its own values merged with its children's summaries in
+    arrival order, pruned to ``budget``."""
+    summary = GKSummary.from_values(float(item) for item in items)
+    for received in children:
+        summary = summary.merge(received)
+    return summary.prune(budget)
+
+
+def merge_received(received: Sequence[GKSummary]) -> GKSummary:
+    """The base station's summary: what arrived, merged in arrival order."""
+    return reduce(GKSummary.merge, received)
+
+
+class TreeQuantiles(TreeRunner):
     """Quantile aggregation with a precision gradient."""
 
     def __init__(
@@ -36,23 +51,13 @@ class TreeQuantiles:
         tree: Tree,
         gradient: PrecisionGradient,
         attempts: int = 1,
-        accountant: Optional[MessageAccountant] = None,
         name: str = "tree-quantiles",
     ) -> None:
-        if attempts < 1:
-            raise ConfigurationError("attempts must be at least 1")
-        self._tree = tree
+        super().__init__(tree, attempts)
         self._gradient = gradient
-        self._attempts = attempts
-        self._accountant = accountant or MessageAccountant()
         self.name = name
         self._heights = tree.heights()
         gradient.validate(max(self._heights.values()))
-        levels = tree.levels()
-        self._order: List[NodeId] = sorted(
-            (node for node in levels if node != BASE_STATION),
-            key=lambda node: (-levels[node], node),
-        )
 
     @classmethod
     def min_total_load(
@@ -67,53 +72,17 @@ class TreeQuantiles:
             name="Quantiles Min Total-load",
         )
 
-    def _budget(self, height: int) -> int:
-        lower = self._gradient.epsilon_at(height - 1) if height > 1 else 0.0
-        difference = self._gradient.epsilon_at(height) - lower
-        if difference <= 0:
+    def step(
+        self, node: NodeId, items: Sequence[int], children: List[GKSummary]
+    ) -> GKSummary:
+        """GK merge, then prune to ``B_k``: the gradient's counter cap at
+        the node's height."""
+        budget = self._gradient.max_counters(self._heights[node])
+        if budget == math.inf:
             raise ConfigurationError("gradient grants no slack at this height")
-        return max(2, math.ceil(1.0 / difference))
+        return gk_step(items, children, max(2, math.ceil(budget)))
 
-    def aggregate(
-        self,
-        items_fn: ItemsFn,
-        epoch: int = 0,
-        channel: Optional[Channel] = None,
-    ) -> tuple[Optional[GKSummary], TreeLoadReport]:
-        """One aggregation wave; returns the root summary and per-node loads."""
-        report = TreeLoadReport()
-        inbox: Dict[NodeId, List[GKSummary]] = {}
-        for node in self._order:
-            summary = GKSummary.from_values(
-                float(item) for item in items_fn(node, epoch)
-            )
-            for received in inbox.pop(node, []):
-                summary = summary.merge(received)
-            summary = summary.prune(self._budget(self._heights[node]))
-            words = summary.words()
-            report.per_node_words[node] = (
-                report.per_node_words.get(node, 0) + words * self._attempts
-            )
-            parent = self._tree.parent(node)
-            if channel is None:
-                delivered = True
-            else:
-                spec = self._accountant.spec_for_words(words)
-                delivered = bool(
-                    channel.transmit(
-                        node, [parent], epoch, words, spec.messages, self._attempts
-                    )
-                )
-            if delivered:
-                inbox.setdefault(parent, []).append(summary)
-
-        received = inbox.pop(BASE_STATION, [])
-        if not received:
-            return None, report
-        root = received[0]
-        for summary in received[1:]:
-            root = root.merge(summary)
-        return root, report
+    _root = staticmethod(merge_received)
 
     def quantiles(self, root: GKSummary, phis: List[float]) -> List[float]:
         """Read the requested quantiles off the root summary."""

@@ -205,6 +205,30 @@ FIGURE_GOLDENS = {
     "table1": "e55aa696e36991992ef91c8b3bd70a9a8a8d61282d83bc2471b780fbe558ce45",
 }
 
+#: SHA-256 of the Section 6 series (quick size, seed 0), recorded on the
+#: hand-written frequent-items and quantiles runners before they became
+#: configurations of one tree pass and one Tributary-Delta pass: fig8's
+#: rows, fig9a's false negatives and positives, Table 1's Freq. Items rows.
+SECTION6_GOLDENS = {
+    "fig8": "0bdf7825d355004c25668a48a7ae99cdc3c9a08d7f6b17d6c352a0beb91d729c",
+    "fig9a": "1548ba7c509b62138dc99d22370eb20b289e926905a6fa1c377db091c7d7714b",
+    "table1": "dcad2895e18433e4aec9807c49cf40c33f091f80d146c85c9c8cb22d6a81161e",
+}
+
+
+def section6_series(name, result):
+    """The part of a quick figure ``SECTION6_GOLDENS`` pins."""
+    if name == "fig8":
+        return result.rows
+    if name == "fig9a":
+        return [result.false_negatives, result.false_positives]
+    return [
+        dataclasses.asdict(row)
+        for row in result.rows
+        if row.aggregate == "Freq. Items"
+    ]
+
+
 #: What the config-form experiment modules must not import: the raw
 #: constructors their ``EXPERIMENT_CONFIGS`` entry replaces.
 RAW_CONSTRUCTORS = {
@@ -273,6 +297,14 @@ class TestFigureGoldens:
             json.dumps(series, sort_keys=True).encode()
         ).hexdigest()
         assert digest == FIGURE_GOLDENS[name]
+
+    @pytest.mark.parametrize("name", sorted(SECTION6_GOLDENS))
+    def test_section6_series_are_the_recorded_ones(self, quick_figure, name):
+        series = section6_series(name, quick_figure(name))
+        digest = hashlib.sha256(
+            json.dumps(series, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == SECTION6_GOLDENS[name]
 
     def test_delta_sizes_are_the_recorded_ones(self, quick_figure):
         # The size each run's last epoch *recorded*, not the graph after

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -106,6 +109,21 @@ class TestEpsilonSplitSweep:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             sweep_epsilon_split(fractions=(1.0,), quick=True)
+
+
+#: SHA-256 of ``split_sweep``'s series, recorded on the hand-written
+#: Tributary-Delta frequent-items runner before it became a configuration
+#: of the shared Tributary-Delta pass.
+SPLIT_SWEEP_GOLDEN = (
+    "61e9a54d614eefdbaf137f9ae3ad3a1285e40cd3b9341a6b897c9f3548849804"
+)
+
+
+def test_split_sweep_series_is_the_recorded_one(split_sweep):
+    digest = hashlib.sha256(
+        json.dumps(split_sweep.series, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == SPLIT_SWEEP_GOLDEN
 
 
 class TestEpsilonSplitSeparation:

@@ -49,11 +49,13 @@ from repro.api import (
     run_config_result,
     split_workload_result,
 )
+from repro import serialization
 from repro.aggregates.workload import WorkloadAggregate
+from repro.chaos.checkpoint import Checkpointer
 from repro.core.adaptation import TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.td_scheme import TributaryDeltaScheme
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationKilled
 from repro.multipath.fm import _EXACT_INSERT_LIMIT, FMSketch
 from repro.query import WindowedReadings, parse_queries, parse_query
 from repro.registry import available, build_aggregate
@@ -808,6 +810,35 @@ class TestWindowChurn:
         for name in ("w5", "raw"):
             view = report.query(name)
             assert view.estimates == view.true_values, name
+
+    def test_workload_window_survives_kill_and_resume(self, tmp_path):
+        """A checkpoint carries each slot's window segments: resumed epochs
+        22 and 23, whose windows reach back into the blackout, equal the
+        straight run's."""
+        config = RunConfig(
+            scheme="TD",
+            num_sensors=80,
+            epochs=24,
+            start_epoch=0,
+            converge_epochs=0,
+            failure="global:0.1",
+            reading="uniform:10:100:3",
+            churn="blackout:10:0:0:10:10:20",
+            churn_interval=10,
+            queries=[
+                {"name": "count", "aggregate": "count"},
+                {"name": "w5", "query": "SELECT sum WINDOW 5 MEAN"},
+            ],
+        )
+        straight = run_config_result(config)
+        with pytest.raises(SimulationKilled):
+            run_config_result(
+                config, checkpoint=Checkpointer(tmp_path, interval=2, kill_at=22)
+            )
+        resumed = run_config_result(
+            config, checkpoint=Checkpointer(tmp_path, interval=2, resume=True)
+        )
+        assert serialization.dumps(resumed) == serialization.dumps(straight)
 
 
 class TestReportsAndSession:
