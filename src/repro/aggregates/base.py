@@ -227,6 +227,21 @@ class Aggregate(ABC, Generic[P, S]):
         """
         return self.exact(readings.tolist())
 
+    # -- epoch-record extras -------------------------------------------------------
+
+    def estimate_extras(self, empty: bool = False) -> dict:
+        """Keys the schemes add to an epoch outcome's ``extra`` right after
+        the base station's evaluation (``empty``: nothing arrived).
+
+        Read while fresh: the blocked engine records epochs only after the
+        whole block ran. Plain aggregates add nothing.
+        """
+        return {}
+
+    def truth_extras(self) -> dict:
+        """Keys the simulator records beside them right after :meth:`exact`."""
+        return {}
+
     # -- neutral elements --------------------------------------------------------
 
     def tree_empty(self) -> P:

@@ -22,12 +22,12 @@ Two pieces make that concrete:
   piggyback travels once — the TAG/TinyDB multi-query piggybacking
   economics.
 
-Per-epoch answers surface through two stashes the execution engine reads:
-``last_evaluations`` (set at every base-station evaluation, inherited from
-the composite) and ``last_exact_evaluations`` (set by :meth:`exact`). The
-schemes annotate ``workload_estimates`` into each epoch outcome via
-:func:`annotate_workload` and the simulator adds ``workload_truths``; the
-report layer splits them back into per-query
+Per-epoch answers surface through two stashes: ``last_evaluations`` (set
+at every base-station evaluation, inherited from the composite) and
+``last_exact_evaluations`` (set by :meth:`exact`). The aggregate's record
+hooks turn them into ``workload_estimates`` (the schemes add it to each
+epoch outcome) and ``workload_truths`` (the simulator adds it to each
+record); the report layer splits them back into per-query
 :class:`~repro.network.simulator.RunResult` views.
 """
 
@@ -146,8 +146,8 @@ class WorkloadAggregate(CompositeAggregate):
                 f"duplicate query names in workload: {', '.join(duplicates)}"
             )
         super().__init__([aggregate for _, aggregate in named], primary=0)
-        #: Query names, in workload order — the marker the engine keys
-        #: per-query annotation on (plain composites do not have it).
+        #: Query names, in workload order (also the marker the kernel's
+        #: refusal names a workload by; plain composites do not have it).
         self.workload_names: Tuple[str, ...] = tuple(names)
         self.name = "workload(" + "+".join(names) + ")"
         #: Per-query loss-free answers from the most recent :meth:`exact`.
@@ -221,6 +221,22 @@ class WorkloadAggregate(CompositeAggregate):
             for i in range(len(self._aggregates))
         ]
 
+    # -- epoch-record extras -----------------------------------------------
+
+    def estimate_extras(self, empty: bool = False) -> Dict[str, object]:
+        """Every query's estimate; 0.0 each when nothing arrived, as each
+        query's standalone run reports."""
+        evaluations = None if empty else self.last_evaluations
+        if evaluations is None:
+            return {"workload_estimates": [0.0] * len(self.workload_names)}
+        return {"workload_estimates": list(evaluations)}
+
+    def truth_extras(self) -> Dict[str, object]:
+        """Every query's loss-free answer, from the latest :meth:`exact`."""
+        if self.last_exact_evaluations is None:
+            return {}
+        return {"workload_truths": list(self.last_exact_evaluations)}
+
     # -- truth -------------------------------------------------------------
 
     def exact(self, readings: Sequence[ReadingTuple]) -> float:
@@ -240,47 +256,4 @@ class WorkloadAggregate(CompositeAggregate):
         ]
 
 
-def workload_evaluations(
-    aggregate: object, empty: bool = False
-) -> Optional[List[float]]:
-    """Per-query answers of a workload's latest evaluation, or ``None``.
-
-    ``None`` for every non-workload aggregate, so single-query runs stay
-    byte-identical to the engine without the feature. ``empty`` is the
-    nothing-reached-the-base-station case, where schemes report 0.0 without
-    evaluating — every query's standalone run reports 0.0 there too.
-    """
-    names = getattr(aggregate, "workload_names", None)
-    if names is None:
-        return None
-    if empty:
-        return [0.0] * len(names)
-    evaluations = aggregate.last_evaluations
-    if evaluations is None:
-        return [0.0] * len(names)
-    return list(evaluations)
-
-
-def annotate_workload(
-    aggregate: object, extra: Dict[str, object], empty: bool = False
-) -> Dict[str, object]:
-    """Record per-query estimates into an epoch outcome's ``extra``.
-
-    No-op (and no key) for non-workload aggregates; schemes call it at
-    every base-station evaluation so the per-epoch stash is captured while
-    it is fresh — the blocked engine records epochs *after* running a whole
-    block, so reading the stash any later would alias the block's last
-    epoch.
-    """
-    evaluations = workload_evaluations(aggregate, empty=empty)
-    if evaluations is not None:
-        extra["workload_estimates"] = evaluations
-    return extra
-
-
-__all__ = [
-    "WorkloadAggregate",
-    "WorkloadReadings",
-    "annotate_workload",
-    "workload_evaluations",
-]
+__all__ = ["WorkloadAggregate", "WorkloadReadings"]

@@ -88,6 +88,15 @@ class Auditor:
         self._observed_words += log.words_sent
         self._observed_messages += log.messages_sent
 
+    def checkpoint_state(self) -> Dict[str, int]:
+        """The conservation totals a resumed audit must continue from."""
+        return {"words": self._observed_words, "messages": self._observed_messages}
+
+    def restore_state(self, state: Dict[str, int]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self._observed_words = state["words"]
+        self._observed_messages = state["messages"]
+
     # -- invariant checks ---------------------------------------------------
 
     def check_billing(self, channel, epoch: int) -> None:

@@ -2,13 +2,13 @@
 
 At every checkpoint boundary (a multiple of the checkpoint interval, before
 the churn event of that offset) the simulator snapshots everything its
-remaining epochs depend on: recorded results, energy totals, the channel's
-cumulative per-node bills, membership (alive set, tree, dark-parent memory),
-the scheme's evolved state (TD modes and policy smoothing, repaired trees,
-live populations), the chaos runtime's deferred control bills and the
-auditor's conservation totals. Everything else — delivery draws, readings,
-fault decisions — is a pure keyed-hash function of (seed, node, epoch), so
-it needs no state: a resumed run re-derives it identically.
+remaining epochs depend on: recorded results and energy totals, plus one
+section per stateful part — channel, membership, scheme, chaos runtime,
+readings, ``on_epoch`` hook — written and read by the part itself through
+its ``checkpoint_state()`` / ``restore_state(...)`` pair; this module only
+walks them. Everything else — delivery draws, readings, fault decisions —
+is a pure keyed-hash function of (seed, node, epoch), so it needs no
+state: a resumed run re-derives it identically.
 
 That is the crash-safety argument in one line: **state that is not pure is
 checkpointed; state that is pure is recomputed** — so a run killed at any
@@ -18,11 +18,8 @@ boundary and resumed from its checkpoint produces a byte-identical
 The checkpoint file is plain JSON (atomic write: temp file + rename), with
 the result/energy items encoded through :mod:`repro.serialization` codecs.
 A fingerprint of the run configuration guards against resuming with a
-mismatched config.
-
-:class:`Checkpointer` also hosts the crash drill used by tests and the CI
-smoke job: ``kill_at=k`` raises :class:`~repro.errors.SimulationKilled`
-right after the boundary-``k`` checkpoint is written.
+mismatched config; :class:`Checkpointer` also hosts the ``kill_at`` crash
+drill.
 """
 
 from __future__ import annotations
@@ -32,12 +29,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro import serialization
-from repro.core.graph import TDGraph
-from repro.core.modes import Mode
 from repro.errors import ConfigurationError, SimulationKilled
-from repro.network.placement import BASE_STATION
-from repro.network.rings import RingsTopology
-from repro.tree.structure import Tree
 
 #: Bump when the checkpoint payload layout changes.
 CHECKPOINT_VERSION = 1
@@ -121,168 +113,13 @@ class Checkpointer:
             )
 
 
-# -- capture ----------------------------------------------------------------
+# -- the walk ---------------------------------------------------------------
 
 
-def _capture_policy(policy) -> Optional[Dict[str, Any]]:
-    """Snapshot an adaptation policy's mutable state, duck-typed.
-
-    Damped wrappers carry oscillation history and recurse into their inner
-    policy; the TD policies carry a bounded loss-smoothing window. Stateless
-    (or absent) policies snapshot to None.
-    """
-    if policy is None:
-        return None
-    state: Dict[str, Any] = {}
-    inner = getattr(policy, "_inner", None)
-    if inner is not None:
-        state["damped"] = {
-            "history": list(policy._history),
-            "skip": policy._skip,
-            "last_penalty": policy._last_penalty,
-        }
-        state["inner"] = _capture_policy(inner)
-        return state
-    smoother = getattr(policy, "_smoother", None)
-    if smoother is not None:
-        state["smoother"] = list(smoother._values)
-    return state or None
-
-
-def _restore_policy(policy, state: Optional[Dict[str, Any]]) -> None:
-    if policy is None or state is None:
-        return
-    damped = state.get("damped")
-    if damped is not None:
-        policy._history = list(damped["history"])
-        policy._skip = damped["skip"]
-        policy._last_penalty = damped["last_penalty"]
-        _restore_policy(policy._inner, state.get("inner"))
-        return
-    smoother_values = state.get("smoother")
-    if smoother_values is not None:
-        smoother = policy._smoother
-        smoother._values.clear()
-        smoother._values.extend(smoother_values)
-
-
-def _encode_tree(tree: Tree) -> Dict[str, int]:
-    return {str(child): parent for child, parent in tree.parents.items()}
-
-
-def _decode_tree(data: Dict[str, int]) -> Tree:
-    return Tree(
-        parents={int(child): parent for child, parent in data.items()},
-        root=BASE_STATION,
-    )
-
-
-def _capture_scheme(scheme) -> Dict[str, Any]:
-    """Duck-typed scheme snapshot: only what churn/adaptation mutates."""
-    graph = getattr(scheme, "graph", None)
-    if graph is not None:
-        return {
-            "kind": "td",
-            "modes": {
-                str(node): mode.name for node, mode in graph.modes().items()
-            },
-            "tree": _encode_tree(graph.tree),
-            "alive": list(scheme._alive_sensors),
-            "policy": _capture_policy(scheme._policy),
-            "adaptation_log": [list(entry) for entry in scheme.adaptation_log],
-            "control_messages": scheme.control_messages,
-        }
-    if hasattr(scheme, "replace_tree"):
-        return {
-            "kind": "tag",
-            "tree": _encode_tree(scheme.tree),
-            "alive": list(scheme._alive_sensors),
-        }
-    if hasattr(scheme, "rings"):
-        return {"kind": "sd", "alive": list(scheme._alive_sensors)}
-    return {"kind": "opaque"}
-
-
-def _restore_scheme(scheme, state: Dict[str, Any], membership) -> None:
-    kind = state["kind"]
-    if kind == "opaque":
-        return
-    if kind == "td":
-        rings = (
-            membership.rings if membership is not None else scheme.graph.rings
-        )
-        modes = {
-            int(node): Mode[name] for node, name in state["modes"].items()
-        }
-        # The TDGraph constructor re-validates Property 1 and the
-        # tree-follows-rings invariant, so a corrupt checkpoint fails loudly.
-        scheme._graph = TDGraph(rings, _decode_tree(state["tree"]), modes)
-        scheme._rebuild_schedule()
-        scheme._alive_sensors = list(state["alive"])
-        _restore_policy(scheme._policy, state["policy"])
-        scheme.adaptation_log = [
-            tuple(entry) for entry in state["adaptation_log"]
-        ]
-        scheme.control_messages = state["control_messages"]
-        return
-    if kind == "tag":
-        scheme.replace_tree(_decode_tree(state["tree"]))
-        scheme._alive_sensors = list(state["alive"])
-        return
-    if kind == "sd":
-        if membership is not None:
-            scheme._rings = membership.rings
-            scheme._rebuild_schedule()
-        scheme._alive_sensors = list(state["alive"])
-        return
-    raise ConfigurationError(f"unknown scheme kind in checkpoint: {kind!r}")
-
-
-def _capture_membership(membership) -> Optional[Dict[str, Any]]:
-    if membership is None:
-        return None
-    return {
-        "alive": sorted(membership.alive),
-        "stranded": list(membership.stranded),
-        "last_boundary": membership._last_boundary,
-        "tree": _encode_tree(membership.tree),
-        "dark_parents": {
-            str(child): parent
-            for child, parent in membership._dark_parents.items()
-        },
-    }
-
-
-def _restore_membership(membership, state: Optional[Dict[str, Any]]) -> None:
-    if state is None:
-        if membership is not None:
-            raise ConfigurationError(
-                "checkpoint has no membership state but churn is configured"
-            )
-        return
-    if membership is None:
-        raise ConfigurationError(
-            "checkpoint carries membership state but churn is not configured"
-        )
-    membership.alive = set(state["alive"])
-    # Rings are a pure function of (full radio graph, alive set): rebuild
-    # instead of serialising — every rings accessor is deterministic.
-    rings, stranded = RingsTopology.build_restricted(
-        membership._connectivity, membership.alive
-    )
-    if sorted(stranded) != sorted(state["stranded"]):
-        raise ConfigurationError(
-            "rebuilt stranded set diverges from the checkpoint "
-            f"({sorted(stranded)} != {sorted(state['stranded'])})"
-        )
-    membership.rings = rings
-    membership.stranded = tuple(stranded)
-    membership.tree = _decode_tree(state["tree"])
-    membership._last_boundary = state["last_boundary"]
-    membership._dark_parents = {
-        int(child): parent
-        for child, parent in state["dark_parents"].items()
-    }
+def _state(part) -> Optional[Dict[str, Any]]:
+    """``part.checkpoint_state()``, or None for a part without the hook."""
+    hook = getattr(part, "checkpoint_state", None)
+    return hook() if callable(hook) else None
 
 
 def capture_run_state(
@@ -293,42 +130,29 @@ def capture_run_state(
     readings,
     fingerprint: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Snapshot everything a resumed run cannot re-derive from hashes."""
-    channel = simulator._channel
+    """Snapshot everything a resumed run cannot re-derive from hashes.
+
+    Each part writes its own section; a scheme without the hook is
+    ``{"kind": "opaque"}`` (nothing of it is restored), and the ``on_epoch``
+    key exists only when the simulator's hook keeps state.
+    """
+    channel = simulator.channel
     payload: Dict[str, Any] = {
         "version": CHECKPOINT_VERSION,
         "offset": offset,
         "fingerprint": fingerprint,
         "results": [serialization.to_jsonable(result) for result in results],
         "energy": serialization.to_jsonable(energy),
-        "channel": {
-            "words": {
-                str(node): words
-                for node, words in channel._per_node_words.items()
-            },
-            "messages": {
-                str(node): messages
-                for node, messages in channel._per_node_messages.items()
-            },
-        },
-        "membership": _capture_membership(simulator._membership),
-        "scheme": _capture_scheme(simulator._scheme),
+        "channel": channel.checkpoint_state(),
+        "membership": _state(simulator.membership),
+        "scheme": _state(simulator.scheme) or {"kind": "opaque"},
     }
-    chaos = channel.chaos
-    if chaos is not None:
-        chaos_state: Dict[str, Any] = {
-            "epoch": chaos.epoch,
-            "deferred": [list(entry) for entry in chaos.deferred],
-        }
-        if chaos.auditor is not None:
-            chaos_state["auditor"] = {
-                "words": chaos.auditor._observed_words,
-                "messages": chaos.auditor._observed_messages,
-            }
-        payload["chaos"] = chaos_state
-    state_hook = getattr(readings, "checkpoint_state", None)
-    if callable(state_hook):
-        payload["readings"] = state_hook()
+    if channel.chaos is not None:
+        payload["chaos"] = channel.chaos.checkpoint_state()
+    for key, part in (("readings", readings), ("on_epoch", simulator.on_epoch)):
+        state = _state(part)
+        if state is not None:
+            payload[key] = state
     return payload
 
 
@@ -355,41 +179,42 @@ def restore_run_state(
             "checkpoint fingerprint does not match this run: "
             f"{payload['fingerprint']} != {fingerprint}"
         )
-    _restore_membership(simulator._membership, payload["membership"])
-    _restore_scheme(
-        simulator._scheme, payload["scheme"], simulator._membership
-    )
-    channel = simulator._channel
-    channel._per_node_words.clear()
-    channel._per_node_words.update(
-        {int(node): words for node, words in payload["channel"]["words"].items()}
-    )
-    channel._per_node_messages.clear()
-    channel._per_node_messages.update(
-        {
-            int(node): messages
-            for node, messages in payload["channel"]["messages"].items()
-        }
-    )
-    chaos = channel.chaos
-    chaos_state = payload.get("chaos")
-    if chaos is not None and chaos_state is not None:
-        chaos.epoch = chaos_state["epoch"]
-        chaos.deferred = [tuple(entry) for entry in chaos_state["deferred"]]
-        auditor_state = chaos_state.get("auditor")
-        if chaos.auditor is not None and auditor_state is not None:
-            chaos.auditor._observed_words = auditor_state["words"]
-            chaos.auditor._observed_messages = auditor_state["messages"]
+    membership = simulator.membership
+    if (payload["membership"] is None) != (membership is None):
+        raise ConfigurationError(
+            "checkpoint carries membership state but churn is not configured"
+            if membership is None
+            else "checkpoint has no membership state but churn is configured"
+        )
+    if membership is not None:
+        # First: the scheme's restore re-rings over these rings.
+        membership.restore_state(payload["membership"])
+    scheme = simulator.scheme
+    kind = payload["scheme"]["kind"]
+    expected = (_state(scheme) or {"kind": "opaque"})["kind"]
+    if kind != expected:
+        raise ConfigurationError(
+            f"checkpoint holds a {kind!r} scheme, this run a {expected!r} one"
+        )
+    if kind != "opaque":
+        scheme.restore_state(payload["scheme"], membership)
+    simulator.channel.restore_state(payload["channel"])
+    chaos = simulator.channel.chaos
+    if chaos is not None and "chaos" in payload:
+        chaos.restore_state(payload["chaos"])
     restored_energy = serialization.from_jsonable(payload["energy"])
-    energy.total_messages = restored_energy.total_messages
-    energy.total_words = restored_energy.total_words
-    energy.total_uj = restored_energy.total_uj
+    for total in ("total_messages", "total_words", "total_uj"):
+        setattr(energy, total, getattr(restored_energy, total))
     energy.per_node_uj.clear()
     energy.per_node_uj.update(restored_energy.per_node_uj)
     results.extend(
         serialization.from_jsonable(item) for item in payload["results"]
     )
-    restore_hook = getattr(readings, "restore_state", None)
-    if callable(restore_hook) and "readings" in payload:
-        restore_hook(payload["readings"])
+    for key, part in (("readings", readings), ("on_epoch", simulator.on_epoch)):
+        if callable(getattr(part, "restore_state", None)):
+            if key not in payload:  # written before this part kept state
+                raise ConfigurationError(
+                    f"checkpoint has no {key} state but this run keeps some"
+                )
+            part.restore_state(payload[key])
     return payload["offset"]

@@ -269,6 +269,23 @@ class ChaosRuntime:
         #: Deferred control bills: (release_epoch, sender, words, messages).
         self.deferred: List[Tuple[int, NodeId, int, int]] = []
 
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The clock, the deferred bills and the auditor's totals."""
+        state: Dict[str, object] = {
+            "epoch": self.epoch,
+            "deferred": [list(entry) for entry in self.deferred],
+        }
+        if self.auditor is not None:
+            state["auditor"] = self.auditor.checkpoint_state()
+        return state
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self.epoch = state["epoch"]
+        self.deferred = [tuple(entry) for entry in state["deferred"]]
+        if self.auditor is not None and "auditor" in state:
+            self.auditor.restore_state(state["auditor"])
+
     # -- delivery hooks (called by Channel / DeliveryPlan) ------------------
 
     def deliver_override(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Protocol, Tuple
+from typing import Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.graph import TDGraph
 from repro.errors import ConfigurationError
@@ -40,7 +40,12 @@ class AdaptationAction:
 
 
 class AdaptationPolicy(Protocol):
-    """Decides how to adjust the delta region after each feedback round."""
+    """Decides how to adjust the delta region after each feedback round.
+
+    A policy whose decisions depend on earlier rounds also implements
+    ``checkpoint_state()`` / ``restore_state(state)``, so a resumed run
+    decides exactly as the uninterrupted one would.
+    """
 
     def adjust(
         self, graph: TDGraph, outcome: EpochOutcome, num_sensors: int
@@ -55,29 +60,16 @@ def _contributing_fraction(outcome: EpochOutcome, num_sensors: int) -> float:
     return outcome.contributing_estimate / num_sensors
 
 
-class _SmoothedFraction:
-    """Rolling mean of the %-contributing estimate.
+class _SmoothedPolicy:
+    """What TD-Coarse and TD share: the threshold test on a smoothed signal.
 
     The contributing count is an FM estimate; on small networks a single
     epoch's reading is noisy enough (sigma ~ 12% with 40 bitmaps) to flip
-    expand/shrink decisions. Averaging the last few feedback rounds is the
-    standard estimator fix and does not change the steady state.
+    expand/shrink decisions. Averaging the last ``smoothing`` feedback
+    rounds is the standard estimator fix and does not change the steady
+    state. That window is the policy's only evolving state, so it is what
+    :meth:`checkpoint_state` saves.
     """
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ConfigurationError("smoothing window must be at least 1")
-        self._window = window
-        # maxlen evicts the oldest value in O(1); a list.pop(0) is O(n).
-        self._values: Deque[float] = deque(maxlen=window)
-
-    def update(self, value: float) -> float:
-        self._values.append(value)
-        return sum(self._values) / len(self._values)
-
-
-class TDCoarsePolicy:
-    """Network-wide expand/shrink of the delta by whole levels."""
 
     def __init__(
         self,
@@ -89,30 +81,49 @@ class TDCoarsePolicy:
             raise ConfigurationError("threshold must be in (0, 1]")
         if shrink_margin < 0.0:
             raise ConfigurationError("shrink_margin cannot be negative")
+        if smoothing < 1:
+            raise ConfigurationError("smoothing window must be at least 1")
         self.threshold = threshold
         self.shrink_margin = shrink_margin
-        self._smoother = _SmoothedFraction(smoothing)
+        # maxlen evicts the oldest value in O(1); a list.pop(0) is O(n).
+        self._window: Deque[float] = deque(maxlen=smoothing)
+
+    def _direction(self, outcome: EpochOutcome, num_sensors: int) -> str:
+        """``"expand"``, ``"shrink"`` or ``"none"`` for this feedback round."""
+        self._window.append(_contributing_fraction(outcome, num_sensors))
+        fraction = sum(self._window) / len(self._window)
+        if fraction < self.threshold:
+            return "expand"
+        if fraction >= self.threshold + self.shrink_margin:
+            return "shrink"
+        return "none"
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The smoothing window, oldest value first."""
+        return {"smoother": list(self._window)}
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self._window.clear()
+        self._window.extend(state["smoother"])
+
+
+class TDCoarsePolicy(_SmoothedPolicy):
+    """Network-wide expand/shrink of the delta by whole levels."""
 
     def adjust(
         self, graph: TDGraph, outcome: EpochOutcome, num_sensors: int
     ) -> AdaptationAction:
-        fraction = self._smoother.update(
-            _contributing_fraction(outcome, num_sensors)
+        direction = self._direction(outcome, num_sensors)
+        if direction == "none":
+            return AdaptationAction("none")
+        switched = graph.expand_all() if direction == "expand" else graph.shrink_all()
+        return AdaptationAction(
+            direction, tuple(switched), control_messages=1 if switched else 0
         )
-        if fraction < self.threshold:
-            switched = graph.expand_all()
-            return AdaptationAction(
-                "expand", tuple(switched), control_messages=1 if switched else 0
-            )
-        if fraction >= self.threshold + self.shrink_margin:
-            switched = graph.shrink_all()
-            return AdaptationAction(
-                "shrink", tuple(switched), control_messages=1 if switched else 0
-            )
-        return AdaptationAction("none")
 
 
-class TDFinePolicy:
+class TDFinePolicy(_SmoothedPolicy):
     """Targeted adaptation using per-subtree missing counts.
 
     Expansion targets the subtrees with the most missing nodes. Two
@@ -145,29 +156,21 @@ class TDFinePolicy:
         smoothing: int = 3,
         top_k: Optional[int] = None,
     ) -> None:
-        if not 0.0 < threshold <= 1.0:
-            raise ConfigurationError("threshold must be in (0, 1]")
-        if shrink_margin < 0.0:
-            raise ConfigurationError("shrink_margin cannot be negative")
+        super().__init__(threshold, shrink_margin, smoothing)
         if not 0.0 < expand_cut <= 1.0:
             raise ConfigurationError("expand_cut must be in (0, 1]")
         if top_k is not None and top_k < 1:
             raise ConfigurationError("top_k must be at least 1 when set")
-        self.threshold = threshold
-        self.shrink_margin = shrink_margin
         self.expand_cut = expand_cut
         self.top_k = top_k
-        self._smoother = _SmoothedFraction(smoothing)
 
     def adjust(
         self, graph: TDGraph, outcome: EpochOutcome, num_sensors: int
     ) -> AdaptationAction:
-        fraction = self._smoother.update(
-            _contributing_fraction(outcome, num_sensors)
-        )
-        if fraction < self.threshold:
+        direction = self._direction(outcome, num_sensors)
+        if direction == "expand":
             return self._expand(graph, outcome)
-        if fraction >= self.threshold + self.shrink_margin:
+        if direction == "shrink":
             return self._shrink(graph, outcome)
         return AdaptationAction("none")
 
@@ -278,3 +281,25 @@ class DampedPolicy:
                 self._skip = self._last_penalty
                 self._history.clear()
         return action
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """Oscillation history, skip and penalty, then the inner policy's
+        state (``None`` when the inner policy keeps none)."""
+        inner = getattr(self._inner, "checkpoint_state", None)
+        return {
+            "damped": {
+                "history": list(self._history),
+                "skip": self._skip,
+                "last_penalty": self._last_penalty,
+            },
+            "inner": inner() if inner is not None else None,
+        }
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        damped = state["damped"]
+        self._history = list(damped["history"])
+        self._skip = damped["skip"]
+        self._last_penalty = damped["last_penalty"]
+        if state["inner"] is not None:
+            self._inner.restore_state(state["inner"])

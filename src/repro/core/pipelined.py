@@ -176,3 +176,49 @@ class PipelinedTagScheme:
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """Pipelined TAG has no runtime adaptation."""
+
+    # -- checkpoint ------------------------------------------------------------
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The payloads in flight, ``[partial, count, contributors, oldest]``
+        rows per receiving node: what the next epoch forwards.
+
+        Numbers and tuples of numbers (count, sum, average partials) are
+        saved as they are; any other partial raises
+        :class:`~repro.errors.ConfigurationError` at the first checkpoint
+        rather than resuming wrong.
+        """
+        held: Dict[str, List[list]] = {}
+        for node, payloads in self._held.items():
+            rows = held[str(node)] = []
+            for payload in payloads:
+                partial = payload.partial
+                cells = partial if isinstance(partial, tuple) else (partial,)
+                if not all(isinstance(cell, (int, float)) for cell in cells):
+                    raise ConfigurationError(
+                        "pipelined TAG cannot checkpoint "
+                        f"{type(self._aggregate).__name__} partials "
+                        f"({type(partial).__name__}): only numbers and tuples "
+                        "of numbers survive a resume"
+                    )
+                if isinstance(partial, tuple):
+                    partial = list(partial)
+                rows.append(
+                    [partial, payload.count, payload.contributors, payload.oldest_epoch]
+                )
+        return {"kind": "tag-pipelined", "held": held}
+
+    def restore_state(self, state: Dict[str, object], membership=None) -> None:
+        """Inverse of :meth:`checkpoint_state` (lists come back as tuples)."""
+        self._held = {
+            int(node): [
+                _PipelinedPayload(
+                    tuple(partial) if isinstance(partial, list) else partial,
+                    count,
+                    contributors,
+                    oldest,
+                )
+                for partial, count, contributors, oldest in rows
+            ]
+            for node, rows in state["held"].items()
+        }

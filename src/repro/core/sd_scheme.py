@@ -11,7 +11,7 @@ Figure 2 shows, at the cost of the synopsis approximation error (~12% for
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
 from repro.core.wave import (
@@ -139,3 +139,15 @@ class SynopsisDiffusionScheme(LayoutWave):
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """SD has no mode adaptation (ring levels are maintained offline)."""
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The live population (the rings are membership's to rebuild)."""
+        return {"kind": "sd", "alive": list(self._alive_sensors)}
+
+    def restore_state(self, state: Dict[str, object], membership=None) -> None:
+        """Inverse of :meth:`checkpoint_state`, re-ringing over
+        ``membership``'s rings when churn is on."""
+        if membership is not None:
+            self._rings = membership.rings
+            self._rebuild_schedule()
+        self._alive_sensors = list(state["alive"])

@@ -135,3 +135,16 @@ class TagScheme(LayoutWave):
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """TAG does not adapt its aggregation mode (parent re-selection for
         link quality is a topology-maintenance concern handled offline)."""
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The tree (repaired or maintained) and the live population."""
+        return {
+            "kind": "tag",
+            "tree": self._tree.to_jsonable(),
+            "alive": list(self._alive_sensors),
+        }
+
+    def restore_state(self, state: Dict[str, object], membership=None) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self.replace_tree(Tree.from_jsonable(state["tree"]))
+        self._alive_sensors = list(state["alive"])

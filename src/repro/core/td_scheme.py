@@ -36,6 +36,7 @@ from repro.multipath.fm import FMSketch
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION, Deployment, NodeId
 from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
+from repro.tree.structure import Tree
 
 
 class TributaryDeltaScheme(LayoutWave):
@@ -262,3 +263,36 @@ class TributaryDeltaScheme(LayoutWave):
         self._graph.validate()
         self.adaptation_log.append((epoch, action.kind, len(action.switched)))
         self.control_messages += action.control_messages
+
+    # -- checkpoint ----------------------------------------------------------
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """What adaptation and churn evolved: the labelling, the repaired
+        tree, the live population, the policy's state and the log."""
+        policy_state = getattr(self._policy, "checkpoint_state", None)
+        return {
+            "kind": "td",
+            "modes": {
+                str(node): mode.name for node, mode in self._graph.modes().items()
+            },
+            "tree": self._graph.tree.to_jsonable(),
+            "alive": list(self._alive_sensors),
+            "policy": policy_state() if policy_state is not None else None,
+            "adaptation_log": [list(entry) for entry in self.adaptation_log],
+            "control_messages": self.control_messages,
+        }
+
+    def restore_state(self, state: Dict[str, object], membership=None) -> None:
+        """Inverse of :meth:`checkpoint_state`, over ``membership``'s rings
+        when churn is on (they are rebuilt there, not saved here)."""
+        rings = membership.rings if membership is not None else self._graph.rings
+        modes = {int(node): Mode[name] for node, name in state["modes"].items()}
+        # The TDGraph constructor re-validates Property 1 and the
+        # tree-follows-rings invariant, so a corrupt checkpoint fails loudly.
+        self._graph = TDGraph(rings, Tree.from_jsonable(state["tree"]), modes)
+        self._rebuild_schedule()
+        self._alive_sensors = list(state["alive"])
+        if state["policy"] is not None:
+            self._policy.restore_state(state["policy"])
+        self.adaptation_log = [tuple(entry) for entry in state["adaptation_log"]]
+        self.control_messages = state["control_messages"]

@@ -44,8 +44,6 @@ from typing import (
 )
 
 from repro.aggregates.base import Aggregate
-from repro.aggregates.grouping import annotate_groups
-from repro.aggregates.workload import annotate_workload
 from repro.core.payloads import (
     MultipathPayload,
     TreePayload,
@@ -176,10 +174,9 @@ def ring_schedule(
 def outcome_extra(
     aggregate: Aggregate, extra: Dict[str, object], empty: bool = False
 ) -> Dict[str, object]:
-    """``extra`` with the workload's and the groups' per-epoch estimates."""
-    return annotate_groups(
-        aggregate, annotate_workload(aggregate, extra, empty=empty), empty=empty
-    )
+    """``extra`` with the aggregate's per-epoch estimate extras."""
+    extra.update(aggregate.estimate_extras(empty))
+    return extra
 
 
 def empty_outcome(aggregate: Aggregate, extra: Dict[str, object]) -> EpochOutcome:

@@ -419,6 +419,44 @@ class DynamicMembership:
     def num_alive_sensors(self) -> int:
         return len(self.alive) - (BASE_STATION in self.alive)
 
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The run's membership history a resume cannot re-derive.
+
+        The rings are left out: they are a pure function of the full radio
+        graph and the alive set, so :meth:`restore_state` rebuilds them.
+        """
+        return {
+            "alive": sorted(self.alive),
+            "stranded": list(self.stranded),
+            "last_boundary": self._last_boundary,
+            "tree": self.tree.to_jsonable(),
+            "dark_parents": {
+                str(child): parent
+                for child, parent in self._dark_parents.items()
+            },
+        }
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`checkpoint_state`; raises if the rebuilt
+        stranded set disagrees with the saved one."""
+        self.alive = set(state["alive"])
+        rings, stranded = RingsTopology.build_restricted(
+            self._connectivity, self.alive
+        )
+        if sorted(stranded) != sorted(state["stranded"]):
+            raise ConfigurationError(
+                "rebuilt stranded set diverges from the checkpoint "
+                f"({sorted(stranded)} != {sorted(state['stranded'])})"
+            )
+        self.rings = rings
+        self.stranded = tuple(stranded)
+        self.tree = Tree.from_jsonable(state["tree"])
+        self._last_boundary = state["last_boundary"]
+        self._dark_parents = {
+            int(child): parent
+            for child, parent in state["dark_parents"].items()
+        }
+
     def _context(
         self,
         epoch: int,

@@ -100,6 +100,27 @@ class LinkQualityMonitor:
         """Current delivery-rate estimate for the link (prior if unobserved)."""
         return self._estimates.get((sender, receiver), self._prior)
 
+    def checkpoint_state(self) -> Dict[str, List[List[float]]]:
+        """Every link's estimate and observation count, as
+        ``[sender, receiver, value]`` rows."""
+        return {
+            "estimates": [[*link, value] for link, value in self._estimates.items()],
+            "observations": [
+                [*link, count] for link, count in self._observations.items()
+            ],
+        }
+
+    def restore_state(self, state: Dict[str, List[List[float]]]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self._estimates = {
+            (sender, receiver): value
+            for sender, receiver, value in state["estimates"]
+        }
+        self._observations = {
+            (sender, receiver): count
+            for sender, receiver, count in state["observations"]
+        }
+
     def probe_round(
         self,
         channel: Channel,
@@ -326,6 +347,24 @@ class OnlineMaintenance:
         if switches:
             self._scheme.replace_tree(maintained)
             self.switch_log.extend(switches)
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The monitor's estimates, the switch log and the probe count
+        (the maintained tree itself is the scheme's to save)."""
+        return {
+            "monitor": self.monitor.checkpoint_state(),
+            "switch_log": [
+                [switch.node, switch.old_parent, switch.new_parent]
+                for switch in self.switch_log
+            ],
+            "probes_sent": self.probes_sent,
+        }
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self.monitor.restore_state(state["monitor"])
+        self.switch_log = [ParentSwitch(*entry) for entry in state["switch_log"]]
+        self.probes_sent = state["probes_sent"]
 
 
 def feed_monitor_from_channel(

@@ -615,3 +615,20 @@ class Channel:
         finished = self.log
         self.log = TransmissionLog()
         return finished
+
+    def checkpoint_state(self) -> Dict[str, Dict[str, int]]:
+        """The cumulative per-node bills, the channel's only history (every
+        delivery draw is a keyed hash, recomputed on resume)."""
+        return {
+            "words": {str(node): n for node, n in self._per_node_words.items()},
+            "messages": {
+                str(node): n for node, n in self._per_node_messages.items()
+            },
+        }
+
+    def restore_state(self, state: Dict[str, Dict[str, int]]) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self._per_node_words = {int(node): n for node, n in state["words"].items()}
+        self._per_node_messages = {
+            int(node): n for node, n in state["messages"].items()
+        }

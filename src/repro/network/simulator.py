@@ -387,7 +387,10 @@ class EpochSimulator:
             maintenance (link probing, parent switching) that the paper
             runs "less frequently than aggregation". Setting it cuts every
             block to one epoch: the hook may change topology or failure
-            model between epochs, which invalidates a delivery plan.
+            model between epochs, which invalidates a delivery plan. A hook
+            with a ``checkpoint_state`` / ``restore_state`` pair (e.g.
+            :class:`~repro.network.linkquality.OnlineMaintenance`) is
+            checkpointed with the run.
         membership: a :class:`~repro.network.churn.DynamicMembership`
             runtime enabling node churn. Churn events are applied at
             **churn boundaries** — before the epoch at offsets divisible by
@@ -500,6 +503,11 @@ class EpochSimulator:
     def membership(self) -> Optional[DynamicMembership]:
         """The churn runtime, when node churn is enabled."""
         return self._membership
+
+    @property
+    def on_epoch(self) -> Optional[Callable[[int, Channel], None]]:
+        """The per-epoch hook (topology maintenance), if one is attached."""
+        return self._on_epoch
 
     def _effective_churn_interval(self) -> int:
         """The boundary cadence churn events are applied at."""
@@ -720,22 +728,10 @@ class EpochSimulator:
             # byte-identical to a simulator without the feature.
             extra["alive_sensors"] = self._membership.num_alive_sensors
         aggregate = getattr(self._scheme, "aggregate", None)
-        if getattr(aggregate, "workload_names", None) is not None:
-            # Multi-query workload: exact_answer just stashed every query's
-            # loss-free answer; record them beside the per-query estimates
-            # the scheme annotated, so the report layer can split this run
-            # into per-query RunResults. Single-query runs never get here.
-            truths = aggregate.last_exact_evaluations
-            if truths is not None:
-                extra["workload_truths"] = list(truths)
-        if getattr(aggregate, "group_by_spec", None) is not None:
-            # Spatial GROUP BY: exact_answer just grouped the loss-free
-            # readings by region; record the per-group truths beside the
-            # per-group estimates the scheme annotated, so the report layer
-            # can compute per-group RMS. Ungrouped runs never get here.
-            group_truths = aggregate.last_exact_groups
-            if group_truths is not None:
-                extra["group_truths"] = dict(group_truths)
+        if aggregate is not None:
+            # exact_answer just stashed the aggregate's loss-free breakdown
+            # (per query, per group); the aggregate says what to record.
+            extra.update(aggregate.truth_extras())
         result = EpochResult(
             epoch=epoch,
             estimate=outcome.estimate,

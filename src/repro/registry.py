@@ -6,24 +6,34 @@ that interchangeability lives in code. Every pluggable component family
 gets a registry keyed by a short stable name:
 
 ==============  ===================================  =======================
-registry        entry                                built-ins
+registry        entry (its contract)                 built-ins
 ==============  ===================================  =======================
 schemes         ``SchemeEntry`` (builder, adaptive)  TAG, SD, TD-Coarse, TD
 aggregates      zero-argument ``Aggregate`` factory  count, sum, avg, min,
-                                                     max, sample, distinct,
+                (usually the class)                  max, sample, distinct,
                                                      moments
-failure models  spec-string constructor              none, global, regional,
+failure models  spec constructor -> ``FailureModel`` none, global, regional,
                                                      timeline
 topologies      ``(num_sensors, seed) -> topology``  synthetic, labdata
-datasets        spec-string constructor              constant, uniform,
+                with ``deployment``, ``rings`` and
+                optional ``base_loss``
+datasets        spec constructor -> readings         constant, uniform,
                                                      diurnal
-churn models    spec-string constructor              none, deaths, blackout,
-                                                     lifetime, birthdeath
+churn models    spec constructor -> ``ChurnModel``   none, deaths, blackout,
+                (``None``: no churn at all)          lifetime, birthdeath
 summaries       spec-string ``Aggregate`` factory    heavy_hitters, quantiles
-fault plans     spec-string constructor              corrupt, duplicate,
+fault plans     spec constructor -> ``FaultPlan``    corrupt, duplicate,
                                                      delay, bscrash, partition
-regions         ``(deployment, depth) -> hierarchy`` region (quadtree), grid
+regions         ``(deployment, max_depth) ->         region (quadtree), grid
+                RegionHierarchy``
 ==============  ===================================  =======================
+
+A topology's ``base_loss`` (per-link loss rates) is composed under the
+configured failure model — how measured-link scenarios like LabData plug
+into the same config schema. Region builders take any deployment, so every
+hierarchy applies to every topology. Fault plans draw only keyed hashes of
+(seed, sender, receiver, epoch), so a plan perturbs a run identically under
+the blocked engine and the scalar oracle.
 
 Aggregates resolve from *spec strings* too (:func:`build_aggregate`): a
 plain name constructs with no arguments, while parameterised entries — the
@@ -44,10 +54,11 @@ and the new name immediately works everywhere a name is accepted: the
 query layer's ``SELECT`` targets, :class:`repro.api.RunConfig`, swept
 grids, and the CLI. Discovery is ``available()``.
 
-Failure models and datasets are constructed from *spec strings* — the
-colon-separated idiom of ``repro sweep`` (``global:0.3``,
-``uniform:10:100:0``). The head token selects the registered constructor;
-the remaining tokens are its positional string arguments.
+Failure models, datasets, churn models and fault plans are built from
+*spec strings* — the colon-separated idiom of ``repro sweep``
+(``global:0.3``, ``uniform:10:100:0``) — by one :meth:`Registry.build`: the
+head token selects the registered *spec constructor*, which receives the
+remaining tokens as positional strings.
 
 Registries resolve lazily (at build time, not at registration time), and
 unknown names raise :class:`~repro.errors.ConfigurationError` listing what
@@ -126,6 +137,13 @@ from repro.spatial.regions import (
 T = TypeVar("T")
 
 
+def _spec_parts(spec: str, kind: str) -> Tuple[str, Tuple[str, ...]]:
+    if not isinstance(spec, str) or not spec:
+        raise ConfigurationError(f"{kind} spec must be a non-empty string")
+    head, *args = spec.split(":")
+    return head, tuple(args)
+
+
 class Registry(Generic[T]):
     """A named table of components with actionable resolution errors.
 
@@ -145,6 +163,14 @@ class Registry(Generic[T]):
         self.kind = kind
         self._entries: Dict[str, T] = {}
         self._lock = threading.RLock()
+
+    def registrar(self, name: str) -> Callable[[T], T]:
+        """A decorator registering its target under ``name``."""
+
+        def decorator(entry: T) -> T:
+            return self.register(name, entry)
+
+        return decorator
 
     def register(self, name: str, entry: T) -> T:
         if not name or not isinstance(name, str):
@@ -169,6 +195,25 @@ class Registry(Generic[T]):
                     f"unknown {self.kind} {name!r}; "
                     f"available: {', '.join(self.available())}"
                 ) from None
+
+    def build(self, spec: str, word: str):
+        """Construct from a ``name[:arg...]`` spec: the head token resolves
+        the entry, which is called with the remaining tokens as strings.
+
+        ``TypeError`` / ``ValueError`` from the call (a missing token, a
+        non-number) become one :class:`ConfigurationError` naming the spec
+        as a ``word`` spec ("bad churn spec ...").
+        """
+        head, args = _spec_parts(spec, word)
+        constructor = self.resolve(head)
+        try:
+            return constructor(*args)
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as error:
+            raise ConfigurationError(
+                f"bad {word} spec {spec!r}: {error}"
+            ) from error
 
     def available(self) -> Tuple[str, ...]:
         """Registered names, in registration order."""
@@ -252,16 +297,6 @@ def register_scheme(name: str, adaptive: bool = False):
     return decorator
 
 
-def register_aggregate(name: str):
-    """Register a zero-argument aggregate factory (usually the class)."""
-
-    def decorator(factory: Callable[[], Aggregate]):
-        AGGREGATES.register(name, factory)
-        return factory
-
-    return decorator
-
-
 def register_summary(name: str):
     """Register a frequent-summary aggregate for ``name[:arg...]`` specs.
 
@@ -282,92 +317,15 @@ def register_summary(name: str):
     return decorator
 
 
-def register_regions(name: str):
-    """Register a region-hierarchy builder for ``GROUP BY name[:depth]``.
-
-    The builder maps ``(deployment, max_depth)`` to a
-    :class:`~repro.spatial.regions.RegionHierarchy` over that deployment,
-    so hierarchies apply to every registered topology (synthetic, labdata,
-    synthetic-scale) unchanged.
-    """
-
-    def decorator(builder: Callable[..., RegionHierarchy]):
-        REGIONS.register(name, builder)
-        return builder
-
-    return decorator
-
-
-def register_failure_model(name: str):
-    """Register a failure-model constructor for ``name[:arg[:arg...]]`` specs.
-
-    The constructor receives the spec's remaining tokens as positional
-    strings and returns a ``FailureModel``.
-    """
-
-    def decorator(constructor: Callable[..., object]):
-        FAILURE_MODELS.register(name, constructor)
-        return constructor
-
-    return decorator
-
-
-def register_topology(name: str):
-    """Register a topology builder: ``(num_sensors, seed) -> topology``.
-
-    The builder returns any object with ``deployment`` and ``rings``
-    attributes; an optional ``base_loss`` dict (per-link loss rates) is
-    composed under the configured failure model, which is how measured-link
-    scenarios like LabData plug into the same config schema.
-    """
-
-    def decorator(builder: Callable[..., object]):
-        TOPOLOGIES.register(name, builder)
-        return builder
-
-    return decorator
-
-
-def register_dataset(name: str):
-    """Register a workload constructor for ``name[:arg[:arg...]]`` specs."""
-
-    def decorator(constructor: Callable[..., object]):
-        DATASETS.register(name, constructor)
-        return constructor
-
-    return decorator
-
-
-def register_churn(name: str):
-    """Register a churn-model constructor for ``name[:arg[:arg...]]`` specs.
-
-    The constructor receives the spec's remaining tokens as positional
-    strings and returns a :class:`~repro.network.churn.ChurnModel` (or
-    ``None`` for the no-churn sentinel).
-    """
-
-    def decorator(constructor: Callable[..., object]):
-        CHURN_MODELS.register(name, constructor)
-        return constructor
-
-    return decorator
-
-
-def register_fault(name: str):
-    """Register a fault-injector constructor for ``name[:arg...]`` specs.
-
-    The constructor receives the spec's remaining tokens as positional
-    strings and returns a :class:`~repro.chaos.faults.FaultPlan`. Fault
-    plans are the deterministic chaos layer: every draw they make is a
-    keyed hash of (seed, sender, receiver, epoch), so a plan perturbs a run
-    identically under the blocked engine and the scalar oracle.
-    """
-
-    def decorator(constructor: Callable[..., FaultPlan]):
-        FAULTS.register(name, constructor)
-        return constructor
-
-    return decorator
+# ``@register_<family>("name")`` decorators; each entry's contract is in the
+# module table above.
+register_aggregate = AGGREGATES.registrar
+register_regions = REGIONS.registrar
+register_failure_model = FAILURE_MODELS.registrar
+register_topology = TOPOLOGIES.registrar
+register_dataset = DATASETS.registrar
+register_churn = CHURN_MODELS.registrar
+register_fault = FAULTS.registrar
 
 
 def available() -> Dict[str, Tuple[str, ...]]:
@@ -398,13 +356,6 @@ def available() -> Dict[str, Tuple[str, ...]]:
 # -- spec strings ----------------------------------------------------------
 
 
-def _spec_parts(spec: str, kind: str) -> Tuple[str, Tuple[str, ...]]:
-    if not isinstance(spec, str) or not spec:
-        raise ConfigurationError(f"{kind} spec must be a non-empty string")
-    head, *args = spec.split(":")
-    return head, tuple(args)
-
-
 def build_aggregate(spec: str) -> Aggregate:
     """Construct an aggregate from a ``name[:arg...]`` spec string.
 
@@ -423,21 +374,13 @@ def build_aggregate(spec: str) -> Aggregate:
     'heavy_hitters:0.2'
     """
     head, args = _spec_parts(spec, "aggregate")
-    factory = AGGREGATES.resolve(head)
-    if args and head not in SUMMARIES:
+    if args and head in AGGREGATES and head not in SUMMARIES:
         raise ConfigurationError(
             f"aggregate {head!r} takes no spec arguments, got {spec!r}; "
             "parameterised aggregates are the registered summaries: "
             + ", ".join(SUMMARIES.available())
         )
-    try:
-        return factory(*args)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"bad aggregate spec {spec!r}: {error}"
-        ) from error
+    return AGGREGATES.build(spec, "aggregate")
 
 
 def build_failure_model(spec: str):
@@ -446,16 +389,7 @@ def build_failure_model(spec: str):
     >>> build_failure_model("global:0.3")
     GlobalLoss(rate=0.3)
     """
-    head, args = _spec_parts(spec, "failure")
-    constructor = FAILURE_MODELS.resolve(head)
-    try:
-        return constructor(*args)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"bad failure spec {spec!r}: {error}"
-        ) from error
+    return FAILURE_MODELS.build(spec, "failure")
 
 
 def build_reading(spec: str):
@@ -464,16 +398,7 @@ def build_reading(spec: str):
     >>> build_reading("constant:2.5")(node=1, epoch=0)
     2.5
     """
-    head, args = _spec_parts(spec, "reading")
-    constructor = DATASETS.resolve(head)
-    try:
-        return constructor(*args)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"bad reading spec {spec!r}: {error}"
-        ) from error
+    return DATASETS.build(spec, "reading")
 
 
 def build_churn_model(spec: str):
@@ -488,16 +413,7 @@ def build_churn_model(spec: str):
     >>> build_churn_model("deaths:50:10")
     RandomDeaths(epoch=50, count=10, seed=0)
     """
-    head, args = _spec_parts(spec, "churn")
-    constructor = CHURN_MODELS.resolve(head)
-    try:
-        return constructor(*args)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"bad churn spec {spec!r}: {error}"
-        ) from error
+    return CHURN_MODELS.build(spec, "churn")
 
 
 def build_fault_plan(specs) -> Optional[FaultPlan]:
@@ -520,18 +436,7 @@ def build_fault_plan(specs) -> Optional[FaultPlan]:
         return None
     if isinstance(specs, str):
         specs = (specs,)
-    plans = []
-    for spec in specs:
-        head, args = _spec_parts(spec, "fault")
-        constructor = FAULTS.resolve(head)
-        try:
-            plans.append(constructor(*args))
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError(
-                f"bad fault spec {spec!r}: {error}"
-            ) from error
+    plans = [FAULTS.build(spec, "fault") for spec in specs]
     if not plans:
         return None
     if len(plans) == 1:

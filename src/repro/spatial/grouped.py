@@ -127,15 +127,15 @@ class GroupedAggregate(Aggregate):
         self._hierarchy = hierarchy
         self._depth = depth
         self._budget = word_budget
-        #: duck-typed marker: schemes/simulator detect grouped aggregates
-        #: through this attribute (the way workloads use workload_names).
+        #: The GROUP BY spec (also the marker the kernel's refusal names a
+        #: grouped query by, the way workloads use workload_names).
         self.group_by_spec = spec or f"{hierarchy.name}:{depth}"
         self.name = f"{inner.name} GROUP BY {self.group_by_spec}"
         #: per-group evaluations from the most recent tree/synopsis/mixed
-        #: eval, read by the schemes' annotate paths right after eval.
+        #: eval, read by :meth:`estimate_extras` right after eval.
         self.last_group_evaluations: Optional[Dict[str, float]] = None
         #: per-group exact answers from the most recent ``exact`` call,
-        #: read by the simulator's truth recording.
+        #: read by :meth:`truth_extras`.
         self.last_exact_groups: Optional[Dict[str, float]] = None
 
     @property
@@ -270,6 +270,20 @@ class GroupedAggregate(Aggregate):
         if not values:
             return self._inner.tree_eval(self._inner.tree_empty())
         return self._inner.exact(values)
+
+    # -- epoch-record extras -------------------------------------------------------
+
+    def estimate_extras(self, empty: bool = False) -> Dict[str, object]:
+        """Per-group estimates; an empty breakdown when nothing arrived."""
+        if empty or self.last_group_evaluations is None:
+            return {"group_estimates": {}}
+        return {"group_estimates": dict(self.last_group_evaluations)}
+
+    def truth_extras(self) -> Dict[str, object]:
+        """Per-group loss-free answers, from the latest :meth:`exact`."""
+        if self.last_exact_groups is None:
+            return {}
+        return {"group_truths": dict(self.last_exact_groups)}
 
     # -- capabilities --------------------------------------------------------------
 

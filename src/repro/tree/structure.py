@@ -162,3 +162,16 @@ class Tree:
         updated = dict(self.parents)
         updated[child] = new_parent
         return Tree(parents=updated, root=self.root)
+
+    # -- JSON codec (checkpoints) --------------------------------------------
+
+    def to_jsonable(self) -> Dict[str, NodeId]:
+        """The parent map as a JSON object, ``{str(child): parent}``."""
+        return {str(child): parent for child, parent in self.parents.items()}
+
+    @classmethod
+    def from_jsonable(cls, data: Mapping[str, NodeId]) -> "Tree":
+        """Inverse of :meth:`to_jsonable` (re-validates acyclicity)."""
+        return cls(
+            parents={int(child): parent for child, parent in data.items()}
+        )

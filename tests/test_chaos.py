@@ -33,8 +33,11 @@ from repro.chaos import (
     DuplicateDelivery,
     Partition,
 )
-from repro.core.adaptation import TDFinePolicy
+from repro.aggregates.average import AverageAggregate
+from repro.aggregates.count import CountAggregate
+from repro.core.adaptation import DampedPolicy, TDCoarsePolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
+from repro.core.pipelined import PipelinedTagScheme
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
@@ -46,6 +49,7 @@ from repro.errors import (
 )
 from repro.network.churn import DynamicMembership, RandomDeaths, ScheduledChurn
 from repro.network.failures import GlobalLoss, NoLoss
+from repro.network.linkquality import OnlineMaintenance
 from repro.network.simulator import EpochSimulator
 from repro.registry import FAULTS, build_fault_plan
 
@@ -72,12 +76,16 @@ def _build_scheme(name, scenario, tree, use_batch=True):
     graph = TDGraph(
         scenario.rings, tree, initial_modes_by_level(scenario.rings, 2)
     )
+    policy = (
+        DampedPolicy(TDCoarsePolicy()) if name == "TD-Coarse" else TDFinePolicy()
+    )
     return TributaryDeltaScheme(
         scenario.deployment,
         graph,
         aggregate,
-        policy=TDFinePolicy(),
+        policy=policy,
         use_batch=use_batch,
+        name=name,
     )
 
 
@@ -318,7 +326,7 @@ class TestAuditorTruePositives:
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("kill_at", (10, 20))
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES + ("TD-Coarse",))
     def test_kill_and_resume_is_byte_identical(
         self, small_scenario, small_tree, tmp_path, scheme, kill_at
     ):
@@ -519,3 +527,168 @@ class TestChaosRuntimeUnset:
         runtime.flush_control(channel, epoch=7)
         assert channel.per_node_words()[4] == 2
         assert runtime.deferred == []
+
+
+#: SHA-256 of the final ``checkpoint.json`` bytes of each
+#: (scheme, churn, faults) run in :class:`TestCheckpointGoldens`. The delay
+#: fault defers only control bills, all flushed by the last boundary, so
+#: each faulted file equals its clean twin.
+CHECKPOINT_GOLDENS = {
+    ("TAG", "none"): "4503170090ec7419c152c4e593d923e0f6024db0d90e06d55231a56712ccad87",
+    ("TAG", "blackout"): "2ebae230bd752fcb54d0d6f8df400cc4936fd090a9000c74013298c5e1817a5e",
+    ("SD", "none"): "34d42f4ca423ecdc0c182466415fe57b1466def6f94edd94855e2225680f82f3",
+    ("SD", "blackout"): "4f884a412215bf56eaefaf7b626ee50c330bf00735394e403b6d0e2c8d93b0a7",
+    ("TD-Coarse", "none"): "5ef1dc77860da84dd50df1d8ca523759f0e25cd638460cb32d89ca1b9efcb828",
+    ("TD-Coarse", "blackout"): "5a4e86aff0e127cfecf82d30294bd5409961b0ea0e913abe8cdbe1fc73f4c0af",
+    ("TD", "none"): "190ab896b0ec800c3796b131ddedc2e31a275cad95d76be55de10637f76b26cf",
+    ("TD", "blackout"): "8ae21c33bf35f13a74c0d8fe1793f14ea9493904cc5550262f08e52967448345",
+}
+
+CHURN_SPECS = {"none": "none", "blackout": "blackout:1010:0:0:10:10:1030"}
+
+
+class TestCheckpointGoldens:
+    """The checkpoint file's bytes, pinned: a resumable run writes exactly
+    the payload older builds wrote, so their checkpoints still resume."""
+
+    @pytest.mark.parametrize("faults", (None, ("delay:3",)))
+    @pytest.mark.parametrize("churn", sorted(CHURN_SPECS))
+    @pytest.mark.parametrize("scheme", ("TAG", "SD", "TD-Coarse", "TD"))
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, scheme, churn, faults):
+        config = RunConfig(
+            scheme=scheme,
+            num_sensors=60,
+            epochs=40,
+            failure="global:0.3",
+            aggregate="sum",
+            reading="uniform:10:100:0",
+            churn=CHURN_SPECS[churn],
+            faults=faults,
+        )
+        # Record mode: the delay fault trips a strict auditor's
+        # billing-conservation check by design.
+        run_config_result(
+            config,
+            checkpoint=Checkpointer(tmp_path, interval=10),
+            audit=Auditor(strict=False),
+        )
+        digest = hashlib.sha256(
+            (tmp_path / "checkpoint.json").read_bytes()
+        ).hexdigest()
+        assert digest == CHECKPOINT_GOLDENS[(scheme, churn)]
+
+
+def _pipeline_readings(node, epoch):
+    return node % 7 + 10 * epoch
+
+
+class TestResumeEveryStatefulPart:
+    """State that lives outside the scheme's topology — a pipeline's
+    in-flight payloads, a maintenance hook's link estimates — resumes too."""
+
+    def _pipelined(self, scenario, tree, aggregate, checkpoint=None):
+        scheme = PipelinedTagScheme(scenario.deployment, tree, aggregate)
+        simulator = EpochSimulator(
+            scenario.deployment,
+            GlobalLoss(0.2),
+            scheme,
+            seed=3,
+            adapt_interval=0,
+            checkpoint=checkpoint,
+        )
+        return simulator.run(30, _pipeline_readings)
+
+    @pytest.mark.parametrize(
+        "aggregate", (CountAggregate, SumAggregate, AverageAggregate)
+    )
+    def test_pipelined_payloads_survive_kill_and_resume(
+        self, small_scenario, small_tree, tmp_path, aggregate
+    ):
+        base = self._pipelined(small_scenario, small_tree, aggregate())
+        with pytest.raises(SimulationKilled):
+            self._pipelined(
+                small_scenario,
+                small_tree,
+                aggregate(),
+                Checkpointer(tmp_path, interval=10, kill_at=10),
+            )
+        resumed = self._pipelined(
+            small_scenario,
+            small_tree,
+            aggregate(),
+            Checkpointer(tmp_path, interval=10, resume=True),
+        )
+        assert serialization.dumps(resumed) == serialization.dumps(base)
+
+    def test_pipelined_rejects_partials_it_cannot_save(
+        self, small_scenario, small_tree, tmp_path
+    ):
+        class ListSum(SumAggregate):
+            def tree_local(self, node, epoch, reading):
+                return [reading]
+
+            def tree_merge(self, a, b):
+                return a + b
+
+            def tree_eval(self, partial):
+                return float(sum(partial))
+
+            def tree_words(self, partial):
+                return 1
+
+        with pytest.raises(ConfigurationError, match="ListSum"):
+            self._pipelined(
+                small_scenario,
+                small_tree,
+                ListSum(),
+                Checkpointer(tmp_path, interval=10),
+            )
+
+    def _maintained(self, scenario, tree, checkpoint=None):
+        scheme = TagScheme(scenario.deployment, tree, SumAggregate())
+        maintenance = OnlineMaintenance(scheme, scenario.rings, interval=5)
+        simulator = EpochSimulator(
+            scenario.deployment,
+            GlobalLoss(0.3),
+            scheme,
+            seed=3,
+            adapt_interval=0,
+            on_epoch=maintenance,
+            checkpoint=checkpoint,
+        )
+        return simulator.run(60, _pipeline_readings), maintenance
+
+    def test_maintained_tree_survives_kill_and_resume(
+        self, small_scenario, small_tree, tmp_path
+    ):
+        base, straight = self._maintained(small_scenario, small_tree)
+        with pytest.raises(SimulationKilled):
+            self._maintained(
+                small_scenario,
+                small_tree,
+                Checkpointer(tmp_path, interval=10, kill_at=30),
+            )
+        resumed, maintenance = self._maintained(
+            small_scenario,
+            small_tree,
+            Checkpointer(tmp_path, interval=10, resume=True),
+        )
+        assert serialization.dumps(resumed) == serialization.dumps(base)
+        assert maintenance.switch_log == straight.switch_log
+        assert maintenance.probes_sent == straight.probes_sent
+
+    def test_maintained_refuses_a_checkpoint_without_its_state(
+        self, small_scenario, small_tree, tmp_path
+    ):
+        with pytest.raises(SimulationKilled):
+            self._maintained(
+                small_scenario,
+                small_tree,
+                Checkpointer(tmp_path, interval=10, kill_at=10),
+            )
+        checkpointer = Checkpointer(tmp_path, interval=10, resume=True)
+        payload = checkpointer.load()
+        del payload["on_epoch"]  # as written before the hook kept state
+        checkpointer.write(payload)
+        with pytest.raises(ConfigurationError, match="no on_epoch state"):
+            self._maintained(small_scenario, small_tree, checkpointer)
