@@ -24,7 +24,9 @@ from repro.multipath.fm import (
 class AdditiveFMAggregate(Aggregate[int, FMSketch]):
     """Integer partials merged by ``+``, FM synopses merged by OR."""
 
-    #: Key label of the conversion's virtual items ("sum-conv", ...).
+    #: Key labels of the local ("sum", ...) and the conversion's ("sum-conv",
+    #: ...) virtual items.
+    _label: str
     _conv_label: str
 
     def __init__(self, num_bitmaps: int = 40, bits: int = 32) -> None:

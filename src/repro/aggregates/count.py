@@ -27,6 +27,7 @@ class CountAggregate(AdditiveFMAggregate):
     """Count of contributing sensors."""
 
     name = "count"
+    _label = "count"
     _conv_label = "count-conv"
 
     # -- tree ------------------------------------------------------------
@@ -51,7 +52,7 @@ class CountAggregate(AdditiveFMAggregate):
 
     def synopsis_local(self, node: int, epoch: int, reading: float) -> FMSketch:
         sketch = self._empty_sketch()
-        sketch.insert("count", node, epoch)
+        sketch.insert(self._label, node, epoch)
         return sketch
 
     def synopsis_local_block(
@@ -61,7 +62,7 @@ class CountAggregate(AdditiveFMAggregate):
         reading_rows: Sequence[Sequence[float]],
     ) -> List[List[FMSketch]]:
         return single_item_sketches_block(
-            self._num_bitmaps, self._bits, ("count",), nodes, epochs
+            self._num_bitmaps, self._bits, (self._label,), nodes, epochs
         )
 
     def synopsis_local_block_packed(
@@ -71,7 +72,7 @@ class CountAggregate(AdditiveFMAggregate):
         reading_rows: Sequence[Sequence[float]],
     ):
         return single_item_matrix_block(
-            self._num_bitmaps, self._bits, ("count",), nodes, epochs
+            self._num_bitmaps, self._bits, (self._label,), nodes, epochs
         )
 
     # -- truth ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ with whatever the delta has already seen.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import FrozenSet, Sequence
 
 from repro.aggregates.base import Aggregate
 from repro.errors import ConfigurationError
@@ -103,28 +103,13 @@ class DistinctCountAggregate(Aggregate[ValueSet, FMSketch]):
 
     def convert(self, partial: ValueSet, sender: int, epoch: int) -> FMSketch:
         """Insert the subtree's values; keys ignore the sender on purpose —
-        a value the delta already saw elsewhere must not count twice."""
+        a value the delta already saw elsewhere must not count twice. (So
+        the base ``mixed_eval`` is exact here: tree sets reaching the base
+        station are converted and fused, never added.)"""
         sketch = self._empty_sketch()
         for value in partial:
             sketch.insert("distinct", value)
         return sketch
-
-    # -- mixed evaluation --------------------------------------------------------
-
-    def mixed_eval(
-        self, partials: Sequence[ValueSet], fused: Optional[FMSketch]
-    ) -> float:
-        """Tree sets reaching the base station directly are folded into the
-        sketch rather than added: their values may overlap the delta's."""
-        if fused is None:
-            combined: ValueSet = frozenset()
-            for partial in partials:
-                combined |= partial
-            return float(len(combined))
-        sketch = fused
-        for index, partial in enumerate(partials):
-            sketch = sketch.fuse(self.convert(partial, -(index + 1), 0))
-        return sketch.estimate()
 
     # -- truth ---------------------------------------------------------------------
 

@@ -292,7 +292,77 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         )
 
 
-class QuantilesAggregate(Aggregate[GKSummary, QuantileSynopsis]):
+class _SampleQuantiles(Aggregate):
+    """The half both quantile routes share: the multi-path side.
+
+    The delta carries the duplicate-insensitive weighted bottom-k sample of
+    :mod:`repro.frequent.td_quantiles`; a subclass supplies the tree
+    summary (its ``tree_*`` methods, ``_budget``) and its conversion into a
+    sample. The scalar answer is the phi-quantile (median by default).
+    """
+
+    def __init__(
+        self,
+        epsilon: float,
+        phi: float,
+        sample_size: Optional[int],
+        representatives: int,
+    ) -> None:
+        if not 0.0 < epsilon < 1.0:
+            raise ConfigurationError("epsilon must be in (0, 1)")
+        if not 0.0 <= phi <= 1.0:
+            raise ConfigurationError("phi must be in [0, 1]")
+        if representatives < 1:
+            raise ConfigurationError("representatives must be at least 1")
+        self.epsilon = epsilon
+        self.phi = phi
+        self._capacity = sample_size or max(16, math.ceil(2.0 / epsilon))
+        if self._capacity < 1:
+            raise ConfigurationError("sample_size must be at least 1")
+        self._representatives = representatives
+
+    # -- tree ------------------------------------------------------------
+
+    def tree_eval(self, partial) -> float:
+        if partial.n == 0:
+            return 0.0
+        return partial.query_quantile(self.phi)
+
+    def tree_words(self, partial) -> int:
+        return partial.words()
+
+    # -- multi-path ----------------------------------------------------------
+
+    def synopsis_local(self, node: int, epoch: int, reading: float) -> QuantileSynopsis:
+        return synopsis_from_readings(node, epoch, [float(reading)], self._capacity)
+
+    def synopsis_fuse(
+        self, a: QuantileSynopsis, b: QuantileSynopsis
+    ) -> QuantileSynopsis:
+        return a.merge(b)
+
+    def synopsis_eval(self, synopsis: QuantileSynopsis) -> float:
+        if not synopsis.entries:
+            return 0.0
+        return synopsis.quantile(self.phi)
+
+    def synopsis_words(self, synopsis: QuantileSynopsis) -> int:
+        return synopsis.words()
+
+    def synopsis_empty(self) -> QuantileSynopsis:
+        return QuantileSynopsis.empty(self._capacity)
+
+    # -- truth ---------------------------------------------------------------------
+
+    def exact(self, readings: Sequence[float]) -> float:
+        if not readings:
+            return 0.0
+        ordered = sorted(float(value) for value in readings)
+        rank = max(1, round(self.phi * len(ordered)))
+        return ordered[rank - 1]
+
+
+class QuantilesAggregate(_SampleQuantiles):
     """The phi-quantile of the sensors' current readings.
 
     Args:
@@ -312,19 +382,8 @@ class QuantilesAggregate(Aggregate[GKSummary, QuantileSynopsis]):
         sample_size: Optional[int] = None,
         representatives: int = 16,
     ) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigurationError("epsilon must be in (0, 1)")
-        if not 0.0 <= phi <= 1.0:
-            raise ConfigurationError("phi must be in [0, 1]")
-        if representatives < 1:
-            raise ConfigurationError("representatives must be at least 1")
-        self.epsilon = epsilon
-        self.phi = phi
+        super().__init__(epsilon, phi, sample_size, representatives)
         self._budget = max(2, math.ceil(1.0 / epsilon))
-        self._capacity = sample_size or max(16, math.ceil(2.0 / epsilon))
-        if self._capacity < 1:
-            raise ConfigurationError("sample_size must be at least 1")
-        self._representatives = representatives
         self.name = f"quantiles:{epsilon:g}:{phi:g}"
 
     # -- tree ------------------------------------------------------------
@@ -341,47 +400,12 @@ class QuantilesAggregate(Aggregate[GKSummary, QuantileSynopsis]):
             merged = merged.prune(self._budget)
         return merged
 
-    def tree_eval(self, partial: GKSummary) -> float:
-        if partial.n == 0:
-            return 0.0
-        return partial.query_quantile(self.phi)
-
-    def tree_words(self, partial: GKSummary) -> int:
-        return partial.words()
-
     def tree_empty(self) -> GKSummary:
         return GKSummary.from_values([])
 
-    # -- multi-path ----------------------------------------------------------
-
-    def synopsis_local(
-        self, node: int, epoch: int, reading: float
-    ) -> QuantileSynopsis:
-        return synopsis_from_readings(
-            node, epoch, [float(reading)], self._capacity
-        )
-
-    def synopsis_fuse(
-        self, a: QuantileSynopsis, b: QuantileSynopsis
-    ) -> QuantileSynopsis:
-        return a.merge(b)
-
-    def synopsis_eval(self, synopsis: QuantileSynopsis) -> float:
-        if not synopsis.entries:
-            return 0.0
-        return synopsis.quantile(self.phi)
-
-    def synopsis_words(self, synopsis: QuantileSynopsis) -> int:
-        return synopsis.words()
-
-    def synopsis_empty(self) -> QuantileSynopsis:
-        return QuantileSynopsis.empty(self._capacity)
-
     # -- conversion --------------------------------------------------------------
 
-    def convert(
-        self, partial: GKSummary, sender: int, epoch: int
-    ) -> QuantileSynopsis:
+    def convert(self, partial: GKSummary, sender: int, epoch: int) -> QuantileSynopsis:
         converted = convert_summary(
             partial, sender, epoch, self._capacity, self._representatives
         )
@@ -389,17 +413,8 @@ class QuantilesAggregate(Aggregate[GKSummary, QuantileSynopsis]):
             return QuantileSynopsis.empty(self._capacity)
         return converted
 
-    # -- truth ---------------------------------------------------------------------
 
-    def exact(self, readings: Sequence[float]) -> float:
-        if not readings:
-            return 0.0
-        ordered = sorted(float(value) for value in readings)
-        rank = max(1, round(self.phi * len(ordered)))
-        return ordered[rank - 1]
-
-
-class QuantilesQDAggregate(Aggregate[QDigest, QuantileSynopsis]):
+class QuantilesQDAggregate(_SampleQuantiles):
     """The phi-quantile via q-digest summaries (Shrivastava et al.).
 
     The duplicate-sensitive sibling of :class:`QuantilesAggregate`: tree
@@ -407,11 +422,11 @@ class QuantilesQDAggregate(Aggregate[QDigest, QuantileSynopsis]):
     ``[0, 2**log_universe)`` with compression budget
     ``k = ceil(log_universe / epsilon)``, giving the SenSys'04 space bound
     (at most ~3k counted ranges) and rank error at most ``epsilon * n``.
-    The multi-path side reuses the duplicate-insensitive weighted sample
-    of :mod:`repro.frequent.td_quantiles` (q-digests are not ODI — range
-    counts double under multi-path duplication — so the delta side needs
-    the sample either way); conversion draws stratified representatives
-    from the digest, keyed in a dedicated ``qdq-conv`` namespace.
+    The multi-path side is the shared duplicate-insensitive weighted
+    sample (q-digests are not ODI — range counts double under multi-path
+    duplication — so the delta side needs the sample either way);
+    conversion draws stratified representatives from the digest, keyed in
+    a dedicated ``qdq-conv`` namespace.
 
     Args:
         epsilon: rank-error tolerance; sets the q-digest budget and the
@@ -432,77 +447,29 @@ class QuantilesQDAggregate(Aggregate[QDigest, QuantileSynopsis]):
         sample_size: Optional[int] = None,
         representatives: int = 16,
     ) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigurationError("epsilon must be in (0, 1)")
-        if not 0.0 <= phi <= 1.0:
-            raise ConfigurationError("phi must be in [0, 1]")
+        super().__init__(epsilon, phi, sample_size, representatives)
         if not 1 <= log_universe <= MAX_LOG_UNIVERSE:
             raise ConfigurationError(
                 f"log_universe must be in [1, {MAX_LOG_UNIVERSE}]"
             )
-        if representatives < 1:
-            raise ConfigurationError("representatives must be at least 1")
-        self.epsilon = epsilon
-        self.phi = phi
         self.log_universe = log_universe
         self._budget = max(4, math.ceil(log_universe / epsilon))
-        self._capacity = sample_size or max(16, math.ceil(2.0 / epsilon))
-        if self._capacity < 1:
-            raise ConfigurationError("sample_size must be at least 1")
-        self._representatives = representatives
         self.name = f"quantiles_qd:{epsilon:g}:{phi:g}"
 
     # -- tree ------------------------------------------------------------
 
     def tree_local(self, node: int, epoch: int, reading: float) -> QDigest:
-        return QDigest.from_values(
-            [float(reading)], self.log_universe, self._budget
-        )
+        return QDigest.from_values([float(reading)], self.log_universe, self._budget)
 
     def tree_merge(self, a: QDigest, b: QDigest) -> QDigest:
         return a.merge(b)
 
-    def tree_eval(self, partial: QDigest) -> float:
-        if partial.n == 0:
-            return 0.0
-        return partial.query_quantile(self.phi)
-
-    def tree_words(self, partial: QDigest) -> int:
-        return partial.words()
-
     def tree_empty(self) -> QDigest:
         return QDigest.empty(self.log_universe, self._budget)
 
-    # -- multi-path ----------------------------------------------------------
-
-    def synopsis_local(
-        self, node: int, epoch: int, reading: float
-    ) -> QuantileSynopsis:
-        return synopsis_from_readings(
-            node, epoch, [float(reading)], self._capacity
-        )
-
-    def synopsis_fuse(
-        self, a: QuantileSynopsis, b: QuantileSynopsis
-    ) -> QuantileSynopsis:
-        return a.merge(b)
-
-    def synopsis_eval(self, synopsis: QuantileSynopsis) -> float:
-        if not synopsis.entries:
-            return 0.0
-        return synopsis.quantile(self.phi)
-
-    def synopsis_words(self, synopsis: QuantileSynopsis) -> int:
-        return synopsis.words()
-
-    def synopsis_empty(self) -> QuantileSynopsis:
-        return QuantileSynopsis.empty(self._capacity)
-
     # -- conversion --------------------------------------------------------------
 
-    def convert(
-        self, partial: QDigest, sender: int, epoch: int
-    ) -> QuantileSynopsis:
+    def convert(self, partial: QDigest, sender: int, epoch: int) -> QuantileSynopsis:
         """Digest -> weighted sample: r stratified representatives.
 
         Mirrors the GK conversion of Section 6.3: representative j carries
@@ -526,15 +493,6 @@ class QuantilesQDAggregate(Aggregate[QDigest, QuantileSynopsis]):
         return QuantileSynopsis.from_weighted_values(
             self._capacity, keyed_values
         )
-
-    # -- truth ---------------------------------------------------------------------
-
-    def exact(self, readings: Sequence[float]) -> float:
-        if not readings:
-            return 0.0
-        ordered = sorted(float(value) for value in readings)
-        rank = max(1, round(self.phi * len(ordered)))
-        return ordered[rank - 1]
 
 
 __all__ = [

@@ -32,6 +32,7 @@ class SumAggregate(AdditiveFMAggregate):
     """Sum of non-negative integer sensor readings."""
 
     name = "sum"
+    _label = "sum"
     _conv_label = "sum-conv"
 
     @staticmethod
@@ -73,7 +74,7 @@ class SumAggregate(AdditiveFMAggregate):
 
     def synopsis_local(self, node: int, epoch: int, reading: float) -> FMSketch:
         sketch = self._empty_sketch()
-        sketch.insert_count(self._as_int(reading), "sum", node, epoch)
+        sketch.insert_count(self._as_int(reading), self._label, node, epoch)
         return sketch
 
     def synopsis_local_block(
@@ -87,7 +88,7 @@ class SumAggregate(AdditiveFMAggregate):
         return counted_sketches_block(
             self._num_bitmaps,
             self._bits,
-            ("sum",),
+            (self._label,),
             [[self._as_int(reading) for reading in row] for row in reading_rows],
             nodes,
             epochs,
@@ -102,7 +103,7 @@ class SumAggregate(AdditiveFMAggregate):
         return counted_matrix(
             self._num_bitmaps,
             self._bits,
-            ("sum",),
+            (self._label,),
             self._as_int_array(
                 np.asarray(reading_rows, dtype=np.float64).reshape(-1)
             ),

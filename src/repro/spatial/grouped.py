@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._hashing import hash_key
 from repro.aggregates.base import Aggregate
+from repro.aggregates.filtered import FilteredAggregate, require_neutral
 from repro.errors import ConfigurationError
 from repro.spatial.regions import (
     RegionHierarchy,
@@ -83,17 +84,6 @@ class GroupedReadings:
             hook(state)
 
 
-def _require_neutral(inner: Aggregate, what: str) -> None:
-    try:
-        inner.tree_empty()
-        inner.synopsis_empty()
-    except NotImplementedError:
-        raise ConfigurationError(
-            f"{what} requires an aggregate with neutral elements; "
-            f"{inner.name!r} has none"
-        ) from None
-
-
 class GroupedAggregate(Aggregate):
     """GROUP BY wrapper: partial cubes keyed by region path.
 
@@ -117,7 +107,7 @@ class GroupedAggregate(Aggregate):
             raise ConfigurationError(
                 f"aggregate {supported!r} does not support GROUP BY"
             )
-        _require_neutral(inner, "GROUP BY")
+        require_neutral(inner, "GROUP BY")
         if word_budget is not None and word_budget < 2:
             raise ConfigurationError(
                 f"GROUP BY word budget {word_budget} too small: a grouped "
@@ -356,83 +346,26 @@ class GroupedAggregate(Aggregate):
         return cube
 
 
-class RegionFilteredAggregate(Aggregate):
+class RegionFilteredAggregate(FilteredAggregate):
     """Standalone single-region run over region-tagged readings.
 
-    The spatial analogue of :class:`~repro.query.FilteredAggregate`: nodes
-    outside the target region contribute the inner neutral element but
-    keep relaying.  Used by the amortization benchmark and the loss-0
-    equivalence tests — one grouped pass must agree with (and cost less
-    than) a set of these.
+    The spatial WHERE clause: nodes outside the target region contribute
+    the inner neutral element but keep relaying.  Used by the amortization
+    benchmark and the loss-0 equivalence tests — one grouped pass must
+    agree with (and cost less than) a set of these.
     """
 
+    _clause = "region filtering"
+
     def __init__(self, inner: Aggregate, region: str) -> None:
-        _require_neutral(inner, "region filtering")
-        self._inner = inner
-        self._region = region
+        super().__init__(inner, lambda reading: is_region_prefix(region, reading[1]))
         self.name = f"{inner.name}[region={region}]"
 
-    def _matches(self, path: str) -> bool:
-        return is_region_prefix(self._region, path)
+    def _value(self, reading: TaggedReading) -> float:
+        return reading[0]
 
-    # -- tree ------------------------------------------------------------
-
-    def tree_local(self, node: int, epoch: int, reading: TaggedReading):
-        value, path = reading
-        if self._matches(path):
-            return self._inner.tree_local(node, epoch, value)
-        return self._inner.tree_empty()
-
-    def tree_merge(self, a, b):
-        return self._inner.tree_merge(a, b)
-
-    def tree_eval(self, partial) -> float:
-        return self._inner.tree_eval(partial)
-
-    def tree_words(self, partial) -> int:
-        return self._inner.tree_words(partial)
-
-    # -- multi-path ----------------------------------------------------------
-
-    def synopsis_local(self, node: int, epoch: int, reading: TaggedReading):
-        value, path = reading
-        if self._matches(path):
-            return self._inner.synopsis_local(node, epoch, value)
-        return self._inner.synopsis_empty()
-
-    def synopsis_fuse(self, a, b):
-        return self._inner.synopsis_fuse(a, b)
-
-    def synopsis_eval(self, synopsis) -> float:
-        return self._inner.synopsis_eval(synopsis)
-
-    def synopsis_words(self, synopsis) -> int:
-        return self._inner.synopsis_words(synopsis)
-
-    # -- neutral elements / conversion ----------------------------------------
-
-    def tree_empty(self):
-        return self._inner.tree_empty()
-
-    def synopsis_empty(self):
-        return self._inner.synopsis_empty()
-
-    def convert(self, partial, sender: int, epoch: int):
-        return self._inner.convert(partial, sender, epoch)
-
-    def mixed_eval(self, partials, fused) -> float:
-        return self._inner.mixed_eval(partials, fused)
-
-    # -- truth ---------------------------------------------------------------------
-
-    def exact(self, readings: Sequence[TaggedReading]) -> float:
-        matching = [v for v, path in readings if self._matches(path)]
-        if not matching:
-            return self._inner.tree_eval(self._inner.tree_empty())
-        return self._inner.exact(matching)
-
-    def synopsis_counts_contributors(self) -> bool:
-        return False
+    def supports_group_by(self) -> bool:
+        return False  # a grouped inner reads untagged values
 
 
 def apply_grouping(
