@@ -85,3 +85,20 @@ class CountAggregate(AdditiveFMAggregate):
 
     def synopsis_counts_contributors(self) -> bool:
         return True
+
+
+class ContributingCount(CountAggregate):
+    """The Section 4.2 piggyback: the count of contributing sensors.
+
+    Every message carries it beside the query payload — exact on tree links
+    (:class:`~repro.core.payloads.TreePayload`'s ``count``), this Count's
+    synopsis on multi-path links, and this Count's conversion where a tree
+    count meets the delta — and Tributary-Delta adapts on it alone. Its
+    synopsis counts its own contributors, so it rides as the only payload
+    of a convergence wave too. A query whose synopsis already counts its
+    contributors (plain Count) carries no piggyback.
+    """
+
+    name = "contributing"
+    _label = "contrib"
+    _conv_label = "contrib-conv"

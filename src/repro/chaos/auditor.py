@@ -13,8 +13,9 @@ paper and this reproduction promise:
   transmission logs must equal the channel's per-node load maps (every send
   is billed exactly once, to exactly one node);
 * ``fm-or-monotonicity`` — the base station's contributing-count FM sketch
-  must be a bitwise subset of the union of the alive sensors'
-  single-item insertions (a fused OR can never invent a bit);
+  (SD's piggyback, or its Count query's own synopsis) must be a bitwise
+  subset of the union of the alive sensors' single-item insertions (a
+  fused OR can never invent a bit);
 * ``tree-count-consistency`` — on the pure tree scheme, losslessly counted
   contributors must match the count aggregate exactly;
 * ``lossless-delivery`` — under a :class:`~repro.network.failures.NoLoss`
@@ -216,24 +217,22 @@ class Auditor:
                 nodes=odd,
             )
 
-    def check_contrib_sketch(self, sketch, alive_sensors, epoch: int) -> None:
+    def check_contrib_sketch(
+        self, sketch, counter, alive_sensors, epoch: int
+    ) -> None:
         """``fm-or-monotonicity``: the fused contributing-count sketch must
         be a bitwise subset of the union of the alive sensors' legitimate
-        single-item insertions — a fused OR can never invent a bit."""
-        from repro.multipath.fm import single_item_sketches
-
+        insertions — a fused OR can never invent a bit. ``counter`` is the
+        Count that built the sketch (the piggyback, or the query's own), so
+        its local synopses are exactly those insertions."""
         self._count("fm-or-monotonicity")
         alive = sorted(alive_sensors)
-        expected = 0
-        for single in single_item_sketches(
-            sketch.num_bitmaps,
-            sketch.bits,
-            ("contrib",),
-            alive,
-            [epoch] * len(alive),
-        ):
-            expected |= single._packed
-        rogue = sketch._packed & ~expected
+        (singles,) = counter.synopsis_local_block(
+            alive, [epoch], [[None] * len(alive)]
+        )
+        rogue = sketch._packed & ~counter.synopsis_fuse_many(
+            [counter.synopsis_empty(), *singles]
+        )._packed
         if rogue:
             self._report(
                 f"contributing-count sketch carries {bin(rogue).count('1')} "

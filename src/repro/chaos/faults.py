@@ -10,8 +10,9 @@ fault scenario is fully reproducible from its spec string.
 
 The built-in injectors (spec syntax in :mod:`repro.registry`):
 
-* :class:`CorruptSynopsis` — sets a high bit in a delivered payload's
-  contributing-count FM sketch (a bit-flip in a synopsis row). The bit is
+* :class:`CorruptSynopsis` — sets a high bit in the FM sketch that carries
+  a delivered payload's contributing count (a bit-flip in a synopsis row):
+  the piggybacked sketch, or a Count query's own synopsis. The bit is
   the top level of a keyed-chosen bitmap, which a legitimate union of
   single-item insertions reaches with probability ~2^-31 — so the
   auditor's ``fm-or-monotonicity`` subset check trips deterministically.
@@ -79,7 +80,12 @@ class FaultPlan:
 
 
 class CorruptSynopsis(FaultPlan):
-    """Bit-flip a delivered payload's contributing-count sketch."""
+    """Bit-flip the sketch carrying a delivered payload's contributing count.
+
+    That is the piggybacked ``count_sketch``; a payload without one carries
+    a query whose own synopsis counts its contributors (Count), and that
+    synopsis is flipped instead.
+    """
 
     name = "corrupt"
 
@@ -90,8 +96,9 @@ class CorruptSynopsis(FaultPlan):
         self.seed = seed
 
     def corrupt(self, payload, sender: NodeId, receiver: NodeId, epoch: int):
-        sketch = getattr(payload, "count_sketch", None)
-        if sketch is None or self.rate <= 0.0:
+        field = "synopsis" if payload.count_sketch is None else "count_sketch"
+        sketch = getattr(payload, field)
+        if not isinstance(sketch, FMSketch) or self.rate <= 0.0:
             return payload
         draw = hash_unit("fault-corrupt", self.seed, sender, receiver, epoch)
         if draw >= self.rate:
@@ -107,7 +114,7 @@ class CorruptSynopsis(FaultPlan):
         corrupted = FMSketch.from_packed(
             sketch.num_bitmaps, sketch.bits, sketch._packed | (1 << bit)
         )
-        return replace(payload, count_sketch=corrupted)
+        return replace(payload, **{field: corrupted})
 
     def describe(self) -> str:
         return f"corrupt:{self.rate}:{self.seed}"

@@ -81,10 +81,9 @@ class PipelinedTagScheme:
         self.name = name
         self._levels = tree.levels()
         self.depth = max(self._levels.values(), default=0)
-        self._order: List[NodeId] = sorted(
-            (node for node in self._levels if node != BASE_STATION),
-            key=lambda node: (-self._levels[node], node),
-        )
+        self._order: List[NodeId] = [
+            node for level in tree.level_groups() for node in level
+        ]
         #: Payloads received last epoch, waiting to be merged and forwarded.
         self._held: Dict[NodeId, List[_PipelinedPayload]] = {}
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
-from repro.core.wave import (
-    LayoutWave,
-    WaveLayout,
-    empty_outcome,
-    outcome_extra,
-    ring_schedule,
-)
+from repro.core.wave import LayoutWave, WaveLayout, ring_schedule
 from repro.errors import ConfigurationError
 from repro.kernels.td import run_td_block as run_sd_block
 from repro.network.links import Channel, TransmissionLog
@@ -31,6 +25,8 @@ from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
 
 class SynopsisDiffusionScheme(LayoutWave):
     """Multi-path aggregation over rings."""
+
+    _audits_contributing_sketch = True
 
     def __init__(
         self,
@@ -96,43 +92,8 @@ class SynopsisDiffusionScheme(LayoutWave):
         """A block of epochs; see :meth:`LayoutWave._run_blocks`."""
         return self._run_blocks(epochs, channel, readings, run_sd_block)
 
-    def _evaluate_base_station(
-        self,
-        epoch,
-        chaos,
-        partials,
-        exact_count,
-        synopsis,
-        count_sketch,
-        contributing,
-        missing_stats,
-    ) -> EpochOutcome:
-        """The base station's fused synopsis, its contributing count audited."""
-        aggregate = self._aggregate
-        extra = {"latency_epochs": self._rings.depth}
-        if synopsis is None:
-            return empty_outcome(aggregate, extra)
-        if (
-            chaos is not None
-            and chaos.auditor is not None
-            and count_sketch is not None
-        ):
-            # SD's contributing-count sketch is a pure OR-fold of per-node
-            # single-item insertions, so the base station can audit it for
-            # invented bits (corrupted synopsis rows) exactly.
-            chaos.auditor.check_contrib_sketch(
-                count_sketch, self._alive_sensors, epoch
-            )
-        if count_sketch is not None:
-            contributing_estimate = count_sketch.estimate()
-        else:
-            contributing_estimate = aggregate.synopsis_eval(synopsis)
-        return EpochOutcome(
-            estimate=aggregate.synopsis_eval(synopsis),
-            contributing=contributing,
-            contributing_estimate=contributing_estimate,
-            extra=outcome_extra(aggregate, extra),
-        )
+    def _outcome_extra(self, layout, missing_stats) -> Dict[str, object]:
+        return {"latency_epochs": self._rings.depth}
 
     def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
         return exact_over(self._aggregate, readings, self._alive_sensors, epoch)

@@ -15,27 +15,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate, merge_all
-from repro.core.wave import LayoutWave, WaveLayout, empty_outcome, outcome_extra
+from repro.aggregates.base import Aggregate
+from repro.core.wave import LayoutWave, WaveLayout
 from repro.errors import ConfigurationError
 from repro.kernels.td import run_td_block as run_tag_block
 from repro.network.links import Channel, TransmissionLog
-from repro.network.placement import BASE_STATION, Deployment, NodeId
+from repro.network.placement import Deployment
 from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
 from repro.tree.structure import Tree
-
-
-def _level_groups(levels: Dict[NodeId, int]) -> List[List[NodeId]]:
-    """Deepest-first transmission schedule: one sorted node list per level.
-
-    Ties within a level are broken by node id for determinism; the base
-    station (level 0) only listens, so it never appears.
-    """
-    grouped: Dict[int, List[NodeId]] = {}
-    for node, level in levels.items():
-        if node != BASE_STATION:
-            grouped.setdefault(level, []).append(node)
-    return [sorted(grouped[level]) for level in sorted(grouped, reverse=True)]
 
 
 class TagScheme(LayoutWave):
@@ -68,11 +55,11 @@ class TagScheme(LayoutWave):
         the new parents. The all-T layout and the depth are recomputed —
         here, once per tree, not per block.
         """
-        levels = tree.levels()
+        level_nodes = tree.level_groups()
         self._tree = tree
-        self._depth = max(levels.values(), default=0)
+        self._depth = len(level_nodes)
         self._layout = WaveLayout.build(
-            _level_groups(levels), (), tree.parents, {}, self._attempts
+            level_nodes, (), tree.parents, {}, self._attempts
         )
 
     def on_membership_change(self, update) -> None:
@@ -106,28 +93,8 @@ class TagScheme(LayoutWave):
         """A block of epochs; see :meth:`LayoutWave._run_blocks`."""
         return self._run_blocks(epochs, channel, readings, run_tag_block)
 
-    def _evaluate_base_station(
-        self,
-        epoch,
-        chaos,
-        partials,
-        exact_count,
-        synopsis,
-        count_sketch,
-        contributing,
-        missing_stats,
-    ) -> EpochOutcome:
-        """The root's merged partial; the exact count is its own estimate."""
-        aggregate = self._aggregate
-        extra = {"latency_epochs": self._depth}
-        if not partials:
-            return empty_outcome(aggregate, extra)
-        return EpochOutcome(
-            estimate=aggregate.tree_eval(merge_all(aggregate, partials)),
-            contributing=contributing,
-            contributing_estimate=float(exact_count),
-            extra=outcome_extra(aggregate, extra),
-        )
+    def _outcome_extra(self, layout, missing_stats) -> Dict[str, object]:
+        return {"latency_epochs": self._depth}
 
     def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
         return exact_over(self._aggregate, readings, self._alive_sensors, epoch)

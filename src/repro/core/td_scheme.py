@@ -17,22 +17,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate, merge_all
-from repro.aggregates.signal import SignalOnlyAggregate
+from repro.aggregates.base import Aggregate
 from repro.core.adaptation import AdaptationPolicy
 from repro.core.graph import TDGraph
 from repro.core.modes import Mode
-from repro.core.wave import (
-    LayoutWave,
-    WaveLayout,
-    empty_outcome,
-    outcome_extra,
-    ring_schedule,
-)
+from repro.core.wave import LayoutWave, WaveLayout, ring_schedule
 from repro.datasets.streams import ConstantReadings
 from repro.errors import ConfigurationError, PropertyViolation
 from repro.kernels.td import precompute_conversions, run_td_block
-from repro.multipath.fm import FMSketch
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION, Deployment, NodeId
 from repro.network.simulator import EpochOutcome, ReadingFn, exact_over
@@ -74,22 +66,23 @@ class TributaryDeltaScheme(LayoutWave):
         per-subtree "nodes not contributing" counts; both ride the
         contributing-count piggyback, the exact tree counts and the static
         layout, and delivery draws never look at a payload. So a warm-up
-        whose answers nobody records swaps the query payload for
-        :class:`~repro.aggregates.signal.SignalOnlyAggregate` and adapts
-        exactly as it would have under the real aggregate. Yields the
-        readings to drive the wave with: a constant while swapped, so no
-        sensor stream is evaluated either. The real aggregate is back on
-        any exit.
+        whose answers nobody records carries the piggyback alone: it binds
+        the scheme's :class:`~repro.aggregates.count.ContributingCount` as
+        the query, whose synopsis counts its own contributors with exactly
+        the piggyback's bits, and adapts exactly as it would have under the
+        real aggregate. Yields the readings to drive the wave with: a
+        constant while swapped, so no sensor stream is evaluated either.
+        The real aggregate is back on any exit.
 
         Plain ``count`` is the exception: its synopsis *is* the contributing
-        count (no piggyback travels, and it is keyed ``"count"`` rather than
-        ``"contrib"``), so it keeps carrying itself over ``readings``.
+        count (no piggyback travels, and it is keyed by its own labels), so
+        it keeps carrying itself over ``readings``.
         """
         real = self._aggregate
-        if real.synopsis_counts_contributors():
+        if self._piggyback is None:
             yield readings
             return
-        self._bind_aggregate(SignalOnlyAggregate())
+        self._bind_aggregate(self._contributing)
         try:
             yield ConstantReadings(0.0)
         finally:
@@ -185,7 +178,7 @@ class TributaryDeltaScheme(LayoutWave):
         on every call: that name is the conversion stage's tracing seam.
         """
         return precompute_conversions(
-            self._aggregate, self._count_bitmaps, partials, counts, senders, epochs
+            self._aggregate, self._piggyback, partials, counts, senders, epochs
         )
 
     def run_epoch(
@@ -202,51 +195,13 @@ class TributaryDeltaScheme(LayoutWave):
         """A block of epochs; see :meth:`LayoutWave._run_blocks`."""
         return self._run_blocks(epochs, channel, readings, run_td_block)
 
-    def _evaluate_base_station(
-        self,
-        epoch: int,
-        chaos,
-        partials: List[object],
-        exact_count: int,
-        synopsis: Optional[object],
-        count_sketch: Optional[FMSketch],
-        contributing: int,
-        missing_stats: Optional[Dict[NodeId, int]],
-    ) -> EpochOutcome:
-        """Mixed evaluation: direct tree partials exact, the delta fused."""
-        aggregate = self._aggregate
+    def _outcome_extra(self, layout, missing_stats) -> Dict[str, object]:
+        """The delta's shape and, at an M-mode base, its missing statistics."""
         extra: Dict[str, object] = dict(self._graph.delta_summary())
         extra["latency_epochs"] = self.latency_epochs
-        tree_base = self._graph.is_tree(BASE_STATION)
-        if not tree_base:
+        if BASE_STATION in layout.multipath:
             extra["missing_stats"] = missing_stats
-        if synopsis is None and not partials:
-            return empty_outcome(aggregate, extra)
-        if tree_base:
-            # All-tree configuration: behave exactly like TAG's root.
-            estimate = aggregate.tree_eval(merge_all(aggregate, partials))
-        else:
-            # M-mode base station: keep direct tree partials exact (they
-            # are disjoint from everything the delta saw) and fuse only the
-            # delta's synopses; the aggregate's mixed evaluation combines
-            # both.
-            estimate = aggregate.mixed_eval(partials, synopsis)
-        extra = outcome_extra(aggregate, extra)
-        if tree_base:
-            contributing_estimate = float(exact_count)
-        elif aggregate.synopsis_counts_contributors():
-            sketch_count = synopsis and aggregate.synopsis_eval(synopsis) or 0.0
-            contributing_estimate = exact_count + sketch_count
-        elif count_sketch is not None:
-            contributing_estimate = exact_count + count_sketch.estimate()
-        else:
-            contributing_estimate = float(exact_count)
-        return EpochOutcome(
-            estimate=estimate,
-            contributing=contributing,
-            contributing_estimate=contributing_estimate,
-            extra=extra,
-        )
+        return extra
 
     # -- simulator interface -----------------------------------------------
 

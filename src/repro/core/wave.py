@@ -15,13 +15,17 @@ wave, over an immutable :class:`WaveLayout`:
   audience — of which the M receivers incorporate it (T receivers ignore M
   broadcasts, preserving edge correctness).
 
-Messages carry the contributing-count piggyback of Section 4.2, and the
-layout's *reporters* attach their tributaries' "nodes not contributing"
-count. TAG's layout is all T over its tree's levels, SD's all M over the
-rings, TD's whatever its graph says this block. Each scheme builds its
-layout and evaluates what reached the base station; :class:`LayoutWave`
-runs the rest — the fused kernel (:func:`repro.kernels.td.run_td_block`)
-when :func:`repro.kernels.td.refusal` lets it, else the object wave in the
+Messages carry the contributing-count piggyback of Section 4.2 — a
+:class:`~repro.aggregates.count.ContributingCount` slot beside the query's,
+unless the query's own synopsis counts its contributors — and the layout's
+*reporters* attach their tributaries' "nodes not contributing" count. TAG's
+layout is all T over its tree's levels, SD's all M over the rings, TD's
+whatever its graph says this block. Each scheme builds its layout and names
+its record fields; :class:`LayoutWave` evaluates the base station (TD's
+mixed evaluation, which is TAG's answer at a T-mode base and SD's over an
+all-M layout) and runs the rest — the fused kernel
+(:func:`repro.kernels.td.run_td_block`) when
+:func:`repro.kernels.td.refusal` lets it, else the object wave in the
 kernel's three stages (tributaries, one frontier conversion per block, the
 delta), and under ``use_batch=False`` the scalar oracle, one node and one
 draw at a time.
@@ -43,7 +47,8 @@ from typing import (
     Tuple,
 )
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import Aggregate, merge_all
+from repro.aggregates.count import ContributingCount
 from repro.core.payloads import (
     MultipathPayload,
     TreePayload,
@@ -51,13 +56,7 @@ from repro.core.payloads import (
     missing_stats_words,
 )
 from repro.kernels.td import refusal
-from repro.multipath.fm import (
-    DEFAULT_BITS,
-    FMSketch,
-    counted_sketches,
-    single_item_sketches_block,
-    words_batch,
-)
+from repro.multipath.fm import FMSketch
 from repro.network.links import (
     Channel,
     DeliveryPlan,
@@ -202,10 +201,16 @@ class LayoutWave:
     """The wave TAG, SD and TD share, and its three engines.
 
     A subclass provides :meth:`_wave_layout` (its current labelling) and
-    :meth:`_evaluate_base_station` (the epoch's answer from what reached the
-    base station), and drives :meth:`_run_blocks` / :meth:`_run_wave` from
-    its own ``run_epochs`` / ``run_epoch``.
+    :meth:`_outcome_extra` (its record fields), and drives
+    :meth:`_run_blocks` / :meth:`_run_wave` from its own ``run_epochs`` /
+    ``run_epoch``.
     """
+
+    #: Whether an M-mode base station audits its contributing-count sketch
+    #: (``fm-or-monotonicity``). Exact only where that sketch is a pure
+    #: OR-fold of single-item insertions: no tree count was converted into
+    #: it, which only SD's all-M layout guarantees.
+    _audits_contributing_sketch = False
 
     def __init__(
         self,
@@ -215,10 +220,11 @@ class LayoutWave:
         name: str,
     ) -> None:
         self._deployment = deployment
+        #: The Section 4.2 piggyback; :meth:`_bind_aggregate` decides whether
+        #: it travels.
+        self._contributing = ContributingCount()
         self._bind_aggregate(aggregate)
         self._accountant = MessageAccountant()
-        #: Bitmaps of the contributing-count FM sketch (the paper's 40).
-        self._count_bitmaps = 40
         self._use_batch = use_batch
         self._engine_path: Optional[str] = None
         self.name = name
@@ -228,6 +234,13 @@ class LayoutWave:
     def _bind_aggregate(self, aggregate: Aggregate) -> None:
         """Carry ``aggregate`` on the wire from the next block on."""
         self._aggregate = aggregate
+        #: The contributing count's own slot, or None when the aggregate's
+        #: synopsis already counts its contributors (Count).
+        self._piggyback: Optional[ContributingCount] = (
+            None
+            if aggregate.synopsis_counts_contributors()
+            else self._contributing
+        )
         # Additive partials have a constant wire size (the ``tree_words``
         # contract behind the fused kernel's tributary pass), so tree
         # payloads can be sized once instead of per node per epoch.
@@ -250,8 +263,15 @@ class LayoutWave:
     def _wave_layout(self) -> WaveLayout:
         raise NotImplementedError
 
+    def _outcome_extra(
+        self, layout: WaveLayout, missing_stats: Optional[Dict[NodeId, int]]
+    ) -> Dict[str, object]:
+        """The scheme's own fields of an epoch record."""
+        raise NotImplementedError
+
     def _evaluate_base_station(
         self,
+        layout: WaveLayout,
         epoch: int,
         chaos,
         partials: List[object],
@@ -269,33 +289,45 @@ class LayoutWave:
         fused delta payloads (None when none arrived — always, for a T-mode
         base), ``contributing`` the ground-truth contributor count and
         ``missing_stats`` the statistics an M-mode base collected.
+
+        A T-mode base merges its partials and counts exactly (TAG's root).
+        An M-mode base keeps direct tree partials exact — they are disjoint
+        from everything the delta saw — and lets the aggregate's mixed
+        evaluation combine them with the fused synopsis; its contributing
+        estimate adds the exact count to the sketch that counts
+        contributors: the piggyback, or the query's own Count synopsis.
         """
-        raise NotImplementedError
-
-    # -- helpers ---------------------------------------------------------
-
-    def _count_convert(self, count: int, sender: NodeId, epoch: int) -> FMSketch:
-        """Convert an exact tree contributing-count into an FM sketch."""
-        sketch = FMSketch(self._count_bitmaps)
-        sketch.insert_count(count, "contrib-conv", sender, epoch)
-        return sketch
-
-    def _contrib_sketch(self, node: NodeId, epoch: int) -> Optional[FMSketch]:
-        """Piggybacked contributing-count sketch (skipped for Count)."""
-        if self._aggregate.synopsis_counts_contributors():
-            return None
-        sketch = FMSketch(self._count_bitmaps)
-        sketch.insert("contrib", node, epoch)
-        return sketch
-
-    def _contrib_sketches_block(
-        self, nodes: Sequence[NodeId], epochs: Sequence[int]
-    ) -> List[List[Optional[FMSketch]]]:
-        """:meth:`_contrib_sketch` for every (node, epoch) cell, one pass."""
-        if self._aggregate.synopsis_counts_contributors():
-            return [[None] * len(nodes) for _ in epochs]
-        return single_item_sketches_block(
-            self._count_bitmaps, DEFAULT_BITS, ("contrib",), nodes, epochs
+        aggregate = self._aggregate
+        extra = self._outcome_extra(layout, missing_stats)
+        if synopsis is None and not partials:
+            return empty_outcome(aggregate, extra)
+        contributing_estimate = float(exact_count)
+        if BASE_STATION not in layout.multipath:
+            estimate = aggregate.tree_eval(merge_all(aggregate, partials))
+        else:
+            estimate = aggregate.mixed_eval(partials, synopsis)
+            counter, sketch = (
+                (aggregate, synopsis)
+                if self._piggyback is None
+                else (self._piggyback, count_sketch)
+            )
+            if sketch is not None:
+                if (
+                    self._audits_contributing_sketch
+                    and chaos is not None
+                    and chaos.auditor is not None
+                ):
+                    chaos.auditor.check_contrib_sketch(
+                        sketch, counter, self._alive_sensors, epoch
+                    )
+                contributing_estimate = exact_count + counter.synopsis_eval(
+                    sketch
+                )
+        return EpochOutcome(
+            estimate=estimate,
+            contributing=contributing,
+            contributing_estimate=contributing_estimate,
+            extra=outcome_extra(aggregate, extra),
         )
 
     # -- one block ---------------------------------------------------------
@@ -346,10 +378,10 @@ class LayoutWave:
         """The object wave's first two stages, in the fused kernel's order
         (:func:`~repro.kernels.td.run_td_block`).
 
-        Locals are built once per block: one ``synopsis_local_block`` and one
-        contributing-sketch pass over every M node, one ``tree_local_block``
-        over every T node (each cell is a pure function of ``(node, epoch,
-        reading)``). Then:
+        Locals are built once per block: one ``synopsis_local_block`` per
+        slot (the query's, then the piggyback's) over every M node, one
+        ``tree_local_block`` over every T node (each cell is a pure function
+        of ``(node, epoch, reading)``). Then:
 
         1. **Tributaries.** Property 1 (no M -> T edge) means a tributary
            never waits on the delta, so every epoch's T senders run first,
@@ -358,8 +390,8 @@ class LayoutWave:
            the delta stage transmits these payloads.
         2. **The frontier converts once.** Every payload delivered to a
            non-base M node, in (epoch, level, node, inbox) order, goes
-           through ONE ``convert_block`` call and its count through one
-           ``counted_sketches`` call.
+           through ONE ``convert_block`` call, and its count through the
+           piggyback's.
 
         Returns per epoch the ``(synopses, count sketches, T payloads, tree
         inboxes, conversions)`` that :meth:`_run_wave` consumes: iterators
@@ -367,17 +399,21 @@ class LayoutWave:
         nodes' tree inboxes.
         """
         aggregate = self._aggregate
+        piggyback = self._piggyback
         multipath = layout.multipath
         chaos = channel.chaos
         nodes = [node for level in layout.level_nodes for node in level]
         m_nodes = [node for node in nodes if node in multipath]
         t_nodes = [node for node in nodes if node not in multipath]
-        synopses = aggregate.synopsis_local_block(
-            m_nodes,
-            epoch_list,
-            [gather_readings(readings, m_nodes, epoch) for epoch in epoch_list],
+        m_readings = [
+            gather_readings(readings, m_nodes, epoch) for epoch in epoch_list
+        ]
+        synopses = aggregate.synopsis_local_block(m_nodes, epoch_list, m_readings)
+        sketches = (
+            [[None] * len(m_nodes) for _ in epoch_list]
+            if piggyback is None
+            else piggyback.synopsis_local_block(m_nodes, epoch_list, m_readings)
         )
-        sketches = self._contrib_sketches_block(m_nodes, epoch_list)
         partials = aggregate.tree_local_block(
             t_nodes,
             epoch_list,
@@ -434,11 +470,8 @@ class LayoutWave:
             synopses_conv = aggregate.convert_block(
                 [payload.partial for payload in frontier], senders, frontier_epochs
             )
-            if not aggregate.synopsis_counts_contributors():
-                counts_conv = counted_sketches(
-                    self._count_bitmaps,
-                    DEFAULT_BITS,
-                    ("contrib-conv",),
+            if piggyback is not None:
+                counts_conv = piggyback.convert_block(
                     [payload.count for payload in frontier],
                     senders,
                     frontier_epochs,
@@ -472,6 +505,7 @@ class LayoutWave:
         consume the block's conversions in order.
         """
         multipath = layout.multipath
+        piggyback = self._piggyback
         scalar = staged is None
         if scalar:
             inbox_tree: Dict[NodeId, List[TreePayload]] = {}
@@ -496,7 +530,11 @@ class LayoutWave:
                 else:
                     if scalar:
                         synopsis = None
-                        count_sketch = self._contrib_sketch(node, epoch)
+                        count_sketch = (
+                            None
+                            if piggyback is None
+                            else piggyback.synopsis_local(node, epoch, None)
+                        )
                     else:
                         synopsis = next(synopses)
                         count_sketch = next(count_sketches)
@@ -584,6 +622,7 @@ class LayoutWave:
         converted: Optional[Iterator] = None,
     ) -> MultipathPayload:
         aggregate = self._aggregate
+        piggyback = self._piggyback
         if synopsis is None:
             synopsis = aggregate.synopsis_local(
                 node, epoch, readings(node, epoch)
@@ -604,19 +643,19 @@ class LayoutWave:
                 tree_synopsis = aggregate.convert(
                     received.partial, received.sender, epoch
                 )
-                if count_sketch is not None:
-                    tree_count = self._count_convert(
+                if piggyback is not None:
+                    tree_count = piggyback.convert(
                         received.count, received.sender, epoch
                     )
             synopses.append(tree_synopsis)
-            if count_sketch is not None:
+            if piggyback is not None:
                 sketches.append(tree_count)
             contributors |= received.contributors
             subtree_contributing += received.count
 
         for received in inbox_syn.pop(node, ()):
             synopses.append(received.synopsis)
-            if count_sketch is not None and received.count_sketch is not None:
+            if piggyback is not None:
                 sketches.append(received.count_sketch)
             contributors |= received.contributors
             # Inlined ``combine_stats``: we own ``missing_stats`` (first hit
@@ -638,7 +677,7 @@ class LayoutWave:
 
         return MultipathPayload(
             aggregate.synopsis_fuse_many(synopses),
-            None if count_sketch is None else FMSketch.fuse_many(sketches),
+            None if piggyback is None else piggyback.synopsis_fuse_many(sketches),
             contributors,
             missing_stats,
         )
@@ -655,21 +694,19 @@ class LayoutWave:
         count sketches are each sized in one vectorized RLE pass.
         """
         aggregate = self._aggregate
+        piggyback = self._piggyback
         m_payloads = [payload for is_tree, payload in outgoing if not is_tree]
         syn_words = iter(
             aggregate.synopsis_words_batch(
                 [payload.synopsis for payload in m_payloads]
             )
         )
-        sketch_words = iter(
-            words_batch(
-                [
-                    payload.count_sketch
-                    for payload in m_payloads
-                    if payload.count_sketch is not None
-                ]
+        if piggyback is not None:
+            sketch_words = iter(
+                piggyback.synopsis_words_batch(
+                    [payload.count_sketch for payload in m_payloads]
+                )
             )
-        )
         transmissions: List[Transmission] = []
         for item, (is_tree, payload) in zip(level, outgoing):
             if is_tree:
@@ -681,7 +718,7 @@ class LayoutWave:
                     )
             else:
                 words = next(syn_words)
-                if payload.count_sketch is not None:
+                if piggyback is not None:
                     words += next(sketch_words)
                 if payload.missing_stats:
                     words += missing_stats_words(len(payload.missing_stats))
@@ -717,25 +754,22 @@ class LayoutWave:
         for payload in delta_payloads:
             contributors |= payload.contributors
             missing_stats = combine_stats(missing_stats, payload.missing_stats)
-        synopsis = (
-            aggregate.synopsis_fuse_many(
+        synopsis = count_sketch = None
+        if delta_payloads:
+            synopsis = aggregate.synopsis_fuse_many(
                 [payload.synopsis for payload in delta_payloads]
             )
-            if delta_payloads
-            else None
-        )
-        sketches = [
-            payload.count_sketch
-            for payload in delta_payloads
-            if payload.count_sketch is not None
-        ]
-        count_sketch = FMSketch.fuse_many(sketches) if sketches else None
+            if self._piggyback is not None:
+                count_sketch = self._piggyback.synopsis_fuse_many(
+                    [payload.count_sketch for payload in delta_payloads]
+                )
         # The base station has no reading of its own: its tributary count is
         # exactly what its T children delivered.
         missing = layout.missing(BASE_STATION, exact_count)
         if missing is not None:
             missing_stats = combine_stats(missing_stats, {BASE_STATION: missing})
         return self._evaluate_base_station(
+            layout,
             epoch,
             chaos,
             [payload.partial for payload in tree_payloads],

@@ -74,14 +74,9 @@ def tree_pass(
     payload (the lossless Figure 8 mode); with a channel, a lost payload
     drops its whole subtree.
     """
-    levels = tree.levels()
-    order = sorted(
-        (node for node in levels if node != BASE_STATION),
-        key=lambda node: (-levels[node], node),
-    )
     report = TreeLoadReport()
     inbox: Dict[NodeId, List[Any]] = {}
-    for node in order:
+    for node in (node for level in tree.level_groups() for node in level):
         payload = step(node, items_fn(node, epoch), inbox.pop(node, []))
         words = payload.words()
         report.per_node_words[node] = words * attempts

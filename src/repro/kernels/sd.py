@@ -1,11 +1,12 @@
 """The packed OR-wave: the delta pass of the fused kernel.
 
 For packable aggregates (``synopsis_packable``) every multi-path payload of
-a block is one row of a uint32 matrix: the aggregate synopsis's packed
-bitmap words, then the piggybacked contributing-count sketch's words (when
-the aggregate needs one), then a plain bitmap of missing-statistics
-reporters. Fusion is bitwise OR and ODI, so a level's deliveries may be
-OR-reduced in any grouping: a level's wave scatters only its delivered
+a block is one row of a uint32 matrix: one section per slot — the query
+synopsis's packed bitmap words, then the piggybacked
+:class:`~repro.aggregates.count.ContributingCount`'s (when the query needs
+one) — then a plain bitmap of missing-statistics reporters. Fusion is
+bitwise OR and ODI, so a level's deliveries may be OR-reduced in any
+grouping: a level's wave scatters only its delivered
 ``(pair, epoch)`` cells into the receivers' accumulator cells
 (:func:`or_sorted`, one pass per fan-in rank), and wire sizing is one
 vectorized RLE pass per level (:func:`repro.multipath.fm.rle_words_rows`
@@ -34,21 +35,17 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.multipath.fm import (
-    DEFAULT_BITS,
-    rle_words_rows,
-    single_item_matrix_block,
-)
+from repro.multipath.fm import rle_words_rows
 from repro.network.links import Channel, DeliveryPlan, TransmissionLog
 from repro.network.messages import missing_stats_words
 from repro.network.placement import BASE_STATION, NodeId
 from repro.network.simulator import gather_readings
 
 #: uint32 words one accumulator row holds per epoch tile: a tile spans
-#: ``TILE_ROW_WORDS // row width`` epoch columns (32 for the paper's
-#: 40 + 40-bitmap Sum rows). Small enough that a 600-node tile and its
-#: per-level gather stay in a few megabytes, large enough that numpy's
-#: per-call overhead does not show.
+#: ``TILE_ROW_WORDS // row width`` epoch columns (32 for the paper's Sum
+#: rows, an 80-word synopsis and piggyback). Small enough that a 600-node
+#: tile and its per-level gather stay in a few megabytes, large enough that
+#: numpy's per-call overhead does not show.
 TILE_ROW_WORDS = 2560
 
 
@@ -119,21 +116,20 @@ def level_pairs(
 
 
 def fm_sections(scheme) -> Tuple[int, int]:
-    """Bitmap counts of a scheme's ``[synopsis | contributing-count]`` row.
+    """Bitmap counts of a scheme's ``[query | piggyback]`` slots.
 
-    The second is 0 when the synopsis already counts contributors (Count)
-    and no piggybacked sketch travels.
+    The second is 0 when the query's synopsis already counts contributors
+    (Count) and no piggyback travels.
     """
-    aggregate = scheme._aggregate
+    piggyback = scheme._piggyback
     return (
-        aggregate.synopsis_packable()[0],
-        0 if aggregate.synopsis_counts_contributors() else scheme._count_bitmaps,
+        scheme._aggregate.synopsis_packable()[0],
+        0 if piggyback is None else piggyback.synopsis_packable()[0],
     )
 
 
 def local_rows(
-    aggregate,
-    contrib_bitmaps: int,
+    slots,
     nodes: Sequence[NodeId],
     epochs: Sequence[int],
     readings,
@@ -141,27 +137,22 @@ def local_rows(
 ) -> np.ndarray:
     """The ``(node, epoch, width)`` local payload rows of one level.
 
-    ``[synopsis | contributing-count sketch]`` are filled from the same
-    vectorized FM passes as the object builders; words past them are zero.
+    One section per slot aggregate (None slots are skipped), filled from
+    the same vectorized FM passes as the object builders; words past them
+    are zero.
     """
     num_nodes, num_epochs = len(nodes), len(epochs)
-    syn_bitmaps = aggregate.synopsis_packable()[0]
+    reading_rows = [gather_readings(readings, nodes, epoch) for epoch in epochs]
     local = np.zeros((num_nodes, num_epochs, width), dtype=np.uint32)
-    local[:, :, :syn_bitmaps] = np.asarray(
-        aggregate.synopsis_local_block_packed(
-            nodes,
-            epochs,
-            [gather_readings(readings, nodes, epoch) for epoch in epochs],
-        )
-    ).reshape(num_epochs, num_nodes, syn_bitmaps).transpose(1, 0, 2)
-    if contrib_bitmaps:
-        local[:, :, syn_bitmaps : syn_bitmaps + contrib_bitmaps] = (
-            single_item_matrix_block(
-                contrib_bitmaps, DEFAULT_BITS, ("contrib",), nodes, epochs
-            )
-            .reshape(num_epochs, num_nodes, contrib_bitmaps)
-            .transpose(1, 0, 2)
-        )
+    offset = 0
+    for slot in slots:
+        if slot is None:
+            continue
+        bitmaps = slot.synopsis_packable()[0]
+        local[:, :, offset : offset + bitmaps] = np.asarray(
+            slot.synopsis_local_block_packed(nodes, epochs, reading_rows)
+        ).reshape(num_epochs, num_nodes, bitmaps).transpose(1, 0, 2)
+        offset += bitmaps
     return local
 
 

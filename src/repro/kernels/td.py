@@ -26,7 +26,9 @@ TAG's all-T layout runs stage 1 alone and SD's all-M layout stage 3 alone:
 a layout without a T sender never opens the tributary pass, and one without
 an M row never opens the delta's tile accumulators.
 
-A delta row is ``[synopsis | contributing-count sketch | reporter bitmap]``.
+A delta row is ``[query slot | ContributingCount slot | reporter bitmap]``:
+the query's packed synopsis, the piggyback's (absent when the query's own
+synopsis counts contributors), then the reporters.
 A *reporter* (:attr:`~repro.core.wave.WaveLayout.reporters`) is an M node
 whose payload carries its own missing statistic and owns one bit; its
 per-epoch value lives in a side matrix. A node reports one value per epoch
@@ -50,12 +52,7 @@ from repro.kernels.sd import (
     local_rows,
     or_sorted,
 )
-from repro.multipath.fm import (
-    DEFAULT_BITS,
-    FMSketch,
-    counted_matrix,
-    sketch_from_row,
-)
+from repro.multipath.fm import FMSketch, sketch_from_row
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, gather_reading_block
@@ -113,32 +110,21 @@ def refusal(layout, aggregate, channel) -> Optional[str]:
 
 
 def precompute_conversions(
-    aggregate, count_bitmaps: int, partials, counts, senders, epochs
+    aggregate, piggyback, partials, counts, senders, epochs
 ) -> np.ndarray:
-    """A block's frontier conversions as packed ``[synopsis | count]`` rows.
+    """A block's frontier conversions as packed ``[query | piggyback]`` rows.
 
     Row ``i`` is what an M parent fuses for the tributary payload
     ``(partials[i], counts[i])`` sent by ``senders[i]`` at ``epochs[i]``:
-    the aggregate's own conversion, then — unless the synopsis already
-    counts contributors — the exact count converted under the
-    ``"contrib-conv"`` label, both bit for bit the scalar converters'.
+    the aggregate's own conversion, then — unless ``piggyback`` is None —
+    the exact count through the piggyback's, both bit for bit the scalar
+    converters'.
     """
     rows = aggregate.convert_block_packed(partials, senders, epochs)
-    if aggregate.synopsis_counts_contributors():
+    if piggyback is None:
         return rows
     return np.concatenate(
-        [
-            rows,
-            counted_matrix(
-                count_bitmaps,
-                DEFAULT_BITS,
-                ("contrib-conv",),
-                counts,
-                senders,
-                epochs,
-            ),
-        ],
-        axis=1,
+        [rows, piggyback.convert_block_packed(counts, senders, epochs)], axis=1
     )
 
 
@@ -268,8 +254,7 @@ def run_td_block(
                     continue
                 rows = level.rows[positions]
                 local = local_rows(
-                    aggregate,
-                    contrib_bitmaps,
+                    (aggregate, scheme._piggyback),
                     [level.nodes[position] for position in positions.tolist()],
                     epoch_list[lo:hi],
                     readings,
@@ -366,6 +351,7 @@ def run_td_block(
             if own is not None:
                 missing_stats[BASE_STATION] = own
         outcome = scheme._evaluate_base_station(
+            layout,
             epoch_list[column],
             channel.chaos,
             base_partials[column],

@@ -42,6 +42,30 @@ class FailureModel(Protocol):
         ...
 
 
+def loss_rates(
+    model: FailureModel,
+    deployment: Deployment,
+    senders: Sequence[NodeId],
+    receivers: Sequence[NodeId],
+    epoch: int,
+) -> _np.ndarray:
+    """``model``'s loss rate for every (sender, receiver) pair, as float64.
+
+    The model's ``loss_rate_batch`` when it has one, else its scalar
+    ``loss_rate`` per pair (the burst and crash models have only that).
+    Either way the caller sees one return type.
+    """
+    batch = getattr(model, "loss_rate_batch", None)
+    if batch is not None:
+        rates = batch(deployment, senders, receivers, epoch)
+    else:
+        rates = [
+            model.loss_rate(deployment, sender, receiver, epoch)
+            for sender, receiver in zip(senders, receivers)
+        ]
+    return _np.asarray(rates, dtype=_np.float64)
+
+
 def _check_rate(rate: float, label: str) -> float:
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"{label} must be in [0, 1], got {rate}")
@@ -315,19 +339,12 @@ class FailureSchedule:
         receivers: Sequence[NodeId],
         epoch: int,
     ):
-        model = self.model_at(epoch)
-        batch = getattr(model, "loss_rate_batch", None)
-        if batch is not None:
-            rates = batch(deployment, senders, receivers, epoch)
-        else:
-            rates = [
-                model.loss_rate(deployment, sender, receiver, epoch)
-                for sender, receiver in zip(senders, receivers)
-            ]
-        # Normalize both branches to one return type: callers (the blocked
-        # delivery planner assigns these into a float64 column) must never
-        # see an ndarray on one phase and a Python list on the next.
-        return _np.asarray(rates, dtype=_np.float64)
+        # One return type whatever the phase's model: the blocked delivery
+        # planner must never see an ndarray on one phase and a list on the
+        # next.
+        return loss_rates(
+            self.model_at(epoch), deployment, senders, receivers, epoch
+        )
 
 
 @dataclass(frozen=True)
@@ -380,18 +397,5 @@ class ComposedLoss:
         scalar expression.
         """
         base = _pair_rates(self._lookup(), 0.0, senders, receivers)
-        batch = getattr(self.failure, "loss_rate_batch", None)
-        if batch is not None:
-            extra = _np.asarray(
-                batch(deployment, senders, receivers, epoch),
-                dtype=_np.float64,
-            )
-        else:
-            extra = _np.asarray(
-                [
-                    self.failure.loss_rate(deployment, sender, receiver, epoch)
-                    for sender, receiver in zip(senders, receivers)
-                ],
-                dtype=_np.float64,
-            )
+        extra = loss_rates(self.failure, deployment, senders, receivers, epoch)
         return 1.0 - (1.0 - base) * (1.0 - extra)

@@ -22,7 +22,7 @@ import numpy as _np
 
 from repro._hashing import hash_unit, hash_unit_batch
 from repro.errors import ConfigurationError
-from repro.network.failures import FailureModel
+from repro.network.failures import FailureModel, loss_rates
 from repro.network.placement import Deployment, NodeId
 
 
@@ -285,19 +285,15 @@ class DeliveryPlan:
         num_epochs = len(epochs)
         if num_pairs == 0:
             return _np.zeros((0, num_epochs), dtype=bool)
-        model = channel._failure_model
-        batch_rates = getattr(model, "loss_rate_batch", None)
         loss = _np.empty((num_pairs, num_epochs), dtype=_np.float64)
         for column, epoch in enumerate(epochs):
-            if batch_rates is not None:
-                loss[:, column] = batch_rates(
-                    channel._deployment, senders, receivers, epoch
-                )
-            else:
-                loss[:, column] = [
-                    channel.loss_rate(sender, receiver, epoch)
-                    for sender, receiver in zip(senders, receivers)
-                ]
+            loss[:, column] = loss_rates(
+                channel._failure_model,
+                channel._deployment,
+                senders,
+                receivers,
+                epoch,
+            )
         success = loss <= 0.0
         if not bool(success.all()):
             attempts_column = _np.asarray(attempts_per_pair, dtype=_np.int64)[

@@ -99,6 +99,18 @@ class Tree:
             frontier = next_frontier
         return result
 
+    def level_groups(self) -> List[List[NodeId]]:
+        """The deepest-first transmission schedule: one node list per level.
+
+        Levels run from the deepest up to level 1, ties broken by node id
+        for determinism; the root only listens, so it never appears.
+        """
+        grouped: Dict[int, List[NodeId]] = {}
+        for node, level in self.levels().items():
+            if node != self.root:
+                grouped.setdefault(level, []).append(node)
+        return [sorted(grouped[level]) for level in sorted(grouped, reverse=True)]
+
     def heights(self) -> Dict[NodeId, int]:
         """The paper's height: leaves are 1, internal nodes 1 + max child.
 

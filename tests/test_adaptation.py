@@ -564,3 +564,17 @@ class TestSignalOnlyConvergence:
             scenario.converge(td, readings)
         assert td.aggregate is real
         assert td._tree_payload_words == payload_words
+
+
+class TestConvergenceRunsFused:
+    """Convergence carries the contributing count as a Count, which is
+    additive and packable, so its blocks take the fused kernel whatever the
+    query payload (the query itself may still need the object wave)."""
+
+    @pytest.mark.parametrize("scheme", ["TD", "TD-Coarse"])
+    @pytest.mark.parametrize("payload", ["sum", "multiquery"])
+    def test_converge_leaves_a_fused_engine_path(self, payload, scheme):
+        config = _convergence_config(scheme, **_CONVERGENCE_PAYLOADS[payload])
+        scenario, td, readings = _bound(config)
+        scenario.converge(td, readings)
+        assert td.engine_path == "fused"

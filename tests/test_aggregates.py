@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.base import fuse_all, merge_all
 from repro.aggregates.composite import CompositeAggregate
-from repro.aggregates.count import CountAggregate
+from repro.aggregates.count import ContributingCount, CountAggregate
 from repro.aggregates.distinct import DistinctCountAggregate
 from repro.aggregates.frequent import HeavyHittersAggregate
 from repro.aggregates.minmax import MaxAggregate, MinAggregate
@@ -25,7 +25,14 @@ from repro.api import RunConfig, build_scenario, run_config_result
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError, SketchError
 from repro.frequent.mp_fi import KMVOperator
-from repro.multipath.fm import _EXACT_INSERT_LIMIT
+from repro.multipath.fm import (
+    _EXACT_INSERT_LIMIT,
+    FMSketch,
+    counted_matrix,
+    counted_sketches,
+    single_item_matrix_block,
+    single_item_sketches_block,
+)
 from repro.query import FilteredAggregate, parse_query
 from repro.registry import (
     AGGREGATES,
@@ -538,6 +545,70 @@ def test_mismatched_fm_shapes_raise_the_same_error_from_both_fusions(
     with pytest.raises(SketchError) as nary:
         narrow.synopsis_fuse_many([a, a, b])
     assert str(nary.value) == str(pairwise.value)
+
+
+class TestContributingCount:
+    """The Section 4.2 piggyback as a Count: every form sets exactly the bits
+    the hand-written piggyback builds set (40 bitmaps of 32 bits, local items
+    keyed ``"contrib"``, converted counts ``"contrib-conv"``)."""
+
+    NODES = [1, 4, 9, 23]
+    EPOCHS = [0, 7, 31]
+    # Both FM insertion regimes: exact up to the limit, binomial above.
+    COUNTS = [1, 3, 40, _EXACT_INSERT_LIMIT + 88]
+
+    @pytest.fixture
+    def piggyback(self):
+        return ContributingCount()
+
+    def _cells(self):
+        senders = [n for _ in self.EPOCHS for n in self.NODES]
+        epochs = [e for e in self.EPOCHS for _ in self.NODES]
+        counts = [self.COUNTS[i % len(self.COUNTS)] for i in range(len(senders))]
+        return counts, senders, epochs
+
+    def test_scalar_forms(self, piggyback):
+        for node in self.NODES:
+            for epoch in self.EPOCHS:
+                old = FMSketch(40)
+                old.insert("contrib", node, epoch)
+                assert piggyback.synopsis_local(node, epoch, None) == old
+        counts, senders, epochs = self._cells()
+        for count, sender, epoch in zip(counts, senders, epochs):
+            old = FMSketch(40)
+            old.insert_count(count, "contrib-conv", sender, epoch)
+            assert piggyback.convert(count, sender, epoch) == old
+
+    def test_block_forms(self, piggyback):
+        rows = [[None] * len(self.NODES) for _ in self.EPOCHS]
+        assert piggyback.synopsis_local_block(
+            self.NODES, self.EPOCHS, rows
+        ) == single_item_sketches_block(
+            40, 32, ("contrib",), self.NODES, self.EPOCHS
+        )
+        counts, senders, epochs = self._cells()
+        assert piggyback.convert_block(counts, senders, epochs) == (
+            counted_sketches(40, 32, ("contrib-conv",), counts, senders, epochs)
+        )
+
+    def test_packed_forms(self, piggyback):
+        assert piggyback.synopsis_packable() == (40, 32)
+        rows = [[None] * len(self.NODES) for _ in self.EPOCHS]
+        assert (
+            piggyback.synopsis_local_block_packed(self.NODES, self.EPOCHS, rows)
+            == single_item_matrix_block(
+                40, 32, ("contrib",), self.NODES, self.EPOCHS
+            )
+        ).all()
+        counts, senders, epochs = self._cells()
+        assert (
+            piggyback.convert_block_packed(counts, senders, epochs)
+            == counted_matrix(40, 32, ("contrib-conv",), counts, senders, epochs)
+        ).all()
+
+    def test_its_synopsis_counts_its_contributors(self, piggyback):
+        assert piggyback.synopsis_counts_contributors()
+        assert piggyback.tree_partials_additive()
 
 
 class TestFuseCollections:

@@ -63,8 +63,8 @@ REJOIN_CHURN = ScheduledChurn.of(
 )
 
 
-def _build_scheme(name, scenario, tree, use_batch=True):
-    aggregate = SumAggregate()
+def _build_scheme(name, scenario, tree, use_batch=True, aggregate=None):
+    aggregate = aggregate or SumAggregate()
     if name == "TAG":
         return TagScheme(
             scenario.deployment, tree, aggregate, use_batch=use_batch
@@ -101,8 +101,9 @@ def _run(
     failure=None,
     churn_model=None,
     epochs=30,
+    aggregate=None,
 ):
-    scheme = _build_scheme(name, scenario, tree, use_batch)
+    scheme = _build_scheme(name, scenario, tree, use_batch, aggregate)
     membership = DynamicMembership(
         churn_model or RandomDeaths(epoch=10, count=12, seed=2),
         scenario.deployment,
@@ -233,6 +234,20 @@ class TestAuditorClean:
         assert auditor.checks["membership-consistency"] > 0
         assert auditor.summary().startswith("audit OK")
 
+    def test_sd_count_audits_its_own_synopsis(self, small_scenario, small_tree):
+        """Count carries no piggyback: SD audits the Count synopsis that
+        counts its contributors, rebuilt with the query's own labels."""
+        auditor = Auditor(strict=True)
+        _run(
+            small_scenario,
+            small_tree,
+            "SD",
+            auditor=auditor,
+            aggregate=CountAggregate(),
+        )
+        assert auditor.checks["fm-or-monotonicity"] > 0
+        assert auditor.violations == []
+
     def test_audited_run_returns_same_result(
         self, small_scenario, small_tree
     ):
@@ -258,6 +273,28 @@ class TestAuditorTruePositives:
         assert any(
             v.invariant == "fm-or-monotonicity" for v in violations
         )
+
+    def test_corrupt_trips_fm_or_monotonicity_on_count(
+        self, small_scenario, small_tree
+    ):
+        """A Count payload has no piggybacked sketch: the corruption lands
+        in its synopsis, which carries the contributing count."""
+        clean = _run(
+            small_scenario, small_tree, "SD", aggregate=CountAggregate()
+        )
+        auditor = Auditor(strict=False)
+        corrupted = _run(
+            small_scenario,
+            small_tree,
+            "SD",
+            faults=CorruptSynopsis(0.2, seed=3),
+            auditor=auditor,
+            aggregate=CountAggregate(),
+        )
+        assert any(
+            v.invariant == "fm-or-monotonicity" for v in auditor.violations
+        )
+        assert _digest(corrupted) != _digest(clean)
 
     def test_duplicate_trips_tree_count_consistency(
         self, small_scenario, small_tree
