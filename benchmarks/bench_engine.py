@@ -34,7 +34,7 @@ from repro.api import (
     build_scenario,
     run_config_result,
 )
-from repro.registry import SCHEMES, build_aggregate
+from repro.registry import SCHEMES
 
 #: The paper's Figure 2 loss rate (the sweep grid's failure model).
 FIG2_LOSS = 0.3
@@ -128,14 +128,12 @@ def measure_profile(num_sensors: int = FIG6_SENSORS, top: int = 20) -> dict:
     }
     for name in SCHEMES.available():
         scenario = build_scenario(base.replace(scheme=name))
-        scheme = scenario.build_scheme(build_aggregate(base.aggregate))
+        scheme, readings = scenario.bind()
         simulator = scenario.build_simulator(scheme)
         profiler = cProfile.Profile()
         started = time.perf_counter()
         profiler.enable()
-        simulator.run(
-            base.epochs, scenario.source, start_epoch=base.start_epoch
-        )
+        simulator.run(base.epochs, readings, start_epoch=base.start_epoch)
         profiler.disable()
         elapsed = time.perf_counter() - started
         stats = pstats.Stats(profiler)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -77,10 +78,9 @@ from repro.network.simulator import (
 )
 from repro.parallel import parallel_map
 from repro.plotting import format_table
-from repro.query import parse_queries, parse_query
+from repro.query import parse_queries, spec_query
 from repro.storage import validate_store_spec
 from repro.registry import (
-    AGGREGATES,
     SCHEMES,
     TOPOLOGIES,
     SchemeContext,
@@ -222,11 +222,20 @@ class QuerySpec:
             payload["query"] = self.query
         return payload
 
-    def build(self, source) -> Tuple[object, object]:
-        """Resolve to this query's (aggregate, readings) over ``source``."""
-        if self.query is not None:
-            return parse_query(self.query).build(source)
-        return build_aggregate(self.aggregate), source
+
+def select_specs(text: str) -> Tuple[QuerySpec, ...]:
+    """One spec per SELECT target of a one-liner, named by its target
+    (repeats get distinct handles); all share its other clauses.
+
+    >>> [spec.name for spec in select_specs("SELECT count, sum, count")]
+    ['count', 'sum', 'count#2']
+    """
+    parsed = parse_queries(text)
+    names = dedupe_names([query.select for query in parsed])
+    return tuple(
+        QuerySpec(name=name, query=query.render())
+        for name, query in zip(names, parsed)
+    )
 
 
 def _coerce_query_spec(entry: object, index: int) -> QuerySpec:
@@ -326,8 +335,9 @@ class RunConfig:
             comparison, extended from schemes to queries); payloads
             piggyback in shared messages with combined word billing. A
             one-entry workload is exactly its single-query equivalent
-            (same engine path, same ``config_digest``). Mutually
-            exclusive with ``query``.
+            (same engine path, same ``config_digest``, ``GROUP BY``
+            allowed) under its own handle. Mutually exclusive with
+            ``query``.
         epochs: measured epochs.
         warmup: epochs executed-but-unrecorded before measurement.
         start_epoch: measurement epoch offset (keeps measurement draws
@@ -381,7 +391,9 @@ class RunConfig:
             even when retention dropped it from RAM.
 
     Grouping by spatial region has one spelling: the ``GROUP BY`` clause
-    of a single ``query`` (``"SELECT avg GROUP BY region:2"``).
+    of a single query (``"SELECT avg GROUP BY region:2"``, or the one
+    entry of a one-entry workload). :attr:`query_specs` is which queries a
+    config asks for, under which handles.
     """
 
     scheme: str
@@ -456,25 +468,28 @@ class RunConfig:
                     " is described by 'queries' alone (add the aggregate as"
                     " a {name, aggregate} entry)"
                 )
-        if self.query is not None:
-            parse_queries(self.query)
-        else:
-            build_aggregate(self.aggregate)
-        self._validate_group_by()
-        _parse_retention(self.retention)  # validate eagerly
-        if self.retention != "all":
-            multi_target = (
-                self.query is not None
-                and len(parse_queries(self.query)) > 1
-            )
-            if self.queries is not None and len(self.queries) > 1:
-                multi_target = True
-            if multi_target:
+        specs = self.query_specs  # validates query / aggregate
+        if len(specs) > 1:
+            grouped = [
+                query.render()
+                for query in map(spec_query, specs)
+                if query.group_by
+            ]
+            if grouped:
+                # A grouped run is one query sliced by region: per-group
+                # records key off the single query's extras.
                 raise ConfigurationError(
-                    "retention policies other than 'all' need the full "
-                    "timeline a workload split consumes; multi-query "
-                    "configs must keep retention='all'"
+                    "workload members cannot carry GROUP BY clauses (got "
+                    + ", ".join(repr(member) for member in grouped)
+                    + "); run grouped queries standalone"
                 )
+        _parse_retention(self.retention)  # validate eagerly
+        if self.retention != "all" and len(specs) > 1:
+            raise ConfigurationError(
+                "retention policies other than 'all' need the full "
+                "timeline a workload split consumes; multi-query "
+                "configs must keep retention='all'"
+            )
         if self.storage is not None:
             if not isinstance(self.storage, str):
                 raise ConfigurationError(
@@ -495,29 +510,20 @@ class RunConfig:
         if self.tree_attempts < 1:
             raise ConfigurationError("tree_attempts must be at least 1")
 
-    def _validate_group_by(self) -> None:
-        """Eagerly reject ``GROUP BY`` clauses inside multi-query workloads.
+    @functools.cached_property
+    def query_specs(self) -> Tuple[QuerySpec, ...]:
+        """The config's queries under their handles, resolved once.
 
-        A grouped run is one query sliced by region — the per-group cubes
-        already multiply the payload, and per-group records key off the
-        single query's extras — so grouping composes with exactly one
-        query; run grouped queries standalone.
+        ``queries`` as given; else :func:`select_specs` of ``query``; else
+        one spec for ``aggregate``, named by it. Derived (never encoded)
+        and cached on first read, which ``__post_init__`` makes after
+        normalizing ``queries``.
         """
-        parsed = parse_queries(self.query) if self.query is not None else []
-        if self.queries is None and len(parsed) <= 1:
-            return
-        grouped_members = [query.render() for query in parsed if query.group_by]
-        for spec in self.queries or ():
-            if spec.query is not None:
-                member = parse_query(spec.query)
-                if member.group_by:
-                    grouped_members.append(member.render())
-        if grouped_members:
-            raise ConfigurationError(
-                "workload members cannot carry GROUP BY clauses (got "
-                + ", ".join(repr(member) for member in grouped_members)
-                + "); run grouped queries standalone"
-            )
+        if self.queries is not None:
+            return self.queries
+        if self.query is not None:
+            return select_specs(self.query)
+        return (QuerySpec(name=self.aggregate, aggregate=self.aggregate),)
 
     # -- codec ------------------------------------------------------------
 
@@ -654,23 +660,14 @@ def _check_field_type(name: str, value: object) -> object:
             f"run-config key 'engine' expects an object of engine options, "
             f"got {value!r} ({type(value).__name__})"
         )
-    if name == "faults":
-        # Entry types and spec validity are checked by the config's own
-        # __post_init__; here only the container shape is checked.
+    if name in ("faults", "queries"):
+        # Entries are validated (queries coerced to QuerySpec) by the
+        # config's own __post_init__; here only the container shape is.
         if value is None or isinstance(value, (list, tuple)):
             return value
+        kind = "fault" if name == "faults" else "query"
         raise ConfigurationError(
-            f"run-config key 'faults' expects a list of fault specs, "
-            f"got {value!r} ({type(value).__name__})"
-        )
-    if name == "queries":
-        # Entries are validated (and coerced to QuerySpec) by the config's
-        # own __post_init__, with per-entry actionable errors; here only
-        # the container shape is checked.
-        if value is None or isinstance(value, (list, tuple)):
-            return value
-        raise ConfigurationError(
-            f"run-config key 'queries' expects a list of query specs, "
+            f"run-config key {name!r} expects a list of {kind} specs, "
             f"got {value!r} ({type(value).__name__})"
         )
     if annotation == "bool":
@@ -708,10 +705,9 @@ def _single_query_equivalent(config: RunConfig) -> RunConfig:
     """Reduce a one-entry workload to its single-field form.
 
     A one-query workload is *defined* to be its single-query equivalent:
-    it executes through the same engine path (so its results are
-    byte-identical to the seed engine's) and digests to the same cache
-    key. Multi-query workloads (and workload-free configs) pass through
-    unchanged.
+    it binds the same one query (:meth:`Scenario.bind`) and digests to
+    the same cache key, which is what this reduction keeps. Multi-query
+    workloads (and workload-free configs) pass through unchanged.
     """
     if config.queries is None or len(config.queries) != 1:
         return config
@@ -758,9 +754,6 @@ class QueryWorkload:
 
     specs: Tuple[QuerySpec, ...]
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
     @property
     def names(self) -> Tuple[str, ...]:
         return tuple(spec.name for spec in self.specs)
@@ -769,28 +762,13 @@ class QueryWorkload:
     def from_config(cls, config: RunConfig) -> Optional["QueryWorkload"]:
         """The config's workload plan, or ``None`` for single-query runs.
 
-        Reads either the explicit ``queries`` field or a multi-target
-        ``SELECT a, b, ...`` one-liner (each target becomes a named query
-        sharing the WHERE/WINDOW clauses). Call on the
-        single-query-reduced config: one-entry workloads are single-query
-        runs, not workloads.
+        Reads :attr:`RunConfig.query_specs`: an explicit ``queries`` list
+        or a multi-target ``SELECT a, b, ...`` one-liner (each target a
+        named query sharing the WHERE/WINDOW clauses). A one-entry
+        workload is a single-query run, not a workload.
         """
-        if config.queries is not None:
-            specs = config.queries
-        elif config.query is not None:
-            parsed = parse_queries(config.query)
-            if len(parsed) <= 1:
-                return None
-            names = dedupe_names([query.select for query in parsed])
-            specs = tuple(
-                QuerySpec(name=name, query=query.render())
-                for name, query in zip(names, parsed)
-            )
-        else:
-            return None
-        if len(specs) <= 1:
-            return None
-        return cls(specs=specs)
+        specs = config.query_specs
+        return cls(specs=specs) if len(specs) > 1 else None
 
     def build(
         self, source: object
@@ -805,7 +783,7 @@ class QueryWorkload:
         named = []
         readings = []
         for spec in self.specs:
-            aggregate, reading_fn = spec.build(source)
+            aggregate, reading_fn = spec_query(spec).build(source)
             named.append((spec.name, aggregate))
             readings.append(reading_fn)
         return WorkloadAggregate(named), WorkloadReadings(readings)
@@ -846,6 +824,21 @@ class Scenario:
                 use_batch=self.config.use_batch,
             )
         )
+
+    def bind(self) -> Tuple[object, object]:
+        """The config's own queries on a fresh scheme: ``(scheme, readings)``.
+
+        One query builds over the deployment (a ``GROUP BY`` clause needs
+        node positions); several zip into one :class:`QueryWorkload`.
+        """
+        specs = self.config.query_specs
+        if len(specs) > 1:
+            aggregate, readings = QueryWorkload(specs).build(self.source)
+        else:
+            aggregate, readings = spec_query(specs[0]).build(
+                self.source, deployment=self.topology.deployment
+            )
+        return self.build_scheme(aggregate), readings
 
     def converge(self, scheme, readings) -> None:
         """Stabilise an adaptive scheme (the paper's warm-up phase).
@@ -946,27 +939,14 @@ def run_config_result(
     part of the config itself (the ``faults`` field), because it changes
     the result.
 
-    Multi-query workloads (``queries`` with two or more entries, or a
-    multi-target ``query``) run the *same* sequence once: the queries zip
-    into one :class:`~repro.aggregates.workload.WorkloadAggregate` whose
-    payloads piggyback in shared messages over one channel. One-entry
-    workloads reduce to the plain single-query path, byte-identical to the
-    engine without the feature.
+    The config's queries bind through :meth:`Scenario.bind`: a multi-query
+    workload runs the *same* sequence once, its queries zipped into one
+    :class:`~repro.aggregates.workload.WorkloadAggregate` whose payloads
+    piggyback in shared messages over one channel; a one-entry workload
+    is the plain single-query path.
     """
-    config = _single_query_equivalent(config)
-    workload = QueryWorkload.from_config(config)
     scenario = build_scenario(config)
-    deployment = scenario.topology.deployment
-    readings = scenario.source
-    if workload is not None:
-        aggregate, readings = workload.build(readings)
-    elif config.query is not None:
-        aggregate, readings = parse_query(config.query).build(
-            readings, deployment=deployment
-        )
-    else:
-        aggregate = build_aggregate(config.aggregate)
-    scheme = scenario.build_scheme(aggregate)
+    scheme, readings = scenario.bind()
     scenario.converge(scheme, readings)
     writer = None
     if config.storage is not None:
@@ -1055,16 +1035,6 @@ def split_workload_result(
     }
 
 
-def _query_names(config: RunConfig) -> List[str]:
-    """The report handles of a config's queries (single runs included)."""
-    workload = QueryWorkload.from_config(_single_query_equivalent(config))
-    if workload is not None:
-        return list(workload.names)
-    if config.queries is not None:  # one-entry workload
-        return [config.queries[0].name]
-    return [config.query if config.query is not None else config.aggregate]
-
-
 @dataclass
 class RunReport:
     """One executed config with its per-query results and a summary.
@@ -1084,7 +1054,7 @@ class RunReport:
     )
 
     def __post_init__(self) -> None:
-        names = _query_names(self.config)
+        names = [spec.name for spec in self.config.query_specs]
         if len(names) > 1:
             self.query_results = split_workload_result(self.result, names)
         else:

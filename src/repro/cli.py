@@ -186,7 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--converge", type=int, default=120)
     sweep_parser.add_argument("--scenario-seed", type=int, default=0)
     sweep_parser.add_argument(
-        "--aggregate", choices=("count", "sum"), default="count"
+        "--aggregate",
+        default="count",
+        help="aggregate spec (count, sum, avg, heavy_hitters:0.1, ...)",
     )
     sweep_parser.add_argument(
         "--reading",

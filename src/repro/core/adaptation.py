@@ -21,7 +21,7 @@ adjustment frequency (skipping a geometrically growing number of rounds).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.graph import TDGraph

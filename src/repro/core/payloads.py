@@ -13,7 +13,7 @@ could not know it); it exists so experiments can report the true
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generic, Optional, Tuple, TypeVar
 
 from repro.multipath.fm import FMSketch

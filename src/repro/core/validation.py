@@ -20,7 +20,7 @@ directions are exercised by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.core.modes import Mode
 from repro.network.placement import NodeId

@@ -24,7 +24,7 @@ from typing import Dict, List
 from repro.api import EXPERIMENT_CONFIGS, build_scenario
 from repro.experiments.metrics import mean
 from repro.plotting import format_table
-from repro.registry import SCHEMES, build_aggregate, build_churn_model
+from repro.registry import SCHEMES, build_churn_model
 
 #: The quick run: a quarter of the timeline over a quarter of the nodes.
 QUICK_SIZES = dict(
@@ -116,11 +116,11 @@ def run_churn_timeline(
         # The repair diagnostics live on the run's membership runtime, not
         # in its record, so drive the scenario's own simulator.
         scenario = build_scenario(base.replace(scheme=name))
-        scheme = scenario.build_scheme(build_aggregate(base.aggregate))
-        scenario.converge(scheme, scenario.source)
+        scheme, readings = scenario.bind()
+        scenario.converge(scheme, readings)
         simulator = scenario.build_simulator(scheme)
         run = simulator.run(
-            base.epochs, scenario.source, start_epoch=base.start_epoch
+            base.epochs, readings, start_epoch=base.start_epoch
         )
         updates = simulator.membership.updates
         result.relative_errors[name] = run.relative_errors

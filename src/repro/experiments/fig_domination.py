@@ -14,7 +14,7 @@ Te = [37, 10, 6, 1] and the regular tree T2 = [8, 4, 2, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.datasets.synthetic import (
     density_sweep_deployment,

@@ -23,7 +23,7 @@ the pruning regime comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.streams import DisjointUniformItemStream

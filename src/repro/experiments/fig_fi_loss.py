@@ -28,7 +28,7 @@ from repro.core.td_scheme import TributaryDeltaScheme
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.streams import ConstantReadings, exact_item_counts
 from repro.experiments.metrics import mean, percent
-from repro.frequent.mp_fi import FMOperator, KMVOperator, MultipathFrequentItems
+from repro.frequent.mp_fi import FMOperator, MultipathFrequentItems
 from repro.frequent.reporting import (
     false_negative_rate,
     false_positive_rate,

@@ -29,7 +29,6 @@ from typing import Dict
 from repro.api import EXPERIMENT_CONFIGS, RunConfig, Session, build_scenario
 from repro.network.lifetime import LifetimeReport, lifetime_from_run
 from repro.plotting import format_table
-from repro.registry import build_aggregate
 
 
 @dataclass
@@ -75,10 +74,10 @@ def run_lifetime(
     # TD is not stabilised here: its delta is placed by hand — ring 1 joins
     # the base station — so the scheme is built and driven directly.
     scenario = build_scenario(base)
-    scheme = scenario.build_scheme(build_aggregate(base.aggregate))
+    scheme, readings = scenario.bind()
     scheme.graph.expand_all()
     runs["TD"] = scenario.build_simulator(scheme).run(
-        base.epochs, scenario.source, start_epoch=base.start_epoch
+        base.epochs, readings, start_epoch=base.start_epoch
     )
     return LifetimeComparison(
         config=base,

@@ -17,7 +17,6 @@ from typing import List, Optional, Set
 from repro.api import EXPERIMENT_CONFIGS, build_scenario
 from repro.network.failures import RegionalLoss
 from repro.network.placement import Deployment, NodeId
-from repro.registry import build_aggregate
 
 #: The figure's two panels: a mild and a severe regional failure.
 PANEL_RATES = (0.3, 0.8)
@@ -134,8 +133,8 @@ def run_figure4(
         **sizes,
     )
     scenario = build_scenario(config)
-    scheme = scenario.build_scheme(build_aggregate(config.aggregate))
-    scenario.converge(scheme, scenario.source)
+    scheme, readings = scenario.bind()
+    scenario.converge(scheme, readings)
     return TopologyResult(
         inside_rate=inside_rate,
         deployment=scenario.topology.deployment,

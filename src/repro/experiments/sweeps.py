@@ -59,7 +59,7 @@ from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.parallel import parallel_map
 from repro.plotting import LineChart, render_series_table
-from repro.registry import SchemeEntry, build_aggregate, build_td
+from repro.registry import SchemeEntry, build_td
 from repro.tree.construction import build_bushy_tree
 
 
@@ -126,10 +126,10 @@ def _live_td_cell(args: Tuple) -> Tuple[float, float, float]:
             adaptive=True,
         )
         scenario = dataclasses.replace(scenario, entry=entry)
-    scheme = scenario.build_scheme(build_aggregate(config.aggregate))
-    scenario.converge(scheme, scenario.source)
+    scheme, readings = scenario.bind()
+    scenario.converge(scheme, readings)
     run = scenario.build_simulator(scheme).run(
-        config.epochs, scenario.source, start_epoch=config.start_epoch
+        config.epochs, readings, start_epoch=config.start_epoch
     )
     switched = sum(count for _, _, count in scheme.adaptation_log)
     return run.rms_error(), float(scheme.control_messages), float(switched)

@@ -32,7 +32,7 @@ from repro.frequent.td_fi import (
 from repro.frequent.tree_fi import TreeFrequentItems
 from repro.network.links import Channel
 from repro.plotting import format_table
-from repro.registry import build_aggregate, build_failure_model
+from repro.registry import build_failure_model
 
 #: The quick size of the Count rows (and of the deployment the
 #: frequent-items rows reuse).
@@ -89,8 +89,7 @@ def run_table1(quick: bool = False, seed: int = 0) -> Table1Result:
     # --- Count ----------------------------------------------------------
     for name in ("TAG", "SD", "TD"):
         scenario = build_scenario(base.replace(scheme=name))
-        scheme = scenario.build_scheme(build_aggregate(base.aggregate))
-        readings = scenario.source
+        scheme, readings = scenario.bind()
         scenario.converge(scheme, readings)
         sensors = scenario.topology.deployment.num_sensors
         # Approximation error: the error the *converged* scheme keeps with

@@ -22,7 +22,7 @@ reports items whose estimate exceeds (s - eps) * N~.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SketchError

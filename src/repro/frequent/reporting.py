@@ -9,7 +9,7 @@ loss introduces false negatives through undercounting (Figure 9).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Iterable, List, Mapping, Set
 
 from repro.errors import ConfigurationError
 from repro.frequent.summary import Item, Summary

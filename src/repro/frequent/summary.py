@@ -15,7 +15,7 @@ decrementing every estimate by the *newly granted* slack
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.errors import ConfigurationError

@@ -17,7 +17,7 @@ on concrete synopses, which is the practical correctness condition from [16].
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence, TypeVar
 
 S = TypeVar("S")
 

@@ -40,7 +40,7 @@ the resulting :class:`MembershipUpdate` through their
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,

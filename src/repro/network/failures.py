@@ -16,8 +16,8 @@ models over time for the Figure 6 timeline experiment, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Protocol, Sequence, Tuple
 
 import numpy as _np
 

@@ -29,7 +29,7 @@ energy model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.network.rings import RingsTopology

@@ -21,8 +21,8 @@ visible directly in the benchmark output files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 

@@ -186,7 +186,11 @@ class WhereClause:
         return lambda value: compare(value, constant)
 
     def render(self) -> str:
-        return f"value {self.comparator} {self.constant:g}"
+        # Short form only where it reads back as the same predicate.
+        constant = f"{self.constant:g}"
+        if float(constant) != self.constant:
+            constant = repr(self.constant)
+        return f"value {self.comparator} {constant}"
 
 
 @dataclass(frozen=True)
@@ -410,3 +414,16 @@ def parse_query(text: str) -> ContinuousQuery:
             " 'queries'/'query' workload"
         )
     return queries[0]
+
+
+def spec_query(spec) -> ContinuousQuery:
+    """The :class:`ContinuousQuery` of a spec with ``query`` and
+    ``aggregate`` attributes (a :class:`~repro.api.QuerySpec`).
+
+    An aggregate spec ``X`` is ``SELECT X``: both build the same aggregate
+    over the same readings, so ``{"aggregate": "sum"}`` and ``{"query":
+    "select sum"}`` are one query.
+    """
+    if spec.query is not None:
+        return parse_query(spec.query)
+    return ContinuousQuery(select=spec.aggregate)

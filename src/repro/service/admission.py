@@ -29,6 +29,10 @@ from typing import Dict
 from repro.errors import ConfigurationError
 from repro.network.simulator import gather_readings
 
+#: Sensor ids (1..PROBE_NODES) and epochs an estimate probes.
+PROBE_NODES = 4
+PROBE_EPOCHS = 3
+
 
 class AdmissionError(ConfigurationError):
     """Raised when a submission cannot be admitted (maps to HTTP 413)."""
@@ -59,8 +63,6 @@ class AdmissionController:
         source: the server's reading source (estimates probe real values).
         budget_words: per-message word budget; one packet-train car.
         start_epoch: first measurement epoch (probes sample from here).
-        probe_nodes: how many sensor ids to probe.
-        probe_epochs: how many epochs to probe.
     """
 
     def __init__(
@@ -68,8 +70,6 @@ class AdmissionController:
         source,
         budget_words: int = 256,
         start_epoch: int = 0,
-        probe_nodes: int = 4,
-        probe_epochs: int = 3,
         deployment=None,
     ) -> None:
         if budget_words < 1:
@@ -82,8 +82,6 @@ class AdmissionController:
         self._deployment = deployment
         self.budget_words = budget_words
         self._start_epoch = start_epoch
-        self._probe_nodes = max(1, probe_nodes)
-        self._probe_epochs = max(1, probe_epochs)
         self._lock = threading.Lock()
         self.admitted = 0
         self.rejected = 0
@@ -101,9 +99,9 @@ class AdmissionController:
         aggregate, readings = query.build(
             self._source, deployment=self._deployment
         )
-        nodes = list(range(1, self._probe_nodes + 1))
+        nodes = list(range(1, PROBE_NODES + 1))
         worst = 1
-        for offset in range(self._probe_epochs):
+        for offset in range(PROBE_EPOCHS):
             epoch = self._start_epoch + offset
             for node, value in zip(nodes, gather_readings(readings, nodes, epoch)):
                 synopsis = aggregate.synopsis_local(node, epoch, value)

@@ -30,27 +30,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
 from repro.errors import ConfigurationError
-from repro.query import ContinuousQuery, parse_query
+from repro.query import ContinuousQuery, parse_query, spec_query
 
 #: Combiner tags: how a planned query's answer is assembled from its parts.
 COMBINE_VALUE = "value"  # one part; its answer is the answer
 COMBINE_RATIO = "ratio"  # parts (sum, count); answer = sum/count (0 if 0)
 
 
-def canonical_query(spec) -> ContinuousQuery:
-    """A :class:`QuerySpec`'s canonical :class:`ContinuousQuery` form.
-
-    Aggregate specs become bare ``SELECT <spec>`` queries, so
-    ``{"aggregate": "sum"}`` and ``{"query": "select sum"}`` share a slot.
-    """
-    if spec.query is not None:
-        return parse_query(spec.query)
-    return ContinuousQuery(select=spec.aggregate)
-
-
 def decompose(spec) -> Tuple[Tuple[ContinuousQuery, ...], str]:
-    """A spec's parts and combiner: ``avg`` splits into (sum, count)."""
-    parsed = canonical_query(spec)
+    """A spec's parts and combiner: ``avg`` splits into (sum, count).
+
+    Parts are keyed by their rendered query, so ``{"aggregate": "sum"}``
+    and ``{"query": "select sum"}`` share a slot (:func:`spec_query`).
+    """
+    parsed = spec_query(spec)
     if parsed.select == "avg":
         return (
             (
@@ -138,14 +131,11 @@ class QueryPlanner:
         """
         fresh: Dict[str, ContinuousQuery] = {}
         for pq in planned:
-            for key, part in zip(pq.keys, self._parts_of(pq)):
+            for key in pq.keys:
                 slot = self._slots.get(key)
                 if (slot is None or slot.refs == 0) and key not in fresh:
-                    fresh[key] = part
+                    fresh[key] = parse_query(key)
         return list(fresh.values())
-
-    def _parts_of(self, pq: PlannedQuery) -> List[ContinuousQuery]:
-        return [parse_query(key) for key in pq.keys]
 
     def active_words(self) -> int:
         """Combined estimated payload of all referenced slots."""
@@ -250,7 +240,6 @@ __all__ = [
     "PlannedQuery",
     "QueryPlanner",
     "Slot",
-    "canonical_query",
     "combine",
     "decompose",
 ]

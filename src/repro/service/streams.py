@@ -188,8 +188,7 @@ def parse_submission(body: bytes) -> Tuple[QuerySubmit, Optional[object]]:
     Returns ``(submit, config-or-None)``; malformed bodies raise
     :class:`~repro.errors.ConfigurationError` (the server's 400).
     """
-    from repro.api import QuerySpec, RunConfig, _normalize_queries
-    from repro.query import parse_queries
+    from repro.api import RunConfig, select_specs
 
     try:
         text = body.decode("utf-8")
@@ -199,15 +198,7 @@ def parse_submission(body: bytes) -> Tuple[QuerySubmit, Optional[object]]:
     if not stripped:
         raise ConfigurationError("empty request body")
     if stripped.upper().startswith("SELECT"):
-        parsed = parse_queries(stripped)
-        from repro.aggregates.composite import dedupe_names
-
-        names = dedupe_names([q.select for q in parsed])
-        specs = tuple(
-            QuerySpec(name=name, query=q.render())
-            for name, q in zip(names, parsed)
-        )
-        return QuerySubmit(queries=specs), None
+        return QuerySubmit(queries=select_specs(stripped)), None
     try:
         data = json.loads(stripped)
     except ValueError as error:
@@ -222,22 +213,8 @@ def parse_submission(body: bytes) -> Tuple[QuerySubmit, Optional[object]]:
         return _decode_query_submit(data), None
     if tag == "run-config":
         config = RunConfig.from_jsonable(data)
-        if config.queries is not None:
-            specs = tuple(config.queries)
-        elif config.query is not None:
-            from repro.aggregates.composite import dedupe_names
-
-            parsed = parse_queries(config.query)
-            names = dedupe_names([q.select for q in parsed])
-            specs = tuple(
-                QuerySpec(name=name, query=q.render())
-                for name, q in zip(names, parsed)
-            )
-        else:
-            specs = (
-                QuerySpec(name=config.aggregate, aggregate=config.aggregate),
-            )
-        return QuerySubmit(queries=specs, epochs=config.epochs), config
+        submit = QuerySubmit(queries=config.query_specs, epochs=config.epochs)
+        return submit, config
     raise ConfigurationError(
         f"unsupported payload type {tag!r}; POST a 'query-submit', a "
         "'run-config', or a SELECT one-liner"

@@ -20,7 +20,7 @@ the registry from this file would be a cycle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 

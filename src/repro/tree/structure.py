@@ -11,8 +11,8 @@ derived quantities matter throughout the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.network.placement import BASE_STATION, NodeId
