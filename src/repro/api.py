@@ -1448,7 +1448,10 @@ class Session:
         # crash: the cache is an accelerator, not a source of truth.
         try:
             payload = json.loads(path.read_text())
-            return from_jsonable(payload["result"])
+            result = payload["result"] if isinstance(payload, dict) else None
+            if not isinstance(result, dict):
+                return None
+            return from_jsonable(result)
         except (ValueError, KeyError, OSError, ReproError):
             return None
 

@@ -93,11 +93,24 @@ class Checkpointer:
         os.replace(tmp, self.path)
 
     def load(self) -> Optional[Dict[str, Any]]:
-        """The stored payload, or None if no checkpoint exists yet."""
+        """The stored payload, or None if no checkpoint exists yet.
+
+        A damaged file is refused, never resumed over with fresh state.
+        """
         if not os.path.exists(self.path):
             return None
         with open(self.path) as handle:
-            return json.load(handle)
+            try:
+                payload = json.load(handle)
+            except ValueError as error:
+                raise ConfigurationError(
+                    f"checkpoint {self.path} is not valid JSON: {error}"
+                ) from None
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"checkpoint {self.path} is not a JSON object"
+            )
+        return payload
 
     def maybe_kill(self, offset: int) -> None:
         """Crash drill: die loudly once the kill offset is reached.

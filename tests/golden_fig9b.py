@@ -12,14 +12,11 @@ they became configurations of one tree pass and one Tributary-Delta pass.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
-FIG9B_GOLDEN = "c5531ba5a4071f8b804a75d15b99251b7d7d3e270f816569967a6f6d58e53c6c"
+from goldens import assert_golden
 
 
 def test_figure9b_series_is_the_recorded_one(quick_figure):
     result = quick_figure("fig9b")
-    series = [result.false_negatives, result.false_positives]
-    digest = hashlib.sha256(json.dumps(series, sort_keys=True).encode()).hexdigest()
-    assert digest == FIG9B_GOLDEN
+    assert_golden(
+        "fig9b/series", [result.false_negatives, result.false_positives]
+    )

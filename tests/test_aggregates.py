@@ -3,12 +3,11 @@ registry-wide scalar == block contract of every local op and conversion."""
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from goldens import assert_golden
 
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.base import fuse_all, merge_all
@@ -40,7 +39,6 @@ from repro.registry import (
     build_regions,
     register_aggregate,
 )
-from repro.serialization import to_jsonable
 from repro.spatial import GroupedReadings, RegionFilteredAggregate
 
 ALL_AGGREGATES = [
@@ -728,63 +726,6 @@ GOLDEN_CASES = {
     ),
 }
 
-#: SHA-256 of every case's serialized epoch records (the TD cases and
-#: their scalar-oracle twins share a digest: blocked == per-epoch).
-AGGREGATE_GOLDENS = {
-    "avg/SD": "86527d02cea45642b7980ae962a29ebaaffe16399444eb27867c7f38fa297265",
-    "avg/TAG": "a257c073849bc03d8d92f4a5f187c23cbd80a8723ac7c55d5db52ab1e29fba46",
-    "avg/TD": "c6597c0b1085e6c0a547fdadc1c981ca323e125fec1ef38e6d90085c6fa337a2",
-    "avg/TD/oracle": "c6597c0b1085e6c0a547fdadc1c981ca323e125fec1ef38e6d90085c6fa337a2",
-    "count/SD": "368f005c780ed0cc2b4ff99e4ae7753b5b32ae911004eb167d3865f9220130f4",
-    "count/TAG": "487d4de64f215c5b823385e8dbe84e945f56a4537f7bfa30f9e6e4ae10ef48ea",
-    "count/TD": "c9123ebe83cf42ca4fdd219c1a59a2052fccaf2223af57e3c2a448654a188daf",
-    "count/TD/oracle": "c9123ebe83cf42ca4fdd219c1a59a2052fccaf2223af57e3c2a448654a188daf",
-    "distinct/SD": "12cb79c65d2a060323d8d772c58d011519b50a283e9d3db6cec7632f23268346",
-    "distinct/TAG": "378dd79c15c1ae739c8f2f9d1ad2711d7fb71c0fa718670d0b8f5a451062ff9d",
-    "distinct/TD": "7b9b7595a0d706fcd332379ffbcb4f417e1019297df744280519b82abb1bc9ab",
-    "distinct/TD/oracle": "7b9b7595a0d706fcd332379ffbcb4f417e1019297df744280519b82abb1bc9ab",
-    "groupby-avg": "2947dc6f455585aa713fed7a2fd03de3a8f18d3fe14b9438043092841d3b0c6d",
-    "groupby-min": "9907a4bb67710e8cecd0e8791c991b91c83ad9fac5ba8c3f9d61f554efc0fb03",
-    "heavy_hitters:0.05/SD": "f7919888664e6e489f6c9f5a1bc6aec22f523c8f15326cb7733496928091a5fe",
-    "heavy_hitters:0.05/TAG": "fe3982ca9525efee4ed08e46b68521bf0f0fbed455b457e0009f0f7f0570dfca",
-    "heavy_hitters:0.05/TD": "9d243fde02b692709586e6774b71dd3adb32298404b187e28189009997c2bf30",
-    "heavy_hitters:0.05/TD/oracle": "9d243fde02b692709586e6774b71dd3adb32298404b187e28189009997c2bf30",
-    "max/SD": "eb40f6d028c5a56fa4ac2b10b826fac4d62f609f656dec12ab00694d03e1d91f",
-    "max/TAG": "71e7d0a8114e676ea55aa3e73730ced68072fbb42ccde1b77f161d2efe7267ee",
-    "max/TD": "18e3e87fc1d01dd36221af1baea527be182d04e27c2a3430e19293108fa5152a",
-    "max/TD/oracle": "18e3e87fc1d01dd36221af1baea527be182d04e27c2a3430e19293108fa5152a",
-    "min/SD": "b6f8502a8dfef87343ef6dc28970e6c28790ca669eb3bf415f14171ab3180f66",
-    "min/TAG": "f616ac64d1f40909fda403840b30b6550f0e9318d539cd2a898d4a60d179108e",
-    "min/TD": "2cb9a07cf3e008999cd5b042eb5e765ce313963e093d9b1c76d85abaac390bef",
-    "min/TD/oracle": "2cb9a07cf3e008999cd5b042eb5e765ce313963e093d9b1c76d85abaac390bef",
-    "moments/SD": "1982e695fc3af94e34ce6d6b2341b66ae14a0e13161600cec7434d1a51f901e8",
-    "moments/TAG": "8ca76845ae3ac3041d2dcac1ef971451fe38c38ed325c431373336f63b22fa22",
-    "moments/TD": "0bf66a298050e786fd023c78aa1b1b81572890e42d9a6e8a42cfed95dbc9f2a7",
-    "moments/TD/oracle": "0bf66a298050e786fd023c78aa1b1b81572890e42d9a6e8a42cfed95dbc9f2a7",
-    "quantiles/SD": "40a27d7c3a293e23f09a0172ce26f569241afc8a35e9ff7a2acea1529962680b",
-    "quantiles/TAG": "5bda2ca7c2d588851a3ec3cab96402715a75d1e43fafba92574f939d8c204964",
-    "quantiles/TD": "a9f674fde23152fad81442a9baec7e1f4a47a187ca879d4e75e7cffbd8a082e3",
-    "quantiles/TD/oracle": "a9f674fde23152fad81442a9baec7e1f4a47a187ca879d4e75e7cffbd8a082e3",
-    "quantiles_qd/SD": "40a27d7c3a293e23f09a0172ce26f569241afc8a35e9ff7a2acea1529962680b",
-    "quantiles_qd/TAG": "42f7cc6f7be3f95b001bf5b0e9dc4057cbb81fa34e031c89eec877d16b1b539c",
-    "quantiles_qd/TD": "cf0fd09e274bc4a83314a80d3f36907ca025a3178d55adafc8cd4f956b4f5893",
-    "quantiles_qd/TD/oracle": "cf0fd09e274bc4a83314a80d3f36907ca025a3178d55adafc8cd4f956b4f5893",
-    "region-avg/TAG": "e1e3b6da444b8235ab9273e14ea25c7a22f8c40c7481b32f9b70f1805cf909c4",
-    "region-avg/TD": "774be24da23468cc4c7a632860319e1874f0bd706985a2cdf5ed7197f9204f99",
-    "sample/SD": "352540f3a05e428e08b48a7cd0bfba6d74e46bdaaf528be4532b3c63eb9e599d",
-    "sample/TAG": "6a5ae46e846ab228ba0c27a830182f43c49cf3d970e67785837d0644ffc39dd3",
-    "sample/TD": "9d252cf23a1d704ef6d3888674e59754293a071a993b09aeecd645052cf7ef57",
-    "sample/TD/oracle": "9d252cf23a1d704ef6d3888674e59754293a071a993b09aeecd645052cf7ef57",
-    "sum/SD": "6c276cacf8142fcc764b99a949ce6abb53bd00f4cf9b01d4512718498482c34a",
-    "sum/TAG": "26bb8bd8abc5ef0ae976f1119bbb3ded4270723767bae429b394a15f3dbf002d",
-    "sum/TD": "798b4a46a86b7baeeeda1505926ae3d915056e3e552267bacc2e2132d34b21d6",
-    "sum/TD/oracle": "798b4a46a86b7baeeeda1505926ae3d915056e3e552267bacc2e2132d34b21d6",
-    "where-avg": "5df2f3b4aaa7de526eb34ab450d760b38e4cd4884fc051e31ff6dcc9568c7f2c",
-    "where-windowed-max": "7d1768786e03b075866da0760acd57feb97d3d6a1b5afa18e617a509a00d2d57",
-    "workload": "e5edcb6647e20a1af9517663bfd443af559bb32d57125c4ed2fba3e5f689e041",
-}
-
-
 def _golden_result(case):
     overrides = dict(GOLDEN_CASES[case])
     region = overrides.pop("region", False)
@@ -811,19 +752,15 @@ def _golden_result(case):
     )
 
 
-def _golden_digest(case) -> str:
-    records = [to_jsonable(epoch) for epoch in _golden_result(case).epochs]
-    return hashlib.sha256(
-        json.dumps(records, sort_keys=True).encode()
-    ).hexdigest()
-
-
 class TestAggregateGoldens:
     """Every aggregate, filter, grouping and workload run, byte for byte."""
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_epoch_records_are_unchanged(self, case):
-        assert _golden_digest(case) == AGGREGATE_GOLDENS[case]
+        # The serialized epoch records (the TD cases and their scalar-oracle
+        # twins share a digest: blocked == per-epoch).
+        result = _golden_result(case)
+        assert_golden(f"aggregates/{case}", result.epochs, run=result)
 
 
 # -- regressions ----------------------------------------------------------------

@@ -497,6 +497,10 @@ class TestSession:
             json.dumps(
                 {"result": {"type": "run-result", "version": 99}}
             ),  # from a newer writer: ConfigurationError inside the codec
+            "[]",  # valid JSON, not an object
+            "null",
+            '"x"',
+            '{"result": 5}',  # a result that is not an object
         ):
             path.write_text(payload)
             report = Session(cache_dir=tmp_path).run(config)

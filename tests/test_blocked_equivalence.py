@@ -16,7 +16,6 @@ cutting a run into blocks, ``on_epoch`` hooks, churn and kill/resume.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 
 import pytest
@@ -446,9 +445,7 @@ class TestSimulatorMatrix:
             checkpoint=checkpoint,
         ).run(30, UniformReadings(10, 100, seed=1), warmup=2)
         assert auditor.checks["billing-conservation"] > 0
-        return hashlib.sha256(
-            serialization.dumps(result).encode()
-        ).hexdigest()
+        return serialization.dumps(result)
 
     @pytest.mark.parametrize("on_epoch", (None, _probe), ids=("bare", "hook"))
     @pytest.mark.parametrize("adapt_interval", ADAPT_INTERVALS)

@@ -15,9 +15,9 @@ Three coupled contracts:
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
+
+from goldens import assert_golden
 
 from repro import serialization
 from repro.aggregates.sum_ import SumAggregate
@@ -124,10 +124,6 @@ def _run(
     return simulator.run(epochs, UniformReadings(10, 100, seed=1))
 
 
-def _digest(result) -> str:
-    return hashlib.sha256(serialization.dumps(result).encode()).hexdigest()
-
-
 INJECTORS = {
     "corrupt": CorruptSynopsis(0.05, seed=3),
     "duplicate": DuplicateDelivery(0.05, seed=3),
@@ -207,7 +203,7 @@ class TestFaultDeterminism:
             faults=plan,
             churn_model=churn,
         )
-        assert _digest(blocked) == _digest(per_epoch)
+        assert serialization.dumps(blocked) == serialization.dumps(per_epoch)
 
     def test_fault_run_is_repeatable(self, small_scenario, small_tree):
         first = _run(
@@ -216,7 +212,7 @@ class TestFaultDeterminism:
         second = _run(
             small_scenario, small_tree, "SD", faults=CorruptSynopsis(0.1)
         )
-        assert _digest(first) == _digest(second)
+        assert serialization.dumps(first) == serialization.dumps(second)
 
 
 class TestAuditorClean:
@@ -255,7 +251,7 @@ class TestAuditorClean:
         audited = _run(
             small_scenario, small_tree, "TD", auditor=Auditor(strict=True)
         )
-        assert _digest(bare) == _digest(audited)
+        assert serialization.dumps(bare) == serialization.dumps(audited)
 
 
 class TestAuditorTruePositives:
@@ -294,7 +290,7 @@ class TestAuditorTruePositives:
         assert any(
             v.invariant == "fm-or-monotonicity" for v in auditor.violations
         )
-        assert _digest(corrupted) != _digest(clean)
+        assert serialization.dumps(corrupted) != serialization.dumps(clean)
 
     def test_duplicate_trips_tree_count_consistency(
         self, small_scenario, small_tree
@@ -385,7 +381,7 @@ class TestCheckpointResume:
             scheme,
             checkpoint=Checkpointer(directory, interval=10, resume=True),
         )
-        assert _digest(resumed) == _digest(base)
+        assert serialization.dumps(resumed) == serialization.dumps(base)
 
     def test_kill_and_resume_with_faults(
         self, small_scenario, small_tree, tmp_path
@@ -407,7 +403,7 @@ class TestCheckpointResume:
             faults=plan,
             checkpoint=Checkpointer(tmp_path, interval=10, resume=True),
         )
-        assert _digest(resumed) == _digest(base)
+        assert serialization.dumps(resumed) == serialization.dumps(base)
 
     def test_checkpointing_is_result_invisible(
         self, small_scenario, small_tree, tmp_path
@@ -419,7 +415,7 @@ class TestCheckpointResume:
             "TD",
             checkpoint=Checkpointer(tmp_path, interval=10),
         )
-        assert _digest(checkpointed) == _digest(base)
+        assert serialization.dumps(checkpointed) == serialization.dumps(base)
         assert (tmp_path / "checkpoint.json").exists()
 
     def test_resume_rejects_mismatched_run(
@@ -441,6 +437,28 @@ class TestCheckpointResume:
                 checkpoint=Checkpointer(tmp_path, interval=10, resume=True),
             )
 
+    @pytest.mark.parametrize("damage", ("{not json", "[]"))
+    def test_resume_rejects_damaged_checkpoint(
+        self, small_scenario, small_tree, tmp_path, capsys, damage
+    ):
+        """Resume stays loud: a damaged file is named, never run over."""
+        from repro.cli import main
+        from repro.service.engine import AggregationService
+
+        (tmp_path / "checkpoint.json").write_text(damage)
+        resume = Checkpointer(tmp_path, interval=10, resume=True)
+        with pytest.raises(ConfigurationError, match="checkpoint.json"):
+            _run(small_scenario, small_tree, "TAG", checkpoint=resume)
+        config = RunConfig(scheme="TAG", num_sensors=24, converge_epochs=0)
+        with pytest.raises(ConfigurationError, match="checkpoint.json"):
+            AggregationService(
+                config, checkpoint_dir=str(tmp_path), resume=True
+            )
+        (tmp_path / "config.json").write_text(config.to_json())
+        args = ["run-config", str(tmp_path / "config.json"), "--resume"]
+        assert main(args + ["--checkpoint-dir", str(tmp_path)]) == 2
+        assert "checkpoint.json" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_runs_fresh(
         self, small_scenario, small_tree, tmp_path
     ):
@@ -451,7 +469,7 @@ class TestCheckpointResume:
             "TAG",
             checkpoint=Checkpointer(tmp_path, interval=10, resume=True),
         )
-        assert _digest(resumed) == _digest(base)
+        assert serialization.dumps(resumed) == serialization.dumps(base)
 
     def test_checkpointer_validates_interval(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -547,7 +565,7 @@ class TestChaosRuntimeUnset:
             "SD",
             faults=DuplicateDelivery(0.3, seed=3),
         )
-        assert _digest(clean) == _digest(duplicated)
+        assert serialization.dumps(clean) == serialization.dumps(duplicated)
 
     def test_runtime_defers_and_flushes_control(self, small_scenario):
         from repro.network.links import Channel
@@ -565,21 +583,6 @@ class TestChaosRuntimeUnset:
         assert channel.per_node_words()[4] == 2
         assert runtime.deferred == []
 
-
-#: SHA-256 of the final ``checkpoint.json`` bytes of each
-#: (scheme, churn, faults) run in :class:`TestCheckpointGoldens`. The delay
-#: fault defers only control bills, all flushed by the last boundary, so
-#: each faulted file equals its clean twin.
-CHECKPOINT_GOLDENS = {
-    ("TAG", "none"): "4503170090ec7419c152c4e593d923e0f6024db0d90e06d55231a56712ccad87",
-    ("TAG", "blackout"): "2ebae230bd752fcb54d0d6f8df400cc4936fd090a9000c74013298c5e1817a5e",
-    ("SD", "none"): "34d42f4ca423ecdc0c182466415fe57b1466def6f94edd94855e2225680f82f3",
-    ("SD", "blackout"): "4f884a412215bf56eaefaf7b626ee50c330bf00735394e403b6d0e2c8d93b0a7",
-    ("TD-Coarse", "none"): "5ef1dc77860da84dd50df1d8ca523759f0e25cd638460cb32d89ca1b9efcb828",
-    ("TD-Coarse", "blackout"): "5a4e86aff0e127cfecf82d30294bd5409961b0ea0e913abe8cdbe1fc73f4c0af",
-    ("TD", "none"): "190ab896b0ec800c3796b131ddedc2e31a275cad95d76be55de10637f76b26cf",
-    ("TD", "blackout"): "8ae21c33bf35f13a74c0d8fe1793f14ea9493904cc5550262f08e52967448345",
-}
 
 CHURN_SPECS = {"none": "none", "blackout": "blackout:1010:0:0:10:10:1030"}
 
@@ -609,10 +612,13 @@ class TestCheckpointGoldens:
             checkpoint=Checkpointer(tmp_path, interval=10),
             audit=Auditor(strict=False),
         )
-        digest = hashlib.sha256(
-            (tmp_path / "checkpoint.json").read_bytes()
-        ).hexdigest()
-        assert digest == CHECKPOINT_GOLDENS[(scheme, churn)]
+        # The final file's bytes. The delay fault defers only control bills,
+        # all flushed by the last boundary, so each faulted file equals its
+        # clean twin.
+        assert_golden(
+            f"checkpoint/{scheme}/{churn}",
+            (tmp_path / "checkpoint.json").read_bytes(),
+        )
 
 
 def _pipeline_readings(node, epoch):

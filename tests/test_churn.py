@@ -13,16 +13,15 @@ the pre-churn engine (golden digests recorded from the seed revision).
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
-import topology_goldens
+import goldens
+from goldens import assert_golden
 
 from repro import serialization
-from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
 from repro.api import (
+    EXPERIMENT_CONFIGS,
     RunConfig,
     Session,
     build_scenario,
@@ -716,29 +715,85 @@ class TestChurnEndToEnd:
         assert "blackout" in result.render() or "healthy" in result.render()
 
 
-#: sha256 over the full result fingerprint of the seed revision (pre-churn
-#: engine), keyed by "scheme|failure". Recorded from commit 4893711.
-GOLDEN_DIGESTS = {
-    "TAG|none": "4bd448aa8a688c24689d101bc959b99ddc1dd404048325fe0eb77a757e0fdf7c",
-    "TAG|global:0.3": "39662a49fa19947f10d855cbd64d2aa3b9661988c90e3f98d766f817569382d8",
-    "SD|none": "378762df41c37bd8da3b2eaaaa4f74abf9ec3f47bb063228f941ea2abb10b867",
-    "SD|global:0.3": "bbd4ddc5bcef4f7fee16b53302fd12cb7b32a09e2abc5f1260837b511200fea5",
-    "TD-Coarse|none": "4bd448aa8a688c24689d101bc959b99ddc1dd404048325fe0eb77a757e0fdf7c",
-    "TD-Coarse|global:0.3": "a70260bd56a5f4b5f6149116501c14941992690a70f888bb95d1b3746df6bd51",
-    "TD|none": "4bd448aa8a688c24689d101bc959b99ddc1dd404048325fe0eb77a757e0fdf7c",
-    "TD|global:0.3": "cf624e4744f584e6c325388b5386a9ebcd198b20ee0e1d1f1bc64730e48bcf15",
-}
+def _churn_configs() -> dict:
+    """The churn runs whose every boundary is pinned."""
+    from repro.experiments.fig_churn import QUICK_SIZES
+
+    timeline = EXPERIMENT_CONFIGS["churn_timeline"].replace(
+        adapt_interval=10, churn_interval=10, **QUICK_SIZES
+    )
+    steady = timeline.replace(
+        num_sensors=120, epochs=60, churn="birthdeath:0.08:0.3:1"
+    )
+    # Turnover heavy enough that most boundaries strand a few live nodes.
+    heavy = timeline.replace(
+        num_sensors=200, epochs=60, churn="birthdeath:0.45:0.15:1"
+    )
+    # A dead band across the field strands everything west of it (60 live
+    # nodes) until the band rejoins and the dark subtrees snap back.
+    band = timeline.replace(
+        num_sensors=400, epochs=40, churn="blackout:10:3:0:6.5:20:30"
+    )
+    return {
+        "churn_timeline/TAG": timeline.replace(scheme="TAG"),
+        "churn_timeline/TD": timeline,
+        "birthdeath/SD": steady.replace(scheme="SD"),
+        "birthdeath/TD": steady,
+        "birthdeath-heavy/TAG": heavy.replace(scheme="TAG"),
+        "birthdeath-heavy/TD": heavy,
+        "band-blackout/TAG": band.replace(scheme="TAG"),
+        "band-blackout/TD": band,
+        "deaths/SD": timeline.replace(
+            scheme="SD", num_sensors=100, epochs=40, churn="deaths:10:80:3"
+        ),
+    }
 
 
-CHURN_GOLDENS = topology_goldens.load()["churn"]
+def _churn_payloads(config):
+    """Every churn boundary of one run, and the run.
+
+    Returns ``([(epoch, boundary bytes)...], run)``; a boundary's bytes are
+    the ``repr`` of (died, joined, stranded, re-rung levels, tree parents).
+    """
+    scenario = build_scenario(config)
+    scheme = scenario.build_scheme(build_aggregate(config.aggregate))
+    scenario.converge(scheme, scenario.source)
+    simulator = scenario.build_simulator(scheme)
+    run = simulator.run(
+        config.epochs, scenario.source, start_epoch=config.start_epoch
+    )
+    boundaries = [
+        (
+            update.epoch,
+            repr(
+                (
+                    update.died,
+                    update.joined,
+                    update.stranded,
+                    sorted(
+                        (node, update.rings.level(node))
+                        for node in update.rings.levels
+                    ),
+                    sorted(update.tree.parents.items()),
+                )
+            ).encode(),
+        )
+        for update in simulator.membership.updates
+    ]
+    return boundaries, run
 
 
-@pytest.mark.parametrize("name", sorted(CHURN_GOLDENS))
+@pytest.mark.parametrize("name", sorted(_churn_configs()))
 def test_every_boundary_matches_the_recorded_dict_tier(name):
     """Levels, stranded set and repaired tree after each churn boundary, and
-    the run's full result, as the networkx-subgraph re-ringing produced them."""
-    config = topology_goldens.churn_configs()[name]
-    assert topology_goldens.churn_digests(config) == CHURN_GOLDENS[name]
+    the run's full result, as the networkx-subgraph re-ringing produced them
+    (recorded on the commit that still had the dict/networkx tier)."""
+    boundaries, run = _churn_payloads(_churn_configs()[name])
+    keys = [f"churn/{name}/boundary@{epoch}" for epoch, _ in boundaries]
+    assert sorted(keys) == goldens.keys(f"churn/{name}/boundary@")
+    for key, (_, payload) in zip(keys, boundaries):
+        assert_golden(key, payload)
+    assert_golden(f"churn/{name}/result", run, run=run)
 
 
 #: Churn that leaves live nodes cut off from the base station: a dead band
@@ -816,28 +871,6 @@ class TestChurnOnArrayState:
         assert _run_fingerprint(engine) == _run_fingerprint(oracle)
 
 
-def _digest(result):
-    payload = repr(
-        (
-            [e.estimate for e in result.epochs],
-            [e.contributing for e in result.epochs],
-            [e.contributing_estimate for e in result.epochs],
-            [
-                (
-                    e.log.transmissions,
-                    e.log.deliveries,
-                    e.log.drops,
-                    e.log.words_sent,
-                    e.log.messages_sent,
-                )
-                for e in result.epochs
-            ],
-            sorted(result.energy.per_node_uj.items()),
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 class TestChurnDisabledByteIdentity:
     """With churn off, results are byte-identical to the pre-churn engine."""
 
@@ -856,4 +889,10 @@ class TestChurnDisabledByteIdentity:
             scenario_seed=0,
         )
         result = Session().run(config).result
-        assert _digest(result) == GOLDEN_DIGESTS[f"{scheme}|{failure}"]
+        # The seed revision's (pre-churn engine) result fingerprint,
+        # recorded from commit 4893711.
+        assert_golden(
+            f"churn-disabled/{scheme}|{failure}",
+            goldens.fingerprint(result),
+            run=result,
+        )

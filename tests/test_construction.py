@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
+from goldens import assert_golden
 from repro.network.placement import BASE_STATION
 from repro.tree.construction import build_bushy_tree, build_tag_tree
 from repro.tree.domination import domination_factor
@@ -45,41 +44,19 @@ class TestBushyTree:
         assert sum(ours) / 3 > sum(tag) / 3
 
 
-def _tree_digest(tree: Tree) -> str:
-    return hashlib.sha256(
-        repr(sorted(tree.parents.items())).encode()
-    ).hexdigest()
-
-
-#: SHA-256 of ``sorted(tree.parents.items())`` recorded on the dict/set
-#: builder (commit 71369c4) — the draw order of ``stream_rng("bushy-tree",
-#: seed)`` is part of every downstream golden, so a builder that reorders a
-#: single ``rng.choice`` must fail here, not in an ``expected.json`` digest.
-#: Keys are ``(synthetic-scale node count | "lab" | "churned", seed)``.
-BUSHY_TREE_GOLDENS = {
-    (60, 0): "584a0cbe3e780946c246818ef581d9e994f4af000f5560c7c27a521c6f448f1c",
-    (60, 1): "e6ebdcfccda458e59c50da6cc73edf9c7cb1193bf810f30022646f7010715760",
-    (60, 2): "abe48b693973a382980cf8466f7bd0faa664fb536d85ac1f3b12ac9233d574a2",
-    (60, 3): "3316f4ac00ca48730fa5d70b418528df108de2fdaf6162d5e91c24061ea6dac9",
-    (600, 0): "31569d4d35c118193999642b917038ce0e09cfd4a1d5924f079e089fc97e8498",
-    (600, 1): "ed617b2ea7830d899f70a1d23aa4bf13b082172147738387b048ce8928ec46de",
-    (600, 2): "7252be42c0bbf719a77d46319cc4495fb47090b778b352f008561f5c180868c5",
-    (600, 3): "0f92d347e90efff86e33fc61ef0628a648608f01b5b14923d087f14123cbed86",
-    (5000, 0): "8b9c66821e15854f37ab4f00e950ccf79deff3b75d17b118427e171c04660bd3",
-    (5000, 1): "b3105d3339fd13253a0ff583b4b8b7c1cdc84b83fa9e92253c098c786a0b5a05",
-    (5000, 2): "13d57a21d3d89471734f8e58a920aa0a5adee82a774bf7dde567e93f3e54f431",
-    (5000, 3): "9a3b68c7dd9bc0adcd3e99a643b0f91a0dd7abee5f1ad1f19afddb6d577b2895",
-    ("lab", 0): "4452e837009400c7a1082c14a44d34f314096f55411033b43fbd449753d3554f",
-    ("lab", 1): "d9393fb914a9911012be731a73aa2d1c153e75f412584fd131edc4b31516f05b",
-    ("lab", 2): "82146faeb619b2351d4719cce80fae6e3233f12e72acdb37c7cae6e6da0e1dd9",
-    ("lab", 3): "c46fc17883dfbe1a76214d8c0a52b597d0d94988538f5401878613956e60a49b",
-    ("churned", 0): "8b6a1cc0969cfe6f3d99aedf6983d9088d8f2b5878b79b36ab63d5ccc05f8542",
-    ("churned", 1): "eb4a021819089fe8660f6abaa992484ebb21bd5612026802bd352a5e9c5d2175",
-}
+def _assert_tree(key, tree: Tree) -> None:
+    payload = repr(sorted(tree.parents.items())).encode()
+    assert_golden(f"bushy-tree/{key}", payload)
 
 
 class TestBushyTreeGoldens:
     """The exact trees, pinned against the old dict/set builder.
+
+    Each ``bushy-tree/(synthetic-scale node count | lab | churned)/seed``
+    key hashes ``sorted(tree.parents.items())`` as recorded on the dict/set
+    builder (commit 71369c4): the draw order of ``stream_rng("bushy-tree",
+    seed)`` is part of every downstream golden, so a builder that reorders a
+    single ``rng.choice`` must fail here, not in an ``expected.json`` digest.
 
     (The ``dict_and_packed`` names date from when the goldens were checked
     on two state tiers; array state is the only one now.)
@@ -92,7 +69,7 @@ class TestBushyTreeGoldens:
         rings = make_scale_scenario(num_sensors, seed=0).rings
         for seed in range(4):
             tree = build_bushy_tree(rings, seed=seed)
-            assert _tree_digest(tree) == BUSHY_TREE_GOLDENS[(num_sensors, seed)]
+            _assert_tree(f"{num_sensors}/{seed}", tree)
             # Consumers iterate ``tree.parents`` in insertion order.
             assert list(tree.parents) == sorted(tree.parents)
             assert all(type(n) is int for n in tree.parents)
@@ -101,7 +78,7 @@ class TestBushyTreeGoldens:
     def test_labdata_dict_and_packed(self, lab_scenario):
         for seed in range(4):
             tree = build_bushy_tree(lab_scenario.rings, seed=seed)
-            assert _tree_digest(tree) == BUSHY_TREE_GOLDENS[("lab", seed)]
+            _assert_tree(f"lab/{seed}", tree)
 
     def test_churn_restricted_rings_sparse_ids(self):
         # Re-rung survivors keep their original (now sparse) node ids.
@@ -120,7 +97,7 @@ class TestBushyTreeGoldens:
         assert stranded == []
         for seed in range(2):
             tree = build_bushy_tree(rings, seed=seed)
-            assert _tree_digest(tree) == BUSHY_TREE_GOLDENS[("churned", seed)]
+            _assert_tree(f"churned/{seed}", tree)
             assert set(tree.nodes) == set(alive)
 
 

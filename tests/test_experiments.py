@@ -12,14 +12,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
-import hashlib
-import json
 import math
 import pathlib
 
 import pytest
 
 import repro.experiments
+from goldens import assert_golden
 from repro.api import RunConfig, Session
 from repro.errors import ConfigurationError
 
@@ -181,43 +180,15 @@ class TestRunPaired:
         )
 
 
-#: SHA-256 of ``json.dumps(series, sort_keys=True)`` per config-form
-#: experiment (quick size, seed 0), recorded with its hand-wired
-#: predecessor at the parent of the change that deleted it (commit bb5a955
-#: for the first six, d28ed39 for fig4, lifetime and the sweeps). ``fig6``
-#: is bb5a955's hand-wired loop at 150 nodes x 400 epochs over the
-#: registry's ``timeline`` schedule; ``table1`` covers the Count rows;
-#: ``fig4`` the sorted delta node sets of both panels under both
-#: strategies; ``lifetime`` (first death, half dead) per scheme;
-#: ``sweep-threshold`` the RMS series only (its ``delta_fraction`` is the
-#: recorded size now).
-FIGURE_GOLDENS = {
-    "fig2": "594e401c54941adbc145bae05336df9be57081bb028c7bb93f9ec3ff813d79d5",
-    "fig4": "226491efb16c6ffa7fe2c54e281143a2ba3e1a4eebdf4b5e8a1fcc9c27c4259b",
-    "fig5a": "b70fdd0fde4b7f717c4e597b8f6a060b45f0f67e17e808ef1bd42f597db76390",
-    "fig5b": "2a15d08e24833bf35efe528abb63b73f39f2571fb324ed7d7fb7a8a793468993",
-    "fig6": "04d27600b310ef06803a1f47022c0d22a3e1441af0129b2d9772273ba521be1f",
-    "churn-timeline": "faa700ce15f41e85372c1584735ae95ff90d6ba0b9da82b7f71def09ed29b780",
-    "lifetime": "455a08d4709756d456cb6e33449093afd6d1d9794e6b73a3ccba7ecc9f813e2d",
-    "sweep-heuristic": "0f3c5a0b7d2c29c7c96fb0e8d867ef37509521c662b7bc05b6ef50bbe71cdf46",
-    "sweep-interval": "ad4f26b898ce1bfcf006e29adc49f7d860da7d329b27b91cd569b4e5a7321d8f",
-    "sweep-threshold": "26196b09596bb48eadfa67dfb26b006f441694a5dc474971f7589b22d56ad5a7",
-    "table1": "e55aa696e36991992ef91c8b3bd70a9a8a8d61282d83bc2471b780fbe558ce45",
-}
-
-#: SHA-256 of the Section 6 series (quick size, seed 0), recorded on the
-#: hand-written frequent-items and quantiles runners before they became
-#: configurations of one tree pass and one Tributary-Delta pass: fig8's
-#: rows, fig9a's false negatives and positives, Table 1's Freq. Items rows.
-SECTION6_GOLDENS = {
-    "fig8": "0bdf7825d355004c25668a48a7ae99cdc3c9a08d7f6b17d6c352a0beb91d729c",
-    "fig9a": "1548ba7c509b62138dc99d22370eb20b289e926905a6fa1c377db091c7d7714b",
-    "table1": "dcad2895e18433e4aec9807c49cf40c33f091f80d146c85c9c8cb22d6a81161e",
-}
+#: Config-form experiments whose quick series (seed 0) the ledger pins.
+FIGURES = (
+    "churn-timeline", "fig2", "fig4", "fig5a", "fig5b", "fig6", "lifetime",
+    "sweep-heuristic", "sweep-interval", "sweep-threshold", "table1",
+)
 
 
 def section6_series(name, result):
-    """The part of a quick figure ``SECTION6_GOLDENS`` pins."""
+    """The part of a quick fig8, fig9a or Table 1 the ledger pins."""
     if name == "fig8":
         return result.rows
     if name == "fig9a":
@@ -260,10 +231,19 @@ STILL_HAND_WIRED = {
 
 
 class TestFigureGoldens:
-    @pytest.mark.parametrize("name", sorted(FIGURE_GOLDENS))
+    @pytest.mark.parametrize("name", FIGURES)
     def test_config_path_reproduces_the_hand_wired_series(
         self, quick_figure, name
     ):
+        """Each series as recorded with its hand-wired predecessor at the
+        parent of the change that deleted it (commit bb5a955 for the first
+        six, d28ed39 for fig4, lifetime and the sweeps). ``fig6`` is
+        bb5a955's hand-wired loop at 150 nodes x 400 epochs over the
+        registry's ``timeline`` schedule; ``table1`` covers the Count rows;
+        ``fig4`` the sorted delta node sets of both panels under both
+        strategies; ``lifetime`` (first death, half dead) per scheme;
+        ``sweep-threshold`` the RMS series only (its ``delta_fraction`` is
+        the recorded size now)."""
         result = quick_figure(name)
         if name == "table1":
             series = [
@@ -293,18 +273,16 @@ class TestFigureGoldens:
             series = result.series
         else:
             series = result.rms
-        digest = hashlib.sha256(
-            json.dumps(series, sort_keys=True).encode()
-        ).hexdigest()
-        assert digest == FIGURE_GOLDENS[name]
+        assert_golden(f"figures/{name}", series)
 
-    @pytest.mark.parametrize("name", sorted(SECTION6_GOLDENS))
+    @pytest.mark.parametrize("name", ("fig8", "fig9a", "table1"))
     def test_section6_series_are_the_recorded_ones(self, quick_figure, name):
+        """Recorded on the hand-written frequent-items and quantiles runners
+        before they became configurations of one tree pass and one
+        Tributary-Delta pass: fig8's rows, fig9a's false negatives and
+        positives, Table 1's Freq. Items rows."""
         series = section6_series(name, quick_figure(name))
-        digest = hashlib.sha256(
-            json.dumps(series, sort_keys=True).encode()
-        ).hexdigest()
-        assert digest == SECTION6_GOLDENS[name]
+        assert_golden(f"section6-figures/{name}", series)
 
     def test_delta_sizes_are_the_recorded_ones(self, quick_figure):
         # The size each run's last epoch *recorded*, not the graph after

@@ -18,11 +18,13 @@ cached by mutating a shared frozen dataclass. These tests pin the fixes:
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 
 import numpy as np
 import pytest
+
+import goldens
+from goldens import assert_golden
 
 from repro.api import RunConfig, Session
 from repro.network.failures import (
@@ -251,37 +253,6 @@ class TestChannelTakesVectorizedPath:
         assert table.scalar_calls == []
 
 
-#: End-to-end goldens from the seed revision (pre-vectorization): the
-#: labdata scenario exercises ComposedLoss, the timeline FailureSchedule.
-GOLDEN_DIGESTS = {
-    "labdata-TAG": "def9e26b727bcabebb9f5ee9b5e40e58f08e4fd9a07e213462d0d4998f9f16f1",
-    "labdata-SD": "9fbd5bf7a99623768a9986cc18698079650d53f59584fb253f4df9990efcfac3",
-    "timeline-TD": "834da5683f2d68072c8178da1d01ae0b232ba69708328099c1767171161399f9",
-}
-
-
-def _digest(result):
-    payload = repr(
-        (
-            [e.estimate for e in result.epochs],
-            [e.contributing for e in result.epochs],
-            [e.contributing_estimate for e in result.epochs],
-            [
-                (
-                    e.log.transmissions,
-                    e.log.deliveries,
-                    e.log.drops,
-                    e.log.words_sent,
-                    e.log.messages_sent,
-                )
-                for e in result.epochs
-            ],
-            sorted(result.energy.per_node_uj.items()),
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 class TestVectorizedPathsByteIdentical:
     CONFIGS = {
         "labdata-TAG": dict(
@@ -323,5 +294,10 @@ class TestVectorizedPathsByteIdentical:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_golden_digest(self, name):
+        """End-to-end goldens from the seed revision (pre-vectorization):
+        the labdata scenario exercises ComposedLoss, the timeline
+        FailureSchedule."""
         result = Session().run(RunConfig(**self.CONFIGS[name])).result
-        assert _digest(result) == GOLDEN_DIGESTS[name]
+        assert_golden(
+            f"failures-batch/{name}", goldens.fingerprint(result), run=result
+        )

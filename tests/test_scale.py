@@ -6,8 +6,8 @@ The load-bearing guarantees, in paper terms:
   trees are ndarray-backed, and every run is *byte-identical* to the
   dict/networkx representation it replaced: same placement draws, same
   radio graph, same rings, same tree, same per-epoch messages.
-  ``topology_goldens.json`` was recorded on the last commit that had the
-  dict tier (where both tiers agreed on every digest in it).
+  The ledger's ``topology/`` and ``runs/`` digests were recorded on the
+  last commit that had the dict tier (where both tiers agreed on each).
 * **Retention changes what is kept, not what is computed** — a
   ``stream``/``window:N`` run reports the same RMS error, contributing
   fraction and words/epoch as the retained run; only the in-RAM timeline
@@ -22,15 +22,16 @@ The load-bearing guarantees, in paper terms:
 
 from __future__ import annotations
 
-import json
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-import topology_goldens
+from goldens import assert_golden
 
+from repro import serialization
 from repro.api import (
     CONFIG_SCHEMA_VERSION,
     EngineOptions,
@@ -40,6 +41,7 @@ from repro.api import (
     run_config_result,
 )
 from repro.errors import ConfigurationError
+from repro.registry import TOPOLOGIES
 from repro.serialization import from_jsonable, to_jsonable
 from repro.storage import (
     MemoryStore,
@@ -48,6 +50,7 @@ from repro.storage import (
     store_names,
     validate_store_spec,
 )
+from repro.tree.construction import build_bushy_tree
 
 BASE = dict(
     aggregate="sum",
@@ -57,26 +60,35 @@ BASE = dict(
 )
 
 
-def _dumps(result) -> str:
-    return json.dumps(to_jsonable(result), sort_keys=True)
-
-
 def _run(config: RunConfig):
     return run_config_result(config)
 
 
-GOLDENS = topology_goldens.load()
-
 # -- array state vs the recorded dict tier -----------------------------------
+#
+# The payloads below read the *public* surface only (``position``, ``level``,
+# the three neighbour queries, ``tree.parents``), so the same code recorded
+# the ledger's ``topology/`` and ``runs/`` digests on the commit that still
+# had the dict/networkx tier and checks the array-backed classes against them.
+
+
+def _scale_run_config(scheme: str, failure: str, **overrides):
+    """The 600-node 3-epoch run pinned per scheme."""
+    fields = dict(
+        scheme=scheme, failure=failure, num_sensors=600, epochs=3,
+        aggregate="sum", reading="uniform:10:100:0", converge_epochs=0, seed=0,
+    )
+    fields.update(overrides)
+    return RunConfig(**fields)
 
 
 @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
 @pytest.mark.parametrize("failure", ["none", "global:0.3"])
 def test_packed_is_byte_identical_600(scheme, failure):
     """The 600-node golden scenario: the dict tier's result, bit for bit."""
-    config = topology_goldens.scale_run_config(scheme, failure)
-    golden = GOLDENS["runs"][f"synthetic/{scheme}/{failure}"]
-    assert topology_goldens.run_digest(config) == golden
+    config = _scale_run_config(scheme, failure)
+    result = _run(config)
+    assert_golden(f"runs/synthetic/{scheme}/{failure}", result, run=result)
     # The legacy tier selector is accepted and changes nothing.
     legacy = config.replace(engine=EngineOptions(state="packed"))
     assert legacy == config
@@ -84,11 +96,11 @@ def test_packed_is_byte_identical_600(scheme, failure):
 
 def test_packed_identity_on_labdata_conversion():
     """LabData (fixed points + base losses) builds on the same arrays."""
-    config = topology_goldens.scale_run_config(
+    config = _scale_run_config(
         "TAG", "global:0.2", topology="labdata", num_sensors=54
     )
-    golden = GOLDENS["runs"]["labdata/TAG/global:0.2"]
-    assert topology_goldens.run_digest(config) == golden
+    result = _run(config)
+    assert_golden("runs/labdata/TAG/global:0.2", result, run=result)
 
 
 def test_packed_state_validated():
@@ -96,20 +108,89 @@ def test_packed_state_validated():
         EngineOptions(state="sparse")
 
 
-@pytest.mark.parametrize(
-    "key",
-    sorted(key for key in GOLDENS["topology"] if "20000" not in key),
-)
+def _topology_payloads(deployment, rings, tree_seed: int) -> dict:
+    """Coordinates, ring levels, CSR adjacency and the bushy tree."""
+    nodes = list(deployment.node_ids)
+    assert nodes == list(range(len(nodes)))
+    coords = np.array(
+        [deployment.position(node) for node in nodes], dtype=np.float64
+    )
+    levels = np.array([rings.level(node) for node in nodes], dtype=np.int32)
+    runs = [
+        sorted(
+            rings.upstream_neighbors(node)
+            + rings.same_level_neighbors(node)
+            + rings.downstream_neighbors(node)
+        )
+        for node in nodes
+    ]
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([len(run) for run in runs], out=indptr[1:])
+    neighbors = np.array(
+        [other for run in runs for other in run], dtype=np.int32
+    )
+    tree = build_bushy_tree(rings, seed=tree_seed)
+    return {
+        "coords": coords.tobytes(),
+        "level_of": levels.tobytes(),
+        "indptr": indptr.tobytes(),
+        "neighbors": neighbors.tobytes(),
+        "tree": repr(sorted(tree.parents.items())).encode(),
+    }
+
+
+def _assert_topology(key, deployment, rings, seed):
+    payloads = _topology_payloads(deployment, rings, seed)
+    for field, payload in payloads.items():
+        assert_golden(f"topology/{key}/{field}", payload)
+
+
+def _sweep_topology(kind: str, seed: int):
+    """One deployment of each grid-jitter family (Figure 7a / 7b / raw)."""
+    from repro.datasets.synthetic import (
+        SWEEP_RADIO_RANGE,
+        density_sweep_deployment,
+        grid_jitter_placement,
+        width_sweep_deployment,
+    )
+    from repro.network.radio import DiscRadio
+    from repro.network.rings import RingsTopology
+
+    if kind == "density":
+        deployment, radio = density_sweep_deployment(0.6, seed=seed)
+    elif kind == "width":
+        deployment, radio = width_sweep_deployment(40.0, seed=seed)
+    else:
+        deployment = grid_jitter_placement(0.8, 25.0, 15.0, seed=seed)
+        radio = DiscRadio(SWEEP_RADIO_RANGE)
+    rings = RingsTopology.build(deployment, radio.connectivity(deployment))
+    return deployment, rings
+
+
+#: The pinned topologies below 20k nodes: ``family/size/seed`` of a
+#: registered topology, ``family/seed`` of a grid-jitter sweep deployment.
+TOPOLOGY_CASES = [
+    f"synthetic/{size}/{seed}" for size in (60, 150, 600) for seed in (0, 7, 11)
+] + [
+    "labdata/54/0",
+    "labdata/54/7",
+    "density/0",
+    "width/0",
+    "grid-jitter/0",
+]
+
+
+@pytest.mark.parametrize("key", sorted(TOPOLOGY_CASES))
 def test_topology_matches_recorded_dict_tier(key):
     """Coordinates, levels, CSR adjacency and tree of every family."""
     family, *rest = key.split("/")
+    seed = int(rest[-1])
     if len(rest) == 2:
-        digests = topology_goldens.registered_topology(
-            family, int(rest[0]), int(rest[1])
-        )
+        build = TOPOLOGIES.resolve(family)
+        topology = build(num_sensors=int(rest[0]), seed=seed)
+        _assert_topology(key, topology.deployment, topology.rings, seed)
     else:
-        digests = topology_goldens.sweep_topology(family, int(rest[0]))
-    assert digests == GOLDENS["topology"][key]
+        _assert_topology(key, *_sweep_topology(family, seed), seed)
 
 
 # -- the 20k-node scale topology --------------------------------------------
@@ -122,10 +203,9 @@ def test_scale_topology_parity_20k():
     num = 20_000
     topology = build_packed_topology("synthetic-scale", num, 0)
     assert topology.deployment.num_sensors == num
-    digests = topology_goldens.topology_digests(
-        topology.deployment, topology.rings, 0
+    _assert_topology(
+        "synthetic-scale/20000/0", topology.deployment, topology.rings, 0
     )
-    assert digests == GOLDENS["topology"]["synthetic-scale/20000/0"]
 
 
 def test_churn_at_20k_never_builds_a_graph(tmp_path):
@@ -201,7 +281,7 @@ def test_stream_retention_preserves_aggregates(retained_run):
     assert streamed.mean_contributing_fraction(
         40
     ) == full.mean_contributing_fraction(40)
-    assert _dumps(streamed.energy) == _dumps(full.energy)
+    assert serialization.dumps(streamed.energy) == serialization.dumps(full.energy)
 
 
 def test_window_retention_keeps_the_tail(retained_run):
@@ -210,7 +290,7 @@ def test_window_retention_keeps_the_tail(retained_run):
     assert [epoch.epoch for epoch in windowed.epochs] == [
         epoch.epoch for epoch in full.epochs[-2:]
     ]
-    assert _dumps(windowed.epochs[-1]) == _dumps(full.epochs[-1])
+    assert serialization.dumps(windowed.epochs[-1]) == serialization.dumps(full.epochs[-1])
     assert windowed.num_epochs == 6
     assert windowed.rms_error() == full.rms_error()
 
@@ -270,8 +350,8 @@ def test_store_round_trip(backend, tmp_path):
     digest = config_digest(config)
     reloaded = load_epochs(spec, digest)
     assert count_epochs(spec, digest) == 4
-    assert [_dumps(epoch) for epoch in reloaded] == [
-        _dumps(epoch) for epoch in result.epochs
+    assert [serialization.dumps(epoch) for epoch in reloaded] == [
+        serialization.dumps(epoch) for epoch in result.epochs
     ]
 
 
@@ -288,8 +368,8 @@ def test_report_load_epochs_reloads_lazily(tmp_path):
     assert [epoch.epoch for epoch in epochs] == [1000, 1001, 1002, 1003]
     # And the reloaded epochs match a fully retained reference run.
     reference = _run(config.replace(retention="all", storage=None))
-    assert [_dumps(e) for e in epochs] == [
-        _dumps(e) for e in reference.epochs
+    assert [serialization.dumps(e) for e in epochs] == [
+        serialization.dumps(e) for e in reference.epochs
     ]
 
 

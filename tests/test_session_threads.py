@@ -13,14 +13,13 @@ a long-running server). These suites pin down:
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
+from repro import serialization
 from repro.api import RunConfig, Session, config_digest
 from repro.errors import ConfigurationError
-from repro.serialization import to_jsonable
 
 
 def _config(**overrides) -> RunConfig:
@@ -35,10 +34,6 @@ def _config(**overrides) -> RunConfig:
     )
     merged.update(overrides)
     return RunConfig(**merged)
-
-
-def _fingerprint(report) -> str:
-    return json.dumps(to_jsonable(report), sort_keys=True)
 
 
 class TestBoundedCache:
@@ -83,7 +78,7 @@ class TestBoundedCache:
         config = _config()
         first = session.run(config)
         second = session.run(config)
-        assert _fingerprint(first) == _fingerprint(second)
+        assert serialization.dumps(first) == serialization.dumps(second)
         assert session.cache_stats() == {
             "hits": 1,
             "misses": 1,
@@ -105,7 +100,7 @@ class TestConcurrentHammer:
                     report = session.run(config)
                     fingerprints[index * rounds + round_no] = (
                         config_digest(config),
-                        _fingerprint(report),
+                        serialization.dumps(report),
                     )
             except Exception as error:  # surfaced below, with context
                 errors.append(error)
@@ -128,7 +123,7 @@ class TestConcurrentHammer:
         fingerprints = self._hammer(session, [config])
         assert len({fp for _, fp in fingerprints}) == 1
         # Serial ground truth from a fresh session.
-        serial = _fingerprint(Session().run(config))
+        serial = serialization.dumps(Session().run(config))
         assert fingerprints[0][1] == serial
         stats = session.cache_stats()
         assert stats["hits"] + stats["misses"] == len(fingerprints)
@@ -147,7 +142,7 @@ class TestConcurrentHammer:
             assert len(variants) == 1, f"non-deterministic result {digest}"
         # Each digest's result matches a serial run of that config.
         serial = {
-            config_digest(config): _fingerprint(Session().run(config))
+            config_digest(config): serialization.dumps(Session().run(config))
             for config in configs
         }
         for digest, variants in by_digest.items():

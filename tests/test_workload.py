@@ -31,10 +31,10 @@ The load-bearing suites:
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
+
+import goldens
+from goldens import assert_golden
 
 from repro.api import (
     CONFIG_SCHEMA_VERSION,
@@ -99,38 +99,6 @@ def standalone_config(scheme: str, spec, **overrides) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _digest(result) -> str:
-    """The full result fingerprint (same recipe as tests/test_churn.py)."""
-    payload = repr(
-        (
-            [e.estimate for e in result.epochs],
-            [e.contributing for e in result.epochs],
-            [e.contributing_estimate for e in result.epochs],
-            [
-                (
-                    e.log.transmissions,
-                    e.log.deliveries,
-                    e.log.drops,
-                    e.log.words_sent,
-                    e.log.messages_sent,
-                )
-                for e in result.epochs
-            ],
-            sorted(result.energy.per_node_uj.items()),
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-#: Seed-engine fingerprints (recorded from commit 4893711; identical to the
-#: pre-workload GOLDEN_DIGESTS of tests/test_churn.py for these configs).
-GOLDEN_DIGESTS = {
-    "TAG": "39662a49fa19947f10d855cbd64d2aa3b9661988c90e3f98d766f817569382d8",
-    "SD": "bbd4ddc5bcef4f7fee16b53302fd12cb7b32a09e2abc5f1260837b511200fea5",
-    "TD": "cf624e4744f584e6c325388b5386a9ebcd198b20ee0e1d1f1bc64730e48bcf15",
-}
-
-
 class TestSingleQueryByteIdentity:
     """A one-entry workload runs the seed engine path, byte for byte."""
 
@@ -148,7 +116,12 @@ class TestSingleQueryByteIdentity:
             queries=[{"name": "the-sum", "aggregate": "sum"}],
         )
         result = Session().run(config).result
-        assert _digest(result) == GOLDEN_DIGESTS[scheme]
+        # The seed engine's fingerprint (recorded from commit 4893711;
+        # identical to the pre-workload churn-disabled goldens of
+        # tests/test_churn.py for these configs).
+        assert_golden(
+            f"workload/{scheme}", goldens.fingerprint(result), run=result
+        )
 
     def test_digest_matches_v2_equivalent(self):
         workload = RunConfig(
@@ -420,7 +393,9 @@ class TestBlockedEquivalence:
         assert any(
             len(set(column)) < len(column) for column in sender_columns
         )
-        assert _digest(batch_result) == _digest(oracle_result)
+        assert goldens.fingerprint(batch_result) == goldens.fingerprint(
+            oracle_result
+        )
         batch = RunReport(config, batch_result)
         oracle = RunReport(config, oracle_result)
         for name in batch.query_names():
@@ -457,7 +432,9 @@ class TestBlockedEquivalence:
         engine_result = run_config_result(config)
         assert max(inbox_sizes) >= 3
         oracle_result = run_config_result(config.replace(use_batch=False))
-        assert _digest(engine_result) == _digest(oracle_result)
+        assert goldens.fingerprint(engine_result) == goldens.fingerprint(
+            oracle_result
+        )
         engine = RunReport(config, engine_result)
         oracle = RunReport(config, oracle_result)
         for name in engine.query_names():
