@@ -18,7 +18,16 @@ harmless.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Generic,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -345,6 +354,26 @@ class Aggregate(ABC, Generic[P, S]):
         raise NotImplementedError(
             f"{type(self).__name__} does not pack synopses"
         )
+
+    # -- fused-kernel slots ------------------------------------------------------
+
+    def leaf_slots(self) -> List[Tuple["Aggregate", Optional[int]]]:
+        """The ``(leaf, reading slot)`` pairs the fused kernel runs this as.
+
+        A leaf's partials and synopses are single values; a wrapper's are
+        tuples of its leaves' (:meth:`from_leaves` rebuilds one). The
+        reading slot is the index of the workload reading a leaf reads, or
+        None for the bare reading. The kernel gives each leaf one int64
+        partial column and one packed row section, so a block fuses exactly
+        when every leaf has additive partials and packable synopses. A plain
+        aggregate is its own one leaf.
+        """
+        return [(self, None)]
+
+    def from_leaves(self, values: Iterator):
+        """One partial (or synopsis) from its leaves' values, consumed in
+        :meth:`leaf_slots` order."""
+        return next(values)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

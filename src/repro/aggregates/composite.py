@@ -21,7 +21,7 @@ library is single-threaded, so the stash is always the current epoch's).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate, zip_blocks
 from repro.errors import ConfigurationError
@@ -263,6 +263,17 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             component_fused = fused[index] if fused is not None else None
             values.append(aggregate.mixed_eval(component_partials, component_fused))
         return self._stash(values)
+
+    # -- fused-kernel slots ----------------------------------------------------
+
+    def leaf_slots(self) -> List[Tuple[Aggregate, Optional[int]]]:
+        """Every component's leaves, in component order."""
+        return [
+            slot for aggregate in self._aggregates for slot in aggregate.leaf_slots()
+        ]
+
+    def from_leaves(self, values: Iterator) -> Tuple[object, ...]:
+        return tuple(aggregate.from_leaves(values) for aggregate in self._aggregates)
 
     # -- truth ---------------------------------------------------------------------
 

@@ -8,7 +8,10 @@ the same wrapper over region-tagged readings.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+import copy
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.aggregates.base import Aggregate
 from repro.errors import ConfigurationError
@@ -134,6 +137,82 @@ class FilteredAggregate(Aggregate):
     def mixed_eval(self, partials, fused) -> float:
         return self._inner.mixed_eval(partials, fused)
 
+    # -- fused-kernel forms: the inner's, through one predicate mask -----------
+
+    def leaf_slots(self) -> List[Tuple[Aggregate, Optional[int]]]:
+        """The inner's leaves, each under this WHERE clause (a filtered
+        Average is a filtered Sum beside a filtered Count)."""
+        leaves = self._inner.leaf_slots()
+        if [leaf for leaf, _ in leaves] == [self._inner]:
+            return [(self, None)]
+        return [(self._over(leaf), column) for leaf, column in leaves]
+
+    def _over(self, inner: Aggregate) -> "FilteredAggregate":
+        """This same clause over another inner aggregate."""
+        filtered = copy.copy(self)
+        filtered._inner = inner
+        return filtered
+
+    def from_leaves(self, values: Iterator):
+        return self._inner.from_leaves(values)
+
+    def tree_partials_additive(self) -> bool:
+        return self._inner.tree_partials_additive()
+
+    def synopsis_packable(self) -> Optional[Tuple[int, int]]:
+        return self._inner.synopsis_packable()
+
+    def _accepted(self, readings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The predicate over a float64 readings array, and the readings to
+        hand the inner aggregate: rejected cells read the first accepted
+        reading, so the inner never sees a value the object path would not
+        hand it. The WHERE comparators (``operator.gt`` and friends)
+        broadcast; any other predicate is asked cell by cell."""
+        try:
+            mask = self._predicate(readings)
+        except (TypeError, ValueError):
+            mask = None
+        if not (isinstance(mask, np.ndarray) and mask.shape == readings.shape):
+            mask = np.fromiter(
+                map(self._predicate, readings.ravel().tolist()),
+                dtype=bool,
+                count=readings.size,
+            ).reshape(readings.shape)
+        mask = mask.astype(bool, copy=False)
+        if not mask.any():
+            return mask, readings
+        return mask, np.where(mask, readings, readings[mask][0])
+
+    def tree_local_matrix(self, nodes, epochs, readings: np.ndarray) -> np.ndarray:
+        mask, accepted = self._accepted(readings)
+        if not mask.any():
+            return np.full(readings.shape, self._inner.tree_empty(), dtype=np.int64)
+        return np.where(
+            mask,
+            self._inner.tree_local_matrix(nodes, epochs, accepted),
+            self._inner.tree_empty(),
+        )
+
+    def synopsis_local_block_packed(self, nodes, epochs, reading_rows):
+        """The inner's packed rows where the predicate holds, the empty
+        synopsis's (all zero words) elsewhere."""
+        readings = np.asarray(reading_rows, dtype=np.float64).reshape(
+            len(epochs), len(nodes)
+        )
+        mask, accepted = self._accepted(readings)
+        if not mask.any():
+            return np.zeros(
+                (readings.size, self._inner.synopsis_packable()[0]), dtype="<u4"
+            )
+        rows = np.array(
+            self._inner.synopsis_local_block_packed(nodes, epochs, accepted)
+        )
+        rows[~mask.reshape(-1)] = 0
+        return rows
+
+    def convert_block_packed(self, partials, senders, epochs):
+        return self._inner.convert_block_packed(partials, senders, epochs)
+
     # -- truth ---------------------------------------------------------------------
 
     def exact(self, readings: Sequence) -> float:
@@ -143,6 +222,13 @@ class FilteredAggregate(Aggregate):
             # (0 for Count/Sum, +/-inf for Min/Max).
             return self._inner.tree_eval(self._inner.tree_empty())
         return self._inner.exact(matching)
+
+    def exact_array(self, readings: np.ndarray) -> float:
+        """:meth:`exact` over a float64 row: the matching cells, masked."""
+        mask, _ = self._accepted(readings)
+        if not mask.any():
+            return self._inner.tree_eval(self._inner.tree_empty())
+        return self._inner.exact_array(readings[mask])
 
     def synopsis_counts_contributors(self) -> bool:
         """Filtered Count counts *matching* sensors, not contributing ones,

@@ -93,6 +93,13 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
             epsilon = phi / 2.0
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError("epsilon must be in (0, 1)")
+        if epsilon >= phi:
+            # The report threshold (phi - epsilon) * N would be <= 0: every
+            # item the summaries hold would come back as heavy.
+            raise ConfigurationError(
+                f"heavy hitters need epsilon < phi; got epsilon={epsilon:g} "
+                f"with phi={phi:g}"
+            )
         self.phi = phi
         self.epsilon = epsilon
         self._engine = MultipathFrequentItems(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.aggregates.composite import CompositeAggregate
 from repro.aggregates.count import CountAggregate
 from repro.aggregates.sum_ import SumAggregate
@@ -30,6 +32,9 @@ MomentTriple = Tuple[int, int, int]
 
 #: Multi-path synopsis: (count, sum, sum-of-squares) sketches.
 SketchTriple = Tuple[FMSketch, FMSketch, FMSketch]
+
+#: Largest truncated reading whose square fits an int64 partial.
+_SQUARE_LIMIT = 3_037_000_499
 
 
 def _as_int(reading: float) -> int:
@@ -58,6 +63,11 @@ class _MomentSum(SumAggregate):
     def _as_int(reading: float) -> int:
         return _as_int(reading)
 
+    @classmethod
+    def _as_int_array(cls, readings: np.ndarray) -> np.ndarray:
+        """:meth:`_as_int` over an array: ``np.trunc`` is ``int()``."""
+        return cls._checked_int64(readings, np.trunc(readings))
+
 
 class _MomentSquares(_MomentSum):
     """The sum-of-squares slot: each truncated reading, squared."""
@@ -69,6 +79,17 @@ class _MomentSquares(_MomentSum):
     def _as_int(reading: float) -> int:
         value = _as_int(reading)
         return value * value
+
+    @classmethod
+    def _as_int_array(cls, readings: np.ndarray) -> np.ndarray:
+        """:meth:`_as_int` over an array: truncate, check, square in int64."""
+        values = super()._as_int_array(readings)
+        if (values > _SQUARE_LIMIT).any():
+            first = float(readings[values > _SQUARE_LIMIT][0])
+            raise OverflowError(
+                f"reading {first!r} squared does not fit an int64 partial"
+            )
+        return values * values
 
 
 class MomentsAggregate(CompositeAggregate):

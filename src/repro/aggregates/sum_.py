@@ -44,21 +44,28 @@ class SumAggregate(AdditiveFMAggregate):
             )
         return value
 
-    @staticmethod
-    def _as_int_array(readings: np.ndarray) -> np.ndarray:
+    @classmethod
+    def _as_int_array(cls, readings: np.ndarray) -> np.ndarray:
         """:meth:`_as_int` over a float64 array, as int64.
 
-        ``np.rint`` rounds half to even like ``round()``. A cell the scalar
-        path rejects (negative, NaN, inf) is handed to it, so the array path
-        fails with the very same exception instead of casting garbage.
+        ``np.rint`` rounds half to even like ``round()``.
         """
-        rounded = np.rint(readings)
-        valid = (rounded >= 0) & (rounded < _INT64_LIMIT)
+        return cls._checked_int64(readings, np.rint(readings))
+
+    @classmethod
+    def _checked_int64(cls, readings: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``values`` — the integral float64 twins of ``readings`` — as int64.
+
+        A cell the scalar path rejects (negative, NaN, inf) is handed to this
+        class's own :meth:`_as_int`, so the array path fails with the very
+        same exception instead of casting garbage.
+        """
+        valid = (values >= 0) & (values < _INT64_LIMIT)
         if not valid.all():
             first = float(readings[~valid][0])
-            SumAggregate._as_int(first)
+            cls._as_int(first)
             raise OverflowError(f"reading {first!r} does not fit an int64 partial")
-        return rounded.astype(np.int64)
+        return values.astype(np.int64)
 
     # -- tree ------------------------------------------------------------
 

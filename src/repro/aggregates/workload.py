@@ -35,9 +35,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.aggregates.base import Aggregate
 from repro.aggregates.composite import CompositeAggregate
 from repro.errors import ConfigurationError
+from repro.network.simulator import gather_reading_block, gather_readings
 
 #: A workload "reading": one value per query, in workload order.
 ReadingTuple = Tuple[float, ...]
@@ -84,6 +87,29 @@ class WorkloadReadings:
                 asked[id(fn)] = column
             columns.append(column)
         return list(zip(*columns))
+
+    def block(self, nodes: Sequence[int], epochs: Sequence[int]) -> Tuple:
+        """Many epochs' readings, one ``(epochs, nodes)`` block per slot.
+
+        Slot ``i``'s block is its stream's
+        :func:`~repro.network.simulator.gather_reading_block` — a float64
+        matrix — when the stream has an array form (``block``), else its
+        rows of :func:`~repro.network.simulator.gather_readings` (tagged
+        GROUP BY readings are not floats). As in :meth:`batch`, a source
+        shared by several slots is read once.
+        """
+        asked: Dict[int, object] = {}
+        blocks = []
+        for fn in self._components:
+            block = asked.get(id(fn))
+            if block is None:
+                if getattr(fn, "block", None) is not None:
+                    block = gather_reading_block(fn, nodes, epochs)
+                else:
+                    block = [gather_readings(fn, nodes, epoch) for epoch in epochs]
+                asked[id(fn)] = block
+            blocks.append(block)
+        return tuple(blocks)
 
     def on_membership_change(self, update) -> None:
         """Forward churn boundaries to stateful components (windows)."""
@@ -203,6 +229,14 @@ class WorkloadAggregate(CompositeAggregate):
         self._refresh_after_mutation()
         return index
 
+    def leaf_slots(self) -> List[Tuple[Aggregate, Optional[int]]]:
+        """Every query's leaves, each reading its query's slot."""
+        return [
+            (leaf, index)
+            for index, aggregate in enumerate(self._aggregates)
+            for leaf, _ in aggregate.leaf_slots()
+        ]
+
     def _refresh_after_mutation(self) -> None:
         self._primary = 0
         self.name = "workload(" + "+".join(self.workload_names) + ")"
@@ -241,6 +275,18 @@ class WorkloadAggregate(CompositeAggregate):
 
     def exact(self, readings: Sequence[ReadingTuple]) -> float:
         values = self.exact_all(readings)
+        self.last_exact_evaluations = tuple(values)
+        return values[self._primary]
+
+    def exact_array(self, readings: Tuple) -> float:
+        """:meth:`exact` over one epoch row per slot, as :meth:`WorkloadReadings.block`
+        hands them over: array rows through each query's ``exact_array``."""
+        values = [
+            aggregate.exact_array(row)
+            if isinstance(row, np.ndarray)
+            else aggregate.exact(list(row))
+            for aggregate, row in zip(self._aggregates, readings)
+        ]
         self.last_exact_evaluations = tuple(values)
         return values[self._primary]
 

@@ -1,8 +1,8 @@
 """The packed OR-wave: the delta pass of the fused kernel.
 
 For packable aggregates (``synopsis_packable``) every multi-path payload of
-a block is one row of a uint32 matrix: one section per slot — the query
-synopsis's packed bitmap words, then the piggybacked
+a block is one row of a uint32 matrix: one section per slot — each leaf slot
+of the query's packed bitmap words, then the piggybacked
 :class:`~repro.aggregates.count.ContributingCount`'s (when the query needs
 one) — then a plain bitmap of missing-statistics reporters. Fusion is
 bitwise OR and ODI, so a level's deliveries may be OR-reduced in any
@@ -39,7 +39,6 @@ from repro.multipath.fm import rle_words_rows
 from repro.network.links import Channel, DeliveryPlan, TransmissionLog
 from repro.network.messages import missing_stats_words
 from repro.network.placement import BASE_STATION, NodeId
-from repro.network.simulator import gather_readings
 
 #: uint32 words one accumulator row holds per epoch tile: a tile spans
 #: ``TILE_ROW_WORDS // row width`` epoch columns (32 for the paper's Sum
@@ -115,42 +114,26 @@ def level_pairs(
     return index, levels
 
 
-def fm_sections(scheme) -> Tuple[int, int]:
-    """Bitmap counts of a scheme's ``[query | piggyback]`` slots.
-
-    The second is 0 when the query's synopsis already counts contributors
-    (Count) and no piggyback travels.
-    """
-    piggyback = scheme._piggyback
-    return (
-        scheme._aggregate.synopsis_packable()[0],
-        0 if piggyback is None else piggyback.synopsis_packable()[0],
-    )
-
-
 def local_rows(
     slots,
     nodes: Sequence[NodeId],
     epochs: Sequence[int],
-    readings,
+    blocks: Sequence[np.ndarray],
     width: int,
 ) -> np.ndarray:
     """The ``(node, epoch, width)`` local payload rows of one level.
 
-    One section per slot aggregate (None slots are skipped), filled from
-    the same vectorized FM passes as the object builders; words past them
-    are zero.
+    One section per slot aggregate, filled from its ``(epochs, nodes)``
+    readings block by the same vectorized FM passes as the object builders;
+    words past them are zero.
     """
     num_nodes, num_epochs = len(nodes), len(epochs)
-    reading_rows = [gather_readings(readings, nodes, epoch) for epoch in epochs]
     local = np.zeros((num_nodes, num_epochs, width), dtype=np.uint32)
     offset = 0
-    for slot in slots:
-        if slot is None:
-            continue
+    for slot, block in zip(slots, blocks):
         bitmaps = slot.synopsis_packable()[0]
         local[:, :, offset : offset + bitmaps] = np.asarray(
-            slot.synopsis_local_block_packed(nodes, epochs, reading_rows)
+            slot.synopsis_local_block_packed(nodes, epochs, block)
         ).reshape(num_epochs, num_nodes, bitmaps).transpose(1, 0, 2)
         offset += bitmaps
     return local
@@ -171,10 +154,11 @@ def or_sorted(dest, keys, values, rows=None) -> None:
     # Small unsigned ranks sort by radix.
     order = np.argsort(rank.astype(np.min_scalar_type(len(keys))), kind="stable")
     keys = keys[order]
-    values = values[order if rows is None else rows[order]]
+    # Gathered pass by pass: a wide row's values are never copied whole.
+    picks = order if rows is None else rows[order]
     lo = 0
     for hi in np.cumsum(np.bincount(rank)).tolist():
-        dest[keys[lo:hi]] |= values[lo:hi]
+        dest[keys[lo:hi]] |= values[picks[lo:hi]]
         lo = hi
 
 

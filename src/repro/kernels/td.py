@@ -12,7 +12,7 @@ runs as up to three stages over one row layout — every node in wave order
    missing statistic, an M-mode base station for its exact contributing
    count.
 2. **The frontier converts once.** Every delivered T -> M payload of the
-   block is one ``(partial, count, sender, epoch)`` cell; all of them go
+   block is one ``(partials, count, sender, epoch)`` cell; all of them go
    through Section 5's conversion function in one batched FM pass
    (:func:`precompute_conversions`) and are OR-ed into their parents'
    accumulator rows. Payloads delivered straight to an M-mode base station
@@ -26,9 +26,15 @@ TAG's all-T layout runs stage 1 alone and SD's all-M layout stage 3 alone:
 a layout without a T sender never opens the tributary pass, and one without
 an M row never opens the delta's tile accumulators.
 
-A delta row is ``[query slot | ContributingCount slot | reporter bitmap]``:
-the query's packed synopsis, the piggyback's (absent when the query's own
-synopsis counts contributors), then the reporters.
+The kernel runs the query as its *leaf slots*
+(:meth:`~repro.aggregates.base.Aggregate.leaf_slots`): a plain aggregate is
+one leaf, an Average or Moments composite, a workload or a WHERE filter over
+one of them is each of its leaf aggregates side by side. Every leaf gets one
+int64 partial column in stage 1, one frontier conversion in stage 2 and one
+packed section of the delta row in stage 3, so a delta row is ``[leaf 0 |
+leaf 1 | ... | ContributingCount | reporter bitmap]``: the leaves' packed
+synopses, the piggyback's (absent when the query's own synopsis counts
+contributors), then the reporters.
 A *reporter* (:attr:`~repro.core.wave.WaveLayout.reporters`) is an M node
 whose payload carries its own missing statistic and owns one bit; its
 per-epoch value lives in a side matrix. A node reports one value per epoch
@@ -39,15 +45,13 @@ rebuilt from the bits that arrived.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import wrapper_reason
 from repro.kernels.sd import (
     RowWave,
     count_contributors,
-    fm_sections,
     level_pairs,
     local_rows,
     or_sorted,
@@ -58,35 +62,36 @@ from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, gather_reading_block
 
 
-def partials_refusal(aggregate) -> Optional[str]:
-    """Why ``aggregate``'s tree partials cannot ride int64 rows, or None."""
-    if aggregate.tree_partials_additive():
-        return None
-    return wrapper_reason(aggregate) or "non-additive partials"
+def leaf_refusal(leaf, tree: bool, multipath: bool) -> Optional[str]:
+    """Why one leaf slot cannot ride the rows, or None.
 
-
-def synopsis_refusal(aggregate) -> Optional[str]:
-    """Why ``aggregate``'s synopses cannot ride packed rows, or None."""
-    if aggregate.synopsis_packable() is not None:
-        return None
-    reason = wrapper_reason(aggregate)
-    if reason is not None:
-        return reason
-    try:
-        empty = aggregate.synopsis_empty()
-    except NotImplementedError:
-        empty = None
-    if isinstance(empty, FMSketch) and empty.bits != 32:
-        return "non-32-bit sketch"
-    return "unpackable synopsis"
+    Tributaries (``tree``) need int64-additive partials, the delta
+    (``multipath``) packable 32-bit FM synopses.
+    """
+    if getattr(leaf, "group_by_spec", None) is not None:
+        return "grouped query"
+    if tree and not leaf.tree_partials_additive():
+        return "non-additive partials"
+    if multipath and leaf.synopsis_packable() is None:
+        try:
+            empty = leaf.synopsis_empty()
+        except NotImplementedError:
+            empty = None
+        if isinstance(empty, FMSketch) and empty.bits != 32:
+            return "non-32-bit sketch"
+        return "unpackable synopsis"
+    return None
 
 
 def refusal(layout, aggregate, channel) -> Optional[str]:
     """Why a block over ``layout`` must take the object wave, or None.
 
-    T senders need additive integer partials and a tree parent each (every
-    tributary payload must route exactly like the object wave's), M rows
-    packable synopses, and no block runs fused under fault injection.
+    Every leaf slot of ``aggregate`` must ride the rows — partials where a T
+    sender exists, synopses where an M row does; a refusing workload slot is
+    named, e.g. ``workload slot 'peak' (max): non-additive partials``. T
+    senders also need a tree parent each (every tributary payload must
+    route exactly like the object wave's), and no block runs fused under
+    fault injection.
     """
     tree_items = [
         item
@@ -94,14 +99,14 @@ def refusal(layout, aggregate, channel) -> Optional[str]:
         for item in level
         if item.sender not in layout.multipath
     ]
-    if tree_items:
-        reason = partials_refusal(aggregate)
+    for leaf, column in aggregate.leaf_slots():
+        reason = leaf_refusal(leaf, bool(tree_items), bool(layout.multipath))
         if reason is not None:
-            return reason
-    if layout.multipath:
-        reason = synopsis_refusal(aggregate)
-        if reason is not None:
-            return reason
+            if column is None:
+                return reason
+            name = aggregate.workload_names[column]
+            query = aggregate.components[column].name
+            return f"workload slot {name!r} ({query}): {reason}"
     if any(item.receivers[0] is None for item in tree_items):
         return "orphaned T vertex"
     if channel.chaos is not None:
@@ -109,23 +114,76 @@ def refusal(layout, aggregate, channel) -> Optional[str]:
     return None
 
 
+#: Most (node, epoch) cells one readings gather of the kernel covers.
+#: Consecutive levels are read together up to it, so a window or a workload
+#: pays its per-call work once per block rather than once per level, and at
+#: scale a gather stays level-sized.
+READ_CHUNK_CELLS = 1 << 16
+
+
+def level_readings(
+    slots, readings, node_lists, epochs
+) -> Iterator[List[np.ndarray]]:
+    """Per node list, each leaf slot's float64 ``(epochs, nodes)`` readings.
+
+    Consecutive lists are read in one ``gather_reading_block`` while they
+    fit :data:`READ_CHUNK_CELLS`: a workload's holds one block per query,
+    and a leaf reads its query's.
+    """
+    start = 0
+    while start < len(node_lists):
+        stop = start + 1
+        cells = len(node_lists[start]) * len(epochs)
+        while (
+            stop < len(node_lists)
+            and cells + len(node_lists[stop]) * len(epochs) <= READ_CHUNK_CELLS
+        ):
+            cells += len(node_lists[stop]) * len(epochs)
+            stop += 1
+        chunks = node_lists[start:stop]
+        block = gather_reading_block(
+            readings, [node for chunk in chunks for node in chunk], epochs
+        )
+        per_slot = [
+            np.asarray(block if column is None else block[column], dtype=np.float64)
+            for _, column in slots
+        ]
+        offset = 0
+        for chunk in chunks:
+            yield [matrix[:, offset : offset + len(chunk)] for matrix in per_slot]
+            offset += len(chunk)
+        start = stop
+
+
+def level_senders(levels, selected: np.ndarray):
+    """The levels with a sender in ``selected`` (a per-row mask): each as
+    ``(level, positions of those senders)``, and their node lists."""
+    chosen = [(level, np.flatnonzero(selected[level.rows])) for level in levels]
+    chosen = [(level, positions) for level, positions in chosen if len(positions)]
+    return chosen, [
+        [level.nodes[position] for position in positions.tolist()]
+        for level, positions in chosen
+    ]
+
+
 def precompute_conversions(
     aggregate, piggyback, partials, counts, senders, epochs
 ) -> np.ndarray:
-    """A block's frontier conversions as packed ``[query | piggyback]`` rows.
+    """A block's frontier conversions as packed delta-row sections.
 
     Row ``i`` is what an M parent fuses for the tributary payload
     ``(partials[i], counts[i])`` sent by ``senders[i]`` at ``epochs[i]``:
-    the aggregate's own conversion, then — unless ``piggyback`` is None —
-    the exact count through the piggyback's, both bit for bit the scalar
-    converters'.
+    each leaf slot's conversion of its partial column, then — unless
+    ``piggyback`` is None — the exact count through the piggyback's, all
+    bit for bit the scalar converters'.
     """
-    rows = aggregate.convert_block_packed(partials, senders, epochs)
-    if piggyback is None:
-        return rows
-    return np.concatenate(
-        [rows, piggyback.convert_block_packed(counts, senders, epochs)], axis=1
-    )
+    sections = [
+        leaf.convert_block_packed(partials[:, index], senders, epochs)
+        for index, (leaf, _) in enumerate(aggregate.leaf_slots())
+    ]
+    if piggyback is not None:
+        sections.append(piggyback.convert_block_packed(counts, senders, epochs))
+    return np.concatenate(sections, axis=1)
 
 
 def run_td_block(
@@ -155,39 +213,48 @@ def run_td_block(
     has_m = bool(is_m.any())
     m_rows = np.flatnonzero(is_m[:base_row])
     t_rows = np.flatnonzero(~is_m[:base_row])
-    syn_bitmaps, contrib_bitmaps = sections = (
-        fm_sections(scheme) if has_m else (0, 0)
+    slots = aggregate.leaf_slots()
+    piggyback = scheme._piggyback
+    # The delta row's FM sections: one per leaf slot, then the piggyback's.
+    section_slots = [leaf for leaf, _ in slots]
+    if piggyback is not None:
+        section_slots.append(piggyback)
+    sections = (
+        [slot.synopsis_packable()[0] for slot in section_slots] if has_m else []
     )
-    fm_width = syn_bitmaps + contrib_bitmaps
+    fm_width = sum(sections)
 
     # -- pass 1: tributaries, all levels -----------------------------------
-    acc_partial = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
+    # Exact contributing counts, and one partial column per leaf slot.
     acc_count = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
-    base_partials: List[List[int]] = [[] for _ in epoch_list]
+    acc_partial = np.zeros((base_row + 1, num_epochs, len(slots)), dtype=np.int64)
+    base_partials: List[List[List[int]]] = [[] for _ in epoch_list]
     # Delivered T -> (non-base) M cells, per level:
     # (partials, counts, senders, epoch columns, parent rows).
-    frontier = [(np.zeros(0, dtype=np.int64),) * 5]
-    for level in levels:
-        positions = np.flatnonzero(~is_m[level.rows])
-        if not len(positions):
-            continue
-        nodes = [level.nodes[position] for position in positions.tolist()]
+    frontier = [
+        (np.zeros((0, len(slots)), dtype=np.int64),)
+        + (np.zeros(0, dtype=np.int64),) * 4
+    ]
+    tributaries, t_nodes = level_senders(levels, ~is_m)
+    for (level, positions), nodes, blocks in zip(
+        tributaries, t_nodes, level_readings(slots, readings, t_nodes, epoch_list)
+    ):
         rows = level.rows[positions]
         # A tree unicast has exactly one planned pair, to its parent: the
         # start of its span.
         pairs = level.span_starts[positions]
         success = level.success[pairs]
         targets = level.recv_rows[pairs]
-        local = aggregate.tree_local_matrix(
-            nodes, epoch_list, gather_reading_block(readings, nodes, epoch_list)
-        ).T
+        local = np.empty((len(nodes), num_epochs, len(slots)), dtype=np.int64)
+        for slot, ((leaf, _), block) in enumerate(zip(slots, blocks)):
+            local[:, :, slot] = leaf.tree_local_matrix(nodes, epoch_list, block).T
         out_partial = local + acc_partial[rows]
         out_count = 1 + acc_count[rows]
-        np.add.at(acc_partial, targets, out_partial * success)
+        np.add.at(acc_partial, targets, out_partial * success[:, :, None])
         np.add.at(acc_count, targets, out_count * success)
         to_base = targets == base_row
         for position, column in zip(*np.nonzero(success & to_base[:, None])):
-            base_partials[column].append(int(out_partial[position, column]))
+            base_partials[column].append(out_partial[position, column].tolist())
         if has_m:
             position, column = np.nonzero(
                 success & (is_m[targets] & ~to_base)[:, None]
@@ -234,6 +301,7 @@ def run_td_block(
             if len(t_rows)
             else None
         )
+        deltas, m_nodes = level_senders(levels, is_m)
         for lo, hi in wave.tiles():
             in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
             if len(in_tile):
@@ -247,17 +315,18 @@ def run_td_block(
                     converted,
                     in_tile[order],
                 )
-            for level in levels:
+            tile = epoch_list[lo:hi]
+            for (level, positions), nodes, blocks in zip(
+                deltas, m_nodes, level_readings(slots, readings, m_nodes, tile)
+            ):
                 level_is_m = is_m[level.rows]
-                positions = np.flatnonzero(level_is_m)
-                if not len(positions):
-                    continue
                 rows = level.rows[positions]
                 local = local_rows(
-                    (aggregate, scheme._piggyback),
-                    [level.nodes[position] for position in positions.tolist()],
-                    epoch_list[lo:hi],
-                    readings,
+                    section_slots,
+                    nodes,
+                    tile,
+                    # The piggyback's Count reads no reading.
+                    blocks + [None],
                     wave.width,
                 )
                 reporters = reporter_of_row[rows]
@@ -283,7 +352,10 @@ def run_td_block(
     # -- billing, ground truth, base station -------------------------------
     tree_attempts = layout.tree_attempts
     if len(t_rows):
-        tree_words = scheme._tree_payload_words
+        # Additive partials have a constant wire size, plus the exact count.
+        tree_words = 1 + sum(
+            int(leaf.tree_words(leaf.tree_empty())) for leaf, _ in slots
+        )
         tree_messages = accountant.spec_for_words(tree_words).messages
         wave.row_words[t_rows] += tree_words * tree_attempts * num_epochs
         wave.row_messages[t_rows] += tree_messages * tree_attempts * num_epochs
@@ -326,6 +398,7 @@ def run_td_block(
     )
 
     reporter_nodes = sender_ids[reporter_rows].tolist()
+    bounds = np.cumsum([0] + sections).tolist()
     results: List[Tuple[EpochOutcome, TransmissionLog]] = []
     for column, log in enumerate(logs):
         synopsis = count_sketch = missing_stats = None
@@ -333,9 +406,13 @@ def run_td_block(
         if base_is_m:
             row = wave.base_rows[column]
             if wave.heard_base[column]:
-                synopsis = sketch_from_row(row[:syn_bitmaps])
-                if contrib_bitmaps:
-                    count_sketch = sketch_from_row(row[syn_bitmaps:fm_width])
+                sketches = [
+                    sketch_from_row(row[start:stop])
+                    for start, stop in zip(bounds, bounds[1:])
+                ]
+                if piggyback is not None:
+                    count_sketch = sketches.pop()
+                synopsis = aggregate.from_leaves(iter(sketches))
             arrived = np.flatnonzero(
                 np.unpackbits(
                     row[fm_width:].astype("<u4").view(np.uint8),
@@ -354,7 +431,7 @@ def run_td_block(
             layout,
             epoch_list[column],
             channel.chaos,
-            base_partials[column],
+            [aggregate.from_leaves(iter(leaves)) for leaves in base_partials[column]],
             exact_count,
             synopsis,
             count_sketch,

@@ -59,9 +59,10 @@ def gather_reading_block(
 
     The array consumers' twin of :func:`gather_readings`: row ``j`` holds
     the values of ``gather_readings(readings, nodes, epochs[j])``.
-    Workloads exposing ``block(nodes, epochs)`` (the built-in constant and
-    uniform ones) fill the matrix without a Python object per cell; any
-    other scalar-valued workload is gathered row by row.
+    Workloads exposing ``block(nodes, epochs)`` (the built-in streams and
+    windows) fill the matrix without a Python object per cell — a
+    multi-query workload's returns one block per query; any other
+    scalar-valued workload is gathered row by row.
     """
     block = getattr(readings, "block", None)
     if block is not None:
@@ -80,11 +81,16 @@ def exact_over(
     Ground truth draws its **own** readings — it is the oracle the schemes'
     estimates are scored against, so it never reuses a matrix a kernel
     computed. Array-native workloads hand the row over as an ndarray
-    (``Aggregate.exact_array``), everything else as a list.
+    (``Aggregate.exact_array``), a multi-query workload one row per query,
+    everything else as a list.
     """
     block = getattr(readings, "block", None)
     if block is not None:
-        return aggregate.exact_array(block(nodes, (epoch,))[0])
+        rows = block(nodes, (epoch,))
+        # A workload's block holds one block per slot: hand over each row.
+        if isinstance(rows, tuple):
+            return aggregate.exact_array(tuple(slot[0] for slot in rows))
+        return aggregate.exact_array(rows[0])
     return aggregate.exact(gather_readings(readings, nodes, epoch))
 
 

@@ -38,6 +38,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.aggregates.base import Aggregate
 from repro.aggregates.filtered import FilteredAggregate
 from repro.errors import ConfigurationError
@@ -81,8 +83,8 @@ class WindowedReadings:
     so the window "fills up" like a real deployment's would.
 
     Sources are pure functions of ``(node, epoch)`` — the workload contract
-    — so windows hold no values: every :meth:`batch` reads its nodes'
-    windows as ONE source block and reduces each node's slice, whatever
+    — so windows hold no values: every :meth:`block` reads its cells'
+    windows as ONE source block and reduces each cell's slice, whatever
     order epochs are asked in (the engine, ground truth and admission
     probes all read the same epoch at different times). The only state is
     where each node's stream segment starts (churn).
@@ -112,22 +114,62 @@ class WindowedReadings:
         return self.batch([node], epoch)[0]
 
     def batch(self, nodes: Sequence[int], epoch: int) -> List[float]:
-        """One epoch's windowed values for many nodes.
+        """One epoch's windowed values for many nodes: a one-row :meth:`block`."""
+        return self.block(nodes, (epoch,))[0].tolist()
 
-        One ``gather_reading_block`` over the widest window, ``max(0, epoch
-        - size + 1) .. epoch``; node ``i`` then reduces its column from
-        ``max(that start, its segment start)`` on, oldest first.
+    def block(self, nodes: Sequence[int], epochs: Sequence[int]) -> np.ndarray:
+        """Windowed values as a float64 ``(epochs, nodes)`` matrix.
+
+        One ``gather_reading_block`` over the block's widest window, ``max(0,
+        min(epochs) - size + 1) .. max(epochs)``; cell ``[j, i]`` reduces
+        node ``i``'s readings from ``max(epochs[j] - size + 1, 0, its segment
+        start)`` to ``epochs[j]``, oldest first. MEAN and SUM are one
+        sequential column sum — each window's readings added oldest first,
+        exactly as ``sum`` adds them — so every cell is bit for bit the
+        scalar reduction; the other reductions run per cell.
         """
-        low = max(0, epoch - self.size + 1)
-        columns = gather_reading_block(
-            self._source, nodes, range(low, epoch + 1)
-        ).T.tolist()
+        epoch_column = np.asarray(epochs, dtype=np.int64).reshape(-1)
+        if not len(epoch_column) or not len(nodes):
+            return np.zeros((len(epoch_column), len(nodes)), dtype=np.float64)
+        low = max(0, int(epoch_column.min()) - self.size + 1)
+        source = gather_reading_block(
+            self._source, nodes, range(low, int(epoch_column.max()) + 1)
+        )
         starts = self._segment_starts
+        # Each cell's oldest reading: the window's start, clipped to the
+        # stream and to the node's segment.
+        first = np.maximum(epoch_column - self.size + 1, 0)[:, None]
+        if starts:
+            first = np.maximum(
+                first,
+                np.fromiter(
+                    (starts.get(node, 0) for node in nodes),
+                    dtype=np.int64,
+                    count=len(nodes),
+                ),
+            )
+        first = np.broadcast_to(first, (len(epoch_column), len(nodes)))
+        count = epoch_column[:, None] - first + 1
+        if self.op in ("MEAN", "SUM") and (count > 0).all():
+            total = np.zeros(first.shape, dtype=np.float64)
+            for offset in range(self.size - 1, -1, -1):
+                times = epoch_column - offset
+                total += np.where(
+                    times[:, None] >= first, source[np.maximum(times - low, 0)], 0.0
+                )
+            return total / count if self.op == "MEAN" else total
+        columns = source.T.tolist()
         reduce = self._reduce
-        return [
-            reduce(column[max(0, starts.get(node, 0) - low) :])
-            for node, column in zip(nodes, columns)
-        ]
+        return np.array(
+            [
+                [
+                    reduce(column[start - low : epoch - low + 1])
+                    for column, start in zip(columns, row)
+                ]
+                for epoch, row in zip(epoch_column.tolist(), first.tolist())
+            ],
+            dtype=np.float64,
+        ).reshape(len(epoch_column), len(nodes))
 
     def on_membership_change(self, update) -> None:
         """Churn hook: a rejoining node's window restarts at its rejoin.

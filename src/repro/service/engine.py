@@ -160,6 +160,11 @@ class AggregationService:
 
         # Counters.
         self._blocks_run = 0
+        #: Blocks by the engine that ran them (``scheme.engine_path``), and
+        #: why the latest object block was not fused.
+        self._fused_blocks = 0
+        self._object_blocks = 0
+        self._last_refusal: Optional[str] = None
         self._epochs_run = 0
         self._total_words = 0
         self._records_dropped = 0
@@ -347,11 +352,17 @@ class AggregationService:
         # append pending work, and the workload is mutated exclusively at
         # boundaries by this thread.
         sim.run(span, readings, start_epoch=cursor, warmup=warm)
+        path = getattr(sim.scheme, "engine_path", None)
         with self._lock:
             self._warmup_done = True
             self._cursor += warm + span
             self._blocks_run += 1
             self._epochs_run += span
+            if path == "fused":
+                self._fused_blocks += 1
+            elif path is not None:
+                self._object_blocks += 1
+                self._last_refusal = path.removeprefix("object: ")
         return span
 
     def _dispatch(self, result) -> None:
@@ -473,6 +484,9 @@ class AggregationService:
                     "cursor": self._cursor,
                     "block_epochs": self._block_epochs,
                     "blocks_run": self._blocks_run,
+                    "fused_blocks": self._fused_blocks,
+                    "object_blocks": self._object_blocks,
+                    "last_refusal": self._last_refusal,
                     "epochs_run": self._epochs_run,
                     "total_words": self._total_words,
                     "records_dropped": dropped,

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
 from repro.errors import ConfigurationError
-from repro.query import ContinuousQuery, parse_query, spec_query
+from repro.query import ContinuousQuery, WindowedReadings, parse_query, spec_query
 
 #: Combiner tags: how a planned query's answer is assembled from its parts.
 COMBINE_VALUE = "value"  # one part; its answer is the answer
@@ -101,6 +101,9 @@ class QueryPlanner:
         #: servers built before the spatial layer existed.
         self._deployment = deployment
         self._slots: Dict[str, Slot] = {}
+        #: One window stream per ``(size, op)`` WINDOW clause over the
+        #: source (see :meth:`_build`).
+        self._window_streams: Dict[Tuple[int, str], WindowedReadings] = {}
         #: Times an acquire landed on an already-referenced slot — the
         #: subexpression-sharing win, surfaced on ``GET /stats``.
         self.shared_acquires = 0
@@ -179,14 +182,26 @@ class QueryPlanner:
 
     # -- workload synchronisation -----------------------------------------
 
+    def _build(self, slot: Slot):
+        """A slot's ``(aggregate, readings)``. Parts with the same WINDOW
+        clause share one window stream — windows are pure functions of the
+        source (the service serves no churn), so the values are the same —
+        and a block reads that window once for all of them."""
+        aggregate, reading_fn = slot.query.build(
+            self._source, deployment=self._deployment
+        )
+        if isinstance(reading_fn, WindowedReadings):
+            reading_fn = self._window_streams.setdefault(
+                (reading_fn.size, reading_fn.op), reading_fn
+            )
+        return aggregate, reading_fn
+
     def build_workload(self) -> Tuple[WorkloadAggregate, WorkloadReadings]:
         """The initial live workload over the referenced slots."""
         named, readings = [], []
         for slot in self._slots.values():
             if slot.refs > 0:
-                aggregate, reading_fn = slot.query.build(
-                    self._source, deployment=self._deployment
-                )
+                aggregate, reading_fn = self._build(slot)
                 named.append((slot.key, aggregate))
                 readings.append(reading_fn)
                 slot.attached = True
@@ -205,9 +220,7 @@ class QueryPlanner:
         for key in list(self._slots):
             slot = self._slots[key]
             if slot.refs > 0 and not slot.attached:
-                aggregate, reading_fn = slot.query.build(
-                    self._source, deployment=self._deployment
-                )
+                aggregate, reading_fn = self._build(slot)
                 workload.add_slot(key, aggregate)
                 readings.add_component(reading_fn)
                 slot.attached = True

@@ -367,6 +367,14 @@ class RegionFilteredAggregate(FilteredAggregate):
     def supports_group_by(self) -> bool:
         return False  # a grouped inner reads untagged values
 
+    # Region-tagged readings are not floats: no array forms.
+
+    def tree_partials_additive(self) -> bool:
+        return False
+
+    def synopsis_packable(self) -> None:
+        return None
+
 
 def apply_grouping(
     aggregate: Aggregate,

@@ -28,6 +28,7 @@ import pytest
 
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.count import CountAggregate
+from repro.aggregates.minmax import MaxAggregate
 from repro.aggregates.sum_ import SumAggregate
 from repro.api import (
     EXPERIMENT_CONFIGS,
@@ -706,13 +707,20 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     for scheme in schemes(SumAggregate()):
         assert refused(scheme, clean) is None
         assert refused(scheme, chaotic) == "chaos attached"
-    for scheme in schemes(workload):
-        assert refused(scheme, clean) == "workload aggregate"
+    # A workload is asked slot by slot; the first slot that refuses is named.
+    tag, sd, td = schemes(workload)
+    heavy = "workload slot 'heavy' (heavy_hitters:0.05): "
+    assert refused(tag, clean) == heavy + "non-additive partials"
+    assert refused(sd, clean) == heavy + "unpackable synopsis"
+    assert refused(td, clean) == heavy + "non-additive partials"
     tag, sd, td = schemes(SumAggregate(bits=16))
     assert refused(tag, clean) is None
     assert refused(sd, clean) == "non-32-bit sketch"
     assert refused(td, clean) == "non-32-bit sketch"
-    tag, sd, td = schemes(AverageAggregate())
+    # Average is two FM leaf slots, each additive and packable.
+    for scheme in schemes(AverageAggregate()):
+        assert refused(scheme, clean) is None
+    tag, sd, td = schemes(MaxAggregate())
     assert refused(tag, clean) == "non-additive partials"
     assert refused(sd, clean) == "unpackable synopsis"
     assert refused(td, clean) == "non-additive partials"
