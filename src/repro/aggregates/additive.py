@@ -13,12 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import Aggregate
-from repro.multipath.fm import (
-    FMSketch,
-    counted_matrix,
-    counted_sketches,
-    words_batch,
-)
+from repro.multipath.fm import FMSketch, counted_matrix, words_batch
 
 
 class AdditiveFMAggregate(Aggregate[int, FMSketch]):
@@ -78,11 +73,6 @@ class AdditiveFMAggregate(Aggregate[int, FMSketch]):
         sketch = self._empty_sketch()
         sketch.insert_count(partial, self._conv_label, sender, epoch)
         return sketch
-
-    def convert_block(self, partials, senders, epochs) -> List[FMSketch]:
-        return counted_sketches(
-            self._num_bitmaps, self._bits, (self._conv_label,), partials, senders, epochs
-        )
 
     # -- fused-kernel capabilities -----------------------------------------------
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
-    TYPE_CHECKING,
     Generic,
     Iterator,
     List,
@@ -29,8 +28,9 @@ from typing import (
     TypeVar,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
+
+from repro.multipath.fm import block_rows, sketches_from_rows
 
 P = TypeVar("P")
 S = TypeVar("S")
@@ -72,9 +72,15 @@ class Aggregate(ABC, Generic[P, S]):
         Returns one list per epoch; cell ``[j][i]`` MUST equal
         ``tree_local(nodes[i], epochs[j], reading_rows[j][i])`` exactly —
         the engine and the scalar oracle are interchangeable only while
-        that holds. The default loops over the scalar form; aggregates
-        whose local computation vectorizes may override.
+        that holds. Derived, not written: an aggregate with
+        :meth:`tree_partials_additive` gets the rows of its
+        :meth:`tree_local_matrix`, any other the loop over the scalar form.
         """
+        if self.tree_partials_additive():
+            readings = np.asarray(reading_rows, dtype=np.float64)
+            return self.tree_local_matrix(
+                nodes, epochs, readings.reshape(len(epochs), len(nodes))
+            ).tolist()
         return [
             [
                 self.tree_local(node, epoch, reading)
@@ -120,9 +126,13 @@ class Aggregate(ABC, Generic[P, S]):
 
         Same contract as :meth:`tree_local_block`: cell ``[j][i]`` must
         equal ``synopsis_local(nodes[i], epochs[j], reading_rows[j][i])``.
-        Count and Sum override this with a single vectorized FM pass over
-        every (node, epoch) cell of the block.
+        Derived the same way: an aggregate with :meth:`synopsis_packable`
+        gets the sketches of its :meth:`synopsis_local_block_packed` rows,
+        any other the loop over the scalar form.
         """
+        if self.synopsis_packable() is not None:
+            rows = self.synopsis_local_block_packed(nodes, epochs, reading_rows)
+            return block_rows(sketches_from_rows(rows), len(nodes), len(epochs))
         return [
             [
                 self.synopsis_local(node, epoch, reading)
@@ -184,11 +194,15 @@ class Aggregate(ABC, Generic[P, S]):
         """Batched :meth:`convert` over parallel columns.
 
         Cell ``i`` must equal ``convert(partials[i], senders[i],
-        epochs[i])`` exactly, errors included — the object twin of
-        :meth:`convert_block_packed`. The Tributary-Delta engine funnels a
-        level's T -> M deliveries through one call; the FM-backed
-        aggregates override the default loop with vectorized passes.
+        epochs[i])`` exactly, errors included. The object wave funnels a
+        block's T -> M deliveries through one call. Derived: an aggregate
+        with :meth:`synopsis_packable` gets the sketches of its
+        :meth:`convert_block_packed` rows, any other the scalar loop.
         """
+        if self.synopsis_packable() is not None:
+            return sketches_from_rows(
+                self.convert_block_packed(partials, senders, epochs)
+            )
         return [
             self.convert(partial, sender, epoch)
             for partial, sender, epoch in zip(partials, senders, epochs)

@@ -11,16 +11,12 @@ value c" exactly as Section 5 prescribes (shared with Sum:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.aggregates.additive import AdditiveFMAggregate
-from repro.multipath.fm import (
-    FMSketch,
-    single_item_matrix_block,
-    single_item_sketches_block,
-)
+from repro.multipath.fm import FMSketch, single_item_matrix_block
 
 
 class CountAggregate(AdditiveFMAggregate):
@@ -35,14 +31,6 @@ class CountAggregate(AdditiveFMAggregate):
     def tree_local(self, node: int, epoch: int, reading: float) -> int:
         return 1
 
-    def tree_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
-    ) -> List[List[int]]:
-        return [[1] * len(nodes) for _ in epochs]
-
     def tree_local_matrix(
         self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
     ) -> np.ndarray:
@@ -54,16 +42,6 @@ class CountAggregate(AdditiveFMAggregate):
         sketch = self._empty_sketch()
         sketch.insert(self._label, node, epoch)
         return sketch
-
-    def synopsis_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
-    ) -> List[List[FMSketch]]:
-        return single_item_sketches_block(
-            self._num_bitmaps, self._bits, (self._label,), nodes, epochs
-        )
 
     def synopsis_local_block_packed(
         self,

@@ -51,7 +51,12 @@ from repro.frequent.td_quantiles import (
     convert_summary,
     synopsis_from_readings,
 )
-from repro.multipath.fm import block_columns, block_rows, counted_sketches
+from repro.multipath.fm import (
+    block_columns,
+    block_rows,
+    counted_matrix,
+    sketches_from_rows,
+)
 
 #: Tree partial of the heavy-hitters aggregate: exact item -> count.
 ItemCounts = Dict[int, int]
@@ -153,12 +158,21 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
 
     def _fm_shapes(self):
         """The ``(num_bitmaps, bits)`` of the item and the n operator when
-        both are FM — what ``counted_sketches`` builds in bulk — else
+        both are 32-bit FM — what ``counted_matrix`` builds in bulk — else
         ``None``: any other ⊕ strategy keeps the per-cell block forms."""
         operators = (self._engine.operator, self._engine.n_operator)
-        if all(isinstance(operator, FMOperator) for operator in operators):
+        if all(
+            isinstance(operator, FMOperator) and operator.bits == 32
+            for operator in operators
+        ):
             return [(operator.num_bitmaps, operator.bits) for operator in operators]
         return None
+
+    @staticmethod
+    def _counted(shape, label, counts, *columns):
+        """``make(counts[i], *label, columns[0][i], ...)`` of a 32-bit FM
+        operator, for every row at once."""
+        return sketches_from_rows(counted_matrix(*shape, label, counts, *columns))
 
     def synopsis_local_block(
         self, nodes, epochs, reading_rows
@@ -171,8 +185,8 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         keys = block_columns(nodes, epochs)
         items = [_item(reading) for row in reading_rows for reading in row]
         ones = [1] * len(items)
-        item_sketches = counted_sketches(*shapes[0], ("fi",), ones, *keys, items)
-        n_sketches = counted_sketches(*shapes[1], ("fi-n",), ones, *keys)
+        item_sketches = self._counted(shapes[0], ("fi",), ones, *keys, items)
+        n_sketches = self._counted(shapes[1], ("fi-n",), ones, *keys)
         flat = [
             {0: FrequentItemsSynopsis(klass=0, n_sketch=n, counts={item: sketch})}
             for item, sketch, n in zip(items, item_sketches, n_sketches)
@@ -255,8 +269,8 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         rows = [i for i, plan in enumerate(plans) if plan is not None]
         cells = [(i, pair) for i in rows for pair in plans[i][2]]
         n_sketches = iter(
-            counted_sketches(
-                *shapes[1],
+            self._counted(
+                shapes[1],
                 ("fi-conv-n",),
                 [plans[i][0] for i in rows],
                 [senders[i] for i in rows],
@@ -264,8 +278,8 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
             )
         )
         item_sketches = iter(
-            counted_sketches(
-                *shapes[0],
+            self._counted(
+                shapes[0],
                 ("fi-conv",),
                 [count for _, (_, count) in cells],
                 [senders[i] for i, _ in cells],

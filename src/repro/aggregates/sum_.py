@@ -10,18 +10,13 @@ network-wide sum. Conversion inserts the subtree's summed value the same way
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.aggregates.additive import AdditiveFMAggregate
 from repro.errors import ConfigurationError
-from repro.multipath.fm import (
-    FMSketch,
-    block_columns,
-    counted_matrix,
-    counted_sketches_block,
-)
+from repro.multipath.fm import FMSketch, block_columns, counted_matrix
 
 
 #: First float64 that no longer fits the kernels' int64 partial matrix.
@@ -83,23 +78,6 @@ class SumAggregate(AdditiveFMAggregate):
         sketch = self._empty_sketch()
         sketch.insert_count(self._as_int(reading), self._label, node, epoch)
         return sketch
-
-    def synopsis_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
-    ) -> List[List[FMSketch]]:
-        # One vectorized weighted-insert pass over every (node, epoch) cell
-        # of the block.
-        return counted_sketches_block(
-            self._num_bitmaps,
-            self._bits,
-            (self._label,),
-            [[self._as_int(reading) for reading in row] for row in reading_rows],
-            nodes,
-            epochs,
-        )
 
     def synopsis_local_block_packed(
         self,

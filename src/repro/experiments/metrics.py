@@ -33,22 +33,24 @@ def relative_error(estimate: float, truth: float) -> float:
 def rms_error_series(
     estimates: Sequence[float], truths: Sequence[float]
 ) -> float:
-    """Relative RMS error over paired (estimate, truth) series."""
+    """Relative RMS error over paired (estimate, truth) series.
+
+    The rule and arithmetic of
+    :meth:`~repro.network.simulator.RunResult.rms_error`, which every figure
+    reports: an epoch whose truth is 0 adds no deviation but still counts in
+    T, the squares are summed in epoch order, and the root is ``** 0.5``.
+    """
     if len(estimates) != len(truths):
         raise ConfigurationError("series lengths differ")
     if not estimates:
         return 0.0
     total = 0.0
-    counted = 0
     for estimate, truth in zip(estimates, truths):
         if truth == 0:
             continue
         deviation = (estimate - truth) / truth
         total += deviation * deviation
-        counted += 1
-    if counted == 0:
-        return 0.0
-    return math.sqrt(total / counted)
+    return (total / len(estimates)) ** 0.5
 
 
 def percent(value: float) -> float:

@@ -60,7 +60,7 @@ _EXACT_INSERT_LIMIT = 512
 _SCALAR_INSERT_LIMIT = 48
 
 #: Virtual items hashed per pass of the exact-regime kernel
-#: (:func:`_counted_words`): about 64k, so a pass's few uint64 temporaries
+#: (:func:`counted_matrix`): about 64k, so a pass's few uint64 temporaries
 #: stay cache-sized.
 _INSERT_SLICE_ITEMS = 1 << 16
 
@@ -410,34 +410,6 @@ class FMSketch:
         )
 
 
-def single_item_sketches(
-    num_bitmaps: int,
-    bits: int,
-    label: Tuple[object, ...],
-    *columns: Sequence[int],
-) -> List[FMSketch]:
-    """Build one single-item sketch per column row, vectorized.
-
-    Row ``i`` is exactly the sketch produced by
-    ``FMSketch(num_bitmaps, bits).insert(*label, columns[0][i], ...)`` —
-    same hash substreams, same bit — but the bucket/level hashes for the
-    whole batch are computed in one vectorized pass. This is the SG hot
-    path of the level-synchronous schemes: every node in a ring level
-    creates its local synopsis at once.
-    """
-    buckets = hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns)
-    levels = geometric_level_batch(hash_key_from(_LEVEL_STATE, *label), *columns)
-    cap = bits - 1
-    return [
-        FMSketch.from_packed(
-            num_bitmaps,
-            bits,
-            1 << (int(bucket) % num_bitmaps * bits + min(int(level), cap)),
-        )
-        for bucket, level in zip(buckets, levels)
-    ]
-
-
 def block_columns(nodes: Sequence[int], epochs: Sequence[int]):
     """The (node, epoch) key columns of a block, flattened epoch-major.
 
@@ -454,50 +426,6 @@ def block_columns(nodes: Sequence[int], epochs: Sequence[int]):
 def block_rows(flat: List, num: int, num_epochs: int) -> List[List]:
     """Cut an epoch-major flat list back into one row per epoch."""
     return [flat[j * num : (j + 1) * num] for j in range(num_epochs)]
-
-
-def single_item_sketches_block(
-    num_bitmaps: int,
-    bits: int,
-    label: Tuple[object, ...],
-    nodes: Sequence[int],
-    epochs: Sequence[int],
-) -> List[List["FMSketch"]]:
-    """One single-item sketch per (node, epoch) cell, one row per epoch.
-
-    Row ``j`` equals ``single_item_sketches(num_bitmaps, bits, label,
-    nodes, [epochs[j]] * len(nodes))``, built in a single vectorized pass
-    over the whole block.
-    """
-    if len(nodes) == 0:
-        return [[] for _ in epochs]
-    flat = single_item_sketches(
-        num_bitmaps, bits, label, *block_columns(nodes, epochs)
-    )
-    return block_rows(flat, len(nodes), len(epochs))
-
-
-def counted_sketches_block(
-    num_bitmaps: int,
-    bits: int,
-    label: Tuple[object, ...],
-    count_rows: Sequence[Sequence[int]],
-    nodes: Sequence[int],
-    epochs: Sequence[int],
-) -> List[List["FMSketch"]]:
-    """:func:`counted_sketches` per (node, epoch) cell, one row per epoch:
-    cell ``[j][i]`` inserts ``count_rows[j][i]`` under ``(*label, nodes[i],
-    epochs[j])``."""
-    if len(nodes) == 0:
-        return [[] for _ in epochs]
-    flat = counted_sketches(
-        num_bitmaps,
-        bits,
-        label,
-        [count for row in count_rows for count in row],
-        *block_columns(nodes, epochs),
-    )
-    return block_rows(flat, len(nodes), len(epochs))
 
 
 def rle_words_rows(matrix, bits: int):
@@ -543,120 +471,6 @@ def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
     return rle_words_rows(matrix, bits).tolist()
 
 
-def _counted_words(
-    num_bitmaps: int,
-    bits: int,
-    label: Tuple[object, ...],
-    counts: Sequence[int],
-    columns: Sequence[Sequence[int]],
-):
-    """The weighted-insertion kernel of :func:`counted_sketches` / ``_matrix``.
-
-    Returns ``(words, large)``: row ``i`` of the little-endian ``words``
-    matrix (uint32 for ``bits <= 32``, else uint64: levels stop at 63) holds
-    ``insert_count(counts[i], *label, columns[0][i], ...)``'s bits when the
-    count is in the exact regime, and ``large`` lists ``(i, packed)`` for
-    every count above it (:func:`_bulk_bits`).
-
-    The exact regime hashes ~:data:`_INSERT_SLICE_ITEMS` virtual items per
-    pass through the scalar path's two SplitMix64 substreams: item ``j``
-    sets bit ``min(tz(level hash), 63, bits - 1)`` of bitmap ``bucket hash %
-    num_bitmaps``. That bit is ``y & -y`` for ``y = hash | top``, ``top``
-    the cap's bit in the word's width: the lowest set bit of ``y`` is the
-    hash's own unless it lies at or above the cap. One flat
-    ``bitwise_or.at`` on ``row * num_bitmaps + bucket`` lands a pass.
-    """
-    total = len(counts)
-    if any(len(column) != total for column in columns):
-        raise SketchError("counted columns must match counts")
-    dtype = _np.dtype("<u4" if bits <= 32 else "<u8")
-    words = _np.zeros((total, num_bitmaps), dtype=dtype)
-    if total == 0:
-        return words, []
-    counts = _np.asarray(counts, dtype=_np.int64)
-    if bool((counts < 0).any()):
-        raise SketchError("cannot insert a negative count")
-    exact = _np.flatnonzero((counts > 0) & (counts <= _EXACT_INSERT_LIMIT))
-    if len(exact):
-        bucket_states = hash_key_batch(
-            hash_key_from(_BUCKET_STATE, *label), *columns
-        )[exact]
-        level_states = hash_key_batch(
-            hash_key_from(_LEVEL_STATE, *label), *columns
-        )[exact]
-        reps = counts[exact]
-        ends = _np.cumsum(reps)
-        row_starts = ends - reps
-        offsets = exact * num_bitmaps
-        top = dtype.type(1 << (min(bits, dtype.itemsize * 8) - 1))
-        flat = words.reshape(-1)
-        start = 0
-        while start < len(exact):
-            first = int(row_starts[start])
-            stop = max(
-                start + 1,
-                int(_np.searchsorted(ends, first + _INSERT_SLICE_ITEMS, "right")),
-            )
-            cells = slice(start, stop)
-            virtual = _np.arange(first, int(ends[stop - 1]), dtype=_np.int64)
-            virtual -= _np.repeat(row_starts[cells], reps[cells])
-            virtual = virtual.view(_np.uint64)
-            index = _np.repeat(bucket_states[cells], reps[cells])
-            index ^= virtual
-            splitmix64_inplace(index)
-            index %= _np.uint64(num_bitmaps)
-            index = index.view(_np.int64)
-            index += _np.repeat(offsets[cells], reps[cells])
-            level = _np.repeat(level_states[cells], reps[cells])
-            level ^= virtual
-            bit = splitmix64_inplace(level).astype(dtype, copy=False)
-            bit |= top
-            bit &= -bit
-            _np.bitwise_or.at(flat, index, bit)
-            start = stop
-    large = []
-    rows = _np.flatnonzero(counts > _EXACT_INSERT_LIMIT)
-    if len(rows):
-        prefix = hash_key_from(_BULK_STATE, num_bitmaps, *label)
-        for row in rows.tolist():
-            seed = hash_key_from(prefix, *(int(column[row]) for column in columns))
-            large.append((row, _bulk_bits(num_bitmaps, bits, int(counts[row]), seed)))
-    return words, large
-
-
-def counted_sketches(
-    num_bitmaps: int,
-    bits: int,
-    label: Tuple[object, ...],
-    counts: Sequence[int],
-    *columns: Sequence[int],
-) -> List[FMSketch]:
-    """Build one weighted sketch per row, vectorized across all rows.
-
-    Row ``i`` is exactly the sketch produced by ``FMSketch(num_bitmaps,
-    bits).insert_count(counts[i], *label, columns[0][i], ...)`` — same hash
-    substreams, same bits (see :func:`_counted_words`). This is the Sum SG
-    and conversion hot path: a whole ring level (or a whole epoch block of
-    one) builds its sketches at once.
-    """
-    words, large = _counted_words(num_bitmaps, bits, label, counts, columns)
-    if bits == words.dtype.itemsize * 8:
-        # Bitmap j is word j: the packed integer is the row's bytes.
-        buffer, width = words.tobytes(), num_bitmaps * words.itemsize
-        packed = [
-            int.from_bytes(buffer[i : i + width], "little")
-            for i in range(0, len(buffer), width)
-        ]
-    else:
-        packed = [
-            sum(word << (index * bits) for index, word in enumerate(row) if word)
-            for row in words.tolist()
-        ]
-    for row, value in large:
-        packed[row] = value
-    return [FMSketch.from_packed(num_bitmaps, bits, value) for value in packed]
-
-
 def sketch_to_row(sketch: FMSketch):
     """One packed uint32 row (little-endian words) for a 32-bit sketch.
 
@@ -680,23 +494,42 @@ def sketch_from_row(row) -> FMSketch:
     )
 
 
+def sketches_from_rows(matrix) -> List[FMSketch]:
+    """The 32-bit sketches of a packed ``(rows, num_bitmaps)`` matrix.
+
+    Entry ``i`` is ``sketch_from_row(matrix[i])``, read off one byte buffer:
+    bitmap ``j`` is word ``j``, so a row's little-endian bytes are its packed
+    integer. This is how the object forms view the packed builders below.
+    """
+    words = _np.ascontiguousarray(matrix, dtype="<u4")
+    num_bitmaps = words.shape[1]
+    buffer, width = words.tobytes(), num_bitmaps * 4
+    return [
+        FMSketch.from_packed(
+            num_bitmaps, 32, int.from_bytes(buffer[i : i + width], "little")
+        )
+        for i in range(0, len(buffer), width)
+    ]
+
+
 def single_item_matrix(
     num_bitmaps: int,
     bits: int,
     label: Tuple[object, ...],
     *columns: Sequence[int],
 ):
-    """Packed rows of ``single_item_sketches(...)``: one set bit per row.
+    """Packed single-item sketches, vectorized: one set bit per row.
 
-    Row ``i`` is ``sketch_to_row`` of the corresponding single-item sketch
-    — same hash substreams, same bit — without materializing any sketch
-    objects. Requires the standard 32-bit bitmap shape.
+    Row ``i`` is ``sketch_to_row`` of ``FMSketch(num_bitmaps, 32).insert(
+    *label, columns[0][i], ...)`` — same hash substreams, same bit. This is
+    Count's SG hot path: every node of a block creates its local synopsis
+    at once. Requires the standard 32-bit bitmap shape.
     """
     if bits != 32:
         raise SketchError("packed matrices require 32-bit bitmaps")
     buckets = hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns)
     buckets %= _np.uint64(num_bitmaps)
-    # The capped level bit as in :func:`_counted_words`: ``y & -y``.
+    # The capped level bit as in :func:`counted_matrix`: ``y & -y``.
     bit = hash_key_batch(hash_key_from(_LEVEL_STATE, *label), *columns).astype(
         _np.uint32
     )
@@ -714,12 +547,11 @@ def single_item_matrix_block(
     nodes: Sequence[int],
     epochs: Sequence[int],
 ):
-    """Packed rows of ``single_item_sketches_block(...)``, epoch-major flat.
+    """:func:`single_item_matrix` per (node, epoch) cell, epoch-major flat.
 
     Row ``j * len(nodes) + i`` is node ``i``'s single-item sketch for epoch
-    ``epochs[j]`` — the same stacking convention as the sketch-object block
-    builder, returned as one ``(len(epochs) * len(nodes), num_bitmaps)``
-    uint32 matrix.
+    ``epochs[j]`` (the :func:`block_columns` stacking), returned as one
+    ``(len(epochs) * len(nodes), num_bitmaps)`` uint32 matrix.
     """
     if len(nodes) == 0 or len(epochs) == 0:
         return _np.zeros((len(nodes) * len(epochs), num_bitmaps), dtype="<u4")
@@ -735,20 +567,81 @@ def counted_matrix(
     counts: Sequence[int],
     *columns: Sequence[int],
 ):
-    """Packed rows of ``counted_sketches(...)`` for the 32-bit shape.
+    """Packed weighted sketches, vectorized across all rows.
 
-    Row ``i`` equals ``sketch_to_row`` of the weighted sketch for
-    ``counts[i]``: :func:`_counted_words` ORs the exact regime straight into
-    the output matrix, and each count above ``_EXACT_INSERT_LIMIT`` copies
-    its binomial-regime bits in.
+    Row ``i`` is ``sketch_to_row`` of ``FMSketch(num_bitmaps, 32).
+    insert_count(counts[i], *label, columns[0][i], ...)`` — same hash
+    substreams, same bits. This is the Sum SG and conversion hot path: a
+    whole epoch block builds its sketches at once. Requires the standard
+    32-bit bitmap shape.
+
+    The exact regime hashes ~:data:`_INSERT_SLICE_ITEMS` virtual items per
+    pass through the scalar path's two SplitMix64 substreams: item ``j``
+    sets bit ``min(tz(level hash), 31)`` of bitmap ``bucket hash %
+    num_bitmaps``. That bit is ``y & -y`` for ``y`` the hash's low word with
+    bit 31 set: the lowest set bit of ``y`` is the hash's own unless it lies
+    at or above the cap. One flat ``bitwise_or.at`` on ``row * num_bitmaps
+    + bucket`` lands a pass. Each count above :data:`_EXACT_INSERT_LIMIT`
+    copies its binomial-regime bits in (:func:`_bulk_bits`).
     """
     if bits != 32:
         raise SketchError("packed matrices require 32-bit bitmaps")
-    matrix, large = _counted_words(num_bitmaps, bits, label, counts, columns)
-    for row, value in large:
-        matrix[row] = _np.frombuffer(
-            value.to_bytes(num_bitmaps * 4, "little"), dtype="<u4"
-        )
+    total = len(counts)
+    if any(len(column) != total for column in columns):
+        raise SketchError("counted columns must match counts")
+    matrix = _np.zeros((total, num_bitmaps), dtype="<u4")
+    if total == 0:
+        return matrix
+    counts = _np.asarray(counts, dtype=_np.int64)
+    if bool((counts < 0).any()):
+        raise SketchError("cannot insert a negative count")
+    exact = _np.flatnonzero((counts > 0) & (counts <= _EXACT_INSERT_LIMIT))
+    if len(exact):
+        bucket_states = hash_key_batch(
+            hash_key_from(_BUCKET_STATE, *label), *columns
+        )[exact]
+        level_states = hash_key_batch(
+            hash_key_from(_LEVEL_STATE, *label), *columns
+        )[exact]
+        reps = counts[exact]
+        ends = _np.cumsum(reps)
+        row_starts = ends - reps
+        offsets = exact * num_bitmaps
+        top = _np.uint32(1 << 31)
+        flat = matrix.reshape(-1)
+        start = 0
+        while start < len(exact):
+            first = int(row_starts[start])
+            stop = max(
+                start + 1,
+                int(_np.searchsorted(ends, first + _INSERT_SLICE_ITEMS, "right")),
+            )
+            cells = slice(start, stop)
+            virtual = _np.arange(first, int(ends[stop - 1]), dtype=_np.int64)
+            virtual -= _np.repeat(row_starts[cells], reps[cells])
+            virtual = virtual.view(_np.uint64)
+            index = _np.repeat(bucket_states[cells], reps[cells])
+            index ^= virtual
+            splitmix64_inplace(index)
+            index %= _np.uint64(num_bitmaps)
+            index = index.view(_np.int64)
+            index += _np.repeat(offsets[cells], reps[cells])
+            level = _np.repeat(level_states[cells], reps[cells])
+            level ^= virtual
+            bit = splitmix64_inplace(level).astype(_np.uint32, copy=False)
+            bit |= top
+            bit &= -bit
+            _np.bitwise_or.at(flat, index, bit)
+            start = stop
+    rows = _np.flatnonzero(counts > _EXACT_INSERT_LIMIT)
+    if len(rows):
+        prefix = hash_key_from(_BULK_STATE, num_bitmaps, *label)
+        for row in rows.tolist():
+            seed = hash_key_from(prefix, *(int(column[row]) for column in columns))
+            value = _bulk_bits(num_bitmaps, bits, int(counts[row]), seed)
+            matrix[row] = _np.frombuffer(
+                value.to_bytes(num_bitmaps * 4, "little"), dtype="<u4"
+            )
     return matrix
 
 

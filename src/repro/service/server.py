@@ -57,7 +57,24 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body, framed by its ``Content-Length``.
+
+        A header that is not a non-negative integer cannot frame a body: it
+        raises :class:`ConfigurationError` (a 400 on every route) instead of
+        reaching ``rfile.read``, and the connection closes after the reply
+        since the unread bytes would otherwise parse as the next request.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ConfigurationError(
+                f"Content-Length must be a non-negative byte count, got "
+                f"{header!r}; send the body's length in bytes"
+            )
         return self.rfile.read(length) if length else b""
 
     def _send_json(self, status: int, payload: Dict[str, object]) -> None:

@@ -23,14 +23,12 @@ from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
 from repro.api import RunConfig, build_scenario, run_config_result
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError, SketchError
-from repro.frequent.mp_fi import KMVOperator
+from repro.frequent.mp_fi import FMOperator, KMVOperator
 from repro.multipath.fm import (
     _EXACT_INSERT_LIMIT,
     FMSketch,
     counted_matrix,
-    counted_sketches,
     single_item_matrix_block,
-    single_item_sketches_block,
 )
 from repro.query import FilteredAggregate, parse_query
 from repro.registry import (
@@ -375,6 +373,21 @@ BLOCK_SUBJECTS = {
             0.05, operator=KMVOperator(), n_operator=KMVOperator(k=128)
         )
     ),
+    # Not packable: the block forms loop over the scalar forms.
+    "count-16bit": lambda: _plain(CountAggregate(bits=16)),
+    "heavy-hitters-fm16": lambda: _plain(
+        HeavyHittersAggregate(
+            0.05,
+            operator=FMOperator(bits=16),
+            n_operator=FMOperator(num_bitmaps=16, bits=16),
+        )
+    ),
+    "contributing": lambda: _plain(ContributingCount()),
+    # Readings above the exact-insert limit: local SG is binomial too.
+    "sum-binomial": lambda: (
+        SumAggregate(),
+        UniformReadings(_EXACT_INSERT_LIMIT + 1, 4000, seed=5),
+    ),
 }
 
 _NODES = [3, 8, 1, 20, 14, 9, 33]
@@ -579,15 +592,15 @@ class TestContributingCount:
 
     def test_block_forms(self, piggyback):
         rows = [[None] * len(self.NODES) for _ in self.EPOCHS]
-        assert piggyback.synopsis_local_block(
-            self.NODES, self.EPOCHS, rows
-        ) == single_item_sketches_block(
-            40, 32, ("contrib",), self.NODES, self.EPOCHS
-        )
+        assert piggyback.synopsis_local_block(self.NODES, self.EPOCHS, rows) == [
+            [piggyback.synopsis_local(node, epoch, None) for node in self.NODES]
+            for epoch in self.EPOCHS
+        ]
         counts, senders, epochs = self._cells()
-        assert piggyback.convert_block(counts, senders, epochs) == (
-            counted_sketches(40, 32, ("contrib-conv",), counts, senders, epochs)
-        )
+        assert piggyback.convert_block(counts, senders, epochs) == [
+            piggyback.convert(count, sender, epoch)
+            for count, sender, epoch in zip(counts, senders, epochs)
+        ]
 
     def test_packed_forms(self, piggyback):
         assert piggyback.synopsis_packable() == (40, 32)

@@ -39,6 +39,33 @@ class TestMetrics:
         assert rms_error_series([100, 100], [100, 100]) == 0.0
         assert rms_error_series([90, 110], [100, 100]) == pytest.approx(0.1)
 
+    @staticmethod
+    def _run_rms(estimates, truths):
+        from repro.network.links import TransmissionLog
+        from repro.network.simulator import EpochResult, RunResult
+
+        epochs = [
+            EpochResult(epoch, estimate, truth, 0, 0.0, TransmissionLog())
+            for epoch, (estimate, truth) in enumerate(zip(estimates, truths))
+        ]
+        return RunResult(scheme_name="TD", epochs=epochs, energy=None).rms_error()
+
+    @pytest.mark.parametrize(
+        "estimates, truths",
+        [
+            ([10, 6], [0, 5]),
+            ([0.0, 3.0], [0.0, 0.0]),
+            ([97.5, 0.0, 61.25, 140.0, 3.0], [100.0, 0.0, 60.0, 128.0, 0.0]),
+        ],
+    )
+    def test_rms_error_series_is_the_run_result_rms(self, estimates, truths):
+        """A zero-truth epoch still counts in T, as in every figure's RMS."""
+        assert rms_error_series(estimates, truths) == self._run_rms(
+            estimates, truths
+        )
+        if truths == [0, 5]:
+            assert rms_error_series(estimates, truths) == pytest.approx(0.1414214)
+
     def test_mean(self):
         assert mean([]) == 0.0
         assert mean([1.0, 3.0]) == 2.0

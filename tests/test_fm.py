@@ -13,11 +13,11 @@ from repro._hashing import stream_rng
 from repro.errors import SketchError
 from repro.multipath import fm
 from repro.multipath.fm import (
+    _EXACT_INSERT_LIMIT,
     FMSketch,
     _binomial,
     _correction_table,
     counted_matrix,
-    counted_sketches,
     sketch_to_row,
 )
 from repro.multipath.synopsis import check_odi
@@ -307,6 +307,9 @@ def _reference_bulk_insert(sketch, count, *key):
 #: and n operators, a narrow field, and odd ones around the word edges.
 _ORACLE_SHAPES = [(40, 32), (16, 32), (8, 32), (40, 8), (3, 4), (7, 17)]
 
+#: The shapes :func:`counted_matrix` packs: 32-bit bitmaps only.
+_PACKED_SHAPES = [shape for shape in _ORACLE_SHAPES if shape[1] == 32]
+
 #: Exact-regime boundaries: empty, the scalar/vector switch, the limit.
 _BOUNDARY_COUNTS = [0, 1, 47, 48, 49, 511, 512, 513]
 
@@ -315,8 +318,18 @@ _key_token = st.one_of(
 )
 
 
+def _reference_insert_count(sketch, count, *key):
+    """``count`` virtual items one by one (item ``j`` is ``(*key, j)``) up
+    to the exact-insert limit, the halving loop above it."""
+    if count > _EXACT_INSERT_LIMIT:
+        _reference_bulk_insert(sketch, count, *key)
+        return
+    for j in range(count):
+        sketch.insert(*key, j)
+
+
 class TestWeightedInsertionOracle:
-    """``insert_count`` and the batched builders against their references."""
+    """``insert_count`` and the batched builder against their references."""
 
     @given(
         count=st.integers(min_value=513, max_value=10**7),
@@ -333,7 +346,7 @@ class TestWeightedInsertionOracle:
 
     @given(
         count=st.integers(min_value=513, max_value=10**7),
-        shape=st.sampled_from(_ORACLE_SHAPES),
+        shape=st.sampled_from(_PACKED_SHAPES),
         label=st.text(max_size=6),
         node=st.integers(min_value=0, max_value=2**40),
     )
@@ -343,11 +356,8 @@ class TestWeightedInsertionOracle:
     ):
         expected = FMSketch(*shape)
         _reference_bulk_insert(expected, count, label, node, 7)
-        batch = counted_sketches(*shape, (label,), [count], [node], [7])
-        assert batch == [expected]
-        if shape[1] == 32:
-            rows = counted_matrix(*shape, (label,), [count], [node], [7])
-            assert rows.tolist() == [sketch_to_row(expected).tolist()]
+        rows = counted_matrix(*shape, (label,), [count], [node], [7])
+        assert rows.tolist() == [sketch_to_row(expected).tolist()]
 
     @pytest.mark.parametrize(
         "num_bitmaps, bits", _ORACLE_SHAPES + [(1, 1), (2, 64), (2, 70)]
@@ -358,16 +368,18 @@ class TestWeightedInsertionOracle:
         epochs = [3] * len(counts)
         expected = []
         for count, node in zip(counts, nodes):
+            reference = FMSketch(num_bitmaps, bits)
+            _reference_insert_count(reference, count, "sum", node, 3)
             sketch = FMSketch(num_bitmaps, bits)
             sketch.insert_count(count, "sum", node, 3)
+            assert sketch == reference, count
             expected.append(sketch)
-        assert (
-            counted_sketches(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
-            == expected
-        )
         if bits == 32:
             rows = counted_matrix(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
             assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
+        else:
+            with pytest.raises(SketchError):
+                counted_matrix(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
 
     def test_slices_and_a_cell_larger_than_a_slice(self, monkeypatch):
         """Many slices per call, and cells that overflow one on their own."""
@@ -381,21 +393,19 @@ class TestWeightedInsertionOracle:
             sketch.insert_count(count, "sum", node, epoch)
             expected.append(sketch)
         monkeypatch.setattr(fm, "_INSERT_SLICE_ITEMS", 300)
-        assert counted_sketches(40, 32, ("sum",), counts, nodes, epochs) == expected
         rows = counted_matrix(40, 32, ("sum",), counts, nodes, epochs)
         assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
 
     def test_negative_count_raises_the_scalar_error(self):
         with pytest.raises(SketchError) as scalar:
             FMSketch().insert_count(-1, "x")
-        for build in (counted_sketches, counted_matrix):
-            with pytest.raises(SketchError) as batch:
-                build(40, 32, ("x",), [5, -1], [1, 2])
-            assert str(batch.value) == str(scalar.value)
+        with pytest.raises(SketchError) as batch:
+            counted_matrix(40, 32, ("x",), [5, -1], [1, 2])
+        assert str(batch.value) == str(scalar.value)
 
     def test_empty_and_mismatched_columns(self):
-        assert counted_sketches(40, 32, ("x",), [], []) == []
         assert counted_matrix(40, 32, ("x",), [], []).shape == (0, 40)
+        assert fm.sketches_from_rows(counted_matrix(40, 32, ("x",), [], [])) == []
         with pytest.raises(SketchError):
             counted_matrix(40, 32, ("x",), [1, 2], [1])
         zeros = np.zeros(3, dtype=np.int64)

@@ -288,6 +288,27 @@ class TestRejections:
         assert len([l for l in lines if l["type"] == "epoch-record"]) == 2
 
 
+class TestContentLength:
+    """A ``Content-Length`` that cannot frame a body is a 400 on both body
+    routes — never a worker traceback or a read that waits for the client
+    to hang up — and the server keeps answering."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    @pytest.mark.parametrize("path", ["/queries", "/run"])
+    def test_bad_content_length_is_400(self, port, path, length, capsys):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders(b"{}")
+        response = conn.getresponse()
+        assert response.status == 400
+        error = json.loads(response.read())["error"]
+        conn.close()
+        assert "Content-Length" in error and repr(length) in error
+        assert "Traceback" not in capsys.readouterr().err
+        assert _get_json(port, "/health") == {"status": "ok"}
+
+
 class TestEviction:
     def test_disconnect_evicts_at_next_boundary(self, server, port):
         conn, response = _subscribe(
