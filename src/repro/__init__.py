@@ -107,7 +107,6 @@ from repro.aggregates import (
 from repro.core import (
     DampedPolicy,
     Mode,
-    PipelinedTagScheme,
     SynopsisDiffusionScheme,
     TagScheme,
     TDCoarsePolicy,
@@ -163,7 +162,6 @@ from repro.spatial import (
 )
 from repro.network import (
     Channel,
-    CrashWindow,
     Deployment,
     DiscRadio,
     DynamicMembership,
@@ -173,15 +171,11 @@ from repro.network import (
     RandomDeaths,
     RegionalBlackout,
     ScheduledChurn,
-    GilbertElliottLoss,
     GlobalLoss,
     LatencyModel,
-    LinkQualityMonitor,
-    NodeCrashLoss,
     NoLoss,
     RegionalLoss,
     RingsTopology,
-    TreeMaintainer,
 )
 from repro.tree import (
     Tree,
@@ -246,7 +240,6 @@ __all__ = [
     "parse_query",
     "DampedPolicy",
     "Mode",
-    "PipelinedTagScheme",
     "SynopsisDiffusionScheme",
     "TagScheme",
     "TDCoarsePolicy",
@@ -265,20 +258,15 @@ __all__ = [
     "FMSketch",
     "KMVSketch",
     "Channel",
-    "CrashWindow",
     "Deployment",
     "DiscRadio",
     "EpochSimulator",
     "FailureSchedule",
-    "GilbertElliottLoss",
     "GlobalLoss",
     "LatencyModel",
-    "LinkQualityMonitor",
-    "NodeCrashLoss",
     "NoLoss",
     "RegionalLoss",
     "RingsTopology",
-    "TreeMaintainer",
     "Tree",
     "build_bushy_tree",
     "build_tag_tree",

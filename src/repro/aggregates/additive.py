@@ -10,7 +10,7 @@ the local ops, the truth and their conversion key label.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.aggregates.base import Aggregate
 from repro.multipath.fm import FMSketch, counted_matrix, words_batch
@@ -24,12 +24,11 @@ class AdditiveFMAggregate(Aggregate[int, FMSketch]):
     _label: str
     _conv_label: str
 
-    def __init__(self, num_bitmaps: int = 40, bits: int = 32) -> None:
+    def __init__(self, num_bitmaps: int = 40) -> None:
         self._num_bitmaps = num_bitmaps
-        self._bits = bits
 
     def _empty_sketch(self) -> FMSketch:
-        return FMSketch(self._num_bitmaps, self._bits)
+        return FMSketch(self._num_bitmaps)
 
     # -- tree ------------------------------------------------------------
 
@@ -79,10 +78,8 @@ class AdditiveFMAggregate(Aggregate[int, FMSketch]):
     def tree_partials_additive(self) -> bool:
         return True
 
-    def synopsis_packable(self) -> Optional[Tuple[int, int]]:
-        if self._bits != 32:
-            return None
-        return (self._num_bitmaps, self._bits)
+    def synopsis_packable(self) -> Optional[int]:
+        return self._num_bitmaps
 
     def convert_block_packed(
         self,
@@ -91,7 +88,7 @@ class AdditiveFMAggregate(Aggregate[int, FMSketch]):
         epochs: Sequence[int],
     ):
         return counted_matrix(
-            self._num_bitmaps, self._bits, (self._conv_label,), partials, senders, epochs
+            self._num_bitmaps, (self._conv_label,), partials, senders, epochs
         )
 
     # -- mixed evaluation --------------------------------------------------------

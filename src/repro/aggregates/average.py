@@ -26,10 +26,8 @@ def _ratio(total: float, count: float) -> float:
 class AverageAggregate(CompositeAggregate):
     """Mean reading across contributing sensors: a (Sum, Count) composite."""
 
-    def __init__(self, num_bitmaps: int = 40, bits: int = 32) -> None:
-        super().__init__(
-            [SumAggregate(num_bitmaps, bits), CountAggregate(num_bitmaps, bits)]
-        )
+    def __init__(self, num_bitmaps: int = 40) -> None:
+        super().__init__([SumAggregate(num_bitmaps), CountAggregate(num_bitmaps)])
         self.name = "average"
 
     def tree_eval(self, partial: TreePair) -> float:

@@ -321,12 +321,12 @@ class Aggregate(ABC, Generic[P, S]):
         """
         return False
 
-    def synopsis_packable(self) -> Optional[Tuple[int, int]]:
-        """The ``(num_bitmaps, bits)`` shape of packable synopses, or None.
+    def synopsis_packable(self) -> Optional[int]:
+        """The bitmap count of packable synopses, or None.
 
-        Contract for returning a shape: synopses are plain
-        :class:`~repro.multipath.fm.FMSketch` objects of exactly that shape
-        with ``bits == 32``, :meth:`synopsis_fuse` is bitwise OR, and
+        Contract for returning a count: synopses are plain
+        :class:`~repro.multipath.fm.FMSketch` objects with exactly that many
+        bitmaps, :meth:`synopsis_fuse` is bitwise OR, and
         :meth:`synopsis_words` is the standard packed-RLE sizing — so one
         uint32 matrix row (little-endian bitmap words) is a faithful
         synopsis and the fused kernels may OR and size rows directly.
@@ -345,7 +345,7 @@ class Aggregate(ABC, Generic[P, S]):
         Row ``j * len(nodes) + i`` must be the packed row
         (:func:`repro.multipath.fm.sketch_to_row`) of
         ``synopsis_local_block(...)[j][i]``. Only called when
-        :meth:`synopsis_packable` returned a shape.
+        :meth:`synopsis_packable` returned a count.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not pack synopses"
@@ -362,7 +362,7 @@ class Aggregate(ABC, Generic[P, S]):
         Row ``i`` must be the packed row
         (:func:`repro.multipath.fm.sketch_to_row`) of ``convert(partials[i],
         senders[i], epochs[i])``. Only called when :meth:`synopsis_packable`
-        returned a shape: the TD block kernel funnels every boundary
+        returned a count: the TD block kernel funnels every boundary
         (T -> M) delivery of a block through one call.
         """
         raise NotImplementedError(

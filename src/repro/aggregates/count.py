@@ -50,7 +50,7 @@ class CountAggregate(AdditiveFMAggregate):
         reading_rows: Sequence[Sequence[float]],
     ):
         return single_item_matrix_block(
-            self._num_bitmaps, self._bits, (self._label,), nodes, epochs
+            self._num_bitmaps, (self._label,), nodes, epochs
         )
 
     # -- truth ---------------------------------------------------------------------

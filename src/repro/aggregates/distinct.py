@@ -34,26 +34,23 @@ class DistinctCountAggregate(Aggregate[ValueSet, FMSketch]):
     Args:
         precision: readings are quantized to ``round(value * precision)``
             before counting; 1 counts distinct integers.
-        num_bitmaps / bits: FM sketch shape for the multi-path side.
+        num_bitmaps: FM sketch size for the multi-path side.
     """
 
     name = "distinct"
 
-    def __init__(
-        self, precision: float = 1.0, num_bitmaps: int = 40, bits: int = 32
-    ) -> None:
+    def __init__(self, precision: float = 1.0, num_bitmaps: int = 40) -> None:
         if precision <= 0:
             raise ConfigurationError("precision must be positive")
         self._precision = precision
         self._num_bitmaps = num_bitmaps
-        self._bits = bits
 
     def quantize(self, reading: float) -> int:
         """The integer key a reading counts as."""
         return round(float(reading) * self._precision)
 
     def _empty_sketch(self) -> FMSketch:
-        return FMSketch(self._num_bitmaps, self._bits)
+        return FMSketch(self._num_bitmaps)
 
     # -- tree ------------------------------------------------------------
 

@@ -159,7 +159,7 @@ class FilteredAggregate(Aggregate):
     def tree_partials_additive(self) -> bool:
         return self._inner.tree_partials_additive()
 
-    def synopsis_packable(self) -> Optional[Tuple[int, int]]:
+    def synopsis_packable(self) -> Optional[int]:
         return self._inner.synopsis_packable()
 
     def _accepted(self, readings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -202,7 +202,7 @@ class FilteredAggregate(Aggregate):
         mask, accepted = self._accepted(readings)
         if not mask.any():
             return np.zeros(
-                (readings.size, self._inner.synopsis_packable()[0]), dtype="<u4"
+                (readings.size, self._inner.synopsis_packable()), dtype="<u4"
             )
         rows = np.array(
             self._inner.synopsis_local_block_packed(nodes, epochs, accepted)

@@ -157,22 +157,21 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         return {synopsis.klass: synopsis}
 
     def _fm_shapes(self):
-        """The ``(num_bitmaps, bits)`` of the item and the n operator when
-        both are 32-bit FM — what ``counted_matrix`` builds in bulk — else
-        ``None``: any other ⊕ strategy keeps the per-cell block forms."""
+        """The bitmap counts of the item and the n operator when both are
+        FM — what ``counted_matrix`` builds in bulk — else ``None``: any
+        other ⊕ strategy keeps the per-cell block forms."""
         operators = (self._engine.operator, self._engine.n_operator)
-        if all(
-            isinstance(operator, FMOperator) and operator.bits == 32
-            for operator in operators
-        ):
-            return [(operator.num_bitmaps, operator.bits) for operator in operators]
+        if all(isinstance(operator, FMOperator) for operator in operators):
+            return [operator.num_bitmaps for operator in operators]
         return None
 
     @staticmethod
-    def _counted(shape, label, counts, *columns):
-        """``make(counts[i], *label, columns[0][i], ...)`` of a 32-bit FM
-        operator, for every row at once."""
-        return sketches_from_rows(counted_matrix(*shape, label, counts, *columns))
+    def _counted(num_bitmaps, label, counts, *columns):
+        """``make(counts[i], *label, columns[0][i], ...)`` of an FM
+        operator with ``num_bitmaps`` bitmaps, for every row at once."""
+        return sketches_from_rows(
+            counted_matrix(num_bitmaps, label, counts, *columns)
+        )
 
     def synopsis_local_block(
         self, nodes, epochs, reading_rows

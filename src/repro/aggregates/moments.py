@@ -101,12 +101,12 @@ class MomentsAggregate(CompositeAggregate):
     and raw moments off an evaluation with :meth:`statistics`.
     """
 
-    def __init__(self, num_bitmaps: int = 40, bits: int = 32) -> None:
+    def __init__(self, num_bitmaps: int = 40) -> None:
         super().__init__(
             [
-                _MomentCount(num_bitmaps, bits),
-                _MomentSum(num_bitmaps, bits),
-                _MomentSquares(num_bitmaps, bits),
+                _MomentCount(num_bitmaps),
+                _MomentSum(num_bitmaps),
+                _MomentSquares(num_bitmaps),
             ]
         )
         self.name = "moments"

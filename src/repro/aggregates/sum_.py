@@ -87,7 +87,6 @@ class SumAggregate(AdditiveFMAggregate):
     ):
         return counted_matrix(
             self._num_bitmaps,
-            self._bits,
             (self._label,),
             self._as_int_array(
                 np.asarray(reading_rows, dtype=np.float64).reshape(-1)

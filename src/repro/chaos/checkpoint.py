@@ -4,7 +4,7 @@ At every checkpoint boundary (a multiple of the checkpoint interval, before
 the churn event of that offset) the simulator snapshots everything its
 remaining epochs depend on: recorded results and energy totals, plus one
 section per stateful part — channel, membership, scheme, chaos runtime,
-readings, ``on_epoch`` hook — written and read by the part itself through
+readings — written and read by the part itself through
 its ``checkpoint_state()`` / ``restore_state(...)`` pair; this module only
 walks them. Everything else — delivery draws, readings, fault decisions —
 is a pure keyed-hash function of (seed, node, epoch), so it needs no
@@ -146,8 +146,8 @@ def capture_run_state(
     """Snapshot everything a resumed run cannot re-derive from hashes.
 
     Each part writes its own section; a scheme without the hook is
-    ``{"kind": "opaque"}`` (nothing of it is restored), and the ``on_epoch``
-    key exists only when the simulator's hook keeps state.
+    ``{"kind": "opaque"}`` (nothing of it is restored), and the
+    ``readings`` key exists only when the readings keep state.
     """
     channel = simulator.channel
     payload: Dict[str, Any] = {
@@ -162,10 +162,9 @@ def capture_run_state(
     }
     if channel.chaos is not None:
         payload["chaos"] = channel.chaos.checkpoint_state()
-    for key, part in (("readings", readings), ("on_epoch", simulator.on_epoch)):
-        state = _state(part)
-        if state is not None:
-            payload[key] = state
+    state = _state(readings)
+    if state is not None:
+        payload["readings"] = state
     return payload
 
 
@@ -223,11 +222,10 @@ def restore_run_state(
     results.extend(
         serialization.from_jsonable(item) for item in payload["results"]
     )
-    for key, part in (("readings", readings), ("on_epoch", simulator.on_epoch)):
-        if callable(getattr(part, "restore_state", None)):
-            if key not in payload:  # written before this part kept state
-                raise ConfigurationError(
-                    f"checkpoint has no {key} state but this run keeps some"
-                )
-            part.restore_state(payload[key])
+    if callable(getattr(readings, "restore_state", None)):
+        if "readings" not in payload:  # written before the readings kept state
+            raise ConfigurationError(
+                "checkpoint has no readings state but this run keeps some"
+            )
+        readings.restore_state(payload["readings"])
     return payload["offset"]

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._hashing import hash_unit
 from repro.errors import ConfigurationError
-from repro.multipath.fm import FMSketch
+from repro.multipath.fm import BITS, FMSketch
 from repro.network.placement import BASE_STATION, NodeId
 
 
@@ -110,9 +110,9 @@ class CorruptSynopsis(FaultPlan):
         # Top level of the chosen bitmap: P(legit insert sets it) ~ 2^-31,
         # so the corrupted sketch is (almost surely) no subset of any
         # legitimate union — exactly what OR-monotonicity auditing checks.
-        bit = bucket * sketch.bits + (sketch.bits - 1)
+        bit = bucket * BITS + (BITS - 1)
         corrupted = FMSketch.from_packed(
-            sketch.num_bitmaps, sketch.bits, sketch._packed | (1 << bit)
+            sketch.num_bitmaps, sketch._packed | (1 << bit)
         )
         return replace(payload, **{field: corrupted})
 

@@ -6,7 +6,6 @@
 * :mod:`repro.core.payloads` — the wire payloads schemes exchange.
 * :mod:`repro.core.wave` — the one aggregation wave over a T/M layout.
 * :mod:`repro.core.tag_scheme` — tree aggregation (TAG baseline).
-* :mod:`repro.core.pipelined` — TAG's pipelined mode (Section 2, [10]).
 * :mod:`repro.core.sd_scheme` — synopsis diffusion over rings (SD baseline).
 * :mod:`repro.core.td_scheme` — the combined Tributary-Delta scheme.
 * :mod:`repro.core.adaptation` — TD-Coarse and TD adaptation (Section 4).
@@ -20,7 +19,6 @@ from repro.core.adaptation import (
     TDCoarsePolicy,
     TDFinePolicy,
 )
-from repro.core.pipelined import PipelinedTagScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.td_scheme import TributaryDeltaScheme
@@ -41,7 +39,6 @@ __all__ = [
     "TDCoarsePolicy",
     "TDFinePolicy",
     "TagScheme",
-    "PipelinedTagScheme",
     "SynopsisDiffusionScheme",
     "TributaryDeltaScheme",
     "LabelledTopology",

@@ -84,7 +84,6 @@ class FMOperator:
     """Best-effort ⊕ of [7], as used by the paper's §7.4.3 experiments."""
 
     num_bitmaps: int = 8
-    bits: int = 32
 
     @property
     def relative_error(self) -> float:
@@ -92,7 +91,7 @@ class FMOperator:
         return 0.78 / math.sqrt(self.num_bitmaps)
 
     def make(self, count: int, *key: object) -> FMSketch:
-        sketch = FMSketch(self.num_bitmaps, self.bits)
+        sketch = FMSketch(self.num_bitmaps)
         sketch.insert_count(count, *key)
         return sketch
 

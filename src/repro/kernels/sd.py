@@ -131,7 +131,7 @@ def local_rows(
     local = np.zeros((num_nodes, num_epochs, width), dtype=np.uint32)
     offset = 0
     for slot, block in zip(slots, blocks):
-        bitmaps = slot.synopsis_packable()[0]
+        bitmaps = slot.synopsis_packable()
         local[:, :, offset : offset + bitmaps] = np.asarray(
             slot.synopsis_local_block_packed(nodes, epochs, block)
         ).reshape(num_epochs, num_nodes, bitmaps).transpose(1, 0, 2)
@@ -244,8 +244,7 @@ class RowWave:
         offset = 0
         for bitmaps in self._sections:
             words += rle_words_rows(
-                local[:, :, offset : offset + bitmaps].reshape(cells, bitmaps),
-                32,
+                local[:, :, offset : offset + bitmaps].reshape(cells, bitmaps)
             ).reshape(num_nodes, num_epochs)
             offset += bitmaps
         if self._flag_words:

@@ -56,7 +56,7 @@ from repro.kernels.sd import (
     local_rows,
     or_sorted,
 )
-from repro.multipath.fm import FMSketch, sketch_from_row
+from repro.multipath.fm import sketch_from_row
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, gather_reading_block
@@ -66,19 +66,13 @@ def leaf_refusal(leaf, tree: bool, multipath: bool) -> Optional[str]:
     """Why one leaf slot cannot ride the rows, or None.
 
     Tributaries (``tree``) need int64-additive partials, the delta
-    (``multipath``) packable 32-bit FM synopses.
+    (``multipath``) packable FM synopses.
     """
     if getattr(leaf, "group_by_spec", None) is not None:
         return "grouped query"
     if tree and not leaf.tree_partials_additive():
         return "non-additive partials"
     if multipath and leaf.synopsis_packable() is None:
-        try:
-            empty = leaf.synopsis_empty()
-        except NotImplementedError:
-            empty = None
-        if isinstance(empty, FMSketch) and empty.bits != 32:
-            return "non-32-bit sketch"
         return "unpackable synopsis"
     return None
 
@@ -220,7 +214,7 @@ def run_td_block(
     if piggyback is not None:
         section_slots.append(piggyback)
     sections = (
-        [slot.synopsis_packable()[0] for slot in section_slots] if has_m else []
+        [slot.synopsis_packable() for slot in section_slots] if has_m else []
     )
     fm_width = sum(sections)
 

@@ -5,12 +5,9 @@
 * :mod:`repro.multipath.kmv` — k-minimum-values distinct-count sketches, our
   stand-in for the accuracy-preserving duplicate-insensitive sum operator of
   Bar-Yossef et al. (the paper's [3], Definition 1).
-* :mod:`repro.multipath.synopsis` — the SG/SF/SE framework of synopsis
-  diffusion [16].
 """
 
 from repro.multipath.fm import FMSketch
 from repro.multipath.kmv import KMVSketch
-from repro.multipath.synopsis import SynopsisSpec
 
-__all__ = ["FMSketch", "KMVSketch", "SynopsisSpec"]
+__all__ = ["FMSketch", "KMVSketch"]

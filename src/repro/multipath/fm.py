@@ -44,10 +44,13 @@ from repro.network.messages import WORD_BYTES
 #: Flajolet-Martin's bias-correction constant.
 PHI = 0.77351
 
-#: Default bitmap width (32-bit words, the paper's message convention).
-#: Shared by the schemes' batched sketch constructors so the batch and
-#: scalar paths can never disagree on sketch shape.
-DEFAULT_BITS = 32
+#: Bitmap width: one 32-bit message word per bitmap, the paper's
+#: convention (:mod:`repro.network.messages` bills 32-bit words). Every
+#: sketch, packed row and RLE size in the package uses it.
+BITS = 32
+
+#: Bits of an RLE bitmap's run-length field: ``log2(BITS)``.
+_LENGTH_FIELD = (BITS - 1).bit_length()
 
 #: Scheuermann-Mauve small-range correction exponent.
 _KAPPA = 1.75
@@ -80,7 +83,7 @@ def _trailing_zeros_capped(value: int) -> int:
     return min(63, (value & -value).bit_length() - 1)
 
 
-def _correction_table(num_bitmaps: int, bits: int) -> Tuple[float, ...]:
+def _correction_table(num_bitmaps: int) -> Tuple[float, ...]:
     """Cache-safe entry point for :func:`_correction_table_cached`.
 
     Arguments are coerced to builtin ``int`` before touching the lru_cache:
@@ -90,15 +93,15 @@ def _correction_table(num_bitmaps: int, bits: int) -> Tuple[float, ...]:
     caller would then be served it. Coercing at the single entry point
     pins the cache key type and the computation semantics at once.
     """
-    return _correction_table_cached(int(num_bitmaps), int(bits))
+    return _correction_table_cached(int(num_bitmaps))
 
 
 @lru_cache(maxsize=64)
-def _correction_table_cached(num_bitmaps: int, bits: int) -> Tuple[float, ...]:
+def _correction_table_cached(num_bitmaps: int) -> Tuple[float, ...]:
     """PCSA estimates indexed by the *total* lowest-zero sum across bitmaps.
 
     ``estimate()`` reduces a sketch to ``sum(R_j)`` — an integer in
-    [0, num_bitmaps * bits] — so the whole corrected-estimate curve for a
+    [0, num_bitmaps * BITS] — so the whole corrected-estimate curve for a
     sketch shape is a finite table. Entries use exactly the expression the
     inline computation used (same float operations, same order), so the
     lookup is byte-identical to computing from scratch.
@@ -110,7 +113,7 @@ def _correction_table_cached(num_bitmaps: int, bits: int) -> Tuple[float, ...]:
     never falls out of a 64-entry LRU.
     """
     values = []
-    for total in range(num_bitmaps * bits + 1):
+    for total in range(num_bitmaps * BITS + 1):
         mean_r = total / num_bitmaps
         corrected = 2.0**mean_r - 2.0 ** (-_KAPPA * mean_r)
         values.append(max(0.0, num_bitmaps / PHI * corrected))
@@ -118,7 +121,7 @@ def _correction_table_cached(num_bitmaps: int, bits: int) -> Tuple[float, ...]:
 
 
 @lru_cache(maxsize=64)
-def _estimate_shape(num_bitmaps: int, bits: int) -> Tuple[int, int, Tuple[float, ...]]:
+def _estimate_shape(num_bitmaps: int) -> Tuple[int, int, Tuple[float, ...]]:
     """``(ones, top_bits, table)`` of a sketch shape: all :meth:`FMSketch.estimate` needs.
 
     ``ones`` has the lowest bit of every bitmap field set, ``top_bits`` the
@@ -126,12 +129,12 @@ def _estimate_shape(num_bitmaps: int, bits: int) -> Tuple[int, int, Tuple[float,
     estimate; the body coerces to builtin ``int`` so the entry is the same
     whichever integer type populated it (numpy scalars hash equal to ints).
     """
-    num_bitmaps, bits = int(num_bitmaps), int(bits)
-    ones = sum(1 << (index * bits) for index in range(num_bitmaps))
-    return ones, ones << (bits - 1), _correction_table_cached(num_bitmaps, bits)
+    num_bitmaps = int(num_bitmaps)
+    ones = sum(1 << (index * BITS) for index in range(num_bitmaps))
+    return ones, ones << (BITS - 1), _correction_table_cached(num_bitmaps)
 
 
-def _packed_rle_words(packed: int, num_bitmaps: int, bits: int) -> int:
+def _packed_rle_words(packed: int, num_bitmaps: int) -> int:
     """Cache-safe entry point for :func:`_packed_rle_words_cached`.
 
     Same contract as :func:`_correction_table`: coerce to builtin ``int``
@@ -139,21 +142,20 @@ def _packed_rle_words(packed: int, num_bitmaps: int, bits: int) -> int:
     whether the arguments came from numpy arrays or not (a numpy uint64
     ``packed`` would silently wrap at 64 bits inside the RLE walk).
     """
-    return _packed_rle_words_cached(int(packed), int(num_bitmaps), int(bits))
+    return _packed_rle_words_cached(int(packed), int(num_bitmaps))
 
 
 @lru_cache(maxsize=1 << 15)
-def _packed_rle_words_cached(packed: int, num_bitmaps: int, bits: int) -> int:
+def _packed_rle_words_cached(packed: int, num_bitmaps: int) -> int:
     """RLE transmission size of a packed bitmap vector, in words (memoized).
 
     Sketch payloads repeat heavily within a run — every single-item sketch
-    is one of ``num_bitmaps * bits`` values, and fused synopses recur along
+    is one of ``num_bitmaps * BITS`` values, and fused synopses recur along
     stable paths — so the word sizing of a given packed value is computed
     once and reused.
     """
-    length_field = max(1, (bits - 1).bit_length())
-    total_bits = num_bitmaps * length_field
-    mask = (1 << bits) - 1
+    total_bits = num_bitmaps * _LENGTH_FIELD
+    mask = (1 << BITS) - 1
     while packed:
         bitmap = packed & mask
         if bitmap:
@@ -161,38 +163,35 @@ def _packed_rle_words_cached(packed: int, num_bitmaps: int, bits: int) -> int:
             fringe = bitmap.bit_length() - run
             if fringe > 0:
                 total_bits += fringe
-        packed >>= bits
+        packed >>= BITS
     return max(1, -(-total_bits // (WORD_BYTES * 8)))
 
 
 # The paper's 40 x 32-bit sketch shape is the hot default: build its
 # estimate table at module load so no epoch pays for it.
-_estimate_shape(40, DEFAULT_BITS)
+_estimate_shape(40)
 
 
 class FMSketch:
     """A PCSA (multi-bitmap Flajolet-Martin) distinct-count sketch.
 
-    Internally the ``num_bitmaps`` bitmaps are packed into one Python
-    integer (bitmap ``j`` occupies bits ``[j*bits, (j+1)*bits)``): fusion is
-    a single big-int OR and construction allocates no per-bitmap list. The
-    :attr:`bitmaps` property materializes the classic list view.
+    Internally the ``num_bitmaps`` bitmaps, :data:`BITS` wide each, are
+    packed into one Python integer (bitmap ``j`` occupies bits
+    ``[j*32, (j+1)*32)``): fusion is a single big-int OR and construction
+    allocates no per-bitmap list. The :attr:`bitmaps` property materializes
+    the classic list view.
     """
 
-    __slots__ = ("num_bitmaps", "bits", "_packed")
+    __slots__ = ("num_bitmaps", "_packed")
 
     def __init__(
         self,
         num_bitmaps: int = 40,
-        bits: int = DEFAULT_BITS,
         bitmaps: Optional[Sequence[int]] = None,
     ) -> None:
         if num_bitmaps <= 0:
             raise ConfigurationError("need at least one bitmap")
-        if bits <= 0:
-            raise ConfigurationError("bitmaps need at least one bit")
         self.num_bitmaps = num_bitmaps
-        self.bits = bits
         if bitmaps is None:
             self._packed = 0
         else:
@@ -200,19 +199,18 @@ class FMSketch:
                 raise SketchError("bitmap vector has the wrong length")
             packed = 0
             for index, bitmap in enumerate(bitmaps):
-                if bitmap >> bits:
+                if bitmap >> BITS:
                     raise SketchError(
-                        f"bitmap {index} does not fit in {bits} bits"
+                        f"bitmap {index} does not fit in {BITS} bits"
                     )
-                packed |= bitmap << (index * bits)
+                packed |= bitmap << (index * BITS)
             self._packed = packed
 
     @classmethod
-    def from_packed(cls, num_bitmaps: int, bits: int, packed: int) -> "FMSketch":
+    def from_packed(cls, num_bitmaps: int, packed: int) -> "FMSketch":
         """Build a sketch directly from its packed bitmap integer."""
         sketch = cls.__new__(cls)
         sketch.num_bitmaps = num_bitmaps
-        sketch.bits = bits
         sketch._packed = packed
         return sketch
 
@@ -222,11 +220,11 @@ class FMSketch:
         return list(self._iter_bitmaps())
 
     def _iter_bitmaps(self) -> Iterator[int]:
-        mask = (1 << self.bits) - 1
+        mask = (1 << BITS) - 1
         packed = self._packed
         for _ in range(self.num_bitmaps):
             yield packed & mask
-            packed >>= self.bits
+            packed >>= BITS
 
     # -- insertion ---------------------------------------------------------
 
@@ -239,9 +237,9 @@ class FMSketch:
         bucket = hash_key_from(_BUCKET_STATE, *key) % self.num_bitmaps
         level = min(
             _trailing_zeros_capped(hash_key_from(_LEVEL_STATE, *key)),
-            self.bits - 1,
+            BITS - 1,
         )
-        self._packed |= 1 << (bucket * self.bits + level)
+        self._packed |= 1 << (bucket * BITS + level)
 
     def insert_count(self, count: int, *key: object) -> None:
         """Insert ``count`` distinct virtual items derived from ``key``.
@@ -259,8 +257,7 @@ class FMSketch:
         if count == 0:
             return
         if count <= _EXACT_INSERT_LIMIT:
-            bits = self.bits
-            cap = bits - 1
+            cap = BITS - 1
             packed = self._packed
             bucket_state = hash_key_from(_BUCKET_STATE, *key)
             level_state = hash_key_from(_LEVEL_STATE, *key)
@@ -273,19 +270,18 @@ class FMSketch:
                         _trailing_zeros_capped(splitmix64(level_state ^ j)),
                         cap,
                     )
-                    packed |= 1 << (bucket * bits + level)
+                    packed |= 1 << (bucket * BITS + level)
                 self._packed = packed
                 return
             column = range(count)
             buckets = hash_key_batch(bucket_state, column)
             levels = geometric_level_batch(level_state, column)
             for bucket, level in zip(buckets.tolist(), levels.tolist()):
-                packed |= 1 << (bucket % self.num_bitmaps * bits + min(level, cap))
+                packed |= 1 << (bucket % self.num_bitmaps * BITS + min(level, cap))
             self._packed = packed
             return
         self._packed |= _bulk_bits(
             self.num_bitmaps,
-            self.bits,
             count,
             hash_key_from(_BULK_STATE, self.num_bitmaps, *key),
         )
@@ -294,13 +290,12 @@ class FMSketch:
 
     def fuse(self, other: "FMSketch") -> "FMSketch":
         """Return the union sketch (bitwise OR). ODI: order/dup insensitive."""
-        if self.num_bitmaps != other.num_bitmaps or self.bits != other.bits:
+        if self.num_bitmaps != other.num_bitmaps:
             raise SketchError("cannot fuse sketches with different shapes")
         # Hand-inlined ``from_packed``: fusion is the single hottest sketch
         # operation in the multi-path waves (millions of calls per run).
         fused = FMSketch.__new__(FMSketch)
         fused.num_bitmaps = self.num_bitmaps
-        fused.bits = self.bits
         fused._packed = self._packed | other._packed
         return fused
 
@@ -318,15 +313,13 @@ class FMSketch:
         if len(sketches) == 1:
             return first
         num_bitmaps = first.num_bitmaps
-        bits = first.bits
         packed = 0
         for sketch in sketches:
-            if sketch.num_bitmaps != num_bitmaps or sketch.bits != bits:
+            if sketch.num_bitmaps != num_bitmaps:
                 raise SketchError("cannot fuse sketches with different shapes")
             packed |= sketch._packed
         fused = FMSketch.__new__(FMSketch)
         fused.num_bitmaps = num_bitmaps
-        fused.bits = bits
         fused._packed = packed
         return fused
 
@@ -335,14 +328,14 @@ class FMSketch:
 
     def copy(self) -> "FMSketch":
         """An independent copy of this sketch."""
-        return FMSketch.from_packed(self.num_bitmaps, self.bits, self._packed)
+        return FMSketch.from_packed(self.num_bitmaps, self._packed)
 
     # -- evaluation ----------------------------------------------------------
 
     def _lowest_zero(self, bitmap: int) -> int:
         """Bit-walking reference for the run lengths :meth:`estimate` sums."""
         level = 0
-        while bitmap & 1 and level < self.bits:
+        while bitmap & 1 and level < BITS:
             bitmap >>= 1
             level += 1
         return level
@@ -357,19 +350,18 @@ class FMSketch:
         packed = self._packed
         if not packed:
             return 0.0
-        ones, top_bits, table = _estimate_shape(self.num_bitmaps, self.bits)
+        ones, top_bits, table = _estimate_shape(self.num_bitmaps)
         if packed & top_bits:
             # A full bitmap's ``+ 1`` would carry into its neighbour: take
             # the trailing-ones run of each bitmap off the packed integer
             # one field at a time (bitmaps above the highest non-empty one
             # contribute 0).
-            bits = self.bits
-            mask = (1 << bits) - 1
+            mask = (1 << BITS) - 1
             total = 0
             while packed:
                 bitmap = packed & mask
                 total += ((bitmap + 1) & ~bitmap).bit_length() - 1
-                packed >>= bits
+                packed >>= BITS
             return table[total]
         # Every field at once: ``~b & (b + 1)`` isolates each bitmap's
         # lowest unset bit 2**R_j; minus one that is R_j set bits, so the
@@ -385,10 +377,10 @@ class FMSketch:
     def words(self) -> int:
         """Transmission size in 32-bit words, using the RLE model of [17].
 
-        Memoized equivalent of ``rle_words_for_bitmaps(self.bitmaps, bits)``
+        Memoized equivalent of ``rle_words_for_bitmaps(self.bitmaps, BITS)``
         walking the packed integer directly — see :func:`_packed_rle_words`.
         """
-        return _packed_rle_words(self._packed, self.num_bitmaps, self.bits)
+        return _packed_rle_words(self._packed, self.num_bitmaps)
 
     def raw_words(self) -> int:
         """Un-encoded size: one word per bitmap."""
@@ -399,13 +391,12 @@ class FMSketch:
             return NotImplemented
         return (
             self.num_bitmaps == other.num_bitmaps
-            and self.bits == other.bits
             and self._packed == other._packed
         )
 
     def __repr__(self) -> str:
         return (
-            f"FMSketch(B={self.num_bitmaps}, bits={self.bits}, "
+            f"FMSketch(B={self.num_bitmaps}, bits={BITS}, "
             f"estimate={self.estimate():.1f})"
         )
 
@@ -428,7 +419,7 @@ def block_rows(flat: List, num: int, num_epochs: int) -> List[List]:
     return [flat[j * num : (j + 1) * num] for j in range(num_epochs)]
 
 
-def rle_words_rows(matrix, bits: int):
+def rle_words_rows(matrix):
     """RLE transmission size per row of a packed uint32 bitmap matrix.
 
     Row ``r`` equals :func:`_packed_rle_words` of the packed integer whose
@@ -441,8 +432,7 @@ def rle_words_rows(matrix, bits: int):
     words = _np.ascontiguousarray(matrix, dtype=_np.uint32)
     run = _np.bitwise_count(words & ~(words + _np.uint32(1)))
     bit_length = _np.frexp(words.astype(_np.float64))[1]
-    length_field = max(1, (bits - 1).bit_length())
-    total_bits = words.shape[1] * length_field + (bit_length - run).sum(
+    total_bits = words.shape[1] * _LENGTH_FIELD + (bit_length - run).sum(
         axis=1, dtype=_np.int64
     )
     return _np.maximum(-(-total_bits // (WORD_BYTES * 8)), 1)
@@ -451,51 +441,44 @@ def rle_words_rows(matrix, bits: int):
 def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
     """RLE transmission sizes for many sketches at once.
 
-    Entry ``i`` equals ``sketches[i].words()`` exactly. For the standard
-    32-bit-bitmap shape the whole batch is sized in one :func:`rle_words_rows`
-    pass over the (sketch x bitmap) word matrix; other shapes fall back to
-    the scalar walk. This is the payload-sizing hot path of the
+    Entry ``i`` equals ``sketches[i].words()`` exactly. Sketches of one
+    shape are sized in one :func:`rle_words_rows` pass over the (sketch x
+    bitmap) word matrix; a batch mixing bitmap counts falls back to the
+    scalar walk. This is the payload-sizing hot path of the
     level-synchronous schemes: one call sizes a whole ring level.
     """
     if not sketches:
         return []
-    first = sketches[0]
-    num_bitmaps, bits = first.num_bitmaps, first.bits
-    if bits != 32 or any(
-        s.num_bitmaps != num_bitmaps or s.bits != bits for s in sketches
-    ):
+    num_bitmaps = sketches[0].num_bitmaps
+    if any(s.num_bitmaps != num_bitmaps for s in sketches):
         return [sketch.words() for sketch in sketches]
-    width = num_bitmaps * 4  # bytes per packed vector at 32 bits/bitmap
+    width = num_bitmaps * 4  # bytes per packed vector, one word per bitmap
     buffer = b"".join(s._packed.to_bytes(width, "little") for s in sketches)
     matrix = _np.frombuffer(buffer, dtype="<u4").reshape(len(sketches), num_bitmaps)
-    return rle_words_rows(matrix, bits).tolist()
+    return rle_words_rows(matrix).tolist()
 
 
 def sketch_to_row(sketch: FMSketch):
-    """One packed uint32 row (little-endian words) for a 32-bit sketch.
+    """One packed uint32 row (little-endian words) for a sketch.
 
     Column ``j`` of the row is bitmap ``j`` — the exact byte layout of the
     packed integer, so ``sketch_from_row(sketch_to_row(s)) == s``. This is
     the bridge between the scalar sketch objects and the fused kernels'
     ``(rows, num_bitmaps)`` matrices.
     """
-    if sketch.bits != 32:
-        raise SketchError("packed rows require 32-bit bitmaps")
     return _np.frombuffer(
         sketch._packed.to_bytes(sketch.num_bitmaps * 4, "little"), dtype="<u4"
     )
 
 
 def sketch_from_row(row) -> FMSketch:
-    """Rebuild the 32-bit sketch whose packed row is ``row``."""
+    """Rebuild the sketch whose packed row is ``row``."""
     words = _np.ascontiguousarray(row, dtype="<u4")
-    return FMSketch.from_packed(
-        len(words), 32, int.from_bytes(words.tobytes(), "little")
-    )
+    return FMSketch.from_packed(len(words), int.from_bytes(words.tobytes(), "little"))
 
 
 def sketches_from_rows(matrix) -> List[FMSketch]:
-    """The 32-bit sketches of a packed ``(rows, num_bitmaps)`` matrix.
+    """The sketches of a packed ``(rows, num_bitmaps)`` matrix.
 
     Entry ``i`` is ``sketch_from_row(matrix[i])``, read off one byte buffer:
     bitmap ``j`` is word ``j``, so a row's little-endian bytes are its packed
@@ -506,7 +489,7 @@ def sketches_from_rows(matrix) -> List[FMSketch]:
     buffer, width = words.tobytes(), num_bitmaps * 4
     return [
         FMSketch.from_packed(
-            num_bitmaps, 32, int.from_bytes(buffer[i : i + width], "little")
+            num_bitmaps, int.from_bytes(buffer[i : i + width], "little")
         )
         for i in range(0, len(buffer), width)
     ]
@@ -514,19 +497,16 @@ def sketches_from_rows(matrix) -> List[FMSketch]:
 
 def single_item_matrix(
     num_bitmaps: int,
-    bits: int,
     label: Tuple[object, ...],
     *columns: Sequence[int],
 ):
     """Packed single-item sketches, vectorized: one set bit per row.
 
-    Row ``i`` is ``sketch_to_row`` of ``FMSketch(num_bitmaps, 32).insert(
+    Row ``i`` is ``sketch_to_row`` of ``FMSketch(num_bitmaps).insert(
     *label, columns[0][i], ...)`` — same hash substreams, same bit. This is
     Count's SG hot path: every node of a block creates its local synopsis
-    at once. Requires the standard 32-bit bitmap shape.
+    at once.
     """
-    if bits != 32:
-        raise SketchError("packed matrices require 32-bit bitmaps")
     buckets = hash_key_batch(hash_key_from(_BUCKET_STATE, *label), *columns)
     buckets %= _np.uint64(num_bitmaps)
     # The capped level bit as in :func:`counted_matrix`: ``y & -y``.
@@ -542,7 +522,6 @@ def single_item_matrix(
 
 def single_item_matrix_block(
     num_bitmaps: int,
-    bits: int,
     label: Tuple[object, ...],
     nodes: Sequence[int],
     epochs: Sequence[int],
@@ -555,25 +534,21 @@ def single_item_matrix_block(
     """
     if len(nodes) == 0 or len(epochs) == 0:
         return _np.zeros((len(nodes) * len(epochs), num_bitmaps), dtype="<u4")
-    return single_item_matrix(
-        num_bitmaps, bits, label, *block_columns(nodes, epochs)
-    )
+    return single_item_matrix(num_bitmaps, label, *block_columns(nodes, epochs))
 
 
 def counted_matrix(
     num_bitmaps: int,
-    bits: int,
     label: Tuple[object, ...],
     counts: Sequence[int],
     *columns: Sequence[int],
 ):
     """Packed weighted sketches, vectorized across all rows.
 
-    Row ``i`` is ``sketch_to_row`` of ``FMSketch(num_bitmaps, 32).
+    Row ``i`` is ``sketch_to_row`` of ``FMSketch(num_bitmaps).
     insert_count(counts[i], *label, columns[0][i], ...)`` — same hash
     substreams, same bits. This is the Sum SG and conversion hot path: a
-    whole epoch block builds its sketches at once. Requires the standard
-    32-bit bitmap shape.
+    whole epoch block builds its sketches at once.
 
     The exact regime hashes ~:data:`_INSERT_SLICE_ITEMS` virtual items per
     pass through the scalar path's two SplitMix64 substreams: item ``j``
@@ -584,8 +559,6 @@ def counted_matrix(
     + bucket`` lands a pass. Each count above :data:`_EXACT_INSERT_LIMIT`
     copies its binomial-regime bits in (:func:`_bulk_bits`).
     """
-    if bits != 32:
-        raise SketchError("packed matrices require 32-bit bitmaps")
     total = len(counts)
     if any(len(column) != total for column in columns):
         raise SketchError("counted columns must match counts")
@@ -638,7 +611,7 @@ def counted_matrix(
         prefix = hash_key_from(_BULK_STATE, num_bitmaps, *label)
         for row in rows.tolist():
             seed = hash_key_from(prefix, *(int(column[row]) for column in columns))
-            value = _bulk_bits(num_bitmaps, bits, int(counts[row]), seed)
+            value = _bulk_bits(num_bitmaps, int(counts[row]), seed)
             matrix[row] = _np.frombuffer(
                 value.to_bytes(num_bitmaps * 4, "little"), dtype="<u4"
             )
@@ -678,7 +651,7 @@ def _binomial(rng, n: int, p: float) -> int:
     return min(n, max(0, sample))
 
 
-def _bulk_bits(num_bitmaps: int, bits: int, count: int, seed: int) -> int:
+def _bulk_bits(num_bitmaps: int, count: int, seed: int) -> int:
     """The packed bits of ``count`` virtual items in the binomial regime.
 
     A multinomial split of ``count`` over the bitmaps, then per bitmap the
@@ -702,7 +675,7 @@ def _bulk_bits(num_bitmaps: int, bits: int, count: int, seed: int) -> int:
             share = _binomial(rng, remaining_total, 1.0 / buckets_left)
         remaining_total -= share
         level, remaining = 0, share
-        while remaining > 0 and level < bits:
+        while remaining > 0 and level < BITS:
             if remaining <= 64:
                 taken = remaining - (
                     getrandbits(64 * remaining) & _FAIR_MASKS[remaining]
@@ -711,10 +684,10 @@ def _bulk_bits(num_bitmaps: int, bits: int, count: int, seed: int) -> int:
                 half = remaining * 0.5
                 sample = int(round(gauss(half, (half * 0.5) ** 0.5)))
                 taken = min(remaining, max(0, sample))
-            if level == bits - 1:
+            if level == BITS - 1:
                 taken = remaining
             if taken > 0:
-                packed |= 1 << (bucket * bits + level)
+                packed |= 1 << (bucket * BITS + level)
             remaining -= taken
             level += 1
     return packed

@@ -12,20 +12,14 @@ This package replaces the TAG simulator used in the paper's evaluation
 * :mod:`repro.network.energy` — message/word energy accounting.
 * :mod:`repro.network.latency` — epoch-schedule latency model (footnote 6).
 * :mod:`repro.network.lifetime` — battery-lifetime prediction.
-* :mod:`repro.network.burst` — bursty (Gilbert-Elliott) and crash failures.
 * :mod:`repro.network.churn` — node churn models and dynamic membership.
-* :mod:`repro.network.linkquality` — link monitoring and maintenance [24].
+* :mod:`repro.network.packed` — ``build_packed_topology``, the registered
+  topology builders under the name the end-to-end benchmark wraps.
 * :mod:`repro.network.simulator` — the epoch-driven execution engine.
 """
 
 from repro.network.placement import Deployment, grid_random_placement
 from repro.network.radio import Connectivity, DiscRadio, QualityDiscRadio
-from repro.network.burst import (
-    CrashWindow,
-    GilbertElliottLoss,
-    NodeCrashLoss,
-    matched_gilbert_elliott,
-)
 from repro.network.churn import (
     ChurnBatch,
     ChurnContext,
@@ -55,13 +49,6 @@ from repro.network.latency import (
     latency_table,
     scheme_latency_ms,
 )
-from repro.network.linkquality import (
-    LinkQualityMonitor,
-    OnlineMaintenance,
-    ParentSwitch,
-    TreeMaintainer,
-    rebuild_rings,
-)
 from repro.network.links import Channel, TransmissionLog
 from repro.network.rings import RingsTopology
 from repro.network.messages import MessageAccountant, MessageSpec, TINYDB_MESSAGE_BYTES
@@ -74,10 +61,6 @@ __all__ = [
     "Connectivity",
     "DiscRadio",
     "QualityDiscRadio",
-    "CrashWindow",
-    "GilbertElliottLoss",
-    "NodeCrashLoss",
-    "matched_gilbert_elliott",
     "ChurnBatch",
     "ChurnContext",
     "DynamicMembership",
@@ -99,11 +82,6 @@ __all__ = [
     "compare_retransmission_strategies",
     "latency_table",
     "scheme_latency_ms",
-    "LinkQualityMonitor",
-    "OnlineMaintenance",
-    "ParentSwitch",
-    "TreeMaintainer",
-    "rebuild_rings",
     "Channel",
     "TransmissionLog",
     "RingsTopology",

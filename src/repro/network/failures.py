@@ -52,8 +52,9 @@ def loss_rates(
     """``model``'s loss rate for every (sender, receiver) pair, as float64.
 
     The model's ``loss_rate_batch`` when it has one, else its scalar
-    ``loss_rate`` per pair (the burst and crash models have only that).
-    Either way the caller sees one return type.
+    ``loss_rate`` per pair (a model registered from outside the package
+    may have only that; every built-in model has both). Either way the
+    caller sees one return type.
     """
     batch = getattr(model, "loss_rate_batch", None)
     if batch is not None:

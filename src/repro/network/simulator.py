@@ -388,15 +388,6 @@ class EpochSimulator:
         energy_model: converts channel logs to energy figures.
         adapt_interval: call ``scheme.adapt`` every this many epochs (the
             paper adapts every 10 epochs); 0 disables adaptation.
-        on_epoch: optional hook called with (epoch, channel) after every
-            epoch (warm-up included) — the attachment point for topology
-            maintenance (link probing, parent switching) that the paper
-            runs "less frequently than aggregation". Setting it cuts every
-            block to one epoch: the hook may change topology or failure
-            model between epochs, which invalidates a delivery plan. A hook
-            with a ``checkpoint_state`` / ``restore_state`` pair (e.g.
-            :class:`~repro.network.linkquality.OnlineMaintenance`) is
-            checkpointed with the run.
         membership: a :class:`~repro.network.churn.DynamicMembership`
             runtime enabling node churn. Churn events are applied at
             **churn boundaries** — before the epoch at offsets divisible by
@@ -427,8 +418,8 @@ class EpochSimulator:
             as it is recorded (measurement epochs only, in epoch order) —
             the aggregation service's streaming tap. Pure observation: it
             runs after the result is appended, cannot influence draws or
-            adaptation, and (unlike ``on_epoch``) leaves block spans
-            alone. ``None`` changes nothing.
+            adaptation, and leaves block spans alone. ``None`` changes
+            nothing.
         retention: which recorded :class:`EpochResult` objects the run
             keeps in RAM: ``all`` (the default — full timeline, the
             pre-retention behaviour), ``window:N`` (the last N, drop-
@@ -452,7 +443,6 @@ class EpochSimulator:
         seed: int = 0,
         energy_model: Optional[EnergyModel] = None,
         adapt_interval: int = 10,
-        on_epoch: Optional[Callable[[int, Channel], None]] = None,
         membership: Optional[DynamicMembership] = None,
         churn_interval: Optional[int] = None,
         faults=None,
@@ -478,7 +468,6 @@ class EpochSimulator:
         self._channel = Channel(deployment, failure_model, seed=seed)
         self._energy_model = energy_model or EnergyModel()
         self._adapt_interval = adapt_interval
-        self._on_epoch = on_epoch
         self._membership = membership
         self._churn_interval = churn_interval
         self._seed = seed
@@ -509,11 +498,6 @@ class EpochSimulator:
     def membership(self) -> Optional[DynamicMembership]:
         """The churn runtime, when node churn is enabled."""
         return self._membership
-
-    @property
-    def on_epoch(self) -> Optional[Callable[[int, Channel], None]]:
-        """The per-epoch hook (topology maintenance), if one is attached."""
-        return self._on_epoch
 
     def _effective_churn_interval(self) -> int:
         """The boundary cadence churn events are applied at."""
@@ -634,9 +618,9 @@ class EpochSimulator:
         A block never crosses an adaptation boundary (the plan's lifetime is
         one adaptation interval), a churn boundary (membership changes
         invalidate the plan's edge set) or a checkpoint boundary, and is
-        capped at :attr:`MAX_BLOCK_EPOCHS`; an ``on_epoch`` hook cuts it to
-        one epoch. Draws are keyed by epoch, so where blocks are cut never
-        changes a result — only when draws happen.
+        capped at :attr:`MAX_BLOCK_EPOCHS`. Draws are keyed by epoch, so
+        where blocks are cut never changes a result — only when draws
+        happen.
         """
         interval = self._adapt_interval
         churn_interval = self._effective_churn_interval()
@@ -647,12 +631,6 @@ class EpochSimulator:
             run_epochs = functools.partial(run_epochs_scalar, self._scheme)
         offset = start_offset
         while offset < total:
-            # Control traffic billed between blocks (an ``on_epoch`` probe,
-            # say) is in no epoch's log but must reach the audit — before
-            # the checkpoint, so a resumed auditor's totals match the maps.
-            stray_log = channel.reset_log()
-            if auditor is not None:
-                auditor.observe_log(stray_log)
             if self._checkpoint is not None and offset > start_offset:
                 self._maybe_checkpoint(offset, results, energy, readings)
             if self._membership is not None and offset % churn_interval == 0:
@@ -666,8 +644,6 @@ class EpochSimulator:
                 span = min(span, churn_interval - offset % churn_interval)
             if self._checkpoint is not None:
                 span = min(span, self._checkpoint.span_cap(offset))
-            if self._on_epoch is not None:
-                span = 1
             epochs = [start_epoch + offset + i for i in range(span)]
             pairs = run_epochs(epochs, channel, readings)
             for i, (outcome, log) in enumerate(pairs):
@@ -691,8 +667,6 @@ class EpochSimulator:
                     auditor.check_structure(
                         self._scheme, self._membership, epochs[-1]
                     )
-            if self._on_epoch is not None:
-                self._on_epoch(epochs[-1], channel)
 
     def _maybe_checkpoint(
         self,

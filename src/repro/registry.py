@@ -72,6 +72,7 @@ custom components at module import time if they must survive ``jobs > 1``.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import types
 from dataclasses import dataclass, field
@@ -144,6 +145,15 @@ def _spec_parts(spec: str, kind: str) -> Tuple[str, Tuple[str, ...]]:
     return head, tuple(args)
 
 
+def _usage(head: str, signature: inspect.Signature) -> str:
+    """The spec form a signature takes: ``head:NAME[:OPTIONAL]``."""
+    tokens = [head]
+    for parameter in signature.parameters.values():
+        token = ":" + parameter.name.upper()
+        tokens.append(token if parameter.default is parameter.empty else f"[{token}]")
+    return "".join(tokens)
+
+
 class Registry(Generic[T]):
     """A named table of components with actionable resolution errors.
 
@@ -200,17 +210,26 @@ class Registry(Generic[T]):
         """Construct from a ``name[:arg...]`` spec: the head token resolves
         the entry, which is called with the remaining tokens as strings.
 
-        ``TypeError`` / ``ValueError`` from the call (a missing token, a
-        non-number) become one :class:`ConfigurationError` naming the spec
-        as a ``word`` spec ("bad churn spec ...").
+        A token count the entry's signature does not take, or a
+        ``ValueError`` from the call (a non-number), becomes one
+        :class:`ConfigurationError` naming the spec as a ``word`` spec
+        ("bad failure spec 'regional:0.5': expected
+        regional:INSIDE:OUTSIDE"). Any other error of the entry propagates.
         """
         head, args = _spec_parts(spec, word)
         constructor = self.resolve(head)
+        signature = inspect.signature(constructor)
+        try:
+            signature.bind(*args)
+        except TypeError:
+            raise ConfigurationError(
+                f"bad {word} spec {spec!r}: expected {_usage(head, signature)}"
+            ) from None
         try:
             return constructor(*args)
         except ConfigurationError:
             raise
-        except (TypeError, ValueError) as error:
+        except ValueError as error:
             raise ConfigurationError(
                 f"bad {word} spec {spec!r}: {error}"
             ) from error

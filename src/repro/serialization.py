@@ -43,13 +43,13 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SketchError
 from repro.frequent.gk import GKSummary
 from repro.frequent.mp_fi import FrequentItemsSynopsis
 from repro.frequent.summary import Summary
 from repro.frequent.td_quantiles import QuantileSynopsis
 from repro.aggregates.sample import UniformSample
-from repro.multipath.fm import FMSketch
+from repro.multipath.fm import BITS, FMSketch
 from repro.multipath.kmv import KMVSketch
 from repro.network.energy import EnergyReport
 from repro.network.links import TransmissionLog
@@ -93,17 +93,26 @@ def _jsonable_extra(extra: Dict[str, object]) -> Dict[str, object]:
 def _encode_fm(sketch: FMSketch) -> Dict[str, Any]:
     return {
         "num_bitmaps": sketch.num_bitmaps,
-        "bits": sketch.bits,
+        "bits": BITS,
         "bitmaps": list(sketch.bitmaps),
     }
 
 
 def _decode_fm(data: Dict[str, Any]) -> FMSketch:
-    return FMSketch(
-        num_bitmaps=data["num_bitmaps"],
-        bits=data["bits"],
-        bitmaps=data["bitmaps"],
-    )
+    """An FM payload back to its sketch; a stored width other than
+    :data:`~repro.multipath.fm.BITS` or a bitmap that is not a
+    non-negative integer is refused with the field it sits in."""
+    if data["bits"] != BITS:
+        raise SketchError(
+            f"FM payload field 'bits' must be {BITS}, got {data['bits']!r}"
+        )
+    for index, bitmap in enumerate(data["bitmaps"]):
+        if type(bitmap) is not int or bitmap < 0:
+            raise SketchError(
+                f"FM payload field 'bitmaps' entry {index} must be a "
+                f"non-negative integer, got {bitmap!r}"
+            )
+    return FMSketch(num_bitmaps=data["num_bitmaps"], bitmaps=data["bitmaps"])
 
 
 def _encode_kmv(sketch: KMVSketch) -> Dict[str, Any]:

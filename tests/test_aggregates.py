@@ -23,7 +23,7 @@ from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
 from repro.api import RunConfig, build_scenario, run_config_result
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError, SketchError
-from repro.frequent.mp_fi import FMOperator, KMVOperator
+from repro.frequent.mp_fi import KMVOperator
 from repro.multipath.fm import (
     _EXACT_INSERT_LIMIT,
     FMSketch,
@@ -368,18 +368,10 @@ BLOCK_SUBJECTS = {
         )
     ),
     "workload": _workload,
+    # Not packable: the block forms loop over the scalar forms.
     "heavy-hitters-kmv": lambda: _plain(
         HeavyHittersAggregate(
             0.05, operator=KMVOperator(), n_operator=KMVOperator(k=128)
-        )
-    ),
-    # Not packable: the block forms loop over the scalar forms.
-    "count-16bit": lambda: _plain(CountAggregate(bits=16)),
-    "heavy-hitters-fm16": lambda: _plain(
-        HeavyHittersAggregate(
-            0.05,
-            operator=FMOperator(bits=16),
-            n_operator=FMOperator(num_bitmaps=16, bits=16),
         )
     ),
     "contributing": lambda: _plain(ContributingCount()),
@@ -603,18 +595,16 @@ class TestContributingCount:
         ]
 
     def test_packed_forms(self, piggyback):
-        assert piggyback.synopsis_packable() == (40, 32)
+        assert piggyback.synopsis_packable() == 40
         rows = [[None] * len(self.NODES) for _ in self.EPOCHS]
         assert (
             piggyback.synopsis_local_block_packed(self.NODES, self.EPOCHS, rows)
-            == single_item_matrix_block(
-                40, 32, ("contrib",), self.NODES, self.EPOCHS
-            )
+            == single_item_matrix_block(40, ("contrib",), self.NODES, self.EPOCHS)
         ).all()
         counts, senders, epochs = self._cells()
         assert (
             piggyback.convert_block_packed(counts, senders, epochs)
-            == counted_matrix(40, 32, ("contrib-conv",), counts, senders, epochs)
+            == counted_matrix(40, ("contrib-conv",), counts, senders, epochs)
         ).all()
 
     def test_its_synopsis_counts_its_contributors(self, piggyback):

@@ -41,6 +41,7 @@ from repro.registry import (
     SCHEMES,
     TOPOLOGIES,
     available,
+    build_failure_model,
     register_aggregate,
     register_dataset,
     register_failure_model,
@@ -461,6 +462,34 @@ class TestRegistries:
             SCHEMES.resolve("bogus")
         with pytest.raises(ConfigurationError, match="synthetic"):
             TOPOLOGIES.resolve("bogus")
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("regional:0.5", "expected regional:INSIDE:OUTSIDE"),
+            ("timeline:", "expected timeline$"),
+            ("global", "expected global:RATE$"),
+            ("global:0.1:0.2", "expected global:RATE$"),
+        ],
+    )
+    def test_a_wrong_token_count_names_the_spec_form(self, spec, expected):
+        with pytest.raises(
+            ConfigurationError, match=f"^bad failure spec '{spec}': {expected}"
+        ):
+            build_failure_model(spec)
+
+    def test_a_builder_type_error_is_not_relabelled(self):
+        @register_failure_model("broken")
+        def build_broken(rate):
+            return float(rate) + None
+
+        try:
+            with pytest.raises(TypeError, match="NoneType"):
+                build_failure_model("broken:0.1")
+            with pytest.raises(ConfigurationError, match="bad failure spec"):
+                build_failure_model("broken:high")  # ValueError: relabelled
+        finally:
+            FAILURE_MODELS.unregister("broken")
 
 
 class TestSession:

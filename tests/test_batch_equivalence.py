@@ -93,15 +93,14 @@ class TestSketchSizeModel:
         rng = random.Random(0)
         for _ in range(200):
             num_bitmaps = rng.choice((1, 8, 40))
-            bits = rng.choice((4, 16, 32))
             bitmaps = [
-                rng.randrange(0, 1 << bits) if rng.random() < 0.8 else 0
+                rng.randrange(0, 1 << 32) if rng.random() < 0.8 else 0
                 for _ in range(num_bitmaps)
             ]
-            sketch = FMSketch(num_bitmaps, bits, bitmaps)
+            sketch = FMSketch(num_bitmaps, bitmaps)
             assert sketch.words() == max(
-                1, rle_words_for_bitmaps(bitmaps, bits)
-            ), (num_bitmaps, bits, bitmaps)
+                1, rle_words_for_bitmaps(bitmaps, 32)
+            ), (num_bitmaps, bitmaps)
 
 
 class TestTransmitBatchEquivalence:

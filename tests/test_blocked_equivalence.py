@@ -11,7 +11,7 @@ logs, per-node load maps and estimates across seeds, loss rates (including
 the 0 and 1 edge cases), retransmission counts, adaptation intervals (0 =
 one big block, 1 = a plan per epoch, 10 = the paper's cadence), warm-up
 epochs, failure schedules that change loss *inside* a block, every way of
-cutting a run into blocks, ``on_epoch`` hooks, churn and kill/resume.
+cutting a run into blocks, churn and kill/resume.
 """
 
 from __future__ import annotations
@@ -418,18 +418,13 @@ REJOIN_CHURN = ScheduledChurn.of(
 )
 
 
-def _probe(epoch, channel):
-    """An ``on_epoch`` hook billing control traffic no epoch's log carries."""
-    channel.account_control(1 + epoch % 3, words=2)
-
-
 class TestSimulatorMatrix:
-    """Simulator-level: block cuts from adaptation, hooks, churn and
-    checkpoints all reproduce the oracle run, under a strict auditor."""
+    """Simulator-level: block cuts from adaptation, churn and checkpoints
+    all reproduce the oracle run, under a strict auditor."""
 
     def _run(
-        self, scenario, tree, name, adapt_interval, on_epoch,
-        use_batch=True, checkpoint=None,
+        self, scenario, tree, name, adapt_interval, use_batch=True,
+        checkpoint=None,
     ):
         scheme = build_scheme_set(
             scenario, tree, SumAggregate, use_batch=use_batch
@@ -441,7 +436,6 @@ class TestSimulatorMatrix:
             scheme,
             seed=1,
             adapt_interval=adapt_interval,
-            on_epoch=on_epoch,
             membership=DynamicMembership(
                 REJOIN_CHURN, scenario.deployment, scenario.rings, tree
             ),
@@ -452,14 +446,12 @@ class TestSimulatorMatrix:
         assert auditor.checks["billing-conservation"] > 0
         return serialization.dumps(result)
 
-    @pytest.mark.parametrize("on_epoch", (None, _probe), ids=("bare", "hook"))
     @pytest.mark.parametrize("adapt_interval", ADAPT_INTERVALS)
     @pytest.mark.parametrize("name", ("TAG", "SD", "TD"))
     def test_engine_runs_match_oracle(
-        self, small_scenario, small_tree, tmp_path, name, adapt_interval,
-        on_epoch,
+        self, small_scenario, small_tree, tmp_path, name, adapt_interval
     ):
-        args = (small_scenario, small_tree, name, adapt_interval, on_epoch)
+        args = (small_scenario, small_tree, name, adapt_interval)
         oracle = self._run(*args, use_batch=False)
         assert self._run(*args) == oracle
         with pytest.raises(SimulationKilled):
@@ -482,7 +474,6 @@ class TestVectorizedHelpers:
         rng = random.Random(0)
         for _ in range(20):
             num_bitmaps = rng.choice((1, 8, 40))
-            bits = 32
             size = rng.randrange(0, 30)
             nodes = [rng.randrange(600) for _ in range(size)]
             epochs = [rng.randrange(1000) for _ in range(size)]
@@ -491,11 +482,11 @@ class TestVectorizedHelpers:
                 for _ in range(size)
             ]
             batch = sketches_from_rows(
-                counted_matrix(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
+                counted_matrix(num_bitmaps, ("sum",), counts, nodes, epochs)
             )
             assert len(batch) == size
             for index in range(size):
-                scalar = FMSketch(num_bitmaps, bits)
+                scalar = FMSketch(num_bitmaps)
                 scalar.insert_count(
                     counts[index], "sum", nodes[index], epochs[index]
                 )
@@ -517,23 +508,24 @@ class TestVectorizedHelpers:
                     else rng.randrange(1 << 32)
                     for _ in range(num_bitmaps)
                 ]
-                sketches.append(FMSketch(num_bitmaps, 32, bitmaps))
+                sketches.append(FMSketch(num_bitmaps, bitmaps))
             assert words_batch(sketches) == [s.words() for s in sketches]
         # Every bitmap on one boundary word: run and bit length both at an
         # edge of the uint32 / float64 argument.
-        uniform = [FMSketch(40, 32, [word] * 40) for word in boundary]
+        uniform = [FMSketch(40, [word] * 40) for word in boundary]
         assert words_batch(uniform) == [s.words() for s in uniform]
-        # Non-32-bit shapes take the scalar fallback but stay identical.
-        narrow = [
-            FMSketch(8, 16, [rng.randrange(1 << 16) for _ in range(8)])
-            for _ in range(5)
+        # A batch mixing bitmap counts takes the scalar fallback but stays
+        # identical.
+        mixed = [
+            FMSketch(size, [rng.randrange(1 << 32) for _ in range(size)])
+            for size in (8, 40, 8, 1)
         ]
-        assert words_batch(narrow) == [s.words() for s in narrow]
+        assert words_batch(mixed) == [s.words() for s in mixed]
 
     def test_estimate_table_matches_direct_formula(self):
         from repro.multipath.fm import PHI, _KAPPA
 
-        sketch = FMSketch(5, 8)
+        sketch = FMSketch(5)
         for item in range(200):
             sketch.insert("x", item)
         total = sum(sketch._lowest_zero(b) for b in sketch._iter_bitmaps())

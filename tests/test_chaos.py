@@ -33,11 +33,9 @@ from repro.chaos import (
     DuplicateDelivery,
     Partition,
 )
-from repro.aggregates.average import AverageAggregate
 from repro.aggregates.count import CountAggregate
 from repro.core.adaptation import DampedPolicy, TDCoarsePolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
-from repro.core.pipelined import PipelinedTagScheme
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
 from repro.core.td_scheme import TributaryDeltaScheme
@@ -49,8 +47,8 @@ from repro.errors import (
 )
 from repro.network.churn import DynamicMembership, RandomDeaths, ScheduledChurn
 from repro.network.failures import GlobalLoss, NoLoss
-from repro.network.linkquality import OnlineMaintenance
 from repro.network.simulator import EpochSimulator
+from repro.query import WindowedReadings
 from repro.registry import FAULTS, build_fault_plan
 
 SCHEMES = ("TAG", "SD", "TD")
@@ -621,117 +619,35 @@ class TestCheckpointGoldens:
         )
 
 
-def _pipeline_readings(node, epoch):
-    return node % 7 + 10 * epoch
+class TestResumeStatefulReadings:
+    """Readings that keep state (a window's segment starts) are saved with
+    the run, and a checkpoint lacking their section is refused rather than
+    resumed with fresh state."""
 
-
-class TestResumeEveryStatefulPart:
-    """State that lives outside the scheme's topology — a pipeline's
-    in-flight payloads, a maintenance hook's link estimates — resumes too."""
-
-    def _pipelined(self, scenario, tree, aggregate, checkpoint=None):
-        scheme = PipelinedTagScheme(scenario.deployment, tree, aggregate)
+    def _windowed(self, scenario, tree, checkpoint=None):
         simulator = EpochSimulator(
             scenario.deployment,
             GlobalLoss(0.2),
-            scheme,
+            _build_scheme("TAG", scenario, tree),
             seed=3,
             adapt_interval=0,
             checkpoint=checkpoint,
         )
-        return simulator.run(30, _pipeline_readings)
+        readings = WindowedReadings(UniformReadings(10, 100, seed=1), 3)
+        return simulator.run(30, readings)
 
-    @pytest.mark.parametrize(
-        "aggregate", (CountAggregate, SumAggregate, AverageAggregate)
-    )
-    def test_pipelined_payloads_survive_kill_and_resume(
-        self, small_scenario, small_tree, tmp_path, aggregate
-    ):
-        base = self._pipelined(small_scenario, small_tree, aggregate())
-        with pytest.raises(SimulationKilled):
-            self._pipelined(
-                small_scenario,
-                small_tree,
-                aggregate(),
-                Checkpointer(tmp_path, interval=10, kill_at=10),
-            )
-        resumed = self._pipelined(
-            small_scenario,
-            small_tree,
-            aggregate(),
-            Checkpointer(tmp_path, interval=10, resume=True),
-        )
-        assert serialization.dumps(resumed) == serialization.dumps(base)
-
-    def test_pipelined_rejects_partials_it_cannot_save(
-        self, small_scenario, small_tree, tmp_path
-    ):
-        class ListSum(SumAggregate):
-            def tree_local(self, node, epoch, reading):
-                return [reading]
-
-            def tree_merge(self, a, b):
-                return a + b
-
-            def tree_eval(self, partial):
-                return float(sum(partial))
-
-            def tree_words(self, partial):
-                return 1
-
-        with pytest.raises(ConfigurationError, match="ListSum"):
-            self._pipelined(
-                small_scenario,
-                small_tree,
-                ListSum(),
-                Checkpointer(tmp_path, interval=10),
-            )
-
-    def _maintained(self, scenario, tree, checkpoint=None):
-        scheme = TagScheme(scenario.deployment, tree, SumAggregate())
-        maintenance = OnlineMaintenance(scheme, scenario.rings, interval=5)
-        simulator = EpochSimulator(
-            scenario.deployment,
-            GlobalLoss(0.3),
-            scheme,
-            seed=3,
-            adapt_interval=0,
-            on_epoch=maintenance,
-            checkpoint=checkpoint,
-        )
-        return simulator.run(60, _pipeline_readings), maintenance
-
-    def test_maintained_tree_survives_kill_and_resume(
-        self, small_scenario, small_tree, tmp_path
-    ):
-        base, straight = self._maintained(small_scenario, small_tree)
-        with pytest.raises(SimulationKilled):
-            self._maintained(
-                small_scenario,
-                small_tree,
-                Checkpointer(tmp_path, interval=10, kill_at=30),
-            )
-        resumed, maintenance = self._maintained(
-            small_scenario,
-            small_tree,
-            Checkpointer(tmp_path, interval=10, resume=True),
-        )
-        assert serialization.dumps(resumed) == serialization.dumps(base)
-        assert maintenance.switch_log == straight.switch_log
-        assert maintenance.probes_sent == straight.probes_sent
-
-    def test_maintained_refuses_a_checkpoint_without_its_state(
+    def test_refuses_a_checkpoint_without_the_readings_state(
         self, small_scenario, small_tree, tmp_path
     ):
         with pytest.raises(SimulationKilled):
-            self._maintained(
+            self._windowed(
                 small_scenario,
                 small_tree,
                 Checkpointer(tmp_path, interval=10, kill_at=10),
             )
         checkpointer = Checkpointer(tmp_path, interval=10, resume=True)
         payload = checkpointer.load()
-        del payload["on_epoch"]  # as written before the hook kept state
+        del payload["readings"]  # as written before the readings kept state
         checkpointer.write(payload)
-        with pytest.raises(ConfigurationError, match="no on_epoch state"):
-            self._maintained(small_scenario, small_tree, checkpointer)
+        with pytest.raises(ConfigurationError, match="no readings state"):
+            self._windowed(small_scenario, small_tree, checkpointer)

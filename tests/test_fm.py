@@ -8,19 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from odi import check_odi
 
 from repro._hashing import stream_rng
 from repro.errors import SketchError
 from repro.multipath import fm
 from repro.multipath.fm import (
     _EXACT_INSERT_LIMIT,
+    BITS,
     FMSketch,
     _binomial,
     _correction_table,
     counted_matrix,
     sketch_to_row,
 )
-from repro.multipath.synopsis import check_odi
 
 
 class TestInsertion:
@@ -168,36 +169,33 @@ class TestProperties:
 
     @given(
         num_bitmaps=st.integers(min_value=1, max_value=12),
-        bits=st.sampled_from((1, 5, 16, 32)),
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_estimate_matches_bit_walking_reference(
-        self, num_bitmaps, bits, data
-    ):
+    def test_estimate_matches_bit_walking_reference(self, num_bitmaps, data):
         """Trailing-ones arithmetic on the packed int == ``_lowest_zero``."""
         # Mix arbitrary bitmaps with the shapes real sketches have: solid
         # low runs, up to completely full bitmaps.
         bitmap = st.one_of(
-            st.integers(min_value=0, max_value=(1 << bits) - 1),
-            st.integers(min_value=0, max_value=bits).map(
+            st.integers(min_value=0, max_value=(1 << BITS) - 1),
+            st.integers(min_value=0, max_value=BITS).map(
                 lambda run: (1 << run) - 1
             ),
         )
         bitmaps = data.draw(
             st.lists(bitmap, min_size=num_bitmaps, max_size=num_bitmaps)
         )
-        sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+        sketch = FMSketch(num_bitmaps, bitmaps=bitmaps)
         if sketch.is_empty():
             assert sketch.estimate() == 0.0
             return
         total = sum(sketch._lowest_zero(b) for b in sketch._iter_bitmaps())
-        assert sketch.estimate() == _correction_table(num_bitmaps, bits)[total]
+        assert sketch.estimate() == _correction_table(num_bitmaps)[total]
 
 
-#: Every sketch shape in use — the heavy-hitters item (8) and n (16)
-#: operators, the paper's 40 — and small odd ones around the field edges.
-_SHAPES = [(8, 32), (16, 32), (40, 32), (1, 1), (3, 5), (7, 3), (5, 7), (2, 64)]
+#: Every sketch size in use — the heavy-hitters item (8) and n (16)
+#: operators, the paper's 40 — and small ones.
+_BITMAP_COUNTS = [8, 16, 40, 1, 2, 3, 5, 7]
 
 
 def _walked_estimate(sketch):
@@ -205,45 +203,45 @@ def _walked_estimate(sketch):
     if sketch.is_empty():
         return 0.0
     total = sum(sketch._lowest_zero(b) for b in sketch._iter_bitmaps())
-    return _correction_table(sketch.num_bitmaps, sketch.bits)[total]
+    return _correction_table(sketch.num_bitmaps)[total]
 
 
-@pytest.mark.parametrize("num_bitmaps, bits", _SHAPES)
+@pytest.mark.parametrize("num_bitmaps", _BITMAP_COUNTS)
 class TestWordParallelEstimate:
     """``estimate()`` reads all bitmaps at once; the walk is the reference."""
 
-    def test_empty_and_saturated(self, num_bitmaps, bits):
-        assert FMSketch(num_bitmaps, bits).estimate() == 0.0
-        full = FMSketch(num_bitmaps, bits, bitmaps=[(1 << bits) - 1] * num_bitmaps)
-        assert full.estimate() == _correction_table(num_bitmaps, bits)[
-            num_bitmaps * bits
+    def test_empty_and_saturated(self, num_bitmaps):
+        assert FMSketch(num_bitmaps).estimate() == 0.0
+        full = FMSketch(num_bitmaps, bitmaps=[(1 << BITS) - 1] * num_bitmaps)
+        assert full.estimate() == _correction_table(num_bitmaps)[
+            num_bitmaps * BITS
         ]
         assert full.estimate() == _walked_estimate(full)
 
-    def test_top_bit_set_takes_the_per_bitmap_walk(self, num_bitmaps, bits):
+    def test_top_bit_set_takes_the_per_bitmap_walk(self, num_bitmaps):
         """A set top bit (a full bitmap would carry into its neighbour)."""
         for position in range(num_bitmaps):
-            bitmaps = [(1 << (bits - 1)) - 1] * num_bitmaps  # runs of bits-1
-            bitmaps[position] = (1 << bits) - 1  # one saturated field
-            sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+            bitmaps = [(1 << (BITS - 1)) - 1] * num_bitmaps  # runs of 31
+            bitmaps[position] = (1 << BITS) - 1  # one saturated field
+            sketch = FMSketch(num_bitmaps, bitmaps=bitmaps)
             assert sketch.estimate() == _walked_estimate(sketch)
-            bitmaps[position] = 1 << (bits - 1)  # top bit alone: run of 0
-            sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+            bitmaps[position] = 1 << (BITS - 1)  # top bit alone: run of 0
+            sketch = FMSketch(num_bitmaps, bitmaps=bitmaps)
             assert sketch.estimate() == _walked_estimate(sketch)
 
-    def test_every_run_length_in_every_field(self, num_bitmaps, bits):
-        rng = random.Random(num_bitmaps * 1000 + bits)
+    def test_every_run_length_in_every_field(self, num_bitmaps):
+        rng = random.Random(num_bitmaps * 1000 + BITS)
         for _ in range(50):
             bitmaps = []
             for _ in range(num_bitmaps):
-                run = rng.randrange(bits + 1)
-                fringe = rng.getrandbits(bits) & ~((1 << (run + 1)) - 1)
-                bitmaps.append(((1 << run) - 1 | fringe) & ((1 << bits) - 1))
-            sketch = FMSketch(num_bitmaps, bits, bitmaps=bitmaps)
+                run = rng.randrange(BITS + 1)
+                fringe = rng.getrandbits(BITS) & ~((1 << (run + 1)) - 1)
+                bitmaps.append(((1 << run) - 1 | fringe) & ((1 << BITS) - 1))
+            sketch = FMSketch(num_bitmaps, bitmaps=bitmaps)
             assert sketch.estimate() == _walked_estimate(sketch)
 
-    def test_inserted_counts(self, num_bitmaps, bits):
-        sketch = FMSketch(num_bitmaps, bits)
+    def test_inserted_counts(self, num_bitmaps):
+        sketch = FMSketch(num_bitmaps)
         for step, count in enumerate((1, 3, 40, 700, 5000)):
             sketch.insert_count(count, "walk", step)
             assert sketch.estimate() == _walked_estimate(sketch)
@@ -263,7 +261,7 @@ class TestFuseMany:
             assert FMSketch.fuse_many(sketches[:count]) == folded
 
     def test_rejects_mismatched_shapes_like_fuse(self):
-        a, b, c = FMSketch(8), FMSketch(8), FMSketch(8, bits=16)
+        a, b, c = FMSketch(8), FMSketch(8), FMSketch(16)
         with pytest.raises(SketchError) as pairwise:
             a.fuse(c)
         with pytest.raises(SketchError) as nary:
@@ -293,22 +291,19 @@ def _reference_bulk_insert(sketch, count, *key):
         remaining_total -= share
         level = 0
         remaining = share
-        while remaining > 0 and level < sketch.bits:
+        while remaining > 0 and level < BITS:
             taken = _binomial(rng, remaining, 0.5)
-            if level == sketch.bits - 1:
+            if level == BITS - 1:
                 taken = remaining
             if taken > 0:
-                sketch._packed |= 1 << (bucket * sketch.bits + level)
+                sketch._packed |= 1 << (bucket * BITS + level)
             remaining -= taken
             level += 1
 
 
-#: Shapes the oracle runs over: the paper's 40, the heavy-hitters item
-#: and n operators, a narrow field, and odd ones around the word edges.
-_ORACLE_SHAPES = [(40, 32), (16, 32), (8, 32), (40, 8), (3, 4), (7, 17)]
-
-#: The shapes :func:`counted_matrix` packs: 32-bit bitmaps only.
-_PACKED_SHAPES = [shape for shape in _ORACLE_SHAPES if shape[1] == 32]
+#: Sketch sizes the oracle runs over: the paper's 40, the heavy-hitters
+#: item and n operators, and small odd ones.
+_ORACLE_BITMAPS = [40, 16, 8, 3, 7]
 
 #: Exact-regime boundaries: empty, the scalar/vector switch, the limit.
 _BOUNDARY_COUNTS = [0, 1, 47, 48, 49, 511, 512, 513]
@@ -333,53 +328,49 @@ class TestWeightedInsertionOracle:
 
     @given(
         count=st.integers(min_value=513, max_value=10**7),
-        shape=st.sampled_from(_ORACLE_SHAPES),
+        num_bitmaps=st.sampled_from(_ORACLE_BITMAPS),
         key=st.lists(_key_token, min_size=1, max_size=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_binomial_regime_matches_the_halving_loop(self, count, shape, key):
-        expected = FMSketch(*shape)
+    def test_binomial_regime_matches_the_halving_loop(
+        self, count, num_bitmaps, key
+    ):
+        expected = FMSketch(num_bitmaps)
         _reference_bulk_insert(expected, count, *key)
-        sketch = FMSketch(*shape)
+        sketch = FMSketch(num_bitmaps)
         sketch.insert_count(count, *key)
         assert sketch == expected
 
     @given(
         count=st.integers(min_value=513, max_value=10**7),
-        shape=st.sampled_from(_PACKED_SHAPES),
+        num_bitmaps=st.sampled_from(_ORACLE_BITMAPS),
         label=st.text(max_size=6),
         node=st.integers(min_value=0, max_value=2**40),
     )
     @settings(max_examples=30, deadline=None)
     def test_batched_binomial_regime_matches_the_halving_loop(
-        self, count, shape, label, node
+        self, count, num_bitmaps, label, node
     ):
-        expected = FMSketch(*shape)
+        expected = FMSketch(num_bitmaps)
         _reference_bulk_insert(expected, count, label, node, 7)
-        rows = counted_matrix(*shape, (label,), [count], [node], [7])
+        rows = counted_matrix(num_bitmaps, (label,), [count], [node], [7])
         assert rows.tolist() == [sketch_to_row(expected).tolist()]
 
-    @pytest.mark.parametrize(
-        "num_bitmaps, bits", _ORACLE_SHAPES + [(1, 1), (2, 64), (2, 70)]
-    )
-    def test_boundary_counts_match_insert_count(self, num_bitmaps, bits):
+    @pytest.mark.parametrize("num_bitmaps", _ORACLE_BITMAPS + [1, 2])
+    def test_boundary_counts_match_insert_count(self, num_bitmaps):
         counts = _BOUNDARY_COUNTS * 2
         nodes = list(range(len(counts)))
         epochs = [3] * len(counts)
         expected = []
         for count, node in zip(counts, nodes):
-            reference = FMSketch(num_bitmaps, bits)
+            reference = FMSketch(num_bitmaps)
             _reference_insert_count(reference, count, "sum", node, 3)
-            sketch = FMSketch(num_bitmaps, bits)
+            sketch = FMSketch(num_bitmaps)
             sketch.insert_count(count, "sum", node, 3)
             assert sketch == reference, count
             expected.append(sketch)
-        if bits == 32:
-            rows = counted_matrix(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
-            assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
-        else:
-            with pytest.raises(SketchError):
-                counted_matrix(num_bitmaps, bits, ("sum",), counts, nodes, epochs)
+        rows = counted_matrix(num_bitmaps, ("sum",), counts, nodes, epochs)
+        assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
 
     def test_slices_and_a_cell_larger_than_a_slice(self, monkeypatch):
         """Many slices per call, and cells that overflow one on their own."""
@@ -389,24 +380,24 @@ class TestWeightedInsertionOracle:
         epochs = [rng.randrange(1000) for _ in counts]
         expected = []
         for count, node, epoch in zip(counts, nodes, epochs):
-            sketch = FMSketch(40, 32)
+            sketch = FMSketch(40)
             sketch.insert_count(count, "sum", node, epoch)
             expected.append(sketch)
         monkeypatch.setattr(fm, "_INSERT_SLICE_ITEMS", 300)
-        rows = counted_matrix(40, 32, ("sum",), counts, nodes, epochs)
+        rows = counted_matrix(40, ("sum",), counts, nodes, epochs)
         assert rows.tolist() == [sketch_to_row(s).tolist() for s in expected]
 
     def test_negative_count_raises_the_scalar_error(self):
         with pytest.raises(SketchError) as scalar:
             FMSketch().insert_count(-1, "x")
         with pytest.raises(SketchError) as batch:
-            counted_matrix(40, 32, ("x",), [5, -1], [1, 2])
+            counted_matrix(40, ("x",), [5, -1], [1, 2])
         assert str(batch.value) == str(scalar.value)
 
     def test_empty_and_mismatched_columns(self):
-        assert counted_matrix(40, 32, ("x",), [], []).shape == (0, 40)
-        assert fm.sketches_from_rows(counted_matrix(40, 32, ("x",), [], [])) == []
+        assert counted_matrix(40, ("x",), [], []).shape == (0, 40)
+        assert fm.sketches_from_rows(counted_matrix(40, ("x",), [], [])) == []
         with pytest.raises(SketchError):
-            counted_matrix(40, 32, ("x",), [1, 2], [1])
+            counted_matrix(40, ("x",), [1, 2], [1])
         zeros = np.zeros(3, dtype=np.int64)
-        assert not counted_matrix(8, 32, ("x",), zeros, [1, 2, 3]).any()
+        assert not counted_matrix(8, ("x",), zeros, [1, 2, 3]).any()

@@ -143,7 +143,7 @@ def test_rle_words_matches_scalar_walk():
             sketch.insert_count(seed * 3, "bulk", seed)
         sketches.append(sketch)
     matrix = np.stack([sketch_to_row(sketch) for sketch in sketches])
-    got = rle_words_rows(matrix, 32)
+    got = rle_words_rows(matrix)
     expect = [sketch.words() for sketch in sketches]
     assert got.tolist() == expect
 
@@ -165,12 +165,12 @@ def test_rle_words_matches_the_walk_on_boundary_words():
     matrix = np.array(rows, dtype=np.uint32)
     expect = [
         _packed_rle_words(
-            sum(int(word) << (32 * index) for index, word in enumerate(row)), 8, 32
+            sum(int(word) << (32 * index) for index, word in enumerate(row)), 8
         )
         for row in rows
     ]
-    assert rle_words_rows(matrix, 32).tolist() == expect
-    assert rle_words_rows(matrix[:0], 32).tolist() == []
+    assert rle_words_rows(matrix).tolist() == expect
+    assert rle_words_rows(matrix[:0]).tolist() == []
 
 
 # -- scheme parity ----------------------------------------------------------
@@ -298,17 +298,17 @@ def test_correction_table_normalizes_numpy_keys():
     one caller's dtype poison another's lookup). Identity, not equality:
     the same tuple object proves a single cache slot.
     """
-    base = _correction_table(40, 32)
-    assert _correction_table(np.int64(40), np.uint32(32)) is base
+    base = _correction_table(40)
+    assert _correction_table(np.int64(40)) is base
 
 
 def test_rle_cache_normalizes_numpy_keys():
     sketch = FMSketch(8)
     sketch.insert_count(17, "cache", 1)
-    builtin_words = _packed_rle_words(sketch._packed, 8, 32)
+    builtin_words = _packed_rle_words(sketch._packed, 8)
     assert builtin_words == sketch.words()
     size_before = _packed_rle_words_cached.cache_info().currsize
-    numpy_words = _packed_rle_words(sketch._packed, np.int64(8), np.int64(32))
+    numpy_words = _packed_rle_words(sketch._packed, np.int64(8))
     assert numpy_words == builtin_words
     assert isinstance(numpy_words, int)
     # Same key as the builtin-int call: no numpy-typed twin entry appeared.
@@ -713,10 +713,6 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     assert refused(tag, clean) == heavy + "non-additive partials"
     assert refused(sd, clean) == heavy + "unpackable synopsis"
     assert refused(td, clean) == heavy + "non-additive partials"
-    tag, sd, td = schemes(SumAggregate(bits=16))
-    assert refused(tag, clean) is None
-    assert refused(sd, clean) == "non-32-bit sketch"
-    assert refused(td, clean) == "non-32-bit sketch"
     # Average is two FM leaf slots, each additive and packable.
     for scheme in schemes(AverageAggregate()):
         assert refused(scheme, clean) is None

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from odi import check_odi
 
 from repro.errors import ConfigurationError, SketchError
 from repro.multipath.kmv import KMVSketch, k_for_relative_error
-from repro.multipath.synopsis import check_odi
 
 
 class TestExactRegime:

@@ -1,12 +1,12 @@
-"""Tests for wire payloads, the synopsis protocol helpers, and energy."""
+"""Tests for wire payloads, the ODI check helper, and energy."""
 
 from __future__ import annotations
 
 import pytest
+from odi import check_odi
 
 from repro.core.payloads import MultipathPayload, TreePayload, combine_stats
 from repro.multipath.fm import FMSketch
-from repro.multipath.synopsis import check_odi, fuse_all
 from repro.network.energy import EnergyModel, EnergyReport
 from repro.network.links import TransmissionLog
 
@@ -55,21 +55,6 @@ class TestCombineStats:
 
 
 class TestSynopsisHelpers:
-    def test_fuse_all(self):
-        class Spec:
-            def fuse(self, a, b):
-                return a | b
-
-        assert fuse_all(Spec(), [{1}, {2}, {3}]) == {1, 2, 3}
-
-    def test_fuse_all_empty_rejected(self):
-        class Spec:
-            def fuse(self, a, b):
-                return a
-
-        with pytest.raises(ValueError):
-            fuse_all(Spec(), [])
-
     def test_check_odi_detects_non_idempotent(self):
         # Integer addition is commutative/associative but NOT idempotent.
         assert not check_odi(lambda a, b: a + b, [1, 2])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro import serialization
 from repro.aggregates.sample import UniformSample
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SketchError
 from repro.frequent.gk import GKSummary
 from repro.frequent.summary import Summary
 from repro.frequent.td_quantiles import QuantileSynopsis, synopsis_from_readings
@@ -27,8 +27,9 @@ def roundtrip(obj):
 
 class TestSketchRoundTrips:
     def test_fm_empty(self):
-        sketch = FMSketch(8, 16)
+        sketch = FMSketch(8)
         assert roundtrip(sketch) == sketch
+        assert json.loads(serialization.dumps(sketch))["bits"] == 32
 
     def test_fm_populated(self):
         sketch = FMSketch(8)
@@ -58,7 +59,7 @@ class TestSketchRoundTrips:
     @given(count=st.integers(min_value=0, max_value=300))
     @settings(max_examples=25, deadline=None)
     def test_fm_roundtrip_property(self, count):
-        sketch = FMSketch(4, 24)
+        sketch = FMSketch(4)
         sketch.insert_count(count, "bulk")
         assert roundtrip(sketch) == sketch
 
@@ -166,6 +167,21 @@ class TestFormat:
     def test_missing_tag_rejected(self):
         with pytest.raises(ConfigurationError):
             serialization.loads('{"version": 1}')
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("bits", 16, "field 'bits' must be 32, got 16"),
+            ("bitmaps", [1, 2.5, 0, 0], "field 'bitmaps' entry 1 .* got 2.5"),
+            ("bitmaps", [1, 2, -4, 0], "field 'bitmaps' entry 2 .* got -4"),
+        ],
+        ids=["16-bit", "float-bitmap", "negative-bitmap"],
+    )
+    def test_malformed_fm_payload_names_the_field(self, field, value, message):
+        payload = json.loads(serialization.dumps(FMSketch(4)))
+        payload[field] = value
+        with pytest.raises(SketchError, match=message):
+            serialization.from_jsonable(payload)
 
     def test_newer_version_rejected(self):
         payload = json.loads(serialization.dumps(FMSketch(4)))
