@@ -5,24 +5,31 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run fig2 [--full] [--seed N]
     python -m repro.cli run all --out results/
-    python -m repro.cli sweep --schemes TAG,SD,TD --seeds 1,2,3 \
-        --failures global:0.0,global:0.3 --jobs 4 --cache-dir .sweep-cache
+    python -m repro.cli sweep --grid scheme=TAG,SD,TD --grid seed=1,2,3 \
+        --set failure=global:0.3 --jobs 4 --cache-dir .sweep-cache
     python -m repro.cli describe fig2 > fig2.json
-    python -m repro.cli run-config fig2.json --epochs 10
+    python -m repro.cli run-config fig2.json --set epochs=10
     python -m repro.cli run-config fig2.json --audit strict \
         --set faults=corrupt:0.05,delay:3
     python -m repro.cli run-config fig2.json --checkpoint-dir ckpt/ --resume
 
 ``run`` regenerates a figure/table; each experiment prints (and optionally
 writes) the same rows/series the paper reports, with ``--full`` switching
-from the quick configurations to the paper-scale ones. ``sweep`` fans a
-(scheme x failure x seed) grid through :meth:`~repro.api.Session.sweep`
-(process pool, optional on-disk result cache). ``describe`` dumps the resolved
-:class:`~repro.api.RunConfig` of a named figure experiment as JSON, and
-``run-config`` executes any config file through the unified
+from the quick configurations to the paper-scale ones. ``describe`` dumps the
+resolved :class:`~repro.api.RunConfig` of a named figure experiment as JSON,
+and ``run-config`` executes any config file through the unified
 :class:`~repro.api.Session` — so ``repro describe fig2 | repro run-config
 /dev/stdin`` regenerates the figure's headline run from its declarative
-form alone.
+form alone. ``sweep`` fans a grid of configs through
+:meth:`~repro.api.Session.sweep` (process pool, optional on-disk result
+cache): each ``--grid FIELD=V1,V2,...`` is one axis over a base config (a
+file, or ``RunConfig(scheme="TAG")``), the first axis outermost.
+
+A run has one spelling on the command line: a config file plus repeatable
+``--set KEY=VALUE`` overrides of its fields (an empty value clears an
+optional field). ``run-config``, ``sweep`` and ``serve --config`` read the
+file and apply the overrides alike; no command keeps a flag of its own for
+a config field.
 """
 
 from __future__ import annotations
@@ -150,6 +157,19 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable]] = {
 }
 
 
+def _add_set_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        dest="overrides",
+        metavar="KEY=VALUE",
+        help="override any config field (repeatable), e.g. "
+        "--set num_sensors=60 --set epochs=10; an empty value clears an "
+        "optional field",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Tributary-Delta experiment runner"
@@ -166,44 +186,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", type=pathlib.Path, default=None, help="directory for .txt outputs"
     )
     sweep_parser = subparsers.add_parser(
-        "sweep", help="run a (scheme x failure x seed) grid through the pool"
+        "sweep", help="run a grid of RunConfigs through the pool"
     )
     sweep_parser.add_argument(
-        "--schemes",
-        default="TAG,SD,TD-Coarse,TD",
-        help="comma-separated scheme names",
+        "config",
+        nargs="?",
+        default=None,
+        help="base RunConfig JSON file ('-' for stdin); defaults to "
+        "RunConfig(scheme='TAG')",
     )
+    _add_set_option(sweep_parser)
     sweep_parser.add_argument(
-        "--seeds", default="1", help="comma-separated channel seeds"
-    )
-    sweep_parser.add_argument(
-        "--failures",
-        default="global:0.0,global:0.2",
-        help="comma-separated failure specs (none, global:P, regional:P1:P2)",
-    )
-    sweep_parser.add_argument("--sensors", type=int, default=600)
-    sweep_parser.add_argument("--epochs", type=int, default=100)
-    sweep_parser.add_argument("--converge", type=int, default=120)
-    sweep_parser.add_argument("--scenario-seed", type=int, default=0)
-    sweep_parser.add_argument(
-        "--aggregate",
-        default="count",
-        help="aggregate spec (count, sum, avg, heavy_hitters:0.1, ...)",
-    )
-    sweep_parser.add_argument(
-        "--reading",
-        default="constant:1.0",
-        help="workload spec (constant:V or uniform:LO:HI:SEED)",
-    )
-    sweep_parser.add_argument("--threshold", type=float, default=0.9)
-    sweep_parser.add_argument(
-        "--churn",
-        default="none",
-        help=(
-            "churn spec applied to every grid cell (none, deaths:E:K[:S], "
-            "blackout:E[:X1:Y1:X2:Y2[:REJOIN]], lifetime:J, at:E:N1+N2); "
-            "epochs are absolute and measurement starts at epoch 1000"
-        ),
+        "--grid",
+        action="append",
+        default=[],
+        metavar="FIELD=V1,V2,...",
+        help="a grid axis over one config field (repeatable; the first "
+        "axis is outermost), e.g. --grid scheme=TAG,SD --grid seed=1,2",
     )
     sweep_parser.add_argument(
         "--jobs",
@@ -246,48 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
     config_parser.add_argument(
         "config", help="path to a RunConfig JSON file ('-' for stdin)"
     )
-    config_parser.add_argument(
-        "--epochs", type=int, default=None, help="override measured epochs"
-    )
-    config_parser.add_argument(
-        "--seed", type=int, default=None, help="override the channel seed"
-    )
-    config_parser.add_argument(
-        "--scheme", default=None, help="override the scheme name"
-    )
-    config_parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        dest="overrides",
-        metavar="KEY=VALUE",
-        help="override any config field (repeatable), e.g. "
-        "--set num_sensors=60 --set converge_epochs=8",
-    )
+    _add_set_option(config_parser)
     config_parser.add_argument(
         "--cache-dir",
         type=pathlib.Path,
         default=None,
         help="directory for cached results",
-    )
-    config_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "spill epoch results to a pluggable store "
-            "(memory | jsonl:DIR | sqlite:PATH); shorthand for "
-            "--set storage=SPEC"
-        ),
-    )
-    config_parser.add_argument(
-        "--retention",
-        default=None,
-        metavar="POLICY",
-        help=(
-            "in-RAM timeline retention: all (default), window:N, or "
-            "stream; shorthand for --set retention=POLICY"
-        ),
     )
     config_parser.add_argument(
         "--out", type=pathlib.Path, default=None, help="file for the report"
@@ -346,15 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "global:0.2 loss and uniform readings"
         ),
     )
-    serve_parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        dest="overrides",
-        metavar="KEY=VALUE",
-        help="override any scenario field (repeatable), e.g. "
-        "--set num_sensors=40 --set failure=none",
-    )
+    _add_set_option(serve_parser)
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
         "--port", type=int, default=0, help="0 picks a free port"
@@ -423,41 +378,19 @@ def _run_one(name: str, quick: bool, seed: int, out: pathlib.Path | None) -> Non
 
 
 def _run_sweep(args) -> int:
-    schemes = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    try:
-        seeds = [int(token) for token in args.seeds.split(",") if token.strip()]
-    except ValueError:
-        print(f"--seeds must be comma-separated integers, got {args.seeds!r}",
-              file=sys.stderr)
-        return 2
-    failures = [
-        token.strip() for token in args.failures.split(",") if token.strip()
-    ]
-    cells = len(schemes) * len(seeds) * len(failures)
-    # More workers than cores only adds scheduling overhead: clamp explicit
-    # --jobs to the CPU count (parallel_map additionally degrades to serial
-    # on single-CPU hosts, where a pool cannot win wall-clock).
-    cpus = os.cpu_count() or 1
-    jobs = min(args.jobs, cpus) if args.jobs > 0 else min(cells, cpus)
     started = time.time()
     try:
-        # scheme, failure and seed are the grid axes: every cell replaces
-        # the base's values (failures outermost, then schemes, then seeds —
-        # the order the table lists).
-        base = RunConfig(
-            scheme="TAG",
-            num_sensors=args.sensors,
-            epochs=args.epochs,
-            converge_epochs=args.converge,
-            scenario_seed=args.scenario_seed,
-            aggregate=args.aggregate,
-            reading=args.reading,
-            threshold=args.threshold,
-            churn=args.churn,
+        base = _load_config(
+            args.config, args.overrides, RunConfig(scheme="TAG")
         )
-        report = Session(jobs=jobs, cache_dir=args.cache_dir).sweep(
-            expand_grid(base, failure=failures, scheme=schemes, seed=seeds)
-        )
+        configs = expand_grid(base, **_parse_grid(args.grid, args.overrides))
+        # More workers than cores only adds scheduling overhead: clamp
+        # explicit --jobs to the CPU count (parallel_map additionally
+        # degrades to serial on single-CPU hosts).
+        cpus = os.cpu_count() or 1
+        cells = len(configs)
+        jobs = min(args.jobs, cpus) if args.jobs > 0 else min(cells, cpus)
+        report = Session(jobs=jobs, cache_dir=args.cache_dir).sweep(configs)
     except ConfigurationError as error:
         print(f"invalid sweep configuration: {error}", file=sys.stderr)
         return 2
@@ -469,6 +402,34 @@ def _run_sweep(args) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text + "\n")
     return 0
+
+
+def _parse_grid(
+    items: Sequence[str], overrides: Sequence[str]
+) -> Dict[str, list]:
+    """The ``--grid FIELD=V1,V2,...`` axes, in command-line order."""
+    fixed = {item.partition("=")[0] for item in overrides}
+    axes: Dict[str, list] = {}
+    for item in items:
+        name, separator, raw = item.partition("=")
+        if not separator:
+            raise ConfigurationError(
+                f"--grid expects FIELD=V1,V2,..., got {item!r}"
+            )
+        if name in ("faults", "queries"):
+            raise ConfigurationError(
+                f"--grid cannot vary {name}: its values are lists, which "
+                f"commas cannot separate; run one sweep per value with "
+                f"--set {name}=..."
+            )
+        if name in axes or name in fixed:
+            raise ConfigurationError(
+                f"{name} is named twice by --set/--grid; give each field once"
+            )
+        axes[name] = [
+            _coerce_field(name, token.strip()) for token in raw.split(",")
+        ]
+    return axes
 
 
 def _parse_bool(name: str, raw: str) -> bool:
@@ -504,6 +465,8 @@ def _coerce_field(name: str, raw: str) -> object:
             f"unknown config field {name!r}; expected one of "
             + ", ".join(sorted(fields))
         )
+    if raw == "" and fields[name].default is None:
+        return None
     if name == "queries":
         # A workload on the command line: a JSON list of query specs,
         # e.g. --set queries='[{"name":"c","aggregate":"count"}]'.
@@ -518,7 +481,7 @@ def _coerce_field(name: str, raw: str) -> object:
             ) from error
     if name == "faults":
         # Comma-separated fault specs (specs themselves use colons), e.g.
-        # --set faults=corrupt:0.05,delay:3. Empty clears the field.
+        # --set faults=corrupt:0.05,delay:3.
         return [token.strip() for token in raw.split(",") if token.strip()]
     default = fields[name].default
     if isinstance(default, bool):
@@ -552,28 +515,28 @@ def _describe(args) -> int:
     return 0
 
 
+def _load_config(
+    path: str | None, overrides: Sequence[str], default: RunConfig | None = None
+) -> RunConfig:
+    """The config file at ``path`` ('-' is stdin; None is ``default``)
+    with the ``--set`` overrides applied."""
+    if path is None:
+        config = default
+    else:
+        try:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                text = pathlib.Path(path).read_text()
+        except OSError as error:
+            raise ConfigurationError(f"cannot read config: {error}") from error
+        config = RunConfig.from_json(text)
+    return config.replace(**_parse_overrides(overrides))
+
+
 def _run_config(args) -> int:
     try:
-        if args.config == "-":
-            text = sys.stdin.read()
-        else:
-            text = pathlib.Path(args.config).read_text()
-    except OSError as error:
-        print(f"cannot read config: {error}", file=sys.stderr)
-        return 2
-    try:
-        config = RunConfig.from_json(text)
-        overrides = _parse_overrides(args.overrides)
-        for name in ("epochs", "seed", "scheme"):
-            value = getattr(args, name)
-            if value is not None:
-                overrides[name] = value
-        if args.store is not None:
-            overrides["storage"] = args.store
-        if args.retention is not None:
-            overrides["retention"] = args.retention
-        if overrides:
-            config = config.replace(**overrides)
+        config = _load_config(args.config, args.overrides)
         if (args.resume or args.kill_at is not None) and (
             args.checkpoint_dir is None
         ):
@@ -636,24 +599,18 @@ def _serve(args) -> int:
     from repro.service import AggregationServer
 
     try:
-        if args.config is not None:
-            if args.config == "-":
-                text = sys.stdin.read()
-            else:
-                text = pathlib.Path(args.config).read_text()
-            config = RunConfig.from_json(text)
-        else:
-            config = RunConfig(
+        config = _load_config(
+            args.config,
+            args.overrides,
+            RunConfig(
                 scheme="TD",
                 failure="global:0.2",
                 num_sensors=60,
                 converge_epochs=20,
                 reading="uniform:10:100:0",
                 epochs=0,
-            )
-        overrides = _parse_overrides(args.overrides)
-        if overrides:
-            config = config.replace(**overrides)
+            ),
+        )
         if args.resume and args.checkpoint_dir is None:
             raise ConfigurationError("--resume needs --checkpoint-dir")
         server = AggregationServer(

@@ -39,7 +39,6 @@ from repro.network.failures import (
 )
 from repro.network.lifetime import (
     LifetimeReport,
-    MoteEnergyModel,
     lifetime_from_run,
     predict_lifetimes,
 )
@@ -52,7 +51,7 @@ from repro.network.latency import (
 from repro.network.links import Channel, TransmissionLog
 from repro.network.rings import RingsTopology
 from repro.network.messages import MessageAccountant, MessageSpec, TINYDB_MESSAGE_BYTES
-from repro.network.energy import EnergyModel, EnergyReport
+from repro.network.energy import EnergyModel, EnergyReport, MoteEnergyModel
 from repro.network.simulator import EpochResult, EpochSimulator, RunResult
 
 __all__ = [

@@ -54,7 +54,7 @@ from typing import (
 
 from repro._hashing import hash_unit, stream_rng
 from repro.errors import ConfigurationError
-from repro.network.energy import EnergyModel
+from repro.network.energy import EnergyModel, MoteEnergyModel
 from repro.network.placement import BASE_STATION, Deployment, NodeId, Point
 from repro.network.rings import RingsTopology
 from repro.tree.repair import (
@@ -252,16 +252,16 @@ class LifetimeChurn:
     A node dies at the first boundary where its cumulative transmission
     energy plus ``overhead_uj_per_epoch * epochs_elapsed`` (idle listening,
     reception, CPU — the duty-cycle bill of
-    :class:`repro.network.lifetime.MoteEnergyModel`) reaches the battery.
+    :class:`repro.network.energy.MoteEnergyModel`) reaches the battery.
     Tree hotspots — nodes aggregating large subtrees — spend fastest and
     die first, which is exactly the dynamics the lifetime experiments
     predict statically.
     """
 
     battery_j: float
-    #: MoteEnergyModel defaults: 2 received messages (8 uJ each) + 30 uJ
-    #: listening + 0.05 uJ CPU per epoch.
-    overhead_uj_per_epoch: float = 46.05
+    #: An idle mote's epoch under the MoteEnergyModel defaults: two
+    #: received messages, listening and CPU.
+    overhead_uj_per_epoch: float = MoteEnergyModel().epoch_cost_uj(0, 0, 2)
 
     def __post_init__(self) -> None:
         if self.battery_j <= 0:
@@ -389,18 +389,12 @@ class DynamicMembership:
         deployment: Deployment,
         rings: RingsTopology,
         tree: Tree,
-        energy_model: Optional[EnergyModel] = None,
     ) -> None:
         self._model = model
         self._deployment = deployment
         #: The full radio graph; every re-ringing restricts this, so nodes
         #: can rejoin with their original links.
         self._connectivity = rings.connectivity
-        #: Explicit override for lifetime billing; when None, the energy
-        #: model the simulator passes to :meth:`advance` applies, keeping
-        #: churn's battery accounting and the run's energy report on one
-        #: cost model.
-        self._energy_model = energy_model
         self.rings = rings
         self.tree = tree
         self.alive = set(deployment.node_ids)
@@ -464,7 +458,7 @@ class DynamicMembership:
         channel,
         energy_model: Optional[EnergyModel],
     ) -> ChurnContext:
-        model = self._energy_model or energy_model or EnergyModel()
+        model = energy_model or EnergyModel()
         per_node_words = channel.per_node_words()
         per_node_messages = channel.per_node_messages()
         per_node_uj: Dict[NodeId, float] = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.errors import ConfigurationError
 from repro.network.links import TransmissionLog
 from repro.network.messages import WORD_BYTES
 from repro.network.placement import NodeId
@@ -36,6 +37,48 @@ class EnergyModel:
     def transmission_cost(self, messages: int, words: int) -> float:
         """Energy (microjoules) of sending ``messages`` holding ``words``."""
         return messages * self.per_message_uj + words * WORD_BYTES * self.per_byte_uj
+
+
+@dataclass(frozen=True)
+class MoteEnergyModel:
+    """Per-epoch energy bill of one mote.
+
+    Attributes:
+        transmit: the message/byte transmission model.
+        receive_per_message_uj: cost to receive and decode one message.
+        listen_per_epoch_uj: idle-listening cost of the node's receive
+            window each epoch (radios burn power listening even when
+            nothing arrives — the reason duty cycling exists).
+        cpu_per_epoch_uj: local computation; "several orders of magnitude"
+            below communication per the paper, but billed for honesty.
+    """
+
+    transmit: EnergyModel = field(default_factory=EnergyModel)
+    receive_per_message_uj: float = 8.0
+    listen_per_epoch_uj: float = 30.0
+    cpu_per_epoch_uj: float = 0.05
+
+    def __post_init__(self) -> None:
+        if (
+            self.receive_per_message_uj < 0
+            or self.listen_per_epoch_uj < 0
+            or self.cpu_per_epoch_uj < 0
+        ):
+            raise ConfigurationError("energy costs cannot be negative")
+
+    def epoch_cost_uj(
+        self,
+        transmit_messages: float,
+        transmit_words: float,
+        received_messages: float,
+    ) -> float:
+        """One epoch's total microjoules for one mote."""
+        return (
+            self.transmit.transmission_cost(transmit_messages, transmit_words)
+            + received_messages * self.receive_per_message_uj
+            + self.listen_per_epoch_uj
+            + self.cpu_per_epoch_uj
+        )
 
 
 @dataclass

@@ -7,8 +7,8 @@ accounting in :mod:`repro.network.energy` measures the *rate* of spend;
 this module turns rates into **lifetimes** — the quantity a deployment
 actually plans around:
 
-* :class:`MoteEnergyModel` — the full duty-cycle bill: transmission (from
-  the existing model) plus reception, idle listening during the node's
+* :class:`~repro.network.energy.MoteEnergyModel` — the full duty-cycle
+  bill: transmission plus reception, idle listening during the node's
   receive windows, and the (orders-of-magnitude smaller [1, 18]) CPU cost.
 * :class:`LifetimeReport` — epochs until the first mote dies, until any
   fraction of the network dies, and the spend-ranked hotspot list (in tree
@@ -21,55 +21,13 @@ actually plans around:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.network.energy import EnergyModel
+from repro.network.energy import MoteEnergyModel
 from repro.network.placement import NodeId
 from repro.network.simulator import RunResult
-
-
-@dataclass(frozen=True)
-class MoteEnergyModel:
-    """Per-epoch energy bill of one mote.
-
-    Attributes:
-        transmit: the message/byte transmission model.
-        receive_per_message_uj: cost to receive and decode one message.
-        listen_per_epoch_uj: idle-listening cost of the node's receive
-            window each epoch (radios burn power listening even when
-            nothing arrives — the reason duty cycling exists).
-        cpu_per_epoch_uj: local computation; "several orders of magnitude"
-            below communication per the paper, but billed for honesty.
-    """
-
-    transmit: EnergyModel = field(default_factory=EnergyModel)
-    receive_per_message_uj: float = 8.0
-    listen_per_epoch_uj: float = 30.0
-    cpu_per_epoch_uj: float = 0.05
-
-    def __post_init__(self) -> None:
-        if (
-            self.receive_per_message_uj < 0
-            or self.listen_per_epoch_uj < 0
-            or self.cpu_per_epoch_uj < 0
-        ):
-            raise ConfigurationError("energy costs cannot be negative")
-
-    def epoch_cost_uj(
-        self,
-        transmit_messages: float,
-        transmit_words: float,
-        received_messages: float,
-    ) -> float:
-        """One epoch's total microjoules for one mote."""
-        return (
-            self.transmit.transmission_cost(transmit_messages, transmit_words)
-            + received_messages * self.receive_per_message_uj
-            + self.listen_per_epoch_uj
-            + self.cpu_per_epoch_uj
-        )
 
 
 @dataclass

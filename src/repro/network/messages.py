@@ -43,10 +43,7 @@ class MessageSpec:
 class MessageAccountant:
     """Maps payload word counts to TinyDB message counts."""
 
-    def __init__(self, message_bytes: int = TINYDB_MESSAGE_BYTES) -> None:
-        if message_bytes < WORD_BYTES:
-            raise ConfigurationError("a message must hold at least one word")
-        self._words_per_message = message_bytes // WORD_BYTES
+    def __init__(self) -> None:
         # Payload sizes repeat constantly (every Count partial is one word,
         # every sketch a handful); memoize the immutable specs.
         self._spec_cache: dict[int, MessageSpec] = {}
@@ -54,7 +51,7 @@ class MessageAccountant:
     @property
     def words_per_message(self) -> int:
         """Payload words that fit in one message."""
-        return self._words_per_message
+        return WORDS_PER_MESSAGE
 
     def spec_for_words(self, words: int) -> MessageSpec:
         """Number of messages needed for a payload of ``words`` words.
@@ -68,7 +65,7 @@ class MessageAccountant:
         if words <= 0:
             spec = MessageSpec(words=max(words, 0), messages=1)
         else:
-            messages = -(-words // self._words_per_message)  # ceil division
+            messages = -(-words // WORDS_PER_MESSAGE)  # ceil division
             spec = MessageSpec(words=words, messages=messages)
         self._spec_cache[words] = spec
         return spec

@@ -725,7 +725,9 @@ def _build_blackout(
 
 
 @register_churn("lifetime")
-def _build_lifetime(battery_j: str, overhead: str = "46.05") -> LifetimeChurn:
+def _build_lifetime(
+    battery_j: str, overhead: str = str(LifetimeChurn.overhead_uj_per_epoch)
+) -> LifetimeChurn:
     """``lifetime:BATTERY_J[:OVERHEAD_UJ]`` — battery-exhaustion churn."""
     return LifetimeChurn(float(battery_j), overhead_uj_per_epoch=float(overhead))
 

@@ -2,8 +2,8 @@
 
 The retention layer lets a run drop :class:`EpochResult` objects from RAM
 as they stream past; this module gives them somewhere durable to go. A
-*store spec* string on ``RunConfig.storage`` (or ``--store`` on the CLI)
-names a registered backend plus its target::
+*store spec* string on ``RunConfig.storage`` (``--set storage=SPEC`` on the
+CLI) names a registered backend plus its target::
 
     memory              in-process dict (the default when a spec is given
                         without one being needed; survives for the life of

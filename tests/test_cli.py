@@ -102,8 +102,8 @@ class TestDescribeAndRunConfig:
             [
                 "run-config",
                 str(path),
-                "--epochs",
-                "2",
+                "--set",
+                "epochs=2",
                 "--set",
                 "failure=global:0.2",
                 "--out",
@@ -147,3 +147,101 @@ class TestDescribeAndRunConfig:
         assert main(["run-config", str(path), "--set", "use_blocked=false"]) == 2
         assert "use_batch=false" in capsys.readouterr().err
         assert main(["run-config", str(path), "--set", "use_blocked=true"]) == 0
+
+
+class TestOneSpellingForARun:
+    """A run is a RunConfig plus ``--set``/``--grid``: no shadow flags."""
+
+    def test_no_command_option_shadows_a_config_field(self):
+        import argparse
+        import dataclasses
+
+        from repro.api import RunConfig
+        from repro.cli import _build_parser
+
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        commands = next(
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        for name in ("run-config", "sweep", "serve"):
+            dests = {action.dest for action in commands[name]._actions}
+            assert dests & fields == set(), name
+
+    @staticmethod
+    def _write(tmp_path, **fields):
+        from repro.api import RunConfig
+
+        path = tmp_path / "config.json"
+        path.write_text(
+            RunConfig(
+                scheme="TAG", num_sensors=20, epochs=1, converge_epochs=0,
+                **fields,
+            ).to_json()
+        )
+        return str(path)
+
+    @staticmethod
+    def _rows(output):
+        lines = output.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("---"))
+        return [tuple(line.split()[:3]) for line in lines[start + 1:] if line]
+
+    def test_grid_axes_follow_command_line_order(self, tmp_path, capsys):
+        path = self._write(tmp_path, failure="global:0.2")
+        grid = ["--grid", "scheme=TAG,SD", "--grid", "seed=1,2"]
+        assert main(["sweep", path, "--jobs", "1"] + grid) == 0
+        assert self._rows(capsys.readouterr().out) == [
+            ("global:0.2", "TAG", "1"),
+            ("global:0.2", "TAG", "2"),
+            ("global:0.2", "SD", "1"),
+            ("global:0.2", "SD", "2"),
+        ]
+        assert main(["sweep", path, "--jobs", "1"] + grid[2:] + grid[:2]) == 0
+        assert self._rows(capsys.readouterr().out) == [
+            ("global:0.2", "TAG", "1"),
+            ("global:0.2", "SD", "1"),
+            ("global:0.2", "TAG", "2"),
+            ("global:0.2", "SD", "2"),
+        ]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--grid", "faults=corrupt:0.1"], "--grid cannot vary faults"),
+            (["--grid", "queries=[]"], "--grid cannot vary queries"),
+            (["--grid", "seed=1", "--set", "seed=2"], "named twice"),
+            (["--grid", "seed=1", "--grid", "seed=2"], "named twice"),
+            (["--grid", "seed"], "FIELD=V1,V2"),
+            (["--grid", "seed=1,x"], "seed expects a number"),
+            (["--grid", "sensors=20"], "unknown config field 'sensors'"),
+        ],
+    )
+    def test_bad_grids_are_refused(self, tmp_path, capsys, args, message):
+        assert main(["sweep", self._write(tmp_path)] + args) == 2
+        error = capsys.readouterr().err
+        assert "invalid sweep configuration" in error and message in error
+
+    def test_empty_value_clears_an_optional_field(self, tmp_path):
+        from repro.cli import _load_config
+
+        path = self._write(tmp_path, query="SELECT avg", storage="memory")
+        assert _load_config(path, ["query="]).query is None
+        assert _load_config(path, ["storage="]).storage is None
+        workload = self._write(
+            tmp_path, queries=[{"name": "c", "aggregate": "count"}]
+        )
+        assert _load_config(workload, ["queries="]).queries is None
+
+    def test_a_described_query_becomes_a_workload(self, tmp_path, capsys):
+        path = self._write(tmp_path, query="SELECT avg")
+        queries = '[{"name":"c","aggregate":"count"},{"name":"s","aggregate":"sum"}]'
+        assert main(["run-config", path, "--set", f"queries={queries}"]) == 2
+        assert "both 'query' and 'queries'" in capsys.readouterr().err
+        code = main(
+            ["run-config", path, "--set", "query=", "--set", f"queries={queries}"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "query c:" in output and "query s:" in output

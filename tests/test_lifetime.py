@@ -45,6 +45,16 @@ class TestMoteEnergyModel:
         with pytest.raises(ConfigurationError):
             MoteEnergyModel(receive_per_message_uj=-1.0)
 
+    def test_lifetime_churn_bills_an_idle_epoch(self):
+        """Lifetime churn's overhead is the idle mote's duty-cycle bill."""
+        from repro.network.churn import LifetimeChurn
+        from repro.registry import build_churn_model
+
+        overhead = MoteEnergyModel().epoch_cost_uj(0, 0, 2)
+        assert overhead == LifetimeChurn(1.0).overhead_uj_per_epoch == 46.05
+        spec = build_churn_model("lifetime:1")
+        assert spec.overhead_uj_per_epoch == overhead
+
 
 class TestPredictLifetimes:
     def test_basic_division(self):

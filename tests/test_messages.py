@@ -35,10 +35,6 @@ class TestMessageAccountant:
         spec = accountant.spec_for_words(WORDS_PER_MESSAGE + 1)
         assert spec.messages == 2
 
-    def test_rejects_tiny_message(self):
-        with pytest.raises(ConfigurationError):
-            MessageAccountant(message_bytes=2)
-
 
 class TestRLE:
     def test_empty_bitmap_costs_length_field_only(self):

@@ -128,18 +128,18 @@ class TestCliSweep:
         code = cli_main(
             [
                 "sweep",
-                "--schemes",
-                "TAG,SD",
-                "--seeds",
-                "1",
-                "--failures",
-                "global:0.2",
-                "--sensors",
-                "40",
-                "--epochs",
-                "4",
-                "--converge",
-                "6",
+                "--grid",
+                "failure=global:0.2",
+                "--grid",
+                "scheme=TAG,SD",
+                "--grid",
+                "seed=1",
+                "--set",
+                "num_sensors=40",
+                "--set",
+                "epochs=4",
+                "--set",
+                "converge_epochs=6",
                 "--jobs",
                 "2",
                 "--cache-dir",

@@ -8,7 +8,7 @@ the service all read it, so the spellings cannot drift apart:
 * a one-entry workload is its single-query form, ``GROUP BY`` included;
 * a single-target one-liner is named by its target, in a report and in
   the service alike;
-* ``repro sweep --aggregate`` accepts what the registry resolves.
+* ``repro sweep --set aggregate=...`` accepts what the registry resolves.
 """
 
 from __future__ import annotations
@@ -162,22 +162,20 @@ class TestOneHandleRule:
 class TestSweepAggregate:
     ARGS = [
         "sweep",
-        "--schemes",
-        "TAG",
-        "--failures",
-        "global:0.2",
-        "--sensors",
-        "20",
-        "--epochs",
-        "2",
-        "--converge",
-        "2",
+        "--grid",
+        "failure=global:0.2",
+        "--set",
+        "num_sensors=20",
+        "--set",
+        "epochs=2",
+        "--set",
+        "converge_epochs=2",
     ]
 
     def test_registry_aggregates_are_accepted(self, capsys):
-        assert main(self.ARGS + ["--aggregate", "avg"]) == 0
+        assert main(self.ARGS + ["--set", "aggregate=avg"]) == 0
         assert "TAG" in capsys.readouterr().out
 
     def test_unknown_aggregate_is_a_configuration_error(self, capsys):
-        assert main(self.ARGS + ["--aggregate", "nope"]) == 2
+        assert main(self.ARGS + ["--set", "aggregate=nope"]) == 2
         assert "invalid sweep configuration" in capsys.readouterr().err
