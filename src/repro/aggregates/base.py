@@ -95,16 +95,17 @@ class Aggregate(ABC, Generic[P, S]):
         epochs: Sequence[int],
         readings: np.ndarray,
     ) -> np.ndarray:
-        """Tree partials of a block as one int64 ``(epochs, nodes)`` matrix.
+        """Tree partials of a block as one ``(epochs, nodes)`` matrix.
 
         ``readings`` is the float64 ``(epochs, nodes)`` matrix of
         :func:`~repro.network.simulator.gather_reading_block`; cell
         ``[j, i]`` must equal ``tree_local(nodes[i], epochs[j],
         readings[j, i])``, and invalid readings must raise what
         :meth:`tree_local` raises. Only called when
-        :meth:`tree_partials_additive` returned ``True`` — this is how the
-        fused kernels get their partial matrix without a Python object per
-        cell.
+        :meth:`tree_partials_additive` returned ``True`` (an int64 matrix)
+        or :meth:`extremum_ufunc` returned a ufunc (a float64 one) — this is
+        how the fused kernels get their partial matrix without a Python
+        object per cell.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no array-native tree partials"
@@ -334,6 +335,24 @@ class Aggregate(ABC, Generic[P, S]):
         """
         return None
 
+    def extremum_ufunc(self) -> Optional[np.ufunc]:
+        """The ufunc merging this aggregate's partials, or None.
+
+        Contract for returning one (``np.maximum`` or ``np.minimum``): the
+        tree partial and the synopsis are the same float, merged and fused
+        by that ufunc (so duplicate-insensitive); :meth:`convert` is the
+        identity; :meth:`tree_empty` is the infinity the ufunc never picks;
+        tree and synopsis words are constant; and :meth:`tree_local_matrix`
+        is the float64 form of :meth:`tree_local` and
+        :meth:`synopsis_local` alike. Local values must fold alike in any
+        order — no NaN, no ``-0.0`` — since the fused kernels reduce a
+        level's deliveries in scatter order. Each such leaf rides the
+        kernels as one float64 *extremum column*. ``None`` (the default)
+        leaves the leaf to :meth:`tree_partials_additive` and
+        :meth:`synopsis_packable`.
+        """
+        return None
+
     def synopsis_local_block_packed(
         self,
         nodes: Sequence[int],
@@ -378,9 +397,10 @@ class Aggregate(ABC, Generic[P, S]):
         tuples of its leaves' (:meth:`from_leaves` rebuilds one). The
         reading slot is the index of the workload reading a leaf reads, or
         None for the bare reading. The kernel gives each leaf one int64
-        partial column and one packed row section, so a block fuses exactly
-        when every leaf has additive partials and packable synopses. A plain
-        aggregate is its own one leaf.
+        partial column and one packed row section, or one float64 extremum
+        column on both sides, so a block fuses exactly when every leaf has
+        additive partials and packable synopses or an
+        :meth:`extremum_ufunc`. A plain aggregate is its own one leaf.
         """
         return [(self, None)]
 

@@ -162,6 +162,9 @@ class FilteredAggregate(Aggregate):
     def synopsis_packable(self) -> Optional[int]:
         return self._inner.synopsis_packable()
 
+    def extremum_ufunc(self) -> Optional[np.ufunc]:
+        return self._inner.extremum_ufunc()
+
     def _accepted(self, readings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The predicate over a float64 readings array, and the readings to
         hand the inner aggregate: rejected cells read the first accepted
@@ -186,7 +189,8 @@ class FilteredAggregate(Aggregate):
     def tree_local_matrix(self, nodes, epochs, readings: np.ndarray) -> np.ndarray:
         mask, accepted = self._accepted(readings)
         if not mask.any():
-            return np.full(readings.shape, self._inner.tree_empty(), dtype=np.int64)
+            # int64 zeros for an additive inner, +/-inf for an extremum.
+            return np.full(readings.shape, self._inner.tree_empty())
         return np.where(
             mask,
             self._inner.tree_local_matrix(nodes, epochs, accepted),

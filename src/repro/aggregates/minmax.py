@@ -4,24 +4,47 @@ min/max of a multiset does not change if elements are repeated, so the tree
 partial and the synopsis are the same scalar and the conversion is the
 identity. These aggregates incur zero approximation error in either scheme —
 only communication error.
+
+A fold of them must not depend on its order — the fused kernels reduce a
+level's deliveries in scatter order — so a local value is never ``-0.0``
+(it reads as ``0.0``) and a NaN reading is refused, naming its node and
+epoch.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.aggregates.base import Aggregate
+from repro.errors import ConfigurationError
 
 
 class _ExtremeAggregate(Aggregate[float, float]):
     """The reading ``_pick`` (min or max) selects; the neutral element
-    ``_neutral`` is the infinity it never selects."""
+    ``_neutral`` is the infinity it never selects, and ``_ufunc`` is
+    ``_pick`` over arrays."""
 
     _pick: Callable
     _neutral: float
+    _ufunc: np.ufunc
 
     def tree_local(self, node: int, epoch: int, reading: float) -> float:
-        return float(reading)
+        value = float(reading)
+        if value != value:
+            raise ConfigurationError(
+                f"{self.name} got a NaN reading at node {node}, epoch {epoch}"
+            )
+        # -0.0 + 0.0 is 0.0: the two zeros fold alike in either order.
+        return value + 0.0
+
+    def tree_local_matrix(self, nodes, epochs, readings: np.ndarray) -> np.ndarray:
+        nan = np.isnan(readings)
+        if nan.any():
+            epoch, node = np.argwhere(nan)[0].tolist()
+            self.tree_local(nodes[node], epochs[epoch], float("nan"))
+        return readings + 0.0
 
     def tree_merge(self, a: float, b: float) -> float:
         return self._pick(a, b)
@@ -53,10 +76,13 @@ class _ExtremeAggregate(Aggregate[float, float]):
 
     def exact(self, readings: Sequence[float]) -> float:
         # No sensor alive: 0.0, what an epoch nothing reached estimates.
-        return float(self._pick(readings)) if readings else 0.0
+        return float(self._pick(readings)) + 0.0 if readings else 0.0
 
     def supports_group_by(self) -> bool:
         return True
+
+    def extremum_ufunc(self) -> np.ufunc:
+        return self._ufunc
 
 
 class MinAggregate(_ExtremeAggregate):
@@ -65,6 +91,7 @@ class MinAggregate(_ExtremeAggregate):
     name = "min"
     _pick = staticmethod(min)
     _neutral = float("inf")
+    _ufunc = np.minimum
 
 
 class MaxAggregate(_ExtremeAggregate):
@@ -73,3 +100,4 @@ class MaxAggregate(_ExtremeAggregate):
     name = "max"
     _pick = staticmethod(max)
     _neutral = float("-inf")
+    _ufunc = np.maximum

@@ -1237,28 +1237,40 @@ class SweepReport:
         return series
 
     def render(self) -> str:
-        headers = [
-            "failure",
-            "scheme",
-            "seed",
-            "rms_error",
-            "mean_contributing",
-            "words/epoch",
+        """The summary table: failure, scheme and seed, then one column per
+        other config field whose value differs across the rows (a swept
+        axis), then the row's metrics."""
+        keys = ["failure", "scheme", "seed"]
+        keys += [
+            field.name
+            for field in dataclasses.fields(RunConfig)
+            if field.name not in keys
+            and any(
+                getattr(config, field.name) != getattr(self.configs[0], field.name)
+                for config in self.configs
+            )
         ]
+        headers = keys + ["rms_error", "mean_contributing", "words/epoch"]
         table_rows = []
         for config, result in self.rows():
             report = RunReport(config, result)
             table_rows.append(
-                [
-                    config.failure,
-                    config.scheme,
-                    str(config.seed),
+                [_field_text(key, getattr(config, key)) for key in keys]
+                + [
                     f"{result.rms_error():.4f}",
                     f"{report.mean_contributing_fraction():.3f}",
                     f"{report.words_per_epoch():.0f}",
                 ]
             )
         return format_table(headers, table_rows)
+
+
+def _field_text(name: str, value: object) -> str:
+    """A config field's value as one table cell: strings as they are, any
+    other value as its JSON encoding."""
+    encode = _FIELD_ENCODERS.get(name)
+    value = encode(value) if encode else value
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def expand_grid(

@@ -452,7 +452,10 @@ def _parse_overrides(items: Sequence[str]) -> Dict[str, object]:
             check_legacy_use_blocked(_parse_bool(key, raw))
             continue
         if key == "group_by":
-            check_legacy_group_by(raw)
+            # Legacy key, same rule as the JSON reader: empty (its default,
+            # None) is dropped.
+            check_legacy_group_by(raw or None)
+            continue
         overrides[key] = _coerce_field(key, raw)
     return overrides
 

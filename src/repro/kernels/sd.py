@@ -1,16 +1,20 @@
 """The packed OR-wave: the delta pass of the fused kernel.
 
-For packable aggregates (``synopsis_packable``) every multi-path payload of
-a block is one row of a uint32 matrix: one section per slot — each leaf slot
-of the query's packed bitmap words, then the piggybacked
+Every multi-path payload of a block is one row of a uint32 matrix plus a
+few float64 columns. The row holds one section per FM slot
+(``synopsis_packable``) — each FM leaf slot of the query's packed bitmap
+words, then the piggybacked
 :class:`~repro.aggregates.count.ContributingCount`'s (when the query needs
-one) — then a plain bitmap of missing-statistics reporters. Fusion is
-bitwise OR and ODI, so a level's deliveries may be OR-reduced in any
-grouping: a level's wave scatters only its delivered
-``(pair, epoch)`` cells into the receivers' accumulator cells
-(:func:`or_sorted`, one pass per fan-in rank), and wire sizing is one
-vectorized RLE pass per level (:func:`repro.multipath.fm.rle_words_rows`
-reproduces :func:`repro.multipath.fm._packed_rle_words` exactly).
+one) — then a plain bitmap of missing-statistics reporters. Beside it, each
+Min/Max leaf slot (``extremum_ufunc``) is one float64 *extremum column*.
+Fusion is bitwise OR on the row and ``np.maximum`` / ``np.minimum`` on the
+columns, all ODI, so a level's deliveries may be reduced in any grouping: a
+level's wave scatters only its delivered ``(pair, epoch)`` cells into the
+receivers' accumulator cells (:func:`or_sorted`, one pass per fan-in rank;
+:func:`scatter_columns` for the extrema), and wire sizing is one vectorized
+RLE pass per level (:func:`repro.multipath.fm.rle_words_rows` reproduces
+:func:`repro.multipath.fm._packed_rle_words` exactly) plus the extrema's
+constant words.
 
 :class:`RowWave` is that per-level step — local rows, OR with the
 accumulator, RLE sizing, billing, OR-scatter — plus the block's tallies.
@@ -139,6 +143,21 @@ def local_rows(
     return local
 
 
+def fold_columns(ufuncs, dest: np.ndarray, values: np.ndarray) -> None:
+    """``dest[..., k] = ufuncs[k](dest[..., k], values[..., k])``, in place."""
+    for column, ufunc in enumerate(ufuncs):
+        ufunc(dest[..., column], values[..., column], out=dest[..., column])
+
+
+def scatter_columns(ufuncs, dest: np.ndarray, index, values: np.ndarray) -> None:
+    """``ufuncs[k].at(dest[..., k], index, values[..., k])`` for every column
+    ``k``: the extremum twin of ``np.add.at`` and :func:`or_sorted`. Min and
+    max over order-free values (no NaN, no ``-0.0``) land alike in any
+    order."""
+    for column, ufunc in enumerate(ufuncs):
+        ufunc.at(dest[..., column], index, values[..., column])
+
+
 def or_sorted(dest, keys, values, rows=None) -> None:
     """``dest[keys[i]] |= values[rows[i]]`` (``rows`` defaults to ``i``).
 
@@ -168,9 +187,13 @@ class RowWave:
     A row is ``[section 0 | section 1 | ... | flags]`` uint32 words: each
     section (a width of 0 means absent) an FM bitmap vector billed by its
     RLE size, the trailing ``flag_words`` a plain bitmap billed
-    :func:`missing_stats_words` per set bit. The wave owns the block's
+    :func:`missing_stats_words` per set bit. Beside it, each of the
+    ``extrema`` leaves (:meth:`~repro.aggregates.base.Aggregate.extremum_ufunc`)
+    is one float64 column, reduced by its ufunc wherever the row is OR-ed
+    and billed its constant synopsis words. The wave owns the block's
     tallies (per-epoch words/messages, per-row load, the base station's
-    fused rows) and, inside :meth:`tiles`, one epoch tile's accumulator.
+    fused rows and extrema) and, inside :meth:`tiles`, one epoch tile's
+    accumulators.
     """
 
     def __init__(
@@ -180,11 +203,19 @@ class RowWave:
         num_epochs: int,
         sections: Sequence[int],
         flag_words: int = 0,
+        extrema: Sequence = (),
     ) -> None:
         self._accountant = accountant
         self._base_row = base_row
         self._sections = tuple(bitmaps for bitmaps in sections if bitmaps)
         self._flag_words = flag_words
+        self._ufuncs = [leaf.extremum_ufunc() for leaf in extrema]
+        self._neutral = np.array(
+            [leaf.tree_empty() for leaf in extrema], dtype=np.float64
+        )
+        self._extremum_words = sum(
+            int(leaf.synopsis_words(leaf.synopsis_empty())) for leaf in extrema
+        )
         self.width = sum(sections) + flag_words
         self.words_sent = np.zeros(num_epochs, dtype=np.int64)
         self.messages_sent = np.zeros(num_epochs, dtype=np.int64)
@@ -194,15 +225,19 @@ class RowWave:
         self.heard_base = np.zeros(num_epochs, dtype=bool)
         #: The base station's fused row per epoch, saved tile by tile.
         self.base_rows = np.zeros((num_epochs, self.width), dtype=np.uint32)
+        #: The base station's fused extremum columns per epoch.
+        self.base_extrema = np.empty((num_epochs, len(self._ufuncs)))
         self.acc = np.zeros((0, 0), dtype=np.uint32)
+        self.extrema = np.empty((0, 0, len(self._ufuncs)))
         self._lo = self._hi = 0
 
     def tiles(self) -> Iterator[Tuple[int, int]]:
         """Sweep the block in epoch tiles ``[lo, hi)``.
 
         Each step opens a zeroed accumulator ``acc`` (rows x flattened
-        ``(epoch, word)`` columns of the tile); when the caller comes back
-        for the next tile, the base station's rows are saved first.
+        ``(epoch, word)`` columns of the tile) and a neutral ``extrema``
+        one (rows x tile epochs x extremum columns); when the caller comes
+        back for the next tile, the base station's cells are saved first.
         """
         num_epochs = len(self.words_sent)
         step = max(1, TILE_ROW_WORDS // self.width)
@@ -212,15 +247,28 @@ class RowWave:
             self.acc = np.zeros(
                 (self._base_row + 1, (hi - lo) * self.width), dtype=np.uint32
             )
+            self.extrema = np.empty(
+                (self._base_row + 1, hi - lo, len(self._ufuncs))
+            )
+            self.extrema[...] = self._neutral
             yield lo, hi
             self.base_rows[lo:hi] = self.acc[self._base_row].reshape(
                 hi - lo, self.width
             )
+            self.base_extrema[lo:hi] = self.extrema[self._base_row]
+
+    def fold_extrema(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Reduce ``values[i]`` (one float per extremum column) into the
+        open tile's cell ``keys[i]`` (``row * tile epochs + epoch``)."""
+        scatter_columns(
+            self._ufuncs, self.extrema.reshape(-1, len(self._ufuncs)), keys, values
+        )
 
     def level(
         self,
         rows: np.ndarray,
         local: np.ndarray,
+        local_extrema: np.ndarray,
         attempts: int,
         pair_sender: np.ndarray,
         pair_rows: np.ndarray,
@@ -229,7 +277,8 @@ class RowWave:
         """One level's senders for the open tile: fuse, size, bill, scatter.
 
         ``local`` holds the senders' ``(sender, tile epoch, width)`` local
-        rows and is fused in place. Pair ``p`` hands sender
+        rows and ``local_extrema`` their ``(sender, tile epoch, extremum
+        column)`` values; both are fused in place. Pair ``p`` hands sender
         ``pair_sender[p]``'s payload to accumulator row ``pair_rows[p]`` in
         the epochs where the block-wide ``success[p]`` is set; pairs whose
         receiver ignores the payload are simply not listed.
@@ -239,8 +288,12 @@ class RowWave:
         cells = num_nodes * num_epochs
         columns = slice(self._lo, self._hi)
         local |= self.acc[rows].reshape(local.shape)
+        if self._ufuncs:
+            fold_columns(self._ufuncs, local_extrema, self.extrema[rows])
 
-        words = np.zeros((num_nodes, num_epochs), dtype=np.int64)
+        words = np.full(
+            (num_nodes, num_epochs), self._extremum_words, dtype=np.int64
+        )
         offset = 0
         for bitmaps in self._sections:
             words += rle_words_rows(
@@ -272,12 +325,13 @@ class RowWave:
         # equal (receiver, epoch) keys come out adjacent.
         epoch, pair = np.nonzero(success[order].T)
         pair = order[pair]
-        or_sorted(
-            self.acc.reshape(-1, width),
-            pair_rows[pair] * num_epochs + epoch,
-            local.reshape(-1, width),
-            pair_sender[pair] * num_epochs + epoch,
-        )
+        keys = pair_rows[pair] * num_epochs + epoch
+        senders = pair_sender[pair] * num_epochs + epoch
+        or_sorted(self.acc.reshape(-1, width), keys, local.reshape(-1, width), senders)
+        if self._ufuncs:
+            self.fold_extrema(
+                keys, local_extrema.reshape(-1, len(self._ufuncs))[senders]
+            )
         at_base = pair_rows == self._base_row
         if at_base.any():
             self.heard_base[columns] |= success[at_base].any(axis=0)

@@ -15,8 +15,9 @@ runs as up to three stages over one row layout — every node in wave order
    block is one ``(partials, count, sender, epoch)`` cell; all of them go
    through Section 5's conversion function in one batched FM pass
    (:func:`precompute_conversions`) and are OR-ed into their parents'
-   accumulator rows. Payloads delivered straight to an M-mode base station
-   are not converted — they stay exact.
+   accumulator rows (extremum columns convert by identity). Payloads
+   delivered straight to an M-mode base station are not converted — they
+   stay exact.
 3. **The delta OR-scatters.** Levels are swept again over their M nodes
    only, through :class:`~repro.kernels.sd.RowWave`, with T receivers
    dropped from the scatter: they ignore M broadcasts, though the channel
@@ -29,12 +30,24 @@ an M row never opens the delta's tile accumulators.
 The kernel runs the query as its *leaf slots*
 (:meth:`~repro.aggregates.base.Aggregate.leaf_slots`): a plain aggregate is
 one leaf, an Average or Moments composite, a workload or a WHERE filter over
-one of them is each of its leaf aggregates side by side. Every leaf gets one
-int64 partial column in stage 1, one frontier conversion in stage 2 and one
-packed section of the delta row in stage 3, so a delta row is ``[leaf 0 |
-leaf 1 | ... | ContributingCount | reporter bitmap]``: the leaves' packed
-synopses, the piggyback's (absent when the query's own synopsis counts
-contributors), then the reporters.
+one of them is each of its leaf aggregates side by side. A leaf takes one of
+two column kinds:
+
+* an **FM leaf** (Count, Sum and their kin) gets one int64 partial column in
+  stage 1 (added), one frontier conversion in stage 2 and one packed section
+  of the delta row in stage 3 (OR-ed), so a delta row is ``[FM leaf 0 | FM
+  leaf 1 | ... | ContributingCount | reporter bitmap]``: the leaves' packed
+  synopses, the piggyback's (absent when the query's own synopsis counts
+  contributors), then the reporters;
+* an **extremum leaf** (Min, Max, a WHERE filter over one:
+  :meth:`~repro.aggregates.base.Aggregate.extremum_ufunc`) gets one float64
+  column on both sides, reduced by its ``np.maximum`` / ``np.minimum``
+  wherever the FM kinds add or OR. Its partial is its synopsis, so the
+  frontier hands it to the M parent unchanged, and it bills its constant
+  words beside the row.
+
+The base station rebuilds each payload's leaves in slot order from the kinds'
+columns.
 A *reporter* (:attr:`~repro.core.wave.WaveLayout.reporters`) is an M node
 whose payload carries its own missing statistic and owns one bit; its
 per-epoch value lives in a side matrix. A node reports one value per epoch
@@ -52,9 +65,11 @@ import numpy as np
 from repro.kernels.sd import (
     RowWave,
     count_contributors,
+    fold_columns,
     level_pairs,
     local_rows,
     or_sorted,
+    scatter_columns,
 )
 from repro.multipath.fm import sketch_from_row
 from repro.network.links import Channel, TransmissionLog
@@ -65,11 +80,14 @@ from repro.network.simulator import EpochOutcome, gather_reading_block
 def leaf_refusal(leaf, tree: bool, multipath: bool) -> Optional[str]:
     """Why one leaf slot cannot ride the rows, or None.
 
-    Tributaries (``tree``) need int64-additive partials, the delta
+    An extremum leaf rides both sides as its float64 column. Otherwise
+    tributaries (``tree``) need int64-additive partials, the delta
     (``multipath``) packable FM synopses.
     """
     if getattr(leaf, "group_by_spec", None) is not None:
         return "grouped query"
+    if leaf.extremum_ufunc() is not None:
+        return None
     if tree and not leaf.tree_partials_additive():
         return "non-additive partials"
     if multipath and leaf.synopsis_packable() is None:
@@ -160,6 +178,30 @@ def level_senders(levels, selected: np.ndarray):
     ]
 
 
+def split_kinds(extremum: List[bool], values: list) -> Tuple[list, list]:
+    """Per-slot ``values`` as (the FM slots', the extremum slots')."""
+    return (
+        [value for value, kind in zip(values, extremum) if not kind],
+        [value for value, kind in zip(values, extremum) if kind],
+    )
+
+
+def in_slot_order(extremum: List[bool], fm, extrema) -> list:
+    """The leaves' values in slot order, from their kinds' lists (the
+    inverse of :func:`split_kinds`)."""
+    fm, extrema = iter(fm), iter(extrema)
+    return [next(extrema) if kind else next(fm) for kind in extremum]
+
+
+def leaf_columns(leaves, nodes, epochs, blocks, dtype) -> np.ndarray:
+    """The leaves' :meth:`~repro.aggregates.base.Aggregate.tree_local_matrix`
+    side by side, as one ``(node, epoch, leaf)`` array of ``dtype``."""
+    local = np.empty((len(nodes), len(epochs), len(leaves)), dtype=dtype)
+    for column, (leaf, block) in enumerate(zip(leaves, blocks)):
+        local[:, :, column] = leaf.tree_local_matrix(nodes, epochs, block).T
+    return local
+
+
 def precompute_conversions(
     aggregate, piggyback, partials, counts, senders, epochs
 ) -> np.ndarray:
@@ -167,13 +209,19 @@ def precompute_conversions(
 
     Row ``i`` is what an M parent fuses for the tributary payload
     ``(partials[i], counts[i])`` sent by ``senders[i]`` at ``epochs[i]``:
-    each leaf slot's conversion of its partial column, then — unless
-    ``piggyback`` is None — the exact count through the piggyback's, all
-    bit for bit the scalar converters'.
+    each FM leaf slot's conversion of its int64 partial column, then —
+    unless ``piggyback`` is None — the exact count through the piggyback's,
+    all bit for bit the scalar converters'. (Extremum leaves convert by
+    identity: their columns need no pass.)
     """
+    fm_leaves = [
+        leaf
+        for leaf, _ in aggregate.leaf_slots()
+        if leaf.extremum_ufunc() is None
+    ]
     sections = [
         leaf.convert_block_packed(partials[:, index], senders, epochs)
-        for index, (leaf, _) in enumerate(aggregate.leaf_slots())
+        for index, leaf in enumerate(fm_leaves)
     ]
     if piggyback is not None:
         sections.append(piggyback.convert_block_packed(counts, senders, epochs))
@@ -209,24 +257,37 @@ def run_td_block(
     t_rows = np.flatnonzero(~is_m[:base_row])
     slots = aggregate.leaf_slots()
     piggyback = scheme._piggyback
-    # The delta row's FM sections: one per leaf slot, then the piggyback's.
-    section_slots = [leaf for leaf, _ in slots]
-    if piggyback is not None:
-        section_slots.append(piggyback)
+    # A leaf slot is an int64 partial column and a packed FM section, or one
+    # float64 extremum column on both sides.
+    extremum = [leaf.extremum_ufunc() is not None for leaf, _ in slots]
+    fm_leaves = [leaf for (leaf, _), ext in zip(slots, extremum) if not ext]
+    extrema = [leaf for (leaf, _), ext in zip(slots, extremum) if ext]
+    ufuncs = [leaf.extremum_ufunc() for leaf in extrema]
+    neutral = np.array([leaf.tree_empty() for leaf in extrema], dtype=np.float64)
+    # The delta row's FM sections: one per FM leaf slot, then the piggyback's.
+    section_slots = fm_leaves + ([] if piggyback is None else [piggyback])
     sections = (
         [slot.synopsis_packable() for slot in section_slots] if has_m else []
     )
     fm_width = sum(sections)
 
     # -- pass 1: tributaries, all levels -----------------------------------
-    # Exact contributing counts, and one partial column per leaf slot.
+    # Exact contributing counts, one partial column per FM leaf slot and one
+    # extremum column per extremum slot.
     acc_count = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
-    acc_partial = np.zeros((base_row + 1, num_epochs, len(slots)), dtype=np.int64)
-    base_partials: List[List[List[int]]] = [[] for _ in epoch_list]
-    # Delivered T -> (non-base) M cells, per level:
-    # (partials, counts, senders, epoch columns, parent rows).
+    acc_partial = np.zeros(
+        (base_row + 1, num_epochs, len(fm_leaves)), dtype=np.int64
+    )
+    acc_extrema = np.empty((base_row + 1, num_epochs, len(extrema)))
+    acc_extrema[...] = neutral
+    base_partials: List[List[tuple]] = [[] for _ in epoch_list]
+    # Delivered T -> (non-base) M cells, per level: (partials, extrema,
+    # counts, senders, epoch columns, parent rows).
     frontier = [
-        (np.zeros((0, len(slots)), dtype=np.int64),)
+        (
+            np.zeros((0, len(fm_leaves)), dtype=np.int64),
+            np.zeros((0, len(extrema))),
+        )
         + (np.zeros(0, dtype=np.int64),) * 4
     ]
     tributaries, t_nodes = level_senders(levels, ~is_m)
@@ -239,16 +300,36 @@ def run_td_block(
         pairs = level.span_starts[positions]
         success = level.success[pairs]
         targets = level.recv_rows[pairs]
-        local = np.empty((len(nodes), num_epochs, len(slots)), dtype=np.int64)
-        for slot, ((leaf, _), block) in enumerate(zip(slots, blocks)):
-            local[:, :, slot] = leaf.tree_local_matrix(nodes, epoch_list, block).T
-        out_partial = local + acc_partial[rows]
+        fm_blocks, ext_blocks = split_kinds(extremum, blocks)
+        out_partial = leaf_columns(
+            fm_leaves, nodes, epoch_list, fm_blocks, np.int64
+        )
+        out_partial += acc_partial[rows]
+        out_extrema = leaf_columns(
+            extrema, nodes, epoch_list, ext_blocks, np.float64
+        )
         out_count = 1 + acc_count[rows]
         np.add.at(acc_partial, targets, out_partial * success[:, :, None])
         np.add.at(acc_count, targets, out_count * success)
+        if extrema:
+            fold_columns(ufuncs, out_extrema, acc_extrema[rows])
+            scatter_columns(
+                ufuncs,
+                acc_extrema,
+                targets,
+                np.where(success[:, :, None], out_extrema, neutral),
+            )
         to_base = targets == base_row
-        for position, column in zip(*np.nonzero(success & to_base[:, None])):
-            base_partials[column].append(out_partial[position, column].tolist())
+        position, column = np.nonzero(success & to_base[:, None])
+        # Per slot, its column over the delivered cells; then per cell, its
+        # leaves in slot order.
+        by_slot = in_slot_order(
+            extremum,
+            out_partial[position, column].T.tolist(),
+            out_extrema[position, column].T.tolist(),
+        )
+        for leaves, at in zip(zip(*by_slot), column.tolist()):
+            base_partials[at].append(leaves)
         if has_m:
             position, column = np.nonzero(
                 success & (is_m[targets] & ~to_base)[:, None]
@@ -256,6 +337,7 @@ def run_td_block(
             frontier.append(
                 (
                     out_partial[position, column],
+                    out_extrema[position, column],
                     out_count[position, column],
                     sender_ids[rows[position]],
                     column,
@@ -282,12 +364,18 @@ def run_td_block(
     flag_words = -(-len(reporter_rows) // 32)
 
     # -- pass 2: the delta, level by level over M nodes only ---------------
-    wave = RowWave(accountant, base_row, num_epochs, sections, flag_words)
+    wave = RowWave(accountant, base_row, num_epochs, sections, flag_words, extrema)
     if has_m:
         # -- frontier: one batched conversion per block --------------------
-        cell_partials, cell_counts, cell_senders, cell_columns, cell_parents = (
-            np.concatenate(parts) for parts in zip(*frontier)
-        )
+        # An extremum column converts by identity: it lands as it is.
+        (
+            cell_partials,
+            cell_extrema,
+            cell_counts,
+            cell_senders,
+            cell_columns,
+            cell_parents,
+        ) = (np.concatenate(parts) for parts in zip(*frontier))
         converted = (
             scheme._convert_frontier(
                 cell_partials, cell_counts, cell_senders, epochs[cell_columns]
@@ -309,18 +397,21 @@ def run_td_block(
                     converted,
                     in_tile[order],
                 )
+                if extrema:
+                    wave.fold_extrema(keys, cell_extrema[in_tile])
             tile = epoch_list[lo:hi]
             for (level, positions), nodes, blocks in zip(
                 deltas, m_nodes, level_readings(slots, readings, m_nodes, tile)
             ):
                 level_is_m = is_m[level.rows]
                 rows = level.rows[positions]
+                fm_blocks, ext_blocks = split_kinds(extremum, blocks)
                 local = local_rows(
                     section_slots,
                     nodes,
                     tile,
                     # The piggyback's Count reads no reading.
-                    blocks + [None],
+                    fm_blocks + [None],
                     wave.width,
                 )
                 reporters = reporter_of_row[rows]
@@ -336,6 +427,8 @@ def run_td_block(
                 wave.level(
                     rows,
                     local,
+                    # An extremum leaf's synopsis is its tree partial.
+                    leaf_columns(extrema, nodes, tile, ext_blocks, np.float64),
                     layout.multipath_attempts,
                     # Pair senders as positions among the level's M nodes.
                     (np.cumsum(level_is_m) - 1)[level.pair_item[scatter]],
@@ -406,7 +499,13 @@ def run_td_block(
                 ]
                 if piggyback is not None:
                     count_sketch = sketches.pop()
-                synopsis = aggregate.from_leaves(iter(sketches))
+                synopsis = aggregate.from_leaves(
+                    iter(
+                        in_slot_order(
+                            extremum, sketches, wave.base_extrema[column].tolist()
+                        )
+                    )
+                )
             arrived = np.flatnonzero(
                 np.unpackbits(
                     row[fm_width:].astype("<u4").view(np.uint8),

@@ -121,10 +121,11 @@ class DeliveryPlan:
     loss mid-block is resolved epoch by epoch, exactly like the scalar
     path).
 
-    A plan is valid only while the level structure and the channel's failure
-    model stay fixed: :meth:`Channel.transmit_epochs` re-validates both and
-    raises if a scheme's schedule (or a ``set_failure_model`` call) diverged
-    from what was planned. Build a fresh plan after every adaptation.
+    A plan is valid only while the level structure and the channel's model
+    version stay fixed: :meth:`Channel.transmit_epochs` re-validates both and
+    raises if a scheme's schedule diverged from what was planned or churn
+    called :meth:`Channel.bump_model_version`. Build a fresh plan after every
+    adaptation.
     """
 
     def __init__(
@@ -156,7 +157,7 @@ class DeliveryPlan:
             raise ConfigurationError("delivery plan belongs to another channel")
         if channel._model_version != self._model_version:
             raise ConfigurationError(
-                "stale delivery plan: the failure model changed after planning"
+                "stale delivery plan: the membership changed after planning"
             )
         entry = self._levels[level]
         if len(transmissions) != len(entry.senders):
@@ -203,7 +204,7 @@ class DeliveryPlan:
                 )
             if channel._model_version != self._model_version:
                 raise ConfigurationError(
-                    "stale delivery plan: the failure model changed after "
+                    "stale delivery plan: the membership changed after "
                     "planning"
                 )
             entry = self._levels[level]
@@ -366,24 +367,14 @@ class Channel:
         """The failure model currently in force."""
         return self._failure_model
 
-    def set_failure_model(self, model: FailureModel) -> None:
-        """Swap the failure model (used by scheduled/timeline experiments).
-
-        Invalidates every outstanding :class:`DeliveryPlan`: planned
-        outcomes were drawn against the old model's loss rates.
-        """
-        self._failure_model = model
-        self._model_version += 1
-
     def bump_model_version(self) -> None:
         """Invalidate every outstanding :class:`DeliveryPlan` in place.
 
-        Called when something a plan was drawn against changed *other* than
-        the failure model — node churn removes or adds (sender, receiver)
-        edges, so outcomes planned over the old membership must never be
-        replayed. Schemes rebuild their plans at the next block anyway;
-        this makes replaying a stale one a loud error instead of a silent
-        wrong answer.
+        Called when something a plan was drawn against changed — node
+        churn removes or adds (sender, receiver) edges, so outcomes planned
+        over the old membership must never be replayed. Schemes rebuild
+        their plans at the next block anyway; this makes replaying a stale
+        one a loud error instead of a silent wrong answer.
         """
         self._model_version += 1
 

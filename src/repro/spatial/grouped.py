@@ -375,6 +375,9 @@ class RegionFilteredAggregate(FilteredAggregate):
     def synopsis_packable(self) -> None:
         return None
 
+    def extremum_ufunc(self) -> None:
+        return None
+
 
 def apply_grouping(
     aggregate: Aggregate,

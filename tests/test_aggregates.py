@@ -245,8 +245,13 @@ class TestArrayNativePartials:
             assert factory().exact_array(readings[0]) == factory().exact(
                 readings[0].tolist()
             )
+        # Min's partials are its float64 extremum column; a sample has no
+        # array-native partials.
+        assert MinAggregate().tree_local_matrix(
+            [1, 2, 3], [0], readings
+        ).tolist() == [[4.0, 2.0, 9.0]]
         with pytest.raises(NotImplementedError):
-            MinAggregate().tree_local_matrix([1, 2, 3], [0], readings)
+            UniformSampleAggregate(k=4).tree_local_matrix([1, 2, 3], [0], readings)
 
 
 class TestQuantileFromSample:

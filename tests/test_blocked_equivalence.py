@@ -181,7 +181,8 @@ class TestDeliveryPlan:
         channel = Channel(deployment, GlobalLoss(0.2), seed=1)
         transmissions = self._transmissions(deployment, attempts=1)
         plan = channel.plan_epochs([transmissions], [0, 1])
-        channel.set_failure_model(GlobalLoss(0.5))
+        # What churn does when it changes the edges a plan was drawn over.
+        channel.bump_model_version()
         with pytest.raises(ConfigurationError):
             channel.transmit_epochs(transmissions, 0, plan, 0)
 

@@ -206,6 +206,31 @@ class TestOneSpellingForARun:
             ("global:0.2", "SD", "2"),
         ]
 
+    def test_a_swept_field_gets_its_own_column(self, capsys):
+        args = [
+            "sweep", "--jobs", "1", "--grid", "threshold=0.8,0.95",
+            "--set", "scheme=TD", "--set", "failure=global:0.2",
+            "--set", "num_sensors=30", "--set", "epochs=3",
+            "--set", "converge_epochs=10",
+        ]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("failure"))
+        assert header.split()[:4] == ["failure", "scheme", "seed", "threshold"]
+        rows = [tuple(line.split()[:4]) for line in lines[lines.index(header) + 2:]]
+        assert rows == [
+            ("global:0.2", "TD", "1", "0.8"),
+            ("global:0.2", "TD", "1", "0.95"),
+        ]
+
+    def test_an_empty_group_by_is_the_legacy_default(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        assert main(["run-config", path, "--set", "group_by="]) == 0
+        capsys.readouterr()
+        assert main(["run-config", path, "--set", "group_by=region:1"]) == 2
+        error = capsys.readouterr().err
+        assert "query='SELECT avg GROUP BY region:1'" in error
+
     @pytest.mark.parametrize(
         "args, message",
         [

@@ -1,9 +1,10 @@
-"""FM-slot workloads on the fused kernel: one packed section per leaf slot.
+"""Leaf-slot workloads on the fused kernel: one column set per leaf slot.
 
-Average, Moments, WHERE / WINDOW queries and workloads of FM slots run the
-fused kernel — each leaf slot an int64 partial column, one packed row
-section and one frontier conversion — and must equal the object wave and
-the ``use_batch=False`` oracle byte for byte. The array inputs they read
+Average, Moments, Min, Max, WHERE / WINDOW queries and workloads of such
+slots run the fused kernel — each FM leaf slot an int64 partial column, one
+packed row section and one frontier conversion, each Min/Max slot one
+float64 extremum column — and must equal the object wave and the
+``use_batch=False`` oracle byte for byte. The array inputs they read
 (window blocks, workload blocks, every leaf's array forms) must equal their
 scalar twins cell for cell.
 """
@@ -29,9 +30,19 @@ from repro.registry import AGGREGATES, build_aggregate
 from repro.service import AggregationService
 from repro.service.streams import QuerySubmit
 
-#: The FM-slot queries: each runs fused on every layout.
+#: The leaf-slot queries: each runs fused on every layout.
 PARITY_CASES = {
     "avg": dict(aggregate="avg"),
+    "min": dict(aggregate="min"),
+    "max": dict(aggregate="max"),
+    "where-windowed-max": dict(query="SELECT max WHERE value > 50 WINDOW 5 MEAN"),
+    "workload-avg-count-max": dict(
+        queries=[
+            {"name": "mean", "aggregate": "avg"},
+            {"name": "n", "aggregate": "count"},
+            {"name": "peak", "aggregate": "max"},
+        ]
+    ),
     "moments": dict(aggregate="moments"),
     "where-sum": dict(query="SELECT sum WHERE value > 50"),
     "where-windowed-count": dict(
@@ -91,15 +102,15 @@ def test_fused_equals_object_and_oracle(case, scheme, refusals, object_wave):
     assert _fingerprint(fused) == _fingerprint(oracle)
 
 
-def test_a_max_slot_keeps_the_object_wave_and_is_named(refusals):
+def test_a_heavy_hitters_slot_keeps_the_object_wave_and_is_named(refusals):
     queries = PARITY_CASES["workload"]["queries"] + [
-        {"name": "peak", "aggregate": "max"}
+        {"name": "heavy", "aggregate": "heavy_hitters:0.05"}
     ]
     run_config_result(_config("workload", "TD", queries=queries))
     measured = [reason for reason in refusals if reason is not None]
     assert measured
     assert set(measured) == {
-        "workload slot 'peak' (max): non-additive partials"
+        "workload slot 'heavy' (heavy_hitters:0.05): non-additive partials"
     }
 
 
@@ -132,8 +143,8 @@ def _drain(subscriber):
     return records
 
 
-def _service_run(scheme):
-    """A reader beside a co-tenant admitted for block 2 and gone after it:
+def _service_run(scheme, tenant=("total", "SELECT sum WHERE value > 30")):
+    """A reader beside a ``tenant`` admitted for block 2 and gone after it:
     the reader's records, the engine counters and every block's path."""
     service = _service(scheme)
     reader = service.subscribe(
@@ -147,7 +158,7 @@ def _service_run(scheme):
     paths = []
     service.run_block()
     paths.append(service._sim.scheme.engine_path)
-    service.subscribe(_submit([("total", "SELECT sum WHERE value > 30")], 1))
+    service.subscribe(_submit([tenant], 1))
     for _ in range(3):
         service.run_block()
         paths.append(service._sim.scheme.engine_path)
@@ -172,14 +183,30 @@ def test_service_slot_changes_at_a_boundary_stay_fused(scheme, object_wave):
     assert forced_engine["last_refusal"] == "forced by test"
 
 
+@pytest.mark.parametrize("scheme", ["TAG", "TD"])
+def test_a_max_slot_added_and_removed_at_a_boundary_stays_fused(
+    scheme, object_wave
+):
+    """The service's ``add_slot`` / ``remove_slot`` of an extremum column."""
+    records, engine, paths = _service_run(scheme, ("peak", "SELECT max"))
+    assert set(paths) == {"fused"}
+    assert engine["object_blocks"] == 0
+    with object_wave():
+        forced, _, _ = _service_run(scheme, ("peak", "SELECT max"))
+    assert records == forced
+
+
 def test_service_names_the_refusing_slot():
     service = _service("TD")
-    service.subscribe(_submit([("mean", "SELECT avg"), ("peak", "SELECT max")]))
+    service.subscribe(
+        _submit([("mean", "SELECT avg"), ("heavy", "SELECT heavy_hitters:0.05")])
+    )
     service.run_block()
     engine = service.stats()["engine"]
     assert engine["object_blocks"] == 1
     assert engine["last_refusal"] == (
-        "workload slot 'SELECT max' (max): non-additive partials"
+        "workload slot 'SELECT heavy_hitters:0.05' (heavy_hitters:0.05): "
+        "non-additive partials"
     )
 
 
@@ -257,6 +284,7 @@ def _leaves():
         MomentsAggregate(), parse_query("SELECT sum WHERE value > 3").where.predicate()
     ).leaf_slots()[1][0]
     found["sum-where"] = FilteredAggregate(build_aggregate("sum"), lambda v: v > 3)
+    found["max-where"] = FilteredAggregate(build_aggregate("max"), lambda v: v > 3)
     return found
 
 
@@ -264,12 +292,15 @@ LEAVES = _leaves()
 CLAIMING = sorted(
     name
     for name, leaf in LEAVES.items()
-    if leaf.tree_partials_additive() or leaf.synopsis_packable() is not None
+    if leaf.tree_partials_additive()
+    or leaf.synopsis_packable() is not None
+    or leaf.extremum_ufunc() is not None
 )
 
 
 def test_moments_leaves_are_checked():
     assert {"moments/0", "moments/1", "moments/2", "avg/0", "avg/1"} <= set(CLAIMING)
+    assert {"min/0", "max/0", "max-where"} <= set(CLAIMING)
 
 
 @pytest.mark.parametrize("name", CLAIMING)
@@ -300,6 +331,20 @@ def test_leaf_array_forms_equal_scalar_forms(name):
             sketch_to_row(leaf.convert(partial, sender, epoch)).tolist()
             for partial, sender, epoch in zip(partials, [2, 3, 4, 5], [1, 1, 2, 2])
         ]
+    if leaf.extremum_ufunc() is not None:
+        # Both zeros read as 0.0; the infinities pass through.
+        edges = np.array([[-0.0, float("inf"), 3.0], [0.0, -7.5, float("-inf")]])
+        for block in (readings, edges):
+            matrix = leaf.tree_local_matrix(nodes, epochs, block)
+            assert matrix.dtype == np.float64
+            for local in (leaf.tree_local, leaf.synopsis_local):
+                assert repr(matrix.tolist()) == repr(
+                    [
+                        [local(node, epoch, value) for node, value in zip(nodes, row)]
+                        for epoch, row in zip(epochs, block.tolist())
+                    ]
+                )
+        assert leaf.convert(7.5, 2, 1) == 7.5
 
 
 def test_moment_leaves_truncate_like_their_scalar_forms():

@@ -28,7 +28,7 @@ import pytest
 
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.count import CountAggregate
-from repro.aggregates.minmax import MaxAggregate
+from repro.aggregates.minmax import MaxAggregate, MinAggregate
 from repro.aggregates.sum_ import SumAggregate
 from repro.api import (
     EXPERIMENT_CONFIGS,
@@ -64,7 +64,7 @@ from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochSimulator, run_epochs_scalar
-from repro.registry import build_failure_model
+from repro.registry import build_aggregate, build_failure_model
 from repro.tree.construction import build_bushy_tree
 
 
@@ -716,7 +716,11 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     # Average is two FM leaf slots, each additive and packable.
     for scheme in schemes(AverageAggregate()):
         assert refused(scheme, clean) is None
-    tag, sd, td = schemes(MaxAggregate())
+    # Min and Max are one extremum column on either side.
+    for extremum in (MinAggregate(), MaxAggregate()):
+        for scheme in schemes(extremum):
+            assert refused(scheme, clean) is None
+    tag, sd, td = schemes(build_aggregate("heavy_hitters:0.05"))
     assert refused(tag, clean) == "non-additive partials"
     assert refused(sd, clean) == "unpackable synopsis"
     assert refused(td, clean) == "non-additive partials"
