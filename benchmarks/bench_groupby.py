@@ -32,11 +32,7 @@ def run_benchmark(
     from repro.aggregates.average import AverageAggregate
     from repro.api import RunConfig, build_scenario
     from repro.registry import build_regions
-    from repro.spatial import (
-        GroupedReadings,
-        RegionFilteredAggregate,
-        apply_grouping,
-    )
+    from repro.spatial import GroupedAggregate, RegionFilteredAggregate
 
     config = RunConfig(
         scheme=scheme,
@@ -52,19 +48,19 @@ def run_benchmark(
         spec, scenario.topology.deployment
     )
 
-    def measure(aggregate, readings) -> int:
+    def measure(aggregate) -> int:
         scheme_instance = scenario.build_scheme(aggregate)
-        scenario.converge(scheme_instance, readings)
+        scenario.converge(scheme_instance, scenario.source)
         result = scenario.build_simulator(scheme_instance).run(
-            config.epochs, readings, start_epoch=config.start_epoch
+            config.epochs, scenario.source, start_epoch=config.start_epoch
         )
         return result.energy.total_words
 
-    grouped, tagged = apply_grouping(
-        AverageAggregate(), scenario.source, hierarchy, depth,
-        word_budget=budget, spec=spec,
+    grouped_words = measure(
+        GroupedAggregate(
+            AverageAggregate(), hierarchy, depth, word_budget=budget, spec=spec
+        )
     )
-    grouped_words = measure(grouped, tagged)
 
     regions = [
         path
@@ -74,8 +70,7 @@ def run_benchmark(
     per_region_words = {}
     for path in regions:
         per_region_words[path] = measure(
-            RegionFilteredAggregate(AverageAggregate(), path),
-            GroupedReadings(scenario.source, hierarchy, depth),
+            RegionFilteredAggregate(AverageAggregate(), hierarchy, path)
         )
     standalone_words = sum(per_region_words.values())
 

@@ -61,32 +61,27 @@ class Aggregate(ABC, Generic[P, S]):
         """Transmission size of a tree partial, in words."""
 
     def tree_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
+        self, nodes: Sequence[int], epochs: Sequence[int], readings
     ) -> List[List[P]]:
         """Tree partials for a whole (level x epoch block) grid.
 
-        ``reading_rows[j]`` holds the level's readings at ``epochs[j]``.
-        Returns one list per epoch; cell ``[j][i]`` MUST equal
-        ``tree_local(nodes[i], epochs[j], reading_rows[j][i])`` exactly —
-        the engine and the scalar oracle are interchangeable only while
-        that holds. Derived, not written: an aggregate with
+        ``readings`` is the float64 ``(epochs, nodes)`` matrix of
+        :func:`~repro.network.simulator.gather_reading_block` (a workload's:
+        one matrix per query). Returns one list per epoch; cell ``[j][i]``
+        MUST equal ``tree_local(nodes[i], epochs[j], readings[j, i])``
+        exactly — the engine and the scalar oracle are interchangeable only
+        while that holds. Derived, not written: an aggregate with
         :meth:`tree_partials_additive` gets the rows of its
         :meth:`tree_local_matrix`, any other the loop over the scalar form.
         """
         if self.tree_partials_additive():
-            readings = np.asarray(reading_rows, dtype=np.float64)
-            return self.tree_local_matrix(
-                nodes, epochs, readings.reshape(len(epochs), len(nodes))
-            ).tolist()
+            return self.tree_local_matrix(nodes, epochs, readings).tolist()
         return [
             [
                 self.tree_local(node, epoch, reading)
                 for node, reading in zip(nodes, row)
             ]
-            for epoch, row in zip(epochs, reading_rows)
+            for epoch, row in zip(epochs, readings.tolist())
         ]
 
     def tree_local_matrix(
@@ -118,28 +113,25 @@ class Aggregate(ABC, Generic[P, S]):
         """SG: the synopsis of a single node's local reading."""
 
     def synopsis_local_block(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
+        self, nodes: Sequence[int], epochs: Sequence[int], readings
     ) -> List[List[S]]:
         """SG for a whole (level x epoch block) grid.
 
         Same contract as :meth:`tree_local_block`: cell ``[j][i]`` must
-        equal ``synopsis_local(nodes[i], epochs[j], reading_rows[j][i])``.
+        equal ``synopsis_local(nodes[i], epochs[j], readings[j, i])``.
         Derived the same way: an aggregate with :meth:`synopsis_packable`
         gets the sketches of its :meth:`synopsis_local_block_packed` rows,
         any other the loop over the scalar form.
         """
         if self.synopsis_packable() is not None:
-            rows = self.synopsis_local_block_packed(nodes, epochs, reading_rows)
+            rows = self.synopsis_local_block_packed(nodes, epochs, readings)
             return block_rows(sketches_from_rows(rows), len(nodes), len(epochs))
         return [
             [
                 self.synopsis_local(node, epoch, reading)
                 for node, reading in zip(nodes, row)
             ]
-            for epoch, row in zip(epochs, reading_rows)
+            for epoch, row in zip(epochs, readings.tolist())
         ]
 
     @abstractmethod
@@ -238,12 +230,21 @@ class Aggregate(ABC, Generic[P, S]):
 
     # -- ground truth ------------------------------------------------------------
 
-    @abstractmethod
     def exact(self, readings: Sequence[float]) -> float:
-        """The loss-free answer over all sensor readings (for metrics)."""
+        """The loss-free answer over a list of sensor readings (for metrics).
 
-    def exact_array(self, readings: np.ndarray) -> float:
-        """:meth:`exact` over one float64 row of readings.
+        Every leaf aggregate writes it. Wrappers that key on the sensor
+        (GROUP BY, the region filter) have no list form: their truth is
+        :meth:`exact_array`, which gets the node ids.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} reads its truth through exact_array"
+        )
+
+    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
+        """The loss-free answer over one float64 row of readings, cell ``i``
+        read by sensor ``nodes[i]`` — the truth hook
+        :func:`~repro.network.simulator.exact_over` calls.
 
         Must equal ``exact(readings.tolist())`` exactly, which is also the
         default; aggregates whose truth vectorises (Sum) override it so a
@@ -354,10 +355,7 @@ class Aggregate(ABC, Generic[P, S]):
         return None
 
     def synopsis_local_block_packed(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
+        self, nodes: Sequence[int], epochs: Sequence[int], readings
     ):
         """SG for a block as one packed uint32 matrix, epoch-major flat.
 

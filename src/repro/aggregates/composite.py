@@ -102,15 +102,12 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
         return values[self._primary]
 
     # -- per-slot dispatch: every component sees the same reading here; a
-    # workload overrides these two hooks to split a reading tuple per slot.
+    # workload overrides this hook to hand each slot its own.
 
-    def _slot_readings(self, reading) -> Sequence:
-        """One cell's reading as seen by each component, in slot order."""
-        return (reading,) * len(self._aggregates)
-
-    def _slot_rows(self, reading_rows: Sequence[Sequence]) -> Sequence:
-        """A block's ``reading_rows`` as seen by each component."""
-        return (reading_rows,) * len(self._aggregates)
+    def _slot_readings(self, readings) -> Sequence:
+        """A cell's reading, or a block's reading matrix, as seen by each
+        component, in slot order."""
+        return (readings,) * len(self._aggregates)
 
     # -- tree ------------------------------------------------------------
 
@@ -123,13 +120,13 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
         )
 
     def tree_local_block(
-        self, nodes, epochs, reading_rows
+        self, nodes, epochs, readings
     ) -> List[List[CompositePartial]]:
         return zip_blocks(
             [
-                aggregate.tree_local_block(nodes, epochs, rows)
-                for aggregate, rows in zip(
-                    self._aggregates, self._slot_rows(reading_rows)
+                aggregate.tree_local_block(nodes, epochs, block)
+                for aggregate, block in zip(
+                    self._aggregates, self._slot_readings(readings)
                 )
             ]
         )
@@ -167,13 +164,13 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
         )
 
     def synopsis_local_block(
-        self, nodes, epochs, reading_rows
+        self, nodes, epochs, readings
     ) -> List[List[CompositeSynopsis]]:
         return zip_blocks(
             [
-                aggregate.synopsis_local_block(nodes, epochs, rows)
-                for aggregate, rows in zip(
-                    self._aggregates, self._slot_rows(reading_rows)
+                aggregate.synopsis_local_block(nodes, epochs, block)
+                for aggregate, block in zip(
+                    self._aggregates, self._slot_readings(readings)
                 )
             ]
         )

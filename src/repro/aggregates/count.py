@@ -44,10 +44,7 @@ class CountAggregate(AdditiveFMAggregate):
         return sketch
 
     def synopsis_local_block_packed(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
+        self, nodes: Sequence[int], epochs: Sequence[int], readings
     ):
         return single_item_matrix_block(
             self._num_bitmaps, (self._label,), nodes, epochs
@@ -58,7 +55,7 @@ class CountAggregate(AdditiveFMAggregate):
     def exact(self, readings: Sequence[float]) -> float:
         return float(len(readings))
 
-    def exact_array(self, readings: np.ndarray) -> float:
+    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
         return float(len(readings))
 
     def synopsis_counts_contributors(self) -> bool:

@@ -3,7 +3,7 @@
 :class:`FilteredAggregate` is the WHERE clause evaluated at the sensor
 (:mod:`repro.query` builds it from ``SELECT ... WHERE value > c``); the
 spatial region filter (:class:`repro.spatial.RegionFilteredAggregate`) is
-the same wrapper over region-tagged readings.
+the same wrapper accepting by the sensor's region instead.
 """
 
 from __future__ import annotations
@@ -52,39 +52,59 @@ class FilteredAggregate(Aggregate):
     def inner(self) -> Aggregate:
         return self._inner
 
-    def _value(self, reading):
-        """What the inner aggregate reads of an accepted reading."""
-        return reading
+    def _accepts(self, node: int, reading) -> bool:
+        """Whether sensor ``node``'s ``reading`` passes the clause."""
+        return self._predicate(reading)
+
+    def _mask(self, nodes: Sequence[int], readings: np.ndarray) -> np.ndarray:
+        """:meth:`_accepts` over a float64 readings array (one row, or an
+        ``(epochs, nodes)`` matrix). The WHERE comparators
+        (``operator.gt`` and friends) broadcast; any other predicate is
+        asked cell by cell."""
+        try:
+            mask = self._predicate(readings)
+        except (TypeError, ValueError):
+            mask = None
+        if not (isinstance(mask, np.ndarray) and mask.shape == readings.shape):
+            mask = np.fromiter(
+                map(self._predicate, readings.ravel().tolist()),
+                dtype=bool,
+                count=readings.size,
+            ).reshape(readings.shape)
+        return mask.astype(bool, copy=False)
+
+    def _accepted(self, nodes, readings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The clause's mask over a readings array, and the readings to hand
+        the inner aggregate: rejected cells read the first accepted reading,
+        so the inner never sees a value the scalar form would not hand it."""
+        mask = self._mask(nodes, readings)
+        if not mask.any():
+            return mask, readings
+        return mask, np.where(mask, readings, readings[mask][0])
 
     # -- tree ------------------------------------------------------------
 
     def tree_local(self, node: int, epoch: int, reading):
-        if self._predicate(reading):
-            return self._inner.tree_local(node, epoch, self._value(reading))
+        if self._accepts(node, reading):
+            return self._inner.tree_local(node, epoch, reading)
         return self._inner.tree_empty()
 
-    def _masked_block(self, side, nodes, epochs, reading_rows):
-        """The inner ``<side>_local_block`` over the cells the predicate
-        accepts, ``<side>_empty()`` elsewhere: each epoch row hands the inner
-        block form its matching nodes only, so a rejected reading never
-        reaches the inner aggregate."""
-        local_block = getattr(self._inner, side + "_local_block")
+    def _masked_block(self, side, nodes, epochs, readings):
+        """The inner ``<side>_local_block`` where the clause accepts, a
+        fresh ``<side>_empty()`` elsewhere: one inner block over
+        :meth:`_accepted`'s readings, its rejected cells replaced."""
         empty = getattr(self._inner, side + "_empty")
-        block = []
-        for epoch, row in zip(epochs, reading_rows):
-            mask = [self._predicate(reading) for reading in row]
-            keep = [i for i, accepted in enumerate(mask) if accepted]
-            (kept,) = local_block(
-                [nodes[i] for i in keep],
-                [epoch],
-                [[self._value(row[i]) for i in keep]],
-            )
-            cells = iter(kept)
-            block.append([next(cells) if accepted else empty() for accepted in mask])
-        return block
+        mask, accepted = self._accepted(nodes, readings)
+        if not mask.any():
+            return [[empty() for _ in nodes] for _ in epochs]
+        block = getattr(self._inner, side + "_local_block")(nodes, epochs, accepted)
+        return [
+            [cell if keep else empty() for cell, keep in zip(row, keeps)]
+            for row, keeps in zip(block, mask.tolist())
+        ]
 
-    def tree_local_block(self, nodes, epochs, reading_rows):
-        return self._masked_block("tree", nodes, epochs, reading_rows)
+    def tree_local_block(self, nodes, epochs, readings):
+        return self._masked_block("tree", nodes, epochs, readings)
 
     def tree_merge(self, a, b):
         return self._inner.tree_merge(a, b)
@@ -98,12 +118,12 @@ class FilteredAggregate(Aggregate):
     # -- multi-path ----------------------------------------------------------
 
     def synopsis_local(self, node: int, epoch: int, reading):
-        if self._predicate(reading):
-            return self._inner.synopsis_local(node, epoch, self._value(reading))
+        if self._accepts(node, reading):
+            return self._inner.synopsis_local(node, epoch, reading)
         return self._inner.synopsis_empty()
 
-    def synopsis_local_block(self, nodes, epochs, reading_rows):
-        return self._masked_block("synopsis", nodes, epochs, reading_rows)
+    def synopsis_local_block(self, nodes, epochs, readings):
+        return self._masked_block("synopsis", nodes, epochs, readings)
 
     def synopsis_fuse(self, a, b):
         return self._inner.synopsis_fuse(a, b)
@@ -165,29 +185,8 @@ class FilteredAggregate(Aggregate):
     def extremum_ufunc(self) -> Optional[np.ufunc]:
         return self._inner.extremum_ufunc()
 
-    def _accepted(self, readings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The predicate over a float64 readings array, and the readings to
-        hand the inner aggregate: rejected cells read the first accepted
-        reading, so the inner never sees a value the object path would not
-        hand it. The WHERE comparators (``operator.gt`` and friends)
-        broadcast; any other predicate is asked cell by cell."""
-        try:
-            mask = self._predicate(readings)
-        except (TypeError, ValueError):
-            mask = None
-        if not (isinstance(mask, np.ndarray) and mask.shape == readings.shape):
-            mask = np.fromiter(
-                map(self._predicate, readings.ravel().tolist()),
-                dtype=bool,
-                count=readings.size,
-            ).reshape(readings.shape)
-        mask = mask.astype(bool, copy=False)
-        if not mask.any():
-            return mask, readings
-        return mask, np.where(mask, readings, readings[mask][0])
-
     def tree_local_matrix(self, nodes, epochs, readings: np.ndarray) -> np.ndarray:
-        mask, accepted = self._accepted(readings)
+        mask, accepted = self._accepted(nodes, readings)
         if not mask.any():
             # int64 zeros for an additive inner, +/-inf for an extremum.
             return np.full(readings.shape, self._inner.tree_empty())
@@ -197,13 +196,10 @@ class FilteredAggregate(Aggregate):
             self._inner.tree_empty(),
         )
 
-    def synopsis_local_block_packed(self, nodes, epochs, reading_rows):
-        """The inner's packed rows where the predicate holds, the empty
+    def synopsis_local_block_packed(self, nodes, epochs, readings):
+        """The inner's packed rows where the clause accepts, the empty
         synopsis's (all zero words) elsewhere."""
-        readings = np.asarray(reading_rows, dtype=np.float64).reshape(
-            len(epochs), len(nodes)
-        )
-        mask, accepted = self._accepted(readings)
+        mask, accepted = self._accepted(nodes, readings)
         if not mask.any():
             return np.zeros(
                 (readings.size, self._inner.synopsis_packable()), dtype="<u4"
@@ -220,19 +216,21 @@ class FilteredAggregate(Aggregate):
     # -- truth ---------------------------------------------------------------------
 
     def exact(self, readings: Sequence) -> float:
-        matching = [self._value(r) for r in readings if self._predicate(r)]
+        matching = [r for r in readings if self._predicate(r)]
         if not matching:
             # What a loss-free network would report: the neutral element
             # (0 for Count/Sum, +/-inf for Min/Max).
             return self._inner.tree_eval(self._inner.tree_empty())
         return self._inner.exact(matching)
 
-    def exact_array(self, readings: np.ndarray) -> float:
-        """:meth:`exact` over a float64 row: the matching cells, masked."""
-        mask, _ = self._accepted(readings)
+    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
+        """The inner's truth over the accepted cells of a float64 row."""
+        mask = self._mask(nodes, readings)
         if not mask.any():
             return self._inner.tree_eval(self._inner.tree_empty())
-        return self._inner.exact_array(readings[mask])
+        return self._inner.exact_array(
+            readings[mask], np.compress(mask, nodes).tolist()
+        )
 
     def synopsis_counts_contributors(self) -> bool:
         """Filtered Count counts *matching* sensors, not contributing ones,

@@ -174,15 +174,15 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         )
 
     def synopsis_local_block(
-        self, nodes, epochs, reading_rows
+        self, nodes, epochs, readings
     ) -> List[List[ClassSynopses]]:
         shapes = self._fm_shapes()
         if shapes is None or len(nodes) == 0:
-            return super().synopsis_local_block(nodes, epochs, reading_rows)
+            return super().synopsis_local_block(nodes, epochs, readings)
         # A lone reading is the class-0 synopsis of one item with count 1
         # (cutoff 0): every item and n sketch of the block in one pass each.
         keys = block_columns(nodes, epochs)
-        items = [_item(reading) for row in reading_rows for reading in row]
+        items = [_item(reading) for reading in readings.ravel().tolist()]
         ones = [1] * len(items)
         item_sketches = self._counted(shapes[0], ("fi",), ones, *keys, items)
         n_sketches = self._counted(shapes[1], ("fi-n",), ones, *keys)

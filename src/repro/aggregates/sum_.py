@@ -80,17 +80,12 @@ class SumAggregate(AdditiveFMAggregate):
         return sketch
 
     def synopsis_local_block_packed(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        reading_rows: Sequence[Sequence[float]],
+        self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
     ):
         return counted_matrix(
             self._num_bitmaps,
             (self._label,),
-            self._as_int_array(
-                np.asarray(reading_rows, dtype=np.float64).reshape(-1)
-            ),
+            self._as_int_array(readings.reshape(-1)),
             *block_columns(nodes, epochs),
         )
 
@@ -99,5 +94,5 @@ class SumAggregate(AdditiveFMAggregate):
     def exact(self, readings: Sequence[float]) -> float:
         return float(sum(self._as_int(reading) for reading in readings))
 
-    def exact_array(self, readings: np.ndarray) -> float:
+    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
         return float(int(self._as_int_array(readings).sum()))

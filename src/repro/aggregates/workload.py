@@ -24,7 +24,7 @@ Two pieces make that concrete:
 
 Per-epoch answers surface through two stashes: ``last_evaluations`` (set
 at every base-station evaluation, inherited from the composite) and
-``last_exact_evaluations`` (set by :meth:`exact`). The aggregate's record
+``last_exact_evaluations`` (set by :meth:`exact_array`). The aggregate's record
 hooks turn them into ``workload_estimates`` (the schemes add it to each
 epoch outcome) and ``workload_truths`` (the simulator adds it to each
 record); the report layer splits them back into per-query
@@ -40,7 +40,7 @@ import numpy as np
 from repro.aggregates.base import Aggregate
 from repro.aggregates.composite import CompositeAggregate
 from repro.errors import ConfigurationError
-from repro.network.simulator import gather_reading_block, gather_readings
+from repro.network.simulator import gather_reading_block
 
 #: A workload "reading": one value per query, in workload order.
 ReadingTuple = Tuple[float, ...]
@@ -50,9 +50,9 @@ class WorkloadReadings:
     """Per-query reading streams zipped into one tuple-valued workload.
 
     Component i is query i's (possibly windowed) reading function over the
-    shared physical stream; ``__call__`` returns the tuple of their values,
-    and ``batch`` preserves each component's vectorized fast path — the
-    values are exactly those each query's standalone run would read.
+    shared physical stream; ``__call__`` returns the tuple of their values
+    and ``block`` one matrix per component — the values are exactly those
+    each query's standalone run would read.
     """
 
     def __init__(self, components: Sequence[object]) -> None:
@@ -67,47 +67,21 @@ class WorkloadReadings:
     def __call__(self, node: int, epoch: int) -> ReadingTuple:
         return tuple(fn(node, epoch) for fn in self._components)
 
-    def batch(self, nodes: Sequence[int], epoch: int) -> List[ReadingTuple]:
-        """One epoch's reading tuples for many nodes, per-component batched.
+    def block(self, nodes: Sequence[int], epochs: Sequence[int]) -> Tuple:
+        """Many epochs' readings, one float64 ``(epochs, nodes)`` block per
+        slot: each stream's
+        :func:`~repro.network.simulator.gather_reading_block`.
 
         Queries over the bare sensor stream share one source *object*; each
-        distinct source is asked once and its column reused (sources are
-        pure functions of ``(node, epoch)``, so the values are the same).
+        distinct source is read once and its block reused (sources are pure
+        functions of ``(node, epoch)``, so the values are the same).
         """
-        asked: Dict[int, List[float]] = {}
-        columns = []
-        for fn in self._components:
-            column = asked.get(id(fn))
-            if column is None:
-                batch = getattr(fn, "batch", None)
-                if batch is not None:
-                    column = batch(nodes, epoch)
-                else:
-                    column = [fn(node, epoch) for node in nodes]
-                asked[id(fn)] = column
-            columns.append(column)
-        return list(zip(*columns))
-
-    def block(self, nodes: Sequence[int], epochs: Sequence[int]) -> Tuple:
-        """Many epochs' readings, one ``(epochs, nodes)`` block per slot.
-
-        Slot ``i``'s block is its stream's
-        :func:`~repro.network.simulator.gather_reading_block` — a float64
-        matrix — when the stream has an array form (``block``), else its
-        rows of :func:`~repro.network.simulator.gather_readings` (tagged
-        GROUP BY readings are not floats). As in :meth:`batch`, a source
-        shared by several slots is read once.
-        """
-        asked: Dict[int, object] = {}
+        asked: Dict[int, np.ndarray] = {}
         blocks = []
         for fn in self._components:
             block = asked.get(id(fn))
             if block is None:
-                if getattr(fn, "block", None) is not None:
-                    block = gather_reading_block(fn, nodes, epochs)
-                else:
-                    block = [gather_readings(fn, nodes, epoch) for epoch in epochs]
-                asked[id(fn)] = block
+                block = asked[id(fn)] = gather_reading_block(fn, nodes, epochs)
             blocks.append(block)
         return tuple(blocks)
 
@@ -176,7 +150,7 @@ class WorkloadAggregate(CompositeAggregate):
         #: refusal names a workload by; plain composites do not have it).
         self.workload_names: Tuple[str, ...] = tuple(names)
         self.name = "workload(" + "+".join(names) + ")"
-        #: Per-query loss-free answers from the most recent :meth:`exact`.
+        #: Per-query loss-free answers from the most recent :meth:`exact_array`.
         self.last_exact_evaluations: Optional[Tuple[float, ...]] = None
 
     # -- dynamic membership ------------------------------------------------
@@ -244,16 +218,11 @@ class WorkloadAggregate(CompositeAggregate):
         self.last_exact_evaluations = None
 
     # -- per-query local computation: the composite owns the dispatch of
-    # every local op; a workload only says how a reading tuple splits.
+    # every local op; a workload's reading tuple (a cell's values, or a
+    # block's matrices) already holds one entry per slot.
 
-    def _slot_readings(self, reading: ReadingTuple) -> ReadingTuple:
-        return reading
-
-    def _slot_rows(self, reading_rows: Sequence[Sequence[ReadingTuple]]):
-        return [
-            [[cell[i] for cell in row] for row in reading_rows]
-            for i in range(len(self._aggregates))
-        ]
+    def _slot_readings(self, readings: Tuple) -> Tuple:
+        return readings
 
     # -- epoch-record extras -----------------------------------------------
 
@@ -266,40 +235,22 @@ class WorkloadAggregate(CompositeAggregate):
         return {"workload_estimates": list(evaluations)}
 
     def truth_extras(self) -> Dict[str, object]:
-        """Every query's loss-free answer, from the latest :meth:`exact`."""
+        """Every query's loss-free answer, from the latest :meth:`exact_array`."""
         if self.last_exact_evaluations is None:
             return {}
         return {"workload_truths": list(self.last_exact_evaluations)}
 
     # -- truth -------------------------------------------------------------
 
-    def exact(self, readings: Sequence[ReadingTuple]) -> float:
-        values = self.exact_all(readings)
-        self.last_exact_evaluations = tuple(values)
-        return values[self._primary]
-
-    def exact_array(self, readings: Tuple) -> float:
-        """:meth:`exact` over one epoch row per slot, as :meth:`WorkloadReadings.block`
-        hands them over: array rows through each query's ``exact_array``."""
+    def exact_array(self, readings: Tuple, nodes: Sequence[int]) -> float:
+        """Every query's loss-free answer, each over its own slot's row as
+        :meth:`WorkloadReadings.block` hands them over."""
         values = [
-            aggregate.exact_array(row)
-            if isinstance(row, np.ndarray)
-            else aggregate.exact(list(row))
+            aggregate.exact_array(row, nodes)
             for aggregate, row in zip(self._aggregates, readings)
         ]
         self.last_exact_evaluations = tuple(values)
         return values[self._primary]
-
-    def exact_all(self, readings: Sequence[ReadingTuple]) -> List[float]:
-        """Loss-free answers for every query over its own reading column."""
-        if readings:
-            columns = list(zip(*readings))
-        else:
-            columns = [() for _ in self._aggregates]
-        return [
-            aggregate.exact(list(column))
-            for aggregate, column in zip(self._aggregates, columns)
-        ]
 
 
 __all__ = ["WorkloadAggregate", "WorkloadReadings"]

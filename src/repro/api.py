@@ -59,6 +59,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import threading
@@ -1145,7 +1146,9 @@ class RunReport:
         ]
 
     def group_rms_error(self, path: str) -> float:
-        """RMS of estimate - truth over the region's recorded epochs."""
+        """RMS of estimate - truth over the region's recorded epochs (an
+        epoch whose truth is non-finite adds no deviation, as in
+        :meth:`RunResult.rms_error`)."""
         estimates = self.group_estimates(path)
         truths = self.group_truths(path)
         if not estimates:
@@ -1153,6 +1156,7 @@ class RunReport:
         total = sum(
             (estimate - truth) ** 2
             for estimate, truth in zip(estimates, truths)
+            if math.isfinite(truth)
         )
         return (total / len(estimates)) ** 0.5
 

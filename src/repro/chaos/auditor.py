@@ -227,9 +227,8 @@ class Auditor:
         its local synopses are exactly those insertions."""
         self._count("fm-or-monotonicity")
         alive = sorted(alive_sensors)
-        (singles,) = counter.synopsis_local_block(
-            alive, [epoch], [[None] * len(alive)]
-        )
+        # A Count reads no reading.
+        (singles,) = counter.synopsis_local_block(alive, [epoch], None)
         rogue = sketch._packed & ~counter.synopsis_fuse_many(
             [counter.synopsis_empty(), *singles]
         )._packed

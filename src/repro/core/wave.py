@@ -70,7 +70,7 @@ from repro.network.rings import RingsTopology
 from repro.network.simulator import (
     EpochOutcome,
     ReadingFn,
-    gather_readings,
+    gather_reading_block,
     run_epochs_scalar,
 )
 
@@ -405,19 +405,17 @@ class LayoutWave:
         nodes = [node for level in layout.level_nodes for node in level]
         m_nodes = [node for node in nodes if node in multipath]
         t_nodes = [node for node in nodes if node not in multipath]
-        m_readings = [
-            gather_readings(readings, m_nodes, epoch) for epoch in epoch_list
-        ]
-        synopses = aggregate.synopsis_local_block(m_nodes, epoch_list, m_readings)
+        synopses = aggregate.synopsis_local_block(
+            m_nodes, epoch_list, gather_reading_block(readings, m_nodes, epoch_list)
+        )
         sketches = (
             [[None] * len(m_nodes) for _ in epoch_list]
             if piggyback is None
-            else piggyback.synopsis_local_block(m_nodes, epoch_list, m_readings)
+            # The piggyback's Count reads no reading.
+            else piggyback.synopsis_local_block(m_nodes, epoch_list, None)
         )
         partials = aggregate.tree_local_block(
-            t_nodes,
-            epoch_list,
-            [gather_readings(readings, t_nodes, epoch) for epoch in epoch_list],
+            t_nodes, epoch_list, gather_reading_block(readings, t_nodes, epoch_list)
         )
 
         # Per level: its T senders and their (epochs,) delivery flags. A tree

@@ -66,10 +66,6 @@ class ConstantReadings:
     def __call__(self, node: NodeId, epoch: int) -> float:
         return self.value
 
-    def batch(self, nodes: Sequence[NodeId], epoch: int) -> List[float]:
-        """One epoch's readings for many nodes (identical to per-node calls)."""
-        return [self.value] * len(nodes)
-
     def block(self, nodes: Sequence[NodeId], epochs: Sequence[int]) -> np.ndarray:
         """Readings as a float64 ``(epochs, nodes)`` matrix.
 
@@ -95,11 +91,12 @@ class UniformReadings:
         return float(self.low + int(draw * span))
 
     def batch(self, nodes: Sequence[NodeId], epoch: int) -> List[float]:
-        """One epoch's readings for many nodes, as plain Python floats.
+        """One epoch's readings for many nodes: a one-row :meth:`block`.
 
-        A one-row :meth:`block`, so there is one vectorised generator; the
-        list form is what the object engine (and every ``hash_key`` token
-        derived from a reading) consumes.
+        No engine reads it: it stays because the end-to-end benchmark
+        (``benchmarks/e2e``) wraps it by name
+        (``vars(UniformReadings)["batch"]``), like
+        :mod:`repro.network.packed`.
         """
         return self.block(nodes, (epoch,))[0].tolist()
 
@@ -159,10 +156,6 @@ class DiurnalLightReadings:
         wobble = (hash_unit("light-noise", self.seed, node, epoch) - 0.5) * 2.0
         level += wobble * self.noise
         return float(max(0, int(round(level))))
-
-    def batch(self, nodes: Sequence[NodeId], epoch: int) -> List[float]:
-        """One epoch's readings for many nodes: a one-row :meth:`block`."""
-        return self.block(nodes, (epoch,))[0].tolist()
 
     def block(self, nodes: Sequence[NodeId], epochs: Sequence[int]) -> np.ndarray:
         """Readings as a float64 ``(epochs, nodes)`` matrix.

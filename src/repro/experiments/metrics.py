@@ -13,6 +13,7 @@ import math
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.network.simulator import relative_deviation
 
 
 def mean(values: Sequence[float]) -> float:
@@ -24,9 +25,10 @@ def mean(values: Sequence[float]) -> float:
 
 
 def relative_error(estimate: float, truth: float) -> float:
-    """|estimate - truth| / |truth| (inf when truth is 0 and estimate isn't)."""
-    if truth == 0:
-        return 0.0 if estimate == 0 else math.inf
+    """|estimate - truth| / |truth|; against a zero or non-finite truth, 0
+    when the estimate equals it, else inf."""
+    if truth == 0 or not math.isfinite(truth):
+        return 0.0 if estimate == truth else math.inf
     return abs(estimate - truth) / abs(truth)
 
 
@@ -37,8 +39,9 @@ def rms_error_series(
 
     The rule and arithmetic of
     :meth:`~repro.network.simulator.RunResult.rms_error`, which every figure
-    reports: an epoch whose truth is 0 adds no deviation but still counts in
-    T, the squares are summed in epoch order, and the root is ``** 0.5``.
+    reports: an epoch whose truth is 0 or non-finite adds no deviation but
+    still counts in T, the squares are summed in epoch order, and the root
+    is ``** 0.5``.
     """
     if len(estimates) != len(truths):
         raise ConfigurationError("series lengths differ")
@@ -46,9 +49,7 @@ def rms_error_series(
         return 0.0
     total = 0.0
     for estimate, truth in zip(estimates, truths):
-        if truth == 0:
-            continue
-        deviation = (estimate - truth) / truth
+        deviation = relative_deviation(estimate, truth)
         total += deviation * deviation
     return (total / len(estimates)) ** 0.5
 

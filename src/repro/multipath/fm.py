@@ -382,10 +382,6 @@ class FMSketch:
         """
         return _packed_rle_words(self._packed, self.num_bitmaps)
 
-    def raw_words(self) -> int:
-        """Un-encoded size: one word per bitmap."""
-        return self.num_bitmaps
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FMSketch):
             return NotImplemented

@@ -56,13 +56,6 @@ class KMVSketch:
         # so len(_values) is no longer the exact distinct count.
         self._saturated = len(self._values) >= k
 
-    @classmethod
-    def for_relative_error(
-        cls, epsilon_c: float, delta_c: float = 0.05
-    ) -> "KMVSketch":
-        """Build an empty sketch sized for an (εc, δc) guarantee."""
-        return cls(k=k_for_relative_error(epsilon_c, delta_c))
-
     # -- insertion ---------------------------------------------------------
 
     def _add_hash(self, value: int) -> None:

@@ -56,13 +56,6 @@ class LifetimeReport:
         index = max(0, math.ceil(fraction * len(deaths)) - 1)
         return deaths[index]
 
-    def alive_fraction(self, epoch: float) -> float:
-        """Fraction of motes still alive at ``epoch``."""
-        if not self.epochs_by_node:
-            return 0.0
-        alive = sum(1 for death in self.epochs_by_node.values() if death > epoch)
-        return alive / len(self.epochs_by_node)
-
     def hotspots(self, count: int = 5) -> List[Tuple[NodeId, float]]:
         """The ``count`` shortest-lived motes, sorted soonest-death first."""
         ranked = sorted(self.epochs_by_node.items(), key=lambda item: item[1])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -34,41 +35,22 @@ from repro.network.placement import Deployment, NodeId
 ReadingFn = Callable[[NodeId, int], float]
 
 
-def gather_readings(
-    readings: ReadingFn, nodes: Sequence[NodeId], epoch: int
-) -> List[float]:
-    """One epoch's readings for many nodes, via the workload's fast path.
-
-    Workloads may expose ``batch(nodes, epoch)`` returning exactly
-    ``[readings(node, epoch) for node in nodes]`` (the built-in constant and
-    uniform workloads hash the whole row in one vectorized pass); plain
-    callables fall back to the per-node loop. Schemes use this everywhere
-    they gather a level or a truth row, so engine and oracle runs see
-    identical values by construction.
-    """
-    batch = getattr(readings, "batch", None)
-    if batch is not None:
-        return batch(nodes, epoch)
-    return [readings(node, epoch) for node in nodes]
-
-
 def gather_reading_block(
     readings: ReadingFn, nodes: Sequence[NodeId], epochs: Sequence[int]
 ) -> np.ndarray:
     """Many epochs' readings for many nodes as a float64 (epochs, nodes) matrix.
 
-    The array consumers' twin of :func:`gather_readings`: row ``j`` holds
-    the values of ``gather_readings(readings, nodes, epochs[j])``.
-    Workloads exposing ``block(nodes, epochs)`` (the built-in streams and
-    windows) fill the matrix without a Python object per cell — a
-    multi-query workload's returns one block per query; any other
-    scalar-valued workload is gathered row by row.
+    Every engine reads readings in this one form: row ``j`` holds
+    ``[readings(node, epochs[j]) for node in nodes]``. Workloads exposing
+    ``block(nodes, epochs)`` (the built-in streams and windows) fill the
+    matrix without a Python object per cell — a multi-query workload's
+    returns one block per query; a plain callable is asked cell by cell.
     """
     block = getattr(readings, "block", None)
     if block is not None:
         return block(nodes, epochs)
     return np.array(
-        [gather_readings(readings, nodes, epoch) for epoch in epochs],
+        [[readings(node, epoch) for node in nodes] for epoch in epochs],
         dtype=np.float64,
     ).reshape(len(epochs), len(nodes))
 
@@ -80,18 +62,25 @@ def exact_over(
 
     Ground truth draws its **own** readings — it is the oracle the schemes'
     estimates are scored against, so it never reuses a matrix a kernel
-    computed. Array-native workloads hand the row over as an ndarray
-    (``Aggregate.exact_array``), a multi-query workload one row per query,
-    everything else as a list.
+    computed. The epoch's row goes to ``Aggregate.exact_array`` with the
+    row's node ids (GROUP BY and the region filter key on them); a
+    multi-query workload's is one row per query.
     """
-    block = getattr(readings, "block", None)
-    if block is not None:
-        rows = block(nodes, (epoch,))
-        # A workload's block holds one block per slot: hand over each row.
-        if isinstance(rows, tuple):
-            return aggregate.exact_array(tuple(slot[0] for slot in rows))
-        return aggregate.exact_array(rows[0])
-    return aggregate.exact(gather_readings(readings, nodes, epoch))
+    rows = gather_reading_block(readings, nodes, (epoch,))
+    if isinstance(rows, tuple):
+        return aggregate.exact_array(tuple(slot[0] for slot in rows), nodes)
+    return aggregate.exact_array(rows[0], nodes)
+
+
+def relative_deviation(estimate: float, truth: float) -> float:
+    """``(estimate - truth) / truth``, the term the RMS error squares.
+
+    0.0 where no relative error is measured: a zero truth, or a non-finite
+    one (a Min/Max over no reading is +/-inf).
+    """
+    if truth == 0 or not math.isfinite(truth):
+        return 0.0
+    return (estimate - truth) / truth
 
 
 @dataclass
@@ -181,10 +170,12 @@ class EpochResult:
 
     @property
     def relative_error(self) -> float:
-        """|estimate - truth| / truth (0 when truth is 0 and estimate is 0)."""
-        if self.true_value == 0:
-            return 0.0 if self.estimate == 0 else float("inf")
-        return abs(self.estimate - self.true_value) / abs(self.true_value)
+        """|estimate - truth| / |truth|; against a zero or non-finite truth,
+        0 when the estimate equals it, else inf."""
+        truth = self.true_value
+        if truth == 0 or not math.isfinite(truth):
+            return 0.0 if self.estimate == truth else math.inf
+        return abs(self.estimate - truth) / abs(truth)
 
 
 @dataclass
@@ -203,11 +194,8 @@ class RunningStats:
 
     def add(self, result: "EpochResult") -> None:
         self.num_epochs += 1
-        if result.true_value != 0:
-            deviation = (
-                result.estimate - result.true_value
-            ) / result.true_value
-            self.error_sq_sum += deviation * deviation
+        deviation = relative_deviation(result.estimate, result.true_value)
+        self.error_sq_sum += deviation * deviation
         self.contributing_sum += result.contributing
 
     def to_jsonable(self) -> Dict[str, object]:
@@ -350,9 +338,7 @@ class RunResult:
             return 0.0
         total = 0.0
         for result in self.epochs:
-            if result.true_value == 0:
-                continue
-            deviation = (result.estimate - result.true_value) / result.true_value
+            deviation = relative_deviation(result.estimate, result.true_value)
             total += deviation * deviation
         return (total / len(self.epochs)) ** 0.5
 

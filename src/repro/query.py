@@ -45,7 +45,7 @@ from repro.aggregates.filtered import FilteredAggregate
 from repro.errors import ConfigurationError
 from repro.network.simulator import ReadingFn, gather_reading_block
 from repro.registry import AGGREGATES, REGIONS, build_aggregate, build_regions
-from repro.spatial.grouped import apply_grouping
+from repro.spatial.grouped import GroupedAggregate
 from repro.spatial.regions import parse_region_spec
 
 #: value predicate applied at each sensor.
@@ -111,11 +111,7 @@ class WindowedReadings:
         self._segment_starts: Dict[int, int] = {}
 
     def __call__(self, node: int, epoch: int) -> float:
-        return self.batch([node], epoch)[0]
-
-    def batch(self, nodes: Sequence[int], epoch: int) -> List[float]:
-        """One epoch's windowed values for many nodes: a one-row :meth:`block`."""
-        return self.block(nodes, (epoch,))[0].tolist()
+        return float(self.block([node], (epoch,))[0, 0])
 
     def block(self, nodes: Sequence[int], epochs: Sequence[int]) -> np.ndarray:
         """Windowed values as a float64 ``(epochs, nodes)`` matrix.
@@ -311,13 +307,8 @@ class ContinuousQuery:
             hierarchy, depth, budget = build_regions(
                 self.group_by, deployment
             )
-            aggregate, readings = apply_grouping(
-                aggregate,
-                readings,
-                hierarchy,
-                depth,
-                word_budget=budget,
-                spec=self.group_by,
+            aggregate = GroupedAggregate(
+                aggregate, hierarchy, depth, word_budget=budget, spec=self.group_by
             )
         return aggregate, readings
 

@@ -467,8 +467,8 @@ def build_regions(spec: str, deployment):
     """Construct a region hierarchy from a ``name[:depth[:budget]]`` spec.
 
     Returns ``(hierarchy, depth, word_budget)`` — everything
-    :func:`repro.spatial.apply_grouping` needs to wrap an aggregate for a
-    GROUP BY run. The optional third token is the multiresolution word
+    :class:`repro.spatial.GroupedAggregate` needs to wrap an aggregate for
+    a GROUP BY run. The optional third token is the multiresolution word
     budget: a merged grouped message larger than that many words coarsens
     its deepest cells into ancestors until it fits.
     """

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError
-from repro.network.simulator import gather_readings
+from repro.network.simulator import gather_reading_block
 
 #: Sensor ids (1..PROBE_NODES) and epochs an estimate probes.
 PROBE_NODES = 4
@@ -103,7 +103,8 @@ class AdmissionController:
         worst = 1
         for offset in range(PROBE_EPOCHS):
             epoch = self._start_epoch + offset
-            for node, value in zip(nodes, gather_readings(readings, nodes, epoch)):
+            (row,) = gather_reading_block(readings, nodes, (epoch,))
+            for node, value in zip(nodes, row.tolist()):
                 synopsis = aggregate.synopsis_local(node, epoch, value)
                 partial = aggregate.tree_local(node, epoch, value)
                 worst = max(

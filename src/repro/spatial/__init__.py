@@ -7,9 +7,7 @@ per-region answers up the TAG/SD/TD paths.
 
 from repro.spatial.grouped import (
     GroupedAggregate,
-    GroupedReadings,
     RegionFilteredAggregate,
-    apply_grouping,
 )
 from repro.spatial.regions import (
     MAX_REGION_DEPTH,
@@ -26,12 +24,10 @@ from repro.spatial.regions import (
 
 __all__ = [
     "GroupedAggregate",
-    "GroupedReadings",
     "RegionFilteredAggregate",
     "RegionHierarchy",
     "MAX_REGION_DEPTH",
     "ROOT_REGION",
-    "apply_grouping",
     "grid_hierarchy",
     "is_region_prefix",
     "parse_region_spec",

@@ -1,14 +1,16 @@
 """Grouped aggregation: per-region partial cubes over any scheme.
 
-A grouped run tags every reading with the node's region path
-(:class:`GroupedReadings`) and replaces the scalar aggregate with a
+A grouped run replaces the scalar aggregate with a
 :class:`GroupedAggregate` whose partial state is a *cube*: a dict mapping
-region paths to the inner aggregate's partial for that region.  Cubes ride
-the existing TAG tree / SD synopsis / TD mixed paths unchanged — merge and
-fuse operate cell-wise, word billing charges one path word per occupied
-cell plus the inner payload, and evaluation produces both the global
-answer (the scalar every scheme already reports) and a per-group breakdown
-stashed for the schemes' annotate paths.
+region paths to the inner aggregate's partial for that region. A sensor's
+region is where it sits, not part of what it reads: the aggregate maps
+each node id to its region path once (placement is static), and readings
+stay plain numbers. Cubes ride the existing TAG tree / SD synopsis / TD
+mixed paths unchanged — merge and fuse operate cell-wise, word billing
+charges one path word per occupied cell plus the inner payload, and
+evaluation produces both the global answer (the scalar every scheme
+already reports) and a per-group breakdown stashed for the schemes'
+annotate paths.
 
 Multiresolution coarsening (Meliou et al.): when a word budget is set and
 a merged cube would exceed it, the deepest cells fold into their parent —
@@ -25,7 +27,9 @@ it in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro._hashing import hash_key
 from repro.aggregates.base import Aggregate
@@ -37,51 +41,6 @@ from repro.spatial.regions import (
     region_depth,
     region_parent,
 )
-
-#: A tagged reading: (windowed/filtered value, region path of the sensor).
-TaggedReading = Tuple[float, str]
-
-
-class GroupedReadings:
-    """Reading source that tags each value with the node's region path.
-
-    Wraps any reading source (including :class:`WindowedReadings`) and
-    forwards the churn/checkpoint hooks so grouped queries compose with
-    windows, churn and resume unchanged.  The node-to-path mapping is
-    static — regions are a property of placement, not membership.
-    """
-
-    def __init__(
-        self, source, hierarchy: RegionHierarchy, depth: int
-    ) -> None:
-        self._source = source
-        self._hierarchy = hierarchy
-        self._depth = depth
-        self._paths: Dict[int, str] = {}
-
-    def __call__(self, node: int, epoch: int) -> TaggedReading:
-        path = self._paths.get(node)
-        if path is None:
-            path = self._hierarchy.region_of(node, self._depth)
-            self._paths[node] = path
-        return (self._source(node, epoch), path)
-
-    def region_of(self, node: int) -> str:
-        return self._hierarchy.region_of(node, self._depth)
-
-    def on_membership_change(self, update) -> None:
-        hook = getattr(self._source, "on_membership_change", None)
-        if hook is not None:
-            hook(update)
-
-    def checkpoint_state(self):
-        hook = getattr(self._source, "checkpoint_state", None)
-        return hook() if hook is not None else {}
-
-    def restore_state(self, state) -> None:
-        hook = getattr(self._source, "restore_state", None)
-        if hook is not None:
-            hook(state)
 
 
 class GroupedAggregate(Aggregate):
@@ -108,15 +67,23 @@ class GroupedAggregate(Aggregate):
                 f"aggregate {supported!r} does not support GROUP BY"
             )
         require_neutral(inner, "GROUP BY")
+        if depth > hierarchy.max_depth:
+            raise ConfigurationError(
+                f"GROUP BY depth {depth} exceeds hierarchy "
+                f"{hierarchy.name!r} max depth {hierarchy.max_depth}"
+            )
         if word_budget is not None and word_budget < 2:
             raise ConfigurationError(
                 f"GROUP BY word budget {word_budget} too small: a grouped "
                 "message needs at least 2 words (header + one cell)"
             )
         self._inner = inner
-        self._hierarchy = hierarchy
         self._depth = depth
         self._budget = word_budget
+        #: node id -> region path at ``depth``.
+        self._paths: Dict[int, str] = {
+            node: hierarchy.region_of(node, depth) for node in hierarchy.nodes()
+        }
         #: The GROUP BY spec (also the marker the kernel's refusal names a
         #: grouped query by, the way workloads use workload_names).
         self.group_by_spec = spec or f"{hierarchy.name}:{depth}"
@@ -124,8 +91,8 @@ class GroupedAggregate(Aggregate):
         #: per-group evaluations from the most recent tree/synopsis/mixed
         #: eval, read by :meth:`estimate_extras` right after eval.
         self.last_group_evaluations: Optional[Dict[str, float]] = None
-        #: per-group exact answers from the most recent ``exact`` call,
-        #: read by :meth:`truth_extras`.
+        #: per-group exact answers from the most recent
+        #: :meth:`exact_array` call, read by :meth:`truth_extras`.
         self.last_exact_groups: Optional[Dict[str, float]] = None
 
     @property
@@ -142,9 +109,8 @@ class GroupedAggregate(Aggregate):
 
     # -- tree ------------------------------------------------------------
 
-    def tree_local(self, node: int, epoch: int, reading: TaggedReading):
-        value, path = reading
-        return {path: self._inner.tree_local(node, epoch, value)}
+    def tree_local(self, node: int, epoch: int, reading: float):
+        return {self._paths[node]: self._inner.tree_local(node, epoch, reading)}
 
     def tree_merge(self, a, b):
         merged = dict(a)
@@ -176,9 +142,8 @@ class GroupedAggregate(Aggregate):
 
     # -- multi-path ----------------------------------------------------------
 
-    def synopsis_local(self, node: int, epoch: int, reading: TaggedReading):
-        value, path = reading
-        return {path: self._inner.synopsis_local(node, epoch, value)}
+    def synopsis_local(self, node: int, epoch: int, reading: float):
+        return {self._paths[node]: self._inner.synopsis_local(node, epoch, reading)}
 
     def synopsis_fuse(self, a, b):
         # Cell-wise fuse, never coarsened: folding cells would break
@@ -247,19 +212,19 @@ class GroupedAggregate(Aggregate):
 
     # -- truth ---------------------------------------------------------------------
 
-    def exact(self, readings: Sequence[TaggedReading]) -> float:
-        by_group: Dict[str, List[float]] = {}
-        values: List[float] = []
-        for value, path in readings:
-            values.append(value)
-            by_group.setdefault(path, []).append(value)
+    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
+        by_group: Dict[str, List[int]] = {}
+        for index, node in enumerate(nodes):
+            by_group.setdefault(self._paths[node], []).append(index)
         self.last_exact_groups = {
-            path: self._inner.exact(group)
-            for path, group in sorted(by_group.items())
+            path: self._inner.exact_array(
+                readings[cells], [nodes[cell] for cell in cells]
+            )
+            for path, cells in sorted(by_group.items())
         }
-        if not values:
+        if not len(nodes):
             return self._inner.tree_eval(self._inner.tree_empty())
-        return self._inner.exact(values)
+        return self._inner.exact_array(readings, nodes)
 
     # -- epoch-record extras -------------------------------------------------------
 
@@ -270,7 +235,7 @@ class GroupedAggregate(Aggregate):
         return {"group_estimates": dict(self.last_group_evaluations)}
 
     def truth_extras(self) -> Dict[str, object]:
-        """Per-group loss-free answers, from the latest :meth:`exact`."""
+        """Per-group loss-free answers, from the latest :meth:`exact_array`."""
         if self.last_exact_groups is None:
             return {}
         return {"group_truths": dict(self.last_exact_groups)}
@@ -347,27 +312,35 @@ class GroupedAggregate(Aggregate):
 
 
 class RegionFilteredAggregate(FilteredAggregate):
-    """Standalone single-region run over region-tagged readings.
+    """Standalone single-region run: the spatial WHERE clause.
 
-    The spatial WHERE clause: nodes outside the target region contribute
-    the inner neutral element but keep relaying.  Used by the amortization
-    benchmark and the loss-0 equivalence tests — one grouped pass must
-    agree with (and cost less than) a set of these.
+    Sensors outside ``region`` contribute the inner neutral element but
+    keep relaying; which sensors those are is read off their node ids.
+    Used by the amortization benchmark and the loss-0 equivalence tests —
+    one grouped pass must agree with (and cost less than) a set of these.
     """
 
     _clause = "region filtering"
 
-    def __init__(self, inner: Aggregate, region: str) -> None:
-        super().__init__(inner, lambda reading: is_region_prefix(region, reading[1]))
+    def __init__(
+        self, inner: Aggregate, hierarchy: RegionHierarchy, region: str
+    ) -> None:
+        super().__init__(inner, frozenset(hierarchy.members(region)).__contains__)
         self.name = f"{inner.name}[region={region}]"
 
-    def _value(self, reading: TaggedReading) -> float:
-        return reading[0]
+    def _accepts(self, node: int, reading) -> bool:
+        return self._predicate(node)
 
-    def supports_group_by(self) -> bool:
-        return False  # a grouped inner reads untagged values
+    def _mask(self, nodes: Sequence[int], readings: np.ndarray) -> np.ndarray:
+        inside = np.fromiter(map(self._predicate, nodes), dtype=bool, count=len(nodes))
+        return np.broadcast_to(inside, readings.shape)
 
-    # Region-tagged readings are not floats: no array forms.
+    def exact(self, readings: Sequence[float]) -> float:
+        raise NotImplementedError(
+            "region filtering reads node ids: its truth is exact_array"
+        )
+
+    # Region filtering keeps the object wave.
 
     def tree_partials_additive(self) -> bool:
         return False
@@ -377,24 +350,3 @@ class RegionFilteredAggregate(FilteredAggregate):
 
     def extremum_ufunc(self) -> None:
         return None
-
-
-def apply_grouping(
-    aggregate: Aggregate,
-    readings,
-    hierarchy: RegionHierarchy,
-    depth: int,
-    word_budget: Optional[int] = None,
-    spec: Optional[str] = None,
-) -> Tuple[GroupedAggregate, GroupedReadings]:
-    """Wrap an (aggregate, readings) pair for a GROUP BY run."""
-    if depth > hierarchy.max_depth:
-        raise ConfigurationError(
-            f"GROUP BY depth {depth} exceeds hierarchy "
-            f"{hierarchy.name!r} max depth {hierarchy.max_depth}"
-        )
-    grouped = GroupedAggregate(
-        aggregate, hierarchy, depth, word_budget=word_budget, spec=spec
-    )
-    tagged = GroupedReadings(readings, hierarchy, depth)
-    return grouped, tagged

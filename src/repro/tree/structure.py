@@ -137,17 +137,6 @@ class Tree:
             sizes[node] = 1 + sum(sizes[child] for child in children[node])
         return sizes
 
-    def subtree_nodes(self, node: NodeId) -> List[NodeId]:
-        """All nodes in the subtree rooted at ``node`` (sorted)."""
-        children = self.children_map()
-        collected: List[NodeId] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            collected.append(current)
-            stack.extend(children[current])
-        return sorted(collected)
-
     def postorder(self) -> List[NodeId]:
         """Children-before-parents order (the aggregation order)."""
         children = self.children_map()
@@ -166,14 +155,6 @@ class Tree:
     def edges(self) -> List[Tuple[NodeId, NodeId]]:
         """Directed (child, parent) edges, sorted by child."""
         return sorted(self.parents.items())
-
-    def with_parent(self, child: NodeId, new_parent: NodeId) -> "Tree":
-        """Return a copy with ``child`` re-attached under ``new_parent``."""
-        if child == self.root:
-            raise TopologyError("cannot reparent the root")
-        updated = dict(self.parents)
-        updated[child] = new_parent
-        return Tree(parents=updated, root=self.root)
 
     # -- JSON codec (checkpoints) --------------------------------------------
 

@@ -3,6 +3,8 @@ registry-wide scalar == block contract of every local op and conversion."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,8 @@ from repro.registry import (
     build_regions,
     register_aggregate,
 )
-from repro.spatial import GroupedReadings, RegionFilteredAggregate
+from repro.network.simulator import gather_reading_block
+from repro.spatial import GroupedAggregate, RegionFilteredAggregate
 
 ALL_AGGREGATES = [
     CountAggregate,
@@ -223,7 +226,9 @@ class TestArrayNativePartials:
             ).tolist()
         )
         truth = self._outcome(lambda: aggregate.exact(row))
-        truth_array = self._outcome(lambda: aggregate.exact_array(matrix[0]))
+        truth_array = self._outcome(
+            lambda: aggregate.exact_array(matrix[0], range(len(row)))
+        )
         if 2.0**63 in row:
             # Only the int64 matrix overflows; the scalar path is unbounded.
             assert scalar[0] == "ok"
@@ -242,7 +247,7 @@ class TestArrayNativePartials:
             [1, 2, 3], [0], readings
         ).tolist() == [[1, 1, 1]]
         for factory in (CountAggregate, MinAggregate, AverageAggregate):
-            assert factory().exact_array(readings[0]) == factory().exact(
+            assert factory().exact_array(readings[0], [1, 2, 3]) == factory().exact(
                 readings[0].tolist()
             )
         # Min's partials are its float64 extremum column; a sample has no
@@ -317,25 +322,14 @@ def _workload():
 
 
 def test_workload_batch_asks_each_distinct_source_once():
-    """Three of the four slots read the same source object: one batch call
+    """Three of the four slots read the same source object: one block read
     serves them, the window reads one block of its own, no slot reads a
-    single cell, and every tuple is still the per-slot scalar values."""
+    single cell, and every slot's row is still its scalar values."""
     calls = []
-    batch, block = UniformReadings.batch, UniformReadings.block
-    # ``batch`` is a one-row ``block``; only the blocks read outside it count.
-    inside_batch = []
-
-    def batch_spy(self, nodes, epoch):
-        calls.append(("batch", self))
-        inside_batch.append(True)
-        try:
-            return batch(self, nodes, epoch)
-        finally:
-            inside_batch.pop()
+    block = UniformReadings.block
 
     def block_spy(self, nodes, epochs):
-        if not inside_batch:
-            calls.append(("block", self))
+        calls.append(self)
         return block(self, nodes, epochs)
 
     def scalar_spy(self, node, epoch):
@@ -348,14 +342,34 @@ def test_workload_batch_asks_each_distinct_source_once():
     for epoch in (0, 1, 2, 7, 3):
         expected = [readings(node, epoch) for node in nodes]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(UniformReadings, "batch", batch_spy)
             patch.setattr(UniformReadings, "block", block_spy)
             patch.setattr(UniformReadings, "__call__", scalar_spy)
             del calls[:]
-            assert readings.batch(nodes, epoch) == expected
-        # Once for the shared source, once for its twin, and one block for
-        # the window, in any access order.
-        assert calls == [("batch", _SOURCE), ("block", _SOURCE), ("batch", twin)]
+            blocks = readings.block(nodes, [epoch])
+        assert list(zip(*(slot[0].tolist() for slot in blocks))) == expected
+        # Once for the shared source, once inside the window, once for its
+        # twin.
+        assert calls == [_SOURCE, _SOURCE, twin]
+
+
+@functools.lru_cache(maxsize=None)
+def _regions():
+    """A depth-2 quadtree over a 100-sensor deployment."""
+    scenario = build_scenario(RunConfig(scheme="TAG", num_sensors=100))
+    hierarchy, _, _ = build_regions("region:2", scenario.topology.deployment)
+    return hierarchy
+
+
+def _grouped_filtered_avg():
+    avg, readings = parse_query("SELECT avg WHERE value > 50 WINDOW 3").build(_SOURCE)
+    return GroupedAggregate(avg, _regions(), 2), readings
+
+
+def _region_filtered_sum():
+    hierarchy = _regions()
+    return RegionFilteredAggregate(
+        SumAggregate(), hierarchy, hierarchy.region_of(3, 1)
+    ), _SOURCE
 
 
 #: label -> ``() -> (aggregate, reading function)``: every registered
@@ -380,6 +394,9 @@ BLOCK_SUBJECTS = {
         )
     ),
     "contributing": lambda: _plain(ContributingCount()),
+    # Keyed by the sensor's node id, not by its reading.
+    "grouped-filtered-avg": _grouped_filtered_avg,
+    "region-filtered-sum": _region_filtered_sum,
     # Readings above the exact-insert limit: local SG is binomial too.
     "sum-binomial": lambda: (
         SumAggregate(),
@@ -403,37 +420,44 @@ def _fold(aggregate, synopses):
 class TestBlockFormsEqualScalarForms:
     """Cell ``i`` of every block form is the scalar form of cell ``i``."""
 
-    def _rows(self, readings):
-        rows = [[readings(node, epoch) for node in _NODES] for epoch in _EPOCHS]
-        # One row where a ``value > 50`` predicate rejects every reading.
-        low = rows[0][0]
-        floor = tuple(10.0 for _ in low) if isinstance(low, tuple) else 10.0
-        rows[1] = [floor] * len(_NODES)
-        return rows
+    def _block(self, readings):
+        """The block's reading matrix (a workload's: one per slot), with one
+        epoch where a ``value > 50`` predicate rejects every reading."""
+        block = gather_reading_block(readings, _NODES, _EPOCHS)
+        for matrix in block if isinstance(block, tuple) else (block,):
+            matrix[1] = 10.0
+        return block
+
+    @staticmethod
+    def _cells(block):
+        """Per epoch, each node's reading as the scalar forms read it."""
+        if isinstance(block, tuple):
+            return [list(zip(*rows)) for rows in zip(*(m.tolist() for m in block))]
+        return block.tolist()
 
     def test_local_blocks(self, label):
         aggregate, readings = BLOCK_SUBJECTS[label]()
-        rows = self._rows(readings)
+        block = self._block(readings)
         for block_form, scalar_form in (
             (aggregate.tree_local_block, aggregate.tree_local),
             (aggregate.synopsis_local_block, aggregate.synopsis_local),
         ):
-            assert block_form(_NODES, _EPOCHS, rows) == [
+            assert block_form(_NODES, _EPOCHS, block) == [
                 [scalar_form(node, epoch, value) for node, value in zip(_NODES, row)]
-                for epoch, row in zip(_EPOCHS, rows)
+                for epoch, row in zip(_EPOCHS, self._cells(block))
             ]
             # No nodes, and no epochs: still one (empty) row per epoch.
-            assert block_form([], _EPOCHS, [[] for _ in _EPOCHS]) == [
-                [] for _ in _EPOCHS
-            ]
-            assert block_form(_NODES, [], []) == []
+            empty = gather_reading_block(readings, [], _EPOCHS)
+            assert block_form([], _EPOCHS, empty) == [[] for _ in _EPOCHS]
+            none = gather_reading_block(readings, _NODES, [])
+            assert block_form(_NODES, [], none) == []
 
     def test_synopsis_words_batch(self, label):
         aggregate, readings = BLOCK_SUBJECTS[label]()
         synopses = [
             cell
             for row in aggregate.synopsis_local_block(
-                _NODES, _EPOCHS, self._rows(readings)
+                _NODES, _EPOCHS, self._block(readings)
             )
             for cell in row
         ]
@@ -588,8 +612,8 @@ class TestContributingCount:
             assert piggyback.convert(count, sender, epoch) == old
 
     def test_block_forms(self, piggyback):
-        rows = [[None] * len(self.NODES) for _ in self.EPOCHS]
-        assert piggyback.synopsis_local_block(self.NODES, self.EPOCHS, rows) == [
+        # A Count reads no reading.
+        assert piggyback.synopsis_local_block(self.NODES, self.EPOCHS, None) == [
             [piggyback.synopsis_local(node, epoch, None) for node in self.NODES]
             for epoch in self.EPOCHS
         ]
@@ -601,9 +625,8 @@ class TestContributingCount:
 
     def test_packed_forms(self, piggyback):
         assert piggyback.synopsis_packable() == 40
-        rows = [[None] * len(self.NODES) for _ in self.EPOCHS]
         assert (
-            piggyback.synopsis_local_block_packed(self.NODES, self.EPOCHS, rows)
+            piggyback.synopsis_local_block_packed(self.NODES, self.EPOCHS, None)
             == single_item_matrix_block(40, ("contrib",), self.NODES, self.EPOCHS)
         ).all()
         counts, senders, epochs = self._cells()
@@ -749,9 +772,9 @@ def _golden_result(case):
         return run_config_result(config)
     scenario = build_scenario(config)
     hierarchy, depth, _ = build_regions("region:1", scenario.topology.deployment)
-    readings = GroupedReadings(scenario.source, hierarchy, depth)
+    readings = scenario.source
     aggregate = RegionFilteredAggregate(
-        AverageAggregate(), hierarchy.regions_at(depth)[0]
+        AverageAggregate(), hierarchy, hierarchy.regions_at(depth)[0]
     )
     scheme = scenario.build_scheme(aggregate)
     scenario.converge(scheme, readings)

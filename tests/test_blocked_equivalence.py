@@ -44,7 +44,7 @@ from repro.network.links import Channel, Transmission, transmit_sequential
 from repro.network.placement import grid_random_placement
 from repro.network.simulator import (
     EpochSimulator,
-    gather_readings,
+    gather_reading_block,
     run_epochs_scalar,
 )
 from repro.query import parse_query
@@ -539,12 +539,10 @@ class TestVectorizedHelpers:
         nodes = list(range(0, 90, 2))
         for readings in (ConstantReadings(2.5), UniformReadings(3, 77, seed=9)):
             for epoch in (0, 17, 1000):
-                assert gather_readings(readings, nodes, epoch) == [
-                    readings(node, epoch) for node in nodes
-                ]
+                (row,) = gather_reading_block(readings, nodes, [epoch])
+                assert row.tolist() == [readings(node, epoch) for node in nodes]
 
-    def test_gather_readings_plain_callable(self):
-        assert gather_readings(lambda node, epoch: node + epoch, [1, 2], 10) == [
-            11,
-            12,
-        ]
+    def test_gather_reading_block_plain_callable(self):
+        matrix = gather_reading_block(lambda node, epoch: node + epoch, [1, 2], [10, 11])
+        assert matrix.dtype == "float64"
+        assert matrix.tolist() == [[11.0, 12.0], [12.0, 13.0]]

@@ -48,7 +48,7 @@ from repro.errors import (
 from repro.network.churn import DynamicMembership, RandomDeaths, ScheduledChurn
 from repro.network.failures import GlobalLoss, NoLoss
 from repro.network.simulator import EpochSimulator
-from repro.query import WindowedReadings
+from repro.query import WindowedReadings, parse_query
 from repro.registry import FAULTS, build_fault_plan
 
 SCHEMES = ("TAG", "SD", "TD")
@@ -100,6 +100,7 @@ def _run(
     churn_model=None,
     epochs=30,
     aggregate=None,
+    readings=None,
 ):
     scheme = _build_scheme(name, scenario, tree, use_batch, aggregate)
     membership = DynamicMembership(
@@ -119,7 +120,7 @@ def _run(
         auditor=auditor,
         checkpoint=checkpoint,
     )
-    return simulator.run(epochs, UniformReadings(10, 100, seed=1))
+    return simulator.run(epochs, readings or UniformReadings(10, 100, seed=1))
 
 
 INJECTORS = {
@@ -361,25 +362,41 @@ class TestCheckpointResume:
     def test_kill_and_resume_is_byte_identical(
         self, small_scenario, small_tree, tmp_path, scheme, kill_at
     ):
-        base = _run(small_scenario, small_tree, scheme)
-        directory = tmp_path / f"{scheme}-{kill_at}"
-        with pytest.raises(SimulationKilled) as excinfo:
-            _run(
+        def plain():
+            return {}
+
+        def grouped_window():
+            # Cubes keyed by node id over windows the checkpoint resumes.
+            aggregate, readings = parse_query(
+                "SELECT avg GROUP BY region:1 WINDOW 3"
+            ).build(
+                UniformReadings(10, 100, seed=1),
+                deployment=small_scenario.deployment,
+            )
+            return {"aggregate": aggregate, "readings": readings}
+
+        for query in (plain, grouped_window):
+            base = _run(small_scenario, small_tree, scheme, **query())
+            directory = tmp_path / f"{scheme}-{kill_at}-{query.__name__}"
+            with pytest.raises(SimulationKilled) as excinfo:
+                _run(
+                    small_scenario,
+                    small_tree,
+                    scheme,
+                    checkpoint=Checkpointer(
+                        directory, interval=10, kill_at=kill_at
+                    ),
+                    **query(),
+                )
+            assert excinfo.value.offset == kill_at
+            resumed = _run(
                 small_scenario,
                 small_tree,
                 scheme,
-                checkpoint=Checkpointer(
-                    directory, interval=10, kill_at=kill_at
-                ),
+                checkpoint=Checkpointer(directory, interval=10, resume=True),
+                **query(),
             )
-        assert excinfo.value.offset == kill_at
-        resumed = _run(
-            small_scenario,
-            small_tree,
-            scheme,
-            checkpoint=Checkpointer(directory, interval=10, resume=True),
-        )
-        assert serialization.dumps(resumed) == serialization.dumps(base)
+            assert serialization.dumps(resumed) == serialization.dumps(base)
 
     def test_kill_and_resume_with_faults(
         self, small_scenario, small_tree, tmp_path

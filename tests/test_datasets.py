@@ -88,7 +88,7 @@ class TestDiurnalBlock:
         expected = [[source(node, epoch) for node in nodes] for epoch in epochs]
         assert _hex_rows(block.tolist()) == _hex_rows(expected)
         for epoch, row in zip(epochs[:2], expected):
-            batch = source.batch(nodes, epoch)
+            batch = source.block(nodes, [epoch])[0].tolist()
             assert _hex_rows([batch]) == _hex_rows([row])
             assert all(type(value) is float for value in batch)
 

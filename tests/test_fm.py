@@ -125,7 +125,7 @@ class TestSizing:
     def test_words_positive(self):
         sketch = FMSketch(40)
         sketch.insert_count(1000, "w")
-        assert 1 <= sketch.words() <= sketch.raw_words()
+        assert 1 <= sketch.words() <= sketch.num_bitmaps
 
     def test_typical_count_sketch_fits_one_message(self):
         # The experimental setup of Section 7.1: 40 bitmaps, RLE, 48-byte

@@ -234,13 +234,17 @@ def test_window_block_equals_per_epoch_batch_across_a_rejoin(op):
         ]
 
     assert window.block(NODES, epochs).tolist() == scalar(epochs, {})
-    assert [window.batch(NODES, epoch) for epoch in epochs] == scalar(epochs, {})
+    assert [window.block(NODES, [epoch])[0].tolist() for epoch in epochs] == scalar(
+        epochs, {}
+    )
     # Nodes 8 and 14 rejoin at epoch 9: their windows restart there.
     window.on_membership_change(SimpleNamespace(epoch=9, joined=(8, 14)))
     later = [epoch for epoch in epochs if epoch >= 9]
     rejoined = {8: 9, 14: 9}
     assert window.block(NODES, later).tolist() == scalar(later, rejoined)
-    assert [window.batch(NODES, epoch) for epoch in later] == scalar(later, rejoined)
+    assert [window.block(NODES, [epoch])[0].tolist() for epoch in later] == scalar(
+        later, rejoined
+    )
     # Out-of-order epochs read the same cells.
     assert window.block(NODES, [13, 9]).tolist() == scalar([13, 9], rejoined)
 
@@ -261,9 +265,8 @@ def test_workload_block_equals_batch():
     assert len(blocks) == 4
     assert blocks[0] is blocks[2]  # a shared source is read once
     for row, epoch in enumerate(epochs):
-        batch = workload.batch(NODES, epoch)
-        assert [tuple(block[row].tolist()) for block in blocks] == [
-            tuple(column) for column in zip(*batch)
+        assert list(zip(*(block[row].tolist() for block in blocks))) == [
+            workload(node, epoch) for node in NODES
         ]
 
 
@@ -308,6 +311,17 @@ def test_leaf_array_forms_equal_scalar_forms(name):
     leaf: Aggregate = LEAVES[name]
     nodes, epochs = [3, 8, 1], [4, 5]
     readings = np.array([[2.6, 7.5, 3.0], [4.5, 0.4, 9.9]])
+    # The object wave's block forms read the same matrix.
+    for block_form, local in (
+        (leaf.tree_local_block, leaf.tree_local),
+        (leaf.synopsis_local_block, leaf.synopsis_local),
+    ):
+        assert repr(block_form(nodes, epochs, readings)) == repr(
+            [
+                [local(node, epoch, value) for node, value in zip(nodes, row)]
+                for epoch, row in zip(epochs, readings.tolist())
+            ]
+        )
     if leaf.tree_partials_additive():
         matrix = leaf.tree_local_matrix(nodes, epochs, readings)
         assert matrix.dtype == np.int64

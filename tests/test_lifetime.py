@@ -77,14 +77,6 @@ class TestPredictLifetimes:
         with pytest.raises(ConfigurationError):
             report.epochs_to_fraction_dead(0.0)
 
-    def test_alive_fraction_monotone(self):
-        report = predict_lifetimes(
-            {node: 10.0 * (node + 1) for node in range(10)}, battery_j=1.0
-        )
-        probes = [report.alive_fraction(t) for t in (0, 1e4, 2e4, 1e5, 1e9)]
-        assert probes == sorted(probes, reverse=True)
-        assert probes[0] == 1.0
-
     def test_hotspots_are_heaviest_spenders(self):
         report = predict_lifetimes(
             {1: 10.0, 2: 500.0, 3: 20.0}, battery_j=1.0

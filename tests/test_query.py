@@ -26,6 +26,11 @@ from repro.query import (
 )
 
 
+def _row(window, nodes, epoch):
+    """One epoch's windowed values for ``nodes``: a one-row block."""
+    return window.block(nodes, [epoch])[0].tolist()
+
+
 def sawtooth(node, epoch):
     """A deterministic per-(node, epoch) reading in [0, 10)."""
     return float((node * 7 + epoch * 3) % 10)
@@ -116,7 +121,7 @@ class TestWindowedReadings:
                 segment = rejoin
             # A rejoined node is read from its rejoin epoch on.
             epoch = max(epoch, segment)
-            assert window.batch([3, 4], epoch) == [
+            assert _row(window, [3, 4], epoch) == [
                 self._naive(size, "MEAN", 3, epoch, segment),
                 self._naive(size, "MEAN", 4, epoch),
             ]
@@ -158,9 +163,9 @@ class TestWindowedReadings:
 
     @pytest.mark.parametrize("op", ["MEAN", "SUM", "MIN", "MAX", "LAST"])
     def test_batch_identical_to_per_node_calls(self, op):
-        """``batch`` must serve the values of per-node calls on a twin
-        window across sequential, repeated, gapped and backward epochs,
-        whether or not the source has a batch form of its own."""
+        """A one-row ``block`` must serve the values of per-node calls on a
+        twin window across sequential, repeated, gapped and backward epochs,
+        whether or not the source has a block form of its own."""
         from repro.datasets.streams import UniformReadings
 
         nodes = [1, 2, 9, 40]
@@ -170,21 +175,21 @@ class TestWindowedReadings:
             scalar = WindowedReadings(source, size=4, op=op)
             for epoch in pattern:
                 expected = [scalar(node, epoch) for node in nodes]
-                assert batched.batch(nodes, epoch) == expected, (op, epoch)
+                assert _row(batched, nodes, epoch) == expected, (op, epoch)
                 # Another node set at the same epoch.
-                assert batched.batch([2, 77], epoch) == [
+                assert _row(batched, [2, 77], epoch) == [
                     scalar(2, epoch), scalar(77, epoch)
                 ]
 
     def test_batch_steady_state_reads_one_source_row_per_epoch(self):
-        """Every ``batch`` is exactly one source block over the window, in
-        any access order, and never a per-cell call."""
+        """Every one-row ``block`` is exactly one source block over the
+        window, in any access order, and never a per-cell call."""
         source, blocks, cells = self._spied_source()
         window = WindowedReadings(source, size=3, op="MEAN")
         nodes = [4, 5, 6]
         pattern = [0, 1, 1, 2, 5, 3, 9]
         for epoch in pattern:
-            window.batch(nodes, epoch)
+            _row(window, nodes, epoch)
         assert cells == []
         assert blocks == [
             (tuple(nodes), tuple(range(max(0, epoch - 2), epoch + 1)))
@@ -207,7 +212,7 @@ class TestWindowedReadings:
                 batched.on_membership_change(update)
                 scalar.on_membership_change(update)
             live = [n for n in nodes if n != 2 or not 5 <= epoch < 8]
-            assert batched.batch(live, epoch) == [
+            assert _row(batched, live, epoch) == [
                 scalar(node, epoch) for node in live
             ]
         assert batched.checkpoint_state() == scalar.checkpoint_state()

@@ -148,12 +148,12 @@ class TestReadingGathering:
 
     @staticmethod
     def _hide_block(source):
-        # The same stream as a plain callable: no batch, no block.
+        # The same stream as a plain callable: no block.
         return lambda node, epoch: source(node, epoch)
 
     def test_block_matrix_equals_gathered_rows(self):
         from repro.datasets.streams import DiurnalLightReadings, UniformReadings
-        from repro.network.simulator import gather_reading_block, gather_readings
+        from repro.network.simulator import gather_reading_block
 
         nodes, epochs = [3, 1, 400, 7], [0, 9, 10]
         for source in (
@@ -165,7 +165,7 @@ class TestReadingGathering:
             matrix = gather_reading_block(source, nodes, epochs)
             assert matrix.dtype == "float64" and matrix.shape == (3, 4)
             assert matrix.tolist() == [
-                gather_readings(source, nodes, epoch) for epoch in epochs
+                [source(node, epoch) for node in nodes] for epoch in epochs
             ]
         assert gather_reading_block(source, [], epochs).shape == (3, 0)
 
@@ -179,6 +179,62 @@ class TestReadingGathering:
         nodes = list(range(1, 200))
         for aggregate in (SumAggregate(), CountAggregate(), AverageAggregate()):
             for epoch in (0, 17):
-                assert exact_over(aggregate, source, nodes, epoch) == exact_over(
+                truth = aggregate.exact([source(node, epoch) for node in nodes])
+                assert exact_over(aggregate, source, nodes, epoch) == truth
+                assert exact_over(
                     aggregate, self._hide_block(source), nodes, epoch
-                )
+                ) == truth
+
+
+class TestNonFiniteTruth:
+    """A Min/Max over no matching reading answers +/-inf; when the estimate
+    equals that truth the run reports no error, not NaN."""
+
+    @staticmethod
+    def _config(query, scheme, **overrides):
+        from repro.api import RunConfig
+
+        return RunConfig(
+            scheme=scheme,
+            num_sensors=40,
+            epochs=4,
+            converge_epochs=0,
+            failure="none",
+            reading="uniform:10:100:0",
+            query=query,
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("retention", ["all", "stream"])
+    @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
+    @pytest.mark.parametrize("select", ["max", "min"])
+    def test_exact_infinite_answer_has_zero_error(self, select, scheme, retention):
+        from repro.api import Session
+
+        query = f"SELECT {select} WHERE value > 200"
+        report = Session().run(self._config(query, scheme, retention=retention))
+        neutral = float("-inf") if select == "max" else float("inf")
+        for epoch in report.result.epochs:
+            assert epoch.estimate == epoch.true_value == neutral
+            assert epoch.relative_error == 0.0
+        assert report.rms_error() == 0.0
+
+    @pytest.mark.parametrize("select", ["max", "min"])
+    def test_grouped_regions_have_zero_error(self, select):
+        from repro.api import Session
+
+        query = f"SELECT {select} WHERE value > 200 GROUP BY region:1"
+        report = Session().run(self._config(query, "TD"))
+        assert report.group_names()
+        for name in report.group_names():
+            assert report.group_rms_error(name) == 0.0
+        assert report.rms_error() == 0.0
+
+    def test_series_helpers(self):
+        from repro.experiments.metrics import relative_error, rms_error_series
+
+        inf = float("inf")
+        assert relative_error(-inf, -inf) == relative_error(inf, inf) == 0.0
+        assert relative_error(0.0, -inf) == relative_error(-inf, inf) == inf
+        assert relative_error(0.0, 0.0) == 0.0 and relative_error(1.0, 0.0) == inf
+        assert rms_error_series([-inf, 3.0], [-inf, 2.0]) == (0.25 / 2) ** 0.5

@@ -11,6 +11,7 @@ runs), and the service planner's grouped slot sharing.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.aggregates.average import AverageAggregate
@@ -21,9 +22,7 @@ from repro.registry import build_aggregate, build_regions
 from repro.serialization import to_jsonable
 from repro.spatial import (
     GroupedAggregate,
-    GroupedReadings,
     RegionFilteredAggregate,
-    apply_grouping,
     grid_hierarchy,
     is_region_prefix,
     parse_region_spec,
@@ -125,15 +124,11 @@ class TestRegionHierarchy:
 class TestGroupedAggregate:
     def test_cell_wise_merge(self, small_scenario):
         hierarchy = quadtree_hierarchy(small_scenario.deployment)
-        grouped, readings = apply_grouping(
-            CountAggregate(), lambda n, e: 1.0, hierarchy, 1
-        )
+        grouped = GroupedAggregate(CountAggregate(), hierarchy, 1)
         nodes = list(small_scenario.deployment.sensor_ids)
         cube = grouped.tree_empty()
         for node in nodes:
-            cube = grouped.tree_merge(
-                cube, grouped.tree_local(node, 0, readings(node, 0))
-            )
+            cube = grouped.tree_merge(cube, grouped.tree_local(node, 0, 1.0))
         assert grouped.tree_eval(cube) == float(len(nodes))
         groups = grouped.last_group_evaluations
         assert sum(groups.values()) == float(len(nodes))
@@ -178,19 +173,24 @@ class TestGroupedAggregate:
 
     def test_exact_records_per_group_truths(self):
         grouped = GroupedAggregate(CountAggregate(), _StubHierarchy(), 1)
-        total = grouped.exact([(1.0, "r/0"), (1.0, "r/0"), (1.0, "r/1")])
-        assert total == 3.0
+        readings = np.ones(3)
+        assert grouped.exact_array(readings, [5, 6, 7]) == 3.0
         assert grouped.last_exact_groups == {"r/0": 2.0, "r/1": 1.0}
 
 
 class _StubHierarchy:
-    """Minimal hierarchy stand-in for unit tests of the cube algebra."""
+    """Minimal hierarchy stand-in for unit tests of the cube algebra:
+    sensors 5 and 6 sit in region r/0, sensor 7 in r/1."""
 
     name = "region"
     max_depth = 8
+    _PATHS = {5: "r/0", 6: "r/0", 7: "r/1"}
 
-    def region_of(self, node, depth):  # pragma: no cover - unused here
-        return "r"
+    def nodes(self):
+        return sorted(self._PATHS)
+
+    def region_of(self, node, depth):
+        return self._PATHS[node]
 
 
 # -- grouped runs over the schemes -----------------------------------------
@@ -216,14 +216,31 @@ class TestGroupedRuns:
 
     @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
     def test_blocked_and_per_epoch_byte_identical(self, scheme):
-        config = fast_config(
-            scheme=scheme,
-            failure="global:0.3",
-            query="SELECT avg GROUP BY region:2",
+        # Five sensors die mid-run: the epoch-4 boundary repairs the tree.
+        churn = dict(
+            churn="deaths:3:5", churn_interval=2, epochs=8, start_epoch=0
         )
-        blocked = Session().run(config).result
-        stepped = Session().run(config.replace(use_batch=False)).result
-        assert to_jsonable(blocked) == to_jsonable(stepped)
+        for query, overrides in (
+            ("SELECT avg GROUP BY region:2", {}),
+            ("SELECT avg GROUP BY region:2 WINDOW 3", {}),
+            ("SELECT sum WHERE value > 50 GROUP BY region:2", {}),
+            ("SELECT max GROUP BY region:2", {}),
+            ("SELECT avg GROUP BY region:2", churn),
+        ):
+            config = fast_config(
+                scheme=scheme, failure="global:0.3", query=query, **overrides
+            )
+            blocked = Session().run(config)
+            stepped = Session().run(config.replace(use_batch=False))
+            assert repr(to_jsonable(blocked.result)) == repr(
+                to_jsonable(stepped.result)
+            ), query
+            assert blocked.group_names() == stepped.group_names(), query
+            for name in blocked.group_names():
+                for series in ("group_estimates", "group_truths"):
+                    assert repr(getattr(blocked, series)(name)) == repr(
+                        getattr(stepped, series)(name)
+                    ), (query, name, series)
 
     def test_loss0_groups_match_standalone_filtered_runs(self):
         config = fast_config()
@@ -231,12 +248,10 @@ class TestGroupedRuns:
         hierarchy, depth, _ = build_regions(
             "region:1", scenario.topology.deployment
         )
-        grouped, readings = apply_grouping(
-            AverageAggregate(), scenario.source, hierarchy, depth
-        )
+        grouped = GroupedAggregate(AverageAggregate(), hierarchy, depth)
         scheme = scenario.build_scheme(grouped)
         result = scenario.build_simulator(scheme).run(
-            config.epochs, readings, start_epoch=config.start_epoch
+            config.epochs, scenario.source, start_epoch=config.start_epoch
         )
         grouped_series = {
             path: [
@@ -246,11 +261,10 @@ class TestGroupedRuns:
             for path in result.epochs[0].extra["group_estimates"]
         }
         for path in grouped_series:
-            standalone = RegionFilteredAggregate(AverageAggregate(), path)
-            tagged = GroupedReadings(scenario.source, hierarchy, depth)
+            standalone = RegionFilteredAggregate(AverageAggregate(), hierarchy, path)
             alone = scenario.build_simulator(
                 scenario.build_scheme(standalone)
-            ).run(config.epochs, tagged, start_epoch=config.start_epoch)
+            ).run(config.epochs, scenario.source, start_epoch=config.start_epoch)
             assert grouped_series[path] == [
                 epoch.estimate for epoch in alone.epochs
             ]
@@ -311,16 +325,13 @@ class TestAmortization:
         hierarchy, depth, _ = build_regions(
             "region:2", scenario.topology.deployment
         )
-        grouped, readings = apply_grouping(
-            AverageAggregate(), scenario.source, hierarchy, depth
-        )
+        grouped = GroupedAggregate(AverageAggregate(), hierarchy, depth)
         result = scenario.build_simulator(
             scenario.build_scheme(grouped)
-        ).run(config.epochs, readings, start_epoch=config.start_epoch)
+        ).run(config.epochs, scenario.source, start_epoch=config.start_epoch)
         grouped_words = result.energy.total_words
 
         standalone_words = 0
-        tagged = GroupedReadings(scenario.source, hierarchy, depth)
         regions = [
             path
             for path in hierarchy.regions_at(depth)
@@ -330,9 +341,9 @@ class TestAmortization:
         for path in regions:
             alone = scenario.build_simulator(
                 scenario.build_scheme(
-                    RegionFilteredAggregate(AverageAggregate(), path)
+                    RegionFilteredAggregate(AverageAggregate(), hierarchy, path)
                 )
-            ).run(config.epochs, tagged, start_epoch=config.start_epoch)
+            ).run(config.epochs, scenario.source, start_epoch=config.start_epoch)
             standalone_words += alone.energy.total_words
         assert grouped_words < standalone_words
 

@@ -88,23 +88,11 @@ class TestDerived:
         assert sizes[1] == 4
         assert sizes[6] == 1
 
-    def test_subtree_nodes(self, sample_tree):
-        assert sample_tree.subtree_nodes(1) == [1, 3, 4, 6]
-
     def test_postorder_children_first(self, sample_tree):
         order = sample_tree.postorder()
         position = {node: i for i, node in enumerate(order)}
         for child, parent in sample_tree.parents.items():
             assert position[child] < position[parent]
-
-    def test_with_parent(self, sample_tree):
-        moved = sample_tree.with_parent(6, 4)
-        assert moved.parent(6) == 4
-        assert sample_tree.parent(6) == 3  # original untouched
-
-    def test_with_parent_rejects_root(self, sample_tree):
-        with pytest.raises(TopologyError):
-            sample_tree.with_parent(0, 1)
 
 
 class TestProperties:
