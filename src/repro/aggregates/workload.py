@@ -242,6 +242,11 @@ class WorkloadAggregate(CompositeAggregate):
 
     # -- truth -------------------------------------------------------------
 
+    #: No list form: a workload's readings are per slot, so its truth is
+    #: :meth:`exact_array` alone (the primary component's list truth would
+    #: choke on the slot tuples).
+    exact = Aggregate.exact
+
     def exact_array(self, readings: Tuple, nodes: Sequence[int]) -> float:
         """Every query's loss-free answer, each over its own slot's row as
         :meth:`WorkloadReadings.block` hands them over."""

@@ -1671,8 +1671,6 @@ def describe_experiment(name: str) -> RunConfig:
         raise ConfigurationError(
             f"no config form for experiment {name!r}; describable: "
             + ", ".join(sorted(EXPERIMENT_CONFIGS))
-            + " (the domination and frequent-items experiments do not run "
-            "the scalar engine; use 'repro run')"
         ) from None
 
 

@@ -13,14 +13,19 @@ Usage::
         --set faults=corrupt:0.05,delay:3
     python -m repro.cli run-config fig2.json --checkpoint-dir ckpt/ --resume
 
-``run`` regenerates a figure/table; each experiment prints (and optionally
-writes) the same rows/series the paper reports, with ``--full`` switching
-from the quick configurations to the paper-scale ones. ``describe`` dumps the
-resolved :class:`~repro.api.RunConfig` of a named figure experiment as JSON,
-and ``run-config`` executes any config file through the unified
-:class:`~repro.api.Session` — so ``repro describe fig2 | repro run-config
-/dev/stdin`` regenerates the figure's headline run from its declarative
-form alone. ``sweep`` fans a grid of configs through
+``list``, ``run NAME`` and ``run all`` read one table,
+:data:`repro.experiments.FIGURES`; this module holds no figure of its own.
+``run`` prints (and optionally writes) a figure's rows/series as the paper
+reports them, with ``--full`` switching from the quick configurations to
+the paper-scale ones. ``describe`` dumps a resolved
+:class:`~repro.api.RunConfig` as JSON: a figure name resolves through its
+row's config (``describe churn-timeline`` is the ``churn_timeline``
+entry), and ``describe --list`` names every
+:data:`~repro.api.EXPERIMENT_CONFIGS` entry. ``run-config`` executes any
+config file through the unified :class:`~repro.api.Session` — so
+``repro describe fig2 | repro run-config /dev/stdin`` regenerates the
+figure's headline run from its declarative form alone. ``sweep`` fans a
+grid of configs through
 :meth:`~repro.api.Session.sweep` (process pool, optional on-disk result
 cache): each ``--grid FIELD=V1,V2,...`` is one axis over a base config (a
 file, or ``RunConfig(scheme="TAG")``), the first axis outermost.
@@ -40,7 +45,7 @@ import os
 import pathlib
 import sys
 import time
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.api import (
     EXPERIMENT_CONFIGS,
@@ -52,109 +57,7 @@ from repro.api import (
     expand_grid,
 )
 from repro.errors import ConfigurationError
-
-from repro.experiments.fig_count_rms import run_figure2, run_figure5a
-from repro.experiments.fig_domination import run_figure7a, run_figure7b, run_table2
-from repro.experiments.fig_fi_load import run_figure8
-from repro.experiments.fig_fi_loss import run_figure9
-from repro.experiments.fig_latency import run_latency
-from repro.experiments.fig_lifetime import run_lifetime
-from repro.experiments.fig_regional import run_figure5b
-from repro.experiments.fig_churn import run_churn_timeline
-from repro.experiments.fig_timeline import run_figure6
-from repro.experiments.fig_topology import run_figure4_panels
-from repro.experiments.labdata_rms import run_labdata_rms
-from repro.experiments.sweeps import (
-    sweep_adapt_interval,
-    sweep_epsilon_split,
-    sweep_expansion_heuristic,
-    sweep_threshold,
-)
-from repro.experiments.table1 import run_table1
-
-#: name -> (description, runner returning a renderable result)
-EXPERIMENTS: Dict[str, Tuple[str, Callable]] = {
-    "table1": (
-        "measured energy/error/latency comparison (Table 1)",
-        lambda quick, seed: run_table1(quick=quick, seed=seed),
-    ),
-    "fig2": (
-        "Count RMS vs Global(p) loss (Figure 2)",
-        lambda quick, seed: run_figure2(quick=quick, seed=seed),
-    ),
-    "table2": (
-        "2-dominating tree example (Table 2)",
-        lambda quick, seed: run_table2(),
-    ),
-    "fig4": (
-        "TD delta region under Regional(0.3/0.8, 0.05) (Figure 4)",
-        lambda quick, seed: run_figure4_panels(quick=quick, seed=seed),
-    ),
-    "fig5a": (
-        "Sum RMS vs Global(p), all four schemes (Figure 5a)",
-        lambda quick, seed: run_figure5a(quick=quick, seed=seed),
-    ),
-    "fig5b": (
-        "Sum RMS vs Regional(p, 0.05) (Figure 5b)",
-        lambda quick, seed: run_figure5b(quick=quick, seed=seed),
-    ),
-    "fig6": (
-        "relative-error timeline across failure transitions (Figure 6)",
-        lambda quick, seed: run_figure6(quick=quick, seed=seed),
-    ),
-    "labdata": (
-        "Sum RMS on the LabData scenario (Section 7.3)",
-        lambda quick, seed: run_labdata_rms(quick=quick, seed=seed),
-    ),
-    "churn-timeline": (
-        "Figure-6-style timeline with node deaths and tree repair",
-        lambda quick, seed: run_churn_timeline(quick=quick, seed=seed),
-    ),
-    "fig7a": (
-        "domination factor vs density (Figure 7a)",
-        lambda quick, seed: run_figure7a(quick=quick, seed=seed),
-    ),
-    "fig7b": (
-        "domination factor vs deployment width (Figure 7b)",
-        lambda quick, seed: run_figure7b(quick=quick, seed=seed),
-    ),
-    "fig8": (
-        "frequent-items per-node loads (Figure 8)",
-        lambda quick, seed: run_figure8(quick=quick, seed=seed),
-    ),
-    "fig9a": (
-        "frequent-items false negatives vs loss (Figure 9a)",
-        lambda quick, seed: run_figure9(retransmissions=0, quick=quick, seed=seed),
-    ),
-    "fig9b": (
-        "Figure 9a with two tree retransmissions (Figure 9b)",
-        lambda quick, seed: run_figure9(retransmissions=2, quick=quick, seed=seed),
-    ),
-    "latency": (
-        "Table 1 latency column + footnote 6, quantified",
-        lambda quick, seed: run_latency(quick=quick, seed=seed),
-    ),
-    "lifetime": (
-        "battery lifetimes per scheme (the paper's energy premise)",
-        lambda quick, seed: run_lifetime(quick=quick, seed=seed),
-    ),
-    "sweep-threshold": (
-        "contributing-threshold sweep (Section 4.1 dial)",
-        lambda quick, seed: sweep_threshold(quick=quick, seed=seed),
-    ),
-    "sweep-interval": (
-        "adaptation-cadence sweep (Figure 6 convergence knob)",
-        lambda quick, seed: sweep_adapt_interval(quick=quick, seed=seed),
-    ),
-    "sweep-heuristic": (
-        "expansion heuristics: top-1 / max-2 / top-k (Section 4.2)",
-        lambda quick, seed: sweep_expansion_heuristic(quick=quick, seed=seed),
-    ),
-    "sweep-split": (
-        "frequent-items error split eps_a vs eps_b (Section 6.3)",
-        lambda quick, seed: sweep_epsilon_split(quick=quick, seed=seed),
-    ),
-}
+from repro.experiments import FIGURES
 
 
 def _add_set_option(parser: argparse.ArgumentParser) -> None:
@@ -230,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default=None,
-        help="experiment name (see 'describe --list')",
+        help="a 'repro list' figure that has a config, or a "
+        "'describe --list' name",
     )
     describe_parser.add_argument(
         "--list",
@@ -364,12 +268,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(name: str, quick: bool, seed: int, out: pathlib.Path | None) -> None:
-    description, runner = EXPERIMENTS[name]
+    figure = FIGURES[name]
     started = time.time()
-    result = runner(quick, seed)
-    text = result.render()
+    text = figure.run(quick, seed).render()
     elapsed = time.time() - started
-    print(f"== {name}: {description} [{elapsed:.1f}s]")
+    print(f"== {name}: {figure.description} [{elapsed:.1f}s]")
     print(text)
     print()
     if out is not None:
@@ -509,10 +412,22 @@ def _describe(args) -> int:
     if args.experiment is None:
         print("describe needs an experiment name (or --list)", file=sys.stderr)
         return 2
+    name = args.experiment
+    if name in FIGURES:
+        name = FIGURES[name].config
+    if name is None:
+        unconfigured = [key for key, row in FIGURES.items() if row.config is None]
+        print(
+            f"{args.experiment!r} runs its own network loop and has no "
+            f"config; the figures without one are {', '.join(unconfigured)} "
+            "(use 'repro run')",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        config = describe_experiment(args.experiment)
+        config = describe_experiment(name)
     except ConfigurationError as error:
-        print(str(error), file=sys.stderr)
+        print(f"{error}, or a 'repro list' name", file=sys.stderr)
         return 2
     print(config.to_json(indent=2))
     return 0
@@ -656,8 +571,9 @@ def _serve(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name:10s} {description}")
+        width = max(len(name) for name in FIGURES)
+        for name, figure in FIGURES.items():
+            print(f"{name:{width}s} {figure.description}")
         return 0
     if args.command == "sweep":
         return _run_sweep(args)
@@ -669,10 +585,10 @@ def main(argv=None) -> int:
         return _serve(args)
     quick = not args.full
     if args.experiment == "all":
-        for name in EXPERIMENTS:
+        for name in FIGURES:
             _run_one(name, quick, args.seed, args.out)
         return 0
-    if args.experiment not in EXPERIMENTS:
+    if args.experiment not in FIGURES:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2
     _run_one(args.experiment, quick, args.seed, args.out)

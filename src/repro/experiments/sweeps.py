@@ -8,8 +8,6 @@ often the topology is adapted), a full exploration of which is beyond the
 scope of this paper"; "Exploration of optimal heuristics is part of our
 future work"). These sweeps are that exploration:
 
-* :func:`sweep_threshold` — the contributing-percentage target vs answer
-  error and delta size (accuracy/energy trade-off of Section 4.1).
 * :func:`sweep_adapt_interval` — adaptation cadence vs error and control
   traffic (the Figure 6 convergence discussion).
 * :func:`sweep_expansion_heuristic` — top-1 / max-2 cut / top-k expansion
@@ -17,13 +15,14 @@ future work"). These sweeps are that exploration:
 * :func:`sweep_epsilon_split` — the Section 6.3 error split eps_a vs eps_b
   for Tributary-Delta frequent items, vs false negatives and load.
 
-The three Tributary-Delta sweeps are grids over their
-:data:`repro.api.EXPERIMENT_CONFIGS` entry (``sweep_td``,
-``sweep_heuristic``): the threshold grid is a plain
-:meth:`repro.api.Session.sweep`; the other two read facts the run record
-does not carry (control messages, the adaptation log) off the live scheme,
-so each cell drives its config's scenario steps. The error-split sweep is
-a frequent-items experiment and wires its network by hand.
+The contributing-threshold dial of Section 4.1 needs nothing the run
+record lacks, so it is a plain grid, the ``sweep-threshold`` row of
+:data:`repro.experiments.FIGURES`. The two Tributary-Delta sweeps here are
+grids over their :data:`repro.api.EXPERIMENT_CONFIGS` entry (``sweep_td``,
+``sweep_heuristic``) that read facts the run record does not carry
+(control messages, the adaptation log) off the live scheme, so each cell
+drives its config's scenario steps. The error-split sweep is a
+frequent-items experiment and wires its network by hand.
 
 Each sweep returns a :class:`SweepResult` whose ``render()`` emits both a
 numeric table and an ASCII chart, like the per-figure experiment modules.
@@ -43,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api import (
     EXPERIMENT_CONFIGS,
     RunConfig,
-    Session,
     build_scenario,
     expand_grid,
 )
@@ -133,53 +131,6 @@ def _live_td_cell(args: Tuple) -> Tuple[float, float, float]:
     )
     switched = sum(count for _, _, count in scheme.adaptation_log)
     return run.rms_error(), float(scheme.control_messages), float(switched)
-
-
-def sweep_threshold(
-    values: Sequence[float] = (0.5, 0.7, 0.8, 0.9, 0.95, 0.99),
-    loss_rate: float = 0.2,
-    quick: bool = False,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    """The Section 4.1 accuracy/energy dial: % contributing target.
-
-    Higher thresholds grow the delta (more robustness, bigger synopses and
-    approximation error at the extreme); lower thresholds shrink it toward
-    the lossy tree. The sweep exposes the interior optimum the paper's 90%
-    default sits near. ``delta_fraction`` is the delta size each run's last
-    measured epoch *recorded* (``extra["delta_size"]``, base station
-    included) over the deployment's node count.
-    """
-    base = _td_base(
-        "sweep_td",
-        loss_rate,
-        seed,
-        quick,
-        num_sensors=100,
-        epochs=30,
-        converge_epochs=60,
-    )
-    reports = (
-        Session(jobs=jobs).sweep({"threshold": list(values)}, base).reports()
-    )
-    result = SweepResult(
-        name=f"TD threshold sweep, Global({loss_rate})",
-        parameter="threshold",
-        values=list(values),
-        notes=(
-            "Paper default: 0.9. Expect RMS to fall as the threshold rises "
-            "until the delta covers the lossy region, then flatten while "
-            "delta size keeps growing."
-        ),
-    )
-    result.series["rms_error"] = [report.rms_error() for report in reports]
-    result.series["delta_fraction"] = [
-        report.result.epochs[-1].extra["delta_size"]
-        / (report.num_sensors() + 1)
-        for report in reports
-    ]
-    return result
 
 
 def sweep_adapt_interval(

@@ -8,9 +8,9 @@ import functools
 import pytest
 
 import repro.core.wave as wave
-from repro.cli import EXPERIMENTS
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.synthetic import make_synthetic_scenario
+from repro.experiments import FIGURES
 from repro.tree.construction import build_bushy_tree, build_tag_tree
 
 
@@ -43,12 +43,13 @@ def lab_scenario():
 
 @pytest.fixture(scope="session")
 def quick_figure():
-    """``name -> result`` of a CLI experiment at quick size, seed 0.
+    """``name -> result`` of a :data:`~repro.experiments.FIGURES` row at
+    quick size, seed 0 (what ``repro run NAME`` prints).
 
     Memoised for the session: the golden pins and the paper-claims gate
     read the same figures, and each should run once.
     """
-    return functools.cache(lambda name: EXPERIMENTS[name][1](True, 0))
+    return functools.cache(lambda name: FIGURES[name].run(True, 0))
 
 
 @pytest.fixture

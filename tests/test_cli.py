@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import FIGURES
 
 
 class TestList:
     def test_list_prints_all(self, capsys):
         assert main(["list"]) == 0
-        output = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in output
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(FIGURES)
+        # Every description starts in one column, past the longest name.
+        starts = {
+            line.index(figure.description)
+            for line, figure in zip(lines, FIGURES.values())
+        }
+        assert starts == {max(map(len, FIGURES)) + 1}
 
 
 class TestRun:
@@ -32,10 +38,10 @@ class TestRun:
         assert "Te" in written.read_text()
 
     def test_experiment_registry_complete(self):
-        # One entry per table/figure of the paper's evaluation, plus the
+        # One row per table/figure of the paper's evaluation, plus the
         # quantified latency column, the design-knob sweeps, and the
-        # dynamic-topology timeline.
-        expected = {
+        # dynamic-topology timeline, in the order `repro list` prints them.
+        assert list(FIGURES) == [
             "table1",
             "fig2",
             "table2",
@@ -43,8 +49,8 @@ class TestRun:
             "fig5a",
             "fig5b",
             "fig6",
-            "churn-timeline",
             "labdata",
+            "churn-timeline",
             "fig7a",
             "fig7b",
             "fig8",
@@ -56,8 +62,7 @@ class TestRun:
             "sweep-interval",
             "sweep-heuristic",
             "sweep-split",
-        }
-        assert set(EXPERIMENTS) == expected
+        ]
 
     def test_run_latency(self, capsys):
         assert main(["run", "latency"]) == 0
@@ -87,6 +92,25 @@ class TestDescribeAndRunConfig:
 
     def test_describe_needs_a_name(self, capsys):
         assert main(["describe"]) == 2
+
+    @pytest.mark.parametrize(
+        "figure", [name for name, row in FIGURES.items() if row.config]
+    )
+    def test_describe_resolves_a_figure_through_its_row(self, figure, capsys):
+        from repro.api import EXPERIMENT_CONFIGS, RunConfig
+
+        assert main(["describe", figure]) == 0
+        printed = RunConfig.from_json(capsys.readouterr().out)
+        assert printed == EXPERIMENT_CONFIGS[FIGURES[figure].config]
+
+    def test_describe_names_only_the_rows_without_a_config(self, capsys):
+        assert main(["describe", "fig7a"]) == 2
+        error = capsys.readouterr().err
+        named = {name for name in FIGURES if f" {name}" in error}
+        assert named == {
+            "table2", "fig7a", "fig7b", "fig8", "fig9a", "fig9b",
+            "sweep-split",
+        }
 
     def test_run_config_executes_with_overrides(self, tmp_path, capsys):
         from repro.api import RunConfig

@@ -24,23 +24,17 @@ from repro.errors import ConfigurationError
 
 from repro.experiments.fig_domination import run_figure7b, run_table2
 from repro.experiments.fig_topology import run_figure4
-from repro.experiments.metrics import mean, relative_error, rms_error_series
+from repro.experiments.figures import recorded_delta_size
+from repro.experiments.metrics import mean
 from repro.plotting import format_table
 from repro.registry import SCHEMES
 
 
 class TestMetrics:
-    def test_relative_error(self):
-        assert relative_error(90, 100) == pytest.approx(0.1)
-        assert relative_error(0, 0) == 0.0
-        assert math.isinf(relative_error(1, 0))
-
-    def test_rms_error_series(self):
-        assert rms_error_series([100, 100], [100, 100]) == 0.0
-        assert rms_error_series([90, 110], [100, 100]) == pytest.approx(0.1)
+    """The engine's own metrics, which every figure reports."""
 
     @staticmethod
-    def _run_rms(estimates, truths):
+    def _run(estimates, truths):
         from repro.network.links import TransmissionLog
         from repro.network.simulator import EpochResult, RunResult
 
@@ -48,7 +42,16 @@ class TestMetrics:
             EpochResult(epoch, estimate, truth, 0, 0.0, TransmissionLog())
             for epoch, (estimate, truth) in enumerate(zip(estimates, truths))
         ]
-        return RunResult(scheme_name="TD", epochs=epochs, energy=None).rms_error()
+        return RunResult(scheme_name="TD", epochs=epochs, energy=None)
+
+    def test_relative_error(self):
+        assert self._run([90], [100]).relative_errors == [pytest.approx(0.1)]
+        assert self._run([0, 1], [0, 0]).relative_errors[0] == 0.0
+        assert math.isinf(self._run([0, 1], [0, 0]).relative_errors[1])
+
+    def test_rms_error_series(self):
+        assert self._run([100, 100], [100, 100]).rms_error() == 0.0
+        assert self._run([90, 110], [100, 100]).rms_error() == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
         "estimates, truths",
@@ -59,12 +62,18 @@ class TestMetrics:
         ],
     )
     def test_rms_error_series_is_the_run_result_rms(self, estimates, truths):
-        """A zero-truth epoch still counts in T, as in every figure's RMS."""
-        assert rms_error_series(estimates, truths) == self._run_rms(
-            estimates, truths
-        )
+        """The paper's (1/T) sum of squared relative deviations, rooted: a
+        zero-truth epoch adds no deviation but still counts in T."""
+        from repro.network.simulator import relative_deviation
+
+        deviations = [
+            relative_deviation(estimate, truth)
+            for estimate, truth in zip(estimates, truths)
+        ]
+        expected = (sum(d * d for d in deviations) / len(deviations)) ** 0.5
+        assert self._run(estimates, truths).rms_error() == expected
         if truths == [0, 5]:
-            assert rms_error_series(estimates, truths) == pytest.approx(0.1414214)
+            assert expected == pytest.approx(0.1414214)
 
     def test_mean(self):
         assert mean([]) == 0.0
@@ -209,8 +218,9 @@ class TestRunPaired:
 
 #: Config-form experiments whose quick series (seed 0) the ledger pins.
 FIGURES = (
-    "churn-timeline", "fig2", "fig4", "fig5a", "fig5b", "fig6", "lifetime",
-    "sweep-heuristic", "sweep-interval", "sweep-threshold", "table1",
+    "churn-timeline", "fig2", "fig4", "fig5a", "fig5b", "fig6", "labdata",
+    "lifetime", "sweep-heuristic", "sweep-interval", "sweep-threshold",
+    "table1",
 )
 
 
@@ -240,13 +250,10 @@ RAW_CONSTRUCTORS = {
 }
 CONFIG_FORM_MODULES = (
     "fig_churn",
-    "fig_count_rms",
     "fig_latency",
     "fig_lifetime",
-    "fig_regional",
-    "fig_timeline",
     "fig_topology",
-    "labdata_rms",
+    "figures",
     "sweeps",
     "table1",
 )
@@ -270,7 +277,9 @@ class TestFigureGoldens:
         ``fig4`` the sorted delta node sets of both panels under both
         strategies; ``lifetime`` (first death, half dead) per scheme;
         ``sweep-threshold`` the RMS series only (its ``delta_fraction`` is
-        the recorded size now)."""
+        the recorded size now). ``labdata`` (RMS per scheme) was recorded on
+        its own module at the parent of the change that made it a row of
+        the figure table."""
         result = quick_figure(name)
         if name == "table1":
             series = [
@@ -278,7 +287,12 @@ class TestFigureGoldens:
                 for row in result.rows
                 if row.aggregate == "Count"
             ]
-        elif name in ("fig6", "churn-timeline"):
+        elif name == "fig6":
+            series = {
+                config.scheme: run.relative_errors
+                for config, run in result.report.rows()
+            }
+        elif name == "churn-timeline":
             series = result.relative_errors
         elif name == "fig4":
             series = {}
@@ -296,10 +310,10 @@ class TestFigureGoldens:
             }
         elif name == "sweep-threshold":
             series = result.series["rms_error"]
-        elif name.startswith("sweep-"):
-            series = result.series
+        elif name == "labdata":
+            series = dict(zip(result.x, result.series["RMS error"]))
         else:
-            series = result.rms
+            series = result.series
         assert_golden(f"figures/{name}", series)
 
     @pytest.mark.parametrize("name", ("fig8", "fig9a", "table1"))
@@ -314,8 +328,16 @@ class TestFigureGoldens:
     def test_delta_sizes_are_the_recorded_ones(self, quick_figure):
         # The size each run's last epoch *recorded*, not the graph after
         # the adaptation that followed it (which read 94/102/140 here).
-        assert quick_figure("fig2").delta_sizes["TD"][:4] == [0, 92, 96, 137]
-        assert quick_figure("labdata").delta_sizes == {"TD-Coarse": 55, "TD": 48}
+        td = [
+            recorded_delta_size(run)
+            for config, run in quick_figure("fig2").report.rows()
+            if config.scheme == "TD"
+        ]
+        assert td[:4] == [0, 92, 96, 137]
+        labdata = quick_figure("labdata")
+        assert dict(zip(labdata.x, labdata.series["delta size"])) == {
+            "TAG": 0, "SD": 0, "TD-Coarse": 55, "TD": 48,
+        }
         # Same rule for the threshold sweep (the post-adaptation graph read
         # 44/62/94 of 101 nodes at thresholds 0.7/0.8/0.9).
         fractions = quick_figure("sweep-threshold").series["delta_fraction"]

@@ -14,8 +14,8 @@ from repro.experiments.fig_fi_loss import FIG9_LOSS_RATES, run_figure9
 
 
 def _fig2(result):
-    tag, sd, td = (result.rms[name] for name in ("TAG", "SD", "TD"))
-    rates = list(result.loss_rates)
+    tag, sd, td = (result.series[name] for name in ("TAG", "SD", "TD"))
+    rates = list(result.x)
     # TAG exact at p=0, then degrades steeply: well over 2x SD at the top
     # rate, having crossed SD's flat curve by p=0.1.
     assert tag[0] == 0.0
@@ -31,33 +31,34 @@ def _fig2(result):
 
 def _td_tracks_the_best_baseline(result):
     # At every rate TD is no worse than ~the best baseline (modulo noise).
-    for index in range(len(result.loss_rates)):
-        best = min(result.rms["TAG"][index], result.rms["SD"][index])
-        assert result.rms["TD"][index] <= best + 0.12
+    rms = result.series
+    for index in range(len(result.x)):
+        best = min(rms["TAG"][index], rms["SD"][index])
+        assert rms["TD"][index] <= best + 0.12
 
 
 def _fig5a(result):
-    index_25 = list(result.loss_rates).index(0.25)
+    rms = result.series
+    index_25 = list(result.x).index(0.25)
     # TAG monotone-degrading, far worse than SD by p=0.25.
-    assert result.rms["TAG"][index_25] > 2 * result.rms["SD"][index_25]
+    assert rms["TAG"][index_25] > 2 * rms["SD"][index_25]
     # The adaptive schemes are exact at p=0 (all-tree) like TAG.
-    assert result.rms["TD"][0] == 0.0
-    assert result.rms["TD-Coarse"][0] == 0.0
+    assert rms["TD"][0] == 0.0
+    assert rms["TD-Coarse"][0] == 0.0
     _td_tracks_the_best_baseline(result)
 
 
 def _fig5b(result):
     # Regional failures hurt the tree badly once the region is lossy.
-    high = list(result.loss_rates).index(0.75)
-    assert result.rms["TAG"][high] > result.rms["SD"][high]
+    high = list(result.x).index(0.75)
+    assert result.series["TAG"][high] > result.series["SD"][high]
     # TD keeps exact tree aggregation outside the failure region, so it
     # tracks (or beats) the best baseline across the sweep.
     _td_tracks_the_best_baseline(result)
 
 
 def _fig6(result):
-    phases = result.phase_means()
-    tag, sd = phases["TAG"], phases["SD"]
+    tag, sd = result.series["TAG"], result.series["SD"]
     # TAG accurate in the quiet phases, bad in the global-loss phase.
     assert tag[0] < 0.05
     assert tag[2] > sd[2]
@@ -65,9 +66,13 @@ def _fig6(result):
     assert sd[0] > 0.02
     # The adaptive schemes end the final quiet phase at (or below) TAG-quiet
     # levels once converged — compare their last-eighth tail.
-    tail = len(result.epochs) // 8
-    td_tail = result.relative_errors["TD"][-tail:]
-    sd_tail = result.relative_errors["SD"][-tail:]
+    errors = {
+        config.scheme: run.relative_errors
+        for config, run in result.report.rows()
+    }
+    tail = len(errors["TD"]) // 8
+    td_tail = errors["TD"][-tail:]
+    sd_tail = errors["SD"][-tail:]
     assert sum(td_tail) / tail <= sum(sd_tail) / tail + 0.05
 
 
@@ -75,10 +80,12 @@ def _labdata(result):
     # Paper: TAG 0.5, SD 0.12, TD/TD-Coarse 0.1. Shape targets: TAG several
     # times worse than SD; the adaptive schemes near SD (they converge to
     # running synopsis diffusion over most of the lab's nodes).
-    assert result.rms["TAG"] > 2 * result.rms["SD"]
-    assert result.rms["TD"] <= result.rms["SD"] + 0.10
-    assert result.rms["TD-Coarse"] <= result.rms["SD"] + 0.10
-    assert result.delta_sizes["TD-Coarse"] >= 40  # most nodes multi-path
+    rms = dict(zip(result.x, result.series["RMS error"]))
+    delta_sizes = dict(zip(result.x, result.series["delta size"]))
+    assert rms["TAG"] > 2 * rms["SD"]
+    assert rms["TD"] <= rms["SD"] + 0.10
+    assert rms["TD-Coarse"] <= rms["SD"] + 0.10
+    assert delta_sizes["TD-Coarse"] >= 40  # most nodes multi-path
 
 
 def _table1(result):

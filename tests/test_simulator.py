@@ -231,10 +231,22 @@ class TestNonFiniteTruth:
         assert report.rms_error() == 0.0
 
     def test_series_helpers(self):
-        from repro.experiments.metrics import relative_error, rms_error_series
+        from repro.network.links import TransmissionLog
+        from repro.network.simulator import EpochResult, RunResult, relative_deviation
+
+        def run(*pairs):
+            epochs = [
+                EpochResult(epoch, estimate, truth, 0, 0.0, TransmissionLog())
+                for epoch, (estimate, truth) in enumerate(pairs)
+            ]
+            return RunResult(scheme_name="TD", epochs=epochs, energy=None)
+
+        def relative_error(estimate, truth):
+            return run((estimate, truth)).epochs[0].relative_error
 
         inf = float("inf")
         assert relative_error(-inf, -inf) == relative_error(inf, inf) == 0.0
         assert relative_error(0.0, -inf) == relative_error(-inf, inf) == inf
         assert relative_error(0.0, 0.0) == 0.0 and relative_error(1.0, 0.0) == inf
-        assert rms_error_series([-inf, 3.0], [-inf, 2.0]) == (0.25 / 2) ** 0.5
+        assert relative_deviation(0.0, -inf) == relative_deviation(1.0, 0.0) == 0.0
+        assert run((-inf, -inf), (3.0, 2.0)).rms_error() == (0.25 / 2) ** 0.5

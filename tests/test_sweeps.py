@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from goldens import assert_golden
+from repro.api import EXPERIMENT_CONFIGS, Session
 from repro.errors import ConfigurationError
+from repro.experiments.figures import rms_and_delta_fraction
 from repro.experiments.sweeps import (
     SweepResult,
     sweep_adapt_interval,
     sweep_epsilon_split,
     sweep_expansion_heuristic,
-    sweep_threshold,
 )
 
 
@@ -41,21 +42,32 @@ class TestSweepResult:
 
 
 class TestThresholdSweep:
+    """The ``sweep-threshold`` row's grid and series over another seed and
+    loss rate than the row's own."""
+
+    BASE = EXPERIMENT_CONFIGS["sweep_td"].replace(
+        failure="global:0.25",
+        scenario_seed=1,
+        seed=1,
+        num_sensors=100,
+        epochs=30,
+        converge_epochs=60,
+    )
+
     def test_quick_sweep_shapes(self):
-        result = sweep_threshold(
-            values=(0.5, 0.9), loss_rate=0.25, quick=True, seed=1
-        )
-        assert len(result.series["rms_error"]) == 2
-        assert len(result.series["delta_fraction"]) == 2
+        report = Session().sweep({"threshold": [0.5, 0.9]}, self.BASE)
+        series = rms_and_delta_fraction(report)
+        assert len(series["rms_error"]) == 2
+        assert len(series["delta_fraction"]) == 2
         # A higher contributing target cannot shrink the delta.
-        low, high = result.series["delta_fraction"]
+        low, high = series["delta_fraction"]
         assert high >= low
         # And should not hurt accuracy under loss.
-        assert result.series["rms_error"][1] <= result.series["rms_error"][0] + 0.05
+        assert series["rms_error"][1] <= series["rms_error"][0] + 0.05
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            sweep_threshold(values=(0.0,), quick=True)
+            self.BASE.replace(threshold=0.0)
 
 
 class TestAdaptIntervalSweep:

@@ -819,6 +819,16 @@ class TestWindowChurn:
 
 
 class TestReportsAndSession:
+    def test_exact_refuses_the_list_form(self):
+        from repro.aggregates.count import CountAggregate
+        from repro.aggregates.sum_ import SumAggregate
+
+        workload = WorkloadAggregate(
+            [("s", SumAggregate()), ("c", CountAggregate())]
+        )
+        with pytest.raises(NotImplementedError, match="exact_array"):
+            workload.exact([(3.0, 3.0)])
+
     def test_render_lists_queries(self):
         report = Session().run(workload_config("TAG"))
         text = report.render()
