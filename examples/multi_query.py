@@ -74,9 +74,8 @@ def main() -> None:
     answers = composite.evaluations_by_name()
     print("shared sweep (CompositeAggregate):")
     readings = UniformReadings(10, 30, seed=9)
-    truth = composite.exact_all(
-        [readings(node, EPOCHS + 19) for node in scenario.deployment.sensor_ids]
-    )
+    values = [readings(node, EPOCHS + 19) for node in scenario.deployment.sensor_ids]
+    truth = [aggregate.exact(values) for aggregate in composite.components]
     contributing = shared_run.mean_contributing_fraction(sensors)
     print(f"  sensors accounted for: {contributing:.0%} (the rest lost to the channel)")
     for (name, value), exact in zip(answers.items(), truth):

@@ -152,6 +152,21 @@ class Aggregate(ABC, Generic[P, S]):
             result = self.synopsis_fuse(result, synopsis)
         return result
 
+    def synopsis_fuse_level(
+        self, inboxes: Sequence[Sequence[S]]
+    ) -> Tuple[List[S], List[int]]:
+        """SF over a whole level: every inbox fused, and each result's words.
+
+        Entry ``i`` of the first list MUST equal
+        ``synopsis_fuse_many(inboxes[i])`` and of the second its
+        :meth:`synopsis_words`. The fused kernel's object columns fuse a
+        level's cells through this one call; the default is the per-inbox
+        fold. An aggregate whose fusion vectorizes across inboxes (heavy
+        hitters) overrides it.
+        """
+        fused = [self.synopsis_fuse_many(inbox) for inbox in inboxes]
+        return fused, self.synopsis_words_batch(fused)
+
     @abstractmethod
     def synopsis_eval(self, synopsis: S) -> float:
         """SE: translate a synopsis into an answer."""
@@ -318,8 +333,8 @@ class Aggregate(ABC, Generic[P, S]):
         :meth:`tree_local_matrix` is implemented. The fused kernels
         (:mod:`repro.kernels`) rely on all three to run a whole epoch block
         of tree waves as int64 column adds; aggregates that cannot promise
-        this keep the default ``False`` and take the per-payload object
-        path unchanged.
+        this keep the default ``False`` and ride the kernels as an object
+        column (their own partials, merged cell by cell).
         """
         return False
 
@@ -332,7 +347,8 @@ class Aggregate(ABC, Generic[P, S]):
         :meth:`synopsis_words` is the standard packed-RLE sizing — so one
         uint32 matrix row (little-endian bitmap words) is a faithful
         synopsis and the fused kernels may OR and size rows directly.
-        ``None`` (the default) keeps the scheme on the object path.
+        ``None`` (the default) makes the leaf an object column, fused
+        through :meth:`synopsis_fuse_level`.
         """
         return None
 
@@ -395,10 +411,10 @@ class Aggregate(ABC, Generic[P, S]):
         tuples of its leaves' (:meth:`from_leaves` rebuilds one). The
         reading slot is the index of the workload reading a leaf reads, or
         None for the bare reading. The kernel gives each leaf one int64
-        partial column and one packed row section, or one float64 extremum
-        column on both sides, so a block fuses exactly when every leaf has
-        additive partials and packable synopses or an
-        :meth:`extremum_ufunc`. A plain aggregate is its own one leaf.
+        partial column and one packed row section (additive partials and
+        packable synopses), one float64 extremum column on both sides
+        (:meth:`extremum_ufunc`), or else one object column of its own
+        partials and synopses. A plain aggregate is its own one leaf.
         """
         return [(self, None)]
 

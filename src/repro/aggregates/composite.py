@@ -277,10 +277,6 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
     def exact(self, readings: Sequence[float]) -> float:
         return self.primary.exact(readings)
 
-    def exact_all(self, readings: Sequence[float]) -> List[float]:
-        """Loss-free answers for every component."""
-        return [aggregate.exact(readings) for aggregate in self._aggregates]
-
     def synopsis_counts_contributors(self) -> bool:
         """Always ``False``: the piggyback contributing sketch travels.
 

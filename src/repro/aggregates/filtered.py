@@ -131,6 +131,9 @@ class FilteredAggregate(Aggregate):
     def synopsis_fuse_many(self, synopses):
         return self._inner.synopsis_fuse_many(synopses)
 
+    def synopsis_fuse_level(self, inboxes):
+        return self._inner.synopsis_fuse_level(inboxes)
+
     def synopsis_eval(self, synopsis) -> float:
         return self._inner.synopsis_eval(synopsis)
 

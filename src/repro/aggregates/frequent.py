@@ -44,6 +44,7 @@ from repro.frequent.mp_fi import (
     CountOperator,
     FMOperator,
     FrequentItemsSynopsis,
+    ItemRows,
     MultipathFrequentItems,
 )
 from repro.frequent.td_quantiles import (
@@ -184,11 +185,13 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         keys = block_columns(nodes, epochs)
         items = [_item(reading) for reading in readings.ravel().tolist()]
         ones = [1] * len(items)
-        item_sketches = self._counted(shapes[0], ("fi",), ones, *keys, items)
+        table = ItemRows(
+            items, counted_matrix(shapes[0], ("fi",), ones, *keys, items)
+        )
         n_sketches = self._counted(shapes[1], ("fi-n",), ones, *keys)
         flat = [
-            {0: FrequentItemsSynopsis(klass=0, n_sketch=n, counts={item: sketch})}
-            for item, sketch, n in zip(items, item_sketches, n_sketches)
+            {0: FrequentItemsSynopsis(0, n_sketch, rows=(table, i, i + 1))}
+            for i, n_sketch in enumerate(n_sketches)
         ]
         return block_rows(flat, len(nodes), len(epochs))
 
@@ -205,6 +208,14 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
         self, synopses: Sequence[ClassSynopses]
     ) -> ClassSynopses:
         return self._engine.fuse_collections(synopses)
+
+    def synopsis_fuse_level(self, inboxes):
+        """Algorithm 2 over a whole level at once
+        (:meth:`~repro.frequent.mp_fi.MultipathFrequentItems.fuse_level`)
+        when both ⊕ strategies are FM; the per-inbox fold otherwise."""
+        if self._fm_shapes() is not None:
+            return self._engine.fuse_level(inboxes)
+        return super().synopsis_fuse_level(inboxes)
 
     def synopsis_eval(self, synopses: ClassSynopses) -> float:
         items = self._engine.report(synopses, self.phi)
@@ -276,28 +287,33 @@ class HeavyHittersAggregate(Aggregate[ItemCounts, ClassSynopses]):
                 [epochs[i] for i in rows],
             )
         )
-        item_sketches = iter(
-            self._counted(
+        items = [item for _, (item, _) in cells]
+        table = ItemRows(
+            items,
+            counted_matrix(
                 shapes[0],
                 ("fi-conv",),
                 [count for _, (_, count) in cells],
                 [senders[i] for i, _ in cells],
                 [epochs[i] for i, _ in cells],
-                [item for _, (item, _) in cells],
-            )
+                items,
+            ),
         )
-        return [
-            {}
-            if plan is None
-            else {
-                plan[1]: FrequentItemsSynopsis(
-                    klass=plan[1],
-                    n_sketch=next(n_sketches),
-                    counts={item: next(item_sketches) for item, _ in plan[2]},
-                )
-            }
-            for plan in plans
-        ]
+        converted = []
+        stop = 0
+        for plan in plans:
+            if plan is None:
+                converted.append({})
+                continue
+            start, stop = stop, stop + len(plan[2])
+            converted.append(
+                {
+                    plan[1]: FrequentItemsSynopsis(
+                        plan[1], next(n_sketches), rows=(table, start, stop)
+                    )
+                }
+            )
+        return converted
 
     # -- truth ---------------------------------------------------------------------
 

@@ -75,12 +75,6 @@ class SweepResult:
         """(parameter, measurement) pairs for one series."""
         return list(zip(self.values, self.series[label]))
 
-    def best(self, label: str) -> float:
-        """The parameter value minimising a series."""
-        measurements = self.series[label]
-        index = min(range(len(measurements)), key=measurements.__getitem__)
-        return self.values[index]
-
     def render(self) -> str:
         table = render_series_table(
             self.parameter,

@@ -25,8 +25,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError, SketchError
-from repro.multipath.fm import FMSketch
+from repro.multipath.fm import (
+    FMSketch,
+    estimate_packed,
+    estimate_rows,
+    packed_rows,
+    rle_words_rows,
+    sketches_from_rows,
+)
 from repro.multipath.kmv import KMVSketch
 from repro.network.placement import NodeId
 
@@ -105,13 +114,77 @@ class FMOperator:
         return sketch.words()
 
 
-@dataclass
-class FrequentItemsSynopsis:
-    """A class-indexed frequent-items synopsis."""
+class ItemRows:
+    """Item sketches as packed rows: ``items[i]``'s sketch is ``rows[i]``
+    (:func:`~repro.multipath.fm.sketch_to_row` layout).
 
-    klass: int
-    n_sketch: object
-    counts: Dict[Item, object]
+    A :class:`FrequentItemsSynopsis` may hold a slice of one instead of a
+    dict — the packed block forms and :meth:`MultipathFrequentItems.fuse_level`
+    make them — so a level's sketches reach the next level as rows.
+    """
+
+    __slots__ = ("items", "rows")
+
+    def __init__(self, items: Sequence[Item], rows: np.ndarray) -> None:
+        self.items = np.asarray(items, dtype=np.int64)
+        self.rows = rows
+
+    def counts(self, start: int, stop: int) -> Dict[Item, FMSketch]:
+        """Rows ``start:stop`` as an ``item -> sketch`` dict."""
+        return dict(
+            zip(
+                self.items[start:stop].tolist(),
+                sketches_from_rows(self.rows[start:stop]),
+            )
+        )
+
+
+class FrequentItemsSynopsis:
+    """A class-indexed frequent-items synopsis: its class, its n~ sketch and
+    one count sketch per surviving item (:attr:`counts`).
+
+    Built either from a ``counts`` dict or from a slice ``(table, start,
+    stop)`` of an :class:`ItemRows` table, whose dict is made on first read.
+    Synopses are never changed once built.
+    """
+
+    __slots__ = ("klass", "n_sketch", "_counts", "_rows")
+
+    def __init__(
+        self,
+        klass: int,
+        n_sketch: object,
+        counts: Optional[Dict[Item, object]] = None,
+        rows: Optional[Tuple[ItemRows, int, int]] = None,
+    ) -> None:
+        if (counts is None) == (rows is None):
+            raise ValueError("a synopsis takes counts or rows, not both")
+        self.klass = klass
+        self.n_sketch = n_sketch
+        self._counts = counts
+        self._rows = rows
+
+    @property
+    def counts(self) -> Dict[Item, object]:
+        """Item -> count sketch."""
+        if self._counts is None:
+            self._counts = self._rows[0].counts(*self._rows[1:])
+        return self._counts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrequentItemsSynopsis):
+            return NotImplemented
+        return (self.klass, self.n_sketch, self.counts) == (
+            other.klass,
+            other.n_sketch,
+            other.counts,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"FrequentItemsSynopsis(klass={self.klass!r}, "
+            f"n_sketch={self.n_sketch!r}, counts={self.counts!r})"
+        )
 
     def words(self, operator: CountOperator, n_operator: Optional[CountOperator] = None) -> int:
         sizer = n_operator or operator
@@ -268,6 +341,206 @@ class MultipathFrequentItems:
             )
         return result
 
+    def fuse_level(
+        self, inboxes: Sequence[Sequence[Mapping[int, FrequentItemsSynopsis]]]
+    ) -> Tuple[List[Dict[int, FrequentItemsSynopsis]], List[int]]:
+        """:meth:`fuse_collections` of every inbox of a level, and the
+        :meth:`collection_words` of each result.
+
+        Only for FM operators (both ⊕ strategies :class:`FMOperator`). The
+        fold's control flow — class queues, n-sketch ORs, promotion
+        thresholds — runs per inbox on packed integers and records every
+        pair fusion on a tape (:meth:`_fold_handles`); the item sketches
+        then follow the tape as packed uint32 rows, one batch per tape depth
+        across the whole level: gathered, OR-ed per item and pruned where
+        the fusion promoted. A fused synopsis keeps its items as rows of the
+        level's table (:class:`ItemRows`), so the next level reads them
+        without a sketch object. Results equal the per-inbox fold; only the
+        order of a synopsis' items, which nothing reads, may differ.
+        Collections are keyed by their synopses' classes, as Algorithm 2
+        and the packed block forms build them.
+        """
+        n_bitmaps = self.n_operator.num_bitmaps
+
+        # -- handles: every distinct input synopsis ------------------------
+        inputs: List[FrequentItemsSynopsis] = []
+        seen: Dict[int, int] = {}
+        klass_of: List[int] = []
+        n_of: List[int] = []
+        # A broadcast payload sits in several inboxes: each collection is
+        # read once.
+        read: Dict[int, List[int]] = {}
+        cells: List[List[List[int]]] = []
+        for inbox in inboxes:
+            collections = []
+            for collection in inbox:
+                handles = read.get(id(collection))
+                if handles is None:
+                    handles = read[id(collection)] = []
+                    for klass, synopsis in collection.items():
+                        handle = seen.get(id(synopsis))
+                        if handle is None:
+                            handle = seen[id(synopsis)] = len(inputs)
+                            inputs.append(synopsis)
+                            klass_of.append(klass)
+                            n_of.append(synopsis.n_sketch._packed)
+                        handles.append(handle)
+                collections.append(handles)
+            cells.append(collections)
+        pairs, thresholds, results = self._fold_handles(cells, klass_of, n_of)
+        owners = sorted({handle for result in results for handle in result})
+
+        # -- item sketches: the tape, one depth at a time ------------------
+        pool = _ItemPool(inputs, self.operator.num_bitmaps, len(klass_of))
+        if thresholds:
+            pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            outs = np.arange(len(inputs), len(klass_of))
+            thresholds = np.array(thresholds)
+            # A fusion's depth: one past its deeper input's (inputs: 0).
+            depth = np.zeros(len(klass_of), dtype=np.int64)
+            while True:
+                deeper = np.maximum(depth[pairs[:, 0]], depth[pairs[:, 1]])
+                deeper += 1
+                if np.array_equal(deeper, depth[outs]):
+                    break
+                depth[outs] = deeper
+            # A handle's rows die with the deepest fusion reading them; a
+            # result's never do.
+            last_read = np.zeros(len(klass_of), dtype=np.int64)
+            np.maximum.at(last_read, pairs.reshape(-1), np.repeat(deeper, 2))
+            last_read[owners] = 0
+            order = np.argsort(deeper, kind="stable")
+            for batch in np.split(
+                order, np.flatnonzero(np.diff(deeper[order])) + 1
+            ):
+                pool.fuse(pairs[batch], outs[batch], thresholds[batch], self.eta)
+                pool.drop(np.flatnonzero(last_read == deeper[batch[0]]))
+
+        # -- results: every result synopsis over one compact table -------
+        # Rows are copied out of the pool, so no result keeps the level's
+        # intermediate fusions (or an earlier level's table) alive.
+        index, lengths = pool.ranges(np.asarray(owners, dtype=np.int64))
+        rows = np.take(pool.rows, index, axis=0)
+        table = ItemRows(np.take(pool.values, np.take(pool.codes, index)), rows)
+        stops = np.cumsum(lengths).tolist()
+        built = {
+            handle: FrequentItemsSynopsis(
+                klass_of[handle],
+                inputs[handle].n_sketch
+                if handle < len(inputs)
+                else FMSketch.from_packed(n_bitmaps, n_of[handle]),
+                rows=(table, stop - length, stop),
+            )
+            for handle, length, stop in zip(owners, lengths.tolist(), stops)
+        }
+        # collection_words: 1 + n words per synopsis, 1 + words per item.
+        words = 1 + lengths + rle_words_rows(
+            packed_rows([n_of[handle] for handle in owners], n_bitmaps)
+        )
+        words += np.bincount(
+            np.repeat(np.arange(len(owners)), lengths),
+            weights=rle_words_rows(rows),
+            minlength=len(owners),
+        ).astype(np.int64)
+        words_of = dict(zip(owners, words.tolist()))
+        return (
+            [
+                {klass_of[handle]: built[handle] for handle in result}
+                for result in results
+            ],
+            [sum(words_of[handle] for handle in result) for result in results],
+        )
+
+    def _fold_handles(
+        self, cells: List[List[List[int]]], klass_of: List[int], n_of: List[int]
+    ) -> Tuple[List[int], List[float], List[List[int]]]:
+        """:meth:`fuse_collections`' control flow over synopsis handles.
+
+        ``cells`` holds per inbox its collections as handle lists, one
+        handle per class; a handle's class and packed n~ sketch are
+        ``klass_of`` / ``n_of`` entries, and each pair fusion appends the
+        new handle's there. Returns the tape — the fused pairs ``a, b``
+        flat, and per fusion its prune threshold, ``-inf`` unless it
+        promoted — and each inbox's result handles in class order.
+
+        A fold step sorts the running result's handles and the next
+        collection's by class, stably (the result's first, as
+        :meth:`fuse_into_classes` queues them), and sweeps the classes
+        upward: a class holds the result's synopsis, the collection's and
+        a promoted one carried up from below, at most one each, fused from
+        the back of that queue.
+        """
+        n_bitmaps = self.n_operator.num_bitmaps
+        epsilon, log_n = self.epsilon, self.log_n
+        pairs: List[int] = []
+        thresholds: List[float] = []
+        add_pair, add_threshold = pairs.extend, thresholds.append
+        add_class, add_n = klass_of.append, n_of.append
+
+        def fuse(a: int, b: int) -> Tuple[int, bool]:
+            """Algorithm 2 on handles: the fused handle, and whether it
+            was promoted."""
+            klass = klass_of[a]
+            n = n_of[a] | n_of[b]
+            n_estimate = estimate_packed(n, n_bitmaps)
+            add_n(n)
+            add_pair((a, b))
+            if n_estimate > 2 ** (klass + 1):
+                add_class(klass + 1)
+                add_threshold(epsilon * n_estimate / log_n)
+                return len(n_of) - 1, True
+            add_class(klass)
+            add_threshold(-math.inf)
+            return len(n_of) - 1, False
+
+        by_class = klass_of.__getitem__
+        results = []
+        for collections in cells:
+            result = collections[0]
+            for handles in collections[1:]:
+                if not handles:
+                    continue
+                if not result:
+                    result = handles
+                    continue
+                waiting = sorted(result + handles, key=by_class)
+                result = []
+                carry = -1
+                at, count = 0, len(waiting)
+                while at < count or carry >= 0:
+                    if carry >= 0 and (
+                        at == count or klass_of[carry] < klass_of[waiting[at]]
+                    ):
+                        result.append(carry)
+                        carry = -1
+                        continue
+                    first = waiting[at]
+                    at += 1
+                    if at < count and klass_of[waiting[at]] == klass_of[first]:
+                        # Queue [first, twin, carry?]: fuse from the back.
+                        twin = waiting[at]
+                        at += 1
+                        if carry >= 0:
+                            twin, promoted = fuse(carry, twin)
+                            carry = -1
+                            if promoted:
+                                carry = twin
+                                result.append(first)
+                                continue
+                        fused, promoted = fuse(twin, first)
+                    elif carry >= 0:
+                        fused, promoted = fuse(carry, first)
+                        carry = -1
+                    else:
+                        result.append(first)
+                        continue
+                    if promoted:
+                        carry = fused
+                    else:
+                        result.append(fused)
+            results.append(result)
+        return pairs, thresholds, results
+
     # -- SE ---------------------------------------------------------------------
 
     def evaluate(
@@ -319,3 +592,152 @@ class MultipathFrequentItems:
         return sum(
             s.words(self.operator, self.n_operator) for s in synopses.values()
         )
+
+
+#: Spare rows an :class:`_ItemPool` rebuild adds beyond its live rows.
+_POOL_SLACK = 1 << 12
+
+#: Input rows one :meth:`_ItemPool.fuse` run gathers and sorts at most
+#: (a single fusion may exceed it).
+_FUSE_ROWS = 1 << 13
+
+
+class _ItemPool:
+    """The item sketches of :meth:`MultipathFrequentItems.fuse_level`.
+
+    One growing table of packed rows, each tagged with its item's code (its
+    rank among the level's items, :attr:`values`); handle ``h`` owns rows
+    ``start[h]:stop[h]``. It opens with the input synopses' rows: sliced
+    from their :class:`ItemRows` tables, or read off their dicts.
+    """
+
+    def __init__(
+        self, inputs: Sequence[FrequentItemsSynopsis], num_bitmaps: int, handles: int
+    ) -> None:
+        self.start = np.zeros(handles, dtype=np.int64)
+        self.stop = np.zeros(handles, dtype=np.int64)
+        loose, items, packs = [], [], []
+        tables: Dict[int, Tuple[ItemRows, List[int], List[int], List[int]]] = {}
+        for handle, synopsis in enumerate(inputs):
+            backing = synopsis._rows
+            if backing is None:
+                loose.append(handle)
+                items.extend(synopsis.counts)
+                packs.extend(
+                    [sketch._packed for sketch in synopsis.counts.values()]
+                )
+            else:
+                table, first, last = backing
+                entry = tables.get(id(table))
+                if entry is None:
+                    entry = tables[id(table)] = (table, [], [], [])
+                entry[1].append(handle)
+                entry[2].append(first)
+                entry[3].append(last)
+        lengths = [len(inputs[handle].counts) for handle in loose]
+        self._place(np.asarray(loose, dtype=np.int64), np.asarray(lengths), 0)
+        item_parts = [np.array(items, dtype=np.int64)]
+        row_parts = [packed_rows(packs, num_bitmaps)]
+        offset = len(items)
+        for table, handles, firsts, lasts in tables.values():
+            index, lengths = _ranges(np.asarray(firsts), np.asarray(lasts))
+            self._place(np.asarray(handles), lengths, offset)
+            item_parts.append(np.take(table.items, index))
+            row_parts.append(np.take(table.rows, index, axis=0))
+            offset += len(index)
+        self.values, self.codes = np.unique(
+            np.concatenate(item_parts), return_inverse=True
+        )
+        self.rows = np.concatenate(row_parts)
+        self.size = offset
+
+    def _place(self, handles: np.ndarray, lengths: np.ndarray, offset: int) -> None:
+        """Own consecutive rows from ``offset`` on, ``lengths[i]`` each."""
+        ends = offset + np.cumsum(lengths, dtype=np.int64)
+        self.start[handles] = ends - lengths
+        self.stop[handles] = ends
+
+    def ranges(self, handles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row indices of ``handles``' rows, one after the other, and how
+        many each owns."""
+        return _ranges(self.start[handles], self.stop[handles])
+
+    def drop(self, handles: np.ndarray) -> None:
+        """Give up ``handles``' rows: no later fusion reads them. The next
+        rebuild (:meth:`_append`) leaves them out."""
+        self.start[handles] = self.stop[handles] = 0
+
+    def _append(self, codes: np.ndarray, rows: np.ndarray) -> int:
+        """Store rows at the end of the table; returns their first row.
+
+        Out of room, the table is rebuilt from its live rows first (those
+        of handles still owning any), with headroom for half as many
+        again."""
+        if self.size + len(codes) > len(self.codes):
+            live = np.flatnonzero(self.stop > self.start)
+            index, lengths = self.ranges(live)
+            capacity = (3 * (len(index) + len(codes))) // 2 + _POOL_SLACK
+            grown_codes = np.empty(capacity, dtype=np.int64)
+            np.take(self.codes, index, out=grown_codes[: len(index)])
+            grown_rows = np.empty((capacity, self.rows.shape[1]), dtype=np.uint32)
+            np.take(self.rows, index, axis=0, out=grown_rows[: len(index)])
+            self.codes, self.rows, self.size = grown_codes, grown_rows, len(index)
+            self._place(live, lengths, 0)
+        first, self.size = self.size, self.size + len(codes)
+        self.codes[first : self.size] = codes
+        self.rows[first : self.size] = rows
+        return first
+
+    def fuse(
+        self, pairs: np.ndarray, outs: np.ndarray, thresholds: np.ndarray, eta: float
+    ) -> None:
+        """Run independent pair fusions ``pairs[i] -> outs[i]`` (Algorithm
+        2's item side): the union of both handles' items, each item's
+        sketches OR-ed, minus — where the fusion promoted, so its threshold
+        is finite — the items with ``threshold >= eta * estimate``. Cut
+        into runs of about :data:`_FUSE_ROWS` input rows, so the sort's
+        temporaries stay small."""
+        sizes = np.cumsum((self.stop[pairs] - self.start[pairs]).sum(axis=1))
+        cuts = np.unique(
+            np.searchsorted(sizes, np.arange(_FUSE_ROWS, sizes[-1], _FUSE_ROWS))
+        )
+        for part in np.split(
+            np.arange(len(pairs)), cuts[(cuts > 0) & (cuts < len(pairs))]
+        ):
+            self._fuse(pairs[part], outs[part], thresholds[part], eta)
+
+    def _fuse(
+        self, pairs: np.ndarray, outs: np.ndarray, thresholds: np.ndarray, eta: float
+    ) -> None:
+        """:meth:`fuse` of one run."""
+        entries = len(pairs)
+        index, lengths = self.ranges(pairs.reshape(-1))
+        # One sort key per row: (entry, item code). A handle holds an item
+        # once, so an entry's key appears at most twice, once per side.
+        key = np.repeat(np.arange(entries).repeat(2), lengths)
+        key *= len(self.values)
+        key += np.take(self.codes, index)
+        order = np.argsort(key, kind="stable")
+        key, index = key[order], index[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(first)
+        rows = np.take(self.rows, index[starts], axis=0)
+        second = np.flatnonzero(~first)
+        rows[np.cumsum(first)[second] - 1] |= np.take(
+            self.rows, index[second], axis=0
+        )
+        owner, codes = np.divmod(key[starts], len(self.values))
+        # An unpromoted fusion's threshold is -inf: it keeps every item.
+        keep = np.take(thresholds, owner) < eta * estimate_rows(rows)
+        first_row = self._append(codes[keep], rows[keep])
+        self._place(outs, np.bincount(owner[keep], minlength=entries), first_row)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices ``starts[i]:stops[i]`` one after the other, and each
+    range's length."""
+    lengths = stops - starts
+    index = np.arange(int(lengths.sum()), dtype=np.int64)
+    index += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return index, lengths

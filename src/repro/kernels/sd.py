@@ -6,7 +6,10 @@ few float64 columns. The row holds one section per FM slot
 words, then the piggybacked
 :class:`~repro.aggregates.count.ContributingCount`'s (when the query needs
 one) — then a plain bitmap of missing-statistics reporters. Beside it, each
-Min/Max leaf slot (``extremum_ufunc``) is one float64 *extremum column*.
+Min/Max leaf slot (``extremum_ufunc``) is one float64 *extremum column*, and
+each leaf without fixed-width state (heavy hitters, quantiles, ...) one
+*object column*: per cell an inbox of the leaf's own synopses, fused a
+level at a time through ``synopsis_fuse_level``.
 Fusion is bitwise OR on the row and ``np.maximum`` / ``np.minimum`` on the
 columns, all ODI, so a level's deliveries may be reduced in any grouping: a
 level's wave scatters only its delivered ``(pair, epoch)`` cells into the
@@ -14,7 +17,9 @@ receivers' accumulator cells (:func:`or_sorted`, one pass per fan-in rank;
 :func:`scatter_columns` for the extrema), and wire sizing is one vectorized
 RLE pass per level (:func:`repro.multipath.fm.rle_words_rows` reproduces
 :func:`repro.multipath.fm._packed_rle_words` exactly) plus the extrema's
-constant words.
+constant words. An object column's fusion need not be order-free (heavy
+hitters' is not), so its inboxes keep the object wave's order and the
+leaf sizes its own fused synopses.
 
 :class:`RowWave` is that per-level step — local rows, OR with the
 accumulator, RLE sizing, billing, OR-scatter — plus the block's tallies.
@@ -143,6 +148,19 @@ def local_rows(
     return local
 
 
+def append_cells(
+    inboxes: Sequence[Dict[int, list]], keys: Sequence[int], values: Sequence[list]
+) -> None:
+    """Append ``values[k][i]`` to ``inboxes[k][keys[i]]``, in order: the
+    object columns' delivery."""
+    for inbox, column in zip(inboxes, values):
+        for key, value in zip(keys, column):
+            if key in inbox:
+                inbox[key].append(value)
+            else:
+                inbox[key] = [value]
+
+
 def fold_columns(ufuncs, dest: np.ndarray, values: np.ndarray) -> None:
     """``dest[..., k] = ufuncs[k](dest[..., k], values[..., k])``, in place."""
     for column, ufunc in enumerate(ufuncs):
@@ -190,10 +208,13 @@ class RowWave:
     :func:`missing_stats_words` per set bit. Beside it, each of the
     ``extrema`` leaves (:meth:`~repro.aggregates.base.Aggregate.extremum_ufunc`)
     is one float64 column, reduced by its ufunc wherever the row is OR-ed
-    and billed its constant synopsis words. The wave owns the block's
+    and billed its constant synopsis words; each of the ``objects`` leaves
+    is one object column, whose cells collect their synopses in the open
+    tile's ``inboxes`` (keyed ``row * tile epochs + epoch``) and fuse them
+    in :meth:`level`. The wave owns the block's
     tallies (per-epoch words/messages, per-row load, the base station's
-    fused rows and extrema) and, inside :meth:`tiles`, one epoch tile's
-    accumulators.
+    fused rows, extrema and object synopses) and, inside :meth:`tiles`,
+    one epoch tile's accumulators.
     """
 
     def __init__(
@@ -204,6 +225,7 @@ class RowWave:
         sections: Sequence[int],
         flag_words: int = 0,
         extrema: Sequence = (),
+        objects: Sequence = (),
     ) -> None:
         self._accountant = accountant
         self._base_row = base_row
@@ -216,6 +238,7 @@ class RowWave:
         self._extremum_words = sum(
             int(leaf.synopsis_words(leaf.synopsis_empty())) for leaf in extrema
         )
+        self._objects = tuple(objects)
         self.width = sum(sections) + flag_words
         self.words_sent = np.zeros(num_epochs, dtype=np.int64)
         self.messages_sent = np.zeros(num_epochs, dtype=np.int64)
@@ -227,17 +250,22 @@ class RowWave:
         self.base_rows = np.zeros((num_epochs, self.width), dtype=np.uint32)
         #: The base station's fused extremum columns per epoch.
         self.base_extrema = np.empty((num_epochs, len(self._ufuncs)))
+        #: Per object leaf, the base station's fused synopsis per epoch
+        #: (None where no multi-path payload arrived).
+        self.base_objects: List[list] = [[None] * num_epochs for _ in objects]
         self.acc = np.zeros((0, 0), dtype=np.uint32)
         self.extrema = np.empty((0, 0, len(self._ufuncs)))
+        self.inboxes: List[Dict[int, list]] = []
         self._lo = self._hi = 0
 
     def tiles(self) -> Iterator[Tuple[int, int]]:
         """Sweep the block in epoch tiles ``[lo, hi)``.
 
         Each step opens a zeroed accumulator ``acc`` (rows x flattened
-        ``(epoch, word)`` columns of the tile) and a neutral ``extrema``
-        one (rows x tile epochs x extremum columns); when the caller comes
-        back for the next tile, the base station's cells are saved first.
+        ``(epoch, word)`` columns of the tile), a neutral ``extrema`` one
+        (rows x tile epochs x extremum columns) and empty object
+        ``inboxes``; when the caller comes back for the next tile, the base
+        station's cells are saved first.
         """
         num_epochs = len(self.words_sent)
         step = max(1, TILE_ROW_WORDS // self.width)
@@ -251,11 +279,53 @@ class RowWave:
                 (self._base_row + 1, hi - lo, len(self._ufuncs))
             )
             self.extrema[...] = self._neutral
+            self.inboxes = [{} for _ in self._objects]
             yield lo, hi
             self.base_rows[lo:hi] = self.acc[self._base_row].reshape(
                 hi - lo, self.width
             )
             self.base_extrema[lo:hi] = self.extrema[self._base_row]
+            # The base station fuses each epoch's inbox as the tile closes.
+            first = self._base_row * (hi - lo)
+            for leaf, inbox, saved in zip(
+                self._objects, self.inboxes, self.base_objects
+            ):
+                heard = [
+                    column for column in range(hi - lo) if first + column in inbox
+                ]
+                if heard:
+                    fused, _ = leaf.synopsis_fuse_level(
+                        [inbox[first + column] for column in heard]
+                    )
+                    for column, synopsis in zip(heard, fused):
+                        saved[lo + column] = synopsis
+
+    def bill(
+        self,
+        rows: np.ndarray,
+        words: np.ndarray,
+        attempts: int,
+        columns: slice = slice(None),
+    ) -> None:
+        """Bill ``rows``' ``(row, epoch)`` payloads of ``words`` words, sent
+        ``attempts`` times each, in the epoch ``columns``. ``words`` is a
+        ``(row, epoch)`` matrix or anything that broadcasts to one (a
+        constant payload is sized once)."""
+        spec_for_words = self._accountant.spec_for_words
+        unique_words = np.unique(words)
+        unique_messages = np.fromiter(
+            (spec_for_words(int(value)).messages for value in unique_words),
+            dtype=np.int64,
+            count=len(unique_words),
+        )
+        messages = unique_messages[np.searchsorted(unique_words, words)]
+        shape = (len(rows), len(self.words_sent[columns]))
+        words = np.broadcast_to(words, shape)
+        messages = np.broadcast_to(messages, shape)
+        self.words_sent[columns] += attempts * words.sum(axis=0)
+        self.messages_sent[columns] += attempts * messages.sum(axis=0)
+        self.row_words[rows] += attempts * words.sum(axis=1)
+        self.row_messages[rows] += attempts * messages.sum(axis=1)
 
     def fold_extrema(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Reduce ``values[i]`` (one float per extremum column) into the
@@ -269,6 +339,7 @@ class RowWave:
         rows: np.ndarray,
         local: np.ndarray,
         local_extrema: np.ndarray,
+        local_objects: Sequence[list],
         attempts: int,
         pair_sender: np.ndarray,
         pair_rows: np.ndarray,
@@ -278,12 +349,16 @@ class RowWave:
 
         ``local`` holds the senders' ``(sender, tile epoch, width)`` local
         rows and ``local_extrema`` their ``(sender, tile epoch, extremum
-        column)`` values; both are fused in place. Pair ``p`` hands sender
-        ``pair_sender[p]``'s payload to accumulator row ``pair_rows[p]`` in
-        the epochs where the block-wide ``success[p]`` is set; pairs whose
-        receiver ignores the payload are simply not listed.
+        column)`` values; both are fused in place. ``local_objects`` holds
+        per object leaf the senders' local synopses, flat in the same
+        ``(sender, tile epoch)`` order: each cell fuses its inbox behind
+        its local through the leaf's
+        :meth:`~repro.aggregates.base.Aggregate.synopsis_fuse_level`. Pair
+        ``p`` hands sender ``pair_sender[p]``'s payload to accumulator row
+        ``pair_rows[p]`` in the epochs where the block-wide ``success[p]``
+        is set; pairs whose receiver ignores the payload are simply not
+        listed.
         """
-        spec_for_words = self._accountant.spec_for_words
         num_nodes, num_epochs, width = local.shape
         cells = num_nodes * num_epochs
         columns = slice(self._lo, self._hi)
@@ -294,6 +369,22 @@ class RowWave:
         words = np.full(
             (num_nodes, num_epochs), self._extremum_words, dtype=np.int64
         )
+        fused_objects = []
+        if self._objects:
+            own = (rows[:, None] * num_epochs + np.arange(num_epochs)).ravel()
+            for leaf, inbox, cells_local in zip(
+                self._objects, self.inboxes, local_objects
+            ):
+                fused, sizes = leaf.synopsis_fuse_level(
+                    [
+                        [cell, *inbox.pop(key, ())]
+                        for cell, key in zip(cells_local, own.tolist())
+                    ]
+                )
+                fused_objects.append(fused)
+                words += np.asarray(sizes, dtype=np.int64).reshape(
+                    num_nodes, num_epochs
+                )
         offset = 0
         for bitmaps in self._sections:
             words += rle_words_rows(
@@ -305,17 +396,7 @@ class RowWave:
             words += missing_stats_words(
                 np.unpackbits(flags, axis=2).sum(axis=2, dtype=np.int64)
             )
-        unique_words = np.unique(words)
-        unique_messages = np.fromiter(
-            (spec_for_words(int(value)).messages for value in unique_words),
-            dtype=np.int64,
-            count=len(unique_words),
-        )
-        messages = unique_messages[np.searchsorted(unique_words, words)]
-        self.words_sent[columns] += attempts * words.sum(axis=0)
-        self.messages_sent[columns] += attempts * messages.sum(axis=0)
-        self.row_words[rows] += attempts * words.sum(axis=1)
-        self.row_messages[rows] += attempts * messages.sum(axis=1)
+        self.bill(rows, words, attempts, columns)
 
         if not len(pair_rows):
             return
@@ -331,6 +412,13 @@ class RowWave:
         if self._ufuncs:
             self.fold_extrema(
                 keys, local_extrema.reshape(-1, len(self._ufuncs))[senders]
+            )
+        if fused_objects:
+            picks = senders.tolist()
+            append_cells(
+                self.inboxes,
+                keys.tolist(),
+                [[fused[i] for i in picks] for fused in fused_objects],
             )
         at_base = pair_rows == self._base_row
         if at_base.any():

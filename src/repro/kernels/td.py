@@ -15,9 +15,9 @@ runs as up to three stages over one row layout — every node in wave order
    block is one ``(partials, count, sender, epoch)`` cell; all of them go
    through Section 5's conversion function in one batched FM pass
    (:func:`precompute_conversions`) and are OR-ed into their parents'
-   accumulator rows (extremum columns convert by identity). Payloads
-   delivered straight to an M-mode base station are not converted — they
-   stay exact.
+   accumulator rows (extremum columns convert by identity, object columns
+   by one ``convert_block`` each). Payloads delivered straight to an
+   M-mode base station are not converted — they stay exact.
 3. **The delta OR-scatters.** Levels are swept again over their M nodes
    only, through :class:`~repro.kernels.sd.RowWave`, with T receivers
    dropped from the scatter: they ignore M broadcasts, though the channel
@@ -31,7 +31,7 @@ The kernel runs the query as its *leaf slots*
 (:meth:`~repro.aggregates.base.Aggregate.leaf_slots`): a plain aggregate is
 one leaf, an Average or Moments composite, a workload or a WHERE filter over
 one of them is each of its leaf aggregates side by side. A leaf takes one of
-two column kinds:
+three column kinds (:func:`leaf_kind`):
 
 * an **FM leaf** (Count, Sum and their kin) gets one int64 partial column in
   stage 1 (added), one frontier conversion in stage 2 and one packed section
@@ -44,10 +44,19 @@ two column kinds:
   column on both sides, reduced by its ``np.maximum`` / ``np.minimum``
   wherever the FM kinds add or OR. Its partial is its synopsis, so the
   frontier hands it to the M parent unchanged, and it bills its constant
-  words beside the row.
+  words beside the row;
+* an **object leaf** (any other: heavy hitters, quantiles, sample, exact
+  distinct) keeps its own Python partial or synopsis per
+  cell. A T cell merges its local partial with its children's in delivery
+  order; an M cell fuses its inbox — its local synopsis, then its converted
+  T children in wave order, then the M payloads it received in sender
+  order, exactly the object wave's inbox — for the whole level in one
+  :meth:`~repro.aggregates.base.Aggregate.synopsis_fuse_level` call. Its
+  words vary cell by cell; T and M cells alike add them to the row's
+  before messages are derived (:meth:`~repro.kernels.sd.RowWave.bill`).
 
 The base station rebuilds each payload's leaves in slot order from the kinds'
-columns.
+columns. A block without an object leaf opens no object-column state.
 A *reporter* (:attr:`~repro.core.wave.WaveLayout.reporters`) is an M node
 whose payload carries its own missing statistic and owns one bit; its
 per-epoch value lives in a side matrix. A node reports one value per epoch
@@ -58,12 +67,13 @@ rebuilt from the bits that arrived.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.sd import (
     RowWave,
+    append_cells,
     count_contributors,
     fold_columns,
     level_pairs,
@@ -77,49 +87,48 @@ from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, gather_reading_block
 
 
-def leaf_refusal(leaf, tree: bool, multipath: bool) -> Optional[str]:
-    """Why one leaf slot cannot ride the rows, or None.
+#: A leaf slot's column kinds (:func:`leaf_kind`).
+FM, EXTREMUM, OBJECT = "fm", "extremum", "object"
 
-    An extremum leaf rides both sides as its float64 column. Otherwise
-    tributaries (``tree``) need int64-additive partials, the delta
-    (``multipath``) packable FM synopses.
+
+def leaf_kind(leaf) -> str:
+    """How one leaf slot rides the rows.
+
+    An extremum leaf is its float64 column on both sides; a leaf with
+    int64-additive partials and packable FM synopses is a partial column
+    and a packed row section; any other leaf is an object column, whose
+    cells keep the leaf's own partials and synopses.
     """
-    if getattr(leaf, "group_by_spec", None) is not None:
-        return "grouped query"
     if leaf.extremum_ufunc() is not None:
-        return None
-    if tree and not leaf.tree_partials_additive():
-        return "non-additive partials"
-    if multipath and leaf.synopsis_packable() is None:
-        return "unpackable synopsis"
-    return None
+        return EXTREMUM
+    if leaf.tree_partials_additive() and leaf.synopsis_packable() is not None:
+        return FM
+    return OBJECT
 
 
 def refusal(layout, aggregate, channel) -> Optional[str]:
     """Why a block over ``layout`` must take the object wave, or None.
 
-    Every leaf slot of ``aggregate`` must ride the rows — partials where a T
-    sender exists, synopses where an M row does; a refusing workload slot is
-    named, e.g. ``workload slot 'peak' (max): non-additive partials``. T
-    senders also need a tree parent each (every tributary payload must
-    route exactly like the object wave's), and no block runs fused under
-    fault injection.
+    Every leaf slot of ``aggregate`` rides the rows in one of the three
+    column kinds except a grouped query's, which is refused; a refusing
+    workload slot is named, e.g. ``workload slot 'by-region' (...): grouped
+    query``. T senders also need a tree parent each (every tributary
+    payload must route exactly like the object wave's), and no block runs
+    fused under fault injection.
     """
-    tree_items = [
-        item
+    for leaf, column in aggregate.leaf_slots():
+        if getattr(leaf, "group_by_spec", None) is not None:
+            if column is None:
+                return "grouped query"
+            name = aggregate.workload_names[column]
+            query = aggregate.components[column].name
+            return f"workload slot {name!r} ({query}): grouped query"
+    if any(
+        item.receivers[0] is None
         for level in layout.levels
         for item in level
         if item.sender not in layout.multipath
-    ]
-    for leaf, column in aggregate.leaf_slots():
-        reason = leaf_refusal(leaf, bool(tree_items), bool(layout.multipath))
-        if reason is not None:
-            if column is None:
-                return reason
-            name = aggregate.workload_names[column]
-            query = aggregate.components[column].name
-            return f"workload slot {name!r} ({query}): {reason}"
-    if any(item.receivers[0] is None for item in tree_items):
+    ):
         return "orphaned T vertex"
     if channel.chaos is not None:
         return "chaos attached"
@@ -178,19 +187,20 @@ def level_senders(levels, selected: np.ndarray):
     ]
 
 
-def split_kinds(extremum: List[bool], values: list) -> Tuple[list, list]:
-    """Per-slot ``values`` as (the FM slots', the extremum slots')."""
-    return (
-        [value for value, kind in zip(values, extremum) if not kind],
-        [value for value, kind in zip(values, extremum) if kind],
+def split_kinds(kinds: List[str], values: list) -> Tuple[list, list, list]:
+    """Per-slot ``values`` as (the FM slots', the extremum slots', the
+    object slots')."""
+    return tuple(
+        [value for value, kind in zip(values, kinds) if kind == wanted]
+        for wanted in (FM, EXTREMUM, OBJECT)
     )
 
 
-def in_slot_order(extremum: List[bool], fm, extrema) -> list:
+def in_slot_order(kinds: List[str], fm, extrema, objects) -> list:
     """The leaves' values in slot order, from their kinds' lists (the
     inverse of :func:`split_kinds`)."""
-    fm, extrema = iter(fm), iter(extrema)
-    return [next(extrema) if kind else next(fm) for kind in extremum]
+    by_kind = {FM: iter(fm), EXTREMUM: iter(extrema), OBJECT: iter(objects)}
+    return [next(by_kind[kind]) for kind in kinds]
 
 
 def leaf_columns(leaves, nodes, epochs, blocks, dtype) -> np.ndarray:
@@ -212,12 +222,11 @@ def precompute_conversions(
     each FM leaf slot's conversion of its int64 partial column, then —
     unless ``piggyback`` is None — the exact count through the piggyback's,
     all bit for bit the scalar converters'. (Extremum leaves convert by
-    identity: their columns need no pass.)
+    identity: their columns need no pass; object leaves convert through
+    their own ``convert_block``.)
     """
     fm_leaves = [
-        leaf
-        for leaf, _ in aggregate.leaf_slots()
-        if leaf.extremum_ufunc() is None
+        leaf for leaf, _ in aggregate.leaf_slots() if leaf_kind(leaf) == FM
     ]
     sections = [
         leaf.convert_block_packed(partials[:, index], senders, epochs)
@@ -225,6 +234,8 @@ def precompute_conversions(
     ]
     if piggyback is not None:
         sections.append(piggyback.convert_block_packed(counts, senders, epochs))
+    if not sections:
+        return np.zeros((len(senders), 0), dtype=np.uint32)
     return np.concatenate(sections, axis=1)
 
 
@@ -257,11 +268,10 @@ def run_td_block(
     t_rows = np.flatnonzero(~is_m[:base_row])
     slots = aggregate.leaf_slots()
     piggyback = scheme._piggyback
-    # A leaf slot is an int64 partial column and a packed FM section, or one
-    # float64 extremum column on both sides.
-    extremum = [leaf.extremum_ufunc() is not None for leaf, _ in slots]
-    fm_leaves = [leaf for (leaf, _), ext in zip(slots, extremum) if not ext]
-    extrema = [leaf for (leaf, _), ext in zip(slots, extremum) if ext]
+    # A leaf slot is an int64 partial column and a packed FM section, one
+    # float64 extremum column on both sides, or an object column.
+    kinds = [leaf_kind(leaf) for leaf, _ in slots]
+    fm_leaves, extrema, objects = split_kinds(kinds, [leaf for leaf, _ in slots])
     ufuncs = [leaf.extremum_ufunc() for leaf in extrema]
     neutral = np.array([leaf.tree_empty() for leaf in extrema], dtype=np.float64)
     # The delta row's FM sections: one per FM leaf slot, then the piggyback's.
@@ -272,23 +282,31 @@ def run_td_block(
     fm_width = sum(sections)
 
     # -- pass 1: tributaries, all levels -----------------------------------
-    # Exact contributing counts, one partial column per FM leaf slot and one
-    # extremum column per extremum slot.
+    # Exact contributing counts, one partial column per FM leaf slot, one
+    # extremum column per extremum slot, and per object slot each T cell's
+    # inbox of its children's partials (delivery order), keyed ``row *
+    # num_epochs + column``.
     acc_count = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
     acc_partial = np.zeros(
         (base_row + 1, num_epochs, len(fm_leaves)), dtype=np.int64
     )
     acc_extrema = np.empty((base_row + 1, num_epochs, len(extrema)))
     acc_extrema[...] = neutral
+    tree_inboxes: List[Dict[int, list]] = [{} for _ in objects]
+    # An object partial's wire size varies: T rows bill per cell.
+    object_words = (
+        np.zeros((base_row + 1, num_epochs), dtype=np.int64) if objects else None
+    )
     base_partials: List[List[tuple]] = [[] for _ in epoch_list]
     # Delivered T -> (non-base) M cells, per level: (partials, extrema,
-    # counts, senders, epoch columns, parent rows).
+    # counts, senders, epoch columns, parent rows, object partials).
     frontier = [
         (
             np.zeros((0, len(fm_leaves)), dtype=np.int64),
             np.zeros((0, len(extrema))),
         )
         + (np.zeros(0, dtype=np.int64),) * 4
+        + ([[] for _ in objects],)
     ]
     tributaries, t_nodes = level_senders(levels, ~is_m)
     for (level, positions), nodes, blocks in zip(
@@ -300,7 +318,7 @@ def run_td_block(
         pairs = level.span_starts[positions]
         success = level.success[pairs]
         targets = level.recv_rows[pairs]
-        fm_blocks, ext_blocks = split_kinds(extremum, blocks)
+        fm_blocks, ext_blocks, obj_blocks = split_kinds(kinds, blocks)
         out_partial = leaf_columns(
             fm_leaves, nodes, epoch_list, fm_blocks, np.int64
         )
@@ -308,6 +326,16 @@ def run_td_block(
         out_extrema = leaf_columns(
             extrema, nodes, epoch_list, ext_blocks, np.float64
         )
+        out_objects = [
+            merge_cells(
+                leaf, inbox, rows, leaf.tree_local_block(nodes, epoch_list, block)
+            )
+            for leaf, inbox, block in zip(objects, tree_inboxes, obj_blocks)
+        ]
+        for leaf, cells in zip(objects, out_objects):
+            object_words[rows] += np.fromiter(
+                map(leaf.tree_words, cells), dtype=np.int64, count=len(cells)
+            ).reshape(len(rows), num_epochs)
         out_count = 1 + acc_count[rows]
         np.add.at(acc_partial, targets, out_partial * success[:, :, None])
         np.add.at(acc_count, targets, out_count * success)
@@ -320,13 +348,24 @@ def run_td_block(
                 np.where(success[:, :, None], out_extrema, neutral),
             )
         to_base = targets == base_row
+        if objects:
+            # T parents take their children's partials in wave order.
+            position, column = np.nonzero(
+                success & (~is_m[targets] & ~to_base)[:, None]
+            )
+            append_cells(
+                tree_inboxes,
+                (targets[position] * num_epochs + column).tolist(),
+                pick_cells(out_objects, position * num_epochs + column),
+            )
         position, column = np.nonzero(success & to_base[:, None])
         # Per slot, its column over the delivered cells; then per cell, its
         # leaves in slot order.
         by_slot = in_slot_order(
-            extremum,
+            kinds,
             out_partial[position, column].T.tolist(),
             out_extrema[position, column].T.tolist(),
+            pick_cells(out_objects, position * num_epochs + column),
         )
         for leaves, at in zip(zip(*by_slot), column.tolist()):
             base_partials[at].append(leaves)
@@ -342,6 +381,7 @@ def run_td_block(
                     sender_ids[rows[position]],
                     column,
                     targets[position],
+                    pick_cells(out_objects, position * num_epochs + column),
                 )
             )
 
@@ -364,7 +404,9 @@ def run_td_block(
     flag_words = -(-len(reporter_rows) // 32)
 
     # -- pass 2: the delta, level by level over M nodes only ---------------
-    wave = RowWave(accountant, base_row, num_epochs, sections, flag_words, extrema)
+    wave = RowWave(
+        accountant, base_row, num_epochs, sections, flag_words, extrema, objects
+    )
     if has_m:
         # -- frontier: one batched conversion per block --------------------
         # An extremum column converts by identity: it lands as it is.
@@ -375,7 +417,9 @@ def run_td_block(
             cell_senders,
             cell_columns,
             cell_parents,
-        ) = (np.concatenate(parts) for parts in zip(*frontier))
+        ) = (
+            np.concatenate([part[field] for part in frontier]) for field in range(6)
+        )
         converted = (
             scheme._convert_frontier(
                 cell_partials, cell_counts, cell_senders, epochs[cell_columns]
@@ -383,6 +427,15 @@ def run_td_block(
             if len(t_rows)
             else None
         )
+        converted_objects = [
+            leaf.convert_block(
+                [cell for part in frontier for cell in part[6][slot]],
+                cell_senders.tolist(),
+                epochs[cell_columns].tolist(),
+            )
+            for slot, leaf in enumerate(objects)
+        ]
+        del frontier
         deltas, m_nodes = level_senders(levels, is_m)
         for lo, hi in wave.tiles():
             in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
@@ -399,13 +452,24 @@ def run_td_block(
                 )
                 if extrema:
                     wave.fold_extrema(keys, cell_extrema[in_tile])
+                if objects:
+                    # Converted T children land first, in wave order.
+                    picks = in_tile.tolist()
+                    append_cells(
+                        wave.inboxes,
+                        keys.tolist(),
+                        [[values[i] for i in picks] for values in converted_objects],
+                    )
+                    for values in converted_objects:
+                        for i in picks:
+                            values[i] = None
             tile = epoch_list[lo:hi]
             for (level, positions), nodes, blocks in zip(
                 deltas, m_nodes, level_readings(slots, readings, m_nodes, tile)
             ):
                 level_is_m = is_m[level.rows]
                 rows = level.rows[positions]
-                fm_blocks, ext_blocks = split_kinds(extremum, blocks)
+                fm_blocks, ext_blocks, obj_blocks = split_kinds(kinds, blocks)
                 local = local_rows(
                     section_slots,
                     nodes,
@@ -429,6 +493,14 @@ def run_td_block(
                     local,
                     # An extremum leaf's synopsis is its tree partial.
                     leaf_columns(extrema, nodes, tile, ext_blocks, np.float64),
+                    [
+                        # (node, epoch) order, from the block's (epoch, node).
+                        [cell for cells in zip(*block) for cell in cells]
+                        for block in (
+                            leaf.synopsis_local_block(nodes, tile, values)
+                            for leaf, values in zip(objects, obj_blocks)
+                        )
+                    ],
                     layout.multipath_attempts,
                     # Pair senders as positions among the level's M nodes.
                     (np.cumsum(level_is_m) - 1)[level.pair_item[scatter]],
@@ -439,15 +511,16 @@ def run_td_block(
     # -- billing, ground truth, base station -------------------------------
     tree_attempts = layout.tree_attempts
     if len(t_rows):
-        # Additive partials have a constant wire size, plus the exact count.
+        # FM and extremum partials have a constant wire size, plus the exact
+        # count; object partials add their own, cell by cell.
         tree_words = 1 + sum(
-            int(leaf.tree_words(leaf.tree_empty())) for leaf, _ in slots
+            int(leaf.tree_words(leaf.tree_empty())) for leaf in fm_leaves + extrema
         )
-        tree_messages = accountant.spec_for_words(tree_words).messages
-        wave.row_words[t_rows] += tree_words * tree_attempts * num_epochs
-        wave.row_messages[t_rows] += tree_messages * tree_attempts * num_epochs
-        wave.words_sent += len(t_rows) * tree_attempts * tree_words
-        wave.messages_sent += len(t_rows) * tree_attempts * tree_messages
+        wave.bill(
+            t_rows,
+            tree_words + object_words[t_rows] if objects else np.int64(tree_words),
+            tree_attempts,
+        )
 
     deliveries = np.zeros(num_epochs, dtype=np.int64)
     for level in levels:
@@ -502,7 +575,10 @@ def run_td_block(
                 synopsis = aggregate.from_leaves(
                     iter(
                         in_slot_order(
-                            extremum, sketches, wave.base_extrema[column].tolist()
+                            kinds,
+                            sketches,
+                            wave.base_extrema[column].tolist(),
+                            [fused[column] for fused in wave.base_objects],
                         )
                     )
                 )
@@ -533,3 +609,29 @@ def run_td_block(
         )
         results.append((outcome, log))
     return results
+
+
+def pick_cells(columns: List[list], cells: np.ndarray) -> List[list]:
+    """Each object column's values at the flat ``(node, epoch)`` ``cells``."""
+    if not columns:
+        return []
+    picks = cells.tolist()
+    return [[values[cell] for cell in picks] for values in columns]
+
+
+def merge_cells(leaf, inbox: Dict[int, list], rows: np.ndarray, local) -> list:
+    """One object slot's T cells of a level, flat in ``(node, epoch)``
+    order: each ``local[epoch][node]`` partial merged with its inbox (the
+    children's partials, keyed ``row * epochs + epoch``) left to right, as
+    the object wave's tree node does."""
+    merge = leaf.tree_merge
+    num_epochs = len(local)
+    cells = []
+    for position, row in enumerate(rows.tolist()):
+        first = row * num_epochs
+        for column in range(num_epochs):
+            partial = local[column][position]
+            for received in inbox.pop(first + column, ()):
+                partial = merge(partial, received)
+            cells.append(partial)
+    return cells

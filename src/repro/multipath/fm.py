@@ -172,6 +172,50 @@ def _packed_rle_words_cached(packed: int, num_bitmaps: int) -> int:
 _estimate_shape(40)
 
 
+def estimate_packed(packed: int, num_bitmaps: int) -> float:
+    """:meth:`FMSketch.estimate` of the packed bitmap integer ``packed``."""
+    if not packed:
+        return 0.0
+    ones, top_bits, table = _estimate_shape(num_bitmaps)
+    if packed & top_bits:
+        # A full bitmap's ``+ 1`` would carry into its neighbour: take the
+        # trailing-ones run of each bitmap off the packed integer one field
+        # at a time (bitmaps above the highest non-empty one contribute 0).
+        mask = (1 << BITS) - 1
+        total = 0
+        while packed:
+            bitmap = packed & mask
+            total += ((bitmap + 1) & ~bitmap).bit_length() - 1
+            packed >>= BITS
+        return table[total]
+    # Every field at once: ``~b & (b + 1)`` isolates each bitmap's lowest
+    # unset bit 2**R_j; minus one that is R_j set bits, so the popcount over
+    # all fields is sum(R_j).
+    return table[((~packed & (packed + ones)) - ones).bit_count()]
+
+
+def estimate_rows(matrix):
+    """:meth:`FMSketch.estimate` per row of a packed uint32 bitmap matrix.
+
+    Row ``r`` equals the estimate of :func:`sketch_from_row` ``(matrix[r])``:
+    the same table, indexed by the summed trailing-ones runs
+    (``bitwise_count(w & ~(w + 1))``, 32 for a full word).
+    """
+    words = _np.ascontiguousarray(matrix, dtype=_np.uint32)
+    runs = _np.bitwise_count(words & ~(words + _np.uint32(1)))
+    # Column by column: numpy's reduction over a short inner axis is slow.
+    total = runs[:, 0].astype(_np.int64)
+    for column in range(1, words.shape[1]):
+        total += runs[:, column]
+    return _np.take(_estimate_table(words.shape[1]), total)
+
+
+@lru_cache(maxsize=64)
+def _estimate_table(num_bitmaps: int):
+    """:func:`_correction_table` as a float64 array."""
+    return _np.asarray(_correction_table(num_bitmaps), dtype=_np.float64)
+
+
 class FMSketch:
     """A PCSA (multi-bitmap Flajolet-Martin) distinct-count sketch.
 
@@ -347,26 +391,7 @@ class FMSketch:
         Scheuermann-Mauve correction term 2**(-kappa * mean R) repairs the
         small-count regime without affecting large counts.
         """
-        packed = self._packed
-        if not packed:
-            return 0.0
-        ones, top_bits, table = _estimate_shape(self.num_bitmaps)
-        if packed & top_bits:
-            # A full bitmap's ``+ 1`` would carry into its neighbour: take
-            # the trailing-ones run of each bitmap off the packed integer
-            # one field at a time (bitmaps above the highest non-empty one
-            # contribute 0).
-            mask = (1 << BITS) - 1
-            total = 0
-            while packed:
-                bitmap = packed & mask
-                total += ((bitmap + 1) & ~bitmap).bit_length() - 1
-                packed >>= BITS
-            return table[total]
-        # Every field at once: ``~b & (b + 1)`` isolates each bitmap's
-        # lowest unset bit 2**R_j; minus one that is R_j set bits, so the
-        # popcount over all fields is sum(R_j).
-        return table[((~packed & (packed + ones)) - ones).bit_count()]
+        return estimate_packed(self._packed, self.num_bitmaps)
 
     def is_empty(self) -> bool:
         """True when no item was ever inserted."""
@@ -448,10 +473,19 @@ def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:
     num_bitmaps = sketches[0].num_bitmaps
     if any(s.num_bitmaps != num_bitmaps for s in sketches):
         return [sketch.words() for sketch in sketches]
+    return rle_words_rows(
+        packed_rows([sketch._packed for sketch in sketches], num_bitmaps)
+    ).tolist()
+
+
+def packed_rows(values: Sequence[int], num_bitmaps: int):
+    """The ``(len(values), num_bitmaps)`` uint32 rows of packed bitmap
+    integers: row ``i`` is bitmap ``j`` of ``values[i]`` in column ``j``
+    (:func:`sketch_to_row` of each, in one buffer). A value wider than
+    ``num_bitmaps`` words raises ``OverflowError``."""
     width = num_bitmaps * 4  # bytes per packed vector, one word per bitmap
-    buffer = b"".join(s._packed.to_bytes(width, "little") for s in sketches)
-    matrix = _np.frombuffer(buffer, dtype="<u4").reshape(len(sketches), num_bitmaps)
-    return rle_words_rows(matrix).tolist()
+    buffer = b"".join(value.to_bytes(width, "little") for value in values)
+    return _np.frombuffer(buffer, dtype="<u4").reshape(len(values), num_bitmaps)
 
 
 def sketch_to_row(sketch: FMSketch):

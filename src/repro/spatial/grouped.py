@@ -340,13 +340,3 @@ class RegionFilteredAggregate(FilteredAggregate):
             "region filtering reads node ids: its truth is exact_array"
         )
 
-    # Region filtering keeps the object wave.
-
-    def tree_partials_additive(self) -> bool:
-        return False
-
-    def synopsis_packable(self) -> None:
-        return None
-
-    def extremum_ufunc(self) -> None:
-        return None

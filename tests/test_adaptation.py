@@ -545,9 +545,10 @@ class TestSignalOnlyConvergence:
             "tree_partials_additive",
         }
         assert reading_calls == []
-        # The probes are live: one measured epoch uses both.
+        # The probes are live: one measured epoch uses both (it runs fused,
+        # reading the aggregate as its leaf slots).
         scenario.build_simulator(td).run(1, readings)
-        assert "synopsis_fuse_many" in spy.calls
+        assert "leaf_slots" in spy.calls
         assert reading_calls
 
     def test_real_aggregate_is_back_after_an_exception(self, monkeypatch):

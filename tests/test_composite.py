@@ -88,11 +88,8 @@ class TestAlgebra:
         )
         assert composite.synopsis_words(synopsis) == expected
 
-    def test_exact_all(self):
-        composite = make_composite()
-        readings = [1.0, 2.0, 3.0]
-        assert composite.exact_all(readings) == [3.0, 6.0, 2.0]
-        assert composite.exact(readings) == 6.0  # the sum primary
+    def test_exact_is_the_primarys(self):
+        assert make_composite().exact([1.0, 2.0, 3.0]) == 6.0  # the sum primary
 
 
 class TestOverSchemes:

@@ -102,16 +102,12 @@ def test_fused_equals_object_and_oracle(case, scheme, refusals, object_wave):
     assert _fingerprint(fused) == _fingerprint(oracle)
 
 
-def test_a_heavy_hitters_slot_keeps_the_object_wave_and_is_named(refusals):
+def test_a_heavy_hitters_slot_rides_an_object_column(refusals):
     queries = PARITY_CASES["workload"]["queries"] + [
         {"name": "heavy", "aggregate": "heavy_hitters:0.05"}
     ]
     run_config_result(_config("workload", "TD", queries=queries))
-    measured = [reason for reason in refusals if reason is not None]
-    assert measured
-    assert set(measured) == {
-        "workload slot 'heavy' (heavy_hitters:0.05): non-additive partials"
-    }
+    assert refusals and all(reason is None for reason in refusals)
 
 
 def _service(scheme):
@@ -197,16 +193,24 @@ def test_a_max_slot_added_and_removed_at_a_boundary_stays_fused(
 
 
 def test_service_names_the_refusing_slot():
+    """A heavy-hitters slot runs fused; a grouped slot is the one that
+    still refuses, and the service names it."""
     service = _service("TD")
     service.subscribe(
         _submit([("mean", "SELECT avg"), ("heavy", "SELECT heavy_hitters:0.05")])
     )
     service.run_block()
     engine = service.stats()["engine"]
+    assert engine["fused_blocks"] == 1
+    assert engine["object_blocks"] == 0
+    assert engine["last_refusal"] is None
+    service.subscribe(_submit([("regions", "SELECT avg GROUP BY region:1")]))
+    service.run_block()
+    engine = service.stats()["engine"]
     assert engine["object_blocks"] == 1
     assert engine["last_refusal"] == (
-        "workload slot 'SELECT heavy_hitters:0.05' (heavy_hitters:0.05): "
-        "non-additive partials"
+        "workload slot 'SELECT sum GROUP BY region:1' "
+        "(sum GROUP BY region:1): grouped query"
     )
 
 

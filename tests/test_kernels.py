@@ -30,6 +30,7 @@ from repro.aggregates.average import AverageAggregate
 from repro.aggregates.count import CountAggregate
 from repro.aggregates.minmax import MaxAggregate, MinAggregate
 from repro.aggregates.sum_ import SumAggregate
+from repro.aggregates.workload import WorkloadAggregate
 from repro.api import (
     EXPERIMENT_CONFIGS,
     QueryWorkload,
@@ -64,6 +65,7 @@ from repro.network.failures import GlobalLoss
 from repro.network.links import Channel
 from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochSimulator, run_epochs_scalar
+from repro.query import parse_query
 from repro.registry import build_aggregate, build_failure_model
 from repro.tree.construction import build_bushy_tree
 
@@ -681,8 +683,8 @@ def test_fig6_td_blocks_never_enter_the_object_wave(monkeypatch):
 
 def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     """The one refusal names why a layout declined; ``engine_path`` repeats
-    it. Partials matter only where a T row exists, synopses only where an
-    M row does."""
+    it. Every leaf slot rides some column kind — FM, extremum or object —
+    except a grouped query's."""
     deployment, rings = deep_scenario.deployment, deep_scenario.rings
     clean = Channel(deployment, GlobalLoss(0.0), seed=1)
     chaotic = Channel(deployment, GlobalLoss(0.0), seed=1)
@@ -690,6 +692,9 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     workload, _ = QueryWorkload(
         specs=EXPERIMENT_CONFIGS["multiquery"].queries
     ).build(UniformReadings(10, 100, seed=0))
+    grouped, _ = parse_query("SELECT avg GROUP BY region:1").build(
+        UniformReadings(10, 100, seed=0), deployment=deployment
+    )
 
     def schemes(aggregate):
         graph = TDGraph(rings, deep_tree, initial_modes_by_level(rings, 1))
@@ -707,23 +712,27 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
     for scheme in schemes(SumAggregate()):
         assert refused(scheme, clean) is None
         assert refused(scheme, chaotic) == "chaos attached"
+    # The multiquery portfolio's heavy-hitters slot is an object column.
+    for scheme in schemes(workload):
+        assert refused(scheme, clean) is None
     # A workload is asked slot by slot; the first slot that refuses is named.
-    tag, sd, td = schemes(workload)
-    heavy = "workload slot 'heavy' (heavy_hitters:0.05): "
-    assert refused(tag, clean) == heavy + "non-additive partials"
-    assert refused(sd, clean) == heavy + "unpackable synopsis"
-    assert refused(td, clean) == heavy + "non-additive partials"
+    mixed = WorkloadAggregate(
+        [("mean", AverageAggregate()), ("by-region", grouped)]
+    )
+    for scheme in schemes(mixed):
+        assert refused(scheme, clean) == (
+            "workload slot 'by-region' (average GROUP BY region:1): grouped query"
+        )
+    for scheme in schemes(grouped):
+        assert refused(scheme, clean) == "grouped query"
     # Average is two FM leaf slots, each additive and packable.
     for scheme in schemes(AverageAggregate()):
         assert refused(scheme, clean) is None
-    # Min and Max are one extremum column on either side.
-    for extremum in (MinAggregate(), MaxAggregate()):
-        for scheme in schemes(extremum):
+    # Min and Max are one extremum column on either side; any other leaf
+    # is one object column.
+    for leaf in (MinAggregate(), MaxAggregate(), build_aggregate("heavy_hitters:0.05")):
+        for scheme in schemes(leaf):
             assert refused(scheme, clean) is None
-    tag, sd, td = schemes(build_aggregate("heavy_hitters:0.05"))
-    assert refused(tag, clean) == "non-additive partials"
-    assert refused(sd, clean) == "unpackable synopsis"
-    assert refused(td, clean) == "non-additive partials"
 
     tag, _, td = schemes(SumAggregate())
     orphan = next(n for n in td._tree_parents if td.graph.is_tree(n))

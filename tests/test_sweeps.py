@@ -28,9 +28,6 @@ class TestSweepResult:
         result = self.make()
         assert result.points("metric") == [(1.0, 0.3), (2.0, 0.1), (3.0, 0.2)]
 
-    def test_best_minimises(self):
-        assert self.make().best("metric") == 2.0
-
     def test_render_includes_table_and_chart(self):
         result = self.make()
         result.notes = "a note"

@@ -36,6 +36,7 @@ import pytest
 import goldens
 from goldens import assert_golden
 
+import repro.core.wave as wave
 from repro.api import (
     CONFIG_SCHEMA_VERSION,
     QuerySpec,
@@ -523,6 +524,10 @@ class TestStagedObjectWave:
             patch.setattr(TributaryDeltaScheme, "run_epochs", run_spy)
             for name in converts:
                 patch.setattr(WorkloadAggregate, name, conversion_spy(name))
+            # The portfolio would run fused: decline every block.
+            patch.setattr(
+                wave, "refusal", lambda layout, aggregate, channel: "forced by test"
+            )
             simulator = scenario.build_simulator(scheme)
             result = simulator.run(config.epochs, readings)
         records = repr(
