@@ -128,7 +128,14 @@ def _column_u64(column: Sequence[int], length: int) -> "_np.ndarray":
         raise ValueError("hash columns must share one length")
     if length == 0:  # empty levels: asarray([]) defaults to float64
         return _np.zeros(0, dtype=_np.uint64)
-    if array.dtype == object:  # arbitrary-precision ints: mask manually
+    if array.dtype == object or (
+        array.dtype.kind == "f" and not isinstance(column, _np.ndarray)
+    ):
+        # Python ints no one numpy integer dtype holds (beyond uint64, or
+        # negatives beside values past int64): mask each as the scalar
+        # path does.
+        if not all(isinstance(value, int) for value in column):
+            raise TypeError("hash columns must hold integers")
         return _np.array(
             [int(value) & _MASK64 for value in column], dtype=_np.uint64
         )

@@ -8,7 +8,9 @@ independently, and only the evaluation — the ratio — is Average's own.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.aggregates.composite import CompositeAggregate
 from repro.aggregates.count import CountAggregate
@@ -52,6 +54,25 @@ class AverageAggregate(CompositeAggregate):
         if not readings:
             return 0.0
         return sum(int(round(r)) for r in readings) / len(readings)
+
+    def exact_reduce(self, readings, nodes, mask) -> Optional[List[float]]:
+        """One int64 row sum of the rounded readings per epoch, divided as
+        Python ints — where no kept value is NaN, infinite or so large that
+        a row's sum could overflow."""
+        rounded = np.rint(readings)
+        if mask is not None:
+            rounded = np.where(mask, rounded, 0.0)
+        if not (np.abs(rounded) < float(1 << 63) / max(1, readings.shape[1])).all():
+            return None
+        totals = rounded.astype(np.int64).sum(axis=1).tolist()
+        counts = (
+            [readings.shape[1]] * len(totals)
+            if mask is None
+            else mask.sum(axis=1).tolist()
+        )
+        return [
+            total / count if count else 0.0 for total, count in zip(totals, counts)
+        ]
 
     def supports_group_by(self) -> bool:
         return True

@@ -258,14 +258,48 @@ class Aggregate(ABC, Generic[P, S]):
 
     def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
         """The loss-free answer over one float64 row of readings, cell ``i``
-        read by sensor ``nodes[i]`` — the truth hook
-        :func:`~repro.network.simulator.exact_over` calls.
+        read by sensor ``nodes[i]``.
 
         Must equal ``exact(readings.tolist())`` exactly, which is also the
         default; aggregates whose truth vectorises (Sum) override it so a
         whole-population truth row costs no Python object per sensor.
         """
         return self.exact(readings.tolist())
+
+    def exact_rows(
+        self, readings: np.ndarray, nodes: Sequence[int]
+    ) -> List[Tuple[float, dict]]:
+        """Per row of a float64 ``(epochs, nodes)`` readings block, the
+        row's truth and its *truth extras* (the keys the simulator records
+        beside it) — the truth hook
+        :func:`~repro.network.simulator.exact_over` calls, once per block.
+
+        Row ``j``'s truth is ``exact_array(readings[j], nodes)``: one
+        :meth:`exact_reduce` over the whole block where the truth is an
+        exact reduction, else row by row. Plain aggregates record no extras;
+        a workload records every query's truth, a GROUP BY every group's.
+        """
+        truths = self.exact_reduce(readings, nodes, None)
+        if truths is None:
+            truths = [self.exact_array(row, nodes) for row in readings]
+        return [(truth, {}) for truth in truths]
+
+    def exact_reduce(
+        self,
+        readings: np.ndarray,
+        nodes: Sequence[int],
+        mask: Optional[np.ndarray],
+    ) -> Optional[List[float]]:
+        """Per row of a readings block, the truth over the cells ``mask``
+        keeps (every cell when None) as one reduction over the block, or
+        None where this aggregate's truth is no exact reduction (the
+        default) or the block holds a value it cannot reduce exactly.
+
+        Row ``j`` must equal ``exact_array`` of the row's kept cells (and
+        their node ids) exactly; a WHERE clause passes its accepted cells
+        as ``mask``.
+        """
+        return None
 
     # -- epoch-record extras -------------------------------------------------------
 
@@ -276,10 +310,6 @@ class Aggregate(ABC, Generic[P, S]):
         Read while fresh: the blocked engine records epochs only after the
         whole block ran. Plain aggregates add nothing.
         """
-        return {}
-
-    def truth_extras(self) -> dict:
-        """Keys the simulator records beside them right after :meth:`exact`."""
         return {}
 
     # -- neutral elements --------------------------------------------------------

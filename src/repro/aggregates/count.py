@@ -11,7 +11,7 @@ value c" exactly as Section 5 prescribes (shared with Sum:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -57,6 +57,11 @@ class CountAggregate(AdditiveFMAggregate):
 
     def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
         return float(len(readings))
+
+    def exact_reduce(self, readings, nodes, mask) -> List[float]:
+        if mask is None:
+            return [float(readings.shape[1])] * len(readings)
+        return [float(kept) for kept in mask.sum(axis=1).tolist()]
 
     def synopsis_counts_contributors(self) -> bool:
         return True

@@ -235,6 +235,21 @@ class FilteredAggregate(Aggregate):
             readings[mask], np.compress(mask, nodes).tolist()
         )
 
+    def exact_reduce(self, readings, nodes, mask) -> Optional[List[float]]:
+        """The inner's reduction over the accepted cells; a row accepting
+        none reads the inner's neutral answer, as :meth:`exact_array`."""
+        accepted = self._mask(nodes, readings)
+        if mask is not None:
+            accepted = accepted & mask
+        truths = self._inner.exact_reduce(readings, nodes, accepted)
+        if truths is None:
+            return None
+        empty = self._inner.tree_eval(self._inner.tree_empty())
+        return [
+            truth if kept else empty
+            for truth, kept in zip(truths, accepted.any(axis=1).tolist())
+        ]
+
     def synopsis_counts_contributors(self) -> bool:
         """Filtered Count counts *matching* sensors, not contributing ones,
         so the contributing-count piggyback must still travel."""

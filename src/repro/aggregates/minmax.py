@@ -13,7 +13,7 @@ epoch.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +77,17 @@ class _ExtremeAggregate(Aggregate[float, float]):
     def exact(self, readings: Sequence[float]) -> float:
         # No sensor alive: 0.0, what an epoch nothing reached estimates.
         return float(self._pick(readings)) + 0.0 if readings else 0.0
+
+    def exact_reduce(self, readings, nodes, mask) -> Optional[List[float]]:
+        """One ufunc reduction per epoch where no kept reading is NaN."""
+        if mask is not None:
+            readings = np.where(mask, readings, self._neutral)
+        if np.isnan(readings).any():
+            return None
+        values = self._ufunc.reduce(readings, axis=1, initial=self._neutral)
+        kept = readings.shape[1] > 0 if mask is None else mask.any(axis=1)
+        # A row without a reading answers 0.0, as exact() of no readings.
+        return np.where(kept, values + 0.0, 0.0).tolist()
 
     def supports_group_by(self) -> bool:
         return True

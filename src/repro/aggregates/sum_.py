@@ -10,7 +10,7 @@ network-wide sum. Conversion inserts the subtree's summed value the same way
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -96,3 +96,10 @@ class SumAggregate(AdditiveFMAggregate):
 
     def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
         return float(int(self._as_int_array(readings).sum()))
+
+    def exact_reduce(self, readings, nodes, mask) -> List[float]:
+        """One int64 row sum per epoch; rejected cells add a 0."""
+        if mask is not None:
+            readings = np.where(mask, readings, 0.0)
+        totals = self._as_int_array(readings).sum(axis=1)
+        return [float(total) for total in totals.tolist()]

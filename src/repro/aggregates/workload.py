@@ -22,12 +22,11 @@ Two pieces make that concrete:
   piggyback travels once — the TAG/TinyDB multi-query piggybacking
   economics.
 
-Per-epoch answers surface through two stashes: ``last_evaluations`` (set
-at every base-station evaluation, inherited from the composite) and
-``last_exact_evaluations`` (set by :meth:`exact_array`). The aggregate's record
-hooks turn them into ``workload_estimates`` (the schemes add it to each
-epoch outcome) and ``workload_truths`` (the simulator adds it to each
-record); the report layer splits them back into per-query
+Per-epoch answers surface in two record fields: ``workload_estimates``
+(the schemes add it to each epoch outcome from ``last_evaluations``, set at
+every base-station evaluation and inherited from the composite) and
+``workload_truths`` (every query's truth, the extras :meth:`exact_rows`
+hands the simulator); the report layer splits them back into per-query
 :class:`~repro.network.simulator.RunResult` views.
 """
 
@@ -150,8 +149,6 @@ class WorkloadAggregate(CompositeAggregate):
         #: refusal names a workload by; plain composites do not have it).
         self.workload_names: Tuple[str, ...] = tuple(names)
         self.name = "workload(" + "+".join(names) + ")"
-        #: Per-query loss-free answers from the most recent :meth:`exact_array`.
-        self.last_exact_evaluations: Optional[Tuple[float, ...]] = None
 
     # -- dynamic membership ------------------------------------------------
     #
@@ -215,7 +212,6 @@ class WorkloadAggregate(CompositeAggregate):
         self._primary = 0
         self.name = "workload(" + "+".join(self.workload_names) + ")"
         self.last_evaluations = None
-        self.last_exact_evaluations = None
 
     # -- per-query local computation: the composite owns the dispatch of
     # every local op; a workload's reading tuple (a cell's values, or a
@@ -234,12 +230,6 @@ class WorkloadAggregate(CompositeAggregate):
             return {"workload_estimates": [0.0] * len(self.workload_names)}
         return {"workload_estimates": list(evaluations)}
 
-    def truth_extras(self) -> Dict[str, object]:
-        """Every query's loss-free answer, from the latest :meth:`exact_array`."""
-        if self.last_exact_evaluations is None:
-            return {}
-        return {"workload_truths": list(self.last_exact_evaluations)}
-
     # -- truth -------------------------------------------------------------
 
     #: No list form: a workload's readings are per slot, so its truth is
@@ -248,14 +238,25 @@ class WorkloadAggregate(CompositeAggregate):
     exact = Aggregate.exact
 
     def exact_array(self, readings: Tuple, nodes: Sequence[int]) -> float:
-        """Every query's loss-free answer, each over its own slot's row as
+        """The primary query's loss-free answer over its slot's row."""
+        return self._aggregates[self._primary].exact_array(
+            readings[self._primary], nodes
+        )
+
+    def exact_rows(
+        self, readings: Tuple, nodes: Sequence[int]
+    ) -> List[Tuple[float, Dict[str, object]]]:
+        """Per epoch, the primary query's truth and every query's
+        (``workload_truths``), each slot's over its own readings block as
         :meth:`WorkloadReadings.block` hands them over."""
-        values = [
-            aggregate.exact_array(row, nodes)
-            for aggregate, row in zip(self._aggregates, readings)
+        per_slot = [
+            [truth for truth, _ in aggregate.exact_rows(block, nodes)]
+            for aggregate, block in zip(self._aggregates, readings)
         ]
-        self.last_exact_evaluations = tuple(values)
-        return values[self._primary]
+        return [
+            (values[self._primary], {"workload_truths": list(values)})
+            for values in zip(*per_slot)
+        ]
 
 
 __all__ = ["WorkloadAggregate", "WorkloadReadings"]

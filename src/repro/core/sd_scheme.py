@@ -95,8 +95,10 @@ class SynopsisDiffusionScheme(LayoutWave):
     def _outcome_extra(self, layout, missing_stats) -> Dict[str, object]:
         return {"latency_epochs": self._rings.depth}
 
-    def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
-        return exact_over(self._aggregate, readings, self._alive_sensors, epoch)
+    def exact_answer(
+        self, epochs: Sequence[int], readings: ReadingFn
+    ) -> List[Tuple[float, Dict[str, object]]]:
+        return exact_over(self._aggregate, readings, self._alive_sensors, epochs)
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """SD has no mode adaptation (ring levels are maintained offline)."""

@@ -205,8 +205,10 @@ class TributaryDeltaScheme(LayoutWave):
 
     # -- simulator interface -----------------------------------------------
 
-    def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
-        return exact_over(self._aggregate, readings, self._alive_sensors, epoch)
+    def exact_answer(
+        self, epochs: Sequence[int], readings: ReadingFn
+    ) -> List[Tuple[float, Dict[str, object]]]:
+        return exact_over(self._aggregate, readings, self._alive_sensors, epochs)
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
         """Apply the adaptation policy (called every adapt interval)."""

@@ -114,6 +114,16 @@ class FMOperator:
         return sketch.words()
 
 
+def item_array(items: Sequence[Item]) -> np.ndarray:
+    """Item ids as an int64 array, or as an object array of Python ints
+    where one does not fit int64: an id is its reading's exact rounding,
+    never a wrapped one."""
+    try:
+        return np.asarray(items, dtype=np.int64)
+    except OverflowError:
+        return np.array(list(items), dtype=object)
+
+
 class ItemRows:
     """Item sketches as packed rows: ``items[i]``'s sketch is ``rows[i]``
     (:func:`~repro.multipath.fm.sketch_to_row` layout).
@@ -126,7 +136,7 @@ class ItemRows:
     __slots__ = ("items", "rows")
 
     def __init__(self, items: Sequence[Item], rows: np.ndarray) -> None:
-        self.items = np.asarray(items, dtype=np.int64)
+        self.items = item_array(items)
         self.rows = rows
 
     def counts(self, start: int, stop: int) -> Dict[Item, FMSketch]:
@@ -636,7 +646,7 @@ class _ItemPool:
                 entry[3].append(last)
         lengths = [len(inputs[handle].counts) for handle in loose]
         self._place(np.asarray(loose, dtype=np.int64), np.asarray(lengths), 0)
-        item_parts = [np.array(items, dtype=np.int64)]
+        item_parts = [item_array(items)]
         row_parts = [packed_rows(packs, num_bitmaps)]
         offset = len(items)
         for table, handles, firsts, lasts in tables.values():

@@ -15,9 +15,10 @@ columns, all ODI, so a level's deliveries may be reduced in any grouping: a
 level's wave scatters only its delivered ``(pair, epoch)`` cells into the
 receivers' accumulator cells (:func:`or_sorted`, one pass per fan-in rank;
 :func:`scatter_columns` for the extrema), and wire sizing is one vectorized
-RLE pass per level (:func:`repro.multipath.fm.rle_words_rows` reproduces
-:func:`repro.multipath.fm._packed_rle_words` exactly) plus the extrema's
-constant words. An object column's fusion need not be order-free (heavy
+RLE pass per level over all FM sections at once
+(:func:`repro.multipath.fm.rle_words_sections`; each section is sized as
+:func:`repro.multipath.fm._packed_rle_words` sizes its sketch) plus the
+extrema's constant words. An object column's fusion need not be order-free (heavy
 hitters' is not), so its inboxes keep the object wave's order and the
 leaf sizes its own fused synopses.
 
@@ -44,7 +45,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.multipath.fm import rle_words_rows
+from repro.multipath.fm import rle_words_sections
 from repro.network.links import Channel, DeliveryPlan, TransmissionLog
 from repro.network.messages import missing_stats_words
 from repro.network.placement import BASE_STATION, NodeId
@@ -360,7 +361,6 @@ class RowWave:
         listed.
         """
         num_nodes, num_epochs, width = local.shape
-        cells = num_nodes * num_epochs
         columns = slice(self._lo, self._hi)
         local |= self.acc[rows].reshape(local.shape)
         if self._ufuncs:
@@ -385,12 +385,9 @@ class RowWave:
                 words += np.asarray(sizes, dtype=np.int64).reshape(
                     num_nodes, num_epochs
                 )
-        offset = 0
-        for bitmaps in self._sections:
-            words += rle_words_rows(
-                local[:, :, offset : offset + bitmaps].reshape(cells, bitmaps)
-            ).reshape(num_nodes, num_epochs)
-            offset += bitmaps
+        offset = sum(self._sections)
+        if self._sections:
+            words += rle_words_sections(local[:, :, :offset], self._sections)
         if self._flag_words:
             flags = np.ascontiguousarray(local[:, :, offset:]).view(np.uint8)
             words += missing_stats_words(

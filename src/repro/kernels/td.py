@@ -25,7 +25,10 @@ runs as up to three stages over one row layout — every node in wave order
 
 TAG's all-T layout runs stage 1 alone and SD's all-M layout stage 3 alone:
 a layout without a T sender never opens the tributary pass, and one without
-an M row never opens the delta's tile accumulators.
+an M row never opens the delta's tile accumulators. Both passes read and
+build their leaves' locals once per chunk of consecutive levels
+(:func:`level_locals`, bounded by :data:`LOCAL_CHUNK_BYTES`), not once per
+level.
 
 The kernel runs the query as its *leaf slots*
 (:meth:`~repro.aggregates.base.Aggregate.leaf_slots`): a plain aggregate is
@@ -84,7 +87,11 @@ from repro.kernels.sd import (
 from repro.multipath.fm import sketch_from_row
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION
-from repro.network.simulator import EpochOutcome, gather_reading_block
+from repro.network.simulator import (
+    READ_CHUNK_CELLS,
+    EpochOutcome,
+    gather_reading_block,
+)
 
 
 #: A leaf slot's column kinds (:func:`leaf_kind`).
@@ -135,45 +142,66 @@ def refusal(layout, aggregate, channel) -> Optional[str]:
     return None
 
 
-#: Most (node, epoch) cells one readings gather of the kernel covers.
-#: Consecutive levels are read together up to it, so a window or a workload
-#: pays its per-call work once per block rather than once per level, and at
-#: scale a gather stays level-sized.
-READ_CHUNK_CELLS = 1 << 16
+#: Most bytes of local rows one chunk of consecutive levels builds at once
+#: (pass 1's partial and extremum columns, pass 2's packed rows and extremum
+#: columns, and :data:`OBJECT_CELL_BYTES` per object cell). A chunk pays one
+#: readings gather and one builder call per leaf slot for all its levels,
+#: while its locals and the builders' temporaries stay bounded at any scale.
+LOCAL_CHUNK_BYTES = 1 << 20
+
+#: What one object-column cell's local holds, roughly: a Python partial or
+#: synopsis (a heavy-hitters cell is a dict, a synopsis and its sketch).
+OBJECT_CELL_BYTES = 512
 
 
-def level_readings(
-    slots, readings, node_lists, epochs
-) -> Iterator[List[np.ndarray]]:
-    """Per node list, each leaf slot's float64 ``(epochs, nodes)`` readings.
-
-    Consecutive lists are read in one ``gather_reading_block`` while they
-    fit :data:`READ_CHUNK_CELLS`: a workload's holds one block per query,
-    and a leaf reads its query's.
-    """
+def level_chunks(
+    node_lists, num_epochs: int, cell_bytes: int
+) -> Iterator[Tuple[int, int]]:
+    """Runs ``[start, stop)`` of consecutive node lists built together:
+    a run grows while its cells fit :data:`READ_CHUNK_CELLS` and its local
+    rows, ``cell_bytes`` per cell, :data:`LOCAL_CHUNK_BYTES`. A list that
+    fits neither alone is a run of its own."""
     start = 0
     while start < len(node_lists):
         stop = start + 1
-        cells = len(node_lists[start]) * len(epochs)
-        while (
-            stop < len(node_lists)
-            and cells + len(node_lists[stop]) * len(epochs) <= READ_CHUNK_CELLS
-        ):
-            cells += len(node_lists[stop]) * len(epochs)
-            stop += 1
-        chunks = node_lists[start:stop]
-        block = gather_reading_block(
-            readings, [node for chunk in chunks for node in chunk], epochs
-        )
-        per_slot = [
-            np.asarray(block if column is None else block[column], dtype=np.float64)
-            for _, column in slots
-        ]
-        offset = 0
-        for chunk in chunks:
-            yield [matrix[:, offset : offset + len(chunk)] for matrix in per_slot]
-            offset += len(chunk)
+        cells = len(node_lists[start]) * num_epochs
+        while stop < len(node_lists):
+            more = cells + len(node_lists[stop]) * num_epochs
+            if more > READ_CHUNK_CELLS or more * cell_bytes > LOCAL_CHUNK_BYTES:
+                break
+            cells, stop = more, stop + 1
+        yield start, stop
         start = stop
+
+
+def level_locals(
+    slots, readings, node_lists, epochs, cell_bytes: int, build
+) -> Iterator[Tuple[tuple, slice]]:
+    """Per node list, its local values and its slice of their node axis.
+
+    Each run of :func:`level_chunks` is read in one ``gather_reading_block``
+    (a workload's holds one block per query, and a leaf reads its query's)
+    and built in one ``build(nodes, epochs, blocks)`` call, ``blocks``
+    holding each leaf slot's float64 ``(epochs, nodes)`` readings; every list of the run
+    yields that same result beside its own slice. Locals are keyed by
+    ``(node, epoch)`` cell, so a run builds exactly its lists' cells.
+    """
+    for start, stop in level_chunks(node_lists, len(epochs), cell_bytes):
+        chunk = node_lists[start:stop]
+        nodes = [node for level in chunk for node in level]
+        block = gather_reading_block(readings, nodes, epochs)
+        built = build(
+            nodes,
+            epochs,
+            [
+                np.asarray(block if column is None else block[column], dtype=np.float64)
+                for _, column in slots
+            ],
+        )
+        offset = 0
+        for level in chunk:
+            yield built, slice(offset, offset + len(level))
+            offset += len(level)
 
 
 def level_senders(levels, selected: np.ndarray):
@@ -308,29 +336,43 @@ def run_td_block(
         + (np.zeros(0, dtype=np.int64),) * 4
         + ([[] for _ in objects],)
     ]
+
+    def tree_locals(nodes, epochs, blocks):
+        fm_blocks, ext_blocks, obj_blocks = split_kinds(kinds, blocks)
+        return (
+            leaf_columns(fm_leaves, nodes, epochs, fm_blocks, np.int64),
+            leaf_columns(extrema, nodes, epochs, ext_blocks, np.float64),
+            [
+                leaf.tree_local_block(nodes, epochs, block)
+                for leaf, block in zip(objects, obj_blocks)
+            ],
+        )
+
     tributaries, t_nodes = level_senders(levels, ~is_m)
-    for (level, positions), nodes, blocks in zip(
-        tributaries, t_nodes, level_readings(slots, readings, t_nodes, epoch_list)
-    ):
+    t_locals = level_locals(
+        slots,
+        readings,
+        t_nodes,
+        epoch_list,
+        8 * (len(fm_leaves) + len(extrema)) + OBJECT_CELL_BYTES * len(objects),
+        tree_locals,
+    )
+    for (level, positions), (built, span) in zip(tributaries, t_locals):
+        partials, local_extrema, local_objects = built
         rows = level.rows[positions]
         # A tree unicast has exactly one planned pair, to its parent: the
         # start of its span.
         pairs = level.span_starts[positions]
         success = level.success[pairs]
         targets = level.recv_rows[pairs]
-        fm_blocks, ext_blocks, obj_blocks = split_kinds(kinds, blocks)
-        out_partial = leaf_columns(
-            fm_leaves, nodes, epoch_list, fm_blocks, np.int64
-        )
+        # A level's slice is a view of its chunk's locals; levels share no
+        # cell, so it is updated in place.
+        out_partial = partials[span]
         out_partial += acc_partial[rows]
-        out_extrema = leaf_columns(
-            extrema, nodes, epoch_list, ext_blocks, np.float64
-        )
+        out_extrema = local_extrema[span]
         out_objects = [
-            merge_cells(
-                leaf, inbox, rows, leaf.tree_local_block(nodes, epoch_list, block)
-            )
-            for leaf, inbox, block in zip(objects, tree_inboxes, obj_blocks)
+            merge_cells(leaf, inbox, rows, [cells[span] for cells in local])
+            for leaf, inbox, local in zip(objects, tree_inboxes, local_objects)
         ]
         for leaf, cells in zip(objects, out_objects):
             object_words[rows] += np.fromiter(
@@ -436,7 +478,26 @@ def run_td_block(
             for slot, leaf in enumerate(objects)
         ]
         del frontier
+
+        def delta_locals(nodes, epochs, blocks):
+            fm_blocks, ext_blocks, obj_blocks = split_kinds(kinds, blocks)
+            return (
+                # The piggyback's Count reads no reading.
+                local_rows(
+                    section_slots, nodes, epochs, fm_blocks + [None], wave.width
+                ),
+                # An extremum leaf's synopsis is its tree partial.
+                leaf_columns(extrema, nodes, epochs, ext_blocks, np.float64),
+                [
+                    leaf.synopsis_local_block(nodes, epochs, values)
+                    for leaf, values in zip(objects, obj_blocks)
+                ],
+            )
+
         deltas, m_nodes = level_senders(levels, is_m)
+        cell_bytes = (
+            4 * wave.width + 8 * len(extrema) + OBJECT_CELL_BYTES * len(objects)
+        )
         for lo, hi in wave.tiles():
             in_tile = np.flatnonzero((cell_columns >= lo) & (cell_columns < hi))
             if len(in_tile):
@@ -463,21 +524,14 @@ def run_td_block(
                     for values in converted_objects:
                         for i in picks:
                             values[i] = None
-            tile = epoch_list[lo:hi]
-            for (level, positions), nodes, blocks in zip(
-                deltas, m_nodes, level_readings(slots, readings, m_nodes, tile)
-            ):
+            m_locals = level_locals(
+                slots, readings, m_nodes, epoch_list[lo:hi], cell_bytes, delta_locals
+            )
+            for (level, positions), (built, span) in zip(deltas, m_locals):
+                packed, local_extrema, local_objects = built
                 level_is_m = is_m[level.rows]
                 rows = level.rows[positions]
-                fm_blocks, ext_blocks, obj_blocks = split_kinds(kinds, blocks)
-                local = local_rows(
-                    section_slots,
-                    nodes,
-                    tile,
-                    # The piggyback's Count reads no reading.
-                    fm_blocks + [None],
-                    wave.width,
-                )
+                local = packed[span]
                 reporters = reporter_of_row[rows]
                 reporting = np.flatnonzero(reporters >= 0)
                 reporters = reporters[reporting]
@@ -491,15 +545,15 @@ def run_td_block(
                 wave.level(
                     rows,
                     local,
-                    # An extremum leaf's synopsis is its tree partial.
-                    leaf_columns(extrema, nodes, tile, ext_blocks, np.float64),
+                    local_extrema[span],
                     [
                         # (node, epoch) order, from the block's (epoch, node).
-                        [cell for cells in zip(*block) for cell in cells]
-                        for block in (
-                            leaf.synopsis_local_block(nodes, tile, values)
-                            for leaf, values in zip(objects, obj_blocks)
-                        )
+                        [
+                            cell
+                            for cells in zip(*(row[span] for row in block))
+                            for cell in cells
+                        ]
+                        for block in local_objects
                     ],
                     layout.multipath_attempts,
                     # Pair senders as positions among the level's M nodes.

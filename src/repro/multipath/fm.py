@@ -63,9 +63,10 @@ _EXACT_INSERT_LIMIT = 512
 _SCALAR_INSERT_LIMIT = 48
 
 #: Virtual items hashed per pass of the exact-regime kernel
-#: (:func:`counted_matrix`): about 64k, so a pass's few uint64 temporaries
-#: stay cache-sized.
-_INSERT_SLICE_ITEMS = 1 << 16
+#: (:func:`counted_matrix`): about 16k, so a pass's few uint64 temporaries
+#: (128 KiB each) stay cache-sized and a fused kernel building several
+#: levels' rows at once holds no more of them than one level's.
+_INSERT_SLICE_ITEMS = 1 << 14
 
 #: Precomputed hash-chain states for the two insertion substreams and the
 #: binomial regime's RNG seed. Mixing continues from these states, so the
@@ -444,19 +445,40 @@ def rle_words_rows(matrix):
     """RLE transmission size per row of a packed uint32 bitmap matrix.
 
     Row ``r`` equals :func:`_packed_rle_words` of the packed integer whose
-    bitmap ``j`` is ``matrix[r, j]`` (int64). A bitmap costs its length
-    field plus ``bit_length - run`` fringe bits, both exact on uint32: the
-    trailing-ones run is ``bitwise_count(w & ~(w + 1))`` (a full word wraps
-    to run 32), and every uint32 is exact in float64, whose ``frexp``
-    exponent is ``int.bit_length`` (0 at 0).
+    bitmap ``j`` is ``matrix[r, j]`` (int64): :func:`rle_words_sections`
+    with one section.
     """
-    words = _np.ascontiguousarray(matrix, dtype=_np.uint32)
+    return rle_words_sections(matrix, (_np.shape(matrix)[-1],))
+
+
+def rle_words_sections(matrix, sections: Sequence[int]):
+    """Summed RLE transmission size per row of consecutive packed sections.
+
+    ``matrix`` is ``(..., sum(sections))`` uint32 words (any leading shape);
+    section ``k`` is the next ``sections[k]`` words of a row, one packed
+    sketch, sized with its own one-word ceiling — so entry ``r`` is the sum
+    over sections of :func:`rle_words_rows` of that section's words. A
+    bitmap costs its length field plus ``bit_length - run`` fringe bits,
+    both counted on uint32 without a wider temporary: the trailing-ones run
+    is ``bitwise_count(w & ~(w + 1))`` (a full word wraps to run 32), and
+    ``bit_length`` is the popcount of ``w`` with every bit below its top
+    bit set.
+    """
+    words = _np.asarray(matrix, dtype=_np.uint32)
     run = _np.bitwise_count(words & ~(words + _np.uint32(1)))
-    bit_length = _np.frexp(words.astype(_np.float64))[1]
-    total_bits = words.shape[1] * _LENGTH_FIELD + (bit_length - run).sum(
-        axis=1, dtype=_np.int64
-    )
-    return _np.maximum(-(-total_bits // (WORD_BYTES * 8)), 1)
+    smear = words | (words >> _np.uint32(1))
+    for shift in (2, 4, 8, 16):
+        smear |= smear >> _np.uint32(shift)
+    fringe = _np.bitwise_count(smear)
+    fringe -= run
+    total = _np.zeros(words.shape[:-1], dtype=_np.int64)
+    start = 0
+    for bitmaps in sections:
+        bits = fringe[..., start : start + bitmaps].sum(axis=-1, dtype=_np.int64)
+        bits += bitmaps * _LENGTH_FIELD
+        total += _np.maximum(-(-bits // (WORD_BYTES * 8)), 1)
+        start += bitmaps
+    return total
 
 
 def words_batch(sketches: Sequence["FMSketch"]) -> List[int]:

@@ -55,21 +55,33 @@ def gather_reading_block(
     ).reshape(len(epochs), len(nodes))
 
 
+#: Most (node, epoch) cells one readings gather covers: ground truth reads
+#: a block's epochs this many cells at a time (at least one epoch), and the
+#: fused kernel reads consecutive levels together up to it.
+READ_CHUNK_CELLS = 1 << 16
+
+
 def exact_over(
-    aggregate, readings: ReadingFn, nodes: Sequence[NodeId], epoch: int
-) -> float:
-    """The loss-free answer of ``aggregate`` over ``nodes`` at one epoch.
+    aggregate, readings: ReadingFn, nodes: Sequence[NodeId], epochs: Sequence[int]
+) -> List[Tuple[float, Dict[str, object]]]:
+    """The loss-free answers of ``aggregate`` over ``nodes``, per epoch of
+    ``epochs``: each epoch's truth and its truth extras.
 
     Ground truth draws its **own** readings — it is the oracle the schemes'
     estimates are scored against, so it never reuses a matrix a kernel
-    computed. The epoch's row goes to ``Aggregate.exact_array`` with the
-    row's node ids (GROUP BY and the region filter key on them); a
-    multi-query workload's is one row per query.
+    computed. It reads a block's epochs at once, one
+    :func:`gather_reading_block` per run of consecutive epochs that fits
+    :data:`READ_CHUNK_CELLS`, and hands each ``(epochs, nodes)`` block
+    with its node ids (GROUP BY and the region filter key on them) to
+    ``Aggregate.exact_rows``; a multi-query workload's block is one matrix
+    per query.
     """
-    rows = gather_reading_block(readings, nodes, (epoch,))
-    if isinstance(rows, tuple):
-        return aggregate.exact_array(tuple(slot[0] for slot in rows), nodes)
-    return aggregate.exact_array(rows[0], nodes)
+    step = max(1, READ_CHUNK_CELLS // max(1, len(nodes)))
+    truths: List[Tuple[float, Dict[str, object]]] = []
+    for start in range(0, len(epochs), step):
+        block = gather_reading_block(readings, nodes, epochs[start : start + step])
+        truths.extend(aggregate.exact_rows(block, nodes))
+    return truths
 
 
 def relative_deviation(estimate: float, truth: float) -> float:
@@ -127,8 +139,11 @@ class AggregationScheme(Protocol):
         """Execute one aggregation wave and return the epoch's outcome."""
         ...
 
-    def exact_answer(self, epoch: int, readings: ReadingFn) -> float:
-        """The loss-free answer over all sensors (ground truth)."""
+    def exact_answer(
+        self, epochs: Sequence[int], readings: ReadingFn
+    ) -> List[Tuple[float, Dict[str, object]]]:
+        """Per epoch of a block, the loss-free answer over all sensors
+        (ground truth) and the truth extras recorded beside it."""
         ...
 
     def adapt(self, epoch: int, outcome: EpochOutcome) -> None:
@@ -632,6 +647,11 @@ class EpochSimulator:
                 span = min(span, self._checkpoint.span_cap(offset))
             epochs = [start_epoch + offset + i for i in range(span)]
             pairs = run_epochs(epochs, channel, readings)
+            # Ground truth of the block's recorded epochs, read at once.
+            recorded = epochs[max(0, warmup - offset) :]
+            truths = iter(
+                self._scheme.exact_answer(recorded, readings) if recorded else ()
+            )
             for i, (outcome, log) in enumerate(pairs):
                 if auditor is not None:
                     auditor.observe_log(log)
@@ -640,7 +660,7 @@ class EpochSimulator:
                     )
                 if offset + i >= warmup:
                     self._record(
-                        results, energy, epochs[i], outcome, log, readings
+                        results, energy, epochs[i], outcome, log, *next(truths)
                     )
             if auditor is not None:
                 # Fused kernels bill per-node loads block-at-a-time, so
@@ -684,20 +704,17 @@ class EpochSimulator:
         epoch: int,
         outcome: EpochOutcome,
         log: TransmissionLog,
-        readings: ReadingFn,
+        true_value: float,
+        truth_extras: Dict[str, object],
     ) -> None:
         energy.add_log(log, self._energy_model)
-        true_value = self._scheme.exact_answer(epoch, readings)
         extra = dict(outcome.extra)
         if self._membership is not None:
             # Diagnostic only under churn, so churn-disabled runs stay
             # byte-identical to a simulator without the feature.
             extra["alive_sensors"] = self._membership.num_alive_sensors
-        aggregate = getattr(self._scheme, "aggregate", None)
-        if aggregate is not None:
-            # exact_answer just stashed the aggregate's loss-free breakdown
-            # (per query, per group); the aggregate says what to record.
-            extra.update(aggregate.truth_extras())
+        # The aggregate's loss-free breakdown (per query, per group).
+        extra.update(truth_extras)
         result = EpochResult(
             epoch=epoch,
             estimate=outcome.estimate,

@@ -27,7 +27,7 @@ it in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class GroupedAggregate(Aggregate):
         #: per-group evaluations from the most recent tree/synopsis/mixed
         #: eval, read by :meth:`estimate_extras` right after eval.
         self.last_group_evaluations: Optional[Dict[str, float]] = None
-        #: per-group exact answers from the most recent
-        #: :meth:`exact_array` call, read by :meth:`truth_extras`.
-        self.last_exact_groups: Optional[Dict[str, float]] = None
 
     @property
     def inner(self) -> Aggregate:
@@ -213,18 +210,36 @@ class GroupedAggregate(Aggregate):
     # -- truth ---------------------------------------------------------------------
 
     def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
-        by_group: Dict[str, List[int]] = {}
-        for index, node in enumerate(nodes):
-            by_group.setdefault(self._paths[node], []).append(index)
-        self.last_exact_groups = {
-            path: self._inner.exact_array(
-                readings[cells], [nodes[cell] for cell in cells]
-            )
-            for path, cells in sorted(by_group.items())
-        }
         if not len(nodes):
             return self._inner.tree_eval(self._inner.tree_empty())
         return self._inner.exact_array(readings, nodes)
+
+    def exact_rows(
+        self, readings: np.ndarray, nodes: Sequence[int]
+    ) -> List[Tuple[float, Dict[str, object]]]:
+        """Per epoch, the inner's truth over every sensor and, as
+        ``group_truths``, over each group's sensors (one inner
+        :meth:`exact_rows` per group for the whole block)."""
+        by_group: Dict[str, List[int]] = {}
+        for index, node in enumerate(nodes):
+            by_group.setdefault(self._paths[node], []).append(index)
+        groups = [
+            (
+                path,
+                self._inner.exact_rows(
+                    readings[:, cells], [nodes[cell] for cell in cells]
+                ),
+            )
+            for path, cells in sorted(by_group.items())
+        ]
+        if len(nodes):
+            totals = [truth for truth, _ in self._inner.exact_rows(readings, nodes)]
+        else:
+            totals = [self._inner.tree_eval(self._inner.tree_empty())] * len(readings)
+        return [
+            (total, {"group_truths": {path: rows[j][0] for path, rows in groups}})
+            for j, total in enumerate(totals)
+        ]
 
     # -- epoch-record extras -------------------------------------------------------
 
@@ -233,12 +248,6 @@ class GroupedAggregate(Aggregate):
         if empty or self.last_group_evaluations is None:
             return {"group_estimates": {}}
         return {"group_estimates": dict(self.last_group_evaluations)}
-
-    def truth_extras(self) -> Dict[str, object]:
-        """Per-group loss-free answers, from the latest :meth:`exact_array`."""
-        if self.last_exact_groups is None:
-            return {}
-        return {"group_truths": dict(self.last_exact_groups)}
 
     # -- capabilities --------------------------------------------------------------
 

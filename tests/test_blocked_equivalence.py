@@ -342,8 +342,8 @@ class TestBlockedRuns:
 
                 return EpochOutcome(1.0, 1, 1.0)
 
-            def exact_answer(self, epoch, readings):
-                return 1.0
+            def exact_answer(self, epochs, readings):
+                return [(1.0, {})] * len(epochs)
 
             def adapt(self, epoch, outcome):
                 pass

@@ -630,8 +630,8 @@ class TestSimulatorChurn:
             def run_epoch(self, epoch, channel, readings):
                 raise NotImplementedError
 
-            def exact_answer(self, epoch, readings):
-                return 0.0
+            def exact_answer(self, epochs, readings):
+                return [(0.0, {})] * len(epochs)
 
             def adapt(self, epoch, outcome):
                 pass

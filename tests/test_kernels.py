@@ -25,6 +25,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.count import CountAggregate
@@ -58,6 +60,7 @@ from repro.multipath.fm import (
     _packed_rle_words,
     _packed_rle_words_cached,
     rle_words_rows,
+    rle_words_sections,
     sketch_to_row,
 )
 from repro.network.churn import DynamicMembership, ScheduledChurn
@@ -155,7 +158,8 @@ _BOUNDARY_WORDS = [0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFE, 0xFFFFFFFF]
 
 
 def test_rle_words_matches_the_walk_on_boundary_words():
-    """``bitwise_count`` runs and ``frexp`` bit lengths at the word edges."""
+    """``bitwise_count`` runs and smeared-popcount bit lengths at the word
+    edges."""
     rng = np.random.default_rng(17)
     rows = [[word] * 8 for word in _BOUNDARY_WORDS]
     rows += rng.choice(_BOUNDARY_WORDS, size=(40, 8)).tolist()
@@ -173,6 +177,30 @@ def test_rle_words_matches_the_walk_on_boundary_words():
     ]
     assert rle_words_rows(matrix).tolist() == expect
     assert rle_words_rows(matrix[:0]).tolist() == []
+
+
+_WORDS = st.sampled_from(_BOUNDARY_WORDS) | st.integers(0, (1 << 32) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sections=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    rows=st.integers(0, 6),
+    data=st.data(),
+)
+def test_rle_words_sections_is_the_sum_of_per_section_sizes(sections, rows, data):
+    """One sizing pass over a row of sections equals sizing each section on
+    its own (each with its one-word ceiling), for any leading shape."""
+    width = sum(sections)
+    words = data.draw(st.lists(_WORDS, min_size=rows * width, max_size=rows * width))
+    matrix = np.array(words, dtype=np.uint32).reshape(rows, width)
+    expect = np.zeros(rows, dtype=np.int64)
+    start = 0
+    for bitmaps in sections:
+        expect += rle_words_rows(matrix[:, start : start + bitmaps])
+        start += bitmaps
+    assert rle_words_sections(matrix, sections).tolist() == expect.tolist()
+    assert rle_words_sections(matrix[None], sections).tolist() == [expect.tolist()]
 
 
 # -- scheme parity ----------------------------------------------------------

@@ -10,13 +10,17 @@ in the object wave's inbox order. Three checks:
 * Algorithm 2 fused a whole level at once
   (:meth:`~repro.frequent.mp_fi.MultipathFrequentItems.fuse_level`) equals
   the per-inbox fold on drawn inboxes, words included;
-* the paper's four-query ``multiquery`` portfolio runs fused.
+* the paper's four-query ``multiquery`` portfolio runs fused;
+* heavy hitters' block forms take a reading's item id exactly as the
+  scalar forms do, ids beyond int64 and negative ones included.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +241,42 @@ def test_multiquery_runs_fused():
     channel = Channel(scenario.topology.deployment, scenario.failure, seed=config.seed)
     scheme.run_epochs(list(range(100, 104)), channel, readings)
     assert scheme.engine_path == "fused"
+
+
+# -- item ids as the scalar forms take them ---------------------------------------
+
+#: Readings whose item id (``int(round(reading))``) no int64 holds, a
+#: negative one, and an ordinary one.
+EDGE_READINGS = {"1e19": [1e19], "2**63": [2.0**63], "negative": [-7.0]}
+EDGE_READINGS["mixed"] = [1e19, 2.0**63, -7.0, 5.0]
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_READINGS))
+def test_heavy_hitters_block_forms_take_item_ids_as_the_scalar_forms(name):
+    readings = EDGE_READINGS[name]
+    aggregate = HeavyHittersAggregate(0.05)
+    nodes = list(range(1, len(readings) + 1))
+    block = aggregate.synopsis_local_block(nodes, [0], np.array([readings]))
+    scalar = [
+        aggregate.synopsis_local(node, 0, reading)
+        for node, reading in zip(nodes, readings)
+    ]
+    assert block == [scalar]
+    partials = [
+        aggregate.tree_local(node, 0, reading)
+        for node, reading in zip(nodes, readings)
+    ]
+    # A subtree holding every id, converted beside the single ones.
+    partials.append(functools.reduce(aggregate.tree_merge, partials))
+    senders = list(range(1, len(partials) + 1))
+    converted = aggregate.convert_block(partials, senders, [0] * len(partials))
+    assert converted == [
+        aggregate.convert(partial, sender, 0)
+        for partial, sender in zip(partials, senders)
+    ]
+    # Algorithm 2 a level at once over rows and dicts alike.
+    inboxes = [block[0], scalar, converted]
+    fused, words = aggregate.synopsis_fuse_level(inboxes)
+    expect = [aggregate.synopsis_fuse_many(inbox) for inbox in inboxes]
+    assert fused == expect
+    assert words == [aggregate.synopsis_words(synopses) for synopses in expect]

@@ -39,7 +39,7 @@ class TestTagScheme:
         scheme = TagScheme(small_scenario.deployment, small_tree, SumAggregate())
         readings = UniformReadings(1, 50, seed=3)
         outcome, _ = run_once(small_scenario.deployment, NoLoss(), scheme, readings)
-        assert outcome.estimate == scheme.exact_answer(0, readings)
+        assert outcome.estimate == scheme.exact_answer([0], readings)[0][0]
 
     def test_total_loss_yields_nothing(self, small_scenario, small_tree, readings):
         scheme = TagScheme(small_scenario.deployment, small_tree, CountAggregate())
@@ -124,7 +124,7 @@ class TestSDScheme:
         )
         readings = UniformReadings(1, 99, seed=2)
         outcome, _ = run_once(small_scenario.deployment, NoLoss(), scheme, readings)
-        assert outcome.estimate == scheme.exact_answer(0, readings)
+        assert outcome.estimate == scheme.exact_answer([0], readings)[0][0]
         truth = small_scenario.deployment.num_sensors
         assert abs(outcome.contributing_estimate - truth) / truth < 0.5
 

@@ -180,10 +180,10 @@ class TestReadingGathering:
         for aggregate in (SumAggregate(), CountAggregate(), AverageAggregate()):
             for epoch in (0, 17):
                 truth = aggregate.exact([source(node, epoch) for node in nodes])
-                assert exact_over(aggregate, source, nodes, epoch) == truth
+                assert exact_over(aggregate, source, nodes, [epoch]) == [(truth, {})]
                 assert exact_over(
-                    aggregate, self._hide_block(source), nodes, epoch
-                ) == truth
+                    aggregate, self._hide_block(source), nodes, [epoch]
+                ) == [(truth, {})]
 
 
 class TestNonFiniteTruth:

@@ -175,7 +175,9 @@ class TestGroupedAggregate:
         grouped = GroupedAggregate(CountAggregate(), _StubHierarchy(), 1)
         readings = np.ones(3)
         assert grouped.exact_array(readings, [5, 6, 7]) == 3.0
-        assert grouped.last_exact_groups == {"r/0": 2.0, "r/1": 1.0}
+        assert grouped.exact_rows(readings[None], [5, 6, 7]) == [
+            (3.0, {"group_truths": {"r/0": 2.0, "r/1": 1.0}})
+        ]
 
 
 class _StubHierarchy:
