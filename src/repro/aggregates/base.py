@@ -249,22 +249,21 @@ class Aggregate(ABC, Generic[P, S]):
         """The loss-free answer over a list of sensor readings (for metrics).
 
         Every leaf aggregate writes it. Wrappers that key on the sensor
-        (GROUP BY, the region filter) have no list form: their truth is
-        :meth:`exact_array`, which gets the node ids.
+        (GROUP BY, the region filter) and workloads have no list form: their
+        truth is :meth:`exact_rows`, which gets the node ids.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} reads its truth through exact_array"
+            f"{type(self).__name__} reads its truth through exact_rows"
         )
 
     def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
         """The loss-free answer over one float64 row of readings, cell ``i``
-        read by sensor ``nodes[i]``.
-
-        Must equal ``exact(readings.tolist())`` exactly, which is also the
-        default; aggregates whose truth vectorises (Sum) override it so a
-        whole-population truth row costs no Python object per sensor.
-        """
-        return self.exact(readings.tolist())
+        read by sensor ``nodes[i]``: the row's :meth:`exact_reduce` where
+        that is exact, else ``exact(readings.tolist())``."""
+        truths = self.exact_reduce(readings[None], nodes, None)
+        if truths is None:
+            return self.exact(readings.tolist())
+        return truths[0]
 
     def exact_rows(
         self, readings: np.ndarray, nodes: Sequence[int]

@@ -55,9 +55,6 @@ class CountAggregate(AdditiveFMAggregate):
     def exact(self, readings: Sequence[float]) -> float:
         return float(len(readings))
 
-    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
-        return float(len(readings))
-
     def exact_reduce(self, readings, nodes, mask) -> List[float]:
         if mask is None:
             return [float(readings.shape[1])] * len(readings)

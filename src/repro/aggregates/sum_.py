@@ -94,9 +94,6 @@ class SumAggregate(AdditiveFMAggregate):
     def exact(self, readings: Sequence[float]) -> float:
         return float(sum(self._as_int(reading) for reading in readings))
 
-    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
-        return float(int(self._as_int_array(readings).sum()))
-
     def exact_reduce(self, readings, nodes, mask) -> List[float]:
         """One int64 row sum per epoch; rejected cells add a 0."""
         if mask is not None:

@@ -233,15 +233,9 @@ class WorkloadAggregate(CompositeAggregate):
     # -- truth -------------------------------------------------------------
 
     #: No list form: a workload's readings are per slot, so its truth is
-    #: :meth:`exact_array` alone (the primary component's list truth would
+    #: :meth:`exact_rows` alone (the primary component's list truth would
     #: choke on the slot tuples).
     exact = Aggregate.exact
-
-    def exact_array(self, readings: Tuple, nodes: Sequence[int]) -> float:
-        """The primary query's loss-free answer over its slot's row."""
-        return self._aggregates[self._primary].exact_array(
-            readings[self._primary], nodes
-        )
 
     def exact_rows(
         self, readings: Tuple, nodes: Sequence[int]

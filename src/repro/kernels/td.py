@@ -87,11 +87,7 @@ from repro.kernels.sd import (
 from repro.multipath.fm import sketch_from_row
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION
-from repro.network.simulator import (
-    READ_CHUNK_CELLS,
-    EpochOutcome,
-    gather_reading_block,
-)
+from repro.network.simulator import EpochOutcome, gather_reading_block
 
 
 #: A leaf slot's column kinds (:func:`leaf_kind`).
@@ -142,11 +138,12 @@ def refusal(layout, aggregate, channel) -> Optional[str]:
     return None
 
 
-#: Most bytes of local rows one chunk of consecutive levels builds at once
-#: (pass 1's partial and extremum columns, pass 2's packed rows and extremum
-#: columns, and :data:`OBJECT_CELL_BYTES` per object cell). A chunk pays one
-#: readings gather and one builder call per leaf slot for all its levels,
-#: while its locals and the builders' temporaries stay bounded at any scale.
+#: Most bytes one chunk of consecutive levels reads and builds at once: its
+#: readings gather (8 per leaf slot and cell) and its local rows (pass 1's
+#: partial and extremum columns, pass 2's packed rows and extremum columns,
+#: and :data:`OBJECT_CELL_BYTES` per object cell). A chunk pays one readings
+#: gather and one builder call per leaf slot for all its levels, while its
+#: readings, locals and the builders' temporaries stay bounded at any scale.
 LOCAL_CHUNK_BYTES = 1 << 20
 
 #: What one object-column cell's local holds, roughly: a Python partial or
@@ -158,16 +155,16 @@ def level_chunks(
     node_lists, num_epochs: int, cell_bytes: int
 ) -> Iterator[Tuple[int, int]]:
     """Runs ``[start, stop)`` of consecutive node lists built together:
-    a run grows while its cells fit :data:`READ_CHUNK_CELLS` and its local
-    rows, ``cell_bytes`` per cell, :data:`LOCAL_CHUNK_BYTES`. A list that
-    fits neither alone is a run of its own."""
+    a run grows while its cells, ``cell_bytes`` each, fit
+    :data:`LOCAL_CHUNK_BYTES`. A list that does not fit alone is a run of
+    its own."""
     start = 0
     while start < len(node_lists):
         stop = start + 1
         cells = len(node_lists[start]) * num_epochs
         while stop < len(node_lists):
             more = cells + len(node_lists[stop]) * num_epochs
-            if more > READ_CHUNK_CELLS or more * cell_bytes > LOCAL_CHUNK_BYTES:
+            if more * cell_bytes > LOCAL_CHUNK_BYTES:
                 break
             cells, stop = more, stop + 1
         yield start, stop
@@ -179,14 +176,17 @@ def level_locals(
 ) -> Iterator[Tuple[tuple, slice]]:
     """Per node list, its local values and its slice of their node axis.
 
-    Each run of :func:`level_chunks` is read in one ``gather_reading_block``
-    (a workload's holds one block per query, and a leaf reads its query's)
-    and built in one ``build(nodes, epochs, blocks)`` call, ``blocks``
-    holding each leaf slot's float64 ``(epochs, nodes)`` readings; every list of the run
-    yields that same result beside its own slice. Locals are keyed by
-    ``(node, epoch)`` cell, so a run builds exactly its lists' cells.
+    Each run of :func:`level_chunks` — ``cell_bytes`` of local rows per
+    cell, plus 8 per leaf slot for its readings — is read in one
+    ``gather_reading_block`` (a workload's holds one block per query, and a
+    leaf reads its query's) and built in one ``build(nodes, epochs,
+    blocks)`` call, ``blocks`` holding each leaf slot's float64 ``(epochs,
+    nodes)`` readings; every list of the run yields that same result beside
+    its own slice. Locals are keyed by ``(node, epoch)`` cell, so a run
+    builds exactly its lists' cells.
     """
-    for start, stop in level_chunks(node_lists, len(epochs), cell_bytes):
+    runs = level_chunks(node_lists, len(epochs), cell_bytes + 8 * len(slots))
+    for start, stop in runs:
         chunk = node_lists[start:stop]
         nodes = [node for level in chunk for node in level]
         block = gather_reading_block(readings, nodes, epochs)

@@ -55,9 +55,8 @@ def gather_reading_block(
     ).reshape(len(epochs), len(nodes))
 
 
-#: Most (node, epoch) cells one readings gather covers: ground truth reads
-#: a block's epochs this many cells at a time (at least one epoch), and the
-#: fused kernel reads consecutive levels together up to it.
+#: Most (node, epoch) cells one ground-truth readings gather covers: truth
+#: reads a block's epochs this many cells at a time (at least one epoch).
 READ_CHUNK_CELLS = 1 << 16
 
 

@@ -209,11 +209,6 @@ class GroupedAggregate(Aggregate):
 
     # -- truth ---------------------------------------------------------------------
 
-    def exact_array(self, readings: np.ndarray, nodes: Sequence[int]) -> float:
-        if not len(nodes):
-            return self._inner.tree_eval(self._inner.tree_empty())
-        return self._inner.exact_array(readings, nodes)
-
     def exact_rows(
         self, readings: np.ndarray, nodes: Sequence[int]
     ) -> List[Tuple[float, Dict[str, object]]]:

@@ -46,7 +46,8 @@ def _subclasses(cls):
 @pytest.fixture
 def per_epoch_truth(monkeypatch):
     """``activate()``: from then on truth is read one epoch per gather and
-    computed row by row through ``exact_array``."""
+    computed row by row through ``exact_array`` with every reduction off,
+    so down to the list truth ``exact``."""
 
     def activate():
         monkeypatch.setattr(simulator, "READ_CHUNK_CELLS", 1)
@@ -156,10 +157,10 @@ def test_truth_gathers_readings_once_per_block_chunk(monkeypatch):
     ["sum", "count", "avg", "min", "max", "moments", "heavy_hitters:0.05"],
 )
 @pytest.mark.parametrize("where", [None, "value > 50"])
-def test_exact_rows_equal_exact_array_row_by_row(spec, where):
-    """Every row of a block's truth is the row's ``exact_array``, a row the
-    clause rejects whole included (its truth is the inner's neutral
-    answer)."""
+def test_exact_rows_equal_the_list_truth_row_by_row(spec, where):
+    """Every row of a block's truth is the list truth ``exact`` of the
+    row's readings, and so is the row's ``exact_array`` — a row the clause
+    rejects whole included (its truth is the inner's neutral answer)."""
     aggregate = build_aggregate(spec)
     if where is not None:
         aggregate, _ = parse_query(f"SELECT {spec} WHERE {where}").build(
@@ -169,10 +170,13 @@ def test_exact_rows_equal_exact_array_row_by_row(spec, where):
     block = UniformReadings(10, 100, seed=4).block(nodes, range(6))
     block[2] = 20.0  # a row no reading of which passes the clause
     block[3, :5] = -0.0
-    expect = [(aggregate.exact_array(row, nodes), {}) for row in block]
+    expect = [(aggregate.exact(row.tolist()), {}) for row in block]
     assert repr(aggregate.exact_rows(block, nodes)) == repr(expect)
+    assert repr([(aggregate.exact_array(row, nodes), {}) for row in block]) == repr(
+        expect
+    )
     assert aggregate.exact_rows(block[:, :0], []) == [
-        (aggregate.exact_array(row, []), {}) for row in block[:, :0]
+        (aggregate.exact([]), {}) for _ in block[:, :0]
     ]
 
 

@@ -3,7 +3,7 @@
 The fused kernel reads and builds its leaves' locals — pass 1's partial,
 extremum and object columns, pass 2's packed rows, extremum columns and
 object synopses — once per run of consecutive levels that fits
-``LOCAL_CHUNK_BYTES`` (and ``READ_CHUNK_CELLS``), and slices them per
+``LOCAL_CHUNK_BYTES`` (readings and locals alike), and slices them per
 level. Where the runs are cut must never show: one level per chunk and the
 whole tile in one chunk give the same outcomes and per-node bills as the
 default budget.
@@ -90,8 +90,8 @@ def test_level_chunks_never_change_a_result(name, budget, monkeypatch, builds):
 
 
 def test_a_chunk_spans_levels_while_it_fits():
-    """Runs grow while their cells and bytes fit, and a list too large for
-    either is a run of its own."""
+    """Runs grow while their bytes fit, and a list too large alone is a run
+    of its own."""
     lists = [[1] * 10, [2] * 10, [3] * 50, [4] * 5, [5] * 5]
 
     def chunks(cell_bytes):

@@ -831,7 +831,7 @@ class TestReportsAndSession:
         workload = WorkloadAggregate(
             [("s", SumAggregate()), ("c", CountAggregate())]
         )
-        with pytest.raises(NotImplementedError, match="exact_array"):
+        with pytest.raises(NotImplementedError, match="exact_rows"):
             workload.exact([(3.0, 3.0)])
 
     def test_render_lists_queries(self):
