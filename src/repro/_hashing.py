@@ -9,6 +9,7 @@ Python's built-in ``hash`` is salted per process, so we provide a stable
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Sequence
 
@@ -33,14 +34,21 @@ def splitmix64(value: int) -> int:
     return (value ^ (value >> 31)) & _MASK64
 
 
+@functools.lru_cache(maxsize=256)
+def _string_data(token: str) -> int:
+    """A string token's mixed bytes (memoized: keys repeat a few labels)."""
+    data = 0
+    for byte in token.encode("utf-8"):
+        data = splitmix64(data ^ byte)
+    return data
+
+
 def _mix_in(state: int, token: object) -> int:
     """Fold one token into a running SplitMix64 state."""
     if isinstance(token, int):
         data = token & _MASK64
     elif isinstance(token, str):
-        data = 0
-        for byte in token.encode("utf-8"):
-            data = splitmix64(data ^ byte)
+        data = _string_data(token)
     elif isinstance(token, float):
         data = splitmix64(hash_key("float", token.hex()))
     elif isinstance(token, tuple):

@@ -70,12 +70,10 @@ class Aggregate(ABC, Generic[P, S]):
         one matrix per query). Returns one list per epoch; cell ``[j][i]``
         MUST equal ``tree_local(nodes[i], epochs[j], readings[j, i])``
         exactly — the engine and the scalar oracle are interchangeable only
-        while that holds. Derived, not written: an aggregate with
-        :meth:`tree_partials_additive` gets the rows of its
-        :meth:`tree_local_matrix`, any other the loop over the scalar form.
+        while that holds. The fused kernel builds an object leaf's locals
+        through it (FM and extremum leaves use :meth:`tree_local_matrix`);
+        the default is the loop over the scalar form.
         """
-        if self.tree_partials_additive():
-            return self.tree_local_matrix(nodes, epochs, readings).tolist()
         return [
             [
                 self.tree_local(node, epoch, reading)
@@ -202,15 +200,11 @@ class Aggregate(ABC, Generic[P, S]):
         """Batched :meth:`convert` over parallel columns.
 
         Cell ``i`` must equal ``convert(partials[i], senders[i],
-        epochs[i])`` exactly, errors included. The object wave funnels a
-        block's T -> M deliveries through one call. Derived: an aggregate
-        with :meth:`synopsis_packable` gets the sketches of its
-        :meth:`convert_block_packed` rows, any other the scalar loop.
+        epochs[i])`` exactly, errors included. The fused kernel converts an
+        object leaf's T -> M deliveries of a block through one call (FM
+        leaves convert through :meth:`convert_block_packed`); the default
+        is the scalar loop.
         """
-        if self.synopsis_packable() is not None:
-            return sketches_from_rows(
-                self.convert_block_packed(partials, senders, epochs)
-            )
         return [
             self.convert(partial, sender, epoch)
             for partial, sender, epoch in zip(partials, senders, epochs)
@@ -471,9 +465,3 @@ def fuse_all(aggregate: Aggregate[P, S], synopses: Sequence[S]) -> S:
     if not synopses:
         raise ValueError("fuse_all requires at least one synopsis")
     return aggregate.synopsis_fuse_many(synopses)
-
-
-def zip_blocks(blocks: Sequence[List[List]]) -> List[List[Tuple]]:
-    """Per-component blocks -> one block whose cells are component tuples
-    (``result[j][i][c] == blocks[c][j][i]``: epoch ``j``, node ``i``)."""
-    return [list(zip(*rows)) for rows in zip(*blocks)]

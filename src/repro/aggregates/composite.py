@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.aggregates.base import Aggregate, zip_blocks
+from repro.aggregates.base import Aggregate
 from repro.errors import ConfigurationError
 
 #: Component-wise tuples of partials / synopses.
@@ -105,8 +105,7 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
     # workload overrides this hook to hand each slot its own.
 
     def _slot_readings(self, readings) -> Sequence:
-        """A cell's reading, or a block's reading matrix, as seen by each
-        component, in slot order."""
+        """A cell's reading as seen by each component, in slot order."""
         return (readings,) * len(self._aggregates)
 
     # -- tree ------------------------------------------------------------
@@ -117,18 +116,6 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             for aggregate, value in zip(
                 self._aggregates, self._slot_readings(reading)
             )
-        )
-
-    def tree_local_block(
-        self, nodes, epochs, readings
-    ) -> List[List[CompositePartial]]:
-        return zip_blocks(
-            [
-                aggregate.tree_local_block(nodes, epochs, block)
-                for aggregate, block in zip(
-                    self._aggregates, self._slot_readings(readings)
-                )
-            ]
         )
 
     def tree_merge(self, a: CompositePartial, b: CompositePartial) -> CompositePartial:
@@ -161,18 +148,6 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             for aggregate, value in zip(
                 self._aggregates, self._slot_readings(reading)
             )
-        )
-
-    def synopsis_local_block(
-        self, nodes, epochs, readings
-    ) -> List[List[CompositeSynopsis]]:
-        return zip_blocks(
-            [
-                aggregate.synopsis_local_block(nodes, epochs, block)
-                for aggregate, block in zip(
-                    self._aggregates, self._slot_readings(readings)
-                )
-            ]
         )
 
     def synopsis_fuse(
@@ -237,15 +212,6 @@ class CompositeAggregate(Aggregate[CompositePartial, CompositeSynopsis]):
             aggregate.convert(component, sender, epoch)
             for aggregate, component in zip(self._aggregates, partial)
         )
-
-    def convert_block(self, partials, senders, epochs) -> List[CompositeSynopsis]:
-        columns = [
-            aggregate.convert_block(
-                [partial[i] for partial in partials], senders, epochs
-            )
-            for i, aggregate in enumerate(self._aggregates)
-        ]
-        return list(zip(*columns))
 
     # -- mixed evaluation --------------------------------------------------------
 

@@ -145,8 +145,7 @@ class WorkloadAggregate(CompositeAggregate):
                 f"duplicate query names in workload: {', '.join(duplicates)}"
             )
         super().__init__([aggregate for _, aggregate in named], primary=0)
-        #: Query names, in workload order (also the marker the kernel's
-        #: refusal names a workload by; plain composites do not have it).
+        #: Query names, in workload order.
         self.workload_names: Tuple[str, ...] = tuple(names)
         self.name = "workload(" + "+".join(names) + ")"
 
@@ -214,8 +213,8 @@ class WorkloadAggregate(CompositeAggregate):
         self.last_evaluations = None
 
     # -- per-query local computation: the composite owns the dispatch of
-    # every local op; a workload's reading tuple (a cell's values, or a
-    # block's matrices) already holds one entry per slot.
+    # every local op; a workload's reading tuple (a cell's values) already
+    # holds one entry per slot.
 
     def _slot_readings(self, readings: Tuple) -> Tuple:
         return readings

@@ -122,8 +122,9 @@ class EngineOptions:
     to ``None``:
 
     * ``backend`` picked the fused kernels (``"pure"``) or the per-payload
-      object wave (``"object"``). The kernels' own refusals now decide that
-      per block, so ``"pure"`` is dropped and ``"object"`` is refused.
+      object wave (``"object"``). Every block now runs the fused kernel
+      unless chaos is attached, so ``"pure"`` is dropped and ``"object"`` is
+      refused.
     * ``state`` chose a dict or an array (``"packed"``) node-state tier.
       Array state is the only layout, so ``"packed"`` is dropped and
       ``"dict"`` is refused.
@@ -138,8 +139,8 @@ class EngineOptions:
         if backend == "object":
             raise ConfigurationError(
                 "engine.backend 'object' is gone with the kernel-backend "
-                "switch: the object wave now runs only where a kernel "
-                "refuses a block (scheme.engine_path names the reason); set "
+                "switch: every block runs the fused kernel unless chaos is "
+                "attached (scheme.engine_path names the engine); set "
                 "use_batch=false to run the scalar reference path"
             )
         if backend not in (None, "pure"):

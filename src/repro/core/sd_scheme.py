@@ -84,7 +84,7 @@ class SynopsisDiffusionScheme(LayoutWave):
         self, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
         """The scalar reference wave: one node, one draw at a time."""
-        return self._run_wave(self._layout, epoch, channel, readings, None, None)
+        return self._run_wave(self._layout, epoch, channel, readings)
 
     def run_epochs(
         self, epochs: Sequence[int], channel: Channel, readings: ReadingFn

@@ -185,9 +185,7 @@ class TributaryDeltaScheme(LayoutWave):
         self, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
         """The scalar reference wave: one node, one draw at a time."""
-        return self._run_wave(
-            self._wave_layout(), epoch, channel, readings, None, None
-        )
+        return self._run_wave(self._wave_layout(), epoch, channel, readings)
 
     def run_epochs(
         self, epochs: Sequence[int], channel: Channel, readings: ReadingFn

@@ -23,12 +23,10 @@ layout is all T over its tree's levels, SD's all M over the rings, TD's
 whatever its graph says this block. Each scheme builds its layout and names
 its record fields; :class:`LayoutWave` evaluates the base station (TD's
 mixed evaluation, which is TAG's answer at a T-mode base and SD's over an
-all-M layout) and runs the rest — the fused kernel
-(:func:`repro.kernels.td.run_td_block`) when
-:func:`repro.kernels.td.refusal` lets it, else the object wave in the
-kernel's three stages (tributaries, one frontier conversion per block, the
-delta), and under ``use_batch=False`` the scalar oracle, one node and one
-draw at a time.
+all-M layout) and runs the rest on one of two engines: the fused kernel
+(:func:`repro.kernels.td.run_td_block`), or — under ``use_batch=False``
+and whenever chaos is attached — the scalar oracle, one node and one draw
+at a time.
 """
 
 from __future__ import annotations
@@ -36,15 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
+    AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 )
 
 from repro.aggregates.base import Aggregate, merge_all
@@ -55,11 +45,10 @@ from repro.core.payloads import (
     combine_stats,
     missing_stats_words,
 )
-from repro.kernels.td import refusal
+from repro.errors import PropertyViolation
 from repro.multipath.fm import FMSketch
 from repro.network.links import (
     Channel,
-    DeliveryPlan,
     Transmission,
     TransmissionLog,
     transmit_sequential,
@@ -67,12 +56,7 @@ from repro.network.links import (
 from repro.network.messages import MessageAccountant
 from repro.network.placement import BASE_STATION, Deployment, NodeId
 from repro.network.rings import RingsTopology
-from repro.network.simulator import (
-    EpochOutcome,
-    ReadingFn,
-    gather_reading_block,
-    run_epochs_scalar,
-)
+from repro.network.simulator import EpochOutcome, ReadingFn, run_epochs_scalar
 
 
 @dataclass(frozen=True)
@@ -112,18 +96,24 @@ class WaveLayout:
     ) -> "WaveLayout":
         """The layout of ``level_nodes`` with ``multipath`` labelled M.
 
-        A T node unicasts to ``parents.get(node)`` (None for an orphan, which
-        only the object wave models); an M node broadcasts to
-        ``audiences[node]``.
+        A T node unicasts to ``parents[node]``; an M node broadcasts to
+        ``audiences[node]``. A T node without a tree parent has no path to
+        the base station, and is refused (Property 2).
         """
         multipath = frozenset(multipath)
+        for nodes in level_nodes:
+            for node in nodes:
+                if node not in multipath and parents.get(node) is None:
+                    raise PropertyViolation(
+                        f"T node {node} has no tree parent",
+                        invariant="path-correctness",
+                        nodes=(node,),
+                    )
         levels = tuple(
             tuple(
                 Transmission(node, audiences[node], 0, 1, multipath_attempts)
                 if node in multipath
-                else Transmission(
-                    node, (parents.get(node),), 0, 1, tree_attempts
-                )
+                else Transmission(node, (parents[node],), 0, 1, tree_attempts)
                 for node in nodes
             )
             for nodes in level_nodes
@@ -183,22 +173,8 @@ def empty_outcome(aggregate: Aggregate, extra: Dict[str, object]) -> EpochOutcom
     return EpochOutcome(0.0, 0, 0.0, outcome_extra(aggregate, extra, empty=True))
 
 
-def _deliver_tree(
-    inbox_tree: Dict[NodeId, List[TreePayload]],
-    payload: TreePayload,
-    parent: NodeId,
-    epoch: int,
-    chaos,
-) -> None:
-    """Land a heard tree unicast in its parent's inbox (twice if replayed)."""
-    target = inbox_tree.setdefault(parent, [])
-    target.append(payload)
-    if chaos is not None and chaos.duplicate(payload.sender, parent, epoch):
-        target.append(payload)
-
-
 class LayoutWave:
-    """The wave TAG, SD and TD share, and its three engines.
+    """The wave TAG, SD and TD share, and its two engines.
 
     A subclass provides :meth:`_wave_layout` (its current labelling) and
     :meth:`_outcome_extra` (its record fields), and drives
@@ -283,7 +259,7 @@ class LayoutWave:
     ) -> EpochOutcome:
         """The epoch's outcome from what reached the base station.
 
-        Shared by the waves and the fused kernel. ``partials`` are the tree
+        Shared by the oracle and the fused kernel. ``partials`` are the tree
         partials delivered straight to the base (``exact_count`` their
         summed contributing counts), ``synopsis`` / ``count_sketch`` the
         fused delta payloads (None when none arrived — always, for a T-mode
@@ -335,238 +311,76 @@ class LayoutWave:
     def _run_blocks(
         self, epochs: Sequence[int], channel: Channel, readings: ReadingFn, kernel
     ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
-        """Run a block of epochs against one precomputed delivery plan.
+        """Run a block of epochs on one of the two engines.
 
         The layout is fixed for the whole block (the simulator adapts only
-        at block boundaries). Eligible blocks run as ``kernel`` — the
-        calling scheme module's binding of
-        :func:`~repro.kernels.td.run_td_block`, looked up there on every
-        call so that each scheme's name stays a tracing seam; the rest run
-        the object wave, staged block-wide by :meth:`_stage_block` and then
-        one delta per epoch. Either way the per-epoch (outcome, log) pairs are
-        identical to looping the scheme's ``run_epoch``, which is what
-        ``use_batch=False`` does.
+        at block boundaries), and a block runs as ``kernel`` — the calling
+        scheme module's binding of :func:`~repro.kernels.td.run_td_block`,
+        looked up there on every call so that each scheme's name stays a
+        tracing seam. Under ``use_batch=False``, or with chaos attached (a
+        fault plan or an auditor hooks every delivery), it runs the scalar
+        oracle instead: the scheme's ``run_epoch`` once per epoch. Either
+        way the per-epoch (outcome, log) pairs are the same.
         """
         epoch_list = [int(epoch) for epoch in epochs]
         if not self._use_batch:
             self._engine_path = "object: use_batch=False"
-            return run_epochs_scalar(self, epoch_list, channel, readings)
-        layout = self._wave_layout()
-        reason = refusal(layout, self._aggregate, channel)
-        self._engine_path = "fused" if reason is None else f"object: {reason}"
-        if reason is None:
-            return kernel(self, layout, epoch_list, channel, readings)
-        plan = channel.plan_epochs(layout.levels, epoch_list)
-        stages = self._stage_block(layout, epoch_list, channel, readings, plan)
-        results: List[Tuple[EpochOutcome, TransmissionLog]] = []
-        for column, epoch in enumerate(epoch_list):
-            channel.reset_log()
-            # Each epoch's staged state is released as the delta consumes it.
-            staged, stages[column] = stages[column], None
-            outcome = self._run_wave(layout, epoch, channel, readings, staged, plan)
-            results.append((outcome, channel.reset_log()))
-        return results
-
-    def _stage_block(
-        self,
-        layout: WaveLayout,
-        epoch_list: List[int],
-        channel: Channel,
-        readings: ReadingFn,
-        plan: DeliveryPlan,
-    ) -> List[Tuple[Iterator, Iterator, Iterator, Dict, Iterator]]:
-        """The object wave's first two stages, in the fused kernel's order
-        (:func:`~repro.kernels.td.run_td_block`).
-
-        Locals are built once per block: one ``synopsis_local_block`` per
-        slot (the query's, then the piggyback's) over every M node, one
-        ``tree_local_block`` over every T node (each cell is a pure function
-        of ``(node, epoch, reading)``). Then:
-
-        1. **Tributaries.** Property 1 (no M -> T edge) means a tributary
-           never waits on the delta, so every epoch's T senders run first,
-           deepest level first, and their payloads land straight from the
-           plan's success table (chaos replays included). Nothing is billed:
-           the delta stage transmits these payloads.
-        2. **The frontier converts once.** Every payload delivered to a
-           non-base M node, in (epoch, level, node, inbox) order, goes
-           through ONE ``convert_block`` call, and its count through the
-           piggyback's.
-
-        Returns per epoch the ``(synopses, count sketches, T payloads, tree
-        inboxes, conversions)`` that :meth:`_run_wave` consumes: iterators
-        in the order its wave visits the M nodes, the T nodes, and the M
-        nodes' tree inboxes.
-        """
-        aggregate = self._aggregate
-        piggyback = self._piggyback
-        multipath = layout.multipath
-        chaos = channel.chaos
-        nodes = [node for level in layout.level_nodes for node in level]
-        m_nodes = [node for node in nodes if node in multipath]
-        t_nodes = [node for node in nodes if node not in multipath]
-        synopses = aggregate.synopsis_local_block(
-            m_nodes, epoch_list, gather_reading_block(readings, m_nodes, epoch_list)
-        )
-        sketches = (
-            [[None] * len(m_nodes) for _ in epoch_list]
-            if piggyback is None
-            # The piggyback's Count reads no reading.
-            else piggyback.synopsis_local_block(m_nodes, epoch_list, None)
-        )
-        partials = aggregate.tree_local_block(
-            t_nodes, epoch_list, gather_reading_block(readings, t_nodes, epoch_list)
-        )
-
-        # Per level: its T senders and their (epochs,) delivery flags. A tree
-        # unicast has exactly one planned pair, to its parent.
-        tributaries = []
-        for index, level in enumerate(layout.levels):
-            success, spans, _ = plan.level_table(channel, index, level)
-            tree = [i for i, item in enumerate(level) if item.sender not in multipath]
-            flags = success[[spans[i][0] for i in tree]].tolist()
-            tributaries.append([(level[i], row) for i, row in zip(tree, flags)])
-
-        stages = []
-        sizes = []
-        frontier: List[TreePayload] = []
-        frontier_epochs: List[int] = []
-        for column, epoch in enumerate(epoch_list):
-            # A merged local is garbage once its epoch's tributaries ran.
-            local = iter(partials[column])
-            partials[column] = None
-            payloads: List[TreePayload] = []
-            inbox_tree: Dict[NodeId, List[TreePayload]] = {}
-            for level in tributaries:
-                for item, delivered in level:
-                    payload = self._prepare_tree_node(
-                        item.sender, epoch, readings, inbox_tree, next(local)
-                    )
-                    payloads.append(payload)
-                    if delivered[column]:
-                        _deliver_tree(
-                            inbox_tree, payload, item.receivers[0], epoch, chaos
-                        )
-            received = [
-                payload for node in m_nodes for payload in inbox_tree.get(node, ())
-            ]
-            frontier.extend(received)
-            frontier_epochs.extend([epoch] * len(received))
-            sizes.append(len(received))
-            stages.append(
-                (
-                    iter(synopses[column]),
-                    iter(sketches[column]),
-                    iter(payloads),
-                    inbox_tree,
-                )
-            )
-
-        synopses_conv = counts_conv = [None] * len(frontier)
-        if frontier:
-            senders = [payload.sender for payload in frontier]
-            synopses_conv = aggregate.convert_block(
-                [payload.partial for payload in frontier], senders, frontier_epochs
-            )
-            if piggyback is not None:
-                counts_conv = piggyback.convert_block(
-                    [payload.count for payload in frontier],
-                    senders,
-                    frontier_epochs,
-                )
-        start = 0
-        for column, size in enumerate(sizes):
-            stop = start + size
-            stages[column] += (
-                zip(synopses_conv[start:stop], counts_conv[start:stop]),
-            )
-            start = stop
-        return stages
+        elif channel.chaos is not None:
+            self._engine_path = "object: chaos attached"
+        else:
+            self._engine_path = "fused"
+            return kernel(self, self._wave_layout(), epoch_list, channel, readings)
+        return run_epochs_scalar(self, epoch_list, channel, readings)
 
     # -- one epoch ---------------------------------------------------------
 
     def _run_wave(
-        self,
-        layout: WaveLayout,
-        epoch: int,
-        channel: Channel,
-        readings: ReadingFn,
-        staged: Optional[Tuple[Iterator, Iterator, Iterator, Dict, Iterator]],
-        plan: Optional[DeliveryPlan],
+        self, layout: WaveLayout, epoch: int, channel: Channel, readings: ReadingFn
     ) -> EpochOutcome:
-        """One epoch's wave: the scalar oracle, or the object wave's delta.
+        """One epoch's wave, one node and one draw at a time: the oracle.
 
-        ``staged`` is None for the oracle, which computes and delivers every
-        payload node by node. Otherwise it is one epoch of
-        :meth:`_stage_block`: T senders transmit the payloads stage 1 built
-        and already delivered, and M nodes fuse their precomputed locals and
-        consume the block's conversions in order.
+        Every payload is built, sized, transmitted and delivered node by
+        node, level by level, through the channel's per-level
+        :func:`~repro.network.links.transmit_sequential` and the chaos
+        runtime's corrupt / duplicate hooks.
         """
         multipath = layout.multipath
-        piggyback = self._piggyback
-        scalar = staged is None
-        if scalar:
-            inbox_tree: Dict[NodeId, List[TreePayload]] = {}
-            converted = None
-        else:
-            synopses, count_sketches, tree_payloads, inbox_tree, converted = staged
+        inbox_tree: Dict[NodeId, List[TreePayload]] = {}
         inbox_syn: Dict[NodeId, List[MultipathPayload]] = {}
         chaos = channel.chaos
 
-        for index, level in enumerate(layout.levels):
+        for level in layout.levels:
             outgoing: List[Tuple[bool, object]] = []
             for item in level:
                 node = item.sender
                 if node not in multipath:
-                    if scalar:
-                        payload = self._prepare_tree_node(
-                            node, epoch, readings, inbox_tree
-                        )
-                    else:
-                        payload = next(tree_payloads)
+                    payload = self._prepare_tree_node(
+                        node, epoch, readings, inbox_tree
+                    )
                     outgoing.append((True, payload))
                 else:
-                    if scalar:
-                        synopsis = None
-                        count_sketch = (
-                            None
-                            if piggyback is None
-                            else piggyback.synopsis_local(node, epoch, None)
-                        )
-                    else:
-                        synopsis = next(synopses)
-                        count_sketch = next(count_sketches)
                     payload = self._prepare_multipath_node(
-                        layout,
-                        node,
-                        epoch,
-                        readings,
-                        inbox_tree,
-                        inbox_syn,
-                        synopsis,
-                        count_sketch,
-                        converted,
+                        layout, node, epoch, readings, inbox_tree, inbox_syn
                     )
                     outgoing.append((False, payload))
-            transmissions = self._level_transmissions(level, outgoing)
-
-            if plan is not None:
-                # Stage 1 validated every level against the plan.
-                heard_lists = channel.transmit_epochs(
-                    transmissions, epoch, plan, index, checked=True
-                )
-            else:
-                heard_lists = transmit_sequential(channel, transmissions, epoch)
+            heard_lists = transmit_sequential(
+                channel, self._level_transmissions(level, outgoing), epoch
+            )
 
             for item, (is_tree, payload), heard in zip(
                 level, outgoing, heard_lists
             ):
                 node = item.sender
                 if is_tree:
-                    if heard and scalar:
-                        _deliver_tree(
-                            inbox_tree, payload, item.receivers[0], epoch, chaos
-                        )
+                    if heard:
+                        # Lands in its parent's inbox (twice if replayed).
+                        parent = item.receivers[0]
+                        target = inbox_tree.setdefault(parent, [])
+                        target.append(payload)
+                        if chaos is not None and chaos.duplicate(
+                            node, parent, epoch
+                        ):
+                            target.append(payload)
                 else:
                     for receiver in heard:
                         # T receivers ignore M broadcasts (edge correctness,
@@ -584,9 +398,7 @@ class LayoutWave:
                             target.append(delivered)
                             if chaos.duplicate(node, receiver, epoch):
                                 target.append(delivered)
-        return self._fold_base_station(
-            layout, epoch, channel.chaos, inbox_tree, inbox_syn
-        )
+        return self._fold_base_station(layout, epoch, chaos, inbox_tree, inbox_syn)
 
     def _prepare_tree_node(
         self,
@@ -594,11 +406,9 @@ class LayoutWave:
         epoch: int,
         readings: ReadingFn,
         inbox_tree: Dict[NodeId, List[TreePayload]],
-        partial: Optional[object] = None,
     ) -> TreePayload:
         aggregate = self._aggregate
-        if partial is None:
-            partial = aggregate.tree_local(node, epoch, readings(node, epoch))
+        partial = aggregate.tree_local(node, epoch, readings(node, epoch))
         count = 1
         contributors = 1 << node
         for received in inbox_tree.pop(node, ()):
@@ -615,39 +425,25 @@ class LayoutWave:
         readings: ReadingFn,
         inbox_tree: Dict[NodeId, List[TreePayload]],
         inbox_syn: Dict[NodeId, List[MultipathPayload]],
-        synopsis: Optional[object] = None,
-        count_sketch: Optional[FMSketch] = None,
-        converted: Optional[Iterator] = None,
     ) -> MultipathPayload:
         aggregate = self._aggregate
         piggyback = self._piggyback
-        if synopsis is None:
-            synopsis = aggregate.synopsis_local(
-                node, epoch, readings(node, epoch)
-            )
         contributors = 1 << node
         subtree_contributing = 1  # the node's own reading
         missing_stats: Optional[Dict[NodeId, int]] = None
         # Local, then converted, then received — the order the pairwise
         # fold took them in — fused once below.
-        synopses = [synopsis]
-        sketches = [count_sketch]
+        synopses = [aggregate.synopsis_local(node, epoch, readings(node, epoch))]
+        sketches = [
+            # The piggyback's Count reads no reading.
+            None if piggyback is None else piggyback.synopsis_local(node, epoch, None)
+        ]
 
         for received in inbox_tree.pop(node, ()):
-            if converted is not None:
-                # The block's one frontier conversion (:meth:`_stage_block`).
-                tree_synopsis, tree_count = next(converted)
-            else:
-                tree_synopsis = aggregate.convert(
-                    received.partial, received.sender, epoch
-                )
-                if piggyback is not None:
-                    tree_count = piggyback.convert(
-                        received.count, received.sender, epoch
-                    )
-            synopses.append(tree_synopsis)
+            sender = received.sender
+            synopses.append(aggregate.convert(received.partial, sender, epoch))
             if piggyback is not None:
-                sketches.append(tree_count)
+                sketches.append(piggyback.convert(received.count, sender, epoch))
             contributors |= received.contributors
             subtree_contributing += received.count
 

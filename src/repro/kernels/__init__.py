@@ -2,13 +2,12 @@
 
 :func:`repro.kernels.td.run_td_block` runs a whole epoch block of any
 :class:`~repro.core.wave.WaveLayout` — TAG's all-T, SD's all-M, TD's mixed —
-as numpy passes over ``(node, epoch)`` rows, byte-identical to the
-per-payload object wave; :mod:`repro.kernels.sd` holds its packed OR-wave.
-``repro.kernels.td.refusal(layout, aggregate, channel)`` is ``None`` when a
-block is eligible (every leaf slot of the query rides the rows), else a
-short reason naming the slot that refused, and is the only thing that
-decides fused versus object; ``use_batch=False`` on a scheme bypasses both
-for the scalar oracle.
+for any query, as numpy passes over ``(node, epoch)`` rows, byte-identical
+to the scalar oracle; :mod:`repro.kernels.sd` holds its packed OR-wave.
+Every query's leaf slots ride the rows (FM, extremum or object columns), so
+the kernel refuses nothing: a scheme runs the scalar oracle instead only
+under ``use_batch=False`` or with chaos attached, and ``engine_path`` says
+which engine ran.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ RLE pass per level over all FM sections at once
 (:func:`repro.multipath.fm.rle_words_sections`; each section is sized as
 :func:`repro.multipath.fm._packed_rle_words` sizes its sketch) plus the
 extrema's constant words. An object column's fusion need not be order-free (heavy
-hitters' is not), so its inboxes keep the object wave's order and the
+hitters' is not), so its inboxes keep the oracle's order and the
 leaf sizes its own fused synopses.
 
 :class:`RowWave` is that per-level step — local rows, OR with the

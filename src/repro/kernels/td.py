@@ -30,6 +30,10 @@ build their leaves' locals once per chunk of consecutive levels
 (:func:`level_locals`, bounded by :data:`LOCAL_CHUNK_BYTES`), not once per
 level.
 
+Every block of every query runs here: the only other engine is the scalar
+oracle (:meth:`~repro.core.wave.LayoutWave._run_wave`), which a scheme runs
+under ``use_batch=False`` or with chaos attached.
+
 The kernel runs the query as its *leaf slots*
 (:meth:`~repro.aggregates.base.Aggregate.leaf_slots`): a plain aggregate is
 one leaf, an Average or Moments composite, a workload or a WHERE filter over
@@ -49,11 +53,12 @@ three column kinds (:func:`leaf_kind`):
   frontier hands it to the M parent unchanged, and it bills its constant
   words beside the row;
 * an **object leaf** (any other: heavy hitters, quantiles, sample, exact
-  distinct) keeps its own Python partial or synopsis per
-  cell. A T cell merges its local partial with its children's in delivery
-  order; an M cell fuses its inbox — its local synopsis, then its converted
-  T children in wave order, then the M payloads it received in sender
-  order, exactly the object wave's inbox — for the whole level in one
+  distinct, a GROUP BY cube keyed by region) keeps its own Python partial
+  or synopsis per cell. A T cell merges its local partial with its
+  children's in delivery order; an M cell fuses its inbox — its local
+  synopsis, then its converted T children in wave order, then the M
+  payloads it received in sender order, exactly the oracle's inbox — for
+  the whole level in one
   :meth:`~repro.aggregates.base.Aggregate.synopsis_fuse_level` call. Its
   words vary cell by cell; T and M cells alike add them to the row's
   before messages are derived (:meth:`~repro.kernels.sd.RowWave.bill`).
@@ -63,14 +68,14 @@ columns. A block without an object leaf opens no object-column state.
 A *reporter* (:attr:`~repro.core.wave.WaveLayout.reporters`) is an M node
 whose payload carries its own missing statistic and owns one bit; its
 per-epoch value lives in a side matrix. A node reports one value per epoch
-whichever path it takes, so the object wave's dictionary union is an OR of
+whichever path it takes, so the oracle's dictionary union is an OR of
 bits, its wire cost a popcount, and the base station's dictionary is
 rebuilt from the bits that arrived.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -107,35 +112,6 @@ def leaf_kind(leaf) -> str:
     if leaf.tree_partials_additive() and leaf.synopsis_packable() is not None:
         return FM
     return OBJECT
-
-
-def refusal(layout, aggregate, channel) -> Optional[str]:
-    """Why a block over ``layout`` must take the object wave, or None.
-
-    Every leaf slot of ``aggregate`` rides the rows in one of the three
-    column kinds except a grouped query's, which is refused; a refusing
-    workload slot is named, e.g. ``workload slot 'by-region' (...): grouped
-    query``. T senders also need a tree parent each (every tributary
-    payload must route exactly like the object wave's), and no block runs
-    fused under fault injection.
-    """
-    for leaf, column in aggregate.leaf_slots():
-        if getattr(leaf, "group_by_spec", None) is not None:
-            if column is None:
-                return "grouped query"
-            name = aggregate.workload_names[column]
-            query = aggregate.components[column].name
-            return f"workload slot {name!r} ({query}): grouped query"
-    if any(
-        item.receivers[0] is None
-        for level in layout.levels
-        for item in level
-        if item.sender not in layout.multipath
-    ):
-        return "orphaned T vertex"
-    if channel.chaos is not None:
-        return "chaos attached"
-    return None
 
 
 #: Most bytes one chunk of consecutive levels reads and builds at once: its
@@ -272,7 +248,7 @@ def run_td_block(
 ) -> List[Tuple[EpochOutcome, TransmissionLog]]:
     """Run one epoch block over ``layout`` through the fused array path.
 
-    Byte-identical to the object wave and the scalar oracle: same outcomes
+    Byte-identical to the scalar oracle: same outcomes
     (``extra["missing_stats"]`` included), same per-epoch logs, same
     per-node billing.
     """
@@ -677,7 +653,7 @@ def merge_cells(leaf, inbox: Dict[int, list], rows: np.ndarray, local) -> list:
     """One object slot's T cells of a level, flat in ``(node, epoch)``
     order: each ``local[epoch][node]`` partial merged with its inbox (the
     children's partials, keyed ``row * epochs + epoch``) left to right, as
-    the object wave's tree node does."""
+    the oracle's tree node does."""
     merge = leaf.tree_merge
     num_epochs = len(local)
     cells = []

@@ -375,10 +375,10 @@ class EpochSimulator:
 
     One loop serves every scheme: it cuts the run into blocks, hands each
     to ``scheme.run_epochs`` (or :func:`run_epochs_scalar` for schemes
-    without one) and audits, records and adapts around it. Which tier runs
-    inside the block — fused kernels, object waves, or the scalar oracle of
-    a ``use_batch=False`` scheme — is the scheme's business, never the
-    simulator's.
+    without one) and audits, records and adapts around it. Which engine
+    runs inside the block — the fused kernel, or the scalar oracle of a
+    ``use_batch=False`` or chaos-attached scheme — is the scheme's business,
+    never the simulator's.
 
     Args:
         deployment: sensor positions.

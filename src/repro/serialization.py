@@ -270,6 +270,12 @@ def _encode_epoch_result(result: EpochResult) -> Dict[str, Any]:
 
 
 def _decode_epoch_result(data: Dict[str, Any]) -> EpochResult:
+    extra = dict(data["extra"])
+    # JSON keys are strings; the missing statistics are keyed by node id.
+    if isinstance(extra.get("missing_stats"), dict):
+        extra["missing_stats"] = {
+            int(node): value for node, value in extra["missing_stats"].items()
+        }
     return EpochResult(
         epoch=data["epoch"],
         estimate=data["estimate"],
@@ -277,7 +283,7 @@ def _decode_epoch_result(data: Dict[str, Any]) -> EpochResult:
         contributing=data["contributing"],
         contributing_estimate=data["contributing_estimate"],
         log=_decode_transmission_log(data["log"]),
-        extra=dict(data["extra"]),
+        extra=extra,
     )
 
 

@@ -84,10 +84,7 @@ class GroupedAggregate(Aggregate):
         self._paths: Dict[int, str] = {
             node: hierarchy.region_of(node, depth) for node in hierarchy.nodes()
         }
-        #: The GROUP BY spec (also the marker the kernel's refusal names a
-        #: grouped query by, the way workloads use workload_names).
-        self.group_by_spec = spec or f"{hierarchy.name}:{depth}"
-        self.name = f"{inner.name} GROUP BY {self.group_by_spec}"
+        self.name = f"{inner.name} GROUP BY {spec or f'{hierarchy.name}:{depth}'}"
         #: per-group evaluations from the most recent tree/synopsis/mixed
         #: eval, read by :meth:`estimate_extras` right after eval.
         self.last_group_evaluations: Optional[Dict[str, float]] = None

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import pytest
 
-import repro.core.wave as wave
 from repro.datasets.labdata import LabDataScenario
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.experiments import FIGURES
@@ -50,26 +48,3 @@ def quick_figure():
     read the same figures, and each should run once.
     """
     return functools.cache(lambda name: FIGURES[name].run(True, 0))
-
-
-@pytest.fixture
-def object_wave():
-    """``object_wave(active=True)``: a context forcing the object wave.
-
-    While active, the one ``refusal`` every scheme's wave consults
-    (:mod:`repro.core.wave`) declines every block with ``"forced by test"``,
-    so TAG, SD and TD blocks that would run fused take the per-payload
-    object wave instead (``engine_path`` reads ``"object: forced by
-    test"``). ``active=False`` is a no-op, for loops over engines.
-    """
-
-    @contextlib.contextmanager
-    def forced(active: bool = True):
-        with pytest.MonkeyPatch.context() as patch:
-            if active:
-                patch.setattr(
-                    wave, "refusal", lambda layout, aggregate, channel: "forced by test"
-                )
-            yield
-
-    return forced

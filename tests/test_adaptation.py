@@ -570,7 +570,7 @@ class TestSignalOnlyConvergence:
 class TestConvergenceRunsFused:
     """Convergence carries the contributing count as a Count, which is
     additive and packable, so its blocks take the fused kernel whatever the
-    query payload (the query itself may still need the object wave)."""
+    query payload."""
 
     @pytest.mark.parametrize("scheme", ["TD", "TD-Coarse"])
     @pytest.mark.parametrize("payload", ["sum", "multiquery"])

@@ -429,37 +429,46 @@ class TestBlockFormsEqualScalarForms:
         return block
 
     @staticmethod
-    def _cells(block):
-        """Per epoch, each node's reading as the scalar forms read it."""
-        if isinstance(block, tuple):
-            return [list(zip(*rows)) for rows in zip(*(m.tolist() for m in block))]
-        return block.tolist()
+    def _slots(aggregate, block):
+        """Each leaf slot beside the reading matrix it reads: the fused
+        kernel asks leaves for block forms, never a wrapper."""
+        return [
+            (leaf, block if column is None else block[column])
+            for leaf, column in aggregate.leaf_slots()
+        ]
 
     def test_local_blocks(self, label):
         aggregate, readings = BLOCK_SUBJECTS[label]()
-        block = self._block(readings)
-        for block_form, scalar_form in (
-            (aggregate.tree_local_block, aggregate.tree_local),
-            (aggregate.synopsis_local_block, aggregate.synopsis_local),
+        empty = gather_reading_block(readings, [], _EPOCHS)
+        none = gather_reading_block(readings, _NODES, [])
+        for (leaf, matrix), (_, no_nodes), (_, no_epochs) in zip(
+            self._slots(aggregate, self._block(readings)),
+            self._slots(aggregate, empty),
+            self._slots(aggregate, none),
         ):
-            assert block_form(_NODES, _EPOCHS, block) == [
-                [scalar_form(node, epoch, value) for node, value in zip(_NODES, row)]
-                for epoch, row in zip(_EPOCHS, self._cells(block))
-            ]
-            # No nodes, and no epochs: still one (empty) row per epoch.
-            empty = gather_reading_block(readings, [], _EPOCHS)
-            assert block_form([], _EPOCHS, empty) == [[] for _ in _EPOCHS]
-            none = gather_reading_block(readings, _NODES, [])
-            assert block_form(_NODES, [], none) == []
+            for block_form, scalar_form in (
+                (leaf.tree_local_block, leaf.tree_local),
+                (leaf.synopsis_local_block, leaf.synopsis_local),
+            ):
+                assert block_form(_NODES, _EPOCHS, matrix) == [
+                    [scalar_form(node, epoch, value) for node, value in zip(_NODES, row)]
+                    for epoch, row in zip(_EPOCHS, matrix.tolist())
+                ]
+                # No nodes, and no epochs: still one (empty) row per epoch.
+                assert block_form([], _EPOCHS, no_nodes) == [[] for _ in _EPOCHS]
+                assert block_form(_NODES, [], no_epochs) == []
 
     def test_synopsis_words_batch(self, label):
         aggregate, readings = BLOCK_SUBJECTS[label]()
+        block = self._block(readings)
+        if isinstance(block, tuple):  # a workload's cell is one value per slot
+            block = [list(zip(*rows)) for rows in zip(*(m.tolist() for m in block))]
+        else:
+            block = block.tolist()
         synopses = [
-            cell
-            for row in aggregate.synopsis_local_block(
-                _NODES, _EPOCHS, self._block(readings)
-            )
-            for cell in row
+            aggregate.synopsis_local(node, epoch, value)
+            for epoch, row in zip(_EPOCHS, block)
+            for node, value in zip(_NODES, row)
         ]
         synopses.append(fuse_all(aggregate, synopses))
         assert aggregate.synopsis_words_batch(synopses) == [

@@ -246,7 +246,7 @@ class TestRunConfig:
     def test_legacy_engine_backend_key(self):
         """``pure`` named the fused kernels, now the only ones: accepted,
         dropped, never encoded — only configs that set it change digest.
-        ``object`` forced the wave a kernel's own refusal now picks."""
+        ``object`` forced an engine that is gone: it is refused."""
         plain = quick_config("SD", "none")
         assert EngineOptions(backend="pure") == EngineOptions()
         for legacy in (

@@ -21,7 +21,12 @@ from goldens import assert_golden
 
 from repro import serialization
 from repro.aggregates.sum_ import SumAggregate
-from repro.api import RunConfig, config_digest, run_config_result
+from repro.api import (
+    EXPERIMENT_CONFIGS,
+    RunConfig,
+    config_digest,
+    run_config_result,
+)
 from repro.chaos import (
     Auditor,
     BaseStationCrash,
@@ -419,6 +424,22 @@ class TestCheckpointResume:
             checkpoint=Checkpointer(tmp_path, interval=10, resume=True),
         )
         assert serialization.dumps(resumed) == serialization.dumps(base)
+
+    def test_resumed_epochs_equal_the_straight_run(self, tmp_path):
+        """The epochs a resumed run reads back from its checkpoint are the
+        straight run's records, dataclass for dataclass: missing statistics
+        keyed by int node id, as the wave reports them."""
+        config = EXPERIMENT_CONFIGS["multiquery"].replace(
+            num_sensors=40, epochs=30, converge_epochs=6, scheme="TD"
+        )
+        with pytest.raises(SimulationKilled):
+            run_config_result(config, checkpoint=Checkpointer(tmp_path, kill_at=10))
+        resumed = run_config_result(
+            config, checkpoint=Checkpointer(tmp_path, resume=True)
+        )
+        straight = run_config_result(config)
+        assert any(epoch.extra.get("missing_stats") for epoch in straight.epochs[:10])
+        assert resumed.epochs == straight.epochs
 
     def test_checkpointing_is_result_invisible(
         self, small_scenario, small_tree, tmp_path

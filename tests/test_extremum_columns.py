@@ -1,9 +1,10 @@
 """Min and Max on the fused kernel: one float64 extremum column per slot.
 
 On edge readings — negatives, ±inf, both zeros, repeated maxima — the fused
-kernel, the forced object wave and the ``use_batch=False`` oracle agree byte
-for byte (``repr`` tells ``-0.0`` from ``0.0``) under TAG, SD and TD with
-loss. A NaN reading is refused, naming its node and epoch, on all three.
+kernel and the scalar oracle agree byte for byte (``repr`` tells ``-0.0``
+from ``0.0``) under TAG, SD and TD with loss, the oracle reached both ways:
+``use_batch=False``, and a blocked run with chaos attached (``object``). A
+NaN reading is refused, naming its node and epoch, on all three.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.wave as wave
 from repro.aggregates.filtered import FilteredAggregate
 from repro.aggregates.minmax import MaxAggregate, MinAggregate
+from repro.chaos.faults import ChaosRuntime
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.tag_scheme import TagScheme
@@ -57,12 +58,10 @@ def _run(scheme_name, aggregate_name, readings, engine):
     engine that ran the last block."""
     scheme = _scheme(scheme_name, AGGREGATES[aggregate_name](), engine != "oracle")
     channel = Channel(SCENARIO.deployment, GlobalLoss(0.3), seed=9)
-    with pytest.MonkeyPatch.context() as patch:
-        if engine == "object":
-            patch.setattr(
-                wave, "refusal", lambda layout, aggregate, channel: "forced by test"
-            )
-        rows = scheme.run_epochs(EPOCHS, channel, readings)
+    if engine == "object":
+        # An inert chaos runtime: the block runs the oracle, injecting nothing.
+        channel.chaos = ChaosRuntime()
+    rows = scheme.run_epochs(EPOCHS, channel, readings)
     billing = (channel._per_node_words, channel._per_node_messages)
     return repr(rows), billing, scheme.engine_path
 
@@ -85,7 +84,7 @@ def test_edge_readings_fused_equals_object_and_oracle(
         for engine in ENGINES
     }
     assert runs["fused"][2] == "fused"
-    assert runs["object"][2] == "object: forced by test"
+    assert runs["object"][2] == "object: chaos attached"
     assert runs["fused"][:2] == runs["object"][:2]
     assert runs["fused"][:2] == runs["oracle"][:2]
 

@@ -1,10 +1,11 @@
 """Leaf-slot workloads on the fused kernel: one column set per leaf slot.
 
-Average, Moments, Min, Max, WHERE / WINDOW queries and workloads of such
-slots run the fused kernel — each FM leaf slot an int64 partial column, one
-packed row section and one frontier conversion, each Min/Max slot one
-float64 extremum column — and must equal the object wave and the
-``use_batch=False`` oracle byte for byte. The array inputs they read
+Average, Moments, Min, Max, WHERE / WINDOW queries, workloads of such
+slots and GROUP BY queries run the fused kernel — each FM leaf slot an int64
+partial column, one packed row section and one frontier conversion, each
+Min/Max slot one float64 extremum column, a GROUP BY cube one object column
+— and must equal the ``use_batch=False`` oracle byte for byte. The array
+inputs they read
 (window blocks, workload blocks, every leaf's array forms) must equal their
 scalar twins cell for cell.
 """
@@ -16,12 +17,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import repro.core.wave as wave
 from repro.aggregates.base import Aggregate
 from repro.aggregates.filtered import FilteredAggregate
 from repro.aggregates.moments import MomentsAggregate
 from repro.aggregates.workload import WorkloadReadings
 from repro.api import QuerySpec, RunConfig, run_config_result
+from repro.core.wave import LayoutWave
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError
 from repro.multipath.fm import sketch_to_row
@@ -56,21 +57,27 @@ PARITY_CASES = {
             {"name": "cold", "query": "SELECT count WHERE value <= 40"},
         ]
     ),
+    # A GROUP BY cube is one object column keyed by region.
+    "groupby-region2": dict(query="SELECT avg GROUP BY region:2"),
+    "groupby-budget": dict(query="SELECT avg GROUP BY region:3:12"),
+    "groupby-where": dict(query="SELECT avg WHERE value > 40 GROUP BY region:2"),
+    "groupby-window": dict(query="SELECT avg GROUP BY region:2 WINDOW 5 MEAN"),
+    "groupby-churn": dict(query="SELECT sum GROUP BY region:2", churn="deaths:4:3"),
 }
 
 
 @pytest.fixture
-def refusals(monkeypatch):
-    """Every refusal the waves consult during a run, in order."""
+def engine_paths(monkeypatch):
+    """The engine of every block the waves run, in order."""
     seen = []
-    original = wave.refusal
+    original = LayoutWave._run_blocks
 
-    def spy(layout, aggregate, channel):
-        reason = original(layout, aggregate, channel)
-        seen.append(reason)
-        return reason
+    def spy(self, *args):
+        pairs = original(self, *args)
+        seen.append(self.engine_path)
+        return pairs
 
-    monkeypatch.setattr(wave, "refusal", spy)
+    monkeypatch.setattr(LayoutWave, "_run_blocks", spy)
     return seen
 
 
@@ -92,25 +99,23 @@ def _fingerprint(result):
 
 @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD"])
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-def test_fused_equals_object_and_oracle(case, scheme, refusals, object_wave):
+def test_fused_equals_object_and_oracle(case, scheme, engine_paths):
+    """Fused ≡ the ``use_batch=False`` oracle, the one object engine."""
     fused = run_config_result(_config(case, scheme))
-    assert refusals and all(reason is None for reason in refusals)
-    with object_wave():
-        forced = run_config_result(_config(case, scheme))
+    assert engine_paths and set(engine_paths) == {"fused"}
     oracle = run_config_result(_config(case, scheme, use_batch=False))
-    assert _fingerprint(fused) == _fingerprint(forced)
     assert _fingerprint(fused) == _fingerprint(oracle)
 
 
-def test_a_heavy_hitters_slot_rides_an_object_column(refusals):
+def test_a_heavy_hitters_slot_rides_an_object_column(engine_paths):
     queries = PARITY_CASES["workload"]["queries"] + [
         {"name": "heavy", "aggregate": "heavy_hitters:0.05"}
     ]
     run_config_result(_config("workload", "TD", queries=queries))
-    assert refusals and all(reason is None for reason in refusals)
+    assert engine_paths and set(engine_paths) == {"fused"}
 
 
-def _service(scheme):
+def _service(scheme, use_batch=True):
     return AggregationService(
         RunConfig(
             scheme=scheme,
@@ -119,6 +124,7 @@ def _service(scheme):
             converge_epochs=0 if scheme == "TAG" else 10,
             reading="uniform:10:100:0",
             epochs=0,
+            use_batch=use_batch,
         )
     )
 
@@ -139,10 +145,12 @@ def _drain(subscriber):
     return records
 
 
-def _service_run(scheme, tenant=("total", "SELECT sum WHERE value > 30")):
+def _service_run(
+    scheme, tenant=("total", "SELECT sum WHERE value > 30"), use_batch=True
+):
     """A reader beside a ``tenant`` admitted for block 2 and gone after it:
     the reader's records, the engine counters and every block's path."""
-    service = _service(scheme)
+    service = _service(scheme, use_batch)
     reader = service.subscribe(
         _submit(
             [
@@ -166,52 +174,45 @@ def _service_run(scheme, tenant=("total", "SELECT sum WHERE value > 30")):
 
 
 @pytest.mark.parametrize("scheme", ["TAG", "TD"])
-def test_service_slot_changes_at_a_boundary_stay_fused(scheme, object_wave):
+def test_service_slot_changes_at_a_boundary_stay_fused(scheme):
     records, engine, paths = _service_run(scheme)
     assert set(paths) == {"fused"}
     assert engine["fused_blocks"] == 4
     assert engine["object_blocks"] == 0
     assert engine["last_refusal"] is None
-    with object_wave():
-        forced, forced_engine, _ = _service_run(scheme)
-    assert records == forced
-    assert forced_engine["object_blocks"] == 4
-    assert forced_engine["last_refusal"] == "forced by test"
+    oracle, oracle_engine, _ = _service_run(scheme, use_batch=False)
+    assert records == oracle
+    assert oracle_engine["object_blocks"] == 4
+    assert oracle_engine["last_refusal"] == "use_batch=False"
 
 
 @pytest.mark.parametrize("scheme", ["TAG", "TD"])
-def test_a_max_slot_added_and_removed_at_a_boundary_stays_fused(
-    scheme, object_wave
-):
+def test_a_max_slot_added_and_removed_at_a_boundary_stays_fused(scheme):
     """The service's ``add_slot`` / ``remove_slot`` of an extremum column."""
     records, engine, paths = _service_run(scheme, ("peak", "SELECT max"))
     assert set(paths) == {"fused"}
     assert engine["object_blocks"] == 0
-    with object_wave():
-        forced, _, _ = _service_run(scheme, ("peak", "SELECT max"))
-    assert records == forced
+    oracle, _, _ = _service_run(scheme, ("peak", "SELECT max"), use_batch=False)
+    assert records == oracle
 
 
-def test_service_names_the_refusing_slot():
-    """A heavy-hitters slot runs fused; a grouped slot is the one that
-    still refuses, and the service names it."""
-    service = _service("TD")
-    service.subscribe(
-        _submit([("mean", "SELECT avg"), ("heavy", "SELECT heavy_hitters:0.05")])
+@pytest.mark.parametrize("scheme", ["TAG", "TD"])
+def test_service_grouped_slot_admitted_at_a_boundary_stays_fused(scheme):
+    """A grouped subscription's ``sum`` / ``count`` GROUP BY slots join the
+    reader's portfolio at a block boundary and leave after it, riding the
+    fused kernel as object columns; the reader's records equal the
+    oracle's."""
+    records, engine, paths = _service_run(
+        scheme, ("regions", "SELECT avg GROUP BY region:1")
     )
-    service.run_block()
-    engine = service.stats()["engine"]
-    assert engine["fused_blocks"] == 1
+    assert set(paths) == {"fused"}
+    assert engine["fused_blocks"] == 4
     assert engine["object_blocks"] == 0
     assert engine["last_refusal"] is None
-    service.subscribe(_submit([("regions", "SELECT avg GROUP BY region:1")]))
-    service.run_block()
-    engine = service.stats()["engine"]
-    assert engine["object_blocks"] == 1
-    assert engine["last_refusal"] == (
-        "workload slot 'SELECT sum GROUP BY region:1' "
-        "(sum GROUP BY region:1): grouped query"
+    oracle, _, _ = _service_run(
+        scheme, ("regions", "SELECT avg GROUP BY region:1"), use_batch=False
     )
+    assert records == oracle
 
 
 # -- array inputs ---------------------------------------------------------------
@@ -315,7 +316,7 @@ def test_leaf_array_forms_equal_scalar_forms(name):
     leaf: Aggregate = LEAVES[name]
     nodes, epochs = [3, 8, 1], [4, 5]
     readings = np.array([[2.6, 7.5, 3.0], [4.5, 0.4, 9.9]])
-    # The object wave's block forms read the same matrix.
+    # The block forms an object column would use read the same matrix.
     for block_form, local in (
         (leaf.tree_local_block, leaf.tree_local),
         (leaf.synopsis_local_block, leaf.synopsis_local),

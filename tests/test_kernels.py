@@ -8,15 +8,14 @@ counters and per-node energy billing. Three layers pin that:
   against a straightforward scalar reference (``rle_words_rows`` against
   the proven ``_packed_rle_words`` walk);
 * scheme parity — every scheme x loss {0, 0.3, 1} x adaptation through the
-  declarative config path, fused vs the object wave (forced by the
-  ``object_wave`` fixture), plus a direct fused-vs-scalar
-  (``use_batch=False``) oracle comparison;
-* the fused Tributary-Delta wave — fused == object wave == scalar oracle on
-  whole epoch records across loss models, retransmissions, adaptation
-  cadences, graph shapes and block splits; Property 1/2 after every
-  adaptation step of a fused run; the refusal reasons behind
-  ``engine_path``; and the paper's Fig-2 / Fig-6 claims at reduced size
-  through the fused path.
+  declarative config path, fused vs the scalar (``use_batch=False``)
+  oracle, the one object-payload engine;
+* the fused Tributary-Delta wave — fused == scalar oracle on whole epoch
+  records across loss models, retransmissions, adaptation cadences, graph
+  shapes and block splits; Property 1/2 after every adaptation step of a
+  fused run; the two engines ``engine_path`` names (a block with chaos
+  attached runs the oracle); and the paper's Fig-2 / Fig-6 claims at
+  reduced size through the fused path.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.aggregates.average import AverageAggregate
 from repro.aggregates.count import CountAggregate
 from repro.aggregates.minmax import MaxAggregate, MinAggregate
 from repro.aggregates.sum_ import SumAggregate
-from repro.aggregates.workload import WorkloadAggregate
+from repro.aggregates.workload import WorkloadAggregate, WorkloadReadings
 from repro.api import (
     EXPERIMENT_CONFIGS,
     QueryWorkload,
@@ -40,6 +39,7 @@ from repro.api import (
     run_config_result,
 )
 from repro.chaos import Auditor
+from repro.chaos.faults import ChaosRuntime
 from repro.core.adaptation import DampedPolicy, TDCoarsePolicy, TDFinePolicy
 from repro.core.graph import TDGraph, initial_modes_by_level
 from repro.core.modes import Mode
@@ -53,7 +53,6 @@ from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import PropertyViolation
 from repro.kernels import get_backend
 from repro.kernels import sd as sd_kernel
-from repro.kernels import td as td_kernel
 from repro.multipath.fm import (
     FMSketch,
     _correction_table,
@@ -228,8 +227,8 @@ def _run_fields(result):
 
 @pytest.mark.parametrize("failure", ["none", "global:0.3", "global:1.0"])
 @pytest.mark.parametrize("scheme", ["TAG", "SD", "TD-Coarse", "TD"])
-def test_scheme_parity_vs_object_engine(scheme, failure, object_wave):
-    """Fused kernels vs the object wave: identical results and billing.
+def test_scheme_parity_vs_object_engine(scheme, failure):
+    """Fused kernels vs the scalar oracle: identical results and billing.
 
     The TD schemes run their registry adaptation cadence (adapt every 10
     epochs after stabilisation), so the comparison covers block splitting
@@ -246,8 +245,7 @@ def test_scheme_parity_vs_object_engine(scheme, failure, object_wave):
         seed=3,
     )
     fused = run_config_result(RunConfig(**base))
-    with object_wave():
-        oracle = run_config_result(RunConfig(**base))
+    oracle = run_config_result(RunConfig(**base, use_batch=False))
     assert _run_fields(fused) == _run_fields(oracle)
     assert fused.energy.per_node_uj == oracle.energy.per_node_uj
 
@@ -346,9 +344,9 @@ def test_rle_cache_normalizes_numpy_keys():
 
 
 # -- the fused Tributary-Delta wave -----------------------------------------
-# A TD block takes one of three engines: ``fused`` and ``object`` are the
-# blocked engine with the kernel eligible or refused (``object_wave``),
-# ``oracle`` the scalar ``use_batch=False`` wave.
+# A TD block takes one of two engines: ``fused``, or the scalar oracle —
+# ``oracle`` under ``use_batch=False``, ``object`` when a blocked run has
+# chaos attached.
 
 TD_POLICIES = {
     "TD-Coarse": lambda: DampedPolicy(TDCoarsePolicy(threshold=0.9)),
@@ -356,6 +354,13 @@ TD_POLICIES = {
 }
 
 AGGREGATES = {"count": CountAggregate, "sum": SumAggregate}
+
+#: What ``engine_path`` reads after a block on each engine.
+ENGINE_PATHS = {
+    "fused": "fused",
+    "object": "object: chaos attached",
+    "oracle": "object: use_batch=False",
+}
 
 #: Loss 0 / 0.3 / 1 plus the Fig-6 schedule; runs start at epoch 95 so the
 #: ``timeline`` crosses its quiet -> regional boundary inside a block.
@@ -399,10 +404,7 @@ def _td_scheme(scenario, tree, engine, policy=None, aggregate="sum",
 
 def _td_run(scenario, tree, engine, *, failure="global:0.3", adapt_interval=10,
             epochs=12, start_epoch=95, membership=None, auditor=None, **scheme):
-    """One simulator run; everything the engines must agree on, by value.
-
-    An ``object`` run must sit inside the ``object_wave`` fixture's context.
-    """
+    """One simulator run; everything the engines must agree on, by value."""
     td = _td_scheme(scenario, tree, engine, **scheme)
     simulator = EpochSimulator(
         scenario.deployment,
@@ -434,9 +436,9 @@ def _td_run(scenario, tree, engine, *, failure="global:0.3", adapt_interval=10,
 @pytest.mark.parametrize("policy", sorted(TD_POLICIES))
 def test_td_fused_matches_object_and_oracle(
     deep_scenario, deep_tree, policy, aggregate, failure, attempts,
-    adapt_interval, object_wave,
+    adapt_interval,
 ):
-    """Fused == object wave == scalar oracle, adaptation included.
+    """Fused == scalar oracle, adaptation included.
 
     Whole epoch records are compared — ``extra["missing_stats"]`` and the
     per-epoch logs with them — plus per-node words/messages/energy and the
@@ -451,13 +453,9 @@ def test_td_fused_matches_object_and_oracle(
     )
     fused, record = _td_run(deep_scenario, deep_tree, "fused", **settings)
     assert fused.engine_path == "fused"
-    for engine in ("object", "oracle"):
-        with object_wave(engine == "object"):
-            other, expected = _td_run(
-                deep_scenario, deep_tree, engine, **settings
-            )
-        assert other.engine_path.startswith("object: ")
-        assert record == expected, engine
+    oracle, expected = _td_run(deep_scenario, deep_tree, "oracle", **settings)
+    assert oracle.engine_path == "object: use_batch=False"
+    assert record == expected
 
 
 #: Initial delta depth (``initial_modes_by_level``) per graph shape.
@@ -484,7 +482,7 @@ DELTA_LEVELS = {
     ),
 )
 def test_td_graph_shapes_and_block_splits(
-    deep_scenario, deep_tree, shape, aggregate, loss, object_wave
+    deep_scenario, deep_tree, shape, aggregate, loss
 ):
     """Every delta shape, under every way of cutting 12 epochs into blocks."""
     epochs = list(range(200, 212))
@@ -509,9 +507,7 @@ def test_td_graph_shapes_and_block_splits(
             for span in spans:
                 block = list(itertools.islice(cursor, span))
                 pairs += scheme.run_epochs(block, channel, readings)
-                assert scheme.engine_path == (
-                    "fused" if engine == "fused" else "object: forced by test"
-                )
+                assert scheme.engine_path == "fused"
         return pairs, channel.per_node_words(), channel.per_node_messages()
 
     oracle = run("oracle", None)
@@ -527,8 +523,6 @@ def test_td_graph_shapes_and_block_splits(
         assert len(delta) == len(deep_scenario.rings.levels)
     else:
         assert {BASE_STATION} < delta < set(deep_scenario.rings.levels)
-    with object_wave():
-        assert run("object", (12,)) == oracle
     for spans in ((12,), (5, 7), (1,) * 12):
         assert run("fused", spans) == oracle, spans
 
@@ -537,10 +531,12 @@ def test_td_graph_shapes_and_block_splits(
 @pytest.mark.parametrize("aggregate", sorted(AGGREGATES))
 @pytest.mark.parametrize("engine", ("fused", "object", "oracle"))
 def test_tag_and_sd_are_the_extreme_td_labelings(
-    deep_scenario, deep_tree, engine, aggregate, loss, object_wave
+    deep_scenario, deep_tree, engine, aggregate, loss
 ):
     """Section 3's special cases: TD over an all-T graph is TAG, over an
-    all-M graph SD — TD on each engine against the baselines' oracle.
+    all-M graph SD — TD on each engine against the baselines' oracle (the
+    ``object`` engine is a blocked run with an inert chaos runtime
+    attached, which takes the oracle).
 
     All-T reproduces TAG's estimates, logs and per-node bills epoch by
     epoch. All-M reproduces SD's estimates and contributing estimates; its
@@ -552,11 +548,10 @@ def test_tag_and_sd_are_the_extreme_td_labelings(
 
     def run(scheme, engine):
         channel = Channel(deployment, GlobalLoss(loss), seed=6)
-        with object_wave(engine == "object"):
-            pairs = scheme.run_epochs(epochs, channel, readings)
-        assert scheme.engine_path.startswith(
-            "fused" if engine == "fused" else "object: "
-        )
+        if engine == "object":
+            channel.chaos = ChaosRuntime()
+        pairs = scheme.run_epochs(epochs, channel, readings)
+        assert scheme.engine_path == ENGINE_PATHS[engine]
         estimates = [
             (outcome.estimate, outcome.contributing, outcome.contributing_estimate)
             for outcome, _ in pairs
@@ -613,11 +608,9 @@ def test_epoch_tiling_is_invisible(
         assert channels[0].per_node_messages() == channels[1].per_node_messages()
 
 
-def test_td_churn_parity_and_strict_auditor(
-    deep_scenario, deep_tree, object_wave
-):
-    """Churn re-derives modes between blocks; the auditor forces the object
-    wave (its chaos runtime hooks every delivery) and says so."""
+def test_td_churn_parity_and_strict_auditor(deep_scenario, deep_tree):
+    """Churn re-derives modes between blocks; the auditor runs the oracle
+    (its chaos runtime hooks every delivery) and says so."""
     def membership():
         return DynamicMembership(
             REJOIN_CHURN, deep_scenario.deployment, deep_scenario.rings,
@@ -629,13 +622,10 @@ def test_td_churn_parity_and_strict_auditor(
         deep_scenario, deep_tree, "fused", membership=membership(), **settings
     )
     assert fused.engine_path == "fused"
-    for engine in ("object", "oracle"):
-        with object_wave(engine == "object"):
-            _, expected = _td_run(
-                deep_scenario, deep_tree, engine, membership=membership(),
-                **settings,
-            )
-        assert record == expected, engine
+    _, expected = _td_run(
+        deep_scenario, deep_tree, "oracle", membership=membership(), **settings
+    )
+    assert record == expected
     auditor = Auditor(strict=True)
     audited, expected = _td_run(
         deep_scenario, deep_tree, "fused", membership=membership(),
@@ -694,7 +684,7 @@ def test_fused_td_asserts_property_1_on_its_layout(deep_scenario, deep_tree):
 def test_fig6_td_blocks_never_enter_the_object_wave(monkeypatch):
     """The Fig-6 configuration is fused end to end for both TD variants."""
     def forbidden(self, *args, **kwargs):
-        raise AssertionError("a fig6 TD block fell back to the object wave")
+        raise AssertionError("a fig6 TD block fell back to the scalar oracle")
 
     monkeypatch.setattr(TributaryDeltaScheme, "_run_wave", forbidden)
     for scheme in ("TD-Coarse", "TD"):
@@ -709,81 +699,80 @@ def test_fig6_td_blocks_never_enter_the_object_wave(monkeypatch):
         assert len(result.epochs) == 30
 
 
-def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
-    """The one refusal names why a layout declined; ``engine_path`` repeats
-    it. Every leaf slot rides some column kind — FM, extremum or object —
-    except a grouped query's."""
+def test_refusal_reasons(deep_scenario, deep_tree):
+    """The fused kernel refuses no query: every leaf slot — FM, extremum or
+    object column, a GROUP BY cube included — rides it. ``engine_path``
+    names the two reasons a block runs the oracle instead, chaos attached
+    and ``use_batch=False``, and a T vertex without a tree parent has no
+    layout at all."""
     deployment, rings = deep_scenario.deployment, deep_scenario.rings
-    clean = Channel(deployment, GlobalLoss(0.0), seed=1)
-    chaotic = Channel(deployment, GlobalLoss(0.0), seed=1)
-    chaotic.chaos = object()
-    workload, _ = QueryWorkload(
-        specs=EXPERIMENT_CONFIGS["multiquery"].queries
-    ).build(UniformReadings(10, 100, seed=0))
+    readings = UniformReadings(10, 100, seed=0)
     grouped, _ = parse_query("SELECT avg GROUP BY region:1").build(
-        UniformReadings(10, 100, seed=0), deployment=deployment
+        readings, deployment=deployment
     )
+    subjects = [
+        (aggregate, readings)
+        for aggregate in (
+            SumAggregate(),
+            AverageAggregate(),
+            MinAggregate(),
+            MaxAggregate(),
+            build_aggregate("heavy_hitters:0.05"),
+            grouped,
+        )
+    ]
+    multiquery = QueryWorkload(specs=EXPERIMENT_CONFIGS["multiquery"].queries)
+    subjects.append(multiquery.build(readings))
+    # A workload with a grouped slot (the service admits one at a boundary).
+    mixed = WorkloadAggregate([("mean", AverageAggregate()), ("by-region", grouped)])
+    subjects.append((mixed, WorkloadReadings([readings, readings])))
 
-    def schemes(aggregate):
+    def schemes(aggregate, use_batch=True):
         graph = TDGraph(rings, deep_tree, initial_modes_by_level(rings, 1))
-        return (
-            TagScheme(deployment, deep_tree, aggregate),
-            SynopsisDiffusionScheme(deployment, rings, aggregate),
-            TributaryDeltaScheme(deployment, graph, aggregate),
+        return tuple(
+            scheme(deployment, topology, aggregate, use_batch=use_batch)
+            for scheme, topology in (
+                (TagScheme, deep_tree),
+                (SynopsisDiffusionScheme, rings),
+                (TributaryDeltaScheme, graph),
+            )
         )
 
-    def refused(scheme, channel):
-        return td_kernel.refusal(
-            scheme._wave_layout(), scheme.aggregate, channel
-        )
+    def run(scheme, readings=readings, chaos=None):
+        channel = Channel(deployment, GlobalLoss(0.3), seed=1)
+        channel.chaos = chaos
+        pairs = scheme.run_epochs([0, 1], channel, readings)
+        return pairs, channel.per_node_words(), channel.per_node_messages()
 
     for scheme in schemes(SumAggregate()):
-        assert refused(scheme, clean) is None
-        assert refused(scheme, chaotic) == "chaos attached"
-    # The multiquery portfolio's heavy-hitters slot is an object column.
-    for scheme in schemes(workload):
-        assert refused(scheme, clean) is None
-    # A workload is asked slot by slot; the first slot that refuses is named.
-    mixed = WorkloadAggregate(
-        [("mean", AverageAggregate()), ("by-region", grouped)]
-    )
-    for scheme in schemes(mixed):
-        assert refused(scheme, clean) == (
-            "workload slot 'by-region' (average GROUP BY region:1): grouped query"
-        )
-    for scheme in schemes(grouped):
-        assert refused(scheme, clean) == "grouped query"
-    # Average is two FM leaf slots, each additive and packable.
-    for scheme in schemes(AverageAggregate()):
-        assert refused(scheme, clean) is None
-    # Min and Max are one extremum column on either side; any other leaf
-    # is one object column.
-    for leaf in (MinAggregate(), MaxAggregate(), build_aggregate("heavy_hitters:0.05")):
-        for scheme in schemes(leaf):
-            assert refused(scheme, clean) is None
+        assert scheme.engine_path is None  # no block has run yet
+    for aggregate, source in subjects:
+        for scheme in schemes(aggregate):
+            run(scheme, source)
+            assert scheme.engine_path == "fused", aggregate.name
+    for fused, chaotic, oracle in zip(
+        schemes(SumAggregate()),
+        schemes(SumAggregate()),
+        schemes(SumAggregate(), use_batch=False),
+    ):
+        expected = run(fused)
+        assert run(chaotic, chaos=ChaosRuntime()) == expected
+        assert chaotic.engine_path == "object: chaos attached"
+        assert run(oracle) == expected
+        assert oracle.engine_path == "object: use_batch=False"
+    with pytest.raises(AttributeError):
+        oracle.engine_path = "fused"
 
     tag, _, td = schemes(SumAggregate())
     orphan = next(n for n in td._tree_parents if td.graph.is_tree(n))
     del td._tree_parents[orphan]
-    assert refused(td, clean) == "orphaned T vertex"
-    tag._layout = WaveLayout.build(tag._layout.level_nodes, (), {}, {})
-    assert refused(tag, clean) == "orphaned T vertex"
-
-    readings = UniformReadings(10, 100, seed=0)
-    for scheme in schemes(SumAggregate()):
-        assert scheme.engine_path is None  # no block has run yet
-    for forced, path in ((False, "fused"), (True, "object: forced by test")):
-        scheme = SynopsisDiffusionScheme(deployment, rings, SumAggregate())
-        with object_wave(forced):
-            scheme.run_epochs([0], clean, readings)
-        assert scheme.engine_path == path
-    scalar = SynopsisDiffusionScheme(
-        deployment, rings, SumAggregate(), use_batch=False
-    )
-    scalar.run_epochs([0], clean, readings)
-    assert scalar.engine_path == "object: use_batch=False"
-    with pytest.raises(AttributeError):
-        scalar.engine_path = "fused"
+    for build in (
+        td._wave_layout,
+        lambda: WaveLayout.build(tag._layout.level_nodes, (), {}, {}),
+    ):
+        with pytest.raises(PropertyViolation) as raised:
+            build()
+        assert raised.value.invariant == "path-correctness"
 
 
 # -- the paper's claims, through the fused path ------------------------------
@@ -793,7 +782,7 @@ def test_refusal_reasons(deep_scenario, deep_tree, object_wave):
 def fused_only(monkeypatch):
     """Fail the test if any TD block leaves the fused kernel."""
     def forbidden(self, *args, **kwargs):
-        raise AssertionError("a TD block fell back to the object wave")
+        raise AssertionError("a TD block fell back to the scalar oracle")
 
     monkeypatch.setattr(TributaryDeltaScheme, "_run_wave", forbidden)
 

@@ -2,11 +2,11 @@
 
 Heavy hitters, both quantile routes, the uniform sample and exact distinct
 keep their own partials and synopses in the kernel's object columns, fused
-in the object wave's inbox order. Three checks:
+in the oracle's inbox order. Three checks:
 
-* fused ≡ the forced object wave ≡ the ``use_batch=False`` oracle, record
-  by record (``repr``) and node by node (words, messages), under TAG, SD
-  and TD at loss 0.3, over uneven block splits;
+* fused ≡ the ``use_batch=False`` oracle, record by record (``repr``) and
+  node by node (words, messages), under TAG, SD and TD at loss 0.3, over
+  uneven block splits;
 * Algorithm 2 fused a whole level at once
   (:meth:`~repro.frequent.mp_fi.MultipathFrequentItems.fuse_level`) equals
   the per-inbox fold on drawn inboxes, words included;
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.wave as wave
 from repro.aggregates.average import AverageAggregate
 from repro.aggregates.frequent import HeavyHittersAggregate
 from repro.api import EXPERIMENT_CONFIGS, QueryWorkload, build_scenario
@@ -95,7 +94,7 @@ def _fingerprint(pairs):
     """Every epoch's outcome and log as one ``repr``.
 
     Missing statistics are listed sorted: the fused kernel keeps them in
-    reporter order, the waves in arrival order (the same dict either way).
+    reporter order, the oracle in arrival order (the same dict either way).
     """
     rows = []
     for outcome, log in pairs:
@@ -123,15 +122,10 @@ def _run(shape, case, engine, split=(12,)):
         pairs = run_epochs_scalar(scheme, EPOCHS, channel, readings)
     else:
         pairs, cursor = [], iter(EPOCHS)
-        with pytest.MonkeyPatch.context() as patch:
-            if engine == "object":
-                patch.setattr(
-                    wave, "refusal", lambda layout, aggregate, channel: "forced by test"
-                )
-            for span in split:
-                pairs += scheme.run_epochs(
-                    list(itertools.islice(cursor, span)), channel, readings
-                )
+        for span in split:
+            pairs += scheme.run_epochs(
+                list(itertools.islice(cursor, span)), channel, readings
+            )
     bills = (channel.per_node_words(), channel.per_node_messages())
     return _fingerprint(pairs), bills, scheme.engine_path
 
@@ -139,10 +133,8 @@ def _run(shape, case, engine, split=(12,)):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("case", CASES)
 def test_fused_equals_object_and_oracle(case, shape):
+    """Fused ≡ the ``use_batch=False`` oracle, the one object engine."""
     oracle = _run(shape, case, "oracle")
-    forced = _run(shape, case, "object")
-    assert forced[2] == "object: forced by test"
-    assert forced[:2] == oracle[:2]
     for split in SPLITS:
         fused = _run(shape, case, "fused", split)
         assert fused[2] == "fused"

@@ -139,11 +139,14 @@ class TestResultRoundTrips:
     def test_extra_projected_to_json_safe(self):
         run = self.make_run()
         run.epochs[0].extra["unserialisable"] = object()
+        run.epochs[0].extra["per_node"] = {4: 1.5}
         restored = roundtrip(run)
         assert "unserialisable" not in restored.epochs[0].extra
         assert restored.epochs[0].extra["delta_size"] == 12.0
-        # Dict keys come back as strings (JSON's restriction), values intact.
-        assert restored.epochs[0].extra["missing_stats"] == {"4": 2, "9": 0}
+        # Dict keys come back as strings (JSON's restriction), values intact;
+        # the missing statistics are keyed by node id again, as recorded.
+        assert restored.epochs[0].extra["per_node"] == {"4": 1.5}
+        assert restored.epochs[0].extra["missing_stats"] == {4: 2, 9: 0}
 
     def test_file_round_trip(self, tmp_path):
         run = self.make_run()

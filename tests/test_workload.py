@@ -20,9 +20,6 @@ The load-bearing suites:
 * :class:`TestBlockedEquivalence` — the epoch-blocked engine and the
   per-epoch loop agree per query on a multi-query workload (one
   ``DeliveryPlan`` serves all queries).
-* :class:`TestStagedObjectWave` — the object wave's three stages (every
-  tributary, one frontier conversion per block, the delta) equal the
-  scalar oracle byte for byte, with and without faults.
 * :class:`TestWindowChurn` — the regression suite for windowed streams
   under churn: a node that dies mid-window stops contributing, and a
   rejoining node's window restarts instead of spanning readings it never
@@ -36,7 +33,6 @@ import pytest
 import goldens
 from goldens import assert_golden
 
-import repro.core.wave as wave
 from repro.api import (
     CONFIG_SCHEMA_VERSION,
     QuerySpec,
@@ -44,7 +40,6 @@ from repro.api import (
     RunConfig,
     RunReport,
     Session,
-    build_scenario,
     config_digest,
     describe_experiment,
     run_config_result,
@@ -53,9 +48,6 @@ from repro.api import (
 from repro import serialization
 from repro.aggregates.workload import WorkloadAggregate
 from repro.chaos.checkpoint import Checkpointer
-from repro.core.adaptation import TDFinePolicy
-from repro.core.graph import TDGraph, initial_modes_by_level
-from repro.core.td_scheme import TributaryDeltaScheme
 from repro.errors import ConfigurationError, SimulationKilled
 from repro.multipath.fm import _EXACT_INSERT_LIMIT, FMSketch
 from repro.query import WindowedReadings, parse_queries, parse_query
@@ -360,60 +352,16 @@ class TestBlockedEquivalence:
             ), name
 
 
-    @pytest.mark.parametrize("adapt_interval", [1, 10])
-    def test_td_batched_conversions_under_faults(
-        self, monkeypatch, adapt_interval
-    ):
-        """Engine == oracle on the batched frontier with chaos attached.
-
-        ``duplicate`` replays tree payloads into an M parent's inbox, so a
-        level's ``convert_block`` must convert the replay too and the node
-        must consume both, in inbox order; ``corrupt`` rewrites delivered
-        count sketches. 1-epoch and 10-epoch blocks.
-        """
-        config = workload_config(
-            "TD",
-            epochs=20,
-            adapt_interval=adapt_interval,
-            faults=["duplicate:0.3:3", "corrupt:0.2:3"],
-        )
-        sender_columns = []
-        convert_block = WorkloadAggregate.convert_block
-
-        def spy(self, partials, senders, epochs):
-            sender_columns.append(list(senders))
-            return convert_block(self, partials, senders, epochs)
-
-        monkeypatch.setattr(WorkloadAggregate, "convert_block", spy)
-        batch_result = run_config_result(config)
-        batch_calls = len(sender_columns)
-        oracle_result = run_config_result(config.replace(use_batch=False))
-        # The oracle never batches; the engine did, and saw a replay (one T
-        # sender twice in one level's column).
-        assert len(sender_columns) == batch_calls > 0
-        assert any(
-            len(set(column)) < len(column) for column in sender_columns
-        )
-        assert goldens.fingerprint(batch_result) == goldens.fingerprint(
-            oracle_result
-        )
-        batch = RunReport(config, batch_result)
-        oracle = RunReport(config, oracle_result)
-        for name in batch.query_names():
-            assert (
-                batch.query(name).estimates == oracle.query(name).estimates
-            ), name
-
-
     @pytest.mark.parametrize("scheme", ["SD", "TD"])
     def test_nary_fusion_under_faults(self, monkeypatch, scheme):
-        """Engine == oracle with every inbox fused in one call.
+        """A run with chaos attached == the oracle, every inbox fused in
+        one call.
 
-        Under ``duplicate`` an inbox holds replays (the n-ary fusion sees
-        the same synopsis twice, in inbox order), under ``corrupt`` its
-        count sketches differ per receiver. Both tiers hand each node's
-        whole inbox to ``synopsis_fuse_many``; neither scheme is left with
-        a pairwise ``synopsis_fuse`` fold.
+        Chaos sends a blocked run to the oracle. Under ``duplicate`` an
+        inbox holds replays (the n-ary fusion sees the same synopsis twice,
+        in inbox order), under ``corrupt`` its count sketches differ per
+        receiver. Each node's whole inbox goes to ``synopsis_fuse_many``;
+        neither scheme is left with a pairwise ``synopsis_fuse`` fold.
         """
         config = workload_config(
             scheme, epochs=12, faults=["duplicate:0.3:3", "corrupt:0.2:3"]
@@ -444,7 +392,7 @@ class TestBlockedEquivalence:
             ), name
 
     def test_td_engine_never_hashes_one_cell_at_a_time(self, monkeypatch):
-        """No wrapper drops the object wave back to per-cell sketch building.
+        """No wrapper drops the fused kernel back to per-cell sketch building.
 
         Every local synopsis and every frontier conversion of a TD workload
         block goes through the vectorized FM builders, so the only scalar
@@ -474,102 +422,6 @@ class TestBlockedEquivalence:
         del counts[:]
         run_config_result(config.replace(use_batch=False))
         assert any(count <= _EXACT_INSERT_LIMIT for count in counts)
-
-
-class TestStagedObjectWave:
-    """The object wave runs a block in the fused kernel's order — every
-    tributary, ONE frontier conversion, then the delta epoch by epoch — and
-    still equals the scalar oracle byte for byte."""
-
-    QUERIES = PORTFOLIO[:3] + (
-        {"name": "heavy", "aggregate": "heavy_hitters:0.05"},
-    )
-
-    @staticmethod
-    def _run(config, monkeypatch):
-        """Records, per-node bills, engine paths, and per conversion method
-        the index of the measured block each call ran in."""
-        workload = QueryWorkload.from_config(config)
-        scenario = build_scenario(config)
-        aggregate, readings = workload.build(scenario.source)
-        rings = scenario.topology.rings
-        # Rings 0-1 start M, so even a loss-free run (whose adaptation only
-        # shrinks the delta) has tributaries to convert in every block.
-        scheme = TributaryDeltaScheme(
-            scenario.topology.deployment,
-            TDGraph(rings, scenario.tree, initial_modes_by_level(rings, 1)),
-            aggregate,
-            policy=TDFinePolicy(threshold=0.9),
-            use_batch=config.use_batch,
-        )
-        blocks = []
-        converts = {"convert": [], "convert_block": []}
-        run_epochs = TributaryDeltaScheme.run_epochs
-
-        def run_spy(self, epochs, channel, readings):
-            pairs = run_epochs(self, epochs, channel, readings)
-            blocks.append(self.engine_path)
-            return pairs
-
-        def conversion_spy(name):
-            method = getattr(WorkloadAggregate, name)
-
-            def spy(self, *args):
-                converts[name].append(len(blocks))
-                return method(self, *args)
-
-            return spy
-
-        with monkeypatch.context() as patch:
-            patch.setattr(TributaryDeltaScheme, "run_epochs", run_spy)
-            for name in converts:
-                patch.setattr(WorkloadAggregate, name, conversion_spy(name))
-            # The portfolio would run fused: decline every block.
-            patch.setattr(
-                wave, "refusal", lambda layout, aggregate, channel: "forced by test"
-            )
-            simulator = scenario.build_simulator(scheme)
-            result = simulator.run(config.epochs, readings)
-        records = repr(
-            [
-                (e.epoch, e.estimate, e.true_value, e.contributing,
-                 e.contributing_estimate, e.log, sorted(e.extra.items()))
-                for e in result.epochs
-            ]
-        )
-        channel = simulator.channel
-        bills = (channel.per_node_words(), channel.per_node_messages())
-        return records, bills, blocks, converts
-
-    @pytest.mark.parametrize("loss", [0.0, 0.3])
-    @pytest.mark.parametrize(
-        "faults",
-        [(), ("duplicate:0.3:3",), ("corrupt:0.2:3",),
-         ("duplicate:0.3:3", "corrupt:0.2:3")],
-    )
-    def test_object_wave_equals_oracle(self, monkeypatch, loss, faults):
-        config = workload_config(
-            "TD",
-            queries=self.QUERIES,
-            failure=f"global:{loss}",
-            epochs=12,
-            adapt_interval=5,
-            faults=list(faults),
-        )
-        records, bills, blocks, converts = self._run(config, monkeypatch)
-        oracle = self._run(config.replace(use_batch=False), monkeypatch)
-        assert records == oracle[0]
-        assert bills == oracle[1]
-        assert "'missing_stats'" in records
-        # Blocks of 5, 5 and 2 epochs, all on the object wave. Every block
-        # in which the oracle converted any tree payload converts them all
-        # in ONE convert_block call; the oracle never batches.
-        assert len(blocks) == 3
-        assert all(path.startswith("object: ") for path in blocks)
-        assert converts["convert"] == []
-        assert oracle[3]["convert_block"] == []
-        assert converts["convert_block"] == sorted(set(oracle[3]["convert"]))
-        assert converts["convert_block"]
 
 
 class TestMultiTargetQuery:
