@@ -79,6 +79,13 @@ def hash_unit(*tokens: object) -> float:
     return hash_key(*tokens) / float(1 << 64)
 
 
+def hash_unit_from(state: int, *tokens: object) -> float:
+    """:func:`hash_unit` continuing a precomputed prefix state:
+    ``hash_unit(a, b, c) == hash_unit_from(hash_key(a, b), c)``, so a draw
+    whose key starts with a fixed label and seed hashes that prefix once."""
+    return hash_key_from(state, *tokens) / float(1 << 64)
+
+
 def geometric_level(*tokens: object) -> int:
     """Hash a key to a geometric level: level i with probability 2^-(i+1).
 

@@ -5,15 +5,16 @@ side: a single :class:`~repro.multipath.fm.FMSketch` fused by OR and read
 with the PCSA estimator. Conversion (Section 5): a partial ``c`` becomes a
 sketch of ``c`` distinct virtual items keyed by the sending T vertex, so the
 multi-path scheme "equates the synopsis with the value c". Subclasses supply
-the local ops, the truth and their conversion key label.
+the local ops, the truth, their key labels and their
+:class:`~repro.aggregates.base.FMColumn`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.aggregates.base import Aggregate
-from repro.multipath.fm import FMSketch, counted_matrix, words_batch
+from repro.multipath.fm import FMSketch, words_batch
 
 
 class AdditiveFMAggregate(Aggregate[int, FMSketch]):
@@ -72,24 +73,6 @@ class AdditiveFMAggregate(Aggregate[int, FMSketch]):
         sketch = self._empty_sketch()
         sketch.insert_count(partial, self._conv_label, sender, epoch)
         return sketch
-
-    # -- fused-kernel capabilities -----------------------------------------------
-
-    def tree_partials_additive(self) -> bool:
-        return True
-
-    def synopsis_packable(self) -> Optional[int]:
-        return self._num_bitmaps
-
-    def convert_block_packed(
-        self,
-        partials: Sequence[int],
-        senders: Sequence[int],
-        epochs: Sequence[int],
-    ):
-        return counted_matrix(
-            self._num_bitmaps, (self._conv_label,), partials, senders, epochs
-        )
 
     # -- mixed evaluation --------------------------------------------------------
 

@@ -19,21 +19,65 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
+    Callable,
     Generic,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 import numpy as np
 
-from repro.multipath.fm import block_rows, sketches_from_rows
-
 P = TypeVar("P")
 S = TypeVar("S")
+
+#: A WHERE clause's accepted cells of a float64 ``(epochs, nodes)`` readings
+#: block, read by sensor ``nodes[i]`` in column ``i``: a bool array of the
+#: block's shape.
+Mask = Callable[[Sequence[int], np.ndarray], np.ndarray]
+
+
+class FMColumn(NamedTuple):
+    """An FM leaf's column: int64 partials added up the tree, one packed
+    row section of ``bitmaps`` words OR-ed through the delta.
+
+    A cell's reading inserts ``weight(reading)`` distinct virtual items
+    under ``(label, node, epoch)`` (``FMSketch.insert_count``), and its
+    tree partial is that item count; ``weight=None`` is one plain item
+    ``(label, node, epoch)`` per cell (``FMSketch.insert``, a Count). A
+    partial ``c`` converts to ``c`` virtual items under ``(conv_label,
+    sender, epoch)``. ``weight`` maps a float64 readings array to int64
+    and raises the leaf's own scalar error on a reading the scalar form
+    refuses. Cells ``mask`` rejects (a WHERE clause) hold no item and are
+    never hashed.
+    """
+
+    bitmaps: int
+    label: str
+    conv_label: str
+    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    mask: Optional[Mask] = None
+
+
+class ExtremumColumn(NamedTuple):
+    """A Min/Max leaf's column: one float64 value per cell, its tree partial
+    and its synopsis alike, reduced by ``ufunc`` (``np.minimum`` or
+    ``np.maximum``) wherever FM columns add or OR. ``neutral`` is the
+    infinity the ufunc never picks: the leaf's empty partial, and the value
+    of every cell ``mask`` rejects."""
+
+    ufunc: np.ufunc
+    neutral: float
+    mask: Optional[Mask] = None
+
+
+#: What :meth:`Aggregate.column` declares; ``None`` is an object column.
+Column = Union[FMColumn, ExtremumColumn]
 
 
 class Aggregate(ABC, Generic[P, S]):
@@ -71,7 +115,7 @@ class Aggregate(ABC, Generic[P, S]):
         MUST equal ``tree_local(nodes[i], epochs[j], readings[j, i])``
         exactly — the engine and the scalar oracle are interchangeable only
         while that holds. The fused kernel builds an object leaf's locals
-        through it (FM and extremum leaves use :meth:`tree_local_matrix`);
+        through it (FM and extremum leaves through their :meth:`column`);
         the default is the loop over the scalar form.
         """
         return [
@@ -81,28 +125,6 @@ class Aggregate(ABC, Generic[P, S]):
             ]
             for epoch, row in zip(epochs, readings.tolist())
         ]
-
-    def tree_local_matrix(
-        self,
-        nodes: Sequence[int],
-        epochs: Sequence[int],
-        readings: np.ndarray,
-    ) -> np.ndarray:
-        """Tree partials of a block as one ``(epochs, nodes)`` matrix.
-
-        ``readings`` is the float64 ``(epochs, nodes)`` matrix of
-        :func:`~repro.network.simulator.gather_reading_block`; cell
-        ``[j, i]`` must equal ``tree_local(nodes[i], epochs[j],
-        readings[j, i])``, and invalid readings must raise what
-        :meth:`tree_local` raises. Only called when
-        :meth:`tree_partials_additive` returned ``True`` (an int64 matrix)
-        or :meth:`extremum_ufunc` returned a ufunc (a float64 one) — this is
-        how the fused kernels get their partial matrix without a Python
-        object per cell.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no array-native tree partials"
-        )
 
     # -- multi-path algorithm ------------------------------------------------
 
@@ -116,14 +138,9 @@ class Aggregate(ABC, Generic[P, S]):
         """SG for a whole (level x epoch block) grid.
 
         Same contract as :meth:`tree_local_block`: cell ``[j][i]`` must
-        equal ``synopsis_local(nodes[i], epochs[j], readings[j, i])``.
-        Derived the same way: an aggregate with :meth:`synopsis_packable`
-        gets the sketches of its :meth:`synopsis_local_block_packed` rows,
-        any other the loop over the scalar form.
+        equal ``synopsis_local(nodes[i], epochs[j], readings[j, i])``; the
+        default is the loop over the scalar form.
         """
-        if self.synopsis_packable() is not None:
-            rows = self.synopsis_local_block_packed(nodes, epochs, readings)
-            return block_rows(sketches_from_rows(rows), len(nodes), len(epochs))
         return [
             [
                 self.synopsis_local(node, epoch, reading)
@@ -202,8 +219,8 @@ class Aggregate(ABC, Generic[P, S]):
         Cell ``i`` must equal ``convert(partials[i], senders[i],
         epochs[i])`` exactly, errors included. The fused kernel converts an
         object leaf's T -> M deliveries of a block through one call (FM
-        leaves convert through :meth:`convert_block_packed`); the default
-        is the scalar loop.
+        leaves convert through their :meth:`column`); the default is the
+        scalar loop.
         """
         return [
             self.convert(partial, sender, epoch)
@@ -347,85 +364,28 @@ class Aggregate(ABC, Generic[P, S]):
         """
         return False
 
-    def tree_partials_additive(self) -> bool:
-        """Whether tree partials are plain integers merged by addition.
-
-        Contract for returning ``True``: every :meth:`tree_local` result is
-        an ``int``, :meth:`tree_merge` is integer ``+``,
-        :meth:`tree_words` is constant across partials, and
-        :meth:`tree_local_matrix` is implemented. The fused kernels
-        (:mod:`repro.kernels`) rely on all three to run a whole epoch block
-        of tree waves as int64 column adds; aggregates that cannot promise
-        this keep the default ``False`` and ride the kernels as an object
-        column (their own partials, merged cell by cell).
-        """
-        return False
-
-    def synopsis_packable(self) -> Optional[int]:
-        """The bitmap count of packable synopses, or None.
-
-        Contract for returning a count: synopses are plain
-        :class:`~repro.multipath.fm.FMSketch` objects with exactly that many
-        bitmaps, :meth:`synopsis_fuse` is bitwise OR, and
-        :meth:`synopsis_words` is the standard packed-RLE sizing — so one
-        uint32 matrix row (little-endian bitmap words) is a faithful
-        synopsis and the fused kernels may OR and size rows directly.
-        ``None`` (the default) makes the leaf an object column, fused
-        through :meth:`synopsis_fuse_level`.
-        """
-        return None
-
-    def extremum_ufunc(self) -> Optional[np.ufunc]:
-        """The ufunc merging this aggregate's partials, or None.
-
-        Contract for returning one (``np.maximum`` or ``np.minimum``): the
-        tree partial and the synopsis are the same float, merged and fused
-        by that ufunc (so duplicate-insensitive); :meth:`convert` is the
-        identity; :meth:`tree_empty` is the infinity the ufunc never picks;
-        tree and synopsis words are constant; and :meth:`tree_local_matrix`
-        is the float64 form of :meth:`tree_local` and
-        :meth:`synopsis_local` alike. Local values must fold alike in any
-        order — no NaN, no ``-0.0`` — since the fused kernels reduce a
-        level's deliveries in scatter order. Each such leaf rides the
-        kernels as one float64 *extremum column*. ``None`` (the default)
-        leaves the leaf to :meth:`tree_partials_additive` and
-        :meth:`synopsis_packable`.
-        """
-        return None
-
-    def synopsis_local_block_packed(
-        self, nodes: Sequence[int], epochs: Sequence[int], readings
-    ):
-        """SG for a block as one packed uint32 matrix, epoch-major flat.
-
-        Row ``j * len(nodes) + i`` must be the packed row
-        (:func:`repro.multipath.fm.sketch_to_row`) of
-        ``synopsis_local_block(...)[j][i]``. Only called when
-        :meth:`synopsis_packable` returned a count.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not pack synopses"
-        )
-
-    def convert_block_packed(
-        self,
-        partials: Sequence[P],
-        senders: Sequence[int],
-        epochs: Sequence[int],
-    ):
-        """Batched :meth:`convert` over parallel columns, as packed rows.
-
-        Row ``i`` must be the packed row
-        (:func:`repro.multipath.fm.sketch_to_row`) of ``convert(partials[i],
-        senders[i], epochs[i])``. Only called when :meth:`synopsis_packable`
-        returned a count: the TD block kernel funnels every boundary
-        (T -> M) delivery of a block through one call.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not pack synopses"
-        )
-
     # -- fused-kernel slots ------------------------------------------------------
+
+    def column(self) -> Optional[Column]:
+        """How the fused kernel carries this leaf: an :class:`FMColumn`, an
+        :class:`ExtremumColumn`, or ``None`` (the default) for an object
+        column of this leaf's own partials and synopses.
+
+        Declaring an FM column promises: :meth:`tree_local` is the
+        column's item count of the reading, :meth:`tree_merge` is integer
+        ``+`` and :meth:`tree_words` constant; :meth:`synopsis_local` and
+        :meth:`convert` insert those items into a plain
+        :class:`~repro.multipath.fm.FMSketch` of ``bitmaps`` bitmaps, fused
+        by OR and sized by its packed RLE words. Declaring an extremum
+        column promises: the partial and the synopsis are one float, merged
+        and fused by ``ufunc``; :meth:`tree_local` is ``reading + 0.0`` (no
+        ``-0.0``) and refuses a NaN reading, so values fold alike in any
+        order; :meth:`convert` is the identity; :meth:`tree_empty` is
+        ``neutral``; and tree and synopsis words are constant. The kernel
+        builds every such column's array forms itself
+        (:mod:`repro.kernels.td`), bit for bit the scalar forms.
+        """
+        return None
 
     def leaf_slots(self) -> List[Tuple["Aggregate", Optional[int]]]:
         """The ``(leaf, reading slot)`` pairs the fused kernel runs this as.
@@ -433,11 +393,8 @@ class Aggregate(ABC, Generic[P, S]):
         A leaf's partials and synopses are single values; a wrapper's are
         tuples of its leaves' (:meth:`from_leaves` rebuilds one). The
         reading slot is the index of the workload reading a leaf reads, or
-        None for the bare reading. The kernel gives each leaf one int64
-        partial column and one packed row section (additive partials and
-        packable synopses), one float64 extremum column on both sides
-        (:meth:`extremum_ufunc`), or else one object column of its own
-        partials and synopses. A plain aggregate is its own one leaf.
+        None for the bare reading. The kernel carries each leaf as its
+        :meth:`column` declares. A plain aggregate is its own one leaf.
         """
         return [(self, None)]
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.aggregates.additive import AdditiveFMAggregate
-from repro.multipath.fm import FMSketch, single_item_matrix_block
+from repro.aggregates.base import FMColumn
+from repro.multipath.fm import FMSketch
 
 
 class CountAggregate(AdditiveFMAggregate):
@@ -31,11 +30,6 @@ class CountAggregate(AdditiveFMAggregate):
     def tree_local(self, node: int, epoch: int, reading: float) -> int:
         return 1
 
-    def tree_local_matrix(
-        self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
-    ) -> np.ndarray:
-        return np.ones((len(epochs), len(nodes)), dtype=np.int64)
-
     # -- multi-path ----------------------------------------------------------
 
     def synopsis_local(self, node: int, epoch: int, reading: float) -> FMSketch:
@@ -43,12 +37,9 @@ class CountAggregate(AdditiveFMAggregate):
         sketch.insert(self._label, node, epoch)
         return sketch
 
-    def synopsis_local_block_packed(
-        self, nodes: Sequence[int], epochs: Sequence[int], readings
-    ):
-        return single_item_matrix_block(
-            self._num_bitmaps, (self._label,), nodes, epochs
-        )
+    def column(self) -> FMColumn:
+        """A sensor inserts one unkeyed item, whatever it reads."""
+        return FMColumn(self._num_bitmaps, self._label, self._conv_label)
 
     # -- truth ---------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import Aggregate, Column
 from repro.errors import ConfigurationError
 
 
@@ -73,15 +73,6 @@ class FilteredAggregate(Aggregate):
             ).reshape(readings.shape)
         return mask.astype(bool, copy=False)
 
-    def _accepted(self, nodes, readings: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The clause's mask over a readings array, and the readings to hand
-        the inner aggregate: rejected cells read the first accepted reading,
-        so the inner never sees a value the scalar form would not hand it."""
-        mask = self._mask(nodes, readings)
-        if not mask.any():
-            return mask, readings
-        return mask, np.where(mask, readings, readings[mask][0])
-
     # -- tree ------------------------------------------------------------
 
     def tree_local(self, node: int, epoch: int, reading):
@@ -91,12 +82,15 @@ class FilteredAggregate(Aggregate):
 
     def _masked_block(self, side, nodes, epochs, readings):
         """The inner ``<side>_local_block`` where the clause accepts, a
-        fresh ``<side>_empty()`` elsewhere: one inner block over
-        :meth:`_accepted`'s readings, its rejected cells replaced."""
+        fresh ``<side>_empty()`` elsewhere: an object leaf's locals. The
+        inner reads one block in which each rejected cell holds the first
+        accepted reading, so it never sees a value the scalar form would
+        not hand it."""
         empty = getattr(self._inner, side + "_empty")
-        mask, accepted = self._accepted(nodes, readings)
+        mask = self._mask(nodes, readings)
         if not mask.any():
             return [[empty() for _ in nodes] for _ in epochs]
+        accepted = np.where(mask, readings, readings[mask][0])
         block = getattr(self._inner, side + "_local_block")(nodes, epochs, accepted)
         return [
             [cell if keep else empty() for cell, keep in zip(row, keeps)]
@@ -160,7 +154,7 @@ class FilteredAggregate(Aggregate):
     def mixed_eval(self, partials, fused) -> float:
         return self._inner.mixed_eval(partials, fused)
 
-    # -- fused-kernel forms: the inner's, through one predicate mask -----------
+    # -- fused-kernel slots: the inner's, through one predicate mask -----------
 
     def leaf_slots(self) -> List[Tuple[Aggregate, Optional[int]]]:
         """The inner's leaves, each under this WHERE clause (a filtered
@@ -179,42 +173,20 @@ class FilteredAggregate(Aggregate):
     def from_leaves(self, values: Iterator):
         return self._inner.from_leaves(values)
 
-    def tree_partials_additive(self) -> bool:
-        return self._inner.tree_partials_additive()
+    def column(self) -> Optional[Column]:
+        """The inner's column under this clause's mask (an object inner
+        stays an object column, built through :meth:`_masked_block`)."""
+        column = self._inner.column()
+        if column is None:
+            return None
+        outer, inner = self._mask, column.mask
+        if inner is None:
+            return column._replace(mask=outer)
 
-    def synopsis_packable(self) -> Optional[int]:
-        return self._inner.synopsis_packable()
+        def both(nodes, readings):
+            return outer(nodes, readings) & inner(nodes, readings)
 
-    def extremum_ufunc(self) -> Optional[np.ufunc]:
-        return self._inner.extremum_ufunc()
-
-    def tree_local_matrix(self, nodes, epochs, readings: np.ndarray) -> np.ndarray:
-        mask, accepted = self._accepted(nodes, readings)
-        if not mask.any():
-            # int64 zeros for an additive inner, +/-inf for an extremum.
-            return np.full(readings.shape, self._inner.tree_empty())
-        return np.where(
-            mask,
-            self._inner.tree_local_matrix(nodes, epochs, accepted),
-            self._inner.tree_empty(),
-        )
-
-    def synopsis_local_block_packed(self, nodes, epochs, readings):
-        """The inner's packed rows where the clause accepts, the empty
-        synopsis's (all zero words) elsewhere."""
-        mask, accepted = self._accepted(nodes, readings)
-        if not mask.any():
-            return np.zeros(
-                (readings.size, self._inner.synopsis_packable()), dtype="<u4"
-            )
-        rows = np.array(
-            self._inner.synopsis_local_block_packed(nodes, epochs, accepted)
-        )
-        rows[~mask.reshape(-1)] = 0
-        return rows
-
-    def convert_block_packed(self, partials, senders, epochs):
-        return self._inner.convert_block_packed(partials, senders, epochs)
+        return column._replace(mask=both)
 
     # -- truth ---------------------------------------------------------------------
 

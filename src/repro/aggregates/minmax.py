@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.base import Aggregate, ExtremumColumn
 from repro.errors import ConfigurationError
 
 
@@ -38,13 +38,6 @@ class _ExtremeAggregate(Aggregate[float, float]):
             )
         # -0.0 + 0.0 is 0.0: the two zeros fold alike in either order.
         return value + 0.0
-
-    def tree_local_matrix(self, nodes, epochs, readings: np.ndarray) -> np.ndarray:
-        nan = np.isnan(readings)
-        if nan.any():
-            epoch, node = np.argwhere(nan)[0].tolist()
-            self.tree_local(nodes[node], epochs[epoch], float("nan"))
-        return readings + 0.0
 
     def tree_merge(self, a: float, b: float) -> float:
         return self._pick(a, b)
@@ -92,8 +85,8 @@ class _ExtremeAggregate(Aggregate[float, float]):
     def supports_group_by(self) -> bool:
         return True
 
-    def extremum_ufunc(self) -> np.ufunc:
-        return self._ufunc
+    def column(self) -> ExtremumColumn:
+        return ExtremumColumn(self._ufunc, self._neutral)
 
 
 class MinAggregate(_ExtremeAggregate):

@@ -149,9 +149,3 @@ def moment_from_sample(sample: UniformSample, order: int) -> float:
         raise ConfigurationError("cannot take a moment of an empty sample")
     return sum(value**order for value in values) / len(values)
 
-
-def variance_from_sample(sample: UniformSample) -> float:
-    """Estimate the population variance from a uniform sample."""
-    mean = moment_from_sample(sample, 1)
-    second = moment_from_sample(sample, 2)
-    return max(0.0, second - mean * mean)

@@ -15,8 +15,9 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.aggregates.additive import AdditiveFMAggregate
+from repro.aggregates.base import FMColumn
 from repro.errors import ConfigurationError
-from repro.multipath.fm import FMSketch, block_columns, counted_matrix
+from repro.multipath.fm import FMSketch
 
 
 #: First float64 that no longer fits the kernels' int64 partial matrix.
@@ -67,11 +68,6 @@ class SumAggregate(AdditiveFMAggregate):
     def tree_local(self, node: int, epoch: int, reading: float) -> int:
         return self._as_int(reading)
 
-    def tree_local_matrix(
-        self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
-    ) -> np.ndarray:
-        return self._as_int_array(readings)
-
     # -- multi-path ----------------------------------------------------------
 
     def synopsis_local(self, node: int, epoch: int, reading: float) -> FMSketch:
@@ -79,14 +75,10 @@ class SumAggregate(AdditiveFMAggregate):
         sketch.insert_count(self._as_int(reading), self._label, node, epoch)
         return sketch
 
-    def synopsis_local_block_packed(
-        self, nodes: Sequence[int], epochs: Sequence[int], readings: np.ndarray
-    ):
-        return counted_matrix(
-            self._num_bitmaps,
-            (self._label,),
-            self._as_int_array(readings.reshape(-1)),
-            *block_columns(nodes, epochs),
+    def column(self) -> FMColumn:
+        """A reading inserts its rounded value's items."""
+        return FMColumn(
+            self._num_bitmaps, self._label, self._conv_label, self._as_int_array
         )
 
     # -- truth ---------------------------------------------------------------------

@@ -1226,21 +1226,6 @@ class SweepReport:
             series.setdefault(config.scheme, []).append(result.rms_error())
         return series
 
-    def rms_by_query(self) -> Dict[Tuple[str, str], List[float]]:
-        """(scheme, query name) -> RMS errors in config order.
-
-        The per-query twin of :meth:`rms_by_scheme`: workload rows
-        contribute one series per query, single-query rows one series
-        under their aggregate/query handle.
-        """
-        series: Dict[Tuple[str, str], List[float]] = {}
-        for report in self.reports():
-            for name, result in report.query_results.items():
-                series.setdefault(
-                    (report.config.scheme, name), []
-                ).append(result.rms_error())
-        return series
-
     def render(self) -> str:
         """The summary table: failure, scheme and seed, then one column per
         other config field whose value differs across the rows (a swept

@@ -34,7 +34,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import PropertyViolation
+from repro.kernels.sd import fm_rows
+from repro.multipath.fm import sketch_from_row
 from repro.network.failures import NoLoss
 from repro.network.placement import BASE_STATION
 
@@ -226,11 +230,10 @@ class Auditor:
         Count that built the sketch (the piggyback, or the query's own), so
         its local synopses are exactly those insertions."""
         self._count("fm-or-monotonicity")
-        alive = sorted(alive_sensors)
-        # A Count reads no reading.
-        (singles,) = counter.synopsis_local_block(alive, [epoch], None)
-        rogue = sketch._packed & ~counter.synopsis_fuse_many(
-            [counter.synopsis_empty(), *singles]
+        # A Count reads no reading: its column's rows are its local synopses.
+        rows = fm_rows(counter.column(), sorted(alive_sensors), [epoch], None)
+        rogue = sketch._packed & ~sketch_from_row(
+            np.bitwise_or.reduce(rows, axis=0)
         )._packed
         if rogue:
             self._report(

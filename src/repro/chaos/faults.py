@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._hashing import hash_unit
+from repro._hashing import hash_key, hash_unit_from
 from repro.errors import ConfigurationError
 from repro.multipath.fm import BITS, FMSketch
 from repro.network.placement import BASE_STATION, NodeId
@@ -94,17 +94,19 @@ class CorruptSynopsis(FaultPlan):
             raise ConfigurationError("corruption rate must be in [0, 1]")
         self.rate = rate
         self.seed = seed
+        self._draw_key = hash_key("fault-corrupt", seed)
+        self._bucket_key = hash_key("fault-corrupt-bucket", seed)
 
     def corrupt(self, payload, sender: NodeId, receiver: NodeId, epoch: int):
         field = "synopsis" if payload.count_sketch is None else "count_sketch"
         sketch = getattr(payload, field)
         if not isinstance(sketch, FMSketch) or self.rate <= 0.0:
             return payload
-        draw = hash_unit("fault-corrupt", self.seed, sender, receiver, epoch)
+        draw = hash_unit_from(self._draw_key, sender, receiver, epoch)
         if draw >= self.rate:
             return payload
         bucket = int(
-            hash_unit("fault-corrupt-bucket", self.seed, sender, receiver, epoch)
+            hash_unit_from(self._bucket_key, sender, receiver, epoch)
             * sketch.num_bitmaps
         ) % sketch.num_bitmaps
         # Top level of the chosen bitmap: P(legit insert sets it) ~ 2^-31,
@@ -130,14 +132,12 @@ class DuplicateDelivery(FaultPlan):
             raise ConfigurationError("duplication rate must be in [0, 1]")
         self.rate = rate
         self.seed = seed
+        self._draw_key = hash_key("fault-duplicate", seed)
 
     def duplicate(self, sender: NodeId, receiver: NodeId, epoch: int) -> bool:
         if self.rate <= 0.0:
             return False
-        return (
-            hash_unit("fault-duplicate", self.seed, sender, receiver, epoch)
-            < self.rate
-        )
+        return hash_unit_from(self._draw_key, sender, receiver, epoch) < self.rate
 
     def describe(self) -> str:
         return f"duplicate:{self.rate}:{self.seed}"

@@ -217,12 +217,13 @@ class LayoutWave:
             if aggregate.synopsis_counts_contributors()
             else self._contributing
         )
-        # Additive partials have a constant wire size (the ``tree_words``
-        # contract behind the fused kernel's tributary pass), so tree
-        # payloads can be sized once instead of per node per epoch.
+        # A declared FM or extremum column has a constant tree wire size
+        # (the ``tree_words`` contract behind the fused kernel's tributary
+        # pass), so tree payloads can be sized once instead of per node per
+        # epoch.
         self._tree_payload_words: Optional[int] = (
             int(aggregate.tree_words(aggregate.tree_empty())) + 1
-            if aggregate.tree_partials_additive()
+            if aggregate.column() is not None
             else None
         )
 

@@ -1,14 +1,17 @@
 """The packed OR-wave: the delta pass of the fused kernel.
 
 Every multi-path payload of a block is one row of a uint32 matrix plus a
-few float64 columns. The row holds one section per FM slot
-(``synopsis_packable``) — each FM leaf slot of the query's packed bitmap
-words, then the piggybacked
+few float64 columns. The row holds one section per FM column (a leaf's
+:class:`~repro.aggregates.base.FMColumn` declaration) — each FM leaf slot
+of the query's packed bitmap words, then the piggybacked
 :class:`~repro.aggregates.count.ContributingCount`'s (when the query needs
-one) — then a plain bitmap of missing-statistics reporters. Beside it, each
-Min/Max leaf slot (``extremum_ufunc``) is one float64 *extremum column*, and
-each leaf without fixed-width state (heavy hitters, quantiles, ...) one
-*object column*: per cell an inbox of the leaf's own synopses, fused a
+one) — then a plain bitmap of missing-statistics reporters. The kernel
+builds a section's local rows itself from the declaration (:func:`fm_rows`:
+a reading's weight in keyed virtual items, none in a cell a WHERE mask
+rejects). Beside the row, each Min/Max leaf slot
+(:class:`~repro.aggregates.base.ExtremumColumn`) is one float64 *extremum
+column*, and each leaf declaring no column (heavy hitters, quantiles, ...)
+one *object column*: per cell an inbox of the leaf's own synopses, fused a
 level at a time through ``synopsis_fuse_level``.
 Fusion is bitwise OR on the row and ``np.maximum`` / ``np.minimum`` on the
 columns, all ODI, so a level's deliveries may be reduced in any grouping: a
@@ -45,7 +48,14 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.multipath.fm import rle_words_sections
+from repro.aggregates.base import FMColumn
+from repro.multipath.fm import (
+    block_columns,
+    counted_matrix,
+    rle_words_sections,
+    single_item_matrix,
+    single_item_matrix_block,
+)
 from repro.network.links import Channel, DeliveryPlan, TransmissionLog
 from repro.network.messages import missing_stats_words
 from repro.network.placement import BASE_STATION, NodeId
@@ -124,8 +134,51 @@ def level_pairs(
     return index, levels
 
 
+def fm_counts(column: FMColumn, nodes: Sequence[NodeId], readings) -> np.ndarray:
+    """An FM column's item count per cell of a float64 ``(epochs, nodes)``
+    readings block, as int64: ``weight`` of each reading the mask accepts
+    (1 without a weight), 0 on each rejected cell. This is also the cell's
+    tree partial. Only accepted readings are weighed, so a rejected cell's
+    reading never raises."""
+    weight = column.weight
+    if column.mask is None:
+        if weight is None:
+            return np.ones(readings.shape, dtype=np.int64)
+        return weight(readings)
+    accepted = column.mask(nodes, readings)
+    counts = accepted.astype(np.int64)
+    if weight is not None:
+        counts[accepted] = weight(readings[accepted])
+    return counts
+
+
+def fm_rows(
+    column: FMColumn, nodes: Sequence[NodeId], epochs: Sequence[int], readings
+) -> np.ndarray:
+    """An FM column's local synopses of a readings block as packed rows,
+    epoch-major flat (row ``j * len(nodes) + i`` is node ``i`` at
+    ``epochs[j]``), bit for bit ``sketch_to_row`` of the leaf's
+    ``synopsis_local``. A cell holding no item is a zero row, hashed by
+    neither builder."""
+    label = (column.label,)
+    if column.weight is None and column.mask is None:
+        return single_item_matrix_block(column.bitmaps, label, nodes, epochs)
+    counts = fm_counts(column, nodes, readings).reshape(-1)
+    keys = block_columns(nodes, epochs)
+    if column.weight is not None:
+        return counted_matrix(column.bitmaps, label, counts, *keys)
+    # One unkeyed item in each accepted cell.
+    rows = np.zeros((len(counts), column.bitmaps), dtype="<u4")
+    kept = counts > 0
+    if kept.any():
+        rows[kept] = single_item_matrix(
+            column.bitmaps, label, *(key[kept] for key in keys)
+        )
+    return rows
+
+
 def local_rows(
-    slots,
+    columns: Sequence[FMColumn],
     nodes: Sequence[NodeId],
     epochs: Sequence[int],
     blocks: Sequence[np.ndarray],
@@ -133,18 +186,19 @@ def local_rows(
 ) -> np.ndarray:
     """The ``(node, epoch, width)`` local payload rows of one level.
 
-    One section per slot aggregate, filled from its ``(epochs, nodes)``
-    readings block by the same vectorized FM passes as the object builders;
-    words past them are zero.
+    One section per FM column, filled from its ``(epochs, nodes)``
+    readings block by :func:`fm_rows`; words past them are zero.
     """
     num_nodes, num_epochs = len(nodes), len(epochs)
     local = np.zeros((num_nodes, num_epochs, width), dtype=np.uint32)
     offset = 0
-    for slot, block in zip(slots, blocks):
-        bitmaps = slot.synopsis_packable()
-        local[:, :, offset : offset + bitmaps] = np.asarray(
-            slot.synopsis_local_block_packed(nodes, epochs, block)
-        ).reshape(num_epochs, num_nodes, bitmaps).transpose(1, 0, 2)
+    for column, block in zip(columns, blocks):
+        bitmaps = column.bitmaps
+        local[:, :, offset : offset + bitmaps] = (
+            fm_rows(column, nodes, epochs, block)
+            .reshape(num_epochs, num_nodes, bitmaps)
+            .transpose(1, 0, 2)
+        )
         offset += bitmaps
     return local
 
@@ -207,7 +261,7 @@ class RowWave:
     section (a width of 0 means absent) an FM bitmap vector billed by its
     RLE size, the trailing ``flag_words`` a plain bitmap billed
     :func:`missing_stats_words` per set bit. Beside it, each of the
-    ``extrema`` leaves (:meth:`~repro.aggregates.base.Aggregate.extremum_ufunc`)
+    ``extrema`` leaves (an :class:`~repro.aggregates.base.ExtremumColumn`)
     is one float64 column, reduced by its ufunc wherever the row is OR-ed
     and billed its constant synopsis words; each of the ``objects`` leaves
     is one object column, whose cells collect their synopses in the open
@@ -232,9 +286,10 @@ class RowWave:
         self._base_row = base_row
         self._sections = tuple(bitmaps for bitmaps in sections if bitmaps)
         self._flag_words = flag_words
-        self._ufuncs = [leaf.extremum_ufunc() for leaf in extrema]
+        columns = [leaf.column() for leaf in extrema]
+        self._ufuncs = [column.ufunc for column in columns]
         self._neutral = np.array(
-            [leaf.tree_empty() for leaf in extrema], dtype=np.float64
+            [column.neutral for column in columns], dtype=np.float64
         )
         self._extremum_words = sum(
             int(leaf.synopsis_words(leaf.synopsis_empty())) for leaf in extrema

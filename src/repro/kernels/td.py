@@ -37,31 +37,42 @@ under ``use_batch=False`` or with chaos attached.
 The kernel runs the query as its *leaf slots*
 (:meth:`~repro.aggregates.base.Aggregate.leaf_slots`): a plain aggregate is
 one leaf, an Average or Moments composite, a workload or a WHERE filter over
-one of them is each of its leaf aggregates side by side. A leaf takes one of
-three column kinds (:func:`leaf_kind`):
+one of them is each of its leaf aggregates side by side. A leaf declares
+its column once (:meth:`~repro.aggregates.base.Aggregate.column`), and the
+kernel owns every array builder over that declaration — the leaf's scalar
+forms are its only other definition, and the builders equal them bit for
+bit, errors included. There are three column kinds (:func:`leaf_kind`):
 
-* an **FM leaf** (Count, Sum and their kin) gets one int64 partial column in
-  stage 1 (added), one frontier conversion in stage 2 and one packed section
-  of the delta row in stage 3 (OR-ed), so a delta row is ``[FM leaf 0 | FM
-  leaf 1 | ... | ContributingCount | reporter bitmap]``: the leaves' packed
-  synopses, the piggyback's (absent when the query's own synopsis counts
-  contributors), then the reporters;
-* an **extremum leaf** (Min, Max, a WHERE filter over one:
-  :meth:`~repro.aggregates.base.Aggregate.extremum_ufunc`) gets one float64
-  column on both sides, reduced by its ``np.maximum`` / ``np.minimum``
-  wherever the FM kinds add or OR. Its partial is its synopsis, so the
-  frontier hands it to the M parent unchanged, and it bills its constant
-  words beside the row;
-* an **object leaf** (any other: heavy hitters, quantiles, sample, exact
-  distinct, a GROUP BY cube keyed by region) keeps its own Python partial
-  or synopsis per cell. A T cell merges its local partial with its
-  children's in delivery order; an M cell fuses its inbox — its local
-  synopsis, then its converted T children in wave order, then the M
+* an **FM column** (Count, Sum, the Moments slots, the piggyback:
+  :class:`~repro.aggregates.base.FMColumn`) gets one int64 partial column
+  in stage 1 (added; a cell's partial is its reading's item count,
+  :func:`~repro.kernels.sd.fm_counts`), one frontier conversion in stage 2
+  (:func:`precompute_conversions`) and one packed section of the delta row
+  in stage 3 (OR-ed; :func:`~repro.kernels.sd.fm_rows`), so a delta row is
+  ``[FM leaf 0 | FM leaf 1 | ... | ContributingCount | reporter bitmap]``:
+  the leaves' packed synopses, the piggyback's (absent when the query's own
+  synopsis counts contributors), then the reporters;
+* an **extremum column** (Min, Max:
+  :class:`~repro.aggregates.base.ExtremumColumn`) gets one float64 column
+  on both sides (:func:`extremum_values`), reduced by its ``np.maximum`` /
+  ``np.minimum`` wherever the FM kinds add or OR. Its partial is its
+  synopsis, so the frontier hands it to the M parent unchanged, and it
+  bills its constant words beside the row;
+* an **object column** (a leaf declaring none: heavy hitters, quantiles,
+  sample, exact distinct, a GROUP BY cube keyed by region) keeps its own
+  Python partial or synopsis per cell. A T cell merges its local partial
+  with its children's in delivery order; an M cell fuses its inbox — its
+  local synopsis, then its converted T children in wave order, then the M
   payloads it received in sender order, exactly the oracle's inbox — for
   the whole level in one
   :meth:`~repro.aggregates.base.Aggregate.synopsis_fuse_level` call. Its
   words vary cell by cell; T and M cells alike add them to the row's
   before messages are derived (:meth:`~repro.kernels.sd.RowWave.bill`).
+
+A WHERE clause (or a region filter) is a mask on its inner's column: an FM
+cell it rejects holds no item (partial 0, a zero row, never hashed), an
+extremum cell the neutral value, and an object leaf's rejected cells its
+empty partial and synopsis.
 
 The base station rebuilds each payload's leaves in slot order from the kinds'
 columns. A block without an object leaf opens no object-column state.
@@ -79,17 +90,19 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.aggregates.base import FMColumn
 from repro.kernels.sd import (
     RowWave,
     append_cells,
     count_contributors,
+    fm_counts,
     fold_columns,
     level_pairs,
     local_rows,
     or_sorted,
     scatter_columns,
 )
-from repro.multipath.fm import sketch_from_row
+from repro.multipath.fm import counted_matrix, sketch_from_row
 from repro.network.links import Channel, TransmissionLog
 from repro.network.placement import BASE_STATION
 from repro.network.simulator import EpochOutcome, gather_reading_block
@@ -100,18 +113,16 @@ FM, EXTREMUM, OBJECT = "fm", "extremum", "object"
 
 
 def leaf_kind(leaf) -> str:
-    """How one leaf slot rides the rows.
-
-    An extremum leaf is its float64 column on both sides; a leaf with
-    int64-additive partials and packable FM synopses is a partial column
-    and a packed row section; any other leaf is an object column, whose
-    cells keep the leaf's own partials and synopses.
+    """How one leaf slot rides the rows, as its
+    :meth:`~repro.aggregates.base.Aggregate.column` declares: an FM column
+    is an int64 partial column and a packed row section, an extremum
+    column its float64 column on both sides, and a leaf declaring none an
+    object column, whose cells keep the leaf's own partials and synopses.
     """
-    if leaf.extremum_ufunc() is not None:
-        return EXTREMUM
-    if leaf.tree_partials_additive() and leaf.synopsis_packable() is not None:
-        return FM
-    return OBJECT
+    column = leaf.column()
+    if column is None:
+        return OBJECT
+    return FM if isinstance(column, FMColumn) else EXTREMUM
 
 
 #: Most bytes one chunk of consecutive levels reads and builds at once: its
@@ -207,12 +218,33 @@ def in_slot_order(kinds: List[str], fm, extrema, objects) -> list:
     return [next(by_kind[kind]) for kind in kinds]
 
 
+def extremum_values(leaf, nodes, epochs, readings: np.ndarray) -> np.ndarray:
+    """An extremum leaf's float64 locals of an ``(epochs, nodes)`` readings
+    block, its partials and synopses alike: each accepted reading plus 0.0
+    (``-0.0`` reads as ``0.0``), the neutral value in each rejected cell. A
+    NaN among the accepted readings raises the leaf's own scalar error."""
+    column = leaf.column()
+    if column.mask is not None:
+        readings = np.where(column.mask(nodes, readings), readings, column.neutral)
+    nan = np.isnan(readings)
+    if nan.any():
+        epoch, node = np.argwhere(nan)[0].tolist()
+        leaf.tree_local(nodes[node], epochs[epoch], float("nan"))
+    return readings + 0.0
+
+
 def leaf_columns(leaves, nodes, epochs, blocks, dtype) -> np.ndarray:
-    """The leaves' :meth:`~repro.aggregates.base.Aggregate.tree_local_matrix`
-    side by side, as one ``(node, epoch, leaf)`` array of ``dtype``."""
+    """The FM leaves' int64 partials (:func:`~repro.kernels.sd.fm_counts`)
+    or the extremum leaves' float64 values (:func:`extremum_values`) side by
+    side, as one ``(node, epoch, leaf)`` array of ``dtype``."""
     local = np.empty((len(nodes), len(epochs), len(leaves)), dtype=dtype)
-    for column, (leaf, block) in enumerate(zip(leaves, blocks)):
-        local[:, :, column] = leaf.tree_local_matrix(nodes, epochs, block).T
+    for index, (leaf, block) in enumerate(zip(leaves, blocks)):
+        column = leaf.column()
+        local[:, :, index] = (
+            fm_counts(column, nodes, block)
+            if isinstance(column, FMColumn)
+            else extremum_values(leaf, nodes, epochs, block)
+        ).T
     return local
 
 
@@ -223,24 +255,29 @@ def precompute_conversions(
 
     Row ``i`` is what an M parent fuses for the tributary payload
     ``(partials[i], counts[i])`` sent by ``senders[i]`` at ``epochs[i]``:
-    each FM leaf slot's conversion of its int64 partial column, then —
-    unless ``piggyback`` is None — the exact count through the piggyback's,
-    all bit for bit the scalar converters'. (Extremum leaves convert by
+    each FM leaf slot's conversion of its int64 partial column — ``c``
+    virtual items keyed by its column's ``conv_label`` — then, unless
+    ``piggyback`` is None, the exact count through the piggyback's, all
+    bit for bit the scalar ``convert``. (Extremum leaves convert by
     identity: their columns need no pass; object leaves convert through
     their own ``convert_block``.)
     """
-    fm_leaves = [
-        leaf for leaf, _ in aggregate.leaf_slots() if leaf_kind(leaf) == FM
+    columns = [
+        leaf.column() for leaf, _ in aggregate.leaf_slots() if leaf_kind(leaf) == FM
     ]
-    sections = [
-        leaf.convert_block_packed(partials[:, index], senders, epochs)
-        for index, leaf in enumerate(fm_leaves)
-    ]
+    cells = [partials[:, index] for index in range(len(columns))]
     if piggyback is not None:
-        sections.append(piggyback.convert_block_packed(counts, senders, epochs))
-    if not sections:
+        columns.append(piggyback.column())
+        cells.append(counts)
+    if not columns:
         return np.zeros((len(senders), 0), dtype=np.uint32)
-    return np.concatenate(sections, axis=1)
+    return np.concatenate(
+        [
+            counted_matrix(column.bitmaps, (column.conv_label,), items, senders, epochs)
+            for column, items in zip(columns, cells)
+        ],
+        axis=1,
+    )
 
 
 def run_td_block(
@@ -276,13 +313,16 @@ def run_td_block(
     # float64 extremum column on both sides, or an object column.
     kinds = [leaf_kind(leaf) for leaf, _ in slots]
     fm_leaves, extrema, objects = split_kinds(kinds, [leaf for leaf, _ in slots])
-    ufuncs = [leaf.extremum_ufunc() for leaf in extrema]
-    neutral = np.array([leaf.tree_empty() for leaf in extrema], dtype=np.float64)
-    # The delta row's FM sections: one per FM leaf slot, then the piggyback's.
-    section_slots = fm_leaves + ([] if piggyback is None else [piggyback])
-    sections = (
-        [slot.synopsis_packable() for slot in section_slots] if has_m else []
+    extremum_columns = [leaf.column() for leaf in extrema]
+    ufuncs = [column.ufunc for column in extremum_columns]
+    neutral = np.array(
+        [column.neutral for column in extremum_columns], dtype=np.float64
     )
+    # The delta row's FM sections: one per FM leaf slot, then the piggyback's.
+    section_columns = [
+        leaf.column() for leaf in fm_leaves + ([] if piggyback is None else [piggyback])
+    ]
+    sections = [column.bitmaps for column in section_columns] if has_m else []
     fm_width = sum(sections)
 
     # -- pass 1: tributaries, all levels -----------------------------------
@@ -460,7 +500,7 @@ def run_td_block(
             return (
                 # The piggyback's Count reads no reading.
                 local_rows(
-                    section_slots, nodes, epochs, fm_blocks + [None], wave.width
+                    section_columns, nodes, epochs, fm_blocks + [None], wave.width
                 ),
                 # An extremum leaf's synopsis is its tree partial.
                 leaf_columns(extrema, nodes, epochs, ext_blocks, np.float64),

@@ -103,10 +103,3 @@ class EnergyReport:
         for node, words in per_node_words.items():
             cost = model.transmission_cost(0, words)
             self.per_node_uj[node] = self.per_node_uj.get(node, 0.0) + cost
-
-    @property
-    def average_message_words(self) -> float:
-        """Mean payload words per message (Table 1's 'message size')."""
-        if self.total_messages == 0:
-            return 0.0
-        return self.total_words / self.total_messages

@@ -114,18 +114,6 @@ class LatencyModel:
             for population in level_populations
         )
 
-    def uniform_query_latency_ms(
-        self,
-        depth: int,
-        nodes_per_level: int,
-        messages_per_node: int = 1,
-        attempts: int = 1,
-    ) -> float:
-        """The paper's simplified relation: epoch duration x number of levels."""
-        if depth < 0:
-            raise ConfigurationError("depth cannot be negative")
-        return depth * self.epoch_ms(nodes_per_level, messages_per_node, attempts)
-
 
 def level_populations(rings: RingsTopology) -> List[int]:
     """Transmitting-node counts per ring, deepest ring first.

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro._hashing import hash_unit, hash_unit_batch
+from repro._hashing import hash_key, hash_unit_batch, hash_unit_from
 from repro.errors import ConfigurationError
 from repro.network.failures import FailureModel, loss_rates
 from repro.network.placement import Deployment, NodeId
@@ -308,14 +308,13 @@ class DeliveryPlan:
                 _np.asarray(receivers, dtype=_np.int64), num_epochs
             )
             epoch_grid = _np.tile(_np.asarray(epochs, dtype=_np.int64), num_pairs)
-            prefix = ("channel", channel._seed)
             for attempt in range(int(attempts_column.max())):
                 undecided = (~success) & (attempts_column > attempt) & (loss < 1.0)
                 if not bool(undecided.any()):
                     break
                 draws = _np.asarray(
                     hash_unit_batch(
-                        prefix,
+                        channel._draw_key,
                         sender_grid,
                         receiver_grid,
                         epoch_grid,
@@ -352,6 +351,8 @@ class Channel:
         self._deployment = deployment
         self._failure_model = failure_model
         self._seed = seed
+        #: Every delivery draw's key starts ``("channel", seed)``.
+        self._draw_key = hash_key("channel", seed)
         self._model_version = 0
         self.log = TransmissionLog()
         self._per_node_words: Dict[NodeId, int] = {}
@@ -431,7 +432,7 @@ class Channel:
             return True
         if loss >= 1.0:
             return False
-        draw = hash_unit("channel", self._seed, sender, receiver, epoch, attempt)
+        draw = hash_unit_from(self._draw_key, sender, receiver, epoch, attempt)
         return draw >= loss
 
     def transmit(

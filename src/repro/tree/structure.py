@@ -79,10 +79,6 @@ class Tree:
         """Sorted children of ``node``."""
         return sorted(c for c, p in self.parents.items() if p == node)
 
-    def is_leaf(self, node: NodeId) -> bool:
-        """True if ``node`` has no children."""
-        return not any(p == node for p in self.parents.values())
-
     # -- derived structure ---------------------------------------------------
 
     def levels(self) -> Dict[NodeId, int]:

@@ -538,12 +538,9 @@ class TestSignalOnlyConvergence:
         del spy.calls[:]
         scenario.converge(td, readings)
         assert td.aggregate is spy
-        # Two capability lookups (is it count? are partials additive?); no
-        # local, merge, fuse, convert, size or eval call.
-        assert set(spy.calls) <= {
-            "synopsis_counts_contributors",
-            "tree_partials_additive",
-        }
+        # Two declaration lookups (is it count? which column?); no local,
+        # merge, fuse, convert, size or eval call.
+        assert set(spy.calls) <= {"synopsis_counts_contributors", "column"}
         assert reading_calls == []
         # The probes are live: one measured epoch uses both (it runs fused,
         # reading the aggregate as its leaf slots).

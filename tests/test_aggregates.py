@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from goldens import assert_golden
 
 from repro.aggregates.average import AverageAggregate
-from repro.aggregates.base import fuse_all, merge_all
+from repro.aggregates.base import FMColumn, fuse_all, merge_all
 from repro.aggregates.composite import CompositeAggregate
 from repro.aggregates.count import ContributingCount, CountAggregate
 from repro.aggregates.distinct import DistinctCountAggregate
@@ -26,6 +27,14 @@ from repro.api import RunConfig, build_scenario, run_config_result
 from repro.datasets.streams import UniformReadings
 from repro.errors import ConfigurationError, SketchError
 from repro.frequent.mp_fi import KMVOperator
+from repro.kernels.sd import fm_counts, fm_rows
+from repro.kernels.td import (
+    FM,
+    OBJECT,
+    extremum_values,
+    leaf_kind,
+    precompute_conversions,
+)
 from repro.multipath.fm import (
     _EXACT_INSERT_LIMIT,
     FMSketch,
@@ -221,9 +230,7 @@ class TestArrayNativePartials:
             ]
         )
         array = self._outcome(
-            lambda: aggregate.tree_local_matrix(
-                range(len(row)), range(2), matrix
-            ).tolist()
+            lambda: fm_counts(aggregate.column(), range(len(row)), matrix).tolist()
         )
         truth = self._outcome(lambda: aggregate.exact(row))
         truth_array = self._outcome(
@@ -243,20 +250,20 @@ class TestArrayNativePartials:
         import numpy as np
 
         readings = np.array([[4.0, 2.0, 9.0]])
-        assert CountAggregate().tree_local_matrix(
-            [1, 2, 3], [0], readings
-        ).tolist() == [[1, 1, 1]]
+        assert fm_counts(CountAggregate().column(), [1, 2, 3], readings).tolist() == [
+            [1, 1, 1]
+        ]
         for factory in (CountAggregate, MinAggregate, AverageAggregate):
             assert factory().exact_array(readings[0], [1, 2, 3]) == factory().exact(
                 readings[0].tolist()
             )
-        # Min's partials are its float64 extremum column; a sample has no
-        # array-native partials.
-        assert MinAggregate().tree_local_matrix(
-            [1, 2, 3], [0], readings
+        # Min's partials are its float64 extremum column; a sample declares
+        # no column, so the kernel keeps its own partials as an object column.
+        assert extremum_values(
+            MinAggregate(), [1, 2, 3], [0], readings
         ).tolist() == [[4.0, 2.0, 9.0]]
-        with pytest.raises(NotImplementedError):
-            UniformSampleAggregate(k=4).tree_local_matrix([1, 2, 3], [0], readings)
+        assert UniformSampleAggregate(k=4).column() is None
+        assert leaf_kind(UniformSampleAggregate(k=4)) == OBJECT
 
 
 class TestQuantileFromSample:
@@ -621,8 +628,9 @@ class TestContributingCount:
             assert piggyback.convert(count, sender, epoch) == old
 
     def test_block_forms(self, piggyback):
-        # A Count reads no reading.
-        assert piggyback.synopsis_local_block(self.NODES, self.EPOCHS, None) == [
+        # A Count ignores what its sensors read.
+        readings = np.zeros((len(self.EPOCHS), len(self.NODES)))
+        assert piggyback.synopsis_local_block(self.NODES, self.EPOCHS, readings) == [
             [piggyback.synopsis_local(node, epoch, None) for node in self.NODES]
             for epoch in self.EPOCHS
         ]
@@ -633,20 +641,25 @@ class TestContributingCount:
         ]
 
     def test_packed_forms(self, piggyback):
-        assert piggyback.synopsis_packable() == 40
+        column = piggyback.column()
+        assert column.bitmaps == 40
         assert (
-            piggyback.synopsis_local_block_packed(self.NODES, self.EPOCHS, None)
+            fm_rows(column, self.NODES, self.EPOCHS, None)
             == single_item_matrix_block(40, ("contrib",), self.NODES, self.EPOCHS)
         ).all()
         counts, senders, epochs = self._cells()
+        # The kernel's frontier conversion of a query without FM leaves is
+        # the piggyback's section alone.
         assert (
-            piggyback.convert_block_packed(counts, senders, epochs)
+            precompute_conversions(MinAggregate(), piggyback, None, counts, senders, epochs)
             == counted_matrix(40, ("contrib-conv",), counts, senders, epochs)
         ).all()
 
     def test_its_synopsis_counts_its_contributors(self, piggyback):
         assert piggyback.synopsis_counts_contributors()
-        assert piggyback.tree_partials_additive()
+        # One unkeyed item per sensor: an FM column without a weight.
+        assert piggyback.column() == FMColumn(40, "contrib", "contrib-conv")
+        assert leaf_kind(piggyback) == FM
 
 
 class TestFuseCollections:

@@ -5,29 +5,40 @@ slots and GROUP BY queries run the fused kernel — each FM leaf slot an int64
 partial column, one packed row section and one frontier conversion, each
 Min/Max slot one float64 extremum column, a GROUP BY cube one object column
 — and must equal the ``use_batch=False`` oracle byte for byte. The array
-inputs they read
-(window blocks, workload blocks, every leaf's array forms) must equal their
-scalar twins cell for cell.
+inputs they read (window blocks, workload blocks, the kernel's builders
+over every leaf's declared column) must equal their scalar twins cell for
+cell, and a WHERE or region filter's rejected cells insert no FM item.
 """
 
 from __future__ import annotations
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.aggregates.base import Aggregate
+from repro.aggregates.average import AverageAggregate
+from repro.aggregates.base import Aggregate, ExtremumColumn, FMColumn
 from repro.aggregates.filtered import FilteredAggregate
 from repro.aggregates.moments import MomentsAggregate
+from repro.aggregates.sum_ import SumAggregate
 from repro.aggregates.workload import WorkloadReadings
 from repro.api import QuerySpec, RunConfig, run_config_result
+from repro.core.sd_scheme import SynopsisDiffusionScheme
 from repro.core.wave import LayoutWave
 from repro.datasets.streams import UniformReadings
+from repro.datasets.synthetic import make_synthetic_scenario
 from repro.errors import ConfigurationError
+from repro.kernels.sd import fm_counts, fm_rows
+from repro.kernels.td import extremum_values, precompute_conversions
+from repro.multipath import fm
 from repro.multipath.fm import sketch_to_row
+from repro.network.failures import GlobalLoss
+from repro.network.links import Channel
 from repro.query import WindowedReadings, parse_query
-from repro.registry import AGGREGATES, build_aggregate
+from repro.registry import AGGREGATES, build_aggregate, build_regions
+from repro.spatial import RegionFilteredAggregate
 from repro.service import AggregationService
 from repro.service.streams import QuerySubmit
 
@@ -277,9 +288,27 @@ def test_workload_block_equals_batch():
 
 # -- every leaf's array forms equal its scalar forms --------------------------
 
+NAN = float("nan")
+
+#: ``value > 3`` rejects every cell, accepts every cell, and rejects cells
+#: holding readings the inner's scalar form refuses (negative, NaN).
+WHERE_BLOCKS = (
+    ([3, 8, 1], [[1.0, 2.0, 3.0], [0.5, 3.0, -2.0]]),
+    ([3, 8, 1], [[4.0, 7.5, 3.5], [9.0, 50.2, 3.1]]),
+    ([3, 8, 1], [[-5.0, 7.5, NAN], [4.5, -2.0, 9.9]]),
+)
+
+#: A region holding sensors 3 and 1: the same three cases by node id.
+REGION_BLOCKS = (
+    ([8, 20], [[NAN, -4.0], [-1.0, 2.0]]),
+    ([3, 1], [[2.6, 7.5], [4.5, 0.4]]),
+    ([3, 8, 1], [[2.6, NAN, 3.0], [4.5, -7.0, 9.9]]),
+)
+
 
 def _leaves():
-    """Every registered aggregate's leaf slots, plus WHERE filters over them."""
+    """Every registered aggregate's leaf slots, plus WHERE and region
+    filters over them."""
     found = {}
     for name in AGGREGATES.available():
         try:
@@ -291,89 +320,169 @@ def _leaves():
     found["moments-where/1"] = FilteredAggregate(
         MomentsAggregate(), parse_query("SELECT sum WHERE value > 3").where.predicate()
     ).leaf_slots()[1][0]
-    found["sum-where"] = FilteredAggregate(build_aggregate("sum"), lambda v: v > 3)
-    found["max-where"] = FilteredAggregate(build_aggregate("max"), lambda v: v > 3)
+    for name in ("sum", "count", "max", "min"):
+        found[f"{name}-where"] = FilteredAggregate(
+            build_aggregate(name), lambda v: v > 3
+        )
+    # A clause over a clause: both masks hold.
+    found["sum-where-below"] = FilteredAggregate(found["sum-where"], lambda v: v < 9)
+    found["sum-region"] = RegionFilteredAggregate(
+        build_aggregate("sum"), SimpleNamespace(members=lambda region: {3, 1}), "r"
+    )
     return found
 
 
 LEAVES = _leaves()
-CLAIMING = sorted(
-    name
-    for name, leaf in LEAVES.items()
-    if leaf.tree_partials_additive()
-    or leaf.synopsis_packable() is not None
-    or leaf.extremum_ufunc() is not None
-)
+CLAIMING = sorted(name for name, leaf in LEAVES.items() if leaf.column() is not None)
 
 
 def test_moments_leaves_are_checked():
     assert {"moments/0", "moments/1", "moments/2", "avg/0", "avg/1"} <= set(CLAIMING)
-    assert {"min/0", "max/0", "max-where"} <= set(CLAIMING)
+    assert {"min/0", "max/0", "max-where", "min-where"} <= set(CLAIMING)
+    assert {"sum-where", "count-where", "sum-region", "sum-where-below"} <= set(
+        CLAIMING
+    )
+
+
+def _blocks(name):
+    """The ``(nodes, epochs, readings)`` blocks leaf ``name`` is checked on."""
+    blocks = [([3, 8, 1], [[2.6, 7.5, 3.0], [4.5, 0.4, 9.9]])]
+    if "where" in name:
+        blocks += WHERE_BLOCKS
+    if "region" in name:
+        blocks += REGION_BLOCKS
+    return [(nodes, [4, 5], np.array(readings)) for nodes, readings in blocks]
 
 
 @pytest.mark.parametrize("name", CLAIMING)
 def test_leaf_array_forms_equal_scalar_forms(name):
+    """The kernel's builders over a leaf's declared column equal the leaf's
+    scalar forms cell by cell; a filter's rejected cells never reach the
+    inner, whatever they hold."""
     leaf: Aggregate = LEAVES[name]
-    nodes, epochs = [3, 8, 1], [4, 5]
-    readings = np.array([[2.6, 7.5, 3.0], [4.5, 0.4, 9.9]])
-    # The block forms an object column would use read the same matrix.
-    for block_form, local in (
-        (leaf.tree_local_block, leaf.tree_local),
-        (leaf.synopsis_local_block, leaf.synopsis_local),
-    ):
-        assert repr(block_form(nodes, epochs, readings)) == repr(
-            [
+    column = leaf.column()
+    for nodes, epochs, readings in _blocks(name):
+
+        def scalar(local, block=readings):
+            return [
                 [local(node, epoch, value) for node, value in zip(nodes, row)]
-                for epoch, row in zip(epochs, readings.tolist())
+                for epoch, row in zip(epochs, block.tolist())
             ]
-        )
-    if leaf.tree_partials_additive():
-        matrix = leaf.tree_local_matrix(nodes, epochs, readings)
-        assert matrix.dtype == np.int64
-        assert matrix.tolist() == [
-            [leaf.tree_local(node, epoch, value) for node, value in zip(nodes, row)]
-            for epoch, row in zip(epochs, readings.tolist())
-        ]
-    if leaf.synopsis_packable() is not None:
-        packed = np.asarray(leaf.synopsis_local_block_packed(nodes, epochs, readings))
-        expected = [
-            sketch_to_row(leaf.synopsis_local(node, epoch, value)).tolist()
-            for epoch, row in zip(epochs, readings.tolist())
-            for node, value in zip(nodes, row)
-        ]
-        assert packed.tolist() == expected
-        partials = [0, 1, 7, 600]
-        converted = np.asarray(
-            leaf.convert_block_packed(partials, [2, 3, 4, 5], [1, 1, 2, 2])
+
+        # The block forms an object column would use read the same matrix.
+        for block_form, local in (
+            (leaf.tree_local_block, leaf.tree_local),
+            (leaf.synopsis_local_block, leaf.synopsis_local),
+        ):
+            assert repr(block_form(nodes, epochs, readings)) == repr(scalar(local))
+        if isinstance(column, FMColumn):
+            partials = fm_counts(column, nodes, readings)
+            assert partials.dtype == np.int64
+            assert partials.tolist() == scalar(leaf.tree_local)
+            assert fm_rows(column, nodes, epochs, readings).tolist() == [
+                sketch_to_row(sketch).tolist()
+                for row in scalar(leaf.synopsis_local)
+                for sketch in row
+            ]
+            continue
+        assert isinstance(column, ExtremumColumn)
+        # Both zeros read as 0.0; the infinities pass through.
+        edges = np.array([[-0.0, float("inf"), 3.0], [0.0, -7.5, float("-inf")]])
+        for block in (readings, edges[:, : len(nodes)]):
+            values = extremum_values(leaf, nodes, epochs, block)
+            assert values.dtype == np.float64
+            for local in (leaf.tree_local, leaf.synopsis_local):
+                assert repr(values.tolist()) == repr(scalar(local, block))
+    if isinstance(column, FMColumn):
+        partials, senders, epochs = [0, 1, 7, 600], [2, 3, 4, 5], [1, 1, 2, 2]
+        converted = precompute_conversions(
+            leaf,
+            None,
+            np.array(partials, dtype=np.int64)[:, None],
+            None,
+            np.array(senders),
+            np.array(epochs),
         )
         assert converted.tolist() == [
             sketch_to_row(leaf.convert(partial, sender, epoch)).tolist()
-            for partial, sender, epoch in zip(partials, [2, 3, 4, 5], [1, 1, 2, 2])
+            for partial, sender, epoch in zip(partials, senders, epochs)
         ]
-    if leaf.extremum_ufunc() is not None:
-        # Both zeros read as 0.0; the infinities pass through.
-        edges = np.array([[-0.0, float("inf"), 3.0], [0.0, -7.5, float("-inf")]])
-        for block in (readings, edges):
-            matrix = leaf.tree_local_matrix(nodes, epochs, block)
-            assert matrix.dtype == np.float64
-            for local in (leaf.tree_local, leaf.synopsis_local):
-                assert repr(matrix.tolist()) == repr(
-                    [
-                        [local(node, epoch, value) for node, value in zip(nodes, row)]
-                        for epoch, row in zip(epochs, block.tolist())
-                    ]
-                )
+    else:
         assert leaf.convert(7.5, 2, 1) == 7.5
 
 
 def test_moment_leaves_truncate_like_their_scalar_forms():
-    _, total, squares = (leaf for leaf, _ in MomentsAggregate().leaf_slots())
+    _, total, squares = (leaf.column() for leaf, _ in MomentsAggregate().leaf_slots())
     readings = np.array([[2.6, 7.5, 3.0]])
-    assert total.tree_local_matrix([1, 2, 3], [0], readings).tolist() == [[2, 7, 3]]
-    assert squares.tree_local_matrix([1, 2, 3], [0], readings).tolist() == [[4, 49, 9]]
+    assert fm_counts(total, [1, 2, 3], readings).tolist() == [[2, 7, 3]]
+    assert fm_counts(squares, [1, 2, 3], readings).tolist() == [[4, 49, 9]]
     # The array error path raises the leaf's own scalar error.
     with pytest.raises(ConfigurationError, match="moment sketches"):
-        squares.tree_local_matrix([1], [0], np.array([[-3.0]]))
+        fm_counts(squares, [1], np.array([[-3.0]]))
+
+
+# -- a filter's rejected cells are never hashed ---------------------------------
+
+SCENARIO = make_synthetic_scenario(num_sensors=40, seed=5)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Every ``counted_matrix`` call, as ``(label, counts, nodes, epochs)``
+    rows, wherever a module of the package bound the builder."""
+    calls = []
+    original = fm.counted_matrix
+
+    def spy(num_bitmaps, label, counts, *columns):
+        calls.append(
+            (label, *(np.asarray(values).tolist() for values in (counts, *columns)))
+        )
+        return original(num_bitmaps, label, counts, *columns)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "counted_matrix", None)
+        if name.startswith("repro") and bound is original:
+            monkeypatch.setattr(module, "counted_matrix", spy)
+    return calls
+
+
+def _filtered(case, source):
+    """A filtered aggregate over a Sum leaf, and which cells it rejects."""
+    if case == "region-sum":
+        hierarchy, depth, _ = build_regions("region:1", SCENARIO.deployment)
+        region = hierarchy.regions_at(depth)[0]
+        inside = set(hierarchy.members(region))
+        aggregate = RegionFilteredAggregate(SumAggregate(), hierarchy, region)
+        return aggregate, lambda node, epoch: node not in inside
+    predicate = parse_query("SELECT sum WHERE value > 50").where.predicate()
+    inner = SumAggregate() if case == "where-sum" else AverageAggregate()
+    return (
+        FilteredAggregate(inner, predicate),
+        lambda node, epoch: not predicate(source(node, epoch)),
+    )
+
+
+@pytest.mark.parametrize("case", ["where-sum", "where-avg", "region-sum"])
+def test_rejected_cells_insert_no_items(case, counted):
+    """A WHERE or region filter zeroes the weight of every cell it rejects,
+    so the FM builder hashes no virtual item there."""
+    source = UniformReadings(10, 100, seed=3)
+    aggregate, rejects = _filtered(case, source)
+    scheme = SynopsisDiffusionScheme(SCENARIO.deployment, SCENARIO.rings, aggregate)
+    channel = Channel(SCENARIO.deployment, GlobalLoss(0.3), seed=9)
+    scheme.run_epochs(list(range(200, 206)), channel, source)
+    assert scheme.engine_path == "fused"
+    rejected = accepted = 0
+    for label, counts, nodes, epochs in counted:
+        if label != ("sum",):
+            continue
+        for count, node, epoch in zip(counts, nodes, epochs):
+            if rejects(node, epoch):
+                assert count == 0, (node, epoch)
+                rejected += 1
+            else:
+                accepted += count > 0
+    assert rejected and accepted
 
 
 # -- heavy hitters: epsilon must stay below phi -------------------------------

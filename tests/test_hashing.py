@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +11,16 @@ from repro._hashing import (
     geometric_level,
     hash_key,
     hash_unit,
+    hash_unit_from,
     splitmix64,
     stream_rng,
 )
+from repro.chaos.faults import CorruptSynopsis, DuplicateDelivery
+from repro.core.payloads import MultipathPayload
+from repro.datasets.synthetic import make_synthetic_scenario
+from repro.multipath.fm import BITS, FMSketch
+from repro.network.failures import GlobalLoss
+from repro.network.links import Channel
 
 
 class TestHashKey:
@@ -88,3 +97,55 @@ class TestStreamRng:
         a = stream_rng("s", 1)
         b = stream_rng("s", 2)
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+
+
+class TestConstantPrefixes:
+    """Draws that hash their constant ``(label, seed)`` prefix once equal
+    :func:`hash_unit` over the whole key, on a grid of senders, receivers,
+    epochs and attempts."""
+
+    SEEDS = (0, 7, 2**40 + 3)
+    SENDERS = (0, 1, 17, 599)
+    RECEIVERS = (0, 3, 42)
+    EPOCHS = (0, 5, 1000)
+    ATTEMPTS = (0, 1, 2)
+
+    @given(st.lists(st.integers(-(2**63), 2**64), max_size=6))
+    def test_hash_unit_from_continues_a_prefix(self, tokens):
+        prefix = hash_key("label", 9)
+        assert hash_unit_from(prefix, *tokens) == hash_unit("label", 9, *tokens)
+
+    def _grid(self):
+        return itertools.product(
+            self.SEEDS, self.SENDERS, self.RECEIVERS, self.EPOCHS
+        )
+
+    def test_channel_draws(self):
+        deployment = make_synthetic_scenario(num_sensors=10, seed=1).deployment
+        loss = 0.5
+        for seed, sender, receiver, epoch in self._grid():
+            channel = Channel(deployment, GlobalLoss(loss), seed=seed)
+            for attempt in self.ATTEMPTS:
+                draw = hash_unit("channel", seed, sender, receiver, epoch, attempt)
+                assert channel.delivered(sender, receiver, epoch, attempt) == (
+                    draw >= loss
+                )
+
+    def test_duplicate_draws(self):
+        rate = 0.5
+        for seed, sender, receiver, epoch in self._grid():
+            plan = DuplicateDelivery(rate, seed)
+            draw = hash_unit("fault-duplicate", seed, sender, receiver, epoch)
+            assert plan.duplicate(sender, receiver, epoch) == (draw < rate)
+
+    def test_corrupt_draws(self):
+        rate = 0.5
+        payload = MultipathPayload(None, FMSketch(40), 1)
+        for seed, sender, receiver, epoch in self._grid():
+            seen = CorruptSynopsis(rate, seed).corrupt(payload, sender, receiver, epoch)
+            key = (seed, sender, receiver, epoch)
+            if hash_unit("fault-corrupt", *key) >= rate:
+                assert seen is payload
+                continue
+            bucket = int(hash_unit("fault-corrupt-bucket", *key) * 40) % 40
+            assert seen.count_sketch._packed == 1 << (bucket * BITS + BITS - 1)

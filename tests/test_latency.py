@@ -45,12 +45,6 @@ class TestLatencyModel:
         model = LatencyModel(slot_ms=10.0)
         assert model.query_latency_ms([5, 3, 2]) == 100.0
 
-    def test_uniform_relation_is_product(self):
-        """The paper's statement: epoch duration x number of levels."""
-        model = LatencyModel(slot_ms=10.0)
-        epoch = model.epoch_ms(4, 1)
-        assert model.uniform_query_latency_ms(6, 4) == pytest.approx(6 * epoch)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LatencyModel(slot_ms=0.0)
@@ -65,8 +59,6 @@ class TestLatencyModel:
             model.transmission_ms(1, attempts=0)
         with pytest.raises(ConfigurationError):
             model.epoch_ms(-1, 1)
-        with pytest.raises(ConfigurationError):
-            model.uniform_query_latency_ms(-1, 1)
 
     @given(
         messages=st.integers(min_value=1, max_value=10),

@@ -81,10 +81,6 @@ class TestEnergy:
         assert report.total_words == 8
         assert report.total_uj == pytest.approx(2 * (2 + 16))
 
-    def test_average_message_words(self):
-        report = EnergyReport(total_messages=4, total_words=12)
-        assert report.average_message_words == 3.0
-
     def test_per_node_attribution(self):
         model = EnergyModel(per_message_uj=0.0, per_byte_uj=1.0)
         report = EnergyReport()

@@ -9,7 +9,6 @@ from repro.aggregates.sample import (
     UniformSampleAggregate,
     moment_from_sample,
     quantile_from_sample,
-    variance_from_sample,
 )
 from repro.errors import ConfigurationError
 
@@ -32,12 +31,6 @@ class TestMoments:
         expected = sum(v * v for v in range(1, 101)) / 100
         assert moment_from_sample(full_sample, 2) == pytest.approx(expected)
 
-    def test_variance(self, full_sample):
-        values = list(range(1, 101))
-        mean = sum(values) / 100
-        expected = sum((v - mean) ** 2 for v in values) / 100
-        assert variance_from_sample(full_sample) == pytest.approx(expected)
-
     def test_rejects_zero_order(self, full_sample):
         with pytest.raises(ConfigurationError):
             moment_from_sample(full_sample, 0)
@@ -51,11 +44,6 @@ class TestMoments:
         sample = fuse_all(aggregate, synopses)
         # True mean of node % 10 over 1..500 is 4.5.
         assert moment_from_sample(sample, 1) == pytest.approx(4.5, abs=1.5)
-
-    def test_variance_nonnegative_always(self):
-        aggregate = UniformSampleAggregate(k=4)
-        sample = aggregate.tree_local(1, 0, 3.0)
-        assert variance_from_sample(sample) == pytest.approx(0.0)
 
 
 class TestQuantilesFromSample:

@@ -59,10 +59,6 @@ class TestAccessors:
         assert sample_tree.children(1) == [3, 4]
         assert sample_tree.children(6) == []
 
-    def test_is_leaf(self, sample_tree):
-        assert sample_tree.is_leaf(6)
-        assert not sample_tree.is_leaf(1)
-
 
 class TestDerived:
     def test_levels(self, sample_tree):
