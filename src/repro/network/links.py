@@ -350,7 +350,6 @@ class Channel:
     ) -> None:
         self._deployment = deployment
         self._failure_model = failure_model
-        self._seed = seed
         #: Every delivery draw's key starts ``("channel", seed)``.
         self._draw_key = hash_key("channel", seed)
         self._model_version = 0
