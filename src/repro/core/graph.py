@@ -75,6 +75,9 @@ class TDGraph:
         if modes is None:
             modes = initial_modes_by_level(rings, 0)
         self._modes: Dict[NodeId, Mode] = dict(modes)
+        #: Bumped by every switch that changes a mode: whatever was built
+        #: from the labelling at one version still holds while it lasts.
+        self.version = 0
         self._check_tree_links()
         self.validate()
 
@@ -197,12 +200,14 @@ class TDGraph:
         if not self.is_switchable_m(node):
             raise CorrectnessError(f"node {node} is not a switchable M vertex")
         self._modes[node] = Mode.TREE
+        self.version += 1
 
     def switch_to_multipath(self, node: NodeId) -> None:
         """Switch a switchable T vertex to M (expands the delta)."""
         if not self.is_switchable_t(node):
             raise CorrectnessError(f"node {node} is not a switchable T vertex")
         self._modes[node] = Mode.MULTIPATH
+        self.version += 1
 
     def expand_all(self) -> List[NodeId]:
         """TD-Coarse expansion: switch every switchable T vertex to M.
@@ -213,6 +218,7 @@ class TDGraph:
         switched = self.switchable_t_nodes()
         for node in switched:
             self._modes[node] = Mode.MULTIPATH
+        self.version += len(switched)
         return switched
 
     def shrink_all(self) -> List[NodeId]:
@@ -220,6 +226,7 @@ class TDGraph:
         switched = self.switchable_m_nodes()
         for node in switched:
             self._modes[node] = Mode.TREE
+        self.version += len(switched)
         return switched
 
     # -- diagnostics ----------------------------------------------------------

@@ -6,9 +6,9 @@ convert what their T children sent, fuse it with what their M neighbours
 broadcast and broadcast the fusion once — tree links are ring links one
 level up, so both kinds of node share one ring-level schedule (the
 synchronisation design of Section 4.1). Because the labelling adapts, the
-layout is rebuilt from the graph every block: who unicasts, who
-broadcasts, and which M nodes attach their tributaries' "nodes not
-contributing" count to the Section 4.2 piggyback. The running max/min of
+layout is rebuilt from the graph whenever a switch changed it: who
+unicasts, who broadcasts, and which M nodes attach their tributaries'
+"nodes not contributing" count to the Section 4.2 piggyback. The running max/min of
 those reach the base station and drive the TD adaptation strategy.
 """
 
@@ -92,10 +92,12 @@ class TributaryDeltaScheme(LayoutWave):
         """Recompute the level schedule, audiences and parents.
 
         Rings are static between membership changes (only modes adapt
-        within one), so only :meth:`_wave_layout` runs per block.
+        within one), so only :meth:`_wave_layout` reruns, after a switch.
         """
         self._level_nodes, self._upstream = ring_schedule(self._graph.rings)
         self._tree_parents = dict(self._graph.tree.parents)
+        #: The last layout built and the graph version it was built at.
+        self._layout: Optional[Tuple[int, WaveLayout]] = None
 
     def on_membership_change(self, update) -> None:
         """Rebuild the T/M graph over the repaired topology after churn.
@@ -135,12 +137,16 @@ class TributaryDeltaScheme(LayoutWave):
     def _wave_layout(self) -> WaveLayout:
         """The graph's current labelling, fixed while its modes are.
 
-        Checks Property 1 on the way — an M node broadcasts to its tree
-        parent, so that parent must be M — and finds the reporters: M nodes
-        with T children (expecting their subtrees' sizes) and switchable M
-        nodes (expecting 0).
+        Built again only after a switch changed a mode (the graph's
+        ``version``), so a round that switched nothing keeps the layout and
+        its delivery structure. Checks Property 1 on the way — an M node
+        broadcasts to its tree parent, so that parent must be M — and finds
+        the reporters: M nodes with T children (expecting their subtrees'
+        sizes) and switchable M nodes (expecting 0).
         """
         graph = self._graph
+        if self._layout is not None and self._layout[0] == graph.version:
+            return self._layout[1]
         multipath = graph.delta_region()
         parents = self._tree_parents
         for nodes in self._level_nodes:
@@ -161,7 +167,7 @@ class TributaryDeltaScheme(LayoutWave):
             )
             if expected or graph.is_switchable_m(node):
                 reporters[node] = expected
-        return WaveLayout.build(
+        layout = WaveLayout.build(
             self._level_nodes,
             multipath,
             parents,
@@ -170,6 +176,8 @@ class TributaryDeltaScheme(LayoutWave):
             self._multipath_attempts,
             reporters,
         )
+        self._layout = (graph.version, layout)
+        return layout
 
     def _convert_frontier(self, partials, counts, senders, epochs):
         """A block's T -> M conversions as packed rows, for the kernel.

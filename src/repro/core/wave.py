@@ -37,6 +37,8 @@ from typing import (
     AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 )
 
+import numpy as np
+
 from repro.aggregates.base import Aggregate, merge_all
 from repro.aggregates.count import ContributingCount
 from repro.core.payloads import (
@@ -49,6 +51,7 @@ from repro.errors import PropertyViolation
 from repro.multipath.fm import FMSketch
 from repro.network.links import (
     Channel,
+    DeliveryStructure,
     Transmission,
     TransmissionLog,
     transmit_sequential,
@@ -126,6 +129,23 @@ class WaveLayout:
     def level_nodes(self) -> Tuple[Tuple[NodeId, ...], ...]:
         """Each level's senders, in wave order."""
         return tuple(tuple(item.sender for item in level) for level in self.levels)
+
+    @cached_property
+    def delivery(self) -> DeliveryStructure:
+        """The layout's delivery structure, built on first use and drawn
+        against by every block that runs this layout: its rows follow the
+        wave order — level after level, deepest first, then the base
+        station."""
+        return DeliveryStructure(self.levels)
+
+    @cached_property
+    def multipath_rows(self) -> np.ndarray:
+        """Per row of :attr:`delivery`, whether its node is M."""
+        multipath = self.multipath
+        nodes = self.delivery.nodes.tolist()
+        return np.fromiter(
+            (node in multipath for node in nodes), dtype=bool, count=len(nodes)
+        )
 
     def missing(self, node: NodeId, contributing: int) -> Optional[int]:
         """Nodes missing from ``node``'s tributaries this epoch, or None.

@@ -43,7 +43,6 @@ success tables computes exactly (:func:`count_contributors`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -56,9 +55,9 @@ from repro.multipath.fm import (
     single_item_matrix,
     single_item_matrix_block,
 )
-from repro.network.links import Channel, DeliveryPlan, TransmissionLog
+from repro.network.links import TransmissionLog
 from repro.network.messages import missing_stats_words
-from repro.network.placement import BASE_STATION, NodeId
+from repro.network.placement import NodeId
 
 #: uint32 words one accumulator row holds per epoch tile: a tile spans
 #: ``TILE_ROW_WORDS // row width`` epoch columns (32 for the paper's Sum
@@ -66,72 +65,6 @@ from repro.network.placement import BASE_STATION, NodeId
 #: tile and its per-level gather stay in a few megabytes, large enough that
 #: numpy's per-call overhead does not show.
 TILE_ROW_WORDS = 2560
-
-
-@dataclass(frozen=True)
-class LevelPairs:
-    """One level's planned deliveries in row coordinates.
-
-    Attributes:
-        nodes: the level's senders, in wave order.
-        rows: their accumulator rows (one contiguous span).
-        success: ``(pairs, epochs)`` planned delivery outcomes.
-        span_starts, span_stops: each sender's slice of the pair axis.
-        pair_item: each pair's sender, as a position in ``nodes``.
-        recv_rows: each pair's receiver row.
-    """
-
-    nodes: Sequence[NodeId]
-    rows: np.ndarray
-    success: np.ndarray
-    span_starts: np.ndarray
-    span_stops: np.ndarray
-    pair_item: np.ndarray
-    recv_rows: np.ndarray
-
-
-def level_pairs(
-    plan: DeliveryPlan,
-    channel: Channel,
-    skeletons,
-    level_nodes: Sequence[Sequence[NodeId]],
-) -> Tuple[Dict[NodeId, int], List[LevelPairs]]:
-    """Row index and per-level pair tables of a planned block.
-
-    Rows follow the wave order — level after level, deepest first, then the
-    base station. Every non-empty level is validated against the plan once
-    (:meth:`DeliveryPlan.level_table`).
-    """
-    index: Dict[NodeId, int] = {}
-    for nodes in level_nodes:
-        for node in nodes:
-            index[node] = len(index)
-    index[BASE_STATION] = len(index)
-    levels: List[LevelPairs] = []
-    for level_idx, nodes in enumerate(level_nodes):
-        if not nodes:
-            continue
-        success, spans, flat_receivers = plan.level_table(
-            channel, level_idx, skeletons[level_idx]
-        )
-        bounds = np.array(spans, dtype=np.int64).reshape(len(nodes), 2)
-        starts, stops = bounds[:, 0], bounds[:, 1]
-        levels.append(
-            LevelPairs(
-                nodes=nodes,
-                rows=np.arange(index[nodes[0]], index[nodes[0]] + len(nodes)),
-                success=np.asarray(success, dtype=bool),
-                span_starts=starts,
-                span_stops=stops,
-                pair_item=np.repeat(np.arange(len(nodes)), stops - starts),
-                recv_rows=np.fromiter(
-                    (index[receiver] for receiver in flat_receivers),
-                    dtype=np.int64,
-                    count=len(flat_receivers),
-                ),
-            )
-        )
-    return index, levels
 
 
 def fm_counts(column: FMColumn, nodes: Sequence[NodeId], readings) -> np.ndarray:

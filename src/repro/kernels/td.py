@@ -97,7 +97,6 @@ from repro.kernels.sd import (
     count_contributors,
     fm_counts,
     fold_columns,
-    level_pairs,
     local_rows,
     or_sorted,
     scatter_columns,
@@ -192,13 +191,16 @@ def level_locals(
 
 
 def level_senders(levels, selected: np.ndarray):
-    """The levels with a sender in ``selected`` (a per-row mask): each as
-    ``(level, positions of those senders)``, and their node lists."""
-    chosen = [(level, np.flatnonzero(selected[level.rows])) for level in levels]
-    chosen = [(level, positions) for level, positions in chosen if len(positions)]
+    """The ``(level, success)`` pairs with a sender in ``selected`` (a
+    per-row mask): each as ``(level, success, positions of those
+    senders)``, and their node lists."""
+    chosen = [
+        (level, success, np.flatnonzero(selected[level.rows]))
+        for level, success in levels
+    ]
+    chosen = [entry for entry in chosen if len(entry[2])]
     return chosen, [
-        [level.nodes[position] for position in positions.tolist()]
-        for level, positions in chosen
+        level.senders[positions].tolist() for level, _, positions in chosen
     ]
 
 
@@ -294,15 +296,19 @@ def run_td_block(
     num_epochs = len(epoch_list)
     epochs = np.asarray(epoch_list, dtype=np.int64)
 
-    plan = channel.plan_epochs(layout.levels, epoch_list)
-    index, levels = level_pairs(plan, channel, layout.levels, layout.level_nodes)
-    base_row = index[BASE_STATION]
-    senders = list(index)[:base_row]
-    sender_ids = np.asarray(senders, dtype=np.int64)
-    multipath = layout.multipath
-    is_m = np.fromiter(
-        (node in multipath for node in index), dtype=bool, count=base_row + 1
-    )
+    # The layout's structure is built once; a block draws only its
+    # (pairs x epochs) success tables.
+    structure = layout.delivery
+    plan = channel.plan_epochs(structure, epoch_list)
+    levels = [
+        (level, success)
+        for level, success in zip(structure.levels, plan.tables)
+        if len(level.senders)
+    ]
+    base_row = structure.base_row
+    sender_ids = structure.senders
+    senders = sender_ids.tolist()
+    is_m = layout.multipath_rows
     base_is_m = bool(is_m[base_row])
     has_m = bool(is_m.any())
     m_rows = np.flatnonzero(is_m[:base_row])
@@ -373,13 +379,15 @@ def run_td_block(
         8 * (len(fm_leaves) + len(extrema)) + OBJECT_CELL_BYTES * len(objects),
         tree_locals,
     )
-    for (level, positions), (built, span) in zip(tributaries, t_locals):
+    for (level, level_success, positions), (built, span) in zip(
+        tributaries, t_locals
+    ):
         partials, local_extrema, local_objects = built
         rows = level.rows[positions]
         # A tree unicast has exactly one planned pair, to its parent: the
         # start of its span.
         pairs = level.span_starts[positions]
-        success = level.success[pairs]
+        success = level_success[pairs]
         targets = level.recv_rows[pairs]
         # A level's slice is a view of its chunk's locals; levels share no
         # cell, so it is updated in place.
@@ -543,7 +551,9 @@ def run_td_block(
             m_locals = level_locals(
                 slots, readings, m_nodes, epoch_list[lo:hi], cell_bytes, delta_locals
             )
-            for (level, positions), (built, span) in zip(deltas, m_locals):
+            for (level, success, positions), (built, span) in zip(
+                deltas, m_locals
+            ):
                 packed, local_extrema, local_objects = built
                 level_is_m = is_m[level.rows]
                 rows = level.rows[positions]
@@ -575,7 +585,7 @@ def run_td_block(
                     # Pair senders as positions among the level's M nodes.
                     (np.cumsum(level_is_m) - 1)[level.pair_item[scatter]],
                     level.recv_rows[scatter],
-                    level.success[scatter],
+                    success[scatter],
                 )
 
     # -- billing, ground truth, base station -------------------------------
@@ -593,18 +603,18 @@ def run_td_block(
         )
 
     deliveries = np.zeros(num_epochs, dtype=np.int64)
-    for level in levels:
-        deliveries += level.success.sum(axis=0)
+    for _, success in levels:
+        deliveries += success.sum(axis=0)
     if has_m:
         records = []
-        for level in levels:
+        for level, success in levels:
             # A tree unicast lands whatever its parent's mode; a broadcast
             # only counts where an M node listened.
             heard = ~is_m[level.rows][level.pair_item] | is_m[level.recv_rows]
             records.append(
                 (
                     level.rows,
-                    level.success & heard[:, None],
+                    success & heard[:, None],
                     level.span_starts,
                     level.span_stops,
                     level.recv_rows,
@@ -617,14 +627,13 @@ def run_td_block(
         contributing = acc_count[base_row]
     logs = wave.logs(
         len(t_rows) * tree_attempts + len(m_rows) * layout.multipath_attempts,
-        sum(len(level.recv_rows) for level in levels),
+        sum(len(level.recv_rows) for level, _ in levels),
         deliveries,
     )
 
     channel.reset_log()
-    channel.account_bulk(
-        dict(zip(senders, wave.row_words.tolist())),
-        dict(zip(senders, wave.row_messages.tolist())),
+    channel.account_rows(
+        sender_ids, wave.row_words[:base_row], wave.row_messages[:base_row]
     )
 
     reporter_nodes = sender_ids[reporter_rows].tolist()

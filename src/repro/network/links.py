@@ -15,6 +15,8 @@ noisy.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -23,7 +25,7 @@ import numpy as _np
 from repro._hashing import hash_key, hash_unit_batch, hash_unit_from
 from repro.errors import ConfigurationError
 from repro.network.failures import FailureModel, loss_rates
-from repro.network.placement import Deployment, NodeId
+from repro.network.placement import BASE_STATION, Deployment, NodeId
 
 
 @dataclass
@@ -95,43 +97,144 @@ def transmit_sequential(
     ]
 
 
-@dataclass(frozen=True)
-class _PlanLevel:
-    """One level's flattened pair structure plus its (pairs x epochs)
-    bool outcome matrix."""
+def _pair_arrays(transmissions: Sequence[Transmission]):
+    """One level's ``(senders, attempts, receiver counts, flat receivers)``
+    as int64 arrays, in schedule order."""
+    count = len(transmissions)
+    senders = _np.fromiter(
+        (item.sender for item in transmissions), dtype=_np.int64, count=count
+    )
+    attempts = _np.fromiter(
+        (item.attempts for item in transmissions), dtype=_np.int64, count=count
+    )
+    fanout = _np.fromiter(
+        (len(item.receivers) for item in transmissions),
+        dtype=_np.int64,
+        count=count,
+    )
+    receivers = _np.fromiter(
+        itertools.chain.from_iterable(item.receivers for item in transmissions),
+        dtype=_np.int64,
+        count=int(fanout.sum()),
+    )
+    return senders, attempts, fanout, receivers
 
-    senders: Tuple[NodeId, ...]
-    receiver_sets: Tuple[Tuple[NodeId, ...], ...]
-    attempts: Tuple[int, ...]
-    spans: Tuple[Tuple[int, int], ...]
-    flat_receivers: Tuple[NodeId, ...]
-    success: _np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class PairLevel:
+    """One level's delivery pairs as arrays: a (sender, receiver) pair per
+    receiver of each transmission, in schedule order.
+
+    Attributes:
+        senders: each transmission's sender.
+        attempts: each transmission's send attempts.
+        rows: the senders' rows of the structure's row index.
+        span_starts, span_stops: each transmission's slice of the pair axis.
+        pair_item: each pair's transmission, as a position in ``senders``.
+        pair_senders: each pair's sender.
+        receivers: each pair's receiver.
+        recv_rows: each pair's receiver row, -1 for a receiver that neither
+            sends nor is the base station.
+    """
+
+    senders: _np.ndarray
+    attempts: _np.ndarray
+    rows: _np.ndarray
+    span_starts: _np.ndarray
+    span_stops: _np.ndarray
+    pair_item: _np.ndarray
+    pair_senders: _np.ndarray
+    receivers: _np.ndarray
+    recv_rows: _np.ndarray
+
+    def matches(self, transmissions: Sequence[Transmission]) -> bool:
+        """Whether ``transmissions`` have this level's senders, receivers
+        and attempts, in this order."""
+        senders, attempts, fanout, receivers = _pair_arrays(transmissions)
+        return (
+            _np.array_equal(senders, self.senders)
+            and _np.array_equal(attempts, self.attempts)
+            and _np.array_equal(fanout, self.span_stops - self.span_starts)
+            and _np.array_equal(receivers, self.receivers)
+        )
+
+
+class DeliveryStructure:
+    """Who sends to whom, level by level: the part of a schedule that delivery
+    draws depend on, built once.
+
+    Within one labelling of the wave the transmission structure — who sends,
+    who listens, how many attempts — is constant; only payload sizes vary by
+    epoch. A :class:`~repro.core.wave.WaveLayout` builds its structure once
+    and every block drawn against it (:meth:`Channel.plan_epochs`) draws
+    only its success tables.
+
+    The *row index* numbers every sender in schedule order, level after
+    level, then the base station (which never transmits): row ``i`` is
+    ``nodes[i]``, and ``base_row`` is the last.
+    """
+
+    def __init__(self, levels: Sequence[Sequence[Transmission]]) -> None:
+        arrays = [_pair_arrays(level) for level in levels]
+        self.nodes = _np.concatenate(
+            [senders for senders, _, _, _ in arrays]
+            + [_np.array([BASE_STATION], dtype=_np.int64)]
+        )
+        self.base_row = len(self.nodes) - 1
+        #: The senders' rows of ``nodes``: all but the base station.
+        self.senders = self.nodes[: self.base_row]
+        # A dense node -> row table; node ids are small non-negative ints.
+        size = 1 + max(
+            [int(self.nodes.max())]
+            + [int(receivers.max()) for _, _, _, receivers in arrays if len(receivers)]
+        )
+        row_of = _np.full(size, -1, dtype=_np.int64)
+        row_of[self.nodes] = _np.arange(len(self.nodes))
+        self.levels: Tuple[PairLevel, ...] = ()
+        first = 0
+        for senders, attempts, fanout, receivers in arrays:
+            stops = _np.cumsum(fanout)
+            pair_item = _np.repeat(_np.arange(len(senders)), fanout)
+            self.levels += (
+                PairLevel(
+                    senders=senders,
+                    attempts=attempts,
+                    rows=_np.arange(first, first + len(senders)),
+                    span_starts=stops - fanout,
+                    span_stops=stops,
+                    pair_item=pair_item,
+                    pair_senders=senders[pair_item],
+                    receivers=receivers,
+                    recv_rows=row_of[receivers],
+                ),
+            )
+            first += len(senders)
 
 
 class DeliveryPlan:
-    """Precomputed delivery outcomes for a fixed schedule over an epoch block.
+    """The delivery outcomes of one block of epochs over a fixed structure.
 
-    Within one adaptation interval a scheme's transmission structure — who
-    sends, who listens, how many attempts — is constant; only payload sizes
-    vary by epoch. Delivery draws depend on none of the varying parts, so the
-    whole (edge x epoch) outcome grid of a block can be drawn up front: per
-    level, one vectorized :func:`repro._hashing.hash_unit_batch` pass per
-    attempt over every (pair, epoch) cell, against per-epoch loss-rate
-    columns (a :class:`~repro.network.failures.FailureSchedule` that changes
-    loss mid-block is resolved epoch by epoch, exactly like the scalar
-    path).
+    Delivery draws depend on nothing a payload carries, so a block's whole
+    (pair x epoch) outcome grid is drawn up front: per level, one vectorized
+    :func:`repro._hashing.hash_unit_batch` pass per attempt over every
+    (pair, epoch) cell, against per-epoch loss-rate columns (a
+    :class:`~repro.network.failures.FailureSchedule` that changes loss
+    mid-block is resolved epoch by epoch, exactly like the scalar path).
+    ``tables[level]`` is that level's ``(pairs, epochs)`` bool matrix; the
+    pairs themselves are the :class:`DeliveryStructure`'s, which outlives
+    the plan.
 
-    A plan is valid only while the level structure and the channel's model
+    A plan is valid only while the structure and the channel's model
     version stay fixed: :meth:`Channel.transmit_epochs` re-validates both and
     raises if a scheme's schedule diverged from what was planned or churn
-    called :meth:`Channel.bump_model_version`. Build a fresh plan after every
-    adaptation.
+    called :meth:`Channel.bump_model_version`. Draw a fresh plan for every
+    block.
     """
 
     def __init__(
         self,
         channel: "Channel",
-        levels: Sequence[Sequence[Transmission]],
+        structure: DeliveryStructure,
         epochs: Sequence[int],
     ) -> None:
         epoch_list = [int(epoch) for epoch in epochs]
@@ -142,40 +245,11 @@ class DeliveryPlan:
             raise ConfigurationError("plan epochs must be distinct")
         self._channel = channel
         self._model_version = channel._model_version
-        self._levels = [
-            self._build_level(channel, level, epoch_list) for level in levels
+        self.structure = structure
+        self.tables = [
+            self._outcome_table(channel, level, epoch_list)
+            for level in structure.levels
         ]
-
-    def _check_level(
-        self,
-        channel: "Channel",
-        level: int,
-        transmissions: Sequence[Transmission],
-    ) -> _PlanLevel:
-        """Validate channel identity, model freshness and level structure."""
-        if channel is not self._channel:
-            raise ConfigurationError("delivery plan belongs to another channel")
-        if channel._model_version != self._model_version:
-            raise ConfigurationError(
-                "stale delivery plan: the membership changed after planning"
-            )
-        entry = self._levels[level]
-        if len(transmissions) != len(entry.senders):
-            raise ConfigurationError(
-                "transmission schedule diverged from the delivery plan"
-            )
-        for item, sender, receivers, attempts in zip(
-            transmissions, entry.senders, entry.receiver_sets, entry.attempts
-        ):
-            if (
-                item.sender != sender
-                or item.attempts != attempts
-                or tuple(item.receivers) != receivers
-            ):
-                raise ConfigurationError(
-                    "transmission schedule diverged from the delivery plan"
-                )
-        return entry
 
     def outcomes(
         self,
@@ -187,101 +261,45 @@ class DeliveryPlan:
     ) -> Tuple[Sequence[bool], Tuple[Tuple[int, int], ...], Tuple[NodeId, ...]]:
         """The planned (success column, spans, flat receivers) for one level.
 
-        Validates that the caller's transmissions still match the planned
-        structure and that the channel's failure model has not changed since
-        the plan was built — both would silently break byte-identity. A
-        caller that already validated the level for this block (via
-        :meth:`level_table`) may pass ``check=False`` to skip the per-item
-        structure walk; channel identity, model freshness and the epoch
-        column are always verified.
+        Validates that the channel's failure model has not changed since the
+        plan was drawn and, unless ``check`` is False (a caller that built
+        the plan from these very transmissions), that the caller's
+        transmissions still match the planned structure — both would
+        silently break byte-identity. Channel identity and the epoch column
+        are always verified.
         """
-        if check:
-            entry = self._check_level(channel, level, transmissions)
-        else:
-            if channel is not self._channel:
-                raise ConfigurationError(
-                    "delivery plan belongs to another channel"
-                )
-            if channel._model_version != self._model_version:
-                raise ConfigurationError(
-                    "stale delivery plan: the membership changed after "
-                    "planning"
-                )
-            entry = self._levels[level]
+        if channel is not self._channel:
+            raise ConfigurationError("delivery plan belongs to another channel")
+        if channel._model_version != self._model_version:
+            raise ConfigurationError(
+                "stale delivery plan: the membership changed after planning"
+            )
+        entry = self.structure.levels[level]
+        if check and not entry.matches(transmissions):
+            raise ConfigurationError(
+                "transmission schedule diverged from the delivery plan"
+            )
         column = self._epoch_columns.get(epoch)
         if column is None:
             raise ConfigurationError(f"epoch {epoch} is outside the planned block")
-        return entry.success[:, column], entry.spans, entry.flat_receivers
-
-    def level_table(
-        self,
-        channel: "Channel",
-        level: int,
-        transmissions: Sequence[Transmission],
-    ):
-        """The whole (pairs x epochs) outcome block for one level, validated.
-
-        Returns ``(success, spans, flat_receivers)`` where ``success`` is a
-        bool matrix whose column ``j`` corresponds to the ``j``-th planned
-        epoch (the fused kernels run levels over the full block at once, so
-        they consume the matrix instead of per-epoch columns). Runs the
-        same structure validation as :meth:`outcomes` — once per block
-        instead of once per epoch.
-        """
-        entry = self._check_level(channel, level, transmissions)
-        return entry.success, entry.spans, entry.flat_receivers
-
-    @staticmethod
-    def _build_level(
-        channel: "Channel",
-        transmissions: Sequence[Transmission],
-        epochs: List[int],
-    ) -> _PlanLevel:
-        senders: List[NodeId] = []
-        receiver_sets: List[Tuple[NodeId, ...]] = []
-        attempts: List[int] = []
-        flat_senders: List[NodeId] = []
-        flat_receivers: List[NodeId] = []
-        flat_attempts: List[int] = []
-        spans: List[Tuple[int, int]] = []
-        for item in transmissions:
-            receivers = tuple(item.receivers)
-            senders.append(item.sender)
-            receiver_sets.append(receivers)
-            attempts.append(item.attempts)
-            start = len(flat_senders)
-            for receiver in receivers:
-                flat_senders.append(item.sender)
-                flat_receivers.append(receiver)
-                flat_attempts.append(item.attempts)
-            spans.append((start, len(flat_senders)))
-        success = DeliveryPlan._outcome_table(
-            channel, flat_senders, flat_receivers, flat_attempts, epochs
-        )
-        return _PlanLevel(
-            senders=tuple(senders),
-            receiver_sets=tuple(receiver_sets),
-            attempts=tuple(attempts),
-            spans=tuple(spans),
-            flat_receivers=tuple(flat_receivers),
-            success=success,
+        return (
+            self.tables[level][:, column],
+            tuple(zip(entry.span_starts.tolist(), entry.span_stops.tolist())),
+            tuple(entry.receivers.tolist()),
         )
 
     @staticmethod
     def _outcome_table(
-        channel: "Channel",
-        senders: Sequence[NodeId],
-        receivers: Sequence[NodeId],
-        attempts_per_pair: Sequence[int],
-        epochs: List[int],
-    ):
+        channel: "Channel", level: PairLevel, epochs: List[int]
+    ) -> _np.ndarray:
         """Success flags for every (pair, epoch) cell of one level.
 
-        Cell (i, j) equals ``any(channel.delivered(senders[i], receivers[i],
-        epochs[j], attempt) for attempt in range(attempts_per_pair[i]))`` —
-        the scalar path's outcome, computed in one vectorized sweep per
+        Cell (i, j) equals ``any(channel.delivered(sender, receiver,
+        epochs[j], attempt) for attempt in range(attempts))`` of pair ``i``
+        — the scalar path's outcome, computed in one vectorized sweep per
         attempt.
         """
+        senders, receivers = level.pair_senders, level.receivers
         num_pairs = len(senders)
         num_epochs = len(epochs)
         if num_pairs == 0:
@@ -297,16 +315,10 @@ class DeliveryPlan:
             )
         success = loss <= 0.0
         if not bool(success.all()):
-            attempts_column = _np.asarray(attempts_per_pair, dtype=_np.int64)[
-                :, None
-            ]
+            attempts_column = level.attempts[level.pair_item][:, None]
             cells = num_pairs * num_epochs
-            sender_grid = _np.repeat(
-                _np.asarray(senders, dtype=_np.int64), num_epochs
-            )
-            receiver_grid = _np.repeat(
-                _np.asarray(receivers, dtype=_np.int64), num_epochs
-            )
+            sender_grid = _np.repeat(senders, num_epochs)
+            receiver_grid = _np.repeat(receivers, num_epochs)
             epoch_grid = _np.tile(_np.asarray(epochs, dtype=_np.int64), num_pairs)
             for attempt in range(int(attempts_column.max())):
                 undecided = (~success) & (attempts_column > attempt) & (loss < 1.0)
@@ -326,7 +338,9 @@ class DeliveryPlan:
         if chaos is not None:
             # Draws are pure keyed hashes, so forcing an outcome after the
             # sweep is identical to the scalar path's pre-draw short-circuit.
-            chaos.override_table(success, senders, receivers, epochs)
+            chaos.override_table(
+                success, senders.tolist(), receivers.tolist(), epochs
+            )
         return success
 
 
@@ -354,8 +368,24 @@ class Channel:
         self._draw_key = hash_key("channel", seed)
         self._model_version = 0
         self.log = TransmissionLog()
-        self._per_node_words: Dict[NodeId, int] = {}
-        self._per_node_messages: Dict[NodeId, int] = {}
+        self._words_by_node: Dict[NodeId, int] = {}
+        self._messages_by_node: Dict[NodeId, int] = {}
+        #: Block bills not yet in the maps: ``(senders, words, messages)``
+        #: arrays, summed while consecutive blocks bill the same senders.
+        self._row_bills = None
+
+    @property
+    def _per_node_words(self) -> Dict[NodeId, int]:
+        """Cumulative words per node that has transmitted, in first-billed
+        order (every read settles the pending block bills first)."""
+        self._settle_rows()
+        return self._words_by_node
+
+    @property
+    def _per_node_messages(self) -> Dict[NodeId, int]:
+        """Cumulative messages per node, as :attr:`_per_node_words`."""
+        self._settle_rows()
+        return self._messages_by_node
 
     @property
     def deployment(self) -> Deployment:
@@ -372,9 +402,9 @@ class Channel:
 
         Called when something a plan was drawn against changed — node
         churn removes or adds (sender, receiver) edges, so outcomes planned
-        over the old membership must never be replayed. Schemes rebuild
-        their plans at the next block anyway; this makes replaying a stale
-        one a loud error instead of a silent wrong answer.
+        over the old membership must never be replayed. Schemes draw a
+        fresh plan every block anyway; this makes replaying a stale one a
+        loud error instead of a silent wrong answer.
         """
         self._model_version += 1
 
@@ -499,18 +529,21 @@ class Channel:
 
     def plan_epochs(
         self,
-        levels: Sequence[Sequence[Transmission]],
+        levels: "DeliveryStructure | Sequence[Sequence[Transmission]]",
         epochs: Sequence[int],
     ) -> DeliveryPlan:
-        """Precompute every delivery outcome for a block of epochs.
+        """Draw every delivery outcome of a block of epochs.
 
-        ``levels`` lists, per transmission level, the transmissions that
-        will be queued each epoch of the block; only sender, receivers and
-        attempts matter (payload words/messages vary per epoch and do not
-        affect delivery). The returned plan backs
-        :meth:`transmit_epochs` and stays valid until the level structure
-        or the failure model changes.
+        ``levels`` is a :class:`DeliveryStructure` (a layout's, built once
+        and drawn against block after block) or, per transmission level,
+        the transmissions that will be queued each epoch of the block, of
+        which only sender, receivers and attempts matter (payload
+        words/messages vary per epoch and do not affect delivery). The
+        returned plan backs :meth:`transmit_epochs` and stays valid until
+        the failure model changes.
         """
+        if not isinstance(levels, DeliveryStructure):
+            levels = DeliveryStructure(levels)
         return DeliveryPlan(self, levels, epochs)
 
     def account_bulk(
@@ -527,12 +560,50 @@ class Channel:
         commutative, so merging block totals is identical to the per-epoch
         path's incremental ``get(node, 0) +`` updates.
         """
-        per_words = self._per_node_words
-        per_messages = self._per_node_messages
-        for node, words in words_by_node.items():
-            per_words[node] = per_words.get(node, 0) + int(words)
-        for node, messages in messages_by_node.items():
-            per_messages[node] = per_messages.get(node, 0) + int(messages)
+        for per_node, bills in (
+            (self._per_node_words, words_by_node),
+            (self._per_node_messages, messages_by_node),
+        ):
+            # One C-level pass per map: old total plus the block's, updated
+            # in the bills' order (new nodes are appended in that order).
+            totals = map(
+                operator.add,
+                map(per_node.get, bills, itertools.repeat(0)),
+                bills.values(),
+            )
+            per_node.update(zip(bills, totals))
+
+    def account_rows(
+        self, senders: _np.ndarray, words: _np.ndarray, messages: _np.ndarray
+    ) -> None:
+        """Bill a block's per-sender totals: ``senders[i]`` sent ``words[i]``
+        words in ``messages[i]`` messages.
+
+        Blocks that bill the same ``senders`` array one after another add up
+        as arrays, and reach the per-node maps in one :meth:`account_bulk`
+        at their next read — the order and the totals a merge per block
+        would give, without a per-node pass per block.
+        """
+        pending = self._row_bills
+        if pending is not None and pending[0] is senders:
+            _, pending_words, pending_messages = pending
+            pending_words += words
+            pending_messages += messages
+            return
+        self._settle_rows()
+        self._row_bills = (senders, words.copy(), messages.copy())
+
+    def _settle_rows(self) -> None:
+        """Merge the pending block bills into the per-node maps."""
+        pending = self._row_bills
+        if pending is None:
+            return
+        self._row_bills = None
+        senders = pending[0].tolist()
+        self.account_bulk(
+            dict(zip(senders, pending[1].tolist())),
+            dict(zip(senders, pending[2].tolist())),
+        )
 
     def transmit_epochs(
         self,
@@ -548,10 +619,8 @@ class Channel:
         epoch)``: accounting runs in the same transmission order and the
         success flags were drawn from the same keyed hashes — only *when*
         the draws happened differs (once per block instead of per send).
-        ``checked=True`` promises the caller already validated this level's
-        structure against the plan for the current block (one
-        :meth:`DeliveryPlan.level_table` call), skipping the per-epoch
-        re-walk.
+        ``checked=True`` promises the plan was drawn from these very
+        transmissions, skipping the structure comparison.
         """
         success, spans, flat_receivers = plan.outcomes(
             self, level, epoch, transmissions, check=not checked
@@ -615,7 +684,8 @@ class Channel:
 
     def restore_state(self, state: Dict[str, Dict[str, int]]) -> None:
         """Inverse of :meth:`checkpoint_state`."""
-        self._per_node_words = {int(node): n for node, n in state["words"].items()}
-        self._per_node_messages = {
+        self._row_bills = None
+        self._words_by_node = {int(node): n for node, n in state["words"].items()}
+        self._messages_by_node = {
             int(node): n for node, n in state["messages"].items()
         }

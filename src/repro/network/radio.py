@@ -50,19 +50,32 @@ class Connectivity:
         """Build from an undirected edge list (each pair listed once)."""
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges)
+        if pairs.dtype.kind not in "iu":
+            pairs = pairs.astype(np.int64)
+        pairs = pairs.reshape(-1, 2)
         if pairs.size and not (
             (0 <= pairs).all() and (pairs < num_nodes).all()
         ):
             raise ConfigurationError(
                 f"edge endpoints must be node ids in 0..{num_nodes - 1}"
             )
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-        return cls(indptr, dst[order])
+        # One int64 key per directed slot, ``source * n + neighbour``,
+        # sorted in place: the CSR's (source, neighbour) order without a
+        # lexsort's index array and the copies it gathers through.
+        count = len(pairs)
+        keys = np.empty(2 * count, dtype=np.int64)
+        for half, (src, dst) in enumerate(((0, 1), (1, 0))):
+            key = keys[half * count : (half + 1) * count]
+            key[:] = pairs[:, src]
+            key *= num_nodes
+            key += pairs[:, dst]
+        keys.sort()
+        indptr = np.searchsorted(
+            keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes
+        )
+        np.remainder(keys, max(1, num_nodes), out=keys)
+        return cls(indptr, keys.astype(np.int32))
 
     def __len__(self) -> int:
         """Number of nodes."""
@@ -152,7 +165,7 @@ class DiscRadio:
         xs, ys = deployment.xs, deployment.ys
         count = len(xs)
         cell = self.radio_range
-        # The +1 shift keeps all bucket coordinates >= 1 so the 3x3 offsets
+        # The +1 shift keeps all bucket coordinates >= 1 so the offsets
         # below can never collide across the row seam of the key space.
         cx = np.floor_divide(xs, cell).astype(np.int64) + 1
         cy = np.floor_divide(ys, cell).astype(np.int64) + 1
@@ -162,20 +175,23 @@ class DiscRadio:
         sorted_key = key[order]
         edge_a: List[np.ndarray] = []
         edge_b: List[np.ndarray] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                probe = key + dx * stride + dy
-                left = np.searchsorted(sorted_key, probe, side="left")
-                counts = np.searchsorted(sorted_key, probe, side="right") - left
-                node = np.repeat(np.arange(count), counts)
-                other = order[np.repeat(left, counts) + _run_offsets(counts)]
+        # Each link once: a pair in one cell from its smaller id, a pair in
+        # two adjacent cells from the cell whose offset to the other is
+        # "forward" (one of four of the eight neighbours).
+        for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+            probe = key + dx * stride + dy
+            left = np.searchsorted(sorted_key, probe, side="left")
+            counts = np.searchsorted(sorted_key, probe, side="right") - left
+            node = np.repeat(np.arange(count), counts)
+            other = order[np.repeat(left, counts) + _run_offsets(counts)]
+            if dx == dy == 0:
                 keep = other > node
                 node, other = node[keep], other[keep]
-                dxs = xs[node] - xs[other]
-                dys = ys[node] - ys[other]
-                keep = np.sqrt(dxs * dxs + dys * dys) <= self.radio_range
-                edge_a.append(node[keep])
-                edge_b.append(other[keep])
+            dxs = xs[node] - xs[other]
+            dys = ys[node] - ys[other]
+            keep = np.sqrt(dxs * dxs + dys * dys) <= self.radio_range
+            edge_a.append(node[keep].astype(np.int32))
+            edge_b.append(other[keep].astype(np.int32))
         connectivity = Connectivity.from_edges(
             count,
             np.stack([np.concatenate(edge_a), np.concatenate(edge_b)], axis=1),

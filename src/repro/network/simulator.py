@@ -59,6 +59,13 @@ def gather_reading_block(
 #: reads a block's epochs this many cells at a time (at least one epoch).
 READ_CHUNK_CELLS = 1 << 16
 
+#: Most (node, epoch) cells one block spans: a block runs at most
+#: ``BLOCK_CELLS // (sensors + 1)`` epochs (at least one), so a kernel's
+#: per-row accumulators and delivery tables are bounded by this budget, not
+#: by the network size times the run length. Draws are keyed by epoch, so
+#: where a block is cut never changes a result, only when draws happen.
+BLOCK_CELLS = 1 << 18
+
 
 def exact_over(
     aggregate, readings: ReadingFn, nodes: Sequence[NodeId], epochs: Sequence[int]
@@ -119,7 +126,7 @@ class AggregationScheme(Protocol):
     ``run_epoch`` is the scalar reference wave. Schemes may additionally
     implement ``run_epochs(epochs, channel, readings) ->
     List[Tuple[EpochOutcome, TransmissionLog]]``: the epoch-blocked engine,
-    executing a whole block against one precomputed
+    executing a whole block against one
     :class:`~repro.network.links.DeliveryPlan` and returning per-epoch
     (outcome, log) pairs byte-identical to :func:`run_epochs_scalar` under
     any split of the epochs into blocks. The simulator always drives
@@ -430,11 +437,6 @@ class EpochSimulator:
             is bookkeeping only — it never changes a single draw.
     """
 
-    #: Upper bound on one block's epoch span (bounds the delivery-plan
-    #: outcome tables when ``adapt_interval`` is 0); block splits never
-    #: change results, only when draws happen.
-    MAX_BLOCK_EPOCHS = 128
-
     def __init__(
         self,
         deployment: Deployment,
@@ -615,11 +617,11 @@ class EpochSimulator:
     ) -> None:
         """The one loop: checkpoint, churn, run a block, audit, record, adapt.
 
-        A block never crosses an adaptation boundary (the plan's lifetime is
-        one adaptation interval), a churn boundary (membership changes
-        invalidate the plan's edge set) or a checkpoint boundary, and is
-        capped at :attr:`MAX_BLOCK_EPOCHS`. Draws are keyed by epoch, so
-        where blocks are cut never changes a result — only when draws
+        A block never crosses an adaptation boundary (a layout's lifetime
+        is one adaptation interval), a churn boundary (membership changes
+        the edge set) or a checkpoint boundary, and spans at most
+        :data:`BLOCK_CELLS` node x epoch cells. Draws are keyed by epoch,
+        so where blocks are cut never changes a result — only when draws
         happen.
         """
         interval = self._adapt_interval
@@ -629,6 +631,7 @@ class EpochSimulator:
         run_epochs = getattr(self._scheme, "run_epochs", None)
         if run_epochs is None:
             run_epochs = functools.partial(run_epochs_scalar, self._scheme)
+        block_epochs = max(1, BLOCK_CELLS // (self._deployment.num_sensors + 1))
         offset = start_offset
         while offset < total:
             if self._checkpoint is not None and offset > start_offset:
@@ -637,7 +640,7 @@ class EpochSimulator:
                 self._apply_churn(
                     start_epoch + offset, offset, energy, warmup, readings
                 )
-            span = min(total - offset, self.MAX_BLOCK_EPOCHS)
+            span = min(total - offset, block_epochs)
             if interval:
                 span = min(span, interval - offset % interval)
             if self._membership is not None:

@@ -123,7 +123,6 @@ def build_bushy_tree(
     is draw for draw what ``rng.choice`` over the option lists consumes.
     """
     rng = stream_rng("bushy-tree", seed)
-    draw = rng.randrange
     ids, level_of, indptr, upstream = _upstream_csr(rings)
     count = len(ids)
     sensors = np.flatnonzero(ids != BASE_STATION)
@@ -141,7 +140,7 @@ def build_bushy_tree(
         if (level_of[parent[sensors]] != level_of[sensors] - 1).any():
             raise TopologyError("a tree parent is not exactly one ring up")
 
-    picks = [draw(options) for options in degree[sensors].tolist()]
+    picks = _randbelow_each(rng, degree[sensors].tolist())
     parent[sensors] = upstream[indptr[sensors] + np.array(picks, dtype=np.int64)]
     check_one_ring_up()
 
@@ -169,7 +168,7 @@ def build_bushy_tree(
         options[pinned] = 0
         movers = np.flatnonzero(options)
         if movers.size:
-            picks = [draw(choices) for choices in options[movers].tolist()]
+            picks = _randbelow_each(rng, options[movers].tolist())
             # The pick-th open edge of each mover's upstream run.
             wanted = running[indptr[movers]] + np.array(picks, dtype=np.int64)
             parent[movers] = upstream[
@@ -187,6 +186,22 @@ def build_bushy_tree(
         },
         root=BASE_STATION,
     )
+
+
+def _randbelow_each(rng, bounds: List[int]) -> List[int]:
+    """``[rng.randrange(n) for n in bounds]`` (every ``n`` positive), draw
+    for draw: CPython's ``randrange(n)`` is this rejection loop over
+    ``getrandbits(n.bit_length())``, behind argument checks that cost more
+    than the draw."""
+    getrandbits = rng.getrandbits
+    picks = []
+    for bound in bounds:
+        bits = bound.bit_length()
+        pick = getrandbits(bits)
+        while pick >= bound:
+            pick = getrandbits(bits)
+        picks.append(pick)
+    return picks
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:

@@ -2,13 +2,38 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import assert_golden
 from repro.network.placement import BASE_STATION
-from repro.tree.construction import build_bushy_tree, build_tag_tree
+from repro.tree.construction import (
+    _randbelow_each,
+    build_bushy_tree,
+    build_tag_tree,
+)
 from repro.tree.domination import domination_factor
 from repro.tree.structure import Tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(1, 70), st.integers(1, 1 << 70)), max_size=60
+    ),
+    st.integers(0, 1 << 64),
+)
+def test_inlined_parent_draws_are_randrange(bounds, seed):
+    """The bushy tree's inlined draws consume the stream exactly as
+    ``randrange`` does, draw for draw, and leave it in the same state."""
+    inlined, reference = random.Random(seed), random.Random(seed)
+    assert _randbelow_each(inlined, bounds) == [
+        reference.randrange(bound) for bound in bounds
+    ]
+    assert inlined.getstate() == reference.getstate()
 
 
 class TestBushyTree:
