@@ -202,6 +202,28 @@ def hash_unit_batch(
     return hash_key_batch(prefix, *columns) / _np.float64(1 << 64)
 
 
+def hash_unit_outer(
+    prefix: Sequence[object],
+    rows: Sequence[Sequence[int]],
+    column: Sequence[int],
+    last: int,
+) -> "_np.ndarray":
+    """Uniforms in [0, 1) over an outer product of keys, as a
+    ``(len(rows[0]), len(column))`` grid.
+
+    Cell ``(i, j)`` equals ``hash_unit(*prefix, rows[0][i], rows[1][i], ...,
+    column[j], last)`` exactly — :func:`hash_unit_batch` over the flattened
+    grid — but the row tokens are mixed once per row, not once per cell,
+    and no grid-sized token columns are built.
+    """
+    row_state = hash_key_batch(prefix, *rows)
+    grid = row_state[:, None] ^ _column_u64(column, len(column))[None, :]
+    splitmix64_inplace(grid)
+    grid ^= _np.uint64(last & _MASK64)
+    splitmix64_inplace(grid)
+    return grid / _np.float64(1 << 64)
+
+
 def geometric_level_batch(
     prefix: Sequence[object], *columns: Sequence[int]
 ) -> Sequence[int]:

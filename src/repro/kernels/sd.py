@@ -261,6 +261,8 @@ class RowWave:
         for lo in range(0, num_epochs, step):
             hi = min(lo + step, num_epochs)
             self._lo, self._hi = lo, hi
+            # Release the closed tile before the next one is allocated.
+            self.acc = self.extrema = None
             self.acc = np.zeros(
                 (self._base_row + 1, (hi - lo) * self.width), dtype=np.uint32
             )

@@ -337,10 +337,10 @@ def run_td_block(
     # inbox of its children's partials (delivery order), keyed ``row *
     # num_epochs + column``.
     acc_count = np.zeros((base_row + 1, num_epochs), dtype=np.int64)
-    acc_partial = np.zeros(
-        (base_row + 1, num_epochs, len(fm_leaves)), dtype=np.int64
-    )
-    acc_extrema = np.empty((base_row + 1, num_epochs, len(extrema)))
+    # Partials and extrema are only ever added up from T rows.
+    tree_rows = base_row + 1 if len(t_rows) else 0
+    acc_partial = np.zeros((tree_rows, num_epochs, len(fm_leaves)), dtype=np.int64)
+    acc_extrema = np.empty((tree_rows, num_epochs, len(extrema)))
     acc_extrema[...] = neutral
     tree_inboxes: List[Dict[int, list]] = [{} for _ in objects]
     # An object partial's wire size varies: T rows bill per cell.

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro._hashing import hash_key, hash_unit_batch, hash_unit_from
+from repro._hashing import hash_key, hash_unit_from, hash_unit_outer
 from repro.errors import ConfigurationError
 from repro.network.failures import FailureModel, loss_rates
 from repro.network.placement import BASE_STATION, Deployment, NodeId
@@ -216,7 +216,7 @@ class DeliveryPlan:
 
     Delivery draws depend on nothing a payload carries, so a block's whole
     (pair x epoch) outcome grid is drawn up front: per level, one vectorized
-    :func:`repro._hashing.hash_unit_batch` pass per attempt over every
+    :func:`repro._hashing.hash_unit_outer` pass per attempt over every
     (pair, epoch) cell, against per-epoch loss-rate columns (a
     :class:`~repro.network.failures.FailureSchedule` that changes loss
     mid-block is resolved epoch by epoch, exactly like the scalar path).
@@ -316,23 +316,13 @@ class DeliveryPlan:
         success = loss <= 0.0
         if not bool(success.all()):
             attempts_column = level.attempts[level.pair_item][:, None]
-            cells = num_pairs * num_epochs
-            sender_grid = _np.repeat(senders, num_epochs)
-            receiver_grid = _np.repeat(receivers, num_epochs)
-            epoch_grid = _np.tile(_np.asarray(epochs, dtype=_np.int64), num_pairs)
             for attempt in range(int(attempts_column.max())):
                 undecided = (~success) & (attempts_column > attempt) & (loss < 1.0)
                 if not bool(undecided.any()):
                     break
-                draws = _np.asarray(
-                    hash_unit_batch(
-                        channel._draw_key,
-                        sender_grid,
-                        receiver_grid,
-                        epoch_grid,
-                        _np.full(cells, attempt, dtype=_np.int64),
-                    )
-                ).reshape(num_pairs, num_epochs)
+                draws = hash_unit_outer(
+                    channel._draw_key, (senders, receivers), epochs, attempt
+                )
                 success |= undecided & (draws >= loss)
         chaos = channel.chaos
         if chaos is not None:
