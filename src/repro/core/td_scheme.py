@@ -97,7 +97,7 @@ class TributaryDeltaScheme(LayoutWave):
         self._level_nodes, self._upstream = ring_schedule(self._graph.rings)
         self._tree_parents = dict(self._graph.tree.parents)
         #: The last layout built and the graph version it was built at.
-        self._layout: Optional[Tuple[int, WaveLayout]] = None
+        self._cached_layout: Optional[Tuple[int, WaveLayout]] = None
 
     def on_membership_change(self, update) -> None:
         """Rebuild the T/M graph over the repaired topology after churn.
@@ -145,8 +145,9 @@ class TributaryDeltaScheme(LayoutWave):
         sizes) and switchable M nodes (expecting 0).
         """
         graph = self._graph
-        if self._layout is not None and self._layout[0] == graph.version:
-            return self._layout[1]
+        cached = self._cached_layout
+        if cached is not None and cached[0] == graph.version:
+            return cached[1]
         multipath = graph.delta_region()
         parents = self._tree_parents
         for nodes in self._level_nodes:
@@ -176,7 +177,7 @@ class TributaryDeltaScheme(LayoutWave):
             self._multipath_attempts,
             reporters,
         )
-        self._layout = (graph.version, layout)
+        self._cached_layout = (graph.version, layout)
         return layout
 
     def _convert_frontier(self, partials, counts, senders, epochs):

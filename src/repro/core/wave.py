@@ -139,6 +139,18 @@ class WaveLayout:
         return DeliveryStructure(self.levels)
 
     @cached_property
+    def reporter_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The reporters' rows of :attr:`delivery`, ascending, and each
+        one's expected tributary count."""
+        reporters = self.reporters
+        nodes = self.delivery.senders.tolist()
+        rows = [row for row, node in enumerate(nodes) if node in reporters]
+        return (
+            np.asarray(rows, dtype=np.int64),
+            np.asarray([reporters[nodes[row]] for row in rows], dtype=np.int64),
+        )
+
+    @cached_property
     def multipath_rows(self) -> np.ndarray:
         """Per row of :attr:`delivery`, whether its node is M."""
         multipath = self.multipath

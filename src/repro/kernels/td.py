@@ -307,7 +307,6 @@ def run_td_block(
     ]
     base_row = structure.base_row
     sender_ids = structure.senders
-    senders = sender_ids.tolist()
     is_m = layout.multipath_rows
     base_is_m = bool(is_m[base_row])
     has_m = bool(is_m.any())
@@ -403,8 +402,8 @@ def run_td_block(
                 map(leaf.tree_words, cells), dtype=np.int64, count=len(cells)
             ).reshape(len(rows), num_epochs)
         out_count = 1 + acc_count[rows]
-        np.add.at(acc_partial, targets, out_partial * success[:, :, None])
-        np.add.at(acc_count, targets, out_count * success)
+        add_rows(acc_partial, targets, out_partial * success[:, :, None])
+        add_rows(acc_count, targets, out_count * success)
         if extrema:
             fold_columns(ufuncs, out_extrema, acc_extrema[rows])
             scatter_columns(
@@ -452,19 +451,8 @@ def run_td_block(
             )
 
     # -- reporters: M nodes whose payload carries their own statistic ------
-    expected = layout.reporters
-    reporter_rows = np.asarray(
-        [row for row in m_rows.tolist() if senders[row] in expected],
-        dtype=np.int64,
-    )
-    missing = np.maximum(
-        0,
-        np.asarray(
-            [expected[senders[row]] for row in reporter_rows.tolist()],
-            dtype=np.int64,
-        )[:, None]
-        - acc_count[reporter_rows],
-    )
+    reporter_rows, expected = layout.reporter_rows
+    missing = np.maximum(0, expected[:, None] - acc_count[reporter_rows])
     reporter_of_row = np.full(base_row, -1, dtype=np.int64)
     reporter_of_row[reporter_rows] = np.arange(len(reporter_rows))
     flag_words = -(-len(reporter_rows) // 32)
@@ -688,6 +676,15 @@ def run_td_block(
         )
         results.append((outcome, log))
     return results
+
+
+def add_rows(dest: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(dest, rows, values)`` over the leading axis of a
+    C-contiguous ``dest``, as one scatter of its cells: ``add.at`` over
+    sub-arrays pays per row about what a flat one pays per cell."""
+    width = dest[0].size
+    cells = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(dest.reshape(-1), cells, values.reshape(-1))
 
 
 def pick_cells(columns: List[list], cells: np.ndarray) -> List[list]:

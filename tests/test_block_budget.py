@@ -201,7 +201,7 @@ def test_td_builds_a_layout_only_after_a_switch(monkeypatch):
 
     # Rebuilding every block (the cache forgotten before each) moves nothing.
     def forgetful(self, epochs, channel, readings):
-        self._layout = None
+        self._cached_layout = None
         return run_epochs(self, epochs, channel, readings)
 
     monkeypatch.setattr(td_scheme.TributaryDeltaScheme, "run_epochs", forgetful)
