@@ -310,13 +310,19 @@ class RowWave:
             count=len(unique_words),
         )
         messages = unique_messages[np.searchsorted(unique_words, words)]
-        shape = (len(rows), len(self.words_sent[columns]))
-        words = np.broadcast_to(words, shape)
-        messages = np.broadcast_to(messages, shape)
-        self.words_sent[columns] += attempts * words.sum(axis=0)
-        self.messages_sent[columns] += attempts * messages.sum(axis=0)
-        self.row_words[rows] += attempts * words.sum(axis=1)
-        self.row_messages[rows] += attempts * messages.sum(axis=1)
+        num_rows, num_columns = len(rows), len(self.words_sent[columns])
+        for values, per_epoch, per_row in (
+            (words, self.words_sent, self.row_words),
+            (messages, self.messages_sent, self.row_messages),
+        ):
+            if np.ndim(values) == 0:
+                # A constant payload: its sums are products.
+                per_epoch[columns] += attempts * values * num_rows
+                per_row[rows] += attempts * values * num_columns
+            else:
+                values = np.broadcast_to(values, (num_rows, num_columns))
+                per_epoch[columns] += attempts * values.sum(axis=0)
+                per_row[rows] += attempts * values.sum(axis=1)
 
     def fold_extrema(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Reduce ``values[i]`` (one float per extremum column) into the
