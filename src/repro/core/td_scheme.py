@@ -8,8 +8,9 @@ level up, so both kinds of node share one ring-level schedule (the
 synchronisation design of Section 4.1). Because the labelling adapts, the
 layout is rebuilt from the graph whenever a switch changed it: who
 unicasts, who broadcasts, and which M nodes attach their tributaries'
-"nodes not contributing" count to the Section 4.2 piggyback. The running max/min of
-those reach the base station and drive the TD adaptation strategy.
+"nodes not contributing" count to the Section 4.2 piggyback. The running
+max/min of those reach the base station and drive the TD adaptation
+strategy.
 """
 
 from __future__ import annotations

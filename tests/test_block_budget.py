@@ -78,10 +78,11 @@ def _spilled(config: RunConfig, store: pathlib.Path):
 
 @pytest.mark.parametrize("scheme", ["TAG", "SD"])
 def test_where_a_block_is_cut_moves_no_byte(scheme, tmp_path, monkeypatch):
-    # 3000 nodes: the default budget runs the 9 epochs as one block, 1
-    # cell one epoch per block, 4 * 3001 cells an uneven 4 + 4 + 1.
+    # 3000 nodes: the default budget holds the whole 9-epoch run in one
+    # block, 1 cell cuts one epoch per block, 4 * 3001 cells 4 + 4 + 1.
+    assert simulator.BLOCK_CELLS // 3001 >= 9
     outputs = []
-    for budget in (simulator.BLOCK_CELLS, ONE_EPOCH, 4 * 3001, WHOLE_RUN):
+    for budget in (simulator.BLOCK_CELLS, ONE_EPOCH, 4 * 3001):
         monkeypatch.setattr(simulator, "BLOCK_CELLS", budget)
         store = tmp_path / str(budget)
         outputs.append(_spilled(_scale_config(scheme, store), store))
@@ -194,8 +195,9 @@ def test_td_builds_a_layout_only_after_a_switch(monkeypatch):
     monkeypatch.setattr(td_scheme.TributaryDeltaScheme, "run_epochs", recording)
     result = serialization.dumps(run_config_result(config))
     log = schemes[0].adaptation_log
-    switched = sum(1 for _, _, count in log if count)
-    assert 0 < switched < len(log)  # some rounds switched, some did not
+    # The last round adapts after the last block: no block reads its layout.
+    switched = sum(1 for _, _, count in log[:-1] if count)
+    assert 0 < switched < len(log) - 1  # some rounds switched, some did not
     assert len(layouts) == switched + 1
     assert len(built) == len(layouts)
 
